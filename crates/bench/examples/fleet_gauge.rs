@@ -39,7 +39,6 @@ fn main() {
     );
     let cfg = FleetConfig {
         replicas: 3,
-        poll_interval: Duration::from_micros(500),
         checkpoint_every: 50,
         ..FleetConfig::default()
     };

@@ -8,8 +8,9 @@
 //!
 //! * [`pool`] — the data plane: a [`ReplicaPool`] of serving slots, each
 //!   owning a replica tailed by its own replay worker thread (bounded
-//!   [`catch_up_batch`](saga_live::LiveReplica::catch_up_batch) polls with
-//!   staggered phases, lock-free health publication).
+//!   [`catch_up_batch`](saga_live::LiveReplica::catch_up_batch) polls
+//!   applied outside the log lock, lock-free health publication, and one
+//!   wait cell through which a blocked session read wakes the workers).
 //! * [`router`] — [`FleetRouter`]: the single external query surface. It
 //!   routes each read to a *fresh* replica — never one trailing the fleet
 //!   median watermark by more than [`FleetConfig::lag_bound`] — preferring
@@ -48,17 +49,18 @@ pub struct FleetConfig {
     /// Lock stripes per replica store (see [`saga_live::LiveKg`]).
     pub shards: usize,
     /// Max operations one replay poll applies before re-checking health
-    /// and shutdown flags — bounds how long a worker holds the log lock.
+    /// and shutdown flags and publishing its watermark. The log lock is
+    /// held only to copy this many entry pointers, never for the apply.
     pub replay_batch: usize,
-    /// How long a caught-up worker sleeps before polling the log again.
-    /// This is the fleet's freshness floor: a commit becomes visible on
-    /// some replica within one poll interval (divided by `replicas` when
-    /// `stagger_polls` is on).
+    /// The longest a caught-up worker parks before polling the log
+    /// again. It bounds the staleness of plain (no-session) reads: ingest
+    /// nobody is waiting on is applied when this timeout fires. A session
+    /// read does not wait for it — it wakes the workers itself.
     pub poll_interval: Duration,
-    /// Offset each worker's poll phase by `i/N` of the interval so the
-    /// fleet's polls are spread evenly in time instead of stampeding
-    /// together — the expected commit-to-visibility wait drops from
-    /// `poll_interval / 2` to `poll_interval / 2N`.
+    /// Offset each worker's first timeout by `i/N` of the interval so
+    /// the fleet's fallback polls start spread in time instead of
+    /// stampeding together: unobserved ingest reaches *some* replica
+    /// sooner than `poll_interval`. Session reads are unaffected.
     pub stagger_polls: bool,
     /// Max operations a replica may trail the fleet **median** watermark
     /// and still receive routed reads. The median (not the max) anchors

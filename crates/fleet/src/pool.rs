@@ -2,11 +2,24 @@
 //!
 //! Each slot owns one [`LiveReplica`] tailing the shared
 //! [`OperationLog`] on its own worker thread — bounded
-//! [`catch_up_batch`](LiveReplica::catch_up_batch) polls so the log lock
-//! is never held long, a per-worker phase offset so the fleet's polls are
-//! spread across the poll interval, and a heartbeat/watermark pair
-//! published with plain atomics so routing and health checks never take a
-//! lock on the serving path.
+//! [`catch_up_batch`](LiveReplica::catch_up_batch) polls applied outside
+//! the log lock, so workers replay in parallel and never stall the
+//! writer — and a heartbeat/watermark pair published with plain atomics
+//! so routing and health checks never take a lock on the serving path.
+//!
+//! # Freshness: demand wakes, timed fallback
+//!
+//! A caught-up worker parks on the pool's one wait cell (a `Mutex` +
+//! `Condvar` holding the highest LSN a blocked reader wants) with
+//! `poll_interval` as the timeout. A session read that finds no replica
+//! at its LSN publishes that LSN, wakes the workers and blocks on the
+//! same cell until a worker stores a watermark that satisfies it — so
+//! read-your-writes costs one apply, not a poll interval. Ingest nobody
+//! is waiting on wakes no one: it is applied when the timeout fires, in
+//! at most `poll_interval`-sized batches, with `stagger_polls` spreading
+//! the workers' first timeouts across the interval. Both sides check
+//! their predicate under the cell's mutex and every notifier takes it
+//! first, so no wake-up is lost.
 //!
 //! # The no-stale-pin protocol
 //!
@@ -22,9 +35,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use saga_core::{GraphRead, Lsn, Result, SagaError};
@@ -151,10 +164,12 @@ impl Slot {
         }
     }
 
-    /// Tell the worker to exit and join it. Panicked workers were already
-    /// recorded by their drop guard; the join result is irrelevant.
-    fn stop_worker(&self) {
+    /// Tell the worker to exit — waking it if it is parked on `wake` —
+    /// and join it. Panicked workers were already recorded by their drop
+    /// guard; the join result is irrelevant.
+    fn stop_worker(&self, wake: &WaitCell) {
         self.kill.store(true, Ordering::SeqCst);
+        wake.notify();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
@@ -175,6 +190,50 @@ impl Drop for DownOnExit {
     }
 }
 
+/// Where caught-up workers and blocked session reads wait for each other
+/// (see the module docs). One per pool.
+struct WaitCell {
+    /// The highest LSN a blocked reader has asked for, clamped to the log
+    /// head when it asked — so a worker woken because `wanted` is past
+    /// its watermark always finds an op to apply.
+    wanted: std::sync::Mutex<u64>,
+    changed: Condvar,
+}
+
+impl WaitCell {
+    /// A panic while holding the guard cannot leave the one `u64` behind
+    /// it half-updated, so a poisoned lock is recovered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        self.wanted.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every waiter to re-check its predicate. Taking the mutex
+    /// first orders the caller's preceding store before the re-check.
+    fn notify(&self) {
+        let _guard = self.lock();
+        self.changed.notify_all();
+    }
+
+    /// Worker side: park until a reader wants an LSN past `watermark`,
+    /// the slot is killed, or `timeout` passes.
+    fn park(&self, slot: &Slot, watermark: Lsn, timeout: Duration) {
+        let _ = self
+            .changed
+            .wait_timeout_while(self.lock(), timeout, |wanted| {
+                *wanted <= watermark.0 && !slot.kill.load(Ordering::SeqCst)
+            });
+    }
+
+    /// Worker side, after storing a watermark past `previous`: wake the
+    /// blocked readers, if one may be waiting on this advance.
+    fn published(&self, previous: Lsn) {
+        let wanted = self.lock();
+        if *wanted > previous.0 {
+            self.changed.notify_all();
+        }
+    }
+}
+
 /// The fleet's slots plus the shared log and checkpoint directory they
 /// bootstrap from. Construct with [`ReplicaPool::start`]; route through
 /// [`FleetRouter`](crate::FleetRouter) — the pool itself exposes no
@@ -184,6 +243,7 @@ pub struct ReplicaPool {
     log: Arc<OperationLog>,
     ckpt_dir: PathBuf,
     slots: Vec<Arc<Slot>>,
+    wake: Arc<WaitCell>,
     /// Reads not routed to some replica because it trailed the fleet
     /// median by more than the lag bound.
     pub(crate) lag_skips: AtomicU64,
@@ -206,6 +266,10 @@ impl ReplicaPool {
         let cfg = cfg.validated();
         let ckpt_dir = ckpt_dir.into();
         std::fs::create_dir_all(&ckpt_dir)?;
+        let wake = Arc::new(WaitCell {
+            wanted: std::sync::Mutex::new(0),
+            changed: Condvar::new(),
+        });
         let mut slots = Vec::with_capacity(cfg.replicas);
         for id in 0..cfg.replicas {
             let replica = LiveReplica::bootstrap(cfg.shards, &ckpt_dir, Arc::clone(&log))?;
@@ -219,7 +283,13 @@ impl ReplicaPool {
             } else {
                 Duration::ZERO
             };
-            let handle = spawn_worker(Arc::clone(&slot), replica, cfg.clone(), offset);
+            let handle = spawn_worker(
+                Arc::clone(&slot),
+                replica,
+                cfg.clone(),
+                Arc::clone(&wake),
+                offset,
+            );
             *slot.worker.lock() = Some(handle);
             slots.push(slot);
         }
@@ -228,6 +298,7 @@ impl ReplicaPool {
             log,
             ckpt_dir,
             slots,
+            wake,
             lag_skips: AtomicU64::new(0),
             session_skips: AtomicU64::new(0),
             rr: AtomicU64::new(0),
@@ -256,6 +327,53 @@ impl ReplicaPool {
 
     pub(crate) fn slots(&self) -> &[Arc<Slot>] {
         &self.slots
+    }
+
+    /// Block until `ready` yields, re-running it whenever a worker
+    /// publishes a watermark (and at least every `poll`), or until
+    /// `deadline` passes. `lsn` is what `ready` is waiting for some
+    /// replica to reach: it is published to the wait cell so parked
+    /// workers wake and apply it now instead of at their next timeout.
+    pub(crate) fn wait_for<T>(
+        &self,
+        lsn: Lsn,
+        deadline: Instant,
+        poll: Duration,
+        mut ready: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        // The common case — some replica is already there — takes no lock.
+        if let Some(out) = ready() {
+            return Some(out);
+        }
+        // A caller that will not wait (`no_wait`) wakes nobody either.
+        if Instant::now() >= deadline {
+            return None;
+        }
+        let want = lsn.0.min(self.log.head().0);
+        let mut wanted = self.wake.lock();
+        if want > *wanted {
+            *wanted = want;
+            self.wake.changed.notify_all();
+        }
+        loop {
+            // Under the mutex every publishing worker takes before it
+            // notifies: a watermark stored before this check is seen by
+            // it, one stored after it finds this thread already waiting.
+            if let Some(out) = ready() {
+                return Some(out);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            let nap = poll.max(Duration::from_micros(1)).min(left);
+            wanted = self
+                .wake
+                .changed
+                .wait_timeout(wanted, nap)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 
     fn slot(&self, id: usize) -> Result<&Arc<Slot>> {
@@ -289,7 +407,7 @@ impl ReplicaPool {
     pub fn kill(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
         slot.drain(self.cfg.drain_timeout);
-        slot.stop_worker();
+        slot.stop_worker(&self.wake);
         Ok(())
     }
 
@@ -306,7 +424,7 @@ impl ReplicaPool {
     /// slot-level generation stays monotone across the swap.
     pub fn respawn(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
-        slot.stop_worker();
+        slot.stop_worker(&self.wake);
         let dead_gen = slot.engine().graph().generation();
         slot.gen_floor.fetch_add(dead_gen, Ordering::Relaxed);
         let replica =
@@ -320,7 +438,13 @@ impl ReplicaPool {
         // Serving from here on; the router's lag bound keeps routed reads
         // away until the fresh replica is within bound of the median.
         slot.state.store(STATE_SERVING, Ordering::SeqCst);
-        let handle = spawn_worker(Arc::clone(slot), replica, self.cfg.clone(), Duration::ZERO);
+        let handle = spawn_worker(
+            Arc::clone(slot),
+            replica,
+            self.cfg.clone(),
+            Arc::clone(&self.wake),
+            Duration::ZERO,
+        );
         *slot.worker.lock() = Some(handle);
         Ok(())
     }
@@ -332,7 +456,7 @@ impl ReplicaPool {
             slot.kill.store(true, Ordering::SeqCst);
         }
         for slot in &self.slots {
-            slot.stop_worker();
+            slot.stop_worker(&self.wake);
         }
     }
 }
@@ -344,11 +468,13 @@ impl Drop for ReplicaPool {
 }
 
 /// The replay worker: applies log batches to its replica, publishes the
-/// watermark, heartbeats, sleeps one poll interval when caught up.
+/// watermark, heartbeats, and when caught up parks on `wake` for at most
+/// one poll interval.
 fn spawn_worker(
     slot: Arc<Slot>,
     mut replica: LiveReplica,
     cfg: FleetConfig,
+    wake: Arc<WaitCell>,
     phase_offset: Duration,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
@@ -356,7 +482,7 @@ fn spawn_worker(
         .spawn(move || {
             let guard = DownOnExit(Arc::clone(&slot));
             if !phase_offset.is_zero() {
-                std::thread::sleep(phase_offset);
+                wake.park(&slot, replica.watermark(), phase_offset);
             }
             loop {
                 if slot.kill.load(Ordering::SeqCst) {
@@ -387,14 +513,16 @@ fn spawn_worker(
                     break;
                 }
                 slot.heartbeat.fetch_add(1, Ordering::Relaxed);
+                let previous = replica.watermark();
                 match replica.catch_up_batch(cfg.replay_batch) {
-                    Ok(0) => std::thread::sleep(cfg.poll_interval),
+                    Ok(0) => wake.park(&slot, previous, cfg.poll_interval),
                     Ok(_) => {
                         // Publish *after* the batch is applied: a router
                         // that observes watermark >= w is guaranteed the
                         // engine serves every op <= w.
                         slot.watermark
                             .store(replica.watermark().0, Ordering::SeqCst);
+                        wake.published(previous);
                     }
                     Err(_) => {
                         // Replay failure (e.g. the prefix was compacted

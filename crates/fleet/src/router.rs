@@ -14,11 +14,14 @@
 //! 3. **load** — among the survivors, pick the fewest in-flight reads,
 //!    rotating the tie-break so equal loads spread round-robin.
 //!
-//! A session read with *no* eligible replica waits (bounded by
+//! A session read with *no* eligible replica publishes its LSN to the
+//! pool's wait cell, which wakes the parked replay workers, and blocks
+//! there (bounded by
 //! [`FleetConfig::session_timeout`](crate::FleetConfig::session_timeout))
-//! for some replica's replay worker to reach the LSN — commits become
-//! visible within about one poll interval, so the wait is short unless
-//! the fleet is down or wedged.
+//! until one of them stores a watermark at or past it — the wait is one
+//! apply, not a poll interval, unless the fleet is down or wedged. Plain
+//! reads wake nobody: what they see trails the log by at most the
+//! workers' `poll_interval` timeout.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -32,12 +35,14 @@ use saga_live::{LiveKg, QueryEngine, QueryResult};
 
 use crate::pool::{ReplicaPool, Slot};
 
-/// How often a blocked session read re-checks the fleet's watermarks.
+/// The longest a blocked session read goes without re-checking the
+/// fleet's watermarks (a worker's publish wakes it sooner).
 const WAIT_POLL: Duration = Duration::from_micros(100);
 
 /// Bounded-wait policy for session-constrained reads: how long a read may
-/// block waiting for some replica to reach the session's LSN, and how
-/// often it re-checks the published watermarks while blocked. The fleet's
+/// block waiting for some replica to reach the session's LSN, and the
+/// longest it goes between re-checks of the published watermarks while
+/// blocked. The fleet's
 /// default comes from [`FleetConfig::session_timeout`](crate::FleetConfig);
 /// per-request policies (a network server giving each wire request its own
 /// deadline, a latency-sensitive caller preferring fail-fast) construct
@@ -49,7 +54,10 @@ const WAIT_POLL: Duration = Duration::from_micros(100);
 pub struct SessionWaitConfig {
     /// Maximum total wait for a replica to reach the session LSN.
     pub timeout: Duration,
-    /// How often the blocked read re-checks the watermarks.
+    /// Upper bound between re-checks of the watermarks while blocked. A
+    /// blocked read is woken by the replay worker that reaches its LSN;
+    /// this only bounds how long a state change that notifies nobody (a
+    /// slot leaving or rejoining service) goes unnoticed.
     pub poll: Duration,
 }
 
@@ -142,44 +150,37 @@ impl FleetRouter {
         token: &SessionToken,
         wait: &SessionWaitConfig,
     ) -> Result<RoutedRead> {
+        let lsn = token.lsn();
         let deadline = Instant::now() + wait.timeout;
-        loop {
-            if let Some(read) = self.pick_pinned(Some(token.lsn())) {
-                return Ok(read);
-            }
-            if Instant::now() >= deadline {
-                return Err(SagaError::Unavailable(format!(
+        self.pool
+            .wait_for(lsn, deadline, wait.poll, || self.pick_pinned(Some(lsn)))
+            .ok_or_else(|| {
+                SagaError::Unavailable(format!(
                     "session read timed out: no replica reached lsn {} within {:?}",
-                    token.lsn().0,
-                    wait.timeout
-                )));
-            }
-            std::thread::sleep(wait.poll.max(Duration::from_micros(1)));
-        }
+                    lsn.0, wait.timeout
+                ))
+            })
     }
 
     /// Block until some serving replica has replayed `lsn` (or time out).
     /// The freshness primitive under session reads, usable standalone for
     /// barrier-style "wait until the fleet has my write" coordination.
     pub fn wait_for_lsn(&self, lsn: Lsn, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let reached = self
-                .pool
+        let reached = || {
+            self.pool
                 .slots()
                 .iter()
-                .any(|s| s.is_serving() && s.watermark.load(Ordering::SeqCst) >= lsn.0);
-            if reached {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(SagaError::Unavailable(format!(
+                .any(|s| s.is_serving() && s.watermark.load(Ordering::SeqCst) >= lsn.0)
+                .then_some(())
+        };
+        self.pool
+            .wait_for(lsn, Instant::now() + timeout, WAIT_POLL, reached)
+            .ok_or_else(|| {
+                SagaError::Unavailable(format!(
                     "no serving replica reached lsn {} within {timeout:?}",
                     lsn.0
-                )));
-            }
-            std::thread::sleep(WAIT_POLL);
-        }
+                ))
+            })
     }
 
     /// One routing decision: filter by freshness (median − lag bound) and

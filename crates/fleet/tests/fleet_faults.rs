@@ -121,6 +121,88 @@ fn session_reads_never_observe_pre_commit_state() {
 }
 
 #[test]
+fn session_reads_barriers_and_shutdown_do_not_wait_for_the_poll_interval() {
+    let w = producer();
+    let dir = temp_dir("demand-wake");
+    let cfg = FleetConfig {
+        poll_interval: Duration::from_millis(500),
+        ..fast_config(2)
+    };
+    let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+    let prompt = Duration::from_millis(100);
+
+    // The workers are parked for up to half a second (one of them still
+    // in its stagger offset); a waiting reader must wake them itself.
+    for i in 1..=50u64 {
+        let token = commit_person(&w, i).session_token();
+        let t0 = Instant::now();
+        let hits = router
+            .query_with_session(
+                &format!("FIND person WHERE name = \"Fleet Person {i}\""),
+                &token,
+            )
+            .unwrap();
+        assert_eq!(hits.entities(), vec![EntityId(i)]);
+        assert!(
+            t0.elapsed() < prompt,
+            "session read {i} waited {:?} for a 500 ms poll",
+            t0.elapsed()
+        );
+    }
+
+    let commit = commit_person(&w, 51);
+    let t0 = Instant::now();
+    router
+        .wait_for_lsn(commit.lsn, Duration::from_secs(5))
+        .unwrap();
+    assert!(
+        t0.elapsed() < prompt,
+        "wait_for_lsn waited {:?} for a 500 ms poll",
+        t0.elapsed()
+    );
+
+    let t0 = Instant::now();
+    pool.shutdown();
+    assert!(
+        t0.elapsed() < prompt,
+        "shutdown waited {:?} for parked workers",
+        t0.elapsed()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unobserved_commits_reach_plain_reads_through_the_fallback_timeout() {
+    let w = producer();
+    let dir = temp_dir("fallback");
+    let cfg = FleetConfig {
+        poll_interval: Duration::from_millis(20),
+        ..fast_config(2)
+    };
+    let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+
+    // No session token and no barrier: nothing publishes an LSN to the
+    // wait cell, so only the workers' own timeout can apply this commit.
+    commit_person(&w, 1);
+    assert!(
+        wait_until(Duration::from_secs(2), || {
+            router
+                .query("FIND person WHERE name = \"Fleet Person 1\"")
+                .unwrap()
+                .entities()
+                == vec![EntityId(1)]
+        }),
+        "a commit nobody waited on never became visible"
+    );
+    let stats = FleetController::new(Arc::clone(&pool)).stats();
+    assert_eq!(stats.session_skips, 0, "no reader asked for an LSN");
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn killed_replica_respawns_from_checkpoint_and_converges_to_parity() {
     let w = producer();
     let dir = temp_dir("respawn");

@@ -32,8 +32,11 @@
 //! tracks a watermark LSN (everything at or below it has been consumed),
 //! polls contiguous batches, and verifies density so a replica can never
 //! silently skip an operation. Bulk replay uses
-//! [`LogFollower::poll_with`], which visits entries in place instead of
-//! cloning every delta payload out of the log.
+//! [`LogFollower::poll_with`], which shares the log's entries instead of
+//! cloning every delta payload out of the log. The log's one lock covers
+//! appends, compaction and the pointer copies that hand a batch out —
+//! never a follower's apply, so producers do not wait for replicas and
+//! replicas do not wait for each other.
 //!
 //! # Compaction
 //!
@@ -195,8 +198,9 @@ pub enum FlushPolicy {
 }
 
 struct LogInner {
-    /// Retained entries: `entries[i]` carries `Lsn(base + i + 1)`.
-    entries: Vec<IngestOp>,
+    /// Retained entries: `entries[i]` carries `Lsn(base + i + 1)`. Shared
+    /// so a follower's batch outlives the lock (and a racing compaction).
+    entries: Vec<Arc<IngestOp>>,
     /// Operations compacted away from the front of the log: the first
     /// retained LSN is `base + 1`. Every op `<= base` is covered by a
     /// durable checkpoint (see [`OperationLog::compact_to`]).
@@ -252,7 +256,7 @@ impl OperationLog {
     /// instead of failing the restart. Corruption before the final line,
     /// and any LSN gap or reordering, is a hard error.
     pub fn durable_with(path: &Path, policy: FlushPolicy) -> Result<Self> {
-        let mut entries: Vec<IngestOp> = Vec::new();
+        let mut entries: Vec<Arc<IngestOp>> = Vec::new();
         let mut base = 0u64;
         let mut truncated_tail_bytes = 0u64;
         if path.exists() {
@@ -311,7 +315,7 @@ impl OperationLog {
                         op.lsn
                     )));
                 }
-                entries.push(op);
+                entries.push(Arc::new(op));
             }
         }
         let sink = BufWriter::new(
@@ -376,7 +380,7 @@ impl OperationLog {
                 sink.get_ref().sync_data()?;
             }
         }
-        inner.entries.push(op);
+        inner.entries.push(Arc::new(op));
         Ok(lsn)
     }
 
@@ -419,27 +423,35 @@ impl OperationLog {
     /// through their contiguity check. Bulk replay should prefer
     /// [`visit_batch`](Self::visit_batch), which does not clone payloads.
     pub fn read_batch(&self, after: Lsn, max: usize) -> Vec<IngestOp> {
-        let inner = self.inner.lock();
-        let from = (after.0.saturating_sub(inner.base) as usize).min(inner.entries.len());
-        let to = from.saturating_add(max).min(inner.entries.len());
-        inner.entries[from..to].to_vec()
+        let (_, batch) = self.shared_batch(after, max);
+        batch.iter().map(|op| IngestOp::clone(op)).collect()
     }
 
     /// Visit (at most `max` of) the operations with `lsn > after` in
-    /// order, **without cloning them**: `f` borrows each entry in place.
-    /// Returns how many were visited. This is the bulk-replay path — a
+    /// order, **without cloning them**: `f` borrows each entry. Returns
+    /// how many were visited. This is the bulk-replay path — a
     /// `read_batch` clone of every delta payload costs an allocation stampede
     /// at 100k+ ops, all of it thrown away the moment the batch is
-    /// applied. The log's lock is held while `f` runs, so appenders block
-    /// for the duration of one batch; keep batches bounded.
+    /// applied. The log's lock is held only while the batch's pointers
+    /// are copied out (O(batch)); `f` runs after it is released, so
+    /// appenders and other followers never wait for an apply.
     pub fn visit_batch(&self, after: Lsn, max: usize, mut f: impl FnMut(&IngestOp)) -> usize {
+        let (_, batch) = self.shared_batch(after, max);
+        for op in &batch {
+            f(op);
+        }
+        batch.len()
+    }
+
+    /// The compaction point and (at most `max` of) the entries with
+    /// `lsn > after`, both read under one acquisition of the lock. The
+    /// entries are shared, not copied: a batch stays valid after the lock
+    /// is released, even if `compact_to` drops its ops from the log.
+    fn shared_batch(&self, after: Lsn, max: usize) -> (Lsn, Vec<Arc<IngestOp>>) {
         let inner = self.inner.lock();
         let from = (after.0.saturating_sub(inner.base) as usize).min(inner.entries.len());
         let to = from.saturating_add(max).min(inner.entries.len());
-        for op in &inner.entries[from..to] {
-            f(op);
-        }
-        to - from
+        (Lsn(inner.base), inner.entries[from..to].to_vec())
     }
 
     /// Drop every operation with `lsn <= upto` — the retention step after
@@ -547,7 +559,7 @@ fn parse_compaction_marker(line: &str) -> Option<u64> {
 ///
 /// The cell is published with `Release` ordering after a poll advances the
 /// follower and read with `Acquire`. Under [`LogFollower::poll_with`] —
-/// the in-place replay path — the batch is applied *before* the publish,
+/// the bulk-replay path — the batch is applied *before* the publish,
 /// so an observer that sees watermark `w` is guaranteed the effects of
 /// every op `<= w` are visible too. (Plain [`LogFollower::poll`] hands the
 /// batch back for the caller to apply, so there the handle tracks fetch
@@ -630,21 +642,26 @@ impl LogFollower {
         }
     }
 
-    /// Publish the advanced watermark to the shared cell — called after a
-    /// batch is fully applied so handle readers never observe a watermark
-    /// ahead of the applied state.
-    fn publish_watermark(&self) {
+    /// Advance the watermark over `ops` consumed operations and publish
+    /// it to the shared cell — called after a batch is fully applied so
+    /// handle readers never observe a watermark ahead of the applied
+    /// state.
+    fn advance(&mut self, ops: usize) {
+        self.watermark = Lsn(self.watermark.0 + ops as u64);
         self.shared
             .store(self.watermark.0, std::sync::atomic::Ordering::Release);
     }
 
-    /// Errors when the watermark has fallen behind the log's compaction
-    /// point: the ops this follower still needs were dropped, so replay
-    /// cannot proceed — the caller must re-bootstrap from a checkpoint.
-    /// (The per-op contiguity check alone cannot catch this when the
-    /// retained tail is empty: there would be no op to fail on.)
-    fn ensure_prefix_retained(&self) -> Result<()> {
-        let compacted = self.log.compacted_through();
+    /// Fetch the next batch and the compaction point under one lock
+    /// acquisition and verify the batch continues the watermark densely
+    /// (so it ends at `watermark + len`). Errors when the watermark
+    /// has fallen behind the compaction point — the ops this follower
+    /// still needs were dropped, so the caller must re-bootstrap from a
+    /// checkpoint (the per-op contiguity check alone cannot catch this
+    /// when the retained tail is empty: there would be no op to fail on)
+    /// — or when the batch is not dense from the watermark.
+    fn next_batch(&self, max: usize) -> Result<Vec<Arc<IngestOp>>> {
+        let (compacted, batch) = self.log.shared_batch(self.watermark, max);
         if self.watermark < compacted {
             return Err(SagaError::Storage(format!(
                 "follower at {:?} has fallen behind the compaction point {compacted:?}: \
@@ -652,18 +669,8 @@ impl LogFollower {
                 self.watermark
             )));
         }
-        Ok(())
-    }
-
-    /// Fetch up to `max` operations past the watermark and advance it.
-    /// Returns an empty batch when caught up; errors (without advancing)
-    /// if the batch is not contiguous from the watermark or the watermark
-    /// precedes the compaction point.
-    pub fn poll(&mut self, max: usize) -> Result<Vec<IngestOp>> {
-        self.ensure_prefix_retained()?;
-        let ops = self.log.read_batch(self.watermark, max);
         let mut expected = self.watermark;
-        for op in &ops {
+        for op in &batch {
             expected = expected.next();
             if op.lsn != expected {
                 return Err(SagaError::Storage(format!(
@@ -672,46 +679,36 @@ impl LogFollower {
                 )));
             }
         }
-        self.watermark = expected;
-        self.publish_watermark();
-        Ok(ops)
+        Ok(batch)
     }
 
-    /// Like [`poll`](Self::poll) but applies `f` to each operation **in
-    /// place**, without cloning the batch out of the log — the bulk-replay
-    /// fast path (see [`OperationLog::visit_batch`]). Contiguity is
-    /// verified before any op is handed to `f`; the watermark advances
-    /// over exactly the ops `f` saw. Returns how many were applied.
+    /// Fetch up to `max` operations past the watermark and advance it.
+    /// Returns an empty batch when caught up; errors (without advancing)
+    /// if the batch is not contiguous from the watermark or the watermark
+    /// precedes the compaction point.
+    pub fn poll(&mut self, max: usize) -> Result<Vec<IngestOp>> {
+        let batch = self.next_batch(max)?;
+        self.advance(batch.len());
+        Ok(batch.iter().map(|op| IngestOp::clone(op)).collect())
+    }
+
+    /// Like [`poll`](Self::poll) but applies `f` to each operation
+    /// without cloning the batch out of the log — the bulk-replay fast
+    /// path (see [`OperationLog::visit_batch`]). `f` runs **outside** the
+    /// log's lock. Contiguity is verified before any op is handed to `f`;
+    /// the watermark advances — and is published — only after `f` has
+    /// seen the whole batch. Returns how many were applied.
     ///
     /// A watermark behind [`OperationLog::compacted_through`] (or a
-    /// non-contiguous first op) errors without applying anything — the
+    /// non-contiguous batch) errors without applying anything — the
     /// caller must re-bootstrap from a checkpoint.
     pub fn poll_with(&mut self, max: usize, mut f: impl FnMut(&IngestOp)) -> Result<usize> {
-        self.ensure_prefix_retained()?;
-        let mut expected = self.watermark;
-        let mut gap: Option<(Lsn, Lsn)> = None;
-        self.log.visit_batch(self.watermark, max, |op| {
-            if gap.is_some() {
-                return;
-            }
-            let want = expected.next();
-            if op.lsn != want {
-                gap = Some((want, op.lsn));
-                return;
-            }
-            expected = want;
+        let batch = self.next_batch(max)?;
+        for op in &batch {
             f(op);
-        });
-        if let Some((want, found)) = gap {
-            return Err(SagaError::Storage(format!(
-                "follower at {:?} got non-contiguous batch: expected {want:?}, found {found:?}",
-                self.watermark
-            )));
         }
-        let applied = expected.0 - self.watermark.0;
-        self.watermark = expected;
-        self.publish_watermark();
-        Ok(applied as usize)
+        self.advance(batch.len());
+        Ok(batch.len())
     }
 }
 
@@ -1102,6 +1099,59 @@ mod tests {
         // A follower at or above the compaction point resumes cleanly.
         let mut fresh = LogFollower::resume_at(log, Lsn(6));
         assert_eq!(fresh.poll_with(10, |_| {}).unwrap(), 3);
+    }
+
+    #[test]
+    fn appends_and_compaction_do_not_wait_for_a_followers_apply() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let log = Arc::new(OperationLog::in_memory());
+        log.append_op(OpKind::Upsert, vec![delta(1, "x", 1)])
+            .unwrap();
+
+        // The follower's apply callback parks mid-batch on a channel.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let follower = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let mut follower = LogFollower::new(log);
+                let mut seen = Vec::new();
+                let applied = follower.poll_with(10, |op| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    seen.push((op.lsn, op.deltas.clone()));
+                });
+                (applied, seen)
+            })
+        };
+        entered_rx.recv().unwrap();
+
+        // While it is parked, a producer appends and compacts the very op
+        // the callback holds. If the log lock were held across the apply
+        // both would block; the timeout turns that deadlock into a failure.
+        let (done_tx, done_rx) = mpsc::channel();
+        let producer = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let lsn = log.append_op(OpKind::Upsert, vec![delta(2, "x", 2)]);
+                let dropped = log.compact_to(Lsn(1));
+                done_tx.send((lsn, dropped)).unwrap();
+            })
+        };
+        let produced = done_rx.recv_timeout(Duration::from_secs(2));
+        release_tx.send(()).unwrap();
+        producer.join().unwrap();
+        let (applied, seen) = follower.join().unwrap();
+
+        let (lsn, dropped) = produced.expect("append waited for a follower's apply");
+        assert_eq!(lsn.unwrap(), Lsn(2));
+        assert_eq!(dropped.unwrap(), 1);
+        // The batch was taken before the append and survived the compaction.
+        assert_eq!(applied.unwrap(), 1);
+        assert_eq!(seen, vec![(Lsn(1), vec![delta(1, "x", 1)])]);
+        assert_eq!(log.compacted_through(), Lsn(1));
     }
 
     #[test]

@@ -112,8 +112,10 @@ impl LiveReplica {
     /// were applied. Call again whenever the log advances (or drive it
     /// from a scheduler — the follower is the pace-keeping cursor).
     ///
-    /// Replay visits ops in place under the log's read lock
-    /// ([`LogFollower::poll_with`]) — bulk catch-up clones no entries.
+    /// Each batch's entries are shared out of the log
+    /// ([`LogFollower::poll_with`]) and applied **outside** its lock —
+    /// bulk catch-up clones no payloads and never stalls an appender or
+    /// another replica.
     pub fn catch_up(&mut self) -> Result<usize> {
         let mut applied = 0;
         loop {
@@ -133,7 +135,8 @@ impl LiveReplica {
     /// up). This is the pace-controlled variant of
     /// [`catch_up`](Self::catch_up) for replay loops that interleave
     /// other work — shutdown checks, health publication — between
-    /// batches: one call holds the log's lock for at most `max` ops.
+    /// batches. The log's lock is held only to copy out at most `max`
+    /// entry pointers; the apply runs after it is released.
     pub fn catch_up_batch(&mut self, max: usize) -> Result<usize> {
         let live = &self.live;
         self.follower.poll_with(max, |op| apply_op(live, op))
@@ -152,7 +155,8 @@ impl LiveReplica {
     /// A lock-free freshness view other threads can poll while a replay
     /// loop owns this replica mutably — what fleet controllers and gauges
     /// read instead of locking the replica. Because replicas apply ops
-    /// in-place under [`LogFollower::poll_with`], an observer that sees
+    /// through [`LogFollower::poll_with`], which publishes only after the
+    /// batch is applied, an observer that sees
     /// watermark `w` here is guaranteed the replica's store reflects
     /// every op `<= w`.
     pub fn watermark_handle(&self) -> WatermarkHandle {

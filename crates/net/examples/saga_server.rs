@@ -40,7 +40,6 @@ fn main() {
     let ckpt_dir = std::env::temp_dir().join(format!("saga-server-{}", std::process::id()));
     let fleet_cfg = FleetConfig {
         replicas,
-        poll_interval: Duration::from_micros(500),
         ..FleetConfig::default()
     };
     let pool = ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &ckpt_dir)
