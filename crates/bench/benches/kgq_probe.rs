@@ -145,7 +145,7 @@ fn bench_probe(c: &mut Criterion) {
         b.iter(|| intersect_sorted(&refs))
     });
     group.bench_function("index_intersection_live_sharded", |b| {
-        b.iter(|| live.index().probe_all(&probes))
+        b.iter(|| live.probe_all(&probes))
     });
     group.bench_function("index_intersection_overlay", |b| {
         b.iter(|| overlay_engine.graph().probe_all(&probes))

@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 
-use crate::postings::{intersect_views, BlockPostings, PostingsView};
+use crate::postings::{intersect_views_limit, BlockPostings, PostingsView};
 use crate::well_known;
 use crate::{intern, EntityId, EntityRecord, ExtendedTriple, FxHashMap, Symbol, Value};
 
@@ -545,11 +545,19 @@ impl TripleIndex {
         self.postings(probe).fingerprint()
     }
 
-    /// Conjunction of several probes via compressed-domain intersection
-    /// (bitmap `AND` on dense blocks, directory galloping on sparse ones).
-    pub fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
+    /// The first `limit` ids of a conjunction of probes, via
+    /// compressed-domain intersection (bitmap `AND` on dense blocks,
+    /// directory galloping on sparse ones) that stops once the budget is
+    /// met — see [`intersect_views_limit`].
+    pub fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
         let views: Vec<PostingsView> = probes.iter().map(|p| self.postings(p)).collect();
-        intersect_views(&views)
+        intersect_views_limit(&views, limit)
+    }
+
+    /// The whole conjunction: [`probe_all_limit`](Self::probe_all_limit)
+    /// with no budget.
+    pub fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
+        self.probe_all_limit(&probes.iter().collect::<Vec<_>>(), usize::MAX)
     }
 
     /// Approximate heap bytes of all posting lists (POS + OSP + token) in

@@ -15,17 +15,25 @@
 //!    [`BlockPostings`] behaves exactly like a plain sorted
 //!    `Vec<EntityId>` reference under churn-heavy op streams, including
 //!    across the inline/block and sparse/dense split-merge boundaries.
+//! 4. **The prefix law** — `probe_all_limit(p, k)` is the first `k` ids
+//!    of `probe_all(p)` on every [`GraphRead`] backend this crate can
+//!    see (`prefix_law.rs`, shared with `saga-fleet`'s suite for the
+//!    rest).
 
 use crate::index::{flatten, name_tokens};
 use crate::postings::{
-    intersect_views, union_views, BlockPostings, PostingsView, DENSE_MIN, SPARSE_MAX,
+    intersect_views, union_views, BlockPostings, PostingsView, BLOCK_SPAN, DENSE_MIN, SPARSE_MAX,
 };
+use crate::read::intersect_postings;
 use crate::{
-    intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, KnowledgeGraph, ProbeKey, RelId,
-    SourceId, Symbol, TripleIndex, Value,
+    intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, GraphRead, KnowledgeGraph,
+    OverlayRead, ProbeKey, RelId, SourceId, Symbol, TripleIndex, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "prefix_law.rs"]
+mod prefix_law;
 
 const PREDICATES: [&str; 6] = ["name", "alias", "type", "knows", "founded", "score"];
 const TYPES: [&str; 3] = ["person", "song", "city"];
@@ -625,4 +633,43 @@ fn probe_fingerprints_move_only_with_their_posting() {
     let fp_new = kg.index().probe_fingerprint(&song);
     assert_ne!(fp_new, 0);
     assert_ne!(fp_new, fp_song, "stamps are never reused");
+}
+
+/// The prefix law on the stable KG, on a live-over-stable overlay with
+/// live overrides, live-only entities and tombstones, and through both
+/// blanket forwards.
+#[test]
+fn probe_all_limit_is_a_prefix_of_probe_all() {
+    use prefix_law::{check_prefix_law, corpus, corpus_ids, entity_facts};
+    for seed in prefix_law::SEEDS {
+        let mut stable = KnowledgeGraph::new();
+        for fact in corpus(seed) {
+            stable.upsert_fact(fact);
+        }
+        check_prefix_law(&stable, seed, "KnowledgeGraph");
+        check_prefix_law(&&stable, seed, "&KnowledgeGraph");
+
+        // The live layer re-asserts a tenth of the stable entities with
+        // freshly drawn facts (shadowing their stable postings) and adds
+        // ids the stable layer has never seen; tombstones then hide a
+        // twelfth of the stable ids, shadowed or not.
+        let mut rng = prefix_law::Rng::new(seed ^ 0x0E);
+        let mut live = KnowledgeGraph::new();
+        for id in corpus_ids().chain(20_000..20_200) {
+            if id >= 20_000 || rng.chance(100) {
+                for fact in entity_facts(&mut rng, id) {
+                    live.upsert_fact(fact);
+                }
+            }
+        }
+        let overlay = OverlayRead::new(live, stable);
+        for id in corpus_ids() {
+            if rng.chance(80) {
+                overlay.tombstone(EntityId(id));
+            }
+        }
+        assert!(overlay.tombstone_count() > 100);
+        check_prefix_law(&overlay, seed, "OverlayRead");
+        check_prefix_law(&std::sync::Arc::new(overlay), seed, "Arc<OverlayRead>");
+    }
 }

@@ -628,6 +628,17 @@ impl BlockPostings {
         out
     }
 
+    /// The directory and containers of a list the caller has already
+    /// checked is past the tiny tier.
+    fn blocks(&self) -> (&[BlockMeta], &[Container]) {
+        match &self.repr {
+            Repr::Blocks {
+                dir, containers, ..
+            } => (dir, containers),
+            Repr::Tiny { .. } => unreachable!("caller checked the list is blocked"),
+        }
+    }
+
     /// A borrowed view of this list.
     pub fn as_view(&self) -> PostingsView<'_> {
         PostingsView { list: Some(self) }
@@ -1504,66 +1515,73 @@ fn gallop_dir(dir: &[BlockMeta], from: usize, key: u64) -> usize {
 /// `O(|smallest dir| · Σ log |other dir|)` directory galloping; block work
 /// is 64 word-`AND`s (dense) or `O(smallest block card)` probes (mixed).
 pub fn intersect_views(lists: &[PostingsView]) -> Vec<EntityId> {
+    intersect_views_limit(lists, usize::MAX)
+}
+
+/// The first `limit` ids (ascending) of [`intersect_views`], at a cost
+/// that follows `limit`, not the answer: evaluation stops inside the block
+/// that yields the `limit`-th id — mid-word for dense×dense blocks — and
+/// no later block's directory entry or container is touched.
+/// `usize::MAX` means "no budget" and is exactly [`intersect_views`].
+pub fn intersect_views_limit(lists: &[PostingsView], limit: usize) -> Vec<EntityId> {
+    intersect_counting_blocks(lists, limit).0
+}
+
+/// [`intersect_views_limit`], also returning how many driver blocks the
+/// block loop examined (0 on the tiny path) — what the tests pin "`LIMIT
+/// k` costs `k`" with, instead of a stopwatch.
+fn intersect_counting_blocks(lists: &[PostingsView], limit: usize) -> (Vec<EntityId>, usize) {
+    let mut out = Vec::new();
     let Some(driver_at) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
-        return Vec::new();
+        return (out, 0);
     };
-    if lists[driver_at].is_empty() {
-        return Vec::new();
-    }
-    if lists.len() == 1 {
-        return lists[driver_at].to_vec();
-    }
-    let Some(driver) = lists[driver_at].list else {
-        unreachable!("non-empty view has a list");
+    // The driver is the shortest list, so an empty view anywhere lands here.
+    let Some(driver) = lists[driver_at].list.filter(|l| !l.is_empty()) else {
+        return (out, 0);
     };
+    if limit == 0 {
+        return (out, 0);
+    }
     let others: Vec<&BlockPostings> = lists
         .iter()
         .enumerate()
         .filter(|&(i, _)| i != driver_at)
         .filter_map(|(_, v)| v.list)
         .collect();
-    if others.len() + 1 != lists.len() {
-        // An empty view slipped in alongside non-empty ones.
-        return Vec::new();
-    }
 
     // Any tiny participant bounds the driver at TINY_MAX candidates:
     // point probes beat block alignment at that size.
     if driver.is_tiny() || others.iter().any(|l| l.is_tiny()) {
-        return driver
-            .iter()
-            .filter(|&id| others.iter().all(|l| l.contains(id)))
-            .collect();
+        out.extend(
+            driver
+                .iter()
+                .filter(|&id| others.iter().all(|l| l.contains(id)))
+                .take(limit),
+        );
+        return (out, 0);
     }
 
-    let Repr::Blocks {
-        dir: driver_dir,
-        containers: driver_containers,
-        ..
-    } = &driver.repr
-    else {
-        unreachable!("checked blocked above");
-    };
+    let (driver_dir, driver_containers) = driver.blocks();
+    let others: Vec<(&[BlockMeta], &[Container])> = others.iter().map(|l| l.blocks()).collect();
 
-    let mut out = Vec::new();
     let mut cursors = vec![0usize; others.len()];
-    // Scratch reused across blocks: decoded offsets of the block's
-    // smallest container, per-rest-list decode buffers for mixed blocks,
-    // and the word buffer for dense ANDs.
+    // Scratch reused across blocks: this block's containers with their
+    // cardinalities (the smallest swapped to the front), its decoded
+    // offsets, and one decode buffer per remaining sparse container.
+    let mut block: Vec<(u16, &Container)> = Vec::with_capacity(lists.len());
     let mut decoded: Vec<u16> = Vec::new();
-    let mut rest_decoded: Vec<Vec<u16>> = Vec::new();
-    let mut acc = [0u64; WORDS];
+    let mut rest_decoded: Vec<Vec<u16>> = vec![Vec::new(); others.len()];
+    let mut visited = 0usize;
 
-    'blocks: for (bi, meta) in driver_dir.iter().enumerate() {
+    'blocks: for (meta, container) in driver_dir.iter().zip(driver_containers) {
+        visited += 1;
         // Locate this block key in every other directory, galloping from
         // the previous match (directories are both sorted by key).
         let mut lo = meta.min;
         let mut hi = meta.max;
-        let mut block_at: Vec<(&BlockPostings, usize)> = Vec::with_capacity(others.len());
-        for (other, cursor) in others.iter().zip(cursors.iter_mut()) {
-            let Repr::Blocks { dir, .. } = &other.repr else {
-                unreachable!("checked blocked above");
-            };
+        block.clear();
+        block.push((meta.card, container));
+        for (&(dir, containers), cursor) in others.iter().zip(cursors.iter_mut()) {
             let at = gallop_dir(dir, *cursor, meta.key);
             if at >= dir.len() {
                 // This and every later driver block miss this list.
@@ -1575,94 +1593,74 @@ pub fn intersect_views(lists: &[PostingsView]) -> Vec<EntityId> {
             }
             lo = lo.max(dir[at].min);
             hi = hi.min(dir[at].max);
-            block_at.push((other, at));
+            block.push((dir[at].card, &containers[at]));
         }
         if lo > hi {
             continue; // Directory-only reject: offset ranges don't overlap.
         }
 
-        // Pick the smallest container in this block as the in-block driver.
-        let mut smallest = (meta.card, &driver_containers[bi]);
-        let mut rest: Vec<&Container> = Vec::with_capacity(others.len());
-        for (other, at) in &block_at {
-            let Repr::Blocks {
-                dir, containers, ..
-            } = &other.repr
-            else {
-                unreachable!("checked blocked above");
-            };
-            let c = (dir[*at].card, &containers[*at]);
-            if c.0 < smallest.0 {
-                rest.push(smallest.1);
-                smallest = c;
-            } else {
-                rest.push(c.1);
-            }
-        }
+        // The smallest container in this block is the in-block driver.
+        let smallest_at = (0..block.len())
+            .min_by_key(|&i| block[i].0)
+            .expect("the driver's own container is always present");
+        block.swap(0, smallest_at);
+        let (smallest, rest) = (block[0].1, &block[1..]);
 
-        if let Container::Dense(words) = smallest.1 {
-            if rest.iter().all(|c| matches!(c, Container::Dense(_))) {
-                // Dense × dense: word-wise AND, emit set bits.
-                acc.copy_from_slice(&words[..]);
-                for c in &rest {
-                    let Container::Dense(w) = c else {
-                        unreachable!()
+        if block.iter().all(|(_, c)| matches!(c, Container::Dense(_))) {
+            // Dense × dense: AND word by word, emitting set bits as they
+            // appear, so a met budget skips the rest of the bitmap.
+            let Container::Dense(words) = smallest else {
+                unreachable!("all dense")
+            };
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                for (_, c) in rest {
+                    let Container::Dense(other) = c else {
+                        unreachable!("all dense")
                     };
-                    for (a, b) in acc.iter_mut().zip(w.iter()) {
-                        *a &= *b;
-                    }
+                    bits &= other[w];
                 }
-                for_each_set_bit(&acc, |off| out.push(join_id(meta.key, off)));
-                continue;
+                while bits != 0 {
+                    let off = (w as u16) << 6 | bits.trailing_zeros() as u16;
+                    out.push(join_id(meta.key, off));
+                    if out.len() == limit {
+                        break 'blocks;
+                    }
+                    bits &= bits - 1;
+                }
             }
+            continue;
         }
 
         // Mixed block: decode the smallest container once, and decode each
         // sparse rest container once too (a linear `Container::contains`
         // per candidate would make sparse×sparse blocks quadratic) — dense
         // rest containers stay O(1) bit tests.
-        decode_container(smallest.1, &mut decoded);
-        while rest_decoded.len() < rest.len() {
-            rest_decoded.push(Vec::new());
-        }
-        let probes: Vec<BlockProbe> = rest
-            .iter()
-            .zip(rest_decoded.iter_mut())
-            .map(|(c, buf)| match c {
-                Container::Dense(words) => BlockProbe::Dense(words),
-                Container::Sparse(bytes) => {
-                    decode_sparse_into(bytes, buf);
-                    BlockProbe::Sorted(buf)
-                }
-            })
-            .collect();
-        'offsets: for &off in decoded.iter() {
-            if off < lo || off > hi {
-                continue;
+        decode_container(smallest, &mut decoded);
+        for ((_, c), buf) in rest.iter().zip(rest_decoded.iter_mut()) {
+            if let Container::Sparse(bytes) = c {
+                decode_sparse_into(bytes, buf);
             }
-            for probe in &probes {
-                let hit = match probe {
-                    BlockProbe::Dense(words) => {
+        }
+        for &off in decoded.iter().filter(|&&off| off >= lo && off <= hi) {
+            let hit = rest
+                .iter()
+                .zip(&rest_decoded)
+                .all(|((_, c), sorted)| match c {
+                    Container::Dense(words) => {
                         words[(off >> 6) as usize] & (1u64 << (off & 63)) != 0
                     }
-                    BlockProbe::Sorted(offsets) => offsets.binary_search(&off).is_ok(),
-                };
-                if !hit {
-                    continue 'offsets;
+                    Container::Sparse(_) => sorted.binary_search(&off).is_ok(),
+                });
+            if hit {
+                out.push(join_id(meta.key, off));
+                if out.len() == limit {
+                    break 'blocks;
                 }
             }
-            out.push(join_id(meta.key, off));
         }
     }
-    out
-}
-
-/// One rest container of a mixed block, prepared for per-candidate
-/// membership tests: dense bitmaps probe bits, sparse containers are
-/// decoded once and binary-searched.
-enum BlockProbe<'a> {
-    Dense(&'a [u64; WORDS]),
-    Sorted(&'a [u16]),
+    (out, visited)
 }
 
 fn decode_container(container: &Container, out: &mut Vec<u16>) {
@@ -1717,15 +1715,7 @@ pub fn union_views(lists: &[PostingsView]) -> BlockPostings {
 }
 
 fn union_blocked(lists: &[&BlockPostings]) -> BlockPostings {
-    let dirs: Vec<(&Vec<BlockMeta>, &Vec<Container>)> = lists
-        .iter()
-        .map(|l| match &l.repr {
-            Repr::Blocks {
-                dir, containers, ..
-            } => (dir, containers),
-            Repr::Tiny { .. } => unreachable!("caller partitioned tiny lists out"),
-        })
-        .collect();
+    let dirs: Vec<(&[BlockMeta], &[Container])> = lists.iter().map(|l| l.blocks()).collect();
     let mut dir: Vec<BlockMeta> = Vec::new();
     let mut containers: Vec<Container> = Vec::new();
     let mut len = 0usize;
@@ -2019,6 +2009,90 @@ mod tests {
         let got = intersect_views(&[a.as_view(), b.as_view()]);
         let expected: Vec<EntityId> = ids((0..20_000).filter(|i| i % 6 == 0));
         assert_eq!(got, expected);
+    }
+
+    /// `intersect_views_limit(lists, k)` against the prefix of the
+    /// unlimited answer, for budgets around every interesting edge.
+    fn assert_prefix_law(lists: &[PostingsView], budgets: &[usize]) {
+        let full = intersect_views(lists);
+        for &k in budgets
+            .iter()
+            .chain(&[0, 1, full.len(), full.len() + 1, usize::MAX])
+        {
+            assert_eq!(
+                intersect_views_limit(lists, k),
+                full[..k.min(full.len())],
+                "limit {k} of {} hits",
+                full.len()
+            );
+        }
+    }
+
+    #[test]
+    fn limit_stops_mid_block_in_dense_by_dense() {
+        let a = BlockPostings::from_sorted(&ids((0..20_000).filter(|i| i % 2 == 0)));
+        let b = BlockPostings::from_sorted(&ids((0..20_000).filter(|i| i % 3 == 0)));
+        assert_eq!(a.dense_block_count(), a.block_count());
+        assert_eq!(b.dense_block_count(), b.block_count());
+        // 683 hits per block: 100 lands mid-word-walk in block 0, 683/684
+        // straddle the first block boundary, 1000 lands inside block 1.
+        assert_prefix_law(&[a.as_view(), b.as_view()], &[100, 682, 683, 684, 1000]);
+        // One dense list alone runs the same loop.
+        assert_prefix_law(&[a.as_view()], &[100, 2047, 2048, 2049]);
+    }
+
+    #[test]
+    fn limit_stops_mid_block_in_mixed_blocks() {
+        let dense = BlockPostings::from_sorted(&ids(0..20_000));
+        let sparse = BlockPostings::from_sorted(&ids((0..20_000).step_by(13)));
+        let sparser = BlockPostings::from_sorted(&ids((0..20_000).step_by(39)));
+        assert_eq!(sparse.dense_block_count(), 0);
+        assert!(!sparser.is_tiny());
+        // Sparse × dense, sparse × sparse, and all three together; 316
+        // multiples of 13 per block, so 300 is mid-block and 316/317
+        // straddle the boundary.
+        assert_prefix_law(&[dense.as_view(), sparse.as_view()], &[300, 315, 316, 317]);
+        assert_prefix_law(&[sparse.as_view(), sparser.as_view()], &[50, 105, 106]);
+        assert_prefix_law(
+            &[dense.as_view(), sparse.as_view(), sparser.as_view()],
+            &[50, 105, 106],
+        );
+        assert_prefix_law(&[sparse.as_view()], &[300, 316, 317]);
+    }
+
+    #[test]
+    fn limit_applies_on_the_tiny_path() {
+        let tiny = BlockPostings::from_sorted(&ids((0..200).map(|i| i * 150)));
+        let evens = BlockPostings::from_sorted(&ids((0..30_000).step_by(2)));
+        assert!(tiny.is_tiny() && !evens.is_tiny());
+        assert_prefix_law(&[tiny.as_view(), evens.as_view()], &[2, 99, 199]);
+        assert_prefix_law(&[evens.as_view(), tiny.as_view()], &[2, 99, 199]);
+        assert_prefix_law(&[tiny.as_view()], &[2, 199, 200, 201]);
+    }
+
+    #[test]
+    fn limit_k_visits_the_blocks_k_needs() {
+        // A 100-block list: the first 10 ids all sit in block 0.
+        let long = BlockPostings::from_sorted(&ids((0..100 * BLOCK_SPAN).step_by(8)));
+        assert_eq!(long.block_count(), 100);
+        let (hits, visited) = intersect_counting_blocks(&[long.as_view()], 10);
+        assert_eq!(hits, ids((0..80).step_by(8)));
+        assert_eq!(visited, 1, "LIMIT 10 reads one block of 100");
+        let (hits, visited) = intersect_counting_blocks(&[long.as_view()], usize::MAX);
+        assert_eq!((hits.len(), visited), (long.len(), 100));
+        // One id past block 0's 512 needs exactly one more block.
+        let (_, visited) = intersect_counting_blocks(&[long.as_view()], 513);
+        assert_eq!(visited, 2);
+
+        // A 2-probe conjunction whose first 10 hits sit in block 0.
+        let other = BlockPostings::from_sorted(&ids((0..100 * BLOCK_SPAN).step_by(24)));
+        let lists = [long.as_view(), other.as_view()];
+        let (hits, visited) = intersect_counting_blocks(&lists, 10);
+        assert_eq!(hits, ids((0..240).step_by(24)));
+        assert_eq!(visited, 1, "the budget is met inside block 0");
+        assert_eq!(intersect_counting_blocks(&lists, usize::MAX).1, 100);
+        // An empty budget touches nothing.
+        assert_eq!(intersect_counting_blocks(&lists, 0), (Vec::new(), 0));
     }
 
     #[test]

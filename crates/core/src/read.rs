@@ -9,24 +9,25 @@
 //!
 //! * the stable [`KnowledgeGraph`] (single [`TripleIndex`](crate::TripleIndex), zero-copy
 //!   galloping intersection),
-//! * the sharded live store (`saga_live::LiveKg`, lock-striped indexes with
-//!   parallel per-shard probes),
+//! * the sharded live store (`saga_live::LiveKg`, lock-striped indexes
+//!   probed shard by shard and merged),
 //! * [`OverlayRead`] — live-over-stable federation with tombstone
 //!   semantics: live upserts win over stable facts, live retractions
 //!   (tombstones) shadow them entirely.
 //!
 //! The trait is deliberately small — posting retrieval, membership tests,
-//! selectivity for plan ordering, name resolution, point record reads, and
-//! a [`generation`](GraphRead::generation) counter that query engines use
-//! to invalidate compiled plans whose resolved state (e.g. edge targets)
-//! may have gone stale.
+//! selectivity for plan ordering, one limit-aware conjunction
+//! ([`probe_all_limit`](GraphRead::probe_all_limit)), name resolution,
+//! point record reads, and a [`generation`](GraphRead::generation) counter
+//! that query engines use to invalidate compiled plans whose resolved
+//! state (e.g. edge targets) may have gone stale.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
 use crate::index::intersect_sorted;
-use crate::postings::{intersect_views, PostingsCursor, PostingsView};
+use crate::postings::PostingsCursor;
 use crate::{EntityId, EntityRecord, FxHashSet, KnowledgeGraph, ProbeKey};
 
 /// Uniform read access to a served knowledge graph.
@@ -108,31 +109,31 @@ pub trait GraphRead {
     /// resolved edge targets and selectivity orderings go stale).
     fn generation(&self) -> u64;
 
-    /// Conjunction of probes. Selectivity planning is part of this
-    /// method's contract — implementations must drive the evaluation from
-    /// the cheapest posting and short-circuit when any probe is certainly
-    /// empty, so executors never need a separate selectivity pass. The
-    /// default snapshots every probe's compressed cursor and intersects
-    /// **in the compressed domain** ([`intersect_views`]): the block
-    /// directories are galloped, dense×dense blocks combine with bitmap
-    /// `AND`s, and an empty cursor short-circuits before any block is
-    /// decoded. Backends with borrowed (zero-copy) postings override to
-    /// skip the snapshot; layered backends may instead drive candidates
-    /// through [`probe_contains`](Self::probe_contains).
+    /// The first `limit` ids (ascending) of the conjunction of `probes` —
+    /// the one conjunction primitive every backend implements. Two things
+    /// are part of this method's contract, so executors never need a pass
+    /// of their own for either:
+    ///
+    /// * **selectivity planning** — drive the evaluation from the
+    ///   cheapest posting and short-circuit when any probe is certainly
+    ///   empty;
+    /// * **the budget** — the answer is exactly the first
+    ///   `min(limit, |answer|)` ids of the unlimited answer, and the work
+    ///   done follows `limit`, not `|answer|`: stop evaluating once the
+    ///   budget is met instead of computing the whole conjunction and
+    ///   truncating. `usize::MAX` means "no budget".
+    ///
+    /// Backends with compressed postings intersect **in the compressed
+    /// domain** ([`intersect_views_limit`](crate::postings::intersect_views_limit));
+    /// layered backends may instead drive candidates through
+    /// [`probe_contains`](Self::probe_contains).
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId>;
+
+    /// The whole conjunction:
+    /// [`probe_all_limit`](Self::probe_all_limit) with no budget. Provided
+    /// — backends implement only the limit-aware primitive.
     fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        if probes.is_empty() {
-            return Vec::new();
-        }
-        let mut cursors: Vec<PostingsCursor> = Vec::with_capacity(probes.len());
-        for probe in probes {
-            let cursor = self.postings_cursor(probe);
-            if cursor.is_empty() {
-                return Vec::new();
-            }
-            cursors.push(cursor);
-        }
-        let views: Vec<PostingsView> = cursors.iter().map(PostingsCursor::as_view).collect();
-        intersect_views(&views)
+        self.probe_all_limit(&probes.iter().collect::<Vec<_>>(), usize::MAX)
     }
 }
 
@@ -167,8 +168,8 @@ impl<T: GraphRead + ?Sized> GraphRead for &T {
     fn generation(&self) -> u64 {
         (**self).generation()
     }
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        (**self).probe_all(probes)
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        (**self).probe_all_limit(probes, limit)
     }
 }
 
@@ -203,8 +204,8 @@ impl<T: GraphRead + ?Sized> GraphRead for std::sync::Arc<T> {
     fn generation(&self) -> u64 {
         (**self).generation()
     }
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        (**self).probe_all(probes)
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        (**self).probe_all_limit(probes, limit)
     }
 }
 
@@ -244,9 +245,9 @@ impl GraphRead for KnowledgeGraph {
         KnowledgeGraph::generation(self)
     }
 
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
         // Zero-copy: intersect borrowed compressed views in place.
-        self.index().probe_all(probes)
+        self.index().probe_all_limit(probes, limit)
     }
 }
 
@@ -451,14 +452,17 @@ impl<L: GraphRead, S: GraphRead> GraphRead for OverlayRead<L, S> {
 
     /// Candidate-driven conjunction: materializing every merged overlay
     /// posting just to intersect would pay the two-layer merge per probe,
-    /// so the overlay instead drives the cheapest posting's candidates
-    /// through per-layer [`probe_contains`](GraphRead::probe_contains) —
-    /// `O(|smallest| · probes)` point lookups, no merged lists.
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        let Some((driver_at, driver_sel)) = probes
+    /// so the overlay instead walks the cheapest probe's two layer cursors
+    /// in ascending id order — their union is a superset of its effective
+    /// posting — and keeps the ids that pass every probe's per-layer
+    /// [`probe_contains`](GraphRead::probe_contains), the driver's
+    /// included (that is where shadowing is applied). The walk is lazy and
+    /// stops at `limit`: `O(candidates examined · probes)` point lookups,
+    /// no merged lists.
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        let Some((driver, driver_sel)) = probes
             .iter()
-            .map(|p| self.selectivity(p))
-            .enumerate()
+            .map(|&p| (p, self.selectivity(p)))
             .min_by_key(|&(_, sel)| sel)
         else {
             return Vec::new();
@@ -466,15 +470,25 @@ impl<L: GraphRead, S: GraphRead> GraphRead for OverlayRead<L, S> {
         if driver_sel == 0 {
             return Vec::new();
         }
-        let candidates = self.postings(&probes[driver_at]);
+        let stable = self.stable.postings_cursor(driver);
+        let live = self.live.postings_cursor(driver);
+        let (mut stable, mut live) = (stable.iter().peekable(), live.iter().peekable());
+        let candidates = std::iter::from_fn(|| match (stable.peek(), live.peek()) {
+            (Some(&s), Some(&l)) => {
+                if s <= l {
+                    stable.next();
+                }
+                if l <= s {
+                    live.next();
+                }
+                Some(s.min(l))
+            }
+            (Some(_), None) => stable.next(),
+            (None, _) => live.next(),
+        });
         candidates
-            .into_iter()
-            .filter(|&id| {
-                probes
-                    .iter()
-                    .enumerate()
-                    .all(|(i, probe)| i == driver_at || self.probe_contains(probe, id))
-            })
+            .filter(|&id| probes.iter().all(|probe| self.probe_contains(probe, id)))
+            .take(limit)
             .collect()
     }
 }

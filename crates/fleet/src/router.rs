@@ -310,8 +310,8 @@ impl GraphRead for FleetRouter {
         self.pool.slots().iter().map(|s| s.generation()).sum()
     }
 
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        self.route_engine().graph().probe_all(probes)
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        self.route_engine().graph().probe_all_limit(probes, limit)
     }
 }
 

@@ -1,0 +1,116 @@
+//! The prefix law of the limit-aware conjunction — the live / fleet half.
+//!
+//! `saga-core`'s `index_properties` suite checks
+//! `probe_all_limit(p, k) == probe_all(p)[..min(k, len)]` on the backends
+//! it can see; this suite runs the **same** seeded check (the shared
+//! `crates/core/src/prefix_law.rs`, included by path) on the rest —
+//! [`LiveKg`] at 1 / 2 / 8 shards, [`LiveReplica`], [`StableRead`] and
+//! [`FleetRouter`] — and checks that `FIND … LIMIT k` through a
+//! [`QueryEngine`] is the first `k` answers of `LIMIT 1000`. All of them
+//! are built from one write-ahead producer, so they hold the same corpus.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use parking_lot::RwLock;
+use saga_core::postings::BLOCK_SPAN;
+use saga_core::read::intersect_postings;
+use saga_core::{
+    intern, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, ProbeKey, SourceId,
+    Value, WriteBatch,
+};
+use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
+use saga_graph::{LoggedWriter, OpKind, OperationLog, StableRead};
+use saga_live::{LiveKg, LiveReplica, QueryEngine};
+
+#[path = "../../core/src/prefix_law.rs"]
+mod law;
+
+use law::check_prefix_law;
+
+/// `FIND … LIMIT k` is the first `k` answers of the widest served query.
+fn check_kgq_limits(query: impl Fn(&str) -> Vec<EntityId>, backend: &str) {
+    for find in [
+        "FIND thing",
+        "FIND thing WHERE bucket = 0",
+        "FIND WHERE parent -> AKG:1 AND flag = true",
+    ] {
+        let widest = query(&format!("{find} LIMIT 1000"));
+        assert!(widest.len() > 20, "{backend}: `{find}` is too narrow");
+        for k in [1, 2, 10, widest.len() - 1, widest.len(), 999] {
+            assert_eq!(
+                query(&format!("{find} LIMIT {k}")),
+                widest[..k.min(widest.len())],
+                "{backend}: `{find} LIMIT {k}`"
+            );
+        }
+    }
+}
+
+#[test]
+fn prefix_law_holds_on_every_live_and_fleet_backend() {
+    for seed in law::SEEDS {
+        let kg = Arc::new(RwLock::new(KnowledgeGraph::new()));
+        let writer = LoggedWriter::new(Arc::clone(&kg), Arc::new(OperationLog::in_memory()));
+        for chunk in law::corpus(seed).chunks(512) {
+            let batch = chunk
+                .iter()
+                .cloned()
+                .fold(WriteBatch::new(), WriteBatch::upsert);
+            writer.commit(OpKind::Upsert, batch).unwrap();
+        }
+
+        for shards in [1, 2, 8] {
+            let live = LiveKg::new(shards);
+            live.load_stable(&kg.read());
+            check_prefix_law(&live, seed, &format!("LiveKg/{shards}"));
+            let engine = QueryEngine::new(live);
+            check_kgq_limits(
+                |text| engine.query(text).unwrap().entities().to_vec(),
+                &format!("QueryEngine<LiveKg/{shards}>"),
+            );
+        }
+
+        let mut replica = LiveReplica::new(2, Arc::clone(writer.log()));
+        replica.catch_up().unwrap();
+        check_prefix_law(&replica, seed, "LiveReplica");
+
+        check_prefix_law(
+            &StableRead::from_shared(Arc::clone(&kg)),
+            seed,
+            "StableRead",
+        );
+
+        let dir = std::env::temp_dir().join(format!(
+            "saga-fleet-prefix-law-{}-{seed}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = FleetConfig {
+            replicas: 2,
+            shards: 2,
+            poll_interval: Duration::from_micros(500),
+            ..FleetConfig::default()
+        };
+        let pool = ReplicaPool::start(config, Arc::clone(writer.log()), &dir).unwrap();
+        let router = FleetRouter::new(Arc::clone(&pool));
+        // Both replicas at the head: consecutive reads then agree
+        // whichever replica each one is routed to.
+        let controller = FleetController::new(Arc::clone(&pool));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while {
+            let stats = controller.stats();
+            stats.replicas.iter().any(|r| r.watermark < stats.head)
+        } {
+            assert!(Instant::now() < deadline, "fleet never caught up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        check_prefix_law(&router, seed, "FleetRouter");
+        check_kgq_limits(
+            |text| router.query(text).unwrap().entities().to_vec(),
+            "FleetRouter::query",
+        );
+        pool.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

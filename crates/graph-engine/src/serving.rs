@@ -98,10 +98,10 @@ impl GraphRead for StableRead {
         self.kg.read().generation()
     }
 
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
         // One lock acquisition for the whole conjunction: zero-copy
         // galloping intersection against the borrowed index.
-        self.kg.read().index().probe_all(probes)
+        self.kg.read().index().probe_all_limit(probes, limit)
     }
 }
 

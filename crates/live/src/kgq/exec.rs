@@ -240,24 +240,22 @@ pub fn execute<G: GraphRead>(graph: &G, plan: &Plan) -> Result<QueryResult> {
             if probes.is_empty() {
                 return Err(SagaError::Query("unbounded FIND rejected".into()));
             }
-            if probes.iter().any(|p| matches!(p, Probe::Unsatisfiable)) {
-                return Ok(QueryResult::Entities(Vec::new()));
-            }
-            let keys: Vec<ProbeKey> = probes
+            let keys: Option<Vec<&ProbeKey>> = probes
                 .iter()
                 .map(|p| match p {
-                    Probe::Key(k) => k.clone(),
-                    Probe::Unsatisfiable => unreachable!("checked above"),
+                    Probe::Key(k) => Some(k),
+                    Probe::Unsatisfiable => None,
                 })
                 .collect();
-            // Selectivity planning is the backend's contract: every
-            // `probe_all` selects the cheapest posting as the driver and
-            // short-circuits certainly-empty probes, so a second
-            // selectivity pass here would only double the posting-length
-            // lookups (per shard, for the live store) on the hot path.
-            let mut result = graph.probe_all(&keys);
-            result.truncate(*limit);
-            Ok(QueryResult::Entities(result))
+            let Some(keys) = keys else {
+                return Ok(QueryResult::Entities(Vec::new()));
+            };
+            // Selectivity planning and the result budget are both the
+            // backend's contract: `probe_all_limit` drives from the
+            // cheapest posting, short-circuits certainly-empty probes and
+            // stops once `limit` ids are out, so neither a selectivity
+            // pass nor a truncate belongs here.
+            Ok(QueryResult::Entities(graph.probe_all_limit(&keys, *limit)))
         }
         Plan::Get { start, path } => {
             let Some(start_id) = resolve_target(graph, start) else {

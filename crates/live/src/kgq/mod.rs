@@ -160,16 +160,26 @@ impl<G: GraphRead> QueryEngine<G> {
         true
     }
 
+    /// The cached plan for `text`, if every dependency still validates.
+    /// Returns an owned `Arc` so the plan-cache read guard is gone before
+    /// the caller executes: a guard held across execution would queue
+    /// every recompile's `write()` behind all in-flight reads, and new
+    /// readers behind that writer.
+    fn cached_plan(&self, text: &str) -> Option<Arc<Plan>> {
+        let cache = self.plan_cache.read();
+        let cached = cache.get(text)?;
+        self.deps_valid(&cached.deps)
+            .then(|| Arc::clone(&cached.plan))
+    }
+
     /// Parse, compile (with per-probe fingerprinted plan caching) and
     /// execute a KGQ query. A cached plan is reused iff every probe it
     /// touched at compile time still has the fingerprint it was compiled
     /// against — writes to unrelated postings leave it warm.
     pub fn query(&self, text: &str) -> Result<QueryResult> {
-        if let Some(cached) = self.plan_cache.read().get(text) {
-            if self.deps_valid(&cached.deps) {
-                self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                return execute(&self.graph, &cached.plan);
-            }
+        if let Some(plan) = self.cached_plan(text) {
+            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+            return execute(&self.graph, &plan);
         }
         let ast = parse(text)?;
         let compiled = compile_with_deps(self, &ast)?;
@@ -214,5 +224,69 @@ impl<G: GraphRead> QueryEngine<G> {
     /// recompiled on mismatch.
     pub fn invalidate_plans(&self) {
         self.plan_cache.write().clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use saga_core::{EntityId, EntityRecord, PostingsCursor, ProbeKey};
+    use std::sync::Barrier;
+
+    /// A backend that parks every conjunction between two rendezvous
+    /// points, so a test can hold a thread inside `execute`.
+    struct Gated {
+        inner: LiveKg,
+        entered: Barrier,
+        release: Barrier,
+    }
+
+    impl GraphRead for Gated {
+        fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+            self.inner.postings_cursor(probe)
+        }
+        fn record(&self, id: EntityId) -> Option<EntityRecord> {
+            self.inner.record(id)
+        }
+        fn generation(&self) -> u64 {
+            GraphRead::generation(&self.inner)
+        }
+        fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+            self.entered.wait();
+            self.release.wait();
+            self.inner.probe_all_limit(probes, limit)
+        }
+    }
+
+    #[test]
+    fn plan_cache_is_unlocked_while_a_cached_plan_executes() {
+        let live = LiveKg::new(2);
+        let mut kg = saga_core::KnowledgeGraph::new();
+        kg.add_named_entity(EntityId(1), "Alpha", "song", saga_core::SourceId(1), 0.9);
+        live.load_stable(&kg);
+        let engine = QueryEngine::new(Gated {
+            inner: live,
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        });
+        let text = "FIND song LIMIT 5";
+        std::thread::scope(|scope| {
+            // First call compiles and caches; the second takes the hit path.
+            for expected_hits in [0, 1] {
+                let reader = scope.spawn(|| engine.query(text).unwrap());
+                engine.graph().entered.wait();
+                // The reader is parked inside `execute` right now. Sample,
+                // then let it go before asserting, so a failure cannot
+                // leave it parked.
+                let writable = engine.plan_cache.try_write().is_some();
+                engine.graph().release.wait();
+                assert_eq!(reader.join().unwrap().entities(), &[EntityId(1)]);
+                assert_eq!(engine.plan_cache_stats().0, expected_hits);
+                assert!(
+                    writable,
+                    "a recompile must not queue behind an in-flight execute"
+                );
+            }
+        });
     }
 }

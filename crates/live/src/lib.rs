@@ -36,7 +36,6 @@ pub mod context;
 pub mod curation;
 pub mod intent;
 pub mod kgq;
-pub mod pool;
 pub mod replica;
 pub mod store;
 
@@ -48,6 +47,5 @@ pub use kgq::{
     compile, execute, parse, MaterializedKgqView, Plan, Query, QueryBuilder, QueryEngine,
     QueryResult,
 };
-pub use pool::ProbePool;
 pub use replica::LiveReplica;
-pub use store::{LiveKg, ShardedTripleIndex, PARALLEL_PROBE_MIN_WORK};
+pub use store::{LiveKg, ShardedTripleIndex};

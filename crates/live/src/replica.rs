@@ -246,8 +246,8 @@ impl GraphRead for LiveReplica {
         GraphRead::generation(&self.live)
     }
 
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        self.live.probe_all(probes)
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        self.live.probe_all_limit(probes, limit)
     }
 }
 

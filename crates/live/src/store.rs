@@ -7,10 +7,12 @@
 //! take one shard read-lock); [`ShardedTripleIndex`] stripes the *same*
 //! [`TripleIndex`] the stable KG maintains, so
 //! stable and live serving share one probe path ([`ProbeKey`]) and one
-//! posting representation. Shards partition the entity-id space, which
-//! makes conjunctive probes embarrassingly parallel: each shard intersects
-//! its own sorted postings and the disjoint results concatenate in order.
+//! posting representation. Shards partition the entity-id space, so a
+//! conjunctive probe decomposes: each shard intersects its own postings
+//! and the disjoint, sorted results merge in id order.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,15 +24,6 @@ use saga_core::{
     CommitReceipt, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, GraphRead,
     GraphWrite, OpOutcome, ProbeKey, Symbol, TripleIndex, Value, WriteBatch, WriteOp,
 };
-
-use crate::pool::ProbePool;
-
-/// Driver-posting length below which [`ShardedTripleIndex::probe_all`]
-/// evaluates shards serially. With fan-out running on the shared
-/// [`ProbePool`] (no per-call thread spawns), the break-even point is a
-/// channel round-trip per shard rather than a thread spawn — roughly an
-/// order of magnitude lower than the old scoped-spawn threshold.
-pub const PARALLEL_PROBE_MIN_WORK: usize = 256;
 
 /// The unified triple index under lock striping: shard `i` indexes the
 /// entities with `id % shards == i`. Replaces the legacy single-lock
@@ -113,48 +106,26 @@ impl ShardedTripleIndex {
         self.postings_cursor(probe).to_vec()
     }
 
-    /// Conjunction of probes: intersect within each shard **in the
-    /// compressed domain**, then merge the (disjoint) per-shard results.
+    /// The first `limit` ids of a conjunction of probes: intersect within
+    /// each shard **in the compressed domain**, then merge the (disjoint)
+    /// per-shard results.
     ///
-    /// Shards partition the id space, so they are evaluated independently —
-    /// fanned out on the shared [`ProbePool`] once the driving posting is
-    /// large enough ([`PARALLEL_PROBE_MIN_WORK`]) to amortize a channel
-    /// round-trip per shard. Results are deterministic either way:
-    /// per-shard hits are disjoint and the post-merge sort fixes one
-    /// global order.
-    pub fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        if probes.is_empty() {
-            return Vec::new();
-        }
-        // The cheapest posting bounds the per-shard driver work; an empty
-        // one short-circuits the whole conjunction.
-        let driver = probes
+    /// Shards partition the id space, so each is evaluated independently,
+    /// inline on the calling thread, holding only its own read lock and
+    /// bounded by `limit` (no shard can contribute more than `limit` ids
+    /// to the first `limit` of the merge); a streaming k-way merge then
+    /// stops at `limit`. An empty posting short-circuits inside each
+    /// shard's intersection, so there is no selectivity pre-pass. Served
+    /// queries are capped at `MAX_LIMIT`, which bounds per-shard work at
+    /// microseconds: parallelism across requests (server workers) is the
+    /// only parallelism the serving path needs.
+    pub fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        let per_shard: Vec<Vec<EntityId>> = self
+            .shards
             .iter()
-            .map(|p| self.selectivity(p))
-            .min()
-            .unwrap_or(0);
-        if driver == 0 {
-            return Vec::new();
-        }
-        let intersect_shard = |shard: &RwLock<TripleIndex>| {
-            let idx = shard.read();
-            idx.probe_all(probes)
-        };
-        let mut per_shard: Vec<Vec<EntityId>> =
-            if self.shards.len() > 1 && driver >= PARALLEL_PROBE_MIN_WORK {
-                let tasks: Vec<Box<dyn FnOnce() -> Vec<EntityId> + Send + '_>> = self
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        Box::new(move || intersect_shard(shard))
-                            as Box<dyn FnOnce() -> Vec<EntityId> + Send + '_>
-                    })
-                    .collect();
-                ProbePool::global().run(tasks)
-            } else {
-                self.shards.iter().map(intersect_shard).collect()
-            };
-        merge_sorted(&mut per_shard)
+            .map(|shard| shard.read().probe_all_limit(probes, limit))
+            .collect();
+        merge_sorted_limit(per_shard, limit)
     }
 
     /// True if `id` is in the probe's posting list — a single-shard block
@@ -234,12 +205,12 @@ impl ShardedTripleIndex {
 
     /// Entities referencing `target` through any predicate (reverse edges).
     pub fn referencing(&self, target: EntityId) -> Vec<EntityId> {
-        let mut per_shard: Vec<Vec<EntityId>> = self
+        let per_shard: Vec<Vec<EntityId>> = self
             .shards
             .iter()
             .map(|s| s.read().referencing(target).to_vec())
             .collect();
-        merge_sorted(&mut per_shard)
+        merge_sorted_limit(per_shard, usize::MAX)
     }
 
     /// Posting-list length for a name probe (plan ordering).
@@ -248,14 +219,38 @@ impl ShardedTripleIndex {
     }
 }
 
-/// Merge sorted, pairwise-disjoint id lists into one sorted list.
-fn merge_sorted(lists: &mut [Vec<EntityId>]) -> Vec<EntityId> {
-    let total = lists.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for list in lists.iter_mut() {
-        out.append(list);
+/// The first `limit` ids of the ascending merge of sorted, pairwise-
+/// disjoint id lists: a streaming k-way merge over a min-heap of list
+/// heads, `O(limit · log lists)`, that never looks past the ids it emits.
+fn merge_sorted_limit(mut lists: Vec<Vec<EntityId>>, limit: usize) -> Vec<EntityId> {
+    lists.retain(|list| !list.is_empty());
+    if lists.len() <= 1 {
+        let mut only = lists.pop().unwrap_or_default();
+        only.truncate(limit);
+        return only;
     }
-    out.sort_unstable();
+    let total: usize = lists.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total.min(limit));
+    // (head id, list, position of the head in that list)
+    let mut heads: BinaryHeap<Reverse<(EntityId, usize, usize)>> = lists
+        .iter()
+        .enumerate()
+        .map(|(i, list)| Reverse((list[0], i, 0)))
+        .collect();
+    while out.len() < limit {
+        let Some(mut head) = heads.peek_mut() else {
+            break;
+        };
+        let Reverse((id, i, at)) = *head;
+        out.push(id);
+        match lists[i].get(at + 1) {
+            // Replacing the top in place costs one sift-down, not two.
+            Some(&next) => *head = Reverse((next, i, at + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
     out
 }
 
@@ -580,8 +575,8 @@ impl LiveKg {
 }
 
 /// The live store serves through the same probe vocabulary as the stable
-/// KG; conjunctions fan out per shard (see
-/// [`ShardedTripleIndex::probe_all`]).
+/// KG; conjunctions evaluate shard by shard (see
+/// [`ShardedTripleIndex::probe_all_limit`]).
 impl GraphRead for LiveKg {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
         self.index.postings_cursor(probe)
@@ -619,8 +614,8 @@ impl GraphRead for LiveKg {
         self.generation.load(Ordering::Acquire)
     }
 
-    fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
-        self.index.probe_all(probes)
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        self.index.probe_all_limit(probes, limit)
     }
 }
 
@@ -730,7 +725,7 @@ mod tests {
         let expected: Vec<EntityId> = (1..=40).map(EntityId).collect();
         assert_eq!(all, expected, "merged across shards in sorted order");
         // Conjunction across shards.
-        let hits = live.index().probe_all(&[
+        let hits = live.probe_all(&[
             ProbeKey::Type(intern("athlete")),
             ProbeKey::Name("player".into()),
         ]);
@@ -738,29 +733,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_matches_serial_above_threshold() {
-        // Enough entities that the type posting exceeds
-        // PARALLEL_PROBE_MIN_WORK and probe_all takes the scoped-thread
-        // path; results must stay sorted and identical to the serial path.
-        let live = LiveKg::new(8);
-        let n = (PARALLEL_PROBE_MIN_WORK as u64) * 2 + 17;
-        for i in 1..=n {
-            live.upsert(record(i, &format!("Player {i}"), "athlete"));
+    fn multi_shard_conjunction_matches_single_shard() {
+        // Per-shard postings on either side of the 256 ids where a list
+        // leaves the tiny tier (5 and 263 per shard at eight shards):
+        // eight shards and one must give the same sorted answer, whole
+        // and under a budget.
+        for n in [40u64, 2104] {
+            let sharded = LiveKg::new(8);
+            let single = LiveKg::new(1);
+            for i in 1..=n {
+                sharded.upsert(record(i, &format!("Player {i}"), "athlete"));
+                single.upsert(record(i, &format!("Player {i}"), "athlete"));
+            }
+            let probes = [
+                ProbeKey::Type(intern("athlete")),
+                ProbeKey::Name("player".into()),
+            ];
+            let expected: Vec<EntityId> = (1..=n).map(EntityId).collect();
+            assert_eq!(sharded.probe_all(&probes), expected);
+            assert_eq!(single.probe_all(&probes), expected);
+            let refs: Vec<&ProbeKey> = probes.iter().collect();
+            for limit in [0, 1, 7, 8, 9, n as usize, n as usize + 1] {
+                let prefix = &expected[..limit.min(expected.len())];
+                assert_eq!(sharded.probe_all_limit(&refs, limit), prefix, "n={n}");
+                assert_eq!(single.probe_all_limit(&refs, limit), prefix, "n={n}");
+            }
         }
-        let probes = [
-            ProbeKey::Type(intern("athlete")),
-            ProbeKey::Name("player".into()),
-        ];
-        assert!(live.index().selectivity(&probes[0]) >= PARALLEL_PROBE_MIN_WORK);
-        let hits = live.index().probe_all(&probes);
-        let expected: Vec<EntityId> = (1..=n).map(EntityId).collect();
-        assert_eq!(hits, expected);
-        // The single-lock reference path agrees.
-        let single = LiveKg::new(1);
-        for i in 1..=n {
-            single.upsert(record(i, &format!("Player {i}"), "athlete"));
-        }
-        assert_eq!(single.index().probe_all(&probes), expected);
     }
 
     #[test]

@@ -100,6 +100,15 @@ impl<T: ?Sized> RwLock<T> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Try to acquire exclusive access without blocking.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.inner.try_write() {
+            Ok(g) => Some(g),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Exclusive access through a mutable reference (no locking needed).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
