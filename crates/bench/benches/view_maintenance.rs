@@ -2,8 +2,7 @@
 //! per-commit refresh (commit + analytics delta + `update_changed`) vs a
 //! full `refresh_all` recompute, swept across churn levels. The 20% level
 //! crosses the importance view's churn threshold, so its numbers include
-//! the declared full-rebuild fallback. `view_maintenance_gauge` runs the
-//! full-scale (≥100k facts) comparison recorded in `BENCH_views.json`.
+//! the declared full-rebuild fallback.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use saga_bench::workload::{media_world, MediaWorldConfig};

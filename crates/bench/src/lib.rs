@@ -9,7 +9,6 @@
 //! | Binary | Paper artifact |
 //! |--------|----------------|
 //! | `fig8_views` | Fig. 8 — view computation, Graph Engine vs legacy |
-//! | `view_maintenance_gauge` | §3.2 — per-commit incremental view refresh vs full recompute; columnar aggregates vs row scan |
 //! | `fig12_growth` | Fig. 12 — relative KG growth under continuous construction |
 //! | `fig14a_nerd_text` | Fig. 14(a) — NERD vs deployed baseline, text annotation |
 //! | `fig14b_nerd_obr` | Fig. 14(b) — NERD (+type hints) vs baseline, object resolution |

@@ -14,10 +14,9 @@
 //! Sites are declared with the [`failpoint!`](crate::failpoint) macro (in
 //! code whose enclosing function returns [`Result`]) or a direct
 //! [`check`]/[`check_scoped`] call (in loops that handle the error
-//! themselves). Site names are **never** inline string literals at the
-//! call site: every site is a constant in the [`sites`] catalog, which a
-//! CI grep guard enforces — the catalog is the single place to see what
-//! can be made to fail.
+//! themselves). Every entry point takes a [`Site`], and the only `Site`s
+//! are the constants of the [`sites`] catalog — the single place to see
+//! what can be made to fail.
 //!
 //! ```
 //! use saga_core::fail::{self, sites, FailAction};
@@ -66,36 +65,60 @@ use parking_lot::Mutex;
 
 use crate::error::{Result, SagaError};
 
+/// A failpoint site: one of the [`sites`] constants. The name inside is
+/// private, so code outside this module cannot mint a site of its own —
+/// an inline literal does not compile:
+///
+/// ```compile_fail,E0308
+/// use saga_core::fail::{self, FailAction};
+/// fail::configure("oplog::append_fsync", FailAction::error());
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Site(&'static str);
+
 /// The catalog of failpoint sites threaded through the platform. Every
-/// `failpoint!`/[`check`] call names one of these constants — never an
-/// inline literal (CI-guarded) — so this list is the complete fault
-/// surface a chaos drill can drive.
+/// `failpoint!`/[`check`] call names one of these constants, so this
+/// list is the complete fault surface a chaos drill can drive.
 pub mod sites {
+    use super::Site;
+
     /// Oplog: serializing + writing one appended operation line.
-    pub const OPLOG_APPEND_WRITE: &str = "oplog::append_write";
+    pub const OPLOG_APPEND_WRITE: Site = Site("oplog::append_write");
     /// Oplog: the per-append fsync under `FlushPolicy::Fsync`-style
     /// durability (fires for explicit `sync()` batch fsyncs too).
-    pub const OPLOG_APPEND_FSYNC: &str = "oplog::append_fsync";
+    pub const OPLOG_APPEND_FSYNC: Site = Site("oplog::append_fsync");
     /// Oplog: the atomic rewrite inside log compaction.
-    pub const OPLOG_COMPACT: &str = "oplog::compact";
+    pub const OPLOG_COMPACT: Site = Site("oplog::compact");
+    /// Writer: between the write-ahead append and the apply of one
+    /// `LoggedWriter` commit. An error fails the commit with the op in the
+    /// log and the graph untouched — a producer that died there. Unscoped:
+    /// armed, it fires in whichever writer of the process commits next, so
+    /// its drills live in a test binary of their own.
+    pub const WRITER_BEFORE_APPLY: Site = Site("writer::before_apply");
     /// Checkpoint: the temp-write/fsync/rename publish of one artifact.
-    pub const CHECKPOINT_PUBLISH: &str = "checkpoint::publish";
+    pub const CHECKPOINT_PUBLISH: Site = Site("checkpoint::publish");
     /// Fleet: top of a replica worker's replay poll loop (scoped by
     /// `FleetConfig::fail_scope`). An error kills the worker the way a
     /// replay failure would; a panic exercises the drop-guard death
     /// path; a delay wedges it.
-    pub const FLEET_WORKER_POLL: &str = "fleet::worker_poll";
+    pub const FLEET_WORKER_POLL: Site = Site("fleet::worker_poll");
     /// Net server: the per-connection read loop, checked after each
     /// decoded frame and before admission (scoped by
     /// `ServerConfig::fail_scope`). An error drops the connection with
     /// the request unexecuted — the kill -9 a remote client observes; a
     /// delay wedges the reader.
-    pub const NET_SERVER_READ: &str = "net::server_read";
+    pub const NET_SERVER_READ: Site = Site("net::server_read");
+    /// Net server: a pool worker, after it dequeued an admitted request
+    /// and before it decodes it (scoped by `ServerConfig::fail_scope`). A
+    /// delay parks that worker holding its admission slot — the slow
+    /// request of the interleave and saturation drills; an error answers
+    /// `ErrorKind::Internal` with the request unexecuted.
+    pub const NET_SERVER_EXECUTE: Site = Site("net::server_execute");
     /// Net server: the response write path (scoped by
     /// `ServerConfig::fail_scope`). An error drops the response after
     /// the request executed — the ack-lost half-failure that makes a
     /// commit's outcome ambiguous to its client.
-    pub const NET_SERVER_WRITE: &str = "net::server_write";
+    pub const NET_SERVER_WRITE: Site = Site("net::server_write");
 }
 
 /// What an armed site does when it fires.
@@ -175,9 +198,9 @@ struct SiteState {
 struct Registry {
     /// Armed entries keyed by `(site, scope)`; the unscoped entry uses
     /// an empty scope and matches every scoped check.
-    entries: HashMap<(String, String), SiteState>,
+    entries: HashMap<(Site, String), SiteState>,
     /// Hits per site (any scope), counted while the registry is armed.
-    hits: HashMap<String, u64>,
+    hits: HashMap<Site, u64>,
 }
 
 /// Number of armed entries; the disarmed fast path is one relaxed load.
@@ -204,14 +227,14 @@ pub fn armed() -> bool {
 }
 
 /// Arm `site` for every scope.
-pub fn configure(site: &str, action: FailAction) {
+pub fn configure(site: Site, action: FailAction) {
     configure_scoped(site, "", action);
 }
 
 /// Arm `site` for checks carrying exactly `scope` (an empty scope arms
 /// it for every scope). Re-configuring a live entry replaces it and
 /// resets its hit schedule.
-pub fn configure_scoped(site: &str, scope: &str, action: FailAction) {
+pub fn configure_scoped(site: Site, scope: &str, action: FailAction) {
     let mut reg = registry().lock();
     let state = SiteState {
         skip: action.after,
@@ -220,7 +243,7 @@ pub fn configure_scoped(site: &str, scope: &str, action: FailAction) {
     };
     if reg
         .entries
-        .insert((site.to_string(), scope.to_string()), state)
+        .insert((site, scope.to_string()), state)
         .is_none()
     {
         ARMED.fetch_add(1, Ordering::Relaxed);
@@ -229,10 +252,10 @@ pub fn configure_scoped(site: &str, scope: &str, action: FailAction) {
 }
 
 /// Disarm `site` (every scope).
-pub fn clear(site: &str) {
+pub fn clear(site: Site) {
     let mut reg = registry().lock();
     let before = reg.entries.len();
-    reg.entries.retain(|(s, _), _| s != site);
+    reg.entries.retain(|(s, _), _| *s != site);
     let removed = before - reg.entries.len();
     if removed > 0 {
         ARMED.fetch_sub(removed, Ordering::Relaxed);
@@ -256,25 +279,25 @@ pub fn clear_all() {
 /// Times `site` has been checked (any scope) since the registry was last
 /// cleared. Counted only while armed — the disarmed fast path does not
 /// touch the registry.
-pub fn hits(site: &str) -> u64 {
-    registry().lock().hits.get(site).copied().unwrap_or(0)
+pub fn hits(site: Site) -> u64 {
+    registry().lock().hits.get(&site).copied().unwrap_or(0)
 }
 
 /// Check an unscoped site. Equivalent to [`check_scoped`] with `""`.
-pub fn check(site: &str) -> Result<()> {
+pub fn check(site: Site) -> Result<()> {
     check_scoped(site, "")
 }
 
 /// Check a scoped site: fires if the site is armed for this scope, or
 /// armed unscoped. Returns the injected error on an `Error` firing,
 /// sleeps through a `Delay`, panics on a `Panic`; otherwise `Ok(())`.
-pub fn check_scoped(site: &str, scope: &str) -> Result<()> {
+pub fn check_scoped(site: Site, scope: &str) -> Result<()> {
     if !armed() {
         return Ok(());
     }
     let fired = {
         let mut reg = registry().lock();
-        *reg.hits.entry(site.to_string()).or_insert(0) += 1;
+        *reg.hits.entry(site).or_insert(0) += 1;
         let state = match lookup(&mut reg, site, scope) {
             Some(state) => state,
             None => return Ok(()),
@@ -295,24 +318,25 @@ pub fn check_scoped(site: &str, scope: &str) -> Result<()> {
     };
     match fired {
         FailKind::Error => Err(SagaError::Storage(format!(
-            "failpoint {site}: injected error"
+            "failpoint {}: injected error",
+            site.0
         ))),
         FailKind::Delay(total) => {
             sliced_sleep(total);
             Ok(())
         }
-        FailKind::Panic => panic!("failpoint {site}: injected panic"),
+        FailKind::Panic => panic!("failpoint {}: injected panic", site.0),
     }
 }
 
-fn lookup<'a>(reg: &'a mut Registry, site: &str, scope: &str) -> Option<&'a mut SiteState> {
+fn lookup<'a>(reg: &'a mut Registry, site: Site, scope: &str) -> Option<&'a mut SiteState> {
     // Borrow-checker friendly two-phase lookup: decide the key, then
     // take the single mutable borrow.
-    let scoped = (site.to_string(), scope.to_string());
+    let scoped = (site, scope.to_string());
     let key = if reg.entries.contains_key(&scoped) {
         scoped
     } else {
-        (site.to_string(), String::new())
+        (site, String::new())
     };
     reg.entries.get_mut(&key)
 }
@@ -337,9 +361,8 @@ fn sliced_sleep(total: Duration) {
 /// [`Result`](crate::Result): a no-op branch on one relaxed atomic load
 /// until the site is armed, then whatever the armed action injects.
 ///
-/// Takes a site constant from [`fail::sites`](sites) — inline string
-/// literals at call sites are rejected by a CI guard — and optionally a
-/// scope expression:
+/// Takes a [`Site`] constant from [`fail::sites`](sites) and optionally
+/// a scope expression:
 ///
 /// ```ignore
 /// saga_core::failpoint!(fail::sites::OPLOG_APPEND_FSYNC);
@@ -377,7 +400,7 @@ mod tests {
         guard
     }
 
-    const SITE: &str = sites::OPLOG_APPEND_FSYNC;
+    const SITE: Site = sites::OPLOG_APPEND_FSYNC;
 
     #[test]
     fn disarmed_sites_are_free_and_ok() {
@@ -395,7 +418,7 @@ mod tests {
         assert!(check(SITE).is_ok());
         assert!(check(SITE).is_err());
         let err = check(SITE).unwrap_err();
-        assert!(err.to_string().contains(SITE), "{err}");
+        assert!(err.to_string().contains(SITE.0), "{err}");
         assert!(!err.is_retryable(), "injected storage errors are hard");
         assert!(check(SITE).is_ok(), "exhausted after `times` firings");
         assert_eq!(hits(SITE), 5);
@@ -456,7 +479,7 @@ mod tests {
         })
         .unwrap_err();
         let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(SITE), "panic names the site: {msg}");
+        assert!(msg.contains(SITE.0), "panic names the site: {msg}");
         clear_all();
     }
 

@@ -36,7 +36,7 @@ pub mod router;
 use std::time::Duration;
 
 pub use controller::{FleetController, FleetStats, ReplicaHealth, TickReport};
-pub use pool::{ReplicaFault, ReplicaPool, ReplicaState};
+pub use pool::{ReplicaPool, ReplicaState};
 pub use router::{FleetRouter, RoutedRead, SessionWaitConfig};
 
 /// Tuning knobs for a serving fleet. `Default` is sized for tests and

@@ -61,22 +61,6 @@ const STATE_SERVING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_DOWN: u8 = 2;
 
-/// Externally injectable worker failures, for fault drills and tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplicaFault {
-    /// The worker panics at its next loop iteration — the crashed-replica
-    /// drill. The slot's drop guard records the death as `Down`.
-    Panic,
-    /// The worker stops replaying and stops heartbeating but stays alive —
-    /// the stuck-I/O drill a liveness check must catch, since the thread
-    /// never exits on its own.
-    Wedge,
-}
-
-const FAULT_NONE: u8 = 0;
-const FAULT_PANIC: u8 = 1;
-const FAULT_WEDGE: u8 = 2;
-
 /// One serving slot: a query engine over a replica store, plus the
 /// atomics its worker publishes and its supervisor reads.
 pub(crate) struct Slot {
@@ -95,7 +79,6 @@ pub(crate) struct Slot {
     /// can never revalidate against a reborn store.
     pub(crate) gen_floor: AtomicU64,
     state: AtomicU8,
-    fault: AtomicU8,
     kill: AtomicBool,
     /// Reads currently pinned to this slot's engine.
     pub(crate) inflight: AtomicU64,
@@ -119,7 +102,6 @@ impl Slot {
             watermark: AtomicU64::new(watermark.0),
             gen_floor: AtomicU64::new(0),
             state: AtomicU8::new(STATE_SERVING),
-            fault: AtomicU8::new(FAULT_NONE),
             kill: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -385,23 +367,6 @@ impl ReplicaPool {
         })
     }
 
-    /// Inject a worker failure into replica `id` (fault drills).
-    pub fn inject_fault(&self, id: usize, fault: ReplicaFault) -> Result<()> {
-        let byte = match fault {
-            ReplicaFault::Panic => FAULT_PANIC,
-            ReplicaFault::Wedge => FAULT_WEDGE,
-        };
-        self.slot(id)?.fault.store(byte, Ordering::SeqCst);
-        Ok(())
-    }
-
-    /// Clear an injected fault; a wedged (but not panicked) worker
-    /// resumes replaying on its own.
-    pub fn clear_fault(&self, id: usize) -> Result<()> {
-        self.slot(id)?.fault.store(FAULT_NONE, Ordering::SeqCst);
-        Ok(())
-    }
-
     /// Hard-stop replica `id`: drain briefly, kill its worker, mark it
     /// `Down`. The slot serves nothing until [`respawn`](Self::respawn).
     pub fn kill(&self, id: usize) -> Result<()> {
@@ -432,7 +397,6 @@ impl ReplicaPool {
         slot.watermark
             .store(replica.watermark().0, Ordering::SeqCst);
         *slot.engine.write() = Arc::new(QueryEngine::new(replica.live().clone()));
-        slot.fault.store(FAULT_NONE, Ordering::SeqCst);
         slot.kill.store(false, Ordering::SeqCst);
         slot.respawns.fetch_add(1, Ordering::Relaxed);
         // Serving from here on; the router's lag bound keeps routed reads
@@ -488,21 +452,12 @@ fn spawn_worker(
                 if slot.kill.load(Ordering::SeqCst) {
                     break;
                 }
-                match slot.fault.load(Ordering::SeqCst) {
-                    FAULT_PANIC => panic!("injected fault: replica {} worker panic", slot.id),
-                    FAULT_WEDGE => {
-                        // Alive but not replaying and not heartbeating;
-                        // short naps keep the kill flag responsive.
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
-                    }
-                    _ => {}
-                }
                 // Failpoint drills: an injected error kills this worker
                 // exactly like a replay failure (the controller respawns
                 // it from a checkpoint), an injected panic exercises the
                 // drop-guard death path, an injected delay wedges the
-                // worker for the wedge detector to catch.
+                // worker — alive, not replaying, not heartbeating — for
+                // the wedge detector to catch.
                 if saga_core::fail::check_scoped(
                     saga_core::fail::sites::FLEET_WORKER_POLL,
                     &cfg.fail_scope,

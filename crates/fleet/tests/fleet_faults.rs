@@ -10,19 +10,47 @@
 //!   detected by the controller, drained and respawned;
 //! * an all-stale fleet fails session reads with a timeout instead of a
 //!   stale answer.
+//!
+//! Faults are injected at the `fleet::worker_poll` failpoint, armed for
+//! one drill's fleet through its `fail_scope`. An action with `.times(1)`
+//! lands on whichever worker reaches the site first, so drills read the
+//! struck replica from `FleetController::stats()`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, GraphRead, KnowledgeGraph, Lsn, SourceId, WriteBatch};
 use saga_fleet::{
-    FleetConfig, FleetController, FleetRouter, ReplicaFault, ReplicaPool, ReplicaState,
-    SessionWaitConfig,
+    FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState, SessionWaitConfig,
 };
 use saga_graph::{CheckpointWriter, LoggedCommit, LoggedWriter, OpKind, OperationLog};
 use saga_live::LiveReplica;
+
+/// The failpoint registry is process-global; drills that arm it must not
+/// overlap.
+static DRILL_GATE: Mutex<()> = Mutex::new(());
+
+/// Holds the gate and leaves the registry clean on both ends, even if the
+/// drill panics. Taken after the fleet is up, so on unwind it drops first
+/// and a wedged worker is released before the pool joins it.
+struct DrillGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+/// Take the gate and arm `fleet::worker_poll` for the fleet under `scope`.
+fn arm(scope: &str, action: FailAction) -> DrillGuard {
+    let guard = DRILL_GATE.lock();
+    fail::clear_all();
+    fail::configure_scoped(sites::FLEET_WORKER_POLL, scope, action);
+    DrillGuard(guard)
+}
+
+impl Drop for DrillGuard {
+    fn drop(&mut self) {
+        fail::clear_all();
+    }
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,6 +83,15 @@ fn commit_person(w: &LoggedWriter, i: u64) -> LoggedCommit {
         ),
     )
     .unwrap()
+}
+
+/// [`fast_config`] for a drill that arms failpoints: `scope` keeps its
+/// faults out of every other fleet in this process.
+fn drill_config(replicas: usize, scope: &str) -> FleetConfig {
+    FleetConfig {
+        fail_scope: scope.to_string(),
+        ..fast_config(replicas)
+    }
 }
 
 /// A fast-polling test config: short enough that convergence waits are
@@ -219,12 +256,13 @@ fn killed_replica_respawns_from_checkpoint_and_converges_to_parity() {
     ckpt.checkpoint_and_compact().unwrap();
     assert!(w.log().compacted_through() >= Lsn(40));
 
-    let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
+    let scope = "fleet-respawn";
+    let pool = ReplicaPool::start(drill_config(2, scope), Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
     let controller = FleetController::new(Arc::clone(&pool));
 
-    // Panic replica 0 mid-traffic.
-    pool.inject_fault(0, ReplicaFault::Panic).unwrap();
+    // Panic one replica mid-traffic: whichever polls first.
+    let _drill = arm(scope, FailAction::panic().times(1));
     for i in 41..=60u64 {
         let commit = commit_person(&w, i);
         let hits = router
@@ -239,16 +277,22 @@ fn killed_replica_respawns_from_checkpoint_and_converges_to_parity() {
             "fleet served through the crash"
         );
     }
+    let down = || {
+        controller
+            .stats()
+            .replicas
+            .iter()
+            .position(|r| r.state == ReplicaState::Down)
+    };
     assert!(
-        wait_until(Duration::from_secs(5), || {
-            controller.stats().replicas[0].state == ReplicaState::Down
-        }),
+        wait_until(Duration::from_secs(5), || down().is_some()),
         "panicked worker was never marked down"
     );
+    let struck = down().unwrap();
 
     // One controller pass respawns it from the checkpoint + log tail.
     let report = controller.tick().unwrap();
-    assert_eq!(report.respawned, vec![0]);
+    assert_eq!(report.respawned, vec![struck]);
     router
         .wait_for_lsn(w.log().head(), Duration::from_secs(5))
         .unwrap();
@@ -301,7 +345,7 @@ fn killed_replica_respawns_from_checkpoint_and_converges_to_parity() {
             "replica {replica} took no traffic after the respawn"
         );
     }
-    assert_eq!(after.replicas[0].respawns, 1);
+    assert_eq!(after.replicas[struck].respawns, 1);
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -310,7 +354,8 @@ fn killed_replica_respawns_from_checkpoint_and_converges_to_parity() {
 fn wedged_replica_is_skipped_then_detected_and_respawned() {
     let w = producer();
     let dir = temp_dir("wedge");
-    let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
+    let scope = "fleet-wedge";
+    let pool = ReplicaPool::start(drill_config(2, scope), Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
     let controller = FleetController::new(Arc::clone(&pool));
 
@@ -321,19 +366,22 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
         .wait_for_lsn(Lsn(10), Duration::from_secs(5))
         .unwrap();
 
-    // Wedge replica 0, then advance the log well past the lag bound (4).
-    pool.inject_fault(0, ReplicaFault::Wedge).unwrap();
+    // Wedge one replica — whichever polls first — for far longer than the
+    // drill runs, then advance the log well past the lag bound (4).
+    let _drill = arm(scope, FailAction::delay(Duration::from_secs(30)).times(1));
     for i in 11..=30u64 {
         commit_person(&w, i);
     }
     // Wait until the healthy replica is visibly ahead of the wedged one.
+    let lagging = || controller.stats().replicas.iter().position(|r| r.lag > 4);
     assert!(
         wait_until(Duration::from_secs(5), || {
-            let stats = controller.stats();
-            stats.replicas[1].lag == 0 && stats.replicas[0].lag > 4
+            lagging().is_some_and(|w| controller.stats().replicas[1 - w].lag == 0)
         }),
         "healthy replica never pulled ahead"
     );
+    let wedged = lagging().unwrap();
+    let healthy = 1 - wedged;
 
     // Routed reads must all land on the healthy replica now.
     let skips_before = controller.stats().lag_skips;
@@ -341,7 +389,7 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
         let read = router.read().unwrap();
         assert_eq!(
             read.replica(),
-            1,
+            healthy,
             "router picked a replica beyond the lag bound"
         );
     }
@@ -351,13 +399,24 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
     );
 
     // The controller notices the frozen heartbeat and respawns the slot.
-    assert!(
-        wait_until(Duration::from_secs(5), || {
-            controller.tick().unwrap();
-            controller.stats().replicas[0].respawns == 1
-        }),
-        "wedged replica was never respawned"
-    );
+    // A respawn joins the old worker, and a delay does not see the kill
+    // flag: release the wedge once the controller has begun the drain.
+    std::thread::scope(|s| {
+        let ticker = s.spawn(|| {
+            wait_until(Duration::from_secs(5), || {
+                controller.tick().unwrap();
+                controller.stats().replicas[wedged].respawns == 1
+            })
+        });
+        assert!(
+            wait_until(Duration::from_secs(5), || {
+                controller.stats().replicas[wedged].state == ReplicaState::Draining
+            }),
+            "wedged replica was never detected"
+        );
+        fail::clear(sites::FLEET_WORKER_POLL);
+        assert!(ticker.join().unwrap(), "wedged replica was never respawned");
+    });
     router
         .wait_for_lsn(Lsn(30), Duration::from_secs(5))
         .unwrap();
@@ -375,7 +434,8 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
 fn all_stale_session_reads_time_out_rather_than_serve_stale() {
     let w = producer();
     let dir = temp_dir("stale");
-    let mut cfg = fast_config(1);
+    let scope = "fleet-stale";
+    let mut cfg = drill_config(1, scope);
     cfg.session_timeout = Duration::from_millis(50);
     let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
@@ -384,8 +444,8 @@ fn all_stale_session_reads_time_out_rather_than_serve_stale() {
     router.wait_for_lsn(Lsn(1), Duration::from_secs(5)).unwrap();
 
     // Wedge the only replica, then commit: nothing can reach the token.
-    pool.inject_fault(0, ReplicaFault::Wedge).unwrap();
-    std::thread::sleep(Duration::from_millis(5)); // let the worker park
+    let _drill = arm(scope, FailAction::delay(Duration::from_secs(30)));
+    std::thread::sleep(Duration::from_millis(5)); // let the worker reach the site
     let commit = commit_person(&w, 2);
     let token = commit.session_token();
     let err = router
@@ -417,7 +477,7 @@ fn all_stale_session_reads_time_out_rather_than_serve_stale() {
     );
 
     // Un-wedge: the worker resumes on its own and the read goes through.
-    pool.clear_fault(0).unwrap();
+    fail::clear(sites::FLEET_WORKER_POLL);
     let hits = router
         .query_with_session("FIND person WHERE name = \"Fleet Person 2\"", &token)
         .unwrap();

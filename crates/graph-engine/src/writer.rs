@@ -18,8 +18,8 @@
 //! All three steps run under one exclusive lock, so log order equals
 //! apply order equals read-visibility order. A producer that dies between
 //! 2 and 3 has lost nothing: the logged deltas replay into any
-//! `LogFollower`-driven store (the `commit_crashing_before_apply` hook
-//! exists so tests can prove exactly that).
+//! `LogFollower`-driven store (the `fail::sites::WRITER_BEFORE_APPLY`
+//! failpoint sits between 2 and 3 so tests can prove exactly that).
 //!
 //! This replaces the old footgun where every producer hand-paired a
 //! changelog drain with `log.append_op(...)` — forget one and you lose
@@ -134,28 +134,11 @@ impl LoggedWriter {
         // Write-ahead point: the log is the source of truth. An append
         // failure aborts with the graph untouched.
         let lsn = self.log.append_op(kind, staged.deltas().to_vec())?;
+        // Armed, the commit fails here like a producer that died after
+        // the write-ahead point: the op is in the log, the graph untouched.
+        saga_core::failpoint!(saga_core::fail::sites::WRITER_BEFORE_APPLY);
         let receipt = kg.apply_staged(staged);
         Ok((out, LoggedCommit { lsn, receipt }))
-    }
-
-    /// Fault-injection twin of [`commit`](Self::commit): stages the batch
-    /// and appends it to the log, then **drops the staged state without
-    /// applying it** — simulating a producer that crashes between the
-    /// write-ahead append and the apply. Crash-ordering tests use this to
-    /// prove the log alone reconstructs the commit; never call it on a
-    /// writer you intend to keep using, since the in-memory graph is now
-    /// behind its own log.
-    #[doc(hidden)]
-    pub fn commit_crashing_before_apply(&self, kind: OpKind, batch: WriteBatch) -> Result<Lsn> {
-        let kg = self.kg.write();
-        let staged = {
-            let mut txn = KgTransaction::new(&kg);
-            for op in batch.into_ops() {
-                txn.apply_op(op);
-            }
-            txn.into_staged()
-        };
-        self.log.append_op(kind, staged.deltas().to_vec())
     }
 }
 
@@ -272,26 +255,6 @@ mod tests {
         let op = &w.log().read_after(Lsn(1))[0];
         assert_eq!(op.deltas[0].added[0].object, Value::Int(120_000));
         assert_eq!(op.deltas[0].removed[0].object, Value::Int(-5));
-    }
-
-    #[test]
-    fn crashed_apply_is_still_in_the_log() {
-        let w = writer();
-        w.commit(
-            OpKind::Upsert,
-            WriteBatch::new().upsert(fact(1, "name", Value::str("Survivor"))),
-        )
-        .unwrap();
-        let lsn = w
-            .commit_crashing_before_apply(
-                OpKind::Upsert,
-                WriteBatch::new().upsert(fact(2, "name", Value::str("Logged Only"))),
-            )
-            .unwrap();
-        assert_eq!(lsn, Lsn(2));
-        assert!(!w.read().contains(EntityId(2)), "apply was skipped");
-        let op = &w.log().read_after(Lsn(1))[0];
-        assert_eq!(op.changed, vec![EntityId(2)], "log has the batch anyway");
     }
 
     #[test]

@@ -418,90 +418,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Crash ordering: the log is the source of truth
-// ---------------------------------------------------------------------------
-
-/// `LoggedWriter` appends to the log *before* applying — so a producer
-/// that crashes between the two loses nothing: the logged batch replays
-/// into a parity-checked `LiveReplica` even though the producer's own KG
-/// never saw the apply.
-#[test]
-fn crashed_apply_still_replays_from_the_log_into_a_replica() {
-    let meta = || FactMeta::from_source(SourceId(1), 0.9);
-    let batch_one = || {
-        WriteBatch::new()
-            .named_entity(EntityId(1), "Alpha", "song", SourceId(1), 0.9)
-            .upsert(ExtendedTriple::simple(
-                EntityId(1),
-                intern("year"),
-                Value::Int(2020),
-                meta(),
-            ))
-    };
-    let batch_two = || {
-        WriteBatch::new()
-            .named_entity(EntityId(2), "Beta", "song", SourceId(1), 0.9)
-            .upsert(ExtendedTriple::simple(
-                EntityId(2),
-                intern("related_to"),
-                Value::Entity(EntityId(1)),
-                meta(),
-            ))
-            .mutate(EntityId(1), |rec| {
-                for t in &mut rec.triples {
-                    if t.predicate == intern("year") {
-                        t.object = Value::Int(2021);
-                    }
-                }
-            })
-    };
-
-    let log = Arc::new(OperationLog::in_memory());
-    let writer = LoggedWriter::new(
-        Arc::new(RwLock::new(KnowledgeGraph::new())),
-        Arc::clone(&log),
-    );
-    writer.commit(OpKind::Upsert, batch_one()).unwrap();
-    // The producer "crashes" after the write-ahead append of batch two:
-    // its apply never runs.
-    writer
-        .commit_crashing_before_apply(OpKind::Upsert, batch_two())
-        .unwrap();
-    assert!(
-        !writer.read().contains(EntityId(2)),
-        "apply really was skipped"
-    );
-
-    // A replica fed from the log alone sees BOTH commits…
-    let mut replica = LiveReplica::new(2, Arc::clone(&log));
-    replica.catch_up().unwrap();
-    assert_eq!(replica.watermark(), log.head());
-
-    // …and is parity-equal to a reference graph where nothing crashed.
-    let mut reference = KnowledgeGraph::new();
-    use saga_core::GraphWrite;
-    reference.commit(batch_one());
-    reference.commit(batch_two());
-    for id in [EntityId(1), EntityId(2)] {
-        assert_eq!(
-            flat_record(&replica, id),
-            flat_record(&reference, id),
-            "record parity for {id:?}"
-        );
-    }
-    for probe in [
-        ProbeKey::Type(intern("song")),
-        ProbeKey::Name("beta".into()),
-        ProbeKey::Edge(intern("related_to"), EntityId(1)),
-        ProbeKey::Literal(intern("year"), Value::Int(2021)),
-        ProbeKey::Literal(intern("year"), Value::Int(2020)),
-    ] {
-        assert_eq!(
-            replica.postings(&probe),
-            reference.postings(&probe),
-            "posting parity for {probe:?}"
-        );
-    }
-}

@@ -255,7 +255,7 @@ impl SagaClient {
 
     /// Liveness round trip.
     pub fn ping(&mut self) -> Result<()> {
-        match self.call(&Request::Ping { delay_ms: 0 })? {
+        match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(unexpected("pong", &other)),
         }

@@ -505,7 +505,7 @@ impl SagaPool {
             // alive *now*, so a stale-dead connection fails here — a
             // retryable outcome — instead of inside the commit.
             if self.cfg.fence_commits {
-                match self.attempt(at, &Request::Ping { delay_ms: 0 }) {
+                match self.attempt(at, &Request::Ping) {
                     Attempt::Answered(Response::Pong) => self.on_response(at),
                     Attempt::Answered(other) => {
                         self.on_response(at);
@@ -585,7 +585,7 @@ impl SagaPool {
 
     /// Liveness round-trip against any eligible endpoint.
     pub fn ping(&mut self) -> Result<()> {
-        match self.run_idempotent(&Request::Ping { delay_ms: 0 })? {
+        match self.run_idempotent(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(response_error(other)),
         }

@@ -66,7 +66,7 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// the high range; the split is cosmetic (frames are direction-typed by
 /// who sent them) but makes captures self-describing.
 pub mod opcode {
-    /// Liveness probe (optionally delayed server-side — saturation drills).
+    /// Liveness probe.
     pub const PING: u8 = 0x01;
     /// KGQ query, optionally session-constrained.
     pub const QUERY: u8 = 0x02;
@@ -671,13 +671,9 @@ pub fn probe_from_json(json: &Json) -> Result<ProbeKey> {
 /// the variant's JSON form.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Liveness probe. `delay_ms` asks the server to hold the worker for
-    /// that long before replying — a diagnostics/testing aid that gives
-    /// saturation drills a deterministic way to fill the admission queue.
-    Ping {
-        /// Artificial service time in milliseconds (0 in production use).
-        delay_ms: u64,
-    },
+    /// Liveness probe. The payload is an empty object; whatever fields a
+    /// peer puts there are ignored.
+    Ping,
     /// One KGQ query, optionally constrained by a session token
     /// (read-your-writes over the wire).
     Query {
@@ -706,7 +702,7 @@ impl Request {
     /// This request's opcode.
     pub fn opcode(&self) -> u8 {
         match self {
-            Request::Ping { .. } => opcode::PING,
+            Request::Ping => opcode::PING,
             Request::Query { .. } => opcode::QUERY,
             Request::Commit(_) => opcode::COMMIT,
             Request::Postings(_) => opcode::POSTINGS,
@@ -721,10 +717,6 @@ impl Request {
     /// This request's JSON payload.
     pub fn to_json(&self) -> Json {
         match self {
-            Request::Ping { delay_ms } => obj([(
-                "delay_ms",
-                Json::Int(i64::try_from(*delay_ms).expect("delay exceeds wire range")),
-            )]),
             Request::Query { text, session } => {
                 let mut fields = vec![("q", Json::str(text))];
                 if let Some(token) = session {
@@ -751,7 +743,7 @@ impl Request {
                 "id",
                 Json::Int(i64::try_from(id.0).expect("entity id exceeds wire range")),
             )]),
-            Request::Generation => obj([]),
+            Request::Ping | Request::Generation => obj([]),
         }
     }
 
@@ -859,9 +851,7 @@ fn parse_ids_payload(payload: &[u8], key: &str) -> Option<Vec<EntityId>> {
 pub fn decode_request(frame: &Frame) -> Result<Request> {
     let json = parse_payload(frame)?;
     match frame.opcode {
-        opcode::PING => Ok(Request::Ping {
-            delay_ms: get_u64(&json, "delay_ms").unwrap_or(0),
-        }),
+        opcode::PING => Ok(Request::Ping),
         opcode::QUERY => Ok(Request::Query {
             text: get_str(&json, "q")?,
             session: match json.get("session") {
@@ -1210,7 +1200,7 @@ mod tests {
     #[test]
     fn every_request_kind_roundtrips() {
         let requests = vec![
-            Request::Ping { delay_ms: 3 },
+            Request::Ping,
             Request::Query {
                 text: "FIND song WHERE name = \"x\"".into(),
                 session: Some(SessionToken::at(Lsn(12))),
@@ -1240,6 +1230,15 @@ mod tests {
         for req in requests {
             assert_eq!(roundtrip_request(req.clone()), req, "{req:?}");
         }
+    }
+
+    #[test]
+    fn ping_encodes_to_an_empty_object_and_roundtrips() {
+        let bytes = Request::Ping.encode(3);
+        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+        assert_eq!(frame.opcode, opcode::PING);
+        assert_eq!(frame.payload, b"{}");
+        assert_eq!(decode_request(&frame).unwrap(), Request::Ping);
     }
 
     #[test]
@@ -1306,7 +1305,7 @@ mod tests {
 
     #[test]
     fn torn_header_and_payload_are_detected() {
-        let bytes = Request::Ping { delay_ms: 0 }.encode(1);
+        let bytes = Request::ResolveName("seed song".into()).encode(1);
         // Cut inside the header.
         let err = read_frame(&mut &bytes[..7]).unwrap_err();
         assert!(matches!(err, FrameError::Torn { .. }), "{err}");
@@ -1317,13 +1316,13 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_detected() {
-        let mut bytes = Request::Ping { delay_ms: 0 }.encode(1);
+        let mut bytes = Request::Ping.encode(1);
         bytes[0] = b'X';
         assert!(matches!(
             read_frame(&mut bytes.as_slice()).unwrap_err(),
             FrameError::BadMagic(_)
         ));
-        let mut bytes = Request::Ping { delay_ms: 0 }.encode(1);
+        let mut bytes = Request::Ping.encode(1);
         bytes[4] = 99;
         assert!(matches!(
             read_frame(&mut bytes.as_slice()).unwrap_err(),
@@ -1333,7 +1332,7 @@ mod tests {
 
     #[test]
     fn oversized_length_is_detected_with_the_request_id() {
-        let mut bytes = Request::Ping { delay_ms: 0 }.encode(77);
+        let mut bytes = Request::Ping.encode(77);
         let huge = (MAX_PAYLOAD + 1).to_le_bytes();
         bytes[14..18].copy_from_slice(&huge);
         match read_frame(&mut bytes.as_slice()).unwrap_err() {
@@ -1453,7 +1452,7 @@ mod tests {
     #[test]
     fn pipelined_frames_parse_back_to_back_from_one_stream() {
         let mut stream = Vec::new();
-        stream.extend(Request::Ping { delay_ms: 0 }.encode(1));
+        stream.extend(Request::Ping.encode(1));
         stream.extend(Request::ResolveName("x".into()).encode(2));
         stream.extend(Request::Generation.encode(3));
         let mut cursor = stream.as_slice();

@@ -12,15 +12,14 @@
 //!
 //! # Admission control
 //!
-//! Two limits guard the pool, both answered with the typed
-//! [`Response::Overloaded`] (the request was *not* executed):
-//!
-//! * a bounded job queue (`queue_depth`) — the reader never blocks on a
-//!   full queue, it sheds;
-//! * a global in-flight cap (`max_inflight`) across all connections —
-//!   admission is acquired when a frame is accepted and released after
-//!   its response is written, so pipelined floods cannot queue without
-//!   bound even when `queue_depth` would admit them.
+//! One limit guards the pool: a global in-flight cap (`max_inflight`)
+//! across all connections. An admission slot is acquired when a frame is
+//! accepted and released after its response is written; a frame that
+//! finds no slot is answered with the typed [`Response::Overloaded`] (the
+//! request was *not* executed) — the reader never blocks, it sheds. The
+//! job queue between readers and workers holds `max_inflight` entries:
+//! every queued job holds a slot, so the queue cannot fill first and
+//! pipelined floods cannot queue without bound.
 //!
 //! Frame-level garbage (bad magic/version, oversized declared length,
 //! torn frames) closes the offending connection only — see the policy in
@@ -49,29 +48,23 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing requests (shared across connections).
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue sheds with `Overloaded`.
-    pub queue_depth: usize,
-    /// Global cap on admitted-but-unanswered requests across all
-    /// connections; the admission semaphore.
+    /// Global cap on admitted-but-unanswered requests — queued or
+    /// executing — across all connections; the admission semaphore. A
+    /// request past it sheds with `Overloaded`.
     pub max_inflight: usize,
     /// Maximum simultaneous connections; excess accepts are closed.
     pub max_connections: usize,
     /// Per-request wait policy for session-constrained queries.
     pub session_wait: SessionWaitConfig,
-    /// Upper bound on the drill-aid `Ping { delay_ms }` sleep. The
-    /// default of 0 disables delayed pings entirely: an unauthenticated
-    /// client must not be able to park worker threads at will. Fault
-    /// tests and the overload bench raise it explicitly.
-    pub max_ping_delay_ms: u64,
     /// Minimum backoff hint (milliseconds) attached to `Overloaded`
     /// sheds, so retrying clients pace themselves off the server's own
     /// estimate instead of guessing.
     pub shed_backoff_hint_ms: u64,
-    /// Failpoint scope for this server's socket loops: chaos drills
-    /// running several in-process servers arm `net::server_read` /
-    /// `net::server_write` for one server by matching this label (see
-    /// `saga_core::fail`). Empty — the default — matches only unscoped
-    /// configurations.
+    /// Failpoint scope for this server's socket loops and workers: chaos
+    /// drills running several in-process servers arm `net::server_read` /
+    /// `net::server_execute` / `net::server_write` for one server by
+    /// matching this label (see `saga_core::fail`). Empty — the default —
+    /// matches only unscoped configurations.
     pub fail_scope: String,
 }
 
@@ -80,11 +73,9 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            queue_depth: 256,
             max_inflight: 512,
             max_connections: 256,
             session_wait: SessionWaitConfig::default(),
-            max_ping_delay_ms: 0,
             shed_backoff_hint_ms: 25,
             fail_scope: String::new(),
         }
@@ -189,18 +180,22 @@ impl Inner {
         self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
+    /// Refuse one request unexecuted: count it and answer the typed
+    /// `Overloaded` with the server's backoff hint.
+    fn shed(&self, conn: &ConnHandle, request_id: u64) {
+        self.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
+        conn.respond(
+            request_id,
+            &Response::Overloaded {
+                message: format!("in-flight cap reached ({})", self.cfg.max_inflight),
+                backoff_hint_ms: self.cfg.shed_backoff_hint_ms,
+            },
+        );
+    }
+
     fn execute(&self, request: Request) -> Response {
         let result = match request {
-            Request::Ping { delay_ms } => {
-                // The delay is a drill aid for tests and benches; on a
-                // production config (max_ping_delay_ms = 0) it clamps to
-                // nothing so clients cannot park worker threads.
-                let delay = delay_ms.min(self.cfg.max_ping_delay_ms);
-                if delay > 0 {
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-                Ok(Response::Pong)
-            }
+            Request::Ping => Ok(Response::Pong),
             Request::Query { text, session } => {
                 self.query(&text, session.as_ref()).map(Response::Result)
             }
@@ -276,7 +271,7 @@ impl SagaServer {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
-        let (jobs, job_rx) = std::sync::mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
+        let (jobs, job_rx) = std::sync::mpsc::sync_channel::<Job>(cfg.max_inflight.max(1));
         let inner = Arc::new(Inner {
             router,
             writer,
@@ -450,14 +445,7 @@ fn connection_loop(inner: &Arc<Inner>, read_half: TcpStream, write_half: TcpStre
                     break;
                 }
                 if !inner.admit() {
-                    inner.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
-                    conn.respond(
-                        frame.request_id,
-                        &Response::Overloaded {
-                            message: format!("in-flight cap reached ({})", inner.cfg.max_inflight),
-                            backoff_hint_ms: inner.cfg.shed_backoff_hint_ms,
-                        },
-                    );
+                    inner.shed(&conn, frame.request_id);
                     continue;
                 }
                 let job = Job {
@@ -466,16 +454,12 @@ fn connection_loop(inner: &Arc<Inner>, read_half: TcpStream, write_half: TcpStre
                 };
                 match inner.jobs.try_send(job) {
                     Ok(()) => {}
+                    // Every queued job holds one of `max_inflight` slots,
+                    // so the queue never fills first (see the module docs);
+                    // should it ever, shed exactly as a failed `admit` does.
                     Err(TrySendError::Full(job)) => {
                         inner.release();
-                        inner.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
-                        job.conn.respond(
-                            job.frame.request_id,
-                            &Response::Overloaded {
-                                message: format!("job queue full ({})", inner.cfg.queue_depth),
-                                backoff_hint_ms: inner.cfg.shed_backoff_hint_ms,
-                            },
-                        );
+                        inner.shed(&job.conn, job.frame.request_id);
                     }
                     Err(TrySendError::Disconnected(_)) => {
                         inner.release();
@@ -525,11 +509,20 @@ fn worker_loop(inner: &Arc<Inner>, jobs: &Arc<Mutex<Receiver<Job>>>) {
         };
         match job {
             Ok(job) => {
-                let response = match decode_request(&job.frame) {
-                    Ok(request) => inner.execute(request),
-                    Err(err) => Response::Error {
-                        kind: ErrorKind::BadRequest,
-                        message: err.to_string(),
+                // The execute failpoint: an injected delay parks this
+                // worker with the request admitted and unanswered, an
+                // injected error answers `Internal` with it unexecuted.
+                let response = match saga_core::fail::check_scoped(
+                    saga_core::fail::sites::NET_SERVER_EXECUTE,
+                    &inner.cfg.fail_scope,
+                ) {
+                    Err(err) => error_response(err),
+                    Ok(()) => match decode_request(&job.frame) {
+                        Ok(request) => inner.execute(request),
+                        Err(err) => Response::Error {
+                            kind: ErrorKind::BadRequest,
+                            message: err.to_string(),
+                        },
                     },
                 };
                 job.conn.respond(job.frame.request_id, &response);

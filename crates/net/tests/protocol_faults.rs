@@ -4,26 +4,39 @@
 //! always the same: a hostile or unlucky connection hurts only itself —
 //! the acceptor, the worker pool, and every other connection keep
 //! serving.
+//!
+//! Slow requests and wedged replicas are injected through the
+//! `saga_core::fail` registry, armed for one drill's server or fleet
+//! through its `fail_scope`. The registry is process-global, so every
+//! test that boots a [`Harness`] holds one gate while it lives: nothing
+//! a drill arms reaches another test, and [`fail::hits`] counts the
+//! drill's own traffic only — which makes it a barrier.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SourceId, WriteBatch};
-use saga_fleet::{FleetConfig, FleetRouter, ReplicaFault, ReplicaPool, SessionWaitConfig};
+use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool, SessionWaitConfig};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::protocol::{self, opcode, read_frame, MAGIC, MAX_PAYLOAD, VERSION};
 use saga_net::{
     ClientConfig, ErrorKind, Request, Response, SagaClient, SagaServer, ServerConfig, WireBatch,
 };
 
+/// Serializes the tests that boot a [`Harness`]; see the module docs.
+static DRILL_GATE: Mutex<()> = Mutex::new(());
+
 struct Harness {
     server: SagaServer,
     _writer: Arc<LoggedWriter>,
     pool: Arc<ReplicaPool>,
     dir: std::path::PathBuf,
+    /// Declared last: released after `drop` has shut everything down.
+    _gate: MutexGuard<'static, ()>,
 }
 
 impl Harness {
@@ -38,13 +51,21 @@ impl Harness {
 
 impl Drop for Harness {
     fn drop(&mut self) {
+        // First, so a worker a failed drill left wedged is released
+        // before shutdown joins it.
+        fail::clear_all();
         self.server.shutdown();
         self.pool.shutdown();
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
+/// Boot a two-replica fleet behind one server. `tag` names the scratch
+/// directory and is the `fail_scope` of both, so a drill arms its own
+/// harness and no other test's.
 fn boot(tag: &str, tune: impl FnOnce(&mut ServerConfig)) -> Harness {
+    let gate = DRILL_GATE.lock();
+    fail::clear_all();
     let dir = std::env::temp_dir().join(format!("saga-net-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let writer = Arc::new(LoggedWriter::new(
@@ -60,12 +81,14 @@ fn boot(tag: &str, tune: impl FnOnce(&mut ServerConfig)) -> Harness {
     let fleet_cfg = FleetConfig {
         replicas: 2,
         poll_interval: Duration::from_micros(200),
+        fail_scope: tag.to_string(),
         ..FleetConfig::default()
     };
     let pool = ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &dir).expect("start fleet");
     let router = Arc::new(FleetRouter::new(Arc::clone(&pool)));
     let mut cfg = ServerConfig {
         session_wait: SessionWaitConfig::with_timeout(Duration::from_secs(5)),
+        fail_scope: tag.to_string(),
         ..ServerConfig::default()
     };
     tune(&mut cfg);
@@ -75,6 +98,16 @@ fn boot(tag: &str, tune: impl FnOnce(&mut ServerConfig)) -> Harness {
         _writer: writer,
         pool,
         dir,
+        _gate: gate,
+    }
+}
+
+/// Poll until `done` holds; five seconds without it fails the test.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "no {what} in 5 s");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -104,10 +137,11 @@ fn torn_mid_frame_disconnect_kills_only_that_connection() {
     // The torn connections are gone; everyone else is unaffected.
     bystander.ping().expect("bystander survived torn peers");
     assert_serving(&h);
-    assert!(
-        h.server.stats().frame_rejects >= 3,
-        "torn frames should be counted as frame rejects"
-    );
+    // Each reject is counted by the torn connection's own reader thread
+    // when it observes the close; give the last of them a moment.
+    wait_for("frame reject per torn frame", || {
+        h.server.stats().frame_rejects >= 3
+    });
 }
 
 #[test]
@@ -180,7 +214,7 @@ fn garbage_opcode_errors_but_keeps_the_connection() {
     ));
 
     // Same connection, next request: still served.
-    raw.write_all(&Request::Ping { delay_ms: 0 }.encode(6))
+    raw.write_all(&Request::Ping.encode(6))
         .expect("write ping after garbage");
     let reply = read_frame(&mut raw)
         .expect("read pong")
@@ -194,17 +228,26 @@ fn garbage_opcode_errors_but_keeps_the_connection() {
 
 #[test]
 fn pipelined_responses_interleave_across_request_ids() {
-    let h = boot("pipeline", |cfg| {
-        cfg.workers = 4;
-        cfg.max_ping_delay_ms = 1_000;
-    });
+    let h = boot("pipeline", |cfg| cfg.workers = 4);
     let mut client = h.client();
+    // Send a ping whose worker parks for `ms`; returns once it is parked.
+    let send_slow = |client: &mut SagaClient, ms: u64| {
+        let seen = fail::hits(sites::NET_SERVER_EXECUTE);
+        fail::configure_scoped(
+            sites::NET_SERVER_EXECUTE,
+            "pipeline",
+            FailAction::delay(Duration::from_millis(ms)).times(1),
+        );
+        let id = client.send(&Request::Ping).expect("send slow");
+        wait_for("parked slow ping", || {
+            fail::hits(sites::NET_SERVER_EXECUTE) > seen
+        });
+        id
+    };
 
     // Slow request first, fast request second: the fast response must
     // overtake the slow one on the same connection.
-    let slow = client
-        .send(&Request::Ping { delay_ms: 300 })
-        .expect("send slow");
+    let slow = send_slow(&mut client, 300);
     let fast = client
         .send(&Request::ResolveName("seed song".into()))
         .expect("send fast");
@@ -220,9 +263,7 @@ fn pipelined_responses_interleave_across_request_ids() {
     assert!(matches!(slow_reply, Response::Pong));
 
     // recv_by_id parks out-of-order arrivals instead of dropping them.
-    let a = client
-        .send(&Request::Ping { delay_ms: 150 })
-        .expect("send a");
+    let a = send_slow(&mut client, 150);
     let b = client.send(&Request::Generation).expect("send b");
     let a_reply = client.recv_by_id(a).expect("a");
     assert!(matches!(a_reply, Response::Pong));
@@ -258,23 +299,23 @@ fn client_reconnect_keeps_read_your_writes() {
 
 #[test]
 fn saturation_sheds_with_typed_overloaded_and_recovers() {
-    // A deliberately tiny server: one worker, two queue slots, three
-    // admitted requests total.
+    // A deliberately tiny server: one worker, three admitted requests
+    // total — one executing, two queued.
     let h = boot("saturate", |cfg| {
         cfg.workers = 1;
-        cfg.queue_depth = 2;
         cfg.max_inflight = 3;
-        cfg.max_ping_delay_ms = 1_000;
     });
     let mut client = h.client();
 
-    // Flood with slow pings far past capacity, all pipelined.
+    // Flood with slow pings far past capacity, all pipelined: every
+    // request the worker dequeues parks it for 40 ms.
+    fail::configure_scoped(
+        sites::NET_SERVER_EXECUTE,
+        "saturate",
+        FailAction::delay(Duration::from_millis(40)),
+    );
     let ids: Vec<u64> = (0..24)
-        .map(|_| {
-            client
-                .send_buffered(&Request::Ping { delay_ms: 40 })
-                .expect("send ping")
-        })
+        .map(|_| client.send_buffered(&Request::Ping).expect("send ping"))
         .collect();
     client.flush().expect("flush flood");
 
@@ -288,10 +329,7 @@ fn saturation_sheds_with_typed_overloaded_and_recovers() {
                 backoff_hint_ms,
             } => {
                 shed += 1;
-                assert!(
-                    message.contains("queue full") || message.contains("in-flight"),
-                    "{message}"
-                );
+                assert!(message.contains("in-flight"), "{message}");
                 assert!(backoff_hint_ms > 0, "sheds carry the server's hint");
             }
             other => panic!("unexpected flood response {other:?}"),
@@ -307,11 +345,9 @@ fn saturation_sheds_with_typed_overloaded_and_recovers() {
     // Workers respond *before* releasing their admission slot, so the
     // client can observe the last response a beat ahead of the release;
     // wait out that window instead of racing it.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while h.server.inflight() != 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(h.server.inflight(), 0, "admission slots all released");
+    wait_for("release of every admission slot", || {
+        h.server.inflight() == 0
+    });
 }
 
 #[test]
@@ -326,32 +362,41 @@ fn closed_connections_are_deregistered_not_leaked() {
     }
     // Deregistration runs in each reader thread's epilogue; give the
     // last of them a moment to observe the close.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while h.server.open_connections() > 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "connection registry should drain after disconnects, still {}",
-            h.server.open_connections()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for("drained connection registry", || {
+        h.server.open_connections() == 0
+    });
     assert!(h.server.stats().connections_accepted >= 20);
     assert_serving(&h);
 }
 
 #[test]
-fn delayed_pings_are_clamped_on_a_default_config() {
-    let h = boot("clamp", |_| {}); // default: max_ping_delay_ms = 0
-    let mut client = h.client();
+fn a_legacy_ping_payload_is_ignored_and_answered_at_once() {
+    let h = boot("legacy-ping", |_| {});
+    // What an old client sent to ask the worker to sleep ten seconds.
+    let frame = protocol::encode_frame(11, opcode::PING, br#"{"delay_ms":10000}"#);
+    let decoded = read_frame(&mut frame.as_slice())
+        .expect("read legacy frame")
+        .expect("legacy frame");
+    assert_eq!(
+        protocol::decode_request(&decoded).expect("decode legacy ping"),
+        Request::Ping
+    );
+
+    let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
     let t0 = std::time::Instant::now();
-    let id = client
-        .send(&Request::Ping { delay_ms: 10_000 })
-        .expect("send hostile ping");
-    let reply = client.recv_by_id(id).expect("pong");
-    assert!(matches!(reply, Response::Pong));
+    raw.write_all(&frame).expect("write legacy ping");
+    let reply = read_frame(&mut raw)
+        .expect("read pong")
+        .expect("pong frame");
+    assert_eq!(reply.request_id, 11);
+    assert!(matches!(
+        protocol::decode_response(&reply).expect("decode"),
+        Response::Pong
+    ));
     assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "default config must not honor client-requested worker sleeps"
+        t0.elapsed() < Duration::from_millis(100),
+        "nothing a client sends asks a worker to sleep: {:?}",
+        t0.elapsed()
     );
 }
 
@@ -365,12 +410,13 @@ fn session_wait_timeout_maps_to_typed_unavailable_on_the_wire() {
     // Wedge every replica, then commit: no replica can reach the
     // commit's LSN, so a session read must time out with the retryable
     // response.
-    for i in 0..2 {
-        h.pool
-            .inject_fault(i, ReplicaFault::Wedge)
-            .expect("wedge replica");
-    }
-    std::thread::sleep(Duration::from_millis(5)); // let the workers park
+    fail::configure_scoped(
+        sites::FLEET_WORKER_POLL,
+        "stale",
+        FailAction::delay(Duration::from_secs(30)),
+    );
+    // Each worker's next poll parks it; two hits are two parked workers.
+    wait_for("wedged fleet", || fail::hits(sites::FLEET_WORKER_POLL) >= 2);
     client
         .commit(WireBatch::new().named_entity(
             EntityId(60),
@@ -389,9 +435,7 @@ fn session_wait_timeout_maps_to_typed_unavailable_on_the_wire() {
     );
 
     // Un-wedge; the same session query now succeeds.
-    for i in 0..2 {
-        h.pool.clear_fault(i).expect("clear fault");
-    }
+    fail::clear(sites::FLEET_WORKER_POLL);
     let hits = client
         .query_with_session("FIND song WHERE name = \"Unreplicated Song\"")
         .expect("session query after resume");
