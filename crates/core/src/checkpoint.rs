@@ -23,7 +23,9 @@
 //! columns), and the three posting families `pos`, `osp`, `tokens`. All
 //! posting lists are written **block-wise** through
 //! [`BlockPostings::write_bytes`] — the compressed containers are copied
-//! byte-for-byte, never decompressed.
+//! byte-for-byte, never decompressed. Counts, strings and object values
+//! inside a section use the [`crate::binary`] vocabulary the wire
+//! protocol shares.
 //!
 //! # Durability and torn-write recovery
 //!
@@ -43,6 +45,9 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::binary::{
+    push_str, push_value, push_varint, take_count, take_str, take_value, take_varint,
+};
 use crate::index::ObjId;
 use crate::json::{self, Json};
 use crate::postings::BlockPostings;
@@ -73,95 +78,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-// ---------------------------------------------------------------------
-// Varint + value codec (section payloads)
-// ---------------------------------------------------------------------
-
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-fn take_varint(bytes: &[u8], at: &mut usize) -> Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes.get(*at).ok_or_else(|| err("truncated section"))?;
-        *at += 1;
-        if shift >= 64 {
-            return Err(err("varint overflow"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn take_slice<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8]> {
-    let end = at
-        .checked_add(n)
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| err("truncated section"))?;
-    let s = &bytes[*at..end];
-    *at = end;
-    Ok(s)
-}
-
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    push_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn take_str<'a>(bytes: &'a [u8], at: &mut usize) -> Result<&'a str> {
-    let n = take_varint(bytes, at)? as usize;
-    std::str::from_utf8(take_slice(bytes, at, n)?).map_err(|_| err("invalid utf-8 string"))
-}
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn push_value(buf: &mut Vec<u8>, value: &Value) {
-    buf.push(value.kind_tag());
-    match value {
-        Value::Null => {}
-        Value::Bool(b) => buf.push(u8::from(*b)),
-        Value::Int(i) => push_varint(buf, zigzag(*i)),
-        Value::Float(f) => buf.extend_from_slice(&f.to_bits().to_le_bytes()),
-        Value::Str(s) => push_str(buf, s),
-        Value::Entity(e) => push_varint(buf, e.0),
-        Value::SourceRef(s) => push_str(buf, s),
-    }
-}
-
-fn take_value(bytes: &[u8], at: &mut usize) -> Result<Value> {
-    let tag = *bytes.get(*at).ok_or_else(|| err("truncated section"))?;
-    *at += 1;
-    Ok(match tag {
-        0 => Value::Null,
-        1 => Value::Bool(take_slice(bytes, at, 1)?[0] != 0),
-        2 => Value::Int(unzigzag(take_varint(bytes, at)?)),
-        3 => Value::Float(f64::from_bits(u64::from_le_bytes(
-            take_slice(bytes, at, 8)?.try_into().unwrap(),
-        ))),
-        4 => Value::str(take_str(bytes, at)?),
-        5 => Value::Entity(EntityId(take_varint(bytes, at)?)),
-        6 => Value::source_ref(take_str(bytes, at)?),
-        _ => return Err(err("unknown value tag")),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -520,7 +436,7 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     let bytes = sections["symbols"];
     let mut at = 0usize;
-    let nsyms = take_varint(bytes, &mut at)? as usize;
+    let nsyms = take_count(bytes, &mut at, 1)?;
     let mut symbols: Vec<Symbol> = Vec::with_capacity(nsyms);
     for _ in 0..nsyms {
         symbols.push(intern(take_str(bytes, &mut at)?));
@@ -531,7 +447,7 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     let bytes = sections["objects"];
     let mut at = 0usize;
-    let nobjs = take_varint(bytes, &mut at)? as usize;
+    let nobjs = take_count(bytes, &mut at, 1)?;
     if nobjs > u32::MAX as usize {
         return Err(err("object table too large"));
     }
@@ -571,7 +487,7 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
         let delta = take_varint(bytes, &mut at)?;
         let entity = EntityId(if i == 0 { delta } else { prev + delta });
         prev = entity.0;
-        let nfacts = take_varint(bytes, &mut at)? as usize;
+        let nfacts = take_count(bytes, &mut at, 2)?;
         if nfacts == 0 {
             return Err(err("empty record column"));
         }

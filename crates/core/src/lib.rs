@@ -23,6 +23,7 @@
 //! Everything in downstream crates (ingestion, construction, the Graph
 //! Engine, the Live Graph, the ML stack) is expressed over these types.
 
+pub mod binary;
 pub mod checkpoint;
 pub mod entity;
 pub mod error;

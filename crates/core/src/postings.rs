@@ -48,6 +48,7 @@
 
 use std::cell::RefCell;
 
+use crate::binary::{push_varint, take_count, take_slice, take_u8, take_varint};
 use crate::EntityId;
 
 /// Ids per block: `4096 = 2^12`, so a dense bitmap is 64 `u64` words.
@@ -121,15 +122,6 @@ fn read_varint16(bytes: &[u8], at: &mut usize) -> u16 {
     }
 }
 
-#[inline]
-fn push_varint64(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
 /// Encoded length of one u64 varint.
 #[inline]
 fn varint64_len(v: u64) -> usize {
@@ -189,9 +181,9 @@ fn encode_tiny_into(ids: &[EntityId], out: &mut Vec<u8>) {
     let mut prev = 0u64;
     for (i, &id) in ids.iter().enumerate() {
         if i == 0 {
-            push_varint64(out, id.0);
+            push_varint(out, id.0);
         } else {
-            push_varint64(out, id.0 - prev - 1);
+            push_varint(out, id.0 - prev - 1);
         }
         prev = id.0;
     }
@@ -491,7 +483,7 @@ impl BlockPostings {
                 // slack on them would rival the payload itself).
                 if *len == 0 {
                     bytes.reserve_exact(varint64_len(id.0));
-                    push_varint64(bytes, id.0);
+                    push_varint(bytes, id.0);
                     *len = 1;
                     *last = id.0;
                     return true;
@@ -513,7 +505,7 @@ impl BlockPostings {
                             bytes.reserve(need);
                         }
                     }
-                    push_varint64(bytes, delta);
+                    push_varint(bytes, delta);
                     *len += 1;
                     *last = id.0;
                     return true;
@@ -653,8 +645,8 @@ impl BlockPostings {
         match &self.repr {
             Repr::Tiny { bytes, len, .. } => {
                 out.push(WIRE_TINY);
-                push_varint64(out, u64::from(*len));
-                push_varint64(out, bytes.len() as u64);
+                push_varint(out, u64::from(*len));
+                push_varint(out, bytes.len() as u64);
                 out.extend_from_slice(bytes);
             }
             Repr::Blocks {
@@ -663,17 +655,17 @@ impl BlockPostings {
                 len,
             } => {
                 out.push(WIRE_BLOCKS);
-                push_varint64(out, dir.len() as u64);
-                push_varint64(out, *len as u64);
+                push_varint(out, dir.len() as u64);
+                push_varint(out, *len as u64);
                 for (meta, container) in dir.iter().zip(containers) {
-                    push_varint64(out, meta.key);
-                    push_varint64(out, u64::from(meta.min));
-                    push_varint64(out, u64::from(meta.max));
-                    push_varint64(out, u64::from(meta.card));
+                    push_varint(out, meta.key);
+                    push_varint(out, u64::from(meta.min));
+                    push_varint(out, u64::from(meta.max));
+                    push_varint(out, u64::from(meta.card));
                     match container {
                         Container::Sparse(bytes) => {
                             out.push(WIRE_SPARSE);
-                            push_varint64(out, bytes.len() as u64);
+                            push_varint(out, bytes.len() as u64);
                             out.extend_from_slice(bytes);
                         }
                         Container::Dense(words) => {
@@ -695,20 +687,20 @@ impl BlockPostings {
     /// a corrupt artifact surfaces as an error, never a malformed list.
     /// The restored list carries stamp 0 — fingerprints are process-local.
     pub fn read_bytes(bytes: &[u8], at: &mut usize) -> crate::Result<Self> {
-        match take_byte(bytes, at)? {
+        match take_u8(bytes, at)? {
             WIRE_TINY => {
-                let len = take_varint64(bytes, at)?;
+                let len = take_varint(bytes, at)?;
                 if len > TINY_MAX as u64 {
                     return Err(wire_err("tiny run larger than TINY_MAX"));
                 }
-                let nbytes = take_varint64(bytes, at)? as usize;
+                let nbytes = take_varint(bytes, at)? as usize;
                 let run = take_slice(bytes, at, nbytes)?;
                 // Walk the run to count ids and recover `last`.
                 let mut pos = 0usize;
                 let mut prev = 0u64;
                 let mut count = 0u64;
                 while pos < run.len() {
-                    let v = take_varint64(run, &mut pos)?;
+                    let v = take_varint(run, &mut pos)?;
                     prev = if count == 0 {
                         v
                     } else {
@@ -731,16 +723,17 @@ impl BlockPostings {
                 })
             }
             WIRE_BLOCKS => {
-                let nblocks = take_varint64(bytes, at)? as usize;
-                let total = take_varint64(bytes, at)? as usize;
+                // A block is at least key, min, max, card and a tag.
+                let nblocks = take_count(bytes, at, 5)?;
+                let total = take_varint(bytes, at)? as usize;
                 let mut dir: Vec<BlockMeta> = Vec::with_capacity(nblocks);
                 let mut containers: Vec<Container> = Vec::with_capacity(nblocks);
                 let mut cards = 0usize;
                 for _ in 0..nblocks {
-                    let key = take_varint64(bytes, at)?;
-                    let min = take_varint64(bytes, at)?;
-                    let max = take_varint64(bytes, at)?;
-                    let card = take_varint64(bytes, at)?;
+                    let key = take_varint(bytes, at)?;
+                    let min = take_varint(bytes, at)?;
+                    let max = take_varint(bytes, at)?;
+                    let card = take_varint(bytes, at)?;
                     if dir.last().is_some_and(|m| m.key >= key) {
                         return Err(wire_err("block directory out of order"));
                     }
@@ -748,9 +741,9 @@ impl BlockPostings {
                         return Err(wire_err("block meta out of range"));
                     }
                     let (min, max, card) = (min as u16, max as u16, card as u16);
-                    let container = match take_byte(bytes, at)? {
+                    let container = match take_u8(bytes, at)? {
                         WIRE_SPARSE => {
-                            let nbytes = take_varint64(bytes, at)? as usize;
+                            let nbytes = take_varint(bytes, at)? as usize;
                             let payload = take_slice(bytes, at, nbytes)?;
                             verify_sparse(payload, min, max, card)?;
                             Container::Sparse(payload.to_vec())
@@ -815,42 +808,6 @@ fn wire_err(msg: &str) -> crate::SagaError {
     crate::SagaError::Storage(format!("postings decode: {msg}"))
 }
 
-/// Bounds-checked byte read (the panicking readers above are reserved for
-/// trusted in-memory payloads).
-fn take_byte(bytes: &[u8], at: &mut usize) -> crate::Result<u8> {
-    let b = *bytes
-        .get(*at)
-        .ok_or_else(|| wire_err("truncated payload"))?;
-    *at += 1;
-    Ok(b)
-}
-
-fn take_varint64(bytes: &[u8], at: &mut usize) -> crate::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = take_byte(bytes, at)?;
-        if shift >= 64 {
-            return Err(wire_err("varint overflow"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn take_slice<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> crate::Result<&'a [u8]> {
-    let end = at
-        .checked_add(n)
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| wire_err("truncated payload"))?;
-    let s = &bytes[*at..end];
-    *at = end;
-    Ok(s)
-}
-
 /// Verify a sparse container's encoded offsets against its directory
 /// entry without allocating: count, first, last, and in-range.
 fn verify_sparse(payload: &[u8], min: u16, max: u16, card: u16) -> crate::Result<()> {
@@ -858,7 +815,7 @@ fn verify_sparse(payload: &[u8], min: u16, max: u16, card: u16) -> crate::Result
     let mut prev = 0u64;
     let mut count = 0u64;
     while at < payload.len() {
-        let v = take_varint64(payload, &mut at)?;
+        let v = take_varint(payload, &mut at)?;
         prev = if count == 0 { v } else { prev + v + 1 };
         if prev >= BLOCK_SPAN {
             return Err(wire_err("sparse offset out of range"));

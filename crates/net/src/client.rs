@@ -31,7 +31,8 @@ use saga_core::{EntityId, EntityRecord, ProbeKey, Result, SagaError, SessionToke
 use saga_live::QueryResult;
 
 use crate::protocol::{
-    decode_response, read_frame, Committed, ErrorKind, Request, Response, WireBatch,
+    decode_response, read_frame, Committed, ErrorKind, Request, Response, WireBatch, HEADER_LEN,
+    MAX_PAYLOAD,
 };
 
 /// Transport failures are *unavailability of this endpoint*, not data
@@ -183,12 +184,8 @@ impl SagaClient {
     /// Send one request without waiting; returns its request id. Any
     /// number of requests may be in flight on the connection.
     pub fn send(&mut self, request: &Request) -> Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.writer
-            .write_all(&request.encode(id))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| net_err("send", e))?;
+        let id = self.send_buffered(request)?;
+        self.flush()?;
         Ok(id)
     }
 
@@ -196,9 +193,18 @@ impl SagaClient {
     /// pair with [`flush`](Self::flush) (or any `recv_*`, which flushes).
     pub fn send_buffered(&mut self, request: &Request) -> Result<u64> {
         let id = self.next_id;
+        let frame = request.encode(id);
+        // The server would refuse the header and close the connection;
+        // refuse here, before a byte is written.
+        if frame.len() - HEADER_LEN > MAX_PAYLOAD as usize {
+            return Err(SagaError::Storage(format!(
+                "net: request body of {} bytes exceeds MAX_PAYLOAD",
+                frame.len() - HEADER_LEN
+            )));
+        }
         self.next_id += 1;
         self.writer
-            .write_all(&request.encode(id))
+            .write_all(&frame)
             .map_err(|e| net_err("send", e))?;
         Ok(id)
     }
@@ -390,7 +396,7 @@ fn unexpected(wanted: &str, got: &Response) -> SagaError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_frame, opcode};
+    use crate::protocol::opcode;
 
     /// The retry contract, checked over *every* error-range opcode and
     /// through the real codec: each response is encoded to wire bytes,
@@ -455,16 +461,5 @@ mod tests {
             opcodes_seen.into_iter().collect::<Vec<_>>(),
             vec![opcode::ERROR, opcode::OVERLOADED, opcode::UNAVAILABLE],
         );
-    }
-
-    /// An `Overloaded` frame from a peer that predates the hint field
-    /// still decodes — hint 0 means "no hint, client schedule applies".
-    #[test]
-    fn hintless_overloaded_from_an_older_peer_still_decodes() {
-        let bytes = encode_frame(3, opcode::OVERLOADED, br#"{"message":"queue full"}"#);
-        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-        let err = response_error(decode_response(&frame).unwrap());
-        assert!(err.is_retryable());
-        assert_eq!(err.backoff_hint_ms(), Some(0));
     }
 }

@@ -10,10 +10,12 @@
 //!
 //! * [`protocol`] — the frame codec (magic + version + request id +
 //!   opcode + payload length) and the request/response vocabulary.
-//!   Payloads are compact JSON over [`saga_core::json`], reusing the
-//!   [`saga_core::wire`] value/session codecs — no new serialization
-//!   registry. Torn, oversized and garbage frames are rejected without
-//!   taking the server down.
+//!   Payloads are binary, written with the [`saga_core::binary`]
+//!   vocabulary the checkpoint sections use (varints, length-prefixed
+//!   strings, tagged values) straight into the frame buffer and read
+//!   straight out of it — one codec, one version, no negotiation. Torn,
+//!   oversized and garbage frames are rejected without taking the server
+//!   down.
 //! * [`server`] — [`SagaServer`]: a thread-pool connection acceptor in
 //!   front of a [`FleetRouter`](saga_fleet::FleetRouter) for reads and a
 //!   [`LoggedWriter`](saga_graph::LoggedWriter) for writes — never a bare
@@ -41,6 +43,9 @@ pub mod client;
 pub mod pool;
 pub mod protocol;
 pub mod server;
+
+#[cfg(test)]
+mod protocol_properties;
 
 pub use client::{ClientConfig, SagaClient};
 pub use pool::{BreakerConfig, BreakerState, EndpointStats, PoolConfig, RetryPolicy, SagaPool};

@@ -1,4 +1,4 @@
-//! The wire protocol: length-prefixed binary frames with JSON payloads.
+//! The wire protocol: length-prefixed binary frames with binary payloads.
 //!
 //! # Frame format
 //!
@@ -15,19 +15,35 @@
 //! chosen by the client and echoed verbatim on the response — that is the
 //! whole pipelining contract: a client may have any number of requests in
 //! flight on one connection, the server may answer them in any order, and
-//! the id is what reunites them. Payloads are compact JSON over
-//! [`saga_core::json`], reusing the [`saga_core::wire`] codecs for values
-//! and session tokens — no new serialization registry.
+//! the id is what reunites them.
+//!
+//! # Payloads
+//!
+//! A payload is the message body in the [`saga_core::binary`] vocabulary
+//! the checkpoint sections use — varints, length-prefixed UTF-8, tagged
+//! [`Value`]s — plus one shape of its own: an entity-id list is a count
+//! followed by zig-zag varint deltas (wrapping, so unsorted and duplicated
+//! lists and ids up to `u64::MAX` survive). The per-opcode layout is the
+//! table in `docs/network.md`. Encoders append to the frame buffer behind a
+//! reserved header whose length is patched last; decoders walk
+//! [`Frame::payload`] in place, interning predicate names from the borrowed
+//! bytes. Every count, tag and length is checked against the bytes that
+//! remain, so nothing read off a socket sizes an allocation or reaches a
+//! panic.
+//!
+//! There is one version and no negotiation: client, server, CLI and bench
+//! harness compile from this crate, and a frame of any other version is
+//! [`FrameError::BadVersion`].
 //!
 //! # Rejection policy
 //!
 //! Decoding failures split into two tiers, so a bad request cannot take
 //! down a connection and a bad connection cannot take down the server:
 //!
-//! * **Payload-level garbage** (unknown opcode, undecodable JSON, a
-//!   request payload that fails validation) still arrived in a
-//!   well-formed frame. The server answers that request id with a typed
-//!   [`Response::Error`] and the connection keeps serving.
+//! * **Payload-level garbage** (unknown opcode, an undecodable body,
+//!   trailing bytes) still arrived in a well-formed frame. The server
+//!   answers that request id with a typed [`Response::Error`] and the
+//!   connection keeps serving.
 //! * **Frame-level garbage** (wrong magic, unsupported version, a
 //!   declared payload length over [`MAX_PAYLOAD`], a peer that
 //!   disconnects mid-frame) leaves the byte stream unsynchronizable —
@@ -38,11 +54,11 @@
 //!   unaffected. The fault suite in `tests/protocol_faults.rs` drills
 //!   exactly these paths.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
-use saga_core::json::{self, Json};
-use saga_core::wire::{
-    session_token_from_json, session_token_to_json, value_from_json, value_to_json,
+use saga_core::binary::{
+    push_str, push_value, push_varint, take_count, take_slice, take_str, take_u32, take_u8,
+    take_value, take_varint, unzigzag, zigzag,
 };
 use saga_core::{
     intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, ProbeKey, RelId, RelPart,
@@ -53,7 +69,7 @@ use saga_live::QueryResult;
 /// Frame magic: the first four bytes of every saga-net frame.
 pub const MAGIC: [u8; 4] = *b"SGNT";
 /// Protocol version carried in every frame header.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed header size in bytes (magic + version + opcode + id + length).
 pub const HEADER_LEN: usize = 18;
 /// Hard cap on a frame's payload. A declared length above this is a
@@ -160,56 +176,55 @@ pub struct Frame {
     pub request_id: u64,
     /// Message opcode (see [`opcode`]).
     pub opcode: u8,
-    /// Raw payload bytes (compact JSON).
+    /// Raw payload bytes (the opcode's binary body).
     pub payload: Vec<u8>,
 }
 
-/// Encode one frame into its wire bytes.
-pub fn encode_frame(request_id: u64, op: u8, payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("payload exceeds u32 range");
-    assert!(len <= MAX_PAYLOAD, "refusing to encode an oversized frame");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Start a frame: the header with its length field still zero, and room
+/// for a body of about `body_hint` bytes. Bodies are appended in place and
+/// [`finish_frame`] patches the length.
+fn begin_frame(request_id: u64, op: u8, body_hint: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + body_hint);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(op);
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0u8; 4]);
     out
 }
 
-/// Write one frame to `w` (single `write_all`, so a frame is never
-/// interleaved with another writer's bytes as long as callers serialize
-/// on the stream — the server's per-connection write lock does exactly
-/// that).
-pub fn write_frame(
-    w: &mut impl Write,
-    request_id: u64,
-    op: u8,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    w.write_all(&encode_frame(request_id, op, payload))
+/// Patch the length of the body appended since [`begin_frame`]. A body
+/// past `u32::MAX` declares `u32::MAX`: any reader refuses both as
+/// [`FrameError::Oversized`].
+fn finish_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let len = u32::try_from(out.len() - HEADER_LEN).unwrap_or(u32::MAX);
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    out
 }
 
-/// Read exactly `buf.len()` bytes, reporting how many arrived before EOF.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
+/// Encode one frame around raw payload bytes.
+pub fn encode_frame(request_id: u64, op: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = begin_frame(request_id, op, payload.len());
+    out.extend_from_slice(payload);
+    finish_frame(out)
 }
+
+/// Most a reader reserves for a payload before any of it has arrived.
+const READ_RESERVE: usize = 64 * 1024;
 
 /// Read one frame. `Ok(None)` is a clean close (EOF on a frame
 /// boundary); every other shortfall or malformation is a [`FrameError`].
 pub fn read_frame(r: &mut impl Read) -> std::result::Result<Option<Frame>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    let got = read_full(r, &mut header).map_err(FrameError::Io)?;
+    let mut got = 0;
+    while got < HEADER_LEN {
+        match r.read(&mut header[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
     if got == 0 {
         return Ok(None);
     }
@@ -235,11 +250,17 @@ pub fn read_frame(r: &mut impl Read) -> std::result::Result<Option<Frame>, Frame
             request_id,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_full(r, &mut payload).map_err(FrameError::Io)?;
-    if got < payload.len() {
+    // The declared length is only a claim until the bytes arrive: the
+    // buffer grows with what was received, not with what was announced.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
+    let got = r
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(FrameError::Io)?;
+    if got < len {
         return Err(FrameError::Torn {
-            expected: payload.len() - got,
+            expected: len - got,
             got,
         });
     }
@@ -254,165 +275,125 @@ fn bad(msg: impl Into<String>) -> SagaError {
     SagaError::Storage(format!("bad wire payload: {}", msg.into()))
 }
 
-fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// A presence/boolean byte: 0 or 1, anything else is garbage.
+fn take_flag(bytes: &[u8], at: &mut usize) -> Result<bool> {
+    match take_u8(bytes, at)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(bad(format!("flag byte {other:#04x}"))),
+    }
 }
 
-fn get_str(json: &Json, key: &str) -> Result<String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| bad(format!("missing string field {key}")))
+/// Entity-id list: count, then each id as the zig-zag varint of its
+/// wrapping difference from the previous one (the first from 0).
+fn push_ids(buf: &mut Vec<u8>, ids: &[EntityId]) {
+    push_varint(buf, ids.len() as u64);
+    let mut prev = 0u64;
+    for id in ids {
+        push_varint(buf, zigzag(id.0.wrapping_sub(prev) as i64));
+        prev = id.0;
+    }
 }
 
-fn get_u64(json: &Json, key: &str) -> Result<u64> {
-    let raw = json
-        .get(key)
-        .and_then(Json::as_i64)
-        .ok_or_else(|| bad(format!("missing integer field {key}")))?;
-    u64::try_from(raw).map_err(|_| bad(format!("negative field {key}")))
-}
-
-fn entity_ids_to_json(ids: &[EntityId]) -> Json {
-    Json::Array(
-        ids.iter()
-            .map(|id| Json::Int(i64::try_from(id.0).expect("entity id exceeds wire range")))
-            .collect(),
-    )
-}
-
-fn entity_ids_from_json(json: &Json) -> Result<Vec<EntityId>> {
-    json.as_array()
-        .ok_or_else(|| bad("entity list is not an array"))?
-        .iter()
-        .map(|j| {
-            let raw = j.as_i64().ok_or_else(|| bad("entity id is not an int"))?;
-            u64::try_from(raw)
-                .map(EntityId)
-                .map_err(|_| bad("negative entity id"))
-        })
-        .collect()
+fn take_ids(bytes: &[u8], at: &mut usize) -> Result<Vec<EntityId>> {
+    let n = take_count(bytes, at, 1)?;
+    let mut ids = Vec::with_capacity(n);
+    let mut prev = 0u64;
+    for _ in 0..n {
+        prev = prev.wrapping_add(unzigzag(take_varint(bytes, at)?) as u64);
+        ids.push(EntityId(prev));
+    }
+    Ok(ids)
 }
 
 // ---------------------------------------------------------------------------
 // Triples and batches
 // ---------------------------------------------------------------------------
 
-fn subject_to_json(subject: &SubjectRef) -> Json {
-    match subject {
-        SubjectRef::Kg(id) => Json::Int(i64::try_from(id.0).expect("entity id exceeds wire range")),
-        SubjectRef::Source(source, local) => obj([
-            ("src", Json::Int(i64::from(source.0))),
-            ("local", Json::str(local.as_ref())),
-        ]),
-    }
-}
+/// Flag bits of an encoded triple.
+const TRIPLE_HAS_REL: u8 = 1;
+const TRIPLE_HAS_LOCALE: u8 = 2;
+/// Fewest bytes an encoded triple occupies (subject tag + id, predicate,
+/// flags, value tag, provenance count).
+const MIN_TRIPLE_BYTES: usize = 6;
+/// Bytes of one provenance entry at its smallest (source varint + trust).
+const MIN_PROVENANCE_BYTES: usize = 5;
 
-fn subject_from_json(json: &Json) -> Result<SubjectRef> {
-    match json {
-        Json::Int(raw) => {
-            let id = u64::try_from(*raw).map_err(|_| bad("negative subject id"))?;
-            Ok(SubjectRef::Kg(EntityId(id)))
+fn push_triple(buf: &mut Vec<u8>, triple: &ExtendedTriple) {
+    match &triple.subject {
+        SubjectRef::Kg(id) => {
+            buf.push(0);
+            push_varint(buf, id.0);
         }
-        Json::Object(_) => {
-            let source = get_u64(json, "src")?;
-            let source = u32::try_from(source).map_err(|_| bad("subject source exceeds u32"))?;
-            Ok(SubjectRef::source(
-                SourceId(source),
-                get_str(json, "local")?,
-            ))
+        SubjectRef::Source(source, local) => {
+            buf.push(1);
+            push_varint(buf, u64::from(source.0));
+            push_str(buf, local);
         }
-        _ => Err(bad("subject is neither id nor source ref")),
     }
-}
-
-/// Encode one [`ExtendedTriple`] into its wire JSON form. Object values
-/// reuse the oplog's [`value_to_json`] codec; provenance ships as aligned
-/// `[source, trust]` pairs.
-pub fn triple_to_json(triple: &ExtendedTriple) -> Json {
-    let mut fields: Vec<(&'static str, Json)> = vec![
-        ("s", subject_to_json(&triple.subject)),
-        ("p", Json::str(triple.predicate.text())),
-        ("o", value_to_json(&triple.object)),
-    ];
+    push_str(buf, &triple.predicate.text());
+    let mut flags = 0;
+    if triple.rel.is_some() {
+        flags |= TRIPLE_HAS_REL;
+    }
+    if triple.meta.locale.is_some() {
+        flags |= TRIPLE_HAS_LOCALE;
+    }
+    buf.push(flags);
     if let Some(rel) = &triple.rel {
-        fields.push((
-            "rel",
-            obj([
-                ("id", Json::Int(i64::from(rel.rel_id.0))),
-                ("pred", Json::str(rel.rel_predicate.text())),
-            ]),
-        ));
+        push_varint(buf, u64::from(rel.rel_id.0));
+        push_str(buf, &rel.rel_predicate.text());
     }
-    fields.push((
-        "prov",
-        Json::Array(
-            triple
-                .meta
-                .provenance
-                .iter()
-                .map(|st| {
-                    Json::Array(vec![
-                        Json::Int(i64::from(st.source.0)),
-                        Json::Float(f64::from(st.trust)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
+    push_value(buf, &triple.object);
+    push_varint(buf, triple.meta.provenance.len() as u64);
+    for st in &triple.meta.provenance {
+        push_varint(buf, u64::from(st.source.0));
+        buf.extend_from_slice(&st.trust.to_bits().to_le_bytes());
+    }
     if let Some(locale) = triple.meta.locale {
-        fields.push(("locale", Json::str(locale.text())));
+        push_str(buf, &locale.text());
     }
-    obj(fields)
 }
 
-/// Decode an [`ExtendedTriple`] from its wire JSON form.
-pub fn triple_from_json(json: &Json) -> Result<ExtendedTriple> {
-    let subject = subject_from_json(json.get("s").ok_or_else(|| bad("triple missing subject"))?)?;
-    let predicate = intern(&get_str(json, "p")?);
-    let object = value_from_json(json.get("o").ok_or_else(|| bad("triple missing object"))?)?;
-    let rel = match json.get("rel") {
-        None => None,
-        Some(rel) => {
-            let id = get_u64(rel, "id")?;
-            let id = u32::try_from(id).map_err(|_| bad("rel id exceeds u32"))?;
-            Some(RelPart {
-                rel_id: RelId(id),
-                rel_predicate: intern(&get_str(rel, "pred")?),
-            })
+fn take_triple(bytes: &[u8], at: &mut usize) -> Result<ExtendedTriple> {
+    let subject = match take_u8(bytes, at)? {
+        0 => SubjectRef::Kg(EntityId(take_varint(bytes, at)?)),
+        1 => {
+            let source = SourceId(take_u32(bytes, at)?);
+            SubjectRef::source(source, take_str(bytes, at)?)
         }
+        other => return Err(bad(format!("unknown subject tag {other}"))),
     };
-    let provenance = json
-        .get("prov")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("triple missing prov"))?
-        .iter()
-        .map(|pair| {
-            let [source, trust] = pair
-                .as_array()
-                .ok_or_else(|| bad("prov entry is not an array"))?
-            else {
-                return Err(bad("prov entry is not a 2-array"));
-            };
-            let source = source.as_i64().ok_or_else(|| bad("prov source"))?;
-            let source = u32::try_from(source).map_err(|_| bad("prov source exceeds u32"))?;
-            let trust = trust.as_f64().ok_or_else(|| bad("prov trust"))? as f32;
-            Ok(SourceTrust {
-                source: SourceId(source),
-                trust,
-            })
+    let predicate = intern(take_str(bytes, at)?);
+    let flags = take_u8(bytes, at)?;
+    if flags & !(TRIPLE_HAS_REL | TRIPLE_HAS_LOCALE) != 0 {
+        return Err(bad(format!("unknown triple flags {flags:#04x}")));
+    }
+    let rel = if flags & TRIPLE_HAS_REL != 0 {
+        Some(RelPart {
+            rel_id: RelId(take_u32(bytes, at)?),
+            rel_predicate: intern(take_str(bytes, at)?),
         })
-        .collect::<Result<Vec<_>>>()?;
-    let locale = match json.get("locale") {
-        None => None,
-        Some(l) => Some(intern(
-            l.as_str().ok_or_else(|| bad("locale is not a string"))?,
-        )),
+    } else {
+        None
+    };
+    let object = take_value(bytes, at)?;
+    let n = take_count(bytes, at, MIN_PROVENANCE_BYTES)?;
+    let mut provenance = Vec::with_capacity(n);
+    for _ in 0..n {
+        let source = SourceId(take_u32(bytes, at)?);
+        let trust: [u8; 4] = take_slice(bytes, at, 4)?
+            .try_into()
+            .expect("take_slice returned 4 bytes");
+        provenance.push(SourceTrust {
+            source,
+            trust: f32::from_bits(u32::from_le_bytes(trust)),
+        });
+    }
+    let locale = if flags & TRIPLE_HAS_LOCALE != 0 {
+        Some(intern(take_str(bytes, at)?))
+    } else {
+        None
     };
     Ok(ExtendedTriple {
         subject,
@@ -451,59 +432,52 @@ pub enum WireOp {
     },
 }
 
-fn wire_op_to_json(op: &WireOp) -> Json {
+/// Fewest bytes an encoded op occupies (`RetractSource`: tag + source).
+const MIN_OP_BYTES: usize = 2;
+
+fn push_wire_op(buf: &mut Vec<u8>, op: &WireOp) {
     match op {
-        WireOp::Upsert(t) => obj([("op", Json::str("upsert")), ("triple", triple_to_json(t))]),
+        WireOp::Upsert(triple) => {
+            buf.push(0);
+            push_triple(buf, triple);
+        }
         WireOp::Link {
             source,
             local_id,
             entity,
-        } => obj([
-            ("op", Json::str("link")),
-            ("source", Json::Int(i64::from(source.0))),
-            ("local", Json::str(local_id)),
-            (
-                "entity",
-                Json::Int(i64::try_from(entity.0).expect("entity id exceeds wire range")),
-            ),
-        ]),
-        WireOp::RetractSource(source) => obj([
-            ("op", Json::str("retract_source")),
-            ("source", Json::Int(i64::from(source.0))),
-        ]),
-        WireOp::RetractSourceEntity { source, local_id } => obj([
-            ("op", Json::str("retract_entity")),
-            ("source", Json::Int(i64::from(source.0))),
-            ("local", Json::str(local_id)),
-        ]),
+        } => {
+            buf.push(1);
+            push_varint(buf, u64::from(source.0));
+            push_str(buf, local_id);
+            push_varint(buf, entity.0);
+        }
+        WireOp::RetractSource(source) => {
+            buf.push(2);
+            push_varint(buf, u64::from(source.0));
+        }
+        WireOp::RetractSourceEntity { source, local_id } => {
+            buf.push(3);
+            push_varint(buf, u64::from(source.0));
+            push_str(buf, local_id);
+        }
     }
 }
 
-fn source_from(json: &Json) -> Result<SourceId> {
-    let raw = get_u64(json, "source")?;
-    u32::try_from(raw)
-        .map(SourceId)
-        .map_err(|_| bad("source id exceeds u32"))
-}
-
-fn wire_op_from_json(json: &Json) -> Result<WireOp> {
-    match get_str(json, "op")?.as_str() {
-        "upsert" => Ok(WireOp::Upsert(triple_from_json(
-            json.get("triple")
-                .ok_or_else(|| bad("upsert missing triple"))?,
-        )?)),
-        "link" => Ok(WireOp::Link {
-            source: source_from(json)?,
-            local_id: get_str(json, "local")?,
-            entity: EntityId(get_u64(json, "entity")?),
-        }),
-        "retract_source" => Ok(WireOp::RetractSource(source_from(json)?)),
-        "retract_entity" => Ok(WireOp::RetractSourceEntity {
-            source: source_from(json)?,
-            local_id: get_str(json, "local")?,
-        }),
-        other => Err(bad(format!("unknown wire op {other}"))),
-    }
+fn take_wire_op(bytes: &[u8], at: &mut usize) -> Result<WireOp> {
+    Ok(match take_u8(bytes, at)? {
+        0 => WireOp::Upsert(take_triple(bytes, at)?),
+        1 => WireOp::Link {
+            source: SourceId(take_u32(bytes, at)?),
+            local_id: take_str(bytes, at)?.to_string(),
+            entity: EntityId(take_varint(bytes, at)?),
+        },
+        2 => WireOp::RetractSource(SourceId(take_u32(bytes, at)?)),
+        3 => WireOp::RetractSourceEntity {
+            source: SourceId(take_u32(bytes, at)?),
+            local_id: take_str(bytes, at)?.to_string(),
+        },
+        other => return Err(bad(format!("unknown wire op tag {other}"))),
+    })
 }
 
 /// A serializable write batch: the networked twin of
@@ -622,45 +596,40 @@ impl WireBatch {
 // Probes
 // ---------------------------------------------------------------------------
 
-/// Encode a [`ProbeKey`] into its wire JSON form.
-pub fn probe_to_json(probe: &ProbeKey) -> Json {
+fn push_probe(buf: &mut Vec<u8>, probe: &ProbeKey) {
     match probe {
-        ProbeKey::Name(n) => obj([("kind", Json::str("name")), ("name", Json::str(n))]),
-        ProbeKey::Literal(pred, value) => obj([
-            ("kind", Json::str("literal")),
-            ("pred", Json::str(pred.text())),
-            ("value", value_to_json(value)),
-        ]),
-        ProbeKey::Edge(pred, target) => obj([
-            ("kind", Json::str("edge")),
-            ("pred", Json::str(pred.text())),
-            (
-                "target",
-                Json::Int(i64::try_from(target.0).expect("entity id exceeds wire range")),
-            ),
-        ]),
-        ProbeKey::Type(ty) => obj([("kind", Json::str("type")), ("type", Json::str(ty.text()))]),
+        ProbeKey::Name(name) => {
+            buf.push(0);
+            push_str(buf, name);
+        }
+        ProbeKey::Literal(pred, value) => {
+            buf.push(1);
+            push_str(buf, &pred.text());
+            push_value(buf, value);
+        }
+        ProbeKey::Edge(pred, target) => {
+            buf.push(2);
+            push_str(buf, &pred.text());
+            push_varint(buf, target.0);
+        }
+        ProbeKey::Type(ty) => {
+            buf.push(3);
+            push_str(buf, &ty.text());
+        }
     }
 }
 
-/// Decode a [`ProbeKey`] from its wire JSON form.
-pub fn probe_from_json(json: &Json) -> Result<ProbeKey> {
-    match get_str(json, "kind")?.as_str() {
-        "name" => Ok(ProbeKey::Name(get_str(json, "name")?)),
-        "literal" => Ok(ProbeKey::Literal(
-            intern(&get_str(json, "pred")?),
-            value_from_json(
-                json.get("value")
-                    .ok_or_else(|| bad("literal probe missing value"))?,
-            )?,
-        )),
-        "edge" => Ok(ProbeKey::Edge(
-            intern(&get_str(json, "pred")?),
-            EntityId(get_u64(json, "target")?),
-        )),
-        "type" => Ok(ProbeKey::Type(intern(&get_str(json, "type")?))),
-        other => Err(bad(format!("unknown probe kind {other}"))),
-    }
+fn take_probe(bytes: &[u8], at: &mut usize) -> Result<ProbeKey> {
+    Ok(match take_u8(bytes, at)? {
+        0 => ProbeKey::Name(take_str(bytes, at)?.to_string()),
+        1 => ProbeKey::Literal(intern(take_str(bytes, at)?), take_value(bytes, at)?),
+        2 => ProbeKey::Edge(
+            intern(take_str(bytes, at)?),
+            EntityId(take_varint(bytes, at)?),
+        ),
+        3 => ProbeKey::Type(intern(take_str(bytes, at)?)),
+        other => return Err(bad(format!("unknown probe tag {other}"))),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -668,11 +637,11 @@ pub fn probe_from_json(json: &Json) -> Result<ProbeKey> {
 // ---------------------------------------------------------------------------
 
 /// One client request. Each variant maps to one opcode; the payload is
-/// the variant's JSON form.
+/// the variant's binary body.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Liveness probe. The payload is an empty object; whatever fields a
-    /// peer puts there are ignored.
+    /// Liveness probe. The payload is empty; whatever bytes a peer puts
+    /// there are ignored.
     Ping,
     /// One KGQ query, optionally constrained by a session token
     /// (read-your-writes over the wire).
@@ -714,176 +683,93 @@ impl Request {
         }
     }
 
-    /// This request's JSON payload.
-    pub fn to_json(&self) -> Json {
+    fn push_body(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Query { text, session } => {
-                let mut fields = vec![("q", Json::str(text))];
+                push_str(buf, text);
+                buf.push(u8::from(session.is_some()));
                 if let Some(token) = session {
-                    fields.push(("session", session_token_to_json(token)));
+                    push_varint(buf, token.lsn().0);
                 }
-                obj(fields)
             }
-            Request::Commit(batch) => obj([(
-                "ops",
-                Json::Array(batch.ops().iter().map(wire_op_to_json).collect()),
-            )]),
-            Request::Postings(probe) | Request::Selectivity(probe) => {
-                obj([("probe", probe_to_json(probe))])
+            Request::Commit(batch) => {
+                push_varint(buf, batch.len() as u64);
+                for op in batch.ops() {
+                    push_wire_op(buf, op);
+                }
             }
-            Request::ProbeContains(probe, id) => obj([
-                ("probe", probe_to_json(probe)),
-                (
-                    "id",
-                    Json::Int(i64::try_from(id.0).expect("entity id exceeds wire range")),
-                ),
-            ]),
-            Request::ResolveName(name) => obj([("name", Json::str(name))]),
-            Request::Record(id) => obj([(
-                "id",
-                Json::Int(i64::try_from(id.0).expect("entity id exceeds wire range")),
-            )]),
-            Request::Ping | Request::Generation => obj([]),
+            Request::Postings(probe) | Request::Selectivity(probe) => push_probe(buf, probe),
+            Request::ProbeContains(probe, id) => {
+                push_probe(buf, probe);
+                push_varint(buf, id.0);
+            }
+            Request::ResolveName(name) => push_str(buf, name),
+            Request::Record(id) => push_varint(buf, id.0),
+            Request::Ping | Request::Generation => {}
         }
     }
 
-    /// Encode into a full frame under `request_id`.
+    /// Encode into a full frame under `request_id`. A body past
+    /// [`MAX_PAYLOAD`] still encodes; a reader refuses it as
+    /// [`FrameError::Oversized`] (the client checks before sending).
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        encode_frame(
-            request_id,
-            self.opcode(),
-            self.to_json().to_string_compact().as_bytes(),
-        )
+        let body_hint = match self {
+            Request::Commit(batch) => 8 + 48 * batch.len(),
+            Request::Query { text, .. } => 16 + text.len(),
+            _ => 64,
+        };
+        let mut out = begin_frame(request_id, self.opcode(), body_hint);
+        self.push_body(&mut out);
+        finish_frame(out)
     }
 }
 
-fn parse_payload(frame: &Frame) -> Result<Json> {
-    let text = std::str::from_utf8(&frame.payload).map_err(|_| bad("payload is not UTF-8"))?;
-    json::parse(text).map_err(|e| bad(e.to_string()))
-}
-
-// ---------------------------------------------------------------------------
-// Entity-list fast path
-// ---------------------------------------------------------------------------
-//
-// Entity-id lists are the protocol's hottest payload (every FIND result,
-// postings snapshot and name resolution is one), and for wide scans they
-// reach hundreds of ids per response. Building a `Json` tree per id —
-// then walking it back on the client — costs more than executing the
-// query. These two functions produce and consume the *same* compact JSON
-// the tree path emits (`{"<key>":[1,2,3]}`), just without the tree: the
-// encoder formats digits straight into the payload string, the decoder
-// parses digits straight out of it. On any shape mismatch the decoder
-// returns `None` and the caller falls back to the general JSON parser,
-// so foreign (tree-encoded) peers interoperate unchanged.
-
-fn ids_payload(key: &str, ids: &[EntityId]) -> String {
-    let mut out = Vec::with_capacity(key.len() + 6 + ids.len() * 8);
-    out.extend_from_slice(b"{\"");
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(b"\":[");
-    let mut digits = [0u8; 20];
-    for (at, id) in ids.iter().enumerate() {
-        if at > 0 {
-            out.push(b',');
-        }
-        // Manual itoa: digits emitted right-to-left into a stack buffer.
-        let mut n = id.0;
-        let mut pos = digits.len();
-        loop {
-            pos -= 1;
-            digits[pos] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        out.extend_from_slice(&digits[pos..]);
+/// Payload-level garbage includes bytes left over after a whole body.
+fn expect_end(bytes: &[u8], at: usize) -> Result<()> {
+    if at == bytes.len() {
+        Ok(())
+    } else {
+        Err(bad(format!("{} trailing bytes", bytes.len() - at)))
     }
-    out.extend_from_slice(b"]}");
-    // Only ASCII was appended.
-    String::from_utf8(out).expect("ascii payload")
-}
-
-fn parse_ids_payload(payload: &[u8], key: &str) -> Option<Vec<EntityId>> {
-    let body = payload
-        .strip_prefix(b"{\"")?
-        .strip_prefix(key.as_bytes())?
-        .strip_prefix(b"\":[")?
-        .strip_suffix(b"]}")?;
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    // Manual digit scan — this is the client's hottest loop for wide
-    // entity results; str::parse per token measurably lags it.
-    let mut ids = Vec::with_capacity(body.len() / 4 + 1);
-    let mut cur: u64 = 0;
-    let mut len = 0u8;
-    for &b in body {
-        match b {
-            b'0'..=b'9' => {
-                // A value over u64::MAX is not ours; the checked math
-                // catches 20-digit overflows the length guard can't.
-                if len >= 20 {
-                    return None;
-                }
-                cur = cur.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-                len += 1;
-            }
-            b',' if len > 0 => {
-                ids.push(EntityId(cur));
-                cur = 0;
-                len = 0;
-            }
-            _ => return None,
-        }
-    }
-    if len == 0 {
-        return None; // trailing comma
-    }
-    ids.push(EntityId(cur));
-    Some(ids)
 }
 
 /// Decode a request frame (the server side of the codec). Unknown
 /// opcodes and malformed payloads are payload-level errors: the caller
 /// answers them with [`Response::Error`] and keeps the connection.
 pub fn decode_request(frame: &Frame) -> Result<Request> {
-    let json = parse_payload(frame)?;
-    match frame.opcode {
-        opcode::PING => Ok(Request::Ping),
-        opcode::QUERY => Ok(Request::Query {
-            text: get_str(&json, "q")?,
-            session: match json.get("session") {
-                None => None,
-                Some(token) => Some(session_token_from_json(token)?),
+    let (bytes, at) = (frame.payload.as_slice(), &mut 0usize);
+    let request = match frame.opcode {
+        // Ping ignores its body.
+        opcode::PING => return Ok(Request::Ping),
+        opcode::QUERY => Request::Query {
+            text: take_str(bytes, at)?.to_string(),
+            session: if take_flag(bytes, at)? {
+                Some(SessionToken::at(Lsn(take_varint(bytes, at)?)))
+            } else {
+                None
             },
-        }),
+        },
         opcode::COMMIT => {
-            let ops = json
-                .get("ops")
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad("commit missing ops"))?
-                .iter()
-                .map(wire_op_from_json)
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Request::Commit(WireBatch { ops }))
+            let n = take_count(bytes, at, MIN_OP_BYTES)?;
+            let mut ops = Vec::with_capacity(n);
+            for _ in 0..n {
+                ops.push(take_wire_op(bytes, at)?);
+            }
+            Request::Commit(WireBatch { ops })
         }
-        opcode::POSTINGS => Ok(Request::Postings(probe_from_json(
-            json.get("probe").ok_or_else(|| bad("missing probe"))?,
-        )?)),
-        opcode::SELECTIVITY => Ok(Request::Selectivity(probe_from_json(
-            json.get("probe").ok_or_else(|| bad("missing probe"))?,
-        )?)),
-        opcode::PROBE_CONTAINS => Ok(Request::ProbeContains(
-            probe_from_json(json.get("probe").ok_or_else(|| bad("missing probe"))?)?,
-            EntityId(get_u64(&json, "id")?),
-        )),
-        opcode::RESOLVE_NAME => Ok(Request::ResolveName(get_str(&json, "name")?)),
-        opcode::RECORD => Ok(Request::Record(EntityId(get_u64(&json, "id")?))),
-        opcode::GENERATION => Ok(Request::Generation),
-        other => Err(bad(format!("unknown request opcode {other:#04x}"))),
-    }
+        opcode::POSTINGS => Request::Postings(take_probe(bytes, at)?),
+        opcode::SELECTIVITY => Request::Selectivity(take_probe(bytes, at)?),
+        opcode::PROBE_CONTAINS => {
+            let probe = take_probe(bytes, at)?;
+            Request::ProbeContains(probe, EntityId(take_varint(bytes, at)?))
+        }
+        opcode::RESOLVE_NAME => Request::ResolveName(take_str(bytes, at)?.to_string()),
+        opcode::RECORD => Request::Record(EntityId(take_varint(bytes, at)?)),
+        opcode::GENERATION => Request::Generation,
+        other => return Err(bad(format!("unknown request opcode {other:#04x}"))),
+    };
+    expect_end(bytes, *at)?;
+    Ok(request)
 }
 
 // ---------------------------------------------------------------------------
@@ -918,19 +804,19 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    fn as_str(self) -> &'static str {
+    fn tag(self) -> u8 {
         match self {
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::Query => "query",
-            ErrorKind::Internal => "internal",
+            ErrorKind::BadRequest => 0,
+            ErrorKind::Query => 1,
+            ErrorKind::Internal => 2,
         }
     }
 
-    fn parse(s: &str) -> Result<ErrorKind> {
-        match s {
-            "bad_request" => Ok(ErrorKind::BadRequest),
-            "query" => Ok(ErrorKind::Query),
-            "internal" => Ok(ErrorKind::Internal),
+    fn from_tag(tag: u8) -> Result<ErrorKind> {
+        match tag {
+            0 => Ok(ErrorKind::BadRequest),
+            1 => Ok(ErrorKind::Query),
+            2 => Ok(ErrorKind::Internal),
             other => Err(bad(format!("unknown error kind {other}"))),
         }
     }
@@ -998,304 +884,211 @@ impl Response {
         }
     }
 
-    /// This response's JSON payload.
-    pub fn to_json(&self) -> Json {
+    fn push_body(&self, buf: &mut Vec<u8>) {
         match self {
-            Response::Pong => obj([]),
+            Response::Pong => {}
             Response::Result(QueryResult::Entities(ids)) => {
-                obj([("entities", entity_ids_to_json(ids))])
+                buf.push(0);
+                push_ids(buf, ids);
             }
-            Response::Result(QueryResult::Values(values)) => obj([(
-                "values",
-                Json::Array(values.iter().map(value_to_json).collect()),
-            )]),
-            Response::Committed(c) => obj([
-                (
-                    "lsn",
-                    Json::Int(i64::try_from(c.lsn.0).expect("lsn exceeds wire range")),
-                ),
-                ("token", session_token_to_json(&c.token)),
-                (
-                    "facts_added",
-                    Json::Int(i64::try_from(c.facts_added).expect("count exceeds wire range")),
-                ),
-                (
-                    "facts_removed",
-                    Json::Int(i64::try_from(c.facts_removed).expect("count exceeds wire range")),
-                ),
-            ]),
-            Response::Entities(ids) => obj([("ids", entity_ids_to_json(ids))]),
-            Response::Count(n) => obj([(
-                "n",
-                Json::Int(i64::try_from(*n).expect("count exceeds wire range")),
-            )]),
-            Response::Bool(b) => obj([("v", Json::Bool(*b))]),
-            Response::Record(rec) => obj([(
-                "record",
-                match rec {
-                    None => Json::Null,
-                    Some(rec) => obj([
-                        (
-                            "id",
-                            Json::Int(
-                                i64::try_from(rec.id.0).expect("entity id exceeds wire range"),
-                            ),
-                        ),
-                        (
-                            "triples",
-                            Json::Array(rec.triples.iter().map(triple_to_json).collect()),
-                        ),
-                    ]),
-                },
-            )]),
-            Response::Error { kind, message } => obj([
-                ("kind", Json::str(kind.as_str())),
-                ("message", Json::str(message)),
-            ]),
+            Response::Result(QueryResult::Values(values)) => {
+                buf.push(1);
+                push_varint(buf, values.len() as u64);
+                for value in values {
+                    push_value(buf, value);
+                }
+            }
+            Response::Committed(c) => {
+                push_varint(buf, c.lsn.0);
+                push_varint(buf, c.token.lsn().0);
+                push_varint(buf, c.facts_added);
+                push_varint(buf, c.facts_removed);
+            }
+            Response::Entities(ids) => push_ids(buf, ids),
+            Response::Count(n) => push_varint(buf, *n),
+            Response::Bool(b) => buf.push(u8::from(*b)),
+            Response::Record(None) => buf.push(0),
+            Response::Record(Some(record)) => {
+                buf.push(1);
+                push_varint(buf, record.id.0);
+                push_varint(buf, record.triples.len() as u64);
+                for triple in &record.triples {
+                    push_triple(buf, triple);
+                }
+            }
+            Response::Error { kind, message } => {
+                buf.push(kind.tag());
+                push_str(buf, message);
+            }
             Response::Overloaded {
                 message,
                 backoff_hint_ms,
-            } => obj([
-                ("message", Json::str(message)),
-                (
-                    "backoff_hint_ms",
-                    Json::Int(i64::try_from(*backoff_hint_ms).expect("hint exceeds wire range")),
-                ),
-            ]),
-            Response::Unavailable { message } => obj([("message", Json::str(message))]),
+            } => {
+                push_str(buf, message);
+                push_varint(buf, *backoff_hint_ms);
+            }
+            Response::Unavailable { message } => push_str(buf, message),
         }
     }
 
-    /// Encode into a full frame under `request_id`. Entity-list payloads
-    /// skip the `Json` tree (see the fast-path functions above); the
-    /// bytes are identical either way.
+    /// Encode into a full frame under `request_id`. A body past
+    /// [`MAX_PAYLOAD`] cannot be framed; the request is answered with a
+    /// typed `Internal` error instead, so the worker that produced it
+    /// still responds and gives back its admission slot.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        let payload = match self {
-            Response::Result(QueryResult::Entities(ids)) => ids_payload("entities", ids),
-            Response::Entities(ids) => ids_payload("ids", ids),
-            other => other.to_json().to_string_compact(),
+        let body_hint = match self {
+            Response::Result(QueryResult::Entities(ids)) | Response::Entities(ids) => {
+                16 + 2 * ids.len()
+            }
+            Response::Record(Some(record)) => 16 + 48 * record.triples.len(),
+            _ => 64,
         };
-        encode_frame(request_id, self.opcode(), payload.as_bytes())
+        let mut out = begin_frame(request_id, self.opcode(), body_hint);
+        self.push_body(&mut out);
+        if out.len() - HEADER_LEN > MAX_PAYLOAD as usize {
+            return Response::Error {
+                kind: ErrorKind::Internal,
+                message: "response exceeds MAX_PAYLOAD".to_string(),
+            }
+            .encode(request_id);
+        }
+        finish_frame(out)
     }
 }
 
 /// Decode a response frame (the client side of the codec).
 pub fn decode_response(frame: &Frame) -> Result<Response> {
-    // Entity-list fast path first; fall through to the tree parser for
-    // every other shape (including value results on the same opcode).
-    match frame.opcode {
-        opcode::RESULT => {
-            if let Some(ids) = parse_ids_payload(&frame.payload, "entities") {
-                return Ok(Response::Result(QueryResult::Entities(ids)));
-            }
-        }
-        opcode::ENTITIES => {
-            if let Some(ids) = parse_ids_payload(&frame.payload, "ids") {
-                return Ok(Response::Entities(ids));
-            }
-        }
-        _ => {}
-    }
-    let json = parse_payload(frame)?;
-    match frame.opcode {
-        opcode::PONG => Ok(Response::Pong),
-        opcode::RESULT => {
-            if let Some(entities) = json.get("entities") {
-                Ok(Response::Result(QueryResult::Entities(
-                    entity_ids_from_json(entities)?,
-                )))
-            } else if let Some(values) = json.get("values") {
-                let values = values
-                    .as_array()
-                    .ok_or_else(|| bad("values is not an array"))?
-                    .iter()
-                    .map(value_from_json)
-                    .collect::<Result<Vec<Value>>>()?;
-                Ok(Response::Result(QueryResult::Values(values)))
-            } else {
-                Err(bad("result has neither entities nor values"))
-            }
-        }
-        opcode::COMMITTED => Ok(Response::Committed(Committed {
-            lsn: Lsn(get_u64(&json, "lsn")?),
-            token: session_token_from_json(json.get("token").ok_or_else(|| bad("missing token"))?)?,
-            facts_added: get_u64(&json, "facts_added")?,
-            facts_removed: get_u64(&json, "facts_removed")?,
-        })),
-        opcode::ENTITIES => Ok(Response::Entities(entity_ids_from_json(
-            json.get("ids").ok_or_else(|| bad("missing ids"))?,
-        )?)),
-        opcode::COUNT => Ok(Response::Count(get_u64(&json, "n")?)),
-        opcode::BOOL => Ok(Response::Bool(
-            json.get("v")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| bad("missing bool"))?,
-        )),
-        opcode::RECORD_HIT => {
-            let rec = json.get("record").ok_or_else(|| bad("missing record"))?;
-            match rec {
-                Json::Null => Ok(Response::Record(None)),
-                rec => {
-                    let id = EntityId(get_u64(rec, "id")?);
-                    let triples = rec
-                        .get("triples")
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| bad("record missing triples"))?
-                        .iter()
-                        .map(triple_from_json)
-                        .collect::<Result<Vec<_>>>()?;
-                    let mut record = EntityRecord::new(id);
-                    record.triples = triples;
-                    Ok(Response::Record(Some(record)))
+    let (bytes, at) = (frame.payload.as_slice(), &mut 0usize);
+    let response = match frame.opcode {
+        opcode::PONG => Response::Pong,
+        opcode::RESULT => Response::Result(match take_u8(bytes, at)? {
+            0 => QueryResult::Entities(take_ids(bytes, at)?),
+            1 => {
+                let n = take_count(bytes, at, 1)?;
+                let mut values = Vec::with_capacity(n);
+                for _ in 0..n {
+                    values.push(take_value(bytes, at)?);
                 }
+                QueryResult::Values(values)
             }
-        }
-        opcode::ERROR => Ok(Response::Error {
-            kind: ErrorKind::parse(&get_str(&json, "kind")?)?,
-            message: get_str(&json, "message")?,
+            other => return Err(bad(format!("unknown result tag {other}"))),
         }),
-        opcode::OVERLOADED => Ok(Response::Overloaded {
-            message: get_str(&json, "message")?,
-            // Optional on decode: version-1 peers without the field get
-            // hint 0 (meaning "no hint", client schedule applies).
-            backoff_hint_ms: get_u64(&json, "backoff_hint_ms").unwrap_or(0),
+        opcode::COMMITTED => Response::Committed(Committed {
+            lsn: Lsn(take_varint(bytes, at)?),
+            token: SessionToken::at(Lsn(take_varint(bytes, at)?)),
+            facts_added: take_varint(bytes, at)?,
+            facts_removed: take_varint(bytes, at)?,
         }),
-        opcode::UNAVAILABLE => Ok(Response::Unavailable {
-            message: get_str(&json, "message")?,
+        opcode::ENTITIES => Response::Entities(take_ids(bytes, at)?),
+        opcode::COUNT => Response::Count(take_varint(bytes, at)?),
+        opcode::BOOL => Response::Bool(take_flag(bytes, at)?),
+        opcode::RECORD_HIT => Response::Record(if take_flag(bytes, at)? {
+            let mut record = EntityRecord::new(EntityId(take_varint(bytes, at)?));
+            let n = take_count(bytes, at, MIN_TRIPLE_BYTES)?;
+            record.triples.reserve(n);
+            for _ in 0..n {
+                record.triples.push(take_triple(bytes, at)?);
+            }
+            Some(record)
+        } else {
+            None
         }),
-        other => Err(bad(format!("unknown response opcode {other:#04x}"))),
-    }
+        opcode::ERROR => Response::Error {
+            kind: ErrorKind::from_tag(take_u8(bytes, at)?)?,
+            message: take_str(bytes, at)?.to_string(),
+        },
+        opcode::OVERLOADED => Response::Overloaded {
+            message: take_str(bytes, at)?.to_string(),
+            backoff_hint_ms: take_varint(bytes, at)?,
+        },
+        opcode::UNAVAILABLE => Response::Unavailable {
+            message: take_str(bytes, at)?.to_string(),
+        },
+        other => return Err(bad(format!("unknown response opcode {other:#04x}"))),
+    };
+    expect_end(bytes, *at)?;
+    Ok(response)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn triple() -> ExtendedTriple {
-        ExtendedTriple::composite(
-            EntityId(7),
-            intern("educated_at"),
-            RelId(2),
-            intern("school"),
-            Value::str("UW"),
-            FactMeta::localized(SourceId(3), 0.75, "en"),
-        )
+    fn frame_of(bytes: &[u8]) -> Frame {
+        read_frame(&mut &bytes[..]).unwrap().unwrap()
     }
 
-    fn roundtrip_request(req: Request) -> Request {
-        let bytes = req.encode(42);
-        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-        assert_eq!(frame.request_id, 42);
-        assert_eq!(frame.opcode, req.opcode());
-        decode_request(&frame).unwrap()
-    }
-
-    fn roundtrip_response(resp: Response) -> Response {
-        let bytes = resp.encode(9);
-        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-        assert_eq!(frame.request_id, 9);
-        decode_response(&frame).unwrap()
-    }
-
+    /// Values the JSON payloads could not carry (anything ≥ 2⁶³ panicked
+    /// their encoder) are ordinary varints now.
     #[test]
-    fn every_request_kind_roundtrips() {
-        let requests = vec![
-            Request::Ping,
+    fn the_whole_u64_range_roundtrips() {
+        let max = EntityId(u64::MAX);
+        let requests = [
+            Request::Record(max),
+            Request::ProbeContains(ProbeKey::Edge(intern("p"), max), max),
             Request::Query {
-                text: "FIND song WHERE name = \"x\"".into(),
-                session: Some(SessionToken::at(Lsn(12))),
+                text: String::new(),
+                session: Some(SessionToken::at(Lsn(u64::MAX))),
             },
-            Request::Query {
-                text: "GET AKG:1 . name".into(),
-                session: None,
-            },
-            Request::Commit(
-                WireBatch::new()
-                    .named_entity(EntityId(1), "Billie", "artist", SourceId(1), 0.9)
-                    .upsert(triple())
-                    .link(SourceId(2), "m42", EntityId(1))
-                    .retract_source(SourceId(5))
-                    .retract_source_entity(SourceId(2), "m43"),
-            ),
-            Request::Postings(ProbeKey::Name("springfield".into())),
-            Request::Selectivity(ProbeKey::Literal(intern("born"), Value::Int(2001))),
-            Request::ProbeContains(
-                ProbeKey::Edge(intern("located_in"), EntityId(9)),
-                EntityId(4),
-            ),
-            Request::ResolveName("Billie Eilish".into()),
-            Request::Record(EntityId(17)),
-            Request::Generation,
+            Request::Commit(WireBatch::new().link(SourceId(u32::MAX), "m", max).upsert(
+                ExtendedTriple::simple(max, intern("p"), Value::Entity(max), FactMeta::default()),
+            )),
         ];
         for req in requests {
-            assert_eq!(roundtrip_request(req.clone()), req, "{req:?}");
+            assert_eq!(
+                decode_request(&frame_of(&req.encode(u64::MAX))).unwrap(),
+                req
+            );
         }
-    }
-
-    #[test]
-    fn ping_encodes_to_an_empty_object_and_roundtrips() {
-        let bytes = Request::Ping.encode(3);
-        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-        assert_eq!(frame.opcode, opcode::PING);
-        assert_eq!(frame.payload, b"{}");
-        assert_eq!(decode_request(&frame).unwrap(), Request::Ping);
-    }
-
-    #[test]
-    fn every_response_kind_roundtrips() {
-        let mut record = EntityRecord::new(EntityId(7));
-        record.triples.push(triple());
-        let responses = vec![
-            Response::Pong,
-            Response::Result(QueryResult::Entities(vec![EntityId(1), EntityId(2)])),
-            Response::Result(QueryResult::Values(vec![
-                Value::str("x"),
-                Value::Float(f64::NAN),
-                Value::Entity(EntityId(3)),
-            ])),
+        let responses = [
+            Response::Count(u64::MAX),
+            Response::Entities(vec![max, EntityId(0), max, max]),
+            Response::Result(QueryResult::Entities(vec![EntityId(1), max])),
+            Response::Record(Some(EntityRecord::new(max))),
             Response::Committed(Committed {
-                lsn: Lsn(88),
-                token: SessionToken::at(Lsn(88)),
-                facts_added: 5,
-                facts_removed: 1,
+                lsn: Lsn(u64::MAX),
+                token: SessionToken::at(Lsn(u64::MAX)),
+                facts_added: u64::MAX,
+                facts_removed: u64::MAX,
             }),
-            Response::Entities(vec![EntityId(4)]),
-            Response::Count(1234),
-            Response::Bool(true),
-            Response::Record(None),
-            Response::Record(Some(record)),
-            Response::Error {
-                kind: ErrorKind::Query,
-                message: "parse error".into(),
-            },
             Response::Overloaded {
-                message: "queue full".into(),
-                backoff_hint_ms: 25,
-            },
-            Response::Unavailable {
-                message: "session wait timed out".into(),
+                message: String::new(),
+                backoff_hint_ms: u64::MAX,
             },
         ];
         for resp in responses {
-            assert_eq!(roundtrip_response(resp.clone()), resp, "{resp:?}");
+            assert_eq!(
+                decode_response(&frame_of(&resp.encode(u64::MAX))).unwrap(),
+                resp
+            );
         }
     }
 
     #[test]
     fn wire_batch_lowers_to_the_same_ops() {
         use saga_core::WriteOp;
+        let triple = ExtendedTriple::composite(
+            EntityId(7),
+            intern("educated_at"),
+            RelId(2),
+            intern("school"),
+            Value::str("UW"),
+            FactMeta::localized(SourceId(3), 0.75, "en"),
+        );
         let batch = WireBatch::new()
-            .upsert(triple())
+            .upsert(triple.clone())
             .link(SourceId(2), "m42", EntityId(1))
             .retract_source(SourceId(5));
         let lowered = batch.into_write_batch();
         let ops = lowered.into_ops();
         assert_eq!(ops.len(), 3);
-        assert!(matches!(&ops[0], WriteOp::Upsert(t) if *t == triple()));
+        assert!(matches!(&ops[0], WriteOp::Upsert(t) if *t == triple));
         assert!(matches!(&ops[1], WriteOp::Link { source, local_id, entity }
                 if *source == SourceId(2) && local_id == "m42" && *entity == EntityId(1)));
         assert!(matches!(&ops[2], WriteOp::RetractSource(SourceId(5))));
     }
+
+    // -- frames ------------------------------------------------------------
 
     #[test]
     fn clean_eof_is_none_not_an_error() {
@@ -1304,14 +1097,22 @@ mod tests {
     }
 
     #[test]
-    fn torn_header_and_payload_are_detected() {
+    fn a_frame_cut_at_any_byte_is_torn() {
         let bytes = Request::ResolveName("seed song".into()).encode(1);
-        // Cut inside the header.
-        let err = read_frame(&mut &bytes[..7]).unwrap_err();
-        assert!(matches!(err, FrameError::Torn { .. }), "{err}");
-        // Cut inside the payload.
-        let err = read_frame(&mut &bytes[..HEADER_LEN + 2]).unwrap_err();
-        assert!(matches!(err, FrameError::Torn { .. }), "{err}");
+        for cut in 1..bytes.len() {
+            match read_frame(&mut &bytes[..cut]).unwrap_err() {
+                FrameError::Torn { expected, got } => {
+                    let whole = if cut < HEADER_LEN {
+                        HEADER_LEN
+                    } else {
+                        bytes.len()
+                    };
+                    let start = if cut < HEADER_LEN { 0 } else { HEADER_LEN };
+                    assert_eq!((expected, got), (whole - cut, cut - start), "cut {cut}");
+                }
+                other => panic!("cut {cut}: expected Torn, got {other}"),
+            }
+        }
     }
 
     #[test]
@@ -1322,12 +1123,15 @@ mod tests {
             read_frame(&mut bytes.as_slice()).unwrap_err(),
             FrameError::BadMagic(_)
         ));
-        let mut bytes = Request::Ping.encode(1);
-        bytes[4] = 99;
-        assert!(matches!(
-            read_frame(&mut bytes.as_slice()).unwrap_err(),
-            FrameError::BadVersion(99)
-        ));
+        // The JSON-payload version 1 is as foreign as any other.
+        for version in [1, 99] {
+            let mut bytes = Request::Ping.encode(1);
+            bytes[4] = version;
+            assert!(matches!(
+                read_frame(&mut bytes.as_slice()).unwrap_err(),
+                FrameError::BadVersion(v) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -1350,103 +1154,28 @@ mod tests {
         }
     }
 
+    /// A response too large to frame is answered, typed, on its own id —
+    /// the worker that built it neither panics nor keeps its slot.
     #[test]
-    fn garbage_opcode_is_a_payload_level_error() {
-        let frame = Frame {
-            request_id: 5,
-            opcode: 0x7F,
-            payload: b"{}".to_vec(),
-        };
-        assert!(decode_request(&frame).is_err());
-        // The frame itself reads fine — only the decode rejects it.
-        let bytes = encode_frame(5, 0x7F, b"{}");
-        let read = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-        assert_eq!(read.opcode, 0x7F);
-    }
-
-    #[test]
-    fn malformed_payloads_are_rejected() {
-        for (op, payload) in [
-            (opcode::QUERY, "{}"),
-            (opcode::QUERY, "not json"),
-            (opcode::COMMIT, r#"{"ops":[{"op":"mutate"}]}"#),
-            (opcode::POSTINGS, r#"{"probe":{"kind":"warp"}}"#),
-            (opcode::RECORD, r#"{"id":-4}"#),
-            (
-                opcode::PROBE_CONTAINS,
-                r#"{"probe":{"kind":"name","name":"x"}}"#,
-            ),
+    fn a_response_past_max_payload_encodes_as_a_typed_internal_error() {
+        // Alternating extremes: every delta is a ten-byte varint.
+        let ids: Vec<EntityId> = (0..MAX_PAYLOAD as u64 / 10 + 2)
+            .map(|i| EntityId(if i % 2 == 0 { 0 } else { u64::MAX / 2 }))
+            .collect();
+        for resp in [
+            Response::Entities(ids.clone()),
+            Response::Result(QueryResult::Entities(ids)),
         ] {
-            let frame = Frame {
-                request_id: 1,
-                opcode: op,
-                payload: payload.as_bytes().to_vec(),
-            };
-            assert!(
-                decode_request(&frame).is_err(),
-                "accepted {op:#04x} {payload}"
-            );
-        }
-    }
-
-    #[test]
-    fn entity_list_fast_path_matches_the_tree_codec() {
-        for ids in [
-            vec![],
-            vec![EntityId(0)],
-            vec![
-                EntityId(1),
-                EntityId(42),
-                EntityId(u64::from(u32::MAX)),
-                EntityId(1 << 60),
-                EntityId(i64::MAX as u64), // largest wire-representable id
-            ],
-            (0..777).map(EntityId).collect(),
-        ] {
-            // Fast-path bytes are identical to the Json-tree bytes.
-            for (resp, key) in [
-                (
-                    Response::Result(QueryResult::Entities(ids.clone())),
-                    "entities",
-                ),
-                (Response::Entities(ids.clone()), "ids"),
-            ] {
-                let fast = resp.encode(1);
-                let tree = encode_frame(
-                    1,
-                    resp.opcode(),
-                    resp.to_json().to_string_compact().as_bytes(),
-                );
-                assert_eq!(fast, tree, "wire bytes diverge for {key} x{}", ids.len());
-                assert_eq!(roundtrip_response(resp.clone()), resp);
+            let frame = frame_of(&resp.encode(31));
+            assert_eq!(frame.request_id, 31);
+            match decode_response(&frame).unwrap() {
+                Response::Error { kind, message } => {
+                    assert_eq!(kind, ErrorKind::Internal);
+                    assert!(message.contains("MAX_PAYLOAD"), "{message}");
+                }
+                other => panic!("expected Internal error, got {other:?}"),
             }
         }
-        // Garbage near-miss payloads fall back (and then fail in the
-        // tree parser) instead of mis-decoding.
-        for bad in [
-            "{\"entities\":[1,,2]}",
-            "{\"entities\":[1,2,]}",
-            "{\"entities\":[99999999999999999999999]}",
-            // Exactly 20 digits, one past u64::MAX: must not wrap to 0.
-            "{\"entities\":[18446744073709551616]}",
-            "{\"entities\":[1 ,2]}",
-        ] {
-            assert!(
-                parse_ids_payload(bad.as_bytes(), "entities").is_none(),
-                "{bad}"
-            );
-        }
-        // Whitespace variants from a foreign encoder still decode via
-        // the general parser.
-        let frame = Frame {
-            request_id: 1,
-            opcode: opcode::RESULT,
-            payload: b"{ \"entities\" : [ 1 , 2 ] }".to_vec(),
-        };
-        assert_eq!(
-            decode_response(&frame).unwrap(),
-            Response::Result(QueryResult::Entities(vec![EntityId(1), EntityId(2)]))
-        );
     }
 
     #[test]
@@ -1460,5 +1189,52 @@ mod tests {
             .map(|f| f.request_id)
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
+    }
+
+    // -- garbage -----------------------------------------------------------
+
+    #[test]
+    fn garbage_opcode_is_a_payload_level_error() {
+        let frame = Frame {
+            request_id: 5,
+            opcode: 0x7F,
+            payload: b"{}".to_vec(),
+        };
+        assert!(decode_request(&frame).is_err());
+        assert!(decode_response(&frame).is_err());
+        // The frame itself reads fine — only the decode rejects it.
+        let bytes = encode_frame(5, 0x7F, b"{}");
+        let read = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+        assert_eq!(read.opcode, 0x7F);
+    }
+
+    #[test]
+    fn malformed_payloads_are_rejected() {
+        let name_probe = [0, 1, b'x'];
+        for (op, payload) in [
+            (opcode::QUERY, &[][..]),
+            (opcode::QUERY, &[1, b'q'][..]),    // no session flag
+            (opcode::QUERY, &[1, b'q', 2][..]), // flag neither 0 nor 1
+            (opcode::QUERY, &[1, 0xff, 0][..]), // text is not UTF-8
+            (opcode::QUERY, b"{\"q\":\"x\"}"),  // a version-1 body
+            (opcode::COMMIT, &[1, 9][..]),      // unknown op tag
+            (opcode::COMMIT, &[1, 2, 0x80, 0x80, 0x80, 0x80, 0x10][..]), // source > u32
+            (opcode::POSTINGS, &[7][..]),       // unknown probe tag
+            (opcode::POSTINGS, &[1, 1, b'p', 9][..]), // unknown value tag
+            (opcode::RECORD, &[][..]),
+            (opcode::PROBE_CONTAINS, &name_probe[..]), // probe without id
+            (opcode::GENERATION, &[0][..]),            // trailing byte
+            (opcode::RECORD, &[4, 0][..]),             // trailing byte
+        ] {
+            let frame = Frame {
+                request_id: 1,
+                opcode: op,
+                payload: payload.to_vec(),
+            };
+            assert!(
+                decode_request(&frame).is_err(),
+                "accepted {op:#04x} {payload:02x?}"
+            );
+        }
     }
 }

@@ -226,6 +226,84 @@ fn garbage_opcode_errors_but_keeps_the_connection() {
     ));
 }
 
+/// Payload garbage in well-formed frames — valid bodies cut at every
+/// offset, unknown tags, counts no body could honour — is answered
+/// `BadRequest` on its own id, and the connection serves the next ping.
+#[test]
+fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
+    let h = boot("garbage", |_| {});
+    let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
+
+    let mut garbage: Vec<(u8, Vec<u8>)> = Vec::new();
+    let valid = [
+        Request::Query {
+            text: "FIND song WHERE name = \"Seed Song\"".into(),
+            session: Some(saga_core::SessionToken::at(saga_core::Lsn(1))),
+        },
+        Request::Commit(WireBatch::new().named_entity(
+            EntityId(70),
+            "Never Committed",
+            "song",
+            SourceId(2),
+            0.9,
+        )),
+        Request::ProbeContains(saga_core::ProbeKey::Name("seed".into()), EntityId(1)),
+    ];
+    for request in &valid {
+        let frame = request.encode(0);
+        let body = &frame[protocol::HEADER_LEN..];
+        for cut in 0..body.len() {
+            garbage.push((request.opcode(), body[..cut].to_vec()));
+        }
+        garbage.push((request.opcode(), [body, &[0]].concat())); // trailing byte
+    }
+    // 2⁶⁴−1 as a varint: an op count, an op tag's worth of nonsense, a
+    // provenance count.
+    let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    garbage.push((opcode::COMMIT, max.to_vec()));
+    garbage.push((opcode::COMMIT, vec![1, 0x7f]));
+    garbage.push((
+        opcode::COMMIT,
+        [&[1, 0, 0, 5, 1, b'p', 0, 0][..], &max].concat(),
+    ));
+    garbage.push((opcode::POSTINGS, vec![9]));
+    garbage.push((opcode::QUERY, b"{\"q\":\"FIND song\"}".to_vec()));
+
+    for (id, (op, payload)) in garbage.iter().enumerate() {
+        let id = id as u64 + 100;
+        raw.write_all(&protocol::encode_frame(id, *op, payload))
+            .expect("write garbage");
+        let reply = read_frame(&mut raw)
+            .expect("read reply")
+            .expect("reply frame");
+        assert_eq!(reply.request_id, id);
+        match protocol::decode_response(&reply).expect("decode reply") {
+            Response::Error {
+                kind: ErrorKind::BadRequest,
+                ..
+            } => {}
+            other => panic!("{op:#04x} {payload:02x?}: expected BadRequest, got {other:?}"),
+        }
+    }
+
+    raw.write_all(&Request::Ping.encode(7))
+        .expect("write ping after garbage");
+    let reply = read_frame(&mut raw)
+        .expect("read pong")
+        .expect("pong frame");
+    assert_eq!(reply.request_id, 7);
+    assert!(matches!(
+        protocol::decode_response(&reply).expect("decode"),
+        Response::Pong
+    ));
+    // Nothing above committed: the cut commit bodies never decoded.
+    let mut client = h.client();
+    assert!(client.record(EntityId(70)).expect("record").is_none());
+    wait_for("release of every admission slot", || {
+        h.server.inflight() == 0
+    });
+}
+
 #[test]
 fn pipelined_responses_interleave_across_request_ids() {
     let h = boot("pipeline", |cfg| cfg.workers = 4);
