@@ -1,6 +1,6 @@
-//! The binary vocabulary shared by the checkpoint sections and the wire
-//! payloads: LEB128 varints, length-prefixed UTF-8 and the tagged
-//! [`Value`] codec.
+//! The binary vocabulary shared by the checkpoint sections, the wire
+//! payloads and the operation-log frames: LEB128 varints, length-prefixed
+//! UTF-8, the tagged [`Value`] codec and the FNV-1a checksum.
 //!
 //! Writers append to a `Vec<u8>`; readers walk a `(bytes, &mut at)`
 //! cursor over a borrowed slice and hand strings back as `&str` into it,
@@ -14,6 +14,18 @@ use crate::{EntityId, Result, SagaError, Value};
 
 fn err(msg: &str) -> SagaError {
     SagaError::Storage(format!("binary codec: {msg}"))
+}
+
+/// FNV-1a 64 — the checksum of checkpoint sections and operation-log
+/// frames. Hand-rolled and dependency-free; collision resistance is not
+/// the goal, torn/bit-rot detection is.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Append `v` as an LEB128 varint (1–10 bytes).

@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::binary::{
-    push_str, push_value, push_varint, take_count, take_str, take_value, take_varint,
+    fnv1a, push_str, push_value, push_varint, take_count, take_str, take_value, take_varint,
 };
 use crate::index::ObjId;
 use crate::json::{self, Json};
@@ -67,17 +67,6 @@ const SECTIONS: [&str; 6] = ["symbols", "objects", "records", "pos", "osp", "tok
 
 fn err(msg: impl Into<String>) -> SagaError {
     SagaError::Storage(format!("checkpoint: {}", msg.into()))
-}
-
-/// FNV-1a 64 — the per-section checksum. Hand-rolled and dependency-free;
-/// collision resistance is not the goal, torn/bit-rot detection is.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------

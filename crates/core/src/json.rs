@@ -1,8 +1,8 @@
 //! Minimal JSON value model, parser and writer.
 //!
 //! The platform's serialization needs are narrow — JSON-lines ingest
-//! ([§2.2] importers), alignment-config files, and the Graph Engine's
-//! durable operation log — and the build environment has no access to
+//! ([§2.2] importers), alignment-config files, the checkpoint manifest and
+//! the operation log's dump form — and the build environment has no access to
 //! crates.io, so this module replaces `serde`/`serde_json` with a small
 //! hand-rolled implementation. Object keys are stored in a `BTreeMap`, so
 //! key iteration is alphabetical (matching the behaviour the importers and

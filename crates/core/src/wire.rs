@@ -5,9 +5,11 @@
 //! compact but *process-local*: predicates are interned
 //! [`Symbol`](crate::Symbol)s and object values may reference interner state that
 //! another process (or a restarted one) does not share. This module defines
-//! the self-contained form the durable oplog persists — predicate *names*
-//! plus typed object values — so a log follower can rebuild a replica
-//! without access to the producer's interner or its `KnowledgeGraph`.
+//! the self-contained, human-readable JSON form — predicate *names* plus
+//! typed object values — that the oplog's dump form
+//! (`IngestOp::to_json`) prints. The durable log itself stores the same
+//! names-plus-typed-values content as binary frames in the
+//! [`binary`](crate::binary) vocabulary.
 //!
 //! # Format
 //!
@@ -205,7 +207,7 @@ impl SessionToken {
 }
 
 impl Delta {
-    /// This delta as one compact JSON line — the durable oplog payload.
+    /// This delta as one compact JSON line — what the oplog dump form prints.
     pub fn to_wire(&self) -> String {
         delta_to_json(self).to_string_compact()
     }

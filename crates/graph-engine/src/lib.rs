@@ -9,9 +9,9 @@
 //!
 //! * [`oplog`] — the distributed shared log: ordered, durable ingest
 //!   operations addressed by [`Lsn`](saga_core::Lsn), carrying full
-//!   [`Delta`](saga_core::Delta) payloads in the self-contained
-//!   [`wire`](saga_core::wire) form so derived stores replay from the log
-//!   alone, with a watermark-tracking [`LogFollower`] cursor.
+//!   [`Delta`](saga_core::Delta) payloads as self-contained, checksummed
+//!   binary frames ([`saga_core::binary`]) so derived stores replay from
+//!   the log alone, with a watermark-tracking [`LogFollower`] cursor.
 //! * [`metastore`] — replay progress per store; freshness queries.
 //! * [`orchestration`] — the extensible orchestration-agent framework; all
 //!   store-specific logic lives in agents, the framework stays generic.
@@ -51,6 +51,8 @@ pub mod importance;
 pub mod legacy;
 pub mod metastore;
 pub mod oplog;
+#[cfg(test)]
+mod oplog_properties;
 pub mod orchestration;
 pub mod production_views;
 pub mod serving;

@@ -8,21 +8,23 @@
 //! The log is append-only; every operation gets the next LSN and LSNs are
 //! **dense**: operation *k* carries `Lsn(k)`, gaps and reordering are
 //! rejected at load time. Each [`IngestOp`] carries the full
-//! [`Delta`] payloads of the mutation in the
-//! self-contained [`wire`](saga_core::wire) form (predicate names + typed
-//! object values), so a follower can rebuild a derived store **from the log
-//! alone** — no consultation of the producing `KnowledgeGraph`. The
-//! id-level `changed` list is retained as a cheap summary for consumers
-//! that only need invalidation keys.
+//! [`Delta`] payloads of the mutation in a self-contained form (predicate
+//! names + typed object values), so a follower can rebuild a derived store
+//! **from the log alone** — no consultation of the producing
+//! `KnowledgeGraph`. The id-level `changed` list is retained as a cheap
+//! summary for consumers that only need invalidation keys.
 //!
 //! # Durability
 //!
-//! An optional file sink makes operations durable as JSON lines. The
+//! An optional file sink makes operations durable as checksummed binary
+//! frames in the [`saga_core::binary`] vocabulary (the layout is in
+//! `docs/oplog.md`): a file header carrying the compaction point, then
+//! one frame per operation, each landing with a single `write`. The
 //! [`FlushPolicy`] decides how hard an append lands before `append`
-//! returns: [`FlushPolicy::Flush`] pushes the line to the OS (survives
+//! returns: [`FlushPolicy::Flush`] hands the frame to the OS (survives
 //! process crash), [`FlushPolicy::Fsync`] additionally `fsync`s (survives
 //! power loss, at a per-append latency cost). A restart tolerates a torn
-//! *final* line — the tail a crashed writer half-wrote is truncated away
+//! *final* frame — the tail a crashed writer half-wrote is truncated away
 //! with a warning instead of poisoning the whole log — while corruption
 //! anywhere else, and any LSN gap or reordering, fails the restart loudly.
 //!
@@ -42,22 +44,26 @@
 //!
 //! The log grows without bound until a checkpoint
 //! ([`saga_core::checkpoint`]) durably covers a prefix;
-//! [`OperationLog::compact_to`] then drops that prefix, leaving a marker
-//! line so a reopened log still knows its first retained LSN
+//! [`OperationLog::compact_to`] then drops that prefix and records it in
+//! the file header, so a reopened log still knows its first retained LSN
 //! ([`OperationLog::compacted_through`]). LSNs never restart — a follower
 //! whose watermark has fallen behind the compaction point gets a loud
 //! contiguity error and must re-bootstrap from a checkpoint. See
 //! `docs/checkpoint.md` for the retention contract.
 
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use saga_core::binary::{
+    fnv1a, push_str, push_value, push_varint, take_count, take_str, take_u32, take_u8, take_value,
+    take_varint,
+};
 use saga_core::json::Json;
 use saga_core::wire::{delta_from_json, delta_to_json};
-use saga_core::{Delta, EntityId, Lsn, Result, SagaError, SourceId};
+use saga_core::{intern, Delta, DeltaFact, EntityId, Lsn, Result, SagaError, SourceId, Symbol};
 
 /// What happened in one ingest operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,16 +100,15 @@ impl IngestOp {
         if !self.changed.is_empty() {
             return self.changed.clone();
         }
-        let mut ids: Vec<EntityId> = self.deltas.iter().map(|d| d.entity).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        derived_changed(&self.deltas)
     }
 
-    /// Serialize to the durable JSON-line format, e.g.
-    /// `{"changed":[1],"deltas":[{"add":[["name","X"]],"del":[],"entity":1}],"kind":"Upsert","lsn":7}`.
-    /// The `deltas` key is omitted when empty, which keeps id-only entries
-    /// byte-compatible with logs written before deltas were carried.
+    /// Render as one JSON line — the human-readable dump form, e.g.
+    /// `{"changed":[1],"deltas":[{"add":[["name","X"]],"del":[],"entity":1}],"kind":"Upsert","lsn":7}`
+    /// (`deltas` is omitted when empty). The durable file holds binary
+    /// frames, not this: `log.read_after(Lsn::ZERO)` mapped through
+    /// `to_json` is how to look at one. Ids print as `i64`, and an entity
+    /// id above `i64::MAX` inside a delta is a panic — dump form only.
     pub fn to_json(&self) -> String {
         let mut obj = std::collections::BTreeMap::new();
         obj.insert("lsn".to_string(), Json::Int(self.lsn.0 as i64));
@@ -131,7 +136,7 @@ impl IngestOp {
         Json::Object(obj).to_string_compact()
     }
 
-    /// Parse the format produced by [`to_json`](Self::to_json).
+    /// Parse the dump form produced by [`to_json`](Self::to_json).
     pub fn from_json(line: &str) -> Result<IngestOp> {
         let bad = |m: &str| SagaError::Storage(format!("bad op entry: {m}"));
         let v = saga_core::json::parse(line).map_err(|e| bad(&e.to_string()))?;
@@ -186,8 +191,8 @@ impl IngestOp {
 /// How hard an append lands in the durable sink before returning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
-    /// Flush the line to the OS on every append: survives a process crash.
-    /// The default.
+    /// Hand the frame to the OS on every append: survives a process
+    /// crash. The default.
     #[default]
     Flush,
     /// Flush **and** `fsync` on every append: survives power loss, at a
@@ -205,16 +210,21 @@ struct LogInner {
     /// retained LSN is `base + 1`. Every op `<= base` is covered by a
     /// durable checkpoint (see [`OperationLog::compact_to`]).
     base: u64,
-    sink: Option<BufWriter<fs::File>>,
+    /// Opened in append mode and written one whole frame per `write_all`,
+    /// so there is nothing buffered in the process to flush.
+    sink: Option<fs::File>,
 }
 
 /// The append-only, optionally durable operation log.
 pub struct OperationLog {
     inner: Mutex<LogInner>,
+    /// The last append's frame buffer, taken by the next appender before
+    /// it encodes (outside `inner`) and put back after its write.
+    spare_frame: Mutex<Vec<u8>>,
     path: Option<PathBuf>,
     policy: FlushPolicy,
     /// Bytes discarded from the tail of the durable file at open because
-    /// the final line was torn (half-written by a crashed producer).
+    /// the final frame was torn (half-written by a crashed producer).
     truncated_tail_bytes: u64,
 }
 
@@ -237,6 +247,7 @@ impl OperationLog {
                 base: 0,
                 sink: None,
             }),
+            spare_frame: Mutex::new(Vec::new()),
             path: None,
             policy: FlushPolicy::Flush,
             truncated_tail_bytes: 0,
@@ -251,85 +262,35 @@ impl OperationLog {
 
     /// A file-backed log at `path` with an explicit flush policy.
     ///
-    /// Replay tolerates a torn final line: the tail is truncated away (and
-    /// counted in [`truncated_tail_bytes`](Self::truncated_tail_bytes))
-    /// instead of failing the restart. Corruption before the final line,
-    /// and any LSN gap or reordering, is a hard error.
+    /// Replay tolerates a torn final frame: the tail is truncated away
+    /// (and counted in [`truncated_tail_bytes`](Self::truncated_tail_bytes))
+    /// instead of failing the restart. Corruption before the final frame,
+    /// any LSN gap or reordering, and a file that is not a log at all are
+    /// hard errors.
     pub fn durable_with(path: &Path, policy: FlushPolicy) -> Result<Self> {
-        let mut entries: Vec<Arc<IngestOp>> = Vec::new();
-        let mut base = 0u64;
-        let mut truncated_tail_bytes = 0u64;
-        if path.exists() {
-            let text = fs::read_to_string(path)?;
-            let mut offset = 0usize; // byte offset of the current line
-            let mut line_no = 0usize;
-            let mut saw_op = false;
-            for line in text.split_inclusive('\n') {
-                line_no += 1;
-                let start = offset;
-                offset += line.len();
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                // A compacted log opens with a marker recording how many
-                // operations the dropped prefix held. Only valid before
-                // any op (compaction rewrites the whole file atomically).
-                if let Some(compacted) = parse_compaction_marker(trimmed) {
-                    if saw_op || base != 0 {
-                        return Err(SagaError::Storage(format!(
-                            "compaction marker at line {line_no} is not the log head"
-                        )));
-                    }
-                    base = compacted;
-                    continue;
-                }
-                let op = match IngestOp::from_json(trimmed) {
-                    Ok(op) => op,
-                    Err(e) => {
-                        // Only a torn *tail* is recoverable: everything
-                        // after this line must be whitespace.
-                        if text[offset..].trim().is_empty() {
-                            truncated_tail_bytes = (text.len() - start) as u64;
-                            eprintln!(
-                                "oplog: truncating torn final line {line_no} of {} \
-                                 ({truncated_tail_bytes} bytes): {e}",
-                                path.display()
-                            );
-                            let file = fs::OpenOptions::new().write(true).open(path)?;
-                            file.set_len(start as u64)?;
-                            file.sync_data()?;
-                            break;
-                        }
-                        return Err(SagaError::Storage(format!(
-                            "corrupt log line {line_no}: {e}"
-                        )));
-                    }
-                };
-                saw_op = true;
-                let expected = Lsn(base + entries.len() as u64 + 1);
-                if op.lsn != expected {
-                    return Err(SagaError::Storage(format!(
-                        "LSN discontinuity at line {line_no}: expected {expected:?}, found {:?} \
-                         (log entries must be dense and ordered)",
-                        op.lsn
-                    )));
-                }
-                entries.push(Arc::new(op));
-            }
+        let loaded = read_log(path)?;
+        let truncated_tail_bytes = loaded.file_len - loaded.good_len;
+        if truncated_tail_bytes > 0 {
+            eprintln!(
+                "oplog: truncating the torn tail of {} after frame {} ({truncated_tail_bytes} bytes)",
+                path.display(),
+                loaded.entries.len(),
+            );
+            let file = fs::OpenOptions::new().write(true).open(path)?;
+            file.set_len(loaded.good_len)?;
+            file.sync_data()?;
         }
-        let sink = BufWriter::new(
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?,
-        );
+        let mut sink = open_for_append(path)?;
+        if loaded.good_len == 0 {
+            sink.write_all(&file_header(0))?;
+        }
         Ok(OperationLog {
             inner: Mutex::new(LogInner {
-                entries,
-                base,
+                entries: loaded.entries,
+                base: loaded.base,
                 sink: Some(sink),
             }),
+            spare_frame: Mutex::new(Vec::new()),
             path: Some(path.to_path_buf()),
             policy,
             truncated_tail_bytes,
@@ -346,10 +307,7 @@ impl OperationLog {
     /// Append an operation carrying its full delta payload; the id-level
     /// `changed` summary is derived from the deltas.
     pub fn append_op(&self, kind: OpKind, deltas: Vec<Delta>) -> Result<Lsn> {
-        let mut changed: Vec<EntityId> = deltas.iter().map(|d| d.entity).collect();
-        changed.sort_unstable();
-        changed.dedup();
-        self.append_with(kind, changed, deltas)
+        self.append_with(kind, derived_changed(&deltas), deltas)
     }
 
     /// Append with explicit `changed` summary and delta payload.
@@ -359,39 +317,48 @@ impl OperationLog {
         changed: Vec<EntityId>,
         deltas: Vec<Delta>,
     ) -> Result<Lsn> {
+        // Everything but the LSN is encoded and checksummed before the
+        // log lock is taken (the caller may hold the KG write lock too).
+        let mut frame = Vec::new();
+        if self.path.is_some() {
+            frame = std::mem::take(&mut *self.spare_frame.lock());
+            encode_frame(&mut frame, &kind, &changed, &deltas)?;
+        }
         let mut inner = self.inner.lock();
         // Fires before any byte lands: an injected failure here is the
         // clean "append never happened" fault.
         saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_WRITE);
         let lsn = Lsn(inner.base + inner.entries.len() as u64 + 1);
-        let op = IngestOp {
+        if let Some(sink) = inner.sink.as_mut() {
+            seal_frame(&mut frame, lsn);
+            sink.write_all(&frame)?;
+            if self.policy == FlushPolicy::Fsync {
+                // Fires after the frame is written but before it is made
+                // durable — the power-loss-window fault.
+                saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
+                sink.sync_data()?;
+            }
+        }
+        inner.entries.push(Arc::new(IngestOp {
             lsn,
             kind,
             changed,
             deltas,
-        };
-        if let Some(sink) = inner.sink.as_mut() {
-            writeln!(sink, "{}", op.to_json())?;
-            sink.flush()?;
-            if self.policy == FlushPolicy::Fsync {
-                // Fires after the line is written but before it is made
-                // durable — the power-loss-window fault.
-                saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
-                sink.get_ref().sync_data()?;
-            }
+        }));
+        drop(inner);
+        if self.path.is_some() {
+            *self.spare_frame.lock() = frame;
         }
-        inner.entries.push(Arc::new(op));
         Ok(lsn)
     }
 
-    /// Force buffered bytes to stable storage (a batch-boundary `fsync`
+    /// Force written frames to stable storage (a batch-boundary `fsync`
     /// for producers running [`FlushPolicy::Flush`]).
     pub fn sync(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
-        if let Some(sink) = inner.sink.as_mut() {
-            sink.flush()?;
-            sink.get_ref().sync_data()?;
+        if let Some(sink) = &inner.sink {
+            sink.sync_data()?;
         }
         Ok(())
     }
@@ -463,9 +430,9 @@ impl OperationLog {
     /// producers are writing: an appender either lands before the rewrite
     /// (and is retained — its LSN is above `upto`) or after it. For
     /// durable logs the file is rewritten atomically (temp + rename) with
-    /// a leading marker line recording the dropped prefix, mirroring the
-    /// checkpoint artifact discipline; a crash mid-compaction leaves the
-    /// old file intact.
+    /// the dropped prefix recorded in its header, mirroring the checkpoint
+    /// artifact discipline; a crash mid-compaction leaves the old file
+    /// intact.
     pub fn compact_to(&self, upto: Lsn) -> Result<u64> {
         let mut inner = self.inner.lock();
         if upto.0 <= inner.base {
@@ -484,31 +451,25 @@ impl OperationLog {
         let drop_count = upto.0 - inner.base;
         let new_base = upto.0;
         if let Some(path) = &self.path {
-            // Settle buffered appends, then rewrite marker + tail beside
-            // the live file and swap it in.
-            if let Some(sink) = inner.sink.as_mut() {
-                sink.flush()?;
-            }
+            // Write header + retained frames beside the live file, open
+            // the sink that will replace the old one, then swap: the
+            // rename is the only step that changes what a reopen sees,
+            // and a failure before it leaves file and sink as they were.
             let tmp = path.with_extension("compact.tmp");
             {
                 let mut out = BufWriter::new(fs::File::create(&tmp)?);
-                writeln!(out, "{}", compaction_marker(new_base))?;
+                out.write_all(&file_header(new_base))?;
+                let mut frame = Vec::new();
                 for op in &inner.entries[drop_count as usize..] {
-                    writeln!(out, "{}", op.to_json())?;
+                    write_frame(&mut frame, op)?;
+                    out.write_all(&frame)?;
                 }
                 out.flush()?;
                 out.get_ref().sync_data()?;
             }
-            // Swap under the lock: drop the old sink first so no buffered
-            // bytes land on the unlinked file, then reopen on the new one.
-            inner.sink = None;
+            let sink = open_for_append(&tmp)?;
             fs::rename(&tmp, path)?;
-            inner.sink = Some(BufWriter::new(
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            ));
+            inner.sink = Some(sink);
         }
         inner.entries.drain(..drop_count as usize);
         inner.base = new_base;
@@ -520,32 +481,338 @@ impl OperationLog {
         self.path.as_deref()
     }
 
-    /// Bytes discarded from a torn final line at open (0 for clean logs).
+    /// Bytes discarded from a torn final frame at open (0 for clean logs).
     pub fn truncated_tail_bytes(&self) -> u64 {
         self.truncated_tail_bytes
     }
 }
 
-/// Render the first-line marker of a compacted log file.
-fn compaction_marker(compacted_through: u64) -> String {
-    let mut obj = std::collections::BTreeMap::new();
-    obj.insert(
-        "compacted_through".to_string(),
-        Json::Int(compacted_through as i64),
-    );
-    Json::Object(obj).to_string_compact()
+/// The `changed` summary [`OperationLog::append_op`] derives: the delta
+/// entities, sorted and deduplicated. A frame stores `changed` only when
+/// it differs from this.
+fn derived_changed(deltas: &[Delta]) -> Vec<EntityId> {
+    let mut ids: Vec<EntityId> = deltas.iter().map(|d| d.entity).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
-/// Parse a compaction marker line; `None` for anything else (including
-/// regular op entries, which always carry an `lsn` key).
-fn parse_compaction_marker(line: &str) -> Option<u64> {
-    let v = saga_core::json::parse(line).ok()?;
-    let obj = v.as_object()?;
-    if obj.len() != 1 {
-        return None;
+// ---------------------------------------------------------------------
+// File format (`docs/oplog.md` has the tables)
+// ---------------------------------------------------------------------
+
+/// First bytes of every log file.
+const MAGIC: [u8; 8] = *b"SAGAOPLG";
+/// File format version this module writes and understands.
+const VERSION: u32 = 1;
+/// File header: magic, version (u32), `compacted_through` base (u64),
+/// FNV-1a of those 20 bytes (u64); integers little-endian.
+pub(crate) const FILE_HEADER: usize = 28;
+/// Frame header: body length (u32), LSN (u64), FNV-1a of the body (u64),
+/// folded FNV-1a of those 20 bytes (u32); integers little-endian. The
+/// last field is what makes a corrupted length an error rather than a
+/// frame that "runs past the end of the file" and reads as a torn tail.
+pub(crate) const FRAME_HEADER: usize = 24;
+/// Set on a frame's kind byte when an explicit `changed` list follows it.
+const CHANGED_EXPLICIT: u8 = 0x80;
+
+pub(crate) fn file_header(base: u64) -> [u8; FILE_HEADER] {
+    let mut h = [0u8; FILE_HEADER];
+    h[..8].copy_from_slice(&MAGIC);
+    h[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    h[12..20].copy_from_slice(&base.to_le_bytes());
+    let sum = fnv1a(&h[..20]);
+    h[20..].copy_from_slice(&sum.to_le_bytes());
+    h
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
+}
+
+/// The compaction base a verified file header records.
+fn parse_file_header(h: &[u8; FILE_HEADER], path: &Path) -> Result<u64> {
+    if h[..8] != MAGIC {
+        return Err(not_a_log(path));
     }
-    let compacted = obj.get("compacted_through")?.as_i64()?;
-    u64::try_from(compacted).ok()
+    let version = u32_at(h, 8);
+    if version != VERSION {
+        return Err(SagaError::Storage(format!(
+            "{} is an operation log of format version {version}; this build reads version {VERSION}",
+            path.display()
+        )));
+    }
+    if fnv1a(&h[..20]) != u64_at(h, 20) {
+        return Err(SagaError::Storage(format!(
+            "corrupt log header in {}: checksum mismatch",
+            path.display()
+        )));
+    }
+    Ok(u64_at(h, 12))
+}
+
+fn not_a_log(path: &Path) -> SagaError {
+    SagaError::Storage(format!(
+        "{} is not a saga operation log: it does not start with the frame-format magic \
+         (JSON-lines logs from before the binary record are not read)",
+        path.display()
+    ))
+}
+
+fn head_sum(header: &[u8]) -> u32 {
+    let h = fnv1a(&header[..20]);
+    (h >> 32) as u32 ^ h as u32
+}
+
+/// Encode everything of a frame that does not depend on its LSN into
+/// `frame` (cleared first): the body, its length and its checksum. The
+/// appender does this before it takes the log lock; [`seal_frame`]
+/// finishes the header under it.
+///
+/// Predicates index a name table local to the record, so a frame decodes
+/// from its own bytes alone.
+fn encode_frame(
+    frame: &mut Vec<u8>,
+    kind: &OpKind,
+    changed: &[EntityId],
+    deltas: &[Delta],
+) -> Result<()> {
+    frame.clear();
+    frame.resize(FRAME_HEADER, 0);
+    let explicit_changed = changed != derived_changed(deltas);
+    let (tag, source) = match kind {
+        OpKind::Upsert => (0, None),
+        OpKind::Delete => (1, None),
+        OpKind::RetractSource(src) => (2, Some(src)),
+        OpKind::VolatileOverwrite(src) => (3, Some(src)),
+    };
+    frame.push(if explicit_changed {
+        tag | CHANGED_EXPLICIT
+    } else {
+        tag
+    });
+    if let Some(src) = source {
+        push_varint(frame, u64::from(src.0));
+    }
+    if explicit_changed {
+        push_varint(frame, changed.len() as u64);
+        for id in changed {
+            push_varint(frame, id.0);
+        }
+    }
+    // A record touches a handful of predicates: a scan of this table
+    // beats hashing, and its order (first use) is the index on disk.
+    let mut names: Vec<Symbol> = Vec::new();
+    for fact in deltas.iter().flat_map(|d| d.added.iter().chain(&d.removed)) {
+        if !names.contains(&fact.predicate) {
+            names.push(fact.predicate);
+        }
+    }
+    push_varint(frame, names.len() as u64);
+    for name in &names {
+        push_str(frame, &name.text());
+    }
+    let push_facts = |frame: &mut Vec<u8>, facts: &[DeltaFact]| {
+        push_varint(frame, facts.len() as u64);
+        for fact in facts {
+            let index = names
+                .iter()
+                .position(|name| *name == fact.predicate)
+                .expect("every predicate was tabled above");
+            push_varint(frame, index as u64);
+            push_value(frame, &fact.object);
+        }
+    };
+    push_varint(frame, deltas.len() as u64);
+    for delta in deltas {
+        push_varint(frame, delta.entity.0);
+        push_facts(frame, &delta.added);
+        push_facts(frame, &delta.removed);
+    }
+    let len = u32::try_from(frame.len() - FRAME_HEADER).map_err(|_| {
+        SagaError::Storage("operation exceeds the 4 GiB log frame limit".to_string())
+    })?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    let body_sum = fnv1a(&frame[FRAME_HEADER..]);
+    frame[12..20].copy_from_slice(&body_sum.to_le_bytes());
+    Ok(())
+}
+
+/// Fill in the LSN and the header's self-check of an
+/// [`encode_frame`]d frame.
+fn seal_frame(frame: &mut [u8], lsn: Lsn) {
+    frame[4..12].copy_from_slice(&lsn.0.to_le_bytes());
+    let sum = head_sum(frame);
+    frame[20..FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// One complete frame for `op`, as compaction re-emits it.
+pub(crate) fn write_frame(frame: &mut Vec<u8>, op: &IngestOp) -> Result<()> {
+    encode_frame(frame, &op.kind, &op.changed, &op.deltas)?;
+    seal_frame(frame, op.lsn);
+    Ok(())
+}
+
+/// Decode a frame body whose checksum has been verified. Every count is
+/// bounded by the bytes that remain before anything is reserved for it.
+pub(crate) fn decode_body(lsn: Lsn, body: &[u8]) -> Result<IngestOp> {
+    let bad = |m: &str| SagaError::Storage(format!("bad log record: {m}"));
+    let at = &mut 0usize;
+    let tag = take_u8(body, at)?;
+    let kind = match tag & !CHANGED_EXPLICIT {
+        0 => OpKind::Upsert,
+        1 => OpKind::Delete,
+        2 => OpKind::RetractSource(SourceId(take_u32(body, at)?)),
+        3 => OpKind::VolatileOverwrite(SourceId(take_u32(body, at)?)),
+        other => return Err(bad(&format!("unknown kind tag {other}"))),
+    };
+    let explicit_changed = if tag & CHANGED_EXPLICIT != 0 {
+        let n = take_count(body, at, 1)?;
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            ids.push(EntityId(take_varint(body, at)?));
+        }
+        Some(ids)
+    } else {
+        None
+    };
+    let n = take_count(body, at, 1)?;
+    let mut names: Vec<Symbol> = Vec::with_capacity(n);
+    for _ in 0..n {
+        names.push(intern(take_str(body, at)?));
+    }
+    let take_facts = |at: &mut usize| -> Result<Vec<DeltaFact>> {
+        let n = take_count(body, at, 2)?;
+        let mut facts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let index = take_varint(body, at)?;
+            let predicate = *usize::try_from(index)
+                .ok()
+                .and_then(|i| names.get(i))
+                .ok_or_else(|| bad("predicate index outside the record's name table"))?;
+            facts.push(DeltaFact {
+                predicate,
+                object: take_value(body, at)?,
+            });
+        }
+        Ok(facts)
+    };
+    let n = take_count(body, at, 3)?;
+    let mut deltas = Vec::with_capacity(n);
+    for _ in 0..n {
+        deltas.push(Delta {
+            entity: EntityId(take_varint(body, at)?),
+            added: take_facts(at)?,
+            removed: take_facts(at)?,
+        });
+    }
+    if *at != body.len() {
+        return Err(bad("bytes left over after the last delta"));
+    }
+    Ok(IngestOp {
+        lsn,
+        kind,
+        changed: explicit_changed.unwrap_or_else(|| derived_changed(&deltas)),
+        deltas,
+    })
+}
+
+/// What [`read_log`] found in a file.
+#[derive(Default)]
+struct Loaded {
+    entries: Vec<Arc<IngestOp>>,
+    base: u64,
+    /// Bytes of the file that hold the header and whole, verified frames;
+    /// anything past them is a torn tail.
+    good_len: u64,
+    file_len: u64,
+}
+
+/// Stream the frames of the log at `path` (a missing file is an empty
+/// log). Only a *final* frame may be damaged — short, or whole with a
+/// failing body checksum; everything else that does not verify is an
+/// error, because a log that silently lost an operation would
+/// desynchronize every replica built from it.
+fn read_log(path: &Path) -> Result<Loaded> {
+    let file = match fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Loaded::default()),
+        Err(e) => return Err(e.into()),
+    };
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut loaded = Loaded {
+        file_len,
+        ..Loaded::default()
+    };
+    let mut header = [0u8; FILE_HEADER];
+    if file_len < FILE_HEADER as u64 {
+        // A crash while the log was being created: no append was ever
+        // acknowledged, so a prefix of a fresh header is an empty log.
+        let short = &mut header[..file_len as usize];
+        reader.read_exact(short)?;
+        if file_header(0).starts_with(&*short) {
+            return Ok(loaded);
+        }
+        return Err(not_a_log(path));
+    }
+    reader.read_exact(&mut header)?;
+    loaded.base = parse_file_header(&header, path)?;
+    loaded.good_len = FILE_HEADER as u64;
+
+    let mut head = [0u8; FRAME_HEADER];
+    let mut body = Vec::new();
+    while loaded.good_len < file_len {
+        let start = loaded.good_len;
+        let frame_no = loaded.entries.len() + 1;
+        let corrupt = |what: &str| {
+            SagaError::Storage(format!(
+                "corrupt log frame {frame_no} at byte {start} of {}: {what}",
+                path.display()
+            ))
+        };
+        if file_len - start < FRAME_HEADER as u64 {
+            break;
+        }
+        reader.read_exact(&mut head)?;
+        if head_sum(&head) != u32_at(&head, 20) {
+            return Err(corrupt("the frame header fails its self-check"));
+        }
+        let len = u32_at(&head, 0);
+        let end = start + FRAME_HEADER as u64 + u64::from(len);
+        if end > file_len {
+            break;
+        }
+        body.resize(len as usize, 0);
+        reader.read_exact(&mut body)?;
+        if fnv1a(&body) != u64_at(&head, 12) {
+            if end == file_len {
+                break;
+            }
+            return Err(corrupt("body checksum mismatch"));
+        }
+        let lsn = Lsn(u64_at(&head, 4));
+        // `checked`: the base is input, and a header may claim `u64::MAX`.
+        let expected = loaded.base.checked_add(frame_no as u64).map(Lsn);
+        if Some(lsn) != expected {
+            return Err(SagaError::Storage(format!(
+                "LSN discontinuity at frame {frame_no}: expected {expected:?}, found {lsn:?} \
+                 (log entries must be dense and ordered)"
+            )));
+        }
+        let op = decode_body(lsn, &body).map_err(|e| corrupt(&e.to_string()))?;
+        loaded.entries.push(Arc::new(op));
+        loaded.good_len = end;
+    }
+    Ok(loaded)
+}
+
+fn open_for_append(path: &Path) -> std::io::Result<fs::File> {
+    fs::OpenOptions::new().create(true).append(true).open(path)
 }
 
 /// A lock-free, cheaply cloneable view of one follower's replay progress.
@@ -712,6 +979,20 @@ impl LogFollower {
     }
 }
 
+/// Unique temp-file path per call: the process id alone is not enough
+/// because the test harness runs tests of one binary in parallel threads
+/// of a single process, which used to clobber the shared file.
+#[cfg(test)]
+pub(crate) fn unique_log_path() -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "saga_oplog_{}_{}.oplog",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,19 +1051,6 @@ mod tests {
         assert_eq!(op.changed_entities(), vec![EntityId(2), EntityId(4)]);
     }
 
-    /// Unique temp-file path per call: the process id alone is not enough
-    /// because the test harness runs tests of one binary in parallel
-    /// threads of a single process, which used to clobber the shared file.
-    fn unique_log_path() -> PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "saga_oplog_{}_{}.jsonl",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
     #[test]
     fn durable_log_survives_reopen_with_deltas() {
         let path = unique_log_path();
@@ -831,68 +1099,84 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// A crash can cut the file anywhere inside the frame being written,
+    /// the middle of a multi-byte character and the last byte included.
     #[test]
-    fn torn_final_line_is_truncated_and_counted() {
+    fn torn_tail_at_every_byte_offset() {
         let path = unique_log_path();
         let _ = fs::remove_file(&path);
-        {
+        let (intact, whole) = {
             let log = OperationLog::durable(&path).unwrap();
             log.append_op(OpKind::Upsert, vec![delta(1, "x", 1)])
                 .unwrap();
             log.append_op(OpKind::Upsert, vec![delta(2, "x", 2)])
                 .unwrap();
+            let intact = fs::metadata(&path).unwrap().len() as usize;
+            let mut last = delta(3, "name", 3);
+            last.added[0].object = Value::str("Beyoncé 日本 🎵");
+            log.append_op(OpKind::Upsert, vec![last]).unwrap();
+            (intact, fs::read(&path).unwrap())
+        };
+        for cut in intact..whole.len() {
+            fs::write(&path, &whole[..cut]).unwrap();
+            let reopened = OperationLog::durable(&path).unwrap();
+            assert_eq!(reopened.head(), Lsn(2), "cut at {cut}: intact prefix kept");
+            assert_eq!(reopened.truncated_tail_bytes(), (cut - intact) as u64);
+            // The torn bytes are gone from disk: the next append starts a
+            // frame of its own and a third open sees a clean log.
+            reopened
+                .append_op(OpKind::Upsert, vec![delta(3, "x", 3)])
+                .unwrap();
+            drop(reopened);
+            let third = OperationLog::durable(&path).unwrap();
+            assert_eq!(third.head(), Lsn(3), "cut at {cut}");
+            assert_eq!(third.truncated_tail_bytes(), 0);
         }
-        // Simulate a crash mid-append: half a JSON line at the tail.
-        let torn = r#"{"changed":[3],"deltas":[{"add":[["x","#;
-        {
-            use std::io::Write as _;
-            let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{torn}").unwrap();
-        }
-        let reopened = OperationLog::durable(&path).unwrap();
-        assert_eq!(reopened.head(), Lsn(2), "intact prefix kept");
-        assert_eq!(reopened.truncated_tail_bytes(), torn.len() as u64);
-        // The torn bytes are gone from disk: appends restart cleanly and a
-        // third open sees a clean log.
-        reopened
-            .append_op(OpKind::Upsert, vec![delta(3, "x", 3)])
-            .unwrap();
-        drop(reopened);
-        let third = OperationLog::durable(&path).unwrap();
-        assert_eq!(third.head(), Lsn(3));
-        assert_eq!(third.truncated_tail_bytes(), 0);
         let _ = fs::remove_file(&path);
+    }
+
+    fn id_only(lsn: u64) -> IngestOp {
+        IngestOp {
+            lsn: Lsn(lsn),
+            kind: OpKind::Upsert,
+            changed: Vec::new(),
+            deltas: Vec::new(),
+        }
+    }
+
+    /// A log file assembled by hand: header, then one frame per op.
+    fn file_of(base: u64, ops: &[IngestOp]) -> Vec<u8> {
+        let mut bytes = file_header(base).to_vec();
+        let mut frame = Vec::new();
+        for op in ops {
+            write_frame(&mut frame, op).unwrap();
+            bytes.extend_from_slice(&frame);
+        }
+        bytes
     }
 
     #[test]
     fn mid_log_corruption_is_a_hard_error() {
         let path = unique_log_path();
-        let _ = fs::remove_file(&path);
-        fs::write(
-            &path,
-            "not json at all\n{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":1}\n",
-        )
-        .unwrap();
+        let mut bytes = file_of(0, &[id_only(1), id_only(2)]);
+        bytes[FILE_HEADER + FRAME_HEADER] ^= 0x40; // first body byte of frame 1
+        fs::write(&path, &bytes).unwrap();
         let err = OperationLog::durable(&path).unwrap_err();
-        assert!(err.to_string().contains("corrupt log line 1"), "{err}");
+        assert!(err.to_string().contains("corrupt log frame 1"), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "nothing was truncated");
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn lsn_gaps_and_reordering_are_rejected() {
-        for (name, lines) in [
-            (
-                "gap",
-                "{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":1}\n{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":3}\n",
-            ),
-            (
-                "reorder",
-                "{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":2}\n{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":1}\n",
-            ),
-            ("wrong start", "{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":5}\n"),
+        for (name, lsns) in [
+            ("gap", &[1u64, 3][..]),
+            ("reorder", &[2, 1]),
+            ("wrong start", &[5]),
         ] {
+            let ops: Vec<IngestOp> = lsns.iter().map(|&lsn| id_only(lsn)).collect();
             let path = unique_log_path();
-            fs::write(&path, lines).unwrap();
+            fs::write(&path, file_of(0, &ops)).unwrap();
             let err = OperationLog::durable(&path).unwrap_err();
             assert!(
                 err.to_string().contains("LSN discontinuity"),
@@ -903,12 +1187,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_id_only_lines_still_parse() {
-        let op =
-            IngestOp::from_json(r#"{"changed":[1,2],"kind":{"RetractSource":3},"lsn":7}"#).unwrap();
-        assert_eq!(op.kind, OpKind::RetractSource(SourceId(3)));
-        assert!(op.deltas.is_empty());
-        assert_eq!(op.changed_entities(), vec![EntityId(1), EntityId(2)]);
+    fn json_lines_file_is_refused_with_a_typed_error() {
+        for text in [
+            "{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":1}\n{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":2}\n",
+            "{\"lsn\":1}\n", // shorter than a header
+        ] {
+            let path = unique_log_path();
+            fs::write(&path, text).unwrap();
+            match OperationLog::durable(&path).unwrap_err() {
+                SagaError::Storage(msg) => {
+                    assert!(msg.contains("not a saga operation log"), "{msg}")
+                }
+                other => panic!("expected a Storage error, got {other}"),
+            }
+            assert_eq!(fs::read_to_string(&path).unwrap(), text, "left untouched");
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn json_dump_form_round_trips() {
+        let mut with_deltas = id_only(7);
+        with_deltas.deltas = vec![delta(1, "name", 7)];
+        with_deltas.changed = vec![EntityId(1)];
+        let mut retract = id_only(8);
+        retract.kind = OpKind::RetractSource(SourceId(3));
+        retract.changed = vec![EntityId(1), EntityId(2)];
+        for op in [with_deltas, retract] {
+            assert_eq!(IngestOp::from_json(&op.to_json()).unwrap(), op);
+        }
     }
 
     #[test]
@@ -1050,15 +1357,15 @@ mod tests {
     }
 
     #[test]
-    fn marker_anywhere_but_the_head_is_rejected() {
+    fn header_anywhere_but_the_head_is_rejected() {
+        // The compaction point lives in the file header and nowhere else:
+        // a second header after an op is not a frame.
         let path = unique_log_path();
-        fs::write(
-            &path,
-            "{\"changed\":[],\"kind\":\"Upsert\",\"lsn\":1}\n{\"compacted_through\":5}\n",
-        )
-        .unwrap();
+        let mut bytes = file_of(0, &[id_only(1)]);
+        bytes.extend_from_slice(&file_of(5, &[id_only(6)]));
+        fs::write(&path, bytes).unwrap();
         let err = OperationLog::durable(&path).unwrap_err();
-        assert!(err.to_string().contains("not the log head"), "{err}");
+        assert!(err.to_string().contains("corrupt log frame 2"), "{err}");
         let _ = fs::remove_file(&path);
     }
 
