@@ -19,7 +19,7 @@ fn main() {
     let live = LiveKg::new(64);
     live.load_stable(&kg);
     let engine = Arc::new(QueryEngine::new(live));
-    eprintln!("live KG: {} entities", engine.live().len());
+    eprintln!("live KG: {} entities", engine.graph().len());
 
     // A mixed workload, mirroring QA traffic: entity cards (GET), relation
     // hops, and filtered search.

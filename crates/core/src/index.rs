@@ -335,7 +335,15 @@ impl TripleIndex {
         self.stamp += 1;
         let stamp = self.stamp;
         let entity = delta.entity;
-        let tokens_before = self.token_set(entity);
+        // Token postings derive from name and alias facts alone, so only a
+        // delta that touches one re-tokenizes the subject's names.
+        let names = [intern(well_known::NAME), intern(well_known::ALIAS)];
+        let tokens_before = delta
+            .added
+            .iter()
+            .chain(&delta.removed)
+            .any(|fact| names.contains(&fact.predicate))
+            .then(|| self.token_set(entity, names));
 
         let subject_facts = self.spo.entry(entity).or_default();
         // Multiset row maintenance first…
@@ -432,21 +440,23 @@ impl TripleIndex {
             }
         }
         // Token postings re-derive from the subject's current name facts.
-        let tokens_after = self.token_set(entity);
-        for gone in tokens_before.iter().filter(|t| !tokens_after.contains(*t)) {
-            if let Some(list) = self.tokens.get_mut(gone) {
-                if list.remove(entity) {
-                    list.set_stamp(stamp);
-                }
-                if list.is_empty() {
-                    self.tokens.remove(gone);
+        if let Some(tokens_before) = tokens_before {
+            let tokens_after = self.token_set(entity, names);
+            for gone in tokens_before.iter().filter(|t| !tokens_after.contains(*t)) {
+                if let Some(list) = self.tokens.get_mut(gone) {
+                    if list.remove(entity) {
+                        list.set_stamp(stamp);
+                    }
+                    if list.is_empty() {
+                        self.tokens.remove(gone);
+                    }
                 }
             }
-        }
-        for fresh in tokens_after.iter().filter(|t| !tokens_before.contains(*t)) {
-            let list = self.tokens.entry(Arc::clone(fresh)).or_default();
-            if list.insert(entity) {
-                list.set_stamp(stamp);
+            for fresh in tokens_after.iter().filter(|t| !tokens_before.contains(*t)) {
+                let list = self.tokens.entry(Arc::clone(fresh)).or_default();
+                if list.insert(entity) {
+                    list.set_stamp(stamp);
+                }
             }
         }
         // Recycle dictionary slots whose last reference was retracted (and
@@ -461,13 +471,13 @@ impl TripleIndex {
         }
     }
 
-    fn token_set(&self, entity: EntityId) -> Vec<Arc<str>> {
-        let name_sym = intern(well_known::NAME);
-        let alias_sym = intern(well_known::ALIAS);
+    /// The subject's name tokens, drawn from its `names` (name and alias)
+    /// facts.
+    fn token_set(&self, entity: EntityId, names: [Symbol; 2]) -> Vec<Arc<str>> {
         let mut out: Vec<Arc<str>> = Vec::new();
         if let Some(facts) = self.spo.get(&entity) {
             for &(pred, obj) in facts {
-                if pred != name_sym && pred != alias_sym {
+                if !names.contains(&pred) {
                     continue;
                 }
                 if let Value::Str(s) = &self.obj_values[obj.0 as usize] {

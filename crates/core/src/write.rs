@@ -384,20 +384,9 @@ fn record_facts(record: &EntityRecord) -> Vec<DeltaFact> {
         .collect()
 }
 
-/// The exact index [`Delta`] between two states of one entity's record
+/// The exact index [`Delta`] between two fact multisets of one entity
 /// (multiset semantics, matching [`TripleIndex`](crate::TripleIndex) row
-/// maintenance). Shared by the stable staging path and the live store's
-/// record-level commits.
-pub fn record_delta(
-    entity: EntityId,
-    old: Option<&EntityRecord>,
-    new: Option<&EntityRecord>,
-) -> Delta {
-    let old_facts = old.map(record_facts).unwrap_or_default();
-    let new_facts = new.map(record_facts).unwrap_or_default();
-    multiset_delta(entity, old_facts, &new_facts)
-}
-
+/// maintenance).
 fn multiset_delta(entity: EntityId, old: Vec<DeltaFact>, new: &[DeltaFact]) -> Delta {
     let mut removed = old;
     let mut added = Vec::new();

@@ -46,7 +46,7 @@ pub use router::{FleetRouter, RoutedRead, SessionWaitConfig};
 pub struct FleetConfig {
     /// Number of serving replicas (slots). Clamped to at least 1.
     pub replicas: usize,
-    /// Lock stripes per replica store (see [`saga_live::LiveKg`]).
+    /// Lock stripes per replica store (see [`saga_live::ReplicaKg`]).
     pub shards: usize,
     /// Max operations one replay poll applies before re-checking health
     /// and shutdown flags and publishing its watermark. The log lock is

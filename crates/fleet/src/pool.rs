@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use saga_core::{GraphRead, Lsn, Result, SagaError};
 use saga_graph::OperationLog;
-use saga_live::{LiveKg, LiveReplica, QueryEngine};
+use saga_live::{LiveReplica, QueryEngine, ReplicaKg};
 
 use crate::FleetConfig;
 
@@ -68,7 +68,7 @@ pub(crate) struct Slot {
     /// The serving engine. Swapped only on respawn, and only while no
     /// read pins it (see the module docs); readers clone the `Arc` out
     /// under a brief read lock.
-    engine: RwLock<Arc<QueryEngine<LiveKg>>>,
+    engine: RwLock<Arc<QueryEngine<ReplicaKg>>>,
     /// Mirror of the replica's applied watermark, stored `Release` by the
     /// worker after each applied batch — routing reads this, never the
     /// replica.
@@ -95,7 +95,7 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    fn new(id: usize, engine: QueryEngine<LiveKg>, watermark: Lsn) -> Arc<Self> {
+    fn new(id: usize, engine: QueryEngine<ReplicaKg>, watermark: Lsn) -> Arc<Self> {
         Arc::new(Slot {
             id,
             engine: RwLock::new(Arc::new(engine)),
@@ -126,7 +126,7 @@ impl Slot {
 
     /// Clone the serving engine out (brief read lock, no contention with
     /// the worker, which never touches the engine lock).
-    pub(crate) fn engine(&self) -> Arc<QueryEngine<LiveKg>> {
+    pub(crate) fn engine(&self) -> Arc<QueryEngine<ReplicaKg>> {
         Arc::clone(&self.engine.read())
     }
 

@@ -31,7 +31,7 @@ use saga_core::{
     EntityId, EntityRecord, GraphRead, Lsn, PostingsCursor, ProbeKey, Result, SagaError,
     SessionToken,
 };
-use saga_live::{LiveKg, QueryEngine, QueryResult};
+use saga_live::{QueryEngine, QueryResult, ReplicaKg};
 
 use crate::pool::{ReplicaPool, Slot};
 
@@ -252,7 +252,7 @@ impl FleetRouter {
     /// fallback to the freshest slot regardless of state — `GraphRead`
     /// has no error channel, and a raw read against a draining store is
     /// merely conservative, never wrong.
-    fn route_engine(&self) -> Arc<QueryEngine<LiveKg>> {
+    fn route_engine(&self) -> Arc<QueryEngine<ReplicaKg>> {
         if let Some(read) = self.pick_pinned(None) {
             return Arc::clone(&read.engine);
         }
@@ -320,7 +320,7 @@ impl GraphRead for FleetRouter {
 /// wait for it). Drop to release.
 pub struct RoutedRead {
     slot: Arc<Slot>,
-    engine: Arc<QueryEngine<LiveKg>>,
+    engine: Arc<QueryEngine<ReplicaKg>>,
 }
 
 impl RoutedRead {
@@ -335,12 +335,12 @@ impl RoutedRead {
     }
 
     /// The pinned engine (plan cache included).
-    pub fn engine(&self) -> &QueryEngine<LiveKg> {
+    pub fn engine(&self) -> &QueryEngine<ReplicaKg> {
         &self.engine
     }
 
     /// The pinned serving store.
-    pub fn graph(&self) -> &LiveKg {
+    pub fn graph(&self) -> &ReplicaKg {
         self.engine.graph()
     }
 

@@ -4,7 +4,8 @@
 //! `probe_all_limit(p, k) == probe_all(p)[..min(k, len)]` on the backends
 //! it can see; this suite runs the **same** seeded check (the shared
 //! `crates/core/src/prefix_law.rs`, included by path) on the rest —
-//! [`LiveKg`] at 1 / 2 / 8 shards, [`LiveReplica`], [`StableRead`] and
+//! [`LiveKg`] at 1 / 2 / 8 shards, [`ReplicaKg`] at 1 / 2 / 8 shards
+//! (replayed and bootstrapped), [`LiveReplica`], [`StableRead`] and
 //! [`FleetRouter`] — and checks that `FIND … LIMIT k` through a
 //! [`QueryEngine`] is the first `k` answers of `LIMIT 1000`. All of them
 //! are built from one write-ahead producer, so they hold the same corpus.
@@ -20,8 +21,8 @@ use saga_core::{
     Value, WriteBatch,
 };
 use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
-use saga_graph::{LoggedWriter, OpKind, OperationLog, StableRead};
-use saga_live::{LiveKg, LiveReplica, QueryEngine};
+use saga_graph::{CheckpointWriter, LoggedWriter, OpKind, OperationLog, StableRead};
+use saga_live::{LiveKg, LiveReplica, QueryEngine, ReplicaKg};
 
 #[path = "../../core/src/prefix_law.rs"]
 mod law;
@@ -86,6 +87,29 @@ fn prefix_law_holds_on_every_live_and_fleet_backend() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+
+        // The store fleet engines serve, built both ways a replica starts.
+        let ckpt_dir = dir.join("replica-ckpt");
+        CheckpointWriter::new(&writer, &ckpt_dir)
+            .checkpoint()
+            .unwrap();
+        for shards in [1, 2, 8] {
+            let mut replayed = LiveReplica::new(shards, Arc::clone(writer.log()));
+            replayed.catch_up().unwrap();
+            let booted =
+                LiveReplica::bootstrap(shards, &ckpt_dir, Arc::clone(writer.log())).unwrap();
+            for (replica, built) in [(&replayed, "replay"), (&booted, "bootstrap")] {
+                let store: &ReplicaKg = replica.live();
+                let backend = format!("ReplicaKg/{shards}/{built}");
+                check_prefix_law(store, seed, &backend);
+                let engine = QueryEngine::new(store.clone());
+                check_kgq_limits(
+                    |text| engine.query(text).unwrap().entities().to_vec(),
+                    &format!("QueryEngine<{backend}>"),
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
         let config = FleetConfig {
             replicas: 2,
             shards: 2,

@@ -101,12 +101,6 @@ impl<G: GraphRead> QueryEngine<G> {
         &self.graph
     }
 
-    /// The backend being served (historical alias of [`graph`](Self::graph)
-    /// from when the engine was hardwired to the live store).
-    pub fn live(&self) -> &G {
-        &self.graph
-    }
-
     /// Register a virtual operator under `name`.
     pub fn register_virtual_op(
         &self,

@@ -5,7 +5,8 @@
 //! flight data), served through a low-latency query engine.
 //!
 //! * [`store`] — the serving substrate: a sharded graph KV store plus an
-//!   inverted graph index, both optimized for concurrent point reads.
+//!   inverted graph index, both optimized for concurrent point reads, and
+//!   the index-only store log replicas serve.
 //! * [`construction`] — Live Graph Construction: streaming events are
 //!   uniquely identifiable (no linking/fusion needed) but their text
 //!   references to stable entities are resolved through the Entity
@@ -26,10 +27,11 @@
 //!   ("How about Tom Hanks?", "Where is she from?").
 //! * [`curation`] — human-in-the-loop curation as a streaming hot-fix
 //!   source (§4.3), forwarded to stable construction.
-//! * [`replica`] — the log-shipped serving replica: a [`LiveKg`] built
-//!   purely by replaying the durable oplog's delta payloads, with no code
-//!   path into the construction-side `KnowledgeGraph` (§3.1 log shipping,
-//!   §4.1 replication).
+//! * [`replica`] — the log-shipped serving replica: a [`ReplicaKg`] (a
+//!   sharded index and nothing else) built purely by replaying the durable
+//!   oplog's delta payloads, with no code path into the
+//!   construction-side `KnowledgeGraph` (§3.1 log shipping, §4.1
+//!   replication).
 
 pub mod construction;
 pub mod context;
@@ -48,4 +50,4 @@ pub use kgq::{
     QueryResult,
 };
 pub use replica::LiveReplica;
-pub use store::{LiveKg, ShardedTripleIndex};
+pub use store::{LiveKg, ReplicaKg, ShardedTripleIndex};

@@ -2,9 +2,9 @@
 //!
 //! §3.1: "all stores eventually index the same KG updates in the same
 //! order" — the shared log is the only coordination channel. This module
-//! closes that loop for serving: [`LiveReplica`] is a [`LiveKg`] built
-//! **purely** by replaying the delta payloads the durable
-//! [`OperationLog`] carries. There is no code
+//! closes that loop for serving: [`LiveReplica`] is a [`ReplicaKg`] — a
+//! sharded index and nothing else — built **purely** by replaying the
+//! delta payloads the durable [`OperationLog`] carries. There is no code
 //! path from the replica into the construction-side `KnowledgeGraph`; a
 //! replica can run in another process or on another machine with nothing
 //! but the log stream, which is the prerequisite for replicated and
@@ -14,9 +14,11 @@
 //! # What a replica holds
 //!
 //! Deltas ship the *index vocabulary*: flattened `(predicate, value)`
-//! facts per entity (names + typed objects — see
-//! [`saga_core::wire`]). The replica therefore reconstructs each entity as
-//! a record of simple triples with replica-local metadata. Postings,
+//! facts per entity (names + typed objects). Each one lands on the index
+//! as it arrived ([`TripleIndex::apply`](saga_core::TripleIndex::apply),
+//! O(delta)), and the index is the whole store: a point read materialises
+//! the entity's record from its SPO row, as simple triples ordered by
+//! predicate name, then value, with default metadata. Postings,
 //! conjunctions, name resolution and KGQ answers are identical to the
 //! source graph's; per-fact provenance and composite-relationship node
 //! structure are construction-side concerns that deliberately do not ride
@@ -28,8 +30,9 @@
 //! Replaying all history makes startup `O(everything that ever happened)`.
 //! [`LiveReplica::bootstrap`] instead loads the newest usable
 //! [`saga_core::checkpoint`] artifact — skipping torn or corrupt ones —
-//! restores its index shard-partitioned via [`LiveKg::restore`], and
-//! resumes the follower at the checkpoint watermark so only the log *tail*
+//! partitions its index across the replica's lock stripes
+//! ([`ReplicaKg::from_index`]; nothing is rebuilt beside it), and resumes
+//! the follower at the checkpoint watermark so only the log *tail*
 //! replays: startup proportional to live data. This is also what makes
 //! [`OperationLog::compact_to`] safe to run on the producer side — a
 //! compacted log plus a retained checkpoint reconstructs the same store.
@@ -37,21 +40,18 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use saga_core::{
-    checkpoint, Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, Lsn, ProbeKey,
-    Result, SagaError,
-};
+use saga_core::{checkpoint, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError};
 use saga_graph::{IngestOp, LogFollower, OperationLog, WatermarkHandle};
 
-use crate::store::LiveKg;
+use crate::store::ReplicaKg;
 
 /// How many operations one [`LiveReplica::catch_up`] poll pulls at a time;
 /// bounds peak memory while replaying a long backlog.
 pub const REPLAY_BATCH: usize = 1024;
 
-/// A [`LiveKg`] maintained solely from oplog replay. See the module docs.
+/// A [`ReplicaKg`] maintained solely from oplog replay. See the module docs.
 pub struct LiveReplica {
-    live: LiveKg,
+    live: ReplicaKg,
     follower: LogFollower,
 }
 
@@ -60,7 +60,7 @@ impl LiveReplica {
     /// the beginning.
     pub fn new(shards: usize, log: Arc<OperationLog>) -> Self {
         LiveReplica {
-            live: LiveKg::new(shards),
+            live: ReplicaKg::new(shards),
             follower: LogFollower::new(log),
         }
     }
@@ -91,7 +91,7 @@ impl LiveReplica {
         }
         let mut replica = match restored {
             Some(ckpt) => LiveReplica {
-                live: LiveKg::restore(shards, ckpt.index),
+                live: ReplicaKg::from_index(shards, ckpt.index),
                 follower: LogFollower::resume_at(log, ckpt.watermark),
             },
             None if compacted == Lsn::ZERO => LiveReplica::new(shards, log),
@@ -164,7 +164,7 @@ impl LiveReplica {
     }
 
     /// The serving store (cheaply cloneable; shares the replica's shards).
-    pub fn live(&self) -> &LiveKg {
+    pub fn live(&self) -> &ReplicaKg {
         &self.live
     }
 }
@@ -173,77 +173,32 @@ impl LiveReplica {
 /// nothing replayable and are skipped — a replica of a log containing
 /// them is incomplete, which [`LiveReplica::lag`] cannot detect; produce
 /// with [`OperationLog::append_op`] to guarantee full shipping.
-fn apply_op(live: &LiveKg, op: &IngestOp) {
+fn apply_op(live: &ReplicaKg, op: &IngestOp) {
     for delta in &op.deltas {
-        apply_delta(live, delta);
+        live.apply(delta);
     }
 }
 
-fn apply_delta(live: &LiveKg, delta: &Delta) {
-    let mut record = live
-        .get(delta.entity)
-        .unwrap_or_else(|| EntityRecord::new(delta.entity));
-    for fact in &delta.removed {
-        if let Some(at) = record
-            .triples
-            .iter()
-            .position(|t| t.predicate == fact.predicate && t.object == fact.object)
-        {
-            record.triples.remove(at);
-        }
-    }
-    for fact in &delta.added {
-        record.triples.push(ExtendedTriple::simple(
-            delta.entity,
-            fact.predicate,
-            fact.object.clone(),
-            FactMeta::default(),
-        ));
-    }
-    if record.triples.is_empty() {
-        live.remove(delta.entity);
-    } else {
-        live.upsert(record);
-    }
-}
-
-/// A replica serves through the same backend-agnostic API as every other
-/// store — point a `QueryEngine` at it directly.
+/// A replica reads through the same backend-agnostic API as every other
+/// store. Serving engines hold the [`ReplicaKg`] itself
+/// ([`live`](LiveReplica::live)); this impl forwards what the trait
+/// requires plus the per-probe fingerprint, and the provided methods
+/// derive the rest from the same cursor.
 impl GraphRead for LiveReplica {
     fn postings_cursor(&self, probe: &ProbeKey) -> saga_core::PostingsCursor {
         self.live.postings_cursor(probe)
-    }
-
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        self.live.postings(probe)
-    }
-
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.live.selectivity(probe)
     }
 
     fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
         self.live.probe_fingerprint(probe)
     }
 
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        self.live.probe_fingerprints(probes)
-    }
-
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.live.probe_contains(probe, id)
-    }
-
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        self.live.get(id)
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        self.live.contains(id)
+        self.live.record(id)
     }
 
     fn generation(&self) -> u64 {
-        GraphRead::generation(&self.live)
+        self.live.generation()
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
@@ -255,7 +210,10 @@ impl GraphRead for LiveReplica {
 mod tests {
     use super::*;
     use parking_lot::RwLock;
-    use saga_core::{intern, FxHashSet, KnowledgeGraph, SourceId, Value, WriteBatch};
+    use saga_core::{
+        intern, Delta, DeltaFact, ExtendedTriple, FactMeta, FxHashSet, KnowledgeGraph, SourceId,
+        Value, WriteBatch,
+    };
     use saga_graph::{LoggedWriter, OpKind};
 
     fn meta() -> FactMeta {
@@ -369,6 +327,59 @@ mod tests {
             replica.postings(&ProbeKey::Literal(pop, Value::Int(104))),
             vec![EntityId(1)]
         );
+    }
+
+    #[test]
+    fn retracting_an_absent_fact_changes_nothing() {
+        let w = producer();
+        let mut replica = LiveReplica::new(2, Arc::clone(w.log()));
+        let genre = intern("genre");
+        w.commit(
+            OpKind::Upsert,
+            WriteBatch::new()
+                .named_entity(EntityId(1), "Song", "song", SourceId(1), 0.9)
+                .upsert(ExtendedTriple::simple(
+                    EntityId(1),
+                    genre,
+                    Value::str("jazz"),
+                    meta(),
+                )),
+        )
+        .unwrap();
+        replica.catch_up().unwrap();
+        let probes = [
+            ProbeKey::Literal(genre, Value::str("jazz")),
+            ProbeKey::Literal(genre, Value::str("rock")),
+            ProbeKey::Type(intern("song")),
+            ProbeKey::Name("song".into()),
+        ];
+        let postings = |r: &LiveReplica| -> Vec<Vec<EntityId>> {
+            probes.iter().map(|p| r.postings(p)).collect()
+        };
+        let before = postings(&replica);
+        let record = GraphRead::record(&replica, EntityId(1));
+
+        // Retract facts the replica does not hold: a value it has never
+        // seen on a present entity, a value it holds on an absent one.
+        let absent = |entity: u64, value: &str| Delta {
+            entity: EntityId(entity),
+            added: Vec::new(),
+            removed: vec![DeltaFact {
+                predicate: genre,
+                object: Value::str(value),
+            }],
+        };
+        w.log()
+            .append_op(OpKind::Delete, vec![absent(1, "rock"), absent(2, "jazz")])
+            .unwrap();
+        assert_eq!(replica.catch_up().unwrap(), 1);
+
+        assert_eq!(postings(&replica), before);
+        assert_eq!(GraphRead::record(&replica, EntityId(1)), record);
+        assert!(GraphRead::contains(&replica, EntityId(1)));
+        assert!(!GraphRead::contains(&replica, EntityId(2)));
+        assert_eq!(GraphRead::record(&replica, EntityId(2)), None);
+        assert_eq!(replica.live().len(), 1);
     }
 
     #[test]

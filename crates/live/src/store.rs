@@ -3,13 +3,21 @@
 //! for low latency retrieval under high degrees of concurrent requests.
 //! The indexes are sharded and can be replicated to support scale-out."
 //!
-//! [`LiveKg`] shards entity records across lock-striped maps (point reads
-//! take one shard read-lock); [`ShardedTripleIndex`] stripes the *same*
-//! [`TripleIndex`] the stable KG maintains, so
-//! stable and live serving share one probe path ([`ProbeKey`]) and one
-//! posting representation. Shards partition the entity-id space, so a
-//! conjunctive probe decomposes: each shard intersects its own postings
-//! and the disjoint, sorted results merge in id order.
+//! [`ShardedTripleIndex`] stripes the *same* [`TripleIndex`] the stable
+//! KG maintains, so stable and live serving share one probe path
+//! ([`ProbeKey`]) and one posting representation. Shards partition the
+//! entity-id space, so a conjunctive probe decomposes: each shard
+//! intersects its own postings and the disjoint, sorted results merge in
+//! id order.
+//!
+//! Two stores serve over it. [`ReplicaKg`] is what a log replica serves:
+//! the index and its generation, nothing else — every fact a replica
+//! learns arrives as a [`Delta`] in the index
+//! vocabulary, so a record is materialised from the index's SPO row on
+//! read rather than kept twice. [`LiveKg`] is what live construction and
+//! curation write: a `ReplicaKg` plus entity records with real
+//! provenance, sharded across lock-striped maps beside the index (point
+//! reads take one stripe read-lock).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -19,11 +27,13 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use saga_core::postings::{union_views, PostingsCursor, PostingsView};
-use saga_core::write::record_delta;
 use saga_core::{
-    CommitReceipt, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, GraphRead,
-    GraphWrite, OpOutcome, ProbeKey, Symbol, TripleIndex, Value, WriteBatch, WriteOp,
+    Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, GraphRead, ProbeKey,
+    Symbol, TripleIndex, Value,
 };
+
+/// Upper bound on lock stripes; shard counts are clamped to `1..=MAX_SHARDS`.
+const MAX_SHARDS: usize = 1024;
 
 /// The unified triple index under lock striping: shard `i` indexes the
 /// entities with `id % shards == i`. Replaces the legacy single-lock
@@ -35,7 +45,7 @@ pub struct ShardedTripleIndex {
 impl ShardedTripleIndex {
     /// An empty index striped over `shards` locks.
     pub fn new(shards: usize) -> Self {
-        let n = shards.clamp(1, 1024);
+        let n = shards.clamp(1, MAX_SHARDS);
         ShardedTripleIndex {
             shards: (0..n).map(|_| RwLock::new(TripleIndex::new())).collect(),
         }
@@ -52,20 +62,19 @@ impl ShardedTripleIndex {
         }
     }
 
-    fn shard_of(&self, id: EntityId) -> usize {
-        (id.0 as usize) % self.shards.len()
+    /// The stripe holding `id`.
+    fn shard(&self, id: EntityId) -> &RwLock<TripleIndex> {
+        &self.shards[(id.0 as usize) % self.shards.len()]
     }
 
     /// (Re-)index an entity record (diff-based; only its own shard locks).
     pub fn index(&self, record: &EntityRecord) {
-        self.shards[self.shard_of(record.id)]
-            .write()
-            .update_entity(record);
+        self.shard(record.id).write().update_entity(record);
     }
 
     /// Drop an entity's postings.
     pub fn unindex(&self, id: EntityId) {
-        self.shards[self.shard_of(id)].write().remove_entity(id);
+        self.shard(id).write().remove_entity(id);
     }
 
     /// Snapshot one probe's postings across shards as a single compressed
@@ -131,10 +140,7 @@ impl ShardedTripleIndex {
     /// True if `id` is in the probe's posting list — a single-shard block
     /// probe, no cross-shard merge.
     pub fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.shards[self.shard_of(id)]
-            .read()
-            .postings(probe)
-            .contains(id)
+        self.shard(id).read().postings(probe).contains(id)
     }
 
     /// Total posting length of a probe (selectivity estimation).
@@ -254,61 +260,34 @@ fn merge_sorted_limit(mut lists: Vec<Vec<EntityId>>, limit: usize) -> Vec<Entity
     out
 }
 
-/// The sharded live KG: KV store + striped triple index, cheaply shareable.
+/// A log replica's serving store: the striped index and its generation,
+/// nothing else — cheaply shareable. Deltas land on the index as deltas
+/// ([`apply`](Self::apply)); records are materialised from the index on
+/// read.
 #[derive(Clone)]
-pub struct LiveKg {
-    shards: Arc<Vec<RwLock<FxHashMap<EntityId, EntityRecord>>>>,
+pub struct ReplicaKg {
     index: Arc<ShardedTripleIndex>,
-    shard_count: usize,
-    /// Bumped on every write — the [`GraphRead`] plan-cache signal.
+    /// Bumped on every write that lands — the [`GraphRead`] plan-cache
+    /// signal.
     generation: Arc<AtomicU64>,
 }
 
-impl LiveKg {
-    /// A live KG with `shards` lock stripes.
+impl ReplicaKg {
+    /// An empty store with `shards` lock stripes.
     pub fn new(shards: usize) -> Self {
-        let n = shards.clamp(1, 1024);
-        LiveKg {
-            shards: Arc::new((0..n).map(|_| RwLock::new(FxHashMap::default())).collect()),
-            index: Arc::new(ShardedTripleIndex::new(n)),
-            shard_count: n,
+        ReplicaKg {
+            index: Arc::new(ShardedTripleIndex::new(shards)),
             generation: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Rebuild a live KG from a checkpoint-restored [`TripleIndex`]: the
-    /// index is partitioned across `shards` stripes as-is (postings keep
-    /// their compressed containers) and entity records are synthesized
-    /// from the indexed facts — the same simple-triple records log replay
-    /// builds ([`crate::replica::LiveReplica`]), so a restored replica
-    /// serves identically to one that replayed the full history.
-    pub fn restore(shards: usize, index: TripleIndex) -> Self {
-        let n = shards.clamp(1, 1024);
-        let parts = index.partition(n);
-        let maps: Vec<RwLock<FxHashMap<EntityId, EntityRecord>>> = parts
-            .iter()
-            .map(|part| {
-                let mut map =
-                    FxHashMap::with_capacity_and_hasher(part.entity_count(), Default::default());
-                for id in part.subjects() {
-                    let mut record = EntityRecord::new(id);
-                    for (pred, value) in part.facts_of(id) {
-                        record.triples.push(ExtendedTriple::simple(
-                            id,
-                            pred,
-                            value.clone(),
-                            FactMeta::default(),
-                        ));
-                    }
-                    map.insert(id, record);
-                }
-                RwLock::new(map)
-            })
-            .collect();
-        LiveKg {
-            shards: Arc::new(maps),
+    /// A store over a checkpoint-restored index, split by
+    /// `subject % shards` as-is ([`TripleIndex::partition`]): postings
+    /// keep their compressed containers and nothing is re-indexed.
+    pub fn from_index(shards: usize, index: TripleIndex) -> Self {
+        let parts = index.partition(shards.clamp(1, MAX_SHARDS));
+        ReplicaKg {
             index: Arc::new(ShardedTripleIndex::from_partitions(parts)),
-            shard_count: n,
             // Start past the empty-store generation so plan caches built
             // against a fresh `new()` store never validate against a
             // restored one.
@@ -316,47 +295,28 @@ impl LiveKg {
         }
     }
 
-    fn shard_of(&self, id: EntityId) -> usize {
-        (id.0 as usize) % self.shard_count
-    }
-
-    /// Insert or replace an entity record (index maintained atomically with
-    /// respect to this entity).
-    pub fn upsert(&self, record: EntityRecord) {
-        let shard = self.shard_of(record.id);
-        let mut map = self.shards[shard].write();
-        self.index.index(&record);
-        map.insert(record.id, record);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Remove an entity.
-    pub fn remove(&self, id: EntityId) -> bool {
-        let shard = self.shard_of(id);
-        let mut map = self.shards[shard].write();
-        match map.remove(&id) {
-            Some(_) => {
-                self.index.unindex(id);
-                self.generation.fetch_add(1, Ordering::Release);
-                true
-            }
-            None => false,
+    /// Land one delta on its entity's shard under one write lock: the
+    /// index's own O(delta) replay path, no record edit and no re-diff.
+    pub fn apply(&self, delta: &Delta) {
+        if delta.is_empty() {
+            return;
         }
+        let mut shard = self.index.shard(delta.entity).write();
+        shard.apply(delta);
+        self.bump();
     }
 
-    /// Point lookup (clones the record; serving reads are snapshot-style).
-    pub fn get(&self, id: EntityId) -> Option<EntityRecord> {
-        self.shards[self.shard_of(id)].read().get(&id).cloned()
-    }
-
-    /// True if the entity exists.
-    pub fn contains(&self, id: EntityId) -> bool {
-        self.shards[self.shard_of(id)].read().contains_key(&id)
+    fn bump(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Number of entities.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.index
+            .shards
+            .iter()
+            .map(|s| s.read().entity_count())
+            .sum()
     }
 
     /// True if empty.
@@ -368,222 +328,14 @@ impl LiveKg {
     pub fn index(&self) -> &ShardedTripleIndex {
         &self.index
     }
-
-    /// Load a stable-KG view: bulk-upsert every entity of the snapshot
-    /// ("the live KG is the union of a view of the stable graph with
-    /// real-time live sources").
-    pub fn load_stable(&self, kg: &saga_core::KnowledgeGraph) {
-        for record in kg.entities() {
-            self.upsert(record.clone());
-        }
-    }
-
-    /// Every entity id currently stored, sorted (retraction scans in the
-    /// [`GraphWrite`] path iterate this for deterministic delta order).
-    pub fn entity_ids(&self) -> Vec<EntityId> {
-        let mut ids: Vec<EntityId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().keys().copied().collect::<Vec<_>>())
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
 }
 
-/// The live store commits the same staged-op vocabulary as the stable KG,
-/// at entity-record granularity: each op rewrites whole records (get →
-/// edit → upsert), emitting the exact per-entity [`Delta`](saga_core::Delta)s
-/// in its receipt.
-///
-/// Two deliberate divergences from the stable backend, both rooted in
-/// §4.1's "live sources are uniquely identifiable … no linking/fusion":
-/// the live store keeps no `same_as` table, so [`WriteOp::Link`] is
-/// accepted as a no-op and [`WriteOp::RetractSourceEntity`] resolves
-/// nothing (its outcome reports zero facts). Address live entities by
-/// [`EntityId`] instead.
-impl GraphWrite for LiveKg {
-    fn commit(&mut self, batch: WriteBatch) -> CommitReceipt {
-        let mut receipt = CommitReceipt::default();
-        for op in batch.into_ops() {
-            self.apply_live_op(op, &mut receipt);
-        }
-        for delta in &receipt.deltas {
-            receipt.facts_added += delta.added.len();
-            receipt.facts_removed += delta.removed.len();
-            receipt.entities_changed.push(delta.entity);
-        }
-        receipt.entities_changed.sort_unstable();
-        receipt.entities_changed.dedup();
-        // `entities_removed` is a *final-state* signal (the stable backend
-        // derives it the same way): an entity dropped by one op but
-        // re-created by a later op in the same batch was not removed.
-        receipt.entities_removed.retain(|id| !self.contains(*id));
-        receipt.entities_removed.sort_unstable();
-        receipt.entities_removed.dedup();
-        receipt.generation = GraphRead::generation(self);
-        receipt
-    }
-}
-
-impl LiveKg {
-    /// Read-only probe of one record under its shard lock — no clone.
-    fn probe_record<R>(&self, id: EntityId, f: impl FnOnce(&EntityRecord) -> R) -> Option<R> {
-        self.shards[self.shard_of(id)].read().get(&id).map(f)
-    }
-
-    /// Rewrite one record through an edit closure, recording the delta.
-    /// Returns whether the entity existed beforehand. `keep_empty`
-    /// preserves a record emptied by the edit (the volatile-overwrite
-    /// retraction phase keeps entities visible for the fresh facts that
-    /// follow, mirroring the stable backend); otherwise an emptied record
-    /// drops the entity.
-    fn rewrite_record(
-        &self,
-        id: EntityId,
-        create_missing: bool,
-        keep_empty: bool,
-        receipt: &mut CommitReceipt,
-        edit: impl FnOnce(&mut EntityRecord),
-    ) -> bool {
-        let old = self.get(id);
-        let found = old.is_some();
-        if !found && !create_missing {
-            return false;
-        }
-        let mut record = old.clone().unwrap_or_else(|| EntityRecord::new(id));
-        edit(&mut record);
-        let drop_entity = record.triples.is_empty() && !keep_empty;
-        let delta = record_delta(
-            id,
-            old.as_ref(),
-            if drop_entity { None } else { Some(&record) },
-        );
-        if drop_entity {
-            if self.remove(id) {
-                receipt.entities_removed.push(id);
-            }
-        } else {
-            self.upsert(record);
-        }
-        if !delta.is_empty() {
-            receipt.deltas.push(delta);
-        }
-        found
-    }
-
-    fn apply_live_op(&self, op: WriteOp, receipt: &mut CommitReceipt) {
-        match op {
-            WriteOp::Upsert(t) => {
-                let id = t
-                    .subject
-                    .as_kg()
-                    .expect("only KG-subject facts can be committed to the live store");
-                let mut fresh = false;
-                self.rewrite_record(id, true, false, receipt, |rec| fresh = rec.upsert(t));
-                receipt.outcomes.push(OpOutcome::Upserted { fresh });
-            }
-            WriteOp::Link { .. } => {
-                // No same_as table on the live path (§4.1) — accepted so
-                // mixed batches stay portable across backends.
-                receipt.outcomes.push(OpOutcome::Linked);
-            }
-            WriteOp::RetractSource(source) => {
-                let mut facts = 0;
-                let mut entities = 0;
-                for id in self.entity_ids() {
-                    // Clone-free probe first: only records citing the
-                    // source (or empty ones, which this op collects like
-                    // the stable backend) are rewritten.
-                    let touched = self
-                        .probe_record(id, |r| {
-                            r.triples.is_empty()
-                                || r.triples.iter().any(|t| t.meta.has_source(source))
-                        })
-                        .unwrap_or(false);
-                    if !touched {
-                        continue;
-                    }
-                    let mut dropped = 0;
-                    self.rewrite_record(id, false, false, receipt, |rec| {
-                        dropped = rec.retract_source_facts(source, None).len();
-                    });
-                    facts += dropped;
-                    if !self.contains(id) {
-                        entities += 1;
-                    }
-                }
-                receipt
-                    .outcomes
-                    .push(OpOutcome::RetractedSource { facts, entities });
-            }
-            WriteOp::RetractSourceEntity { .. } => {
-                receipt
-                    .outcomes
-                    .push(OpOutcome::RetractedEntity { facts: 0 });
-            }
-            WriteOp::OverwriteVolatile {
-                source,
-                volatile,
-                fresh,
-            } => {
-                let mut dropped = 0;
-                for id in self.entity_ids() {
-                    let touched = self
-                        .probe_record(id, |r| {
-                            r.triples.iter().any(|t| {
-                                volatile.contains(&t.predicate) && t.meta.has_source(source)
-                            })
-                        })
-                        .unwrap_or(false);
-                    if !touched {
-                        continue;
-                    }
-                    let mut gone = 0;
-                    self.rewrite_record(id, false, true, receipt, |rec| {
-                        gone = rec.retract_source_facts(source, Some(&volatile)).len();
-                    });
-                    dropped += gone;
-                }
-                for t in fresh {
-                    if let Some(id) = t.subject.as_kg() {
-                        if self.contains(id) {
-                            self.rewrite_record(id, false, false, receipt, |rec| {
-                                rec.upsert(t);
-                            });
-                        }
-                    }
-                }
-                receipt
-                    .outcomes
-                    .push(OpOutcome::VolatileOverwritten { dropped });
-            }
-            WriteOp::Mutate { entity, edit } => {
-                let before = receipt.deltas.len();
-                let found = self.rewrite_record(entity, false, false, receipt, edit);
-                let (added, removed) = receipt.deltas[before..]
-                    .iter()
-                    .fold((0, 0), |(a, r), d| (a + d.added.len(), r + d.removed.len()));
-                receipt.outcomes.push(OpOutcome::Mutated {
-                    found,
-                    added,
-                    removed,
-                });
-            }
-        }
-    }
-}
-
-/// The live store serves through the same probe vocabulary as the stable
-/// KG; conjunctions evaluate shard by shard (see
-/// [`ShardedTripleIndex::probe_all_limit`]).
-impl GraphRead for LiveKg {
+/// The store-over-index layer: postings, conjunctions and fingerprints
+/// come from the striped index, conjunctions evaluated shard by shard
+/// (see [`ShardedTripleIndex::probe_all_limit`]).
+impl GraphRead for ReplicaKg {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
         self.index.postings_cursor(probe)
-    }
-
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        self.index.postings(probe)
     }
 
     fn selectivity(&self, probe: &ProbeKey) -> usize {
@@ -602,6 +354,145 @@ impl GraphRead for LiveKg {
         self.index.probe_contains(probe, id)
     }
 
+    /// The entity's indexed facts as simple triples, read under one shard
+    /// lock and ordered by predicate name, then value — an order that
+    /// depends on the log alone, so every replica of one log answers
+    /// alike, in any process, however it was built. Provenance does not
+    /// ride the log: each fact carries `FactMeta::default()`.
+    fn record(&self, id: EntityId) -> Option<EntityRecord> {
+        let mut facts: Vec<(Arc<str>, Symbol, Value)> = {
+            let shard = self.index.shard(id).read();
+            if !shard.contains(id) {
+                return None;
+            }
+            shard
+                .facts_of(id)
+                .map(|(p, v)| (p.text(), p, v.clone()))
+                .collect()
+        };
+        facts.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
+        let triples = facts
+            .into_iter()
+            .map(|(_, p, v)| ExtendedTriple::simple(id, p, v, FactMeta::default()))
+            .collect();
+        Some(EntityRecord { id, triples })
+    }
+
+    fn contains(&self, id: EntityId) -> bool {
+        self.index.shard(id).read().contains(id)
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        self.index.probe_all_limit(probes, limit)
+    }
+}
+
+/// The sharded live KG: a [`ReplicaKg`] plus the entity records it
+/// indexes, kept in lock-striped maps (one stripe per index shard).
+#[derive(Clone)]
+pub struct LiveKg {
+    records: Arc<Vec<RwLock<FxHashMap<EntityId, EntityRecord>>>>,
+    base: ReplicaKg,
+}
+
+impl LiveKg {
+    /// A live KG with `shards` lock stripes.
+    pub fn new(shards: usize) -> Self {
+        let n = shards.clamp(1, MAX_SHARDS);
+        LiveKg {
+            records: Arc::new((0..n).map(|_| RwLock::new(FxHashMap::default())).collect()),
+            base: ReplicaKg::new(n),
+        }
+    }
+
+    fn stripe(&self, id: EntityId) -> &RwLock<FxHashMap<EntityId, EntityRecord>> {
+        &self.records[(id.0 as usize) % self.records.len()]
+    }
+
+    /// Insert or replace an entity record (index maintained atomically with
+    /// respect to this entity).
+    pub fn upsert(&self, record: EntityRecord) {
+        let mut map = self.stripe(record.id).write();
+        self.base.index.index(&record);
+        map.insert(record.id, record);
+        self.base.bump();
+    }
+
+    /// Remove an entity.
+    pub fn remove(&self, id: EntityId) -> bool {
+        let mut map = self.stripe(id).write();
+        match map.remove(&id) {
+            Some(_) => {
+                self.base.index.unindex(id);
+                self.base.bump();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Point lookup (clones the record; serving reads are snapshot-style).
+    pub fn get(&self, id: EntityId) -> Option<EntityRecord> {
+        self.stripe(id).read().get(&id).cloned()
+    }
+
+    /// True if the entity exists.
+    pub fn contains(&self, id: EntityId) -> bool {
+        self.stripe(id).read().contains_key(&id)
+    }
+
+    /// Number of entities.
+    pub fn len(&self) -> usize {
+        self.records.iter().map(|s| s.read().len()).sum()
+    }
+
+    /// True if empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The striped triple index.
+    pub fn index(&self) -> &ShardedTripleIndex {
+        self.base.index()
+    }
+
+    /// Load a stable-KG view: bulk-upsert every entity of the snapshot
+    /// ("the live KG is the union of a view of the stable graph with
+    /// real-time live sources").
+    pub fn load_stable(&self, kg: &saga_core::KnowledgeGraph) {
+        for record in kg.entities() {
+            self.upsert(record.clone());
+        }
+    }
+}
+
+/// The index half is [`ReplicaKg`]'s; point reads come from the record
+/// maps, so they carry the provenance construction wrote.
+impl GraphRead for LiveKg {
+    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+        self.base.postings_cursor(probe)
+    }
+
+    fn selectivity(&self, probe: &ProbeKey) -> usize {
+        self.base.selectivity(probe)
+    }
+
+    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
+        self.base.probe_fingerprint(probe)
+    }
+
+    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
+        self.base.probe_fingerprints(probes)
+    }
+
+    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
+        self.base.probe_contains(probe, id)
+    }
+
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         self.get(id)
     }
@@ -611,11 +502,11 @@ impl GraphRead for LiveKg {
     }
 
     fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        self.base.generation()
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.index.probe_all_limit(probes, limit)
+        self.base.probe_all_limit(probes, limit)
     }
 }
 
@@ -812,98 +703,6 @@ mod tests {
                 live.probe_fingerprint(&miss)
             ]
         );
-    }
-
-    #[test]
-    fn live_commits_mirror_stable_commit_semantics() {
-        use saga_core::{FxHashSet, GraphWrite, GraphWriteExt, Value};
-        let batch = || {
-            WriteBatch::new()
-                .named_entity(EntityId(1), "Song", "song", SourceId(1), 0.9)
-                .upsert(ExtendedTriple::simple(
-                    EntityId(1),
-                    intern("popularity"),
-                    Value::Int(10),
-                    FactMeta::from_source(SourceId(2), 0.8),
-                ))
-                .upsert(ExtendedTriple::simple(
-                    EntityId(2),
-                    intern("name"),
-                    Value::str("Gone"),
-                    FactMeta::from_source(SourceId(2), 0.8),
-                ))
-        };
-        let mut live = LiveKg::new(4);
-        let mut stable = KnowledgeGraph::new();
-        let live_receipt = live.commit(batch());
-        let stable_receipt = stable.commit(batch());
-        assert_eq!(live_receipt.outcomes, stable_receipt.outcomes);
-        assert_eq!(live_receipt.facts_added, stable_receipt.facts_added);
-        assert_eq!(
-            live_receipt.entities_changed,
-            stable_receipt.entities_changed
-        );
-        assert_eq!(live.get(EntityId(1)).unwrap().fact_count(), 3);
-
-        // Volatile overwrite behaves like the stable path: the old value
-        // is dropped, the fresh one lands, unknown subjects are skipped.
-        let mut volatile = FxHashSet::default();
-        volatile.insert(intern("popularity"));
-        let overwrite = |v: FxHashSet<saga_core::Symbol>| {
-            WriteBatch::new().overwrite_volatile(
-                SourceId(2),
-                v,
-                vec![
-                    ExtendedTriple::simple(
-                        EntityId(1),
-                        intern("popularity"),
-                        Value::Int(99),
-                        FactMeta::from_source(SourceId(2), 0.8),
-                    ),
-                    ExtendedTriple::simple(
-                        EntityId(7),
-                        intern("popularity"),
-                        Value::Int(1),
-                        FactMeta::from_source(SourceId(2), 0.8),
-                    ),
-                ],
-            )
-        };
-        let a = live.commit(overwrite(volatile.clone()));
-        let b = stable.commit(overwrite(volatile));
-        assert_eq!(a.outcomes, b.outcomes);
-        assert!(!live.contains(EntityId(7)));
-        assert_eq!(
-            live.index()
-                .by_literal(intern("popularity"), &Value::Int(99)),
-            vec![EntityId(1)]
-        );
-        assert!(live
-            .index()
-            .by_literal(intern("popularity"), &Value::Int(10))
-            .is_empty());
-
-        // Whole-source retraction drops source-2 facts and entity 2.
-        let a = live.commit_retract_source(SourceId(2));
-        let b = stable.commit_retract_source(SourceId(2));
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.entities_removed, vec![EntityId(2)]);
-        assert!(!live.contains(EntityId(2)));
-        assert!(live.index().by_name("gone").is_empty(), "index cleaned");
-
-        // Record edits produce receipt deltas like any other op.
-        let receipt = live.commit_mutate(EntityId(1), |rec| {
-            rec.triples.retain(|t| t.predicate != intern("type"));
-        });
-        assert!(matches!(
-            receipt.outcomes[0],
-            saga_core::OpOutcome::Mutated {
-                found: true,
-                removed: 1,
-                ..
-            }
-        ));
-        assert!(live.index().by_type(intern("song")).is_empty());
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! The serving endpoint: a thread-pool TCP acceptor in front of the fleet.
 //!
-//! Every connection gets a cheap *reader* thread that does nothing but
-//! frame decoding and admission; decoded requests execute on a shared,
-//! bounded *worker* pool and answer out of order under each request's id
-//! (the pipelining contract). Reads route through the
+//! Every connection gets a *reader* thread that decodes frames and admits
+//! them; decoded reads execute on a shared, bounded *worker* pool and
+//! answer out of order under each request's id (the pipelining contract).
+//! Commits execute on the reader itself: they serialize on the writer's
+//! lock, so a worker would add a thread hand-off and no parallelism, and
+//! executing them in arrival order applies one connection's pipelined
+//! commits in the order they were sent. Requests pipelined behind a
+//! commit on the same connection are read once it is answered. Reads
+//! route through the
 //! [`FleetRouter`] — never a bare replica — so
 //! lag bounds and session filters hold for networked traffic exactly as
 //! they do in-process; writes commit through the write-ahead
@@ -39,7 +44,9 @@ use saga_core::{GraphRead, Result, SagaError, SessionToken};
 use saga_fleet::{FleetRouter, SessionWaitConfig};
 use saga_graph::{LoggedWriter, OpKind};
 
-use crate::protocol::{decode_request, Committed, ErrorKind, Frame, FrameError, Request, Response};
+use crate::protocol::{
+    decode_request, opcode, Committed, ErrorKind, Frame, FrameError, Request, Response,
+};
 
 /// Tuning for one [`SagaServer`].
 #[derive(Clone, Debug)]
@@ -191,6 +198,32 @@ impl Inner {
                 backoff_hint_ms: self.cfg.shed_backoff_hint_ms,
             },
         );
+    }
+
+    /// Execute one admitted request, answer it on `conn`, and give its
+    /// admission slot back.
+    fn serve(&self, conn: &ConnHandle, frame: &Frame) {
+        // The execute failpoint: an injected delay parks the executing
+        // thread with the request admitted and unanswered, an injected
+        // error answers `Internal` with it unexecuted.
+        let response = match saga_core::fail::check_scoped(
+            saga_core::fail::sites::NET_SERVER_EXECUTE,
+            &self.cfg.fail_scope,
+        ) {
+            Err(err) => error_response(err),
+            Ok(()) => match decode_request(frame) {
+                Ok(request) => self.execute(request),
+                Err(err) => Response::Error {
+                    kind: ErrorKind::BadRequest,
+                    message: err.to_string(),
+                },
+            },
+        };
+        conn.respond(frame.request_id, &response);
+        self.counters
+            .requests_served
+            .fetch_add(1, Ordering::Relaxed);
+        self.release();
     }
 
     fn execute(&self, request: Request) -> Response {
@@ -415,9 +448,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     }
 }
 
-/// Per-connection reader: frame decoding + admission only. Execution
-/// happens on the worker pool so one slow request never blocks the other
-/// requests pipelined behind it on the same connection.
+/// Per-connection reader: frame decoding + admission, and commits. Reads
+/// execute on the worker pool so one slow read never blocks the other
+/// requests pipelined behind it on the same connection. A commit runs
+/// here instead (see the module docs).
 fn connection_loop(inner: &Arc<Inner>, read_half: TcpStream, write_half: TcpStream) {
     let conn = Arc::new(ConnHandle {
         stream: Mutex::new(write_half),
@@ -446,6 +480,10 @@ fn connection_loop(inner: &Arc<Inner>, read_half: TcpStream, write_half: TcpStre
                 }
                 if !inner.admit() {
                     inner.shed(&conn, frame.request_id);
+                    continue;
+                }
+                if frame.opcode == opcode::COMMIT {
+                    inner.serve(&conn, &frame);
                     continue;
                 }
                 let job = Job {
@@ -508,30 +546,7 @@ fn worker_loop(inner: &Arc<Inner>, jobs: &Arc<Mutex<Receiver<Job>>>) {
             rx.recv_timeout(Duration::from_millis(50))
         };
         match job {
-            Ok(job) => {
-                // The execute failpoint: an injected delay parks this
-                // worker with the request admitted and unanswered, an
-                // injected error answers `Internal` with it unexecuted.
-                let response = match saga_core::fail::check_scoped(
-                    saga_core::fail::sites::NET_SERVER_EXECUTE,
-                    &inner.cfg.fail_scope,
-                ) {
-                    Err(err) => error_response(err),
-                    Ok(()) => match decode_request(&job.frame) {
-                        Ok(request) => inner.execute(request),
-                        Err(err) => Response::Error {
-                            kind: ErrorKind::BadRequest,
-                            message: err.to_string(),
-                        },
-                    },
-                };
-                job.conn.respond(job.frame.request_id, &response);
-                inner
-                    .counters
-                    .requests_served
-                    .fetch_add(1, Ordering::Relaxed);
-                inner.release();
-            }
+            Ok(job) => inner.serve(&job.conn, &job.frame),
             Err(RecvTimeoutError::Timeout) => {
                 if inner.shutdown.load(Ordering::Acquire) {
                     break;

@@ -1,9 +1,9 @@
 //! Fault injection against a live [`SagaServer`]: torn frames, oversized
 //! length prefixes, garbage magic and opcodes, pipelined interleaving,
-//! reconnect-with-session, and saturation. The invariant under test is
-//! always the same: a hostile or unlucky connection hurts only itself —
-//! the acceptor, the worker pool, and every other connection keep
-//! serving.
+//! pipelined commit order, reconnect-with-session, and saturation. The
+//! invariant under test is always the same: a hostile or unlucky
+//! connection hurts only itself — the acceptor, the worker pool, and
+//! every other connection keep serving.
 //!
 //! Slow requests and wedged replicas are injected through the
 //! `saga_core::fail` registry, armed for one drill's server or fleet
@@ -347,6 +347,41 @@ fn pipelined_responses_interleave_across_request_ids() {
     assert!(matches!(a_reply, Response::Pong));
     let b_reply = client.recv_by_id(b).expect("b parked and recovered");
     assert!(matches!(b_reply, Response::Count(_)));
+}
+
+#[test]
+fn pipelined_commits_apply_in_send_order() {
+    let h = boot("commit-order", |cfg| cfg.workers = 4);
+    let mut client = h.client();
+    // A burst of commits in flight at once on one connection: the reader
+    // executes each as it arrives, so the log takes them in send order
+    // however many workers the server runs.
+    let ids: Vec<u64> = (0..64u64)
+        .map(|k| {
+            let batch = WireBatch::new().named_entity(
+                EntityId(100 + k),
+                &format!("Order Song {k}"),
+                "song",
+                SourceId(2),
+                0.9,
+            );
+            client
+                .send_buffered(&Request::Commit(batch))
+                .expect("send commit")
+        })
+        .collect();
+    client.flush().expect("flush burst");
+    let lsns: Vec<u64> = ids
+        .into_iter()
+        .map(|id| match client.recv_by_id(id).expect("commit response") {
+            Response::Committed(committed) => committed.lsn.0,
+            other => panic!("unexpected commit response {other:?}"),
+        })
+        .collect();
+    assert!(
+        lsns.windows(2).all(|pair| pair[1] == pair[0] + 1),
+        "commits applied out of send order: {lsns:?}"
+    );
 }
 
 #[test]

@@ -173,7 +173,7 @@ fn main() {
 
     // Curation hot fix (§4.3): a vandalised score is corrected live.
     println!("\n— curation hot fix —");
-    let curation = CurationPipeline::new(engine.live().clone(), SourceId(99));
+    let curation = CurationPipeline::new(engine.graph().clone(), SourceId(99));
     let ok = curation.apply(CurationAction::EditFact {
         entity: game_id,
         predicate: "home_score".into(),
@@ -195,7 +195,7 @@ fn main() {
 
 fn name_of(engine: &QueryEngine, id: EntityId) -> String {
     engine
-        .live()
+        .graph()
         .get(id)
         .and_then(|r| r.name().map(str::to_string))
         .unwrap_or_else(|| id.to_string())
