@@ -11,8 +11,9 @@
 //! [`Delta`] payloads of the mutation in a self-contained form (predicate
 //! names + typed object values), so a follower can rebuild a derived store
 //! **from the log alone** — no consultation of the producing
-//! `KnowledgeGraph`. The id-level `changed` list is retained as a cheap
-//! summary for consumers that only need invalidation keys.
+//! `KnowledgeGraph`. The deltas are the op's only payload: consumers that
+//! need just invalidation keys derive them
+//! ([`IngestOp::changed_entities`]).
 //!
 //! # Durability
 //!
@@ -20,25 +21,25 @@
 //! frames in the [`saga_core::binary`] vocabulary (the layout is in
 //! `docs/oplog.md`): a file header carrying the compaction point, then
 //! one frame per operation, each landing with a single `write`. The
-//! [`FlushPolicy`] decides how hard an append lands before `append`
-//! returns: [`FlushPolicy::Flush`] hands the frame to the OS (survives
-//! process crash), [`FlushPolicy::Fsync`] additionally `fsync`s (survives
-//! power loss, at a per-append latency cost). A restart tolerates a torn
-//! *final* frame — the tail a crashed writer half-wrote is truncated away
-//! with a warning instead of poisoning the whole log — while corruption
-//! anywhere else, and any LSN gap or reordering, fails the restart loudly.
+//! [`FlushPolicy`] decides how hard an append lands before
+//! [`OperationLog::append_op`] returns: [`FlushPolicy::Flush`] hands the
+//! frame to the OS (survives process crash), [`FlushPolicy::Fsync`]
+//! additionally `fsync`s (survives power loss, at a per-append latency
+//! cost). A restart tolerates a torn *final* frame — the tail a crashed
+//! writer half-wrote is truncated away with a warning instead of
+//! poisoning the whole log — while corruption anywhere else, and any LSN
+//! gap or reordering, fails the restart loudly.
 //!
 //! # Following
 //!
 //! [`LogFollower`] is the cursor API derived stores replay through: it
-//! tracks a watermark LSN (everything at or below it has been consumed),
-//! polls contiguous batches, and verifies density so a replica can never
-//! silently skip an operation. Bulk replay uses
-//! [`LogFollower::poll_with`], which shares the log's entries instead of
-//! cloning every delta payload out of the log. The log's one lock covers
-//! appends, compaction and the pointer copies that hand a batch out —
-//! never a follower's apply, so producers do not wait for replicas and
-//! replicas do not wait for each other.
+//! tracks a watermark LSN (everything at or below it has been applied)
+//! and [`LogFollower::poll_with`] applies contiguous batches, verifying
+//! density so a replica can never silently skip an operation. A batch
+//! shares the log's entries instead of cloning every delta payload out of
+//! the log. The log's one lock covers appends, compaction and the pointer
+//! copies that hand a batch out — never a follower's apply, so producers
+//! do not wait for replicas and replicas do not wait for each other.
 //!
 //! # Compaction
 //!
@@ -85,26 +86,23 @@ pub struct IngestOp {
     pub lsn: Lsn,
     /// Operation kind.
     pub kind: OpKind,
-    /// The entities whose derived state must be refreshed — the id-level
-    /// summary (cheap invalidation keys).
-    pub changed: Vec<EntityId>,
     /// The full change payload: what the operation did to the index, in
     /// replayable form. Log-shipped stores apply these directly.
     pub deltas: Vec<Delta>,
 }
 
 impl IngestOp {
-    /// The ids this op touches: `changed` when populated, otherwise derived
-    /// from the delta payloads (sorted, deduplicated).
+    /// The entities whose derived state must be refreshed: the delta
+    /// entities, sorted and deduplicated.
     pub fn changed_entities(&self) -> Vec<EntityId> {
-        if !self.changed.is_empty() {
-            return self.changed.clone();
-        }
-        derived_changed(&self.deltas)
+        let mut ids: Vec<EntityId> = self.deltas.iter().map(|d| d.entity).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// Render as one JSON line — the human-readable dump form, e.g.
-    /// `{"changed":[1],"deltas":[{"add":[["name","X"]],"del":[],"entity":1}],"kind":"Upsert","lsn":7}`
+    /// `{"deltas":[{"add":[["name","X"]],"del":[],"entity":1}],"kind":"Upsert","lsn":7}`
     /// (`deltas` is omitted when empty). The durable file holds binary
     /// frames, not this: `log.read_after(Lsn::ZERO)` mapped through
     /// `to_json` is how to look at one. Ids print as `i64`, and an entity
@@ -123,10 +121,6 @@ impl IngestOp {
             }
         };
         obj.insert("kind".to_string(), kind);
-        obj.insert(
-            "changed".to_string(),
-            Json::Array(self.changed.iter().map(|e| Json::Int(e.0 as i64)).collect()),
-        );
         if !self.deltas.is_empty() {
             obj.insert(
                 "deltas".to_string(),
@@ -162,14 +156,6 @@ impl IngestOp {
             }
             _ => return Err(bad("kind shape")),
         };
-        let changed = v
-            .get("changed")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad("missing changed"))?
-            .iter()
-            .map(|item| item.as_i64().map(|i| EntityId(i as u64)))
-            .collect::<Option<Vec<EntityId>>>()
-            .ok_or_else(|| bad("changed ids"))?;
         let deltas = match v.get("deltas") {
             None => Vec::new(),
             Some(json) => json
@@ -182,7 +168,6 @@ impl IngestOp {
         Ok(IngestOp {
             lsn: Lsn(lsn as u64),
             kind,
-            changed,
             deltas,
         })
     }
@@ -297,32 +282,15 @@ impl OperationLog {
         })
     }
 
-    /// Append an id-only operation (no delta payload); returns its LSN.
-    /// Prefer [`append_op`](Self::append_op) — id-only entries cannot feed
-    /// log-shipped replicas.
-    pub fn append(&self, kind: OpKind, changed: Vec<EntityId>) -> Result<Lsn> {
-        self.append_with(kind, changed, Vec::new())
-    }
-
-    /// Append an operation carrying its full delta payload; the id-level
-    /// `changed` summary is derived from the deltas.
+    /// Append an operation carrying its full delta payload; returns its
+    /// LSN.
     pub fn append_op(&self, kind: OpKind, deltas: Vec<Delta>) -> Result<Lsn> {
-        self.append_with(kind, derived_changed(&deltas), deltas)
-    }
-
-    /// Append with explicit `changed` summary and delta payload.
-    pub fn append_with(
-        &self,
-        kind: OpKind,
-        changed: Vec<EntityId>,
-        deltas: Vec<Delta>,
-    ) -> Result<Lsn> {
         // Everything but the LSN is encoded and checksummed before the
         // log lock is taken (the caller may hold the KG write lock too).
         let mut frame = Vec::new();
         if self.path.is_some() {
             frame = std::mem::take(&mut *self.spare_frame.lock());
-            encode_frame(&mut frame, &kind, &changed, &deltas)?;
+            encode_frame(&mut frame, &kind, &deltas)?;
         }
         let mut inner = self.inner.lock();
         // Fires before any byte lands: an injected failure here is the
@@ -339,12 +307,7 @@ impl OperationLog {
                 sink.sync_data()?;
             }
         }
-        inner.entries.push(Arc::new(IngestOp {
-            lsn,
-            kind,
-            changed,
-            deltas,
-        }));
+        inner.entries.push(Arc::new(IngestOp { lsn, kind, deltas }));
         drop(inner);
         if self.path.is_some() {
             *self.spare_frame.lock() = frame;
@@ -378,36 +341,14 @@ impl OperationLog {
         Lsn(self.inner.lock().base)
     }
 
-    /// All operations with `lsn > after`, in order — what an agent replays.
+    /// All operations with `lsn > after`, in order, cloned out of the log
+    /// — what an agent replays and a dump prints. When `after` precedes
+    /// the compaction point the result starts at the first *retained* op.
+    /// Bulk replay goes through [`LogFollower::poll_with`] instead, which
+    /// clones no payloads and checks contiguity.
     pub fn read_after(&self, after: Lsn) -> Vec<IngestOp> {
-        self.read_batch(after, usize::MAX)
-    }
-
-    /// At most `max` operations with `lsn > after`, in order, cloned out
-    /// of the log. LSNs are dense, so this is a direct slice of the entry
-    /// array. When `after` precedes the compaction point the result
-    /// starts at the first *retained* op — followers detect the hole
-    /// through their contiguity check. Bulk replay should prefer
-    /// [`visit_batch`](Self::visit_batch), which does not clone payloads.
-    pub fn read_batch(&self, after: Lsn, max: usize) -> Vec<IngestOp> {
-        let (_, batch) = self.shared_batch(after, max);
+        let (_, batch) = self.shared_batch(after, usize::MAX);
         batch.iter().map(|op| IngestOp::clone(op)).collect()
-    }
-
-    /// Visit (at most `max` of) the operations with `lsn > after` in
-    /// order, **without cloning them**: `f` borrows each entry. Returns
-    /// how many were visited. This is the bulk-replay path — a
-    /// `read_batch` clone of every delta payload costs an allocation stampede
-    /// at 100k+ ops, all of it thrown away the moment the batch is
-    /// applied. The log's lock is held only while the batch's pointers
-    /// are copied out (O(batch)); `f` runs after it is released, so
-    /// appenders and other followers never wait for an apply.
-    pub fn visit_batch(&self, after: Lsn, max: usize, mut f: impl FnMut(&IngestOp)) -> usize {
-        let (_, batch) = self.shared_batch(after, max);
-        for op in &batch {
-            f(op);
-        }
-        batch.len()
     }
 
     /// The compaction point and (at most `max` of) the entries with
@@ -487,16 +428,6 @@ impl OperationLog {
     }
 }
 
-/// The `changed` summary [`OperationLog::append_op`] derives: the delta
-/// entities, sorted and deduplicated. A frame stores `changed` only when
-/// it differs from this.
-fn derived_changed(deltas: &[Delta]) -> Vec<EntityId> {
-    let mut ids: Vec<EntityId> = deltas.iter().map(|d| d.entity).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 // ---------------------------------------------------------------------
 // File format (`docs/oplog.md` has the tables)
 // ---------------------------------------------------------------------
@@ -513,8 +444,6 @@ pub(crate) const FILE_HEADER: usize = 28;
 /// last field is what makes a corrupted length an error rather than a
 /// frame that "runs past the end of the file" and reads as a torn tail.
 pub(crate) const FRAME_HEADER: usize = 24;
-/// Set on a frame's kind byte when an explicit `changed` list follows it.
-const CHANGED_EXPLICIT: u8 = 0x80;
 
 pub(crate) fn file_header(base: u64) -> [u8; FILE_HEADER] {
     let mut h = [0u8; FILE_HEADER];
@@ -575,34 +504,18 @@ fn head_sum(header: &[u8]) -> u32 {
 ///
 /// Predicates index a name table local to the record, so a frame decodes
 /// from its own bytes alone.
-fn encode_frame(
-    frame: &mut Vec<u8>,
-    kind: &OpKind,
-    changed: &[EntityId],
-    deltas: &[Delta],
-) -> Result<()> {
+fn encode_frame(frame: &mut Vec<u8>, kind: &OpKind, deltas: &[Delta]) -> Result<()> {
     frame.clear();
     frame.resize(FRAME_HEADER, 0);
-    let explicit_changed = changed != derived_changed(deltas);
     let (tag, source) = match kind {
         OpKind::Upsert => (0, None),
         OpKind::Delete => (1, None),
         OpKind::RetractSource(src) => (2, Some(src)),
         OpKind::VolatileOverwrite(src) => (3, Some(src)),
     };
-    frame.push(if explicit_changed {
-        tag | CHANGED_EXPLICIT
-    } else {
-        tag
-    });
+    frame.push(tag);
     if let Some(src) = source {
         push_varint(frame, u64::from(src.0));
-    }
-    if explicit_changed {
-        push_varint(frame, changed.len() as u64);
-        for id in changed {
-            push_varint(frame, id.0);
-        }
     }
     // A record touches a handful of predicates: a scan of this table
     // beats hashing, and its order (first use) is the index on disk.
@@ -652,7 +565,7 @@ fn seal_frame(frame: &mut [u8], lsn: Lsn) {
 
 /// One complete frame for `op`, as compaction re-emits it.
 pub(crate) fn write_frame(frame: &mut Vec<u8>, op: &IngestOp) -> Result<()> {
-    encode_frame(frame, &op.kind, &op.changed, &op.deltas)?;
+    encode_frame(frame, &op.kind, &op.deltas)?;
     seal_frame(frame, op.lsn);
     Ok(())
 }
@@ -662,23 +575,12 @@ pub(crate) fn write_frame(frame: &mut Vec<u8>, op: &IngestOp) -> Result<()> {
 pub(crate) fn decode_body(lsn: Lsn, body: &[u8]) -> Result<IngestOp> {
     let bad = |m: &str| SagaError::Storage(format!("bad log record: {m}"));
     let at = &mut 0usize;
-    let tag = take_u8(body, at)?;
-    let kind = match tag & !CHANGED_EXPLICIT {
+    let kind = match take_u8(body, at)? {
         0 => OpKind::Upsert,
         1 => OpKind::Delete,
         2 => OpKind::RetractSource(SourceId(take_u32(body, at)?)),
         3 => OpKind::VolatileOverwrite(SourceId(take_u32(body, at)?)),
         other => return Err(bad(&format!("unknown kind tag {other}"))),
-    };
-    let explicit_changed = if tag & CHANGED_EXPLICIT != 0 {
-        let n = take_count(body, at, 1)?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(EntityId(take_varint(body, at)?));
-        }
-        Some(ids)
-    } else {
-        None
     };
     let n = take_count(body, at, 1)?;
     let mut names: Vec<Symbol> = Vec::with_capacity(n);
@@ -713,12 +615,7 @@ pub(crate) fn decode_body(lsn: Lsn, body: &[u8]) -> Result<IngestOp> {
     if *at != body.len() {
         return Err(bad("bytes left over after the last delta"));
     }
-    Ok(IngestOp {
-        lsn,
-        kind,
-        changed: explicit_changed.unwrap_or_else(|| derived_changed(&deltas)),
-        deltas,
-    })
+    Ok(IngestOp { lsn, kind, deltas })
 }
 
 /// What [`read_log`] found in a file.
@@ -824,13 +721,10 @@ fn open_for_append(path: &Path) -> std::io::Result<fs::File> {
 /// gauges read [`lsn`](Self::lsn)/[`lag`](Self::lag) with a single atomic
 /// load — nothing on the replay or serving path blocks.
 ///
-/// The cell is published with `Release` ordering after a poll advances the
-/// follower and read with `Acquire`. Under [`LogFollower::poll_with`] —
-/// the bulk-replay path — the batch is applied *before* the publish,
-/// so an observer that sees watermark `w` is guaranteed the effects of
-/// every op `<= w` are visible too. (Plain [`LogFollower::poll`] hands the
-/// batch back for the caller to apply, so there the handle tracks fetch
-/// progress, not apply progress.)
+/// The cell is published with `Release` ordering after
+/// [`LogFollower::poll_with`] has applied a batch and read with
+/// `Acquire`, so an observer that sees watermark `w` is guaranteed the
+/// effects of every op `<= w` are visible too.
 #[derive(Clone)]
 pub struct WatermarkHandle {
     cell: Arc<std::sync::atomic::AtomicU64>,
@@ -858,10 +752,11 @@ impl WatermarkHandle {
 /// A watermark-tracking cursor over an [`OperationLog`] — the follower
 /// protocol log-shipped stores replay through.
 ///
-/// The watermark is the highest LSN the follower has consumed; a poll
-/// returns the next contiguous batch and advances it. Density is verified
-/// on every poll, so a replica can never silently skip an operation even
-/// if the log implementation changes underneath.
+/// The watermark is the highest LSN the follower has applied;
+/// [`poll_with`](Self::poll_with) applies the next contiguous batch and
+/// advances it. Density is verified on every poll, so a replica can never
+/// silently skip an operation even if the log implementation changes
+/// underneath.
 pub struct LogFollower {
     log: Arc<OperationLog>,
     watermark: Lsn,
@@ -909,25 +804,22 @@ impl LogFollower {
         }
     }
 
-    /// Advance the watermark over `ops` consumed operations and publish
-    /// it to the shared cell — called after a batch is fully applied so
-    /// handle readers never observe a watermark ahead of the applied
-    /// state.
-    fn advance(&mut self, ops: usize) {
-        self.watermark = Lsn(self.watermark.0 + ops as u64);
-        self.shared
-            .store(self.watermark.0, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Fetch the next batch and the compaction point under one lock
-    /// acquisition and verify the batch continues the watermark densely
-    /// (so it ends at `watermark + len`). Errors when the watermark
-    /// has fallen behind the compaction point — the ops this follower
+    /// Apply `f` to each of up to `max` operations past the watermark,
+    /// then advance the watermark over them; returns how many were
+    /// applied (0 when caught up). The batch and the compaction point are
+    /// read under one acquisition of the log's lock, which is released
+    /// before `f` runs: entries are shared, not cloned, so bulk replay
+    /// costs no payload copies and never stalls an appender. The
+    /// watermark is published to [`WatermarkHandle`]s only after `f` has
+    /// seen the whole batch.
+    ///
+    /// Errors without applying anything when the watermark has fallen
+    /// behind [`OperationLog::compacted_through`] — the ops this follower
     /// still needs were dropped, so the caller must re-bootstrap from a
-    /// checkpoint (the per-op contiguity check alone cannot catch this
-    /// when the retained tail is empty: there would be no op to fail on)
-    /// — or when the batch is not dense from the watermark.
-    fn next_batch(&self, max: usize) -> Result<Vec<Arc<IngestOp>>> {
+    /// checkpoint (a per-op contiguity check alone cannot catch this when
+    /// the retained tail is empty) — or when the batch is not dense from
+    /// the watermark.
+    pub fn poll_with(&mut self, max: usize, mut f: impl FnMut(&IngestOp)) -> Result<usize> {
         let (compacted, batch) = self.log.shared_batch(self.watermark, max);
         if self.watermark < compacted {
             return Err(SagaError::Storage(format!(
@@ -946,35 +838,12 @@ impl LogFollower {
                 )));
             }
         }
-        Ok(batch)
-    }
-
-    /// Fetch up to `max` operations past the watermark and advance it.
-    /// Returns an empty batch when caught up; errors (without advancing)
-    /// if the batch is not contiguous from the watermark or the watermark
-    /// precedes the compaction point.
-    pub fn poll(&mut self, max: usize) -> Result<Vec<IngestOp>> {
-        let batch = self.next_batch(max)?;
-        self.advance(batch.len());
-        Ok(batch.iter().map(|op| IngestOp::clone(op)).collect())
-    }
-
-    /// Like [`poll`](Self::poll) but applies `f` to each operation
-    /// without cloning the batch out of the log — the bulk-replay fast
-    /// path (see [`OperationLog::visit_batch`]). `f` runs **outside** the
-    /// log's lock. Contiguity is verified before any op is handed to `f`;
-    /// the watermark advances — and is published — only after `f` has
-    /// seen the whole batch. Returns how many were applied.
-    ///
-    /// A watermark behind [`OperationLog::compacted_through`] (or a
-    /// non-contiguous batch) errors without applying anything — the
-    /// caller must re-bootstrap from a checkpoint.
-    pub fn poll_with(&mut self, max: usize, mut f: impl FnMut(&IngestOp)) -> Result<usize> {
-        let batch = self.next_batch(max)?;
         for op in &batch {
             f(op);
         }
-        self.advance(batch.len());
+        self.watermark = expected;
+        self.shared
+            .store(expected.0, std::sync::atomic::Ordering::Release);
         Ok(batch.len())
     }
 }
@@ -1012,8 +881,12 @@ mod tests {
     #[test]
     fn lsns_are_dense_and_ordered() {
         let log = OperationLog::in_memory();
-        let a = log.append(OpKind::Upsert, vec![EntityId(1)]).unwrap();
-        let b = log.append(OpKind::Delete, vec![EntityId(2)]).unwrap();
+        let a = log
+            .append_op(OpKind::Upsert, vec![delta(1, "x", 1)])
+            .unwrap();
+        let b = log
+            .append_op(OpKind::Delete, vec![delta(2, "x", 2)])
+            .unwrap();
         assert_eq!(a, Lsn(1));
         assert_eq!(b, Lsn(2));
         assert_eq!(log.head(), Lsn(2));
@@ -1023,18 +896,16 @@ mod tests {
     fn read_after_replays_exactly_the_suffix() {
         let log = OperationLog::in_memory();
         for i in 1..=5u64 {
-            log.append(OpKind::Upsert, vec![EntityId(i)]).unwrap();
+            log.append_op(OpKind::Upsert, vec![delta(i, "x", i as i64)])
+                .unwrap();
         }
         let suffix = log.read_after(Lsn(3));
         assert_eq!(suffix.len(), 2);
         assert_eq!(suffix[0].lsn, Lsn(4));
         assert_eq!(suffix[1].lsn, Lsn(5));
+        assert_eq!(suffix[1].deltas, vec![delta(5, "x", 5)]);
         assert!(log.read_after(Lsn(5)).is_empty());
         assert_eq!(log.read_after(Lsn::ZERO).len(), 5);
-        // Bounded batches slice the same sequence.
-        let batch = log.read_batch(Lsn(1), 2);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].lsn, Lsn(2));
     }
 
     #[test]
@@ -1046,7 +917,6 @@ mod tests {
         )
         .unwrap();
         let op = &log.read_after(Lsn::ZERO)[0];
-        assert_eq!(op.changed, vec![EntityId(2), EntityId(4)]);
         assert_eq!(op.deltas.len(), 3);
         assert_eq!(op.changed_entities(), vec![EntityId(2), EntityId(4)]);
     }
@@ -1062,7 +932,7 @@ mod tests {
                 vec![delta(1, "name", 7), delta(2, "name", 9)],
             )
             .unwrap();
-            log.append(OpKind::RetractSource(SourceId(3)), vec![])
+            log.append_op(OpKind::RetractSource(SourceId(3)), Vec::new())
                 .unwrap();
             log.sync().unwrap();
         }
@@ -1070,7 +940,7 @@ mod tests {
         assert_eq!(reopened.head(), Lsn(2));
         assert_eq!(reopened.truncated_tail_bytes(), 0);
         let ops = reopened.read_after(Lsn::ZERO);
-        assert_eq!(ops[0].changed, vec![EntityId(1), EntityId(2)]);
+        assert_eq!(ops[0].changed_entities(), vec![EntityId(1), EntityId(2)]);
         assert_eq!(
             ops[0].deltas,
             vec![delta(1, "name", 7), delta(2, "name", 9)],
@@ -1078,7 +948,7 @@ mod tests {
         );
         assert_eq!(ops[1].kind, OpKind::RetractSource(SourceId(3)));
         // Appending continues the sequence.
-        let next = reopened.append(OpKind::Upsert, vec![]).unwrap();
+        let next = reopened.append_op(OpKind::Upsert, Vec::new()).unwrap();
         assert_eq!(next, Lsn(3));
         let _ = fs::remove_file(&path);
     }
@@ -1135,11 +1005,60 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
-    fn id_only(lsn: u64) -> IngestOp {
+    /// The file format, pinned: what `append_op` writes to a durable log
+    /// for a multi-delta `Upsert` (entities out of order, several
+    /// predicates, an entity reference, a removal) and a `RetractSource`
+    /// with an empty payload — header included, byte for byte.
+    #[test]
+    fn append_op_frames_are_pinned_byte_for_byte() {
+        let path = unique_log_path();
+        let _ = fs::remove_file(&path);
+        {
+            let log = OperationLog::durable(&path).unwrap();
+            let mut upsert = vec![delta(4, "name", 7), delta(2, "born", 2001)];
+            upsert[0].added.push(DeltaFact {
+                predicate: intern("related_to"),
+                object: Value::Entity(EntityId(2)),
+            });
+            upsert[0].removed.push(DeltaFact {
+                predicate: intern("name"),
+                object: Value::str("Beyoncé"),
+            });
+            log.append_op(OpKind::Upsert, upsert).unwrap();
+            log.append_op(OpKind::RetractSource(SourceId(3)), Vec::new())
+                .unwrap();
+        }
+        let golden: &[&[u8]] = &[
+            // File header: magic, version 1, base 0, checksum.
+            b"SAGAOPLG\x01\0\0\0\0\0\0\0\0\0\0\0",
+            &[82, 216, 148, 26, 166, 189, 51, 20],
+            // Frame 1 header: body length 51, LSN 1, body sum, head sum.
+            &[51, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            &[110, 174, 165, 26, 162, 25, 120, 44, 221, 61, 227, 9],
+            // Frame 1 body: kind 0, a three-name table, two deltas.
+            &[0, 3, 4],
+            b"name",
+            &[10],
+            b"related_to",
+            &[4],
+            b"born",
+            &[2, 4, 2, 0, 2, 14, 1, 5, 2, 1, 0, 4, 8],
+            "Beyoncé".as_bytes(),
+            &[2, 1, 2, 2, 162, 31, 0],
+            // Frame 2: body length 4, LSN 2, sums; kind 2, source 3, no
+            // names, no deltas.
+            &[4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0],
+            &[194, 139, 33, 79, 144, 73, 196, 149, 115, 91, 50, 216],
+            &[2, 3, 0, 0],
+        ];
+        assert_eq!(fs::read(&path).unwrap(), golden.concat());
+        let _ = fs::remove_file(&path);
+    }
+
+    fn empty_op(lsn: u64) -> IngestOp {
         IngestOp {
             lsn: Lsn(lsn),
             kind: OpKind::Upsert,
-            changed: Vec::new(),
             deltas: Vec::new(),
         }
     }
@@ -1158,7 +1077,7 @@ mod tests {
     #[test]
     fn mid_log_corruption_is_a_hard_error() {
         let path = unique_log_path();
-        let mut bytes = file_of(0, &[id_only(1), id_only(2)]);
+        let mut bytes = file_of(0, &[empty_op(1), empty_op(2)]);
         bytes[FILE_HEADER + FRAME_HEADER] ^= 0x40; // first body byte of frame 1
         fs::write(&path, &bytes).unwrap();
         let err = OperationLog::durable(&path).unwrap_err();
@@ -1174,7 +1093,7 @@ mod tests {
             ("reorder", &[2, 1]),
             ("wrong start", &[5]),
         ] {
-            let ops: Vec<IngestOp> = lsns.iter().map(|&lsn| id_only(lsn)).collect();
+            let ops: Vec<IngestOp> = lsns.iter().map(|&lsn| empty_op(lsn)).collect();
             let path = unique_log_path();
             fs::write(&path, file_of(0, &ops)).unwrap();
             let err = OperationLog::durable(&path).unwrap_err();
@@ -1207,12 +1126,10 @@ mod tests {
 
     #[test]
     fn json_dump_form_round_trips() {
-        let mut with_deltas = id_only(7);
-        with_deltas.deltas = vec![delta(1, "name", 7)];
-        with_deltas.changed = vec![EntityId(1)];
-        let mut retract = id_only(8);
+        let mut with_deltas = empty_op(7);
+        with_deltas.deltas = vec![delta(1, "name", 7), delta(2, "x", 9)];
+        let mut retract = empty_op(8);
         retract.kind = OpKind::RetractSource(SourceId(3));
-        retract.changed = vec![EntityId(1), EntityId(2)];
         for op in [with_deltas, retract] {
             assert_eq!(IngestOp::from_json(&op.to_json()).unwrap(), op);
         }
@@ -1229,27 +1146,32 @@ mod tests {
         assert_eq!(follower.watermark(), Lsn::ZERO);
         assert_eq!(follower.lag(), 7);
 
-        let batch = follower.poll(3).unwrap();
-        assert_eq!(batch.len(), 3);
+        let mut applied: Vec<Lsn> = Vec::new();
+        assert_eq!(follower.poll_with(3, |op| applied.push(op.lsn)).unwrap(), 3);
         assert_eq!(follower.watermark(), Lsn(3));
-        let batch = follower.poll(100).unwrap();
-        assert_eq!(batch.len(), 4);
+        assert_eq!(
+            follower.poll_with(100, |op| applied.push(op.lsn)).unwrap(),
+            4
+        );
         assert_eq!(follower.watermark(), Lsn(7));
-        assert!(follower.poll(10).unwrap().is_empty(), "caught up");
+        assert_eq!(follower.poll_with(10, |_| {}).unwrap(), 0, "caught up");
         assert_eq!(follower.lag(), 0);
+        assert_eq!(applied, (1..=7).map(Lsn).collect::<Vec<_>>());
 
         // New appends are picked up from the watermark.
         log.append_op(OpKind::Upsert, vec![delta(9, "x", 9)])
             .unwrap();
-        let batch = follower.poll(10).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].lsn, Lsn(8));
+        let mut fresh = Vec::new();
+        follower.poll_with(10, |op| fresh.push(op.clone())).unwrap();
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(fresh[0].lsn, Lsn(8));
+        assert_eq!(fresh[0].deltas, vec![delta(9, "x", 9)]);
 
         // Resuming from a checkpoint replays exactly the suffix.
         let mut resumed = LogFollower::resume_at(log, Lsn(6));
-        let batch = resumed.poll(100).unwrap();
-        assert_eq!(batch.first().unwrap().lsn, Lsn(7));
-        assert_eq!(batch.len(), 2);
+        let mut suffix = Vec::new();
+        resumed.poll_with(100, |op| suffix.push(op.lsn)).unwrap();
+        assert_eq!(suffix, vec![Lsn(7), Lsn(8)]);
     }
 
     #[test]
@@ -1268,15 +1190,18 @@ mod tests {
         assert_eq!(tail.len(), 4);
         assert_eq!(tail[0].lsn, Lsn(7));
         // …appends continue the global sequence…
-        assert_eq!(log.append(OpKind::Upsert, vec![]).unwrap(), Lsn(11));
+        assert_eq!(log.append_op(OpKind::Upsert, Vec::new()).unwrap(), Lsn(11));
         // …re-compacting at or below the point is a no-op, beyond head errors.
         assert_eq!(log.compact_to(Lsn(3)).unwrap(), 0);
         assert!(log.compact_to(Lsn(99)).is_err());
         // A reader below the compaction point sees a non-contiguous batch.
-        let stale = log.read_batch(Lsn(2), 100);
+        let stale = log.read_after(Lsn(2));
         assert_eq!(stale.first().unwrap().lsn, Lsn(7), "hole is visible");
         let mut follower = LogFollower::resume_at(Arc::new(log), Lsn(2));
-        assert!(follower.poll(10).is_err(), "stale follower errors loudly");
+        assert!(
+            follower.poll_with(10, |_| {}).is_err(),
+            "stale follower errors loudly"
+        );
     }
 
     #[test]
@@ -1361,8 +1286,8 @@ mod tests {
         // The compaction point lives in the file header and nowhere else:
         // a second header after an op is not a frame.
         let path = unique_log_path();
-        let mut bytes = file_of(0, &[id_only(1)]);
-        bytes.extend_from_slice(&file_of(5, &[id_only(6)]));
+        let mut bytes = file_of(0, &[empty_op(1)]);
+        bytes.extend_from_slice(&file_of(5, &[empty_op(6)]));
         fs::write(&path, bytes).unwrap();
         let err = OperationLog::durable(&path).unwrap_err();
         assert!(err.to_string().contains("corrupt log frame 2"), "{err}");
@@ -1370,16 +1295,12 @@ mod tests {
     }
 
     #[test]
-    fn visit_batch_and_poll_with_replay_without_cloning() {
+    fn poll_with_replays_without_cloning() {
         let log = Arc::new(OperationLog::in_memory());
         for i in 1..=9u64 {
             log.append_op(OpKind::Upsert, vec![delta(i, "x", i as i64)])
                 .unwrap();
         }
-        let mut seen: Vec<Lsn> = Vec::new();
-        assert_eq!(log.visit_batch(Lsn(2), 3, |op| seen.push(op.lsn)), 3);
-        assert_eq!(seen, vec![Lsn(3), Lsn(4), Lsn(5)]);
-
         let mut follower = LogFollower::new(Arc::clone(&log));
         let mut applied: Vec<u64> = Vec::new();
         assert_eq!(
@@ -1489,12 +1410,6 @@ mod tests {
         follower.poll_with(100, |_| {}).unwrap();
         assert_eq!(watcher.join().unwrap(), Lsn(6));
         assert_eq!(handle.lag(), 0);
-
-        // Plain poll publishes too.
-        log.append_op(OpKind::Upsert, vec![delta(7, "x", 7)])
-            .unwrap();
-        follower.poll(10).unwrap();
-        assert_eq!(handle.lsn(), Lsn(7));
         assert!(Arc::ptr_eq(handle.log(), follower.log()));
     }
 
@@ -1506,7 +1421,7 @@ mod tests {
                 let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     (0..100)
-                        .map(|_| log.append(OpKind::Upsert, vec![]).unwrap().0)
+                        .map(|_| log.append_op(OpKind::Upsert, Vec::new()).unwrap().0)
                         .collect::<Vec<_>>()
                 })
             })

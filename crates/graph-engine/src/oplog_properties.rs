@@ -63,39 +63,30 @@ fn arb_facts(rng: &mut StdRng, n: u32) -> Vec<DeltaFact> {
 
 const SHAPES: u32 = 16;
 
-/// Operation shape `shape % SHAPES`: all four kinds crossed with id-only
-/// `append(kind, changed)` records, no deltas at all, empty deltas, and
-/// full payloads whose `changed` is or is not what `append_op` derives.
-fn arb_op(rng: &mut StdRng, shape: u32) -> (OpKind, Option<Vec<EntityId>>, Vec<Delta>) {
+/// Operation shape `shape % SHAPES`: all four kinds crossed with no
+/// deltas at all, and with payloads of unsorted, possibly repeated
+/// entities whose deltas may be empty.
+fn arb_op(rng: &mut StdRng, shape: u32) -> (OpKind, Vec<Delta>) {
     let kind = match shape % 4 {
         0 => OpKind::Upsert,
         1 => OpKind::Delete,
         2 => OpKind::RetractSource(SourceId(rng.next_u32())),
         _ => OpKind::VolatileOverwrite(SourceId(u32::MAX - shape)),
     };
-    match shape / 4 % 4 {
-        0 => (kind, Some(arb_ids(rng)), Vec::new()),
-        1 => (kind, None, Vec::new()),
-        n => {
-            let mut entities = arb_ids(rng);
-            entities.push(EntityId(u64::MAX));
-            let deltas = entities
-                .into_iter()
-                .map(|entity| Delta {
-                    entity,
-                    added: arb_facts(rng, shape % 5),
-                    removed: arb_facts(rng, shape % 3),
-                })
-                .collect();
-            // Unsorted, duplicated: nothing `append_op` would derive.
-            let changed = (n == 3).then(|| {
-                let mut ids = arb_ids(rng);
-                ids.extend([EntityId(7), EntityId(7)]);
-                ids
-            });
-            (kind, changed, deltas)
-        }
+    if shape % SHAPES < 4 {
+        return (kind, Vec::new());
     }
+    let mut entities = arb_ids(rng);
+    entities.push(EntityId(u64::MAX));
+    let deltas = entities
+        .into_iter()
+        .map(|entity| Delta {
+            entity,
+            added: arb_facts(rng, shape % 5),
+            removed: arb_facts(rng, shape % 3),
+        })
+        .collect();
+    (kind, deltas)
 }
 
 fn arb_ids(rng: &mut StdRng) -> Vec<EntityId> {
@@ -107,12 +98,8 @@ fn arb_ids(rng: &mut StdRng) -> Vec<EntityId> {
 /// Append `count` seeded ops of every shape; what the log holds after.
 fn fill(log: &OperationLog, rng: &mut StdRng, count: u32) -> Vec<IngestOp> {
     for shape in 0..count {
-        let (kind, changed, deltas) = arb_op(rng, shape);
-        match changed {
-            Some(changed) => log.append_with(kind, changed, deltas),
-            None => log.append_op(kind, deltas),
-        }
-        .unwrap();
+        let (kind, deltas) = arb_op(rng, shape);
+        log.append_op(kind, deltas).unwrap();
     }
     log.read_after(log.compacted_through())
 }
@@ -160,29 +147,6 @@ fn every_op_shape_roundtrips_through_the_file_from_seeds() {
     }
 }
 
-/// `changed` costs bytes only when it is not what the deltas imply.
-#[test]
-fn derived_changed_is_not_stored() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let (_, _, deltas) = arb_op(&mut rng, 8);
-    let log = OperationLog::in_memory();
-    log.append_op(OpKind::Upsert, deltas.clone()).unwrap();
-    let derived = log.read_after(Lsn::ZERO).remove(0);
-    let mut explicit = derived.clone();
-    explicit.changed.reverse();
-    let stored = |op: &IngestOp| frame_of(op).len();
-    assert!(stored(&derived) < stored(&explicit));
-    let mut none = derived.clone();
-    none.changed.clear();
-    assert_eq!(
-        stored(&none),
-        stored(&derived) + 1,
-        "an explicit empty list"
-    );
-    let back = decode_body(none.lsn, &frame_of(&none)[FRAME_HEADER..]).unwrap();
-    assert_eq!(back, none);
-}
-
 // -- damage ------------------------------------------------------------
 
 /// A seeded log on disk and where each of its frames starts (the last
@@ -192,7 +156,7 @@ fn log_with_boundaries(rng: &mut StdRng, frames: u32) -> (Vec<u8>, Vec<usize>) {
     let log = OperationLog::durable(&path).unwrap();
     let mut starts = vec![FILE_HEADER];
     for shape in 0..frames {
-        let (kind, _, deltas) = arb_op(rng, 8 + shape);
+        let (kind, deltas) = arb_op(rng, 8 + shape);
         log.append_op(kind, deltas).unwrap();
         starts.push(fs::metadata(&path).unwrap().len() as usize);
     }
@@ -249,7 +213,9 @@ fn a_flipped_byte_before_the_final_frame_is_a_typed_error() {
 }
 
 /// Counts no body could honour are refused by `take_count` before
-/// anything is reserved for them — at every place the format has one.
+/// anything is reserved for them — at every place the format has one. A
+/// kind byte outside 0–3 is refused too: each of the four kinds with its
+/// `0x80` bit set is a typed error, never an op.
 #[test]
 fn hostile_counts_are_refused_before_reserving() {
     for lie in [u64::MAX, 1 << 32, 1 << 20] {
@@ -260,7 +226,6 @@ fn hostile_counts_are_refused_before_reserving() {
             body
         };
         let cases = [
-            ("changed", with(&[0x80])),
             ("names", with(&[0])),
             ("deltas", with(&[0, 0])),
             ("added", with(&[0, 0, 1, 9])),
@@ -273,6 +238,22 @@ fn hostile_counts_are_refused_before_reserving() {
             assert!(refused, "{site} × {lie}: {err}");
         }
     }
+    let mut rng = StdRng::seed_from_u64(5);
+    for shape in 4..8 {
+        let (kind, deltas) = arb_op(&mut rng, shape);
+        let op = IngestOp {
+            lsn: Lsn(1),
+            kind,
+            deltas,
+        };
+        let mut body = frame_of(&op)[FRAME_HEADER..].to_vec();
+        assert_eq!(decode_body(op.lsn, &body).unwrap(), op);
+        body[0] |= 0x80;
+        match decode_body(op.lsn, &body) {
+            Err(SagaError::Storage(msg)) => assert!(msg.contains("unknown kind tag"), "{msg}"),
+            other => panic!("kind byte {:#x}: {other:?}", body[0]),
+        }
+    }
 }
 
 /// The body decoder on its own, behind the checksum: every valid body
@@ -282,13 +263,9 @@ fn hostile_counts_are_refused_before_reserving() {
 fn truncated_and_flipped_bodies_never_panic() {
     let mut rng = StdRng::seed_from_u64(11);
     for shape in 0..2 * SHAPES {
-        let (kind, changed, deltas) = arb_op(&mut rng, shape);
+        let (kind, deltas) = arb_op(&mut rng, shape);
         let log = OperationLog::in_memory();
-        match changed {
-            Some(changed) => log.append_with(kind, changed, deltas),
-            None => log.append_op(kind, deltas),
-        }
-        .unwrap();
+        log.append_op(kind, deltas).unwrap();
         let op = log.read_after(Lsn::ZERO).remove(0);
         let frame = frame_of(&op);
         let body = &frame[FRAME_HEADER..];

@@ -6,18 +6,20 @@
 //! the shared log *in order*, each at its own pace, recording progress in
 //! the metadata store so consumers can reason about freshness.
 //!
-//! Since the log began carrying full [`Delta`](saga_core::Delta) payloads,
-//! the derived stores are true **log followers**: the analytics store and
-//! the View Manager consume the deltas shipped in each [`IngestOp`] —
-//! the log is the only delta channel out of construction. Agents that
-//! materialize full records (entity/text indexes) still read the KG —
-//! record payloads are deliberately not part of the wire form — but the
-//! index-shaped stores replay from the log alone.
+//! Every [`IngestOp`] carries the [`Delta`](saga_core::Delta) payloads of
+//! its commit, and those deltas are the only record shape the log has:
+//! the analytics store applies them directly and the View Manager keys
+//! its update procedures on the entities they name — the log is the only
+//! delta channel out of construction. Agents that materialize full
+//! records (entity/text indexes) take the ids to refresh from the same
+//! deltas and read those records from the KG — record payloads with
+//! provenance are deliberately not part of the log — but the index-shaped
+//! stores replay from the log alone.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use saga_core::{EntityId, FxHashMap, KnowledgeGraph, Result, Symbol};
+use saga_core::{EntityId, FxHashMap, KnowledgeGraph, Result};
 
 use crate::metastore::MetadataStore;
 use crate::oplog::{IngestOp, OperationLog};
@@ -157,7 +159,8 @@ impl OrchestrationAgent for EntityIndexAgent {
                 }
             }
         }
-        // Source retractions may drop entities not listed in `changed`.
+        // A source retraction garbage-collects empty records without a
+        // delta naming them.
         if matches!(op.kind, crate::oplog::OpKind::RetractSource(_)) {
             self.records.retain(|id, _| kg.contains(*id));
         }
@@ -269,10 +272,10 @@ impl OrchestrationAgent for TextIndexAgent {
 /// are batched in production ("the engine is read optimized, therefore
 /// updates … are batched"); here a batch is one log replay.
 ///
-/// Ops carrying delta payloads are applied **from the log alone** — the KG
-/// handle is untouched, which is what lets the warehouse run on a machine
-/// that only sees the shared log (§3.1's derived-store story). Id-only
-/// legacy ops fall back to diffing the named entities against the KG.
+/// Every op is applied **from the log alone**: its delta payloads go
+/// straight into the columnar store and the KG handle is never read,
+/// which is what lets the warehouse run on a machine that only sees the
+/// shared log (§3.1's derived-store story).
 pub struct AnalyticsAgent {
     /// The wrapped columnar store, shareable with view maintenance.
     pub store: Arc<RwLock<crate::analytics::AnalyticsStore>>,
@@ -310,14 +313,8 @@ impl OrchestrationAgent for AnalyticsAgent {
         "analytics"
     }
 
-    fn apply(&mut self, kg: &KnowledgeGraph, op: &IngestOp) -> Result<()> {
-        let mut store = self.store.write();
-        if op.deltas.is_empty() {
-            // Legacy id-only entry: no payload to replay, diff against the KG.
-            store.update(kg, &op.changed);
-        } else {
-            store.apply_deltas(&op.deltas);
-        }
+    fn apply(&mut self, _kg: &KnowledgeGraph, op: &IngestOp) -> Result<()> {
+        self.store.write().apply_deltas(&op.deltas);
         Ok(())
     }
 }
@@ -359,113 +356,115 @@ impl OrchestrationAgent for ViewMaintenanceAgent {
     }
 }
 
-/// Suppress unused warning for Symbol import used in docs.
-#[allow(dead_code)]
-fn _doc(_: Symbol) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oplog::OpKind;
     use crate::writer::LoggedWriter;
-    use saga_core::{
-        intern, ExtendedTriple, FactMeta, GraphWriteExt, Lsn, SourceId, Value, WriteBatch,
-    };
+    use saga_core::{intern, ExtendedTriple, FactMeta, Lsn, SourceId, Value, WriteBatch};
 
-    fn setup() -> (KnowledgeGraph, Arc<OperationLog>, Arc<MetadataStore>) {
-        (
-            KnowledgeGraph::new(),
-            Arc::new(OperationLog::in_memory()),
-            Arc::new(MetadataStore::new()),
-        )
+    fn setup() -> (LoggedWriter, Arc<OperationLog>, Arc<MetadataStore>) {
+        let log = Arc::new(OperationLog::in_memory());
+        let writer = LoggedWriter::new(
+            Arc::new(RwLock::new(KnowledgeGraph::new())),
+            Arc::clone(&log),
+        );
+        (writer, log, Arc::new(MetadataStore::new()))
+    }
+
+    /// Commit one named entity as an upsert.
+    fn add(writer: &LoggedWriter, id: u64, name: &str, source: u32) {
+        writer
+            .commit(
+                OpKind::Upsert,
+                WriteBatch::new().named_entity(EntityId(id), name, "person", SourceId(source), 0.9),
+            )
+            .unwrap();
+    }
+
+    /// Hand every logged op past `after` to `agent`, as the runner would.
+    fn replay(agent: &mut dyn OrchestrationAgent, writer: &LoggedWriter, after: Lsn) {
+        let kg = writer.read();
+        for op in writer.log().read_after(after) {
+            agent.apply(&kg, &op).unwrap();
+        }
     }
 
     #[test]
     fn agents_replay_in_order_and_track_progress() {
-        let (mut kg, log, meta) = setup();
+        let (writer, log, meta) = setup();
         let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
         runner.register(Box::new(EntityIndexAgent::new()));
         runner.register(Box::new(TextIndexAgent::new()));
 
-        kg.add_named_entity(
-            EntityId(1),
-            "Billie Eilish",
-            "music_artist",
-            SourceId(1),
-            0.9,
-        );
-        log.append(OpKind::Upsert, vec![EntityId(1)]).unwrap();
-        let replayed = runner.run_once(&kg).unwrap();
+        add(&writer, 1, "Billie Eilish", 1);
+        let replayed = runner.run_once(&writer.read()).unwrap();
         assert_eq!(replayed, 2, "one op × two agents");
         assert_eq!(meta.progress_of("entity_index"), log.head());
         assert_eq!(meta.progress_of("text_index"), log.head());
         assert!(meta.is_fresh("entity_index", log.head()));
 
         // Nothing new → no replays.
-        assert_eq!(runner.run_once(&kg).unwrap(), 0);
+        assert_eq!(runner.run_once(&writer.read()).unwrap(), 0);
     }
 
     #[test]
     fn entity_index_serves_point_lookups_and_deletes() {
-        let (mut kg, log, meta) = setup();
+        let (writer, ..) = setup();
         let mut agent = EntityIndexAgent::new();
-        kg.add_named_entity(EntityId(1), "X", "person", SourceId(1), 0.9);
-        let op = IngestOp {
-            lsn: saga_core::Lsn(1),
-            kind: OpKind::Upsert,
-            changed: vec![EntityId(1)],
-            deltas: Vec::new(),
-        };
-        agent.apply(&kg, &op).unwrap();
+        writer
+            .commit(
+                OpKind::Upsert,
+                WriteBatch::new()
+                    .link(SourceId(1), "x", EntityId(1))
+                    .named_entity(EntityId(1), "X", "person", SourceId(1), 0.9),
+            )
+            .unwrap();
+        replay(&mut agent, &writer, Lsn::ZERO);
         assert_eq!(agent.get(EntityId(1)).unwrap().name(), Some("X"));
 
-        // Delete: KG no longer has the entity.
-        WriteBatch::new()
-            .link(SourceId(1), "x", EntityId(1))
-            .retract_source_entity(SourceId(1), "x")
-            .commit(&mut kg);
-        let op2 = IngestOp {
-            lsn: saga_core::Lsn(2),
-            kind: OpKind::Delete,
-            changed: vec![EntityId(1)],
-            deltas: Vec::new(),
-        };
-        agent.apply(&kg, &op2).unwrap();
+        // Delete: the logged delta names the entity, the KG no longer has it.
+        writer
+            .commit(
+                OpKind::Delete,
+                WriteBatch::new().retract_source_entity(SourceId(1), "x"),
+            )
+            .unwrap();
+        replay(&mut agent, &writer, Lsn(1));
         assert!(agent.get(EntityId(1)).is_none());
-        let _ = (log, meta);
     }
 
     #[test]
     fn text_index_searches_names_and_descriptions() {
-        let (mut kg, ..) = setup();
+        let (writer, ..) = setup();
         let mut agent = TextIndexAgent::new();
-        kg.add_named_entity(
-            EntityId(1),
-            "Billie Eilish",
-            "music_artist",
-            SourceId(1),
-            0.9,
-        );
-        kg.commit_upsert(ExtendedTriple::simple(
-            EntityId(1),
-            intern("description"),
-            Value::str("American singer and songwriter"),
-            FactMeta::from_source(SourceId(1), 0.9),
-        ));
-        kg.add_named_entity(
-            EntityId(2),
-            "Billie Holiday",
-            "music_artist",
-            SourceId(1),
-            0.9,
-        );
-        let op = IngestOp {
-            lsn: saga_core::Lsn(1),
-            kind: OpKind::Upsert,
-            changed: vec![EntityId(1), EntityId(2)],
-            deltas: Vec::new(),
-        };
-        agent.apply(&kg, &op).unwrap();
+        writer
+            .commit(
+                OpKind::Upsert,
+                WriteBatch::new()
+                    .named_entity(
+                        EntityId(1),
+                        "Billie Eilish",
+                        "music_artist",
+                        SourceId(1),
+                        0.9,
+                    )
+                    .upsert(ExtendedTriple::simple(
+                        EntityId(1),
+                        intern("description"),
+                        Value::str("American singer and songwriter"),
+                        FactMeta::from_source(SourceId(1), 0.9),
+                    ))
+                    .named_entity(
+                        EntityId(2),
+                        "Billie Holiday",
+                        "music_artist",
+                        SourceId(1),
+                        0.9,
+                    ),
+            )
+            .unwrap();
+        replay(&mut agent, &writer, Lsn::ZERO);
         let hits = agent.search("billie singer", 10);
         assert_eq!(hits[0].0, EntityId(1), "two tokens beat one");
         assert_eq!(hits[0].1, 2);
@@ -475,18 +474,16 @@ mod tests {
 
     #[test]
     fn lagging_agent_catches_up_independently() {
-        let (mut kg, log, meta) = setup();
+        let (writer, log, meta) = setup();
         // Agent A replays first; agent B is registered later and catches up.
         let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
         runner.register(Box::new(EntityIndexAgent::new()));
-        kg.add_named_entity(EntityId(1), "A", "person", SourceId(1), 0.9);
-        log.append(OpKind::Upsert, vec![EntityId(1)]).unwrap();
-        runner.run_once(&kg).unwrap();
+        add(&writer, 1, "A", 1);
+        runner.run_once(&writer.read()).unwrap();
 
         runner.register(Box::new(TextIndexAgent::new()));
-        kg.add_named_entity(EntityId(2), "B", "person", SourceId(1), 0.9);
-        log.append(OpKind::Upsert, vec![EntityId(2)]).unwrap();
-        let replayed = runner.run_once(&kg).unwrap();
+        add(&writer, 2, "B", 1);
+        let replayed = runner.run_once(&writer.read()).unwrap();
         // entity_index replays op2 only; text_index replays op1+op2.
         assert_eq!(replayed, 3);
         assert_eq!(
@@ -497,30 +494,30 @@ mod tests {
 
     #[test]
     fn retract_source_cleans_derived_stores() {
-        let (mut kg, ..) = setup();
+        let (writer, ..) = setup();
         let mut idx = EntityIndexAgent::new();
         let mut txt = TextIndexAgent::new();
-        kg.add_named_entity(EntityId(1), "Gone Soon", "person", SourceId(5), 0.9);
-        let up = IngestOp {
-            lsn: saga_core::Lsn(1),
-            kind: OpKind::Upsert,
-            changed: vec![EntityId(1)],
-            deltas: Vec::new(),
-        };
-        idx.apply(&kg, &up).unwrap();
-        txt.apply(&kg, &up).unwrap();
+        add(&writer, 1, "Gone Soon", 5);
+        add(&writer, 2, "Stays Here", 1);
+        replay(&mut idx, &writer, Lsn::ZERO);
+        replay(&mut txt, &writer, Lsn::ZERO);
+        assert_eq!(idx.len(), 2);
 
-        kg.commit_retract_source(SourceId(5));
-        let op = IngestOp {
-            lsn: saga_core::Lsn(2),
-            kind: OpKind::RetractSource(SourceId(5)),
-            changed: vec![],
-            deltas: Vec::new(),
-        };
-        idx.apply(&kg, &op).unwrap();
-        txt.apply(&kg, &op).unwrap();
-        assert!(idx.is_empty());
+        let retract = writer
+            .commit(
+                OpKind::RetractSource(SourceId(5)),
+                WriteBatch::new().retract_source(SourceId(5)),
+            )
+            .unwrap();
+        let op = &writer.log().read_after(Lsn(2))[0];
+        assert_eq!(op.changed_entities(), vec![EntityId(1)]);
+        assert_eq!(op.deltas, retract.receipt.deltas);
+        replay(&mut idx, &writer, Lsn(2));
+        replay(&mut txt, &writer, Lsn(2));
+        assert!(idx.get(EntityId(1)).is_none());
+        assert!(idx.get(EntityId(2)).is_some(), "other sources untouched");
         assert!(txt.search("gone", 5).is_empty());
+        assert_eq!(txt.search("stays", 5).len(), 1);
     }
 
     /// The analytics warehouse is a true log follower: ops carrying delta
@@ -587,7 +584,7 @@ mod tests {
         let meta_path =
             std::env::temp_dir().join(format!("saga-orch-resume-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&meta_path);
-        let (mut kg, log, _) = setup();
+        let (writer, log, _) = setup();
 
         // First process lifetime: replay two ops, then "crash".
         {
@@ -595,15 +592,13 @@ mod tests {
             let mut runner = AgentRunner::new(Arc::clone(&log), meta);
             runner.register(Box::new(AnalyticsAgent::new()));
             for i in 1..=2u64 {
-                kg.add_named_entity(EntityId(i), &format!("E{i}"), "person", SourceId(1), 0.9);
-                log.append(OpKind::Upsert, vec![EntityId(i)]).unwrap();
+                add(&writer, i, &format!("E{i}"), 1);
             }
-            assert_eq!(runner.run_once(&kg).unwrap(), 2);
+            assert_eq!(runner.run_once(&writer.read()).unwrap(), 2);
         }
 
         // One more op lands while the orchestrator is down.
-        kg.add_named_entity(EntityId(3), "E3", "person", SourceId(1), 0.9);
-        log.append(OpKind::Upsert, vec![EntityId(3)]).unwrap();
+        add(&writer, 3, "E3", 1);
 
         // Second lifetime: the reloaded store resumes at Lsn(2), so only
         // the one pending op replays.
@@ -611,7 +606,7 @@ mod tests {
         assert_eq!(meta.progress_of("analytics"), Lsn(2), "watermark survived");
         let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
         runner.register(Box::new(AnalyticsAgent::new()));
-        assert_eq!(runner.run_once(&kg).unwrap(), 1, "suffix only");
+        assert_eq!(runner.run_once(&writer.read()).unwrap(), 1, "suffix only");
         assert_eq!(meta.progress_of("analytics"), log.head());
         let _ = std::fs::remove_file(&meta_path);
     }
@@ -621,21 +616,24 @@ mod tests {
     /// the `LogFollower` contract.
     #[test]
     fn agent_behind_compaction_point_errors_loudly() {
-        let (mut kg, log, meta) = setup();
+        let (writer, log, meta) = setup();
         let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
         runner.register(Box::new(EntityIndexAgent::new()));
         for i in 1..=4u64 {
-            kg.add_named_entity(EntityId(i), &format!("E{i}"), "person", SourceId(1), 0.9);
-            log.append(OpKind::Upsert, vec![EntityId(i)]).unwrap();
+            add(&writer, i, &format!("E{i}"), 1);
         }
-        assert_eq!(runner.run_once(&kg).unwrap(), 4);
+        assert_eq!(runner.run_once(&writer.read()).unwrap(), 4);
 
         // Compact past the agent's recorded progress, then register a new
         // agent (progress 0 < compaction point): loud failure.
         log.compact_to(Lsn(3)).unwrap();
-        assert_eq!(runner.run_once(&kg).unwrap(), 0, "at the point is fine");
+        assert_eq!(
+            runner.run_once(&writer.read()).unwrap(),
+            0,
+            "at the point is fine"
+        );
         runner.register(Box::new(TextIndexAgent::new()));
-        let err = runner.run_once(&kg).unwrap_err();
+        let err = runner.run_once(&writer.read()).unwrap_err();
         assert!(
             err.to_string()
                 .contains("fallen behind the compaction point"),
@@ -649,8 +647,7 @@ mod tests {
     /// both track freshness in the metadata store.
     #[test]
     fn view_agent_follows_the_log_behind_analytics() {
-        let (kg, log, meta) = setup();
-        let writer = LoggedWriter::new(Arc::new(RwLock::new(kg)), Arc::clone(&log));
+        let (writer, log, meta) = setup();
         let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
         let analytics = AnalyticsAgent::new();
         let store_handle = analytics.store_handle();

@@ -205,7 +205,7 @@ mod tests {
         // The logged op carries exactly the receipt's deltas.
         let op = &w.log().read_after(Lsn::ZERO)[0];
         assert_eq!(op.deltas, commit.receipt.deltas);
-        assert_eq!(op.changed, commit.receipt.entities_changed);
+        assert_eq!(op.changed_entities(), commit.receipt.entities_changed);
     }
 
     #[test]
@@ -221,11 +221,12 @@ mod tests {
             assert_eq!(commit.lsn, Lsn(i));
         }
         let mut follower = LogFollower::new(Arc::clone(w.log()));
-        let ops = follower.poll(100).unwrap();
-        assert_eq!(ops.len(), 5);
-        for (i, op) in ops.iter().enumerate() {
-            assert_eq!(op.changed, vec![EntityId(i as u64 + 1)]);
-        }
+        let mut changed = Vec::new();
+        let applied = follower
+            .poll_with(100, |op| changed.extend(op.changed_entities()))
+            .unwrap();
+        assert_eq!(applied, 5);
+        assert_eq!(changed, (1..=5).map(EntityId).collect::<Vec<_>>());
     }
 
     #[test]

@@ -169,10 +169,7 @@ impl LiveReplica {
     }
 }
 
-/// Apply one operation's delta payloads. Id-only legacy entries carry
-/// nothing replayable and are skipped — a replica of a log containing
-/// them is incomplete, which [`LiveReplica::lag`] cannot detect; produce
-/// with [`OperationLog::append_op`] to guarantee full shipping.
+/// Apply one operation's delta payloads.
 fn apply_op(live: &ReplicaKg, op: &IngestOp) {
     for delta in &op.deltas {
         live.apply(delta);

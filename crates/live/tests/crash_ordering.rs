@@ -50,7 +50,11 @@ fn crashed_apply_is_still_in_the_log() {
     assert_eq!(w.log().head(), Lsn(2));
     assert!(!w.read().contains(EntityId(2)), "apply was skipped");
     let op = &w.log().read_after(Lsn(1))[0];
-    assert_eq!(op.changed, vec![EntityId(2)], "log has the batch anyway");
+    assert_eq!(
+        op.changed_entities(),
+        vec![EntityId(2)],
+        "log has the batch anyway"
+    );
 }
 
 /// An entity's facts in the flattened index vocabulary the log ships.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use saga::construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
 use saga::core::{
-    intern, EntityId, GraphWriteExt, IdGenerator, KnowledgeGraph, Lsn, SourceId, Value,
+    intern, EntityId, GraphWriteExt, IdGenerator, KnowledgeGraph, Lsn, SourceId, Value, WriteBatch,
 };
 use saga::graph::{
     AgentRunner, AnalyticsStore, EntityIndexAgent, LoggedWriter, MetadataStore, OpKind,
@@ -121,25 +121,31 @@ fn continuous_construction_deduplicates_across_sources_and_cycles() {
 
 #[test]
 fn operation_log_drives_agents_and_freshness() {
-    let mut kg = KnowledgeGraph::new();
-    kg.add_named_entity(
-        EntityId(1),
-        "Billie Eilish",
-        "music_artist",
-        SourceId(1),
-        0.9,
-    );
-    kg.add_named_entity(EntityId(2), "Halo", "song", SourceId(1), 0.9);
-
     let log = Arc::new(OperationLog::in_memory());
+    let writer = LoggedWriter::new(
+        Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new())),
+        Arc::clone(&log),
+    );
     let meta = Arc::new(MetadataStore::new());
     let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
     runner.register(Box::new(EntityIndexAgent::new()));
     runner.register(Box::new(TextIndexAgent::new()));
 
-    log.append(OpKind::Upsert, vec![EntityId(1), EntityId(2)])
+    writer
+        .commit(
+            OpKind::Upsert,
+            WriteBatch::new()
+                .named_entity(
+                    EntityId(1),
+                    "Billie Eilish",
+                    "music_artist",
+                    SourceId(1),
+                    0.9,
+                )
+                .named_entity(EntityId(2), "Halo", "song", SourceId(1), 0.9),
+        )
         .unwrap();
-    runner.run_once(&kg).unwrap();
+    runner.run_once(&writer.read()).unwrap();
     assert!(meta.is_fresh("entity_index", Lsn(1)));
     assert!(meta.is_fresh("text_index", Lsn(1)));
     assert_eq!(
@@ -148,9 +154,13 @@ fn operation_log_drives_agents_and_freshness() {
     );
 
     // A later op only replays the suffix.
-    kg.add_named_entity(EntityId(3), "Bad Guy", "song", SourceId(1), 0.9);
-    log.append(OpKind::Upsert, vec![EntityId(3)]).unwrap();
-    let replayed = runner.run_once(&kg).unwrap();
+    writer
+        .commit(
+            OpKind::Upsert,
+            WriteBatch::new().named_entity(EntityId(3), "Bad Guy", "song", SourceId(1), 0.9),
+        )
+        .unwrap();
+    let replayed = runner.run_once(&writer.read()).unwrap();
     assert_eq!(replayed, 2, "one op × two agents");
 }
 
