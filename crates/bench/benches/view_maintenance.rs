@@ -91,12 +91,9 @@ fn bench_maintenance(c: &mut Criterion) {
                         });
                     }
                     let receipt = batch.commit(&mut kg);
-                    let mut changed: Vec<EntityId> =
-                        receipt.deltas.iter().map(|d| d.entity).collect();
-                    changed.sort_unstable();
-                    changed.dedup();
-                    store.update(&kg, &changed);
-                    vm.update_changed(&kg, &store, &changed).unwrap()
+                    store.apply_deltas(&receipt.deltas);
+                    vm.update_changed(&kg, &store, &receipt.entities_changed)
+                        .unwrap()
                 })
             },
         );

@@ -261,28 +261,6 @@ impl TripleIndex {
         delta
     }
 
-    /// Index a batch of new facts for `entity` without a full diff — the
-    /// fast path for append-only upserts. The facts must not already be
-    /// asserted (the canonical KG's upsert guarantees this).
-    pub fn add_facts<'a>(
-        &mut self,
-        entity: EntityId,
-        triples: impl IntoIterator<Item = &'a ExtendedTriple>,
-    ) -> Delta {
-        let added: Vec<DeltaFact> = triples
-            .into_iter()
-            .filter_map(flatten)
-            .map(|(predicate, object)| DeltaFact { predicate, object })
-            .collect();
-        let delta = Delta {
-            entity,
-            added,
-            removed: Vec::new(),
-        };
-        self.apply(&delta);
-        delta
-    }
-
     /// Retract a batch of facts for `entity` without a full diff.
     pub fn remove_facts<'a>(
         &mut self,

@@ -5,10 +5,11 @@
 //! it can see; this suite runs the **same** seeded check (the shared
 //! `crates/core/src/prefix_law.rs`, included by path) on the rest —
 //! [`LiveKg`] at 1 / 2 / 8 shards, [`ReplicaKg`] at 1 / 2 / 8 shards
-//! (replayed and bootstrapped), [`LiveReplica`], [`StableRead`] and
-//! [`FleetRouter`] — and checks that `FIND … LIMIT k` through a
-//! [`QueryEngine`] is the first `k` answers of `LIMIT 1000`. All of them
-//! are built from one write-ahead producer, so they hold the same corpus.
+//! (replayed and bootstrapped), [`LiveReplica`], the [`LoggedWriter`]'s
+//! own graph read through its lock, and [`FleetRouter`] — and checks that
+//! `FIND … LIMIT k` through a [`QueryEngine`] is the first `k` answers of
+//! `LIMIT 1000`. All of them are built from one write-ahead producer, so
+//! they hold the same corpus.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +22,7 @@ use saga_core::{
     Value, WriteBatch,
 };
 use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
-use saga_graph::{CheckpointWriter, LoggedWriter, OpKind, OperationLog, StableRead};
+use saga_graph::{CheckpointWriter, LoggedWriter, OpKind, OperationLog};
 use saga_live::{LiveKg, LiveReplica, QueryEngine, ReplicaKg};
 
 #[path = "../../core/src/prefix_law.rs"]
@@ -76,11 +77,7 @@ fn prefix_law_holds_on_every_live_and_fleet_backend() {
         replica.catch_up().unwrap();
         check_prefix_law(&replica, seed, "LiveReplica");
 
-        check_prefix_law(
-            &StableRead::from_shared(Arc::clone(&kg)),
-            seed,
-            "StableRead",
-        );
+        check_prefix_law(&*writer.read(), seed, "LoggedWriter::read");
 
         let dir = std::env::temp_dir().join(format!(
             "saga-fleet-prefix-law-{}-{seed}",

@@ -8,6 +8,11 @@
 //! facets are flattened to `predicate.facet` columns — exactly the
 //! extended-triples trick that avoids self-joins (§2.1).
 //!
+//! The store is a log follower: [`AnalyticsStore::build`] bootstraps it
+//! from a KG snapshot, and from then on it learns only from
+//! [`Delta`](saga_core::Delta)s ([`AnalyticsStore::apply_deltas`]),
+//! touching only the partitions each delta names.
+//!
 //! Queries compose through [`Frame`], a small columnar relational algebra
 //! (hash join / semi join / group-count / project) whose join keys are
 //! unboxed ids hashed with Fx — the "optimized join processing" behind the
@@ -15,7 +20,7 @@
 
 use std::sync::Arc;
 
-use saga_core::{intern, EntityId, FxHashMap, KnowledgeGraph, Symbol, Value};
+use saga_core::{intern, FxHashMap, KnowledgeGraph, Symbol, Value};
 
 use crate::columnar::ColumnarAggregates;
 
@@ -63,10 +68,26 @@ impl SubjectRows {
     }
 }
 
+/// The position of the first row of `pair` whose subject is `subject` and
+/// whose value satisfies `eq`, located through the subject→row index.
+fn find_indexed_row<T>(
+    pair: &(Vec<u64>, Vec<T>),
+    index: &FxHashMap<u64, SubjectRows>,
+    kind: RowKind,
+    subject: u64,
+    eq: impl Fn(&T) -> bool,
+) -> Option<u32> {
+    let rows = index.get(&subject)?;
+    rows.of(kind)
+        .iter()
+        .copied()
+        .find(|&p| eq(&pair.1[p as usize]))
+}
+
 /// Remove the first row of `pair` whose subject is `subject` and whose
-/// value satisfies `eq`, locating it through the subject→row index and
-/// repairing the index after the `swap_remove` (the row moved into the
-/// hole gets its recorded position rewritten).
+/// value satisfies `eq`, repairing the subject→row index after the
+/// `swap_remove` (the row moved into the hole gets its recorded position
+/// rewritten).
 fn remove_indexed_row<T>(
     pair: &mut (Vec<u64>, Vec<T>),
     index: &mut FxHashMap<u64, SubjectRows>,
@@ -74,17 +95,14 @@ fn remove_indexed_row<T>(
     subject: u64,
     eq: impl Fn(&T) -> bool,
 ) -> bool {
-    let Some(rows) = index.get(&subject) else {
-        return false;
-    };
-    let Some(&pos) = rows.of(kind).iter().find(|&&p| eq(&pair.1[p as usize])) else {
+    let Some(pos) = find_indexed_row(pair, index, kind, subject, eq) else {
         return false;
     };
     let i = pos as usize;
     let last = pair.0.len() - 1;
     pair.0.swap_remove(i);
     pair.1.swap_remove(i);
-    let rows = index.get_mut(&subject).expect("checked above");
+    let rows = index.get_mut(&subject).expect("found through the index");
     let list = rows.of_mut(kind);
     let at = list
         .iter()
@@ -132,7 +150,7 @@ pub struct PredTable {
     str_dict: std::sync::OnceLock<Arc<Vec<Arc<str>>>>,
     /// subject → row positions per typed column, maintained in lockstep
     /// with the row vectors.
-    rows_by_subject: FxHashMap<u64, SubjectRows>,
+    subject_rows: FxHashMap<u64, SubjectRows>,
 }
 
 impl PredTable {
@@ -162,7 +180,7 @@ impl PredTable {
             // Unresolved refs, bools and nulls are not analytics-relevant.
             _ => return,
         };
-        self.rows_by_subject
+        self.subject_rows
             .entry(subject)
             .or_default()
             .of_mut(kind)
@@ -177,7 +195,7 @@ impl PredTable {
     /// row-order-insensitive, and shifting a large partition per removal
     /// would turn bulk retraction quadratic.
     fn remove_row(&mut self, subject: u64, value: &Value) -> bool {
-        let index = &mut self.rows_by_subject;
+        let index = &mut self.subject_rows;
         match value {
             Value::Entity(e) => {
                 remove_indexed_row(&mut self.ent_rows, index, RowKind::Ent, subject, |x| {
@@ -239,25 +257,26 @@ fn stored(value: &Value) -> bool {
 
 /// The columnar analytics store.
 ///
-/// Maintenance is delta-driven: rows derive from the KG's unified
-/// [`TripleIndex`](saga_core::TripleIndex) through the same
-/// `predicate.facet` flattening, and incremental updates touch only the
-/// partitions named in each [`Delta`](saga_core::Delta) — no store-wide
-/// rescan on the per-delta path.
+/// [`build`](Self::build) bootstraps it from a KG snapshot; after that it
+/// learns only from [`Delta`](saga_core::Delta)s —
+/// [`apply_delta`](Self::apply_delta) /
+/// [`apply_deltas`](Self::apply_deltas), fed from commit receipts or the
+/// shared log — and each delta touches only the partitions it names.
+/// Rows use the KG's [`TripleIndex`](saga_core::TripleIndex)
+/// `predicate.facet` flattening, so a delta lands here exactly as it lands
+/// on the index.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticsStore {
     tables: FxHashMap<Symbol, PredTable>,
     by_type: FxHashMap<Symbol, Vec<u64>>,
-    /// Mirror of each subject's materialized `(predicate, value)` rows —
-    /// the old state a changed-id update diffs against.
-    by_subject: FxHashMap<u64, Vec<(Symbol, Value)>>,
     /// Per-predicate aggregate runs (COUNT / COUNT-DISTINCT / GROUP-BY
     /// without scanning), maintained fact-by-fact from the same deltas.
     aggregates: ColumnarAggregates,
 }
 
 impl AnalyticsStore {
-    /// Build the store from a KG snapshot.
+    /// Build the store from a KG snapshot — the bootstrap the delta feed
+    /// continues from.
     pub fn build(kg: &KnowledgeGraph) -> Self {
         let mut store = AnalyticsStore::default();
         for record in kg.entities() {
@@ -282,35 +301,24 @@ impl AnalyticsStore {
 
     /// Apply one [`Delta`](saga_core::Delta) from the KG's change feed:
     /// row-level removals and inserts against exactly the partitions the
-    /// delta names.
+    /// delta names. A removed fact the store never materialized (replay
+    /// from mid-stream) is skipped.
     pub fn apply_delta(&mut self, delta: &saga_core::Delta) {
         let subject = delta.entity.0;
         let type_sym = intern(saga_core::well_known::TYPE);
         for fact in &delta.removed {
-            if !stored(&fact.object) {
+            let removed = self
+                .tables
+                .get_mut(&fact.predicate)
+                .is_some_and(|table| table.remove_row(subject, &fact.object));
+            if !removed {
                 continue;
-            }
-            let mirror = self.by_subject.entry(subject).or_default();
-            let Some(at) = mirror
-                .iter()
-                .position(|(p, v)| *p == fact.predicate && v == &fact.object)
-            else {
-                continue; // never materialized (e.g. replay from mid-stream)
-            };
-            mirror.remove(at);
-            if let Some(table) = self.tables.get_mut(&fact.predicate) {
-                table.remove_row(subject, &fact.object);
             }
             self.aggregates
                 .remove(subject, fact.predicate, &fact.object);
             if fact.predicate == type_sym {
                 if let Value::Str(name) = &fact.object {
-                    let last_of_type = !self.by_subject.get(&subject).is_some_and(|facts| {
-                        facts
-                            .iter()
-                            .any(|(p, v)| *p == type_sym && v == &fact.object)
-                    });
-                    if last_of_type {
+                    if !self.has_type(subject, name) {
                         if let Some(subjects) = self.by_type.get_mut(&intern(name)) {
                             if let Some(i) = subjects.iter().position(|&s| s == subject) {
                                 subjects.remove(i);
@@ -326,12 +334,7 @@ impl AnalyticsStore {
             }
             if fact.predicate == type_sym {
                 if let Value::Str(name) = &fact.object {
-                    let already = self.by_subject.get(&subject).is_some_and(|facts| {
-                        facts
-                            .iter()
-                            .any(|(p, v)| *p == type_sym && v == &fact.object)
-                    });
-                    if !already {
+                    if !self.has_type(subject, name) {
                         self.by_type.entry(intern(name)).or_default().push(subject);
                     }
                 }
@@ -341,13 +344,6 @@ impl AnalyticsStore {
                 .or_default()
                 .push(subject, &fact.object);
             self.aggregates.add(subject, fact.predicate, &fact.object);
-            self.by_subject
-                .entry(subject)
-                .or_default()
-                .push((fact.predicate, fact.object.clone()));
-        }
-        if self.by_subject.get(&subject).is_some_and(Vec::is_empty) {
-            self.by_subject.remove(&subject);
         }
     }
 
@@ -358,36 +354,15 @@ impl AnalyticsStore {
         }
     }
 
-    /// Incrementally refresh `changed` entities (§3.2's update-by-changed-ids
-    /// procedure): each subject's old rows are diffed against the unified
-    /// triple index and only the difference is applied — the partitions of
-    /// unchanged predicates are never visited.
-    pub fn update(&mut self, kg: &KnowledgeGraph, changed: &[EntityId]) {
-        for &id in changed {
-            let mut old: Vec<(Symbol, Value)> =
-                self.by_subject.get(&id.0).cloned().unwrap_or_default();
-            let mut new: Vec<(Symbol, Value)> = kg
-                .index()
-                .facts_of(id)
-                .filter(|(_, v)| stored(v))
-                .map(|(p, v)| (p, v.clone()))
-                .collect();
-            old.sort_unstable();
-            new.sort_unstable();
-            let (added, removed) = saga_core::index::sorted_multiset_diff(&old, &new);
-            let to_facts = |facts: Vec<(Symbol, Value)>| {
-                facts
-                    .into_iter()
-                    .map(|(predicate, object)| saga_core::DeltaFact { predicate, object })
-                    .collect()
-            };
-            let delta = saga_core::Delta {
-                entity: id,
-                added: to_facts(added),
-                removed: to_facts(removed),
-            };
-            self.apply_delta(&delta);
-        }
+    /// True if `subject` still has a `type = name` row — asked of the
+    /// `type` partition's subject→row index.
+    fn has_type(&self, subject: u64, name: &str) -> bool {
+        self.tables
+            .get(&intern(saga_core::well_known::TYPE))
+            .is_some_and(|types| {
+                let (rows, index) = (&types.str_rows, &types.subject_rows);
+                find_indexed_row(rows, index, RowKind::Str, subject, |x| &**x == name).is_some()
+            })
     }
 
     /// The columnar partition of a predicate (empty table if absent).
@@ -729,7 +704,9 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{ExtendedTriple, FactMeta, GraphWriteExt, RelId, SourceId, WriteBatch};
+    use saga_core::{
+        EntityId, ExtendedTriple, FactMeta, GraphWriteExt, RelId, SourceId, WriteBatch,
+    };
 
     fn meta() -> FactMeta {
         FactMeta::from_source(SourceId(1), 0.9)
@@ -819,47 +796,48 @@ mod tests {
     }
 
     #[test]
-    fn incremental_update_reflects_kg_changes() {
+    fn duplicate_rows_and_second_types_survive_a_partial_retraction() {
         let mut g = kg();
-        let mut store = AnalyticsStore::build(&g);
-        // New song appears; an old one is deleted.
-        g.add_named_entity(EntityId(4), "Song Z", "song", SourceId(1), 0.9);
-        g.commit_upsert(ExtendedTriple::simple(
-            EntityId(4),
-            intern("performed_by"),
-            Value::Entity(EntityId(1)),
+        let school = intern("educated_at.school");
+        // A second rel node whose facet flattens to the same row as RelId(1).
+        g.commit_upsert(ExtendedTriple::composite(
+            EntityId(1),
+            intern("educated_at"),
+            RelId(2),
+            intern("school"),
+            Value::str("UW"),
             meta(),
         ));
-        g.commit_retract_source_entity(SourceId(1), "nonexistent"); // no-op
-        store.update(&g, &[EntityId(4)]);
-        assert_eq!(
-            store
-                .table(intern("performed_by"))
-                .unwrap()
-                .ent_rows
-                .0
-                .len(),
-            3
-        );
-        assert_eq!(store.entities_of_type(intern("song")).len(), 3);
+        g.commit_upsert(ExtendedTriple::simple(
+            EntityId(2),
+            intern(saga_core::well_known::TYPE),
+            Value::str("single"),
+            meta(),
+        ));
+        let mut store = AnalyticsStore::build(&g);
+        assert_eq!(store.table(school).unwrap().str_rows.0, vec![1, 1]);
+        assert_eq!(store.aggregates().count(school), 2);
+        assert_eq!(store.entities_of_type(intern("single")), &[2]);
 
-        // Simulate deletion of entity 2.
-        let mut g2 = g.clone();
-        WriteBatch::new()
-            .link(SourceId(1), "s2", EntityId(2))
-            .retract_source_entity(SourceId(1), "s2")
-            .commit(&mut g2);
-        store.update(&g2, &[EntityId(2)]);
-        assert_eq!(store.entities_of_type(intern("song")).len(), 2);
-        assert_eq!(
-            store
-                .table(intern("performed_by"))
-                .unwrap()
-                .ent_rows
-                .0
-                .len(),
-            2
-        );
+        let type_sym = intern(saga_core::well_known::TYPE);
+        let receipt = WriteBatch::new()
+            .mutate(EntityId(1), |rec| {
+                rec.triples
+                    .retain(|t| t.rel.as_ref().map(|r| r.rel_id) != Some(RelId(1)));
+            })
+            .mutate(EntityId(2), move |rec| {
+                rec.triples
+                    .retain(|t| t.predicate != type_sym || t.object != Value::str("single"));
+            })
+            .commit(&mut g);
+        store.apply_deltas(&receipt.deltas);
+
+        // One of two equal rows went; the other stays, and so does its count.
+        assert_eq!(store.table(school).unwrap().str_rows.0, vec![1]);
+        assert_eq!(store.aggregates().count(school), 1);
+        // The retracted type leaves; the one the subject still holds stays.
+        assert!(store.entities_of_type(intern("single")).is_empty());
+        assert_eq!(store.entities_of_type(intern("song")), &[2, 3]);
     }
 
     #[test]

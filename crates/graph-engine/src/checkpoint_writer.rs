@@ -27,7 +27,6 @@ use saga_core::checkpoint;
 use saga_core::{KnowledgeGraph, Lsn, Result};
 
 use crate::oplog::OperationLog;
-use crate::serving::StableRead;
 use crate::writer::LoggedWriter;
 
 /// How many checkpoints [`CheckpointWriter::checkpoint_and_compact`]
@@ -65,22 +64,6 @@ impl CheckpointWriter {
         CheckpointWriter {
             kg: writer.shared(),
             log: Arc::clone(writer.log()),
-            dir: dir.into(),
-            keep_last: DEFAULT_KEEP_LAST,
-        }
-    }
-
-    /// A checkpoint writer over a [`StableRead`] serving handle (the
-    /// graph must be fed through a [`LoggedWriter`] on the same `log` for
-    /// watermarks to be exact).
-    pub fn for_stable(
-        stable: &StableRead,
-        log: Arc<OperationLog>,
-        dir: impl Into<PathBuf>,
-    ) -> Self {
-        CheckpointWriter {
-            kg: stable.shared(),
-            log,
             dir: dir.into(),
             keep_last: DEFAULT_KEEP_LAST,
         }

@@ -18,7 +18,7 @@
 //! * [`analytics`] — the read-optimized columnar analytics engine over
 //!   extended triples (predicate-partitioned columns, Fx hash joins,
 //!   group-bys): the engine whose optimized join processing produces the
-//!   Fig. 8 speedups.
+//!   Fig. 8 speedups. Built once from a snapshot, then fed only deltas.
 //! * [`columnar`] — per-predicate aggregate runs over the compressed
 //!   posting blocks: COUNT / COUNT-DISTINCT / GROUP-BY-predicate served
 //!   without decompression or row scans, maintained as a log follower.
@@ -30,15 +30,14 @@
 //!   Fig. 8, implemented on both engines.
 //! * [`importance`] — entity importance: in/out-degree, identities and
 //!   PageRank aggregated into one score, registered as a view (§3.3).
-//! * [`serving`] — the stable serving entry point: [`StableRead`] exposes
-//!   the canonical KG through the backend-agnostic
-//!   [`GraphRead`](saga_core::GraphRead) API so query engines serve it
-//!   concurrently with construction.
-//! * [`writer`] — the write-ahead entry point: [`LoggedWriter`] stages
-//!   [`WriteBatch`](saga_core::WriteBatch)es through the transactional
-//!   [`GraphWrite`](saga_core::GraphWrite) API and appends each commit to
-//!   the [`oplog`] *before* applying it, making the log the source of
-//!   truth for every derived store.
+//! * [`writer`] — the write-ahead entry point and the one door into the
+//!   canonical KG: [`LoggedWriter`] stages
+//!   [`WriteBatch`](saga_core::WriteBatch)es in a
+//!   [`KgTransaction`](saga_core::KgTransaction) and appends each commit
+//!   to the [`oplog`] *before* applying it, making the log the source of
+//!   truth for every derived store. Readers take `writer.read()`; the
+//!   graph behind the lock is itself a [`GraphRead`](saga_core::GraphRead)
+//!   backend.
 //! * [`checkpoint_writer`] — exact-watermark checkpoint production over a
 //!   logged KG ([`saga_core::checkpoint`] artifacts) plus the
 //!   checkpoint → prune → [`OperationLog::compact_to`](oplog::OperationLog::compact_to)
@@ -55,7 +54,6 @@ pub mod oplog;
 mod oplog_properties;
 pub mod orchestration;
 pub mod production_views;
-pub mod serving;
 pub mod views;
 pub mod writer;
 
@@ -70,7 +68,6 @@ pub use orchestration::{
     AgentRunner, AnalyticsAgent, EntityIndexAgent, OrchestrationAgent, TextIndexAgent,
     ViewMaintenanceAgent,
 };
-pub use serving::StableRead;
 pub use views::{
     Computation, FactCountView, Maintained, RefreshKind, RefreshReport, View, ViewData,
     ViewManager, ViewRegistration,

@@ -8,7 +8,9 @@
 //!
 //! Every [`IngestOp`] carries the [`Delta`](saga_core::Delta) payloads of
 //! its commit, and those deltas are the only record shape the log has:
-//! the analytics store applies them directly and the View Manager keys
+//! the analytics store applies them directly — after its snapshot
+//! bootstrap (`AnalyticsStore::build`) deltas are the only thing it
+//! learns from — and the View Manager keys
 //! its update procedures on the entities they name — the log is the only
 //! delta channel out of construction. Agents that materialize full
 //! records (entity/text indexes) take the ids to refresh from the same

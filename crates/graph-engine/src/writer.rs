@@ -27,16 +27,21 @@
 //! changelog has since been retired entirely: the commit receipt is the
 //! only delta channel, and CI rejects new `append_op` call sites outside
 //! the core internals.
+//!
+//! [`LoggedWriter::commit`] and [`LoggedWriter::with_txn`] are the only
+//! public ways to change the writer's graph, and both are fallible: a log
+//! I/O error comes back as `Err` with the graph untouched. The writer
+//! deliberately does not implement the infallible
+//! [`GraphWrite`](saga_core::GraphWrite), which could only panic on one.
 
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
 use saga_core::{
-    CommitReceipt, GraphWrite, KgTransaction, KnowledgeGraph, Lsn, Result, SessionToken, WriteBatch,
+    CommitReceipt, KgTransaction, KnowledgeGraph, Lsn, Result, SessionToken, WriteBatch,
 };
 
 use crate::oplog::{OpKind, OperationLog};
-use crate::serving::StableRead;
 
 /// A successful logged commit: where it landed in the log and what it did.
 #[derive(Debug)]
@@ -81,23 +86,14 @@ impl LoggedWriter {
         LoggedWriter { kg, log }
     }
 
-    /// A writer over the graph behind a [`StableRead`] serving handle —
-    /// the usual wiring: reads serve through `StableRead`, writes commit
-    /// here, and both see one graph.
-    pub fn for_stable(stable: &StableRead, log: Arc<OperationLog>) -> Self {
-        LoggedWriter {
-            kg: stable.shared(),
-            log,
-        }
-    }
-
     /// The followed log (hand it to `LogFollower`s / replicas).
     pub fn log(&self) -> &Arc<OperationLog> {
         &self.log
     }
 
-    /// The shared graph handle.
-    pub fn shared(&self) -> Arc<RwLock<KnowledgeGraph>> {
+    /// The shared graph handle ([`CheckpointWriter`](crate::CheckpointWriter)
+    /// snapshots through it).
+    pub(crate) fn shared(&self) -> Arc<RwLock<KnowledgeGraph>> {
         Arc::clone(&self.kg)
     }
 
@@ -142,28 +138,13 @@ impl LoggedWriter {
     }
 }
 
-/// Batch commits without an explicit kind go into the log as upserts —
-/// the catch-all kind for mixed batches.
-///
-/// # Panics
-/// The `GraphWrite` trait is infallible, so a durable-log append failure
-/// (disk full, fsync error) panics here **with the graph untouched** —
-/// the write-ahead ordering still holds. Callers that need to recover
-/// from log I/O errors should use the fallible
-/// [`LoggedWriter::commit`] directly.
-impl GraphWrite for LoggedWriter {
-    fn commit(&mut self, batch: WriteBatch) -> CommitReceipt {
-        LoggedWriter::commit(self, OpKind::Upsert, batch)
-            .expect("oplog append failed")
-            .receipt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oplog::LogFollower;
-    use saga_core::{intern, EntityId, ExtendedTriple, FactMeta, GraphRead, SourceId, Value};
+    use saga_core::{
+        intern, EntityId, ExtendedTriple, FactMeta, GraphRead, ProbeKey, SourceId, Value,
+    };
 
     fn fact(e: u64, p: &str, v: Value) -> ExtendedTriple {
         ExtendedTriple::simple(
@@ -258,13 +239,60 @@ mod tests {
         assert_eq!(op.deltas[0].removed[0].object, Value::Int(-5));
     }
 
+    fn city(i: u64) -> WriteBatch {
+        WriteBatch::new().named_entity(EntityId(i), &format!("City {i}"), "city", SourceId(1), 0.9)
+    }
+
+    fn cities(w: &LoggedWriter) -> usize {
+        w.read().postings(&ProbeKey::Type(intern("city"))).len()
+    }
+
     #[test]
-    fn graph_write_impl_commits_as_upserts() {
-        use saga_core::GraphWriteExt;
-        let mut w = writer();
-        let receipt = w.commit_upsert(fact(3, "name", Value::str("Via Trait")));
-        assert_eq!(receipt.facts_added, 1);
+    fn readers_see_each_commit_through_graph_read() {
+        let w = writer();
+        for i in 1..=10u64 {
+            w.commit(OpKind::Upsert, city(i)).unwrap();
+        }
+        assert_eq!(cities(&w), 10);
+        assert_eq!(w.read().resolve_name("City 3"), vec![EntityId(3)]);
+
+        let g0 = GraphRead::generation(&*w.read());
+        let commit = w.commit(OpKind::Upsert, city(11)).unwrap();
+        let g1 = GraphRead::generation(&*w.read());
+        assert!(g1 > g0);
+        assert_eq!(g1, commit.receipt.generation);
+        assert_eq!(cities(&w), 11);
+    }
+
+    #[test]
+    fn clones_share_one_graph() {
+        let w = writer();
+        w.clone().commit(OpKind::Upsert, city(99)).unwrap();
+        assert!(w.read().contains(EntityId(99)));
         assert_eq!(w.log().head(), Lsn(1));
-        assert_eq!(GraphRead::generation(&*w.read()), receipt.generation);
+    }
+
+    #[test]
+    fn concurrent_readers_progress_under_writes() {
+        let w = writer();
+        for i in 1..=10u64 {
+            w.commit(OpKind::Upsert, city(i)).unwrap();
+        }
+        let reader = w.clone();
+        let t = std::thread::spawn(move || {
+            let mut hits = 0usize;
+            for _ in 0..200 {
+                hits += reader
+                    .read()
+                    .probe_all(&[ProbeKey::Type(intern("city"))])
+                    .len();
+            }
+            hits
+        });
+        for i in 100..150u64 {
+            w.commit(OpKind::Upsert, city(i)).unwrap();
+        }
+        assert!(t.join().unwrap() >= 200 * 10);
+        assert_eq!(cities(&w), 60);
     }
 }

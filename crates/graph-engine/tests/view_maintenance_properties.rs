@@ -12,7 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value, WriteBatch,
+    intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value,
+    WriteBatch,
 };
 use saga_graph::views::{ViewContext, ViewManager};
 use saga_graph::{
@@ -58,7 +59,7 @@ fn seed_kg() -> saga_core::KnowledgeGraph {
 
 /// One random commit; breadth varies from a single edit to well past the
 /// importance view's churn threshold.
-fn random_commit(rng: &mut StdRng, kg: &mut saga_core::KnowledgeGraph) -> Vec<EntityId> {
+fn random_commit(rng: &mut StdRng, kg: &mut saga_core::KnowledgeGraph) -> CommitReceipt {
     let breadth = match rng.gen_range(0..4) {
         0 => 1,
         1 => rng.gen_range(1..4),
@@ -108,11 +109,7 @@ fn random_commit(rng: &mut StdRng, kg: &mut saga_core::KnowledgeGraph) -> Vec<En
             }
         }
     }
-    let receipt = batch.commit(kg);
-    let mut changed: Vec<EntityId> = receipt.deltas.iter().map(|d| d.entity).collect();
-    changed.sort_unstable();
-    changed.dedup();
-    changed
+    batch.commit(kg)
 }
 
 fn assert_scores_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, label: &str) {
@@ -173,6 +170,57 @@ fn assert_counts_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, l
     );
 }
 
+/// The delta-fed warehouse equals one built from scratch: the same rows in
+/// every partition the interleavings touch, the same typed subjects, the
+/// same total and the same aggregate counts.
+fn assert_warehouse_matches_fresh(
+    kg: &saga_core::KnowledgeGraph,
+    maintained: &AnalyticsStore,
+    label: &str,
+) {
+    let fresh = AnalyticsStore::build(kg);
+    for predicate in ["knows", "name", saga_core::well_known::TYPE] {
+        let p = intern(predicate);
+        assert_eq!(
+            sorted_rows(maintained, p),
+            sorted_rows(&fresh, p),
+            "{label}: `{predicate}` rows diverged"
+        );
+        assert_eq!(
+            maintained.aggregates().count(p),
+            fresh.aggregates().count(p),
+            "{label}: `{predicate}` count diverged"
+        );
+    }
+    let person = intern("person");
+    let mut got = maintained.entities_of_type(person).to_vec();
+    let mut want = fresh.entities_of_type(person).to_vec();
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want, "{label}: entities_of_type(person) diverged");
+    assert_eq!(
+        maintained.row_count(),
+        fresh.row_count(),
+        "{label}: row_count diverged"
+    );
+}
+
+/// A partition's `(subject, value)` rows, sorted (row order is not part of
+/// the store's contract).
+fn sorted_rows(store: &AnalyticsStore, predicate: saga_core::Symbol) -> Vec<(u64, Value)> {
+    let Some(t) = store.table(predicate) else {
+        return Vec::new();
+    };
+    let ents = t.ent_rows.0.iter().zip(&t.ent_rows.1);
+    let strs = t.str_rows.0.iter().zip(&t.str_rows.1);
+    let mut rows: Vec<(u64, Value)> = ents
+        .map(|(&s, &o)| (s, Value::Entity(EntityId(o))))
+        .chain(strs.map(|(&s, o)| (s, Value::Str(o.clone()))))
+        .collect();
+    rows.sort();
+    rows
+}
+
 /// The tentpole invariant: incrementally maintained views equal fresh
 /// materialization after every commit of every seeded interleaving, and
 /// the sweep exercises both sides of the churn-fallback threshold.
@@ -193,9 +241,11 @@ fn maintained_views_equal_fresh_recompute_across_interleavings() {
         vm.refresh_all(&kg, &store).unwrap();
 
         for round in 0..12 {
-            let changed = random_commit(&mut rng, &mut kg);
-            store.update(&kg, &changed);
-            let report = vm.update_changed(&kg, &store, &changed).unwrap();
+            let receipt = random_commit(&mut rng, &mut kg);
+            store.apply_deltas(&receipt.deltas);
+            let report = vm
+                .update_changed(&kg, &store, &receipt.entities_changed)
+                .unwrap();
             match report.kind_of("entity_importance") {
                 Some(RefreshKind::Incremental) => kinds.0 += 1,
                 Some(RefreshKind::Full) => kinds.1 += 1,
@@ -204,6 +254,7 @@ fn maintained_views_equal_fresh_recompute_across_interleavings() {
             let label = format!("seed {seed} round {round}");
             assert_scores_match_fresh(&kg, &vm, &label);
             assert_counts_match_fresh(&kg, &vm, &label);
+            assert_warehouse_matches_fresh(&kg, &store, &label);
         }
     }
     assert!(kinds.0 > 0, "sweep never took the incremental path");
@@ -232,9 +283,11 @@ fn always_fallback_threshold_stays_correct() {
     vm.refresh_all(&kg, &store).unwrap();
     let mut fulls = 0usize;
     for round in 0..6 {
-        let changed = random_commit(&mut rng, &mut kg);
-        store.update(&kg, &changed);
-        let report = vm.update_changed(&kg, &store, &changed).unwrap();
+        let receipt = random_commit(&mut rng, &mut kg);
+        store.apply_deltas(&receipt.deltas);
+        let report = vm
+            .update_changed(&kg, &store, &receipt.entities_changed)
+            .unwrap();
         // A zero threshold forces fallback whenever any contribution row
         // is affected (row-neutral commits may still refresh in place).
         if report.kind_of("entity_importance") == Some(RefreshKind::Full) {

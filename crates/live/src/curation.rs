@@ -59,7 +59,7 @@ pub struct CurationPipeline {
     live: LiveKg,
     /// The curation source id (curations are "a streaming data source").
     pub source: SourceId,
-    pending_for_stable: parking_lot::Mutex<Vec<CurationAction>>,
+    pending: parking_lot::Mutex<Vec<CurationAction>>,
 }
 
 impl CurationPipeline {
@@ -68,7 +68,7 @@ impl CurationPipeline {
         CurationPipeline {
             live,
             source,
-            pending_for_stable: parking_lot::Mutex::new(Vec::new()),
+            pending: parking_lot::Mutex::new(Vec::new()),
         }
     }
 
@@ -107,7 +107,7 @@ impl CurationPipeline {
             CurationAction::BlockEntity { entity } => self.live.remove(*entity),
         };
         if applied {
-            self.pending_for_stable.lock().push(action);
+            self.pending.lock().push(action);
         }
         applied
     }
@@ -125,8 +125,8 @@ impl CurationPipeline {
 
     /// Drain curations queued for stable construction ("sent to the stable
     /// KG construction as a source").
-    pub fn drain_for_stable(&self) -> Vec<CurationAction> {
-        std::mem::take(&mut self.pending_for_stable.lock())
+    pub fn drain_pending(&self) -> Vec<CurationAction> {
+        std::mem::take(&mut self.pending.lock())
     }
 
     /// Stage drained curations as one [`WriteBatch`] of record edits —
@@ -172,9 +172,10 @@ impl CurationPipeline {
     }
 
     /// Apply drained curations to the stable KG (the construction-side
-    /// consumer of the curation source) through any [`GraphWrite`]
-    /// backend. Returns the number of fact-level hits alongside the
-    /// commit receipt.
+    /// consumer of the curation source) through [`GraphWrite`]. Returns
+    /// the number of fact-level hits alongside the commit receipt. A
+    /// write-ahead producer commits [`stable_batch`](Self::stable_batch)
+    /// through `LoggedWriter::commit` instead.
     pub fn apply_to_stable<W: GraphWrite + ?Sized>(
         target: &mut W,
         actions: &[CurationAction],
@@ -277,10 +278,10 @@ mod tests {
             old: Value::Int(-5),
             new: Value::Int(120_000),
         });
-        let drained = pipeline.drain_for_stable();
+        let drained = pipeline.drain_pending();
         assert_eq!(drained.len(), 1);
         assert!(
-            pipeline.drain_for_stable().is_empty(),
+            pipeline.drain_pending().is_empty(),
             "drain empties the queue"
         );
 
@@ -314,7 +315,7 @@ mod tests {
             value: Value::Int(1),
         });
         assert!(!ok);
-        assert!(pipeline.drain_for_stable().is_empty());
+        assert!(pipeline.drain_pending().is_empty());
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl ShardedTripleIndex {
             .collect();
         merge_sorted_limit(per_shard, usize::MAX)
     }
-
-    /// Posting-list length for a name probe (plan ordering).
-    pub fn name_selectivity(&self, needle: &str) -> usize {
-        self.selectivity(&ProbeKey::Name(needle.to_lowercase()))
-    }
 }
 
 /// The first `limit` ids of the ascending merge of sorted, pairwise-

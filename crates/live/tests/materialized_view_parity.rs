@@ -11,8 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId, Value,
-    WriteBatch,
+    intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph,
+    SourceId, Value, WriteBatch,
 };
 use saga_graph::views::ViewManager;
 use saga_graph::{AnalyticsStore, RefreshKind};
@@ -58,8 +58,8 @@ fn seed_kg() -> KnowledgeGraph {
     kg
 }
 
-/// One random commit over the person population; returns changed ids.
-fn random_commit(rng: &mut StdRng, kg: &mut KnowledgeGraph) -> Vec<EntityId> {
+/// One random commit over the person population.
+fn random_commit(rng: &mut StdRng, kg: &mut KnowledgeGraph) -> CommitReceipt {
     let mut batch = WriteBatch::new();
     for _ in 0..rng.gen_range(1..6) {
         let p = EntityId(rng.gen_range(1..=PEOPLE + 8));
@@ -111,11 +111,7 @@ fn random_commit(rng: &mut StdRng, kg: &mut KnowledgeGraph) -> Vec<EntityId> {
             }
         }
     }
-    let receipt = batch.commit(kg);
-    let mut changed: Vec<EntityId> = receipt.deltas.iter().map(|d| d.entity).collect();
-    changed.sort_unstable();
-    changed.dedup();
-    changed
+    batch.commit(kg)
 }
 
 /// Fresh compile-and-execute of a view's query text, sorted.
@@ -150,9 +146,11 @@ fn maintained_membership_equals_fresh_execution_across_interleavings() {
         assert_parity(&kg, &vm, &format!("seed {seed} initial"));
 
         for round in 0..15 {
-            let changed = random_commit(&mut rng, &mut kg);
-            store.update(&kg, &changed);
-            let report = vm.update_changed(&kg, &store, &changed).unwrap();
+            let receipt = random_commit(&mut rng, &mut kg);
+            store.apply_deltas(&receipt.deltas);
+            let report = vm
+                .update_changed(&kg, &store, &receipt.entities_changed)
+                .unwrap();
             for (name, _) in VIEWS {
                 assert_eq!(
                     report.kind_of(name),
@@ -199,9 +197,10 @@ fn target_rename_crosses_into_full_rematerialization_and_back() {
             }
         })
         .commit(&mut kg);
-    let changed: Vec<EntityId> = receipt.deltas.iter().map(|d| d.entity).collect();
-    store.update(&kg, &changed);
-    let report = vm.update_changed(&kg, &store, &changed).unwrap();
+    store.apply_deltas(&receipt.deltas);
+    let report = vm
+        .update_changed(&kg, &store, &receipt.entities_changed)
+        .unwrap();
     assert_eq!(
         report.kind_of("in_city_a"),
         Some(RefreshKind::Full),
@@ -211,9 +210,10 @@ fn target_rename_crosses_into_full_rematerialization_and_back() {
 
     // And the maintenance loop keeps converging incrementally afterwards.
     for round in 0..8 {
-        let changed = random_commit(&mut rng, &mut kg);
-        store.update(&kg, &changed);
-        vm.update_changed(&kg, &store, &changed).unwrap();
+        let receipt = random_commit(&mut rng, &mut kg);
+        store.apply_deltas(&receipt.deltas);
+        vm.update_changed(&kg, &store, &receipt.entities_changed)
+            .unwrap();
         assert_parity(&kg, &vm, &format!("post-rename round {round}"));
     }
 }

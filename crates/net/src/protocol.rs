@@ -11,7 +11,7 @@
 //! +-------+---------+--------+-------------+-------------+-----------+
 //! ```
 //!
-//! The magic is `SGNT`, the version is [`VERSION`]. The request id is
+//! The magic is `SGNT`, the version is 2. The request id is
 //! chosen by the client and echoed verbatim on the response — that is the
 //! whole pipelining contract: a client may have any number of requests in
 //! flight on one connection, the server may answer them in any order, and
@@ -66,10 +66,12 @@ use saga_core::{
 };
 use saga_live::QueryResult;
 
-/// Frame magic: the first four bytes of every saga-net frame.
-pub const MAGIC: [u8; 4] = *b"SGNT";
-/// Protocol version carried in every frame header.
-pub const VERSION: u8 = 2;
+/// Frame magic: the first four bytes of every saga-net frame. Private, so
+/// only this module's codec can write or check a frame header.
+const MAGIC: [u8; 4] = *b"SGNT";
+/// Protocol version carried in every frame header (private, like
+/// [`MAGIC`]).
+const VERSION: u8 = 2;
 /// Fixed header size in bytes (magic + version + opcode + id + length).
 pub const HEADER_LEN: usize = 18;
 /// Hard cap on a frame's payload. A declared length above this is a
@@ -133,7 +135,7 @@ pub enum FrameError {
         /// Bytes actually read before EOF.
         got: usize,
     },
-    /// The first four bytes were not [`MAGIC`].
+    /// The first four bytes were not the `SGNT` magic.
     BadMagic([u8; 4]),
     /// Unsupported protocol version.
     BadVersion(u8),

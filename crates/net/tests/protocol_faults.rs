@@ -22,7 +22,7 @@ use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SourceId, WriteBatch};
 use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool, SessionWaitConfig};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
-use saga_net::protocol::{self, opcode, read_frame, MAGIC, MAX_PAYLOAD, VERSION};
+use saga_net::protocol::{self, opcode, read_frame, MAX_PAYLOAD};
 use saga_net::{
     ClientConfig, ErrorKind, Request, Response, SagaClient, SagaServer, ServerConfig, WireBatch,
 };
@@ -149,13 +149,11 @@ fn oversized_length_prefix_is_rejected_then_disconnected() {
     let h = boot("oversized", |_| {});
     let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
 
-    // A hand-built header declaring a payload far over MAX_PAYLOAD.
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(opcode::PING);
-    frame.extend_from_slice(&99u64.to_le_bytes());
-    frame.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+    // A valid header whose length field is rewritten to declare a payload
+    // past MAX_PAYLOAD.
+    let mut frame = protocol::encode_frame(99, opcode::PING, &[]);
+    frame[protocol::HEADER_LEN - 4..protocol::HEADER_LEN]
+        .copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
     raw.write_all(&frame).expect("write oversized header");
 
     // The server answers the offending request id with a typed error...

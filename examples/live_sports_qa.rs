@@ -189,7 +189,7 @@ fn main() {
     );
     println!(
         "  {} curation(s) queued for stable construction",
-        curation.drain_for_stable().len()
+        curation.drain_pending().len()
     );
 }
 

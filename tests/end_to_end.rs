@@ -7,9 +7,7 @@
 use std::sync::Arc;
 
 use saga::construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
-use saga::core::{
-    intern, EntityId, GraphWriteExt, IdGenerator, KnowledgeGraph, Lsn, SourceId, Value, WriteBatch,
-};
+use saga::core::{intern, EntityId, IdGenerator, KnowledgeGraph, Lsn, SourceId, Value, WriteBatch};
 use saga::graph::{
     AgentRunner, AnalyticsStore, EntityIndexAgent, LoggedWriter, MetadataStore, OpKind,
     OperationLog, TextIndexAgent,
@@ -266,14 +264,16 @@ fn analytics_store_tracks_incremental_updates() {
     let mut store = AnalyticsStore::build(&kg);
     assert_eq!(store.entities_of_type(intern("music_artist")).len(), 1);
 
-    kg.add_named_entity(EntityId(2), "B", "music_artist", SourceId(1), 0.9);
-    kg.commit_upsert(saga::core::ExtendedTriple::simple(
-        EntityId(2),
-        intern("popularity"),
-        Value::Int(5),
-        saga::core::FactMeta::from_source(SourceId(1), 0.9),
-    ));
-    store.update(&kg, &[EntityId(2)]);
+    let receipt = WriteBatch::new()
+        .named_entity(EntityId(2), "B", "music_artist", SourceId(1), 0.9)
+        .upsert(saga::core::ExtendedTriple::simple(
+            EntityId(2),
+            intern("popularity"),
+            Value::Int(5),
+            saga::core::FactMeta::from_source(SourceId(1), 0.9),
+        ))
+        .commit(&mut kg);
+    store.apply_deltas(&receipt.deltas);
     assert_eq!(store.entities_of_type(intern("music_artist")).len(), 2);
     assert_eq!(store.frame_ints(intern("popularity"), "pop").len(), 1);
 }
