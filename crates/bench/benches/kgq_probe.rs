@@ -9,8 +9,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use saga_bench::nerdworld::ambiguous_world;
 use saga_core::index::{flatten, intersect_sorted};
 use saga_core::postings::{intersect_views, PostingsView};
-use saga_core::{intern, EntityId, GraphRead, KnowledgeGraph, OverlayRead, ProbeKey, Value};
-use saga_live::{LiveKg, QueryEngine};
+use saga_core::{
+    intern, Delta, DeltaFact, EntityId, GraphRead, KnowledgeGraph, OverlayRead, ProbeKey, Value,
+};
+use saga_live::{QueryEngine, ReplicaKg};
 
 /// The old pre-index serving path: scan every record, test every probe.
 fn naive_find(kg: &KnowledgeGraph, ty: &str, pred: &str, target: EntityId) -> Vec<EntityId> {
@@ -45,8 +47,7 @@ fn bench_probe(c: &mut Criterion) {
         kg.fact_count()
     );
 
-    let live = LiveKg::new(16);
-    live.load_stable(&kg);
+    let live = ReplicaKg::from_index(16, kg.index().clone());
     let engine = QueryEngine::new(live.clone());
 
     // A conjunctive probe on the serving path: cities located in one
@@ -69,11 +70,18 @@ fn bench_probe(c: &mut Criterion) {
     // topology of §4.1. The acceptance bar for the GraphRead refactor is
     // overlay probes within 2× of the live-only path.
     let overlay = {
-        let partial = LiveKg::new(16);
-        for (i, record) in kg.entities().enumerate() {
-            if i % 2 == 0 {
-                partial.upsert(record.clone());
-            }
+        let partial = ReplicaKg::new(16);
+        for record in kg.entities().step_by(2) {
+            partial.apply(&Delta {
+                entity: record.id,
+                added: record
+                    .triples
+                    .iter()
+                    .filter_map(flatten)
+                    .map(|(predicate, object)| DeltaFact { predicate, object })
+                    .collect(),
+                removed: Vec::new(),
+            });
         }
         OverlayRead::new(partial, kg.clone())
     };

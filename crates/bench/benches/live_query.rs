@@ -3,13 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use saga_bench::workload::{media_world, MediaWorldConfig};
-use saga_live::{LiveKg, QueryEngine};
+use saga_live::{QueryEngine, ReplicaKg};
 
 fn bench_live(c: &mut Criterion) {
     let kg = media_world(&MediaWorldConfig::small(3));
-    let live = LiveKg::new(16);
-    live.load_stable(&kg);
-    let engine = QueryEngine::new(live);
+    let engine = QueryEngine::new(ReplicaKg::from_index(16, kg.index().clone()));
     // Warm the plan cache.
     let get = r#"GET "Artist 5" . signed_to . name"#;
     let find = r#"FIND song WHERE performed_by -> entity("Artist 5") LIMIT 10"#;

@@ -12,13 +12,14 @@ use std::time::Instant;
 
 use saga_bench::measure::percentile;
 use saga_bench::workload::{media_world, MediaWorldConfig};
-use saga_live::{LiveKg, QueryEngine};
+use saga_live::{QueryEngine, ReplicaKg};
 
 fn main() {
     let kg = media_world(&MediaWorldConfig::standard(3));
-    let live = LiveKg::new(64);
-    live.load_stable(&kg);
-    let engine = Arc::new(QueryEngine::new(live));
+    let engine = Arc::new(QueryEngine::new(ReplicaKg::from_index(
+        64,
+        kg.index().clone(),
+    )));
     eprintln!("live KG: {} entities", engine.graph().len());
 
     // A mixed workload, mirroring QA traffic: entity cards (GET), relation

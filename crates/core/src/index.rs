@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use crate::postings::{intersect_views_limit, BlockPostings, PostingsView};
 use crate::well_known;
-use crate::{intern, EntityId, EntityRecord, ExtendedTriple, FxHashMap, Symbol, Value};
+use crate::{intern, EntityId, ExtendedTriple, FxHashMap, Symbol, Value};
 
 /// Dense id of an object value in a [`TripleIndex`]'s dictionary.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -207,6 +207,7 @@ impl TripleIndex {
         self.facts == 0
     }
 
+    #[cfg(test)]
     fn obj_id(&mut self, value: &Value) -> ObjId {
         intern_obj(
             &mut self.obj_ids,
@@ -236,7 +237,11 @@ impl TripleIndex {
 
     /// Diff `record` against the indexed state of its subject and apply the
     /// difference, returning the [`Delta`] for downstream consumers.
-    pub fn update_entity(&mut self, record: &EntityRecord) -> Delta {
+    /// Test-only: production writes stage exact deltas and land them
+    /// through [`apply`](Self::apply); this O(record) re-diff is the
+    /// reference the delta path is checked against.
+    #[cfg(test)]
+    pub fn update_entity(&mut self, record: &crate::EntityRecord) -> Delta {
         let new_facts: Vec<(Symbol, ObjId)> = {
             let mut v: Vec<(Symbol, ObjId)> = record
                 .triples
@@ -254,6 +259,8 @@ impl TripleIndex {
     }
 
     /// Drop every fact of `entity`, returning the retraction [`Delta`].
+    /// Test-only, like [`update_entity`](Self::update_entity).
+    #[cfg(test)]
     pub fn remove_entity(&mut self, entity: EntityId) -> Delta {
         let old = self.spo.get(&entity).cloned().unwrap_or_default();
         let delta = self.diff_to_delta(entity, &old, &[]);
@@ -281,6 +288,7 @@ impl TripleIndex {
         delta
     }
 
+    #[cfg(test)]
     fn diff_to_delta(
         &self,
         entity: EntityId,
@@ -295,6 +303,7 @@ impl TripleIndex {
         }
     }
 
+    #[cfg(test)]
     fn fact_of(&self, (predicate, obj): (Symbol, ObjId)) -> DeltaFact {
         DeltaFact {
             predicate,
@@ -633,11 +642,13 @@ impl TripleIndex {
     /// live store's lock stripes). Posting lists are partitioned in a
     /// single decode pass and re-encoded per shard with the bulk
     /// [`BlockPostings::from_sorted`] path; each shard re-interns only the
-    /// object values its subjects actually reference. `partition(1)` is
-    /// the identity.
-    pub fn partition(self, n: usize) -> Vec<TripleIndex> {
+    /// object values its subjects actually reference. `partition(1)` keeps
+    /// the index whole. Every part comes back with freshly stamped lists,
+    /// so a list that later empties moves its fingerprint.
+    pub fn partition(mut self, n: usize) -> Vec<TripleIndex> {
         assert!(n > 0, "at least one shard");
         if n == 1 {
+            self.stamp_lists();
             return vec![self];
         }
         let mut shards: Vec<TripleIndex> = (0..n).map(|_| TripleIndex::new()).collect();
@@ -730,7 +741,26 @@ impl TripleIndex {
                 }
             }
         }
+        for shard in &mut shards {
+            shard.stamp_lists();
+        }
         shards
+    }
+
+    /// Give every posting list one fresh stamp. A restored or re-encoded
+    /// list carries stamp 0, which is also what an absent list
+    /// fingerprints as: unstamped, a list that later empties would leave
+    /// every plan that fingerprinted it looking valid.
+    fn stamp_lists(&mut self) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let pos = self.pos.values_mut();
+        for list in pos
+            .chain(self.osp.values_mut())
+            .chain(self.tokens.values_mut())
+        {
+            list.set_stamp(stamp);
+        }
     }
 }
 
@@ -866,7 +896,7 @@ fn lower_bound(list: &[EntityId], from: usize, id: EntityId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FactMeta, KnowledgeGraph, RelId, SourceId};
+    use crate::{EntityRecord, FactMeta, KnowledgeGraph, RelId, SourceId};
 
     fn meta() -> FactMeta {
         FactMeta::from_source(SourceId(1), 0.9)

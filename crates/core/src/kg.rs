@@ -89,13 +89,11 @@ impl KnowledgeGraph {
     /// Mutate an entity record in place, then reconcile the index with
     /// whatever the closure did. Returns `false` if the entity is unknown.
     ///
-    /// Crate-internal: producers stage edits through
-    /// [`WriteBatch::mutate`](crate::WriteBatch::mutate) instead, which
-    /// folds the resulting delta into the commit receipt.
-    /// Reference semantics for the staged commit path — exercised by the
-    /// in-crate equivalence property tests; production writers commit
-    /// through [`GraphWrite`](crate::GraphWrite).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Test-only reference semantics for the staged commit path, checked
+    /// by the in-crate equivalence properties: producers stage edits
+    /// through [`WriteBatch::mutate`](crate::WriteBatch::mutate), which
+    /// folds the exact delta into the commit receipt.
+    #[cfg(test)]
     pub(crate) fn mutate_entity(
         &mut self,
         id: EntityId,
@@ -113,10 +111,8 @@ impl KnowledgeGraph {
 
     /// Re-derive the index entries of one entity from its current record
     /// (diff-based — unchanged facts are untouched). Records the delta.
-    /// Reference semantics for the staged commit path — exercised by the
-    /// in-crate equivalence property tests; production writers commit
-    /// through [`GraphWrite`](crate::GraphWrite).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Test-only, like [`mutate_entity`](Self::mutate_entity).
+    #[cfg(test)]
     pub(crate) fn reindex_entity(&mut self, id: EntityId) -> Delta {
         let delta = match self.entities.get(&id) {
             Some(record) => {

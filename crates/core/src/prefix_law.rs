@@ -9,7 +9,7 @@
 //! `index_properties` suite includes it for the backends it can see
 //! (`KnowledgeGraph`, `OverlayRead`, the `&T` / `Arc<T>` forwards), and
 //! `saga-fleet`'s `prefix_law` integration suite includes it by `#[path]`
-//! for the rest (`LiveKg`, `ReplicaKg`, `LiveReplica`, the graph behind
+//! for the rest (`ReplicaKg`, `LiveReplica`, the graph behind
 //! `LoggedWriter::read`, `FleetRouter`) —
 //! `saga-live` cannot depend on `saga-fleet`, and a checker exported from
 //! the library would ship test code. Every name comes from the including

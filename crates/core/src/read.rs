@@ -9,8 +9,9 @@
 //!
 //! * the stable [`KnowledgeGraph`] (single [`TripleIndex`](crate::TripleIndex), zero-copy
 //!   galloping intersection),
-//! * the sharded live store (`saga_live::LiveKg`, lock-striped indexes
-//!   probed shard by shard and merged),
+//! * the sharded replica store (`saga_live::ReplicaKg`, lock-striped
+//!   indexes probed shard by shard and merged — what log replicas and the
+//!   live graph serve),
 //! * [`OverlayRead`] — live-over-stable federation with tombstone
 //!   semantics: live upserts win over stable facts, live retractions
 //!   (tombstones) shadow them entirely.

@@ -4,8 +4,8 @@
 //! `probe_all_limit(p, k) == probe_all(p)[..min(k, len)]` on the backends
 //! it can see; this suite runs the **same** seeded check (the shared
 //! `crates/core/src/prefix_law.rs`, included by path) on the rest —
-//! [`LiveKg`] at 1 / 2 / 8 shards, [`ReplicaKg`] at 1 / 2 / 8 shards
-//! (replayed and bootstrapped), [`LiveReplica`], the [`LoggedWriter`]'s
+//! [`ReplicaKg`] at 1 / 2 / 8 shards (replayed and bootstrapped),
+//! [`LiveReplica`], the [`LoggedWriter`]'s
 //! own graph read through its lock, and [`FleetRouter`] — and checks that
 //! `FIND … LIMIT k` through a [`QueryEngine`] is the first `k` answers of
 //! `LIMIT 1000`. All of them are built from one write-ahead producer, so
@@ -23,7 +23,7 @@ use saga_core::{
 };
 use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
 use saga_graph::{CheckpointWriter, LoggedWriter, OpKind, OperationLog};
-use saga_live::{LiveKg, LiveReplica, QueryEngine, ReplicaKg};
+use saga_live::{LiveReplica, QueryEngine, ReplicaKg};
 
 #[path = "../../core/src/prefix_law.rs"]
 mod law;
@@ -52,25 +52,16 @@ fn check_kgq_limits(query: impl Fn(&str) -> Vec<EntityId>, backend: &str) {
 #[test]
 fn prefix_law_holds_on_every_live_and_fleet_backend() {
     for seed in law::SEEDS {
-        let kg = Arc::new(RwLock::new(KnowledgeGraph::new()));
-        let writer = LoggedWriter::new(Arc::clone(&kg), Arc::new(OperationLog::in_memory()));
+        let writer = LoggedWriter::new(
+            Arc::new(RwLock::new(KnowledgeGraph::new())),
+            Arc::new(OperationLog::in_memory()),
+        );
         for chunk in law::corpus(seed).chunks(512) {
             let batch = chunk
                 .iter()
                 .cloned()
                 .fold(WriteBatch::new(), WriteBatch::upsert);
             writer.commit(OpKind::Upsert, batch).unwrap();
-        }
-
-        for shards in [1, 2, 8] {
-            let live = LiveKg::new(shards);
-            live.load_stable(&kg.read());
-            check_prefix_law(&live, seed, &format!("LiveKg/{shards}"));
-            let engine = QueryEngine::new(live);
-            check_kgq_limits(
-                |text| engine.query(text).unwrap().entities().to_vec(),
-                &format!("QueryEngine<LiveKg/{shards}>"),
-            );
         }
 
         let mut replica = LiveReplica::new(2, Arc::clone(writer.log()));

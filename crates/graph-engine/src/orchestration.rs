@@ -206,7 +206,7 @@ impl TextIndexAgent {
         toks
     }
 
-    fn unindex(&mut self, id: EntityId) {
+    fn forget(&mut self, id: EntityId) {
         if let Some(old) = self.indexed.remove(&id) {
             for tok in old {
                 if let Some(v) = self.postings.get_mut(&tok) {
@@ -246,7 +246,7 @@ impl OrchestrationAgent for TextIndexAgent {
 
     fn apply(&mut self, kg: &KnowledgeGraph, op: &IngestOp) -> Result<()> {
         for id in op.changed_entities() {
-            self.unindex(id);
+            self.forget(id);
             if kg.contains(id) {
                 let toks = Self::tokens_of(kg, id);
                 for t in &toks {
@@ -263,7 +263,7 @@ impl OrchestrationAgent for TextIndexAgent {
                 .filter(|id| !kg.contains(*id))
                 .collect();
             for id in stale {
-                self.unindex(id);
+                self.forget(id);
             }
         }
         Ok(())

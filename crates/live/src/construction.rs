@@ -12,13 +12,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use saga_core::{
-    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, GraphRead, OverlayRead,
-    SourceId, Value,
+    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, Lsn, Result, SourceId,
+    Value,
 };
+use saga_graph::{LoggedWriter, OpKind};
 use saga_ml::NerdStack;
 use saga_ontology::TypeRegistry;
-
-use crate::store::LiveKg;
 
 /// Live entity ids live above this floor so they never collide with stable
 /// KG ids.
@@ -43,9 +42,11 @@ pub struct LiveEvent {
     pub timestamp: u64,
 }
 
-/// Builds and continuously updates the live KG.
+/// Builds and continuously updates the live KG by committing through a
+/// [`LoggedWriter`], so live facts are logged, durable and replicated like
+/// every other write.
 pub struct LiveGraphBuilder {
-    live: LiveKg,
+    writer: LoggedWriter,
     nerd: Option<Arc<NerdStack>>,
     types: TypeRegistry,
     next_id: AtomicU64,
@@ -63,13 +64,17 @@ pub struct LiveIngestReport {
     pub mentions_resolved: usize,
     /// Mentions left unresolved (kept as literals).
     pub mentions_unresolved: usize,
+    /// The batch's log position — build a session token from it. `None`
+    /// when every event was stale and nothing was appended.
+    pub lsn: Option<Lsn>,
 }
 
 impl LiveGraphBuilder {
-    /// A builder over a live KG; `nerd` enables stable-entity resolution.
-    pub fn new(live: LiveKg, types: TypeRegistry, nerd: Option<Arc<NerdStack>>) -> Self {
+    /// A builder committing through `writer`; `nerd` enables stable-entity
+    /// resolution.
+    pub fn new(writer: LoggedWriter, types: TypeRegistry, nerd: Option<Arc<NerdStack>>) -> Self {
         LiveGraphBuilder {
-            live,
+            writer,
             nerd,
             types,
             next_id: AtomicU64::new(LIVE_ID_FLOOR),
@@ -77,62 +82,67 @@ impl LiveGraphBuilder {
         }
     }
 
-    /// The live KG being built.
-    pub fn live(&self) -> &LiveKg {
-        &self.live
+    /// The writer the live KG is committed through.
+    pub fn writer(&self) -> &LoggedWriter {
+        &self.writer
     }
 
-    /// Apply a batch of streaming events.
-    pub fn apply(&self, events: &[LiveEvent]) -> LiveIngestReport {
+    /// Apply a batch of streaming events as one logged operation. Each
+    /// fresh event replaces its entity's facts exactly: a predicate missing
+    /// from the newer event disappears.
+    pub fn apply(&self, events: &[LiveEvent]) -> Result<LiveIngestReport> {
         let mut report = LiveIngestReport::default();
-        for event in events {
-            self.apply_one(event, &mut report);
+        let fresh: Vec<EntityRecord> = events
+            .iter()
+            .filter_map(|event| self.record_of(event, &mut report))
+            .collect();
+        if fresh.is_empty() {
+            return Ok(report);
         }
-        report
-    }
-
-    fn apply_one(&self, event: &LiveEvent, report: &mut LiveIngestReport) {
-        let key = (event.source, event.event_id.clone());
-        let id = {
-            let mut known = self.known.lock();
-            match known.get(&key) {
-                Some(&(_, ts)) if ts > event.timestamp => {
-                    report.stale_dropped += 1;
-                    return;
-                }
-                Some(&(id, _)) => {
-                    known.insert(key, (id, event.timestamp));
-                    id
-                }
-                None => {
-                    let id = EntityId(self.next_id.fetch_add(1, Ordering::Relaxed));
-                    known.insert(key, (id, event.timestamp));
-                    id
+        let (_, commit) = self.writer.with_txn(OpKind::Upsert, |txn| {
+            for EntityRecord { id, triples } in fresh {
+                if txn.contains(id) {
+                    txn.mutate(id, |rec| rec.triples = triples);
+                } else {
+                    for triple in triples {
+                        txn.upsert(triple);
+                    }
                 }
             }
+        })?;
+        report.lsn = Some(commit.lsn);
+        Ok(report)
+    }
+
+    /// The record one event asserts, or `None` if a newer update of the
+    /// same key was already applied.
+    fn record_of(&self, event: &LiveEvent, report: &mut LiveIngestReport) -> Option<EntityRecord> {
+        let id = {
+            let mut known = self.known.lock();
+            let (id, seen) = known
+                .entry((event.source, event.event_id.clone()))
+                .or_insert_with(|| (EntityId(self.next_id.fetch_add(1, Ordering::Relaxed)), 0));
+            if *seen > event.timestamp {
+                report.stale_dropped += 1;
+                return None;
+            }
+            *seen = event.timestamp;
+            *id
         };
 
-        let meta = || FactMeta::from_source(event.source, 0.95);
         let mut record = EntityRecord::new(id);
-        record.triples.push(ExtendedTriple::simple(
-            id,
-            intern("type"),
-            Value::str(&event.entity_type),
-            meta(),
-        ));
-        record.triples.push(ExtendedTriple::simple(
-            id,
-            intern("name"),
-            Value::str(&event.event_id),
-            meta(),
-        ));
-        for (pred, value) in &event.facts {
-            record.triples.push(ExtendedTriple::simple(
+        let mut fact = |pred: &str, value: Value| {
+            record.upsert(ExtendedTriple::simple(
                 id,
                 intern(pred),
-                value.clone(),
-                meta(),
+                value,
+                FactMeta::from_source(event.source, 0.95),
             ));
+        };
+        fact("type", Value::str(&event.entity_type));
+        fact("name", Value::str(&event.event_id));
+        for (pred, value) in &event.facts {
+            fact(pred, value.clone());
         }
         // Resolve text references against the stable graph.
         let context: String = event
@@ -150,26 +160,16 @@ impl LiveGraphBuilder {
             match resolved {
                 Some((stable_id, _conf)) => {
                     report.mentions_resolved += 1;
-                    record.triples.push(ExtendedTriple::simple(
-                        id,
-                        intern(pred),
-                        Value::Entity(stable_id),
-                        meta(),
-                    ));
+                    fact(pred, Value::Entity(stable_id));
                 }
                 None => {
                     report.mentions_unresolved += 1;
-                    record.triples.push(ExtendedTriple::simple(
-                        id,
-                        intern(pred),
-                        Value::str(mention),
-                        meta(),
-                    ));
+                    fact(pred, Value::str(mention));
                 }
             }
         }
-        self.live.upsert(record);
         report.applied += 1;
+        Some(record)
     }
 
     /// The live entity id a source event maps to, if seen.
@@ -179,20 +179,14 @@ impl LiveGraphBuilder {
             .get(&(source, event_id.to_string()))
             .map(|&(id, _)| id)
     }
-
-    /// The serving view of this builder's output: the continuously-updating
-    /// live KG overlaid on a stable backend ("the live KG is the union of a
-    /// view of the stable graph with real-time live sources", §4.1). Hand
-    /// the result to a `QueryEngine` to serve both layers through one API.
-    pub fn overlay<S: GraphRead>(&self, stable: S) -> OverlayRead<LiveKg, S> {
-        OverlayRead::new(self.live.clone(), stable)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::KnowledgeGraph;
+    use parking_lot::RwLock;
+    use saga_core::{KnowledgeGraph, OverlayRead};
+    use saga_graph::OperationLog;
     use saga_ml::{ContextualDisambiguator, NerdConfig, NerdEntityView, StringEncoder};
     use saga_ontology::default_ontology;
 
@@ -216,24 +210,39 @@ mod tests {
         kg
     }
 
-    fn builder_with_nerd() -> LiveGraphBuilder {
-        let kg = stable_kg();
-        let live = LiveKg::new(4);
-        live.load_stable(&kg);
-        let nerd = NerdStack::new(
-            NerdEntityView::build(&kg, None),
+    fn writer_over(kg: KnowledgeGraph) -> LoggedWriter {
+        LoggedWriter::new(
+            Arc::new(RwLock::new(kg)),
+            Arc::new(OperationLog::in_memory()),
+        )
+    }
+
+    fn nerd_over(kg: &KnowledgeGraph) -> Arc<NerdStack> {
+        Arc::new(NerdStack::new(
+            NerdEntityView::build(kg, None),
             StringEncoder::new(16, 512, 3, 2),
             ContextualDisambiguator::default(),
             NerdConfig {
                 max_candidates: 8,
                 confidence_threshold: 0.25,
             },
-        );
+        ))
+    }
+
+    /// A builder whose writer already holds the stable graph its NERD
+    /// resolves against.
+    fn builder_with_nerd() -> LiveGraphBuilder {
+        let kg = stable_kg();
+        let nerd = nerd_over(&kg);
         LiveGraphBuilder::new(
-            live,
+            writer_over(kg),
             default_ontology().types().clone(),
-            Some(Arc::new(nerd)),
+            Some(nerd),
         )
+    }
+
+    fn record(b: &LiveGraphBuilder, id: EntityId) -> EntityRecord {
+        b.writer().read().entity(id).unwrap().clone()
     }
 
     fn score_event(ts: u64, home: i64, away: i64) -> LiveEvent {
@@ -265,16 +274,18 @@ mod tests {
 
     #[test]
     fn events_create_live_entities_linked_to_stable_graph() {
+        use saga_core::{GraphRead, ProbeKey};
         let b = builder_with_nerd();
-        let report = b.apply(&[score_event(1, 55, 51)]);
+        let report = b.apply(&[score_event(1, 55, 51)]).unwrap();
         assert_eq!(report.applied, 1);
         assert_eq!(
             report.mentions_resolved, 3,
             "teams and venue resolved to stable ids"
         );
+        assert_eq!(report.lsn, Some(b.writer().log().head()), "one logged op");
         let id = b.entity_of(SourceId(50), "gsw-lal-2026-06-11").unwrap();
         assert!(id.0 >= LIVE_ID_FLOOR);
-        let rec = b.live().get(id).unwrap();
+        let rec = record(&b, id);
         assert_eq!(
             rec.values(intern("home_team")),
             vec![&Value::Entity(EntityId(1))]
@@ -285,7 +296,9 @@ mod tests {
         );
         // The game is findable through the edge index.
         assert_eq!(
-            b.live().index().by_edge(intern("home_team"), EntityId(1)),
+            b.writer()
+                .read()
+                .postings(&ProbeKey::Edge(intern("home_team"), EntityId(1))),
             vec![id]
         );
     }
@@ -293,20 +306,24 @@ mod tests {
     #[test]
     fn updates_replace_and_stale_events_are_dropped() {
         let b = builder_with_nerd();
-        b.apply(&[score_event(1, 55, 51)]);
+        b.apply(&[score_event(1, 55, 51)]).unwrap();
         let id = b.entity_of(SourceId(50), "gsw-lal-2026-06-11").unwrap();
         // Fresh update within seconds (the freshness SLA scenario).
-        let r2 = b.apply(&[score_event(2, 60, 58)]);
+        let r2 = b.apply(&[score_event(2, 60, 58)]).unwrap();
         assert_eq!(r2.applied, 1);
         assert_eq!(
-            b.live().get(id).unwrap().values(intern("home_score")),
+            record(&b, id).values(intern("home_score")),
             vec![&Value::Int(60)]
         );
-        // An out-of-order stale event must not regress the score.
-        let r3 = b.apply(&[score_event(1, 55, 51)]);
+        // An out-of-order stale event must not regress the score, and
+        // appends nothing.
+        let head = b.writer().log().head();
+        let r3 = b.apply(&[score_event(1, 55, 51)]).unwrap();
         assert_eq!(r3.stale_dropped, 1);
+        assert_eq!(r3.lsn, None);
+        assert_eq!(b.writer().log().head(), head);
         assert_eq!(
-            b.live().get(id).unwrap().values(intern("home_score")),
+            record(&b, id).values(intern("home_score")),
             vec![&Value::Int(60)]
         );
     }
@@ -320,20 +337,23 @@ mod tests {
             "Team Nobody Knows".into(),
             Some("sports_team".into()),
         )];
-        let report = b.apply(&[ev]);
+        let report = b.apply(&[ev]).unwrap();
         assert_eq!(report.mentions_unresolved, 1);
         let id = b.entity_of(SourceId(50), "gsw-lal-2026-06-11").unwrap();
         assert_eq!(
-            b.live().get(id).unwrap().values(intern("home_team")),
+            record(&b, id).values(intern("home_team")),
             vec![&Value::str("Team Nobody Knows")]
         );
     }
 
     #[test]
     fn without_nerd_everything_is_literal() {
-        let live = LiveKg::new(2);
-        let b = LiveGraphBuilder::new(live, default_ontology().types().clone(), None);
-        let report = b.apply(&[score_event(1, 1, 1)]);
+        let b = LiveGraphBuilder::new(
+            writer_over(KnowledgeGraph::new()),
+            default_ontology().types().clone(),
+            None,
+        );
+        let report = b.apply(&[score_event(1, 1, 1)]).unwrap();
         assert_eq!(report.mentions_resolved, 0);
         assert_eq!(report.mentions_unresolved, 3);
     }
@@ -341,29 +361,21 @@ mod tests {
     #[test]
     fn overlay_serves_live_events_and_stable_entities_together() {
         use crate::kgq::{QueryBuilder, QueryEngine};
+        use crate::LiveReplica;
         let kg = stable_kg();
-        let b = {
-            // A builder over an *empty* live KG (no stable preload) so the
-            // overlay, not the load, unifies the layers.
-            let live = LiveKg::new(4);
-            let nerd = NerdStack::new(
-                NerdEntityView::build(&kg, None),
-                StringEncoder::new(16, 512, 3, 2),
-                ContextualDisambiguator::default(),
-                NerdConfig {
-                    max_candidates: 8,
-                    confidence_threshold: 0.25,
-                },
-            );
-            LiveGraphBuilder::new(
-                live,
-                default_ontology().types().clone(),
-                Some(Arc::new(nerd)),
-            )
-        };
-        b.apply(&[score_event(1, 55, 51)]);
+        // The builder writes to an *empty* graph (no stable preload) so the
+        // overlay, not the load, unifies the layers.
+        let writer = writer_over(KnowledgeGraph::new());
+        let mut replica = LiveReplica::new(4, Arc::clone(writer.log()));
+        let b = LiveGraphBuilder::new(
+            writer,
+            default_ontology().types().clone(),
+            Some(nerd_over(&kg)),
+        );
+        b.apply(&[score_event(1, 55, 51)]).unwrap();
+        replica.catch_up().unwrap();
         let game = b.entity_of(SourceId(50), "gsw-lal-2026-06-11").unwrap();
-        let engine = QueryEngine::new(b.overlay(kg));
+        let engine = QueryEngine::new(OverlayRead::new(replica.live().clone(), kg));
         // The streaming game resolves through the live layer…
         let q = QueryBuilder::find()
             .of_type("sports_game")
@@ -388,7 +400,9 @@ mod tests {
         let b = builder_with_nerd();
         let mut e2 = score_event(1, 0, 0);
         e2.event_id = "another-game".into();
-        b.apply(&[score_event(1, 0, 0), e2]);
+        let report = b.apply(&[score_event(1, 0, 0), e2]).unwrap();
+        assert_eq!(report.applied, 2);
+        assert_eq!(b.writer().log().head(), Lsn(1), "one batch, one op");
         let a = b.entity_of(SourceId(50), "gsw-lal-2026-06-11").unwrap();
         let c = b.entity_of(SourceId(50), "another-game").unwrap();
         assert_ne!(a, c);

@@ -119,9 +119,10 @@ impl ContextGraph {
 mod tests {
     use super::*;
     use crate::kgq::QueryEngine;
-    use crate::store::LiveKg;
+    use crate::store::ReplicaKg;
     use saga_core::{
-        intern, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId, Value,
+        intern, Delta, DeltaFact, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph,
+        SourceId, Value,
     };
 
     /// The exact multi-turn example of §4.2.
@@ -151,9 +152,10 @@ mod tests {
             Value::Entity(EntityId(5)),
             meta(),
         ));
-        let live = LiveKg::new(4);
-        live.load_stable(&kg);
-        IntentHandler::new(QueryEngine::new(live))
+        IntentHandler::new(QueryEngine::new(ReplicaKg::from_index(
+            4,
+            kg.index().clone(),
+        )))
     }
 
     #[test]
@@ -190,23 +192,25 @@ mod tests {
             Value::Entity(EntityId(4)),
             meta(),
         ));
-        let live = LiveKg::new(2);
-        let mut fixed = stable.entity(EntityId(4)).unwrap().clone();
-        fixed.triples.push(ExtendedTriple::simple(
-            EntityId(4),
-            intern("birthplace"),
-            Value::Entity(EntityId(5)),
-            meta(),
-        ));
-        live.upsert(fixed);
-        let mut live_city = saga_core::EntityRecord::new(EntityId(5));
-        live_city.triples.push(ExtendedTriple::simple(
-            EntityId(5),
-            intern("name"),
-            Value::str("Hollywood"),
-            meta(),
-        ));
-        live.upsert(live_city);
+        let fact = |predicate: &str, object: Value| DeltaFact {
+            predicate: intern(predicate),
+            object,
+        };
+        let live = ReplicaKg::new(2);
+        live.apply(&Delta {
+            entity: EntityId(4),
+            added: vec![
+                fact("name", Value::str("Rita Wilson")),
+                fact("type", Value::str("person")),
+                fact("birthplace", Value::Entity(EntityId(5))),
+            ],
+            removed: Vec::new(),
+        });
+        live.apply(&Delta {
+            entity: EntityId(5),
+            added: vec![fact("name", Value::str("Hollywood"))],
+            removed: Vec::new(),
+        });
 
         let handler = IntentHandler::new(QueryEngine::new(OverlayRead::new(live, stable)));
         let mut ctx = ContextGraph::new();

@@ -8,11 +8,8 @@
 //! construction as a source, so that corrections are incorporated into the
 //! stable graph."
 
-use saga_core::{
-    intern, CommitReceipt, EntityId, FactMeta, GraphWrite, OpOutcome, SourceId, Value, WriteBatch,
-};
-
-use crate::store::LiveKg;
+use saga_core::{intern, EntityId, FactMeta, OpOutcome, Result, SourceId, Value, WriteBatch};
+use saga_graph::{LoggedCommit, LoggedWriter, OpKind};
 
 /// One curation decision from the human-in-the-loop tooling.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,79 +45,56 @@ pub enum CurationAction {
 /// numeric score jumps beyond a plausibility bound.
 pub fn detect_suspicious_scores(old: Option<i64>, new: i64, max_jump: i64) -> bool {
     match old {
-        Some(o) => (new - o).abs() > max_jump || new < o,
+        Some(o) => new < o || new.abs_diff(o) > u64::try_from(max_jump).unwrap_or(0),
         None => new < 0,
     }
 }
 
-/// The curation pipeline: hot-fixes the live KG and accumulates a stream
-/// for stable construction.
+/// The curation pipeline: hot-fixes the live KG through its writer — so
+/// the fix is logged and replicated like any other write — and accumulates
+/// a stream for stable construction.
 pub struct CurationPipeline {
-    live: LiveKg,
+    writer: LoggedWriter,
     /// The curation source id (curations are "a streaming data source").
     pub source: SourceId,
     pending: parking_lot::Mutex<Vec<CurationAction>>,
 }
 
 impl CurationPipeline {
-    /// A pipeline hot-fixing `live`, emitting under `source`.
-    pub fn new(live: LiveKg, source: SourceId) -> Self {
+    /// A pipeline hot-fixing through `writer`, emitting under `source`.
+    pub fn new(writer: LoggedWriter, source: SourceId) -> Self {
         CurationPipeline {
-            live,
+            writer,
             source,
             pending: parking_lot::Mutex::new(Vec::new()),
         }
     }
 
-    /// Apply one curation as a hot fix to the live indexes, and queue it
-    /// for the stable graph.
-    pub fn apply(&self, action: CurationAction) -> bool {
-        let applied = match &action {
-            CurationAction::BlockFact {
-                entity,
-                predicate,
-                value,
-            } => self.rewrite(*entity, |rec| {
-                let pred = intern(predicate);
-                let before = rec.triples.len();
-                rec.triples
-                    .retain(|t| !(t.predicate == pred && &t.object == value));
-                rec.triples.len() != before
-            }),
-            CurationAction::EditFact {
-                entity,
-                predicate,
-                old,
-                new,
-            } => self.rewrite(*entity, |rec| {
-                let pred = intern(predicate);
-                let mut hit = false;
-                for t in &mut rec.triples {
-                    if t.predicate == pred && &t.object == old {
-                        t.object = new.clone();
-                        t.meta.merge(&FactMeta::from_source(self.source, 0.99));
-                        hit = true;
-                    }
-                }
-                hit
-            }),
-            CurationAction::BlockEntity { entity } => self.live.remove(*entity),
+    /// Commit one curation as a hot fix and, on a hit, queue it for the
+    /// stable graph. Returns the commit on a hit — its session token makes
+    /// the fix visible to the caller's next read — and `None` on a miss
+    /// (the entity or fact is absent).
+    pub fn apply(&self, action: CurationAction) -> Result<Option<LoggedCommit>> {
+        let batch = Self::stable_batch(self.source, std::slice::from_ref(&action));
+        let commit = self.writer.commit(OpKind::Upsert, batch)?;
+        let OpOutcome::Mutated {
+            found,
+            added,
+            removed,
+        } = commit.receipt.outcomes[0]
+        else {
+            return Ok(None);
         };
-        if applied {
-            self.pending.lock().push(action);
-        }
-        applied
-    }
-
-    fn rewrite(&self, id: EntityId, f: impl FnOnce(&mut saga_core::EntityRecord) -> bool) -> bool {
-        let Some(mut rec) = self.live.get(id) else {
-            return false;
+        let hit = match action {
+            CurationAction::BlockFact { .. } => removed > 0,
+            CurationAction::EditFact { .. } => added > 0,
+            CurationAction::BlockEntity { .. } => found,
         };
-        let changed = f(&mut rec);
-        if changed {
-            self.live.upsert(rec);
+        if !hit {
+            return Ok(None);
         }
-        changed
+        self.pending.lock().push(action);
+        Ok(Some(commit))
     }
 
     /// Drain curations queued for stable construction ("sent to the stable
@@ -129,14 +103,12 @@ impl CurationPipeline {
         std::mem::take(&mut self.pending.lock())
     }
 
-    /// Stage drained curations as one [`WriteBatch`] of record edits —
-    /// the "curations are a streaming data source" contract in op form.
-    /// Each action becomes a [`WriteOp::Mutate`](saga_core::WriteOp), so
-    /// committing the batch folds every hot fix into the commit receipt
-    /// (and, through a `LoggedWriter`, into the operation log) like any
-    /// other construction write — closing the old hole where record edits
-    /// were invisible to log followers.
-    pub fn stable_batch(actions: &[CurationAction]) -> WriteBatch {
+    /// The one definition of the curation edits: one
+    /// [`WriteOp::Mutate`](saga_core::WriteOp) per action, for the live
+    /// hot fix ([`apply`](Self::apply)) and for a stable construction that
+    /// commits drained curations through its own writer alike. An edited
+    /// fact gains `source` in its provenance on either side.
+    pub fn stable_batch(source: SourceId, actions: &[CurationAction]) -> WriteBatch {
         let mut batch = WriteBatch::new();
         for action in actions.iter().cloned() {
             batch = match action {
@@ -159,6 +131,7 @@ impl CurationPipeline {
                     for t in &mut rec.triples {
                         if t.predicate == pred && t.object == old {
                             t.object = new.clone();
+                            t.meta.merge(&FactMeta::from_source(source, 0.99));
                         }
                     }
                 }),
@@ -170,81 +143,79 @@ impl CurationPipeline {
         }
         batch
     }
-
-    /// Apply drained curations to the stable KG (the construction-side
-    /// consumer of the curation source) through [`GraphWrite`]. Returns
-    /// the number of fact-level hits alongside the commit receipt. A
-    /// write-ahead producer commits [`stable_batch`](Self::stable_batch)
-    /// through `LoggedWriter::commit` instead.
-    pub fn apply_to_stable<W: GraphWrite + ?Sized>(
-        target: &mut W,
-        actions: &[CurationAction],
-    ) -> (usize, CommitReceipt) {
-        let receipt = Self::stable_batch(actions).commit(target);
-        let mut applied = 0;
-        for (action, outcome) in actions.iter().zip(&receipt.outcomes) {
-            let &OpOutcome::Mutated {
-                found,
-                added,
-                removed,
-            } = outcome
-            else {
-                continue;
-            };
-            applied += match action {
-                CurationAction::BlockFact { .. } => usize::from(removed > 0),
-                CurationAction::EditFact { .. } => added,
-                CurationAction::BlockEntity { .. } => usize::from(found),
-            };
-        }
-        (applied, receipt)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{ExtendedTriple, GraphWriteExt, KnowledgeGraph};
+    use parking_lot::RwLock;
+    use saga_core::{ExtendedTriple, GraphRead, GraphWriteExt, KnowledgeGraph, ProbeKey};
+    use saga_graph::OperationLog;
+    use std::sync::Arc;
 
-    fn setup() -> (CurationPipeline, EntityId) {
+    /// A writer over a graph whose one city has a vandalised population.
+    fn vandalised() -> LoggedWriter {
         let mut kg = KnowledgeGraph::new();
         kg.add_named_entity(EntityId(1), "Springfield", "city", SourceId(1), 0.9);
         kg.commit_upsert(ExtendedTriple::simple(
             EntityId(1),
             intern("population"),
-            Value::Int(-5), // vandalised value
+            Value::Int(-5),
             FactMeta::from_source(SourceId(1), 0.9),
         ));
-        let live = LiveKg::new(2);
-        live.load_stable(&kg);
-        (CurationPipeline::new(live, SourceId(99)), EntityId(1))
+        LoggedWriter::new(
+            Arc::new(RwLock::new(kg)),
+            Arc::new(OperationLog::in_memory()),
+        )
+    }
+
+    fn setup() -> (CurationPipeline, EntityId) {
+        (
+            CurationPipeline::new(vandalised(), SourceId(99)),
+            EntityId(1),
+        )
+    }
+
+    fn fix_population(id: EntityId) -> CurationAction {
+        CurationAction::EditFact {
+            entity: id,
+            predicate: "population".into(),
+            old: Value::Int(-5),
+            new: Value::Int(120_000),
+        }
+    }
+
+    /// The population is corrected, and the curation source is in its
+    /// provenance.
+    fn assert_fixed_by_curation(writer: &LoggedWriter, id: EntityId) {
+        let kg = writer.read();
+        let fact = kg
+            .entity(id)
+            .unwrap()
+            .triples
+            .iter()
+            .find(|t| t.predicate == intern("population"))
+            .unwrap();
+        assert_eq!(fact.object, Value::Int(120_000));
+        assert!(fact.meta.has_source(SourceId(99)));
     }
 
     #[test]
     fn edit_fact_hot_fixes_the_live_index() {
         let (pipeline, id) = setup();
-        let ok = pipeline.apply(CurationAction::EditFact {
-            entity: id,
-            predicate: "population".into(),
-            old: Value::Int(-5),
-            new: Value::Int(120_000),
-        });
-        assert!(ok);
-        let rec = pipeline.live.get(id).unwrap();
-        assert_eq!(rec.values(intern("population")), vec![&Value::Int(120_000)]);
-        // The curation source is recorded in provenance.
-        let fact = rec
-            .triples
-            .iter()
-            .find(|t| t.predicate == intern("population"))
-            .unwrap();
-        assert!(fact.meta.has_source(SourceId(99)));
+        let commit = pipeline.apply(fix_population(id)).unwrap().unwrap();
+        assert_eq!(
+            commit.lsn,
+            pipeline.writer.log().head(),
+            "the fix is logged"
+        );
+        assert_fixed_by_curation(&pipeline.writer, id);
         // Hot fix is immediately visible in the literal index.
         assert_eq!(
-            pipeline
-                .live
-                .index()
-                .by_literal(intern("population"), &Value::Int(120_000)),
+            pipeline.writer.read().postings(&ProbeKey::Literal(
+                intern("population"),
+                Value::Int(120_000)
+            )),
             vec![id]
         );
     }
@@ -252,32 +223,32 @@ mod tests {
     #[test]
     fn block_fact_and_entity() {
         let (pipeline, id) = setup();
-        assert!(pipeline.apply(CurationAction::BlockFact {
-            entity: id,
-            predicate: "population".into(),
-            value: Value::Int(-5),
-        }));
         assert!(pipeline
-            .live
-            .get(id)
+            .apply(CurationAction::BlockFact {
+                entity: id,
+                predicate: "population".into(),
+                value: Value::Int(-5),
+            })
+            .unwrap()
+            .is_some());
+        assert!(pipeline
+            .writer
+            .read()
+            .entity(id)
             .unwrap()
             .values(intern("population"))
             .is_empty());
-        assert!(pipeline.apply(CurationAction::BlockEntity { entity: id }));
-        assert!(pipeline.live.get(id).is_none());
+        let block = CurationAction::BlockEntity { entity: id };
+        assert!(pipeline.apply(block.clone()).unwrap().is_some());
+        assert!(!pipeline.writer.read().contains(id));
         // Blocking again is a no-op.
-        assert!(!pipeline.apply(CurationAction::BlockEntity { entity: id }));
+        assert!(pipeline.apply(block).unwrap().is_none());
     }
 
     #[test]
     fn curations_flow_to_stable_construction() {
         let (pipeline, id) = setup();
-        pipeline.apply(CurationAction::EditFact {
-            entity: id,
-            predicate: "population".into(),
-            old: Value::Int(-5),
-            new: Value::Int(120_000),
-        });
+        pipeline.apply(fix_population(id)).unwrap();
         let drained = pipeline.drain_pending();
         assert_eq!(drained.len(), 1);
         assert!(
@@ -285,37 +256,37 @@ mod tests {
             "drain empties the queue"
         );
 
-        let mut stable = KnowledgeGraph::new();
-        stable.add_named_entity(EntityId(1), "Springfield", "city", SourceId(1), 0.9);
-        stable.commit_upsert(ExtendedTriple::simple(
-            EntityId(1),
-            intern("population"),
-            Value::Int(-5),
-            FactMeta::from_source(SourceId(1), 0.9),
-        ));
-        let (applied, receipt) = CurationPipeline::apply_to_stable(&mut stable, &drained);
-        assert_eq!(applied, 1);
-        assert_eq!(receipt.deltas.len(), 1, "the edit rides the receipt");
-        assert_eq!(receipt.deltas[0].added[0].object, Value::Int(120_000));
+        // Stable construction commits the same edits through its own log.
+        let stable = vandalised();
+        let commit = stable
+            .commit(
+                OpKind::Upsert,
+                CurationPipeline::stable_batch(pipeline.source, &drained),
+            )
+            .unwrap();
+        assert_eq!(commit.receipt.deltas.len(), 1, "the edit rides the receipt");
         assert_eq!(
-            stable
-                .entity(EntityId(1))
-                .unwrap()
-                .values(intern("population")),
-            vec![&Value::Int(120_000)]
+            commit.receipt.deltas[0].added[0].object,
+            Value::Int(120_000)
         );
+        // The curation source reaches stable provenance too.
+        assert_fixed_by_curation(&stable, id);
     }
 
     #[test]
     fn misses_are_not_queued() {
-        let (pipeline, _) = setup();
-        let ok = pipeline.apply(CurationAction::BlockFact {
-            entity: EntityId(404),
-            predicate: "population".into(),
-            value: Value::Int(1),
-        });
-        assert!(!ok);
+        let (pipeline, id) = setup();
+        let before = pipeline.writer.read().entity(id).cloned();
+        let miss = pipeline
+            .apply(CurationAction::BlockFact {
+                entity: EntityId(404),
+                predicate: "population".into(),
+                value: Value::Int(1),
+            })
+            .unwrap();
+        assert!(miss.is_none());
         assert!(pipeline.drain_pending().is_empty());
+        assert_eq!(pipeline.writer.read().entity(id).cloned(), before);
     }
 
     #[test]
@@ -326,5 +297,8 @@ mod tests {
         assert!(!detect_suspicious_scores(Some(50), 55, 20));
         assert!(detect_suspicious_scores(None, -1, 20), "negative initial");
         assert!(!detect_suspicious_scores(None, 0, 20));
+        // Extreme outside input: the jump does not overflow.
+        assert!(detect_suspicious_scores(Some(-1), i64::MAX, 20));
+        assert!(detect_suspicious_scores(Some(i64::MIN), i64::MAX, 20));
     }
 }

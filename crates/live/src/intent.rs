@@ -12,7 +12,7 @@
 use saga_core::{intern, EntityId, FxHashMap, GraphRead, Result, SagaError};
 
 use crate::kgq::{QueryBuilder, QueryEngine, QueryResult};
-use crate::store::LiveKg;
+use crate::store::ReplicaKg;
 
 /// An annotated query intent: a name and its entity argument.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,8 +51,8 @@ impl Intent {
 }
 
 /// Routes intents to KGQ executions over any [`GraphRead`] backend
-/// (defaults to the live store).
-pub struct IntentHandler<G: GraphRead = LiveKg> {
+/// (defaults to the replica store).
+pub struct IntentHandler<G: GraphRead = ReplicaKg> {
     engine: QueryEngine<G>,
     routes: FxHashMap<String, Vec<String>>,
 }
@@ -132,7 +132,6 @@ impl<G: GraphRead> IntentHandler<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::LiveKg;
     use saga_core::{ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId, Value};
 
     fn engine() -> QueryEngine {
@@ -154,9 +153,7 @@ mod tests {
             Value::Entity(EntityId(4)),
             meta(),
         ));
-        let live = LiveKg::new(4);
-        live.load_stable(&kg);
-        QueryEngine::new(live)
+        QueryEngine::new(ReplicaKg::from_index(4, kg.index().clone()))
     }
 
     #[test]

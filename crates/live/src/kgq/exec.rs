@@ -315,9 +315,10 @@ pub fn execute<G: GraphRead>(graph: &G, plan: &Plan) -> Result<QueryResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::LiveKg;
+    use crate::store::ReplicaKg;
     use saga_core::{
-        ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, OverlayRead, SourceId,
+        Delta, DeltaFact, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, OverlayRead,
+        SourceId,
     };
 
     fn demo_kg() -> KnowledgeGraph {
@@ -360,10 +361,28 @@ mod tests {
         kg
     }
 
+    fn demo_store(shards: usize) -> ReplicaKg {
+        ReplicaKg::from_index(shards, demo_kg().index().clone())
+    }
+
     fn demo_engine() -> QueryEngine {
-        let live = LiveKg::new(4);
-        live.load_stable(&demo_kg());
-        QueryEngine::new(live)
+        QueryEngine::new(demo_store(4))
+    }
+
+    fn fact(predicate: &str, object: &str) -> DeltaFact {
+        DeltaFact {
+            predicate: intern(predicate),
+            object: Value::str(object),
+        }
+    }
+
+    /// The delta that asserts a named, typed entity.
+    fn named(id: u64, name: &str, ty: &str) -> Delta {
+        Delta {
+            entity: EntityId(id),
+            added: vec![fact("name", name), fact("type", ty)],
+            removed: Vec::new(),
+        }
     }
 
     /// The §4.2 KGQ scenarios executed against every backend through the
@@ -373,8 +392,7 @@ mod tests {
         let stable_engine = QueryEngine::new(kg.clone());
         check("stable", &|q| stable_engine.query(q));
 
-        let live = LiveKg::new(4);
-        live.load_stable(&kg);
+        let live = ReplicaKg::from_index(4, kg.index().clone());
         let live_engine = QueryEngine::new(live.clone());
         check("live", &|q| live_engine.query(q));
 
@@ -464,8 +482,7 @@ mod tests {
         // generation and evict every cached plan. With per-probe
         // fingerprints, a plan is invalidated only when a posting it
         // touched (or resolved a name through) actually changes.
-        let live = LiveKg::new(4);
-        live.load_stable(&demo_kg());
+        let live = demo_store(4);
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
@@ -474,9 +491,7 @@ mod tests {
         assert_eq!(eng.plan_cache_stats(), (1, 1), "warm hit");
 
         // An unrelated upsert: different name, type and predicates.
-        let mut kg = KnowledgeGraph::new();
-        kg.add_named_entity(EntityId(99), "Zed", "city", SourceId(2), 0.9);
-        live.upsert(kg.entity(EntityId(99)).unwrap().clone());
+        live.apply(&named(99, "Zed", "city"));
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
         assert_eq!(
             eng.plan_cache_stats(),
@@ -486,9 +501,7 @@ mod tests {
 
         // A write that touches a fingerprinted posting (the song type
         // probe) does invalidate.
-        let mut kg = KnowledgeGraph::new();
-        kg.add_named_entity(EntityId(98), "Encore", "song", SourceId(2), 0.9);
-        live.upsert(kg.entity(EntityId(98)).unwrap().clone());
+        live.apply(&named(98, "Encore", "song"));
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
         assert_eq!(eng.plan_cache_stats(), (2, 2), "touched probe recompiled");
     }
@@ -497,19 +510,16 @@ mod tests {
     fn stale_plans_recompile_after_writes() {
         // A plan that resolved an edge target by name must see a renamed
         // target after the backend's generation moves.
-        let live = LiveKg::new(2);
-        live.load_stable(&demo_kg());
+        let live = demo_store(2);
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
         // Rename the target: the cached compile-time resolution is stale.
-        let mut rec = live.get(EntityId(1)).unwrap();
-        for t in &mut rec.triples {
-            if t.predicate == intern("name") {
-                t.object = Value::str("Queen B");
-            }
-        }
-        live.upsert(rec);
+        live.apply(&Delta {
+            entity: EntityId(1),
+            added: vec![fact("name", "Queen B")],
+            removed: vec![fact("name", "Beyoncé")],
+        });
         assert!(
             eng.query(q).unwrap().is_empty(),
             "generation bump forces recompile; the old name no longer resolves"

@@ -45,7 +45,7 @@ use saga_core::{FxHashMap, GraphRead, Result, SagaError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::store::LiveKg;
+use crate::store::ReplicaKg;
 
 /// A virtual operator: expands `Op(args)` into primitive conditions at
 /// compile time, "facilitating easy reuse of complex expressions".
@@ -61,8 +61,8 @@ struct CachedPlan {
 }
 
 /// The KG Query Engine: parser + compiler + executor + plan cache, generic
-/// over the [`GraphRead`] backend it serves (defaults to the live store).
-pub struct QueryEngine<G: GraphRead = LiveKg> {
+/// over the [`GraphRead`] backend it serves (defaults to the replica store).
+pub struct QueryEngine<G: GraphRead = ReplicaKg> {
     graph: G,
     virtual_ops: Arc<RwLock<FxHashMap<String, VirtualOp>>>,
     plan_cache: Arc<RwLock<FxHashMap<String, CachedPlan>>>,
@@ -230,7 +230,7 @@ mod tests {
     /// A backend that parks every conjunction between two rendezvous
     /// points, so a test can hold a thread inside `execute`.
     struct Gated {
-        inner: LiveKg,
+        inner: ReplicaKg,
         entered: Barrier,
         release: Barrier,
     }
@@ -254,12 +254,10 @@ mod tests {
 
     #[test]
     fn plan_cache_is_unlocked_while_a_cached_plan_executes() {
-        let live = LiveKg::new(2);
         let mut kg = saga_core::KnowledgeGraph::new();
         kg.add_named_entity(EntityId(1), "Alpha", "song", saga_core::SourceId(1), 0.9);
-        live.load_stable(&kg);
         let engine = QueryEngine::new(Gated {
-            inner: live,
+            inner: ReplicaKg::from_index(2, kg.index().clone()),
             entered: Barrier::new(2),
             release: Barrier::new(2),
         });

@@ -4,20 +4,21 @@
 //! graph with real-time streaming sources (sports scores, stock prices,
 //! flight data), served through a low-latency query engine.
 //!
-//! * [`store`] — the serving substrate: a sharded graph KV store plus an
-//!   inverted graph index, both optimized for concurrent point reads, and
-//!   the index-only store log replicas serve.
+//! * [`store`] — the serving substrate: a sharded inverted graph index
+//!   optimized for concurrent point reads, and the index-only
+//!   [`ReplicaKg`] every served graph — stable and live alike — is.
 //! * [`construction`] — Live Graph Construction: streaming events are
 //!   uniquely identifiable (no linking/fusion needed) but their text
 //!   references to stable entities are resolved through the Entity
-//!   Resolution service (§4.1).
+//!   Resolution service (§4.1). Each event batch commits through a
+//!   `LoggedWriter`, so live facts reach serving through the log.
 //! * [`kgq`] — the KGQ query language: a deliberately *bounded* graph query
 //!   language (traversal constraints, no recursion) compiled to physical
 //!   plans over the indexes, with virtual operators, a typed
 //!   [`QueryBuilder`] for programmatic construction, and a
 //!   generation-checked plan cache (§4.2). The engine is generic over
 //!   [`GraphRead`](saga_core::GraphRead): the same queries execute
-//!   unchanged against the stable KG, the sharded live store, or a
+//!   unchanged against the stable KG, a replica store, or a
 //!   live-over-stable [`OverlayRead`](saga_core::OverlayRead).
 //! * [`intent`] — query-intent handling: the same intent routes to
 //!   different KGQ queries depending on entity semantics
@@ -26,7 +27,8 @@
 //! * [`context`] — the context graph for multi-turn interactions
 //!   ("How about Tom Hanks?", "Where is she from?").
 //! * [`curation`] — human-in-the-loop curation as a streaming hot-fix
-//!   source (§4.3), forwarded to stable construction.
+//!   source (§4.3), committed through the same log and forwarded to
+//!   stable construction.
 //! * [`replica`] — the log-shipped serving replica: a [`ReplicaKg`] (a
 //!   sharded index and nothing else) built purely by replaying the durable
 //!   oplog's delta payloads, with no code path into the
@@ -50,4 +52,4 @@ pub use kgq::{
     QueryResult,
 };
 pub use replica::LiveReplica;
-pub use store::{LiveKg, ReplicaKg, ShardedTripleIndex};
+pub use store::{ReplicaKg, ShardedTripleIndex};

@@ -10,14 +10,12 @@
 //! intersects its own postings and the disjoint, sorted results merge in
 //! id order.
 //!
-//! Two stores serve over it. [`ReplicaKg`] is what a log replica serves:
-//! the index and its generation, nothing else — every fact a replica
-//! learns arrives as a [`Delta`] in the index
-//! vocabulary, so a record is materialised from the index's SPO row on
-//! read rather than kept twice. [`LiveKg`] is what live construction and
-//! curation write: a `ReplicaKg` plus entity records with real
-//! provenance, sharded across lock-striped maps beside the index (point
-//! reads take one stripe read-lock).
+//! [`ReplicaKg`] serves over it: the index and its generation, nothing
+//! else. Every fact it learns arrives as a [`Delta`] in the index
+//! vocabulary — replayed from the log or restored from a checkpoint — so
+//! a record is materialised from the index's SPO row on read rather than
+//! kept twice. Live construction and curation commit through the log like
+//! every other producer, so the live graph is served by the same store.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -28,8 +26,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use saga_core::postings::{union_views, PostingsCursor, PostingsView};
 use saga_core::{
-    Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, GraphRead, ProbeKey,
-    Symbol, TripleIndex, Value,
+    Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, ProbeKey, Symbol,
+    TripleIndex, Value,
 };
 
 /// Upper bound on lock stripes; shard counts are clamped to `1..=MAX_SHARDS`.
@@ -67,16 +65,6 @@ impl ShardedTripleIndex {
         &self.shards[(id.0 as usize) % self.shards.len()]
     }
 
-    /// (Re-)index an entity record (diff-based; only its own shard locks).
-    pub fn index(&self, record: &EntityRecord) {
-        self.shard(record.id).write().update_entity(record);
-    }
-
-    /// Drop an entity's postings.
-    pub fn unindex(&self, id: EntityId) {
-        self.shard(id).write().remove_entity(id);
-    }
-
     /// Snapshot one probe's postings across shards as a single compressed
     /// cursor. Shards partition the id space, so the per-shard block lists
     /// union disjointly — the merge runs block-by-block in the compressed
@@ -107,12 +95,6 @@ impl ShardedTripleIndex {
         let mut list = union_views(&views);
         list.set_stamp(h.finish());
         PostingsCursor::from_list(list)
-    }
-
-    /// Merge one probe's postings across shards into a sorted id list (the
-    /// materializing convenience over [`postings_cursor`](Self::postings_cursor)).
-    pub fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        self.postings_cursor(probe).to_vec()
     }
 
     /// The first `limit` ids of a conjunction of probes: intersect within
@@ -186,37 +168,6 @@ impl ShardedTripleIndex {
     /// postings memory gauge).
     pub fn index_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.read().index_bytes()).sum()
-    }
-
-    /// Entities whose name contains token / exact phrase `needle`
-    /// (lowercased internally).
-    pub fn by_name(&self, needle: &str) -> Vec<EntityId> {
-        self.postings(&ProbeKey::Name(needle.to_lowercase()))
-    }
-
-    /// Entities asserting the literal fact `(pred, value)`.
-    pub fn by_literal(&self, pred: Symbol, value: &Value) -> Vec<EntityId> {
-        self.postings(&ProbeKey::Literal(pred, value.clone()))
-    }
-
-    /// Entities with an edge `(pred) -> target`.
-    pub fn by_edge(&self, pred: Symbol, target: EntityId) -> Vec<EntityId> {
-        self.postings(&ProbeKey::Edge(pred, target))
-    }
-
-    /// Entities of a type.
-    pub fn by_type(&self, ty: Symbol) -> Vec<EntityId> {
-        self.postings(&ProbeKey::Type(ty))
-    }
-
-    /// Entities referencing `target` through any predicate (reverse edges).
-    pub fn referencing(&self, target: EntityId) -> Vec<EntityId> {
-        let per_shard: Vec<Vec<EntityId>> = self
-            .shards
-            .iter()
-            .map(|s| s.read().referencing(target).to_vec())
-            .collect();
-        merge_sorted_limit(per_shard, usize::MAX)
     }
 }
 
@@ -386,205 +337,103 @@ impl GraphRead for ReplicaKg {
     }
 }
 
-/// The sharded live KG: a [`ReplicaKg`] plus the entity records it
-/// indexes, kept in lock-striped maps (one stripe per index shard).
-#[derive(Clone)]
-pub struct LiveKg {
-    records: Arc<Vec<RwLock<FxHashMap<EntityId, EntityRecord>>>>,
-    base: ReplicaKg,
-}
-
-impl LiveKg {
-    /// A live KG with `shards` lock stripes.
-    pub fn new(shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_SHARDS);
-        LiveKg {
-            records: Arc::new((0..n).map(|_| RwLock::new(FxHashMap::default())).collect()),
-            base: ReplicaKg::new(n),
-        }
-    }
-
-    fn stripe(&self, id: EntityId) -> &RwLock<FxHashMap<EntityId, EntityRecord>> {
-        &self.records[(id.0 as usize) % self.records.len()]
-    }
-
-    /// Insert or replace an entity record (index maintained atomically with
-    /// respect to this entity).
-    pub fn upsert(&self, record: EntityRecord) {
-        let mut map = self.stripe(record.id).write();
-        self.base.index.index(&record);
-        map.insert(record.id, record);
-        self.base.bump();
-    }
-
-    /// Remove an entity.
-    pub fn remove(&self, id: EntityId) -> bool {
-        let mut map = self.stripe(id).write();
-        match map.remove(&id) {
-            Some(_) => {
-                self.base.index.unindex(id);
-                self.base.bump();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Point lookup (clones the record; serving reads are snapshot-style).
-    pub fn get(&self, id: EntityId) -> Option<EntityRecord> {
-        self.stripe(id).read().get(&id).cloned()
-    }
-
-    /// True if the entity exists.
-    pub fn contains(&self, id: EntityId) -> bool {
-        self.stripe(id).read().contains_key(&id)
-    }
-
-    /// Number of entities.
-    pub fn len(&self) -> usize {
-        self.records.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The striped triple index.
-    pub fn index(&self) -> &ShardedTripleIndex {
-        self.base.index()
-    }
-
-    /// Load a stable-KG view: bulk-upsert every entity of the snapshot
-    /// ("the live KG is the union of a view of the stable graph with
-    /// real-time live sources").
-    pub fn load_stable(&self, kg: &saga_core::KnowledgeGraph) {
-        for record in kg.entities() {
-            self.upsert(record.clone());
-        }
-    }
-}
-
-/// The index half is [`ReplicaKg`]'s; point reads come from the record
-/// maps, so they carry the provenance construction wrote.
-impl GraphRead for LiveKg {
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        self.base.postings_cursor(probe)
-    }
-
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.base.selectivity(probe)
-    }
-
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        self.base.probe_fingerprint(probe)
-    }
-
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        self.base.probe_fingerprints(probes)
-    }
-
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.base.probe_contains(probe, id)
-    }
-
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        self.get(id)
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        LiveKg::contains(self, id)
-    }
-
-    fn generation(&self) -> u64 {
-        self.base.generation()
-    }
-
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.base.probe_all_limit(probes, limit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId};
+    use saga_core::{checkpoint, intern, DeltaFact, KnowledgeGraph, Lsn, SourceId};
 
-    fn record(id: u64, name: &str, ty: &str) -> EntityRecord {
-        let mut kg = KnowledgeGraph::new();
-        kg.add_named_entity(EntityId(id), name, ty, SourceId(1), 0.9);
-        kg.entity(EntityId(id)).unwrap().clone()
+    fn fact(predicate: &str, object: Value) -> DeltaFact {
+        DeltaFact {
+            predicate: intern(predicate),
+            object,
+        }
+    }
+
+    /// The delta that asserts a named, typed entity.
+    fn named(id: u64, name: &str, ty: &str) -> Delta {
+        Delta {
+            entity: EntityId(id),
+            added: vec![fact("name", Value::str(name)), fact("type", Value::str(ty))],
+            removed: Vec::new(),
+        }
+    }
+
+    /// The delta that takes `delta` back.
+    fn undo(delta: &Delta) -> Delta {
+        Delta {
+            entity: delta.entity,
+            added: delta.removed.clone(),
+            removed: delta.added.clone(),
+        }
+    }
+
+    fn name(probe: &str) -> ProbeKey {
+        ProbeKey::Name(probe.into())
     }
 
     #[test]
     fn upsert_get_remove_roundtrip() {
-        let live = LiveKg::new(4);
-        live.upsert(record(1, "Warriors", "sports_team"));
+        let live = ReplicaKg::new(4);
+        let warriors = named(1, "Warriors", "sports_team");
+        live.apply(&warriors);
         assert!(live.contains(EntityId(1)));
-        assert_eq!(live.get(EntityId(1)).unwrap().name(), Some("Warriors"));
-        assert!(live.remove(EntityId(1)));
-        assert!(!live.remove(EntityId(1)));
-        assert!(live.get(EntityId(1)).is_none());
-        assert!(live.index().by_name("warriors").is_empty(), "index cleaned");
+        assert_eq!(live.record(EntityId(1)).unwrap().name(), Some("Warriors"));
+        live.apply(&undo(&warriors));
+        assert!(!live.contains(EntityId(1)));
+        assert!(live.record(EntityId(1)).is_none());
+        assert!(live.postings(&name("warriors")).is_empty(), "index cleaned");
     }
 
     #[test]
     fn name_index_tokenizes_and_keeps_full_phrase() {
-        let live = LiveKg::new(4);
-        live.upsert(record(1, "Golden State Warriors", "sports_team"));
-        assert_eq!(live.index().by_name("warriors"), vec![EntityId(1)]);
+        let live = ReplicaKg::new(4);
+        live.apply(&named(1, "Golden State Warriors", "sports_team"));
+        assert_eq!(live.postings(&name("warriors")), vec![EntityId(1)]);
         assert_eq!(
-            live.index().by_name("golden state warriors"),
+            live.postings(&name("golden state warriors")),
             vec![EntityId(1)]
         );
-        assert!(live.index().by_name("lakers").is_empty());
+        assert!(live.postings(&name("lakers")).is_empty());
     }
 
     #[test]
     fn literal_edge_and_type_postings() {
-        let live = LiveKg::new(2);
-        let mut rec = record(1, "Game 7", "sports_game");
-        rec.triples.push(ExtendedTriple::simple(
-            EntityId(1),
-            intern("home_team"),
-            Value::Entity(EntityId(50)),
-            FactMeta::from_source(SourceId(1), 0.9),
-        ));
-        rec.triples.push(ExtendedTriple::simple(
-            EntityId(1),
-            intern("carrier"),
-            Value::str("UA"),
-            FactMeta::from_source(SourceId(1), 0.9),
-        ));
-        live.upsert(rec);
+        let live = ReplicaKg::new(2);
+        let mut game = named(1, "Game 7", "sports_game");
+        game.added
+            .push(fact("home_team", Value::Entity(EntityId(50))));
+        game.added.push(fact("carrier", Value::str("UA")));
+        live.apply(&game);
         assert_eq!(
-            live.index().by_edge(intern("home_team"), EntityId(50)),
+            live.postings(&ProbeKey::Edge(intern("home_team"), EntityId(50))),
             vec![EntityId(1)]
         );
         assert_eq!(
-            live.index()
-                .by_literal(intern("carrier"), &Value::str("UA")),
+            live.postings(&ProbeKey::Literal(intern("carrier"), Value::str("UA"))),
             vec![EntityId(1)]
         );
         assert_eq!(
-            live.index().by_type(intern("sports_game")),
+            live.postings(&ProbeKey::Type(intern("sports_game"))),
             vec![EntityId(1)]
         );
-        assert_eq!(live.index().referencing(EntityId(50)), vec![EntityId(1)]);
     }
 
     #[test]
     fn replacing_a_record_reindexes() {
-        let live = LiveKg::new(2);
-        live.upsert(record(1, "Old Name", "person"));
-        live.upsert(record(1, "New Name", "person"));
-        assert!(live.index().by_name("old").is_empty());
-        assert_eq!(live.index().by_name("new"), vec![EntityId(1)]);
+        let live = ReplicaKg::new(2);
+        live.apply(&named(1, "Old Name", "person"));
+        live.apply(&Delta {
+            entity: EntityId(1),
+            added: vec![fact("name", Value::str("New Name"))],
+            removed: vec![fact("name", Value::str("Old Name"))],
+        });
+        assert!(live.postings(&name("old")).is_empty());
+        assert_eq!(live.postings(&name("new")), vec![EntityId(1)]);
         assert_eq!(live.len(), 1);
     }
 
     #[test]
-    fn load_stable_bulk_indexes_everything() {
+    fn from_index_partitions_a_whole_graph() {
         let mut kg = KnowledgeGraph::new();
         for i in 1..=20u64 {
             kg.add_named_entity(
@@ -595,26 +444,51 @@ mod tests {
                 0.9,
             );
         }
-        let live = LiveKg::new(8);
-        live.load_stable(&kg);
+        let live = ReplicaKg::from_index(8, kg.index().clone());
         assert_eq!(live.len(), 20);
-        assert_eq!(live.index().by_type(intern("sports_team")).len(), 20);
+        assert_eq!(
+            live.postings(&ProbeKey::Type(intern("sports_team"))).len(),
+            20
+        );
+        assert_eq!(live.record(EntityId(7)).unwrap().name(), Some("Team 7"));
+    }
+
+    #[test]
+    fn a_restored_posting_that_empties_moves_its_fingerprint() {
+        // A checkpoint restores every list with stamp 0, which is also the
+        // fingerprint of an absent list. Emptying a restored list must
+        // still move its fingerprint, or a plan that resolved a name
+        // through it stays cached after a rename.
+        let mut kg = KnowledgeGraph::new();
+        kg.add_named_entity(EntityId(1), "Alpha", "song", SourceId(1), 0.9);
+        let dir = std::env::temp_dir().join(format!("saga-store-stamps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let image = checkpoint::encode(Lsn(1), kg.index());
+        let path = checkpoint::publish(&dir, &image).unwrap();
+        for shards in [1, 4] {
+            let live = ReplicaKg::from_index(shards, checkpoint::load(&path).unwrap().index);
+            let before = live.probe_fingerprint(&name("alpha"));
+            live.apply(&undo(&named(1, "Alpha", "song")));
+            assert_ne!(
+                live.probe_fingerprint(&name("alpha")),
+                before,
+                "{shards} shards"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cross_shard_postings_merge_sorted() {
-        let live = LiveKg::new(4); // ids spread over every shard
+        let live = ReplicaKg::new(4); // ids spread over every shard
         for i in (1..=40u64).rev() {
-            live.upsert(record(i, &format!("Player {i}"), "athlete"));
+            live.apply(&named(i, &format!("Player {i}"), "athlete"));
         }
-        let all = live.index().by_type(intern("athlete"));
+        let all = live.postings(&ProbeKey::Type(intern("athlete")));
         let expected: Vec<EntityId> = (1..=40).map(EntityId).collect();
         assert_eq!(all, expected, "merged across shards in sorted order");
         // Conjunction across shards.
-        let hits = live.probe_all(&[
-            ProbeKey::Type(intern("athlete")),
-            ProbeKey::Name("player".into()),
-        ]);
+        let hits = live.probe_all(&[ProbeKey::Type(intern("athlete")), name("player")]);
         assert_eq!(hits, expected);
     }
 
@@ -625,16 +499,14 @@ mod tests {
         // eight shards and one must give the same sorted answer, whole
         // and under a budget.
         for n in [40u64, 2104] {
-            let sharded = LiveKg::new(8);
-            let single = LiveKg::new(1);
+            let sharded = ReplicaKg::new(8);
+            let single = ReplicaKg::new(1);
             for i in 1..=n {
-                sharded.upsert(record(i, &format!("Player {i}"), "athlete"));
-                single.upsert(record(i, &format!("Player {i}"), "athlete"));
+                let player = named(i, &format!("Player {i}"), "athlete");
+                sharded.apply(&player);
+                single.apply(&player);
             }
-            let probes = [
-                ProbeKey::Type(intern("athlete")),
-                ProbeKey::Name("player".into()),
-            ];
+            let probes = [ProbeKey::Type(intern("athlete")), name("player")];
             let expected: Vec<EntityId> = (1..=n).map(EntityId).collect();
             assert_eq!(sharded.probe_all(&probes), expected);
             assert_eq!(single.probe_all(&probes), expected);
@@ -649,33 +521,34 @@ mod tests {
 
     #[test]
     fn graph_read_api_over_the_live_store() {
-        let live = LiveKg::new(4);
-        let g0 = GraphRead::generation(&live);
-        live.upsert(record(1, "Golden State Warriors", "sports_team"));
-        assert!(GraphRead::generation(&live) > g0, "writes bump generation");
+        let live = ReplicaKg::new(4);
+        let g0 = live.generation();
+        let warriors = named(1, "Golden State Warriors", "sports_team");
+        live.apply(&warriors);
+        assert!(live.generation() > g0, "writes bump generation");
         assert_eq!(
             live.postings(&ProbeKey::Type(intern("sports_team"))),
             vec![EntityId(1)]
         );
-        assert!(live.probe_contains(&ProbeKey::Name("warriors".into()), EntityId(1)));
+        assert!(live.probe_contains(&name("warriors"), EntityId(1)));
         assert_eq!(
             live.resolve_name("Golden State Warriors"),
             vec![EntityId(1)]
         );
         assert_eq!(
-            GraphRead::record(&live, EntityId(1)).unwrap().name(),
+            live.record(EntityId(1)).unwrap().name(),
             Some("Golden State Warriors")
         );
-        let g1 = GraphRead::generation(&live);
-        live.remove(EntityId(1));
-        assert!(GraphRead::generation(&live) > g1, "removals bump too");
-        assert!(!GraphRead::contains(&live, EntityId(1)));
+        let g1 = live.generation();
+        live.apply(&undo(&warriors));
+        assert!(live.generation() > g1, "removals bump too");
+        assert!(!live.contains(EntityId(1)));
     }
 
     #[test]
     fn cursor_fingerprints_match_probe_fingerprint() {
-        let live = LiveKg::new(4);
-        live.upsert(record(1, "Alpha", "song"));
+        let live = ReplicaKg::new(4);
+        live.apply(&named(1, "Alpha", "song"));
         let probe = ProbeKey::Type(intern("song"));
         assert_eq!(
             live.postings_cursor(&probe).fingerprint(),
@@ -683,14 +556,14 @@ mod tests {
             "sharded cursors carry the combined fingerprint"
         );
         let fp0 = live.probe_fingerprint(&probe);
-        live.upsert(record(2, "Beta", "song"));
+        live.apply(&named(2, "Beta", "song"));
         assert_ne!(live.probe_fingerprint(&probe), fp0, "write moves it");
         assert_eq!(
             live.postings_cursor(&probe).fingerprint(),
             live.probe_fingerprint(&probe)
         );
         // The batch form agrees with the per-probe form.
-        let miss = ProbeKey::Name("nope".into());
+        let miss = name("nope");
         assert_eq!(
             live.probe_fingerprints(&[&probe, &miss]),
             vec![
@@ -702,16 +575,16 @@ mod tests {
 
     #[test]
     fn concurrent_reads_under_writes_are_safe() {
-        let live = LiveKg::new(8);
+        let live = ReplicaKg::new(8);
         for i in 0..100u64 {
-            live.upsert(record(i, &format!("E{i}"), "person"));
+            live.apply(&named(i, &format!("E{i}"), "person"));
         }
         let l2 = live.clone();
         let reader = std::thread::spawn(move || {
             let mut hits = 0;
             for _ in 0..1000 {
                 for i in 0..100u64 {
-                    if l2.get(EntityId(i)).is_some() {
+                    if l2.record(EntityId(i)).is_some() {
                         hits += 1;
                     }
                 }
@@ -719,7 +592,7 @@ mod tests {
             hits
         });
         for i in 100..200u64 {
-            live.upsert(record(i, &format!("E{i}"), "person"));
+            live.apply(&named(i, &format!("E{i}"), "person"));
         }
         let hits = reader.join().unwrap();
         assert!(hits > 0);

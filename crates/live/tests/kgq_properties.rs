@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use saga_core::{EntityId, KnowledgeGraph, SourceId};
 use saga_live::kgq::{parse, Query};
-use saga_live::{LiveKg, QueryEngine};
+use saga_live::{QueryEngine, ReplicaKg};
 
 fn demo_engine() -> QueryEngine {
     let mut kg = KnowledgeGraph::new();
@@ -18,9 +18,7 @@ fn demo_engine() -> QueryEngine {
             0.9,
         );
     }
-    let live = LiveKg::new(4);
-    live.load_stable(&kg);
-    QueryEngine::new(live)
+    QueryEngine::new(ReplicaKg::from_index(4, kg.index().clone()))
 }
 
 proptest! {

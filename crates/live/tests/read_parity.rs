@@ -1,18 +1,18 @@
 //! Backend-parity property tests for the `GraphRead` serving API.
 //!
 //! One KGQ engine executes against three backends — the stable
-//! `KnowledgeGraph`, the sharded `LiveKg`, and the live-over-stable
+//! `KnowledgeGraph`, the sharded `ReplicaKg`, and the live-over-stable
 //! `OverlayRead`. For any generated fact world the three must return
-//! identical postings, conjunctions and records when they hold the same
-//! data; and the overlay's tombstone/override semantics must shadow the
-//! stable layer exactly.
+//! identical postings, conjunctions, flattened records and answers when
+//! they hold the same data; and the overlay's tombstone/override semantics
+//! must shadow the stable layer exactly.
 
 use proptest::prelude::*;
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphRead, GraphWriteExt, KnowledgeGraph,
-    OverlayRead, ProbeKey, SourceId, Value,
+    intern, Delta, DeltaFact, EntityId, ExtendedTriple, FactMeta, GraphRead, GraphWriteExt,
+    KnowledgeGraph, OverlayRead, ProbeKey, SourceId, Value,
 };
-use saga_live::{LiveKg, QueryEngine};
+use saga_live::{QueryEngine, QueryResult, ReplicaKg};
 
 const PREDS: [&str; 3] = ["genre", "year", "rating"];
 const TYPES: [&str; 2] = ["song", "album"];
@@ -83,8 +83,7 @@ proptest! {
     #[test]
     fn backends_return_identical_results(facts in fact_strategy()) {
         let kg = build_stable(&facts);
-        let live = LiveKg::new(4);
-        live.load_stable(&kg);
+        let live = ReplicaKg::from_index(4, kg.index().clone());
         // Live-over-stable with identical layers: live wins per entity but
         // the content is the same, so results must not change.
         let overlay = OverlayRead::new(live.clone(), kg.clone());
@@ -117,11 +116,9 @@ proptest! {
         // Point reads agree fact-for-fact.
         for &(subject, ..) in facts.iter().take(6) {
             let id = EntityId(subject);
-            let a = kg.record(id).map(|r| r.triples);
-            let b = live.record(id).map(|r| r.triples);
-            let c = overlay.record(id).map(|r| r.triples);
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(&a, &c);
+            let a = flat_record(&kg, id);
+            prop_assert_eq!(&a, &flat_record(&live, id));
+            prop_assert_eq!(&a, &flat_record(&overlay, id));
         }
     }
 
@@ -130,9 +127,8 @@ proptest! {
     #[test]
     fn kgq_queries_agree_across_backends(facts in fact_strategy()) {
         let kg = build_stable(&facts);
-        let live = LiveKg::new(4);
-        live.load_stable(&kg);
-        let overlay = OverlayRead::new(LiveKg::new(2), kg.clone());
+        let live = ReplicaKg::from_index(4, kg.index().clone());
+        let overlay = OverlayRead::new(ReplicaKg::new(2), kg.clone());
 
         let stable_engine = QueryEngine::new(kg.clone());
         let live_engine = QueryEngine::new(live);
@@ -148,9 +144,9 @@ proptest! {
             format!(r#"GET "Entity {subject}" . {pred}"#),
         ];
         for q in &queries {
-            let a = stable_engine.query(q).unwrap();
-            let b = live_engine.query(q).unwrap();
-            let c = overlay_engine.query(q).unwrap();
+            let a = answers(stable_engine.query(q).unwrap());
+            let b = answers(live_engine.query(q).unwrap());
+            let c = answers(overlay_engine.query(q).unwrap());
             prop_assert_eq!(&a, &b, "stable vs live: {}", q);
             prop_assert_eq!(&a, &c, "stable vs overlay: {}", q);
         }
@@ -169,7 +165,7 @@ proptest! {
             s.sort_unstable();
             s
         };
-        let live = LiveKg::new(2);
+        let live = ReplicaKg::new(2);
         let overlay = OverlayRead::new(live.clone(), kg.clone());
 
         // Split the picks: half tombstoned, half overridden in live.
@@ -185,14 +181,14 @@ proptest! {
                 tombstoned.push(id);
             } else {
                 // Replace the record with a single marker fact.
-                let mut rec = saga_core::EntityRecord::new(id);
-                rec.triples.push(ExtendedTriple::simple(
-                    id,
-                    intern("hotfixed"),
-                    Value::Bool(true),
-                    FactMeta::from_source(SourceId(9), 0.99),
-                ));
-                live.upsert(rec);
+                live.apply(&Delta {
+                    entity: id,
+                    added: vec![DeltaFact {
+                        predicate: intern("hotfixed"),
+                        object: Value::Bool(true),
+                    }],
+                    removed: Vec::new(),
+                });
                 overridden.push(id);
             }
         }
@@ -349,6 +345,17 @@ fn flat_record<G: GraphRead>(graph: &G, id: EntityId) -> Option<Vec<(String, Val
     })
 }
 
+/// A KGQ answer as sorted multisets. A GET emits values in record order,
+/// which legitimately differs between the KG (insertion order) and a
+/// replica (index order).
+fn answers(result: QueryResult) -> (Vec<EntityId>, Vec<Value>) {
+    let mut entities = result.entities().to_vec();
+    let mut values = result.values().to_vec();
+    entities.sort_unstable();
+    values.sort_unstable();
+    (entities, values)
+}
+
 proptest! {
     /// A replica constructed *only* from oplog replay — never touching the
     /// producing `KnowledgeGraph` — is parity-equal to the directly-built
@@ -415,19 +422,12 @@ proptest! {
                 q
             );
         }
-        // Multi-hop GETs emit values in record order, which legitimately
-        // differs between the KG (insertion order) and a replica (index
-        // order) — compare as multisets.
         let q = format!("GET AKG:{subject} . related_to . name");
-        let a = kg_engine.query(&q).unwrap();
-        let b = replica_engine.query(&q).unwrap();
-        let mut entities = (a.entities().to_vec(), b.entities().to_vec());
-        entities.0.sort_unstable();
-        entities.1.sort_unstable();
-        prop_assert_eq!(entities.0, entities.1, "KGQ entity parity: {}", q);
-        let mut values = (a.values().to_vec(), b.values().to_vec());
-        values.0.sort_unstable();
-        values.1.sort_unstable();
-        prop_assert_eq!(values.0, values.1, "KGQ value parity: {}", q);
+        prop_assert_eq!(
+            answers(kg_engine.query(&q).unwrap()),
+            answers(replica_engine.query(&q).unwrap()),
+            "KGQ parity: {}",
+            q
+        );
     }
 }

@@ -14,7 +14,7 @@ use saga::graph::{
 };
 use saga::ingest::synth::{artist_alignment, provider_datasets, MusicWorld, ProviderSpec};
 use saga::ingest::{DataTransformer, SourceIngestionPipeline, TransformSpec};
-use saga::live::{LiveKg, LiveReplica, QueryEngine};
+use saga::live::{LiveReplica, QueryEngine, ReplicaKg};
 use saga::ontology::default_ontology;
 
 fn ingest_cycle(
@@ -180,9 +180,7 @@ fn constructed_kg_serves_live_queries() {
         &LinkTableResolver,
     );
 
-    let live = LiveKg::new(8);
-    live.load_stable(&kg);
-    let engine = QueryEngine::new(live);
+    let engine = QueryEngine::new(ReplicaKg::from_index(8, kg.index().clone()));
 
     // Every ground-truth artist covered by the clean provider is findable.
     let artist = &world.artists[0];
