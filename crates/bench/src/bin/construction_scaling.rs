@@ -7,15 +7,44 @@
 //! rates — the reason construction is "a continuously running delta-based
 //! framework".
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use saga_construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
+use parking_lot::RwLock;
+use saga_construct::{
+    ConstructionReport, KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch,
+};
 use saga_core::{IdGenerator, KnowledgeGraph};
+use saga_graph::{LoggedWriter, OperationLog};
 use saga_ingest::synth::{
     artist_alignment, provider_datasets, song_alignment, MusicWorld, ProviderSpec,
 };
 use saga_ingest::{DataTransformer, SourceIngestionPipeline, TransformSpec};
 use saga_ontology::default_ontology;
+
+/// A fresh, empty graph behind an in-memory log.
+fn writer() -> LoggedWriter {
+    LoggedWriter::new(
+        Arc::new(RwLock::new(KnowledgeGraph::new())),
+        Arc::new(OperationLog::in_memory()),
+    )
+}
+
+fn consume(
+    ctor: &KnowledgeConstructor,
+    writer: &LoggedWriter,
+    id_gen: &IdGenerator,
+    batches: Vec<SourceBatch>,
+) -> ConstructionReport {
+    ctor.consume(
+        writer,
+        id_gen,
+        batches,
+        &RuleMatcher::default(),
+        &LinkTableResolver,
+    )
+    .expect("in-memory log append")
+}
 
 fn build_pipelines(n_sources: u32) -> (Vec<SourceIngestionPipeline>, Vec<SourceIngestionPipeline>) {
     let artists = (1..=n_sources)
@@ -54,7 +83,7 @@ fn main() {
     println!("# §2.4 — inter-source parallel linking (4 sources × ~800 artists)");
     for parallel in [false, true] {
         let (mut artist_pipes, _) = build_pipelines(n_sources);
-        let mut kg = KnowledgeGraph::new();
+        let w = writer();
         let id_gen = IdGenerator::starting_at(1);
         let mut ctor = KnowledgeConstructor::new(ont.volatile_predicates());
         ctor.parallel = parallel;
@@ -70,17 +99,11 @@ fn main() {
             });
         }
         let t0 = Instant::now();
-        let report = ctor.consume(
-            &mut kg,
-            &id_gen,
-            batches,
-            &RuleMatcher::default(),
-            &LinkTableResolver,
-        );
+        let report = consume(&ctor, &w, &id_gen, batches);
         let ms = t0.elapsed().as_millis();
         println!(
             "  parallel={parallel:<5} total={ms:>5} ms (linking {} ms, fusion {} ms) — {} entities, {} pairs scored",
-            report.linking_ms, report.fusion_ms, kg.entity_count(), report.pairs_scored,
+            report.linking_ms, report.fusion_ms, w.read().entity_count(), report.pairs_scored,
         );
     }
 
@@ -95,7 +118,7 @@ fn main() {
         DataTransformer::new(TransformSpec::simple("song_id")),
         song_alignment(0.9),
     );
-    let mut kg = KnowledgeGraph::new();
+    let w = writer();
     let id_gen = IdGenerator::starting_at(1);
     let ctor = KnowledgeConstructor::new(ont.volatile_predicates());
     let mut delta_total_ms = 0u128;
@@ -108,16 +131,15 @@ fn main() {
         let (delta, _) = pipe.ingest(&ont, &[songs]).expect("ingest");
         let changes = delta.change_count();
         let t0 = Instant::now();
-        let r = ctor.consume(
-            &mut kg,
+        let r = consume(
+            &ctor,
+            &w,
             &id_gen,
             vec![SourceBatch {
                 source: pipe.source(),
                 name: "delta".into(),
                 delta,
             }],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
         );
         let ms = t0.elapsed().as_millis();
         if cycle > 0 {
@@ -143,19 +165,18 @@ fn main() {
             song_alignment(0.9),
         );
         let (delta, _) = fresh_pipe.ingest(&ont, &[songs]).expect("ingest");
-        let mut kg_full = KnowledgeGraph::new();
+        let w_full = writer();
         let idg = IdGenerator::starting_at(1);
         let t0 = Instant::now();
-        ctor.consume(
-            &mut kg_full,
+        consume(
+            &ctor,
+            &w_full,
             &idg,
             vec![SourceBatch {
                 source: fresh_pipe.source(),
                 name: "full".into(),
                 delta,
             }],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
         );
         full_total_ms += t0.elapsed().as_millis();
         let _ = cycle;

@@ -10,6 +10,9 @@
 //! compound. The paper shows >33× facts and 6.5× entities since the first
 //! measurement, with the inflection at Saga's introduction.
 
+use std::sync::Arc;
+
+use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_bench::workload::growth_schedule;
@@ -18,6 +21,7 @@ use saga_construct::{
     SourceBatch,
 };
 use saga_core::{intern, EntityPayload, FactMeta, IdGenerator, KnowledgeGraph, SourceId, Value};
+use saga_graph::{LoggedWriter, OperationLog};
 use saga_ingest::SourceDelta;
 
 /// Nearly-unique entity names keep linking blocks tiny while still letting
@@ -43,7 +47,10 @@ fn payload(source: SourceId, key: usize, facts_per_entity: usize, quarter: usize
 
 fn main() {
     let schedule = growth_schedule(16, 6);
-    let mut kg = KnowledgeGraph::new();
+    let writer = LoggedWriter::new(
+        Arc::new(RwLock::new(KnowledgeGraph::new())),
+        Arc::new(OperationLog::in_memory()),
+    );
     let id_gen = IdGenerator::starting_at(1);
     let mut ctor = KnowledgeConstructor::new(Default::default());
     ctor.linker = LinkerConfig {
@@ -117,9 +124,10 @@ fn main() {
             });
             coverage.push((source, keys));
         }
-        ctor.consume(&mut kg, &id_gen, batches, &matcher, &LinkTableResolver);
+        ctor.consume(&writer, &id_gen, batches, &matcher, &LinkTableResolver)
+            .expect("in-memory log append");
 
-        let stats = kg.stats();
+        let stats = writer.read().stats();
         let (f0, e0) = *base.get_or_insert((stats.facts as f64, stats.entities as f64));
         println!(
             "{:<8} {:>8} {:>10} {:>10} {:>10.1}x {:>10.1}x {}",
@@ -136,7 +144,7 @@ fn main() {
             }
         );
     }
-    let stats = kg.stats();
+    let stats = writer.read().stats();
     let (f0, e0) = base.unwrap();
     println!(
         "\nfinal growth: {:.1}x facts (paper: >33x), {:.1}x entities (paper: 6.5x)",

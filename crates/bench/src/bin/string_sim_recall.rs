@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saga_core::{GraphWriteExt, KnowledgeGraph};
+use saga_core::KnowledgeGraph;
 use saga_ingest::synth::{typo, MusicWorld};
 use saga_ml::simlib::{jaro_winkler, levenshtein, qgram_jaccard};
 use saga_ml::{DistantSupervision, StringEncoder, TrainConfig, TripletTrainer};

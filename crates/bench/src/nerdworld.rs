@@ -25,8 +25,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId, Symbol,
-    Value,
+    intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Symbol, Value,
 };
 
 /// One evaluation case for text annotation.

@@ -4,8 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, RelId, SourceId,
-    Value,
+    intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, RelId, SourceId, Value,
 };
 
 /// Size knobs for [`media_world`].

@@ -164,7 +164,7 @@ fn find_mergeable_rel_node(
 mod tests {
     use super::*;
     use crate::obr::LinkTableResolver;
-    use saga_core::{intern, EntityId, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId};
+    use saga_core::{intern, EntityId, FactMeta, KnowledgeGraph, SourceId};
 
     fn meta(src: u32) -> FactMeta {
         FactMeta::from_source(SourceId(src), 0.9)

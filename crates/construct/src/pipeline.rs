@@ -17,8 +17,8 @@
 use std::time::Instant;
 
 use saga_core::{
-    CommitReceipt, Delta, EntityId, EntityPayload, FxHashSet, IdGenerator, KgTransaction,
-    KnowledgeGraph, Result, SourceId, SubjectRef, Symbol,
+    EntityId, EntityPayload, FxHashSet, IdGenerator, KgTransaction, KnowledgeGraph, Lsn, Result,
+    SourceId, SubjectRef, Symbol,
 };
 use saga_graph::{LoggedWriter, OpKind};
 use saga_ingest::SourceDelta;
@@ -64,16 +64,10 @@ pub struct ConstructionReport {
     pub linking_ms: u128,
     /// Wall-clock milliseconds spent in the (serial) fusion phase.
     pub fusion_ms: u128,
-    /// Distinct entities whose facts changed this cycle, in id order — what
-    /// the Graph Engine appends to its operation log.
-    pub changed: Vec<EntityId>,
-    /// The cycle's [`Delta`] change payload, taken from the commit
-    /// receipts (one per [`GraphWrite`](saga_core::GraphWrite) commit the
-    /// cycle performed), ready for derived stores to replay.
-    pub deltas: Vec<Delta>,
-    /// Commits performed this cycle (one in parallel mode, one per source
-    /// in serial mode).
-    pub commits: usize,
+    /// The log positions of the cycle's commits, in order (one in
+    /// parallel mode, one per source in serial mode). The change payload
+    /// itself lives only in the writer's log, in the ops at these LSNs.
+    pub lsns: Vec<Lsn>,
 }
 
 /// The construction pipeline executor.
@@ -101,82 +95,25 @@ impl KnowledgeConstructor {
         }
     }
 
-    /// Consume one cycle of source batches, updating the KG in place
-    /// through the transactional [`GraphWrite`](saga_core::GraphWrite)
-    /// commit point (staging per cycle in parallel mode, per source in
-    /// serial mode). The cycle's change payload lands in
-    /// [`ConstructionReport::deltas`], straight from the commit receipts.
-    ///
-    /// Producers that also own an operation log should prefer
-    /// [`consume_logged`](Self::consume_logged), which appends each commit
-    /// to the log *before* applying it.
-    pub fn consume(
-        &self,
-        kg: &mut KnowledgeGraph,
-        id_gen: &IdGenerator,
-        batches: Vec<SourceBatch>,
-        matcher: &dyn MatchingModel,
-        resolver: &dyn ObjectResolver,
-    ) -> ConstructionReport {
-        let mut report = ConstructionReport {
-            sources: batches.len(),
-            ..Default::default()
-        };
-
-        let linker = Linker::new(self.linker.clone());
-        if self.parallel && batches.len() > 1 {
-            let prepared = Self::link_parallel(kg, id_gen, &linker, batches, matcher, &mut report);
-            let fuse_start = Instant::now();
-            let staged = {
-                let mut txn = KgTransaction::new(kg);
-                for prep in prepared {
-                    self.fuse_prepared(&mut txn, prep, resolver, &mut report);
-                }
-                txn.into_staged()
-            };
-            finish_cycle(&mut report, kg.apply_staged(staged));
-            report.fusion_ms = fuse_start.elapsed().as_millis();
-        } else {
-            // ---- Serial mode: sources are consumed one at a time, each
-            // committed before the next links — so later sources link
-            // against the KG *including* the previous sources' fused
-            // payloads (full cross-source dedup within the cycle).
-            for batch in batches {
-                let link_start = Instant::now();
-                let prep = prepare_source(kg, id_gen, &linker, batch, matcher);
-                report.linking_ms += link_start.elapsed().as_millis();
-                let fuse_start = Instant::now();
-                let staged = {
-                    let mut txn = KgTransaction::new(kg);
-                    self.fuse_prepared(&mut txn, prep, resolver, &mut report);
-                    txn.into_staged()
-                };
-                finish_cycle(&mut report, kg.apply_staged(staged));
-                report.fusion_ms += fuse_start.elapsed().as_millis();
-            }
-        }
-        seal_report(&mut report);
-        report
-    }
-
-    /// The log-first form of [`consume`](Self::consume): every commit is
+    /// Consume one cycle of source batches through the writer: each commit
+    /// (one per cycle in parallel mode, one per source in serial mode) is
     /// appended to the writer's operation log *before* it is applied to
-    /// the KG, so derived stores can follow the construction stream with
-    /// no hand-paired changelog-drain/`append_op` anywhere. Returns the report
-    /// alongside the LSNs the cycle occupied.
-    pub fn consume_logged(
+    /// the KG, so derived stores follow the construction stream from the
+    /// log. A log I/O error ends the cycle with `Err` and the failed
+    /// commit unapplied; in serial mode the sources committed before it
+    /// stay committed.
+    pub fn consume(
         &self,
         writer: &LoggedWriter,
         id_gen: &IdGenerator,
         batches: Vec<SourceBatch>,
         matcher: &dyn MatchingModel,
         resolver: &dyn ObjectResolver,
-    ) -> Result<(ConstructionReport, Vec<saga_core::Lsn>)> {
+    ) -> Result<ConstructionReport> {
         let mut report = ConstructionReport {
             sources: batches.len(),
             ..Default::default()
         };
-        let mut lsns = Vec::new();
         let linker = Linker::new(self.linker.clone());
         if self.parallel && batches.len() > 1 {
             let prepared = {
@@ -189,10 +126,13 @@ impl KnowledgeConstructor {
                     self.fuse_prepared(txn, prep, resolver, &mut report);
                 }
             })?;
-            lsns.push(commit.lsn);
-            finish_cycle(&mut report, commit.receipt);
+            report.lsns.push(commit.lsn);
             report.fusion_ms = fuse_start.elapsed().as_millis();
         } else {
+            // ---- Serial mode: sources are consumed one at a time, each
+            // committed before the next links — so later sources link
+            // against the KG *including* the previous sources' fused
+            // payloads (full cross-source dedup within the cycle).
             for batch in batches {
                 let link_start = Instant::now();
                 let prep = {
@@ -204,13 +144,11 @@ impl KnowledgeConstructor {
                 let (_, commit) = writer.with_txn(OpKind::Upsert, |txn| {
                     self.fuse_prepared(txn, prep, resolver, &mut report);
                 })?;
-                lsns.push(commit.lsn);
-                finish_cycle(&mut report, commit.receipt);
+                report.lsns.push(commit.lsn);
                 report.fusion_ms += fuse_start.elapsed().as_millis();
             }
         }
-        seal_report(&mut report);
-        Ok((report, lsns))
+        Ok(report)
     }
 
     /// Inter-source parallel linking against one KG snapshot (Fig. 5).
@@ -314,20 +252,6 @@ impl KnowledgeConstructor {
     }
 }
 
-/// Fold one commit receipt into the cycle report.
-fn finish_cycle(report: &mut ConstructionReport, receipt: CommitReceipt) {
-    report.commits += 1;
-    report.deltas.extend(receipt.deltas);
-}
-
-/// Derive the changed-id summary once every commit is folded in.
-fn seal_report(report: &mut ConstructionReport) {
-    let mut changed: Vec<EntityId> = report.deltas.iter().map(|d| d.entity).collect();
-    changed.sort_unstable();
-    changed.dedup();
-    report.changed = changed;
-}
-
 struct PreparedSource {
     source: SourceId,
     added: LinkOutcome,
@@ -390,10 +314,13 @@ fn merge_fusion(total: &mut FusionReport, one: FusionReport) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::matching::RuleMatcher;
     use crate::obr::LinkTableResolver;
     use saga_core::{intern, FactMeta, Value};
+    use saga_graph::OperationLog;
     use saga_ingest::SourceDelta;
 
     fn volatile_set() -> FxHashSet<Symbol> {
@@ -418,40 +345,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_added_payload_builds_the_graph() {
-        let mut kg = KnowledgeGraph::new();
-        let gen = IdGenerator::starting_at(1);
-        let ctor = KnowledgeConstructor::new(volatile_set());
-        let delta = SourceDelta {
-            added: vec![artist(1, "a1", "Billie Eilish"), artist(1, "a2", "Jay-Z")],
-            ..Default::default()
-        };
-        let report = ctor.consume(
-            &mut kg,
-            &gen,
-            vec![batch(1, delta)],
+    fn added(src: u32, payloads: Vec<EntityPayload>) -> SourceBatch {
+        batch(
+            src,
+            SourceDelta {
+                added: payloads,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn writer() -> LoggedWriter {
+        LoggedWriter::new(
+            Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new())),
+            Arc::new(OperationLog::in_memory()),
+        )
+    }
+
+    fn consume(
+        ctor: &KnowledgeConstructor,
+        writer: &LoggedWriter,
+        gen: &IdGenerator,
+        batches: Vec<SourceBatch>,
+    ) -> ConstructionReport {
+        ctor.consume(
+            writer,
+            gen,
+            batches,
             &RuleMatcher::default(),
             &LinkTableResolver,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn full_added_payload_builds_the_graph() {
+        let w = writer();
+        let gen = IdGenerator::starting_at(1);
+        let ctor = KnowledgeConstructor::new(volatile_set());
+        let report = consume(
+            &ctor,
+            &w,
+            &gen,
+            vec![added(
+                1,
+                vec![artist(1, "a1", "Billie Eilish"), artist(1, "a2", "Jay-Z")],
+            )],
         );
         assert_eq!(report.new_entities, 2);
+        assert_eq!(report.lsns, vec![Lsn(1)], "one source batch, one commit");
+        let kg = w.read();
         assert_eq!(kg.entity_count(), 2);
         assert_eq!(kg.find_by_name("Billie Eilish").len(), 1);
         assert_eq!(
             kg.lookup_link(SourceId(1), "a1"),
             Some(kg.find_by_name("Billie Eilish")[0])
         );
-        // The cycle's change feed names both new entities, and the commit
-        // receipts rolled up into the report.
+        // The logged change feed names both new entities…
+        let ops = w.log().read_after(Lsn::ZERO);
+        let mut changed: Vec<EntityId> = ops.iter().flat_map(|op| op.changed_entities()).collect();
+        changed.sort_unstable();
+        changed.dedup();
         let mut ids: Vec<EntityId> = kg.entity_ids().collect();
         ids.sort_unstable();
-        assert_eq!(report.changed, ids);
-        assert!(!report.deltas.is_empty());
-        assert_eq!(report.commits, 1, "one source batch, one commit");
-        // Replaying the report's deltas onto an empty index rebuilds the
-        // KG's index — the contract derived stores rely on.
+        assert_eq!(changed, ids);
+        // …and replaying its deltas onto an empty index rebuilds the KG's
+        // index — the contract derived stores rely on.
         let mut replayed = saga_core::TripleIndex::new();
-        for d in &report.deltas {
+        for d in ops.iter().flat_map(|op| &op.deltas) {
             replayed.apply(d);
         }
         assert_eq!(replayed.fact_count(), kg.index().fact_count());
@@ -459,39 +420,26 @@ mod tests {
 
     #[test]
     fn two_sources_merge_on_shared_entities() {
-        let mut kg = KnowledgeGraph::new();
+        let w = writer();
         let gen = IdGenerator::starting_at(1);
         let ctor = KnowledgeConstructor::new(volatile_set());
         // Cycle 1: source 1 creates the artist.
-        ctor.consume(
-            &mut kg,
+        consume(
+            &ctor,
+            &w,
             &gen,
-            vec![batch(
-                1,
-                SourceDelta {
-                    added: vec![artist(1, "a1", "Billie Eilish")],
-                    ..Default::default()
-                },
-            )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
+            vec![added(1, vec![artist(1, "a1", "Billie Eilish")])],
         );
         // Cycle 2: source 2 mentions the same artist (typo'd).
-        let report = ctor.consume(
-            &mut kg,
+        let report = consume(
+            &ctor,
+            &w,
             &gen,
-            vec![batch(
-                2,
-                SourceDelta {
-                    added: vec![artist(2, "z9", "Bilie Eilish")],
-                    ..Default::default()
-                },
-            )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
+            vec![added(2, vec![artist(2, "z9", "Bilie Eilish")])],
         );
         assert_eq!(report.matched_existing, 1);
         assert_eq!(report.new_entities, 0);
+        let kg = w.read();
         assert_eq!(kg.entity_count(), 1, "one canonical entity across sources");
         let id = kg.find_by_name("Billie Eilish")[0];
         assert_eq!(kg.lookup_link(SourceId(2), "z9"), Some(id));
@@ -499,25 +447,19 @@ mod tests {
 
     #[test]
     fn updated_partition_uses_fast_path_and_replaces_facts() {
-        let mut kg = KnowledgeGraph::new();
+        let w = writer();
         let gen = IdGenerator::starting_at(1);
         let ctor = KnowledgeConstructor::new(volatile_set());
-        ctor.consume(
-            &mut kg,
+        consume(
+            &ctor,
+            &w,
             &gen,
-            vec![batch(
-                1,
-                SourceDelta {
-                    added: vec![artist(1, "a1", "Old Name")],
-                    ..Default::default()
-                },
-            )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
+            vec![added(1, vec![artist(1, "a1", "Old Name")])],
         );
-        let id = kg.find_by_name("Old Name")[0];
-        let report = ctor.consume(
-            &mut kg,
+        let id = w.read().find_by_name("Old Name")[0];
+        let report = consume(
+            &ctor,
+            &w,
             &gen,
             vec![batch(
                 1,
@@ -526,11 +468,10 @@ mod tests {
                     ..Default::default()
                 },
             )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
         );
         assert_eq!(report.updated, 1);
         assert_eq!(report.new_entities, 0, "no re-linking for known entities");
+        let kg = w.read();
         let rec = kg.entity(id).unwrap();
         assert_eq!(rec.name(), Some("New Name"));
         assert!(
@@ -541,24 +482,18 @@ mod tests {
 
     #[test]
     fn deleted_partition_retracts_entities() {
-        let mut kg = KnowledgeGraph::new();
+        let w = writer();
         let gen = IdGenerator::starting_at(1);
         let ctor = KnowledgeConstructor::new(volatile_set());
-        ctor.consume(
-            &mut kg,
+        consume(
+            &ctor,
+            &w,
             &gen,
-            vec![batch(
-                1,
-                SourceDelta {
-                    added: vec![artist(1, "a1", "Ghost")],
-                    ..Default::default()
-                },
-            )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
+            vec![added(1, vec![artist(1, "a1", "Ghost")])],
         );
-        let report = ctor.consume(
-            &mut kg,
+        let report = consume(
+            &ctor,
+            &w,
             &gen,
             vec![batch(
                 1,
@@ -567,24 +502,16 @@ mod tests {
                     ..Default::default()
                 },
             )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
         );
         assert_eq!(report.deleted, 1);
-        assert_eq!(kg.entity_count(), 0);
+        assert_eq!(w.read().entity_count(), 0);
     }
 
     #[test]
     fn volatile_payload_overwrites_without_touching_stable() {
-        let mut kg = KnowledgeGraph::new();
+        let w = writer();
         let gen = IdGenerator::starting_at(1);
         let ctor = KnowledgeConstructor::new(volatile_set());
-        let mut with_pop = artist(1, "a1", "Billie Eilish");
-        with_pop.push_simple(
-            intern("popularity"),
-            Value::Int(10),
-            FactMeta::from_source(SourceId(1), 0.9),
-        );
         // First cycle: stable + volatile arrive together (volatile split by
         // ingestion, but construction also tolerates inline volatile facts).
         let vol_fact = {
@@ -596,8 +523,9 @@ mod tests {
             );
             p.triples[0].clone()
         };
-        ctor.consume(
-            &mut kg,
+        consume(
+            &ctor,
+            &w,
             &gen,
             vec![batch(
                 1,
@@ -607,9 +535,8 @@ mod tests {
                     ..Default::default()
                 },
             )],
-            &RuleMatcher::default(),
-            &LinkTableResolver,
         );
+        let kg = w.read();
         let id = kg.find_by_name("Billie Eilish")[0];
         let rec = kg.entity(id).unwrap();
         assert_eq!(rec.values(intern("popularity")), vec![&Value::Int(999)]);
@@ -617,52 +544,27 @@ mod tests {
     }
 
     #[test]
-    fn consume_logged_appends_each_commit_before_applying() {
-        use std::sync::Arc;
-        let log = Arc::new(saga_graph::OperationLog::in_memory());
-        let writer = LoggedWriter::new(
-            Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new())),
-            Arc::clone(&log),
-        );
-        let gen = IdGenerator::starting_at(1);
-        let mut ctor = KnowledgeConstructor::new(volatile_set());
-        ctor.parallel = false; // serial: one logged op per source
-        let batches = vec![
-            batch(
-                1,
-                SourceDelta {
-                    added: vec![artist(1, "a1", "Billie Eilish")],
-                    ..Default::default()
-                },
-            ),
-            batch(
-                2,
-                SourceDelta {
-                    added: vec![artist(2, "z9", "Jay-Z")],
-                    ..Default::default()
-                },
-            ),
-        ];
-        let (report, lsns) = ctor
-            .consume_logged(
-                &writer,
+    fn consume_appends_each_commit_before_applying() {
+        // Serial mode logs one op per source; parallel mode fuses the
+        // whole cycle into one op.
+        for (parallel, commits) in [(false, 2u64), (true, 1)] {
+            let w = writer();
+            let gen = IdGenerator::starting_at(1);
+            let mut ctor = KnowledgeConstructor::new(volatile_set());
+            ctor.parallel = parallel;
+            let report = consume(
+                &ctor,
+                &w,
                 &gen,
-                batches,
-                &RuleMatcher::default(),
-                &LinkTableResolver,
-            )
-            .unwrap();
-        assert_eq!(report.commits, 2);
-        assert_eq!(lsns.len(), 2);
-        assert_eq!(log.head(), saga_core::Lsn(2));
-        // The logged ops carry exactly the report's deltas, in order.
-        let logged: Vec<saga_core::Delta> = log
-            .read_after(saga_core::Lsn::ZERO)
-            .into_iter()
-            .flat_map(|op| op.deltas)
-            .collect();
-        assert_eq!(logged, report.deltas);
-        assert_eq!(writer.read().entity_count(), 2);
+                vec![
+                    added(1, vec![artist(1, "a1", "Billie Eilish")]),
+                    added(2, vec![artist(2, "z9", "Jay-Z")]),
+                ],
+            );
+            assert_eq!(report.lsns, (1..=commits).map(Lsn).collect::<Vec<_>>());
+            assert_eq!(w.log().head(), Lsn(commits));
+            assert_eq!(w.read().entity_count(), 2);
+        }
     }
 
     #[test]
@@ -670,30 +572,22 @@ mod tests {
         let make_batches = || {
             (1..=4u32)
                 .map(|s| {
-                    batch(
+                    added(
                         s,
-                        SourceDelta {
-                            added: (0..10)
-                                .map(|i| artist(s, &format!("e{i}"), &format!("Artist {s}x{i}")))
-                                .collect(),
-                            ..Default::default()
-                        },
+                        (0..10)
+                            .map(|i| artist(s, &format!("e{i}"), &format!("Artist {s}x{i}")))
+                            .collect(),
                     )
                 })
                 .collect::<Vec<_>>()
         };
         let run = |parallel: bool| {
-            let mut kg = KnowledgeGraph::new();
+            let w = writer();
             let gen = IdGenerator::starting_at(1);
             let mut ctor = KnowledgeConstructor::new(volatile_set());
             ctor.parallel = parallel;
-            let r = ctor.consume(
-                &mut kg,
-                &gen,
-                make_batches(),
-                &RuleMatcher::default(),
-                &LinkTableResolver,
-            );
+            let r = consume(&ctor, &w, &gen, make_batches());
+            let kg = w.read();
             (kg.entity_count(), kg.fact_count(), r.new_entities)
         };
         let (e1, f1, n1) = run(true);

@@ -130,11 +130,11 @@ fn random_op(rng: &mut StdRng, kg: &mut KnowledgeGraph) {
 }
 
 /// The same op distribution as [`random_op`], staged through the
-/// [`GraphWrite`](crate::GraphWrite) commit point. Returns the commit
-/// receipt's [`Delta`]s — the exact payloads the write-ahead log ships to
-/// replicas (there is no other delta channel).
+/// [`WriteBatch::commit`](crate::WriteBatch::commit) commit point. Returns
+/// the commit receipt's [`Delta`]s — the exact payloads the write-ahead log
+/// ships to replicas (there is no other delta channel).
 fn random_commit(rng: &mut StdRng, kg: &mut KnowledgeGraph) -> Vec<Delta> {
-    use crate::{GraphWrite, WriteBatch};
+    use crate::WriteBatch;
     let batch = match rng.gen_range(0..10) {
         0..=5 => {
             let subject = EntityId(rng.gen_range(1..16));
@@ -174,7 +174,7 @@ fn random_commit(rng: &mut StdRng, kg: &mut KnowledgeGraph) -> Vec<Delta> {
             })
         }
     };
-    kg.commit(batch).deltas
+    batch.commit(kg).deltas
 }
 
 // ---------------------------------------------------------------------

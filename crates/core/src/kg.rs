@@ -40,11 +40,12 @@ pub struct KgStats {
 
 /// The canonical knowledge graph.
 ///
-/// All mutation funnels through the transactional
-/// [`GraphWrite`](crate::GraphWrite) commit point (see
-/// [`crate::write`]); the crate-internal mutators below are its
-/// implementation substrate and the direct path the in-crate equivalence
-/// property tests compare against.
+/// All mutation funnels through the staged commit (see [`crate::write`]):
+/// [`WriteBatch::commit`](crate::WriteBatch::commit), or the Graph
+/// Engine's write-ahead `LoggedWriter`. The crate-internal mutators below
+/// are the direct path the in-crate equivalence property tests compare it
+/// against (and the fixture fast path of
+/// [`add_named_entity`](Self::add_named_entity)).
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeGraph {
     pub(crate) entities: FxHashMap<EntityId, EntityRecord>,
@@ -182,7 +183,8 @@ impl KnowledgeGraph {
     /// [`WriteBatch::link`](crate::WriteBatch::link).
     /// Reference semantics for the staged commit path — exercised by the
     /// in-crate equivalence property tests; production writers commit
-    /// through [`GraphWrite`](crate::GraphWrite).
+    /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
+    /// `LoggedWriter`.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn record_link(&mut self, source: SourceId, local_id: &str, kg: EntityId) {
         self.links.insert((source, Arc::from(local_id)), kg);
@@ -253,7 +255,8 @@ impl KnowledgeGraph {
     /// 2). Returns `(facts_dropped, entities_dropped)`.
     /// Reference semantics for the staged commit path — exercised by the
     /// in-crate equivalence property tests; production writers commit
-    /// through [`GraphWrite`](crate::GraphWrite).
+    /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
+    /// `LoggedWriter`.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn retract_source(&mut self, source: SourceId) -> (usize, usize) {
         let mut facts_dropped = 0;
@@ -287,7 +290,8 @@ impl KnowledgeGraph {
     /// are dropped; the `same_as` link is removed.
     /// Reference semantics for the staged commit path — exercised by the
     /// in-crate equivalence property tests; production writers commit
-    /// through [`GraphWrite`](crate::GraphWrite).
+    /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
+    /// `LoggedWriter`.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn retract_source_entity(&mut self, source: SourceId, local_id: &str) -> usize {
         let Some(kg_id) = self.lookup_link(source, local_id) else {
@@ -315,7 +319,8 @@ impl KnowledgeGraph {
     /// Returns the number of facts dropped (before inserting `fresh`).
     /// Reference semantics for the staged commit path — exercised by the
     /// in-crate equivalence property tests; production writers commit
-    /// through [`GraphWrite`](crate::GraphWrite).
+    /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
+    /// `LoggedWriter`.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn overwrite_volatile_partition(
         &mut self,
@@ -394,7 +399,7 @@ impl KnowledgeGraph {
         self.entities.keys().copied().max()
     }
 
-    /// Convenience: add a named entity with a type, returning its record.
+    /// Convenience: add a named entity with a type.
     ///
     /// Used pervasively by tests, examples and workload generators.
     pub fn add_named_entity(
@@ -404,7 +409,7 @@ impl KnowledgeGraph {
         entity_type: &str,
         source: SourceId,
         trust: f32,
-    ) -> &mut EntityRecord {
+    ) {
         let name_fact = ExtendedTriple::simple(
             id,
             intern(well_known::NAME),
@@ -419,7 +424,6 @@ impl KnowledgeGraph {
         );
         self.upsert_fact(name_fact);
         self.upsert_fact(type_fact);
-        self.entities.get_mut(&id).expect("just inserted")
     }
 }
 

@@ -605,7 +605,7 @@ mod tests {
 
     #[test]
     fn prune_tombstones_drops_only_stable_side_retractions() {
-        use crate::{GraphWriteExt, SourceId};
+        use crate::{SourceId, WriteBatch};
         let mut stable = stable_kg();
         stable.commit_upsert(ExtendedTriple::simple(
             EntityId(9),
@@ -636,7 +636,9 @@ mod tests {
                 Value::str("Niner"),
                 FactMeta::from_source(SourceId(9), 0.9),
             ));
-            let receipt = fresh.commit_retract_source(SourceId(9));
+            let receipt = WriteBatch::new()
+                .retract_source(SourceId(9))
+                .commit(&mut fresh);
             let overlay = OverlayRead::new(KnowledgeGraph::new(), fresh);
             overlay.tombstone(EntityId(2));
             overlay.tombstone(EntityId(9));

@@ -1,10 +1,8 @@
-//! `GraphWrite` — the transactional, log-first write API.
+//! The transactional, log-first write API.
 //!
 //! The paper's platform has **one** write pipeline feeding many derived
-//! serving stores (§3.1); the read side already funnels every backend
-//! through [`GraphRead`](crate::GraphRead). This module is the mirror
-//! image for writes: producers *stage* mutations in a [`WriteBatch`] (or
-//! interactively in a [`KgTransaction`]) and then `commit()` them
+//! serving stores (§3.1). Producers *stage* mutations in a [`WriteBatch`]
+//! (or interactively in a [`KgTransaction`]) and then commit them
 //! atomically, receiving one [`CommitReceipt`] that carries everything the
 //! fan-out needs — the exact [`Delta`] payloads in wire-ready form, the
 //! store's new generation, and per-op outcomes. The raw `KnowledgeGraph`
@@ -34,6 +32,11 @@
 //! `OperationLog` *before* applying them, so the log — not the store — is
 //! the source of truth. A producer that crashes between append and apply
 //! loses nothing: the logged deltas replay into any follower.
+//!
+//! There are exactly two ways to commit: [`WriteBatch::commit`] against a
+//! bare `&mut KnowledgeGraph` (unlogged — oracles, fixtures, tests), and
+//! the Graph Engine's `LoggedWriter` (the write-ahead door every served
+//! graph goes through).
 //!
 //! [`TripleIndex::apply`]: crate::TripleIndex::apply
 
@@ -125,8 +128,8 @@ impl fmt::Debug for WriteOp {
 }
 
 /// An ordered batch of staged writes. Build one with the consuming
-/// combinators (or [`push`](Self::push) in loops), then hand it to
-/// [`GraphWrite::commit`] — nothing touches the store until commit.
+/// combinators (or [`push`](Self::push) in loops), then
+/// [`commit`](Self::commit) it — nothing touches the store until commit.
 #[derive(Debug, Default)]
 pub struct WriteBatch {
     ops: Vec<WriteOp>,
@@ -242,9 +245,19 @@ impl WriteBatch {
         self.ops
     }
 
-    /// Commit this batch against any [`GraphWrite`] backend.
-    pub fn commit<W: GraphWrite + ?Sized>(self, target: &mut W) -> CommitReceipt {
-        target.commit(self)
+    /// Stage this batch against `kg`, then apply it atomically — the
+    /// unlogged commit. A served graph commits through the Graph Engine's
+    /// `LoggedWriter` instead, which appends the staged deltas to its log
+    /// before applying them.
+    pub fn commit(self, kg: &mut KnowledgeGraph) -> CommitReceipt {
+        let staged = {
+            let mut txn = KgTransaction::new(kg);
+            for op in self.ops {
+                txn.apply_op(op);
+            }
+            txn.into_staged()
+        };
+        kg.apply_staged(staged)
     }
 }
 
@@ -830,79 +843,13 @@ impl KnowledgeGraph {
             entities_removed,
         }
     }
-}
 
-/// Uniform transactional write access to a knowledge store — the mirror of
-/// [`GraphRead`](crate::GraphRead). Stage ops in a [`WriteBatch`], commit
-/// atomically, fan the [`CommitReceipt`] out.
-pub trait GraphWrite {
-    /// Atomically apply a staged batch.
-    fn commit(&mut self, batch: WriteBatch) -> CommitReceipt;
-}
-
-impl GraphWrite for KnowledgeGraph {
-    fn commit(&mut self, batch: WriteBatch) -> CommitReceipt {
-        let staged = {
-            let mut txn = KgTransaction::new(self);
-            for op in batch.into_ops() {
-                txn.apply_op(op);
-            }
-            txn.into_staged()
-        };
-        self.apply_staged(staged)
-    }
-}
-
-impl<W: GraphWrite + ?Sized> GraphWrite for &mut W {
-    fn commit(&mut self, batch: WriteBatch) -> CommitReceipt {
-        (**self).commit(batch)
-    }
-}
-
-/// Single-op commit conveniences for tests, examples and workload
-/// generators — every one still funnels through the commit point and
-/// returns the full receipt.
-pub trait GraphWriteExt: GraphWrite {
-    /// Commit one upsert.
-    fn commit_upsert(&mut self, triple: ExtendedTriple) -> CommitReceipt {
+    /// Commit one upsert, unlogged — the single-op convenience tests,
+    /// examples and workload generators build fixtures with.
+    pub fn commit_upsert(&mut self, triple: ExtendedTriple) -> CommitReceipt {
         WriteBatch::new().upsert(triple).commit(self)
     }
-
-    /// Commit one whole-source retraction.
-    fn commit_retract_source(&mut self, source: SourceId) -> CommitReceipt {
-        WriteBatch::new().retract_source(source).commit(self)
-    }
-
-    /// Commit one source-entity retraction.
-    fn commit_retract_source_entity(&mut self, source: SourceId, local_id: &str) -> CommitReceipt {
-        WriteBatch::new()
-            .retract_source_entity(source, local_id)
-            .commit(self)
-    }
-
-    /// Commit one volatile-partition overwrite.
-    fn commit_overwrite_volatile(
-        &mut self,
-        source: SourceId,
-        volatile: FxHashSet<Symbol>,
-        fresh: Vec<ExtendedTriple>,
-    ) -> CommitReceipt {
-        WriteBatch::new()
-            .overwrite_volatile(source, volatile, fresh)
-            .commit(self)
-    }
-
-    /// Commit one record edit.
-    fn commit_mutate(
-        &mut self,
-        entity: EntityId,
-        edit: impl FnOnce(&mut EntityRecord) + Send + 'static,
-    ) -> CommitReceipt {
-        WriteBatch::new().mutate(entity, edit).commit(self)
-    }
 }
-
-impl<W: GraphWrite + ?Sized> GraphWriteExt for W {}
 
 #[cfg(test)]
 mod tests {
@@ -991,13 +938,15 @@ mod tests {
         kg.commit_upsert(fact(1, "population", Value::Int(-5), 1));
         let g0 = kg.generation();
         let pred = intern("population");
-        let receipt = kg.commit_mutate(EntityId(1), move |rec| {
-            for t in &mut rec.triples {
-                if t.predicate == pred {
-                    t.object = Value::Int(120_000);
+        let receipt = WriteBatch::new()
+            .mutate(EntityId(1), move |rec| {
+                for t in &mut rec.triples {
+                    if t.predicate == pred {
+                        t.object = Value::Int(120_000);
+                    }
                 }
-            }
-        });
+            })
+            .commit(&mut kg);
         assert_eq!(
             receipt.outcomes,
             vec![OpOutcome::Mutated {
@@ -1019,7 +968,9 @@ mod tests {
     #[test]
     fn mutate_unknown_entity_is_a_counted_miss() {
         let mut kg = KnowledgeGraph::new();
-        let receipt = kg.commit_mutate(EntityId(404), |rec| rec.triples.clear());
+        let receipt = WriteBatch::new()
+            .mutate(EntityId(404), |rec| rec.triples.clear())
+            .commit(&mut kg);
         assert_eq!(
             receipt.outcomes,
             vec![OpOutcome::Mutated {
@@ -1038,15 +989,17 @@ mod tests {
         kg.commit_upsert(fact(1, "popularity", Value::Int(10), 1));
         let mut volatile = FxHashSet::default();
         volatile.insert(intern("popularity"));
-        let receipt = kg.commit_overwrite_volatile(
-            SourceId(1),
-            volatile,
-            vec![
-                fact(1, "popularity", Value::Int(99), 1),
-                // Unknown entity: skipped, like the direct mutator.
-                fact(7, "popularity", Value::Int(1), 1),
-            ],
-        );
+        let receipt = WriteBatch::new()
+            .overwrite_volatile(
+                SourceId(1),
+                volatile,
+                vec![
+                    fact(1, "popularity", Value::Int(99), 1),
+                    // Unknown entity: skipped, like the direct mutator.
+                    fact(7, "popularity", Value::Int(1), 1),
+                ],
+            )
+            .commit(&mut kg);
         assert_eq!(
             receipt.outcomes,
             vec![OpOutcome::VolatileOverwritten { dropped: 1 }]
@@ -1064,7 +1017,9 @@ mod tests {
         kg.add_named_entity(EntityId(1), "Keep", "person", SourceId(1), 0.9);
         kg.add_named_entity(EntityId(2), "Gone", "person", SourceId(5), 0.9);
         kg.commit_upsert(fact(1, "note", Value::str("from 5"), 5));
-        let receipt = kg.commit_retract_source(SourceId(5));
+        let receipt = WriteBatch::new()
+            .retract_source(SourceId(5))
+            .commit(&mut kg);
         assert_eq!(
             receipt.outcomes,
             vec![OpOutcome::RetractedSource {
@@ -1090,7 +1045,12 @@ mod tests {
                 .commit(&mut kg)
                 .deltas,
         );
-        feed.extend(kg.commit_retract_source(SourceId(2)).deltas);
+        feed.extend(
+            WriteBatch::new()
+                .retract_source(SourceId(2))
+                .commit(&mut kg)
+                .deltas,
+        );
         let mut replayed = crate::TripleIndex::new();
         for delta in &feed {
             replayed.apply(delta);

@@ -1,6 +1,6 @@
 //! Commit-equivalence property tests (seeded, deterministic).
 //!
-//! The invariant the `GraphWrite` redesign rests on: **any interleaving of
+//! The invariant the staged write path rests on: **any interleaving of
 //! staged ops committed through [`WriteBatch`]es is indistinguishable from
 //! the same ops applied through the crate-internal direct mutators** — the
 //! records, the `same_as` link table, the index (every probe family), the
@@ -10,8 +10,8 @@
 
 use crate::index::{flatten, name_tokens};
 use crate::{
-    intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, GraphWrite, KnowledgeGraph,
-    RelId, SourceId, Symbol, Value, WriteBatch, WriteOp,
+    intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, KnowledgeGraph, RelId, SourceId,
+    Symbol, Value, WriteBatch, WriteOp,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -229,7 +229,7 @@ fn batched_commits_equal_direct_mutators() {
         }
 
         // Candidate: the same ops staged into randomly-sized batches and
-        // committed through the one `GraphWrite` commit point.
+        // committed through the one `WriteBatch::commit` commit point.
         let mut batched = KnowledgeGraph::new();
         let mut receipt_deltas: Vec<Delta> = Vec::new();
         let mut i = 0;
@@ -239,7 +239,7 @@ fn batched_commits_equal_direct_mutators() {
             for op in &ops[i..i + span] {
                 batch.push(as_write_op(op));
             }
-            let receipt = batched.commit(batch);
+            let receipt = batch.commit(&mut batched);
             assert_eq!(receipt.outcomes.len(), span, "one outcome per op");
             receipt_deltas.extend(receipt.deltas);
             i += span;
@@ -286,14 +286,14 @@ fn one_giant_batch_equals_per_op_commits() {
         for op in &ops {
             giant.push(as_write_op(op));
         }
-        let receipt = one.commit(giant);
+        let receipt = giant.commit(&mut one);
         assert_eq!(receipt.outcomes.len(), ops.len());
 
         let mut many = KnowledgeGraph::new();
         for op in &ops {
             let mut batch = WriteBatch::new();
             batch.push(as_write_op(op));
-            many.commit(batch);
+            batch.commit(&mut many);
         }
 
         assert_same_graph(&many, &one, &format!("seed {seed} giant-vs-per-op"));

@@ -704,9 +704,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{
-        EntityId, ExtendedTriple, FactMeta, GraphWriteExt, RelId, SourceId, WriteBatch,
-    };
+    use saga_core::{EntityId, ExtendedTriple, FactMeta, RelId, SourceId, WriteBatch};
 
     fn meta() -> FactMeta {
         FactMeta::from_source(SourceId(1), 0.9)

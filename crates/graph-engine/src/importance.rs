@@ -601,7 +601,7 @@ impl View for ImportanceView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value};
+    use saga_core::{intern, ExtendedTriple, FactMeta, SourceId, Value};
 
     /// A star graph: hub ← spokes, plus an isolated node.
     fn star_kg(spokes: u64) -> KnowledgeGraph {

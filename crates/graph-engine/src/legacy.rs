@@ -149,7 +149,7 @@ impl LegacyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{EntityId, ExtendedTriple, FactMeta, GraphWriteExt, SourceId};
+    use saga_core::{EntityId, ExtendedTriple, FactMeta, SourceId};
 
     fn kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();

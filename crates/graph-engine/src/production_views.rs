@@ -389,9 +389,7 @@ fn _doc(_: Frame) {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{
-        EntityId, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, RelId, SourceId, Value,
-    };
+    use saga_core::{EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, RelId, SourceId, Value};
 
     /// A small but complete media world exercising all six views.
     pub(crate) fn media_kg() -> KnowledgeGraph {

@@ -508,7 +508,7 @@ impl ViewManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, GraphWriteExt, SourceId};
+    use saga_core::{intern, SourceId};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 

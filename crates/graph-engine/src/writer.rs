@@ -30,9 +30,8 @@
 //!
 //! [`LoggedWriter::commit`] and [`LoggedWriter::with_txn`] are the only
 //! public ways to change the writer's graph, and both are fallible: a log
-//! I/O error comes back as `Err` with the graph untouched. The writer
-//! deliberately does not implement the infallible
-//! [`GraphWrite`](saga_core::GraphWrite), which could only panic on one.
+//! I/O error comes back as `Err` with the graph untouched. The infallible
+//! [`WriteBatch::commit`] is for bare, unlogged graphs only.
 
 use std::sync::Arc;
 

@@ -12,8 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{
-    intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value,
-    WriteBatch,
+    intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, SourceId, Value, WriteBatch,
 };
 use saga_graph::views::{ViewContext, ViewManager};
 use saga_graph::{

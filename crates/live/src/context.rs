@@ -121,8 +121,7 @@ mod tests {
     use crate::kgq::QueryEngine;
     use crate::store::ReplicaKg;
     use saga_core::{
-        intern, Delta, DeltaFact, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph,
-        SourceId, Value,
+        intern, Delta, DeltaFact, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value,
     };
 
     /// The exact multi-turn example of §4.2.

@@ -149,7 +149,7 @@ impl CurationPipeline {
 mod tests {
     use super::*;
     use parking_lot::RwLock;
-    use saga_core::{ExtendedTriple, GraphRead, GraphWriteExt, KnowledgeGraph, ProbeKey};
+    use saga_core::{ExtendedTriple, GraphRead, KnowledgeGraph, ProbeKey};
     use saga_graph::OperationLog;
     use std::sync::Arc;
 

@@ -132,7 +132,7 @@ impl<G: GraphRead> IntentHandler<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId, Value};
+    use saga_core::{ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value};
 
     fn engine() -> QueryEngine {
         let mut kg = KnowledgeGraph::new();

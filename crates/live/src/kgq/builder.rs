@@ -206,7 +206,7 @@ mod tests {
     use super::*;
     use crate::kgq::{parse, QueryEngine};
     use crate::store::ReplicaKg;
-    use saga_core::{intern, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, SourceId};
+    use saga_core::{intern, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId};
 
     #[test]
     fn built_queries_match_parsed_queries() {

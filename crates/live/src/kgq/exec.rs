@@ -317,8 +317,7 @@ mod tests {
     use super::*;
     use crate::store::ReplicaKg;
     use saga_core::{
-        Delta, DeltaFact, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph, OverlayRead,
-        SourceId,
+        Delta, DeltaFact, ExtendedTriple, FactMeta, KnowledgeGraph, OverlayRead, SourceId,
     };
 
     fn demo_kg() -> KnowledgeGraph {

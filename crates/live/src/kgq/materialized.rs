@@ -219,9 +219,7 @@ impl View for MaterializedKgqView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{
-        intern, ExtendedTriple, FactMeta, FxHashMap, GraphWriteExt, SourceId, Value, WriteBatch,
-    };
+    use saga_core::{intern, ExtendedTriple, FactMeta, FxHashMap, SourceId, Value, WriteBatch};
     use saga_graph::views::{RefreshKind, ViewManager};
     use saga_graph::AnalyticsStore;
 

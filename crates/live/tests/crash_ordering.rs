@@ -11,8 +11,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphRead, GraphWrite, KnowledgeGraph, Lsn,
-    ProbeKey, SourceId, Value, WriteBatch,
+    intern, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, Lsn, ProbeKey, SourceId,
+    Value, WriteBatch,
 };
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_live::LiveReplica;
@@ -121,8 +121,8 @@ fn crashed_apply_still_replays_from_the_log_into_a_replica() {
 
     // …and is parity-equal to a reference graph where nothing crashed.
     let mut reference = KnowledgeGraph::new();
-    reference.commit(batch_one());
-    reference.commit(batch_two());
+    batch_one().commit(&mut reference);
+    batch_two().commit(&mut reference);
     for id in [EntityId(1), EntityId(2)] {
         assert_eq!(
             flat_record(&replica, id),

@@ -11,8 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{
-    intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, KnowledgeGraph,
-    SourceId, Value, WriteBatch,
+    intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value,
+    WriteBatch,
 };
 use saga_graph::views::ViewManager;
 use saga_graph::{AnalyticsStore, RefreshKind};

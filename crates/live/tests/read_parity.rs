@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use saga_core::{
-    intern, Delta, DeltaFact, EntityId, ExtendedTriple, FactMeta, GraphRead, GraphWriteExt,
-    KnowledgeGraph, OverlayRead, ProbeKey, SourceId, Value,
+    intern, Delta, DeltaFact, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph,
+    OverlayRead, ProbeKey, SourceId, Value,
 };
 use saga_live::{QueryEngine, QueryResult, ReplicaKg};
 

@@ -178,7 +178,7 @@ pub fn score_rows(kind: ModelKind, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value};
+    use saga_core::{intern, ExtendedTriple, FactMeta, SourceId, Value};
 
     fn kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();

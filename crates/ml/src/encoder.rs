@@ -305,7 +305,7 @@ fn typo_string(rng: &mut StdRng, s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, EntityId, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value};
+    use saga_core::{intern, EntityId, ExtendedTriple, FactMeta, SourceId, Value};
 
     const NICKS: &[(&str, &str)] = &[
         ("Robert", "Bob"),

@@ -188,7 +188,7 @@ fn push_unique(v: &mut Vec<EntityId>, id: EntityId) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use saga_core::{intern, ExtendedTriple, FactMeta, GraphWriteExt, SourceId, Value};
+    use saga_core::{intern, ExtendedTriple, FactMeta, SourceId, Value, WriteBatch};
 
     /// The paper's running example: two Hanovers, one near Dartmouth.
     pub(crate) fn hanover_kg() -> KnowledgeGraph {
@@ -301,7 +301,9 @@ pub(crate) mod tests {
         view.refresh(&kg, &[EntityId(2)], None);
         assert_eq!(view.exact_matches(&normalize("Hanover NH")), &[EntityId(2)]);
         // Delete: retract the whole source drops entities from the view.
-        kg.commit_retract_source(SourceId(1));
+        WriteBatch::new()
+            .retract_source(SourceId(1))
+            .commit(&mut kg);
         let all: Vec<EntityId> = view.iter().map(|s| s.id).collect();
         view.refresh(&kg, &all, None);
         assert!(view.is_empty());

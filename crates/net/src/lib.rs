@@ -3,7 +3,7 @@
 //! Saga as a *server*: a hand-rolled, std-only, length-prefixed binary
 //! protocol on TCP that puts the whole serving stack — KGQ queries, the
 //! [`GraphRead`](saga_core::GraphRead) probe surface, and
-//! [`GraphWrite`](saga_core::GraphWrite)-style batch commits — in front of
+//! [`WriteBatch`](saga_core::WriteBatch) commits — in front of
 //! remote clients. Everything the platform built in-process (the
 //! replicated fleet, read-your-writes sessions, the write-ahead log)
 //! keeps its contracts across the wire:

@@ -88,7 +88,7 @@ pub mod opcode {
     pub const PING: u8 = 0x01;
     /// KGQ query, optionally session-constrained.
     pub const QUERY: u8 = 0x02;
-    /// `GraphWrite` batch commit through the write-ahead log.
+    /// `WriteBatch` commit through the write-ahead log.
     pub const COMMIT: u8 = 0x03;
     /// `GraphRead::postings`.
     pub const POSTINGS: u8 = 0x04;

@@ -45,7 +45,7 @@ use saga_fleet::{FleetRouter, SessionWaitConfig};
 use saga_graph::{LoggedWriter, OpKind};
 
 use crate::protocol::{
-    decode_request, opcode, Committed, ErrorKind, Frame, FrameError, Request, Response,
+    decode_request, opcode, Committed, ErrorKind, Frame, FrameError, Request, Response, WireOp,
 };
 
 /// Tuning for one [`SagaServer`].
@@ -232,6 +232,15 @@ impl Inner {
             Request::Query { text, session } => {
                 self.query(&text, session.as_ref()).map(Response::Result)
             }
+            // Staging an upsert about a source reference panics (only
+            // linked facts fuse), so such a batch is refused whole, before
+            // anything is staged or logged.
+            Request::Commit(batch) if batch.ops().iter().any(is_unlinked_upsert) => {
+                Ok(Response::Error {
+                    kind: ErrorKind::BadRequest,
+                    message: "upsert subject is not a KG entity".into(),
+                })
+            }
             Request::Commit(batch) => self
                 .writer
                 .commit(OpKind::Upsert, batch.into_write_batch())
@@ -265,6 +274,10 @@ impl Inner {
                 .query_with_session_wait(text, token, &self.cfg.session_wait),
         }
     }
+}
+
+fn is_unlinked_upsert(op: &WireOp) -> bool {
+    matches!(op, WireOp::Upsert(t) if t.subject.as_kg().is_none())
 }
 
 /// Map an execution error onto the wire: retryable conditions get their

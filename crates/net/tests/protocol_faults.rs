@@ -19,7 +19,10 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use saga_core::fail::{self, sites, FailAction};
-use saga_core::{EntityId, KnowledgeGraph, SourceId, WriteBatch};
+use saga_core::{
+    intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, SubjectRef, Value,
+    WriteBatch,
+};
 use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool, SessionWaitConfig};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::protocol::{self, opcode, read_frame, MAX_PAYLOAD};
@@ -32,7 +35,7 @@ static DRILL_GATE: Mutex<()> = Mutex::new(());
 
 struct Harness {
     server: SagaServer,
-    _writer: Arc<LoggedWriter>,
+    writer: Arc<LoggedWriter>,
     pool: Arc<ReplicaPool>,
     dir: std::path::PathBuf,
     /// Declared last: released after `drop` has shut everything down.
@@ -95,7 +98,7 @@ fn boot(tag: &str, tune: impl FnOnce(&mut ServerConfig)) -> Harness {
     let server = SagaServer::start(router, Arc::clone(&writer), cfg).expect("start server");
     Harness {
         server,
-        _writer: writer,
+        writer,
         pool,
         dir,
         _gate: gate,
@@ -300,6 +303,61 @@ fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
     wait_for("release of every admission slot", || {
         h.server.inflight() == 0
     });
+}
+
+/// A commit holding an upsert about a source reference (not a KG entity)
+/// is refused whole with `BadRequest` before anything is staged or
+/// logged. Staged, it would panic the connection's reader thread and leak
+/// the request's admission slot and the connection's registry entry.
+#[test]
+fn unlinked_upsert_commit_answers_bad_request_and_keeps_the_connection() {
+    let h = boot("unlinked", |_| {});
+    let head = h.writer.log().head();
+    // A short read timeout: a dead reader fails the drill in seconds.
+    let mut client = SagaClient::connect_with(
+        h.addr(),
+        ClientConfig {
+            read_timeout: Duration::from_secs(2),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect");
+    let unlinked = ExtendedTriple::simple(
+        SubjectRef::source(SourceId(3), "local-7"),
+        intern("name"),
+        Value::str("Unlinked Song"),
+        FactMeta::from_source(SourceId(3), 0.9),
+    );
+    let batch = WireBatch::new()
+        .named_entity(EntityId(80), "Linked Song", "song", SourceId(3), 0.9)
+        .upsert(unlinked);
+    match client
+        .call(&Request::Commit(batch))
+        .expect("an answer on the same connection")
+    {
+        Response::Error {
+            kind: ErrorKind::BadRequest,
+            message,
+        } => assert!(message.contains("KG entity"), "{message}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    client
+        .ping()
+        .expect("the connection serves its next request");
+
+    assert_eq!(h.writer.log().head(), head, "nothing was logged");
+    assert!(
+        client.record(EntityId(80)).expect("record").is_none(),
+        "the batch's linked upserts were refused with it"
+    );
+    wait_for("release of every admission slot", || {
+        h.server.inflight() == 0
+    });
+    drop(client);
+    wait_for("drained connection registry", || {
+        h.server.open_connections() == 0
+    });
+    assert_serving(&h);
 }
 
 #[test]

@@ -7,10 +7,15 @@
 //!
 //! Run with: `cargo run --example music_catalog`
 
+use std::sync::Arc;
+
+use parking_lot::RwLock;
 use saga_construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
 use saga_core::{IdGenerator, KnowledgeGraph, SourceId};
 use saga_graph::production_views::ProductionView;
-use saga_graph::{compute_importance, AnalyticsStore, ImportanceConfig, LegacyEngine};
+use saga_graph::{
+    compute_importance, AnalyticsStore, ImportanceConfig, LegacyEngine, LoggedWriter, OperationLog,
+};
 use saga_ingest::synth::{artist_alignment, provider_datasets, MusicWorld, ProviderSpec};
 use saga_ingest::{DataTransformer, SourceIngestionPipeline, TransformSpec};
 use saga_ontology::default_ontology;
@@ -58,7 +63,10 @@ fn main() {
         })
         .collect();
 
-    let mut kg = KnowledgeGraph::new();
+    let writer = LoggedWriter::new(
+        Arc::new(RwLock::new(KnowledgeGraph::new())),
+        Arc::new(OperationLog::in_memory()),
+    );
     let id_gen = IdGenerator::starting_at(1);
     let constructor = KnowledgeConstructor::new(ontology.volatile_predicates());
 
@@ -95,13 +103,16 @@ fn main() {
                 delta: s_delta,
             });
         }
-        let report = constructor.consume(
-            &mut kg,
-            &id_gen,
-            batches,
-            &RuleMatcher::default(),
-            &LinkTableResolver,
-        );
+        let report = constructor
+            .consume(
+                &writer,
+                &id_gen,
+                batches,
+                &RuleMatcher::default(),
+                &LinkTableResolver,
+            )
+            .expect("construction commits");
+        let kg = writer.read();
         println!(
             "cycle {cycle} construction: {} matched existing, {} new, {} updated → KG {} entities / {} facts\n",
             report.matched_existing,
@@ -112,6 +123,7 @@ fn main() {
         );
     }
 
+    let kg = writer.read();
     // Cross-source corroboration: entities seen by both providers.
     let corroborated = kg.entities().filter(|r| r.identity_count() >= 2).count();
     println!(

@@ -6,11 +6,15 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::sync::Arc;
+
+use parking_lot::RwLock;
 use saga_construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, IdGenerator, KnowledgeGraph, RelId, SourceId,
-    SourceTrust, Value,
+    intern, EntityId, ExtendedTriple, FactMeta, IdGenerator, KnowledgeGraph, OpOutcome, RelId,
+    SourceId, SourceTrust, Value, WriteBatch,
 };
+use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_ingest::{AlignmentConfig, CsvImporter, DataSourceImporter, Pgf, SourceIngestionPipeline};
 use saga_ingest::{DataTransformer, TransformSpec};
 use saga_ontology::default_ontology;
@@ -130,49 +134,61 @@ s3,Halo,Beyonce,261,88000
     // ------------------------------------------------------------------
     // 3. Knowledge construction (§2.3): link + fuse into the KG.
     // ------------------------------------------------------------------
-    let mut kg = KnowledgeGraph::new();
+    // Every commit goes through the write-ahead log first.
+    let writer = LoggedWriter::new(
+        Arc::new(RwLock::new(KnowledgeGraph::new())),
+        Arc::new(OperationLog::in_memory()),
+    );
     let id_gen = IdGenerator::starting_at(100);
     let constructor = KnowledgeConstructor::new(ontology.volatile_predicates());
-    let report = constructor.consume(
-        &mut kg,
-        &id_gen,
-        vec![SourceBatch {
-            source: SourceId(7),
-            name: "toy-music".into(),
-            delta,
-        }],
-        &RuleMatcher::default(),
-        &LinkTableResolver,
-    );
-    println!(
-        "\n— Construction: {} new entities, {} facts added, KG now {} entities / {} facts —",
-        report.new_entities,
-        report.fusion.facts_added,
-        kg.entity_count(),
-        kg.fact_count()
-    );
-    for record in kg.entities() {
+    let report = constructor
+        .consume(
+            &writer,
+            &id_gen,
+            vec![SourceBatch {
+                source: SourceId(7),
+                name: "toy-music".into(),
+                delta,
+            }],
+            &RuleMatcher::default(),
+            &LinkTableResolver,
+        )
+        .expect("construction commits");
+    {
+        let kg = writer.read();
         println!(
-            "  {} = {:?} ({} facts, {} sources)",
-            record.id,
-            record.name().unwrap_or("?"),
-            record.fact_count(),
-            record.identity_count()
+            "\n— Construction: {} new entities, {} facts added, KG now {} entities / {} facts —",
+            report.new_entities,
+            report.fusion.facts_added,
+            kg.entity_count(),
+            kg.fact_count()
         );
+        for record in kg.entities() {
+            println!(
+                "  {} = {:?} ({} facts, {} sources)",
+                record.id,
+                record.name().unwrap_or("?"),
+                record.fact_count(),
+                record.identity_count()
+            );
+        }
     }
 
     // ------------------------------------------------------------------
     // 4. On-demand deletion (§2.1 provenance): retract the source.
     // ------------------------------------------------------------------
     // One staged batch, one atomic commit, one receipt for the fan-out.
-    let receipt = saga_core::WriteBatch::new()
-        .retract_source(SourceId(7))
-        .commit(&mut kg);
-    let saga_core::OpOutcome::RetractedSource { facts, entities } = receipt.outcomes[0] else {
+    let commit = writer
+        .commit(
+            OpKind::RetractSource(SourceId(7)),
+            WriteBatch::new().retract_source(SourceId(7)),
+        )
+        .expect("retraction commits");
+    let OpOutcome::RetractedSource { facts, entities } = commit.receipt.outcomes[0] else {
         unreachable!("one retraction staged");
     };
     println!("\n— License revoked: retracting src7 dropped {facts} facts, {entities} entities —");
-    assert_eq!(kg.entity_count(), 0);
+    assert_eq!(writer.read().entity_count(), 0);
     println!("  KG is empty again: every fact carried its provenance.");
 }
 

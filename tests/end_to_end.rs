@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use saga::construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
+use saga::construct::{
+    ConstructionReport, KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch,
+};
 use saga::core::{intern, EntityId, IdGenerator, KnowledgeGraph, Lsn, SourceId, Value, WriteBatch};
 use saga::graph::{
     AgentRunner, AnalyticsStore, EntityIndexAgent, LoggedWriter, MetadataStore, OpKind,
@@ -58,12 +60,36 @@ fn make_pipes() -> Vec<(ProviderSpec, SourceIngestionPipeline)> {
     .collect()
 }
 
+/// A fresh, empty graph behind an in-memory log.
+fn writer() -> LoggedWriter {
+    LoggedWriter::new(
+        Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new())),
+        Arc::new(OperationLog::in_memory()),
+    )
+}
+
+fn consume(
+    ctor: &KnowledgeConstructor,
+    writer: &LoggedWriter,
+    id_gen: &IdGenerator,
+    batches: Vec<SourceBatch>,
+) -> ConstructionReport {
+    ctor.consume(
+        writer,
+        id_gen,
+        batches,
+        &RuleMatcher::default(),
+        &LinkTableResolver,
+    )
+    .expect("logged construction cycle")
+}
+
 #[test]
 fn continuous_construction_deduplicates_across_sources_and_cycles() {
     let ontology = default_ontology();
     let mut world = MusicWorld::generate(11, 80, 2);
     let mut pipes = make_pipes();
-    let mut kg = KnowledgeGraph::new();
+    let writer = writer();
     let id_gen = IdGenerator::starting_at(1);
     let mut ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
     // Serial mode consumes sources one at a time, so source B links against
@@ -73,38 +99,30 @@ fn continuous_construction_deduplicates_across_sources_and_cycles() {
 
     // Cycle 1: onboarding.
     let batches = ingest_cycle(&world, &mut pipes);
-    let r1 = ctor.consume(
-        &mut kg,
-        &id_gen,
-        batches,
-        &RuleMatcher::default(),
-        &LinkTableResolver,
-    );
+    let r1 = consume(&ctor, &writer, &id_gen, batches);
     assert!(r1.new_entities > 0);
-    // Cross-source dedup: far fewer canonical entities than payloads.
-    assert!(
-        kg.entity_count() < 80 + 40,
-        "two overlapping sources must merge: {} entities",
+    let before = {
+        let kg = writer.read();
+        // Cross-source dedup: far fewer canonical entities than payloads.
+        assert!(
+            kg.entity_count() < 80 + 40,
+            "two overlapping sources must merge: {} entities",
+            kg.entity_count()
+        );
+        let corroborated = kg.entities().filter(|r| r.identity_count() >= 2).count();
+        assert!(
+            corroborated > 20,
+            "fusion merged cross-source entities: {corroborated}"
+        );
         kg.entity_count()
-    );
-    let corroborated = kg.entities().filter(|r| r.identity_count() >= 2).count();
-    assert!(
-        corroborated > 20,
-        "fusion merged cross-source entities: {corroborated}"
-    );
+    };
 
     // Cycle 2: world evolves, only diffs flow.
     world.evolve(8, 0.1, 0.05);
     let batches2 = ingest_cycle(&world, &mut pipes);
-    let before = kg.entity_count();
-    let r2 = ctor.consume(
-        &mut kg,
-        &id_gen,
-        batches2,
-        &RuleMatcher::default(),
-        &LinkTableResolver,
-    );
+    let r2 = consume(&ctor, &writer, &id_gen, batches2);
     assert!(r2.updated + r2.deleted + r2.new_entities + r2.matched_existing > 0);
+    let kg = writer.read();
     assert!(
         kg.entity_count() >= before.saturating_sub(20),
         "incremental cycle keeps the graph coherent"
@@ -168,19 +186,13 @@ fn constructed_kg_serves_live_queries() {
     let ontology = default_ontology();
     let world = MusicWorld::generate(3, 30, 2);
     let mut pipes = make_pipes();
-    let mut kg = KnowledgeGraph::new();
+    let writer = writer();
     let id_gen = IdGenerator::starting_at(1);
     let ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
     let batches = ingest_cycle(&world, &mut pipes);
-    ctor.consume(
-        &mut kg,
-        &id_gen,
-        batches,
-        &RuleMatcher::default(),
-        &LinkTableResolver,
-    );
+    consume(&ctor, &writer, &id_gen, batches);
 
-    let engine = QueryEngine::new(ReplicaKg::from_index(8, kg.index().clone()));
+    let engine = QueryEngine::new(ReplicaKg::from_index(8, writer.read().index().clone()));
 
     // Every ground-truth artist covered by the clean provider is findable.
     let artist = &world.artists[0];
@@ -210,33 +222,27 @@ fn construction_commits_write_ahead_through_the_log_to_a_replica() {
     let world = MusicWorld::generate(7, 40, 2);
     let mut pipes = make_pipes();
     let id_gen = IdGenerator::starting_at(1);
-    let mut ctor = saga::construct::KnowledgeConstructor::new(ontology.volatile_predicates());
+    let mut ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
     ctor.parallel = false;
 
-    let log = Arc::new(OperationLog::in_memory());
-    let writer = LoggedWriter::new(
-        Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new())),
-        Arc::clone(&log),
-    );
+    let writer = writer();
+    let log = Arc::clone(writer.log());
     let mut replica = LiveReplica::new(8, Arc::clone(&log));
 
     let batches = ingest_cycle(&world, &mut pipes);
     let sources = batches.len();
-    let (report, lsns) = ctor
-        .consume_logged(
-            &writer,
-            &id_gen,
-            batches,
-            &saga::construct::RuleMatcher::default(),
-            &saga::construct::LinkTableResolver,
-        )
-        .expect("logged construction cycle");
-    assert!(!report.deltas.is_empty(), "construction emitted deltas");
+    let report = consume(&ctor, &writer, &id_gen, batches);
     assert_eq!(
-        report.commits, sources,
+        report.lsns.len(),
+        sources,
         "serial mode: one commit per source"
     );
-    assert_eq!(lsns.len(), sources);
+    assert!(
+        log.read_after(Lsn::ZERO)
+            .iter()
+            .any(|op| !op.deltas.is_empty()),
+        "construction emitted deltas"
+    );
 
     let kg = writer.read().clone();
     let applied = replica.catch_up().unwrap();
