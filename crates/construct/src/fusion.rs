@@ -178,12 +178,9 @@ mod tests {
         resolver: &dyn ObjectResolver,
         config: &FusionConfig,
     ) -> FusionReport {
-        let (report, staged) = {
-            let mut txn = KgTransaction::new(kg);
-            let report = fuse_payload(&mut txn, payload, resolver, config);
-            (report, txn.into_staged())
-        };
-        kg.apply_staged(staged);
+        let mut txn = KgTransaction::new(kg);
+        let report = fuse_payload(&mut txn, payload, resolver, config);
+        txn.commit();
         report
     }
 

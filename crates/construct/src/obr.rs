@@ -181,7 +181,7 @@ mod tests {
             Value::source_ref("album_404"),
             meta(1),
         ));
-        let stats = LinkTableResolver.resolve(&KgTransaction::new(&kg), &mut p);
+        let stats = LinkTableResolver.resolve(&KgTransaction::new(&mut kg), &mut p);
         assert_eq!(
             stats,
             ResolutionStats {
@@ -235,7 +235,7 @@ mod tests {
             Value::source_ref("Billie Eilish"),
             meta(1),
         ));
-        let stats = resolver.resolve(&KgTransaction::new(&kg), &mut p);
+        let stats = resolver.resolve(&KgTransaction::new(&mut kg), &mut p);
         assert_eq!(stats.resolved, 1);
         // With the hint, the artist (not the homonymous song) is chosen.
         assert_eq!(p.triples[0].object, Value::Entity(EntityId(5)));
@@ -274,7 +274,7 @@ mod tests {
             Value::source_ref("Unknown Artist XYZ"),
             meta(1),
         ));
-        let stats = resolver.resolve(&KgTransaction::new(&kg), &mut p);
+        let stats = resolver.resolve(&KgTransaction::new(&mut kg), &mut p);
         assert_eq!(stats.resolved, 0);
         assert!(matches!(p.triples[0].object, Value::SourceRef(_)));
     }

@@ -262,17 +262,22 @@ impl EntityRecord {
     /// and the live store's record-level commits — a detached record is
     /// not indexed, so mutating one is always safe.
     pub fn upsert(&mut self, triple: ExtendedTriple) -> bool {
-        for existing in &mut self.triples {
-            if existing.predicate == triple.predicate
+        let Some(at) = self.merge_slot(&triple) else {
+            self.triples.push(triple);
+            return true;
+        };
+        self.triples[at].meta.merge(&triple.meta);
+        false
+    }
+
+    /// Position of the fact `triple` would merge into under
+    /// [`upsert`](Self::upsert)'s rule, if any.
+    pub(crate) fn merge_slot(&self, triple: &ExtendedTriple) -> Option<usize> {
+        self.triples.iter().position(|existing| {
+            existing.predicate == triple.predicate
                 && existing.rel == triple.rel
                 && existing.object == triple.object
-            {
-                existing.meta.merge(&triple.meta);
-                return false;
-            }
-        }
-        self.triples.push(triple);
-        true
+        })
     }
 
     /// Remove `source` from the provenance of every matching fact; facts

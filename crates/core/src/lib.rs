@@ -63,7 +63,7 @@ pub use row::{Dataset, Row};
 pub use session::SessionToken;
 pub use triple::{ExtendedTriple, RelPart, SubjectRef, TripleKey};
 pub use value::Value;
-pub use write::{CommitReceipt, KgTransaction, OpOutcome, StagedCommit, WriteBatch, WriteOp};
+pub use write::{CommitReceipt, KgTransaction, OpOutcome, WriteBatch, WriteOp};
 
 /// Convenience alias for the Fx (rustc-hash) hash map used on all hot paths.
 pub type FxHashMap<K, V> = rustc_hash::FxHashMap<K, V>;

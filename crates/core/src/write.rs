@@ -11,27 +11,29 @@
 //! channel — there is no in-process changelog to drain, appending the
 //! receipt's deltas to the oplog is the whole fan-out.
 //!
-//! # Staging vs applying
+//! # Stage in place, then commit
 //!
 //! A commit against the stable [`KnowledgeGraph`] runs in two phases:
 //!
-//! 1. **Stage** ([`KgTransaction`]) — ops are applied to a copy-on-write
-//!    *shadow* of only the touched entity records and `same_as` links,
-//!    against an immutable borrow of the graph. Staging computes the exact
-//!    per-op [`Delta`]s and [`OpOutcome`]s, and later ops read earlier
-//!    ops' staged effects (a link recorded in the batch is visible to a
-//!    retraction staged after it).
-//! 2. **Apply** ([`KnowledgeGraph::apply_staged`]) — the staged deltas are
-//!    replayed onto the live index (the same [`TripleIndex::apply`]
-//!    path log replicas use), the shadow records and links are swapped in,
-//!    and the generation is bumped per non-empty delta exactly as the
-//!    direct mutators do.
+//! 1. **Stage** ([`KgTransaction`]) — ops edit the graph's records and
+//!    `same_as` links in place, through an exclusive borrow, and push an
+//!    undo entry per edit. Every fact an op adds or removes is folded into
+//!    its entity's one net [`Delta`]: an add and a remove of the same fact
+//!    cancel, multiset-exact. Later ops read earlier ops' effects (a link
+//!    recorded in the batch is visible to a retraction staged after it).
+//!    The index and the generation do not move.
+//! 2. **Commit** ([`KgTransaction::commit`]) — each net delta is applied
+//!    to the index (the same [`TripleIndex::apply`] path log replicas
+//!    use), the generation bumps once per delta, and the undo log is
+//!    discarded. A transaction dropped without committing — a failed log
+//!    append, an armed failpoint, a panic while staging — replays its undo
+//!    log newest-first and leaves the graph as it found it.
 //!
 //! The split is what makes **write-ahead logging** possible: the Graph
-//! Engine's `LoggedWriter` appends the staged deltas to the durable
-//! `OperationLog` *before* applying them, so the log — not the store — is
-//! the source of truth. A producer that crashes between append and apply
-//! loses nothing: the logged deltas replay into any follower.
+//! Engine's `LoggedWriter` appends [`KgTransaction::deltas`] to the
+//! durable `OperationLog` *before* committing them, so the log — not the
+//! store — is the source of truth. A producer that crashes between append
+//! and commit loses nothing: the logged deltas replay into any follower.
 //!
 //! There are exactly two ways to commit: [`WriteBatch::commit`] against a
 //! bare `&mut KnowledgeGraph` (unlogged — oracles, fixtures, tests), and
@@ -40,13 +42,15 @@
 //!
 //! [`TripleIndex::apply`]: crate::TripleIndex::apply
 
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use crate::index::flatten;
 use crate::{
-    Delta, DeltaFact, EntityId, EntityRecord, ExtendedTriple, FxHashMap, FxHashSet, KnowledgeGraph,
-    SourceId, Symbol,
+    Delta, DeltaFact, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, FxHashSet,
+    KnowledgeGraph, SourceId, Symbol,
 };
 
 /// One staged write operation — the op vocabulary mirrors the §2.3/§2.4
@@ -245,19 +249,16 @@ impl WriteBatch {
         self.ops
     }
 
-    /// Stage this batch against `kg`, then apply it atomically — the
+    /// Stage this batch against `kg`, then commit it atomically — the
     /// unlogged commit. A served graph commits through the Graph Engine's
     /// `LoggedWriter` instead, which appends the staged deltas to its log
-    /// before applying them.
+    /// before committing them.
     pub fn commit(self, kg: &mut KnowledgeGraph) -> CommitReceipt {
-        let staged = {
-            let mut txn = KgTransaction::new(kg);
-            for op in self.ops {
-                txn.apply_op(op);
-            }
-            txn.into_staged()
-        };
-        kg.apply_staged(staged)
+        let mut txn = KgTransaction::new(kg);
+        for op in self.ops {
+            txn.apply_op(op);
+        }
+        txn.commit()
     }
 }
 
@@ -309,8 +310,8 @@ pub enum OpOutcome {
 /// `OperationLog::append_op` untouched.
 #[derive(Debug, Default)]
 pub struct CommitReceipt {
-    /// Per-op deltas, in staging order (ops that changed nothing emit no
-    /// delta; multi-entity ops emit one delta per touched entity).
+    /// One net delta per touched entity, in first-touch order (an entity
+    /// whose edits cancel out emits none).
     pub deltas: Vec<Delta>,
     /// Per-op outcomes, aligned with the batch (one entry per staged op).
     pub outcomes: Vec<OpOutcome>,
@@ -343,48 +344,40 @@ impl CommitReceipt {
     }
 }
 
-/// Staged writes, transactional: the transport between
-/// [`KgTransaction::into_staged`] and [`KnowledgeGraph::apply_staged`].
-///
-/// A `StagedCommit` is only meaningful against the graph state it was
-/// staged from — apply it to that same graph (under the same exclusive
-/// access) or drop it.
-#[derive(Debug, Default)]
-pub struct StagedCommit {
-    pub(crate) deltas: Vec<Delta>,
-    pub(crate) outcomes: Vec<OpOutcome>,
-    /// Final staged state of every touched record (`None` = deleted).
-    pub(crate) records: FxHashMap<EntityId, Option<EntityRecord>>,
-    /// Final staged state of every touched link (`None` = removed).
-    pub(crate) links: FxHashMap<(SourceId, Arc<str>), Option<EntityId>>,
+/// One staged edit's inverse. A [`KgTransaction`] dropped without
+/// committing replays its entries newest-first.
+enum Undo {
+    /// A fresh upsert appended a fact to the record: pop it.
+    Pop(EntityId),
+    /// A provenance merge rewrote one fact's metadata: restore it.
+    Meta(EntityId, usize, FactMeta),
+    /// The op created the record: remove it.
+    Remove(EntityId),
+    /// A record-rewriting op (retraction, volatile overwrite, mutate)
+    /// changed or dropped the record: put the prior one back.
+    Record(EntityId, EntityRecord),
+    /// A link was set or removed: restore its prior target.
+    Link((SourceId, Arc<str>), Option<EntityId>),
 }
 
-impl StagedCommit {
-    /// The exact per-op deltas this commit will emit — what a write-ahead
-    /// logger appends *before* applying.
-    pub fn deltas(&self) -> &[Delta] {
-        &self.deltas
-    }
-
-    /// True if applying would change nothing observable.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
-    }
-}
-
-/// An interactive staging transaction over an immutable
-/// [`KnowledgeGraph`] borrow.
+/// An interactive staging transaction holding the graph exclusively.
 ///
-/// Writes apply to a copy-on-write shadow of the touched records/links;
-/// reads ([`record`](Self::record), [`lookup_link`](Self::lookup_link),
-/// [`contains`](Self::contains)) observe staged state, so multi-step
-/// producers (fusion's relationship-node matching, the pipeline's
-/// link-then-retract update path) behave exactly as they did against the
-/// live graph. Finish with [`into_staged`](Self::into_staged) and apply
-/// via [`KnowledgeGraph::apply_staged`].
+/// Ops edit records and links in place under an undo log, so reads
+/// ([`record`](Self::record), [`lookup_link`](Self::lookup_link),
+/// [`contains`](Self::contains)) see every earlier op of the transaction:
+/// multi-step producers (fusion's relationship-node matching, the
+/// pipeline's link-then-retract update path) behave exactly as they would
+/// op by op. The upsert path never clones a record. The index and the
+/// generation move only in [`commit`](Self::commit); dropping the
+/// transaction instead rolls every edit back.
 pub struct KgTransaction<'a> {
-    kg: &'a KnowledgeGraph,
-    staged: StagedCommit,
+    kg: &'a mut KnowledgeGraph,
+    undo: Vec<Undo>,
+    /// One net delta per touched entity, in first-touch order.
+    deltas: Vec<Delta>,
+    /// Each touched entity's slot in `deltas`.
+    slots: FxHashMap<EntityId, usize>,
+    outcomes: Vec<OpOutcome>,
 }
 
 /// Flatten a record into its indexed fact multiset.
@@ -397,94 +390,135 @@ fn record_facts(record: &EntityRecord) -> Vec<DeltaFact> {
         .collect()
 }
 
-/// The exact index [`Delta`] between two fact multisets of one entity
-/// (multiset semantics, matching [`TripleIndex`](crate::TripleIndex) row
-/// maintenance).
-fn multiset_delta(entity: EntityId, old: Vec<DeltaFact>, new: &[DeltaFact]) -> Delta {
-    let mut removed = old;
-    let mut added = Vec::new();
-    for fact in new {
-        match removed.iter().position(|f| f == fact) {
-            Some(at) => {
-                removed.swap_remove(at);
-            }
-            None => added.push(fact.clone()),
+/// Fold one fact into a net [`Delta`], multiset-exact (matching
+/// [`TripleIndex`](crate::TripleIndex) row maintenance): adding a fact the
+/// delta removes, or removing one it adds, cancels the pair.
+fn fold(delta: &mut Delta, fact: DeltaFact, add: bool) {
+    let (same, opposite) = if add {
+        (&mut delta.added, &mut delta.removed)
+    } else {
+        (&mut delta.removed, &mut delta.added)
+    };
+    match opposite.iter().position(|f| *f == fact) {
+        Some(at) => {
+            opposite.swap_remove(at);
         }
-    }
-    Delta {
-        entity,
-        added,
-        removed,
+        None => same.push(fact),
     }
 }
 
 impl<'a> KgTransaction<'a> {
     /// Begin staging against `kg`.
-    pub fn new(kg: &'a KnowledgeGraph) -> Self {
+    pub fn new(kg: &'a mut KnowledgeGraph) -> Self {
         KgTransaction {
             kg,
-            staged: StagedCommit::default(),
+            undo: Vec::new(),
+            deltas: Vec::new(),
+            slots: FxHashMap::default(),
+            outcomes: Vec::new(),
         }
     }
 
     // ---- staged reads -------------------------------------------------
 
-    /// The staged view of one entity record.
+    /// One entity record, as staged so far.
     pub fn record(&self, id: EntityId) -> Option<&EntityRecord> {
-        match self.staged.records.get(&id) {
-            Some(staged) => staged.as_ref(),
-            None => self.kg.entities.get(&id),
-        }
+        self.kg.entity(id)
     }
 
-    /// True if the entity exists in the staged view.
+    /// True if the entity exists, as staged so far.
     pub fn contains(&self, id: EntityId) -> bool {
-        self.record(id).is_some()
+        self.kg.contains(id)
     }
 
-    /// The staged view of the `same_as` link table.
+    /// The `same_as` link table, as staged so far.
     pub fn lookup_link(&self, source: SourceId, local_id: &str) -> Option<EntityId> {
-        match self.staged.links.get(&(source, Arc::from(local_id))) {
-            Some(staged) => *staged,
-            None => self.kg.lookup_link(source, local_id),
+        self.kg.lookup_link(source, local_id)
+    }
+
+    /// Fold one fact into `id`'s net delta.
+    fn emit(&mut self, id: EntityId, fact: DeltaFact, add: bool) {
+        let next = self.deltas.len();
+        let at = *self.slots.entry(id).or_insert(next);
+        if at == next {
+            self.deltas.push(Delta {
+                entity: id,
+                ..Delta::default()
+            });
+        }
+        fold(&mut self.deltas[at], fact, add);
+    }
+
+    /// Fold the indexed form of retracted facts into `id`'s net delta.
+    fn emit_removed(&mut self, id: EntityId, dropped: &[ExtendedTriple]) {
+        for (predicate, object) in dropped.iter().filter_map(flatten) {
+            self.emit(id, DeltaFact { predicate, object }, false);
         }
     }
 
-    /// Every entity id visible in the staged view, sorted — retraction
-    /// scans iterate this so multi-entity deltas are emitted in a
-    /// deterministic order.
-    fn staged_entity_ids(&self) -> Vec<EntityId> {
+    /// Upsert into `id`'s record in place; `true` if the fact is new.
+    fn stage_upsert(&mut self, id: EntityId, triple: ExtendedTriple) -> bool {
+        let record = match self.kg.entities.entry(id) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                self.undo.push(Undo::Remove(id));
+                slot.insert(EntityRecord::new(id))
+            }
+        };
+        if let Some(at) = record.merge_slot(&triple) {
+            let meta = &mut record.triples[at].meta;
+            self.undo.push(Undo::Meta(id, at, meta.clone()));
+            meta.merge(&triple.meta);
+            return false;
+        }
+        let fact = flatten(&triple);
+        record.triples.push(triple);
+        self.undo.push(Undo::Pop(id));
+        if let Some((predicate, object)) = fact {
+            self.emit(id, DeltaFact { predicate, object }, true);
+        }
+        true
+    }
+
+    /// A record a rewriting op is about to change, its prior state saved
+    /// on the undo log.
+    fn rewrite(&mut self, id: EntityId) -> Option<&mut EntityRecord> {
+        let record = self.kg.entities.get_mut(&id)?;
+        self.undo.push(Undo::Record(id, record.clone()));
+        Some(record)
+    }
+
+    /// Drop `id`'s record if a rewrite left it without facts.
+    fn drop_if_empty(&mut self, id: EntityId) -> bool {
+        let empty = self.record(id).is_some_and(|r| r.triples.is_empty());
+        if empty {
+            self.kg.entities.remove(&id);
+        }
+        empty
+    }
+
+    /// Set (`Some`) or remove (`None`) one link, its prior target saved on
+    /// the undo log.
+    fn set_link(&mut self, key: (SourceId, Arc<str>), entity: Option<EntityId>) {
+        let prior = match entity {
+            Some(entity) => self.kg.links.insert(key.clone(), entity),
+            None => self.kg.links.remove(&key),
+        };
+        self.undo.push(Undo::Link(key, prior));
+    }
+
+    /// Ids of the records `keep` selects, sorted — retraction scans rewrite
+    /// them in this order so their deltas come out deterministically.
+    fn ids_where(&self, keep: impl Fn(&EntityRecord) -> bool) -> Vec<EntityId> {
         let mut ids: Vec<EntityId> = self
             .kg
             .entities
-            .keys()
-            .copied()
-            .filter(|id| !matches!(self.staged.records.get(id), Some(None)))
-            .chain(
-                self.staged
-                    .records
-                    .iter()
-                    .filter_map(|(id, r)| r.as_ref().map(|_| *id)),
-            )
+            .iter()
+            .filter(|(_, r)| keep(r))
+            .map(|(id, _)| *id)
             .collect();
         ids.sort_unstable();
-        ids.dedup();
         ids
-    }
-
-    /// Copy-on-write handle to one record's staged state.
-    fn staged_record(&mut self, id: EntityId) -> &mut Option<EntityRecord> {
-        let base = self.kg.entities.get(&id);
-        self.staged
-            .records
-            .entry(id)
-            .or_insert_with(|| base.cloned())
-    }
-
-    fn emit(&mut self, delta: Delta) {
-        if !delta.is_empty() {
-            self.staged.deltas.push(delta);
-        }
     }
 
     // ---- staged writes ------------------------------------------------
@@ -500,31 +534,15 @@ impl<'a> KgTransaction<'a> {
             .subject
             .as_kg()
             .expect("only linked (KG-subject) facts can be fused into the graph");
-        let flat = flatten(&triple);
-        let slot = self.staged_record(id);
-        let record = slot.get_or_insert_with(|| EntityRecord::new(id));
-        let fresh = record.upsert(triple);
-        if fresh {
-            let delta = Delta {
-                entity: id,
-                added: flat
-                    .map(|(predicate, object)| DeltaFact { predicate, object })
-                    .into_iter()
-                    .collect(),
-                removed: Vec::new(),
-            };
-            self.emit(delta);
-        }
-        self.staged.outcomes.push(OpOutcome::Upserted { fresh });
+        let fresh = self.stage_upsert(id, triple);
+        self.outcomes.push(OpOutcome::Upserted { fresh });
         fresh
     }
 
     /// Stage a `same_as` link.
     pub fn link(&mut self, source: SourceId, local_id: &str, entity: EntityId) {
-        self.staged
-            .links
-            .insert((source, Arc::from(local_id)), Some(entity));
-        self.staged.outcomes.push(OpOutcome::Linked);
+        self.set_link((source, Arc::from(local_id)), Some(entity));
+        self.outcomes.push(OpOutcome::Linked);
     }
 
     /// Stage a whole-source retraction; returns `(facts, entities)`
@@ -532,62 +550,31 @@ impl<'a> KgTransaction<'a> {
     pub fn retract_source(&mut self, source: SourceId) -> (usize, usize) {
         let mut facts_dropped = 0;
         let mut entities_dropped = 0;
-        for id in self.staged_entity_ids() {
-            // Read-only probe first: only records that actually cite the
-            // source (or are empty, which this op garbage-collects like
-            // the direct mutator) take the copy-on-write handle —
-            // untouched records must not be cloned into the shadow.
-            let touched = self.record(id).is_some_and(|r| {
-                r.triples.is_empty() || r.triples.iter().any(|t| t.meta.has_source(source))
-            });
-            if !touched {
-                continue;
-            }
-            let slot = self.staged_record(id);
-            let Some(record) = slot.as_mut() else {
-                continue;
-            };
-            let dropped = record.retract_source_facts(source, None);
+        // Only records citing the source — or empty ones, which this op
+        // garbage-collects like the direct mutator — are rewritten.
+        let ids = self.ids_where(|r| {
+            r.triples.is_empty() || r.triples.iter().any(|t| t.meta.has_source(source))
+        });
+        for id in ids {
+            let dropped = self
+                .rewrite(id)
+                .map(|r| r.retract_source_facts(source, None))
+                .unwrap_or_default();
             facts_dropped += dropped.len();
-            let empty = record.triples.is_empty();
-            if empty {
-                *slot = None;
-                entities_dropped += 1;
-            }
-            if !dropped.is_empty() {
-                let removed: Vec<DeltaFact> = dropped
-                    .iter()
-                    .filter_map(flatten)
-                    .map(|(predicate, object)| DeltaFact { predicate, object })
-                    .collect();
-                self.emit(Delta {
-                    entity: id,
-                    added: Vec::new(),
-                    removed,
-                });
-            }
+            entities_dropped += usize::from(self.drop_if_empty(id));
+            self.emit_removed(id, &dropped);
         }
-        // Drop every link the source contributed (staged links included).
-        let mut keys: Vec<(SourceId, Arc<str>)> = self
+        let keys: Vec<(SourceId, Arc<str>)> = self
             .kg
             .links
             .keys()
             .filter(|(s, _)| *s == source)
             .cloned()
-            .chain(
-                self.staged
-                    .links
-                    .iter()
-                    .filter(|((s, _), v)| *s == source && v.is_some())
-                    .map(|(k, _)| k.clone()),
-            )
             .collect();
-        keys.sort_unstable_by(|a, b| a.1.cmp(&b.1));
-        keys.dedup();
         for key in keys {
-            self.staged.links.insert(key, None);
+            self.set_link(key, None);
         }
-        self.staged.outcomes.push(OpOutcome::RetractedSource {
+        self.outcomes.push(OpOutcome::RetractedSource {
             facts: facts_dropped,
             entities: entities_dropped,
         });
@@ -597,35 +584,17 @@ impl<'a> KgTransaction<'a> {
     /// Stage one source entity's retraction; returns facts dropped.
     pub fn retract_source_entity(&mut self, source: SourceId, local_id: &str) -> usize {
         let Some(kg_id) = self.lookup_link(source, local_id) else {
-            self.staged
-                .outcomes
-                .push(OpOutcome::RetractedEntity { facts: 0 });
+            self.outcomes.push(OpOutcome::RetractedEntity { facts: 0 });
             return 0;
         };
-        let mut dropped = Vec::new();
-        let slot = self.staged_record(kg_id);
-        if let Some(record) = slot.as_mut() {
-            dropped = record.retract_source_facts(source, None);
-            if record.triples.is_empty() {
-                *slot = None;
-            }
-        }
-        if !dropped.is_empty() {
-            let removed: Vec<DeltaFact> = dropped
-                .iter()
-                .filter_map(flatten)
-                .map(|(predicate, object)| DeltaFact { predicate, object })
-                .collect();
-            self.emit(Delta {
-                entity: kg_id,
-                added: Vec::new(),
-                removed,
-            });
-        }
-        self.staged
-            .links
-            .insert((source, Arc::from(local_id)), None);
-        self.staged.outcomes.push(OpOutcome::RetractedEntity {
+        let dropped = self
+            .rewrite(kg_id)
+            .map(|r| r.retract_source_facts(source, None))
+            .unwrap_or_default();
+        self.drop_if_empty(kg_id);
+        self.emit_removed(kg_id, &dropped);
+        self.set_link((source, Arc::from(local_id)), None);
+        self.outcomes.push(OpOutcome::RetractedEntity {
             facts: dropped.len(),
         });
         dropped.len()
@@ -645,62 +614,29 @@ impl<'a> KgTransaction<'a> {
         fresh: Vec<ExtendedTriple>,
     ) -> usize {
         let mut dropped_total = 0;
-        for id in self.staged_entity_ids() {
-            // Read-only probe first (see `retract_source`): only records
-            // holding a volatile fact from this source are shadow-cloned.
-            let touched = self.record(id).is_some_and(|r| {
-                r.triples
-                    .iter()
-                    .any(|t| volatile.contains(&t.predicate) && t.meta.has_source(source))
-            });
-            if !touched {
-                continue;
-            }
-            let slot = self.staged_record(id);
-            let Some(record) = slot.as_mut() else {
-                continue;
-            };
-            let gone = record.retract_source_facts(source, Some(volatile));
-            if gone.is_empty() {
-                continue;
-            }
-            dropped_total += gone.len();
+        let ids = self.ids_where(|r| {
+            r.triples
+                .iter()
+                .any(|t| volatile.contains(&t.predicate) && t.meta.has_source(source))
+        });
+        for id in ids {
             // Records left empty are kept, matching the direct mutator:
             // the entity stays visible for the fresh facts below.
-            let removed: Vec<DeltaFact> = gone
-                .iter()
-                .filter_map(flatten)
-                .map(|(predicate, object)| DeltaFact { predicate, object })
-                .collect();
-            self.emit(Delta {
-                entity: id,
-                added: Vec::new(),
-                removed,
-            });
+            let gone = self
+                .rewrite(id)
+                .map(|r| r.retract_source_facts(source, Some(volatile)))
+                .unwrap_or_default();
+            dropped_total += gone.len();
+            self.emit_removed(id, &gone);
         }
         for t in fresh {
-            if let Some(id) = t.subject.as_kg() {
-                if self.contains(id) {
-                    // Same path as a staged upsert, but without a per-fact
-                    // outcome entry — the overwrite is one op.
-                    let flat = flatten(&t);
-                    let slot = self.staged_record(id);
-                    let record = slot.get_or_insert_with(|| EntityRecord::new(id));
-                    if record.upsert(t) {
-                        let delta = Delta {
-                            entity: id,
-                            added: flat
-                                .map(|(predicate, object)| DeltaFact { predicate, object })
-                                .into_iter()
-                                .collect(),
-                            removed: Vec::new(),
-                        };
-                        self.emit(delta);
-                    }
-                }
+            // Same path as a staged upsert, but without a per-fact outcome
+            // entry — the overwrite is one op.
+            if let Some(id) = t.subject.as_kg().filter(|id| self.contains(*id)) {
+                self.stage_upsert(id, t);
             }
         }
-        self.staged.outcomes.push(OpOutcome::VolatileOverwritten {
+        self.outcomes.push(OpOutcome::VolatileOverwritten {
             dropped: dropped_total,
         });
         dropped_total
@@ -710,25 +646,32 @@ impl<'a> KgTransaction<'a> {
     /// unknown (the closure does not run). A record left without facts is
     /// dropped, matching the retraction paths.
     pub fn mutate(&mut self, id: EntityId, edit: impl FnOnce(&mut EntityRecord)) -> bool {
-        let slot = self.staged_record(id);
-        let Some(record) = slot.as_mut() else {
-            self.staged.outcomes.push(OpOutcome::Mutated {
+        let Some(record) = self.rewrite(id) else {
+            self.outcomes.push(OpOutcome::Mutated {
                 found: false,
                 added: 0,
                 removed: 0,
             });
             return false;
         };
-        let before = record_facts(record);
+        let mut diff = Delta {
+            entity: id,
+            added: Vec::new(),
+            removed: record_facts(record),
+        };
         edit(record);
-        let after = record_facts(record);
-        if record.triples.is_empty() {
-            *slot = None;
+        for fact in record_facts(record) {
+            fold(&mut diff, fact, true);
         }
-        let delta = multiset_delta(id, before, &after);
-        let (added, removed) = (delta.added.len(), delta.removed.len());
-        self.emit(delta);
-        self.staged.outcomes.push(OpOutcome::Mutated {
+        self.drop_if_empty(id);
+        let (added, removed) = (diff.added.len(), diff.removed.len());
+        for fact in diff.removed {
+            self.emit(id, fact, false);
+        }
+        for fact in diff.added {
+            self.emit(id, fact, true);
+        }
+        self.outcomes.push(OpOutcome::Mutated {
             found: true,
             added,
             removed,
@@ -768,82 +711,107 @@ impl<'a> KgTransaction<'a> {
 
     /// Ops staged so far.
     pub fn ops_staged(&self) -> usize {
-        self.staged.outcomes.len()
+        self.outcomes.len()
     }
 
-    /// Finish staging.
-    pub fn into_staged(self) -> StagedCommit {
-        self.staged
+    /// The net deltas staged so far — one per touched entity, in
+    /// first-touch order, entities whose edits cancelled out left out.
+    /// What a write-ahead logger appends *before* [`commit`](Self::commit).
+    pub fn deltas(&mut self) -> &[Delta] {
+        if self.deltas.iter().any(Delta::is_empty) {
+            self.deltas.retain(|d| !d.is_empty());
+            self.slots = self
+                .deltas
+                .iter()
+                .enumerate()
+                .map(|(at, d)| (d.entity, at))
+                .collect();
+        }
+        &self.deltas
     }
-}
 
-impl KnowledgeGraph {
-    /// Apply a [`StagedCommit`] produced by a [`KgTransaction`] over this
-    /// graph — the single commit point every producer funnels through.
-    ///
-    /// The staged deltas are replayed onto the live index (bumping the
-    /// generation per non-empty delta, exactly like the direct mutators)
-    /// and the staged records and links are swapped in. The deltas leave
-    /// only through the returned receipt — producers append them to the
-    /// oplog; nothing is retained in-process.
-    pub fn apply_staged(&mut self, staged: StagedCommit) -> CommitReceipt {
-        let StagedCommit {
-            deltas,
-            outcomes,
-            records,
-            links,
-        } = staged;
+    /// Make the staged edits stand: apply each net delta to the index,
+    /// bump the generation once per delta, and return the receipt. The
+    /// deltas leave only through the receipt — producers append them to
+    /// the oplog; nothing is retained in-process.
+    pub fn commit(mut self) -> CommitReceipt {
+        let mut deltas = mem::take(&mut self.deltas);
+        deltas.retain(|d| !d.is_empty());
+        let undo = mem::take(&mut self.undo);
+        let kg = &mut *self.kg;
+        // An entity is gone for good if the transaction rewrote it away
+        // and did not create it in the first place.
+        let mut created = FxHashSet::default();
         let mut entities_removed = Vec::new();
-        for delta in &deltas {
-            self.index_mut().apply(delta);
-        }
-        for (id, record) in records {
-            match record {
-                Some(record) => {
-                    self.entities.insert(id, record);
+        for entry in &undo {
+            match entry {
+                Undo::Remove(id) => {
+                    created.insert(*id);
                 }
-                None => {
-                    if self.entities.remove(&id).is_some() {
-                        entities_removed.push(id);
-                    }
+                Undo::Record(id, _) if !created.contains(id) && !kg.contains(*id) => {
+                    entities_removed.push(*id);
                 }
-            }
-        }
-        for (key, link) in links {
-            match link {
-                Some(entity) => {
-                    self.links.insert(key, entity);
-                }
-                None => {
-                    self.links.remove(&key);
-                }
+                _ => {}
             }
         }
         entities_removed.sort_unstable();
-        let mut facts_added = 0;
-        let mut facts_removed = 0;
-        let mut entities_changed: Vec<EntityId> = Vec::new();
+        entities_removed.dedup();
+        let (mut facts_added, mut facts_removed) = (0, 0);
         for delta in &deltas {
+            kg.index_mut().apply(delta);
+            kg.note_delta(delta);
             facts_added += delta.added.len();
             facts_removed += delta.removed.len();
-            entities_changed.push(delta.entity);
         }
+        let mut entities_changed: Vec<EntityId> = deltas.iter().map(|d| d.entity).collect();
         entities_changed.sort_unstable();
-        entities_changed.dedup();
-        for delta in &deltas {
-            self.note_delta(delta);
-        }
         CommitReceipt {
             deltas,
-            outcomes,
-            generation: self.generation(),
+            outcomes: mem::take(&mut self.outcomes),
+            generation: kg.generation(),
             facts_added,
             facts_removed,
             entities_changed,
             entities_removed,
         }
     }
+}
 
+impl Drop for KgTransaction<'_> {
+    /// Roll back whatever [`commit`](KgTransaction::commit) did not
+    /// consume, newest edit first.
+    fn drop(&mut self) {
+        let kg = &mut *self.kg;
+        while let Some(entry) = self.undo.pop() {
+            match entry {
+                Undo::Pop(id) => {
+                    if let Some(record) = kg.entities.get_mut(&id) {
+                        record.triples.pop();
+                    }
+                }
+                Undo::Meta(id, at, meta) => {
+                    if let Some(t) = kg.entities.get_mut(&id).and_then(|r| r.triples.get_mut(at)) {
+                        t.meta = meta;
+                    }
+                }
+                Undo::Remove(id) => {
+                    kg.entities.remove(&id);
+                }
+                Undo::Record(id, record) => {
+                    kg.entities.insert(id, record);
+                }
+                Undo::Link(key, Some(entity)) => {
+                    kg.links.insert(key, entity);
+                }
+                Undo::Link(key, None) => {
+                    kg.links.remove(&key);
+                }
+            }
+        }
+    }
+}
+
+impl KnowledgeGraph {
     /// Commit one upsert, unlogged — the single-op convenience tests,
     /// examples and workload generators build fixtures with.
     pub fn commit_upsert(&mut self, triple: ExtendedTriple) -> CommitReceipt {
@@ -1065,21 +1033,77 @@ mod tests {
 
     #[test]
     fn staging_leaves_the_graph_untouched_until_apply() {
-        let kg = {
-            let mut kg = KnowledgeGraph::new();
-            kg.add_named_entity(EntityId(1), "A", "person", SourceId(1), 0.9);
-            kg
-        };
-        let g0 = kg.generation();
-        let staged = {
-            let mut txn = KgTransaction::new(&kg);
+        // Staging edits records in place but moves neither the index nor
+        // the generation; dropping the transaction undoes the edits.
+        let mut kg = KnowledgeGraph::new();
+        kg.add_named_entity(EntityId(1), "A", "person", SourceId(1), 0.9);
+        let (g0, facts0) = (kg.generation(), kg.index().fact_count());
+        let before = kg.entity(EntityId(1)).cloned();
+        {
+            let mut txn = KgTransaction::new(&mut kg);
             txn.upsert(fact(1, "born", Value::Int(1990), 1));
+            txn.upsert(fact(2, "born", Value::Int(1991), 1));
             txn.retract_source(SourceId(1));
-            txn.into_staged()
+            assert!(
+                !txn.contains(EntityId(1)),
+                "staged reads see the retraction"
+            );
+            // Entity 2 was added and retracted: its delta cancels out.
+            assert_eq!(txn.deltas().len(), 1);
+            assert_eq!(txn.deltas()[0].removed.len(), 2);
+        }
+        assert_eq!(kg.generation(), g0);
+        assert_eq!(kg.index().fact_count(), facts0);
+        assert_eq!(kg.entity(EntityId(1)).cloned(), before, "rolled back");
+        assert!(!kg.contains(EntityId(2)));
+    }
+
+    #[test]
+    fn churn_batch_nets_to_nothing() {
+        // The churn shape: link a source entity, retract its facts, and
+        // re-upsert the same facts in one batch. Nothing changed, so the
+        // entity emits no delta and the generation stays put.
+        let mut kg = KnowledgeGraph::new();
+        let mut shared = fact(1, "alias", Value::str("Ace"), 1);
+        shared.meta.merge_source(SourceId(2), 0.8);
+        let facts = [
+            fact(1, "name", Value::str("Ada"), 1),
+            shared,
+            fact(1, "knows", Value::Entity(EntityId(2)), 1),
+        ];
+        let mut batch = WriteBatch::new();
+        for f in &facts {
+            batch = batch.upsert(f.clone());
+        }
+        batch.commit(&mut kg);
+        let spo = |kg: &KnowledgeGraph| {
+            let mut facts: Vec<(Symbol, Value)> = (kg.index().facts_of(EntityId(1)))
+                .map(|(p, v)| (p, v.clone()))
+                .collect();
+            facts.sort_unstable();
+            facts
         };
-        assert!(!staged.is_empty());
-        assert_eq!(kg.generation(), g0, "staging is read-only");
-        assert!(kg.contains(EntityId(1)), "nothing applied yet");
-        assert_eq!(staged.deltas().len(), 2);
+        let (g0, facts0, spo0) = (kg.generation(), kg.index().fact_count(), spo(&kg));
+
+        let mut churn = WriteBatch::new()
+            .link(SourceId(1), "ada", EntityId(1))
+            .retract_source_entity(SourceId(1), "ada");
+        for f in &facts {
+            churn = churn.upsert(f.clone());
+        }
+        let receipt = churn
+            .upsert(fact(3, "name", Value::str("Cy"), 1))
+            .commit(&mut kg);
+        assert_eq!(receipt.outcomes[1], OpOutcome::RetractedEntity { facts: 2 });
+        assert_eq!(receipt.deltas.len(), 1, "only entity 3 changed");
+        assert_eq!(receipt.deltas[0].entity, EntityId(3));
+        assert_eq!(kg.generation(), g0 + 1);
+        assert_eq!(kg.index().fact_count(), facts0 + 1);
+        assert_eq!(spo(&kg), spo0, "index unchanged for the churned entity");
+        assert_eq!(
+            kg.postings(&crate::ProbeKey::Edge(intern("knows"), EntityId(2))),
+            vec![EntityId(1)]
+        );
+        assert!(receipt.entities_removed.is_empty());
     }
 }

@@ -3,15 +3,20 @@
 //! The invariant the staged write path rests on: **any interleaving of
 //! staged ops committed through [`WriteBatch`]es is indistinguishable from
 //! the same ops applied through the crate-internal direct mutators** — the
-//! records, the `same_as` link table, the index (every probe family), the
-//! generation counter, and the emitted wire deltas all agree. The direct
-//! mutators are the reference semantics; the staged shadow path must never
-//! drift from them.
+//! records, the `same_as` link table, the index (every probe family) and
+//! the emitted wire deltas all agree. The direct mutators are the
+//! reference semantics; staging in place must never drift from them. The
+//! generation is the one deliberate difference: a commit moves it once
+//! per net delta (one per touched entity), not once per op. And a
+//! transaction that never commits leaves the graph exactly as it found
+//! it.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::index::{flatten, name_tokens};
 use crate::{
-    intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, KnowledgeGraph, RelId, SourceId,
-    Symbol, Value, WriteBatch, WriteOp,
+    intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, KgTransaction, KnowledgeGraph,
+    RelId, SourceId, Symbol, Value, WriteBatch, WriteOp,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,7 +178,8 @@ fn assert_same_graph(direct: &KnowledgeGraph, batched: &KnowledgeGraph, label: &
         b.sort_unstable();
         assert_eq!(a, b, "{label}: links mismatch for source {src}");
     }
-    // Index: SPO rows, reverse edges, name tokens, fact totals.
+    // Index: SPO rows, literal postings, reverse edges, name tokens, fact
+    // totals.
     assert_eq!(
         direct.index().fact_count(),
         batched.index().fact_count(),
@@ -193,6 +199,13 @@ fn assert_same_graph(direct: &KnowledgeGraph, batched: &KnowledgeGraph, label: &
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "{label}: SPO mismatch for {id}");
+        for (p, v) in &a {
+            assert_eq!(
+                direct.index().by_literal(*p, v),
+                batched.index().by_literal(*p, v),
+                "{label}: POS mismatch for ({p}, {v:?})"
+            );
+        }
         assert_eq!(
             direct.index().referencing(*id),
             batched.index().referencing(*id),
@@ -208,11 +221,19 @@ fn assert_same_graph(direct: &KnowledgeGraph, batched: &KnowledgeGraph, label: &
             );
         }
     }
-    // Plan-cache signal.
+}
+
+/// The generation law of one commit: it moves by exactly the number of
+/// net deltas, and no entity has two deltas in one receipt.
+fn assert_one_delta_per_entity(receipt_deltas: &[Delta], moved: u64, label: &str) {
+    assert_eq!(moved, receipt_deltas.len() as u64, "{label}: generation");
+    let mut entities: Vec<EntityId> = receipt_deltas.iter().map(|d| d.entity).collect();
+    entities.sort_unstable();
+    entities.dedup();
     assert_eq!(
-        direct.generation(),
-        batched.generation(),
-        "{label}: generation"
+        entities.len(),
+        receipt_deltas.len(),
+        "{label}: two deltas for one entity"
     );
 }
 
@@ -239,8 +260,15 @@ fn batched_commits_equal_direct_mutators() {
             for op in &ops[i..i + span] {
                 batch.push(as_write_op(op));
             }
+            let g0 = batched.generation();
             let receipt = batch.commit(&mut batched);
             assert_eq!(receipt.outcomes.len(), span, "one outcome per op");
+            assert_eq!(receipt.generation, batched.generation());
+            assert_one_delta_per_entity(
+                &receipt.deltas,
+                batched.generation() - g0,
+                &format!("seed {seed} at op {i}"),
+            );
             receipt_deltas.extend(receipt.deltas);
             i += span;
         }
@@ -288,6 +316,7 @@ fn one_giant_batch_equals_per_op_commits() {
         }
         let receipt = giant.commit(&mut one);
         assert_eq!(receipt.outcomes.len(), ops.len());
+        assert_one_delta_per_entity(&receipt.deltas, one.generation(), &format!("seed {seed}"));
 
         let mut many = KnowledgeGraph::new();
         for op in &ops {
@@ -297,6 +326,54 @@ fn one_giant_batch_equals_per_op_commits() {
         }
 
         assert_same_graph(&many, &one, &format!("seed {seed} giant-vs-per-op"));
+    }
+}
+
+#[test]
+fn abandoned_transactions_leave_the_graph_as_found() {
+    // The undo path: a transaction dropped uncommitted, or unwound by a
+    // panic while staging (once per seed, half-way through a record
+    // edit), restores every record, link, index family and the
+    // generation.
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(0xAB0 ^ seed);
+        let mut kg = KnowledgeGraph::new();
+        let mut base = WriteBatch::new();
+        for _ in 0..60 {
+            base.push(as_write_op(&random_sim_op(&mut rng)));
+        }
+        base.commit(&mut kg);
+        let found = kg.clone();
+        let ops: Vec<SimOp> = (0..40).map(|_| random_sim_op(&mut rng)).collect();
+
+        {
+            let mut txn = KgTransaction::new(&mut kg);
+            for op in &ops {
+                txn.apply_op(as_write_op(op));
+            }
+            assert_eq!(txn.ops_staged(), ops.len());
+            txn.deltas();
+        }
+        assert_same_graph(&found, &kg, &format!("seed {seed} dropped"));
+        assert_eq!(found.generation(), kg.generation(), "seed {seed} dropped");
+
+        let at = rng.gen_range(0..ops.len());
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut txn = KgTransaction::new(&mut kg);
+            for op in &ops[..at] {
+                txn.apply_op(as_write_op(op));
+            }
+            if let Some(id) = (1..12).map(EntityId).find(|id| txn.contains(*id)) {
+                txn.mutate(id, |rec| {
+                    rec.triples.truncate(1);
+                    panic!("edit died half-way");
+                });
+            }
+            panic!("staging died");
+        }));
+        assert!(unwound.is_err());
+        assert_same_graph(&found, &kg, &format!("seed {seed} unwound at {at}"));
+        assert_eq!(found.generation(), kg.generation(), "seed {seed} unwound");
     }
 }
 

@@ -5,21 +5,23 @@
 //! only holds if nothing reaches the canonical KG without first reaching
 //! the log. `LoggedWriter` enforces that ordering mechanically:
 //!
-//! 1. the batch is **staged** against the KG (read-only; exact per-op
-//!    [`Delta`](saga_core::Delta)s computed — see
-//!    [`KgTransaction`]),
-//! 2. the deltas are **appended** to the durable [`OperationLog`] (the
-//!    write-ahead point — an `Err` here aborts the commit with the KG
-//!    untouched),
-//! 3. the staged state is **applied** to the KG and the
-//!    [`CommitReceipt`] returned alongside the assigned
-//!    [`Lsn`].
+//! 1. the batch is **staged** in place on the KG's records and links
+//!    under an undo log, folding one net [`Delta`](saga_core::Delta) per
+//!    touched entity — see [`KgTransaction`],
+//! 2. the net deltas are **appended** to the durable [`OperationLog`] (the
+//!    write-ahead point — an `Err` here drops the transaction, which rolls
+//!    the staged edits back),
+//! 3. the transaction **commits**: the deltas move the KG's index and
+//!    generation, and the [`CommitReceipt`] is returned alongside the
+//!    assigned [`Lsn`].
 //!
 //! All three steps run under one exclusive lock, so log order equals
-//! apply order equals read-visibility order. A producer that dies between
-//! 2 and 3 has lost nothing: the logged deltas replay into any
-//! `LogFollower`-driven store (the `fail::sites::WRITER_BEFORE_APPLY`
-//! failpoint sits between 2 and 3 so tests can prove exactly that).
+//! apply order equals read-visibility order, and no reader ever sees a
+//! staged edit. A producer that dies between 2 and 3 has lost nothing:
+//! the logged deltas replay into any `LogFollower`-driven store (the
+//! `fail::sites::WRITER_BEFORE_APPLY` failpoint sits between 2 and 3 so
+//! tests can prove exactly that). A panic while staging rolls back too:
+//! the log and the graph stay as they were.
 //!
 //! This replaces the old footgun where every producer hand-paired a
 //! changelog drain with `log.append_op(...)` — forget one and you lose
@@ -30,7 +32,7 @@
 //!
 //! [`LoggedWriter::commit`] and [`LoggedWriter::with_txn`] are the only
 //! public ways to change the writer's graph, and both are fallible: a log
-//! I/O error comes back as `Err` with the graph untouched. The infallible
+//! I/O error comes back as `Err` with the graph as it was. The infallible
 //! [`WriteBatch::commit`] is for bare, unlogged graphs only.
 
 use std::sync::Arc;
@@ -101,7 +103,7 @@ impl LoggedWriter {
         self.kg.read()
     }
 
-    /// Stage, write-ahead, apply: commit a batch as one `kind` operation.
+    /// Stage, write-ahead, commit: a batch as one `kind` operation.
     pub fn commit(&self, kind: OpKind, batch: WriteBatch) -> Result<LoggedCommit> {
         self.with_txn(kind, |txn| {
             for op in batch.into_ops() {
@@ -113,26 +115,25 @@ impl LoggedWriter {
 
     /// Interactive form of [`commit`](Self::commit): the closure stages
     /// ops through a [`KgTransaction`] (with staged read-your-writes —
-    /// what fusion's relationship-node matching needs), then the staged
-    /// deltas are appended to the log and applied as one operation.
+    /// what fusion's relationship-node matching needs), then its net
+    /// deltas are appended to the log and it commits as one operation.
     pub fn with_txn<R>(
         &self,
         kind: OpKind,
         stage: impl FnOnce(&mut KgTransaction<'_>) -> R,
     ) -> Result<(R, LoggedCommit)> {
         let mut kg = self.kg.write();
-        let (out, staged) = {
-            let mut txn = KgTransaction::new(&kg);
-            let out = stage(&mut txn);
-            (out, txn.into_staged())
-        };
-        // Write-ahead point: the log is the source of truth. An append
-        // failure aborts with the graph untouched.
-        let lsn = self.log.append_op(kind, staged.deltas().to_vec())?;
+        // Every early exit below — a panic in `stage`, an append error,
+        // the failpoint — drops `txn` uncommitted, which rolls the staged
+        // edits back before the lock is released.
+        let mut txn = KgTransaction::new(&mut kg);
+        let out = stage(&mut txn);
+        // Write-ahead point: the log is the source of truth.
+        let lsn = self.log.append_op(kind, txn.deltas().to_vec())?;
         // Armed, the commit fails here like a producer that died after
-        // the write-ahead point: the op is in the log, the graph untouched.
+        // the write-ahead point: the op is in the log, the graph as found.
         saga_core::failpoint!(saga_core::fail::sites::WRITER_BEFORE_APPLY);
-        let receipt = kg.apply_staged(staged);
+        let receipt = txn.commit();
         Ok((out, LoggedCommit { lsn, receipt }))
     }
 }
@@ -261,6 +262,30 @@ mod tests {
         assert!(g1 > g0);
         assert_eq!(g1, commit.receipt.generation);
         assert_eq!(cities(&w), 11);
+    }
+
+    #[test]
+    fn a_panic_while_staging_rolls_back() {
+        let w = writer();
+        w.commit(OpKind::Upsert, city(1)).unwrap();
+        let head = w.log().head();
+        let g0 = GraphRead::generation(&*w.read());
+        let before = w.read().entity(EntityId(1)).cloned();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.with_txn(OpKind::Upsert, |txn| {
+                txn.upsert(fact(1, "born", Value::Int(1990)));
+                txn.upsert(fact(2, "name", Value::str("Ghost")));
+                panic!("producer died mid-batch");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(w.log().head(), head, "nothing appended");
+        assert_eq!(GraphRead::generation(&*w.read()), g0);
+        assert_eq!(w.read().entity(EntityId(1)).cloned(), before);
+        assert!(!w.read().contains(EntityId(2)));
+        let next = w.commit(OpKind::Upsert, city(3)).unwrap();
+        assert_eq!(next.lsn, Lsn(head.0 + 1));
+        assert!(w.read().contains(EntityId(3)));
     }
 
     #[test]
