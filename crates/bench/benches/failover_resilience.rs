@@ -33,7 +33,7 @@ use parking_lot::RwLock;
 use saga_bench::{ambiguous_world, percentile};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SourceId, WriteBatch, WriteOp};
-use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool, SessionWaitConfig};
+use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::{
     BreakerConfig, BreakerState, ClientConfig, PoolConfig, RetryPolicy, SagaClient, SagaPool,
@@ -111,6 +111,7 @@ fn boot_trio(corpus: &KnowledgeGraph) -> Trio {
         let cfg = FleetConfig {
             replicas: 2,
             poll_interval: Duration::from_millis(10),
+            session_timeout: Duration::from_millis(500),
             ..FleetConfig::default()
         };
         let fleet = ReplicaPool::start(cfg, Arc::clone(writer.log()), &dir).unwrap();
@@ -122,7 +123,6 @@ fn boot_trio(corpus: &KnowledgeGraph) -> Trio {
             router,
             Arc::clone(&writer),
             ServerConfig {
-                session_wait: SessionWaitConfig::with_timeout(Duration::from_millis(500)),
                 fail_scope: format!("srv{i}"),
                 ..ServerConfig::default()
             },

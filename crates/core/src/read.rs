@@ -23,6 +23,7 @@
 //! that query engines use to invalidate compiled plans whose resolved
 //! state (e.g. edge targets) may have gone stale.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -138,43 +139,14 @@ pub trait GraphRead {
     }
 }
 
-impl<T: GraphRead + ?Sized> GraphRead for &T {
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        (**self).postings_cursor(probe)
-    }
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        (**self).postings(probe)
-    }
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        (**self).selectivity(probe)
-    }
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        (**self).probe_contains(probe, id)
-    }
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        (**self).probe_fingerprint(probe)
-    }
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        (**self).probe_fingerprints(probes)
-    }
-    fn resolve_name(&self, name: &str) -> Vec<EntityId> {
-        (**self).resolve_name(name)
-    }
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        (**self).record(id)
-    }
-    fn contains(&self, id: EntityId) -> bool {
-        (**self).contains(id)
-    }
-    fn generation(&self) -> u64 {
-        (**self).generation()
-    }
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        (**self).probe_all_limit(probes, limit)
-    }
-}
-
-impl<T: GraphRead + ?Sized> GraphRead for std::sync::Arc<T> {
+/// Any pointer to a backend is a backend — `&T`, `Arc<T>`, `Box<T>` and
+/// lock guards alike. Every method forwards, so a backend's overrides
+/// survive the indirection.
+impl<P> GraphRead for P
+where
+    P: Deref,
+    P::Target: GraphRead,
+{
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
         (**self).postings_cursor(probe)
     }

@@ -8,9 +8,11 @@
 //!
 //! * [`pool`] — the data plane: a [`ReplicaPool`] of serving slots, each
 //!   owning a replica tailed by its own replay worker thread (bounded
-//!   [`catch_up_batch`](saga_live::LiveReplica::catch_up_batch) polls
-//!   applied outside the log lock, lock-free health publication, and one
-//!   wait cell through which a blocked session read wakes the workers).
+//!   [`catch_up_batch`](saga_live::LiveReplica::catch_up_batch) polls of
+//!   [`REPLAY_BATCH`](saga_live::replica::REPLAY_BATCH) ops applied
+//!   outside the log lock, the slot's watermark as the one published
+//!   freshness state, and one wait cell through which a blocked session
+//!   read wakes the workers).
 //! * [`router`] — [`FleetRouter`]: the single external query surface. It
 //!   routes each read to a *fresh* replica — never one trailing the fleet
 //!   median watermark by more than [`FleetConfig::lag_bound`] — preferring
@@ -37,7 +39,7 @@ use std::time::Duration;
 
 pub use controller::{FleetController, FleetStats, ReplicaHealth, TickReport};
 pub use pool::{ReplicaPool, ReplicaState};
-pub use router::{FleetRouter, RoutedRead, SessionWaitConfig};
+pub use router::{FleetRouter, RoutedRead};
 
 /// Tuning knobs for a serving fleet. `Default` is sized for tests and
 /// single-machine serving; production fleets raise `replicas` and
@@ -48,10 +50,6 @@ pub struct FleetConfig {
     pub replicas: usize,
     /// Lock stripes per replica store (see [`saga_live::ReplicaKg`]).
     pub shards: usize,
-    /// Max operations one replay poll applies before re-checking health
-    /// and shutdown flags and publishing its watermark. The log lock is
-    /// held only to copy this many entry pointers, never for the apply.
-    pub replay_batch: usize,
     /// The longest a caught-up worker parks before polling the log
     /// again. It bounds the staleness of plain (no-session) reads: ingest
     /// nobody is waiting on is applied when this timeout fires. A session
@@ -67,7 +65,9 @@ pub struct FleetConfig {
     /// the bound so one far-ahead replica cannot starve the rest.
     pub lag_bound: u64,
     /// How long a session read waits for some replica to reach the
-    /// session's LSN before failing with a timeout error.
+    /// session's LSN before failing with the typed, retryable
+    /// `SagaError::Unavailable` — in-process and over the wire alike (the
+    /// network server routes session queries through the same router).
     pub session_timeout: Duration,
     /// A worker whose heartbeat and watermark both freeze for this long
     /// while the log is ahead of it is declared wedged and respawned.
@@ -90,7 +90,6 @@ impl Default for FleetConfig {
         FleetConfig {
             replicas: 2,
             shards: 8,
-            replay_batch: 1024,
             poll_interval: Duration::from_millis(2),
             stagger_polls: true,
             lag_bound: 512,
@@ -112,19 +111,9 @@ impl FleetConfig {
         }
     }
 
-    /// The fleet's default bounded-wait policy for session reads, derived
-    /// from [`session_timeout`](Self::session_timeout). Callers that need a
-    /// per-request deadline (e.g. a network server mapping the wait to a
-    /// retryable wire response) build their own [`SessionWaitConfig`] and
-    /// use [`FleetRouter::read_with_session_wait`](crate::FleetRouter::read_with_session_wait).
-    pub fn session_wait(&self) -> SessionWaitConfig {
-        SessionWaitConfig::with_timeout(self.session_timeout)
-    }
-
     pub(crate) fn validated(mut self) -> Self {
         self.replicas = self.replicas.max(1);
         self.shards = self.shards.max(1);
-        self.replay_batch = self.replay_batch.max(1);
         self
     }
 }

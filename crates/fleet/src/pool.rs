@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use saga_core::{GraphRead, Lsn, Result, SagaError};
 use saga_graph::OperationLog;
+use saga_live::replica::REPLAY_BATCH;
 use saga_live::{LiveReplica, QueryEngine, ReplicaKg};
 
 use crate::FleetConfig;
@@ -57,6 +58,12 @@ pub enum ReplicaState {
     Down,
 }
 
+/// The longest a blocked [`ReplicaPool::wait_for`] goes without
+/// re-checking its predicate (a worker's publish wakes it sooner). It
+/// bounds only how long a state change that notifies nobody — a slot
+/// leaving or rejoining service — goes unnoticed.
+const WAIT_POLL: Duration = Duration::from_micros(100);
+
 const STATE_SERVING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_DOWN: u8 = 2;
@@ -69,14 +76,15 @@ pub(crate) struct Slot {
     /// read pins it (see the module docs); readers clone the `Arc` out
     /// under a brief read lock.
     engine: RwLock<Arc<QueryEngine<ReplicaKg>>>,
-    /// Mirror of the replica's applied watermark, stored `Release` by the
-    /// worker after each applied batch — routing reads this, never the
-    /// replica.
+    /// The replica's applied watermark, stored by the worker after each
+    /// applied batch: the fleet's one published copy, which routing, the
+    /// controller and session waits read — never the replica.
     pub(crate) watermark: AtomicU64,
     /// Sum of the generations of this slot's *previous* engines: added to
     /// the live engine's generation it keeps the slot (and fleet)
     /// generation monotone across respawns, so plan caches keyed on it
-    /// can never revalidate against a reborn store.
+    /// can never revalidate against a reborn store. Changed only under
+    /// the `engine` write lock, together with the swap it accounts for.
     pub(crate) gen_floor: AtomicU64,
     state: AtomicU8,
     kill: AtomicBool,
@@ -131,9 +139,11 @@ impl Slot {
     }
 
     /// This slot's generation: the floor accumulated over dead engines
-    /// plus the live engine's own counter.
+    /// plus the live engine's own counter, read under one engine lock so
+    /// a respawn's floor bump and swap are seen together or not at all.
     pub(crate) fn generation(&self) -> u64 {
-        self.gen_floor.load(Ordering::Relaxed) + self.engine().graph().generation()
+        let engine = self.engine.read();
+        self.gen_floor.load(Ordering::Relaxed) + engine.graph().generation()
     }
 
     /// Exclude the slot from new reads and wait (bounded) for pinned
@@ -312,7 +322,7 @@ impl ReplicaPool {
     }
 
     /// Block until `ready` yields, re-running it whenever a worker
-    /// publishes a watermark (and at least every `poll`), or until
+    /// publishes a watermark (and at least every [`WAIT_POLL`]), or until
     /// `deadline` passes. `lsn` is what `ready` is waiting for some
     /// replica to reach: it is published to the wait cell so parked
     /// workers wake and apply it now instead of at their next timeout.
@@ -320,14 +330,13 @@ impl ReplicaPool {
         &self,
         lsn: Lsn,
         deadline: Instant,
-        poll: Duration,
         mut ready: impl FnMut() -> Option<T>,
     ) -> Option<T> {
         // The common case — some replica is already there — takes no lock.
         if let Some(out) = ready() {
             return Some(out);
         }
-        // A caller that will not wait (`no_wait`) wakes nobody either.
+        // A zero session timeout fails fast and wakes nobody either.
         if Instant::now() >= deadline {
             return None;
         }
@@ -348,7 +357,7 @@ impl ReplicaPool {
             if left.is_zero() {
                 return None;
             }
-            let nap = poll.max(Duration::from_micros(1)).min(left);
+            let nap = WAIT_POLL.min(left);
             wanted = self
                 .wake
                 .changed
@@ -385,18 +394,23 @@ impl ReplicaPool {
 
     /// Rebuild replica `id` from the newest usable checkpoint plus the
     /// log tail, swap it into the slot and restart its worker. The dead
-    /// engine's generation folds into the slot's floor first, so the
-    /// slot-level generation stays monotone across the swap.
+    /// engine's generation folds into the slot's floor under the same
+    /// write lock as the swap, so the slot-level generation stays
+    /// monotone through the bootstrap and across the swap, and a failed
+    /// bootstrap leaves both untouched.
     pub fn respawn(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
         slot.stop_worker(&self.wake);
-        let dead_gen = slot.engine().graph().generation();
-        slot.gen_floor.fetch_add(dead_gen, Ordering::Relaxed);
         let replica =
             LiveReplica::bootstrap(self.cfg.shards, &self.ckpt_dir, Arc::clone(&self.log))?;
         slot.watermark
             .store(replica.watermark().0, Ordering::SeqCst);
-        *slot.engine.write() = Arc::new(QueryEngine::new(replica.live().clone()));
+        {
+            let mut engine = slot.engine.write();
+            slot.gen_floor
+                .fetch_add(engine.graph().generation(), Ordering::Relaxed);
+            *engine = Arc::new(QueryEngine::new(replica.live().clone()));
+        }
         slot.kill.store(false, Ordering::SeqCst);
         slot.respawns.fetch_add(1, Ordering::Relaxed);
         // Serving from here on; the router's lag bound keeps routed reads
@@ -469,7 +483,7 @@ fn spawn_worker(
                 }
                 slot.heartbeat.fetch_add(1, Ordering::Relaxed);
                 let previous = replica.watermark();
-                match replica.catch_up_batch(cfg.replay_batch) {
+                match replica.catch_up_batch(REPLAY_BATCH) {
                     Ok(0) => wake.park(&slot, previous, cfg.poll_interval),
                     Ok(_) => {
                         // Publish *after* the batch is applied: a router

@@ -35,57 +35,6 @@ use saga_live::{QueryEngine, QueryResult, ReplicaKg};
 
 use crate::pool::{ReplicaPool, Slot};
 
-/// The longest a blocked session read goes without re-checking the
-/// fleet's watermarks (a worker's publish wakes it sooner).
-const WAIT_POLL: Duration = Duration::from_micros(100);
-
-/// Bounded-wait policy for session-constrained reads: how long a read may
-/// block waiting for some replica to reach the session's LSN, and the
-/// longest it goes between re-checks of the published watermarks while
-/// blocked. The fleet's
-/// default comes from [`FleetConfig::session_timeout`](crate::FleetConfig);
-/// per-request policies (a network server giving each wire request its own
-/// deadline, a latency-sensitive caller preferring fail-fast) construct
-/// their own and call the `*_wait` router entry points. A timeout
-/// surfaces as the *typed*, retryable
-/// [`SagaError::Unavailable`] — never a generic storage error — so
-/// callers can distinguish "try again shortly" from "broken".
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionWaitConfig {
-    /// Maximum total wait for a replica to reach the session LSN.
-    pub timeout: Duration,
-    /// Upper bound between re-checks of the watermarks while blocked. A
-    /// blocked read is woken by the replay worker that reaches its LSN;
-    /// this only bounds how long a state change that notifies nobody (a
-    /// slot leaving or rejoining service) goes unnoticed.
-    pub poll: Duration,
-}
-
-impl Default for SessionWaitConfig {
-    fn default() -> Self {
-        SessionWaitConfig {
-            timeout: Duration::from_secs(2),
-            poll: WAIT_POLL,
-        }
-    }
-}
-
-impl SessionWaitConfig {
-    /// The default poll cadence with a caller-chosen total timeout.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        SessionWaitConfig {
-            timeout,
-            ..SessionWaitConfig::default()
-        }
-    }
-
-    /// Fail immediately when no replica satisfies the session — the
-    /// routing filters still run once, but nothing blocks.
-    pub fn no_wait() -> Self {
-        SessionWaitConfig::with_timeout(Duration::ZERO)
-    }
-}
-
 /// The fleet's query front door. Cheap to clone (a handle over the shared
 /// pool); all clones share routing counters.
 #[derive(Clone)]
@@ -111,20 +60,9 @@ impl FleetRouter {
 
     /// Route one KGQ query for a session: served only by a replica that
     /// has replayed at least the session's LSN (read-your-writes), with
-    /// the fleet's default bounded wait.
+    /// the fleet's bounded session wait.
     pub fn query_with_session(&self, text: &str, token: &SessionToken) -> Result<QueryResult> {
         self.read_with_session(token)?.query(text)
-    }
-
-    /// [`query_with_session`](Self::query_with_session) with an explicit
-    /// per-request wait policy.
-    pub fn query_with_session_wait(
-        &self,
-        text: &str,
-        token: &SessionToken,
-        wait: &SessionWaitConfig,
-    ) -> Result<QueryResult> {
-        self.read_with_session_wait(token, wait)?.query(text)
     }
 
     /// Pin a fresh replica for a sequence of reads (see [`RoutedRead`]).
@@ -135,29 +73,23 @@ impl FleetRouter {
     }
 
     /// Pin a replica at or past the session's LSN, waiting up to the
-    /// fleet's configured session timeout for one to catch up.
+    /// fleet's [`session_timeout`](crate::FleetConfig::session_timeout)
+    /// for one to catch up. Exhausting the wait yields the typed,
+    /// retryable [`SagaError::Unavailable`] — never a generic storage
+    /// error — so the caller (or a network server translating it into a
+    /// retryable wire response) knows the fleet is merely behind, not
+    /// broken.
     pub fn read_with_session(&self, token: &SessionToken) -> Result<RoutedRead> {
-        self.read_with_session_wait(token, &self.pool.config().session_wait())
-    }
-
-    /// Pin a replica at or past the session's LSN under an explicit
-    /// [`SessionWaitConfig`]. Exhausting the wait yields the typed,
-    /// retryable [`SagaError::Unavailable`] — the caller (or a network
-    /// server translating it into a retryable wire response) knows the
-    /// fleet is merely behind, not broken.
-    pub fn read_with_session_wait(
-        &self,
-        token: &SessionToken,
-        wait: &SessionWaitConfig,
-    ) -> Result<RoutedRead> {
         let lsn = token.lsn();
-        let deadline = Instant::now() + wait.timeout;
+        let timeout = self.pool.config().session_timeout;
         self.pool
-            .wait_for(lsn, deadline, wait.poll, || self.pick_pinned(Some(lsn)))
+            .wait_for(lsn, Instant::now() + timeout, || {
+                self.pick_pinned(Some(lsn))
+            })
             .ok_or_else(|| {
                 SagaError::Unavailable(format!(
-                    "session read timed out: no replica reached lsn {} within {:?}",
-                    lsn.0, wait.timeout
+                    "session read timed out: no replica reached lsn {} within {timeout:?}",
+                    lsn.0
                 ))
             })
     }
@@ -174,7 +106,7 @@ impl FleetRouter {
                 .then_some(())
         };
         self.pool
-            .wait_for(lsn, Instant::now() + timeout, WAIT_POLL, reached)
+            .wait_for(lsn, Instant::now() + timeout, reached)
             .ok_or_else(|| {
                 SagaError::Unavailable(format!(
                     "no serving replica reached lsn {} within {timeout:?}",

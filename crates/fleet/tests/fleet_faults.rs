@@ -17,15 +17,14 @@
 //! struck replica from `FleetController::stats()`.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, GraphRead, KnowledgeGraph, Lsn, SourceId, WriteBatch};
-use saga_fleet::{
-    FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState, SessionWaitConfig,
-};
+use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState};
 use saga_graph::{CheckpointWriter, LoggedCommit, LoggedWriter, OpKind, OperationLog};
 use saga_live::LiveReplica;
 
@@ -457,25 +456,6 @@ fn all_stale_session_reads_time_out_rather_than_serve_stale() {
         "session timeout must be the typed retryable error, got {err:?}"
     );
 
-    // A per-request wait policy overrides the fleet default: no_wait
-    // fails immediately (well under the configured 50 ms) and is equally
-    // typed-retryable — this is what a network server maps to a
-    // retryable wire response.
-    let t0 = std::time::Instant::now();
-    let err = router
-        .query_with_session_wait(
-            "FIND person WHERE name = \"Fleet Person 2\"",
-            &token,
-            &SessionWaitConfig::no_wait(),
-        )
-        .unwrap_err();
-    assert!(err.is_retryable(), "{err}");
-    assert!(
-        t0.elapsed() < Duration::from_millis(40),
-        "no_wait blocked for {:?}",
-        t0.elapsed()
-    );
-
     // Un-wedge: the worker resumes on its own and the read goes through.
     fail::clear(sites::FLEET_WORKER_POLL);
     let hits = router
@@ -513,6 +493,58 @@ fn fleet_generation_is_monotone_across_respawns() {
         router.generation() >= before,
         "fleet generation went backwards across a respawn"
     );
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_generation_never_decreases_while_a_slot_respawns() {
+    let w = producer();
+    let dir = temp_dir("gen-window");
+    let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+
+    // Replay gives each engine a generation in the thousands; a
+    // checkpoint-bootstrapped engine restarts near 1, so the first
+    // respawn below swaps a high-generation engine for a low one.
+    for i in 1..=2000u64 {
+        commit_person(&w, i);
+    }
+    router
+        .wait_for_lsn(Lsn(2000), Duration::from_secs(5))
+        .unwrap();
+    CheckpointWriter::new(&w, &dir).checkpoint().unwrap();
+
+    // Sample the fleet generation throughout the respawns, not only
+    // before and after: the floor bump and the engine swap must never be
+    // observed apart.
+    let stop = AtomicBool::new(false);
+    let drops = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut drops = Vec::new();
+            let mut last = router.generation();
+            while !stop.load(Ordering::Relaxed) {
+                let now = router.generation();
+                if now < last {
+                    drops.push((last, now));
+                }
+                last = now;
+            }
+            drops
+        });
+        for _ in 0..5 {
+            pool.respawn(0).unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        sampler.join().unwrap()
+    });
+    assert!(
+        drops.is_empty(),
+        "fleet generation went backwards during a respawn: {drops:?}"
+    );
+    router
+        .wait_for_lsn(Lsn(2000), Duration::from_secs(5))
+        .unwrap();
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

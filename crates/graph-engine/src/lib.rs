@@ -63,7 +63,7 @@ pub use columnar::{ColumnarAggregates, PredColumn};
 pub use importance::{compute_importance, ImportanceConfig, ImportanceScores, ImportanceView};
 pub use legacy::{LegacyEngine, RowTable};
 pub use metastore::MetadataStore;
-pub use oplog::{FlushPolicy, IngestOp, LogFollower, OpKind, OperationLog, WatermarkHandle};
+pub use oplog::{FlushPolicy, IngestOp, LogFollower, OpKind, OperationLog};
 pub use orchestration::{
     AgentRunner, AnalyticsAgent, EntityIndexAgent, OrchestrationAgent, TextIndexAgent,
     ViewMaintenanceAgent,

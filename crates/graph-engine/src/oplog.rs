@@ -712,43 +712,6 @@ fn open_for_append(path: &Path) -> std::io::Result<fs::File> {
     fs::OpenOptions::new().create(true).append(true).open(path)
 }
 
-/// A lock-free, cheaply cloneable view of one follower's replay progress.
-///
-/// The replay loop owns its [`LogFollower`] mutably (often on a dedicated
-/// thread), which used to make freshness unobservable from outside without
-/// a lock around the whole follower. The handle shares the follower's
-/// watermark through an atomic cell instead: health probes, routers and
-/// gauges read [`lsn`](Self::lsn)/[`lag`](Self::lag) with a single atomic
-/// load — nothing on the replay or serving path blocks.
-///
-/// The cell is published with `Release` ordering after
-/// [`LogFollower::poll_with`] has applied a batch and read with
-/// `Acquire`, so an observer that sees watermark `w` is guaranteed the
-/// effects of every op `<= w` are visible too.
-#[derive(Clone)]
-pub struct WatermarkHandle {
-    cell: Arc<std::sync::atomic::AtomicU64>,
-    log: Arc<OperationLog>,
-}
-
-impl WatermarkHandle {
-    /// The highest LSN the follower has fully consumed.
-    pub fn lsn(&self) -> Lsn {
-        Lsn(self.cell.load(std::sync::atomic::Ordering::Acquire))
-    }
-
-    /// Operations appended to the log but not yet consumed by the
-    /// follower.
-    pub fn lag(&self) -> u64 {
-        self.log.head().0.saturating_sub(self.lsn().0)
-    }
-
-    /// The followed log.
-    pub fn log(&self) -> &Arc<OperationLog> {
-        &self.log
-    }
-}
-
 /// A watermark-tracking cursor over an [`OperationLog`] — the follower
 /// protocol log-shipped stores replay through.
 ///
@@ -760,8 +723,6 @@ impl WatermarkHandle {
 pub struct LogFollower {
     log: Arc<OperationLog>,
     watermark: Lsn,
-    /// Mirror of `watermark` shared with [`WatermarkHandle`]s.
-    shared: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl LogFollower {
@@ -773,11 +734,7 @@ impl LogFollower {
     /// A follower resuming after `watermark` (e.g. from a metadata-store
     /// checkpoint).
     pub fn resume_at(log: Arc<OperationLog>, watermark: Lsn) -> Self {
-        LogFollower {
-            log,
-            watermark,
-            shared: Arc::new(std::sync::atomic::AtomicU64::new(watermark.0)),
-        }
+        LogFollower { log, watermark }
     }
 
     /// The highest LSN this follower has consumed.
@@ -795,23 +752,13 @@ impl LogFollower {
         &self.log
     }
 
-    /// A lock-free progress view other threads can poll while the replay
-    /// loop owns this follower mutably. See [`WatermarkHandle`].
-    pub fn watermark_handle(&self) -> WatermarkHandle {
-        WatermarkHandle {
-            cell: Arc::clone(&self.shared),
-            log: Arc::clone(&self.log),
-        }
-    }
-
     /// Apply `f` to each of up to `max` operations past the watermark,
     /// then advance the watermark over them; returns how many were
     /// applied (0 when caught up). The batch and the compaction point are
     /// read under one acquisition of the log's lock, which is released
     /// before `f` runs: entries are shared, not cloned, so bulk replay
     /// costs no payload copies and never stalls an appender. The
-    /// watermark is published to [`WatermarkHandle`]s only after `f` has
-    /// seen the whole batch.
+    /// watermark advances only after `f` has seen the whole batch.
     ///
     /// Errors without applying anything when the watermark has fallen
     /// behind [`OperationLog::compacted_through`] — the ops this follower
@@ -842,8 +789,6 @@ impl LogFollower {
             f(op);
         }
         self.watermark = expected;
-        self.shared
-            .store(expected.0, std::sync::atomic::Ordering::Release);
         Ok(batch.len())
     }
 }
@@ -1380,37 +1325,6 @@ mod tests {
         assert_eq!(applied.unwrap(), 1);
         assert_eq!(seen, vec![(Lsn(1), vec![delta(1, "x", 1)])]);
         assert_eq!(log.compacted_through(), Lsn(1));
-    }
-
-    #[test]
-    fn watermark_handle_tracks_progress_without_the_follower() {
-        let log = Arc::new(OperationLog::in_memory());
-        for i in 1..=6u64 {
-            log.append_op(OpKind::Upsert, vec![delta(i, "x", i as i64)])
-                .unwrap();
-        }
-        let mut follower = LogFollower::resume_at(Arc::clone(&log), Lsn(2));
-        let handle = follower.watermark_handle();
-        assert_eq!(handle.lsn(), Lsn(2), "handle starts at the resume point");
-        assert_eq!(handle.lag(), 4);
-
-        // The handle observes poll_with progress while the follower is
-        // owned elsewhere — e.g. from a monitoring thread.
-        let watcher = {
-            let handle = handle.clone();
-            std::thread::spawn(move || {
-                while handle.lag() > 0 {
-                    std::thread::yield_now();
-                }
-                handle.lsn()
-            })
-        };
-        follower.poll_with(2, |_| {}).unwrap();
-        assert_eq!(handle.lsn(), Lsn(4));
-        follower.poll_with(100, |_| {}).unwrap();
-        assert_eq!(watcher.join().unwrap(), Lsn(6));
-        assert_eq!(handle.lag(), 0);
-        assert!(Arc::ptr_eq(handle.log(), follower.log()));
     }
 
     #[test]

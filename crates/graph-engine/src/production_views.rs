@@ -11,7 +11,7 @@
 
 use saga_core::intern;
 
-use crate::analytics::{AnalyticsStore, Frame};
+use crate::analytics::AnalyticsStore;
 use crate::legacy::LegacyEngine;
 
 /// One of the six Fig. 8 views.
@@ -381,10 +381,6 @@ pub fn compute_all(
         })
         .collect()
 }
-
-/// Suppress unused import warning (Frame is part of this module's API story).
-#[allow(dead_code)]
-fn _doc(_: Frame) {}
 
 #[cfg(test)]
 mod tests {

@@ -41,12 +41,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use saga_core::{checkpoint, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError};
-use saga_graph::{IngestOp, LogFollower, OperationLog, WatermarkHandle};
+use saga_graph::{IngestOp, LogFollower, OperationLog};
 
 use crate::store::ReplicaKg;
 
 /// How many operations one [`LiveReplica::catch_up`] poll pulls at a time;
-/// bounds peak memory while replaying a long backlog.
+/// bounds peak memory while replaying a long backlog. Fleet replay workers
+/// pass the same bound to [`LiveReplica::catch_up_batch`].
 pub const REPLAY_BATCH: usize = 1024;
 
 /// A [`ReplicaKg`] maintained solely from oplog replay. See the module docs.
@@ -150,17 +151,6 @@ impl LiveReplica {
     /// Operations appended to the log but not yet applied here.
     pub fn lag(&self) -> u64 {
         self.follower.lag()
-    }
-
-    /// A lock-free freshness view other threads can poll while a replay
-    /// loop owns this replica mutably — what fleet controllers and gauges
-    /// read instead of locking the replica. Because replicas apply ops
-    /// through [`LogFollower::poll_with`], which publishes only after the
-    /// batch is applied, an observer that sees
-    /// watermark `w` here is guaranteed the replica's store reflects
-    /// every op `<= w`.
-    pub fn watermark_handle(&self) -> WatermarkHandle {
-        self.follower.watermark_handle()
     }
 
     /// The serving store (cheaply cloneable; shares the replica's shards).
@@ -403,10 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_catch_up_and_watermark_handle_track_progress() {
+    fn bounded_catch_up_tracks_progress() {
         let w = producer();
         let mut replica = LiveReplica::new(2, Arc::clone(w.log()));
-        let health = replica.watermark_handle();
         for i in 1..=5u64 {
             w.commit(
                 OpKind::Upsert,
@@ -420,13 +409,15 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(health.lag(), 5, "handle sees the backlog");
+        assert_eq!(replica.lag(), 5, "the backlog is visible before replay");
         assert_eq!(replica.catch_up_batch(2).unwrap(), 2);
-        assert_eq!(health.lsn(), Lsn(2), "handle tracks bounded replay");
+        assert_eq!(replica.watermark(), Lsn(2), "replay stops at max");
+        assert_eq!(replica.lag(), 3);
         assert_eq!(replica.live().len(), 2, "only the polled prefix is applied");
         assert_eq!(replica.catch_up_batch(100).unwrap(), 3);
         assert_eq!(replica.catch_up_batch(100).unwrap(), 0, "caught up");
-        assert_eq!(health.lag(), 0);
+        assert_eq!(replica.watermark(), Lsn(5));
+        assert_eq!(replica.lag(), 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! commit on the same connection are read once it is answered. Reads
 //! route through the
 //! [`FleetRouter`] — never a bare replica — so
-//! lag bounds and session filters hold for networked traffic exactly as
-//! they do in-process; writes commit through the write-ahead
+//! lag bounds, session filters and the session wait (the fleet's
+//! `session_timeout`) hold for networked traffic exactly as they do
+//! in-process; writes commit through the write-ahead
 //! [`LoggedWriter`] and return the session
 //! token that makes them readable by their writer.
 //!
@@ -40,8 +41,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use saga_core::{GraphRead, Result, SagaError, SessionToken};
-use saga_fleet::{FleetRouter, SessionWaitConfig};
+use saga_core::{GraphRead, SagaError};
+use saga_fleet::FleetRouter;
 use saga_graph::{LoggedWriter, OpKind};
 
 use crate::protocol::{
@@ -61,8 +62,6 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Maximum simultaneous connections; excess accepts are closed.
     pub max_connections: usize,
-    /// Per-request wait policy for session-constrained queries.
-    pub session_wait: SessionWaitConfig,
     /// Minimum backoff hint (milliseconds) attached to `Overloaded`
     /// sheds, so retrying clients pace themselves off the server's own
     /// estimate instead of guessing.
@@ -82,7 +81,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_inflight: 512,
             max_connections: 256,
-            session_wait: SessionWaitConfig::default(),
             shed_backoff_hint_ms: 25,
             fail_scope: String::new(),
         }
@@ -229,9 +227,11 @@ impl Inner {
     fn execute(&self, request: Request) -> Response {
         let result = match request {
             Request::Ping => Ok(Response::Pong),
-            Request::Query { text, session } => {
-                self.query(&text, session.as_ref()).map(Response::Result)
+            Request::Query { text, session } => match session {
+                None => self.router.query(&text),
+                Some(token) => self.router.query_with_session(&text, &token),
             }
+            .map(Response::Result),
             // Staging an upsert about a source reference panics (only
             // linked facts fuse), so such a batch is refused whole, before
             // anything is staged or logged.
@@ -264,15 +264,6 @@ impl Inner {
             Request::Generation => Ok(Response::Count(self.router.generation())),
         };
         result.unwrap_or_else(error_response)
-    }
-
-    fn query(&self, text: &str, session: Option<&SessionToken>) -> Result<saga_live::QueryResult> {
-        match session {
-            None => self.router.query(text),
-            Some(token) => self
-                .router
-                .query_with_session_wait(text, token, &self.cfg.session_wait),
-        }
     }
 }
 

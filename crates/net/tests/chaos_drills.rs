@@ -35,7 +35,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SourceId, WriteBatch};
-use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool, SessionWaitConfig};
+use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::{
     BreakerConfig, BreakerState, ClientConfig, PoolConfig, RetryPolicy, SagaPool, SagaServer,
@@ -105,6 +105,7 @@ fn boot_cluster(tag: &str) -> Cluster {
         let fleet_cfg = FleetConfig {
             replicas: 2,
             poll_interval: Duration::from_micros(200),
+            session_timeout: Duration::from_millis(400),
             fail_scope: format!("fleet{i}"),
             ..FleetConfig::default()
         };
@@ -112,7 +113,6 @@ fn boot_cluster(tag: &str) -> Cluster {
             ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &dir).expect("start fleet");
         let router = Arc::new(FleetRouter::new(Arc::clone(&fleet)));
         let cfg = ServerConfig {
-            session_wait: SessionWaitConfig::with_timeout(Duration::from_millis(400)),
             fail_scope: format!("srv{i}"),
             ..ServerConfig::default()
         };

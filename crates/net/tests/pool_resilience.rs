@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SagaError, SourceId, WriteBatch};
-use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool, SessionWaitConfig};
+use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::{
     BreakerConfig, BreakerState, ClientConfig, PoolConfig, RetryPolicy, SagaPool, SagaServer,
@@ -110,6 +110,7 @@ fn boot_trio(tag: &str, count: usize) -> Trio {
         let fleet_cfg = FleetConfig {
             replicas: 2,
             poll_interval: Duration::from_micros(200),
+            session_timeout: Duration::from_millis(500),
             fail_scope: format!("fleet{i}"),
             ..FleetConfig::default()
         };
@@ -117,7 +118,6 @@ fn boot_trio(tag: &str, count: usize) -> Trio {
             ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &dir).expect("start fleet");
         let router = Arc::new(FleetRouter::new(Arc::clone(&fleet)));
         let cfg = ServerConfig {
-            session_wait: SessionWaitConfig::with_timeout(Duration::from_millis(500)),
             fail_scope: Trio::scope(i),
             ..ServerConfig::default()
         };

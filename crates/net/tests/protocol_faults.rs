@@ -23,7 +23,7 @@ use saga_core::{
     intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, SubjectRef, Value,
     WriteBatch,
 };
-use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool, SessionWaitConfig};
+use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::protocol::{self, opcode, read_frame, MAX_PAYLOAD};
 use saga_net::{
@@ -65,8 +65,9 @@ impl Drop for Harness {
 
 /// Boot a two-replica fleet behind one server. `tag` names the scratch
 /// directory and is the `fail_scope` of both, so a drill arms its own
-/// harness and no other test's.
-fn boot(tag: &str, tune: impl FnOnce(&mut ServerConfig)) -> Harness {
+/// harness and no other test's; `tune` adjusts either config before
+/// anything starts.
+fn boot(tag: &str, tune: impl FnOnce(&mut FleetConfig, &mut ServerConfig)) -> Harness {
     let gate = DRILL_GATE.lock();
     fail::clear_all();
     let dir = std::env::temp_dir().join(format!("saga-net-{tag}-{}", std::process::id()));
@@ -81,20 +82,20 @@ fn boot(tag: &str, tune: impl FnOnce(&mut ServerConfig)) -> Harness {
             WriteBatch::new().named_entity(EntityId(1), "Seed Song", "song", SourceId(1), 0.9),
         )
         .expect("seed");
-    let fleet_cfg = FleetConfig {
+    let mut fleet_cfg = FleetConfig {
         replicas: 2,
         poll_interval: Duration::from_micros(200),
+        session_timeout: Duration::from_secs(5),
         fail_scope: tag.to_string(),
         ..FleetConfig::default()
     };
-    let pool = ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &dir).expect("start fleet");
-    let router = Arc::new(FleetRouter::new(Arc::clone(&pool)));
     let mut cfg = ServerConfig {
-        session_wait: SessionWaitConfig::with_timeout(Duration::from_secs(5)),
         fail_scope: tag.to_string(),
         ..ServerConfig::default()
     };
-    tune(&mut cfg);
+    tune(&mut fleet_cfg, &mut cfg);
+    let pool = ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &dir).expect("start fleet");
+    let router = Arc::new(FleetRouter::new(Arc::clone(&pool)));
     let server = SagaServer::start(router, Arc::clone(&writer), cfg).expect("start server");
     Harness {
         server,
@@ -125,7 +126,7 @@ fn assert_serving(h: &Harness) {
 
 #[test]
 fn torn_mid_frame_disconnect_kills_only_that_connection() {
-    let h = boot("torn", |_| {});
+    let h = boot("torn", |_, _| {});
     // A long-lived healthy connection that must outlive the abuse.
     let mut bystander = h.client();
     bystander.ping().expect("bystander ping");
@@ -149,7 +150,7 @@ fn torn_mid_frame_disconnect_kills_only_that_connection() {
 
 #[test]
 fn oversized_length_prefix_is_rejected_then_disconnected() {
-    let h = boot("oversized", |_| {});
+    let h = boot("oversized", |_, _| {});
     let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
 
     // A valid header whose length field is rewritten to declare a payload
@@ -184,7 +185,7 @@ fn oversized_length_prefix_is_rejected_then_disconnected() {
 
 #[test]
 fn garbage_magic_closes_the_connection_silently() {
-    let h = boot("magic", |_| {});
+    let h = boot("magic", |_, _| {});
     let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n")
         .expect("write garbage");
@@ -196,7 +197,7 @@ fn garbage_magic_closes_the_connection_silently() {
 
 #[test]
 fn garbage_opcode_errors_but_keeps_the_connection() {
-    let h = boot("opcode", |_| {});
+    let h = boot("opcode", |_, _| {});
     let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
 
     // Unknown opcode in a perfectly framed message: payload-level error.
@@ -232,7 +233,7 @@ fn garbage_opcode_errors_but_keeps_the_connection() {
 /// `BadRequest` on its own id, and the connection serves the next ping.
 #[test]
 fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
-    let h = boot("garbage", |_| {});
+    let h = boot("garbage", |_, _| {});
     let mut raw = TcpStream::connect(h.addr()).expect("connect raw");
 
     let mut garbage: Vec<(u8, Vec<u8>)> = Vec::new();
@@ -311,7 +312,7 @@ fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
 /// the request's admission slot and the connection's registry entry.
 #[test]
 fn unlinked_upsert_commit_answers_bad_request_and_keeps_the_connection() {
-    let h = boot("unlinked", |_| {});
+    let h = boot("unlinked", |_, _| {});
     let head = h.writer.log().head();
     // A short read timeout: a dead reader fails the drill in seconds.
     let mut client = SagaClient::connect_with(
@@ -362,7 +363,7 @@ fn unlinked_upsert_commit_answers_bad_request_and_keeps_the_connection() {
 
 #[test]
 fn pipelined_responses_interleave_across_request_ids() {
-    let h = boot("pipeline", |cfg| cfg.workers = 4);
+    let h = boot("pipeline", |_, cfg| cfg.workers = 4);
     let mut client = h.client();
     // Send a ping whose worker parks for `ms`; returns once it is parked.
     let send_slow = |client: &mut SagaClient, ms: u64| {
@@ -407,7 +408,7 @@ fn pipelined_responses_interleave_across_request_ids() {
 
 #[test]
 fn pipelined_commits_apply_in_send_order() {
-    let h = boot("commit-order", |cfg| cfg.workers = 4);
+    let h = boot("commit-order", |_, cfg| cfg.workers = 4);
     let mut client = h.client();
     // A burst of commits in flight at once on one connection: the reader
     // executes each as it arrives, so the log takes them in send order
@@ -442,7 +443,7 @@ fn pipelined_commits_apply_in_send_order() {
 
 #[test]
 fn client_reconnect_keeps_read_your_writes() {
-    let h = boot("reconnect", |_| {});
+    let h = boot("reconnect", |_, _| {});
     let mut client = h.client();
 
     let committed = client
@@ -470,7 +471,7 @@ fn client_reconnect_keeps_read_your_writes() {
 fn saturation_sheds_with_typed_overloaded_and_recovers() {
     // A deliberately tiny server: one worker, three admitted requests
     // total — one executing, two queued.
-    let h = boot("saturate", |cfg| {
+    let h = boot("saturate", |_, cfg| {
         cfg.workers = 1;
         cfg.max_inflight = 3;
     });
@@ -521,7 +522,7 @@ fn saturation_sheds_with_typed_overloaded_and_recovers() {
 
 #[test]
 fn closed_connections_are_deregistered_not_leaked() {
-    let h = boot("churn", |_| {});
+    let h = boot("churn", |_, _| {});
     // Churn: connect, serve one request, disconnect — repeatedly. Every
     // closed connection must leave the server's registry (it holds a
     // duplicated fd), or a reconnect loop exhausts the fd limit.
@@ -540,7 +541,7 @@ fn closed_connections_are_deregistered_not_leaked() {
 
 #[test]
 fn a_legacy_ping_payload_is_ignored_and_answered_at_once() {
-    let h = boot("legacy-ping", |_| {});
+    let h = boot("legacy-ping", |_, _| {});
     // What an old client sent to ask the worker to sleep ten seconds.
     let frame = protocol::encode_frame(11, opcode::PING, br#"{"delay_ms":10000}"#);
     let decoded = read_frame(&mut frame.as_slice())
@@ -571,9 +572,8 @@ fn a_legacy_ping_payload_is_ignored_and_answered_at_once() {
 
 #[test]
 fn session_wait_timeout_maps_to_typed_unavailable_on_the_wire() {
-    let h = boot("stale", |cfg| {
-        cfg.session_wait = SessionWaitConfig::with_timeout(Duration::from_millis(50));
-    });
+    let timeout = Duration::from_millis(50);
+    let h = boot("stale", |fleet, _| fleet.session_timeout = timeout);
     let mut client = h.client();
 
     // Wedge every replica, then commit: no replica can reach the
@@ -595,12 +595,20 @@ fn session_wait_timeout_maps_to_typed_unavailable_on_the_wire() {
             0.9,
         ))
         .expect("commit");
+    let t0 = std::time::Instant::now();
     let err = client
         .query_with_session("FIND song WHERE name = \"Unreplicated Song\"")
         .expect_err("stale fleet must not serve the session");
+    let waited = t0.elapsed();
     assert!(
         err.is_retryable(),
         "wire Unavailable stays retryable: {err}"
+    );
+    // The server waits the fleet's session timeout, not a default of its
+    // own (2 s).
+    assert!(
+        waited >= timeout && waited < Duration::from_secs(2),
+        "wire session wait took {waited:?}, the fleet allows {timeout:?}"
     );
 
     // Un-wedge; the same session query now succeeds.
