@@ -108,11 +108,12 @@ pub mod sites {
     /// the request unexecuted — the kill -9 a remote client observes; a
     /// delay wedges the reader.
     pub const NET_SERVER_READ: Site = Site("net::server_read");
-    /// Net server: a pool worker, after it dequeued an admitted request
-    /// and before it decodes it (scoped by `ServerConfig::fail_scope`). A
-    /// delay parks that worker holding its admission slot — the slow
-    /// request of the interleave and saturation drills; an error answers
-    /// `ErrorKind::Internal` with the request unexecuted.
+    /// Net server: the connection-team thread that read an admitted
+    /// request, before it decodes it (scoped by
+    /// `ServerConfig::fail_scope`). A delay parks that thread holding the
+    /// request's admission slot — the slow request of the interleave and
+    /// saturation drills; an error answers `ErrorKind::Internal` with the
+    /// request unexecuted.
     pub const NET_SERVER_EXECUTE: Site = Site("net::server_execute");
     /// Net server: the response write path (scoped by
     /// `ServerConfig::fail_scope`). An error drops the response after

@@ -50,9 +50,8 @@
 //!   there is no trustworthy length to skip. The server sends a final
 //!   error frame when it still knows the request id (oversized lengths
 //!   arrive with a parsed header) and closes *that connection only*;
-//!   the acceptor, the worker pool and every other connection are
-//!   unaffected. The fault suite in `tests/protocol_faults.rs` drills
-//!   exactly these paths.
+//!   the acceptor and every other connection are unaffected. The fault
+//!   suite in `tests/protocol_faults.rs` drills exactly these paths.
 
 use std::io::Read;
 
@@ -271,6 +270,21 @@ pub fn read_frame(r: &mut impl Read) -> std::result::Result<Option<Frame>, Frame
         opcode: op,
         payload,
     }))
+}
+
+/// Whether `buf` starts with a whole frame: [`read_frame`] over these
+/// bytes returns without reading more. A header `read_frame` refuses
+/// outright (bad magic or version, a declared length over
+/// [`MAX_PAYLOAD`]) counts as whole, so the refusal never waits for bytes.
+pub(crate) fn frame_buffered(buf: &[u8]) -> bool {
+    let Some(header) = buf.get(..HEADER_LEN) else {
+        return false;
+    };
+    let len = u32::from_le_bytes(header[14..18].try_into().expect("slice length"));
+    header[0..4] != MAGIC
+        || header[4] != VERSION
+        || len > MAX_PAYLOAD
+        || buf.len() - HEADER_LEN >= len as usize
 }
 
 fn bad(msg: impl Into<String>) -> SagaError {
@@ -1191,6 +1205,47 @@ mod tests {
             .map(|f| f.request_id)
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
+    }
+
+    /// Two frames cut at every offset: walking the buffered prefix the way
+    /// a server batch does — read while a whole frame is buffered — stops
+    /// exactly at the last frame boundary the cut passed.
+    #[test]
+    fn a_whole_frame_is_buffered_exactly_at_frame_boundaries() {
+        let first = Request::ResolveName("seed song".into()).encode(1);
+        let stream = [first.clone(), Request::Ping.encode(2)].concat();
+        for cut in 0..=stream.len() {
+            let mut rest = &stream[..cut];
+            let mut ids = Vec::new();
+            while frame_buffered(rest) {
+                ids.push(read_frame(&mut rest).unwrap().unwrap().request_id);
+            }
+            let (whole, boundary) = if cut == stream.len() {
+                (vec![1, 2], stream.len())
+            } else if cut >= first.len() {
+                (vec![1], first.len())
+            } else {
+                (vec![], 0)
+            };
+            assert_eq!((ids, cut - rest.len()), (whole, boundary), "cut {cut}");
+        }
+    }
+
+    /// A header `read_frame` refuses is "whole": the refusal comes from the
+    /// header alone, so nothing waits for a body that will never arrive.
+    #[test]
+    fn a_refused_header_counts_as_a_whole_frame() {
+        let mut oversized = Request::Ping.encode(9);
+        oversized[14..18].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        let mut bad_magic = Request::ResolveName("x".into()).encode(9);
+        bad_magic[0] = b'X';
+        for header in [oversized, bad_magic] {
+            let header = &header[..HEADER_LEN];
+            assert!(frame_buffered(header));
+            assert!(read_frame(&mut &header[..]).is_err());
+        }
+        let honest = Request::ResolveName("x".into()).encode(9);
+        assert!(!frame_buffered(&honest[..HEADER_LEN]));
     }
 
     // -- garbage -----------------------------------------------------------

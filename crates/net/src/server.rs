@@ -1,31 +1,47 @@
-//! The serving endpoint: a thread-pool TCP acceptor in front of the fleet.
+//! The serving endpoint: a TCP acceptor in front of the fleet, and a small
+//! team of threads per connection.
 //!
-//! Every connection gets a *reader* thread that decodes frames and admits
-//! them; decoded reads execute on a shared, bounded *worker* pool and
-//! answer out of order under each request's id (the pipelining contract).
-//! Commits execute on the reader itself: they serialize on the writer's
-//! lock, so a worker would add a thread hand-off and no parallelism, and
-//! executing them in arrival order applies one connection's pipelined
-//! commits in the order they were sent. Requests pipelined behind a
-//! commit on the same connection are read once it is answered. Reads
-//! route through the
-//! [`FleetRouter`] — never a bare replica — so
+//! The team shares its connection's socket, leader/follower style. The
+//! thread holding the read half reads a *batch*: every whole frame already
+//! buffered, at least one, ending after the first commit. It admits each
+//! frame, hands the read half to the next team thread, then executes its
+//! batch in arrival order, writing each response as soon as it is ready.
+//! A request therefore runs on the thread that read it, and the next
+//! reader wakes while it executes rather than before it.
+//!
+//! Responses are not held back to share one write with the rest of their
+//! batch. That saves syscalls, but a pipelining client then idles while
+//! the batch runs and gets its answers in one burst, so the sizes of later
+//! batches follow whenever threads happen to wake: on a 2-vCPU host,
+//! pipelined throughput swung by up to ×1.9 from one run to the next (see
+//! `docs/network.md`). One write per response keeps the client fed at the
+//! pace the team executes.
+//!
+//! Responses carry their request's id (the pipelining contract), and the
+//! overtaking rule is exact: a request may overtake one from an earlier
+//! batch — a request that arrives while a batch executes is read and run
+//! by another team thread — but never one in its own batch, so requests
+//! that arrived in the same read as a slow one wait for it. A batch that
+//! holds a commit executes *before* the read half is handed on: commits
+//! serialize on the writer's lock anyway, one connection's commits take
+//! LSNs in the order they were sent, and whatever was pipelined behind a
+//! commit is read once it is answered. With one thread per connection
+//! (`workers = 1`) the reader executes everything strictly in order. A
+//! client that stops reading parks only its own team on its own socket.
+//! Reads route through the [`FleetRouter`] — never a bare replica — so
 //! lag bounds, session filters and the session wait (the fleet's
 //! `session_timeout`) hold for networked traffic exactly as they do
-//! in-process; writes commit through the write-ahead
-//! [`LoggedWriter`] and return the session
-//! token that makes them readable by their writer.
+//! in-process; writes commit through the write-ahead [`LoggedWriter`] and
+//! return the session token that makes them readable by their writer.
 //!
 //! # Admission control
 //!
-//! One limit guards the pool: a global in-flight cap (`max_inflight`)
-//! across all connections. An admission slot is acquired when a frame is
-//! accepted and released after its response is written; a frame that
-//! finds no slot is answered with the typed [`Response::Overloaded`] (the
-//! request was *not* executed) — the reader never blocks, it sheds. The
-//! job queue between readers and workers holds `max_inflight` entries:
-//! every queued job holds a slot, so the queue cannot fill first and
-//! pipelined floods cannot queue without bound.
+//! One global in-flight cap (`max_inflight`) across all connections. A
+//! frame takes an admission slot as it is read and gives it back once its
+//! whole batch is answered; a frame that finds no slot is answered at
+//! once with the typed [`Response::Overloaded`], unexecuted — the reader
+//! never blocks, it sheds. A whole batch is admitted before any of it
+//! runs, so one pipelined burst can fill the gate by itself.
 //!
 //! Frame-level garbage (bad magic/version, oversized declared length,
 //! torn frames) closes the offending connection only — see the policy in
@@ -35,18 +51,18 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::Mutex;
+use saga_core::fail::{check_scoped, sites};
 use saga_core::{GraphRead, SagaError};
 use saga_fleet::FleetRouter;
 use saga_graph::{LoggedWriter, OpKind};
 
 use crate::protocol::{
-    decode_request, opcode, Committed, ErrorKind, Frame, FrameError, Request, Response, WireOp,
+    decode_request, frame_buffered, opcode, read_frame, Committed, ErrorKind, Frame, FrameError,
+    Request, Response, WireOp,
 };
 
 /// Tuning for one [`SagaServer`].
@@ -54,11 +70,13 @@ use crate::protocol::{
 pub struct ServerConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port (tests).
     pub addr: String,
-    /// Worker threads executing requests (shared across connections).
+    /// Threads serving one connection (its team, at least one). Each
+    /// reads a batch, hands the socket on and executes what it read; with
+    /// 1 the connection's reader executes everything strictly in order.
     pub workers: usize,
-    /// Global cap on admitted-but-unanswered requests — queued or
-    /// executing — across all connections; the admission semaphore. A
-    /// request past it sheds with `Overloaded`.
+    /// Global cap on admitted-but-unanswered requests across all
+    /// connections; the admission semaphore. A request past it sheds
+    /// with `Overloaded`.
     pub max_inflight: usize,
     /// Maximum simultaneous connections; excess accepts are closed.
     pub max_connections: usize,
@@ -66,8 +84,8 @@ pub struct ServerConfig {
     /// sheds, so retrying clients pace themselves off the server's own
     /// estimate instead of guessing.
     pub shed_backoff_hint_ms: u64,
-    /// Failpoint scope for this server's socket loops and workers: chaos
-    /// drills running several in-process servers arm `net::server_read` /
+    /// Failpoint scope for this server's connection teams: chaos drills
+    /// running several in-process servers arm `net::server_read` /
     /// `net::server_execute` / `net::server_write` for one server by
     /// matching this label (see `saga_core::fail`). Empty — the default —
     /// matches only unscoped configurations.
@@ -78,7 +96,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
+            workers: 2,
             max_inflight: 512,
             max_connections: 256,
             shed_backoff_hint_ms: 25,
@@ -108,55 +126,33 @@ struct Counters {
     frame_rejects: AtomicU64,
 }
 
-/// One admitted request travelling from a reader to the worker pool.
-struct Job {
-    conn: Arc<ConnHandle>,
-    frame: Frame,
+/// One connection's socket, shared by its team.
+struct Conn {
+    /// The read half. The team thread holding it is the one reading.
+    reader: Mutex<BufReader<TcpStream>>,
+    /// The write half; one whole frame per `write_all`, so frames never
+    /// interleave mid-frame.
+    writer: Mutex<TcpStream>,
+    /// Set by the thread that saw the connection end; the team exits.
+    closed: AtomicBool,
 }
 
-/// The shared write half of one connection. Workers answer out of order,
-/// so every response write serializes on the stream lock; a full frame is
-/// a single `write_all`, so responses never interleave mid-frame.
-struct ConnHandle {
-    stream: Mutex<TcpStream>,
-    /// Failpoint scope, copied from `ServerConfig::fail_scope`.
-    fail_scope: String,
-}
-
-impl ConnHandle {
-    fn respond(&self, request_id: u64, response: &Response) {
-        // The write-loop failpoint: an injected error here drops the
-        // response *after* the request executed — the lost-ack fault
-        // that makes a commit's outcome ambiguous to its client.
-        if saga_core::fail::check_scoped(saga_core::fail::sites::NET_SERVER_WRITE, &self.fail_scope)
-            .is_err()
-        {
-            return;
-        }
-        let frame = response.encode(request_id);
-        let mut stream = self.stream.lock();
-        // A dead peer surfaces as a write error; the reader thread owns
-        // connection teardown, so the failed write is simply dropped.
-        let _ = stream.write_all(&frame);
-        let _ = stream.flush();
-    }
-}
+/// Live connections by id: a duplicate of the socket and the thread.
+type Registry = HashMap<u64, (TcpStream, Option<JoinHandle<()>>)>;
 
 struct Inner {
     router: Arc<FleetRouter>,
     writer: Arc<LoggedWriter>,
     cfg: ServerConfig,
-    jobs: SyncSender<Job>,
     inflight: AtomicUsize,
     open_conns: AtomicUsize,
     counters: Counters,
     shutdown: AtomicBool,
-    /// Read halves of live connections keyed by connection id, kept so
-    /// shutdown can unblock their reader threads with a socket shutdown.
-    /// Each connection thread deregisters itself on exit; otherwise a
-    /// long-running server would leak one duplicated fd per connection
+    /// Kept so shutdown can unblock every team (the socket) and join it
+    /// (the thread). Each connection deregisters itself on exit; otherwise
+    /// a long-running server would leak one duplicated fd per connection
     /// ever accepted.
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    conns: Mutex<Registry>,
     next_conn_id: AtomicU64,
 }
 
@@ -181,47 +177,104 @@ impl Inner {
         }
     }
 
-    fn release(&self) {
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
+    /// Write `response`'s frame, unless the write failpoint drops it: an
+    /// injected error loses the response *after* the request executed —
+    /// the lost-ack fault that makes a commit's outcome ambiguous to its
+    /// client.
+    fn respond(&self, conn: &Conn, request_id: u64, response: &Response) {
+        if check_scoped(sites::NET_SERVER_WRITE, &self.cfg.fail_scope).is_ok() {
+            // A dead peer surfaces as a write error; the team sees the
+            // close on its next read, so the failed write is simply dropped.
+            let _ = conn.writer.lock().write_all(&response.encode(request_id));
+        }
     }
 
-    /// Refuse one request unexecuted: count it and answer the typed
-    /// `Overloaded` with the server's backoff hint.
-    fn shed(&self, conn: &ConnHandle, request_id: u64) {
-        self.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
-        conn.respond(
-            request_id,
-            &Response::Overloaded {
-                message: format!("in-flight cap reached ({})", self.cfg.max_inflight),
-                backoff_hint_ms: self.cfg.shed_backoff_hint_ms,
-            },
-        );
+    /// Read one batch into `batch` (see the module docs), admitting each
+    /// frame and answering each shed at once. `false` means the
+    /// connection is done; frames already admitted still run.
+    fn read_batch(
+        &self,
+        conn: &Conn,
+        reader: &mut BufReader<TcpStream>,
+        batch: &mut Vec<Frame>,
+    ) -> bool {
+        loop {
+            let frame = match read_frame(reader) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return false, // clean close
+                Err(FrameError::Oversized {
+                    declared,
+                    request_id,
+                }) => {
+                    // The header parsed, so the reject can be addressed —
+                    // but the stream cannot be resynchronized past an
+                    // untrusted length, so the connection closes after it.
+                    self.counters.frame_rejects.fetch_add(1, Ordering::Relaxed);
+                    let message = format!(
+                        "oversized frame: declared payload {declared} exceeds {}",
+                        crate::protocol::MAX_PAYLOAD
+                    );
+                    let kind = ErrorKind::BadRequest;
+                    self.respond(conn, request_id, &Response::Error { kind, message });
+                    return false;
+                }
+                Err(_) => {
+                    // Torn / bad magic / bad version / transport error:
+                    // the stream is unsynchronizable and unaddressable.
+                    // Only this connection dies.
+                    self.counters.frame_rejects.fetch_add(1, Ordering::Relaxed);
+                    return false;
+                }
+            };
+            // The read failpoint, per decoded frame before admission: an
+            // injected error drops the connection with the request
+            // unexecuted (what a killed process looks like from the
+            // client), an injected delay wedges the reader mid-pipeline.
+            if check_scoped(sites::NET_SERVER_READ, &self.cfg.fail_scope).is_err() {
+                return false;
+            }
+            if !self.admit() {
+                self.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
+                let shed = Response::Overloaded {
+                    message: format!("in-flight cap reached ({})", self.cfg.max_inflight),
+                    backoff_hint_ms: self.cfg.shed_backoff_hint_ms,
+                };
+                self.respond(conn, frame.request_id, &shed);
+            } else if frame.opcode == opcode::COMMIT {
+                batch.push(frame);
+                return true;
+            } else {
+                batch.push(frame);
+            }
+            if !frame_buffered(reader.buffer()) {
+                return true;
+            }
+        }
     }
 
-    /// Execute one admitted request, answer it on `conn`, and give its
-    /// admission slot back.
-    fn serve(&self, conn: &ConnHandle, frame: &Frame) {
-        // The execute failpoint: an injected delay parks the executing
-        // thread with the request admitted and unanswered, an injected
-        // error answers `Internal` with it unexecuted.
-        let response = match saga_core::fail::check_scoped(
-            saga_core::fail::sites::NET_SERVER_EXECUTE,
-            &self.cfg.fail_scope,
-        ) {
-            Err(err) => error_response(err),
-            Ok(()) => match decode_request(frame) {
-                Ok(request) => self.execute(request),
-                Err(err) => Response::Error {
-                    kind: ErrorKind::BadRequest,
-                    message: err.to_string(),
+    /// Execute an admitted batch in order, answering each request as it
+    /// completes, then give the batch's admission slots back.
+    fn run_batch(&self, conn: &Conn, batch: &[Frame]) {
+        for frame in batch {
+            // The execute failpoint: an injected delay parks the executing
+            // thread with the request admitted and unanswered, an injected
+            // error answers `Internal` with it unexecuted.
+            let response = match check_scoped(sites::NET_SERVER_EXECUTE, &self.cfg.fail_scope) {
+                Err(err) => error_response(err),
+                Ok(()) => match decode_request(frame) {
+                    Ok(request) => self.execute(request),
+                    Err(err) => Response::Error {
+                        kind: ErrorKind::BadRequest,
+                        message: err.to_string(),
+                    },
                 },
-            },
-        };
-        conn.respond(frame.request_id, &response);
+            };
+            self.respond(conn, frame.request_id, &response);
+        }
         self.counters
             .requests_served
-            .fetch_add(1, Ordering::Relaxed);
-        self.release();
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.inflight.fetch_sub(batch.len(), Ordering::AcqRel);
     }
 
     fn execute(&self, request: Request) -> Response {
@@ -293,13 +346,12 @@ pub struct SagaServer {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl SagaServer {
     /// Bind and start serving `router` (reads) and `writer` (commits)
-    /// under `cfg`. Returns once the listener is bound and the worker
-    /// pool is up; the bound address is [`local_addr`](Self::local_addr).
+    /// under `cfg`. Returns once the listener is bound and the acceptor
+    /// is up; the bound address is [`local_addr`](Self::local_addr).
     pub fn start(
         router: Arc<FleetRouter>,
         writer: Arc<LoggedWriter>,
@@ -307,13 +359,10 @@ impl SagaServer {
     ) -> std::io::Result<SagaServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
-        let (jobs, job_rx) = std::sync::mpsc::sync_channel::<Job>(cfg.max_inflight.max(1));
         let inner = Arc::new(Inner {
             router,
             writer,
             cfg,
-            jobs,
             inflight: AtomicUsize::new(0),
             open_conns: AtomicUsize::new(0),
             counters: Counters::default(),
@@ -321,19 +370,6 @@ impl SagaServer {
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
         });
-
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let job_rx = Arc::clone(&job_rx);
-                std::thread::Builder::new()
-                    .name(format!("saga-net-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, &job_rx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -341,12 +377,10 @@ impl SagaServer {
                 .spawn(move || accept_loop(&inner, &listener))
                 .expect("spawn acceptor thread")
         };
-
         Ok(SagaServer {
             inner,
             local_addr,
             acceptor: Some(acceptor),
-            workers: worker_handles,
         })
     }
 
@@ -371,31 +405,33 @@ impl SagaServer {
         self.inner.inflight.load(Ordering::Relaxed)
     }
 
-    /// Currently open connections (each reader thread deregisters itself
-    /// on exit, so closed connections do not accumulate here).
+    /// Currently open connections (each connection deregisters itself on
+    /// exit, so closed connections do not accumulate here).
     pub fn open_connections(&self) -> usize {
         self.inner.conns.lock().len()
     }
 
-    /// Stop accepting, unblock every connection, drain the workers, and
-    /// join all threads. Idempotent.
+    /// Stop accepting, unblock every connection and join every thread the
+    /// server started: once this returns, no request of its can still
+    /// execute. Idempotent.
     pub fn shutdown(&mut self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Unblock reader threads stuck in read_frame.
-        for (_, conn) in self.inner.conns.lock().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
         // Unblock the acceptor with a throwaway connection; it re-checks
-        // the shutdown flag per accept.
+        // the shutdown flag per accept, and once joined registers nothing.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Workers poll the shutdown flag between queue timeouts.
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // Drained before joining: a connection's epilogue takes the
+        // registry lock, so joining under it could deadlock.
+        let conns: Vec<_> = self.inner.conns.lock().drain().map(|(_, c)| c).collect();
+        for (socket, _) in &conns {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for thread in conns.into_iter().filter_map(|(_, thread)| thread) {
+            let _ = thread.join();
         }
     }
 }
@@ -403,6 +439,21 @@ impl SagaServer {
 impl Drop for SagaServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A connection's place in the registry and its capacity slot, given back
+/// when dropped — when its thread ends, by unwinding too, or with the
+/// closure a failed spawn drops unrun — so neither can leak.
+struct Registration {
+    inner: Arc<Inner>,
+    id: u64,
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        self.inner.conns.lock().remove(&self.id);
+        self.inner.open_conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -416,7 +467,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        let Ok(read_half) = stream.try_clone() else {
+        let (Ok(read_half), Ok(registered)) = (stream.try_clone(), stream.try_clone()) else {
             continue;
         };
         let _ = stream.set_nodelay(true);
@@ -425,138 +476,64 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             .counters
             .connections_accepted
             .fetch_add(1, Ordering::Relaxed);
-        // Registration is best-effort — it only exists so shutdown can
-        // unblock reader threads with a socket shutdown. The connection
-        // thread removes its own entry on exit so the registry (and its
-        // duplicated fd) never outlives the connection.
-        let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = read_half.try_clone() {
-            inner.conns.lock().insert(conn_id, clone);
-        }
-        let spawned = {
-            let inner = Arc::clone(inner);
-            std::thread::Builder::new()
-                .name("saga-net-conn".to_string())
-                .spawn(move || {
-                    connection_loop(&inner, read_half, stream);
-                    inner.conns.lock().remove(&conn_id);
-                    inner.open_conns.fetch_sub(1, Ordering::AcqRel);
-                })
+        let id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        inner.conns.lock().insert(id, (registered, None));
+        let registration = Registration {
+            inner: Arc::clone(inner),
+            id,
         };
-        if spawned.is_err() {
-            // The thread never ran, so its epilogue never will: give back
-            // the capacity taken above or the slot leaks forever.
-            inner.conns.lock().remove(&conn_id);
-            inner.open_conns.fetch_sub(1, Ordering::AcqRel);
+        let spawned = std::thread::Builder::new()
+            .name("saga-net-conn".to_string())
+            .spawn(move || serve_connection(&registration.inner, read_half, stream));
+        // A connection that already ended has deregistered; its thread
+        // is past its last request, so its handle is simply dropped.
+        if let (Ok(thread), Some(entry)) = (spawned, inner.conns.lock().get_mut(&id)) {
+            entry.1 = Some(thread);
         }
     }
 }
 
-/// Per-connection reader: frame decoding + admission, and commits. Reads
-/// execute on the worker pool so one slow read never blocks the other
-/// requests pipelined behind it on the same connection. A commit runs
-/// here instead (see the module docs).
-fn connection_loop(inner: &Arc<Inner>, read_half: TcpStream, write_half: TcpStream) {
-    let conn = Arc::new(ConnHandle {
-        stream: Mutex::new(write_half),
-        fail_scope: inner.cfg.fail_scope.clone(),
+/// Serve one connection with its team: this thread plus up to
+/// `workers - 1` scoped followers (fewer if a spawn fails), all running
+/// [`team_loop`]. The socket closes once the whole team is done.
+fn serve_connection(inner: &Inner, read_half: TcpStream, write_half: TcpStream) {
+    let conn = Conn {
+        reader: Mutex::new(BufReader::new(read_half)),
+        writer: Mutex::new(write_half),
+        closed: AtomicBool::new(false),
+    };
+    std::thread::scope(|team| {
+        for _ in 1..inner.cfg.workers {
+            let follower = std::thread::Builder::new().name("saga-net-conn".to_string());
+            if follower
+                .spawn_scoped(team, || team_loop(inner, &conn))
+                .is_err()
+            {
+                break;
+            }
+        }
+        team_loop(inner, &conn);
     });
-    let mut reader = BufReader::new(read_half);
+    let _ = conn.writer.lock().shutdown(Shutdown::Both);
+}
+
+/// One team thread: take the read half, read a batch, hand the read half
+/// on, run the batch — until the connection ends.
+fn team_loop(inner: &Inner, conn: &Conn) {
+    let mut batch = Vec::new();
     loop {
-        if inner.shutdown.load(Ordering::Acquire) {
+        let mut reader = conn.reader.lock();
+        if conn.closed.load(Ordering::Acquire) || inner.shutdown.load(Ordering::Acquire) {
             break;
         }
-        match crate::protocol::read_frame(&mut reader) {
-            Ok(None) => break, // clean close
-            Ok(Some(frame)) => {
-                // The read-loop failpoint, checked per decoded frame
-                // before admission: an injected error drops the whole
-                // connection with the request unexecuted (what a killed
-                // process looks like from the client), an injected delay
-                // wedges the reader mid-pipeline.
-                if saga_core::fail::check_scoped(
-                    saga_core::fail::sites::NET_SERVER_READ,
-                    &inner.cfg.fail_scope,
-                )
-                .is_err()
-                {
-                    break;
-                }
-                if !inner.admit() {
-                    inner.shed(&conn, frame.request_id);
-                    continue;
-                }
-                if frame.opcode == opcode::COMMIT {
-                    inner.serve(&conn, &frame);
-                    continue;
-                }
-                let job = Job {
-                    conn: Arc::clone(&conn),
-                    frame,
-                };
-                match inner.jobs.try_send(job) {
-                    Ok(()) => {}
-                    // Every queued job holds one of `max_inflight` slots,
-                    // so the queue never fills first (see the module docs);
-                    // should it ever, shed exactly as a failed `admit` does.
-                    Err(TrySendError::Full(job)) => {
-                        inner.release();
-                        inner.shed(&job.conn, job.frame.request_id);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        inner.release();
-                        break;
-                    }
-                }
-            }
-            Err(FrameError::Oversized {
-                declared,
-                request_id,
-            }) => {
-                // The header parsed, so the reject can be addressed — but
-                // the stream cannot be resynchronized past an untrusted
-                // length, so the connection closes after the response.
-                inner.counters.frame_rejects.fetch_add(1, Ordering::Relaxed);
-                conn.respond(
-                    request_id,
-                    &Response::Error {
-                        kind: ErrorKind::BadRequest,
-                        message: format!(
-                            "oversized frame: declared payload {declared} exceeds {}",
-                            crate::protocol::MAX_PAYLOAD
-                        ),
-                    },
-                );
-                break;
-            }
-            Err(_) => {
-                // Torn / bad magic / bad version / transport error: the
-                // stream is unsynchronizable and unaddressable. Drop this
-                // connection; the pool and every other connection live on.
-                inner.counters.frame_rejects.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
+        if !inner.read_batch(conn, &mut reader, &mut batch) {
+            conn.closed.store(true, Ordering::Release);
         }
-    }
-    let _ = conn.stream.lock().shutdown(Shutdown::Both);
-}
-
-fn worker_loop(inner: &Arc<Inner>, jobs: &Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        // Hold the receiver lock only while dequeuing, never while
-        // executing, so the pool drains concurrently.
-        let job = {
-            let rx = jobs.lock();
-            rx.recv_timeout(Duration::from_millis(50))
-        };
-        match job {
-            Ok(job) => inner.serve(&job.conn, &job.frame),
-            Err(RecvTimeoutError::Timeout) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+        // A batch holding a commit runs before the read half is handed on.
+        if batch.last().is_none_or(|f| f.opcode != opcode::COMMIT) {
+            drop(reader);
         }
+        inner.run_batch(conn, &batch);
+        batch.clear();
     }
 }

@@ -1,9 +1,9 @@
 //! Fault injection against a live [`SagaServer`]: torn frames, oversized
 //! length prefixes, garbage magic and opcodes, pipelined interleaving,
-//! pipelined commit order, reconnect-with-session, and saturation. The
-//! invariant under test is always the same: a hostile or unlucky
-//! connection hurts only itself — the acceptor, the worker pool, and
-//! every other connection keep serving.
+//! pipelined commit order, reconnect-with-session, saturation, a client
+//! that stops reading, and shutdown. The invariant under test is always
+//! the same: a hostile or unlucky connection hurts only itself — the
+//! acceptor and every other connection's team keep serving.
 //!
 //! Slow requests and wedged replicas are injected through the
 //! `saga_core::fail` registry, armed for one drill's server or fleet
@@ -54,7 +54,7 @@ impl Harness {
 
 impl Drop for Harness {
     fn drop(&mut self) {
-        // First, so a worker a failed drill left wedged is released
+        // First, so a team thread a failed drill left wedged is released
         // before shutdown joins it.
         fail::clear_all();
         self.server.shutdown();
@@ -141,7 +141,7 @@ fn torn_mid_frame_disconnect_kills_only_that_connection() {
     // The torn connections are gone; everyone else is unaffected.
     bystander.ping().expect("bystander survived torn peers");
     assert_serving(&h);
-    // Each reject is counted by the torn connection's own reader thread
+    // Each reject is counted by the torn connection's own team thread
     // when it observes the close; give the last of them a moment.
     wait_for("frame reject per torn frame", || {
         h.server.stats().frame_rejects >= 3
@@ -308,13 +308,13 @@ fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
 
 /// A commit holding an upsert about a source reference (not a KG entity)
 /// is refused whole with `BadRequest` before anything is staged or
-/// logged. Staged, it would panic the connection's reader thread and leak
+/// logged. Staged, it would panic the connection's team thread and leak
 /// the request's admission slot and the connection's registry entry.
 #[test]
 fn unlinked_upsert_commit_answers_bad_request_and_keeps_the_connection() {
     let h = boot("unlinked", |_, _| {});
     let head = h.writer.log().head();
-    // A short read timeout: a dead reader fails the drill in seconds.
+    // A short read timeout: a dead team fails the drill in seconds.
     let mut client = SagaClient::connect_with(
         h.addr(),
         ClientConfig {
@@ -365,7 +365,9 @@ fn unlinked_upsert_commit_answers_bad_request_and_keeps_the_connection() {
 fn pipelined_responses_interleave_across_request_ids() {
     let h = boot("pipeline", |_, cfg| cfg.workers = 4);
     let mut client = h.client();
-    // Send a ping whose worker parks for `ms`; returns once it is parked.
+    // Send a ping whose team thread parks for `ms`; returns once it is
+    // parked. The next request arrives after that read, so another team
+    // thread reads and runs it.
     let send_slow = |client: &mut SagaClient, ms: u64| {
         let seen = fail::hits(sites::NET_SERVER_EXECUTE);
         fail::configure_scoped(
@@ -410,9 +412,9 @@ fn pipelined_responses_interleave_across_request_ids() {
 fn pipelined_commits_apply_in_send_order() {
     let h = boot("commit-order", |_, cfg| cfg.workers = 4);
     let mut client = h.client();
-    // A burst of commits in flight at once on one connection: the reader
-    // executes each as it arrives, so the log takes them in send order
-    // however many workers the server runs.
+    // A burst of commits in flight at once on one connection: a batch ends
+    // at its first commit and runs before the socket is handed on, so the
+    // log takes them in send order however many threads the team has.
     let ids: Vec<u64> = (0..64u64)
         .map(|k| {
             let batch = WireBatch::new().named_entity(
@@ -469,8 +471,8 @@ fn client_reconnect_keeps_read_your_writes() {
 
 #[test]
 fn saturation_sheds_with_typed_overloaded_and_recovers() {
-    // A deliberately tiny server: one worker, three admitted requests
-    // total — one executing, two queued.
+    // A deliberately tiny server: one thread per connection, three
+    // admitted requests total — one executing, two waiting in its batch.
     let h = boot("saturate", |_, cfg| {
         cfg.workers = 1;
         cfg.max_inflight = 3;
@@ -478,7 +480,7 @@ fn saturation_sheds_with_typed_overloaded_and_recovers() {
     let mut client = h.client();
 
     // Flood with slow pings far past capacity, all pipelined: every
-    // request the worker dequeues parks it for 40 ms.
+    // request the team thread executes parks it for 40 ms.
     fail::configure_scoped(
         sites::NET_SERVER_EXECUTE,
         "saturate",
@@ -512,12 +514,120 @@ fn saturation_sheds_with_typed_overloaded_and_recovers() {
     // Overload is transient: once drained, the same connection serves.
     client.ping().expect("ping after drain");
     assert_serving(&h);
-    // Workers respond *before* releasing their admission slot, so the
+    // A batch is answered *before* its admission slots are released, so the
     // client can observe the last response a beat ahead of the release;
     // wait out that window instead of racing it.
     wait_for("release of every admission slot", || {
         h.server.inflight() == 0
     });
+}
+
+/// A client that pipelines large reads and never reads a response parks
+/// only its own connection's team, on its own socket: a bystander on
+/// another connection is still answered. (A write timeout that would free
+/// the stalled team is not part of this drill.)
+#[test]
+fn a_client_that_stops_reading_stalls_only_itself() {
+    let h = boot("stall", |_, cfg| {
+        cfg.workers = 2;
+        cfg.max_inflight = 1 << 16;
+    });
+    // One entity whose `Record` response is about 27 KB.
+    let aliases = (0..400).fold(WriteBatch::new(), |batch, i| {
+        batch.upsert(ExtendedTriple::simple(
+            EntityId(1),
+            intern("alias"),
+            Value::str(format!(
+                "Seed Song, also released worldwide under alias number {i:03}"
+            )),
+            FactMeta::from_source(SourceId(1), 0.9),
+        ))
+    });
+    h.writer
+        .commit(OpKind::Upsert, aliases)
+        .expect("seed aliases");
+    let mut client = h.client();
+    wait_for("replicated aliases", || {
+        client
+            .record(EntityId(1))
+            .expect("record")
+            .is_some_and(|record| record.triples.len() > 400)
+    });
+    let record = client.record(EntityId(1)).expect("record");
+    let bytes = Response::Record(record).encode(0).len();
+    assert!(bytes > 25_000, "{bytes}");
+
+    // 4000 pipelined `Record` requests on a socket that never reads. The
+    // burst is written from its own thread: once the server stops reading
+    // it may not fit in the socket buffers.
+    let stalled = TcpStream::connect(h.addr()).expect("connect stalled");
+    let burst: Vec<u8> = (0..4000u64)
+        .flat_map(|id| Request::Record(EntityId(1)).encode(id))
+        .collect();
+    let mut sender = stalled.try_clone().expect("clone stalled");
+    let sender = std::thread::spawn(move || {
+        let _ = sender.write_all(&burst);
+    });
+    // Parked: slots are held and none has been released for 100 ms.
+    let mut held = 0;
+    wait_for("parked stalled connection", || {
+        let before = h.server.inflight();
+        std::thread::sleep(Duration::from_millis(100));
+        held = h.server.inflight();
+        before > 0 && before == held
+    });
+
+    let mut bystander = SagaClient::connect_with(
+        h.addr(),
+        ClientConfig {
+            read_timeout: Duration::from_secs(2),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect bystander");
+    bystander
+        .ping()
+        .unwrap_or_else(|err| panic!("bystander starved, {held} slots held: {err}"));
+
+    let _ = stalled.shutdown(std::net::Shutdown::Both);
+    drop(h);
+    sender.join().expect("burst sender");
+}
+
+/// `shutdown` joins every connection's team, not only the acceptor: a
+/// commit parked mid-execution when it is called has landed or never will
+/// by the time it returns.
+#[test]
+fn no_server_thread_commits_after_shutdown_returns() {
+    let mut h = boot("shutdown", |_, _| {});
+    let mut client = h.client();
+    let seen = fail::hits(sites::NET_SERVER_EXECUTE);
+    fail::configure_scoped(
+        sites::NET_SERVER_EXECUTE,
+        "shutdown",
+        FailAction::delay(Duration::from_millis(300)).times(1),
+    );
+    client
+        .send(&Request::Commit(WireBatch::new().named_entity(
+            EntityId(90),
+            "Late Song",
+            "song",
+            SourceId(2),
+            0.9,
+        )))
+        .expect("send commit");
+    wait_for("parked commit", || {
+        fail::hits(sites::NET_SERVER_EXECUTE) > seen
+    });
+
+    h.server.shutdown();
+    let head = h.writer.log().head();
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(
+        h.writer.log().head(),
+        head,
+        "a server thread committed after shutdown returned"
+    );
 }
 
 #[test]
@@ -530,7 +640,7 @@ fn closed_connections_are_deregistered_not_leaked() {
         let mut client = h.client();
         client.ping().expect("ping on churn connection");
     }
-    // Deregistration runs in each reader thread's epilogue; give the
+    // Deregistration runs in each connection thread's epilogue; give the
     // last of them a moment to observe the close.
     wait_for("drained connection registry", || {
         h.server.open_connections() == 0
@@ -542,7 +652,7 @@ fn closed_connections_are_deregistered_not_leaked() {
 #[test]
 fn a_legacy_ping_payload_is_ignored_and_answered_at_once() {
     let h = boot("legacy-ping", |_, _| {});
-    // What an old client sent to ask the worker to sleep ten seconds.
+    // What an old client sent to ask the server to sleep ten seconds.
     let frame = protocol::encode_frame(11, opcode::PING, br#"{"delay_ms":10000}"#);
     let decoded = read_frame(&mut frame.as_slice())
         .expect("read legacy frame")
@@ -565,7 +675,7 @@ fn a_legacy_ping_payload_is_ignored_and_answered_at_once() {
     ));
     assert!(
         t0.elapsed() < Duration::from_millis(100),
-        "nothing a client sends asks a worker to sleep: {:?}",
+        "nothing a client sends asks the server to sleep: {:?}",
         t0.elapsed()
     );
 }
