@@ -263,7 +263,7 @@ impl SagaClient {
     pub fn ping(&mut self) -> Result<()> {
         match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(unexpected("pong", &other)),
+            other => Err(response_error(other)),
         }
     }
 

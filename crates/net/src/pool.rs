@@ -13,42 +13,48 @@
 //!
 //! # Retry contract
 //!
-//! Only **retryable** outcomes are retried ([`SagaError::is_retryable`]):
-//! transport-level unavailability (dead socket, timeout, refused
-//! connect) and typed wire sheds (`Overloaded` — which carries the
-//! server's own backoff hint — and `Unavailable`). Query errors, bad
-//! requests and server-side storage failures surface immediately: the
-//! server *answered*, the answer just wasn't success, and sending the
-//! same request again buys nothing.
+//! Every request — read or commit — goes through one retry loop. Each
+//! try picks an endpoint, runs the request there (a fenced commit pings
+//! first), and either returns what the caller should see or reports a
+//! failure of that endpoint, which the loop retries elsewhere. Retryable
+//! outcomes ([`SagaError::is_retryable`]) are transport-level
+//! unavailability (dead socket, timeout, refused connect) and typed wire
+//! sheds (`Overloaded` — which carries the server's own backoff hint —
+//! and `Unavailable`). Query errors, bad requests and server-side
+//! storage failures surface immediately: the server *answered*, the
+//! answer just wasn't success, and sending the same request again buys
+//! nothing.
 //!
 //! Retries follow capped exponential backoff with deterministic seeded
-//! jitter ([`RetryPolicy`]): attempt `k` waits
+//! jitter ([`RetryPolicy`]): retry `k` waits
 //! `min(base·2^k, max) · uniform[1−j, 1+j]`, floored at the server's
 //! backoff hint when one arrived, and always bounded by the request's
-//! remaining [`deadline`](RetryPolicy::deadline) budget.
+//! remaining [`deadline`](RetryPolicy::deadline) budget, whose clock
+//! starts at the first failure. No sleep follows the final attempt.
 //!
 //! # Idempotency and `MaybeCommitted`
 //!
 //! Reads are idempotent — the pool re-sends them freely on other
-//! endpoints. A commit is not. The pool splits a commit's failure modes
-//! by *phase*:
+//! endpoints, whichever phase failed. A commit is not. The pool splits a
+//! commit's failure modes by *phase*:
 //!
 //! * **Send-phase** transport error: the request frame was torn — the
 //!   server never decodes it, so nothing executed. Safe to retry.
-//! * **Typed `Overloaded` response**: admission control rejected the
-//!   request *before execution*. The server says nothing ran. Safe to
-//!   retry.
+//! * **Typed `Overloaded` / `Unavailable` response**: the server states
+//!   the request did not run. Safe to retry.
 //! * **Receive-phase** transport error: the frame was delivered but the
-//!   acknowledgement was lost. The commit may or may not have applied —
-//!   the pool surfaces the typed [`SagaError::MaybeCommitted`] instead
-//!   of guessing, because a blind re-send could apply the batch twice.
-//!   Callers reconcile (read back the write, or re-issue only
-//!   semantically idempotent ops).
+//!   acknowledgement was lost (or arrived garbled). The commit may or
+//!   may not have applied — the pool surfaces the typed
+//!   [`SagaError::MaybeCommitted`] instead of guessing, because a blind
+//!   re-send could apply the batch twice. Callers reconcile (read back
+//!   the write, or re-issue only semantically idempotent ops).
 //!
 //! [`PoolConfig::fence_commits`] narrows the ambiguous window: a ping
 //! round-trip on the chosen endpoint immediately before the commit
 //! proves the connection live, so an endpoint that died *between*
-//! requests fails the cheap idempotent fence instead of the commit.
+//! requests fails the cheap idempotent fence instead of the commit. Any
+//! fence outcome but `Pong` is a retryable failure of that endpoint and
+//! uses up one attempt; the commit frame is never sent after it.
 //!
 //! # Circuit breaker
 //!
@@ -84,8 +90,9 @@ pub struct RetryPolicy {
     /// Jitter fraction `j`: each backoff is scaled by a deterministic
     /// uniform draw from `[1−j, 1+j]`. Zero disables jitter.
     pub jitter: f64,
-    /// Wall-clock budget for one logical request, attempts and backoff
-    /// sleeps included. Exhausting it surfaces the last failure.
+    /// Wall-clock budget for one logical request, measured from its
+    /// first failed attempt: later attempts and backoff sleeps count
+    /// against it. Exhausting it surfaces the last failure.
     pub deadline: Duration,
 }
 
@@ -223,7 +230,8 @@ enum Attempt {
     Answered(Response),
     /// Transport failure before the request could have executed.
     SendFailed(SagaError),
-    /// Transport failure after the request was handed to the transport.
+    /// Transport failure, or an answer that does not decode, after the
+    /// request was handed to the transport.
     RecvFailed(SagaError),
 }
 
@@ -346,25 +354,34 @@ impl SagaPool {
         }
     }
 
-    /// One attempt of `request` on endpoint `at`, classified by phase.
+    /// One try of `request` on endpoint `at`, classified by phase. The
+    /// breaker is booked here and nowhere else: an answer closes it, a
+    /// transport failure counts toward opening it.
     fn attempt(&mut self, at: usize, request: &Request) -> Attempt {
-        self.endpoints[at].requests += 1;
-        if self.endpoints[at].client.is_none() {
-            let addr = self.endpoints[at].addr.clone();
-            match SagaClient::connect_with(addr, self.cfg.client.clone()) {
-                Ok(c) => self.endpoints[at].client = Some(c),
-                Err(e) => return Attempt::SendFailed(e),
-            }
-        }
-        let client = self.endpoints[at].client.as_mut().expect("just connected");
-        let id = match client.send(request) {
-            Ok(id) => id,
-            Err(e) => return Attempt::SendFailed(e),
+        let e = &mut self.endpoints[at];
+        e.requests += 1;
+        let dialed = match e.client.take() {
+            Some(client) => Ok(client),
+            None => SagaClient::connect_with(e.addr.clone(), self.cfg.client.clone()),
         };
-        match client.recv_by_id(id) {
-            Ok(response) => Attempt::Answered(response),
-            Err(e) => Attempt::RecvFailed(e),
+        let outcome = match dialed {
+            Err(err) => Attempt::SendFailed(err),
+            Ok(client) => {
+                let client = e.client.insert(client);
+                match client.send(request) {
+                    Err(err) => Attempt::SendFailed(err),
+                    Ok(id) => match client.recv_by_id(id) {
+                        Ok(response) => Attempt::Answered(response),
+                        Err(err) => Attempt::RecvFailed(err),
+                    },
+                }
+            }
+        };
+        match outcome {
+            Attempt::Answered(_) => self.on_response(at),
+            Attempt::SendFailed(_) | Attempt::RecvFailed(_) => self.on_transport_failure(at),
         }
+        outcome
     }
 
     /// Jittered exponential backoff for retry number `retry` (0-based),
@@ -385,15 +402,12 @@ impl SagaPool {
         delay
     }
 
-    /// Sleep for `delay`, clipped to the deadline budget. Returns false
-    /// when the budget is already exhausted (caller gives up).
+    /// Sleep for `delay`, clipped to the deadline budget counted from
+    /// `started`. Returns false when the budget is spent (caller gives up).
     fn sleep_within(&self, started: Instant, delay: Duration) -> bool {
         let remaining = self.cfg.retry.deadline.saturating_sub(started.elapsed());
-        if remaining.is_zero() {
-            return false;
-        }
         std::thread::sleep(delay.min(remaining));
-        true
+        delay < remaining
     }
 
     fn exhausted(attempts: u32, last: SagaError) -> SagaError {
@@ -407,12 +421,13 @@ impl SagaPool {
         }
     }
 
-    // -- the retry loops --------------------------------------------------
+    // -- the retry loop ---------------------------------------------------
 
-    /// Run one idempotent request with failover: retryable failures
-    /// rotate to the next eligible endpoint under the backoff schedule;
-    /// transport failures additionally feed the breaker.
-    fn run_idempotent(&mut self, request: &Request) -> Result<Response> {
+    /// Run one request with failover: every failure `try_at` reports
+    /// rotates to the next eligible endpoint under the backoff schedule,
+    /// except `MaybeCommitted`, which no re-send can settle.
+    fn run(&mut self, request: &Request) -> Result<Response> {
+        let commit = matches!(request, Request::Commit(_));
         // The deadline clock starts at the first *failure*: the healthy
         // fast path (attempt once, answered) never reads the clock, so
         // pool steady-state overhead over a bare client stays in the
@@ -420,56 +435,27 @@ impl SagaPool {
         let mut started: Option<Instant> = None;
         let mut last: Option<SagaError> = None;
         let mut retries = 0u32;
-        for attempt_no in 0..self.cfg.retry.max_attempts {
-            if let Some(t0) = started {
-                if t0.elapsed() >= self.cfg.retry.deadline {
-                    break;
-                }
-            }
-            let at = match self.pick() {
-                Ok(at) => at,
-                Err(wait) => {
-                    // Every breaker is open. Waiting out the shortest
-                    // cooldown is the only route to a probe.
-                    last = Some(SagaError::Unavailable(
-                        "all endpoints unhealthy (breakers open)".to_string(),
-                    ));
-                    let t0 = *started.get_or_insert_with(Instant::now);
-                    if !self.sleep_within(t0, wait) {
-                        break;
+        for attempt_no in 1..=self.cfg.retry.max_attempts {
+            let (err, delay) = match self.pick() {
+                Ok(at) => match self.try_at(at, request, commit) {
+                    Ok(response) => return Ok(response),
+                    Err(err @ SagaError::MaybeCommitted(_)) => return Err(err),
+                    Err(err) => {
+                        let delay = self.backoff(retries, err.backoff_hint_ms());
+                        retries += 1;
+                        (err, delay)
                     }
-                    continue;
-                }
+                },
+                // Every breaker is open. Waiting out the shortest
+                // cooldown is the only route to a probe.
+                Err(wait) => (
+                    SagaError::Unavailable("all endpoints unhealthy (breakers open)".to_string()),
+                    wait,
+                ),
             };
-            let err = match self.attempt(at, request) {
-                Attempt::Answered(response) => {
-                    self.on_response(at);
-                    match response {
-                        // Typed retryable outcomes: another endpoint may
-                        // be less loaded / more caught-up. Everything
-                        // else (success or a final error) goes straight
-                        // back to the caller.
-                        Response::Overloaded { .. } | Response::Unavailable { .. } => {
-                            response_error(response)
-                        }
-                        success_or_final => return Ok(success_or_final),
-                    }
-                }
-                // A read is idempotent: both phases retry freely.
-                Attempt::SendFailed(e) | Attempt::RecvFailed(e) => {
-                    self.on_transport_failure(at);
-                    e
-                }
-            };
-            debug_assert!(
-                err.is_retryable(),
-                "non-retryable error reached retry: {err}"
-            );
-            let delay = self.backoff(retries, err.backoff_hint_ms());
-            retries += 1;
             last = Some(err);
             let t0 = *started.get_or_insert_with(Instant::now);
-            if attempt_no + 1 < self.cfg.retry.max_attempts && !self.sleep_within(t0, delay) {
+            if attempt_no == self.cfg.retry.max_attempts || !self.sleep_within(t0, delay) {
                 break;
             }
         }
@@ -479,113 +465,59 @@ impl SagaPool {
         ))
     }
 
-    /// Commit with phase-split failure handling (see the module docs).
-    pub fn commit(&mut self, batch: WireBatch) -> Result<Committed> {
-        let started = Instant::now();
-        let request = Request::Commit(batch);
-        let mut last: Option<SagaError> = None;
-        let mut retries = 0u32;
-        for _ in 0..self.cfg.retry.max_attempts {
-            if started.elapsed() >= self.cfg.retry.deadline {
-                break;
-            }
-            let at = match self.pick() {
-                Ok(at) => at,
-                Err(wait) => {
-                    last = Some(SagaError::Unavailable(
-                        "all endpoints unhealthy (breakers open)".to_string(),
-                    ));
-                    if !self.sleep_within(started, wait) {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            // The fence: an idempotent round-trip proving the endpoint
-            // alive *now*, so a stale-dead connection fails here — a
-            // retryable outcome — instead of inside the commit.
-            if self.cfg.fence_commits {
-                match self.attempt(at, &Request::Ping) {
-                    Attempt::Answered(Response::Pong) => self.on_response(at),
-                    Attempt::Answered(other) => {
-                        self.on_response(at);
-                        let err = response_error(other);
-                        let delay = self.backoff(retries, err.backoff_hint_ms());
-                        retries += 1;
-                        last = Some(err);
-                        if !self.sleep_within(started, delay) {
-                            break;
-                        }
-                        continue;
-                    }
-                    Attempt::SendFailed(e) | Attempt::RecvFailed(e) => {
-                        // The fence is idempotent: either phase failing
-                        // is a plain endpoint failure.
-                        self.on_transport_failure(at);
-                        let delay = self.backoff(retries, None);
-                        retries += 1;
-                        last = Some(e);
-                        if !self.sleep_within(started, delay) {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-            }
-            match self.attempt(at, &request) {
-                Attempt::Answered(Response::Committed(committed)) => {
-                    self.on_response(at);
-                    self.session.observe(committed.lsn);
-                    return Ok(committed);
-                }
-                Attempt::Answered(response) => {
-                    self.on_response(at);
-                    let err = response_error(response);
-                    if !err.is_retryable() {
-                        return Err(err);
-                    }
-                    // Typed shed/miss: the server states nothing ran —
-                    // safe to re-send even a commit.
-                    let delay = self.backoff(retries, err.backoff_hint_ms());
-                    retries += 1;
-                    last = Some(err);
-                    if !self.sleep_within(started, delay) {
-                        break;
-                    }
-                }
-                Attempt::SendFailed(e) => {
-                    // The request frame never went out whole; a torn
-                    // frame is dropped by the server without executing.
-                    self.on_transport_failure(at);
-                    let delay = self.backoff(retries, None);
-                    retries += 1;
-                    last = Some(e);
-                    if !self.sleep_within(started, delay) {
-                        break;
-                    }
-                }
-                Attempt::RecvFailed(e) => {
-                    // The commit reached the transport and the ack was
-                    // lost: its outcome is unknown. Never retried.
-                    self.on_transport_failure(at);
-                    return Err(SagaError::MaybeCommitted(format!(
-                        "commit sent to {} but the acknowledgement was lost: {e}",
-                        self.endpoints[at].addr
-                    )));
-                }
+    /// One try on endpoint `at`, fence first for a fenced commit. `Ok` is
+    /// an answer for the caller (success or a final typed error); `Err`
+    /// is a failure of this endpoint that [`run`](Self::run) retries
+    /// elsewhere, unless it is `MaybeCommitted`.
+    fn try_at(&mut self, at: usize, request: &Request, commit: bool) -> Result<Response> {
+        // The fence: an idempotent round-trip proving the endpoint alive
+        // *now*, so a stale-dead connection fails here — in either phase,
+        // with any answer but `Pong` — instead of inside the commit.
+        if commit && self.cfg.fence_commits {
+            match self.attempt(at, &Request::Ping) {
+                Attempt::Answered(Response::Pong) => {}
+                Attempt::Answered(other) => return Err(response_error(other)),
+                Attempt::SendFailed(e) | Attempt::RecvFailed(e) => return Err(e),
             }
         }
-        Err(Self::exhausted(
-            retries.max(1),
-            last.unwrap_or_else(|| SagaError::Unavailable("pool: no attempt made".to_string())),
-        ))
+        match self.attempt(at, request) {
+            // Typed shed/miss: the server states nothing ran, so even a
+            // commit is safe to re-send; another endpoint may be less
+            // loaded or more caught-up.
+            Attempt::Answered(
+                shed @ (Response::Overloaded { .. } | Response::Unavailable { .. }),
+            ) => Err(response_error(shed)),
+            Attempt::Answered(success_or_final) => Ok(success_or_final),
+            // The request frame never went out whole; a torn frame is
+            // dropped by the server without executing.
+            Attempt::SendFailed(e) => Err(e),
+            // The commit reached the transport and the ack was lost (or
+            // came back garbled): its outcome is unknown.
+            Attempt::RecvFailed(e) if commit => Err(SagaError::MaybeCommitted(format!(
+                "commit sent to {} but the acknowledgement was lost: {e}",
+                self.endpoints[at].addr
+            ))),
+            // A read is idempotent: both phases retry freely.
+            Attempt::RecvFailed(e) => Err(e),
+        }
+    }
+
+    /// Commit with phase-split failure handling (see the module docs).
+    pub fn commit(&mut self, batch: WireBatch) -> Result<Committed> {
+        match self.run(&Request::Commit(batch))? {
+            Response::Committed(committed) => {
+                self.session.observe(committed.lsn);
+                Ok(committed)
+            }
+            other => Err(response_error(other)),
+        }
     }
 
     // -- idempotent surface ----------------------------------------------
 
     /// Liveness round-trip against any eligible endpoint.
     pub fn ping(&mut self) -> Result<()> {
-        match self.run_idempotent(&Request::Ping)? {
+        match self.run(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(response_error(other)),
         }
@@ -597,7 +529,7 @@ impl SagaPool {
             text: text.to_string(),
             session: None,
         };
-        match self.run_idempotent(&request)? {
+        match self.run(&request)? {
             Response::Result(result) => Ok(result),
             other => Err(response_error(other)),
         }
@@ -612,7 +544,7 @@ impl SagaPool {
             text: text.to_string(),
             session: Some(self.session),
         };
-        match self.run_idempotent(&request)? {
+        match self.run(&request)? {
             Response::Result(result) => Ok(result),
             other => Err(response_error(other)),
         }
@@ -620,7 +552,7 @@ impl SagaPool {
 
     /// `GraphRead::postings` with failover.
     pub fn postings(&mut self, probe: &ProbeKey) -> Result<Vec<EntityId>> {
-        match self.run_idempotent(&Request::Postings(probe.clone()))? {
+        match self.run(&Request::Postings(probe.clone()))? {
             Response::Entities(ids) => Ok(ids),
             other => Err(response_error(other)),
         }
@@ -628,7 +560,7 @@ impl SagaPool {
 
     /// `GraphRead::resolve_name` with failover.
     pub fn resolve_name(&mut self, name: &str) -> Result<Vec<EntityId>> {
-        match self.run_idempotent(&Request::ResolveName(name.to_string()))? {
+        match self.run(&Request::ResolveName(name.to_string()))? {
             Response::Entities(ids) => Ok(ids),
             other => Err(response_error(other)),
         }
@@ -636,7 +568,7 @@ impl SagaPool {
 
     /// `GraphRead::record` with failover.
     pub fn record(&mut self, id: EntityId) -> Result<Option<EntityRecord>> {
-        match self.run_idempotent(&Request::Record(id))? {
+        match self.run(&Request::Record(id))? {
             Response::Record(record) => Ok(record),
             other => Err(response_error(other)),
         }
@@ -644,7 +576,7 @@ impl SagaPool {
 
     /// The serving fleet's generation counter (any endpoint's view).
     pub fn generation(&mut self) -> Result<u64> {
-        match self.run_idempotent(&Request::Generation)? {
+        match self.run(&Request::Generation)? {
             Response::Count(n) => Ok(n),
             other => Err(response_error(other)),
         }

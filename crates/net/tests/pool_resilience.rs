@@ -19,6 +19,7 @@
 //! process respawn would bring. One drill uses a true
 //! [`SagaServer::shutdown`] for the honest-TCP variant.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,6 +28,7 @@ use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SagaError, SourceId, WriteBatch};
 use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
+use saga_net::protocol::{encode_frame, opcode, read_frame};
 use saga_net::{
     BreakerConfig, BreakerState, ClientConfig, PoolConfig, RetryPolicy, SagaPool, SagaServer,
     ServerConfig, WireBatch,
@@ -453,4 +455,120 @@ fn exhausted_pool_fails_typed_retryable_and_bounded() {
         err.to_string().contains("attempts exhausted") || err.to_string().contains("unhealthy"),
         "the error names what the pool tried: {err}"
     );
+}
+
+/// A pool that gives up after `max_attempts` with a fixed, jitter-free
+/// backoff and a breaker that never opens inside the drill, so every
+/// attempt reaches an endpoint.
+fn fixed_pool(addrs: Vec<String>, max_attempts: u32, backoff: Duration, fence: bool) -> SagaPool {
+    SagaPool::new(
+        addrs,
+        PoolConfig {
+            retry: RetryPolicy {
+                max_attempts,
+                base_backoff: backoff,
+                max_backoff: backoff,
+                jitter: 0.0,
+                deadline: Duration::from_secs(10),
+            },
+            breaker: BreakerConfig {
+                failure_threshold: 100,
+                ..BreakerConfig::default()
+            },
+            fence_commits: fence,
+            ..PoolConfig::default()
+        },
+    )
+}
+
+/// A peer that answers every frame with a result of an unknown tag: the
+/// answer arrives, but it cannot be decoded. A read retries it like any
+/// failed receive and fails typed once the attempts are spent; a commit
+/// cannot know whether it ran, so it is `MaybeCommitted` and sent once.
+#[test]
+fn garbled_answers_fail_typed_without_panicking() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind garbling peer");
+    let addr = listener.local_addr().expect("peer addr").to_string();
+    // One connection at a time: every failed receive drops the pool's
+    // connection, so the four attempts below dial four times.
+    let peer = std::thread::spawn(move || {
+        for stream in listener.incoming().take(4) {
+            let mut stream = stream.expect("accept");
+            while let Ok(Some(frame)) = read_frame(&mut stream) {
+                let garbage = encode_frame(frame.request_id, opcode::RESULT, &[0xff, 0xff, 0xff]);
+                if stream.write_all(&garbage).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    let mut pool = fixed_pool(vec![addr], 3, Duration::from_millis(1), false);
+
+    let err = pool
+        .query("FIND song")
+        .expect_err("garbage is not an answer");
+    assert!(
+        err.to_string().contains("unknown result tag"),
+        "the last failure names the garbage: {err}"
+    );
+    let stats = pool.endpoint_stats()[0].clone();
+    assert_eq!(stats.transport_failures, 3, "one per attempt: {stats:?}");
+    assert_eq!(stats.responses, 0, "{stats:?}");
+
+    let err = pool
+        .commit(WireBatch::new().named_entity(
+            EntityId(600),
+            "Garbled Song",
+            "song",
+            SourceId(2),
+            0.9,
+        ))
+        .expect_err("a garbled ack must not report success");
+    assert!(
+        matches!(err, SagaError::MaybeCommitted(_)),
+        "a garbled ack is the typed ambiguous outcome, got: {err}"
+    );
+    let stats = pool.endpoint_stats()[0].clone();
+    assert_eq!(stats.requests, 4, "the commit was sent once: {stats:?}");
+    assert_eq!(stats.transport_failures, 4, "{stats:?}");
+    peer.join().expect("garbling peer");
+}
+
+/// Exhaustion costs a commit what it costs a read: one backoff between
+/// two attempts, and no sleep after the last, fenced or not.
+#[test]
+fn a_commit_exhausts_in_the_same_time_as_a_read() {
+    let _guard = DrillGuard::acquire();
+    let dead_addr = || {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr").to_string()
+    };
+    let backoff = Duration::from_millis(300);
+    for fence in [false, true] {
+        let mut pool = fixed_pool(vec![dead_addr(), dead_addr()], 2, backoff, fence);
+        let t0 = Instant::now();
+        pool.ping().expect_err("no endpoint can serve");
+        let ping = t0.elapsed();
+        let t0 = Instant::now();
+        let err = pool
+            .commit(WireBatch::new().named_entity(
+                EntityId(700),
+                "Lost Song",
+                "song",
+                SourceId(2),
+                0.9,
+            ))
+            .expect_err("no endpoint can commit");
+        let commit = t0.elapsed();
+        assert!(
+            err.is_retryable(),
+            "a refused connect sends nothing, so the commit stays retryable: {err}"
+        );
+        for (what, took) in [("ping", ping), ("commit", commit)] {
+            assert!(
+                (backoff..Duration::from_millis(500)).contains(&took),
+                "{what} (fence {fence}) sleeps one backoff, not one per attempt: {took:?}"
+            );
+        }
+    }
 }

@@ -20,14 +20,15 @@ use std::time::Duration;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, SubjectRef, Value,
-    WriteBatch,
+    intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SagaError, SourceId, SubjectRef,
+    Value, WriteBatch,
 };
 use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_net::protocol::{self, opcode, read_frame, MAX_PAYLOAD};
 use saga_net::{
-    ClientConfig, ErrorKind, Request, Response, SagaClient, SagaServer, ServerConfig, WireBatch,
+    ClientConfig, ErrorKind, PoolConfig, Request, Response, RetryPolicy, SagaClient, SagaPool,
+    SagaServer, ServerConfig, WireBatch,
 };
 
 /// Serializes the tests that boot a [`Harness`]; see the module docs.
@@ -520,6 +521,63 @@ fn saturation_sheds_with_typed_overloaded_and_recovers() {
     wait_for("release of every admission slot", || {
         h.server.inflight() == 0
     });
+}
+
+/// A bare client's shed ping keeps its type, as every other helper's
+/// does: `Overloaded` with the server's hint, retryable.
+#[test]
+fn a_shed_ping_is_typed_overloaded_with_the_hint() {
+    let h = boot("shed_ping", |_, cfg| cfg.max_inflight = 0);
+    let err = h.client().ping().expect_err("an empty gate admits nothing");
+    assert!(
+        matches!(
+            err,
+            SagaError::Overloaded {
+                backoff_hint_ms: 25,
+                ..
+            }
+        ),
+        "a shed ping is typed Overloaded with the default hint, got: {err}"
+    );
+    assert!(err.is_retryable(), "{err}");
+}
+
+/// A commit fence answered with anything but `Pong` fails its endpoint
+/// retryably and the commit frame never goes out: against a server that
+/// sheds everything, each attempt spends one fence and nothing else.
+#[test]
+fn a_shed_fence_spends_the_attempt_and_never_sends_the_commit() {
+    let h = boot("shed_fence", |_, cfg| cfg.max_inflight = 0);
+    let head = h.writer.log().head();
+    let mut pool = SagaPool::new(
+        [h.addr()],
+        PoolConfig {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            },
+            fence_commits: true,
+            ..PoolConfig::default()
+        },
+    );
+    let err = pool
+        .commit(WireBatch::new().named_entity(EntityId(9), "Fenced Song", "song", SourceId(2), 0.9))
+        .expect_err("every fence is shed");
+    assert!(
+        matches!(
+            err,
+            SagaError::Overloaded {
+                backoff_hint_ms: 25,
+                ..
+            }
+        ),
+        "the last shed surfaces typed with its hint, got: {err}"
+    );
+    let stats = pool.endpoint_stats()[0].clone();
+    assert_eq!(stats.requests, 3, "only the fences were sent: {stats:?}");
+    assert_eq!(stats.responses, 3, "{stats:?}");
+    assert_eq!(h.server.stats().requests_shed, 3);
+    assert_eq!(h.writer.log().head(), head, "no commit reached the log");
 }
 
 /// A client that pipelines large reads and never reads a response parks
