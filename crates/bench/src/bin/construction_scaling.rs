@@ -1,11 +1,21 @@
-//! Experiment E10 — §2.4/Fig. 5: scalability of parallel, incremental
-//! knowledge construction.
+//! Experiment E10 — §2.4/Fig. 5: scalability of incremental knowledge
+//! construction.
 //!
-//! Two claims to verify: (1) inter-source parallel linking beats serial
-//! processing (fusion stays the only synchronization point); (2) delta
-//! consumption is far cheaper than full re-construction for small change
-//! rates — the reason construction is "a continuously running delta-based
-//! framework".
+//! Two claims: (1) inter-source parallel linking beats serial processing
+//! (fusion stays the only synchronization point); (2) delta consumption is
+//! far cheaper than full re-construction for small change rates — the
+//! reason construction is "a continuously running delta-based framework".
+//!
+//! Claim 1 is **not reproduced.** Sources that link in parallel against
+//! one snapshot each mint their own entity for a shared artist, and no
+//! fusion step reconciles them. On this corpus (four noisy providers over
+//! `MusicWorld::generate(5, 800, 4)`, ≈ 794 true artists) a parallel mode
+//! made 2,096 entities against 1,107 for sources linked in turn. It ran in
+//! 754–1,454 ms against 1,740–1,766 ms (three runs on 2 vCPUs) only because
+//! it scored 139,736 candidate pairs instead of 177,977: the skipped pairs
+//! are the cross-source comparisons that find the duplicates. Construction
+//! now has one mode, sources in turn, and this binary prints that mode's
+//! single run as the baseline a correct parallel mode has to beat.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,33 +89,31 @@ fn main() {
     let n_sources = 4u32;
     let world = MusicWorld::generate(5, 800, 4);
 
-    // ---------- Claim 1: inter-source parallelism ----------
-    println!("# §2.4 — inter-source parallel linking (4 sources × ~800 artists)");
-    for parallel in [false, true] {
-        let (mut artist_pipes, _) = build_pipelines(n_sources);
-        let w = writer();
-        let id_gen = IdGenerator::starting_at(1);
-        let mut ctor = KnowledgeConstructor::new(ont.volatile_predicates());
-        ctor.parallel = parallel;
-        let mut batches = Vec::new();
-        for (i, pipe) in artist_pipes.iter_mut().enumerate() {
-            let spec = ProviderSpec::noisy(40 + i as u64, &format!("p{i}_"));
-            let (a, _s, pops) = provider_datasets(&world, &spec);
-            let (delta, _) = pipe.ingest(&ont, &[a, pops]).expect("ingest");
-            batches.push(SourceBatch {
-                source: pipe.source(),
-                name: pipe.name().into(),
-                delta,
-            });
-        }
-        let t0 = Instant::now();
-        let report = consume(&ctor, &w, &id_gen, batches);
-        let ms = t0.elapsed().as_millis();
-        println!(
-            "  parallel={parallel:<5} total={ms:>5} ms (linking {} ms, fusion {} ms) — {} entities, {} pairs scored",
-            report.linking_ms, report.fusion_ms, w.read().entity_count(), report.pairs_scored,
-        );
+    // ---------- Claim 1: one cycle of four sources, linked in turn ----------
+    println!("# §2.4 — four sources × ~800 artists in one cycle (claim 1 not reproduced)");
+    let (mut artist_pipes, _) = build_pipelines(n_sources);
+    let w = writer();
+    let id_gen = IdGenerator::starting_at(1);
+    let ctor = KnowledgeConstructor::new(ont.volatile_predicates());
+    let mut batches = Vec::new();
+    for (i, pipe) in artist_pipes.iter_mut().enumerate() {
+        let spec = ProviderSpec::noisy(40 + i as u64, &format!("p{i}_"));
+        let (a, _s, pops) = provider_datasets(&world, &spec);
+        let (delta, _) = pipe.ingest(&ont, &[a, pops]).expect("ingest");
+        batches.push(SourceBatch {
+            source: pipe.source(),
+            name: pipe.name().into(),
+            delta,
+        });
     }
+    let report = consume(&ctor, &w, &id_gen, batches);
+    println!(
+        "  {} entities, {} pairs scored, linking {} ms, fusion {} ms",
+        w.read().entity_count(),
+        report.pairs_scored,
+        report.linking_ms,
+        report.fusion_ms,
+    );
 
     // ---------- Claim 2: delta vs full reconstruction ----------
     println!("\n# §2.4 — incremental (delta) vs full re-construction, 5 update cycles");

@@ -21,9 +21,9 @@
 //! * [`fusion`] — merge linked payloads into the KG: outer-join for simple
 //!   facts, relationship-node matching for composite facts, volatile
 //!   partition overwrite.
-//! * [`pipeline`] — the parallel incremental constructor of Fig. 5:
-//!   Added/Updated/Deleted/volatile payloads per source, inter-source
-//!   parallel linking, serialized fusion.
+//! * [`pipeline`] — the incremental constructor of Fig. 5:
+//!   Added/Updated/Deleted/volatile payloads per source; sources link in
+//!   turn, each fused and committed as one op.
 
 pub mod blocking;
 pub mod cluster;

@@ -76,9 +76,9 @@ impl Linker {
 
     /// Link `payloads` (one source's Added partition) against the KG.
     ///
-    /// `kg` is read-only — fusion applies the outcome later, which is what
-    /// lets multiple sources link in parallel against the same snapshot
-    /// (Fig. 5). New ids come from the shared atomic `id_gen`.
+    /// `kg` is read-only: fusion applies the outcome later, in the source's
+    /// own commit, so the next source links against a KG that holds it.
+    /// New ids come from the shared atomic `id_gen`.
     pub fn link(
         &self,
         kg: &KnowledgeGraph,

@@ -139,7 +139,7 @@ fn value_agreement(va: &[&Value], vb: &[&Value]) -> f64 {
 }
 
 /// A matching model: calibrated probability that a pair is a true match.
-pub trait MatchingModel: Send + Sync {
+pub trait MatchingModel {
     /// Probability in `[0, 1]` that `a` and `b` denote the same entity.
     fn score(&self, a: &EntityPayload, b: &EntityPayload) -> f64;
 }

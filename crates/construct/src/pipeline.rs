@@ -1,12 +1,13 @@
-//! The parallel, incremental knowledge-construction pipeline (§2.4, Fig. 5).
+//! The incremental knowledge-construction pipeline (§2.4, Fig. 5).
 //!
 //! Knowledge construction "is designed as a continuously running delta-based
 //! framework; it always operates by consuming source diffs". Each source's
 //! Added / Updated / Deleted / volatile payloads are processed with:
 //!
-//! * **Inter-source parallelism** — sources link concurrently against the
-//!   same KG snapshot (linking is read-only); the synchronization point is
-//!   fusion, applied one source at a time.
+//! * **Sources in turn** — sources link in turn, each fused and committed
+//!   as one op, so a source links against a KG that already holds the
+//!   sources committed before it and shared entities merge in the cycle
+//!   they first meet.
 //! * **Intra-source parallelism** — Added needs the full linking pipeline;
 //!   Updated/Deleted use the `same_as` id-lookup fast path; the volatile
 //!   payload is fused last via partition overwrite.
@@ -60,13 +61,14 @@ pub struct ConstructionReport {
     pub pairs_scored: usize,
     /// Sum of per-payload fusion counters.
     pub fusion: FusionReport,
-    /// Wall-clock milliseconds spent in the (parallel) linking phase.
+    /// Wall-clock milliseconds spent linking, summed over the sources.
     pub linking_ms: u128,
-    /// Wall-clock milliseconds spent in the (serial) fusion phase.
+    /// Wall-clock milliseconds spent fusing and committing, summed over
+    /// the sources.
     pub fusion_ms: u128,
-    /// The log positions of the cycle's commits, in order (one in
-    /// parallel mode, one per source in serial mode). The change payload
-    /// itself lives only in the writer's log, in the ops at these LSNs.
+    /// The log positions of the cycle's commits, one per source, in
+    /// order. The change payload itself lives only in the writer's log,
+    /// in the ops at these LSNs.
     pub lsns: Vec<Lsn>,
 }
 
@@ -78,9 +80,6 @@ pub struct KnowledgeConstructor {
     pub fusion: FusionConfig,
     /// Volatile predicates (from the ontology) for partition overwrite.
     pub volatile_predicates: FxHashSet<Symbol>,
-    /// Run inter-source linking in parallel (the Fig. 5 mode) or serially
-    /// (ablation baseline for experiment E10).
-    pub parallel: bool,
 }
 
 impl KnowledgeConstructor {
@@ -91,17 +90,16 @@ impl KnowledgeConstructor {
             linker: LinkerConfig::default(),
             fusion: FusionConfig::default(),
             volatile_predicates,
-            parallel: true,
         }
     }
 
-    /// Consume one cycle of source batches through the writer: each commit
-    /// (one per cycle in parallel mode, one per source in serial mode) is
-    /// appended to the writer's operation log *before* it is applied to
-    /// the KG, so derived stores follow the construction stream from the
-    /// log. A log I/O error ends the cycle with `Err` and the failed
-    /// commit unapplied; in serial mode the sources committed before it
-    /// stay committed.
+    /// Consume one cycle of source batches through the writer. Sources go
+    /// in turn: each links against the KG as the sources before it left
+    /// it, then commits as one op, appended to the writer's operation log
+    /// *before* it is applied to the KG, so derived stores follow the
+    /// construction stream from the log. A log I/O error ends the cycle
+    /// with `Err` and the failed commit unapplied; the sources committed
+    /// before it stay committed.
     pub fn consume(
         &self,
         writer: &LoggedWriter,
@@ -115,69 +113,21 @@ impl KnowledgeConstructor {
             ..Default::default()
         };
         let linker = Linker::new(self.linker.clone());
-        if self.parallel && batches.len() > 1 {
-            let prepared = {
+        for batch in batches {
+            let link_start = Instant::now();
+            let prep = {
                 let kg = writer.read();
-                Self::link_parallel(&kg, id_gen, &linker, batches, matcher, &mut report)
+                prepare_source(&kg, id_gen, &linker, batch, matcher)
             };
+            report.linking_ms += link_start.elapsed().as_millis();
             let fuse_start = Instant::now();
             let (_, commit) = writer.with_txn(OpKind::Upsert, |txn| {
-                for prep in prepared {
-                    self.fuse_prepared(txn, prep, resolver, &mut report);
-                }
+                self.fuse_prepared(txn, prep, resolver, &mut report);
             })?;
             report.lsns.push(commit.lsn);
-            report.fusion_ms = fuse_start.elapsed().as_millis();
-        } else {
-            // ---- Serial mode: sources are consumed one at a time, each
-            // committed before the next links — so later sources link
-            // against the KG *including* the previous sources' fused
-            // payloads (full cross-source dedup within the cycle).
-            for batch in batches {
-                let link_start = Instant::now();
-                let prep = {
-                    let kg = writer.read();
-                    prepare_source(&kg, id_gen, &linker, batch, matcher)
-                };
-                report.linking_ms += link_start.elapsed().as_millis();
-                let fuse_start = Instant::now();
-                let (_, commit) = writer.with_txn(OpKind::Upsert, |txn| {
-                    self.fuse_prepared(txn, prep, resolver, &mut report);
-                })?;
-                report.lsns.push(commit.lsn);
-                report.fusion_ms += fuse_start.elapsed().as_millis();
-            }
+            report.fusion_ms += fuse_start.elapsed().as_millis();
         }
         Ok(report)
-    }
-
-    /// Inter-source parallel linking against one KG snapshot (Fig. 5).
-    /// Duplicates *across sources within one batch* are not merged until a
-    /// later cycle re-observes them — the latency/dedup tradeoff of
-    /// snapshot linking.
-    fn link_parallel(
-        kg: &KnowledgeGraph,
-        id_gen: &IdGenerator,
-        linker: &Linker,
-        batches: Vec<SourceBatch>,
-        matcher: &dyn MatchingModel,
-        report: &mut ConstructionReport,
-    ) -> Vec<PreparedSource> {
-        let link_start = Instant::now();
-        let prepared: Vec<PreparedSource> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batches
-                .into_iter()
-                .map(|batch| {
-                    scope.spawn(move || prepare_source(kg, id_gen, linker, batch, matcher))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("linking worker panicked"))
-                .collect()
-        });
-        report.linking_ms += link_start.elapsed().as_millis();
-        prepared
     }
 
     fn fuse_prepared(
@@ -545,56 +495,70 @@ mod tests {
 
     #[test]
     fn consume_appends_each_commit_before_applying() {
-        // Serial mode logs one op per source; parallel mode fuses the
-        // whole cycle into one op.
-        for (parallel, commits) in [(false, 2u64), (true, 1)] {
-            let w = writer();
-            let gen = IdGenerator::starting_at(1);
-            let mut ctor = KnowledgeConstructor::new(volatile_set());
-            ctor.parallel = parallel;
-            let report = consume(
-                &ctor,
-                &w,
-                &gen,
-                vec![
-                    added(1, vec![artist(1, "a1", "Billie Eilish")]),
-                    added(2, vec![artist(2, "z9", "Jay-Z")]),
-                ],
-            );
-            assert_eq!(report.lsns, (1..=commits).map(Lsn).collect::<Vec<_>>());
-            assert_eq!(w.log().head(), Lsn(commits));
-            assert_eq!(w.read().entity_count(), 2);
-        }
+        // One op per source, in order.
+        let w = writer();
+        let gen = IdGenerator::starting_at(1);
+        let ctor = KnowledgeConstructor::new(volatile_set());
+        let report = consume(
+            &ctor,
+            &w,
+            &gen,
+            vec![
+                added(1, vec![artist(1, "a1", "Billie Eilish")]),
+                added(2, vec![artist(2, "z9", "Jay-Z")]),
+            ],
+        );
+        assert_eq!(report.lsns, vec![Lsn(1), Lsn(2)]);
+        assert_eq!(w.log().head(), Lsn(2));
+        assert_eq!(w.read().entity_count(), 2);
+    }
+
+    /// Four sources, each naming ten artists: `Artist {s}x{i}` when
+    /// `disjoint`, else the same `Artist {i}` in every source.
+    fn four_sources(disjoint: bool) -> Vec<SourceBatch> {
+        (1..=4u32)
+            .map(|s| {
+                let payloads = (0..10)
+                    .map(|i| {
+                        let name = if disjoint {
+                            format!("Artist {s}x{i}")
+                        } else {
+                            format!("Artist {i}")
+                        };
+                        artist(s, &format!("e{i}"), &name)
+                    })
+                    .collect();
+                added(s, payloads)
+            })
+            .collect()
     }
 
     #[test]
-    fn parallel_and_serial_modes_agree_on_totals() {
-        let make_batches = || {
-            (1..=4u32)
-                .map(|s| {
-                    added(
-                        s,
-                        (0..10)
-                            .map(|i| artist(s, &format!("e{i}"), &format!("Artist {s}x{i}")))
-                            .collect(),
-                    )
-                })
-                .collect::<Vec<_>>()
+    fn one_cycle_equals_one_source_per_cycle() {
+        // A source consumed beside others links exactly as if it came in
+        // its own cycle: it sees every source committed before it.
+        let totals = |w: &LoggedWriter, new_entities: usize| {
+            let kg = w.read();
+            (kg.entity_count(), kg.fact_count(), new_entities)
         };
-        let run = |parallel: bool| {
+        for (disjoint, entities) in [(true, 40), (false, 10)] {
+            let ctor = KnowledgeConstructor::new(volatile_set());
+
             let w = writer();
             let gen = IdGenerator::starting_at(1);
-            let mut ctor = KnowledgeConstructor::new(volatile_set());
-            ctor.parallel = parallel;
-            let r = consume(&ctor, &w, &gen, make_batches());
-            let kg = w.read();
-            (kg.entity_count(), kg.fact_count(), r.new_entities)
-        };
-        let (e1, f1, n1) = run(true);
-        let (e2, f2, n2) = run(false);
-        assert_eq!(e1, e2);
-        assert_eq!(f1, f2);
-        assert_eq!(n1, n2);
-        assert_eq!(e1, 40, "all 40 distinct artists created");
+            let r = consume(&ctor, &w, &gen, four_sources(disjoint));
+            let one_cycle = totals(&w, r.new_entities);
+
+            let w = writer();
+            let gen = IdGenerator::starting_at(1);
+            let new_entities = four_sources(disjoint)
+                .into_iter()
+                .map(|b| consume(&ctor, &w, &gen, vec![b]).new_entities)
+                .sum();
+            let per_cycle = totals(&w, new_entities);
+
+            assert_eq!(one_cycle, per_cycle, "disjoint={disjoint}");
+            assert_eq!(one_cycle.0, entities, "disjoint={disjoint}");
+        }
     }
 }

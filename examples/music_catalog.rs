@@ -121,6 +121,14 @@ fn main() {
             kg.entity_count(),
             kg.fact_count()
         );
+        if cycle == 0 {
+            // Both providers publish the same world: onboarding must merge
+            // the second source's artists into the first's.
+            assert!(
+                report.matched_existing > 0,
+                "cycle 0 merges the two sources"
+            );
+        }
     }
 
     let kg = writer.read();

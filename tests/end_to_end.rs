@@ -91,11 +91,7 @@ fn continuous_construction_deduplicates_across_sources_and_cycles() {
     let mut pipes = make_pipes();
     let writer = writer();
     let id_gen = IdGenerator::starting_at(1);
-    let mut ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
-    // Serial mode consumes sources one at a time, so source B links against
-    // the KG already containing source A — full cross-source dedup in one
-    // cycle (parallel mode defers same-batch duplicates to the next cycle).
-    ctor.parallel = false;
+    let ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
 
     // Cycle 1: onboarding.
     let batches = ingest_cycle(&world, &mut pipes);
@@ -222,8 +218,7 @@ fn construction_commits_write_ahead_through_the_log_to_a_replica() {
     let world = MusicWorld::generate(7, 40, 2);
     let mut pipes = make_pipes();
     let id_gen = IdGenerator::starting_at(1);
-    let mut ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
-    ctor.parallel = false;
+    let ctor = KnowledgeConstructor::new(ontology.volatile_predicates());
 
     let writer = writer();
     let log = Arc::clone(writer.log());
@@ -232,11 +227,7 @@ fn construction_commits_write_ahead_through_the_log_to_a_replica() {
     let batches = ingest_cycle(&world, &mut pipes);
     let sources = batches.len();
     let report = consume(&ctor, &writer, &id_gen, batches);
-    assert_eq!(
-        report.lsns.len(),
-        sources,
-        "serial mode: one commit per source"
-    );
+    assert_eq!(report.lsns.len(), sources, "one commit per source");
     assert!(
         log.read_after(Lsn::ZERO)
             .iter()
