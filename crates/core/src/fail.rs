@@ -97,10 +97,12 @@ pub mod sites {
     pub const WRITER_BEFORE_APPLY: Site = Site("writer::before_apply");
     /// Checkpoint: the temp-write/fsync/rename publish of one artifact.
     pub const CHECKPOINT_PUBLISH: Site = Site("checkpoint::publish");
-    /// Fleet: top of a replica worker's replay poll loop (scoped by
+    /// Fleet: a replica worker's replay poll, checked with the worker
+    /// holding its replica, just before each batch (scoped by
     /// `FleetConfig::fail_scope`). An error kills the worker the way a
     /// replay failure would; a panic exercises the drop-guard death
-    /// path; a delay wedges it.
+    /// path; a delay wedges it with the replica held, as a hung apply
+    /// would, so session reads cannot catch that replica up either.
     pub const FLEET_WORKER_POLL: Site = Site("fleet::worker_poll");
     /// Net server: the per-connection read loop, checked after each
     /// decoded frame and before admission (scoped by

@@ -178,6 +178,7 @@ impl FleetController {
                     served: s.served.load(Ordering::Relaxed),
                     errors: s.errors.load(Ordering::Relaxed),
                     respawns: s.respawns.load(Ordering::Relaxed),
+                    caller_applied: s.caller_applied.load(Ordering::Relaxed),
                 }
             })
             .collect();
@@ -255,6 +256,10 @@ pub struct ReplicaHealth {
     pub errors: u64,
     /// Times respawned.
     pub respawns: u64,
+    /// Ops that request threads applied here — session reads and
+    /// `wait_for_lsn` barriers catching the replica up themselves —
+    /// rather than its worker.
+    pub caller_applied: u64,
 }
 
 /// Point-in-time fleet health.

@@ -11,8 +11,8 @@
 //!   [`catch_up_batch`](saga_live::LiveReplica::catch_up_batch) polls of
 //!   [`REPLAY_BATCH`](saga_live::replica::REPLAY_BATCH) ops applied
 //!   outside the log lock, the slot's watermark as the one published
-//!   freshness state, and one wait cell through which a blocked session
-//!   read wakes the workers).
+//!   freshness state); a session read that finds no replica at its LSN
+//!   catches one up on its own thread.
 //! * [`router`] — [`FleetRouter`]: the single external query surface. It
 //!   routes each read to a *fresh* replica — never one trailing the fleet
 //!   median watermark by more than [`FleetConfig::lag_bound`] — preferring
@@ -53,7 +53,7 @@ pub struct FleetConfig {
     /// The longest a caught-up worker parks before polling the log
     /// again. It bounds the staleness of plain (no-session) reads: ingest
     /// nobody is waiting on is applied when this timeout fires. A session
-    /// read does not wait for it — it wakes the workers itself.
+    /// read does not wait for it — it applies what it needs itself.
     pub poll_interval: Duration,
     /// Offset each worker's first timeout by `i/N` of the interval so
     /// the fleet's fallback polls start spread in time instead of

@@ -7,19 +7,30 @@
 //! writer — and a heartbeat/watermark pair published with plain atomics
 //! so routing and health checks never take a lock on the serving path.
 //!
-//! # Freshness: demand wakes, timed fallback
+//! # Freshness: the caller applies, the worker is the fallback
 //!
-//! A caught-up worker parks on the pool's one wait cell (a `Mutex` +
-//! `Condvar` holding the highest LSN a blocked reader wants) with
-//! `poll_interval` as the timeout. A session read that finds no replica
-//! at its LSN publishes that LSN, wakes the workers and blocks on the
-//! same cell until a worker stores a watermark that satisfies it — so
-//! read-your-writes costs one apply, not a poll interval. Ingest nobody
-//! is waiting on wakes no one: it is applied when the timeout fires, in
-//! at most `poll_interval`-sized batches, with `stagger_polls` spreading
-//! the workers' first timeouts across the interval. Both sides check
-//! their predicate under the cell's mutex and every notifier takes it
-//! first, so no wake-up is lost.
+//! Each slot's replica sits behind one mutex shared by its worker and by
+//! request threads. Every watermark is stored with that mutex held, so
+//! it is monotone for the life of a replica; a respawn swaps the
+//! replica, the engine and the watermark together under it.
+//!
+//! A session read that finds no replica at its LSN does the missing
+//! apply itself: it `try_lock`s the freshest serving slot's replica,
+//! applies the ops up to its token (at most [`REPLAY_BATCH`] per pass),
+//! publishes the watermark and routes again — so read-your-writes costs
+//! the update it has to see, on the thread that asked, with no worker
+//! wake and no hand-back. A caller never blocks on a replica someone
+//! else holds: it waits on the pool's one wait cell (a `Mutex` +
+//! `Condvar`) until a holder releases it or [`WAIT_POLL`] passes, then
+//! tries again, until `session_timeout`. The cell counts releases, and a
+//! waiter sleeps only if none happened since it last looked, so no
+//! release is missed.
+//!
+//! A caught-up worker parks on the same cell for `poll_interval`; only a
+//! kill wakes it sooner. It is the fallback for what nobody waits on:
+//! plain reads trail the log by at most `poll_interval`, with
+//! `stagger_polls` spreading the workers' first timeouts across the
+//! interval.
 //!
 //! # The no-stale-pin protocol
 //!
@@ -58,27 +69,32 @@ pub enum ReplicaState {
     Down,
 }
 
-/// The longest a blocked [`ReplicaPool::wait_for`] goes without
-/// re-checking its predicate (a worker's publish wakes it sooner). It
-/// bounds only how long a state change that notifies nobody — a slot
-/// leaving or rejoining service — goes unnoticed.
+/// The longest a blocked [`ReplicaPool::wait_for`] goes without trying
+/// again (a replica's release wakes it sooner). It bounds only how long
+/// a state change that releases no replica — a slot leaving or
+/// rejoining service — goes unnoticed.
 const WAIT_POLL: Duration = Duration::from_micros(100);
 
 const STATE_SERVING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_DOWN: u8 = 2;
 
-/// One serving slot: a query engine over a replica store, plus the
-/// atomics its worker publishes and its supervisor reads.
+/// One serving slot: a replica and the query engine over its store,
+/// plus the atomics its supervisor and the router read.
 pub(crate) struct Slot {
     pub(crate) id: usize,
+    /// The replica, shared by the slot's worker and by session reads
+    /// that catch it up themselves (see the module docs). Swapped only
+    /// on respawn.
+    replica: Mutex<LiveReplica>,
     /// The serving engine. Swapped only on respawn, and only while no
     /// read pins it (see the module docs); readers clone the `Arc` out
     /// under a brief read lock.
     engine: RwLock<Arc<QueryEngine<ReplicaKg>>>,
-    /// The replica's applied watermark, stored by the worker after each
-    /// applied batch: the fleet's one published copy, which routing, the
-    /// controller and session waits read — never the replica.
+    /// The replica's applied watermark, stored with the `replica` mutex
+    /// held after each applied batch: the fleet's one published copy,
+    /// which routing, the controller and session waits read — never the
+    /// replica.
     pub(crate) watermark: AtomicU64,
     /// Sum of the generations of this slot's *previous* engines: added to
     /// the live engine's generation it keeps the slot (and fleet)
@@ -96,6 +112,8 @@ pub(crate) struct Slot {
     pub(crate) errors: AtomicU64,
     /// Times this slot has been respawned.
     pub(crate) respawns: AtomicU64,
+    /// Ops that request threads, not the worker, applied to this slot.
+    pub(crate) caller_applied: AtomicU64,
     /// Bumped every worker loop iteration; a frozen heartbeat is the
     /// wedge signal.
     pub(crate) heartbeat: AtomicU64,
@@ -103,11 +121,12 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    fn new(id: usize, engine: QueryEngine<ReplicaKg>, watermark: Lsn) -> Arc<Self> {
+    fn new(id: usize, replica: LiveReplica) -> Arc<Self> {
         Arc::new(Slot {
             id,
-            engine: RwLock::new(Arc::new(engine)),
-            watermark: AtomicU64::new(watermark.0),
+            engine: RwLock::new(Arc::new(QueryEngine::new(replica.live().clone()))),
+            watermark: AtomicU64::new(replica.watermark().0),
+            replica: Mutex::new(replica),
             gen_floor: AtomicU64::new(0),
             state: AtomicU8::new(STATE_SERVING),
             kill: AtomicBool::new(false),
@@ -115,6 +134,7 @@ impl Slot {
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
+            caller_applied: AtomicU64::new(0),
             heartbeat: AtomicU64::new(0),
             worker: Mutex::new(None),
         })
@@ -132,8 +152,8 @@ impl Slot {
         self.state.load(Ordering::SeqCst) == STATE_SERVING
     }
 
-    /// Clone the serving engine out (brief read lock, no contention with
-    /// the worker, which never touches the engine lock).
+    /// Clone the serving engine out (brief read lock; only a respawn
+    /// takes the write lock).
     pub(crate) fn engine(&self) -> Arc<QueryEngine<ReplicaKg>> {
         Arc::clone(&self.engine.read())
     }
@@ -144,6 +164,40 @@ impl Slot {
     pub(crate) fn generation(&self) -> u64 {
         let engine = self.engine.read();
         self.gen_floor.load(Ordering::Relaxed) + engine.graph().generation()
+    }
+
+    /// Caller-side catch-up for a read waiting on `lsn`: if nobody holds
+    /// this slot's replica, apply at most one [`REPLAY_BATCH`] of the ops
+    /// up to `lsn`, publish the watermark and release. Returns whether
+    /// the replica is now further along or already at `lsn` — `false`
+    /// means the replica was held, the slot stopped serving, or the log
+    /// had nothing to give.
+    fn apply_up_to(&self, lsn: Lsn, wake: &WaitCell) -> bool {
+        let Some(mut replica) = self.replica.try_lock() else {
+            return false;
+        };
+        let _unwind = DownOnPanic(self);
+        if !self.is_serving() {
+            return false;
+        }
+        let previous = replica.watermark();
+        let missing = lsn.0.saturating_sub(previous.0).min(REPLAY_BATCH as u64);
+        if missing == 0 {
+            return true;
+        }
+        // A replay error (the prefix compacted away) leaves the replica
+        // as it was; its worker meets the same error and dies.
+        let applied = match replica.catch_up_batch(missing as usize) {
+            Ok(n) if n > 0 => n,
+            _ => return false,
+        };
+        self.watermark
+            .store(replica.watermark().0, Ordering::SeqCst);
+        drop(replica);
+        self.caller_applied
+            .fetch_add(applied as u64, Ordering::Relaxed);
+        wake.released(previous);
+        true
     }
 
     /// Exclude the slot from new reads and wait (bounded) for pinned
@@ -161,7 +215,7 @@ impl Slot {
     /// guard; the join result is irrelevant.
     fn stop_worker(&self, wake: &WaitCell) {
         self.kill.store(true, Ordering::SeqCst);
-        wake.notify();
+        wake.notify_workers();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
@@ -182,14 +236,34 @@ impl Drop for DownOnExit {
     }
 }
 
-/// Where caught-up workers and blocked session reads wait for each other
-/// (see the module docs). One per pool.
+/// Held beside a slot's replica guard, and dropped before it: a panic
+/// while applying marks the slot `Down` before the replica is released,
+/// so no caller catches up — and no read is routed to — a replica left
+/// with half a batch applied.
+struct DownOnPanic<'a>(&'a Slot);
+
+impl Drop for DownOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.store(STATE_DOWN, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Where blocked session reads wait for a replica to be released, and
+/// where caught-up workers park. One per pool.
 struct WaitCell {
     /// The highest LSN a blocked reader has asked for, clamped to the log
-    /// head when it asked — so a worker woken because `wanted` is past
-    /// its watermark always finds an op to apply.
+    /// head when it asked: a release notifies readers only if one may
+    /// want more than the replica held when it was taken.
     wanted: std::sync::Mutex<u64>,
-    changed: Condvar,
+    /// Replica releases so far, bumped under `wanted`'s mutex: a reader
+    /// that saw it move since it last tried does not sleep.
+    releases: AtomicU64,
+    /// Blocked readers wait here.
+    readers: Condvar,
+    /// Caught-up workers park here; only a kill notifies it.
+    workers: Condvar,
 }
 
 impl WaitCell {
@@ -199,29 +273,29 @@ impl WaitCell {
         self.wanted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wake every waiter to re-check its predicate. Taking the mutex
-    /// first orders the caller's preceding store before the re-check.
-    fn notify(&self) {
+    /// Wake every parked worker to re-check its kill flag. Taking the
+    /// mutex first orders the caller's preceding store before the
+    /// re-check.
+    fn notify_workers(&self) {
         let _guard = self.lock();
-        self.changed.notify_all();
+        self.workers.notify_all();
     }
 
-    /// Worker side: park until a reader wants an LSN past `watermark`,
-    /// the slot is killed, or `timeout` passes.
-    fn park(&self, slot: &Slot, watermark: Lsn, timeout: Duration) {
+    /// Worker side: park until the slot is killed or `timeout` passes.
+    fn park(&self, slot: &Slot, timeout: Duration) {
         let _ = self
-            .changed
-            .wait_timeout_while(self.lock(), timeout, |wanted| {
-                *wanted <= watermark.0 && !slot.kill.load(Ordering::SeqCst)
-            });
+            .workers
+            .wait_timeout_while(self.lock(), timeout, |_| !slot.kill.load(Ordering::SeqCst));
     }
 
-    /// Worker side, after storing a watermark past `previous`: wake the
-    /// blocked readers, if one may be waiting on this advance.
-    fn published(&self, previous: Lsn) {
+    /// After releasing a replica taken at `previous`: count the release
+    /// and wake the blocked readers if one may be waiting past it — for
+    /// the watermark just stored, or for its own turn at the replica.
+    fn released(&self, previous: Lsn) {
         let wanted = self.lock();
+        self.releases.fetch_add(1, Ordering::SeqCst);
         if *wanted > previous.0 {
-            self.changed.notify_all();
+            self.readers.notify_all();
         }
     }
 }
@@ -260,28 +334,20 @@ impl ReplicaPool {
         std::fs::create_dir_all(&ckpt_dir)?;
         let wake = Arc::new(WaitCell {
             wanted: std::sync::Mutex::new(0),
-            changed: Condvar::new(),
+            releases: AtomicU64::new(0),
+            readers: Condvar::new(),
+            workers: Condvar::new(),
         });
         let mut slots = Vec::with_capacity(cfg.replicas);
         for id in 0..cfg.replicas {
             let replica = LiveReplica::bootstrap(cfg.shards, &ckpt_dir, Arc::clone(&log))?;
-            let slot = Slot::new(
-                id,
-                QueryEngine::new(replica.live().clone()),
-                replica.watermark(),
-            );
+            let slot = Slot::new(id, replica);
             let offset = if cfg.stagger_polls {
                 cfg.poll_interval * id as u32 / cfg.replicas as u32
             } else {
                 Duration::ZERO
             };
-            let handle = spawn_worker(
-                Arc::clone(&slot),
-                replica,
-                cfg.clone(),
-                Arc::clone(&wake),
-                offset,
-            );
+            let handle = spawn_worker(Arc::clone(&slot), cfg.clone(), Arc::clone(&wake), offset);
             *slot.worker.lock() = Some(handle);
             slots.push(slot);
         }
@@ -321,49 +387,44 @@ impl ReplicaPool {
         &self.slots
     }
 
-    /// Block until `ready` yields, re-running it whenever a worker
-    /// publishes a watermark (and at least every [`WAIT_POLL`]), or until
-    /// `deadline` passes. `lsn` is what `ready` is waiting for some
-    /// replica to reach: it is published to the wait cell so parked
-    /// workers wake and apply it now instead of at their next timeout.
+    /// Run `ready` until it yields or `deadline` passes, catching a
+    /// replica up to `lsn` on this thread whenever `ready` comes up
+    /// empty: the freshest serving slot's replica, if nobody holds it.
+    /// When someone does, block until a replica is released (at most
+    /// [`WAIT_POLL`]) and try again.
     pub(crate) fn wait_for<T>(
         &self,
         lsn: Lsn,
         deadline: Instant,
         mut ready: impl FnMut() -> Option<T>,
     ) -> Option<T> {
-        // The common case — some replica is already there — takes no lock.
-        if let Some(out) = ready() {
-            return Some(out);
-        }
-        // A zero session timeout fails fast and wakes nobody either.
-        if Instant::now() >= deadline {
-            return None;
-        }
-        let want = lsn.0.min(self.log.head().0);
-        let mut wanted = self.wake.lock();
-        if want > *wanted {
-            *wanted = want;
-            self.wake.changed.notify_all();
-        }
         loop {
-            // Under the mutex every publishing worker takes before it
-            // notifies: a watermark stored before this check is seen by
-            // it, one stored after it finds this thread already waiting.
+            let releases = self.wake.releases.load(Ordering::SeqCst);
             if let Some(out) = ready() {
                 return Some(out);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            let freshest = self
+                .slots
+                .iter()
+                .filter(|s| s.is_serving())
+                .max_by_key(|s| s.watermark.load(Ordering::SeqCst));
+            if freshest.is_some_and(|slot| slot.apply_up_to(lsn, &self.wake)) {
+                continue;
+            }
+            if Instant::now() >= deadline {
                 return None;
             }
-            let nap = WAIT_POLL.min(left);
-            wanted = self
-                .wake
-                .changed
-                .wait_timeout(wanted, nap)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            let want = lsn.0.min(self.log.head().0);
+            let mut wanted = self.wake.lock();
+            *wanted = (*wanted).max(want);
+            // Under the mutex every release bumps the count in: one that
+            // came after `ready` ran was seen here, and a later one finds
+            // this thread already waiting.
+            if self.wake.releases.load(Ordering::SeqCst) != releases {
+                continue;
+            }
+            let nap = WAIT_POLL.min(deadline.saturating_duration_since(Instant::now()));
+            let _ = self.wake.readers.wait_timeout(wanted, nap);
         }
     }
 
@@ -393,23 +454,24 @@ impl ReplicaPool {
     }
 
     /// Rebuild replica `id` from the newest usable checkpoint plus the
-    /// log tail, swap it into the slot and restart its worker. The dead
-    /// engine's generation folds into the slot's floor under the same
-    /// write lock as the swap, so the slot-level generation stays
-    /// monotone through the bootstrap and across the swap, and a failed
-    /// bootstrap leaves both untouched.
+    /// log tail, swap it into the slot and restart its worker. The
+    /// replica, the engine and the watermark are swapped together under
+    /// the replica mutex, and the dead engine's generation folds into the
+    /// slot's floor under the same engine write lock as the swap, so the
+    /// slot-level generation stays monotone through the bootstrap and
+    /// across the swap. A failed bootstrap leaves the slot untouched.
     pub fn respawn(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
         slot.stop_worker(&self.wake);
-        let replica =
-            LiveReplica::bootstrap(self.cfg.shards, &self.ckpt_dir, Arc::clone(&self.log))?;
-        slot.watermark
-            .store(replica.watermark().0, Ordering::SeqCst);
+        let fresh = LiveReplica::bootstrap(self.cfg.shards, &self.ckpt_dir, Arc::clone(&self.log))?;
         {
+            let mut replica = slot.replica.lock();
             let mut engine = slot.engine.write();
             slot.gen_floor
                 .fetch_add(engine.graph().generation(), Ordering::Relaxed);
-            *engine = Arc::new(QueryEngine::new(replica.live().clone()));
+            *engine = Arc::new(QueryEngine::new(fresh.live().clone()));
+            slot.watermark.store(fresh.watermark().0, Ordering::SeqCst);
+            *replica = fresh;
         }
         slot.kill.store(false, Ordering::SeqCst);
         slot.respawns.fetch_add(1, Ordering::Relaxed);
@@ -418,7 +480,6 @@ impl ReplicaPool {
         slot.state.store(STATE_SERVING, Ordering::SeqCst);
         let handle = spawn_worker(
             Arc::clone(slot),
-            replica,
             self.cfg.clone(),
             Arc::clone(&self.wake),
             Duration::ZERO,
@@ -445,12 +506,11 @@ impl Drop for ReplicaPool {
     }
 }
 
-/// The replay worker: applies log batches to its replica, publishes the
-/// watermark, heartbeats, and when caught up parks on `wake` for at most
-/// one poll interval.
+/// The replay worker: with the slot's replica held, applies one log
+/// batch, publishes the watermark and heartbeats; when caught up, parks
+/// on `wake` for one poll interval.
 fn spawn_worker(
     slot: Arc<Slot>,
-    mut replica: LiveReplica,
     cfg: FleetConfig,
     wake: Arc<WaitCell>,
     phase_offset: Duration,
@@ -460,17 +520,18 @@ fn spawn_worker(
         .spawn(move || {
             let guard = DownOnExit(Arc::clone(&slot));
             if !phase_offset.is_zero() {
-                wake.park(&slot, replica.watermark(), phase_offset);
+                wake.park(&slot, phase_offset);
             }
-            loop {
-                if slot.kill.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Failpoint drills: an injected error kills this worker
-                // exactly like a replay failure (the controller respawns
-                // it from a checkpoint), an injected panic exercises the
-                // drop-guard death path, an injected delay wedges the
-                // worker — alive, not replaying, not heartbeating — for
+            while !slot.kill.load(Ordering::SeqCst) {
+                let mut replica = slot.replica.lock();
+                let unwind = DownOnPanic(&slot);
+                // Failpoint drills, checked with the replica held: an
+                // injected error kills this worker exactly like a replay
+                // failure (the controller respawns it from a checkpoint),
+                // an injected panic exercises the drop-guard death path,
+                // and an injected delay wedges the replica the way a hung
+                // apply would — alive, not replaying, not heartbeating,
+                // and held, so callers cannot catch it up either — for
                 // the wedge detector to catch.
                 if saga_core::fail::check_scoped(
                     saga_core::fail::sites::FLEET_WORKER_POLL,
@@ -483,16 +544,8 @@ fn spawn_worker(
                 }
                 slot.heartbeat.fetch_add(1, Ordering::Relaxed);
                 let previous = replica.watermark();
-                match replica.catch_up_batch(REPLAY_BATCH) {
-                    Ok(0) => wake.park(&slot, previous, cfg.poll_interval),
-                    Ok(_) => {
-                        // Publish *after* the batch is applied: a router
-                        // that observes watermark >= w is guaranteed the
-                        // engine serves every op <= w.
-                        slot.watermark
-                            .store(replica.watermark().0, Ordering::SeqCst);
-                        wake.published(previous);
-                    }
+                let applied = match replica.catch_up_batch(REPLAY_BATCH) {
+                    Ok(n) => n,
                     Err(_) => {
                         // Replay failure (e.g. the prefix was compacted
                         // away under us): this replica can no longer
@@ -501,6 +554,19 @@ fn spawn_worker(
                         slot.errors.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
+                };
+                if applied > 0 {
+                    // Publish *after* the batch is applied: a router
+                    // that observes watermark >= w is guaranteed the
+                    // engine serves every op <= w.
+                    slot.watermark
+                        .store(replica.watermark().0, Ordering::SeqCst);
+                }
+                drop(unwind);
+                drop(replica);
+                wake.released(previous);
+                if applied == 0 {
+                    wake.park(&slot, cfg.poll_interval);
                 }
             }
             drop(guard);

@@ -14,14 +14,15 @@
 //! 3. **load** — among the survivors, pick the fewest in-flight reads,
 //!    rotating the tie-break so equal loads spread round-robin.
 //!
-//! A session read with *no* eligible replica publishes its LSN to the
-//! pool's wait cell, which wakes the parked replay workers, and blocks
-//! there (bounded by
-//! [`FleetConfig::session_timeout`](crate::FleetConfig::session_timeout))
-//! until one of them stores a watermark at or past it — the wait is one
-//! apply, not a poll interval, unless the fleet is down or wedged. Plain
-//! reads wake nobody: what they see trails the log by at most the
-//! workers' `poll_interval` timeout.
+//! A session read with *no* eligible replica catches one up itself: it
+//! takes the freshest serving slot's replica if nobody holds it, applies
+//! the ops up to its token and routes again (see the
+//! [`pool`](crate::pool) module docs). If the replica is held, it waits
+//! for a release and tries again, bounded by
+//! [`FleetConfig::session_timeout`](crate::FleetConfig::session_timeout)
+//! — so the wait is the apply it needs, not a thread wake-up, unless the
+//! fleet is down or wedged. Plain reads apply nothing: what they see
+//! trails the log by at most the workers' `poll_interval`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -72,9 +73,10 @@ impl FleetRouter {
         })
     }
 
-    /// Pin a replica at or past the session's LSN, waiting up to the
-    /// fleet's [`session_timeout`](crate::FleetConfig::session_timeout)
-    /// for one to catch up. Exhausting the wait yields the typed,
+    /// Pin a replica at or past the session's LSN, catching one up on
+    /// this thread if none is, and waiting up to the fleet's
+    /// [`session_timeout`](crate::FleetConfig::session_timeout) while
+    /// another thread holds the replica it needs. Exhausting the wait yields the typed,
     /// retryable [`SagaError::Unavailable`] — never a generic storage
     /// error — so the caller (or a network server translating it into a
     /// retryable wire response) knows the fleet is merely behind, not
@@ -94,8 +96,9 @@ impl FleetRouter {
             })
     }
 
-    /// Block until some serving replica has replayed `lsn` (or time out).
-    /// The freshness primitive under session reads, usable standalone for
+    /// Block until some serving replica has replayed `lsn` (or time out),
+    /// catching one up on this thread the way a session read does. The
+    /// freshness primitive under session reads, usable standalone for
     /// barrier-style "wait until the fleet has my write" coordination.
     pub fn wait_for_lsn(&self, lsn: Lsn, timeout: Duration) -> Result<()> {
         let reached = || {

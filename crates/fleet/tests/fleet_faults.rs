@@ -9,22 +9,32 @@
 //! * a wedged replica is excluded from routing by the lag bound, then
 //!   detected by the controller, drained and respawned;
 //! * an all-stale fleet fails session reads with a timeout instead of a
-//!   stale answer.
+//!   stale answer, and a session read never blocks on a worker holding
+//!   its replica;
+//! * session readers racing on their own threads catch replicas up
+//!   correctly — with no help from the workers, through a respawn, and
+//!   without a slot's watermark ever moving backwards.
 //!
-//! Faults are injected at the `fleet::worker_poll` failpoint, armed for
-//! one drill's fleet through its `fail_scope`. An action with `.times(1)`
+//! Faults are injected at the `fleet::worker_poll` failpoint, which a
+//! worker checks with its replica held, armed for one drill's fleet
+//! through its `fail_scope`. An action with `.times(1)`
 //! lands on whichever worker reaches the site first, so drills read the
 //! struck replica from `FleetController::stats()`.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use saga_core::fail::{self, sites, FailAction};
-use saga_core::{EntityId, GraphRead, KnowledgeGraph, Lsn, SourceId, WriteBatch};
-use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState};
+use saga_core::{
+    intern, EntityId, GraphRead, KnowledgeGraph, Lsn, ProbeKey, SagaError, SessionToken, SourceId,
+    Value, WriteBatch,
+};
+use saga_fleet::{
+    FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState, RoutedRead,
+};
 use saga_graph::{CheckpointWriter, LoggedCommit, LoggedWriter, OpKind, OperationLog};
 use saga_live::LiveReplica;
 
@@ -52,7 +62,6 @@ impl Drop for DrillGuard {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "saga-fleet-{tag}-{}-{}",
@@ -169,7 +178,8 @@ fn session_reads_barriers_and_shutdown_do_not_wait_for_the_poll_interval() {
     let prompt = Duration::from_millis(100);
 
     // The workers are parked for up to half a second (one of them still
-    // in its stagger offset); a waiting reader must wake them itself.
+    // in its stagger offset); a waiting reader must catch a replica up
+    // itself.
     for i in 1..=50u64 {
         let token = commit_person(&w, i).session_token();
         let t0 = Instant::now();
@@ -219,8 +229,8 @@ fn unobserved_commits_reach_plain_reads_through_the_fallback_timeout() {
     let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
 
-    // No session token and no barrier: nothing publishes an LSN to the
-    // wait cell, so only the workers' own timeout can apply this commit.
+    // No session token and no barrier: no caller applies this commit, so
+    // only the workers' own timeout can.
     commit_person(&w, 1);
     assert!(
         wait_until(Duration::from_secs(2), || {
@@ -435,7 +445,8 @@ fn all_stale_session_reads_time_out_rather_than_serve_stale() {
     let dir = temp_dir("stale");
     let scope = "fleet-stale";
     let mut cfg = drill_config(1, scope);
-    cfg.session_timeout = Duration::from_millis(50);
+    let cfg_timeout = Duration::from_millis(50);
+    cfg.session_timeout = cfg_timeout;
     let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
 
@@ -443,17 +454,27 @@ fn all_stale_session_reads_time_out_rather_than_serve_stale() {
     router.wait_for_lsn(Lsn(1), Duration::from_secs(5)).unwrap();
 
     // Wedge the only replica, then commit: nothing can reach the token.
+    // The wedged worker holds its replica, so the reader cannot catch it
+    // up either.
     let _drill = arm(scope, FailAction::delay(Duration::from_secs(30)));
     std::thread::sleep(Duration::from_millis(5)); // let the worker reach the site
     let commit = commit_person(&w, 2);
     let token = commit.session_token();
+    let t0 = Instant::now();
     let err = router
         .query_with_session("FIND person WHERE name = \"Fleet Person 2\"", &token)
         .unwrap_err();
+    let waited = t0.elapsed();
     assert!(err.to_string().contains("timed out"), "{err}");
     assert!(
         err.is_retryable(),
         "session timeout must be the typed retryable error, got {err:?}"
+    );
+    // A reader that blocked on the held replica instead of trying it
+    // would sit out the 30 s wedge.
+    assert!(
+        waited < cfg_timeout + Duration::from_millis(250),
+        "the typed timeout took {waited:?} against a {cfg_timeout:?} session timeout"
     );
 
     // Un-wedge: the worker resumes on its own and the read goes through.
@@ -544,6 +565,237 @@ fn fleet_generation_never_decreases_while_a_slot_respawns() {
     );
     router
         .wait_for_lsn(Lsn(2000), Duration::from_secs(5))
+        .unwrap();
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entity's facts in the flattened index vocabulary the log ships.
+fn flat_record<G: GraphRead>(graph: &G, id: EntityId) -> Option<Vec<(String, Value)>> {
+    graph.record(id).map(|r| {
+        let mut facts: Vec<(String, Value)> = r
+            .triples
+            .iter()
+            .filter_map(saga_core::index::flatten)
+            .map(|(p, v)| (p.to_string(), v))
+            .collect();
+        facts.sort_unstable();
+        facts
+    })
+}
+
+/// The pinned replica serves exactly the writer's records and postings
+/// for persons `1..=n`.
+fn assert_matches_writer(read: &RoutedRead, w: &LoggedWriter, n: u64) {
+    let kg = w.read();
+    let person = ProbeKey::Type(intern("person"));
+    assert_eq!(read.graph().postings(&person), kg.postings(&person));
+    for i in 1..=n {
+        let id = EntityId(i);
+        assert_eq!(
+            flat_record(read.graph(), id),
+            flat_record(&*kg, id),
+            "replica {} record {i}",
+            read.replica()
+        );
+        let name = ProbeKey::Name(format!("Fleet Person {i}"));
+        assert_eq!(read.graph().postings(&name), kg.postings(&name));
+    }
+}
+
+#[test]
+fn racing_session_readers_catch_replicas_up_on_their_own_threads() {
+    const READERS: u64 = 4;
+    const PAIRS: u64 = 200;
+    let w = producer();
+    let dir = temp_dir("racing");
+    // The workers poll every 10 s, so within the drill only the readers'
+    // own catch-up can meet the 1 s session timeout.
+    let cfg = FleetConfig {
+        poll_interval: Duration::from_secs(10),
+        session_timeout: Duration::from_secs(1),
+        ..fast_config(2)
+    };
+    let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+    let controller = FleetController::new(Arc::clone(&pool));
+
+    let stop = AtomicBool::new(false);
+    let decreases = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut last = vec![Lsn::ZERO; pool.replicas()];
+            let mut decreases = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                for r in controller.stats().replicas {
+                    if r.watermark < last[r.replica] {
+                        decreases.push((r.replica, last[r.replica], r.watermark));
+                    }
+                    last[r.replica] = r.watermark;
+                }
+            }
+            decreases
+        });
+        let readers: Vec<_> = (0..READERS)
+            .map(|t| {
+                let (w, router) = (&w, &router);
+                s.spawn(move || {
+                    for k in 0..PAIRS {
+                        let id = 1 + t * PAIRS + k;
+                        let token = commit_person(w, id).session_token();
+                        let hits = router
+                            .query_with_session(
+                                &format!("FIND person WHERE name = \"Fleet Person {id}\""),
+                                &token,
+                            )
+                            .unwrap();
+                        assert_eq!(
+                            hits.entities(),
+                            vec![EntityId(id)],
+                            "session read {id} missed its own committed write"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for reader in readers {
+            reader.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        sampler.join().unwrap()
+    });
+    assert!(
+        decreases.is_empty(),
+        "a slot watermark moved backwards: {decreases:?}"
+    );
+    let caller_applied: u64 = controller
+        .stats()
+        .replicas
+        .iter()
+        .map(|r| r.caller_applied)
+        .sum();
+    assert!(caller_applied > 0, "no request thread applied an op");
+
+    // Every replica ends equal to the writer: the one the readers caught
+    // up, then — with it killed — the other, caught up by the barrier.
+    let n = READERS * PAIRS;
+    let head = w.log().head();
+    assert_eq!(head, Lsn(n));
+    let at_head = SessionToken::at(head);
+    router.wait_for_lsn(head, Duration::from_secs(5)).unwrap();
+    let first = {
+        let read = router.read_with_session(&at_head).unwrap();
+        assert_matches_writer(&read, &w, n);
+        read.replica()
+    };
+    pool.kill(first).unwrap();
+    router.wait_for_lsn(head, Duration::from_secs(5)).unwrap();
+    let read = router.read_with_session(&at_head).unwrap();
+    assert_eq!(read.replica(), 1 - first);
+    assert_matches_writer(&read, &w, n);
+    drop(read);
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn session_reads_stay_fresh_and_typed_while_a_slot_respawns() {
+    let w = producer();
+    let dir = temp_dir("respawn-sessions");
+    let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+
+    // As in the generation drill: the first respawn swaps a
+    // high-generation engine for a checkpoint-bootstrapped low one.
+    for i in 1..=2000u64 {
+        commit_person(&w, i);
+    }
+    router
+        .wait_for_lsn(Lsn(2000), Duration::from_secs(5))
+        .unwrap();
+    CheckpointWriter::new(&w, &dir).checkpoint().unwrap();
+
+    // Session readers commit and read back while slot 0 respawns under
+    // them, catching replicas up on their own threads throughout.
+    let stop = AtomicBool::new(false);
+    let next = AtomicU64::new(2001);
+    let (drops, outcomes) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut drops = Vec::new();
+            let mut last = router.generation();
+            while !stop.load(Ordering::Relaxed) {
+                let now = router.generation();
+                if now < last {
+                    drops.push((last, now));
+                }
+                last = now;
+            }
+            drops
+        });
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let (mut served, mut stale, mut errors) = (0u64, Vec::new(), Vec::new());
+                    while !stop.load(Ordering::Relaxed) {
+                        let id = next.fetch_add(1, Ordering::Relaxed);
+                        let token = commit_person(&w, id).session_token();
+                        match router.read_with_session(&token) {
+                            Ok(read) => {
+                                if read.watermark() < token.lsn() {
+                                    stale.push((read.replica(), read.watermark(), token.lsn()));
+                                }
+                                let hits = read
+                                    .query(&format!(
+                                        "FIND person WHERE name = \"Fleet Person {id}\""
+                                    ))
+                                    .unwrap();
+                                assert_eq!(hits.entities(), vec![EntityId(id)]);
+                                served += 1;
+                            }
+                            Err(e) => errors.push(e),
+                        }
+                    }
+                    (served, stale, errors)
+                })
+            })
+            .collect();
+        // Let a few session reads land before each respawn and after the
+        // last, so the readers overlap every swap.
+        let reads_land = || {
+            let mark = next.load(Ordering::Relaxed);
+            assert!(
+                wait_until(Duration::from_secs(5), || next.load(Ordering::Relaxed)
+                    > mark + 4),
+                "session readers stalled"
+            );
+        };
+        for _ in 0..5 {
+            reads_land();
+            pool.respawn(0).unwrap();
+        }
+        reads_land();
+        stop.store(true, Ordering::Relaxed);
+        let outcomes: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+        (sampler.join().unwrap(), outcomes)
+    });
+    assert!(
+        drops.is_empty(),
+        "fleet generation went backwards during a respawn: {drops:?}"
+    );
+    for (served, stale, errors) in &outcomes {
+        assert!(*served > 0, "a reader was never served");
+        assert!(
+            stale.is_empty(),
+            "routed reads below their session token: {stale:?}"
+        );
+        assert!(
+            errors
+                .iter()
+                .all(|e| matches!(e, SagaError::Unavailable(_))),
+            "a session read failed with an untyped error: {errors:?}"
+        );
+    }
+    router
+        .wait_for_lsn(w.log().head(), Duration::from_secs(5))
         .unwrap();
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

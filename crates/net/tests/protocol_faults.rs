@@ -752,7 +752,9 @@ fn session_wait_timeout_maps_to_typed_unavailable_on_the_wire() {
         "stale",
         FailAction::delay(Duration::from_secs(30)),
     );
-    // Each worker's next poll parks it; two hits are two parked workers.
+    // Each worker's next poll wedges it holding its replica, so no
+    // session read can catch that replica up; two hits are two wedged
+    // workers.
     wait_for("wedged fleet", || fail::hits(sites::FLEET_WORKER_POLL) >= 2);
     client
         .commit(WireBatch::new().named_entity(
