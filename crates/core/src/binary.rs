@@ -38,6 +38,26 @@ pub fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
+/// Encoded length of `v` as an LEB128 varint.
+#[inline]
+pub(crate) fn varint_len(v: u64) -> usize {
+    ((64 - v.leading_zeros() as usize).max(1)).div_ceil(7)
+}
+
+/// Write `v` as an LEB128 varint at the front of `buf` and return its
+/// length, or `None` (nothing written) if `buf` is too short — the
+/// fixed-capacity twin of [`push_varint`].
+pub(crate) fn put_varint(buf: &mut [u8], mut v: u64) -> Option<usize> {
+    let len = varint_len(v);
+    let out = buf.get_mut(..len)?;
+    for b in out.iter_mut() {
+        *b = (v as u8 & 0x7f) | 0x80;
+        v >>= 7;
+    }
+    out[len - 1] &= 0x7f;
+    Some(len)
+}
+
 /// Read one varint at `*at`, advancing past it.
 #[inline]
 pub fn take_varint(bytes: &[u8], at: &mut usize) -> Result<u64> {
@@ -176,6 +196,14 @@ mod tests {
             let mut at = 0;
             assert_eq!(take_varint(&buf, &mut at).unwrap(), v);
             assert_eq!(at, buf.len());
+            assert_eq!(varint_len(v), buf.len());
+            // The fixed-capacity writer writes the same bytes, or none.
+            let mut fixed = [0xaa; 10];
+            assert_eq!(put_varint(&mut fixed, v), Some(buf.len()));
+            assert_eq!(&fixed[..buf.len()], &buf[..]);
+            let mut short = vec![0xaa; buf.len() - 1];
+            assert_eq!(put_varint(&mut short, v), None);
+            assert!(short.iter().all(|&b| b == 0xaa), "nothing written");
         }
         for v in [0i64, -1, 1, i64::MIN, i64::MAX] {
             assert_eq!(unzigzag(zigzag(v)), v);

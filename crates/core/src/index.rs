@@ -42,7 +42,7 @@
 //! same extended-triple trick (§2.1) the analytics store uses, so both
 //! share one schema.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::postings::{intersect_views_limit, BlockPostings, PostingsView};
 use crate::well_known;
@@ -59,17 +59,21 @@ pub struct PostingsStats {
     pub lists: usize,
     /// Total posting entries across all lists.
     pub entries: usize,
-    /// Lists in the tiny (single varint run) tier.
+    /// Lists in the tiny (single varint run) tier, inline or boxed.
     pub tiny_lists: usize,
     /// Entries held by tiny lists.
     pub tiny_entries: usize,
-    /// Heap bytes held by tiny lists.
+    /// Encoded bytes of tiny runs (an inline run counts its bytes).
     pub tiny_bytes: usize,
+    /// Tiny lists whose run is stored inline in the list header.
+    pub inline_lists: usize,
+    /// Entries held by inline lists.
+    pub inline_entries: usize,
     /// Lists in the blocked tier.
     pub blocked_lists: usize,
     /// Entries held by blocked lists.
     pub blocked_entries: usize,
-    /// Heap bytes held by blocked lists (directories + containers).
+    /// Encoded bytes of blocked lists (directories + containers).
     pub blocked_bytes: usize,
     /// Blocks across all blocked lists.
     pub blocks: usize,
@@ -154,6 +158,14 @@ pub struct TripleIndex {
     /// fingerprint ([`probe_fingerprint`](Self::probe_fingerprint))
     /// instead of one global generation.
     pub(crate) stamp: u64,
+}
+
+/// The name and alias predicates, interned once per process: the global
+/// interner is append-only, so a symbol never changes, and the delta path
+/// need not take its lock on every apply.
+fn name_predicates() -> [Symbol; 2] {
+    static NAMES: OnceLock<[Symbol; 2]> = OnceLock::new();
+    *NAMES.get_or_init(|| [intern(well_known::NAME), intern(well_known::ALIAS)])
 }
 
 /// Flatten one extended triple to its indexed `(predicate, value)` form:
@@ -324,7 +336,7 @@ impl TripleIndex {
         let entity = delta.entity;
         // Token postings derive from name and alias facts alone, so only a
         // delta that touches one re-tokenizes the subject's names.
-        let names = [intern(well_known::NAME), intern(well_known::ALIAS)];
+        let names = name_predicates();
         let tokens_before = delta
             .added
             .iter()
@@ -557,23 +569,45 @@ impl TripleIndex {
         self.probe_all_limit(&probes.iter().collect::<Vec<_>>(), usize::MAX)
     }
 
-    /// Approximate heap bytes of all posting lists (POS + OSP + token) in
-    /// their compressed block form — the postings memory gauge.
+    /// Encoded payload bytes of all posting lists (POS + OSP + token) —
+    /// runs, directories and containers, an inline run counting its bytes.
+    /// Slots, list headers and boxes are not counted: for the whole heap
+    /// see [`heap_bytes`](Self::heap_bytes).
     pub fn index_bytes(&self) -> usize {
         self.pos
             .values()
-            .map(BlockPostings::heap_bytes)
-            .sum::<usize>()
-            + self
-                .osp
-                .values()
-                .map(BlockPostings::heap_bytes)
-                .sum::<usize>()
-            + self
-                .tokens
-                .values()
-                .map(BlockPostings::heap_bytes)
-                .sum::<usize>()
+            .chain(self.osp.values())
+            .chain(self.tokens.values())
+            .map(BlockPostings::payload_bytes)
+            .sum()
+    }
+
+    /// Estimated heap bytes of the whole index, by family: each posting
+    /// family's hash slots (key + list header) plus what its lists own,
+    /// the object dictionary, and the SPO rows.
+    pub fn heap_bytes(&self) -> IndexHeap {
+        fn lists<'a>(lists: impl Iterator<Item = &'a BlockPostings>) -> usize {
+            lists.map(BlockPostings::heap_bytes).sum()
+        }
+        let strings = |value: &Value| match value {
+            Value::Str(s) | Value::SourceRef(s) => arc_str_bytes(s),
+            _ => 0,
+        };
+        IndexHeap {
+            pos: table_bytes(&self.pos) + lists(self.pos.values()),
+            osp: table_bytes(&self.osp) + lists(self.osp.values()),
+            tokens: table_bytes(&self.tokens)
+                + lists(self.tokens.values())
+                + self.tokens.keys().map(arc_str_bytes).sum::<usize>(),
+            // A string value's `Arc` is shared by both dictionary sides;
+            // it is counted once.
+            objects: table_bytes(&self.obj_ids)
+                + vec_bytes(&self.obj_values)
+                + vec_bytes(&self.obj_refs)
+                + vec_bytes(&self.obj_free)
+                + self.obj_values.iter().map(strings).sum::<usize>(),
+            spo: table_bytes(&self.spo) + self.spo.values().map(vec_bytes).sum::<usize>(),
+        }
     }
 
     /// What the same postings would occupy as plain sorted
@@ -601,11 +635,15 @@ impl TripleIndex {
             if list.is_tiny() {
                 stats.tiny_lists += 1;
                 stats.tiny_entries += list.len();
-                stats.tiny_bytes += list.heap_bytes();
+                stats.tiny_bytes += list.payload_bytes();
+                if list.is_inline() {
+                    stats.inline_lists += 1;
+                    stats.inline_entries += list.len();
+                }
             } else {
                 stats.blocked_lists += 1;
                 stats.blocked_entries += list.len();
-                stats.blocked_bytes += list.heap_bytes();
+                stats.blocked_bytes += list.payload_bytes();
                 stats.blocks += list.block_count();
                 stats.dense_blocks += list.dense_block_count();
             }
@@ -762,6 +800,66 @@ impl TripleIndex {
             list.set_stamp(stamp);
         }
     }
+}
+
+/// Estimated heap bytes of a [`TripleIndex`] by family (see
+/// [`TripleIndex::heap_bytes`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct IndexHeap {
+    /// POS slots plus the boxed runs and blocks their lists own.
+    pub pos: usize,
+    /// OSP slots plus their lists' boxed runs and blocks.
+    pub osp: usize,
+    /// Token slots, their lists' boxed runs and blocks, and the token
+    /// strings.
+    pub tokens: usize,
+    /// The object dictionary: both sides, refcounts, free list, strings.
+    pub objects: usize,
+    /// SPO slots and per-subject `(predicate, object)` rows.
+    pub spo: usize,
+}
+
+impl IndexHeap {
+    /// Sum over every family.
+    pub fn total(&self) -> usize {
+        self.pos + self.osp + self.tokens + self.objects + self.spo
+    }
+}
+
+impl std::ops::Add for IndexHeap {
+    type Output = IndexHeap;
+    fn add(self, other: IndexHeap) -> IndexHeap {
+        IndexHeap {
+            pos: self.pos + other.pos,
+            osp: self.osp + other.osp,
+            tokens: self.tokens + other.tokens,
+            objects: self.objects + other.objects,
+            spo: self.spo + other.spo,
+        }
+    }
+}
+
+/// Heap bytes of a hash table's slots, from the SwissTable layout the
+/// standard map uses: a power-of-two bucket count holding at most 7/8 of
+/// it in use (all but one bucket below 8), one `(K, V)` slot and one
+/// control byte per bucket, and a 16-byte control-group tail.
+fn table_bytes<K, V, S>(map: &std::collections::HashMap<K, V, S>) -> usize {
+    let cap = map.capacity();
+    let buckets = match cap {
+        0 => return 0,
+        1..=7 => cap + 1,
+        _ => cap / 7 * 8,
+    };
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
+}
+
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// An `Arc<str>` allocation: two reference counts and the bytes.
+fn arc_str_bytes(s: &Arc<str>) -> usize {
+    2 * std::mem::size_of::<usize>() + s.len()
 }
 
 /// Free-list-aware dictionary interning: reuse a recycled slot before
@@ -1188,6 +1286,80 @@ mod tests {
         assert_eq!(idx.obj_dict_slots(), slots, "free list reused");
         assert_eq!(idx.by_literal(intern("x"), &Value::Int(3)), &[EntityId(2)]);
         assert!(idx.by_literal(intern("x"), &Value::Int(1)).is_empty());
+    }
+
+    #[test]
+    fn heap_bytes_counts_slots_lists_dictionary_and_rows() {
+        let mut idx = TripleIndex::new();
+        assert_eq!(idx.heap_bytes(), IndexHeap::default());
+        // One literal fact: its POS list is an inline singleton, so the
+        // POS family is exactly its slots, and the gauge is one byte.
+        idx.update_entity(&record(1, &[("founded", Value::Int(1946))]));
+        let heap = idx.heap_bytes();
+        assert!(idx.pos.values().all(BlockPostings::is_inline));
+        assert_eq!(heap.pos, table_bytes(&idx.pos));
+        assert!(heap.pos > std::mem::size_of::<((Symbol, ObjId), BlockPostings)>());
+        assert_eq!((heap.osp, heap.tokens), (0, 0));
+        assert_eq!(idx.index_bytes(), 1, "the inline run's one byte");
+        let row = std::mem::size_of::<(Symbol, ObjId)>();
+        assert_eq!(
+            heap.spo,
+            table_bytes(&idx.spo) + idx.spo[&EntityId(1)].capacity() * row
+        );
+        let value = std::mem::size_of::<Value>();
+        assert!(heap.objects >= table_bytes(&idx.obj_ids) + value + 4);
+        assert_eq!(
+            heap.total(),
+            heap.pos + heap.osp + heap.tokens + heap.objects + heap.spo
+        );
+
+        // Forty subjects share the value: the run outgrows the header and
+        // its box and bytes join the POS family.
+        for id in 2..=40 {
+            idx.update_entity(&record(id * 1_000, &[("founded", Value::Int(1946))]));
+        }
+        let list = idx.by_literal(intern("founded"), &Value::Int(1946));
+        assert_eq!(list.len(), 40);
+        let boxed = list.heap_bytes();
+        assert!(
+            boxed > idx.index_bytes(),
+            "the box is counted beside the run"
+        );
+        let heap = idx.heap_bytes();
+        assert_eq!(heap.pos, table_bytes(&idx.pos) + boxed);
+
+        // A name and an edge add token slots, token strings and an OSP
+        // list; the name string is counted once in the dictionary.
+        let before = heap;
+        idx.update_entity(&record(
+            1,
+            &[
+                ("founded", Value::Int(1946)),
+                ("name", Value::str("Ada")),
+                ("knows", Value::Entity(EntityId(2_000))),
+            ],
+        ));
+        let heap = idx.heap_bytes();
+        assert_eq!(heap.osp, table_bytes(&idx.osp));
+        let token_strings: usize = idx.tokens.keys().map(arc_str_bytes).sum();
+        assert_eq!(heap.tokens, table_bytes(&idx.tokens) + token_strings);
+        assert!(heap.objects >= before.objects + arc_str_bytes(&Arc::from("Ada")));
+        let rows: usize = idx.spo.values().map(|r| r.capacity() * row).sum();
+        assert_eq!(heap.spo, table_bytes(&idx.spo) + rows);
+    }
+
+    #[test]
+    fn postings_stats_count_inline_lists_among_tiny_ones() {
+        let mut idx = TripleIndex::new();
+        idx.update_entity(&record(1, &[("x", Value::Int(1))]));
+        for id in 1..=20 {
+            idx.update_entity(&record(id * 1_000, &[("y", Value::Int(2))]));
+        }
+        let stats = idx.postings_stats();
+        assert_eq!((stats.lists, stats.tiny_lists), (2, 2));
+        assert_eq!((stats.inline_lists, stats.inline_entries), (1, 1));
+        assert_eq!(stats.tiny_entries, 21);
+        assert_eq!(stats.tiny_bytes, idx.index_bytes());
     }
 
     #[test]

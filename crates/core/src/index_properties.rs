@@ -22,7 +22,8 @@
 
 use crate::index::{flatten, name_tokens};
 use crate::postings::{
-    intersect_views, union_views, BlockPostings, PostingsView, BLOCK_SPAN, DENSE_MIN, SPARSE_MAX,
+    intersect_views, union_views, BlockPostings, PostingsView, BLOCK_SPAN, DENSE_MIN, INLINE_MAX,
+    SPARSE_MAX, TINY_MAX, TINY_MIN,
 };
 use crate::read::intersect_postings;
 use crate::{
@@ -492,6 +493,7 @@ fn compressed_list_matches_plain_vec_reference_under_churn() {
                     plain.0,
                     "seed {seed} step {step}: contents diverged"
                 );
+                assert_wire_roundtrip(&compressed, &format!("seed {seed} step {step}"));
                 for probe in [0u64, 1, 4_095, 4_096, 4_100, 1 << 20, 97 * 13] {
                     let id = EntityId(probe);
                     assert_eq!(
@@ -510,6 +512,150 @@ fn compressed_list_matches_plain_vec_reference_under_churn() {
         assert!(
             crossed_tiny,
             "seed {seed}: churn never passed through the tiny tier"
+        );
+    }
+}
+
+/// `read_bytes(write_bytes(l))` holds the same ids in the same tier and
+/// writes back the same bytes.
+fn assert_wire_roundtrip(list: &BlockPostings, label: &str) {
+    let mut buf = Vec::new();
+    list.write_bytes(&mut buf);
+    let mut at = 0usize;
+    let back = BlockPostings::read_bytes(&buf, &mut at).expect("decodes");
+    assert_eq!(at, buf.len(), "{label}: consumed the payload");
+    assert_eq!(back, *list, "{label}: restored contents");
+    assert_eq!(
+        (back.is_tiny(), back.is_inline()),
+        (list.is_tiny(), list.is_inline()),
+        "{label}: restored tier"
+    );
+    let mut again = Vec::new();
+    back.write_bytes(&mut again);
+    assert_eq!(again, buf, "{label}: re-encode is byte-identical");
+}
+
+/// Encoded length of the tiny run over sorted `ids`: one varint for the
+/// first id, then one per `gap - 1`.
+fn tiny_run_bytes(ids: &[EntityId]) -> usize {
+    let varint = |v: u64| (64 - v.leading_zeros() as usize).max(1).div_ceil(7);
+    ids.iter()
+        .enumerate()
+        .map(|(i, id)| {
+            varint(if i == 0 {
+                id.0
+            } else {
+                id.0 - ids[i - 1].0 - 1
+            })
+        })
+        .sum()
+}
+
+/// Churn that hovers around the tiny tier's two edges — runs of 12, 13
+/// and 14 bytes (inline ↔ boxed) and lists of 128 and 256 ids (tiny ↔
+/// blocked) — checked step by step against the plain reference, with
+/// the storage each edge implies and a wire round trip in every tier.
+#[test]
+fn tiny_tier_edges_match_plain_vec_reference() {
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(0x1A11 ^ seed);
+
+        // Inline ↔ boxed: ids whose varints are 1, 2 or 3 bytes, with
+        // inserts favoured below 13 bytes and removals (mostly of present
+        // ids) above.
+        let mut plain = PlainPostings::default();
+        let mut list = BlockPostings::new();
+        let mut run_sizes = [false; 3];
+        let (mut spilled, mut returned) = (false, false);
+        for step in 0..3_000 {
+            let mut id = EntityId(match rng.gen_range(0..4) {
+                0 | 1 => rng.gen_range(0..128),
+                2 => rng.gen_range(0..4_000),
+                _ => rng.gen_range(0..300_000),
+            });
+            let was_inline = list.is_inline();
+            let grow = tiny_run_bytes(&plain.0) < INLINE_MAX;
+            if rng.gen_bool(if grow { 0.8 } else { 0.2 }) {
+                assert_eq!(list.insert(id), plain.insert(id), "seed {seed} step {step}");
+            } else {
+                if !plain.0.is_empty() && rng.gen_bool(0.8) {
+                    id = plain.0[rng.gen_range(0..plain.0.len())];
+                }
+                assert_eq!(list.remove(id), plain.remove(id), "seed {seed} step {step}");
+            }
+            let bytes = tiny_run_bytes(&plain.0);
+            assert_eq!(list.len(), plain.0.len(), "seed {seed} step {step}");
+            assert_eq!(
+                list.is_inline(),
+                bytes <= INLINE_MAX,
+                "seed {seed} step {step}: a {bytes}-byte run in the wrong storage"
+            );
+            if let Some(seen) = bytes
+                .checked_sub(INLINE_MAX - 1)
+                .and_then(|i| run_sizes.get_mut(i))
+            {
+                *seen = true;
+            }
+            spilled |= was_inline && !list.is_inline();
+            returned |= !was_inline && list.is_inline();
+            assert_eq!(list.to_vec(), plain.0, "seed {seed} step {step}");
+            let probe = plain.0.get(step % plain.0.len().max(1)).copied();
+            if let Some(probe) = probe {
+                assert!(list.contains(probe), "seed {seed} step {step}");
+            }
+            assert_eq!(
+                list.last(),
+                plain.0.last().copied(),
+                "seed {seed} step {step}"
+            );
+            if step % 50 == 0 {
+                assert_wire_roundtrip(&list, &format!("seed {seed} step {step}"));
+            }
+        }
+        assert_eq!(run_sizes, [true; 3], "seed {seed}: 12/13/14-byte runs");
+        assert!(spilled && returned, "seed {seed}: inline ↔ boxed both ways");
+
+        // Tiny ↔ blocked: the length walks past TINY_MAX and back below
+        // TINY_MIN twice, across several blocks.
+        let mut plain = PlainPostings::default();
+        let mut list = BlockPostings::new();
+        let (mut split, mut merged) = (0, 0);
+        let mut target_up = true;
+        for step in 0..4_000 {
+            if plain.0.len() > TINY_MAX + 8 {
+                target_up = false;
+            } else if plain.0.len() < TINY_MIN - 8 {
+                target_up = true;
+            }
+            let mut id = EntityId(rng.gen_range(0..3 * BLOCK_SPAN));
+            let was_tiny = list.is_tiny();
+            if rng.gen_bool(if target_up { 0.75 } else { 0.25 }) {
+                assert_eq!(list.insert(id), plain.insert(id), "seed {seed} step {step}");
+            } else {
+                if !plain.0.is_empty() && rng.gen_bool(0.8) {
+                    id = plain.0[rng.gen_range(0..plain.0.len())];
+                }
+                assert_eq!(list.remove(id), plain.remove(id), "seed {seed} step {step}");
+            }
+            let len = plain.0.len();
+            assert_eq!(list.len(), len, "seed {seed} step {step}");
+            if len > TINY_MAX {
+                assert!(!list.is_tiny(), "seed {seed} step {step}: {len} ids tiny");
+            }
+            if len < TINY_MIN {
+                assert!(list.is_tiny(), "seed {seed} step {step}: {len} ids blocked");
+            }
+            split += usize::from(was_tiny && !list.is_tiny());
+            merged += usize::from(!was_tiny && list.is_tiny());
+            if step % 100 == 0 || was_tiny != list.is_tiny() {
+                assert_eq!(list.to_vec(), plain.0, "seed {seed} step {step}");
+                assert_wire_roundtrip(&list, &format!("seed {seed} step {step}"));
+            }
+        }
+        assert_eq!(list.to_vec(), plain.0, "seed {seed}: final contents");
+        assert!(
+            split >= 2 && merged >= 2,
+            "seed {seed}: {split} splits, {merged} merges"
         );
     }
 }

@@ -53,7 +53,7 @@ mod write_properties;
 pub use entity::{EntityPayload, EntityRecord};
 pub use error::{Result, SagaError};
 pub use id::{EntityId, IdGenerator, Lsn, RelId, SourceId};
-pub use index::{Delta, DeltaFact, PostingsStats, ProbeKey, TripleIndex};
+pub use index::{Delta, DeltaFact, IndexHeap, PostingsStats, ProbeKey, TripleIndex};
 pub use intern::{intern, resolve, symbol_text, Symbol};
 pub use kg::{KgStats, KnowledgeGraph};
 pub use meta::{FactMeta, SourceTrust};

@@ -11,7 +11,10 @@
 //! * a **tiny** list (≤ [`TINY_MAX`] ids — the singleton reverse-edge and
 //!   rare-token lists that dominate list *count*) is one delta+varint
 //!   byte run over the full ids, ~2–3 bytes per id instead of 8, with an
-//!   `O(1)` append fast path for the ascending inserts replay produces;
+//!   `O(1)` append fast path for the ascending inserts replay produces.
+//!   A run of at most [`INLINE_MAX`] bytes — every singleton, and most
+//!   lists of two or three ids — is stored **inline** in the 24-byte list
+//!   header with no allocation; a longer run sits behind one `Box`;
 //! * past that, the id space is cut into **blocks** of [`BLOCK_SPAN`]
 //!   consecutive ids (`block key = id >> 12`):
 //!   * a **dense** block stores membership as a 64-word (4096-bit)
@@ -48,7 +51,9 @@
 
 use std::cell::RefCell;
 
-use crate::binary::{push_varint, take_count, take_slice, take_u8, take_varint};
+use crate::binary::{
+    push_varint, put_varint, take_count, take_slice, take_u8, take_varint, varint_len,
+};
 use crate::EntityId;
 
 /// Ids per block: `4096 = 2^12`, so a dense bitmap is 64 `u64` words.
@@ -75,6 +80,13 @@ pub const TINY_MAX: usize = 256;
 /// A blocked list shrinking below this length collapses back to tiny
 /// (hysteretic against [`TINY_MAX`], like the dense/sparse pair).
 pub const TINY_MIN: usize = 128;
+/// Longest tiny run (in encoded bytes) stored inline in the list header.
+/// The header's 16-byte representation is a tag, an id count, a byte
+/// count and these bytes; 13 holds any single `u64` id (≤ 10 bytes).
+/// Storage follows the run's length alone — no hysteresis — so a list
+/// restored from its checkpoint bytes lands in the tier it was written
+/// from.
+pub const INLINE_MAX: usize = 13;
 
 thread_local! {
     /// Scratch decode buffer for in-place sparse updates (one mutation
@@ -120,12 +132,6 @@ fn read_varint16(bytes: &[u8], at: &mut usize) -> u16 {
         }
         shift += 7;
     }
-}
-
-/// Encoded length of one u64 varint.
-#[inline]
-fn varint64_len(v: u64) -> usize {
-    ((64 - v.leading_zeros() as usize).max(1)).div_ceil(7)
 }
 
 #[inline]
@@ -174,19 +180,39 @@ fn decode_sparse_into(bytes: &[u8], out: &mut Vec<u16>) {
     }
 }
 
-/// Delta+varint-encode sorted full ids (the tiny tier): first id raw,
+/// The varints of a tiny run over sorted full ids: first id raw,
 /// successors as `gap - 1`.
+fn tiny_varints(ids: &[EntityId]) -> impl Iterator<Item = u64> + '_ {
+    ids.iter().scan(None, |prev: &mut Option<u64>, id| {
+        let v = prev.map_or(id.0, |p| id.0 - p - 1);
+        *prev = Some(id.0);
+        Some(v)
+    })
+}
+
+/// Delta+varint-encode sorted full ids (the tiny tier).
 fn encode_tiny_into(ids: &[EntityId], out: &mut Vec<u8>) {
     out.clear();
-    let mut prev = 0u64;
-    for (i, &id) in ids.iter().enumerate() {
-        if i == 0 {
-            push_varint(out, id.0);
-        } else {
-            push_varint(out, id.0 - prev - 1);
-        }
-        prev = id.0;
+    for v in tiny_varints(ids) {
+        push_varint(out, v);
     }
+}
+
+/// Membership scan over a tiny run: decode until an id `>= id`.
+fn tiny_contains(bytes: &[u8], id: EntityId) -> bool {
+    let mut at = 0usize;
+    let mut prev = 0u64;
+    let mut first = true;
+    while at < bytes.len() {
+        let v = read_varint64(bytes, &mut at);
+        let cur = if first { v } else { prev + v + 1 };
+        first = false;
+        if cur >= id.0 {
+            return cur == id.0;
+        }
+        prev = cur;
+    }
+    false
 }
 
 fn decode_tiny_into(bytes: &[u8], out: &mut Vec<EntityId>) {
@@ -270,38 +296,98 @@ fn join_id(key: u64, off: u16) -> EntityId {
     EntityId((key << BLOCK_SHIFT) | u64::from(off))
 }
 
-/// The representation ladder of one posting list.
+/// A tiny run short enough to live in the list header: no allocation.
+#[derive(Clone, Copy, Debug, Default)]
+struct InlineRun {
+    /// Number of encoded ids.
+    len: u8,
+    /// Bytes of `bytes` in use.
+    used: u8,
+    /// The encoded run, `used` bytes long.
+    bytes: [u8; INLINE_MAX],
+}
+
+impl InlineRun {
+    /// Encode sorted ids inline, or `None` if the run is too long.
+    fn from_ids(ids: &[EntityId]) -> Option<Self> {
+        let mut run = InlineRun::default();
+        tiny_varints(ids).all(|v| run.push(v)).then_some(run)
+    }
+
+    /// Copy an already-encoded run of `len` ids, or `None` if it is too
+    /// long.
+    fn from_run(bytes: &[u8], len: u8) -> Option<Self> {
+        if bytes.len() > INLINE_MAX {
+            return None;
+        }
+        let mut run = InlineRun {
+            len,
+            used: bytes.len() as u8,
+            bytes: [0; INLINE_MAX],
+        };
+        run.bytes[..bytes.len()].copy_from_slice(bytes);
+        Some(run)
+    }
+
+    /// Append one id's varint; false (and unchanged) if it does not fit.
+    fn push(&mut self, v: u64) -> bool {
+        let Some(n) = put_varint(&mut self.bytes[usize::from(self.used)..], v) else {
+            return false;
+        };
+        self.used += n as u8;
+        self.len += 1;
+        true
+    }
+
+    fn run(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.used)]
+    }
+
+    /// Largest encoded id (0 while empty): a decode of at most
+    /// [`INLINE_MAX`] bytes.
+    fn last(&self) -> u64 {
+        PostingsIter::tiny(self.run()).last().map_or(0, |id| id.0)
+    }
+}
+
+/// A tiny run too long to store inline.
+#[derive(Clone, Debug)]
+struct TinyRun {
+    /// The encoded run (more than [`INLINE_MAX`] bytes).
+    bytes: Vec<u8>,
+    /// Number of encoded ids (≤ [`TINY_MAX`]).
+    len: u16,
+    /// Largest encoded id, so ascending inserts append in `O(1)` — the
+    /// hot shape during log replay, where ids arrive mostly in order.
+    last: u64,
+}
+
+/// The blocked tier: block directory + containers.
+#[derive(Clone, Debug)]
+struct Blocked {
+    /// Sorted by `key`; parallel to `containers`.
+    dir: Vec<BlockMeta>,
+    /// Per-block payloads.
+    containers: Vec<Container>,
+    /// Total cardinality across blocks.
+    len: usize,
+}
+
+/// The representation ladder of one posting list: 16 bytes, so a list
+/// with its stamp fits in 24.
 #[derive(Clone, Debug)]
 enum Repr {
-    /// One delta+varint run over full ids (≤ [`TINY_MAX`] of them). `last`
-    /// caches the largest id so ascending inserts append in `O(1)` — the
-    /// hot shape during log replay, where ids arrive mostly in order.
-    Tiny {
-        /// The encoded run.
-        bytes: Vec<u8>,
-        /// Number of encoded ids (≤ [`TINY_MAX`]).
-        len: u16,
-        /// Largest encoded id (meaningless while `len == 0`).
-        last: u64,
-    },
-    /// Block directory + containers (> [`TINY_MIN`] after hysteresis).
-    Blocks {
-        /// Sorted by `key`; parallel to `containers`.
-        dir: Vec<BlockMeta>,
-        /// Per-block payloads.
-        containers: Vec<Container>,
-        /// Total cardinality across blocks.
-        len: usize,
-    },
+    /// A tiny run of at most [`INLINE_MAX`] bytes, held in place.
+    Inline(InlineRun),
+    /// A longer tiny run (≤ [`TINY_MAX`] ids).
+    Tiny(Box<TinyRun>),
+    /// Past [`TINY_MAX`] ids (> [`TINY_MIN`] after hysteresis).
+    Blocks(Box<Blocked>),
 }
 
 impl Default for Repr {
     fn default() -> Self {
-        Repr::Tiny {
-            bytes: Vec::new(),
-            len: 0,
-            last: 0,
-        }
+        Repr::Inline(InlineRun::default())
     }
 }
 
@@ -314,6 +400,9 @@ pub struct BlockPostings {
     /// plan-cache fingerprint (0 = never stamped).
     stamp: u64,
 }
+
+// Every index slot holds one header: keep it at three words.
+const _: () = assert!(std::mem::size_of::<BlockPostings>() <= 24);
 
 /// Equality is by content (the id set), not representation — a tiny list
 /// and a blocked list holding the same ids are equal.
@@ -332,31 +421,68 @@ impl BlockPostings {
     /// Build from sorted, deduplicated ids (bulk path: one encode per
     /// block, no incremental re-encoding).
     pub fn from_sorted(ids: &[EntityId]) -> Self {
+        let mut list = BlockPostings::new();
+        list.store_sorted(ids);
+        list
+    }
+
+    /// Replace the contents with sorted, deduplicated ids, in the tier
+    /// their size picks: blocked past [`TINY_MAX`] ids, inline when the
+    /// run fits in [`INLINE_MAX`] bytes, else one boxed run — re-encoded
+    /// in place when the list already holds one.
+    fn store_sorted(&mut self, ids: &[EntityId]) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted + dedup");
-        if ids.len() <= TINY_MAX {
-            let mut bytes = Vec::new();
-            encode_tiny_into(ids, &mut bytes);
-            bytes.shrink_to_fit();
-            return BlockPostings {
-                repr: Repr::Tiny {
-                    bytes,
-                    len: ids.len() as u16,
-                    last: ids.last().map_or(0, |id| id.0),
-                },
-                stamp: 0,
-            };
+        if ids.len() > TINY_MAX {
+            self.repr = blocks_from_sorted(ids);
+            return;
         }
-        BlockPostings {
-            repr: blocks_from_sorted(ids),
-            stamp: 0,
+        if let Some(run) = InlineRun::from_ids(ids) {
+            self.repr = Repr::Inline(run);
+            return;
+        }
+        let len = ids.len() as u16;
+        let last = ids.last().expect("an empty run is inline").0;
+        if let Repr::Tiny(run) = &mut self.repr {
+            reencode_tiny(ids, &mut run.bytes);
+            run.len = len;
+            run.last = last;
+            return;
+        }
+        let mut bytes = Vec::new();
+        encode_tiny_into(ids, &mut bytes);
+        bytes.shrink_to_fit();
+        self.repr = Repr::Tiny(Box::new(TinyRun { bytes, len, last }));
+    }
+
+    /// Decode the tiny run into scratch, let `edit` change the ids, and
+    /// store the result if it reports a change.
+    fn edit_tiny(&mut self, edit: impl FnOnce(&mut Vec<EntityId>) -> bool) -> bool {
+        SCRATCH_IDS.with(|scratch| {
+            let mut ids = scratch.borrow_mut();
+            decode_tiny_into(self.tiny_run().expect("tiny tier"), &mut ids);
+            if !edit(&mut ids) {
+                return false;
+            }
+            self.store_sorted(&ids);
+            true
+        })
+    }
+
+    /// The encoded run of a tiny-tier list (`None` once blocked).
+    fn tiny_run(&self) -> Option<&[u8]> {
+        match &self.repr {
+            Repr::Inline(run) => Some(run.run()),
+            Repr::Tiny(run) => Some(&run.bytes),
+            Repr::Blocks(_) => None,
         }
     }
 
     /// Number of ids in the list.
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Tiny { len, .. } => usize::from(*len),
-            Repr::Blocks { len, .. } => *len,
+            Repr::Inline(run) => usize::from(run.len),
+            Repr::Tiny(run) => usize::from(run.len),
+            Repr::Blocks(blocks) => blocks.len,
         }
     }
 
@@ -368,25 +494,32 @@ impl BlockPostings {
     /// Number of blocks (0 while the list is tiny).
     pub fn block_count(&self) -> usize {
         match &self.repr {
-            Repr::Tiny { .. } => 0,
-            Repr::Blocks { dir, .. } => dir.len(),
+            Repr::Blocks(blocks) => blocks.dir.len(),
+            _ => 0,
         }
     }
 
     /// Number of blocks currently in dense (bitmap) form.
     pub fn dense_block_count(&self) -> usize {
         match &self.repr {
-            Repr::Tiny { .. } => 0,
-            Repr::Blocks { containers, .. } => containers
+            Repr::Blocks(blocks) => blocks
+                .containers
                 .iter()
                 .filter(|c| matches!(c, Container::Dense(_)))
                 .count(),
+            _ => 0,
         }
     }
 
-    /// True while the list is in the tiny (single varint run) tier.
+    /// True while the list is in the tiny (single varint run) tier,
+    /// inline or boxed.
     pub fn is_tiny(&self) -> bool {
-        matches!(self.repr, Repr::Tiny { .. })
+        !matches!(self.repr, Repr::Blocks(_))
+    }
+
+    /// True while the tiny run is stored inline (no heap allocation).
+    pub(crate) fn is_inline(&self) -> bool {
+        matches!(self.repr, Repr::Inline(_))
     }
 
     /// The mutation stamp last assigned by the owning index (0 if never
@@ -400,17 +533,32 @@ impl BlockPostings {
         self.stamp = stamp;
     }
 
-    /// Approximate heap footprint of the list (encoded run, or directory +
-    /// containers once blocked).
+    /// Heap bytes owned by the list beyond its header: 0 inline; the box
+    /// and its run; or the box, directory and containers once blocked.
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Tiny { bytes, .. } => bytes.capacity(),
-            Repr::Blocks {
-                dir, containers, ..
-            } => {
-                dir.capacity() * std::mem::size_of::<BlockMeta>()
-                    + containers.capacity() * std::mem::size_of::<Container>()
-                    + containers.iter().map(Container::heap_bytes).sum::<usize>()
+            Repr::Inline(_) => 0,
+            Repr::Tiny(_) => std::mem::size_of::<TinyRun>() + self.payload_bytes(),
+            Repr::Blocks(_) => std::mem::size_of::<Blocked>() + self.payload_bytes(),
+        }
+    }
+
+    /// Bytes of encoded payload: the run (its bytes inline, its capacity
+    /// boxed), or the directory and containers once blocked. Headers and
+    /// boxes are not counted — this is what
+    /// [`TripleIndex::index_bytes`](crate::TripleIndex::index_bytes) sums.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline(run) => usize::from(run.used),
+            Repr::Tiny(run) => run.bytes.capacity(),
+            Repr::Blocks(blocks) => {
+                blocks.dir.capacity() * std::mem::size_of::<BlockMeta>()
+                    + blocks.containers.capacity() * std::mem::size_of::<Container>()
+                    + blocks
+                        .containers
+                        .iter()
+                        .map(Container::heap_bytes)
+                        .sum::<usize>()
             }
         }
     }
@@ -419,33 +567,15 @@ impl BlockPostings {
     /// search plus one container probe (blocked).
     pub fn contains(&self, id: EntityId) -> bool {
         match &self.repr {
-            Repr::Tiny { bytes, len, last } => {
-                if *len == 0 || id.0 > *last {
-                    return false;
-                }
-                let mut at = 0usize;
-                let mut prev = 0u64;
-                let mut first = true;
-                while at < bytes.len() {
-                    let v = read_varint64(bytes, &mut at);
-                    let cur = if first { v } else { prev + v + 1 };
-                    first = false;
-                    if cur >= id.0 {
-                        return cur == id.0;
-                    }
-                    prev = cur;
-                }
-                false
-            }
-            Repr::Blocks {
-                dir, containers, ..
-            } => {
+            Repr::Inline(run) => tiny_contains(run.run(), id),
+            Repr::Tiny(run) => id.0 <= run.last && tiny_contains(&run.bytes, id),
+            Repr::Blocks(blocks) => {
                 let (key, off) = split_id(id);
-                match dir.binary_search_by_key(&key, |m| m.key) {
+                match blocks.dir.binary_search_by_key(&key, |m| m.key) {
                     Err(_) => false,
                     Ok(at) => {
-                        let meta = dir[at];
-                        off >= meta.min && off <= meta.max && containers[at].contains(off)
+                        let meta = blocks.dir[at];
+                        off >= meta.min && off <= meta.max && blocks.containers[at].contains(off)
                     }
                 }
             }
@@ -455,156 +585,112 @@ impl BlockPostings {
     /// The smallest id, if any.
     pub fn first(&self) -> Option<EntityId> {
         match &self.repr {
-            Repr::Tiny { bytes, len, .. } => {
-                if *len == 0 {
-                    return None;
-                }
-                let mut at = 0usize;
-                Some(EntityId(read_varint64(bytes, &mut at)))
-            }
-            Repr::Blocks { dir, .. } => dir.first().map(|m| join_id(m.key, m.min)),
+            Repr::Blocks(blocks) => blocks.dir.first().map(|m| join_id(m.key, m.min)),
+            _ => self.iter().next(),
         }
     }
 
     /// The largest id, if any.
     pub fn last(&self) -> Option<EntityId> {
         match &self.repr {
-            Repr::Tiny { len, last, .. } => (*len > 0).then_some(EntityId(*last)),
-            Repr::Blocks { dir, .. } => dir.last().map(|m| join_id(m.key, m.max)),
+            Repr::Inline(run) => (run.len > 0).then(|| EntityId(run.last())),
+            Repr::Tiny(run) => Some(EntityId(run.last)),
+            Repr::Blocks(blocks) => blocks.dir.last().map(|m| join_id(m.key, m.max)),
         }
     }
 
     /// Insert `id`; returns whether the list changed.
     pub fn insert(&mut self, id: EntityId) -> bool {
+        // Ascending appends — replay's dominant shape, ids arrive mostly
+        // in order — add one varint without decoding the run.
         match &mut self.repr {
-            Repr::Tiny { bytes, len, last } => {
-                // Allocations stay *exact* in this tier (singletons are
-                // the most numerous lists in any index — amortized-growth
-                // slack on them would rival the payload itself).
-                if *len == 0 {
-                    bytes.reserve_exact(varint64_len(id.0));
-                    push_varint(bytes, id.0);
-                    *len = 1;
-                    *last = id.0;
+            Repr::Inline(run) => {
+                let appended = match run.len {
+                    0 => run.push(id.0),
+                    _ => {
+                        let last = run.last();
+                        id.0 > last && run.push(id.0 - last - 1)
+                    }
+                };
+                if appended {
                     return true;
                 }
-                if id.0 > *last && usize::from(*len) < TINY_MAX {
-                    // Ascending append: one varint, no decode (replay's
-                    // dominant shape — ids arrive mostly in order). Runs
-                    // stay exactly-sized while small — the slack on
-                    // millions of near-singleton lists is what exactness
-                    // buys — and switch to amortized doubling once the
-                    // run is big enough that per-append reallocation
-                    // would make "O(1) append" a lie.
-                    let delta = id.0 - *last - 1;
-                    let need = varint64_len(delta);
-                    if bytes.capacity() - bytes.len() < need {
-                        if bytes.len() < 32 {
-                            bytes.reserve_exact(need);
+            }
+            Repr::Tiny(run) => {
+                if id.0 > run.last && usize::from(run.len) < TINY_MAX {
+                    // Runs stay exactly-sized while small — the slack on
+                    // many near-singleton lists is what exactness buys —
+                    // and switch to amortized doubling once the run is big
+                    // enough that per-append reallocation would make
+                    // "O(1) append" a lie.
+                    let delta = id.0 - run.last - 1;
+                    let need = varint_len(delta);
+                    if run.bytes.capacity() - run.bytes.len() < need {
+                        if run.bytes.len() < 32 {
+                            run.bytes.reserve_exact(need);
                         } else {
-                            bytes.reserve(need);
+                            run.bytes.reserve(need);
                         }
                     }
-                    push_varint(bytes, delta);
-                    *len += 1;
-                    *last = id.0;
+                    push_varint(&mut run.bytes, delta);
+                    run.len += 1;
+                    run.last = id.0;
                     return true;
                 }
-                let grown = SCRATCH_IDS.with(|scratch| {
-                    let mut decoded = scratch.borrow_mut();
-                    decode_tiny_into(bytes, &mut decoded);
-                    let pos = match decoded.binary_search(&id) {
-                        Ok(_) => return None,
-                        Err(pos) => pos,
-                    };
-                    decoded.insert(pos, id);
-                    if decoded.len() > TINY_MAX {
-                        // Split: the list outgrew the tiny tier.
-                        return Some(Some(blocks_from_sorted(&decoded)));
-                    }
-                    reencode_tiny(&decoded, bytes);
-                    *len += 1;
-                    *last = decoded.last().expect("non-empty").0;
-                    Some(None)
-                });
-                match grown {
-                    None => false,
-                    Some(Some(blocks)) => {
-                        self.repr = blocks;
-                        true
-                    }
-                    Some(None) => true,
-                }
             }
-            Repr::Blocks {
-                dir,
-                containers,
-                len,
-            } => {
-                let changed = blocks_insert(dir, containers, id);
+            Repr::Blocks(blocks) => {
+                let changed = blocks_insert(&mut blocks.dir, &mut blocks.containers, id);
                 if changed {
-                    *len += 1;
+                    blocks.len += 1;
                 }
-                changed
+                return changed;
             }
         }
+        // Out of order, or the run outgrew its storage: decode, insert
+        // and store again (inline → boxed past INLINE_MAX bytes, boxed →
+        // blocked past TINY_MAX ids).
+        self.edit_tiny(|ids| match ids.binary_search(&id) {
+            Ok(_) => false,
+            Err(pos) => {
+                ids.insert(pos, id);
+                true
+            }
+        })
     }
 
     /// Remove `id`; returns whether the list changed.
     pub fn remove(&mut self, id: EntityId) -> bool {
-        let changed = match &mut self.repr {
-            Repr::Tiny { bytes, len, last } => {
-                if *len == 0 || id.0 > *last {
-                    return false;
-                }
-                SCRATCH_IDS.with(|scratch| {
-                    let mut decoded = scratch.borrow_mut();
-                    decode_tiny_into(bytes, &mut decoded);
-                    let Ok(pos) = decoded.binary_search(&id) else {
-                        return false;
-                    };
-                    decoded.remove(pos);
-                    reencode_tiny(&decoded, bytes);
-                    *len -= 1;
-                    *last = decoded.last().map_or(0, |id| id.0);
-                    true
-                })
+        if let Repr::Blocks(blocks) = &mut self.repr {
+            if !blocks_remove(&mut blocks.dir, &mut blocks.containers, id) {
+                return false;
             }
-            Repr::Blocks {
-                dir,
-                containers,
-                len,
-            } => {
-                if !blocks_remove(dir, containers, id) {
-                    return false;
-                }
-                *len -= 1;
+            blocks.len -= 1;
+            if blocks.len < TINY_MIN {
+                // Merge: collapse back to the tiny tier.
+                let ids = self.to_vec();
+                self.store_sorted(&ids);
+            }
+            return true;
+        }
+        if self.last().is_none_or(|last| id > last) {
+            return false;
+        }
+        self.edit_tiny(|ids| match ids.binary_search(&id) {
+            Ok(pos) => {
+                ids.remove(pos);
                 true
             }
-        };
-        if changed {
-            if let Repr::Blocks { len, .. } = &self.repr {
-                if *len < TINY_MIN {
-                    // Merge: collapse back to the tiny tier.
-                    let ids: Vec<EntityId> = self.iter().collect();
-                    self.repr = BlockPostings::from_sorted(&ids).repr;
-                }
-            }
-        }
-        changed
+            Err(_) => false,
+        })
     }
 
     /// Iterate ids in ascending order, decoding block by block.
     pub fn iter(&self) -> PostingsIter<'_> {
         match &self.repr {
-            Repr::Tiny { bytes, .. } => PostingsIter(IterInner::Tiny {
-                bytes,
-                at: 0,
-                prev: 0,
-                first: true,
-            }),
-            Repr::Blocks { .. } => PostingsIter(IterInner::Blocks {
-                list: self,
+            Repr::Inline(run) => PostingsIter::tiny(run.run()),
+            Repr::Tiny(run) => PostingsIter::tiny(&run.bytes),
+            Repr::Blocks(blocks) => PostingsIter(IterInner::Blocks {
+                blocks,
                 block: 0,
                 state: BlockCursor::Unloaded,
             }),
@@ -624,10 +710,8 @@ impl BlockPostings {
     /// checked is past the tiny tier.
     fn blocks(&self) -> (&[BlockMeta], &[Container]) {
         match &self.repr {
-            Repr::Blocks {
-                dir, containers, ..
-            } => (dir, containers),
-            Repr::Tiny { .. } => unreachable!("caller checked the list is blocked"),
+            Repr::Blocks(blocks) => (&blocks.dir, &blocks.containers),
+            _ => unreachable!("caller checked the list is blocked"),
         }
     }
 
@@ -637,43 +721,38 @@ impl BlockPostings {
     }
 
     /// Append this list's compressed form to `out` block-wise: tiny runs
-    /// and sparse containers are copied byte-for-byte, dense bitmaps as
-    /// little-endian words. Nothing is decompressed — a checkpoint writes
-    /// exactly the bytes the in-memory tiers already hold. Stamps are
-    /// process-local and deliberately not serialized.
+    /// (inline or boxed alike) and sparse containers are copied
+    /// byte-for-byte, dense bitmaps as little-endian words. Nothing is
+    /// decompressed — a checkpoint writes exactly the bytes the in-memory
+    /// tiers already hold. Stamps are process-local and deliberately not
+    /// serialized.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        match &self.repr {
-            Repr::Tiny { bytes, len, .. } => {
-                out.push(WIRE_TINY);
-                push_varint(out, u64::from(*len));
-                push_varint(out, bytes.len() as u64);
-                out.extend_from_slice(bytes);
-            }
-            Repr::Blocks {
-                dir,
-                containers,
-                len,
-            } => {
-                out.push(WIRE_BLOCKS);
-                push_varint(out, dir.len() as u64);
-                push_varint(out, *len as u64);
-                for (meta, container) in dir.iter().zip(containers) {
-                    push_varint(out, meta.key);
-                    push_varint(out, u64::from(meta.min));
-                    push_varint(out, u64::from(meta.max));
-                    push_varint(out, u64::from(meta.card));
-                    match container {
-                        Container::Sparse(bytes) => {
-                            out.push(WIRE_SPARSE);
-                            push_varint(out, bytes.len() as u64);
-                            out.extend_from_slice(bytes);
-                        }
-                        Container::Dense(words) => {
-                            out.push(WIRE_DENSE);
-                            for w in words.iter() {
-                                out.extend_from_slice(&w.to_le_bytes());
-                            }
-                        }
+        let Repr::Blocks(blocks) = &self.repr else {
+            let run = self.tiny_run().expect("not blocked");
+            out.push(WIRE_TINY);
+            push_varint(out, self.len() as u64);
+            push_varint(out, run.len() as u64);
+            out.extend_from_slice(run);
+            return;
+        };
+        out.push(WIRE_BLOCKS);
+        push_varint(out, blocks.dir.len() as u64);
+        push_varint(out, blocks.len as u64);
+        for (meta, container) in blocks.dir.iter().zip(&blocks.containers) {
+            push_varint(out, meta.key);
+            push_varint(out, u64::from(meta.min));
+            push_varint(out, u64::from(meta.max));
+            push_varint(out, u64::from(meta.card));
+            match container {
+                Container::Sparse(bytes) => {
+                    out.push(WIRE_SPARSE);
+                    push_varint(out, bytes.len() as u64);
+                    out.extend_from_slice(bytes);
+                }
+                Container::Dense(words) => {
+                    out.push(WIRE_DENSE);
+                    for w in words.iter() {
+                        out.extend_from_slice(&w.to_le_bytes());
                     }
                 }
             }
@@ -685,7 +764,9 @@ impl BlockPostings {
     /// structural invariant (tier sizes, directory order, per-block
     /// min/max/cardinality against the container bytes) is re-verified so
     /// a corrupt artifact surfaces as an error, never a malformed list.
-    /// The restored list carries stamp 0 — fingerprints are process-local.
+    /// A tiny run is stored inline when its bytes fit, exactly as the
+    /// mutation paths would store it. The restored list carries stamp 0 —
+    /// fingerprints are process-local.
     pub fn read_bytes(bytes: &[u8], at: &mut usize) -> crate::Result<Self> {
         match take_u8(bytes, at)? {
             WIRE_TINY => {
@@ -713,14 +794,17 @@ impl BlockPostings {
                 if count != len {
                     return Err(wire_err("tiny run length mismatch"));
                 }
-                Ok(BlockPostings {
-                    repr: Repr::Tiny {
+                // Every varint is at least one byte, so an inline run's
+                // id count fits its `u8`.
+                let repr = match InlineRun::from_run(run, len as u8) {
+                    Some(inline) => Repr::Inline(inline),
+                    None => Repr::Tiny(Box::new(TinyRun {
                         bytes: run.to_vec(),
                         len: len as u16,
                         last: prev,
-                    },
-                    stamp: 0,
-                })
+                    })),
+                };
+                Ok(BlockPostings { repr, stamp: 0 })
             }
             WIRE_BLOCKS => {
                 // A block is at least key, min, max, card and a tag.
@@ -778,11 +862,11 @@ impl BlockPostings {
                     return Err(wire_err("block cardinality sum mismatch"));
                 }
                 Ok(BlockPostings {
-                    repr: Repr::Blocks {
+                    repr: Repr::Blocks(Box::new(Blocked {
                         dir,
                         containers,
                         len: total,
-                    },
+                    })),
                     stamp: 0,
                 })
             }
@@ -879,11 +963,11 @@ fn blocks_from_sorted(ids: &[EntityId]) -> Repr {
     if let Some(k) = cur_key {
         push_block(&mut dir, &mut containers, k, &offsets);
     }
-    Repr::Blocks {
+    Repr::Blocks(Box::new(Blocked {
         dir,
         containers,
         len: ids.len(),
-    }
+    }))
 }
 
 /// Insert into the blocked tier; true if membership changed.
@@ -1107,8 +1191,8 @@ enum IterInner<'a> {
     },
     /// Blocked tier: directory walk with per-block decode state.
     Blocks {
-        /// The list being decoded.
-        list: &'a BlockPostings,
+        /// The blocks being decoded.
+        blocks: &'a Blocked,
         /// Current directory position.
         block: usize,
         /// Decode state within the current block.
@@ -1116,11 +1200,16 @@ enum IterInner<'a> {
     },
 }
 
-impl PostingsIter<'_> {
+impl<'a> PostingsIter<'a> {
     /// An iterator over nothing.
     fn empty() -> Self {
+        PostingsIter::tiny(&[])
+    }
+
+    /// An iterator over one encoded tiny run.
+    fn tiny(bytes: &'a [u8]) -> Self {
         PostingsIter(IterInner::Tiny {
-            bytes: &[],
+            bytes,
             at: 0,
             prev: 0,
             first: true,
@@ -1132,7 +1221,7 @@ impl Iterator for PostingsIter<'_> {
     type Item = EntityId;
 
     fn next(&mut self) -> Option<EntityId> {
-        let (list, block, state) = match &mut self.0 {
+        let (blocks, block, state) = match &mut self.0 {
             IterInner::Tiny {
                 bytes,
                 at,
@@ -1148,14 +1237,15 @@ impl Iterator for PostingsIter<'_> {
                 *prev = id;
                 return Some(EntityId(id));
             }
-            IterInner::Blocks { list, block, state } => (*list, block, state),
+            IterInner::Blocks {
+                blocks,
+                block,
+                state,
+            } => (*blocks, block, state),
         };
-        let Repr::Blocks {
+        let Blocked {
             dir, containers, ..
-        } = &list.repr
-        else {
-            unreachable!("blocks iterator over tiny repr");
-        };
+        } = blocks;
         loop {
             if *block >= dir.len() {
                 return None;
@@ -1219,7 +1309,7 @@ impl Iterator for PostingsIter<'_> {
             // ≥1 byte per remaining id.
             IterInner::Tiny { bytes, at, .. } => (0, Some(bytes.len().saturating_sub(*at))),
             // Exact only at the start; a cheap upper bound afterwards.
-            IterInner::Blocks { list, .. } => (0, Some(list.len())),
+            IterInner::Blocks { blocks, .. } => (0, Some(blocks.len)),
         }
     }
 }
@@ -1730,11 +1820,11 @@ fn union_blocked(lists: &[&BlockPostings]) -> BlockPostings {
         len += card;
     }
     BlockPostings {
-        repr: Repr::Blocks {
+        repr: Repr::Blocks(Box::new(Blocked {
             dir,
             containers,
             len,
-        },
+        })),
         stamp: 0,
     }
 }
@@ -1780,17 +1870,25 @@ mod tests {
 
     #[test]
     fn wire_roundtrip_preserves_every_tier() {
-        // Tiny, sparse-only, mixed sparse+dense, and empty lists all
-        // survive write_bytes → read_bytes byte-identically.
+        // Inline, boxed tiny, sparse-only, mixed sparse+dense, and empty
+        // lists all survive write_bytes → read_bytes byte-identically.
         let shapes: Vec<Vec<EntityId>> = vec![
             ids([]),
             ids([7]),
+            ids([u64::MAX]),
+            ids([1 << 62, (1 << 62) + 201, (1 << 62) + 402]), // 9 + 2 + 2 bytes: inline
+            ids([1 << 62, (1 << 62) + 201, (1 << 62) + 402, (1 << 62) + 403]), // 14: boxed
             ids([0, 1, 63, 64, 4095, 4096, 40_000, 1 << 40]),
             ids((0u64..600).map(|i| i * 97)), // sparse blocks
             ids(0u64..3000),                  // one dense block
             ids((0u64..5000).filter(|i| i % 3 != 0)), // mixed containers
         ];
         let mut buf = Vec::new();
+        let inline: Vec<bool> = shapes
+            .iter()
+            .map(|sample| BlockPostings::from_sorted(sample).is_inline())
+            .collect();
+        assert_eq!(&inline[..5], &[true, true, true, true, false]);
         for sample in &shapes {
             let list = BlockPostings::from_sorted(sample);
             buf.clear();
@@ -1802,6 +1900,11 @@ mod tests {
             assert_eq!(back.len(), list.len());
             assert_eq!(back.block_count(), list.block_count());
             assert_eq!(back.dense_block_count(), list.dense_block_count());
+            assert_eq!(back.is_tiny(), list.is_tiny());
+            assert_eq!(back.is_inline(), list.is_inline());
+            let mut again = Vec::new();
+            back.write_bytes(&mut again);
+            assert_eq!(again, buf, "re-encode is byte-identical");
             assert_eq!(back.stamp(), 0, "stamps are process-local");
             // Mutations still work on a restored list.
             let mut back = back;
@@ -2095,15 +2198,60 @@ mod tests {
             "compressed {} vs plain {plain_bytes}",
             list.heap_bytes()
         );
-        // Tiny clustered list: varint runs, ~3x.
+        // Tiny clustered list: varint runs, ~3x, held inline.
         let tiny = ids([50_001, 50_007, 50_020, 50_031]);
         let list = BlockPostings::from_sorted(&tiny);
         let plain_bytes = tiny.len() * std::mem::size_of::<EntityId>();
+        assert!(list.is_inline());
+        assert_eq!(list.heap_bytes(), 0, "an inline run owns no heap");
         assert!(
-            list.heap_bytes() * 3 <= plain_bytes,
+            list.payload_bytes() * 3 <= plain_bytes,
             "tiny compressed {} vs plain {plain_bytes}",
-            list.heap_bytes()
+            list.payload_bytes()
         );
+    }
+
+    #[test]
+    fn singleton_of_any_id_is_inline() {
+        let max = EntityId(u64::MAX);
+        let mut list = BlockPostings::new();
+        assert!(list.insert(max));
+        for list in [&list, &BlockPostings::from_sorted(&[max])] {
+            assert!(list.is_inline() && list.is_tiny());
+            assert_eq!(list.heap_bytes(), 0);
+            assert_eq!(list.payload_bytes(), 10, "u64::MAX is a 10-byte varint");
+            assert_eq!((list.first(), list.last()), (Some(max), Some(max)));
+            assert!(list.contains(max) && !list.contains(EntityId(0)));
+            assert_eq!(list.to_vec(), vec![max]);
+        }
+        assert!(list.remove(max));
+        assert!(list.is_empty() && list.is_inline());
+    }
+
+    #[test]
+    fn runs_move_between_inline_and_boxed_at_inline_max() {
+        // Gaps of 300 encode in two bytes: a 1-byte first id plus six
+        // gaps is 13 bytes (inline), a seventh gap is 15 (boxed).
+        let sample = ids((0..8).map(|i| i * 300));
+        let mut list = BlockPostings::new();
+        for (n, &id) in sample.iter().enumerate() {
+            assert!(list.insert(id));
+            assert_eq!(list.is_inline(), n < 7, "{} ids", n + 1);
+        }
+        assert!(list.heap_bytes() > 0);
+        // Removing the last id returns the run to the header.
+        assert!(list.remove(sample[7]));
+        assert!(list.is_inline());
+        assert_eq!(list.to_vec(), sample[..7].to_vec());
+        // An out-of-order insert that overflows the header spills too:
+        // 150 splits one 2-byte gap into two.
+        assert!(list.insert(EntityId(150)));
+        assert!(!list.is_inline() && list.is_tiny());
+        assert!(list.remove(EntityId(150)));
+        assert!(list.is_inline());
+        // Non-ascending duplicates are no-ops in both storages.
+        assert!(!list.insert(sample[3]));
+        assert!(!list.remove(EntityId(2)));
     }
 
     #[test]

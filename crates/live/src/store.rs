@@ -26,8 +26,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use saga_core::postings::{union_views, PostingsCursor, PostingsView};
 use saga_core::{
-    Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, ProbeKey, Symbol,
-    TripleIndex, Value,
+    Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, IndexHeap, ProbeKey,
+    Symbol, TripleIndex, Value,
 };
 
 /// Upper bound on lock stripes; shard counts are clamped to `1..=MAX_SHARDS`.
@@ -164,10 +164,19 @@ impl ShardedTripleIndex {
         hashers.into_iter().map(|h| h.finish()).collect()
     }
 
-    /// Compressed heap bytes of all posting lists across shards (the
-    /// postings memory gauge).
+    /// Encoded payload bytes of all posting lists across shards (the
+    /// postings gauge; see [`TripleIndex::index_bytes`]).
     pub fn index_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.read().index_bytes()).sum()
+    }
+
+    /// Estimated heap bytes of every shard's index, by family (see
+    /// [`TripleIndex::heap_bytes`]).
+    pub fn heap_bytes(&self) -> IndexHeap {
+        self.shards
+            .iter()
+            .map(|s| s.read().heap_bytes())
+            .fold(IndexHeap::default(), std::ops::Add::add)
     }
 }
 
@@ -369,6 +378,25 @@ mod tests {
 
     fn name(probe: &str) -> ProbeKey {
         ProbeKey::Name(probe.into())
+    }
+
+    #[test]
+    fn heap_bytes_sums_the_shards_by_family() {
+        let live = ReplicaKg::new(2);
+        live.apply(&named(1, "Warriors", "sports_team"));
+        live.apply(&named(2, "Lakers", "sports_team"));
+        let index = live.index();
+        let shards: Vec<IndexHeap> = index.shards.iter().map(|s| s.read().heap_bytes()).collect();
+        assert!(
+            shards.iter().all(|heap| heap.total() > 0),
+            "one entity per shard"
+        );
+        let heap = index.heap_bytes();
+        assert_eq!(heap, shards[0] + shards[1]);
+        assert!(heap.pos > 0 && heap.tokens > 0 && heap.objects > 0 && heap.spo > 0);
+        assert_eq!(heap.osp, 0, "no edges");
+        // The slots and headers dwarf the encoded ids they hold.
+        assert!(heap.total() > 10 * index.index_bytes());
     }
 
     #[test]
