@@ -334,7 +334,7 @@ pub fn prune(dir: &Path, keep_last: usize) -> Result<Vec<PathBuf>> {
 pub struct Checkpoint {
     /// The LSN the snapshot covers: replay resumes at `watermark + 1`.
     pub watermark: Lsn,
-    /// The restored index (stamps reset; fingerprints are process-local).
+    /// The restored index.
     pub index: TripleIndex,
 }
 

@@ -153,11 +153,6 @@ pub struct TripleIndex {
     pub(crate) tokens: FxHashMap<Arc<str>, BlockPostings>,
     /// Total indexed facts (with multiplicity).
     pub(crate) facts: usize,
-    /// Monotone mutation stamp: every posting list carries the stamp of
-    /// the last delta that changed it, giving plan caches a per-probe
-    /// fingerprint ([`probe_fingerprint`](Self::probe_fingerprint))
-    /// instead of one global generation.
-    pub(crate) stamp: u64,
 }
 
 /// The name and alias predicates, interned once per process: the global
@@ -329,10 +324,6 @@ impl TripleIndex {
         if delta.is_empty() {
             return;
         }
-        // One stamp per delta: every posting list this delta touches is
-        // re-fingerprinted with it (monotone across deltas).
-        self.stamp += 1;
-        let stamp = self.stamp;
         let entity = delta.entity;
         // Token postings derive from name and alias facts alone, so only a
         // delta that touches one re-tokenizes the subject's names.
@@ -394,21 +385,13 @@ impl TripleIndex {
         for (key, present) in touched.into_iter().zip(still_present) {
             let (_, obj) = key;
             if present {
-                let list = self.pos.entry(key).or_default();
-                if list.insert(entity) {
-                    list.set_stamp(stamp);
-                }
+                self.pos.entry(key).or_default().insert(entity);
                 if let Value::Entity(target) = &self.obj_values[obj.0 as usize] {
-                    let list = self.osp.entry(*target).or_default();
-                    if list.insert(entity) {
-                        list.set_stamp(stamp);
-                    }
+                    self.osp.entry(*target).or_default().insert(entity);
                 }
             } else {
                 if let Some(list) = self.pos.get_mut(&key) {
-                    if list.remove(entity) {
-                        list.set_stamp(stamp);
-                    }
+                    list.remove(entity);
                     if list.is_empty() {
                         self.pos.remove(&key);
                     }
@@ -427,9 +410,7 @@ impl TripleIndex {
                         .unwrap_or(false);
                     if !any_left {
                         if let Some(list) = self.osp.get_mut(&target) {
-                            if list.remove(entity) {
-                                list.set_stamp(stamp);
-                            }
+                            list.remove(entity);
                             if list.is_empty() {
                                 self.osp.remove(&target);
                             }
@@ -443,19 +424,17 @@ impl TripleIndex {
             let tokens_after = self.token_set(entity, names);
             for gone in tokens_before.iter().filter(|t| !tokens_after.contains(*t)) {
                 if let Some(list) = self.tokens.get_mut(gone) {
-                    if list.remove(entity) {
-                        list.set_stamp(stamp);
-                    }
+                    list.remove(entity);
                     if list.is_empty() {
                         self.tokens.remove(gone);
                     }
                 }
             }
             for fresh in tokens_after.iter().filter(|t| !tokens_before.contains(*t)) {
-                let list = self.tokens.entry(Arc::clone(fresh)).or_default();
-                if list.insert(entity) {
-                    list.set_stamp(stamp);
-                }
+                self.tokens
+                    .entry(Arc::clone(fresh))
+                    .or_default()
+                    .insert(entity);
             }
         }
         // Recycle dictionary slots whose last reference was retracted (and
@@ -545,13 +524,6 @@ impl TripleIndex {
     /// Posting-list length of a probe (plan ordering / selectivity).
     pub fn selectivity(&self, probe: &ProbeKey) -> usize {
         self.postings(probe).len()
-    }
-
-    /// Mutation stamp of a probe's posting list (0 when the probe misses
-    /// the index) — the per-probe plan-cache fingerprint: it changes iff
-    /// the posting's membership changed since it was last observed.
-    pub fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        self.postings(probe).fingerprint()
     }
 
     /// The first `limit` ids of a conjunction of probes, via
@@ -681,12 +653,10 @@ impl TripleIndex {
     /// single decode pass and re-encoded per shard with the bulk
     /// [`BlockPostings::from_sorted`] path; each shard re-interns only the
     /// object values its subjects actually reference. `partition(1)` keeps
-    /// the index whole. Every part comes back with freshly stamped lists,
-    /// so a list that later empties moves its fingerprint.
-    pub fn partition(mut self, n: usize) -> Vec<TripleIndex> {
+    /// the index whole.
+    pub fn partition(self, n: usize) -> Vec<TripleIndex> {
         assert!(n > 0, "at least one shard");
         if n == 1 {
-            self.stamp_lists();
             return vec![self];
         }
         let mut shards: Vec<TripleIndex> = (0..n).map(|_| TripleIndex::new()).collect();
@@ -779,26 +749,7 @@ impl TripleIndex {
                 }
             }
         }
-        for shard in &mut shards {
-            shard.stamp_lists();
-        }
         shards
-    }
-
-    /// Give every posting list one fresh stamp. A restored or re-encoded
-    /// list carries stamp 0, which is also what an absent list
-    /// fingerprints as: unstamped, a list that later empties would leave
-    /// every plan that fingerprinted it looking valid.
-    fn stamp_lists(&mut self) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let pos = self.pos.values_mut();
-        for list in pos
-            .chain(self.osp.values_mut())
-            .chain(self.tokens.values_mut())
-        {
-            list.set_stamp(stamp);
-        }
     }
 }
 

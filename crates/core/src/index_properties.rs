@@ -754,33 +754,6 @@ fn dense_type_posting_promotes_and_demotes_at_kg_scale() {
     assert!(kg.index().is_empty());
 }
 
-#[test]
-fn probe_fingerprints_move_only_with_their_posting() {
-    let mut kg = KnowledgeGraph::new();
-    kg.add_named_entity(EntityId(1), "Alpha", "song", SourceId(1), 0.9);
-    kg.add_named_entity(EntityId(2), "Beta", "artist", SourceId(1), 0.9);
-    let song = ProbeKey::Type(intern("song"));
-    let alpha = ProbeKey::Name("alpha".into());
-    let fp_song = kg.index().probe_fingerprint(&song);
-    let fp_alpha = kg.index().probe_fingerprint(&alpha);
-    assert_ne!(fp_song, 0, "stamped on creation");
-    // An unrelated entity write leaves both fingerprints untouched.
-    kg.add_named_entity(EntityId(3), "Gamma", "artist", SourceId(1), 0.9);
-    assert_eq!(kg.index().probe_fingerprint(&song), fp_song);
-    assert_eq!(kg.index().probe_fingerprint(&alpha), fp_alpha);
-    // A write into the song posting moves only that fingerprint.
-    kg.add_named_entity(EntityId(4), "Delta", "song", SourceId(1), 0.9);
-    assert_ne!(kg.index().probe_fingerprint(&song), fp_song);
-    assert_eq!(kg.index().probe_fingerprint(&alpha), fp_alpha);
-    // A vanished posting fingerprints as 0; recreation restamps fresh.
-    kg.retract_source(SourceId(1));
-    assert_eq!(kg.index().probe_fingerprint(&song), 0);
-    kg.add_named_entity(EntityId(9), "Niner", "song", SourceId(1), 0.9);
-    let fp_new = kg.index().probe_fingerprint(&song);
-    assert_ne!(fp_new, 0);
-    assert_ne!(fp_new, fp_song, "stamps are never reused");
-}
-
 /// The prefix law on the stable KG, on a live-over-stable overlay with
 /// live overrides, live-only entities and tombstones, and through both
 /// blanket forwards.

@@ -13,7 +13,7 @@
 //!   byte run over the full ids, ~2–3 bytes per id instead of 8, with an
 //!   `O(1)` append fast path for the ascending inserts replay produces.
 //!   A run of at most [`INLINE_MAX`] bytes — every singleton, and most
-//!   lists of two or three ids — is stored **inline** in the 24-byte list
+//!   lists of two or three ids — is stored **inline** in the 16-byte list
 //!   header with no allocation; a longer run sits behind one `Box`;
 //! * past that, the id space is cut into **blocks** of [`BLOCK_SPAN`]
 //!   consecutive ids (`block key = id >> 12`):
@@ -373,8 +373,7 @@ struct Blocked {
     len: usize,
 }
 
-/// The representation ladder of one posting list: 16 bytes, so a list
-/// with its stamp fits in 24.
+/// The representation ladder of one posting list: 16 bytes.
 #[derive(Clone, Debug)]
 enum Repr {
     /// A tiny run of at most [`INLINE_MAX`] bytes, held in place.
@@ -396,13 +395,10 @@ impl Default for Repr {
 #[derive(Clone, Debug, Default)]
 pub struct BlockPostings {
     repr: Repr,
-    /// Mutation stamp assigned by the owning index — the per-probe
-    /// plan-cache fingerprint (0 = never stamped).
-    stamp: u64,
 }
 
-// Every index slot holds one header: keep it at three words.
-const _: () = assert!(std::mem::size_of::<BlockPostings>() <= 24);
+// Every index slot holds one header: keep it at two words.
+const _: () = assert!(std::mem::size_of::<BlockPostings>() == 16);
 
 /// Equality is by content (the id set), not representation — a tiny list
 /// and a blocked list holding the same ids are equal.
@@ -520,17 +516,6 @@ impl BlockPostings {
     /// True while the tiny run is stored inline (no heap allocation).
     pub(crate) fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline(_))
-    }
-
-    /// The mutation stamp last assigned by the owning index (0 if never
-    /// stamped) — compared by plan caches as a per-probe fingerprint.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Assign the mutation stamp (index maintenance only).
-    pub fn set_stamp(&mut self, stamp: u64) {
-        self.stamp = stamp;
     }
 
     /// Heap bytes owned by the list beyond its header: 0 inline; the box
@@ -765,8 +750,7 @@ impl BlockPostings {
     /// min/max/cardinality against the container bytes) is re-verified so
     /// a corrupt artifact surfaces as an error, never a malformed list.
     /// A tiny run is stored inline when its bytes fit, exactly as the
-    /// mutation paths would store it. The restored list carries stamp 0 —
-    /// fingerprints are process-local.
+    /// mutation paths would store it.
     pub fn read_bytes(bytes: &[u8], at: &mut usize) -> crate::Result<Self> {
         match take_u8(bytes, at)? {
             WIRE_TINY => {
@@ -804,7 +788,7 @@ impl BlockPostings {
                         last: prev,
                     })),
                 };
-                Ok(BlockPostings { repr, stamp: 0 })
+                Ok(BlockPostings { repr })
             }
             WIRE_BLOCKS => {
                 // A block is at least key, min, max, card and a tag.
@@ -867,7 +851,6 @@ impl BlockPostings {
                         containers,
                         len: total,
                     })),
-                    stamp: 0,
                 })
             }
             _ => Err(wire_err("unknown representation tag")),
@@ -1354,12 +1337,6 @@ impl<'a> PostingsView<'a> {
         self.list.is_some_and(|l| l.contains(id))
     }
 
-    /// The owning list's mutation stamp (0 for the empty view) — the
-    /// per-probe plan-cache fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.list.map_or(0, BlockPostings::stamp)
-    }
-
     /// Number of blocks behind the view (0 for tiny/empty lists).
     pub fn block_count(&self) -> usize {
         self.list.map_or(0, BlockPostings::block_count)
@@ -1488,11 +1465,6 @@ impl PostingsCursor {
     /// Borrow as a view (for [`intersect_views`]).
     pub fn as_view(&self) -> PostingsView<'_> {
         self.list.as_view()
-    }
-
-    /// The snapshotted mutation stamp (see [`PostingsView::fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        self.list.stamp()
     }
 
     /// The underlying compressed list.
@@ -1744,7 +1716,6 @@ pub fn union_views(lists: &[PostingsView]) -> BlockPostings {
     // merge regardless of its size.
     let extra_list = (!extra.is_empty()).then(|| BlockPostings {
         repr: blocks_from_sorted(&extra),
-        stamp: 0,
     });
     if let Some(list) = &extra_list {
         blocked.push(list);
@@ -1825,7 +1796,6 @@ fn union_blocked(lists: &[&BlockPostings]) -> BlockPostings {
             containers,
             len,
         })),
-        stamp: 0,
     }
 }
 
@@ -1905,7 +1875,6 @@ mod tests {
             let mut again = Vec::new();
             back.write_bytes(&mut again);
             assert_eq!(again, buf, "re-encode is byte-identical");
-            assert_eq!(back.stamp(), 0, "stamps are process-local");
             // Mutations still work on a restored list.
             let mut back = back;
             back.insert(EntityId(123_456_789));

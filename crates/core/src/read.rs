@@ -19,9 +19,8 @@
 //! The trait is deliberately small — posting retrieval, membership tests,
 //! selectivity for plan ordering, one limit-aware conjunction
 //! ([`probe_all_limit`](GraphRead::probe_all_limit)), name resolution,
-//! point record reads, and a [`generation`](GraphRead::generation) counter
-//! that query engines use to invalidate compiled plans whose resolved
-//! state (e.g. edge targets) may have gone stale.
+//! point record reads, and a monotone
+//! [`generation`](GraphRead::generation) counter.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,25 +70,6 @@ pub trait GraphRead {
         self.postings_cursor(probe).contains(id)
     }
 
-    /// Fingerprint of one probe's posting list, for plan caches: equal
-    /// fingerprints mean the posting (and any name resolution derived
-    /// from it) is unchanged. The default is the backend's global
-    /// [`generation`](Self::generation) — always safe, maximally
-    /// conservative. Backends with per-list mutation stamps override so
-    /// unrelated writes stop invalidating hot plans.
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        let _ = probe;
-        self.generation()
-    }
-
-    /// Batch form of [`probe_fingerprint`](Self::probe_fingerprint) —
-    /// plan caches revalidate every dependency of a cached plan in one
-    /// call, so lock-striped backends can take each shard lock once for
-    /// the whole set instead of once per probe.
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        probes.iter().map(|p| self.probe_fingerprint(p)).collect()
-    }
-
     /// Entities whose name/alias matches `name` as a full (lowercased)
     /// phrase — the shared name-resolution path of every backend.
     fn resolve_name(&self, name: &str) -> Vec<EntityId> {
@@ -106,9 +86,9 @@ pub trait GraphRead {
     }
 
     /// Monotone counter bumped on every mutation that can change what any
-    /// read returns. Query engines compare it against the generation a
-    /// cached plan was compiled at and recompile on mismatch (compile-time
-    /// resolved edge targets and selectivity orderings go stale).
+    /// read returns: the wire `Generation` op reports it, and the fleet
+    /// sums it across replicas. Plan caches do not read it — a cached
+    /// plan re-checks only the edge targets it resolved.
     fn generation(&self) -> u64;
 
     /// The first `limit` ids (ascending) of the conjunction of `probes` —
@@ -159,12 +139,6 @@ where
     fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
         (**self).probe_contains(probe, id)
     }
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        (**self).probe_fingerprint(probe)
-    }
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        (**self).probe_fingerprints(probes)
-    }
     fn resolve_name(&self, name: &str) -> Vec<EntityId> {
         (**self).resolve_name(name)
     }
@@ -184,7 +158,7 @@ where
 
 /// The stable KG serves directly from its unified
 /// [`TripleIndex`](crate::TripleIndex) — zero-copy borrowed views,
-/// compressed-domain intersection, per-list fingerprints.
+/// compressed-domain intersection.
 impl GraphRead for KnowledgeGraph {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
         self.index().postings(probe).to_cursor()
@@ -200,10 +174,6 @@ impl GraphRead for KnowledgeGraph {
 
     fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
         self.index().postings(probe).contains(id)
-    }
-
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        self.index().probe_fingerprint(probe)
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
@@ -315,7 +285,7 @@ impl<L: GraphRead, S: GraphRead> OverlayRead<L, S> {
             if !self.stable.contains(*id) && tombstones.remove(id) {
                 // No generation bump: the entity was invisible before
                 // (tombstoned) and stays invisible (gone from stable), so
-                // no cached plan's answers change.
+                // no read's answer changes.
                 pruned += 1;
             }
         }
@@ -325,16 +295,9 @@ impl<L: GraphRead, S: GraphRead> OverlayRead<L, S> {
 
 impl<L: GraphRead, S: GraphRead> GraphRead for OverlayRead<L, S> {
     /// The overlay's effective posting only exists merged: build the
-    /// cursor from the shadow-filtered union. The fingerprint (the
-    /// per-probe shadow-set stamp of
-    /// [`probe_fingerprint`](Self::probe_fingerprint)) is sampled *before*
-    /// the merge, so a concurrent write makes the cursor look stale rather
-    /// than fresh.
+    /// cursor from the shadow-filtered union.
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        let fingerprint = self.probe_fingerprint(probe);
-        let mut list = crate::postings::BlockPostings::from_sorted(&self.postings(probe));
-        list.set_stamp(fingerprint);
-        PostingsCursor::from_list(list)
+        PostingsCursor::from_sorted(self.postings(probe))
     }
 
     fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
@@ -373,33 +336,6 @@ impl<L: GraphRead, S: GraphRead> GraphRead for OverlayRead<L, S> {
         } else {
             !self.is_tombstoned(id) && self.stable.probe_contains(probe, id)
         }
-    }
-
-    /// Per-probe stamp instead of the coarse generation sum. The merged
-    /// overlay posting is `(stable \ shadowed) ∪ live`, so it changes only
-    /// when (a) the live list changes, (b) the stable list changes, or
-    /// (c) the *shadow set restricted to this posting* changes — a live
-    /// upsert or tombstone can shadow a stable posting member without
-    /// touching the equally-keyed live or stable list, which is why
-    /// layer-combined stamps alone would under-invalidate. Hashing the
-    /// per-layer stamps plus exactly the shadowed member ids covers all
-    /// three; shadow-set churn on entities outside this posting leaves the
-    /// stamp (and every cached plan probing it) untouched.
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        use std::hash::Hasher;
-        let mut h = rustc_hash::FxHasher::default();
-        h.write_u64(self.live.probe_fingerprint(probe));
-        h.write_u64(self.stable.probe_fingerprint(probe));
-        let stable = self.stable.postings(probe);
-        if !stable.is_empty() {
-            let tombstones = self.tombstones.read();
-            for id in stable {
-                if tombstones.contains(&id) || self.live.contains(id) {
-                    h.write_u64(id.0);
-                }
-            }
-        }
-        h.finish()
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
@@ -561,7 +497,7 @@ mod tests {
         let g0 = overlay.generation();
         assert!(overlay.tombstone(EntityId(2)));
         assert!(!overlay.tombstone(EntityId(2)), "idempotent");
-        assert!(overlay.generation() > g0, "tombstones invalidate plans");
+        assert!(overlay.generation() > g0, "tombstones bump the generation");
 
         assert!(!overlay.contains(EntityId(2)));
         assert!(overlay.record(EntityId(2)).is_none());
@@ -622,56 +558,6 @@ mod tests {
             receipt
         };
         assert!(!receipt.is_empty());
-    }
-
-    #[test]
-    fn overlay_fingerprint_tracks_only_the_probed_posting() {
-        let mut live = KnowledgeGraph::new();
-        live.add_named_entity(EntityId(7), "Live Only", "artist", SourceId(2), 0.9);
-        let overlay = OverlayRead::new(live, stable_kg());
-        let songs = ProbeKey::Type(intern("song"));
-        let artists = ProbeKey::Type(intern("artist"));
-
-        let songs_fp = overlay.probe_fingerprint(&songs);
-        let artists_fp = overlay.probe_fingerprint(&artists);
-        assert_eq!(
-            overlay.postings_cursor(&songs).fingerprint(),
-            songs_fp,
-            "cursors carry the shadow-set stamp"
-        );
-
-        // Shadow-set churn outside the probed posting leaves its stamp
-        // alone: tombstoning a live-only entity (shadows no stable record)
-        // and tombstoning an artist must not evict plans over `songs`.
-        overlay.tombstone(EntityId(7));
-        overlay.tombstone(EntityId(3));
-        assert_eq!(overlay.probe_fingerprint(&songs), songs_fp);
-        assert_ne!(
-            overlay.probe_fingerprint(&artists),
-            artists_fp,
-            "the artist posting lost a member"
-        );
-        assert!(
-            overlay.generation() > 0,
-            "the coarse fallback would have evicted everything"
-        );
-
-        // Shadowing a member of the probed posting moves the stamp, and
-        // resurrecting restores the original posting and stamp.
-        overlay.tombstone(EntityId(2));
-        let shadowed_fp = overlay.probe_fingerprint(&songs);
-        assert_ne!(shadowed_fp, songs_fp);
-        overlay.resurrect(EntityId(2));
-        assert_eq!(overlay.probe_fingerprint(&songs), songs_fp);
-
-        // The batch form agrees with the per-probe form.
-        assert_eq!(
-            overlay.probe_fingerprints(&[&songs, &artists]),
-            vec![
-                overlay.probe_fingerprint(&songs),
-                overlay.probe_fingerprint(&artists)
-            ]
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! the update it has to see, on the thread that asked, with no worker
 //! wake and no hand-back. A caller never blocks on a replica someone
 //! else holds: it waits on the pool's one wait cell (a `Mutex` +
-//! `Condvar`) until a holder releases it or [`WAIT_POLL`] passes, then
+//! `Condvar`) until a holder releases it or `WAIT_POLL` passes, then
 //! tries again, until `session_timeout`. The cell counts releases, and a
 //! waiter sleeps only if none happened since it last looked, so no
 //! release is missed.
@@ -98,9 +98,10 @@ pub(crate) struct Slot {
     pub(crate) watermark: AtomicU64,
     /// Sum of the generations of this slot's *previous* engines: added to
     /// the live engine's generation it keeps the slot (and fleet)
-    /// generation monotone across respawns, so plan caches keyed on it
-    /// can never revalidate against a reborn store. Changed only under
-    /// the `engine` write lock, together with the swap it accounts for.
+    /// generation monotone across respawns, so a client polling the
+    /// wire `Generation` op never sees it move backwards. Changed only
+    /// under the `engine` write lock, together with the swap it accounts
+    /// for.
     pub(crate) gen_floor: AtomicU64,
     state: AtomicU8,
     kill: AtomicBool,

@@ -202,8 +202,8 @@ impl FleetRouter {
 
 /// `GraphRead` over the fleet: each call routes like a query. The fleet
 /// generation is the sum of the slot generations (each monotone across
-/// respawns via its floor), so cached plans can never revalidate against
-/// a store that was rebuilt under them.
+/// respawns via its floor), so it never moves backwards, not even when a
+/// replica is rebuilt.
 impl GraphRead for FleetRouter {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
         self.route_engine().graph().postings_cursor(probe)
@@ -219,14 +219,6 @@ impl GraphRead for FleetRouter {
 
     fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
         self.route_engine().graph().probe_contains(probe, id)
-    }
-
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        self.route_engine().graph().probe_fingerprint(probe)
-    }
-
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        self.route_engine().graph().probe_fingerprints(probes)
     }
 
     fn resolve_name(&self, name: &str) -> Vec<EntityId> {

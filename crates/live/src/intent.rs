@@ -11,6 +11,7 @@
 
 use saga_core::{intern, EntityId, FxHashMap, GraphRead, Result, SagaError};
 
+use crate::kgq::exec::first_named;
 use crate::kgq::{QueryBuilder, QueryEngine, QueryResult};
 use crate::store::ReplicaKg;
 
@@ -94,7 +95,7 @@ impl<G: GraphRead> IntentHandler<G> {
     pub fn resolve_arg(&self, arg: &IntentArg) -> Option<EntityId> {
         match arg {
             IntentArg::Id(id) => self.engine.graph().contains(*id).then_some(*id),
-            IntentArg::Name(name) => self.engine.graph().resolve_name(name).first().copied(),
+            IntentArg::Name(name) => first_named(self.engine.graph(), name),
         }
     }
 

@@ -275,7 +275,9 @@ mod tests {
         let mut kg = KnowledgeGraph::new();
         kg.add_named_entity(EntityId(1), "Halo", "song", SourceId(1), 0.9);
         let engine = QueryEngine::new(ReplicaKg::from_index(2, kg.index().clone()));
-        engine.register_virtual_op("Named", |args| Ok(vec![Condition::NameIs(args[0].clone())]));
+        engine
+            .register_virtual_op("Named", |args| Ok(vec![Condition::NameIs(args[0].clone())]))
+            .unwrap();
         let q = QueryBuilder::find()
             .of_type("song")
             .virtual_op("Named", ["Halo"])

@@ -105,62 +105,53 @@ impl QueryResult {
     }
 }
 
+/// The edge targets a plan resolved at compile time, each with the id it
+/// resolved to — the only part of a compiled plan that can go stale.
+pub(crate) type Resolved = Vec<(Target, Option<EntityId>)>;
+
+/// The first entity (lowest id) named `name` as a full phrase. A budget
+/// of one reads one id, where `resolve_name(name).first()` would union
+/// and materialize the whole posting; the prefix law makes the two agree.
+pub(crate) fn first_named<G: GraphRead>(graph: &G, name: &str) -> Option<EntityId> {
+    let probe = ProbeKey::Name(name.to_lowercase());
+    graph.probe_all_limit(&[&probe], 1).first().copied()
+}
+
 fn resolve_target<G: GraphRead>(graph: &G, target: &Target) -> Option<EntityId> {
     match target {
         Target::Id(id) => graph.contains(*id).then_some(*id),
-        Target::Name(name) => graph.resolve_name(name).first().copied(),
+        Target::Name(name) => first_named(graph, name),
     }
 }
 
-/// One compile-time dependency of a cached plan — what the plan cache
-/// fingerprints instead of the backend's single generation counter, so a
-/// write only evicts the plans whose probes it actually touched.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PlanDep {
-    /// The plan reads (or resolved a name through) this probe's posting;
-    /// revalidated via [`GraphRead::probe_fingerprint`].
-    Probe(ProbeKey),
-    /// The plan depends on backend state with no per-probe fingerprint
-    /// (e.g. an id-addressed target's existence); revalidated via the
-    /// global [`GraphRead::generation`].
-    Generation,
-}
-
-/// A compiled plan together with its fingerprinted dependency set — each
-/// dependency's value was sampled *before* the compile step that consumed
-/// it, so a concurrent write between sampling and resolution shows up as
-/// a mismatch on the next lookup (never a stale hit).
-pub struct CompiledPlan {
-    /// The physical plan.
-    pub plan: Plan,
-    /// Dependencies and the fingerprint each had at compile time.
-    pub deps: Vec<(PlanDep, u64)>,
+/// True if every target in `resolved` still resolves to the same id — the
+/// one revalidation rule of the plan cache and of materialized views.
+pub(crate) fn still_resolves<G: GraphRead>(
+    graph: &G,
+    resolved: &[(Target, Option<EntityId>)],
+) -> bool {
+    resolved
+        .iter()
+        .all(|(target, id)| resolve_target(graph, target) == *id)
 }
 
 /// Compile a parsed query against the engine (expands virtual operators,
 /// resolves edge targets against the engine's backend).
 pub fn compile<G: GraphRead>(engine: &QueryEngine<G>, query: &Query) -> Result<Plan> {
-    compile_with_deps(engine, query).map(|c| c.plan)
+    compile_resolved(engine, query).map(|(plan, _)| plan)
 }
 
-/// [`compile`], also returning the plan-cache dependency set.
-pub fn compile_with_deps<G: GraphRead>(
+/// [`compile`], also returning the edge targets it resolved. Everything
+/// else a `FIND` plan reads, it reads live at execute time, and a `GET`
+/// resolves its start at execute time: a plan with no edge targets is
+/// never stale.
+pub(crate) fn compile_resolved<G: GraphRead>(
     engine: &QueryEngine<G>,
     query: &Query,
-) -> Result<CompiledPlan> {
-    let mut deps: Vec<(PlanDep, u64)> = Vec::new();
-    let graph = engine.graph();
-    let dep_probe = |deps: &mut Vec<(PlanDep, u64)>, probe: &ProbeKey| {
-        let fp = graph.probe_fingerprint(probe);
-        let dep = PlanDep::Probe(probe.clone());
-        if !deps.iter().any(|(d, _)| *d == dep) {
-            deps.push((dep, fp));
-        }
-    };
+) -> Result<(Plan, Resolved)> {
+    let mut resolved = Resolved::new();
     let plan = match query {
         Query::Get { start, path } => Plan::Get {
-            // Start resolution happens at execute time, so GET plans carry
-            // no compile-time dependencies — they are never stale.
             start: start.clone(),
             path: path.iter().map(|p| intern(p)).collect(),
         },
@@ -198,30 +189,14 @@ pub fn compile_with_deps<G: GraphRead>(
                         probes.push(Probe::literal(intern(&pred), value))
                     }
                     Condition::RelTo { pred, target } => {
-                        // Fingerprint the resolution input *before*
-                        // resolving (see [`CompiledPlan`]).
-                        match &target {
-                            Target::Name(name) => {
-                                dep_probe(&mut deps, &ProbeKey::Name(name.to_lowercase()));
-                            }
-                            Target::Id(_) => {
-                                deps.push((PlanDep::Generation, graph.generation()));
-                            }
-                        }
-                        match resolve_target(graph, &target) {
-                            Some(id) => probes.push(Probe::edge(intern(&pred), id)),
-                            None => probes.push(Probe::Unsatisfiable),
-                        }
+                        let id = resolve_target(engine.graph(), &target);
+                        probes.push(match id {
+                            Some(id) => Probe::edge(intern(&pred), id),
+                            None => Probe::Unsatisfiable,
+                        });
+                        resolved.push((target, id));
                     }
                     Condition::VirtualOp { .. } => unreachable!("expanded above"),
-                }
-            }
-            // Every lowered probe is a dependency: execution reads live
-            // postings, but selectivity-sensitive callers still want the
-            // plan refreshed when a touched posting changes.
-            for probe in &probes {
-                if let Probe::Key(key) = probe {
-                    dep_probe(&mut deps, key);
                 }
             }
             Plan::Find {
@@ -230,7 +205,7 @@ pub fn compile_with_deps<G: GraphRead>(
             }
         }
     };
-    Ok(CompiledPlan { plan, deps })
+    Ok((plan, resolved))
 }
 
 /// Execute a compiled plan against a [`GraphRead`] backend.
@@ -457,11 +432,34 @@ mod tests {
                 pred: "performed_by".into(),
                 target: Target::Name(artist.clone()),
             }])
-        });
+        })
+        .unwrap();
         let r = eng.query(r#"FIND song WHERE ByArtist("Beyoncé")"#).unwrap();
         assert_eq!(r.entities(), &[EntityId(3)]);
         // Unknown operator is a query error.
         assert!(eng.query(r#"FIND song WHERE Nope("x")"#).is_err());
+    }
+
+    #[test]
+    fn a_registered_virtual_op_cannot_be_overwritten() {
+        // Cached plans hold the expansion of the definition they were
+        // compiled with, so a second definition under the same name would
+        // leave them answering with the first one.
+        let eng = demo_engine();
+        let songs = |_: &[String]| Ok(vec![Condition::NameIs("Halo".into())]);
+        eng.register_virtual_op("Pick", songs).unwrap();
+        let q = r#"FIND song WHERE Pick("x")"#;
+        assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
+        let err = eng
+            .register_virtual_op("Pick", |_| Ok(vec![Condition::NameIs("Jay-Z".into())]))
+            .unwrap_err();
+        assert!(err.to_string().contains("already registered"), "{err}");
+        assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
+        assert_eq!(
+            eng.run(&crate::kgq::parse(q).unwrap()).unwrap().entities(),
+            &[EntityId(3)],
+            "a fresh compile expands the one definition too"
+        );
     }
 
     #[test]
@@ -477,10 +475,9 @@ mod tests {
 
     #[test]
     fn unrelated_writes_keep_plans_warm() {
-        // The ROADMAP thrash case: one live upsert used to bump the global
-        // generation and evict every cached plan. With per-probe
-        // fingerprints, a plan is invalidated only when a posting it
-        // touched (or resolved a name through) actually changes.
+        // A cached plan re-checks only the edge targets it resolved: its
+        // postings are read live at execute time, so no write to them
+        // can make it stale.
         let live = demo_store(4);
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
@@ -498,17 +495,28 @@ mod tests {
             "unrelated write left the plan warm"
         );
 
-        // A write that touches a fingerprinted posting (the song type
-        // probe) does invalidate.
+        // A write into a posting the plan reads (the song type probe)
+        // keeps it warm too; execution sees the new member live.
         live.apply(&named(98, "Encore", "song"));
-        assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
-        assert_eq!(eng.plan_cache_stats(), (2, 2), "touched probe recompiled");
+        live.apply(&Delta {
+            entity: EntityId(98),
+            added: vec![DeltaFact {
+                predicate: intern("performed_by"),
+                object: Value::Entity(EntityId(1)),
+            }],
+            removed: Vec::new(),
+        });
+        assert_eq!(
+            eng.query(q).unwrap().entities(),
+            &[EntityId(3), EntityId(98)]
+        );
+        assert_eq!(eng.plan_cache_stats(), (3, 1), "no recompile");
     }
 
     #[test]
     fn stale_plans_recompile_after_writes() {
         // A plan that resolved an edge target by name must see a renamed
-        // target after the backend's generation moves.
+        // target: the hit re-resolves the name and finds it moved.
         let live = demo_store(2);
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
@@ -521,7 +529,7 @@ mod tests {
         });
         assert!(
             eng.query(q).unwrap().is_empty(),
-            "generation bump forces recompile; the old name no longer resolves"
+            "the old name no longer resolves"
         );
         assert_eq!(
             eng.query(r#"FIND song WHERE performed_by -> entity("Queen B")"#)
@@ -529,6 +537,79 @@ mod tests {
                 .entities(),
             &[EntityId(3)]
         );
+    }
+
+    #[test]
+    fn id_targets_recheck_that_the_entity_exists() {
+        let live = demo_store(2);
+        let eng = QueryEngine::new(live.clone());
+        let q = r#"FIND song WHERE performed_by -> AKG:1"#;
+        assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
+        // Entity 1 goes: the edge from song 3 stays, but `AKG:1` no longer
+        // resolves, so the plan recompiles to an unsatisfiable probe.
+        let beyonce = Delta {
+            entity: EntityId(1),
+            added: Vec::new(),
+            removed: live
+                .record(EntityId(1))
+                .unwrap()
+                .triples
+                .iter()
+                .map(|t| DeltaFact {
+                    predicate: t.predicate,
+                    object: t.object.clone(),
+                })
+                .collect(),
+        };
+        live.apply(&beyonce);
+        assert!(eng.query(q).unwrap().is_empty());
+        assert_eq!(
+            eng.plan_cache_stats(),
+            (0, 2),
+            "moved resolution recompiled"
+        );
+        live.apply(&Delta {
+            entity: EntityId(1),
+            added: beyonce.removed.clone(),
+            removed: Vec::new(),
+        });
+        assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
+        assert_eq!(eng.plan_cache_stats(), (0, 3));
+        assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
+        assert_eq!(eng.plan_cache_stats(), (1, 3));
+    }
+
+    #[test]
+    fn first_named_is_the_head_of_resolve_name_on_every_backend() {
+        let kg = demo_kg();
+        let mut live_kg = KnowledgeGraph::new();
+        // A live override of Halo's name, and a second "Jay-Z" below the
+        // stable one in id order.
+        live_kg.add_named_entity(EntityId(3), "Jay-Z", "song", SourceId(2), 0.9);
+        let live = ReplicaKg::from_index(3, live_kg.index().clone());
+        let overlay = OverlayRead::new(live.clone(), kg.clone());
+        let names = ["Beyoncé", "jay-z", "Halo", "Hollywood", "Nobody"];
+        for name in names {
+            assert_eq!(
+                first_named(&kg, name),
+                kg.resolve_name(name).first().copied()
+            );
+            assert_eq!(
+                first_named(&live, name),
+                live.resolve_name(name).first().copied()
+            );
+            assert_eq!(
+                first_named(&overlay, name),
+                overlay.resolve_name(name).first().copied(),
+                "{name}"
+            );
+        }
+        assert_eq!(
+            first_named(&overlay, "Halo"),
+            None,
+            "shadowed by the live name"
+        );
+        assert_eq!(first_named(&overlay, "Jay-Z"), Some(EntityId(2)));
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! `O(changed × probes)` point lookups instead of re-running the query.
 //!
 //! Compiled probes can themselves go stale: an edge condition resolved a
-//! target *name* to an id at compile time, and a rename moves that
-//! resolution. Those resolution inputs are fingerprinted exactly like the
-//! [`QueryEngine`] plan cache does ([`PlanDep`]); on mismatch the view
-//! recompiles, and only if the lowered probes actually changed does it
-//! fall back to re-materialization — reported as a full refresh through
+//! target to an id at compile time, and a rename (or a delete) moves that
+//! resolution. Per commit the view re-resolves exactly those targets, by
+//! the same rule as the [`QueryEngine`] plan cache; if one moved, it
+//! recompiles and re-materializes — reported as a full refresh through
 //! [`RefreshKind`](saga_graph::RefreshKind).
 //!
 //! The materialization is the **full** membership (sorted): KGQ's `LIMIT`
@@ -26,7 +25,7 @@ use parking_lot::Mutex;
 use saga_core::{EntityId, GraphRead, KnowledgeGraph, ProbeKey, Result, SagaError};
 use saga_graph::views::{Maintained, View, ViewContext, ViewData};
 
-use crate::kgq::exec::{compile_with_deps, Plan, PlanDep, Probe};
+use crate::kgq::exec::{compile_resolved, still_resolves, Plan, Probe, Resolved};
 use crate::kgq::parser::{parse, Condition, Query};
 use crate::kgq::QueryEngine;
 
@@ -34,10 +33,8 @@ use crate::kgq::QueryEngine;
 struct MatState {
     /// Lowered probes (conjunctive).
     probes: Vec<Probe>,
-    /// Resolution dependencies (name-resolution postings, id-existence
-    /// generation) with their compile-time fingerprints — the inputs whose
-    /// change can invalidate `probes` themselves.
-    resolution: Vec<(PlanDep, u64)>,
+    /// The edge targets `probes` bound, each with the id it resolved to.
+    resolved: Resolved,
 }
 
 /// A registered, incrementally-maintained KGQ `FIND` view.
@@ -100,32 +97,13 @@ impl MaterializedKgqView {
         &members[..members.len().min(self.limit)]
     }
 
-    /// Compile the stored AST against the KG, splitting the dependency set
-    /// into resolution inputs vs the lowered probes themselves.
+    /// Compile the stored AST against the KG.
     fn compile(&self, kg: &KnowledgeGraph) -> Result<MatState> {
         let engine = QueryEngine::new(kg);
-        let compiled = compile_with_deps(&engine, &self.query)?;
-        let Plan::Find { probes, .. } = compiled.plan else {
+        let (Plan::Find { probes, .. }, resolved) = compile_resolved(&engine, &self.query)? else {
             return Err(SagaError::Query("materialized view must be FIND".into()));
         };
-        let probe_keys: Vec<&ProbeKey> = probes
-            .iter()
-            .filter_map(|p| match p {
-                Probe::Key(k) => Some(k),
-                Probe::Unsatisfiable => None,
-            })
-            .collect();
-        let resolution = compiled
-            .deps
-            .into_iter()
-            .filter(|(dep, _)| match dep {
-                PlanDep::Generation => true,
-                // Probe deps that are lowered probes are maintained
-                // per-changed-id; only resolution inputs stay fingerprinted.
-                PlanDep::Probe(key) => !probe_keys.contains(&key),
-            })
-            .collect();
-        Ok(MatState { probes, resolution })
+        Ok(MatState { probes, resolved })
     }
 
     /// Run the compiled probe intersection to full membership (sorted).
@@ -171,21 +149,13 @@ impl View for MaterializedKgqView {
             return Ok(Maintained::full(self.create(ctx)?));
         };
 
-        // Revalidate the resolution inputs. A moved fingerprint does not
-        // itself force re-materialization — recompile and compare: only a
-        // change in the lowered probes invalidates the membership.
-        let stale = st.resolution.iter().any(|(dep, fp)| match dep {
-            PlanDep::Probe(key) => ctx.kg.probe_fingerprint(key) != *fp,
-            PlanDep::Generation => true,
-        });
-        if stale {
+        // A moved resolution changes the probes themselves: the
+        // membership is rebuilt, not maintained.
+        if !still_resolves(ctx.kg, &st.resolved) {
             let fresh = self.compile(ctx.kg)?;
-            if fresh.probes != st.probes {
-                let members = self.materialize(ctx.kg, &fresh.probes);
-                *st = fresh;
-                return Ok(Maintained::full(ViewData::Entities(members)));
-            }
-            st.resolution = fresh.resolution;
+            let members = self.materialize(ctx.kg, &fresh.probes);
+            *st = fresh;
+            return Ok(Maintained::full(ViewData::Entities(members)));
         }
 
         if st.probes.iter().any(|p| matches!(p, Probe::Unsatisfiable)) {
@@ -312,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn rename_of_resolved_target_invalidates_via_fingerprint() {
+    fn rename_of_resolved_target_rematerializes() {
         let mut kg = demo_kg();
         let store = AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
@@ -330,8 +300,8 @@ mod tests {
         vm.refresh_all(&kg, &store).unwrap();
 
         // Rename the artist: the compile-time name→id resolution is stale,
-        // the old name no longer resolves, and the view must notice via
-        // the fingerprinted resolution dep — reported as a full refresh.
+        // the old name no longer resolves, and the view must notice by
+        // re-resolving it — reported as a full refresh.
         let name_sym = intern(saga_core::well_known::NAME);
         let receipt = WriteBatch::new()
             .mutate(EntityId(1), move |rec| {

@@ -26,9 +26,9 @@
 //! executor and plan cache serve the stable KG, the sharded live store, or
 //! a live-over-stable [`OverlayRead`](saga_core::OverlayRead). Queries
 //! compile to physical plans (index probes ordered by selectivity +
-//! intersection — operator pushdown) that are cached per query text and
-//! invalidated through the backend's [`generation`](GraphRead::generation)
-//! counter.
+//! intersection — operator pushdown) that are cached per query text. A
+//! cached plan re-resolves the edge targets it bound at compile time and
+//! recompiles only if one of them moved.
 
 pub mod builder;
 pub mod exec;
@@ -36,10 +36,11 @@ pub mod materialized;
 pub mod parser;
 
 pub use builder::{FindBuilder, GetBuilder, QueryBuilder};
-pub use exec::{compile, compile_with_deps, execute, CompiledPlan, Plan, PlanDep, QueryResult};
+pub use exec::{compile, execute, Plan, QueryResult};
 pub use materialized::MaterializedKgqView;
 pub use parser::{parse, Condition, Query, Target};
 
+use exec::{compile_resolved, still_resolves, Resolved};
 use parking_lot::RwLock;
 use saga_core::{FxHashMap, GraphRead, Result, SagaError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,12 +52,11 @@ use crate::store::ReplicaKg;
 /// compile time, "facilitating easy reuse of complex expressions".
 pub type VirtualOp = Arc<dyn Fn(&[String]) -> Result<Vec<Condition>> + Send + Sync>;
 
-/// One cached physical plan, keyed by the fingerprints of the probes it
-/// touched at compile time ([`PlanDep`]): a write invalidates only the
-/// plans whose postings (or name resolutions) it actually changed, so one
-/// live upsert no longer evicts every hot plan.
+/// One cached physical plan and the edge targets it resolved at compile
+/// time. The plan's postings are read live at execute time, so only a
+/// moved resolution can make it stale.
 struct CachedPlan {
-    deps: Vec<(PlanDep, u64)>,
+    resolved: Resolved,
     plan: Arc<Plan>,
 }
 
@@ -68,7 +68,7 @@ pub struct QueryEngine<G: GraphRead = ReplicaKg> {
     plan_cache: Arc<RwLock<FxHashMap<String, CachedPlan>>>,
     /// Cache lookups that revalidated and executed a cached plan.
     plan_hits: Arc<AtomicU64>,
-    /// Full compiles (cold misses plus fingerprint invalidations).
+    /// Full compiles (cold misses plus moved edge-target resolutions).
     plan_compiles: Arc<AtomicU64>,
 }
 
@@ -101,15 +101,22 @@ impl<G: GraphRead> QueryEngine<G> {
         &self.graph
     }
 
-    /// Register a virtual operator under `name`.
+    /// Register a virtual operator under `name`. A name is registered
+    /// once: cached plans hold the expansion they were compiled with, so
+    /// a second definition would leave them answering with the first.
     pub fn register_virtual_op(
         &self,
         name: &str,
         op: impl Fn(&[String]) -> Result<Vec<Condition>> + Send + Sync + 'static,
-    ) {
-        self.virtual_ops
-            .write()
-            .insert(name.to_string(), Arc::new(op));
+    ) -> Result<()> {
+        let mut ops = self.virtual_ops.write();
+        if ops.contains_key(name) {
+            return Err(SagaError::Query(format!(
+                "virtual operator {name} already registered"
+            )));
+        }
+        ops.insert(name.to_string(), Arc::new(op));
+        Ok(())
     }
 
     /// Expand a virtual operator (compiler hook).
@@ -121,40 +128,8 @@ impl<G: GraphRead> QueryEngine<G> {
         op(args)
     }
 
-    /// Revalidate a cached plan's dependency set. All probe dependencies
-    /// are fingerprinted in **one** batch call so lock-striped backends
-    /// take each shard lock once for the whole set, not once per probe.
-    fn deps_valid(&self, deps: &[(PlanDep, u64)]) -> bool {
-        if deps.is_empty() {
-            // GET plans resolve everything at execute time — never stale.
-            return true;
-        }
-        let probes: Vec<&saga_core::ProbeKey> = deps
-            .iter()
-            .filter_map(|(dep, _)| match dep {
-                PlanDep::Probe(probe) => Some(probe),
-                PlanDep::Generation => None,
-            })
-            .collect();
-        let fingerprints = self.graph.probe_fingerprints(&probes);
-        let mut at = 0usize;
-        for (dep, expected) in deps {
-            let current = match dep {
-                PlanDep::Probe(_) => {
-                    let fp = fingerprints[at];
-                    at += 1;
-                    fp
-                }
-                PlanDep::Generation => self.graph.generation(),
-            };
-            if current != *expected {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The cached plan for `text`, if every dependency still validates.
+    /// The cached plan for `text`, if every edge target it resolved still
+    /// resolves to the same id.
     /// Returns an owned `Arc` so the plan-cache read guard is gone before
     /// the caller executes: a guard held across execution would queue
     /// every recompile's `write()` behind all in-flight reads, and new
@@ -162,36 +137,34 @@ impl<G: GraphRead> QueryEngine<G> {
     fn cached_plan(&self, text: &str) -> Option<Arc<Plan>> {
         let cache = self.plan_cache.read();
         let cached = cache.get(text)?;
-        self.deps_valid(&cached.deps)
-            .then(|| Arc::clone(&cached.plan))
+        still_resolves(&self.graph, &cached.resolved).then(|| Arc::clone(&cached.plan))
     }
 
-    /// Parse, compile (with per-probe fingerprinted plan caching) and
-    /// execute a KGQ query. A cached plan is reused iff every probe it
-    /// touched at compile time still has the fingerprint it was compiled
-    /// against — writes to unrelated postings leave it warm.
+    /// Parse, compile (with plan caching) and execute a KGQ query. A
+    /// cached plan is reused iff every edge target it resolved still
+    /// resolves to the same id; a plan with none is always reused.
     pub fn query(&self, text: &str) -> Result<QueryResult> {
         if let Some(plan) = self.cached_plan(text) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return execute(&self.graph, &plan);
         }
         let ast = parse(text)?;
-        let compiled = compile_with_deps(self, &ast)?;
+        let (plan, resolved) = compile_resolved(self, &ast)?;
         self.plan_compiles.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(compiled.plan);
+        let plan = Arc::new(plan);
         self.plan_cache.write().insert(
             text.to_string(),
             CachedPlan {
-                deps: compiled.deps,
+                resolved,
                 plan: Arc::clone(&plan),
             },
         );
         execute(&self.graph, &plan)
     }
 
-    /// Plan-cache telemetry: `(hits, compiles)` — cache lookups that
-    /// revalidated against their probe fingerprints and executed without
-    /// recompiling, vs. full compiles (cold misses + invalidations).
+    /// Plan-cache telemetry: `(hits, compiles)` — cache lookups whose edge
+    /// targets still resolved and that executed without recompiling, vs.
+    /// full compiles (cold misses + moved resolutions).
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         (
             self.plan_hits.load(Ordering::Relaxed),
@@ -213,9 +186,8 @@ impl<G: GraphRead> QueryEngine<G> {
         self.plan_cache.read().len()
     }
 
-    /// Invalidate the plan cache explicitly. Usually unnecessary: cached
-    /// plans are re-checked against the backend's generation counter and
-    /// recompiled on mismatch.
+    /// Drop every cached plan. Never needed for correctness: a hit
+    /// re-resolves the plan's edge targets and recompiles if one moved.
     pub fn invalidate_plans(&self) {
         self.plan_cache.write().clear();
     }

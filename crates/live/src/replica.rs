@@ -169,15 +169,11 @@ fn apply_op(live: &ReplicaKg, op: &IngestOp) {
 /// A replica reads through the same backend-agnostic API as every other
 /// store. Serving engines hold the [`ReplicaKg`] itself
 /// ([`live`](LiveReplica::live)); this impl forwards what the trait
-/// requires plus the per-probe fingerprint, and the provided methods
-/// derive the rest from the same cursor.
+/// requires, and the provided methods derive the rest from the same
+/// cursor.
 impl GraphRead for LiveReplica {
     fn postings_cursor(&self, probe: &ProbeKey) -> saga_core::PostingsCursor {
         self.live.postings_cursor(probe)
-    }
-
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        self.live.probe_fingerprint(probe)
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {

@@ -19,7 +19,6 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,30 +70,18 @@ impl ShardedTripleIndex {
     /// domain ([`union_views`]), never materializing id vectors. Each
     /// shard lock is taken one at a time (cloning the compressed list is
     /// cheap) so a stream of cursor reads never stalls writers fleet-wide;
-    /// the union itself runs lock-free. The cursor carries the combined
-    /// per-shard fingerprint (the same hash
-    /// [`probe_fingerprint`](Self::probe_fingerprint) reports); each
-    /// shard's stamp is sampled under the same lock as that shard's
-    /// snapshot, and stamps are monotone, so a write racing the walk can
-    /// only make the cursor look stale — never falsely fresh.
+    /// the union itself runs lock-free.
     pub fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        let mut h = rustc_hash::FxHasher::default();
         let snapshots: Vec<saga_core::BlockPostings> = self
             .shards
             .iter()
-            .map(|shard| {
-                let idx = shard.read();
-                h.write_u64(idx.probe_fingerprint(probe));
-                idx.postings(probe).to_cursor().into_list()
-            })
+            .map(|shard| shard.read().postings(probe).to_cursor().into_list())
             .collect();
         let views: Vec<PostingsView> = snapshots
             .iter()
             .map(saga_core::BlockPostings::as_view)
             .collect();
-        let mut list = union_views(&views);
-        list.set_stamp(h.finish());
-        PostingsCursor::from_list(list)
+        PostingsCursor::from_list(union_views(&views))
     }
 
     /// The first `limit` ids of a conjunction of probes: intersect within
@@ -131,37 +118,6 @@ impl ShardedTripleIndex {
             .iter()
             .map(|s| s.read().selectivity(probe))
             .sum()
-    }
-
-    /// Combined per-shard fingerprint of one probe's posting (plan-cache
-    /// key): changes iff the posting changed in *any* shard, and is
-    /// untouched by writes to other posting lists.
-    pub fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        let mut h = rustc_hash::FxHasher::default();
-        for shard in &self.shards {
-            h.write_u64(shard.read().probe_fingerprint(probe));
-        }
-        h.finish()
-    }
-
-    /// Batch fingerprints for a dependency set: one pass taking each
-    /// shard lock once for all probes, instead of once per probe — the
-    /// plan-cache revalidation path.
-    pub fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        if probes.is_empty() {
-            return Vec::new();
-        }
-        let mut hashers: Vec<rustc_hash::FxHasher> = probes
-            .iter()
-            .map(|_| rustc_hash::FxHasher::default())
-            .collect();
-        for shard in &self.shards {
-            let idx = shard.read();
-            for (h, probe) in hashers.iter_mut().zip(probes.iter()) {
-                h.write_u64(idx.probe_fingerprint(probe));
-            }
-        }
-        hashers.into_iter().map(|h| h.finish()).collect()
     }
 
     /// Encoded payload bytes of all posting lists across shards (the
@@ -222,8 +178,7 @@ fn merge_sorted_limit(mut lists: Vec<Vec<EntityId>>, limit: usize) -> Vec<Entity
 #[derive(Clone)]
 pub struct ReplicaKg {
     index: Arc<ShardedTripleIndex>,
-    /// Bumped on every write that lands — the [`GraphRead`] plan-cache
-    /// signal.
+    /// Bumped on every write that lands ([`GraphRead::generation`]).
     generation: Arc<AtomicU64>,
 }
 
@@ -243,9 +198,9 @@ impl ReplicaKg {
         let parts = index.partition(shards.clamp(1, MAX_SHARDS));
         ReplicaKg {
             index: Arc::new(ShardedTripleIndex::from_partitions(parts)),
-            // Start past the empty-store generation so plan caches built
-            // against a fresh `new()` store never validate against a
-            // restored one.
+            // Start past the empty-store generation: a restored store is
+            // never reported as an empty `new()` one, so a fleet slot's
+            // generation moves across a respawn even before replay.
             generation: Arc::new(AtomicU64::new(1)),
         }
     }
@@ -285,8 +240,8 @@ impl ReplicaKg {
     }
 }
 
-/// The store-over-index layer: postings, conjunctions and fingerprints
-/// come from the striped index, conjunctions evaluated shard by shard
+/// The store-over-index layer: postings and conjunctions come from the
+/// striped index, conjunctions evaluated shard by shard
 /// (see [`ShardedTripleIndex::probe_all_limit`]).
 impl GraphRead for ReplicaKg {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
@@ -295,14 +250,6 @@ impl GraphRead for ReplicaKg {
 
     fn selectivity(&self, probe: &ProbeKey) -> usize {
         self.index.selectivity(probe)
-    }
-
-    fn probe_fingerprint(&self, probe: &ProbeKey) -> u64 {
-        self.index.probe_fingerprint(probe)
-    }
-
-    fn probe_fingerprints(&self, probes: &[&ProbeKey]) -> Vec<u64> {
-        self.index.probe_fingerprints(probes)
     }
 
     fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
@@ -349,7 +296,7 @@ impl GraphRead for ReplicaKg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{checkpoint, intern, DeltaFact, KnowledgeGraph, Lsn, SourceId};
+    use saga_core::{intern, DeltaFact, KnowledgeGraph, SourceId};
 
     fn fact(predicate: &str, object: Value) -> DeltaFact {
         DeltaFact {
@@ -482,31 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn a_restored_posting_that_empties_moves_its_fingerprint() {
-        // A checkpoint restores every list with stamp 0, which is also the
-        // fingerprint of an absent list. Emptying a restored list must
-        // still move its fingerprint, or a plan that resolved a name
-        // through it stays cached after a rename.
-        let mut kg = KnowledgeGraph::new();
-        kg.add_named_entity(EntityId(1), "Alpha", "song", SourceId(1), 0.9);
-        let dir = std::env::temp_dir().join(format!("saga-store-stamps-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let image = checkpoint::encode(Lsn(1), kg.index());
-        let path = checkpoint::publish(&dir, &image).unwrap();
-        for shards in [1, 4] {
-            let live = ReplicaKg::from_index(shards, checkpoint::load(&path).unwrap().index);
-            let before = live.probe_fingerprint(&name("alpha"));
-            live.apply(&undo(&named(1, "Alpha", "song")));
-            assert_ne!(
-                live.probe_fingerprint(&name("alpha")),
-                before,
-                "{shards} shards"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn cross_shard_postings_merge_sorted() {
         let live = ReplicaKg::new(4); // ids spread over every shard
         for i in (1..=40u64).rev() {
@@ -571,34 +493,6 @@ mod tests {
         live.apply(&undo(&warriors));
         assert!(live.generation() > g1, "removals bump too");
         assert!(!live.contains(EntityId(1)));
-    }
-
-    #[test]
-    fn cursor_fingerprints_match_probe_fingerprint() {
-        let live = ReplicaKg::new(4);
-        live.apply(&named(1, "Alpha", "song"));
-        let probe = ProbeKey::Type(intern("song"));
-        assert_eq!(
-            live.postings_cursor(&probe).fingerprint(),
-            live.probe_fingerprint(&probe),
-            "sharded cursors carry the combined fingerprint"
-        );
-        let fp0 = live.probe_fingerprint(&probe);
-        live.apply(&named(2, "Beta", "song"));
-        assert_ne!(live.probe_fingerprint(&probe), fp0, "write moves it");
-        assert_eq!(
-            live.postings_cursor(&probe).fingerprint(),
-            live.probe_fingerprint(&probe)
-        );
-        // The batch form agrees with the per-probe form.
-        let miss = name("nope");
-        assert_eq!(
-            live.probe_fingerprints(&[&probe, &miss]),
-            vec![
-                live.probe_fingerprint(&probe),
-                live.probe_fingerprint(&miss)
-            ]
-        );
     }
 
     #[test]

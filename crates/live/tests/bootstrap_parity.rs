@@ -166,13 +166,6 @@ fn assert_replica_parity(booted: &LiveReplica, reference: &LiveReplica, facts: &
         for &id in expected.iter().take(4) {
             prop_assert!(booted.probe_contains(probe, id));
         }
-        // Fingerprint coherence on the restored store: the cursor stamp,
-        // the per-probe form and the batch form must agree (stamps are
-        // process-local, so cross-replica equality is not expected).
-        let fp = booted.probe_fingerprint(probe);
-        prop_assert_eq!(booted.postings_cursor(probe).fingerprint(), fp);
-        prop_assert_eq!(booted.probe_fingerprint(probe), fp, "stamps are stable");
-        prop_assert_eq!(booted.probe_fingerprints(&[probe]), vec![fp]);
     }
     for pair in probes.windows(2).take(12) {
         prop_assert_eq!(&booted.probe_all(pair), &reference.probe_all(pair));

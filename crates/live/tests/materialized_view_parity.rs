@@ -5,7 +5,7 @@
 //! set a fresh compile-and-execute of the same query returns.** The
 //! interleavings include edge rewires, literal flips, entity appearance /
 //! departure, and renames of the query's resolved target — the last
-//! crossing the fingerprint-invalidation path into a declared full
+//! moving the target's resolution into a declared full
 //! re-materialization.
 
 use rand::rngs::StdRng;
@@ -164,7 +164,7 @@ fn maintained_membership_equals_fresh_execution_across_interleavings() {
     }
 }
 
-/// Renaming the query's resolved target moves a compile-time fingerprint:
+/// Renaming the query's resolved target moves its compile-time resolution:
 /// the view must notice, re-materialize (declared full), and re-converge —
 /// then keep maintaining incrementally against the *new* resolution.
 #[test]

@@ -142,7 +142,7 @@ fn main() -> Result<()> {
             pred: "venue".into(),
             target: saga_live::kgq::Target::Name(venue),
         }])
-    });
+    })?;
     let at_chase = engine.query(r#"FIND sports_game WHERE GamesAt("Chase Center")"#)?;
     println!(
         "virtual operator GamesAt(\"Chase Center\") → {} game(s)",
