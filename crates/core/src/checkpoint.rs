@@ -48,7 +48,7 @@ use std::sync::Arc;
 use crate::binary::{
     fnv1a, push_str, push_value, push_varint, take_count, take_str, take_value, take_varint,
 };
-use crate::index::ObjId;
+use crate::index::{ObjDict, ObjId};
 use crate::json::{self, Json};
 use crate::postings::BlockPostings;
 use crate::{intern, EntityId, FxHashMap, Lsn, Result, SagaError, Symbol, TripleIndex, Value};
@@ -126,13 +126,11 @@ pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
 
     // Object table: live dictionary slots only, in slot order; `obj_index`
     // maps a source slot to its dense position in the artifact.
-    let mut obj_index: Vec<u64> = vec![u64::MAX; index.obj_values.len()];
+    let mut obj_index: Vec<u64> = vec![u64::MAX; index.objects.slots()];
     let mut objects: Vec<&Value> = Vec::new();
-    for (slot, refs) in index.obj_refs.iter().enumerate() {
-        if *refs > 0 {
-            obj_index[slot] = objects.len() as u64;
-            objects.push(&index.obj_values[slot]);
-        }
+    for (obj, value) in index.objects.live() {
+        obj_index[obj.0 as usize] = objects.len() as u64;
+        objects.push(value);
     }
 
     let mut sections: Vec<(&str, Vec<u8>)> = Vec::with_capacity(SECTIONS.len());
@@ -440,15 +438,15 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
     if nobjs > u32::MAX as usize {
         return Err(err("object table too large"));
     }
-    index.obj_values.reserve(nobjs);
+    // `take_count` has bounded `nobjs` by the section's length, so the
+    // table is sized once; no slot is free, so value `i` takes slot `i`
+    // unless it repeats an earlier one.
+    index.objects = ObjDict::with_capacity(nobjs);
     for i in 0..nobjs {
         let value = take_value(bytes, &mut at)?;
-        index.obj_ids.insert(value.clone(), ObjId(i as u32));
-        index.obj_values.push(value);
-        index.obj_refs.push(0);
-    }
-    if index.obj_ids.len() != nobjs {
-        return Err(err("duplicate object value in table"));
+        if index.objects.intern(&value).0 as usize != i {
+            return Err(err("duplicate object value in table"));
+        }
     }
     if at != bytes.len() {
         return Err(err("objects section length mismatch"));
@@ -484,7 +482,7 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
         for _ in 0..nfacts {
             let pred = sym_at(take_varint(bytes, &mut at)?)?;
             let obj = obj_at(take_varint(bytes, &mut at)?)?;
-            index.obj_refs[obj.0 as usize] += 1;
+            index.objects.acquire(obj);
             column.push((pred, obj));
         }
         // Symbol/ObjId orderings are process-local — re-sort the column.
@@ -497,7 +495,7 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
     if at != bytes.len() {
         return Err(err("records section length mismatch"));
     }
-    if index.obj_refs.contains(&0) {
+    if index.objects.live().count() != nobjs {
         return Err(err("object table entry referenced by no record"));
     }
 
@@ -744,6 +742,102 @@ mod tests {
         assert!(load(&newer_path).is_err());
 
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `full` with section `name`'s bytes replaced by `edit`'s, and that
+    /// section's length and checksum in the manifest rewritten to match,
+    /// so only the decoder can object to the edit.
+    fn rewrite_section(full: &[u8], name: &str, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let mut lines = full.splitn(3, |&b| b == b'\n');
+        let (magic, manifest, mut payload) = (
+            lines.next().unwrap(),
+            lines.next().unwrap(),
+            lines.next().unwrap(),
+        );
+        let mut manifest = json::parse(std::str::from_utf8(manifest).unwrap()).unwrap();
+        let Json::Object(fields) = &mut manifest else {
+            panic!("manifest is an object")
+        };
+        let Some(Json::Array(sections)) = fields.get_mut("sections") else {
+            panic!("manifest lists its sections")
+        };
+        let mut body = Vec::new();
+        let mut edit = Some(edit);
+        for section in sections {
+            let Json::Object(meta) = section else {
+                panic!("a section is an object")
+            };
+            let len = meta["len"].as_i64().unwrap() as usize;
+            let (bytes, rest) = payload.split_at(len);
+            payload = rest;
+            if meta["name"].as_str() != Some(name) {
+                body.extend_from_slice(bytes);
+                continue;
+            }
+            let edited = edit.take().unwrap()(bytes);
+            meta.insert("len".to_string(), Json::Int(edited.len() as i64));
+            meta.insert(
+                "crc".to_string(),
+                Json::Str(format!("{:016x}", fnv1a(&edited))),
+            );
+            body.extend_from_slice(&edited);
+        }
+        assert!(edit.is_none(), "no section {name}");
+        let mut out = magic.to_vec();
+        out.push(b'\n');
+        out.extend_from_slice(manifest.to_string_compact().as_bytes());
+        out.push(b'\n');
+        out.extend_from_slice(&body);
+        out
+    }
+
+    /// An `objects` section with one more entry, `extra`, after the rest.
+    fn append_object(bytes: &[u8], extra: impl FnOnce(&[u8]) -> Value) -> Vec<u8> {
+        let mut at = 0;
+        let count = take_varint(bytes, &mut at).unwrap();
+        let mut out = Vec::new();
+        push_varint(&mut out, count + 1);
+        out.extend_from_slice(&bytes[at..]);
+        push_value(&mut out, &extra(&bytes[at..]));
+        out
+    }
+
+    /// Publish `edited` in place of a good artifact and load it.
+    fn load_edited(dir_name: &str, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Result<Checkpoint> {
+        let dir = std::env::temp_dir().join(format!("{dir_name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = publish(&dir, &encode(Lsn(5), &sample_index(40))).unwrap();
+        let full = fs::read(&path).unwrap();
+        // The rewrite alone, with nothing edited, still loads.
+        fs::write(&path, rewrite_section(&full, "objects", <[u8]>::to_vec)).unwrap();
+        assert!(load(&path).is_ok(), "an identity rewrite loads");
+        fs::write(&path, rewrite_section(&full, "objects", edit)).unwrap();
+        let loaded = load(&path);
+        let _ = fs::remove_dir_all(&dir);
+        loaded
+    }
+
+    fn assert_rejected(loaded: Result<Checkpoint>, reason: &str) {
+        match loaded {
+            Ok(_) => panic!("an artifact with {reason} loaded"),
+            Err(e) => assert!(e.to_string().contains(reason), "{e}"),
+        }
+    }
+
+    #[test]
+    fn an_objects_section_that_repeats_a_value_is_rejected() {
+        let loaded = load_edited("saga-ckpt-dup", |bytes| {
+            append_object(bytes, |values| take_value(values, &mut 0).unwrap())
+        });
+        assert_rejected(loaded, "duplicate object value in table");
+    }
+
+    #[test]
+    fn an_object_that_no_record_references_is_rejected() {
+        let loaded = load_edited("saga-ckpt-orphan", |bytes| {
+            append_object(bytes, |_| Value::str("referenced by nothing"))
+        });
+        assert_rejected(loaded, "object table entry referenced by no record");
     }
 
     #[test]

@@ -42,7 +42,10 @@
 //! same extended-triple trick (§2.1) the analytics store uses, so both
 //! share one schema.
 
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
+
+use rustc_hash::FxBuildHasher;
 
 use crate::postings::{intersect_views_limit, BlockPostings, PostingsView};
 use crate::well_known;
@@ -130,19 +133,8 @@ pub enum ProbeKey {
 /// The unified interned triple index. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct TripleIndex {
-    /// Object-value dictionary: interning side.
-    pub(crate) obj_ids: FxHashMap<Value, ObjId>,
-    /// Object-value dictionary: resolution side. Freed slots hold
-    /// `Value::Null` placeholders until reused.
-    pub(crate) obj_values: Vec<Value>,
-    /// Per-slot reference counts: total fact occurrences (across all
-    /// subjects) whose object resolves to this slot. A slot whose count
-    /// returns to zero is evicted from `obj_ids` and recycled through
-    /// `obj_free`, so high-churn volatile values stop accumulating dead
-    /// dictionary entries.
-    pub(crate) obj_refs: Vec<u32>,
-    /// Recycled dictionary slots awaiting reuse.
-    pub(crate) obj_free: Vec<u32>,
+    /// Object-value dictionary.
+    pub(crate) objects: ObjDict,
     /// SPO: per-subject sorted `(predicate, object)` columns (multiset).
     pub(crate) spo: FxHashMap<EntityId, Vec<(Symbol, ObjId)>>,
     /// POS: `(predicate, object)` block-compressed posting lists.
@@ -214,32 +206,17 @@ impl TripleIndex {
         self.facts == 0
     }
 
-    #[cfg(test)]
-    fn obj_id(&mut self, value: &Value) -> ObjId {
-        intern_obj(
-            &mut self.obj_ids,
-            &mut self.obj_values,
-            &mut self.obj_refs,
-            &mut self.obj_free,
-            value,
-        )
-    }
-
     /// Number of *live* object-dictionary entries (values currently
     /// referenced by at least one indexed fact).
     pub fn obj_dict_len(&self) -> usize {
-        self.obj_values.len() - self.obj_free.len()
+        self.objects.len()
     }
 
     /// Total dictionary slots ever allocated (live + recycled). Bounded by
     /// the peak number of distinct concurrently-indexed values, not by
     /// churn — the invariant the volatile-overwrite churn tests assert.
     pub fn obj_dict_slots(&self) -> usize {
-        self.obj_values.len()
-    }
-
-    fn lookup_obj(&self, value: &Value) -> Option<ObjId> {
-        self.obj_ids.get(value).copied()
+        self.objects.slots()
     }
 
     /// Diff `record` against the indexed state of its subject and apply the
@@ -254,7 +231,7 @@ impl TripleIndex {
                 .triples
                 .iter()
                 .filter_map(flatten)
-                .map(|(p, o)| (p, self.obj_id(&o)))
+                .map(|(p, o)| (p, self.objects.intern(&o)))
                 .collect();
             v.sort_unstable();
             v
@@ -314,7 +291,7 @@ impl TripleIndex {
     fn fact_of(&self, (predicate, obj): (Symbol, ObjId)) -> DeltaFact {
         DeltaFact {
             predicate,
-            object: self.obj_values[obj.0 as usize].clone(),
+            object: self.objects.value(obj).clone(),
         }
     }
 
@@ -342,7 +319,7 @@ impl TripleIndex {
         // posting fixups below are done reading their values.
         let mut drained: Vec<ObjId> = Vec::new();
         for fact in &delta.removed {
-            let Some(&obj) = self.obj_ids.get(&fact.object) else {
+            let Some(obj) = self.objects.get(&fact.object) else {
                 continue;
             };
             let key = (fact.predicate, obj);
@@ -350,26 +327,18 @@ impl TripleIndex {
                 subject_facts.remove(at);
                 self.facts -= 1;
                 touched.push(key);
-                let refs = &mut self.obj_refs[obj.0 as usize];
-                *refs -= 1;
-                if *refs == 0 {
+                if self.objects.release(obj) {
                     drained.push(obj);
                 }
             }
         }
         for fact in &delta.added {
-            let obj = intern_obj(
-                &mut self.obj_ids,
-                &mut self.obj_values,
-                &mut self.obj_refs,
-                &mut self.obj_free,
-                &fact.object,
-            );
+            let obj = self.objects.intern(&fact.object);
             let key = (fact.predicate, obj);
             let at = subject_facts.binary_search(&key).unwrap_or_else(|e| e);
             subject_facts.insert(at, key);
             self.facts += 1;
-            self.obj_refs[obj.0 as usize] += 1;
+            self.objects.acquire(obj);
             touched.push(key);
         }
         // …then set-level posting membership for every touched key.
@@ -386,8 +355,8 @@ impl TripleIndex {
             let (_, obj) = key;
             if present {
                 self.pos.entry(key).or_default().insert(entity);
-                if let Value::Entity(target) = &self.obj_values[obj.0 as usize] {
-                    self.osp.entry(*target).or_default().insert(entity);
+                if let Some(target) = self.objects.value(obj).as_entity() {
+                    self.osp.entry(target).or_default().insert(entity);
                 }
             } else {
                 if let Some(list) = self.pos.get_mut(&key) {
@@ -396,18 +365,13 @@ impl TripleIndex {
                         self.pos.remove(&key);
                     }
                 }
-                if let Value::Entity(target) = self.obj_values[obj.0 as usize].clone() {
+                if let Some(target) = self.objects.value(obj).as_entity() {
                     // The same target may be referenced under another
                     // predicate; only drop OSP membership when none remain.
                     let any_left = self
                         .spo
                         .get(&entity)
-                        .map(|facts| {
-                            facts.iter().any(|&(_, o)| {
-                                self.obj_values[o.0 as usize] == Value::Entity(target)
-                            })
-                        })
-                        .unwrap_or(false);
+                        .is_some_and(|facts| facts.iter().any(|&(_, o)| o == obj));
                     if !any_left {
                         if let Some(list) = self.osp.get_mut(&target) {
                             list.remove(entity);
@@ -441,11 +405,7 @@ impl TripleIndex {
         // was not re-added by this same delta). Runs last: the posting and
         // token fixups above still read the retracted values.
         for obj in drained {
-            if self.obj_refs[obj.0 as usize] == 0 {
-                let value = std::mem::replace(&mut self.obj_values[obj.0 as usize], Value::Null);
-                self.obj_ids.remove(&value);
-                self.obj_free.push(obj.0);
-            }
+            self.objects.reclaim(obj);
         }
     }
 
@@ -458,7 +418,7 @@ impl TripleIndex {
                 if !names.contains(&pred) {
                     continue;
                 }
-                if let Value::Str(s) = &self.obj_values[obj.0 as usize] {
+                if let Value::Str(s) = self.objects.value(obj) {
                     for tok in name_tokens(s) {
                         out.push(Arc::from(tok.as_str()));
                     }
@@ -476,7 +436,8 @@ impl TripleIndex {
 
     /// Subjects asserting the literal fact `(predicate, value)`.
     pub fn by_literal(&self, predicate: Symbol, value: &Value) -> PostingsView<'_> {
-        self.lookup_obj(value)
+        self.objects
+            .get(value)
             .and_then(|obj| self.pos.get(&(predicate, obj)))
             .map(BlockPostings::as_view)
             .unwrap_or_default()
@@ -561,23 +522,13 @@ impl TripleIndex {
         fn lists<'a>(lists: impl Iterator<Item = &'a BlockPostings>) -> usize {
             lists.map(BlockPostings::heap_bytes).sum()
         }
-        let strings = |value: &Value| match value {
-            Value::Str(s) | Value::SourceRef(s) => arc_str_bytes(s),
-            _ => 0,
-        };
         IndexHeap {
             pos: table_bytes(&self.pos) + lists(self.pos.values()),
             osp: table_bytes(&self.osp) + lists(self.osp.values()),
             tokens: table_bytes(&self.tokens)
                 + lists(self.tokens.values())
                 + self.tokens.keys().map(arc_str_bytes).sum::<usize>(),
-            // A string value's `Arc` is shared by both dictionary sides;
-            // it is counted once.
-            objects: table_bytes(&self.obj_ids)
-                + vec_bytes(&self.obj_values)
-                + vec_bytes(&self.obj_refs)
-                + vec_bytes(&self.obj_free)
-                + self.obj_values.iter().map(strings).sum::<usize>(),
+            objects: self.objects.heap_bytes(),
             spo: table_bytes(&self.spo) + self.spo.values().map(vec_bytes).sum::<usize>(),
         }
     }
@@ -634,7 +585,7 @@ impl TripleIndex {
             .get(&entity)
             .into_iter()
             .flatten()
-            .map(|&(pred, obj)| (pred, &self.obj_values[obj.0 as usize]))
+            .map(|&(pred, obj)| (pred, self.objects.value(obj)))
     }
 
     /// True if the subject has any indexed fact.
@@ -662,9 +613,9 @@ impl TripleIndex {
         let mut shards: Vec<TripleIndex> = (0..n).map(|_| TripleIndex::new()).collect();
         // Per-shard memo: source dictionary slot → shard-local ObjId
         // (u32::MAX = not yet interned there).
-        let mut memo: Vec<Vec<u32>> = vec![vec![u32::MAX; self.obj_values.len()]; n];
+        let mut memo: Vec<Vec<u32>> = vec![vec![u32::MAX; self.objects.slots()]; n];
         let TripleIndex {
-            obj_values,
+            objects,
             spo,
             pos,
             osp,
@@ -674,20 +625,14 @@ impl TripleIndex {
         fn map_obj(
             shard: &mut TripleIndex,
             memo: &mut [u32],
-            obj_values: &[Value],
+            objects: &ObjDict,
             obj: ObjId,
         ) -> ObjId {
             let slot = obj.0 as usize;
             if memo[slot] != u32::MAX {
                 return ObjId(memo[slot]);
             }
-            let local = intern_obj(
-                &mut shard.obj_ids,
-                &mut shard.obj_values,
-                &mut shard.obj_refs,
-                &mut shard.obj_free,
-                &obj_values[slot],
-            );
+            let local = shard.objects.intern(objects.value(obj));
             memo[slot] = local.0;
             local
         }
@@ -697,8 +642,8 @@ impl TripleIndex {
             let mut column: Vec<(Symbol, ObjId)> = facts
                 .into_iter()
                 .map(|(pred, obj)| {
-                    let local = map_obj(shard, &mut memo[s], &obj_values, obj);
-                    shard.obj_refs[local.0 as usize] += 1;
+                    let local = map_obj(shard, &mut memo[s], &objects, obj);
+                    shard.objects.acquire(local);
                     (pred, local)
                 })
                 .collect();
@@ -723,7 +668,7 @@ impl TripleIndex {
                     continue;
                 }
                 let shard = &mut shards[s];
-                let local = map_obj(shard, &mut memo[s], &obj_values, obj);
+                let local = map_obj(shard, &mut memo[s], &objects, obj);
                 shard
                     .pos
                     .insert((pred, local), BlockPostings::from_sorted(ids));
@@ -764,7 +709,8 @@ pub struct IndexHeap {
     /// Token slots, their lists' boxed runs and blocks, and the token
     /// strings.
     pub tokens: usize,
-    /// The object dictionary: both sides, refcounts, free list, strings.
+    /// The object dictionary: its values, refcounts, free list and bucket
+    /// table, and the strings its values own.
     pub objects: usize,
     /// SPO slots and per-subject `(predicate, object)` rows.
     pub spo: usize,
@@ -813,34 +759,249 @@ fn arc_str_bytes(s: &Arc<str>) -> usize {
     2 * std::mem::size_of::<usize>() + s.len()
 }
 
-/// Free-list-aware dictionary interning: reuse a recycled slot before
-/// growing. Takes the dictionary fields directly so [`TripleIndex::apply`]
-/// can intern while holding a mutable borrow of the SPO column.
-fn intern_obj(
-    obj_ids: &mut FxHashMap<Value, ObjId>,
-    obj_values: &mut Vec<Value>,
-    obj_refs: &mut Vec<u32>,
-    obj_free: &mut Vec<u32>,
-    value: &Value,
-) -> ObjId {
-    if let Some(&id) = obj_ids.get(value) {
-        return id;
+/// Live entries may fill at most this many eighths of an [`ObjDict`]'s
+/// buckets before the table doubles.
+const MAX_LOAD_EIGHTHS: usize = 7;
+
+/// The smallest non-empty [`ObjDict`] table.
+const MIN_BUCKETS: usize = 8;
+
+/// The object-value dictionary: each value is held once, in `values`, and
+/// a table of 8-byte buckets finds its slot.
+///
+/// `table` is open-addressed with linear probing over a power-of-two
+/// number of buckets. A bucket is `0` (empty) or `tag << 32 | (slot + 1)`,
+/// where `tag` is the high 32 bits of the value's Fx hash and the tag's top
+/// `log2(table.len())` bits are the home bucket. A lookup compares tags
+/// before values. Removal shifts the rest of the probe run back, so churn
+/// leaves no tombstones, and growth re-homes buckets by their stored tags
+/// without hashing a value again.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ObjDict {
+    /// Values by slot. Freed slots hold `Value::Null` until reused.
+    values: Vec<Value>,
+    /// Per-slot reference counts: total fact occurrences (across all
+    /// subjects) whose object is this slot. A slot whose count returns to
+    /// zero is reclaimed through `free`, so high-churn volatile values stop
+    /// accumulating dead dictionary entries.
+    refs: Vec<u32>,
+    /// Reclaimed slots awaiting reuse.
+    free: Vec<u32>,
+    /// The buckets: none until a value arrives or a checkpoint load sizes
+    /// them.
+    table: Vec<u64>,
+}
+
+/// The high 32 bits of `value`'s Fx hash.
+fn tag_of(value: &Value) -> u32 {
+    (FxBuildHasher::default().hash_one(value) >> 32) as u32
+}
+
+/// The slot a non-empty bucket points at.
+fn bucket_slot(bucket: u64) -> u32 {
+    bucket as u32 - 1
+}
+
+/// The table length that holds `n` live values without growing.
+fn buckets_for(n: usize) -> usize {
+    match n {
+        0 => 0,
+        _ => MIN_BUCKETS.max((n * 8).div_ceil(MAX_LOAD_EIGHTHS).next_power_of_two()),
     }
-    let id = match obj_free.pop() {
-        Some(slot) => {
-            obj_values[slot as usize] = value.clone();
-            obj_refs[slot as usize] = 0;
-            ObjId(slot)
+}
+
+impl ObjDict {
+    /// An empty dictionary whose table holds `n` values without growing.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        ObjDict {
+            values: Vec::with_capacity(n),
+            refs: Vec::with_capacity(n),
+            free: Vec::new(),
+            table: vec![0; buckets_for(n)],
         }
-        None => {
-            let id = ObjId(u32::try_from(obj_values.len()).expect("object dictionary overflow"));
-            obj_values.push(value.clone());
-            obj_refs.push(0);
-            id
+    }
+
+    /// Live values.
+    fn len(&self) -> usize {
+        self.values.len() - self.free.len()
+    }
+
+    /// Slots ever allocated, live and free.
+    pub(crate) fn slots(&self) -> usize {
+        self.values.len()
+    }
+
+    fn value(&self, id: ObjId) -> &Value {
+        &self.values[id.0 as usize]
+    }
+
+    /// The home bucket of `tag`: its top `log2(table.len())` bits.
+    fn home(&self, tag: u32) -> usize {
+        (u64::from(tag) << 32 >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// The id of `value` (whose tag is `tag`), if it has one.
+    fn find(&self, value: &Value, tag: u32) -> Option<ObjId> {
+        if self.table.is_empty() {
+            return None;
         }
-    };
-    obj_ids.insert(value.clone(), id);
-    id
+        let mask = self.table.len() - 1;
+        let mut at = self.home(tag);
+        loop {
+            let (bucket_tag, slot) = match self.table[at] {
+                0 => return None,
+                b => ((b >> 32) as u32, bucket_slot(b)),
+            };
+            if bucket_tag == tag && self.values[slot as usize] == *value {
+                return Some(ObjId(slot));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The first empty bucket from `tag`'s home.
+    fn vacancy(&self, tag: u32) -> usize {
+        let mask = self.table.len() - 1;
+        let mut at = self.home(tag);
+        while self.table[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn get(&self, value: &Value) -> Option<ObjId> {
+        self.find(value, tag_of(value))
+    }
+
+    /// The id of `value`, which takes a slot (with no references) if it
+    /// has none: a recycled one before a new one.
+    pub(crate) fn intern(&mut self, value: &Value) -> ObjId {
+        let tag = tag_of(value);
+        if let Some(id) = self.find(value, tag) {
+            return id;
+        }
+        if (self.len() + 1) * 8 > self.table.len() * MAX_LOAD_EIGHTHS {
+            let grown = vec![0; buckets_for(self.len() + 1)];
+            for bucket in std::mem::replace(&mut self.table, grown) {
+                if bucket != 0 {
+                    let at = self.vacancy((bucket >> 32) as u32);
+                    self.table[at] = bucket;
+                }
+            }
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.values[slot as usize] = value.clone();
+                slot
+            }
+            None => {
+                // `slot + 1` must fit a bucket's low half.
+                let slot =
+                    u32::try_from(self.values.len() + 1).expect("object dictionary overflow") - 1;
+                self.values.push(value.clone());
+                self.refs.push(0);
+                slot
+            }
+        };
+        let at = self.vacancy(tag);
+        self.table[at] = u64::from(tag) << 32 | u64::from(slot + 1);
+        ObjId(slot)
+    }
+
+    /// Count one more fact occurrence of `id`.
+    pub(crate) fn acquire(&mut self, id: ObjId) {
+        self.refs[id.0 as usize] += 1;
+    }
+
+    /// Count one fewer; true when none remain.
+    fn release(&mut self, id: ObjId) -> bool {
+        let refs = &mut self.refs[id.0 as usize];
+        *refs -= 1;
+        *refs == 0
+    }
+
+    /// Free `id`'s slot if no fact references it.
+    fn reclaim(&mut self, id: ObjId) {
+        if self.refs[id.0 as usize] != 0 {
+            return;
+        }
+        let value = std::mem::replace(&mut self.values[id.0 as usize], Value::Null);
+        let mask = self.table.len() - 1;
+        let mut hole = self.home(tag_of(&value));
+        while bucket_slot(self.table[hole]) != id.0 {
+            hole = (hole + 1) & mask;
+        }
+        // Backward shift: each later bucket of the run moves into the hole
+        // unless the hole lies before its home.
+        let mut next = (hole + 1) & mask;
+        while self.table[next] != 0 {
+            let home = self.home((self.table[next] >> 32) as u32);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.table[hole] = self.table[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.table[hole] = 0;
+        self.free.push(id.0);
+    }
+
+    /// Referenced slots and their values, in slot order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (ObjId, &Value)> {
+        (0..)
+            .zip(self.refs.iter().zip(&self.values))
+            .filter_map(|(slot, (&refs, value))| (refs > 0).then_some((ObjId(slot), value)))
+    }
+
+    /// Heap bytes: the four vectors' capacities and the strings the
+    /// values own.
+    fn heap_bytes(&self) -> usize {
+        let strings = |value: &Value| match value {
+            Value::Str(s) | Value::SourceRef(s) => arc_str_bytes(s),
+            _ => 0,
+        };
+        vec_bytes(&self.values)
+            + vec_bytes(&self.refs)
+            + vec_bytes(&self.free)
+            + vec_bytes(&self.table)
+            + self.values.iter().map(strings).sum::<usize>()
+    }
+
+    /// Panic unless every live slot sits in exactly one bucket, reachable
+    /// from its home with no empty bucket on the way, under its own tag;
+    /// returns how many buckets wrapped past the table's end.
+    #[cfg(test)]
+    fn check_invariants(&self) -> usize {
+        let mask = self.table.len().wrapping_sub(1);
+        let mut seen = vec![false; self.values.len()];
+        let (mut occupied, mut wrapped) = (0, 0);
+        for (at, &bucket) in self.table.iter().enumerate().filter(|&(_, &b)| b != 0) {
+            occupied += 1;
+            let (tag, slot) = ((bucket >> 32) as u32, bucket_slot(bucket) as usize);
+            assert_eq!(
+                tag,
+                tag_of(&self.values[slot]),
+                "bucket {at} keeps its value's tag"
+            );
+            assert!(
+                !std::mem::replace(&mut seen[slot], true),
+                "slot {slot} in two buckets"
+            );
+            let mut probe = self.home(tag);
+            wrapped += usize::from(probe > at);
+            while probe != at {
+                assert_ne!(
+                    self.table[probe], 0,
+                    "empty bucket {probe} cuts slot {slot}'s run"
+                );
+                probe = (probe + 1) & mask;
+            }
+        }
+        assert_eq!(occupied, self.len(), "occupied buckets are the live values");
+        assert!(self.free.iter().all(|&slot| !seen[slot as usize]));
+        assert!(occupied * 8 <= self.table.len() * MAX_LOAD_EIGHTHS);
+        wrapped
+    }
 }
 
 /// Multiset difference of two sorted fact lists by a two-cursor merge
@@ -1239,6 +1400,112 @@ mod tests {
         assert!(idx.by_literal(intern("x"), &Value::Int(1)).is_empty());
     }
 
+    /// Two distinct ints whose values hash to the same 32-bit tag, found
+    /// by brute force over seeded random ints: by the birthday bound about
+    /// 2^17 of them hold a pair. (Consecutive ints hold none: the Fx
+    /// multiply spreads a run of keys with no repeat in the top bits.)
+    fn ints_with_equal_tags() -> (i64, i64) {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x7a9);
+        let mut by_tag: FxHashMap<u32, i64> = FxHashMap::default();
+        for _ in 0..1 << 22 {
+            let i = rng.next_u64() as i64;
+            match by_tag.insert(tag_of(&Value::Int(i)), i) {
+                Some(j) if j != i => return (j, i),
+                _ => {}
+            }
+        }
+        panic!("no two of 2^22 random ints share a tag")
+    }
+
+    #[test]
+    fn obj_dict_matches_a_map_model_under_churn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (a, b) = ints_with_equal_tags();
+        assert_ne!(a, b);
+        assert_eq!(tag_of(&Value::Int(a)), tag_of(&Value::Int(b)));
+        let pool: Vec<Value> = (0..200)
+            .map(|i| match i % 5 {
+                0 => Value::str(format!("value {i}")),
+                1 => Value::Entity(EntityId(i)),
+                2 => Value::Float(i as f64 / 4.0),
+                _ => Value::Int(i as i64 * 7_919),
+            })
+            .chain([Value::Int(a), Value::Int(b), Value::Bool(true), Value::Null])
+            .collect();
+
+        let mut rng = StdRng::seed_from_u64(0x0b1d);
+        let (mut grows, mut wrapped, mut twins_live) = (0, 0, 0);
+        for round in 0..40 {
+            // Every round starts from an empty table, fills to a random
+            // size and drains again, so the table grows from nothing and
+            // its runs wrap in every small size on the way.
+            let mut dict = ObjDict::default();
+            let mut model: FxHashMap<Value, (ObjId, u32)> = FxHashMap::default();
+            let target = rng.gen_range(1..pool.len());
+            for step in 0..6 * target {
+                let filling = step < 3 * target;
+                let buckets = dict.table.len();
+                if rng.gen_bool(if filling { 0.7 } else { 0.3 }) {
+                    let value = &pool[rng.gen_range(0..pool.len())];
+                    let id = dict.intern(value);
+                    dict.acquire(id);
+                    match model.get_mut(value) {
+                        Some((known, refs)) => {
+                            assert_eq!(id, *known, "round {round}: {value:?} kept its id");
+                            *refs += 1;
+                        }
+                        None => {
+                            assert!(
+                                model.values().all(|&(other, _)| other != id),
+                                "round {round}: {value:?} took a live slot"
+                            );
+                            model.insert(value.clone(), (id, 1));
+                        }
+                    }
+                } else if !model.is_empty() {
+                    let mut live: Vec<&Value> = model.keys().collect();
+                    live.sort_unstable();
+                    let value = live[rng.gen_range(0..live.len())].clone();
+                    let (id, refs) = model.get_mut(&value).unwrap();
+                    let id = *id;
+                    *refs -= 1;
+                    assert_eq!(dict.release(id), *refs == 0);
+                    if *refs == 0 {
+                        model.remove(&value);
+                    }
+                    dict.reclaim(id);
+                }
+                grows += usize::from(dict.table.len() > buckets);
+                wrapped += dict.check_invariants();
+                twins_live += usize::from(
+                    model.contains_key(&Value::Int(a)) && model.contains_key(&Value::Int(b)),
+                );
+                assert_eq!(dict.len(), model.len());
+                for value in &pool {
+                    assert_eq!(
+                        dict.get(value),
+                        model.get(value).map(|&(id, _)| id),
+                        "round {round} step {step}: lookup of {value:?}"
+                    );
+                }
+                for (id, value) in dict.live() {
+                    assert_eq!(model[value].0, id);
+                }
+            }
+        }
+        assert!(grows >= 100, "only {grows} grows");
+        assert!(wrapped >= 100, "only {wrapped} wrapped buckets seen");
+        assert!(
+            twins_live >= 100,
+            "the equal-tag ints were live together {twins_live} times"
+        );
+    }
+
     #[test]
     fn heap_bytes_counts_slots_lists_dictionary_and_rows() {
         let mut idx = TripleIndex::new();
@@ -1257,8 +1524,16 @@ mod tests {
             heap.spo,
             table_bytes(&idx.spo) + idx.spo[&EntityId(1)].capacity() * row
         );
-        let value = std::mem::size_of::<Value>();
-        assert!(heap.objects >= table_bytes(&idx.obj_ids) + value + 4);
+        // The dictionary is its four vectors' capacities; an int owns no
+        // heap of its own.
+        let dict_vectors = |d: &ObjDict| {
+            d.values.capacity() * std::mem::size_of::<Value>()
+                + d.refs.capacity() * 4
+                + d.free.capacity() * 4
+                + d.table.capacity() * 8
+        };
+        assert_eq!(idx.objects.table.len(), MIN_BUCKETS);
+        assert_eq!(heap.objects, dict_vectors(&idx.objects));
         assert_eq!(
             heap.total(),
             heap.pos + heap.osp + heap.tokens + heap.objects + heap.spo
@@ -1281,7 +1556,6 @@ mod tests {
 
         // A name and an edge add token slots, token strings and an OSP
         // list; the name string is counted once in the dictionary.
-        let before = heap;
         idx.update_entity(&record(
             1,
             &[
@@ -1294,7 +1568,11 @@ mod tests {
         assert_eq!(heap.osp, table_bytes(&idx.osp));
         let token_strings: usize = idx.tokens.keys().map(arc_str_bytes).sum();
         assert_eq!(heap.tokens, table_bytes(&idx.tokens) + token_strings);
-        assert!(heap.objects >= before.objects + arc_str_bytes(&Arc::from("Ada")));
+        assert_eq!(idx.obj_dict_len(), 3);
+        assert_eq!(
+            heap.objects,
+            dict_vectors(&idx.objects) + arc_str_bytes(&Arc::from("Ada"))
+        );
         let rows: usize = idx.spo.values().map(|r| r.capacity() * row).sum();
         assert_eq!(heap.spo, table_bytes(&idx.spo) + rows);
     }
