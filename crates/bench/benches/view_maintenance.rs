@@ -76,7 +76,7 @@ fn bench_maintenance(c: &mut Criterion) {
             |b, &k| {
                 b.iter(|| {
                     // A real commit each iteration: rewire k birthplace
-                    // edges, then run the maintenance pass the agent runs.
+                    // edges, then run the maintenance pass a log follower runs.
                     round += 1;
                     let start = (round * k) % persons.len().max(1);
                     let mut batch = WriteBatch::new();

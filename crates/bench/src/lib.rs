@@ -1,8 +1,8 @@
 //! # saga-bench
 //!
 //! Workload generators and experiment harnesses that regenerate **every
-//! table and figure** of the Saga paper's evaluation (see DESIGN.md §3 for
-//! the experiment index and EXPERIMENTS.md for paper-vs-measured numbers).
+//! table and figure** of the Saga paper's evaluation. Each binary prints
+//! its measured numbers beside the paper's.
 //!
 //! Binaries (in `src/bin/`):
 //!

@@ -18,7 +18,7 @@ pub enum SagaError {
     Query(String),
     /// A view definition or the view manager failed.
     View(String),
-    /// The operation log or an orchestration agent failed.
+    /// The operation log or a log follower failed.
     Storage(String),
     /// The serving tier could not satisfy the request *right now* —
     /// freshness wait timed out, no replica within the lag bound, a dead

@@ -73,9 +73,9 @@ impl fmt::Display for RelId {
 
 /// Log sequence number of the Graph Engine's durable operation log (§3.1).
 ///
-/// LSNs are the distributed synchronization primitive: orchestration agents
-/// record the highest LSN they have replayed, which lets a consumer decide
-/// whether a store is fresh enough for its SLA.
+/// LSNs are the distributed synchronization primitive: each derived store's
+/// log follower holds the highest LSN it has replayed (its watermark),
+/// which lets a consumer decide whether a store is fresh enough for its SLA.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Lsn(pub u64);
 

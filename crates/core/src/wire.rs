@@ -37,14 +37,14 @@
 //! canonical KG.
 
 use crate::json::Json;
-use crate::{intern, Delta, DeltaFact, EntityId, Lsn, Result, SagaError, SessionToken, Value};
+use crate::{intern, Delta, DeltaFact, EntityId, Result, SagaError, Value};
 
 fn bad(msg: impl Into<String>) -> SagaError {
     SagaError::Storage(format!("bad wire value: {}", msg.into()))
 }
 
 /// Encode one object value into its wire JSON form (see module docs).
-pub fn value_to_json(value: &Value) -> Json {
+fn value_to_json(value: &Value) -> Json {
     match value {
         Value::Null => Json::Null,
         Value::Bool(b) => Json::Bool(*b),
@@ -73,7 +73,7 @@ pub fn value_to_json(value: &Value) -> Json {
 }
 
 /// Decode an object value from its wire JSON form.
-pub fn value_from_json(json: &Json) -> Result<Value> {
+fn value_from_json(json: &Json) -> Result<Value> {
     match json {
         Json::Null => Ok(Value::Null),
         Json::Bool(b) => Ok(Value::Bool(*b)),
@@ -164,46 +164,6 @@ pub fn delta_from_json(json: &Json) -> Result<Delta> {
         added: facts("add")?,
         removed: facts("del")?,
     })
-}
-
-/// Encode a [`SessionToken`] into its wire JSON form: `{"lsn":N}`.
-///
-/// The token is the client-side carrier of the read-your-writes
-/// constraint (see [`crate::session`]); serializing it is what lets the
-/// constraint survive a process boundary — a networked client holds the
-/// token, a reconnect re-presents it, and the serving tier keeps the
-/// freshness contract it minted in-process.
-pub fn session_token_to_json(token: &SessionToken) -> Json {
-    Json::Object(
-        [(
-            "lsn".to_string(),
-            Json::Int(i64::try_from(token.lsn().0).expect("session lsn exceeds wire range")),
-        )]
-        .into(),
-    )
-}
-
-/// Decode a [`SessionToken`] from its wire JSON form.
-pub fn session_token_from_json(json: &Json) -> Result<SessionToken> {
-    let lsn = json
-        .get("lsn")
-        .and_then(Json::as_i64)
-        .ok_or_else(|| bad("session token missing lsn"))?;
-    let lsn = u64::try_from(lsn).map_err(|_| bad("negative session lsn"))?;
-    Ok(SessionToken::at(Lsn(lsn)))
-}
-
-impl SessionToken {
-    /// This token as one compact JSON line — the cross-process wire form.
-    pub fn to_wire(&self) -> String {
-        session_token_to_json(self).to_string_compact()
-    }
-
-    /// Parse a token from the wire form produced by [`to_wire`](Self::to_wire).
-    pub fn from_wire(line: &str) -> Result<SessionToken> {
-        let json = crate::json::parse(line).map_err(|e| bad(e.to_string()))?;
-        session_token_from_json(&json)
-    }
 }
 
 impl Delta {
@@ -325,28 +285,6 @@ mod tests {
             r#"{"entity":1,"add":[["p",{"e":-2}]],"del":[]}"#,
         ] {
             assert!(Delta::from_wire(bad).is_err(), "accepted: {bad}");
-        }
-    }
-
-    #[test]
-    fn session_tokens_roundtrip_the_wire() {
-        for lsn in [0u64, 1, 42, u64::from(u32::MAX), 1 << 60] {
-            let token = SessionToken::at(Lsn(lsn));
-            let line = token.to_wire();
-            assert_eq!(SessionToken::from_wire(&line).unwrap(), token, "{line}");
-        }
-        // The unconstrained default token survives too.
-        let unconstrained = SessionToken::default();
-        assert_eq!(
-            SessionToken::from_wire(&unconstrained.to_wire()).unwrap(),
-            unconstrained
-        );
-    }
-
-    #[test]
-    fn malformed_session_tokens_are_rejected() {
-        for bad in ["", "{}", r#"{"lsn":"x"}"#, r#"{"lsn":-3}"#, "[1]", "7"] {
-            assert!(SessionToken::from_wire(bad).is_err(), "accepted: {bad}");
         }
     }
 

@@ -704,7 +704,10 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{EntityId, ExtendedTriple, FactMeta, RelId, SourceId, WriteBatch};
+    use crate::oplog::{LogFollower, OpKind, OperationLog};
+    use crate::views::{FactCountView, ViewManager};
+    use crate::writer::LoggedWriter;
+    use saga_core::{EntityId, ExtendedTriple, FactMeta, Lsn, RelId, SourceId, WriteBatch};
 
     fn meta() -> FactMeta {
         FactMeta::from_source(SourceId(1), 0.9)
@@ -998,5 +1001,199 @@ mod tests {
         let f = store.frame_ents(intern("never_used"), "x");
         assert!(f.is_empty());
         assert_eq!(f.names(), vec!["subject", "x"]);
+    }
+
+    fn writer() -> (LoggedWriter, Arc<OperationLog>) {
+        let log = Arc::new(OperationLog::in_memory());
+        let kg = Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new()));
+        (LoggedWriter::new(kg, Arc::clone(&log)), log)
+    }
+
+    fn views() -> ViewManager {
+        let mut views = ViewManager::new();
+        views.register(Box::new(FactCountView), 1).unwrap();
+        views
+    }
+
+    /// The follower loop that keeps the derived stores current: each
+    /// op past the watermark goes into the warehouse, then the views
+    /// are maintained on the entities those ops changed. Returns how
+    /// many ops were applied.
+    fn follow(
+        follower: &mut LogFollower,
+        warehouse: &mut AnalyticsStore,
+        views: &mut ViewManager,
+        kg: &KnowledgeGraph,
+    ) -> usize {
+        let mut changed = Vec::new();
+        let applied = follower
+            .poll_with(usize::MAX, |op| {
+                warehouse.apply_deltas(&op.deltas);
+                changed.extend(op.changed_entities());
+            })
+            .unwrap();
+        changed.sort_unstable();
+        changed.dedup();
+        views.update_changed(kg, warehouse, &changed).unwrap();
+        applied
+    }
+
+    /// Every partition's rows, order-insensitive and keyed by name.
+    type Rows = (
+        Vec<(u64, u64)>,
+        Vec<(u64, Arc<str>)>,
+        Vec<(u64, i64)>,
+        Vec<(u64, u64)>,
+    );
+
+    fn rows(store: &AnalyticsStore) -> std::collections::BTreeMap<String, Rows> {
+        fn pairs<T: Clone + Ord>(col: &(Vec<u64>, Vec<T>)) -> Vec<(u64, T)> {
+            let mut v: Vec<(u64, T)> = col.0.iter().copied().zip(col.1.clone()).collect();
+            v.sort();
+            v
+        }
+        let floats = |t: &PredTable| {
+            let bits = t.float_rows.1.iter().map(|f| f.to_bits()).collect();
+            pairs(&(t.float_rows.0.clone(), bits))
+        };
+        store
+            .tables
+            .iter()
+            .map(|(p, t)| {
+                let rows = (
+                    pairs(&t.ent_rows),
+                    pairs(&t.str_rows),
+                    pairs(&t.int_rows),
+                    floats(t),
+                );
+                (p.text().to_string(), rows)
+            })
+            .collect()
+    }
+
+    fn add_person(writer: &LoggedWriter, id: u64) {
+        let batch = WriteBatch::new().named_entity(EntityId(id), "P", "person", SourceId(1), 0.9);
+        writer.commit(OpKind::Upsert, batch).unwrap();
+    }
+
+    /// The warehouse follows the log with no runner and learns only
+    /// from the ops' deltas: replayed beside an empty decoy graph it
+    /// holds the same rows, while the views, which read the graph they
+    /// are handed, hold nothing there.
+    #[test]
+    fn the_warehouse_follows_the_log_without_the_kg() {
+        let (writer, log) = writer();
+        let popularity = |v: i64| {
+            ExtendedTriple::simple(EntityId(1), intern("popularity"), Value::Int(v), meta())
+        };
+        let batch = WriteBatch::new()
+            .named_entity(EntityId(1), "A", "music_artist", SourceId(1), 0.9)
+            .upsert(popularity(10));
+        writer.commit(OpKind::Upsert, batch).unwrap();
+        // The second op replaces the popularity fact.
+        let volatile = [intern("popularity")].into_iter().collect();
+        let batch = WriteBatch::new()
+            .link(SourceId(1), "a", EntityId(1))
+            .overwrite_volatile(SourceId(1), volatile, vec![popularity(99)]);
+        writer
+            .commit(OpKind::VolatileOverwrite(SourceId(1)), batch)
+            .unwrap();
+
+        let decoy = KnowledgeGraph::new();
+        let mut follower = LogFollower::new(Arc::clone(&log));
+        let (mut warehouse, mut decoy_views) = (AnalyticsStore::default(), views());
+        let applied = follow(&mut follower, &mut warehouse, &mut decoy_views, &decoy);
+        assert_eq!(applied, 2);
+        assert_eq!(
+            follower.watermark(),
+            log.head(),
+            "freshness is the watermark"
+        );
+        assert_eq!(warehouse.entities_of_type(intern("music_artist")), &[1u64]);
+        let pop = warehouse.table(intern("popularity")).unwrap();
+        assert_eq!(pop.int_rows.1, vec![99], "overwrite replayed from the log");
+        let counts = decoy_views.get("entity_fact_counts").unwrap();
+        assert!(counts.is_empty(), "the views read the decoy");
+
+        let mut follower = LogFollower::new(Arc::clone(&log));
+        let mut beside_kg = AnalyticsStore::default();
+        follow(&mut follower, &mut beside_kg, &mut views(), &writer.read());
+        assert_eq!(
+            rows(&beside_kg),
+            rows(&warehouse),
+            "the graph is never read"
+        );
+    }
+
+    /// The views follow the log behind the warehouse, in the same loop:
+    /// each poll maintains them on the entities its ops changed.
+    #[test]
+    fn views_follow_the_log_behind_the_warehouse() {
+        let (writer, log) = writer();
+        let mut follower = LogFollower::new(Arc::clone(&log));
+        let (mut warehouse, mut views) = (AnalyticsStore::default(), views());
+        add_person(&writer, 1);
+        assert_eq!(
+            follow(&mut follower, &mut warehouse, &mut views, &writer.read()),
+            1
+        );
+        assert_eq!(
+            follower.watermark(),
+            log.head(),
+            "freshness is the watermark"
+        );
+
+        let alias = ExtendedTriple::simple(EntityId(1), intern("alias"), Value::str("Ace"), meta());
+        writer
+            .commit(OpKind::Upsert, WriteBatch::new().upsert(alias))
+            .unwrap();
+        assert_eq!(
+            follow(&mut follower, &mut warehouse, &mut views, &writer.read()),
+            1
+        );
+        let scores = views
+            .get("entity_fact_counts")
+            .unwrap()
+            .as_scores()
+            .unwrap();
+        assert_eq!(scores[&EntityId(1)], 3.0, "name + type + alias");
+        assert_eq!(follower.watermark(), log.head());
+        assert_eq!(
+            follow(&mut follower, &mut warehouse, &mut views, &writer.read()),
+            0,
+            "caught up"
+        );
+    }
+
+    /// A warehouse lives only in memory, so a restarted one replays
+    /// the log from LSN 0: resuming it at the watermark its previous
+    /// incarnation reached would leave out everything before it.
+    #[test]
+    fn a_restarted_warehouse_replays_the_log_from_lsn_zero() {
+        let (writer, log) = writer();
+        add_person(&writer, 1);
+        add_person(&writer, 2);
+        let mut follower = LogFollower::new(Arc::clone(&log));
+        let mut warehouse = AnalyticsStore::default();
+        follow(&mut follower, &mut warehouse, &mut views(), &writer.read());
+        assert_eq!(follower.watermark(), Lsn(2));
+        drop((follower, warehouse));
+
+        // One more op lands while the store is down.
+        add_person(&writer, 3);
+
+        let mut follower = LogFollower::new(Arc::clone(&log));
+        let mut warehouse = AnalyticsStore::default();
+        let applied = follow(&mut follower, &mut warehouse, &mut views(), &writer.read());
+        assert_eq!(applied, 3, "the whole log, not the suffix");
+        assert_eq!(follower.watermark(), log.head());
+        let built = AnalyticsStore::build(&writer.read());
+        let mut persons = warehouse.entities_of_type(intern("person")).to_vec();
+        persons.sort_unstable();
+        assert_eq!(persons, vec![1, 2, 3], "every entity");
+        let mut built_persons = built.entities_of_type(intern("person")).to_vec();
+        built_persons.sort_unstable();
+        assert_eq!(persons, built_persons);
+        assert_eq!(rows(&warehouse), rows(&built));
     }
 }

@@ -3,7 +3,7 @@
 //! Fig. 8 compares the Graph Engine's analytics store against "a legacy
 //! implementation of the views as custom Spark jobs" running on ~10× the
 //! hardware. We stand in for that system with an engine that exhibits the
-//! same *inefficiencies relative to the columnar store* (DESIGN.md §2):
+//! same *inefficiencies relative to the columnar store*:
 //!
 //! * the whole KG lives in one generic `(subject, predicate, value)` row
 //!   table — every access re-scans and re-materializes boxed rows;

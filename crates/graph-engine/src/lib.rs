@@ -12,9 +12,6 @@
 //!   [`Delta`](saga_core::Delta) payloads as self-contained, checksummed
 //!   binary frames ([`saga_core::binary`]) so derived stores replay from
 //!   the log alone, with a watermark-tracking [`LogFollower`] cursor.
-//! * [`metastore`] — replay progress per store; freshness queries.
-//! * [`orchestration`] — the extensible orchestration-agent framework; all
-//!   store-specific logic lives in agents, the framework stays generic.
 //! * [`analytics`] — the read-optimized columnar analytics engine over
 //!   extended triples (predicate-partitioned columns, Fx hash joins,
 //!   group-bys): the engine whose optimized join processing produces the
@@ -23,7 +20,7 @@
 //!   posting blocks: COUNT / COUNT-DISTINCT / GROUP-BY-predicate served
 //!   without decompression or row scans, maintained as a log follower.
 //! * [`legacy`] — the row-at-a-time baseline view executor standing in for
-//!   the paper's legacy Spark jobs (DESIGN.md §2).
+//!   the paper's legacy Spark jobs.
 //! * [`views`] — the view catalog, dependency DAG and View Manager with
 //!   incremental maintenance and dependency reuse (§3.2, Fig. 7).
 //! * [`production_views`] — the six schematized entity-centric views of
@@ -42,17 +39,55 @@
 //!   logged KG ([`saga_core::checkpoint`] artifacts) plus the
 //!   checkpoint → prune → [`OperationLog::compact_to`](oplog::OperationLog::compact_to)
 //!   retention loop that keeps bootstrap and disk `O(live data)`.
+//!
+//! ## Following the log
+//!
+//! A derived store keeps itself current with one loop over its own
+//! [`LogFollower`]: apply each op past the watermark, then maintain what
+//! depends on it. The follower's watermark is how fresh the store is.
+//! For the warehouse and the views:
+//!
+//! ```
+//! # use std::sync::Arc;
+//! # use saga_core::{EntityId, KnowledgeGraph, SourceId, WriteBatch};
+//! # use saga_graph::*;
+//! # fn main() -> saga_core::Result<()> {
+//! # let log = Arc::new(OperationLog::in_memory());
+//! # let kg = Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new()));
+//! # let writer = LoggedWriter::new(kg, Arc::clone(&log));
+//! # let batch = WriteBatch::new().named_entity(EntityId(1), "A", "person", SourceId(1), 0.9);
+//! # writer.commit(OpKind::Upsert, batch)?;
+//! let mut follower = LogFollower::new(Arc::clone(&log));
+//! let mut warehouse = AnalyticsStore::default();
+//! let mut views = ViewManager::new();
+//! views.register(Box::new(FactCountView), 1)?;
+//!
+//! let mut changed = Vec::new();
+//! follower.poll_with(usize::MAX, |op| {
+//!     warehouse.apply_deltas(&op.deltas);
+//!     changed.extend(op.changed_entities());
+//! })?;
+//! changed.sort_unstable();
+//! changed.dedup();
+//! views.update_changed(&writer.read(), &warehouse, &changed)?;
+//! assert_eq!(follower.watermark(), log.head()); // how fresh both stores are
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! The warehouse and the views live only in memory, so after a restart a
+//! new follower replays them from LSN 0. A store restored from a
+//! checkpoint resumes with [`LogFollower::resume_at`] the checkpoint's
+//! LSN instead.
 
 pub mod analytics;
 pub mod checkpoint_writer;
 pub mod columnar;
 pub mod importance;
 pub mod legacy;
-pub mod metastore;
 pub mod oplog;
 #[cfg(test)]
 mod oplog_properties;
-pub mod orchestration;
 pub mod production_views;
 pub mod views;
 pub mod writer;
@@ -62,12 +97,7 @@ pub use checkpoint_writer::{CheckpointReceipt, CheckpointWriter, DEFAULT_KEEP_LA
 pub use columnar::{ColumnarAggregates, PredColumn};
 pub use importance::{compute_importance, ImportanceConfig, ImportanceScores, ImportanceView};
 pub use legacy::{LegacyEngine, RowTable};
-pub use metastore::MetadataStore;
 pub use oplog::{FlushPolicy, IngestOp, LogFollower, OpKind, OperationLog};
-pub use orchestration::{
-    AgentRunner, AnalyticsAgent, EntityIndexAgent, OrchestrationAgent, TextIndexAgent,
-    ViewMaintenanceAgent,
-};
 pub use views::{
     Computation, FactCountView, Maintained, RefreshKind, RefreshReport, View, ViewData,
     ViewManager, ViewRegistration,

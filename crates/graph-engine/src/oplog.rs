@@ -341,11 +341,12 @@ impl OperationLog {
         Lsn(self.inner.lock().base)
     }
 
-    /// All operations with `lsn > after`, in order, cloned out of the log
-    /// — what an agent replays and a dump prints. When `after` precedes
-    /// the compaction point the result starts at the first *retained* op.
-    /// Bulk replay goes through [`LogFollower::poll_with`] instead, which
-    /// clones no payloads and checks contiguity.
+    /// All retained operations with `lsn > after`, in order, cloned out of
+    /// the log — what a dump prints and a test inspects. This is not a
+    /// replay path: when `after` precedes the compaction point the result
+    /// starts at the first *retained* op, without an error. Derived stores
+    /// replay through [`LogFollower::poll_with`], which clones no payloads
+    /// and fails on a hole.
     pub fn read_after(&self, after: Lsn) -> Vec<IngestOp> {
         let (_, batch) = self.shared_batch(after, usize::MAX);
         batch.iter().map(|op| IngestOp::clone(op)).collect()
@@ -731,8 +732,9 @@ impl LogFollower {
         Self::resume_at(log, Lsn::ZERO)
     }
 
-    /// A follower resuming after `watermark` (e.g. from a metadata-store
-    /// checkpoint).
+    /// A follower resuming after `watermark`: the LSN of the checkpoint
+    /// its store was restored from. A store that lives only in memory
+    /// restarts from [`new`](Self::new) instead.
     pub fn resume_at(log: Arc<OperationLog>, watermark: Lsn) -> Self {
         LogFollower { log, watermark }
     }

@@ -47,8 +47,8 @@ use crate::oplog::{OpKind, OperationLog};
 /// A successful logged commit: where it landed in the log and what it did.
 #[derive(Debug)]
 pub struct LoggedCommit {
-    /// The operation's log sequence number (the durability watermark a
-    /// caller can hand to `MetadataStore`-style freshness queries).
+    /// The operation's log sequence number: a derived store has this
+    /// commit once its follower's watermark reaches it.
     pub lsn: Lsn,
     /// The commit receipt — deltas, outcomes, generation, removal set.
     pub receipt: CommitReceipt,

@@ -23,7 +23,7 @@
 //! 5. **Export** ([`pipeline`]) — ontology validation and hand-off.
 //!
 //! [`synth`] provides the seeded synthetic source generators that stand in
-//! for the paper's licensed data feeds (see DESIGN.md §2).
+//! for the paper's licensed data feeds.
 
 pub mod align;
 pub mod delta;

@@ -2,7 +2,7 @@
 //!
 //! The paper's deployment ingests licensed music/movies/sports feeds we do
 //! not have; these generators produce the same *statistical phenomena* the
-//! construction pipeline has to cope with (see DESIGN.md §2):
+//! construction pipeline has to cope with:
 //!
 //! * multiple providers covering overlapping slices of one ground truth,
 //!   each in its own id namespace;

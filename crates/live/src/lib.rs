@@ -15,11 +15,11 @@
 //! * [`kgq`] — the KGQ query language: a deliberately *bounded* graph query
 //!   language (traversal constraints, no recursion) compiled to physical
 //!   plans over the indexes, with virtual operators, a typed
-//!   [`QueryBuilder`] for programmatic construction, and a
-//!   generation-checked plan cache (§4.2). The engine is generic over
-//!   [`GraphRead`](saga_core::GraphRead): the same queries execute
-//!   unchanged against the stable KG, a replica store, or a
-//!   live-over-stable [`OverlayRead`](saga_core::OverlayRead).
+//!   [`QueryBuilder`] for programmatic construction, and a plan cache
+//!   whose hit re-resolves only the edge targets its plan bound (§4.2).
+//!   The engine is generic over [`GraphRead`](saga_core::GraphRead): the
+//!   same queries execute unchanged against the stable KG, a replica
+//!   store, or a live-over-stable [`OverlayRead`](saga_core::OverlayRead).
 //! * [`intent`] — query-intent handling: the same intent routes to
 //!   different KGQ queries depending on entity semantics
 //!   (`HeadOfState(Canada)` → `prime_minister`, `HeadOfState(Chicago)` →

@@ -33,8 +33,7 @@ use saga_core::{
 const MAX_SHARDS: usize = 1024;
 
 /// The unified triple index under lock striping: shard `i` indexes the
-/// entities with `id % shards == i`. Replaces the legacy single-lock
-/// `InvertedGraphIndex`.
+/// entities with `id % shards == i`.
 pub struct ShardedTripleIndex {
     shards: Vec<RwLock<TripleIndex>>,
 }

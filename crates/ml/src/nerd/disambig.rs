@@ -6,7 +6,7 @@
 //! (mention↔names, mention↔description, mention↔types, mention↔relations,
 //! mention↔neighbour names/types), this reproduction computes one scalar
 //! interaction feature per view pair and learns a logistic layer on top —
-//! the same decision structure at laptop scale (see DESIGN.md §2). The
+//! the same decision structure at laptop scale. The
 //! model is trained offline by weak supervision: pseudo-mentions generated
 //! by applying templates over KG facts.
 

@@ -85,10 +85,10 @@ fn run(client: &mut SagaClient, cmd: &str, rest: &[String]) -> saga_core::Result
                     )),
             )?;
             println!(
-                "committed at lsn {} (+{} facts); session token {}",
+                "committed at lsn {} (+{} facts); session token at lsn {}",
                 committed.lsn.0,
                 committed.facts_added,
-                committed.token.to_wire()
+                committed.token.lsn().0
             );
             let hits = client.query_with_session("FIND demo WHERE name = \"CLI Demo Entity\"")?;
             print_result(hits);

@@ -173,8 +173,8 @@ impl SagaClient {
         self.session
     }
 
-    /// Replace the session token (e.g. one deserialized from
-    /// `SessionToken::from_wire` to resume another process's session).
+    /// Replace the session token (e.g. `SessionToken::at(lsn)` with the
+    /// LSN another process's session reached, to resume that session).
     pub fn set_session(&mut self, token: SessionToken) {
         self.session = token;
     }

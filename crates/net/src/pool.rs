@@ -287,7 +287,7 @@ impl SagaPool {
     }
 
     /// Replace the session token (e.g. resuming a session handed over
-    /// from another process via `SessionToken::to_wire`).
+    /// from another process as `SessionToken::at(lsn)`).
     pub fn set_session(&mut self, token: SessionToken) {
         self.session = token;
     }

@@ -27,7 +27,7 @@ use parking_lot::{Mutex, RwLock};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{EntityId, KnowledgeGraph, SagaError, SourceId, WriteBatch};
 use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
-use saga_graph::{LoggedWriter, OpKind, OperationLog};
+use saga_graph::{LogFollower, LoggedWriter, OpKind, OperationLog};
 use saga_net::protocol::{encode_frame, opcode, read_frame};
 use saga_net::{
     BreakerConfig, BreakerState, ClientConfig, PoolConfig, RetryPolicy, SagaPool, SagaServer,
@@ -384,13 +384,12 @@ fn lost_commit_ack_surfaces_maybe_committed_not_a_double_apply() {
             _ => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    let pool_commits = trio
-        .writer
-        .log()
-        .read_after(saga_core::Lsn(0))
-        .iter()
-        .filter(|op| format!("{op:?}").contains("Ambiguous Song"))
-        .count();
+    let mut pool_commits = 0;
+    LogFollower::new(Arc::clone(trio.writer.log()))
+        .poll_with(usize::MAX, |op| {
+            pool_commits += usize::from(format!("{op:?}").contains("Ambiguous Song"));
+        })
+        .unwrap();
     assert_eq!(
         pool_commits, 1,
         "the ambiguous commit landed in the log exactly once"

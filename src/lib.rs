@@ -10,9 +10,9 @@
 //! * [`ingest`] — source ingestion: importers, transforms, PGF alignment,
 //!   delta computation (§2.2).
 //! * [`construct`] — knowledge construction: blocking, matching,
-//!   correlation clustering, object resolution, fusion, the parallel
-//!   incremental pipeline (§2.3–2.4).
-//! * [`graph`] — the Graph Engine: operation log, orchestration agents,
+//!   correlation clustering, object resolution, fusion, the incremental
+//!   pipeline that commits each source through the log (§2.3–2.4).
+//! * [`graph`] — the Graph Engine: operation log and its followers,
 //!   columnar analytics store, view manager, entity importance (§3).
 //! * [`vector`] — the Vector DB: exact + IVF ANN search.
 //! * [`ml`] — graph ML: learned string similarity, the NERD stack, KG
@@ -25,8 +25,9 @@
 //!   thread-pool serving endpoint with pipelining and admission control,
 //!   and the session-threading client (see `docs/network.md`).
 //!
-//! See `examples/quickstart.rs` for a guided tour, DESIGN.md for the system
-//! inventory, and EXPERIMENTS.md for the paper-reproduction results.
+//! See `examples/quickstart.rs` for a guided tour, `docs/` for the design
+//! of each serving layer, and the experiment binaries of [`mod@bench`] for the
+//! paper-reproduction results.
 
 pub use saga_bench as bench;
 pub use saga_construct as construct;

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full platform loop.
 //!
 //! These exercise the paths the examples demonstrate, with assertions:
-//! ingestion → construction → graph engine (log/agents/views) → live
+//! ingestion → construction → graph engine (log/followers/views) → live
 //! serving → curation feedback, across multiple cycles.
 
 use std::sync::Arc;
@@ -9,11 +9,11 @@ use std::sync::Arc;
 use saga::construct::{
     ConstructionReport, KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch,
 };
-use saga::core::{intern, EntityId, IdGenerator, KnowledgeGraph, Lsn, SourceId, Value, WriteBatch};
-use saga::graph::{
-    AgentRunner, AnalyticsStore, EntityIndexAgent, LoggedWriter, MetadataStore, OpKind,
-    OperationLog, TextIndexAgent,
+use saga::core::{
+    intern, EntityId, GraphRead, IdGenerator, KnowledgeGraph, Lsn, ProbeKey, SourceId, Value,
+    WriteBatch,
 };
+use saga::graph::{AnalyticsStore, LogFollower, LoggedWriter, OpKind, OperationLog};
 use saga::ingest::synth::{artist_alignment, provider_datasets, MusicWorld, ProviderSpec};
 use saga::ingest::{DataTransformer, SourceIngestionPipeline, TransformSpec};
 use saga::live::{LiveReplica, QueryEngine, ReplicaKg};
@@ -133,15 +133,17 @@ fn continuous_construction_deduplicates_across_sources_and_cycles() {
 
 #[test]
 fn operation_log_drives_agents_and_freshness() {
+    // Each derived store follows the log through its own cursor: the
+    // serving replica and the analytics warehouse. Neither reads the
+    // writer's graph, and each one's freshness is its watermark.
     let log = Arc::new(OperationLog::in_memory());
     let writer = LoggedWriter::new(
         Arc::new(parking_lot::RwLock::new(KnowledgeGraph::new())),
         Arc::clone(&log),
     );
-    let meta = Arc::new(MetadataStore::new());
-    let mut runner = AgentRunner::new(Arc::clone(&log), Arc::clone(&meta));
-    runner.register(Box::new(EntityIndexAgent::new()));
-    runner.register(Box::new(TextIndexAgent::new()));
+    let mut replica = LiveReplica::new(4, Arc::clone(&log));
+    let mut follower = LogFollower::new(Arc::clone(&log));
+    let mut warehouse = AnalyticsStore::default();
 
     writer
         .commit(
@@ -157,23 +159,37 @@ fn operation_log_drives_agents_and_freshness() {
                 .named_entity(EntityId(2), "Halo", "song", SourceId(1), 0.9),
         )
         .unwrap();
-    runner.run_once(&writer.read()).unwrap();
-    assert!(meta.is_fresh("entity_index", Lsn(1)));
-    assert!(meta.is_fresh("text_index", Lsn(1)));
-    assert_eq!(
-        meta.consistent_lsn(&["entity_index", "text_index"]),
-        log.head()
-    );
+    assert_eq!(replica.catch_up().unwrap(), 1);
+    assert_eq!(replica.watermark(), log.head());
+    assert_eq!(follower.lag(), 1, "each store keeps its own pace");
 
-    // A later op only replays the suffix.
     writer
         .commit(
             OpKind::Upsert,
             WriteBatch::new().named_entity(EntityId(3), "Bad Guy", "song", SourceId(1), 0.9),
         )
         .unwrap();
-    let replayed = runner.run_once(&writer.read()).unwrap();
-    assert_eq!(replayed, 2, "one op × two agents");
+    assert_eq!(replica.lag(), 1);
+    assert_eq!(replica.catch_up().unwrap(), 1, "suffix only");
+    let applied = follower
+        .poll_with(usize::MAX, |op| warehouse.apply_deltas(&op.deltas))
+        .unwrap();
+    assert_eq!(applied, 2, "the lagging store catches up");
+    assert_eq!(replica.watermark(), Lsn(2));
+    assert_eq!(follower.watermark(), log.head());
+
+    // Point records and name postings come from the log alone.
+    let live = replica.live();
+    let billie = live.record(EntityId(1)).expect("record replayed");
+    assert_eq!(billie.name(), Some("Billie Eilish"));
+    assert_eq!(live.resolve_name("Bad Guy"), vec![EntityId(3)]);
+    assert_eq!(
+        live.postings(&ProbeKey::Name("billie".into())),
+        vec![EntityId(1)]
+    );
+    let mut songs = warehouse.entities_of_type(intern("song")).to_vec();
+    songs.sort_unstable();
+    assert_eq!(songs, vec![2, 3]);
 }
 
 #[test]
