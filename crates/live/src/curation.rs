@@ -273,20 +273,68 @@ mod tests {
         assert_fixed_by_curation(&stable, id);
     }
 
+    /// Per action: a hit returns the commit, queues the action and changes
+    /// the record; a miss returns `None`, queues nothing and leaves the
+    /// record as it was.
     #[test]
     fn misses_are_not_queued() {
-        let (pipeline, id) = setup();
-        let before = pipeline.writer.read().entity(id).cloned();
-        let miss = pipeline
-            .apply(CurationAction::BlockFact {
-                entity: EntityId(404),
-                predicate: "population".into(),
-                value: Value::Int(1),
-            })
-            .unwrap();
-        assert!(miss.is_none());
-        assert!(pipeline.drain_pending().is_empty());
-        assert_eq!(pipeline.writer.read().entity(id).cloned(), before);
+        let population = |v: i64| CurationAction::BlockFact {
+            entity: EntityId(1),
+            predicate: "population".into(),
+            value: Value::Int(v),
+        };
+        let edit = |old: i64| CurationAction::EditFact {
+            entity: EntityId(1),
+            predicate: "population".into(),
+            old: Value::Int(old),
+            new: Value::Int(120_000),
+        };
+        // (action, hit, entity 1's population afterwards; `None`: gone)
+        let cases = [
+            (population(-5), true, Some(vec![])),
+            (edit(-5), true, Some(vec![Value::Int(120_000)])),
+            (
+                CurationAction::BlockEntity {
+                    entity: EntityId(1),
+                },
+                true,
+                None,
+            ),
+            (population(7), false, Some(vec![Value::Int(-5)])),
+            (edit(7), false, Some(vec![Value::Int(-5)])),
+            (
+                CurationAction::BlockEntity {
+                    entity: EntityId(404),
+                },
+                false,
+                Some(vec![Value::Int(-5)]),
+            ),
+        ];
+        for (action, hit, want) in cases {
+            let (pipeline, id) = setup();
+            let before = pipeline.writer.read().entity(id).cloned();
+            let head = pipeline.writer.log().head();
+            let commit = pipeline.apply(action.clone()).unwrap();
+            assert_eq!(commit.is_some(), hit, "{action:?}: commit");
+            if let Some(commit) = commit {
+                assert!(commit.lsn > head, "{action:?}: the hit is logged");
+            }
+            let queued = pipeline.drain_pending();
+            let want_queued = if hit { vec![action.clone()] } else { vec![] };
+            assert_eq!(queued, want_queued, "{action:?}: pending queue");
+            let after = pipeline.writer.read().entity(id).cloned();
+            let got = after.as_ref().map(|r| {
+                r.values(intern("population"))
+                    .into_iter()
+                    .cloned()
+                    .collect()
+            });
+            assert_eq!(got, want, "{action:?}: record");
+            if !hit {
+                assert_eq!(after, before, "{action:?}: a miss edits nothing");
+            }
+            assert!(!pipeline.writer.read().contains(EntityId(404)));
+        }
     }
 
     #[test]
