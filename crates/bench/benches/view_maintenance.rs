@@ -92,7 +92,7 @@ fn bench_maintenance(c: &mut Criterion) {
                     }
                     let receipt = batch.commit(&mut kg);
                     store.apply_deltas(&receipt.deltas);
-                    vm.update_changed(&kg, &store, &receipt.entities_changed)
+                    vm.update_changed(&kg, &store, &receipt.changed_entities())
                         .unwrap()
                 })
             },

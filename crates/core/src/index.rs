@@ -55,35 +55,6 @@ use crate::{intern, EntityId, ExtendedTriple, FxHashMap, Symbol, Value};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ObjId(pub(crate) u32);
 
-/// Posting-storage tier breakdown (see [`TripleIndex::postings_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PostingsStats {
-    /// Total posting lists (POS + OSP + tokens).
-    pub lists: usize,
-    /// Total posting entries across all lists.
-    pub entries: usize,
-    /// Lists in the tiny (single varint run) tier, inline or boxed.
-    pub tiny_lists: usize,
-    /// Entries held by tiny lists.
-    pub tiny_entries: usize,
-    /// Encoded bytes of tiny runs (an inline run counts its bytes).
-    pub tiny_bytes: usize,
-    /// Tiny lists whose run is stored inline in the list header.
-    pub inline_lists: usize,
-    /// Entries held by inline lists.
-    pub inline_entries: usize,
-    /// Lists in the blocked tier.
-    pub blocked_lists: usize,
-    /// Entries held by blocked lists.
-    pub blocked_entries: usize,
-    /// Encoded bytes of blocked lists (directories + containers).
-    pub blocked_bytes: usize,
-    /// Blocks across all blocked lists.
-    pub blocks: usize,
-    /// Blocks currently in dense (bitmap) form.
-    pub dense_blocks: usize,
-}
-
 /// One flattened fact of a [`Delta`]: the (possibly `pred.facet`-flattened)
 /// predicate and the object value.
 #[derive(Clone, PartialEq, Debug)]
@@ -114,6 +85,16 @@ impl Delta {
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
+}
+
+/// The entities a delta feed touches, sorted and deduplicated: the keys
+/// derived state refreshes on, read off a commit receipt and off the
+/// logged op of the same commit alike.
+pub fn changed_entities(deltas: &[Delta]) -> Vec<EntityId> {
+    let mut ids: Vec<EntityId> = deltas.iter().map(|d| d.entity).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// A lowered index probe — the one probe vocabulary shared by the stable
@@ -541,37 +522,6 @@ impl TripleIndex {
             + self.osp.values().map(BlockPostings::len).sum::<usize>()
             + self.tokens.values().map(BlockPostings::len).sum::<usize>())
             * id
-    }
-
-    /// Tier breakdown of the posting storage (observability for the
-    /// memory gauge and capacity planning).
-    pub fn postings_stats(&self) -> PostingsStats {
-        let mut stats = PostingsStats::default();
-        for list in self
-            .pos
-            .values()
-            .chain(self.osp.values())
-            .chain(self.tokens.values())
-        {
-            stats.lists += 1;
-            stats.entries += list.len();
-            if list.is_tiny() {
-                stats.tiny_lists += 1;
-                stats.tiny_entries += list.len();
-                stats.tiny_bytes += list.payload_bytes();
-                if list.is_inline() {
-                    stats.inline_lists += 1;
-                    stats.inline_entries += list.len();
-                }
-            } else {
-                stats.blocked_lists += 1;
-                stats.blocked_entries += list.len();
-                stats.blocked_bytes += list.payload_bytes();
-                stats.blocks += list.block_count();
-                stats.dense_blocks += list.dense_block_count();
-            }
-        }
-        stats
     }
 
     // ------------------------------------------------------------------
@@ -1575,20 +1525,6 @@ mod tests {
         );
         let rows: usize = idx.spo.values().map(|r| r.capacity() * row).sum();
         assert_eq!(heap.spo, table_bytes(&idx.spo) + rows);
-    }
-
-    #[test]
-    fn postings_stats_count_inline_lists_among_tiny_ones() {
-        let mut idx = TripleIndex::new();
-        idx.update_entity(&record(1, &[("x", Value::Int(1))]));
-        for id in 1..=20 {
-            idx.update_entity(&record(id * 1_000, &[("y", Value::Int(2))]));
-        }
-        let stats = idx.postings_stats();
-        assert_eq!((stats.lists, stats.tiny_lists), (2, 2));
-        assert_eq!((stats.inline_lists, stats.inline_entries), (1, 1));
-        assert_eq!(stats.tiny_entries, 21);
-        assert_eq!(stats.tiny_bytes, idx.index_bytes());
     }
 
     #[test]

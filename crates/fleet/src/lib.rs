@@ -103,14 +103,6 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// The default config with `replicas` slots.
-    pub fn with_replicas(replicas: usize) -> Self {
-        FleetConfig {
-            replicas,
-            ..FleetConfig::default()
-        }
-    }
-
     pub(crate) fn validated(mut self) -> Self {
         self.replicas = self.replicas.max(1);
         self.shards = self.shards.max(1);

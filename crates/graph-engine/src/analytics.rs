@@ -22,8 +22,6 @@ use std::sync::Arc;
 
 use saga_core::{intern, FxHashMap, KnowledgeGraph, Symbol, Value};
 
-use crate::columnar::ColumnarAggregates;
-
 /// Typed-column discriminator for the subject→row index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RowKind {
@@ -269,9 +267,6 @@ fn stored(value: &Value) -> bool {
 pub struct AnalyticsStore {
     tables: FxHashMap<Symbol, PredTable>,
     by_type: FxHashMap<Symbol, Vec<u64>>,
-    /// Per-predicate aggregate runs (COUNT / COUNT-DISTINCT / GROUP-BY
-    /// without scanning), maintained fact-by-fact from the same deltas.
-    aggregates: ColumnarAggregates,
 }
 
 impl AnalyticsStore {
@@ -314,8 +309,6 @@ impl AnalyticsStore {
             if !removed {
                 continue;
             }
-            self.aggregates
-                .remove(subject, fact.predicate, &fact.object);
             if fact.predicate == type_sym {
                 if let Value::Str(name) = &fact.object {
                     if !self.has_type(subject, name) {
@@ -343,7 +336,6 @@ impl AnalyticsStore {
                 .entry(fact.predicate)
                 .or_default()
                 .push(subject, &fact.object);
-            self.aggregates.add(subject, fact.predicate, &fact.object);
         }
     }
 
@@ -368,13 +360,6 @@ impl AnalyticsStore {
     /// The columnar partition of a predicate (empty table if absent).
     pub fn table(&self, predicate: Symbol) -> Option<&PredTable> {
         self.tables.get(&predicate)
-    }
-
-    /// The per-predicate aggregate runs: COUNT / COUNT-DISTINCT /
-    /// GROUP-BY-predicate served from compressed column runs instead of
-    /// row scans.
-    pub fn aggregates(&self) -> &ColumnarAggregates {
-        &self.aggregates
     }
 
     /// Subjects having ontology type `ty`.
@@ -425,14 +410,6 @@ impl AnalyticsStore {
             ]),
             None => Frame::empty2("subject", value_name),
         }
-    }
-
-    /// `Frame[subject]` of entities of one type.
-    pub fn frame_type(&self, ty: Symbol) -> Frame {
-        Frame::new(vec![(
-            "subject".into(),
-            FrameCol::Ids(self.entities_of_type(ty).to_vec()),
-        )])
     }
 }
 
@@ -817,7 +794,6 @@ mod tests {
         ));
         let mut store = AnalyticsStore::build(&g);
         assert_eq!(store.table(school).unwrap().str_rows.0, vec![1, 1]);
-        assert_eq!(store.aggregates().count(school), 2);
         assert_eq!(store.entities_of_type(intern("single")), &[2]);
 
         let type_sym = intern(saga_core::well_known::TYPE);
@@ -833,9 +809,8 @@ mod tests {
             .commit(&mut g);
         store.apply_deltas(&receipt.deltas);
 
-        // One of two equal rows went; the other stays, and so does its count.
+        // One of two equal rows went; the other stays.
         assert_eq!(store.table(school).unwrap().str_rows.0, vec![1]);
-        assert_eq!(store.aggregates().count(school), 1);
         // The retracted type leaves; the one the subject still holds stays.
         assert!(store.entities_of_type(intern("single")).is_empty());
         assert_eq!(store.entities_of_type(intern("song")), &[2, 3]);
@@ -927,47 +902,6 @@ mod tests {
         // Only the first-loop survivors' Int(s) rows remain.
         assert_eq!(table.int_rows.0.len(), n as usize - n.div_ceil(3) as usize);
         assert_eq!(table.ent_rows.0.len(), n as usize - n.div_ceil(2) as usize);
-    }
-
-    #[test]
-    fn aggregate_runs_follow_the_delta_stream() {
-        let mut g = kg();
-        let mut store = AnalyticsStore::build(&g);
-        let agg = store.aggregates();
-        assert_eq!(agg.count(intern("performed_by")), 2);
-        assert_eq!(agg.count_distinct_subjects(intern("performed_by")), 2);
-        // GROUP BY type without scanning: the `type` partition's runs.
-        let type_col = agg.column(intern(saga_core::well_known::TYPE)).unwrap();
-        let mut groups: Vec<(Value, u64)> = type_col
-            .group_counts()
-            .map(|(v, n)| (v.clone(), n))
-            .collect();
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(
-            groups,
-            vec![(Value::str("music_artist"), 1), (Value::str("song"), 2),]
-        );
-        // Conjunction count in the compressed domain.
-        assert_eq!(
-            agg.count_conjunction(&[intern("performed_by"), intern("duration_s")]),
-            1
-        );
-
-        // A receipt-carried retraction updates the runs in lockstep.
-        let receipt = WriteBatch::new()
-            .link(SourceId(1), "s2", EntityId(2))
-            .retract_source_entity(SourceId(1), "s2")
-            .commit(&mut g);
-        store.apply_deltas(&receipt.deltas);
-        let agg = store.aggregates();
-        assert_eq!(agg.count(intern("performed_by")), 1);
-        assert_eq!(agg.count(intern("duration_s")), 0);
-        let type_col = agg.column(intern(saga_core::well_known::TYPE)).unwrap();
-        assert_eq!(
-            type_col.group_subjects(&Value::str("song")).len(),
-            1,
-            "one song remains"
-        );
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //!   extended triples (predicate-partitioned columns, Fx hash joins,
 //!   group-bys): the engine whose optimized join processing produces the
 //!   Fig. 8 speedups. Built once from a snapshot, then fed only deltas.
-//! * [`columnar`] — per-predicate aggregate runs over the compressed
-//!   posting blocks: COUNT / COUNT-DISTINCT / GROUP-BY-predicate served
-//!   without decompression or row scans, maintained as a log follower.
 //! * [`legacy`] — the row-at-a-time baseline view executor standing in for
 //!   the paper's legacy Spark jobs.
 //! * [`views`] — the view catalog, dependency DAG and View Manager with
@@ -82,7 +79,6 @@
 
 pub mod analytics;
 pub mod checkpoint_writer;
-pub mod columnar;
 pub mod importance;
 pub mod legacy;
 pub mod oplog;
@@ -94,7 +90,6 @@ pub mod writer;
 
 pub use analytics::{AnalyticsStore, Frame, FrameCol};
 pub use checkpoint_writer::{CheckpointReceipt, CheckpointWriter, DEFAULT_KEEP_LAST};
-pub use columnar::{ColumnarAggregates, PredColumn};
 pub use importance::{compute_importance, ImportanceConfig, ImportanceScores, ImportanceView};
 pub use legacy::{LegacyEngine, RowTable};
 pub use oplog::{FlushPolicy, IngestOp, LogFollower, OpKind, OperationLog};

@@ -95,10 +95,7 @@ impl IngestOp {
     /// The entities whose derived state must be refreshed: the delta
     /// entities, sorted and deduplicated.
     pub fn changed_entities(&self) -> Vec<EntityId> {
-        let mut ids: Vec<EntityId> = self.deltas.iter().map(|d| d.entity).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        saga_core::changed_entities(&self.deltas)
     }
 
     /// Render as one JSON line — the human-readable dump form, e.g.

@@ -239,15 +239,6 @@ pub struct RefreshReport {
 }
 
 impl RefreshReport {
-    /// Total compute attributed to one view name.
-    pub fn time_of(&self, name: &str) -> u128 {
-        self.computations
-            .iter()
-            .filter(|c| c.view == name)
-            .map(|c| c.micros)
-            .sum()
-    }
-
     /// How the named view satisfied its most recent computation in this
     /// refresh, if it ran.
     pub fn kind_of(&self, name: &str) -> Option<RefreshKind> {
@@ -319,11 +310,6 @@ impl ViewManager {
         // Validate the dependency graph eagerly (missing deps, cycles).
         self.topo_order()?;
         Ok(())
-    }
-
-    /// Names in catalog order.
-    pub fn view_names(&self) -> Vec<&str> {
-        self.catalog.iter().map(|r| r.view.name()).collect()
     }
 
     /// The materialization of a view.

@@ -50,7 +50,9 @@ pub struct LoggedCommit {
     /// The operation's log sequence number: a derived store has this
     /// commit once its follower's watermark reaches it.
     pub lsn: Lsn,
-    /// The commit receipt — deltas, outcomes, generation, removal set.
+    /// The commit receipt — deltas, fact counts, removal set. Per-op
+    /// results come back as [`with_txn`](LoggedWriter::with_txn)'s
+    /// closure value.
     pub receipt: CommitReceipt,
 }
 
@@ -186,7 +188,7 @@ mod tests {
         // The logged op carries exactly the receipt's deltas.
         let op = &w.log().read_after(Lsn::ZERO)[0];
         assert_eq!(op.deltas, commit.receipt.deltas);
-        assert_eq!(op.changed_entities(), commit.receipt.entities_changed);
+        assert_eq!(op.changed_entities(), commit.receipt.changed_entities());
     }
 
     #[test]
@@ -260,7 +262,7 @@ mod tests {
         let commit = w.commit(OpKind::Upsert, city(11)).unwrap();
         let g1 = GraphRead::generation(&*w.read());
         assert!(g1 > g0);
-        assert_eq!(g1, commit.receipt.generation);
+        assert_eq!(g1 - g0, commit.receipt.deltas.len() as u64);
         assert_eq!(cities(&w), 11);
     }
 

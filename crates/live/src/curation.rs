@@ -8,7 +8,7 @@
 //! construction as a source, so that corrections are incorporated into the
 //! stable graph."
 
-use saga_core::{intern, EntityId, FactMeta, OpOutcome, Result, SourceId, Value, WriteBatch};
+use saga_core::{intern, EntityId, FactMeta, Result, SourceId, Value, WriteBatch};
 use saga_graph::{LoggedCommit, LoggedWriter, OpKind};
 
 /// One curation decision from the human-in-the-loop tooling.
@@ -73,22 +73,17 @@ impl CurationPipeline {
     /// Commit one curation as a hot fix and, on a hit, queue it for the
     /// stable graph. Returns the commit on a hit — its session token makes
     /// the fix visible to the caller's next read — and `None` on a miss
-    /// (the entity or fact is absent).
+    /// (the entity or fact is absent). The receipt decides: a blocked fact
+    /// hits if a fact left the index, an edit if one entered it, a blocked
+    /// entity if the entity was dropped.
     pub fn apply(&self, action: CurationAction) -> Result<Option<LoggedCommit>> {
         let batch = Self::stable_batch(self.source, std::slice::from_ref(&action));
         let commit = self.writer.commit(OpKind::Upsert, batch)?;
-        let OpOutcome::Mutated {
-            found,
-            added,
-            removed,
-        } = commit.receipt.outcomes[0]
-        else {
-            return Ok(None);
-        };
+        let receipt = &commit.receipt;
         let hit = match action {
-            CurationAction::BlockFact { .. } => removed > 0,
-            CurationAction::EditFact { .. } => added > 0,
-            CurationAction::BlockEntity { .. } => found,
+            CurationAction::BlockFact { .. } => receipt.facts_removed > 0,
+            CurationAction::EditFact { .. } => receipt.facts_added > 0,
+            CurationAction::BlockEntity { entity } => receipt.entities_removed.contains(&entity),
         };
         if !hit {
             return Ok(None);

@@ -149,7 +149,7 @@ fn maintained_membership_equals_fresh_execution_across_interleavings() {
             let receipt = random_commit(&mut rng, &mut kg);
             store.apply_deltas(&receipt.deltas);
             let report = vm
-                .update_changed(&kg, &store, &receipt.entities_changed)
+                .update_changed(&kg, &store, &receipt.changed_entities())
                 .unwrap();
             for (name, _) in VIEWS {
                 assert_eq!(
@@ -199,7 +199,7 @@ fn target_rename_crosses_into_full_rematerialization_and_back() {
         .commit(&mut kg);
     store.apply_deltas(&receipt.deltas);
     let report = vm
-        .update_changed(&kg, &store, &receipt.entities_changed)
+        .update_changed(&kg, &store, &receipt.changed_entities())
         .unwrap();
     assert_eq!(
         report.kind_of("in_city_a"),
@@ -212,7 +212,7 @@ fn target_rename_crosses_into_full_rematerialization_and_back() {
     for round in 0..8 {
         let receipt = random_commit(&mut rng, &mut kg);
         store.apply_deltas(&receipt.deltas);
-        vm.update_changed(&kg, &store, &receipt.entities_changed)
+        vm.update_changed(&kg, &store, &receipt.changed_entities())
             .unwrap();
         assert_parity(&kg, &vm, &format!("post-rename round {round}"));
     }

@@ -27,7 +27,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use saga_core::{EntityId, EntityRecord, ProbeKey, Result, SagaError, SessionToken, Value};
+use saga_core::{EntityId, EntityRecord, ProbeKey, Result, SagaError, SessionToken};
 use saga_live::QueryResult;
 
 use crate::protocol::{
@@ -352,16 +352,6 @@ impl SagaClient {
         match self.call(&Request::Generation)? {
             Response::Count(n) => Ok(n),
             other => Err(response_error(other)),
-        }
-    }
-
-    /// Convenience: the string values of a `GET` query.
-    pub fn query_values(&mut self, text: &str) -> Result<Vec<Value>> {
-        match self.query(text)? {
-            QueryResult::Values(values) => Ok(values),
-            QueryResult::Entities(_) => Err(SagaError::Query(
-                "query returned entities where values were expected".to_string(),
-            )),
         }
     }
 }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use saga_construct::{KnowledgeConstructor, LinkTableResolver, RuleMatcher, SourceBatch};
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, IdGenerator, KnowledgeGraph, OpOutcome, RelId,
-    SourceId, SourceTrust, Value, WriteBatch,
+    intern, EntityId, ExtendedTriple, FactMeta, IdGenerator, KnowledgeGraph, RelId, SourceId,
+    SourceTrust, Value,
 };
 use saga_graph::{LoggedWriter, OpKind, OperationLog};
 use saga_ingest::{AlignmentConfig, CsvImporter, DataSourceImporter, Pgf, SourceIngestionPipeline};
@@ -177,16 +177,13 @@ s3,Halo,Beyonce,261,88000
     // ------------------------------------------------------------------
     // 4. On-demand deletion (§2.1 provenance): retract the source.
     // ------------------------------------------------------------------
-    // One staged batch, one atomic commit, one receipt for the fan-out.
-    let commit = writer
-        .commit(
-            OpKind::RetractSource(SourceId(7)),
-            WriteBatch::new().retract_source(SourceId(7)),
-        )
+    // One staged transaction, one atomic commit; the retraction's counts
+    // come back as the staging closure's value.
+    let ((facts, entities), _) = writer
+        .with_txn(OpKind::RetractSource(SourceId(7)), |txn| {
+            txn.retract_source(SourceId(7))
+        })
         .expect("retraction commits");
-    let OpOutcome::RetractedSource { facts, entities } = commit.receipt.outcomes[0] else {
-        unreachable!("one retraction staged");
-    };
     println!("\n— License revoked: retracting src7 dropped {facts} facts, {entities} entities —");
     assert_eq!(writer.read().entity_count(), 0);
     println!("  KG is empty again: every fact carried its provenance.");
