@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for §3.2 incremental view maintenance:
-//! per-commit refresh (commit + analytics delta + `update_changed`) vs a
+//! per-commit refresh (commit + `update_changed`) vs a
 //! full `refresh_all` recompute, swept across churn levels. The 20% level
 //! crosses the importance view's churn threshold, so its numbers include
 //! the declared full-rebuild fallback.
@@ -8,27 +8,21 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use saga_bench::workload::{media_world, MediaWorldConfig};
 use saga_core::{intern, EntityId, KnowledgeGraph, Value, WriteBatch};
 use saga_graph::views::ViewManager;
-use saga_graph::{AnalyticsStore, FactCountView, ImportanceConfig, ImportanceView};
+use saga_graph::{FactCountView, ImportanceConfig, ImportanceView};
 use saga_live::MaterializedKgqView;
 
 fn registered_manager() -> ViewManager {
     let mut vm = ViewManager::new();
-    vm.register(
-        Box::new(ImportanceView::new(ImportanceConfig::default())),
-        1,
-    )
-    .unwrap();
-    vm.register(Box::new(FactCountView), 1).unwrap();
-    vm.register(
-        Box::new(
-            MaterializedKgqView::new(
-                "city0_people",
-                r#"FIND person WHERE birthplace -> entity("City 0")"#,
-            )
-            .unwrap(),
-        ),
-        1,
-    )
+    vm.register(Box::new(ImportanceView::new(ImportanceConfig::default())))
+        .unwrap();
+    vm.register(Box::new(FactCountView)).unwrap();
+    vm.register(Box::new(
+        MaterializedKgqView::new(
+            "city0_people",
+            r#"FIND person WHERE birthplace -> entity("City 0")"#,
+        )
+        .unwrap(),
+    ))
     .unwrap();
     vm
 }
@@ -53,22 +47,18 @@ fn bench_maintenance(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("view_maintenance");
 
-    {
-        let store = AnalyticsStore::build(&kg);
-        group.bench_function("full_recompute", |b| {
-            b.iter(|| {
-                let mut vm = registered_manager();
-                vm.refresh_all(&kg, &store).unwrap()
-            })
-        });
-    }
+    group.bench_function("full_recompute", |b| {
+        b.iter(|| {
+            let mut vm = registered_manager();
+            vm.refresh_all(&kg).unwrap()
+        })
+    });
 
     for churn_pct in [1usize, 5, 20] {
         let k = (n * churn_pct) / 100;
         let mut kg = kg.clone();
-        let mut store = AnalyticsStore::build(&kg);
         let mut vm = registered_manager();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.refresh_all(&kg).unwrap();
         let mut round = 0usize;
         group.bench_with_input(
             BenchmarkId::new("per_commit_refresh", format!("churn_{churn_pct}pct")),
@@ -91,9 +81,7 @@ fn bench_maintenance(c: &mut Criterion) {
                         });
                     }
                     let receipt = batch.commit(&mut kg);
-                    store.apply_deltas(&receipt.deltas);
-                    vm.update_changed(&kg, &store, &receipt.changed_entities())
-                        .unwrap()
+                    vm.update_changed(&kg, &receipt.changed_entities()).unwrap()
                 })
             },
         );

@@ -1,4 +1,4 @@
-//! Media-world KG generator (Fig. 8 / E2, E3, E7, E10) and the Fig. 12
+//! Media-world KG generator (Fig. 8 / E2, E7, E10) and the Fig. 12
 //! growth schedule.
 
 use rand::rngs::StdRng;

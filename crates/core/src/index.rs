@@ -956,9 +956,10 @@ impl ObjDict {
 
 /// Multiset difference of two sorted fact lists by a two-cursor merge
 /// walk: returns `(added, removed)` — the elements only in `new` and only
-/// in `old`, with multiplicity. Shared by the index's per-entity diff and
-/// the analytics store's changed-id update so the two can never diverge.
-pub fn sorted_multiset_diff<T: Clone + Ord>(old: &[T], new: &[T]) -> (Vec<T>, Vec<T>) {
+/// in `old`, with multiplicity. The reference diff behind the test-only
+/// [`TripleIndex::update_entity`].
+#[cfg(test)]
+fn sorted_multiset_diff<T: Clone + Ord>(old: &[T], new: &[T]) -> (Vec<T>, Vec<T>) {
     let mut added = Vec::new();
     let mut removed = Vec::new();
     let (mut i, mut j) = (0, 0);

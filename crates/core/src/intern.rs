@@ -104,11 +104,6 @@ pub fn resolve(sym: Symbol) -> Arc<str> {
     global().resolve(sym)
 }
 
-/// Resolve a [`Symbol`] and return an owned `String`.
-pub fn symbol_text(sym: Symbol) -> String {
-    resolve(sym).to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

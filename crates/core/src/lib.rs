@@ -54,7 +54,7 @@ pub use entity::{EntityPayload, EntityRecord};
 pub use error::{Result, SagaError};
 pub use id::{EntityId, IdGenerator, Lsn, RelId, SourceId};
 pub use index::{changed_entities, Delta, DeltaFact, IndexHeap, ProbeKey, TripleIndex};
-pub use intern::{intern, resolve, symbol_text, Symbol};
+pub use intern::{intern, resolve, Symbol};
 pub use kg::{KgStats, KnowledgeGraph};
 pub use meta::{FactMeta, SourceTrust};
 pub use postings::{intersect_views, union_views, BlockPostings, PostingsCursor, PostingsView};

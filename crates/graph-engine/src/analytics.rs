@@ -945,7 +945,7 @@ mod tests {
 
     fn views() -> ViewManager {
         let mut views = ViewManager::new();
-        views.register(Box::new(FactCountView), 1).unwrap();
+        views.register(Box::new(FactCountView)).unwrap();
         views
     }
 
@@ -968,7 +968,7 @@ mod tests {
             .unwrap();
         changed.sort_unstable();
         changed.dedup();
-        views.update_changed(kg, warehouse, &changed).unwrap();
+        views.update_changed(kg, &changed).unwrap();
         applied
     }
 

@@ -17,10 +17,9 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
 use saga_core::{EntityId, FxHashMap, FxHashSet, KnowledgeGraph, Result};
 
-use crate::views::{Maintained, View, ViewContext, ViewData};
+use crate::views::{View, ViewContext, ViewData};
 
 /// Weights and PageRank parameters for the aggregate score.
 #[derive(Clone, Copy, Debug)]
@@ -77,7 +76,7 @@ pub struct ImportanceScores {
 
 /// Compute all four structural metrics plus the aggregate score.
 pub fn compute_importance(kg: &KnowledgeGraph, config: &ImportanceConfig) -> ImportanceScores {
-    let adjacency = kg.adjacency(); // fallback: reference full recompute
+    let adjacency = kg.adjacency();
     let n = adjacency.len().max(1);
 
     let mut scores = ImportanceScores::default();
@@ -87,8 +86,7 @@ pub fn compute_importance(kg: &KnowledgeGraph, config: &ImportanceConfig) -> Imp
             *scores.in_degree.entry(*d).or_insert(0) += 1;
         }
     }
-    let records = kg.entities(); // fallback: reference full recompute
-    for record in records {
+    for record in kg.entities() {
         scores.identities.insert(record.id, record.identity_count());
         scores.in_degree.entry(record.id).or_insert(0);
         scores.out_degree.entry(record.id).or_insert(0);
@@ -168,9 +166,7 @@ pub fn compute_importance(kg: &KnowledgeGraph, config: &ImportanceConfig) -> Imp
 /// adds the new ones, then Gauss–Southwell pushes (`x(v) += r(v)`, forward
 /// `d·r(v)·m/deg` to live out-neighbours) drain the injected residual mass
 /// below `push_tolerance`. Reverse edges of appeared/departed nodes come
-/// from the OSP postings via [`TripleIndex::referencing`] — no full scan.
-///
-/// [`TripleIndex::referencing`]: saga_core::TripleIndex::referencing
+/// from the OSP postings via [`ViewContext::referencing`] — no full scan.
 struct PrState {
     /// Raw out-edge row (with multiplicity, sorted) per live node. Keys are
     /// the node set `N`.
@@ -189,17 +185,12 @@ struct PrState {
     argmax: EntityId,
 }
 
-/// Outcome of one incremental maintenance attempt.
-enum Applied {
-    /// The delta was absorbed; rescore `rescore` ids (or everything when
-    /// `rescore_all` — the max-x normalizer moved), drop `removed` ids.
-    Incremental {
-        rescore: FxHashSet<EntityId>,
-        removed: Vec<EntityId>,
-        rescore_all: bool,
-    },
-    /// The affected set crossed the churn threshold: rebuild instead.
-    TooBroad,
+/// An absorbed delta: rescore `rescore` ids (or everything when
+/// `rescore_all` — the max-x normalizer moved), drop `removed` ids.
+struct Applied {
+    rescore: FxHashSet<EntityId>,
+    removed: Vec<EntityId>,
+    rescore_all: bool,
 }
 
 impl PrState {
@@ -215,8 +206,7 @@ impl PrState {
             max_x: f64::MIN_POSITIVE,
             argmax: EntityId(0),
         };
-        let records = kg.entities(); // fallback: full rebuild seeds the model
-        for record in records {
+        for record in kg.entities() {
             let mut row: Vec<EntityId> = record.out_edges().map(|(_, d)| d).collect();
             row.sort_unstable();
             for &t in &row {
@@ -320,12 +310,15 @@ impl PrState {
     /// identity signal lags such a merge until the entity next changes
     /// visibly or the view is fully rebuilt. Every log-derived store
     /// shares this bound.
+    ///
+    /// `None` when the affected set crosses the churn threshold: the model
+    /// is left untouched and must be rebuilt.
     fn apply(
         &mut self,
         ctx: &ViewContext<'_>,
         changed: &[EntityId],
         config: &ImportanceConfig,
-    ) -> Applied {
+    ) -> Option<Applied> {
         let base = 1.0 - config.damping;
         let d = config.damping;
         let mut uniq: Vec<EntityId> = changed.to_vec();
@@ -340,7 +333,7 @@ impl PrState {
         let mut new_idents: FxHashMap<EntityId, usize> = FxHashMap::default();
         for &e in &uniq {
             let existed = self.out_edges.contains_key(&e);
-            match ctx.kg.entity(e) {
+            match ctx.entity(e) {
                 Some(record) => {
                     let mut row: Vec<EntityId> = record.out_edges().map(|(_, t)| t).collect();
                     row.sort_unstable();
@@ -374,14 +367,14 @@ impl PrState {
             }
         }
         for &e in appeared.iter().chain(departed.iter()) {
-            for s in ctx.index.referencing(e).iter() {
+            for s in ctx.referencing(e).iter() {
                 ca.insert(s);
             }
         }
 
         let n = self.x.len().max(1);
         if ca.len() as f64 > config.max_churn_fraction * n as f64 {
-            return Applied::TooBroad;
+            return None;
         }
 
         let mut r_touched: FxHashSet<EntityId> = FxHashSet::default();
@@ -511,11 +504,11 @@ impl PrState {
         let mut rescore = touched_x;
         rescore.extend(degree_touched);
         rescore.extend(uniq);
-        Applied::Incremental {
+        Some(Applied {
             rescore,
             removed,
             rescore_all,
-        }
+        })
     }
 }
 
@@ -524,14 +517,13 @@ impl PrState {
 /// KG … and is automatically maintained as the graph changes").
 ///
 /// `create` builds the push-based model from scratch; `update` absorbs the
-/// commit's changed-id set incrementally (declaring
-/// [`RefreshKind::Incremental`](crate::views::RefreshKind::Incremental))
-/// and falls back to a full rebuild — declared as such in the refresh
-/// report — when the churn threshold is crossed or the model is missing.
+/// commit's changed-id set incrementally, and declines it — so the
+/// manager rebuilds through `create` — when the churn threshold is
+/// crossed or the model is missing.
 pub struct ImportanceView {
     /// Score configuration.
     pub config: ImportanceConfig,
-    state: Mutex<Option<PrState>>,
+    state: Option<PrState>,
 }
 
 impl ImportanceView {
@@ -540,7 +532,7 @@ impl ImportanceView {
     pub fn new(config: ImportanceConfig) -> Self {
         ImportanceView {
             config,
-            state: Mutex::new(None),
+            state: None,
         }
     }
 }
@@ -550,51 +542,37 @@ impl View for ImportanceView {
         "entity_importance"
     }
 
-    fn create(&self, ctx: &ViewContext<'_>) -> Result<ViewData> {
-        let st = PrState::build(ctx.kg, &self.config);
-        let scores = st.score_all(&self.config);
-        *self.state.lock() = Some(st);
-        Ok(ViewData::Scores(scores))
+    fn create(&mut self, kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
+        let st = self.state.insert(PrState::build(kg, &self.config));
+        Ok(ViewData::Scores(st.score_all(&self.config)))
     }
 
     fn update(
-        &self,
+        &mut self,
         ctx: &ViewContext<'_>,
         current: ViewData,
         changed: &[EntityId],
-    ) -> Result<Maintained> {
-        let mut guard = self.state.lock();
-        let (Some(st), ViewData::Scores(mut scores)) = (guard.as_mut(), current) else {
-            drop(guard);
-            return Ok(Maintained::full(self.create(ctx)?));
+    ) -> Result<Option<ViewData>> {
+        let (Some(st), ViewData::Scores(mut scores)) = (self.state.as_mut(), current) else {
+            return Ok(None);
         };
-        match st.apply(ctx, changed, &self.config) {
-            Applied::TooBroad => {
-                drop(guard);
-                Ok(Maintained::full(self.create(ctx)?))
-            }
-            Applied::Incremental {
-                rescore,
-                removed,
-                rescore_all,
-            } => {
-                if rescore_all {
-                    let scores = st.score_all(&self.config);
-                    return Ok(Maintained::incremental(ViewData::Scores(scores)));
-                }
-                for id in removed {
-                    scores.remove(&id);
-                }
-                for id in rescore {
-                    if st.in_degree.contains_key(&id) {
-                        scores.insert(id, st.score_one(id, &self.config));
-                    } else {
-                        scores.remove(&id);
-                    }
-                }
-                Ok(Maintained::incremental(ViewData::Scores(scores)))
+        let Some(applied) = st.apply(ctx, changed, &self.config) else {
+            return Ok(None);
+        };
+        if applied.rescore_all {
+            return Ok(Some(ViewData::Scores(st.score_all(&self.config))));
+        }
+        for id in applied.removed {
+            scores.remove(&id);
+        }
+        for id in applied.rescore {
+            if st.in_degree.contains_key(&id) {
+                scores.insert(id, st.score_one(id, &self.config));
+            } else {
+                scores.remove(&id);
             }
         }
+        Ok(Some(ViewData::Scores(scores)))
     }
 }
 
@@ -660,14 +638,10 @@ mod tests {
     fn importance_view_registers_and_computes() {
         use crate::views::ViewManager;
         let kg = star_kg(4);
-        let store = crate::analytics::AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
-        vm.register(
-            Box::new(ImportanceView::new(ImportanceConfig::default())),
-            1,
-        )
-        .unwrap();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.register(Box::new(ImportanceView::new(ImportanceConfig::default())))
+            .unwrap();
+        vm.refresh_all(&kg).unwrap();
         let data = vm.get("entity_importance").unwrap();
         let scores = data.as_scores().unwrap();
         assert!(scores[&EntityId(1)] > scores[&EntityId(99)]);
@@ -686,17 +660,16 @@ mod tests {
     /// convergence (epsilon-close).
     fn assert_view_matches_fresh(kg: &KnowledgeGraph, vm: &crate::views::ViewManager) {
         let scores = vm.get("entity_importance").unwrap().as_scores().unwrap();
-        let fresh_view = ImportanceView::new(ImportanceConfig::default());
-        let store = crate::analytics::AnalyticsStore::build(kg);
-        let deps = FxHashMap::default();
-        let ctx = ViewContext {
-            kg,
-            index: kg.index(),
-            analytics: &store,
-            deps: &deps,
-        };
-        let fresh = fresh_view.create(&ctx).unwrap();
-        let fresh = fresh.as_scores().unwrap();
+        let mut fresh_vm = crate::views::ViewManager::new();
+        fresh_vm
+            .register(Box::new(ImportanceView::new(ImportanceConfig::default())))
+            .unwrap();
+        fresh_vm.refresh_all(kg).unwrap();
+        let fresh = fresh_vm
+            .get("entity_importance")
+            .unwrap()
+            .as_scores()
+            .unwrap();
         assert_eq!(scores.len(), fresh.len(), "score key sets diverged");
         for (id, s) in fresh {
             let got = scores.get(id).copied().unwrap_or(f64::NAN);
@@ -725,14 +698,10 @@ mod tests {
     fn incremental_update_matches_full_recompute() {
         use crate::views::{RefreshKind, ViewManager};
         let mut kg = star_kg(8);
-        let store = crate::analytics::AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
-        vm.register(
-            Box::new(ImportanceView::new(ImportanceConfig::default())),
-            1,
-        )
-        .unwrap();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.register(Box::new(ImportanceView::new(ImportanceConfig::default())))
+            .unwrap();
+        vm.refresh_all(&kg).unwrap();
 
         // A new spoke→hub edge plus a spoke→spoke edge.
         let meta = || FactMeta::from_source(SourceId(2), 0.9);
@@ -742,7 +711,7 @@ mod tests {
             Value::Entity(EntityId(11)),
             meta(),
         ));
-        let report = vm.update_changed(&kg, &store, &[EntityId(10)]).unwrap();
+        let report = vm.update_changed(&kg, &[EntityId(10)]).unwrap();
         assert_eq!(
             report.kind_of("entity_importance"),
             Some(RefreshKind::Incremental),
@@ -758,7 +727,7 @@ mod tests {
             Value::Entity(EntityId(1)),
             meta(),
         ));
-        vm.update_changed(&kg, &store, &[EntityId(200)]).unwrap();
+        vm.update_changed(&kg, &[EntityId(200)]).unwrap();
         assert_view_matches_fresh(&kg, &vm);
 
         // Retract a spoke entirely (node departs; hub loses an in-edge and
@@ -767,7 +736,7 @@ mod tests {
             .link(SourceId(1), "spoke11", EntityId(11))
             .retract_source_entity(SourceId(1), "spoke11")
             .commit(&mut kg);
-        vm.update_changed(&kg, &store, &[EntityId(11), EntityId(10)])
+        vm.update_changed(&kg, &[EntityId(11), EntityId(10)])
             .unwrap();
         assert_view_matches_fresh(&kg, &vm);
     }
@@ -776,24 +745,20 @@ mod tests {
     fn broad_churn_falls_back_to_full_rebuild() {
         use crate::views::{RefreshKind, ViewManager};
         let mut kg = star_kg(8);
-        let store = crate::analytics::AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
-        vm.register(
-            Box::new(ImportanceView::new(ImportanceConfig {
-                max_churn_fraction: 0.0,
-                ..ImportanceConfig::default()
-            })),
-            1,
-        )
+        vm.register(Box::new(ImportanceView::new(ImportanceConfig {
+            max_churn_fraction: 0.0,
+            ..ImportanceConfig::default()
+        })))
         .unwrap();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.refresh_all(&kg).unwrap();
         kg.commit_upsert(ExtendedTriple::simple(
             EntityId(10),
             intern("knows"),
             Value::Entity(EntityId(12)),
             FactMeta::from_source(SourceId(2), 0.9),
         ));
-        let report = vm.update_changed(&kg, &store, &[EntityId(10)]).unwrap();
+        let report = vm.update_changed(&kg, &[EntityId(10)]).unwrap();
         assert_eq!(
             report.kind_of("entity_importance"),
             Some(RefreshKind::Full),

@@ -18,8 +18,8 @@
 //!   Fig. 8 speedups. Built once from a snapshot, then fed only deltas.
 //! * [`legacy`] — the row-at-a-time baseline view executor standing in for
 //!   the paper's legacy Spark jobs.
-//! * [`views`] — the view catalog, dependency DAG and View Manager with
-//!   incremental maintenance and dependency reuse (§3.2, Fig. 7).
+//! * [`views`] — the view catalog and View Manager with incremental
+//!   maintenance and dependency reuse (§3.2, Fig. 7).
 //! * [`production_views`] — the six schematized entity-centric views of
 //!   Fig. 8, implemented on both engines.
 //! * [`importance`] — entity importance: in/out-degree, identities and
@@ -57,7 +57,7 @@
 //! let mut follower = LogFollower::new(Arc::clone(&log));
 //! let mut warehouse = AnalyticsStore::default();
 //! let mut views = ViewManager::new();
-//! views.register(Box::new(FactCountView), 1)?;
+//! views.register(Box::new(FactCountView))?;
 //!
 //! let mut changed = Vec::new();
 //! follower.poll_with(usize::MAX, |op| {
@@ -66,7 +66,7 @@
 //! })?;
 //! changed.sort_unstable();
 //! changed.dedup();
-//! views.update_changed(&writer.read(), &warehouse, &changed)?;
+//! views.update_changed(&writer.read(), &changed)?;
 //! assert_eq!(follower.watermark(), log.head()); // how fresh both stores are
 //! # Ok(())
 //! # }
@@ -94,7 +94,7 @@ pub use importance::{compute_importance, ImportanceConfig, ImportanceScores, Imp
 pub use legacy::{LegacyEngine, RowTable};
 pub use oplog::{FlushPolicy, IngestOp, LogFollower, OpKind, OperationLog};
 pub use views::{
-    Computation, FactCountView, Maintained, RefreshKind, RefreshReport, View, ViewData,
-    ViewManager, ViewRegistration,
+    Computation, FactCountView, RefreshKind, RefreshReport, View, ViewContext, ViewData,
+    ViewManager,
 };
 pub use writer::{LoggedCommit, LoggedWriter};

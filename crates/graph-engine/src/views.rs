@@ -1,44 +1,36 @@
-//! KG views: catalog, dependency DAG, View Manager (§3.2, Fig. 7).
+//! KG views: catalog and View Manager (§3.2, Fig. 7).
 //!
 //! "A view can be any transformation of the graph … We want to manage the
 //! lifecycle of KG views alongside the KG base data itself." View
 //! definitions provide procedures for creating the view and for updating
 //! it given a list of changed entity IDs; definitions live in a central
-//! catalog together with their dependencies. The View Manager executes the
-//! dependency graph, reusing shared intermediate views — the multi-query
-//! optimization that yielded the paper's 26% run-time improvement
-//! (experiment E3 reproduces this by toggling
-//! [`ViewManager::reuse_dependencies`]).
+//! catalog together with their dependencies. A view may depend only on
+//! views registered before it, so the catalog runs in registration order,
+//! and each view is computed once per refresh however many views read it
+//! — the shared-dependency reuse behind the paper's 26% run-time
+//! improvement.
+//!
+//! Only [`View::create`] receives the [`KnowledgeGraph`]: an update sees
+//! the graph through [`ViewContext`]'s point reads, so its cost follows
+//! the change set, not the graph.
 
-use std::time::Instant;
+use saga_core::{
+    EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, PostingsCursor, PostingsView,
+    ProbeKey, Result, SagaError, Symbol, Value,
+};
 
-use saga_core::{EntityId, FxHashMap, KnowledgeGraph, Result, SagaError, TripleIndex, Value};
+pub use context::ViewContext;
 
-use crate::analytics::{AnalyticsStore, Frame};
-
-/// Materialized view contents. Different engines produce different shapes
-/// (the polystore reality of Fig. 6).
+/// Materialized view contents.
 #[derive(Clone, Debug)]
 pub enum ViewData {
-    /// A columnar relation (analytics engine).
-    Frame(Frame),
     /// Per-entity scores (importance, ranking features).
     Scores(FxHashMap<EntityId, f64>),
-    /// Generic rows (legacy engine / exports).
-    Rows(Vec<(u64, Value, Value)>),
     /// A sorted entity set (materialized KGQ conjunctions).
     Entities(Vec<EntityId>),
 }
 
 impl ViewData {
-    /// The frame, if this is a columnar view.
-    pub fn as_frame(&self) -> Option<&Frame> {
-        match self {
-            ViewData::Frame(f) => Some(f),
-            _ => None,
-        }
-    }
-
     /// The score map, if this is a score view.
     pub fn as_scores(&self) -> Option<&FxHashMap<EntityId, f64>> {
         match self {
@@ -58,9 +50,7 @@ impl ViewData {
     /// Row count of the materialization.
     pub fn len(&self) -> usize {
         match self {
-            ViewData::Frame(f) => f.len(),
             ViewData::Scores(s) => s.len(),
-            ViewData::Rows(r) => r.len(),
             ViewData::Entities(e) => e.len(),
         }
     }
@@ -71,105 +61,176 @@ impl ViewData {
     }
 }
 
-/// Everything a view's procedures may read: the KG base data, the unified
-/// triple index, the analytics store, and already-materialized dependency
-/// views.
-pub struct ViewContext<'a> {
-    /// The KG base data.
-    pub kg: &'a KnowledgeGraph,
-    /// The unified triple index over the KG (SPO/POS/OSP probes) — the
-    /// store incremental `update` procedures read instead of rescanning.
-    pub index: &'a TripleIndex,
-    /// The columnar analytics store.
-    pub analytics: &'a AnalyticsStore,
-    /// Materialized dependencies, by view name.
-    pub deps: &'a FxHashMap<String, ViewData>,
-}
+/// A module of its own, so that not even the views in this file can reach
+/// a context's fields.
+mod context {
+    use super::*;
 
-impl ViewContext<'_> {
-    /// Fetch a dependency's materialization.
-    pub fn dep(&self, name: &str) -> Result<&ViewData> {
-        self.deps
-            .get(name)
-            .ok_or_else(|| SagaError::View(format!("dependency view {name} not materialized")))
+    /// What a view's procedures read besides the graph handed to
+    /// `create`: point reads of the KG and the already-materialized
+    /// dependency views. Only the [`ViewManager`] builds one, and nothing
+    /// on it hands out the whole graph or its index, so an
+    /// [`update`](View::update) cannot scan.
+    pub struct ViewContext<'a> {
+        kg: &'a KnowledgeGraph,
+        deps: &'a FxHashMap<String, ViewData>,
+    }
+
+    impl<'a> ViewContext<'a> {
+        pub(super) fn new(kg: &'a KnowledgeGraph, deps: &'a FxHashMap<String, ViewData>) -> Self {
+            ViewContext { kg, deps }
+        }
+
+        /// A dependency's materialization.
+        pub fn dep(&self, name: &str) -> Result<&'a ViewData> {
+            self.deps
+                .get(name)
+                .ok_or_else(|| SagaError::View(format!("dependency view {name} not materialized")))
+        }
+
+        /// One entity's record.
+        pub fn entity(&self, id: EntityId) -> Option<&'a EntityRecord> {
+            self.kg.entity(id)
+        }
+
+        /// One entity's indexed `(predicate, object)` facts.
+        pub fn facts_of(&self, id: EntityId) -> impl Iterator<Item = (Symbol, &'a Value)> + 'a {
+            self.kg.index().facts_of(id)
+        }
+
+        /// The subjects with an edge to `target` (its OSP postings).
+        pub fn referencing(&self, target: EntityId) -> PostingsView<'a> {
+            self.kg.index().referencing(target)
+        }
+    }
+
+    /// Probes and point reads forward to the KG.
+    impl GraphRead for ViewContext<'_> {
+        fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+            self.kg.postings_cursor(probe)
+        }
+        fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
+            self.kg.postings(probe)
+        }
+        fn selectivity(&self, probe: &ProbeKey) -> usize {
+            self.kg.selectivity(probe)
+        }
+        fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
+            self.kg.probe_contains(probe, id)
+        }
+        fn record(&self, id: EntityId) -> Option<EntityRecord> {
+            self.kg.record(id)
+        }
+        fn contains(&self, id: EntityId) -> bool {
+            self.kg.contains(id)
+        }
+        fn generation(&self) -> u64 {
+            self.kg.generation()
+        }
+        fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+            self.kg.probe_all_limit(probes, limit)
+        }
     }
 }
 
 /// How a view satisfied a maintenance request: by consuming the changed-id
-/// set (touching work proportional to churn) or by falling back to a full
+/// set (touching work proportional to churn) or by a full
 /// re-materialization (work proportional to graph size).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefreshKind {
-    /// The view rebuilt from scratch (initial create, fallback, or a view
-    /// with no incremental procedure).
+    /// The view ran `create` (first materialization, `refresh_all`, or an
+    /// `update` that declined the change set).
     Full,
-    /// The view consumed the changed-id / delta information and touched
-    /// only affected state.
+    /// The view's `update` consumed the changed ids.
     Incremental,
 }
 
-/// The result of a maintenance call: the new materialization plus the
-/// view's own declaration of whether it actually consumed the change set.
-/// `ViewManager` surfaces the declaration in [`RefreshReport`] so callers
-/// (and the freshness gauges) can tell incremental refreshes from silent
-/// full recomputes — the hazard that motivated this contract.
-#[derive(Clone, Debug)]
-pub struct Maintained {
-    /// The new materialization.
-    pub data: ViewData,
-    /// Whether the change set was consumed.
-    pub kind: RefreshKind,
-}
-
-impl Maintained {
-    /// An incremental maintenance result.
-    pub fn incremental(data: ViewData) -> Self {
-        Maintained {
-            data,
-            kind: RefreshKind::Incremental,
-        }
-    }
-
-    /// A full-recompute maintenance result.
-    pub fn full(data: ViewData) -> Self {
-        Maintained {
-            data,
-            kind: RefreshKind::Full,
-        }
-    }
-}
-
-/// A view definition: name, dependencies, create/update procedures.
-pub trait View: Send + Sync {
+/// A view definition: name, dependencies, create/update procedures. A view
+/// owns whatever model it maintains between calls.
+pub trait View: Send {
     /// Unique view name.
     fn name(&self) -> &str;
 
-    /// Names of views this view reads.
+    /// Names of views this view reads; each must be registered first.
     fn dependencies(&self) -> Vec<String> {
         Vec::new()
     }
 
-    /// Materialize from scratch.
-    fn create(&self, ctx: &ViewContext<'_>) -> Result<ViewData>;
+    /// Materialize from scratch. The only procedure handed the whole
+    /// graph, so the only one that may scan it:
+    ///
+    /// ```
+    /// use saga_core::{EntityId, KnowledgeGraph, Result, SourceId};
+    /// use saga_graph::{View, ViewContext, ViewData, ViewManager};
+    ///
+    /// struct AllEntities;
+    ///
+    /// impl View for AllEntities {
+    ///     fn name(&self) -> &str {
+    ///         "all_entities"
+    ///     }
+    ///     fn create(&mut self, kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
+    ///         let mut ids: Vec<EntityId> = kg.entities().map(|r| r.id).collect();
+    ///         ids.sort_unstable();
+    ///         Ok(ViewData::Entities(ids))
+    ///     }
+    /// }
+    ///
+    /// let mut kg = KnowledgeGraph::new();
+    /// kg.add_named_entity(EntityId(1), "A", "person", SourceId(1), 0.9);
+    /// let mut views = ViewManager::new();
+    /// views.register(Box::new(AllEntities))?;
+    /// views.refresh_all(&kg)?;
+    /// assert_eq!(views.get("all_entities").unwrap().len(), 1);
+    /// # Ok::<(), saga_core::SagaError>(())
+    /// ```
+    fn create(&mut self, kg: &KnowledgeGraph, ctx: &ViewContext<'_>) -> Result<ViewData>;
 
-    /// Incrementally maintain given changed entity ids, declaring in the
-    /// returned [`Maintained`] whether the change set was consumed. The
-    /// default is a full re-create (always correct; views override when
-    /// profitable).
+    /// Maintain `current` given the changed entity ids: `Some` is the new
+    /// materialization ([`RefreshKind::Incremental`]); `None` declines the
+    /// change set and the manager calls [`create`](Self::create) instead
+    /// ([`RefreshKind::Full`]). The default declines.
+    ///
+    /// An update reads the graph only through `ctx`'s point reads; it
+    /// cannot reach a scan such as `entities()`:
+    ///
+    /// ```compile_fail,E0599
+    /// use saga_core::{EntityId, KnowledgeGraph, Result};
+    /// use saga_graph::{View, ViewContext, ViewData};
+    ///
+    /// struct AllEntities;
+    ///
+    /// impl View for AllEntities {
+    ///     fn name(&self) -> &str {
+    ///         "all_entities"
+    ///     }
+    ///     fn create(&mut self, kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
+    ///         Ok(ViewData::Entities(kg.entities().map(|r| r.id).collect()))
+    ///     }
+    ///     fn update(
+    ///         &mut self,
+    ///         ctx: &ViewContext<'_>,
+    ///         _current: ViewData,
+    ///         _changed: &[EntityId],
+    ///     ) -> Result<Option<ViewData>> {
+    ///         Ok(Some(ViewData::Entities(ctx.entities().map(|r| r.id).collect())))
+    ///     }
+    /// }
+    /// ```
     fn update(
-        &self,
-        ctx: &ViewContext<'_>,
+        &mut self,
+        _ctx: &ViewContext<'_>,
         _current: ViewData,
         _changed: &[EntityId],
-    ) -> Result<Maintained> {
-        Ok(Maintained::full(self.create(ctx)?))
+    ) -> Result<Option<ViewData>> {
+        Ok(None)
     }
 }
 
 /// A built-in incrementally-maintained view: per-entity fact counts (a
-/// ranking feature), kept fresh by touching only the changed ids against
-/// the unified triple index — the canonical shape of a §3.2 "update
-/// procedure given a list of changed entity IDs".
+/// ranking feature), kept fresh by touching only the changed ids — the
+/// canonical shape of a §3.2 "update procedure given a list of changed
+/// entity IDs".
 pub struct FactCountView;
 
 impl View for FactCountView {
@@ -177,74 +238,58 @@ impl View for FactCountView {
         "entity_fact_counts"
     }
 
-    fn create(&self, ctx: &ViewContext<'_>) -> Result<ViewData> {
-        let mut scores: FxHashMap<EntityId, f64> = FxHashMap::default();
-        let subjects = ctx.index.subjects(); // fallback: full rebuild of the count map
-        for id in subjects {
-            scores.insert(id, ctx.index.facts_of(id).count() as f64);
-        }
+    fn create(&mut self, kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
+        let index = kg.index();
+        let scores = index
+            .subjects()
+            .map(|id| (id, index.facts_of(id).count() as f64))
+            .collect();
         Ok(ViewData::Scores(scores))
     }
 
     fn update(
-        &self,
+        &mut self,
         ctx: &ViewContext<'_>,
         current: ViewData,
         changed: &[EntityId],
-    ) -> Result<Maintained> {
+    ) -> Result<Option<ViewData>> {
         let ViewData::Scores(mut scores) = current else {
-            return Ok(Maintained::full(self.create(ctx)?)); // shape drifted: rebuild
+            return Ok(None);
         };
         for &id in changed {
-            let count = ctx.index.facts_of(id).count();
+            let count = ctx.facts_of(id).count();
             if count == 0 {
                 scores.remove(&id);
             } else {
                 scores.insert(id, count as f64);
             }
         }
-        Ok(Maintained::incremental(ViewData::Scores(scores)))
+        Ok(Some(ViewData::Scores(scores)))
     }
 }
 
-/// Catalog entry metadata.
-pub struct ViewRegistration {
-    /// The definition.
-    pub view: Box<dyn View>,
-    /// Freshness SLA in "cycles": refresh at least every N refresh calls
-    /// (1 = every cycle). Views may specify different freshness SLAs.
-    pub freshness_cycles: u64,
-}
-
-/// One view computation inside a refresh: which view, how long, and whether
-/// it was incremental or a full recompute.
+/// One view computation inside a refresh: which view, and whether it was
+/// incremental or a full recompute.
 #[derive(Clone, Debug)]
 pub struct Computation {
     /// The view name.
     pub view: String,
-    /// Microseconds spent.
-    pub micros: u128,
     /// How the view satisfied the request.
     pub kind: RefreshKind,
 }
 
-/// Per-refresh timing report.
+/// What one refresh computed.
 #[derive(Clone, Debug, Default)]
 pub struct RefreshReport {
-    /// Per-view computations, in execution order. A view recomputed k times
-    /// (reuse off) appears k times.
+    /// Per-view computations, in execution (registration) order.
     pub computations: Vec<Computation>,
-    /// Total wall-clock microseconds.
-    pub total_us: u128,
 }
 
 impl RefreshReport {
-    /// How the named view satisfied its most recent computation in this
-    /// refresh, if it ran.
+    /// How the named view satisfied this refresh, if it ran.
     pub fn kind_of(&self, name: &str) -> Option<RefreshKind> {
         self.computations
             .iter()
-            .rev()
             .find(|c| c.view == name)
             .map(|c| c.kind)
     }
@@ -257,8 +302,7 @@ impl RefreshReport {
             .count()
     }
 
-    /// Number of computations that fell back to (or started as) a full
-    /// recompute.
+    /// Number of computations that ran `create`.
     pub fn full_count(&self) -> usize {
         self.computations
             .iter()
@@ -267,48 +311,38 @@ impl RefreshReport {
     }
 }
 
-/// The View Manager: owns the catalog and materializations, coordinates
-/// execution of the dependency graph.
+/// The View Manager: owns the catalog and the materializations, and runs
+/// the catalog in registration order.
+#[derive(Default)]
 pub struct ViewManager {
-    catalog: Vec<ViewRegistration>,
+    catalog: Vec<Box<dyn View>>,
     materialized: FxHashMap<String, ViewData>,
-    /// Reuse shared dependency views (multi-query optimization). Toggled
-    /// off for the E3 ablation: every consumer recomputes its dependencies.
-    pub reuse_dependencies: bool,
-    cycle: u64,
-}
-
-impl Default for ViewManager {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ViewManager {
-    /// An empty manager with dependency reuse on.
+    /// An empty manager.
     pub fn new() -> Self {
-        ViewManager {
-            catalog: Vec::new(),
-            materialized: FxHashMap::default(),
-            reuse_dependencies: true,
-            cycle: 0,
-        }
+        Self::default()
     }
 
-    /// Register a view with a per-cycle freshness SLA.
-    pub fn register(&mut self, view: Box<dyn View>, freshness_cycles: u64) -> Result<()> {
-        if self.catalog.iter().any(|r| r.view.name() == view.name()) {
+    /// Register a view. Its name must be new and its dependencies already
+    /// registered, so registration order is a dependency order and no
+    /// cycle can form.
+    pub fn register(&mut self, view: Box<dyn View>) -> Result<()> {
+        let registered = |name: &str| self.catalog.iter().any(|v| v.name() == name);
+        if registered(view.name()) {
             return Err(SagaError::View(format!(
                 "view {} already registered",
                 view.name()
             )));
         }
-        self.catalog.push(ViewRegistration {
-            view,
-            freshness_cycles: freshness_cycles.max(1),
-        });
-        // Validate the dependency graph eagerly (missing deps, cycles).
-        self.topo_order()?;
+        if let Some(dep) = view.dependencies().into_iter().find(|d| !registered(d)) {
+            return Err(SagaError::View(format!(
+                "view {} depends on unregistered view {dep}",
+                view.name()
+            )));
+        }
+        self.catalog.push(view);
         Ok(())
     }
 
@@ -317,177 +351,54 @@ impl ViewManager {
         self.materialized.get(name)
     }
 
-    fn position(&self, name: &str) -> Option<usize> {
-        self.catalog.iter().position(|r| r.view.name() == name)
+    /// Materialize every view from scratch (a new KG construction). A
+    /// failure is handled as in [`update_changed`](Self::update_changed).
+    pub fn refresh_all(&mut self, kg: &KnowledgeGraph) -> Result<RefreshReport> {
+        self.run(kg, None)
     }
 
-    /// Kahn topological order over the catalog; errors on unknown
-    /// dependencies or cycles.
-    fn topo_order(&self) -> Result<Vec<usize>> {
-        let n = self.catalog.len();
-        let mut indegree = vec![0usize; n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, reg) in self.catalog.iter().enumerate() {
-            for dep in reg.view.dependencies() {
-                let d = self.position(&dep).ok_or_else(|| {
-                    SagaError::View(format!(
-                        "view {} depends on unregistered view {dep}",
-                        reg.view.name()
-                    ))
-                })?;
-                indegree[i] += 1;
-                consumers[d].push(i);
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop() {
-            order.push(i);
-            for &c in &consumers[i] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    queue.push(c);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(SagaError::View("view dependency cycle detected".into()));
-        }
-        order.sort_by_key(|&i| (self.depth(i), i)); // stable, deps-first, catalog order within depth
-        Ok(order)
-    }
-
-    fn depth(&self, i: usize) -> usize {
-        let mut max = 0;
-        for dep in self.catalog[i].view.dependencies() {
-            if let Some(d) = self.position(&dep) {
-                max = max.max(1 + self.depth(d));
-            }
-        }
-        max
-    }
-
-    /// Materialize all due views from scratch (a new KG construction).
-    pub fn refresh_all(
-        &mut self,
-        kg: &KnowledgeGraph,
-        analytics: &AnalyticsStore,
-    ) -> Result<RefreshReport> {
-        self.cycle += 1;
-        let cycle = self.cycle;
-        let order = self.topo_order()?;
-        let start = Instant::now();
-        let mut report = RefreshReport::default();
-
-        if self.reuse_dependencies {
-            let mut fresh: FxHashMap<String, ViewData> = FxHashMap::default();
-            for &i in &order {
-                let reg = &self.catalog[i];
-                let due = cycle.is_multiple_of(reg.freshness_cycles)
-                    || !self.materialized.contains_key(reg.view.name());
-                if !due {
-                    if let Some(old) = self.materialized.get(reg.view.name()) {
-                        fresh.insert(reg.view.name().to_string(), old.clone());
-                    }
-                    continue;
-                }
-                let ctx = ViewContext {
-                    kg,
-                    index: kg.index(),
-                    analytics,
-                    deps: &fresh,
-                };
-                let t0 = Instant::now();
-                let data = reg.view.create(&ctx)?;
-                report.computations.push(Computation {
-                    view: reg.view.name().to_string(),
-                    micros: t0.elapsed().as_micros(),
-                    kind: RefreshKind::Full,
-                });
-                fresh.insert(reg.view.name().to_string(), data);
-            }
-            self.materialized = fresh;
-        } else {
-            // No multi-query optimization: every view recomputes its whole
-            // dependency closure privately.
-            let mut final_results: FxHashMap<String, ViewData> = FxHashMap::default();
-            for &i in &order {
-                let name = self.catalog[i].view.name().to_string();
-                let data = self.compute_closure(i, kg, analytics, &mut report)?;
-                final_results.insert(name, data);
-            }
-            self.materialized = final_results;
-        }
-        report.total_us = start.elapsed().as_micros();
-        Ok(report)
-    }
-
-    fn compute_closure(
-        &self,
-        i: usize,
-        kg: &KnowledgeGraph,
-        analytics: &AnalyticsStore,
-        report: &mut RefreshReport,
-    ) -> Result<ViewData> {
-        let mut deps = FxHashMap::default();
-        for dep in self.catalog[i].view.dependencies() {
-            let d = self
-                .position(&dep)
-                .ok_or_else(|| SagaError::View(format!("unknown dependency {dep}")))?;
-            let data = self.compute_closure(d, kg, analytics, report)?;
-            deps.insert(dep, data);
-        }
-        let ctx = ViewContext {
-            kg,
-            index: kg.index(),
-            analytics,
-            deps: &deps,
-        };
-        let t0 = Instant::now();
-        let data = self.catalog[i].view.create(&ctx)?;
-        report.computations.push(Computation {
-            view: self.catalog[i].view.name().to_string(),
-            micros: t0.elapsed().as_micros(),
-            kind: RefreshKind::Full,
-        });
-        Ok(data)
-    }
-
-    /// Incrementally maintain all views for `changed` entities.
+    /// Maintain every view for the `changed` entities. A view with no
+    /// materialization, or whose `update` declines, is recreated. If a
+    /// view fails, the others are still maintained and keep their
+    /// materializations; the failed view loses its own and is recreated by
+    /// the next call. The first error is returned.
     pub fn update_changed(
         &mut self,
         kg: &KnowledgeGraph,
-        analytics: &AnalyticsStore,
         changed: &[EntityId],
     ) -> Result<RefreshReport> {
-        let order = self.topo_order()?;
-        let start = Instant::now();
+        self.run(kg, Some(changed))
+    }
+
+    fn run(&mut self, kg: &KnowledgeGraph, changed: Option<&[EntityId]>) -> Result<RefreshReport> {
         let mut report = RefreshReport::default();
-        let mut fresh: FxHashMap<String, ViewData> = FxHashMap::default();
-        for &i in &order {
-            let reg = &self.catalog[i];
-            let name = reg.view.name().to_string();
-            let ctx = ViewContext {
-                kg,
-                index: kg.index(),
-                analytics,
-                deps: &fresh,
+        let mut first_err = None;
+        for view in &mut self.catalog {
+            let name = view.name().to_string();
+            let current = self.materialized.remove(&name);
+            let ctx = ViewContext::new(kg, &self.materialized);
+            let updated = match (current, changed) {
+                (Some(current), Some(changed)) => view.update(&ctx, current, changed),
+                _ => Ok(None),
             };
-            let t0 = Instant::now();
-            let maintained = match self.materialized.remove(&name) {
-                Some(current) => reg.view.update(&ctx, current, changed)?,
-                None => Maintained::full(reg.view.create(&ctx)?),
-            };
-            report.computations.push(Computation {
-                view: name.clone(),
-                micros: t0.elapsed().as_micros(),
-                kind: maintained.kind,
+            let computed = updated.and_then(|updated| match updated {
+                Some(data) => Ok((data, RefreshKind::Incremental)),
+                None => view.create(kg, &ctx).map(|data| (data, RefreshKind::Full)),
             });
-            fresh.insert(name, maintained.data);
+            match computed {
+                Ok((data, kind)) => {
+                    report.computations.push(Computation {
+                        view: name.clone(),
+                        kind,
+                    });
+                    self.materialized.insert(name, data);
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
         }
-        self.materialized = fresh;
-        report.total_us = start.elapsed().as_micros();
-        Ok(report)
+        first_err.map_or(Ok(report), Err)
     }
 }
 
@@ -512,7 +423,7 @@ mod tests {
         fn dependencies(&self) -> Vec<String> {
             self.deps.clone()
         }
-        fn create(&self, ctx: &ViewContext<'_>) -> Result<ViewData> {
+        fn create(&mut self, _kg: &KnowledgeGraph, ctx: &ViewContext<'_>) -> Result<ViewData> {
             for d in &self.deps {
                 ctx.dep(d)?; // deps must be materialized first
             }
@@ -529,6 +440,26 @@ mod tests {
         })
     }
 
+    /// A view whose `update` always fails.
+    struct FailingView;
+
+    impl View for FailingView {
+        fn name(&self) -> &str {
+            "failing"
+        }
+        fn create(&mut self, _kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
+            Ok(ViewData::Entities(Vec::new()))
+        }
+        fn update(
+            &mut self,
+            _ctx: &ViewContext<'_>,
+            _current: ViewData,
+            _changed: &[EntityId],
+        ) -> Result<Option<ViewData>> {
+            Err(SagaError::View("update failed".into()))
+        }
+    }
+
     fn tiny_kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();
         kg.add_named_entity(saga_core::EntityId(1), "A", "person", SourceId(1), 0.9);
@@ -540,47 +471,26 @@ mod tests {
         // Fig. 7 shape: features feeds both ranked-index and neighbourhood.
         let runs = Arc::new(AtomicUsize::new(0));
         let mut vm = ViewManager::new();
-        vm.register(counting("entity_features", &[], &runs), 1)
+        vm.register(counting("entity_features", &[], &runs))
             .unwrap();
         let r2 = Arc::new(AtomicUsize::new(0));
-        vm.register(
-            counting("ranked_entity_index", &["entity_features"], &r2),
-            1,
-        )
-        .unwrap();
+        vm.register(counting("ranked_entity_index", &["entity_features"], &r2))
+            .unwrap();
         let r3 = Arc::new(AtomicUsize::new(0));
-        vm.register(
-            counting("entity_neighbourhood", &["entity_features"], &r3),
-            1,
-        )
-        .unwrap();
+        vm.register(counting("entity_neighbourhood", &["entity_features"], &r3))
+            .unwrap();
 
-        let kg = tiny_kg();
-        let store = AnalyticsStore::build(&kg);
-        vm.refresh_all(&kg, &store).unwrap();
-        assert_eq!(
-            runs.load(Ordering::SeqCst),
-            1,
-            "shared dep computed once with reuse"
-        );
-
-        vm.reuse_dependencies = false;
-        vm.refresh_all(&kg, &store).unwrap();
-        // entity_features recomputed: once for itself + once per consumer.
-        assert_eq!(
-            runs.load(Ordering::SeqCst),
-            1 + 3,
-            "each consumer recomputes the dep"
-        );
+        vm.refresh_all(&tiny_kg()).unwrap();
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "shared dep computed once");
+        assert_eq!(r2.load(Ordering::SeqCst), 1);
+        assert_eq!(r3.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn missing_dependency_is_rejected_at_registration() {
         let runs = Arc::new(AtomicUsize::new(0));
         let mut vm = ViewManager::new();
-        let err = vm
-            .register(counting("v", &["ghost"], &runs), 1)
-            .unwrap_err();
+        let err = vm.register(counting("v", &["ghost"], &runs)).unwrap_err();
         assert!(err.to_string().contains("ghost"));
     }
 
@@ -588,41 +498,46 @@ mod tests {
     fn cycles_are_rejected() {
         let runs = Arc::new(AtomicUsize::new(0));
         let mut vm = ViewManager::new();
-        vm.register(counting("a", &[], &runs), 1).unwrap();
-        vm.register(counting("b", &["a"], &runs), 1).unwrap();
-        // Replace a's deps is impossible; instead register c -> c self-cycle.
-        let err = vm.register(counting("c", &["c"], &runs), 1).unwrap_err();
-        assert!(err.to_string().contains("cycle") || err.to_string().contains("unregistered"));
+        vm.register(counting("a", &[], &runs)).unwrap();
+        vm.register(counting("b", &["a"], &runs)).unwrap();
+        // A view can only name views registered before it, so the one cycle
+        // left to try is a self-dependency.
+        let err = vm.register(counting("c", &["c"], &runs)).unwrap_err();
+        assert!(err.to_string().contains("unregistered"));
     }
 
     #[test]
     fn duplicate_names_are_rejected() {
         let runs = Arc::new(AtomicUsize::new(0));
         let mut vm = ViewManager::new();
-        vm.register(counting("v", &[], &runs), 1).unwrap();
-        assert!(vm.register(counting("v", &[], &runs), 1).is_err());
+        vm.register(counting("v", &[], &runs)).unwrap();
+        assert!(vm.register(counting("v", &[], &runs)).is_err());
     }
 
     #[test]
-    fn freshness_sla_skips_undue_views() {
-        let hourly = Arc::new(AtomicUsize::new(0));
-        let daily = Arc::new(AtomicUsize::new(0));
-        let mut vm = ViewManager::new();
-        vm.register(counting("hourly", &[], &hourly), 1).unwrap();
-        vm.register(counting("daily", &[], &daily), 3).unwrap();
+    fn failed_update_keeps_other_views_materialized() {
         let kg = tiny_kg();
-        let store = AnalyticsStore::build(&kg);
-        for _ in 0..6 {
-            vm.refresh_all(&kg, &store).unwrap();
-        }
-        assert_eq!(hourly.load(Ordering::SeqCst), 6);
-        // Due on first touch (cycle 1, not yet materialized) then on cycles
-        // 3 and 6 → three computations over six refreshes.
-        assert_eq!(daily.load(Ordering::SeqCst), 3);
+        let mut vm = ViewManager::new();
+        vm.register(Box::new(FactCountView)).unwrap();
+        vm.register(Box::new(FailingView)).unwrap();
+        vm.refresh_all(&kg).unwrap();
+
+        let changed = [saga_core::EntityId(1)];
+        assert!(vm.update_changed(&kg, &changed).is_err());
         assert!(
-            vm.get("daily").is_some(),
-            "stale materialization retained between refreshes"
+            vm.get("entity_fact_counts").is_some(),
+            "a failing view must not drop the others' materializations"
         );
+        assert!(vm.get("failing").is_none());
+
+        // The failed view has nothing to update, so the next call recreates it.
+        let report = vm.update_changed(&kg, &changed).unwrap();
+        assert_eq!(report.kind_of("failing"), Some(RefreshKind::Full));
+        assert_eq!(
+            report.kind_of("entity_fact_counts"),
+            Some(RefreshKind::Incremental)
+        );
+        assert!(vm.get("failing").is_some());
     }
 
     #[test]
@@ -631,9 +546,8 @@ mod tests {
         let mut kg = tiny_kg();
         kg.add_named_entity(saga_core::EntityId(2), "B", "person", SourceId(1), 0.9);
         let mut vm = ViewManager::new();
-        vm.register(Box::new(FactCountView), 1).unwrap();
-        let store = AnalyticsStore::build(&kg);
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.register(Box::new(FactCountView)).unwrap();
+        vm.refresh_all(&kg).unwrap();
         let scores = vm.get("entity_fact_counts").unwrap().as_scores().unwrap();
         assert_eq!(scores[&saga_core::EntityId(1)], 2.0, "name + type");
 
@@ -644,9 +558,7 @@ mod tests {
             Value::str("Ace"),
             FactMeta::from_source(SourceId(1), 0.9),
         ));
-        let report = vm
-            .update_changed(&kg, &store, &[saga_core::EntityId(1)])
-            .unwrap();
+        let report = vm.update_changed(&kg, &[saga_core::EntityId(1)]).unwrap();
         assert_eq!(
             report.kind_of("entity_fact_counts"),
             Some(RefreshKind::Incremental),
@@ -661,8 +573,7 @@ mod tests {
             .link(SourceId(1), "b", saga_core::EntityId(2))
             .retract_source_entity(SourceId(1), "b")
             .commit(&mut kg);
-        vm.update_changed(&kg, &store, &[saga_core::EntityId(2)])
-            .unwrap();
+        vm.update_changed(&kg, &[saga_core::EntityId(2)]).unwrap();
         let scores = vm.get("entity_fact_counts").unwrap().as_scores().unwrap();
         assert!(!scores.contains_key(&saga_core::EntityId(2)));
     }
@@ -671,15 +582,11 @@ mod tests {
     fn update_changed_runs_update_procedures_in_dep_order() {
         let runs = Arc::new(AtomicUsize::new(0));
         let mut vm = ViewManager::new();
-        vm.register(counting("base", &[], &runs), 1).unwrap();
-        vm.register(counting("derived", &["base"], &runs), 1)
-            .unwrap();
+        vm.register(counting("base", &[], &runs)).unwrap();
+        vm.register(counting("derived", &["base"], &runs)).unwrap();
         let kg = tiny_kg();
-        let store = AnalyticsStore::build(&kg);
-        vm.refresh_all(&kg, &store).unwrap();
-        let report = vm
-            .update_changed(&kg, &store, &[saga_core::EntityId(1)])
-            .unwrap();
+        vm.refresh_all(&kg).unwrap();
+        let report = vm.update_changed(&kg, &[saga_core::EntityId(1)]).unwrap();
         assert_eq!(report.computations.len(), 2);
         assert_eq!(
             report.computations[0].view, "base",
@@ -689,6 +596,5 @@ mod tests {
         // and the report says so.
         assert_eq!(report.full_count(), 2);
         assert_eq!(report.incremental_count(), 0);
-        let _ = intern("x");
     }
 }

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use saga_core::{
     intern, CommitReceipt, EntityId, ExtendedTriple, FactMeta, SourceId, Value, WriteBatch,
 };
-use saga_graph::views::{ViewContext, ViewManager};
+use saga_graph::views::ViewManager;
 use saga_graph::{
     AnalyticsStore, FactCountView, ImportanceConfig, ImportanceView, RefreshKind, View, ViewData,
 };
@@ -111,23 +111,18 @@ fn random_commit(rng: &mut StdRng, kg: &mut saga_core::KnowledgeGraph) -> Commit
     batch.commit(kg)
 }
 
-fn assert_scores_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, label: &str) {
-    let store = AnalyticsStore::build(kg);
-    let deps = saga_core::FxHashMap::default();
-    let ctx = ViewContext {
-        kg,
-        index: kg.index(),
-        analytics: &store,
-        deps: &deps,
-    };
-    let fresh = ImportanceView::new(ImportanceConfig::default())
-        .create(&ctx)
-        .unwrap();
+/// The named view freshly materialized by a new manager.
+fn fresh(kg: &saga_core::KnowledgeGraph, view: impl View + 'static, name: &str) -> ViewData {
+    let mut vm = ViewManager::new();
+    vm.register(Box::new(view)).unwrap();
+    vm.refresh_all(kg).unwrap();
+    vm.get(name).unwrap().clone()
+}
+
+/// A maintained score view is within `EPS` of a fresh one, key for key.
+fn assert_scores_match(maintained: &ViewData, fresh: &ViewData, label: &str) {
+    let maintained = maintained.as_scores().unwrap();
     let fresh = fresh.as_scores().unwrap();
-    let maintained = vm
-        .get("entity_importance")
-        .and_then(ViewData::as_scores)
-        .unwrap();
     let missing: Vec<_> = fresh
         .keys()
         .filter(|k| !maintained.contains_key(k))
@@ -141,9 +136,7 @@ fn assert_scores_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, l
         "{label}: score-map key sets diverged (missing {missing:?}, extra {extra:?})"
     );
     for (id, score) in fresh {
-        let got = maintained
-            .get(id)
-            .unwrap_or_else(|| panic!("{label}: missing {id:?}"));
+        let got = maintained[id];
         assert!(
             (got - score).abs() < EPS,
             "{label}: {id:?} maintained {got} vs fresh {score}"
@@ -151,16 +144,17 @@ fn assert_scores_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, l
     }
 }
 
-fn assert_counts_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, label: &str) {
-    let store = AnalyticsStore::build(kg);
-    let deps = saga_core::FxHashMap::default();
-    let ctx = ViewContext {
+fn assert_scores_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, label: &str) {
+    let fresh = fresh(
         kg,
-        index: kg.index(),
-        analytics: &store,
-        deps: &deps,
-    };
-    let fresh = FactCountView.create(&ctx).unwrap();
+        ImportanceView::new(ImportanceConfig::default()),
+        "entity_importance",
+    );
+    assert_scores_match(vm.get("entity_importance").unwrap(), &fresh, label);
+}
+
+fn assert_counts_match_fresh(kg: &saga_core::KnowledgeGraph, vm: &ViewManager, label: &str) {
+    let fresh = fresh(kg, FactCountView, "entity_fact_counts");
     let maintained = vm.get("entity_fact_counts").unwrap();
     assert_eq!(
         maintained.as_scores(),
@@ -226,20 +220,15 @@ fn maintained_views_equal_fresh_recompute_across_interleavings() {
         let mut kg = seed_kg();
         let mut store = AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
-        vm.register(
-            Box::new(ImportanceView::new(ImportanceConfig::default())),
-            1,
-        )
-        .unwrap();
-        vm.register(Box::new(FactCountView), 1).unwrap();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.register(Box::new(ImportanceView::new(ImportanceConfig::default())))
+            .unwrap();
+        vm.register(Box::new(FactCountView)).unwrap();
+        vm.refresh_all(&kg).unwrap();
 
         for round in 0..12 {
             let receipt = random_commit(&mut rng, &mut kg);
             store.apply_deltas(&receipt.deltas);
-            let report = vm
-                .update_changed(&kg, &store, &receipt.changed_entities())
-                .unwrap();
+            let report = vm.update_changed(&kg, &receipt.changed_entities()).unwrap();
             match report.kind_of("entity_importance") {
                 Some(RefreshKind::Incremental) => kinds.0 += 1,
                 Some(RefreshKind::Full) => kinds.1 += 1,
@@ -262,58 +251,30 @@ fn maintained_views_equal_fresh_recompute_across_interleavings() {
 /// there too (the fallback is a declared full rebuild, not a special case).
 #[test]
 fn always_fallback_threshold_stays_correct() {
-    let mut rng = StdRng::seed_from_u64(0xFA11);
-    let mut kg = seed_kg();
-    let mut store = AnalyticsStore::build(&kg);
-    let mut vm = ViewManager::new();
-    vm.register(
-        Box::new(ImportanceView::new(ImportanceConfig {
+    let tight = || {
+        ImportanceView::new(ImportanceConfig {
             max_churn_fraction: 0.0,
             ..Default::default()
-        })),
-        1,
-    )
-    .unwrap();
-    vm.refresh_all(&kg, &store).unwrap();
+        })
+    };
+    let mut rng = StdRng::seed_from_u64(0xFA11);
+    let mut kg = seed_kg();
+    let mut vm = ViewManager::new();
+    vm.register(Box::new(tight())).unwrap();
+    vm.refresh_all(&kg).unwrap();
     let mut fulls = 0usize;
     for round in 0..6 {
         let receipt = random_commit(&mut rng, &mut kg);
-        store.apply_deltas(&receipt.deltas);
-        let report = vm
-            .update_changed(&kg, &store, &receipt.changed_entities())
-            .unwrap();
+        let report = vm.update_changed(&kg, &receipt.changed_entities()).unwrap();
         // A zero threshold forces fallback whenever any contribution row
         // is affected (row-neutral commits may still refresh in place).
         if report.kind_of("entity_importance") == Some(RefreshKind::Full) {
             fulls += 1;
         }
         // Fallback parity: against the *same* tightened config, fresh.
-        let fresh_store = AnalyticsStore::build(&kg);
-        let deps = saga_core::FxHashMap::default();
-        let ctx = ViewContext {
-            kg: &kg,
-            index: kg.index(),
-            analytics: &fresh_store,
-            deps: &deps,
-        };
-        let fresh = ImportanceView::new(ImportanceConfig {
-            max_churn_fraction: 0.0,
-            ..Default::default()
-        })
-        .create(&ctx)
-        .unwrap();
-        let fresh = fresh.as_scores().unwrap();
-        let maintained = vm
-            .get("entity_importance")
-            .and_then(ViewData::as_scores)
-            .unwrap();
-        assert_eq!(maintained.len(), fresh.len(), "round {round}");
-        for (id, score) in fresh {
-            assert!(
-                (maintained[id] - score).abs() < EPS,
-                "round {round}: {id:?}"
-            );
-        }
+        let fresh = fresh(&kg, tight(), "entity_importance");
+        let maintained = vm.get("entity_importance").unwrap();
+        assert_scores_match(maintained, &fresh, &format!("round {round}"));
     }
     assert!(fulls > 0, "zero threshold never forced a fallback");
 }

@@ -12,18 +12,17 @@
 //! Compiled probes can themselves go stale: an edge condition resolved a
 //! target to an id at compile time, and a rename (or a delete) moves that
 //! resolution. Per commit the view re-resolves exactly those targets, by
-//! the same rule as the [`QueryEngine`] plan cache; if one moved, it
-//! recompiles and re-materializes — reported as a full refresh through
-//! [`RefreshKind`](saga_graph::RefreshKind).
+//! the same rule as the [`QueryEngine`] plan cache; if one moved, the
+//! update declines and the manager recompiles through `create` — reported
+//! as a full refresh through [`RefreshKind`](saga_graph::RefreshKind).
 //!
 //! The materialization is the **full** membership (sorted): KGQ's `LIMIT`
 //! is a serve-time truncation (see [`MaterializedKgqView::limit`]), not a
 //! property of the set being maintained — maintaining a truncated prefix
 //! incrementally would need the discarded tail on every removal.
 
-use parking_lot::Mutex;
 use saga_core::{EntityId, GraphRead, KnowledgeGraph, ProbeKey, Result, SagaError};
-use saga_graph::views::{Maintained, View, ViewContext, ViewData};
+use saga_graph::views::{View, ViewContext, ViewData};
 
 use crate::kgq::exec::{compile_resolved, still_resolves, Plan, Probe, Resolved};
 use crate::kgq::parser::{parse, Condition, Query};
@@ -42,7 +41,7 @@ pub struct MaterializedKgqView {
     name: String,
     query: Query,
     limit: usize,
-    state: Mutex<Option<MatState>>,
+    state: Option<MatState>,
 }
 
 impl MaterializedKgqView {
@@ -81,7 +80,7 @@ impl MaterializedKgqView {
             name: name.into(),
             query,
             limit,
-            state: Mutex::new(None),
+            state: None,
         })
     }
 
@@ -96,33 +95,6 @@ impl MaterializedKgqView {
         let members = data.as_entities().unwrap_or(&[]);
         &members[..members.len().min(self.limit)]
     }
-
-    /// Compile the stored AST against the KG.
-    fn compile(&self, kg: &KnowledgeGraph) -> Result<MatState> {
-        let engine = QueryEngine::new(kg);
-        let (Plan::Find { probes, .. }, resolved) = compile_resolved(&engine, &self.query)? else {
-            return Err(SagaError::Query("materialized view must be FIND".into()));
-        };
-        Ok(MatState { probes, resolved })
-    }
-
-    /// Run the compiled probe intersection to full membership (sorted).
-    fn materialize(&self, kg: &KnowledgeGraph, probes: &[Probe]) -> Vec<EntityId> {
-        if probes.iter().any(|p| matches!(p, Probe::Unsatisfiable)) {
-            return Vec::new();
-        }
-        let keys: Vec<ProbeKey> = probes
-            .iter()
-            .filter_map(|p| match p {
-                Probe::Key(k) => Some(k.clone()),
-                Probe::Unsatisfiable => None,
-            })
-            .collect();
-        let mut members = kg.probe_all(&keys);
-        members.sort_unstable();
-        members.dedup();
-        members
-    }
 }
 
 impl View for MaterializedKgqView {
@@ -130,36 +102,44 @@ impl View for MaterializedKgqView {
         &self.name
     }
 
-    fn create(&self, ctx: &ViewContext<'_>) -> Result<ViewData> {
-        let st = self.compile(ctx.kg)?;
-        let members = self.materialize(ctx.kg, &st.probes);
-        *self.state.lock() = Some(st);
+    /// Compile the stored AST against the KG and run the probe
+    /// intersection to full membership (sorted).
+    fn create(&mut self, kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
+        let engine = QueryEngine::new(kg);
+        let (Plan::Find { probes, .. }, resolved) = compile_resolved(&engine, &self.query)? else {
+            return Err(SagaError::Query("materialized view must be FIND".into()));
+        };
+        let keys: Option<Vec<ProbeKey>> = probes
+            .iter()
+            .map(|p| match p {
+                Probe::Key(k) => Some(k.clone()),
+                Probe::Unsatisfiable => None,
+            })
+            .collect();
+        let mut members = keys.map_or_else(Vec::new, |keys| kg.probe_all(&keys));
+        members.sort_unstable();
+        members.dedup();
+        self.state = Some(MatState { probes, resolved });
         Ok(ViewData::Entities(members))
     }
 
     fn update(
-        &self,
+        &mut self,
         ctx: &ViewContext<'_>,
         current: ViewData,
         changed: &[EntityId],
-    ) -> Result<Maintained> {
-        let mut guard = self.state.lock();
-        let (Some(st), ViewData::Entities(mut members)) = (guard.as_mut(), current) else {
-            drop(guard);
-            return Ok(Maintained::full(self.create(ctx)?));
+    ) -> Result<Option<ViewData>> {
+        let (Some(st), ViewData::Entities(mut members)) = (&self.state, current) else {
+            return Ok(None);
         };
-
         // A moved resolution changes the probes themselves: the
         // membership is rebuilt, not maintained.
-        if !still_resolves(ctx.kg, &st.resolved) {
-            let fresh = self.compile(ctx.kg)?;
-            let members = self.materialize(ctx.kg, &fresh.probes);
-            *st = fresh;
-            return Ok(Maintained::full(ViewData::Entities(members)));
+        if !still_resolves(ctx, &st.resolved) {
+            return Ok(None);
         }
 
         if st.probes.iter().any(|p| matches!(p, Probe::Unsatisfiable)) {
-            return Ok(Maintained::incremental(ViewData::Entities(Vec::new())));
+            return Ok(Some(ViewData::Entities(Vec::new())));
         }
 
         // Kara et al.'s delta-query shape: a changed fact only affects its
@@ -169,7 +149,7 @@ impl View for MaterializedKgqView {
         uniq.dedup();
         for e in uniq {
             let is_member = st.probes.iter().all(|p| match p {
-                Probe::Key(key) => ctx.kg.probe_contains(key, e),
+                Probe::Key(key) => ctx.probe_contains(key, e),
                 Probe::Unsatisfiable => false,
             });
             match (members.binary_search(&e), is_member) {
@@ -182,16 +162,15 @@ impl View for MaterializedKgqView {
                 }
             }
         }
-        Ok(Maintained::incremental(ViewData::Entities(members)))
+        Ok(Some(ViewData::Entities(members)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, ExtendedTriple, FactMeta, FxHashMap, SourceId, Value, WriteBatch};
+    use saga_core::{intern, ExtendedTriple, FactMeta, SourceId, Value, WriteBatch};
     use saga_graph::views::{RefreshKind, ViewManager};
-    use saga_graph::AnalyticsStore;
 
     fn meta() -> FactMeta {
         FactMeta::from_source(SourceId(1), 0.9)
@@ -213,7 +192,7 @@ mod tests {
     fn fresh_query(kg: &KnowledgeGraph, text: &str) -> Vec<EntityId> {
         let engine = QueryEngine::new(kg);
         let result = engine.query(text).unwrap();
-        let mut hits = result.entities().to_vec(); // fallback: parity oracle runs the query from scratch
+        let mut hits = result.entities().to_vec();
         hits.sort_unstable();
         hits
     }
@@ -228,20 +207,16 @@ mod tests {
     #[test]
     fn membership_tracks_commits_incrementally() {
         let mut kg = demo_kg();
-        let store = AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
-        vm.register(
-            Box::new(
-                MaterializedKgqView::new(
-                    "songs_by_beyonce",
-                    r#"FIND song WHERE performed_by -> entity("Beyoncé") LIMIT 100"#,
-                )
-                .unwrap(),
-            ),
-            1,
-        )
+        vm.register(Box::new(
+            MaterializedKgqView::new(
+                "songs_by_beyonce",
+                r#"FIND song WHERE performed_by -> entity("Beyoncé") LIMIT 100"#,
+            )
+            .unwrap(),
+        ))
         .unwrap();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.refresh_all(&kg).unwrap();
         assert_eq!(
             vm.get("songs_by_beyonce").unwrap().as_entities().unwrap(),
             &[EntityId(3)]
@@ -258,7 +233,7 @@ mod tests {
             ))
             .commit(&mut kg);
         let changed: Vec<EntityId> = receipt.deltas.iter().map(|d| d.entity).collect();
-        let report = vm.update_changed(&kg, &store, &changed).unwrap();
+        let report = vm.update_changed(&kg, &changed).unwrap();
         assert_eq!(
             report.kind_of("songs_by_beyonce"),
             Some(RefreshKind::Incremental)
@@ -274,7 +249,7 @@ mod tests {
             .retract_source_entity(SourceId(1), "f")
             .commit(&mut kg);
         let changed: Vec<EntityId> = receipt.deltas.iter().map(|d| d.entity).collect();
-        vm.update_changed(&kg, &store, &changed).unwrap();
+        vm.update_changed(&kg, &changed).unwrap();
         assert_eq!(
             vm.get("songs_by_beyonce").unwrap().as_entities().unwrap(),
             &[EntityId(3)]
@@ -284,20 +259,16 @@ mod tests {
     #[test]
     fn rename_of_resolved_target_rematerializes() {
         let mut kg = demo_kg();
-        let store = AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
-        vm.register(
-            Box::new(
-                MaterializedKgqView::new(
-                    "songs_by_beyonce",
-                    r#"FIND song WHERE performed_by -> entity("Beyoncé")"#,
-                )
-                .unwrap(),
-            ),
-            1,
-        )
+        vm.register(Box::new(
+            MaterializedKgqView::new(
+                "songs_by_beyonce",
+                r#"FIND song WHERE performed_by -> entity("Beyoncé")"#,
+            )
+            .unwrap(),
+        ))
         .unwrap();
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.refresh_all(&kg).unwrap();
 
         // Rename the artist: the compile-time name→id resolution is stale,
         // the old name no longer resolves, and the view must notice by
@@ -313,7 +284,7 @@ mod tests {
             })
             .commit(&mut kg);
         let changed: Vec<EntityId> = receipt.deltas.iter().map(|d| d.entity).collect();
-        let report = vm.update_changed(&kg, &store, &changed).unwrap();
+        let report = vm.update_changed(&kg, &changed).unwrap();
         assert_eq!(
             report.kind_of("songs_by_beyonce"),
             Some(RefreshKind::Full),
@@ -339,17 +310,14 @@ mod tests {
         for i in 0..8u64 {
             kg.add_named_entity(EntityId(i + 1), &format!("S{i}"), "song", SourceId(1), 0.9);
         }
-        let view = MaterializedKgqView::new("songs", r#"FIND song LIMIT 3"#).unwrap();
-        let store = AnalyticsStore::build(&kg);
-        let deps = FxHashMap::default();
-        let ctx = ViewContext {
-            kg: &kg,
-            index: kg.index(),
-            analytics: &store,
-            deps: &deps,
-        };
-        let data = view.create(&ctx).unwrap();
+        let query = r#"FIND song LIMIT 3"#;
+        let view = MaterializedKgqView::new("songs", query).unwrap();
+        let mut vm = ViewManager::new();
+        vm.register(Box::new(MaterializedKgqView::new("songs", query).unwrap()))
+            .unwrap();
+        vm.refresh_all(&kg).unwrap();
+        let data = vm.get("songs").unwrap();
         assert_eq!(data.len(), 8, "materialization holds full membership");
-        assert_eq!(view.serve(&data).len(), 3, "serving truncates");
+        assert_eq!(view.serve(data).len(), 3, "serving truncates");
     }
 }

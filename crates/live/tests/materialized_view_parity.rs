@@ -15,7 +15,7 @@ use saga_core::{
     WriteBatch,
 };
 use saga_graph::views::ViewManager;
-use saga_graph::{AnalyticsStore, RefreshKind};
+use saga_graph::RefreshKind;
 use saga_live::{MaterializedKgqView, QueryEngine};
 
 const PEOPLE: u64 = 30;
@@ -118,7 +118,7 @@ fn random_commit(rng: &mut StdRng, kg: &mut KnowledgeGraph) -> CommitReceipt {
 fn fresh_hits(kg: &KnowledgeGraph, query: &str) -> Vec<EntityId> {
     let engine = QueryEngine::new(kg);
     let result = engine.query(query).unwrap();
-    let mut hits = result.entities().to_vec(); // fallback: parity oracle runs the query from scratch
+    let mut hits = result.entities().to_vec();
     hits.sort_unstable();
     hits
 }
@@ -136,21 +136,17 @@ fn maintained_membership_equals_fresh_execution_across_interleavings() {
     for seed in 0..10u64 {
         let mut rng = StdRng::seed_from_u64(0x5EED + seed);
         let mut kg = seed_kg();
-        let mut store = AnalyticsStore::build(&kg);
         let mut vm = ViewManager::new();
         for (name, query) in VIEWS {
-            vm.register(Box::new(MaterializedKgqView::new(name, query).unwrap()), 1)
+            vm.register(Box::new(MaterializedKgqView::new(name, query).unwrap()))
                 .unwrap();
         }
-        vm.refresh_all(&kg, &store).unwrap();
+        vm.refresh_all(&kg).unwrap();
         assert_parity(&kg, &vm, &format!("seed {seed} initial"));
 
         for round in 0..15 {
             let receipt = random_commit(&mut rng, &mut kg);
-            store.apply_deltas(&receipt.deltas);
-            let report = vm
-                .update_changed(&kg, &store, &receipt.changed_entities())
-                .unwrap();
+            let report = vm.update_changed(&kg, &receipt.changed_entities()).unwrap();
             for (name, _) in VIEWS {
                 assert_eq!(
                     report.kind_of(name),
@@ -171,13 +167,12 @@ fn maintained_membership_equals_fresh_execution_across_interleavings() {
 fn target_rename_crosses_into_full_rematerialization_and_back() {
     let mut rng = StdRng::seed_from_u64(0xC17);
     let mut kg = seed_kg();
-    let mut store = AnalyticsStore::build(&kg);
     let mut vm = ViewManager::new();
     for (name, query) in VIEWS {
-        vm.register(Box::new(MaterializedKgqView::new(name, query).unwrap()), 1)
+        vm.register(Box::new(MaterializedKgqView::new(name, query).unwrap()))
             .unwrap();
     }
-    vm.refresh_all(&kg, &store).unwrap();
+    vm.refresh_all(&kg).unwrap();
 
     // Swap the two city names: "City A" now resolves to the *other* node.
     let name_sym = intern(saga_core::well_known::NAME);
@@ -197,10 +192,7 @@ fn target_rename_crosses_into_full_rematerialization_and_back() {
             }
         })
         .commit(&mut kg);
-    store.apply_deltas(&receipt.deltas);
-    let report = vm
-        .update_changed(&kg, &store, &receipt.changed_entities())
-        .unwrap();
+    let report = vm.update_changed(&kg, &receipt.changed_entities()).unwrap();
     assert_eq!(
         report.kind_of("in_city_a"),
         Some(RefreshKind::Full),
@@ -211,9 +203,7 @@ fn target_rename_crosses_into_full_rematerialization_and_back() {
     // And the maintenance loop keeps converging incrementally afterwards.
     for round in 0..8 {
         let receipt = random_commit(&mut rng, &mut kg);
-        store.apply_deltas(&receipt.deltas);
-        vm.update_changed(&kg, &store, &receipt.changed_entities())
-            .unwrap();
+        vm.update_changed(&kg, &receipt.changed_entities()).unwrap();
         assert_parity(&kg, &vm, &format!("post-rename round {round}"));
     }
 }

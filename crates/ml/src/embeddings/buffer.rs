@@ -161,20 +161,6 @@ impl PartitionBuffer {
         }
     }
 
-    /// Number of currently resident partitions.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Maximum number of resident embedding floats (memory bound).
-    pub fn capacity_floats(&self) -> usize {
-        let max_part = (0..self.disk.num_parts())
-            .map(|p| self.disk.part_len(p))
-            .max()
-            .unwrap_or(0);
-        self.capacity * max_part * self.disk.dim
-    }
-
     fn ensure(&mut self, wanted: &[usize]) -> Result<()> {
         for &p in wanted {
             if self.resident.iter().any(|r| r.part == p) {
