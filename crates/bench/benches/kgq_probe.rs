@@ -1,5 +1,7 @@
-//! KGQ probe bench: index-backed posting intersection vs. the naive
-//! full-scan path, at ≥100k facts of NerdWorld ambiguity workload.
+//! KGQ probe bench: index-backed posting intersection — on the stable
+//! `KnowledgeGraph` and on the sharded `ReplicaKg` a log replica serves —
+//! vs. the naive full-scan path, at ≥100k facts of NerdWorld ambiguity
+//! workload.
 //!
 //! Tracks the speedup the unified `TripleIndex` buys the serving path. The
 //! acceptance bar for the refactor that introduced it was ≥5× over the
@@ -9,9 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use saga_bench::nerdworld::ambiguous_world;
 use saga_core::index::{flatten, intersect_sorted};
 use saga_core::postings::{intersect_views, PostingsView};
-use saga_core::{
-    intern, Delta, DeltaFact, EntityId, GraphRead, KnowledgeGraph, OverlayRead, ProbeKey, Value,
-};
+use saga_core::{intern, EntityId, GraphRead, KnowledgeGraph, ProbeKey, Value};
 use saga_live::{QueryEngine, ReplicaKg};
 
 /// The old pre-index serving path: scan every record, test every probe.
@@ -64,33 +64,6 @@ fn bench_probe(c: &mut Criterion) {
         expected,
         "paths agree"
     );
-
-    // Live-over-stable overlay: half the corpus is served from the live
-    // layer, the rest falls through to the stable graph — the serving
-    // topology of §4.1. The acceptance bar for the GraphRead refactor is
-    // overlay probes within 2× of the live-only path.
-    let overlay = {
-        let partial = ReplicaKg::new(16);
-        for record in kg.entities().step_by(2) {
-            partial.apply(&Delta {
-                entity: record.id,
-                added: record
-                    .triples
-                    .iter()
-                    .filter_map(flatten)
-                    .map(|(predicate, object)| DeltaFact { predicate, object })
-                    .collect(),
-                removed: Vec::new(),
-            });
-        }
-        OverlayRead::new(partial, kg.clone())
-    };
-    assert_eq!(
-        overlay.probe_all(&probes),
-        expected,
-        "overlay agrees with the single-backend paths"
-    );
-    let overlay_engine = QueryEngine::new(overlay);
 
     // Postings memory gauge: the compressed block representation vs what
     // the same postings would cost as plain sorted `Vec<EntityId>`s. The
@@ -155,9 +128,6 @@ fn bench_probe(c: &mut Criterion) {
     group.bench_function("index_intersection_live_sharded", |b| {
         b.iter(|| live.probe_all(&probes))
     });
-    group.bench_function("index_intersection_overlay", |b| {
-        b.iter(|| overlay_engine.graph().probe_all(&probes))
-    });
     group.bench_function("naive_full_scan", |b| {
         b.iter(|| naive_find(&kg, "city", "located_in", country))
     });
@@ -165,9 +135,6 @@ fn bench_probe(c: &mut Criterion) {
     engine.query(&query).unwrap(); // warm the plan cache
     group.bench_function("kgq_find_end_to_end", |b| {
         b.iter(|| engine.query(&query).unwrap())
-    });
-    group.bench_function("kgq_find_end_to_end_overlay", |b| {
-        b.iter(|| overlay_engine.query(&query).unwrap())
     });
     group.finish();
 }

@@ -28,7 +28,7 @@ use crate::postings::{
 use crate::read::intersect_postings;
 use crate::{
     intern, Delta, EntityId, ExtendedTriple, FactMeta, FxHashSet, GraphRead, KnowledgeGraph,
-    OverlayRead, ProbeKey, RelId, SourceId, Symbol, TripleIndex, Value,
+    ProbeKey, RelId, SourceId, Symbol, TripleIndex, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -754,41 +754,17 @@ fn dense_type_posting_promotes_and_demotes_at_kg_scale() {
     assert!(kg.index().is_empty());
 }
 
-/// The prefix law on the stable KG, on a live-over-stable overlay with
-/// live overrides, live-only entities and tombstones, and through both
-/// blanket forwards.
+/// The prefix law on the stable KG and through both blanket forwards.
 #[test]
 fn probe_all_limit_is_a_prefix_of_probe_all() {
-    use prefix_law::{check_prefix_law, corpus, corpus_ids, entity_facts};
+    use prefix_law::{check_prefix_law, corpus};
     for seed in prefix_law::SEEDS {
-        let mut stable = KnowledgeGraph::new();
+        let mut kg = KnowledgeGraph::new();
         for fact in corpus(seed) {
-            stable.upsert_fact(fact);
+            kg.upsert_fact(fact);
         }
-        check_prefix_law(&stable, seed, "KnowledgeGraph");
-        check_prefix_law(&&stable, seed, "&KnowledgeGraph");
-
-        // The live layer re-asserts a tenth of the stable entities with
-        // freshly drawn facts (shadowing their stable postings) and adds
-        // ids the stable layer has never seen; tombstones then hide a
-        // twelfth of the stable ids, shadowed or not.
-        let mut rng = prefix_law::Rng::new(seed ^ 0x0E);
-        let mut live = KnowledgeGraph::new();
-        for id in corpus_ids().chain(20_000..20_200) {
-            if id >= 20_000 || rng.chance(100) {
-                for fact in entity_facts(&mut rng, id) {
-                    live.upsert_fact(fact);
-                }
-            }
-        }
-        let overlay = OverlayRead::new(live, stable);
-        for id in corpus_ids() {
-            if rng.chance(80) {
-                overlay.tombstone(EntityId(id));
-            }
-        }
-        assert!(overlay.tombstone_count() > 100);
-        check_prefix_law(&overlay, seed, "OverlayRead");
-        check_prefix_law(&std::sync::Arc::new(overlay), seed, "Arc<OverlayRead>");
+        check_prefix_law(&kg, seed, "KnowledgeGraph");
+        check_prefix_law(&&kg, seed, "&KnowledgeGraph");
+        check_prefix_law(&std::sync::Arc::new(kg), seed, "Arc<KnowledgeGraph>");
     }
 }

@@ -58,7 +58,7 @@ pub use intern::{intern, resolve, Symbol};
 pub use kg::{KgStats, KnowledgeGraph};
 pub use meta::{FactMeta, SourceTrust};
 pub use postings::{intersect_views, union_views, BlockPostings, PostingsCursor, PostingsView};
-pub use read::{GraphRead, OverlayRead};
+pub use read::GraphRead;
 pub use row::{Dataset, Row};
 pub use session::SessionToken;
 pub use triple::{ExtendedTriple, RelPart, SubjectRef, TripleKey};

@@ -7,7 +7,7 @@
 //!
 //! This file is test support shared by source inclusion: `saga-core`'s
 //! `index_properties` suite includes it for the backends it can see
-//! (`KnowledgeGraph`, `OverlayRead`, the `&T` / `Arc<T>` forwards), and
+//! (`KnowledgeGraph` and the `&T` / `Arc<T>` forwards), and
 //! `saga-fleet`'s `prefix_law` integration suite includes it by `#[path]`
 //! for the rest (`ReplicaKg`, `LiveReplica`, the graph behind
 //! `LoggedWriter::read`, `FleetRouter`) —

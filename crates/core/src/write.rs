@@ -265,7 +265,7 @@ impl WriteBatch {
 }
 
 /// The result of one atomic commit: the change payload and everything a
-/// fan-out consumer (oplog append, overlay pruning, metrics) needs.
+/// fan-out consumer (oplog append, curation, metrics) needs.
 ///
 /// `deltas` are in the same self-contained vocabulary the
 /// [`wire`](crate::wire) module serializes — hand them to
@@ -279,8 +279,8 @@ pub struct CommitReceipt {
     pub facts_added: usize,
     /// Index facts removed across the batch.
     pub facts_removed: usize,
-    /// Entities dropped entirely by this commit (sorted) — the signal
-    /// overlay serving uses to prune shadowed tombstones.
+    /// Entities dropped entirely by this commit (sorted) — curation reads
+    /// it to tell whether a `BlockEntity` action hit.
     pub entities_removed: Vec<EntityId>,
 }
 

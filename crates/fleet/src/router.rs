@@ -200,25 +200,15 @@ impl FleetRouter {
     }
 }
 
-/// `GraphRead` over the fleet: each call routes like a query. The fleet
-/// generation is the sum of the slot generations (each monotone across
-/// respawns via its floor), so it never moves backwards, not even when a
-/// replica is rebuilt.
+/// `GraphRead` over the fleet: each call routes like a query, and what
+/// no caller needs routed on its own (`postings`, `selectivity`,
+/// membership) is the trait's provided derivation. The fleet generation
+/// is the sum of the slot generations (each monotone across respawns via
+/// its floor), so it never moves backwards, not even when a replica is
+/// rebuilt.
 impl GraphRead for FleetRouter {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
         self.route_engine().graph().postings_cursor(probe)
-    }
-
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        self.route_engine().graph().postings(probe)
-    }
-
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.route_engine().graph().selectivity(probe)
-    }
-
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.route_engine().graph().probe_contains(probe, id)
     }
 
     fn resolve_name(&self, name: &str) -> Vec<EntityId> {
@@ -227,10 +217,6 @@ impl GraphRead for FleetRouter {
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         self.route_engine().graph().record(id)
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        self.route_engine().graph().contains(id)
     }
 
     fn generation(&self) -> u64 {

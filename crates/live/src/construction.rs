@@ -185,28 +185,34 @@ impl LiveGraphBuilder {
 mod tests {
     use super::*;
     use parking_lot::RwLock;
-    use saga_core::{KnowledgeGraph, OverlayRead};
+    use saga_core::{KnowledgeGraph, WriteBatch};
     use saga_graph::OperationLog;
     use saga_ml::{ContextualDisambiguator, NerdConfig, NerdEntityView, StringEncoder};
     use saga_ontology::default_ontology;
 
+    /// The stable teams and venue live events refer to.
+    fn stable_batch() -> WriteBatch {
+        WriteBatch::new()
+            .named_entity(
+                EntityId(1),
+                "Golden State Warriors",
+                "sports_team",
+                SourceId(1),
+                0.9,
+            )
+            .named_entity(
+                EntityId(2),
+                "Los Angeles Lakers",
+                "sports_team",
+                SourceId(1),
+                0.9,
+            )
+            .named_entity(EntityId(3), "Chase Center", "venue", SourceId(1), 0.9)
+    }
+
     fn stable_kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();
-        kg.add_named_entity(
-            EntityId(1),
-            "Golden State Warriors",
-            "sports_team",
-            SourceId(1),
-            0.9,
-        );
-        kg.add_named_entity(
-            EntityId(2),
-            "Los Angeles Lakers",
-            "sports_team",
-            SourceId(1),
-            0.9,
-        );
-        kg.add_named_entity(EntityId(3), "Chase Center", "venue", SourceId(1), 0.9);
+        stable_batch().commit(&mut kg);
         kg
     }
 
@@ -362,28 +368,26 @@ mod tests {
     fn overlay_serves_live_events_and_stable_entities_together() {
         use crate::kgq::{QueryBuilder, QueryEngine};
         use crate::LiveReplica;
-        let kg = stable_kg();
-        // The builder writes to an *empty* graph (no stable preload) so the
-        // overlay, not the load, unifies the layers.
+        // §4.1's union of stable graph and live sources is one log: the
+        // stable graph is committed through the writer the live builder
+        // then commits through, and one replica of that log serves both.
         let writer = writer_over(KnowledgeGraph::new());
+        writer.commit(OpKind::Upsert, stable_batch()).unwrap();
+        let nerd = nerd_over(&writer.read());
         let mut replica = LiveReplica::new(4, Arc::clone(writer.log()));
-        let b = LiveGraphBuilder::new(
-            writer,
-            default_ontology().types().clone(),
-            Some(nerd_over(&kg)),
-        );
+        let b = LiveGraphBuilder::new(writer, default_ontology().types().clone(), Some(nerd));
         b.apply(&[score_event(1, 55, 51)]).unwrap();
         replica.catch_up().unwrap();
         let game = b.entity_of(SourceId(50), "gsw-lal-2026-06-11").unwrap();
-        let engine = QueryEngine::new(OverlayRead::new(replica.live().clone(), kg));
-        // The streaming game resolves through the live layer…
+        let engine = QueryEngine::new(replica);
+        // The streaming game resolves through the replica…
         let q = QueryBuilder::find()
             .of_type("sports_game")
             .edge_to_name("home_team", "Golden State Warriors")
             .build()
             .unwrap();
         assert_eq!(engine.run(&q).unwrap().entities(), &[game]);
-        // …and the stable entity it references is served by the same engine.
+        // …and the stable entity it references is served by the same one.
         let get = QueryBuilder::get(game)
             .hop("home_team")
             .hop("name")

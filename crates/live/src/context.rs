@@ -67,7 +67,7 @@ impl ContextGraph {
 
     /// Execute a fresh intent, recording the turn. Generic over the
     /// handler's [`GraphRead`] backend — multi-turn context works the same
-    /// over stable, live, or overlay serving.
+    /// over the writer's graph, a replica, or the fleet.
     pub fn ask<G: GraphRead>(
         &mut self,
         handler: &IntentHandler<G>,
@@ -120,9 +120,7 @@ mod tests {
     use super::*;
     use crate::kgq::QueryEngine;
     use crate::store::ReplicaKg;
-    use saga_core::{
-        intern, Delta, DeltaFact, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value,
-    };
+    use saga_core::{intern, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value};
 
     /// The exact multi-turn example of §4.2.
     fn handler() -> IntentHandler {
@@ -178,46 +176,47 @@ mod tests {
 
     #[test]
     fn multi_turn_context_works_over_an_overlay_backend() {
-        use saga_core::OverlayRead;
-        // Stable layer knows the spouse; the live layer hot-fixes the
-        // birthplace. The same context flow spans both through the overlay.
-        let mut stable = KnowledgeGraph::new();
-        let meta = || FactMeta::from_source(SourceId(1), 0.9);
-        stable.add_named_entity(EntityId(3), "Tom Hanks", "person", SourceId(1), 0.9);
-        stable.add_named_entity(EntityId(4), "Rita Wilson", "person", SourceId(1), 0.9);
-        stable.commit_upsert(ExtendedTriple::simple(
-            EntityId(3),
-            intern("spouse"),
-            Value::Entity(EntityId(4)),
-            meta(),
-        ));
-        let fact = |predicate: &str, object: Value| DeltaFact {
-            predicate: intern(predicate),
-            object,
-        };
-        let live = ReplicaKg::new(2);
-        live.apply(&Delta {
-            entity: EntityId(4),
-            added: vec![
-                fact("name", Value::str("Rita Wilson")),
-                fact("type", Value::str("person")),
-                fact("birthplace", Value::Entity(EntityId(5))),
-            ],
-            removed: Vec::new(),
-        });
-        live.apply(&Delta {
-            entity: EntityId(5),
-            added: vec![fact("name", Value::str("Hollywood"))],
-            removed: Vec::new(),
-        });
+        use crate::LiveReplica;
+        use parking_lot::RwLock;
+        use saga_core::WriteBatch;
+        use saga_graph::{LoggedWriter, OpKind, OperationLog};
+        use std::sync::Arc;
+        // The stable graph knows the spouse; a live hot fix adds the
+        // birthplace. Both commit through one writer, and the same context
+        // flow spans them on a replica of its log.
+        let writer = LoggedWriter::new(
+            Arc::new(RwLock::new(KnowledgeGraph::new())),
+            Arc::new(OperationLog::in_memory()),
+        );
+        let stable = WriteBatch::new()
+            .named_entity(EntityId(3), "Tom Hanks", "person", SourceId(1), 0.9)
+            .named_entity(EntityId(4), "Rita Wilson", "person", SourceId(1), 0.9)
+            .upsert(ExtendedTriple::simple(
+                EntityId(3),
+                intern("spouse"),
+                Value::Entity(EntityId(4)),
+                FactMeta::from_source(SourceId(1), 0.9),
+            ));
+        writer.commit(OpKind::Upsert, stable).unwrap();
+        let fix = WriteBatch::new()
+            .upsert(ExtendedTriple::simple(
+                EntityId(4),
+                intern("birthplace"),
+                Value::Entity(EntityId(5)),
+                FactMeta::from_source(SourceId(2), 0.95),
+            ))
+            .named_entity(EntityId(5), "Hollywood", "city", SourceId(2), 0.95);
+        writer.commit(OpKind::Upsert, fix).unwrap();
+        let mut replica = LiveReplica::new(2, Arc::clone(writer.log()));
+        replica.catch_up().unwrap();
 
-        let handler = IntentHandler::new(QueryEngine::new(OverlayRead::new(live, stable)));
+        let handler = IntentHandler::new(QueryEngine::new(replica));
         let mut ctx = ContextGraph::new();
         let a1 = ctx
             .ask(&handler, Intent::named("SpouseOf", "Tom Hanks"))
             .unwrap();
         assert_eq!(a1.entities(), &[EntityId(4)]);
-        // The birthplace only exists in the live layer.
+        // The birthplace exists only in the live hot fix.
         let a2 = ctx.ask_about_last_answer(&handler, "Birthplace").unwrap();
         assert_eq!(a2.entities(), &[EntityId(5)]);
     }

@@ -2,12 +2,13 @@
 //!
 //! Compilation expands virtual operators, resolves edge targets to entity
 //! ids, and lowers conditions directly to the unified triple index's
-//! [`ProbeKey`] vocabulary — the probe path every backend (stable KG,
-//! sharded live store, live-over-stable overlay) implements. Execution
-//! plans `FIND` conjunctions by selectivity: an unsatisfiable probe
-//! short-circuits to an empty result before any posting is materialized,
-//! and the cheapest posting drives the intersection. `GET` paths walk
-//! point record reads.
+//! [`ProbeKey`] vocabulary — the probe path every backend (the writer's
+//! graph, the sharded replica store) implements. Execution hands a `FIND`
+//! conjunction to the backend's limit-aware
+//! [`probe_all_limit`](GraphRead::probe_all_limit), which plans it by
+//! selectivity: an unsatisfiable probe short-circuits to an empty result
+//! before any posting is materialized, and the cheapest posting drives the
+//! intersection. `GET` paths walk point record reads.
 
 use saga_core::{intern, EntityId, GraphRead, ProbeKey, Result, SagaError, Symbol, Value};
 
@@ -291,9 +292,7 @@ pub fn execute<G: GraphRead>(graph: &G, plan: &Plan) -> Result<QueryResult> {
 mod tests {
     use super::*;
     use crate::store::ReplicaKg;
-    use saga_core::{
-        Delta, DeltaFact, ExtendedTriple, FactMeta, KnowledgeGraph, OverlayRead, SourceId,
-    };
+    use saga_core::{Delta, DeltaFact, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId};
 
     fn demo_kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();
@@ -360,18 +359,15 @@ mod tests {
     }
 
     /// The §4.2 KGQ scenarios executed against every backend through the
-    /// one generic engine: stable KG, sharded live store, and overlay.
+    /// one generic engine: the stable KG and the sharded replica store.
     fn on_every_backend(check: impl Fn(&str, &dyn Fn(&str) -> Result<QueryResult>)) {
         let kg = demo_kg();
         let stable_engine = QueryEngine::new(kg.clone());
         check("stable", &|q| stable_engine.query(q));
 
         let live = ReplicaKg::from_index(4, kg.index().clone());
-        let live_engine = QueryEngine::new(live.clone());
+        let live_engine = QueryEngine::new(live);
         check("live", &|q| live_engine.query(q));
-
-        let overlay_engine = QueryEngine::new(OverlayRead::new(live, kg));
-        check("overlay", &|q| overlay_engine.query(q));
     }
 
     #[test]
@@ -582,12 +578,11 @@ mod tests {
     #[test]
     fn first_named_is_the_head_of_resolve_name_on_every_backend() {
         let kg = demo_kg();
-        let mut live_kg = KnowledgeGraph::new();
-        // A live override of Halo's name, and a second "Jay-Z" below the
-        // stable one in id order.
-        live_kg.add_named_entity(EntityId(3), "Jay-Z", "song", SourceId(2), 0.9);
-        let live = ReplicaKg::from_index(3, live_kg.index().clone());
-        let overlay = OverlayRead::new(live.clone(), kg.clone());
+        // A second "Jay-Z" (a name added to Halo) above the first in id
+        // order, so that name's posting holds two ids.
+        let mut two_named = kg.clone();
+        two_named.add_named_entity(EntityId(3), "Jay-Z", "song", SourceId(2), 0.9);
+        let live = ReplicaKg::from_index(3, two_named.index().clone());
         let names = ["Beyoncé", "jay-z", "Halo", "Hollywood", "Nobody"];
         for name in names {
             assert_eq!(
@@ -596,20 +591,12 @@ mod tests {
             );
             assert_eq!(
                 first_named(&live, name),
-                live.resolve_name(name).first().copied()
-            );
-            assert_eq!(
-                first_named(&overlay, name),
-                overlay.resolve_name(name).first().copied(),
+                live.resolve_name(name).first().copied(),
                 "{name}"
             );
         }
-        assert_eq!(
-            first_named(&overlay, "Halo"),
-            None,
-            "shadowed by the live name"
-        );
-        assert_eq!(first_named(&overlay, "Jay-Z"), Some(EntityId(2)));
+        assert_eq!(live.resolve_name("Jay-Z"), vec![EntityId(2), EntityId(3)]);
+        assert_eq!(first_named(&live, "Jay-Z"), Some(EntityId(2)));
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //! [`Query`] AST through the typed [`QueryBuilder`].
 //!
 //! The engine is generic over [`GraphRead`], so the same parser, compiler,
-//! executor and plan cache serve the stable KG, the sharded live store, or
-//! a live-over-stable [`OverlayRead`](saga_core::OverlayRead). Queries
-//! compile to physical plans (index probes ordered by selectivity +
-//! intersection — operator pushdown) that are cached per query text. A
-//! cached plan re-resolves the edge targets it bound at compile time and
-//! recompiles only if one of them moved.
+//! executor and plan cache serve the writer's graph, a log replica, or the
+//! fleet. Queries compile to physical plans (index probes — operator
+//! pushdown) that are cached per query text; the backend's
+//! [`probe_all_limit`](GraphRead::probe_all_limit) orders a plan's probes
+//! by selectivity and stops at its `LIMIT`. A cached plan re-resolves the
+//! edge targets it bound at compile time and recompiles only if one of
+//! them moved.
 
 pub mod builder;
 pub mod exec;

@@ -18,8 +18,8 @@
 //!   [`QueryBuilder`] for programmatic construction, and a plan cache
 //!   whose hit re-resolves only the edge targets its plan bound (§4.2).
 //!   The engine is generic over [`GraphRead`](saga_core::GraphRead): the
-//!   same queries execute unchanged against the stable KG, a replica
-//!   store, or a live-over-stable [`OverlayRead`](saga_core::OverlayRead).
+//!   same queries execute unchanged against the writer's graph, a log
+//!   replica, or the fleet.
 //! * [`intent`] — query-intent handling: the same intent routes to
 //!   different KGQ queries depending on entity semantics
 //!   (`HeadOfState(Canada)` → `prime_minister`, `HeadOfState(Chicago)` →

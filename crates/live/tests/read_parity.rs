@@ -1,16 +1,15 @@
 //! Backend-parity property tests for the `GraphRead` serving API.
 //!
-//! One KGQ engine executes against three backends — the stable
-//! `KnowledgeGraph`, the sharded `ReplicaKg`, and the live-over-stable
-//! `OverlayRead`. For any generated fact world the three must return
+//! One KGQ engine executes against the stable `KnowledgeGraph` and the
+//! sharded `ReplicaKg`. For any generated fact world the two must return
 //! identical postings, conjunctions, flattened records and answers when
-//! they hold the same data; and the overlay's tombstone/override semantics
-//! must shadow the stable layer exactly.
+//! they hold the same data, and a `LiveReplica` rebuilt from a writer's
+//! log must serve exactly the writer's graph.
 
 use proptest::prelude::*;
 use saga_core::{
-    intern, Delta, DeltaFact, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph,
-    OverlayRead, ProbeKey, SourceId, Value,
+    intern, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, ProbeKey, SourceId,
+    Value,
 };
 use saga_live::{QueryEngine, QueryResult, ReplicaKg};
 
@@ -77,33 +76,25 @@ fn fact_strategy() -> impl Strategy<Value = FactSpec> {
 }
 
 proptest! {
-    /// Stable, live, and overlay backends loaded with the same data return
-    /// identical postings, selectivities (zero/non-zero and exact for the
-    /// non-overlay pair), conjunctions, and records for every probe.
+    /// Stable and live backends loaded with the same data return identical
+    /// postings, selectivities, conjunctions, and records for every probe.
     #[test]
     fn backends_return_identical_results(facts in fact_strategy()) {
         let kg = build_stable(&facts);
         let live = ReplicaKg::from_index(4, kg.index().clone());
-        // Live-over-stable with identical layers: live wins per entity but
-        // the content is the same, so results must not change.
-        let overlay = OverlayRead::new(live.clone(), kg.clone());
 
         let probes = probe_set(&facts);
         for probe in &probes {
             let expected = kg.postings(probe);
             prop_assert_eq!(&live.postings(probe), &expected);
-            prop_assert_eq!(&overlay.postings(probe), &expected);
             // The compressed cursor path (the primary serving surface)
             // agrees with the materialized path on every backend.
             prop_assert_eq!(&kg.postings_cursor(probe).to_vec(), &expected);
             prop_assert_eq!(&live.postings_cursor(probe).to_vec(), &expected);
-            prop_assert_eq!(&overlay.postings_cursor(probe).to_vec(), &expected);
             prop_assert_eq!(kg.postings_cursor(probe).len(), expected.len());
             prop_assert_eq!(live.selectivity(probe), kg.selectivity(probe));
-            prop_assert_eq!(overlay.selectivity(probe) == 0, expected.is_empty());
             for &id in expected.iter().take(4) {
                 prop_assert!(live.probe_contains(probe, id));
-                prop_assert!(overlay.probe_contains(probe, id));
                 prop_assert!(live.postings_cursor(probe).contains(id));
             }
         }
@@ -111,14 +102,12 @@ proptest! {
         for pair in probes.windows(2).take(12) {
             let expected = kg.probe_all(pair);
             prop_assert_eq!(&live.probe_all(pair), &expected);
-            prop_assert_eq!(&overlay.probe_all(pair), &expected);
         }
         // Point reads agree fact-for-fact.
         for &(subject, ..) in facts.iter().take(6) {
             let id = EntityId(subject);
             let a = flat_record(&kg, id);
             prop_assert_eq!(&a, &flat_record(&live, id));
-            prop_assert_eq!(&a, &flat_record(&overlay, id));
         }
     }
 
@@ -128,11 +117,9 @@ proptest! {
     fn kgq_queries_agree_across_backends(facts in fact_strategy()) {
         let kg = build_stable(&facts);
         let live = ReplicaKg::from_index(4, kg.index().clone());
-        let overlay = OverlayRead::new(ReplicaKg::new(2), kg.clone());
 
         let stable_engine = QueryEngine::new(kg.clone());
         let live_engine = QueryEngine::new(live);
-        let overlay_engine = QueryEngine::new(overlay);
 
         let (subject, _, pred, value, target) = facts[0];
         let pred = PREDS[pred as usize % PREDS.len()];
@@ -146,84 +133,7 @@ proptest! {
         for q in &queries {
             let a = answers(stable_engine.query(q).unwrap());
             let b = answers(live_engine.query(q).unwrap());
-            let c = answers(overlay_engine.query(q).unwrap());
             prop_assert_eq!(&a, &b, "stable vs live: {}", q);
-            prop_assert_eq!(&a, &c, "stable vs overlay: {}", q);
-        }
-    }
-
-    /// Overlay semantics: tombstoned entities vanish from every read path,
-    /// and live re-assertions shadow the stable facts entirely.
-    #[test]
-    fn overlay_tombstones_and_overrides_shadow_stable(
-        facts in fact_strategy(),
-        picks in proptest::collection::vec(any::<u16>(), 1..6),
-    ) {
-        let kg = build_stable(&facts);
-        let subjects: Vec<EntityId> = {
-            let mut s: Vec<EntityId> = kg.entity_ids().collect();
-            s.sort_unstable();
-            s
-        };
-        let live = ReplicaKg::new(2);
-        let overlay = OverlayRead::new(live.clone(), kg.clone());
-
-        // Split the picks: half tombstoned, half overridden in live.
-        let mut tombstoned: Vec<EntityId> = Vec::new();
-        let mut overridden: Vec<EntityId> = Vec::new();
-        for (i, &p) in picks.iter().enumerate() {
-            let id = subjects[p as usize % subjects.len()];
-            if tombstoned.contains(&id) || overridden.contains(&id) {
-                continue;
-            }
-            if i % 2 == 0 {
-                overlay.tombstone(id);
-                tombstoned.push(id);
-            } else {
-                // Replace the record with a single marker fact.
-                live.apply(&Delta {
-                    entity: id,
-                    added: vec![DeltaFact {
-                        predicate: intern("hotfixed"),
-                        object: Value::Bool(true),
-                    }],
-                    removed: Vec::new(),
-                });
-                overridden.push(id);
-            }
-        }
-
-        for probe in probe_set(&facts) {
-            let got = overlay.postings(&probe);
-            // Reference semantics, computed naively from the stable
-            // postings: drop tombstoned and overridden subjects (the
-            // override record carries none of the stable facts).
-            let expected: Vec<EntityId> = kg
-                .postings(&probe)
-                .into_iter()
-                .filter(|id| !tombstoned.contains(id) && !overridden.contains(id))
-                .collect();
-            prop_assert_eq!(&got, &expected, "probe {:?}", &probe);
-        }
-        for &id in &tombstoned {
-            prop_assert!(!overlay.contains(id));
-            prop_assert!(overlay.record(id).is_none());
-        }
-        for &id in &overridden {
-            let rec = overlay.record(id).unwrap();
-            prop_assert_eq!(rec.triples.len(), 1, "live record wins entirely");
-            prop_assert!(overlay.probe_contains(
-                &ProbeKey::Literal(intern("hotfixed"), Value::Bool(true)),
-                id
-            ));
-        }
-        // Resurrection restores the stable view.
-        if let Some(&id) = tombstoned.first() {
-            overlay.resurrect(id);
-            prop_assert_eq!(
-                overlay.record(id).map(|r| r.triples),
-                kg.record(id).map(|r| r.triples)
-            );
         }
     }
 }

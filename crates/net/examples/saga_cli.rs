@@ -21,10 +21,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (addr, cmd, rest) = match args.as_slice() {
         [addr, cmd, rest @ ..] => (addr.clone(), cmd.clone(), rest.to_vec()),
-        _ => {
-            eprintln!("usage: saga-cli <addr> <ping|query|resolve|record|generation|demo-commit> [args...]");
-            std::process::exit(2);
-        }
+        _ => usage(),
     };
 
     let mut client = SagaClient::connect(&addr).unwrap_or_else(|e| {
@@ -54,10 +51,10 @@ fn run(client: &mut SagaClient, cmd: &str, rest: &[String]) -> saga_core::Result
             println!("{ids:?}");
         }
         "record" => {
-            let id: u64 = rest
-                .first()
-                .and_then(|r| r.parse().ok())
-                .expect("record needs a numeric entity id");
+            let Some(id) = rest.first().and_then(|r| r.parse::<u64>().ok()) else {
+                eprintln!("record needs a numeric entity id");
+                usage();
+            };
             match client.record(EntityId(id))? {
                 None => println!("no record for AKG:{id}"),
                 Some(record) => {
@@ -95,10 +92,18 @@ fn run(client: &mut SagaClient, cmd: &str, rest: &[String]) -> saga_core::Result
         }
         other => {
             eprintln!("unknown command {other}");
-            std::process::exit(2);
+            usage();
         }
     }
     Ok(())
+}
+
+/// Print the usage line and exit 2, the status for a bad command line.
+fn usage() -> ! {
+    eprintln!(
+        "usage: saga-cli <addr> <ping|query|resolve|record|generation|demo-commit> [args...]"
+    );
+    std::process::exit(2);
 }
 
 fn print_result(result: QueryResult) {

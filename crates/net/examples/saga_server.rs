@@ -26,10 +26,14 @@ use saga_net::{SagaServer, ServerConfig};
 fn main() {
     let mut args = std::env::args().skip(1);
     let addr = args.next().unwrap_or_else(|| "127.0.0.1:7407".to_string());
-    let replicas: usize = args
-        .next()
-        .map(|r| r.parse().expect("replicas must be a number"))
-        .unwrap_or(2);
+    let replicas: usize = match args.next().map(|r| r.parse()) {
+        None => 2,
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => {
+            eprintln!("usage: saga-server [addr] [replicas]  (replicas: a number above 0)");
+            std::process::exit(2);
+        }
+    };
 
     let writer = Arc::new(LoggedWriter::new(
         Arc::new(RwLock::new(KnowledgeGraph::new())),

@@ -16,8 +16,7 @@
 //! The client carries a [`SessionToken`] that every [`commit`] advances
 //! and every [`query_with_session`](SagaClient::query_with_session)
 //! threads into the request — read-your-writes over the wire. The token
-//! survives [`reconnect`](SagaClient::reconnect) (and serializes via
-//! `saga_core::wire` for hand-off across processes), so a client that
+//! survives [`reconnect`](SagaClient::reconnect), so a client that
 //! reconnects mid-session still refuses stale serves.
 //!
 //! [`commit`]: SagaClient::commit
@@ -27,7 +26,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use saga_core::{EntityId, EntityRecord, ProbeKey, Result, SagaError, SessionToken};
+use saga_core::{EntityId, EntityRecord, Result, SagaError, SessionToken};
 use saga_live::QueryResult;
 
 use crate::protocol::{
@@ -173,12 +172,6 @@ impl SagaClient {
         self.session
     }
 
-    /// Replace the session token (e.g. `SessionToken::at(lsn)` with the
-    /// LSN another process's session reached, to resume that session).
-    pub fn set_session(&mut self, token: SessionToken) {
-        self.session = token;
-    }
-
     // -- pipelined API ----------------------------------------------------
 
     /// Send one request without waiting; returns its request id. Any
@@ -303,30 +296,6 @@ impl SagaClient {
                 self.session.observe(committed.lsn);
                 Ok(committed)
             }
-            other => Err(response_error(other)),
-        }
-    }
-
-    /// `GraphRead::postings` over the wire.
-    pub fn postings(&mut self, probe: &ProbeKey) -> Result<Vec<EntityId>> {
-        match self.call(&Request::Postings(probe.clone()))? {
-            Response::Entities(ids) => Ok(ids),
-            other => Err(response_error(other)),
-        }
-    }
-
-    /// `GraphRead::selectivity` over the wire.
-    pub fn selectivity(&mut self, probe: &ProbeKey) -> Result<u64> {
-        match self.call(&Request::Selectivity(probe.clone()))? {
-            Response::Count(n) => Ok(n),
-            other => Err(response_error(other)),
-        }
-    }
-
-    /// `GraphRead::probe_contains` over the wire.
-    pub fn probe_contains(&mut self, probe: &ProbeKey, id: EntityId) -> Result<bool> {
-        match self.call(&Request::ProbeContains(probe.clone(), id))? {
-            Response::Bool(b) => Ok(b),
             other => Err(response_error(other)),
         }
     }

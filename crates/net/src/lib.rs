@@ -1,8 +1,8 @@
 //! # saga-net
 //!
 //! Saga as a *server*: a hand-rolled, std-only, length-prefixed binary
-//! protocol on TCP that puts the whole serving stack — KGQ queries, the
-//! [`GraphRead`](saga_core::GraphRead) probe surface, and
+//! protocol on TCP that puts the whole serving stack — KGQ queries, name
+//! resolution, point record reads, and
 //! [`WriteBatch`](saga_core::WriteBatch) commits — in front of
 //! remote clients. Everything the platform built in-process (the
 //! replicated fleet, read-your-writes sessions, the write-ahead log)
@@ -30,7 +30,7 @@
 //!   `send`/`recv_by_id` API, with
 //!   [`SessionToken`](saga_core::SessionToken) threading so a
 //!   commit-then-query round trip keeps read-your-writes over TCP (and
-//!   across reconnects — the token serializes, see `saga_core::wire`).
+//!   across reconnects).
 //!
 //! The freshness discipline mirrors the maintained-view contracts of
 //! Kara et al. ("Conjunctive Queries with Free Access Patterns under

@@ -72,7 +72,7 @@
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use saga_core::{EntityId, EntityRecord, ProbeKey, Result, SagaError, SessionToken};
+use saga_core::{EntityId, EntityRecord, Result, SagaError, SessionToken};
 use saga_live::QueryResult;
 
 use crate::client::{response_error, ClientConfig, SagaClient};
@@ -284,12 +284,6 @@ impl SagaPool {
     /// commit made through this pool.
     pub fn session(&self) -> SessionToken {
         self.session
-    }
-
-    /// Replace the session token (e.g. resuming a session handed over
-    /// from another process as `SessionToken::at(lsn)`).
-    pub fn set_session(&mut self, token: SessionToken) {
-        self.session = token;
     }
 
     /// Health snapshot of every endpoint, in construction order.
@@ -546,14 +540,6 @@ impl SagaPool {
         };
         match self.run(&request)? {
             Response::Result(result) => Ok(result),
-            other => Err(response_error(other)),
-        }
-    }
-
-    /// `GraphRead::postings` with failover.
-    pub fn postings(&mut self, probe: &ProbeKey) -> Result<Vec<EntityId>> {
-        match self.run(&Request::Postings(probe.clone()))? {
-            Response::Entities(ids) => Ok(ids),
             other => Err(response_error(other)),
         }
     }

@@ -60,8 +60,8 @@ use saga_core::binary::{
     take_value, take_varint, unzigzag, zigzag,
 };
 use saga_core::{
-    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, ProbeKey, RelId, RelPart,
-    Result, SagaError, SessionToken, SourceId, SourceTrust, SubjectRef, Value, WriteBatch,
+    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, RelId, RelPart, Result,
+    SagaError, SessionToken, SourceId, SourceTrust, SubjectRef, Value, WriteBatch,
 };
 use saga_live::QueryResult;
 
@@ -81,7 +81,9 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// Request and response opcodes. Requests use the low range, responses
 /// the high range; the split is cosmetic (frames are direction-typed by
-/// who sent them) but makes captures self-describing.
+/// who sent them) but makes captures self-describing. Retired numbers
+/// (`0x04`–`0x06`, `0x86`) are never reused: a peer that sends one gets
+/// the same typed `BadRequest` as for any unknown opcode.
 pub mod opcode {
     /// Liveness probe.
     pub const PING: u8 = 0x01;
@@ -89,12 +91,6 @@ pub mod opcode {
     pub const QUERY: u8 = 0x02;
     /// `WriteBatch` commit through the write-ahead log.
     pub const COMMIT: u8 = 0x03;
-    /// `GraphRead::postings`.
-    pub const POSTINGS: u8 = 0x04;
-    /// `GraphRead::selectivity`.
-    pub const SELECTIVITY: u8 = 0x05;
-    /// `GraphRead::probe_contains`.
-    pub const PROBE_CONTAINS: u8 = 0x06;
     /// `GraphRead::resolve_name`.
     pub const RESOLVE_NAME: u8 = 0x07;
     /// `GraphRead::record`.
@@ -108,12 +104,10 @@ pub mod opcode {
     pub const RESULT: u8 = 0x82;
     /// Commit acknowledgement (LSN + session token).
     pub const COMMITTED: u8 = 0x83;
-    /// Entity id list (postings / resolve_name).
+    /// Entity id list (resolve_name).
     pub const ENTITIES: u8 = 0x84;
-    /// Scalar count (selectivity / generation).
+    /// Scalar count (generation).
     pub const COUNT: u8 = 0x85;
-    /// Boolean (probe_contains).
-    pub const BOOL: u8 = 0x86;
     /// Optional entity record.
     pub const RECORD_HIT: u8 = 0x87;
     /// Typed failure for this request id; the connection stays usable.
@@ -609,46 +603,6 @@ impl WireBatch {
 }
 
 // ---------------------------------------------------------------------------
-// Probes
-// ---------------------------------------------------------------------------
-
-fn push_probe(buf: &mut Vec<u8>, probe: &ProbeKey) {
-    match probe {
-        ProbeKey::Name(name) => {
-            buf.push(0);
-            push_str(buf, name);
-        }
-        ProbeKey::Literal(pred, value) => {
-            buf.push(1);
-            push_str(buf, &pred.text());
-            push_value(buf, value);
-        }
-        ProbeKey::Edge(pred, target) => {
-            buf.push(2);
-            push_str(buf, &pred.text());
-            push_varint(buf, target.0);
-        }
-        ProbeKey::Type(ty) => {
-            buf.push(3);
-            push_str(buf, &ty.text());
-        }
-    }
-}
-
-fn take_probe(bytes: &[u8], at: &mut usize) -> Result<ProbeKey> {
-    Ok(match take_u8(bytes, at)? {
-        0 => ProbeKey::Name(take_str(bytes, at)?.to_string()),
-        1 => ProbeKey::Literal(intern(take_str(bytes, at)?), take_value(bytes, at)?),
-        2 => ProbeKey::Edge(
-            intern(take_str(bytes, at)?),
-            EntityId(take_varint(bytes, at)?),
-        ),
-        3 => ProbeKey::Type(intern(take_str(bytes, at)?)),
-        other => return Err(bad(format!("unknown probe tag {other}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
@@ -669,12 +623,6 @@ pub enum Request {
     },
     /// Commit a batch through the server's write-ahead `LoggedWriter`.
     Commit(WireBatch),
-    /// `GraphRead::postings` on the routed fleet.
-    Postings(ProbeKey),
-    /// `GraphRead::selectivity` on the routed fleet.
-    Selectivity(ProbeKey),
-    /// `GraphRead::probe_contains` on the routed fleet.
-    ProbeContains(ProbeKey, EntityId),
     /// `GraphRead::resolve_name` on the routed fleet.
     ResolveName(String),
     /// `GraphRead::record` on the routed fleet.
@@ -690,9 +638,6 @@ impl Request {
             Request::Ping => opcode::PING,
             Request::Query { .. } => opcode::QUERY,
             Request::Commit(_) => opcode::COMMIT,
-            Request::Postings(_) => opcode::POSTINGS,
-            Request::Selectivity(_) => opcode::SELECTIVITY,
-            Request::ProbeContains(..) => opcode::PROBE_CONTAINS,
             Request::ResolveName(_) => opcode::RESOLVE_NAME,
             Request::Record(_) => opcode::RECORD,
             Request::Generation => opcode::GENERATION,
@@ -713,11 +658,6 @@ impl Request {
                 for op in batch.ops() {
                     push_wire_op(buf, op);
                 }
-            }
-            Request::Postings(probe) | Request::Selectivity(probe) => push_probe(buf, probe),
-            Request::ProbeContains(probe, id) => {
-                push_probe(buf, probe);
-                push_varint(buf, id.0);
             }
             Request::ResolveName(name) => push_str(buf, name),
             Request::Record(id) => push_varint(buf, id.0),
@@ -772,12 +712,6 @@ pub fn decode_request(frame: &Frame) -> Result<Request> {
                 ops.push(take_wire_op(bytes, at)?);
             }
             Request::Commit(WireBatch { ops })
-        }
-        opcode::POSTINGS => Request::Postings(take_probe(bytes, at)?),
-        opcode::SELECTIVITY => Request::Selectivity(take_probe(bytes, at)?),
-        opcode::PROBE_CONTAINS => {
-            let probe = take_probe(bytes, at)?;
-            Request::ProbeContains(probe, EntityId(take_varint(bytes, at)?))
         }
         opcode::RESOLVE_NAME => Request::ResolveName(take_str(bytes, at)?.to_string()),
         opcode::RECORD => Request::Record(EntityId(take_varint(bytes, at)?)),
@@ -848,12 +782,10 @@ pub enum Response {
     Result(QueryResult),
     /// Commit acknowledgement.
     Committed(Committed),
-    /// Entity id list (postings / resolve_name).
+    /// Entity id list (resolve_name).
     Entities(Vec<EntityId>),
-    /// Scalar count (selectivity / generation).
+    /// Scalar count (generation).
     Count(u64),
-    /// Boolean (probe_contains).
-    Bool(bool),
     /// Optional record (None: entity unknown to the routed replica).
     Record(Option<EntityRecord>),
     /// The request failed; the connection remains usable.
@@ -892,7 +824,6 @@ impl Response {
             Response::Committed(_) => opcode::COMMITTED,
             Response::Entities(_) => opcode::ENTITIES,
             Response::Count(_) => opcode::COUNT,
-            Response::Bool(_) => opcode::BOOL,
             Response::Record(_) => opcode::RECORD_HIT,
             Response::Error { .. } => opcode::ERROR,
             Response::Overloaded { .. } => opcode::OVERLOADED,
@@ -922,7 +853,6 @@ impl Response {
             }
             Response::Entities(ids) => push_ids(buf, ids),
             Response::Count(n) => push_varint(buf, *n),
-            Response::Bool(b) => buf.push(u8::from(*b)),
             Response::Record(None) => buf.push(0),
             Response::Record(Some(record)) => {
                 buf.push(1);
@@ -997,7 +927,6 @@ pub fn decode_response(frame: &Frame) -> Result<Response> {
         }),
         opcode::ENTITIES => Response::Entities(take_ids(bytes, at)?),
         opcode::COUNT => Response::Count(take_varint(bytes, at)?),
-        opcode::BOOL => Response::Bool(take_flag(bytes, at)?),
         opcode::RECORD_HIT => Response::Record(if take_flag(bytes, at)? {
             let mut record = EntityRecord::new(EntityId(take_varint(bytes, at)?));
             let n = take_count(bytes, at, MIN_TRIPLE_BYTES)?;
@@ -1041,7 +970,6 @@ mod tests {
         let max = EntityId(u64::MAX);
         let requests = [
             Request::Record(max),
-            Request::ProbeContains(ProbeKey::Edge(intern("p"), max), max),
             Request::Query {
                 text: String::new(),
                 session: Some(SessionToken::at(Lsn(u64::MAX))),
@@ -1267,7 +1195,6 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_rejected() {
-        let name_probe = [0, 1, b'x'];
         for (op, payload) in [
             (opcode::QUERY, &[][..]),
             (opcode::QUERY, &[1, b'q'][..]),    // no session flag
@@ -1276,12 +1203,13 @@ mod tests {
             (opcode::QUERY, b"{\"q\":\"x\"}"),  // a version-1 body
             (opcode::COMMIT, &[1, 9][..]),      // unknown op tag
             (opcode::COMMIT, &[1, 2, 0x80, 0x80, 0x80, 0x80, 0x10][..]), // source > u32
-            (opcode::POSTINGS, &[7][..]),       // unknown probe tag
-            (opcode::POSTINGS, &[1, 1, b'p', 9][..]), // unknown value tag
             (opcode::RECORD, &[][..]),
-            (opcode::PROBE_CONTAINS, &name_probe[..]), // probe without id
-            (opcode::GENERATION, &[0][..]),            // trailing byte
-            (opcode::RECORD, &[4, 0][..]),             // trailing byte
+            (opcode::GENERATION, &[0][..]), // trailing byte
+            (opcode::RECORD, &[4, 0][..]),  // trailing byte
+            // Retired opcodes, each with the body it once carried.
+            (0x04, &[0, 1, b'x'][..]),    // postings of a name probe
+            (0x05, &[3, 1, b't'][..]),    // selectivity of a type probe
+            (0x06, &[0, 1, b'x', 1][..]), // membership of an id
         ] {
             let frame = Frame {
                 request_id: 1,

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use saga_core::binary::push_varint;
 use saga_core::{
-    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, ProbeKey, RelId, RelPart,
-    SessionToken, SourceId, SourceTrust, SubjectRef, Value,
+    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, RelId, RelPart, SessionToken,
+    SourceId, SourceTrust, SubjectRef, Value,
 };
 use saga_live::QueryResult;
 
@@ -156,17 +156,8 @@ fn arb_triple(rng: &mut StdRng, shape: u32) -> ExtendedTriple {
     }
 }
 
-fn arb_probe(rng: &mut StdRng, kind: u32) -> ProbeKey {
-    match kind % 4 {
-        0 => ProbeKey::Name(arb_string(rng)),
-        1 => ProbeKey::Literal(intern(&arb_string(rng)), arb_value(rng, kind / 4)),
-        2 => ProbeKey::Edge(intern(&arb_string(rng)), EntityId(arb_u64(rng))),
-        _ => ProbeKey::Type(intern(&arb_string(rng))),
-    }
-}
-
-const REQUEST_KINDS: u32 = 9;
-const RESPONSE_KINDS: u32 = 12;
+const REQUEST_KINDS: u32 = 6;
+const RESPONSE_KINDS: u32 = 11;
 
 /// Request kind `kind % REQUEST_KINDS`; `kind / REQUEST_KINDS` walks
 /// the shapes inside it, so a run of consecutive kinds covers both.
@@ -199,11 +190,8 @@ fn arb_request(rng: &mut StdRng, kind: u32) -> Request {
             }
             Request::Commit(batch)
         }
-        3 => Request::Postings(arb_probe(rng, shape)),
-        4 => Request::Selectivity(arb_probe(rng, shape)),
-        5 => Request::ProbeContains(arb_probe(rng, shape), EntityId(arb_u64(rng))),
-        6 => Request::ResolveName(arb_string(rng)),
-        7 => Request::Record(EntityId(arb_u64(rng))),
+        3 => Request::ResolveName(arb_string(rng)),
+        4 => Request::Record(EntityId(arb_u64(rng))),
         _ => Request::Generation,
     }
 }
@@ -224,19 +212,18 @@ fn arb_response(rng: &mut StdRng, kind: u32) -> Response {
         }),
         4 => Response::Entities(arb_ids(rng, shape)),
         5 => Response::Count(arb_u64(rng)),
-        6 => Response::Bool(shape.is_multiple_of(2)),
-        7 => Response::Record(None),
-        8 => {
+        6 => Response::Record(None),
+        7 => {
             let mut record = EntityRecord::new(EntityId(arb_u64(rng)));
             record.triples = (0..shape % 7).map(|i| arb_triple(rng, shape + i)).collect();
             Response::Record(Some(record))
         }
-        9 => Response::Error {
+        8 => Response::Error {
             kind: [ErrorKind::BadRequest, ErrorKind::Query, ErrorKind::Internal]
                 [shape as usize % 3],
             message: arb_string(rng),
         },
-        10 => Response::Overloaded {
+        9 => Response::Overloaded {
             message: arb_string(rng),
             backoff_hint_ms: arb_u64(rng),
         },

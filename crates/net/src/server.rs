@@ -305,13 +305,6 @@ impl Inner {
                         facts_removed: commit.receipt.facts_removed as u64,
                     })
                 }),
-            Request::Postings(probe) => Ok(Response::Entities(self.router.postings(&probe))),
-            Request::Selectivity(probe) => {
-                Ok(Response::Count(self.router.selectivity(&probe) as u64))
-            }
-            Request::ProbeContains(probe, id) => {
-                Ok(Response::Bool(self.router.probe_contains(&probe, id)))
-            }
             Request::ResolveName(name) => Ok(Response::Entities(self.router.resolve_name(&name))),
             Request::Record(id) => Ok(Response::Record(self.router.record(id))),
             Request::Generation => Ok(Response::Count(self.router.generation())),

@@ -250,7 +250,7 @@ fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
             SourceId(2),
             0.9,
         )),
-        Request::ProbeContains(saga_core::ProbeKey::Name("seed".into()), EntityId(1)),
+        Request::Record(EntityId(u64::MAX)),
     ];
     for request in &valid {
         let frame = request.encode(0);
@@ -269,7 +269,10 @@ fn garbage_payloads_answer_bad_request_and_keep_the_connection() {
         opcode::COMMIT,
         [&[1, 0, 0, 5, 1, b'p', 0, 0][..], &max].concat(),
     ));
-    garbage.push((opcode::POSTINGS, vec![9]));
+    // Retired opcodes, each with a body it once carried.
+    garbage.push((0x04, vec![0, 4, b's', b'e', b'e', b'd']));
+    garbage.push((0x05, vec![3, 4, b's', b'o', b'n', b'g']));
+    garbage.push((0x06, vec![0, 4, b's', b'e', b'e', b'd', 1]));
     garbage.push((opcode::QUERY, b"{\"q\":\"FIND song\"}".to_vec()));
 
     for (id, (op, payload)) in garbage.iter().enumerate() {
