@@ -17,15 +17,16 @@
 //! `docs/network.md`). One write per response keeps the client fed at the
 //! pace the team executes.
 //!
-//! Responses carry their request's id (the pipelining contract), and the
-//! overtaking rule is exact: a request may overtake one from an earlier
-//! batch — a request that arrives while a batch executes is read and run
-//! by another team thread — but never one in its own batch, so requests
-//! that arrived in the same read as a slow one wait for it. A batch that
-//! holds a commit executes *before* the read half is handed on: commits
-//! serialize on the writer's lock anyway, one connection's commits take
-//! LSNs in the order they were sent, and whatever was pipelined behind a
-//! commit is read once it is answered. With one thread per connection
+//! Responses carry their request's id (the pipelining contract). While a
+//! connection is a team, the overtaking rule is exact: a request may
+//! overtake one from an earlier batch — a request that arrives while a
+//! batch executes is read and run by another team thread — but never one
+//! in its own batch, so requests that arrived in the same read as a slow
+//! one wait for it. A batch that holds a commit executes *before* the
+//! read half is handed on, and its thread reads next: commits serialize
+//! on the writer's lock anyway, one connection's commits take LSNs in the
+//! order they were sent, and whatever was pipelined behind a commit is
+//! read once it is answered. With one thread per connection
 //! (`workers = 1`) the reader executes everything strictly in order. A
 //! client that stops reading parks only its own team on its own socket.
 //! Reads route through the [`FleetRouter`] — never a bare replica — so
@@ -33,6 +34,22 @@
 //! `session_timeout`) hold for networked traffic exactly as they do
 //! in-process; writes commit through the write-ahead [`LoggedWriter`] and
 //! return the session token that makes them readable by their writer.
+//!
+//! # Solo connections
+//!
+//! A blocking client has one request in flight, so a follower that takes
+//! the read half only blocks in `read()` until the answer is out — a
+//! second thread woken per request for nothing. Each connection therefore
+//! counts its admitted-but-unanswered frames, uncounting each one just
+//! *before* its response is written, so a blocking client's next request
+//! always finds the count at zero. A frame admitted while another is
+//! unanswered marks the connection *pipelined* for good, and the counting
+//! stops. After a warm-up of `WARM_UP` admissions served as a team, a
+//! connection that has not pipelined goes *solo*: its reader runs each
+//! batch with the read half still held and reads the next one itself, so
+//! no follower is woken. A solo connection executes strictly in order
+//! until one read finds two frames buffered; from that batch on it is a
+//! team again, for good.
 //!
 //! # Admission control
 //!
@@ -73,6 +90,8 @@ pub struct ServerConfig {
     /// Threads serving one connection (its team, at least one). Each
     /// reads a batch, hands the socket on and executes what it read; with
     /// 1 the connection's reader executes everything strictly in order.
+    /// A connection that never pipelines is served by one of them after
+    /// a short warm-up (see the module docs), the rest stay parked.
     pub workers: usize,
     /// Global cap on admitted-but-unanswered requests across all
     /// connections; the admission semaphore. A request past it sheds
@@ -135,6 +154,49 @@ struct Conn {
     writer: Mutex<TcpStream>,
     /// Set by the thread that saw the connection end; the team exits.
     closed: AtomicBool,
+    /// Admitted frames not yet answered, counted until `pipelined`. Its
+    /// read-modify-writes are `AcqRel`: a decrement precedes the response's
+    /// write, and the socket orders that write before the client's next
+    /// request is read and counted.
+    unanswered: AtomicUsize,
+    /// Frames admitted while counting, up to [`WARM_UP`].
+    admitted: AtomicUsize,
+    /// Set for good by a frame admitted while another was unanswered.
+    /// It and `admitted` are written only under the read half, whose lock
+    /// orders them (hence `Relaxed`); `note_answering` may see `pipelined`
+    /// late, which costs one decrement nothing reads any more.
+    pipelined: AtomicBool,
+}
+
+/// Admissions a connection is served as a team before it may go solo.
+const WARM_UP: usize = 16;
+
+impl Conn {
+    /// Count one admitted frame (called under the read half).
+    fn note_admitted(&self) {
+        if self.pipelined.load(Ordering::Relaxed) {
+            return;
+        }
+        if self.unanswered.fetch_add(1, Ordering::AcqRel) > 0 {
+            self.pipelined.store(true, Ordering::Relaxed);
+        } else if self.admitted.load(Ordering::Relaxed) < WARM_UP {
+            self.admitted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Uncount a frame whose response is about to be written — before the
+    /// write, so the client's next request cannot find it unanswered.
+    fn note_answering(&self) {
+        if !self.pipelined.load(Ordering::Relaxed) {
+            self.unanswered.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+
+    /// Whether the batch just read runs with the read half still held
+    /// (called under the read half).
+    fn solo(&self) -> bool {
+        !self.pipelined.load(Ordering::Relaxed) && self.admitted.load(Ordering::Relaxed) >= WARM_UP
+    }
 }
 
 /// Live connections by id: a duplicate of the socket and the thread.
@@ -240,11 +302,13 @@ impl Inner {
                     backoff_hint_ms: self.cfg.shed_backoff_hint_ms,
                 };
                 self.respond(conn, frame.request_id, &shed);
-            } else if frame.opcode == opcode::COMMIT {
-                batch.push(frame);
-                return true;
             } else {
+                conn.note_admitted();
+                let commit = frame.opcode == opcode::COMMIT;
                 batch.push(frame);
+                if commit {
+                    return true;
+                }
             }
             if !frame_buffered(reader.buffer()) {
                 return true;
@@ -269,6 +333,7 @@ impl Inner {
                     },
                 },
             };
+            conn.note_answering();
             self.respond(conn, frame.request_id, &response);
         }
         self.counters
@@ -367,8 +432,7 @@ impl SagaServer {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("saga-net-accept".to_string())
-                .spawn(move || accept_loop(&inner, &listener))
-                .expect("spawn acceptor thread")
+                .spawn(move || accept_loop(&inner, &listener))?
         };
         Ok(SagaServer {
             inner,
@@ -494,6 +558,9 @@ fn serve_connection(inner: &Inner, read_half: TcpStream, write_half: TcpStream) 
         reader: Mutex::new(BufReader::new(read_half)),
         writer: Mutex::new(write_half),
         closed: AtomicBool::new(false),
+        unanswered: AtomicUsize::new(0),
+        admitted: AtomicUsize::new(0),
+        pipelined: AtomicBool::new(false),
     };
     std::thread::scope(|team| {
         for _ in 1..inner.cfg.workers {
@@ -511,21 +578,23 @@ fn serve_connection(inner: &Inner, read_half: TcpStream, write_half: TcpStream) 
 }
 
 /// One team thread: take the read half, read a batch, hand the read half
-/// on, run the batch — until the connection ends.
+/// on, run the batch — until the connection ends. A solo connection's
+/// batch and a batch holding a commit run with the read half still held,
+/// and their thread reads next without letting go of it.
 fn team_loop(inner: &Inner, conn: &Conn) {
     let mut batch = Vec::new();
+    let mut held = None;
     loop {
-        let mut reader = conn.reader.lock();
+        let mut reader = held.take().unwrap_or_else(|| conn.reader.lock());
         if conn.closed.load(Ordering::Acquire) || inner.shutdown.load(Ordering::Acquire) {
             break;
         }
         if !inner.read_batch(conn, &mut reader, &mut batch) {
             conn.closed.store(true, Ordering::Release);
         }
-        // A batch holding a commit runs before the read half is handed on.
-        if batch.last().is_none_or(|f| f.opcode != opcode::COMMIT) {
-            drop(reader);
-        }
+        // Not kept, the read half is handed on here, before the batch runs.
+        let keep = conn.solo() || batch.last().is_some_and(|f| f.opcode == opcode::COMMIT);
+        held = keep.then_some(reader);
         inner.run_batch(conn, &batch);
         batch.clear();
     }

@@ -1,7 +1,8 @@
 //! Fault injection against a live [`SagaServer`]: torn frames, oversized
 //! length prefixes, garbage magic and opcodes, pipelined interleaving,
-//! pipelined commit order, reconnect-with-session, saturation, a client
-//! that stops reading, and shutdown. The invariant under test is always
+//! pipelined commit order, a blocking connection going solo and back to a
+//! team, reconnect-with-session, saturation, a client that stops
+//! reading, and shutdown. The invariant under test is always
 //! the same: a hostile or unlucky connection hurts only itself — the
 //! acceptor and every other connection's team keep serving.
 //!
@@ -447,6 +448,79 @@ fn pipelined_commits_apply_in_send_order() {
     );
 }
 
+/// More lone requests than the server's warm-up (16 admissions): enough
+/// for a connection that never pipelined to go solo.
+const PAST_WARM_UP: usize = 32;
+
+/// Send a ping whose server thread parks for `ms` on `scope`'s execute
+/// failpoint; returns its id once it is parked.
+fn send_parked(client: &mut SagaClient, scope: &str, ms: u64) -> u64 {
+    let seen = fail::hits(sites::NET_SERVER_EXECUTE);
+    fail::configure_scoped(
+        sites::NET_SERVER_EXECUTE,
+        scope,
+        FailAction::delay(Duration::from_millis(ms)).times(1),
+    );
+    let id = client.send(&Request::Ping).expect("send parked ping");
+    wait_for("parked ping", || {
+        fail::hits(sites::NET_SERVER_EXECUTE) > seen
+    });
+    id
+}
+
+/// A connection that has only ever had one request in flight goes solo
+/// after the warm-up: its reader keeps the read half while it executes,
+/// so a request sent behind a parked one is answered after it. Two frames
+/// in one read mark the connection pipelined for good, and a request sent
+/// behind a parked one overtakes it again.
+#[test]
+fn a_connection_that_never_pipelined_runs_in_order_until_it_does() {
+    let h = boot("solo", |_, _| {});
+    let mut client = h.client();
+    for _ in 0..PAST_WARM_UP {
+        client.ping().expect("lone ping");
+    }
+    let parked = send_parked(&mut client, "solo", 150);
+    let behind = client.send(&Request::Generation).expect("send behind");
+    let (first_id, first) = client.recv_any().expect("first response");
+    assert_eq!(
+        first_id, parked,
+        "a solo connection answers in send order, got {first:?} first"
+    );
+    assert!(matches!(first, Response::Pong));
+    assert!(matches!(
+        client.recv_by_id(behind).expect("behind"),
+        Response::Count(_)
+    ));
+
+    // A two-frame burst in one write: both frames arrive in one read.
+    let burst: Vec<u64> = (0..2)
+        .map(|_| client.send_buffered(&Request::Ping).expect("send burst"))
+        .collect();
+    client.flush().expect("flush burst");
+    for id in burst {
+        assert!(matches!(
+            client.recv_by_id(id).expect("burst"),
+            Response::Pong
+        ));
+    }
+
+    let parked = send_parked(&mut client, "solo", 300);
+    let fast = client
+        .send(&Request::ResolveName("seed song".into()))
+        .expect("send fast");
+    let (first_id, first) = client.recv_any().expect("first response");
+    assert_eq!(
+        first_id, fast,
+        "a pipelined connection is a team again, got {first:?} first"
+    );
+    assert!(matches!(first, Response::Entities(ids) if ids == vec![EntityId(1)]));
+    assert!(matches!(
+        client.recv_by_id(parked).expect("parked"),
+        Response::Pong
+    ));
+}
+
 #[test]
 fn client_reconnect_keeps_read_your_writes() {
     let h = boot("reconnect", |_, _| {});
@@ -657,10 +731,15 @@ fn a_client_that_stops_reading_stalls_only_itself() {
 
 /// `shutdown` joins every connection's team, not only the acceptor: a
 /// commit parked mid-execution when it is called has landed or never will
-/// by the time it returns.
+/// by the time it returns. A solo connection's team, its reader blocked
+/// in `read()` and its follower parked behind it, is joined too.
 #[test]
 fn no_server_thread_commits_after_shutdown_returns() {
     let mut h = boot("shutdown", |_, _| {});
+    let mut solo = h.client();
+    for _ in 0..PAST_WARM_UP {
+        solo.ping().expect("lone ping");
+    }
     let mut client = h.client();
     let seen = fail::hits(sites::NET_SERVER_EXECUTE);
     fail::configure_scoped(
@@ -694,12 +773,16 @@ fn no_server_thread_commits_after_shutdown_returns() {
 #[test]
 fn closed_connections_are_deregistered_not_leaked() {
     let h = boot("churn", |_, _| {});
-    // Churn: connect, serve one request, disconnect — repeatedly. Every
-    // closed connection must leave the server's registry (it holds a
-    // duplicated fd), or a reconnect loop exhausts the fd limit.
+    // Churn: connect, serve past the warm-up (the connection goes solo),
+    // disconnect — repeatedly. Every closed connection must leave the
+    // server's registry (it holds a duplicated fd), or a reconnect loop
+    // exhausts the fd limit: a solo reader's exit must release the
+    // follower parked behind it.
     for _ in 0..20 {
         let mut client = h.client();
-        client.ping().expect("ping on churn connection");
+        for _ in 0..PAST_WARM_UP {
+            client.ping().expect("ping on churn connection");
+        }
     }
     // Deregistration runs in each connection thread's epilogue; give the
     // last of them a moment to observe the close.
