@@ -85,7 +85,8 @@ pub mod sites {
     /// Oplog: serializing + writing one appended operation line.
     pub const OPLOG_APPEND_WRITE: Site = Site("oplog::append_write");
     /// Oplog: the per-append fsync under `FlushPolicy::Fsync`-style
-    /// durability (fires for explicit `sync()` batch fsyncs too).
+    /// durability (fires for explicit `sync()` batch fsyncs too, and for
+    /// the fsync that makes a failed append's cut-back durable).
     pub const OPLOG_APPEND_FSYNC: Site = Site("oplog::append_fsync");
     /// Oplog: the atomic rewrite inside log compaction.
     pub const OPLOG_COMPACT: Site = Site("oplog::compact");

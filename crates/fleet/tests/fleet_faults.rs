@@ -8,6 +8,8 @@
 //!   replica of the same log;
 //! * a wedged replica is excluded from routing by the lag bound, then
 //!   detected by the controller, drained and respawned;
+//! * a replica wedged while a durable log moves more than its decoded
+//!   tail ahead catches up from the log's file once released;
 //! * an all-stale fleet fails session reads with a timeout instead of a
 //!   stale answer, and a session read never blocks on a worker holding
 //!   its replica;
@@ -35,6 +37,7 @@ use saga_core::{
 use saga_fleet::{
     FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState, RoutedRead,
 };
+use saga_graph::oplog::DECODED_TAIL;
 use saga_graph::{CheckpointWriter, LoggedCommit, LoggedWriter, OpKind, OperationLog};
 use saga_live::LiveReplica;
 
@@ -435,6 +438,78 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
         }),
         "fleet never reconverged after the wedge respawn"
     );
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every other drill runs on an in-memory log, which keeps every op
+/// decoded. A durable one keeps only its newest `DECODED_TAIL`, so a
+/// replica that falls further behind replays the older ops from frames
+/// read back out of the file.
+#[test]
+fn replica_wedged_past_the_decoded_tail_catches_up_from_the_file() {
+    let dir = temp_dir("durable-wedge");
+    std::fs::create_dir_all(&dir).unwrap();
+    let w = LoggedWriter::new(
+        Arc::new(RwLock::new(KnowledgeGraph::new())),
+        Arc::new(OperationLog::durable(&dir.join("ops.oplog")).unwrap()),
+    );
+    let scope = "fleet-durable-wedge";
+    let pool = ReplicaPool::start(
+        drill_config(2, scope),
+        Arc::clone(w.log()),
+        dir.join("ckpt"),
+    )
+    .unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+    let controller = FleetController::new(Arc::clone(&pool));
+
+    for i in 1..=10u64 {
+        commit_person(&w, i);
+    }
+    router
+        .wait_for_lsn(Lsn(10), Duration::from_secs(5))
+        .unwrap();
+
+    // Wedge one replica, then commit more than the log keeps decoded.
+    let _drill = arm(scope, FailAction::delay(Duration::from_secs(30)).times(1));
+    let n = 10 + DECODED_TAIL as u64 + 200;
+    for i in 11..=n {
+        commit_person(&w, i);
+    }
+    assert!(w.log().decoded_len() <= DECODED_TAIL);
+    let lagging = || {
+        let replicas = controller.stats().replicas;
+        let wedged = replicas.iter().position(|r| r.lag > DECODED_TAIL as u64)?;
+        (replicas[1 - wedged].lag == 0).then_some(wedged)
+    };
+    assert!(
+        wait_until(Duration::from_secs(5), || lagging().is_some()),
+        "no replica fell behind the decoded tail while the other kept up"
+    );
+    let wedged = lagging().unwrap();
+
+    // Released, it replays the older ops from the file and converges.
+    fail::clear(sites::FLEET_WORKER_POLL);
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            controller.stats().replicas.iter().all(|r| r.lag == 0)
+        }),
+        "the wedged replica never caught up"
+    );
+    let health = &controller.stats().replicas[wedged];
+    assert_eq!(
+        (health.errors, health.respawns),
+        (0, 0),
+        "caught up by replay, not by respawn"
+    );
+
+    // With the other replica down, every read is served by this one.
+    pool.kill(1 - wedged).unwrap();
+    let read = router.read_with_session(&SessionToken::at(Lsn(n))).unwrap();
+    assert_eq!(read.replica(), wedged);
+    assert_matches_writer(&read, &w, n);
+    drop(read);
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

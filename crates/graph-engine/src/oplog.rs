@@ -25,7 +25,9 @@
 //! [`OperationLog::append_op`] returns: [`FlushPolicy::Flush`] hands the
 //! frame to the OS (survives process crash), [`FlushPolicy::Fsync`]
 //! additionally `fsync`s (survives power loss, at a per-append latency
-//! cost). A restart tolerates a torn *final* frame — the tail a crashed
+//! cost). An append that fails after its bytes began to reach the file
+//! cuts them back off, so the file always ends at the last acknowledged
+//! frame. A restart tolerates a torn *final* frame — the tail a crashed
 //! writer half-wrote is truncated away with a warning instead of
 //! poisoning the whole log — while corruption anywhere else, and any LSN
 //! gap or reordering, fails the restart loudly.
@@ -36,24 +38,35 @@
 //! tracks a watermark LSN (everything at or below it has been applied)
 //! and [`LogFollower::poll_with`] applies contiguous batches, verifying
 //! density so a replica can never silently skip an operation. A batch
-//! shares the log's entries instead of cloning every delta payload out of
-//! the log. The log's one lock covers appends, compaction and the pointer
-//! copies that hand a batch out — never a follower's apply, so producers
-//! do not wait for replicas and replicas do not wait for each other.
+//! shares the log's decoded ops instead of cloning every delta payload
+//! out of the log. A durable log keeps only its newest [`DECODED_TAIL`]
+//! ops decoded; a follower further behind gets the older ones read back
+//! from the file — one positional read per batch, each frame checked
+//! again (header self-check, body checksum, LSN) and decoded — so the
+//! history a caught-up fleet has already applied costs its bytes on disk
+//! and one offset each, not its decoded form. An in-memory log has no
+//! file to read back and keeps every op decoded. The log's one lock
+//! covers appends, compaction and the copies that hand a batch out (the
+//! `Arc`s of tail ops, the file handle and offsets for the rest) — never
+//! the read-back or a follower's apply, so producers do not wait for
+//! replicas and replicas do not wait for each other.
 //!
 //! # Compaction
 //!
 //! The log grows without bound until a checkpoint
 //! ([`saga_core::checkpoint`]) durably covers a prefix;
-//! [`OperationLog::compact_to`] then drops that prefix and records it in
-//! the file header, so a reopened log still knows its first retained LSN
-//! ([`OperationLog::compacted_through`]). LSNs never restart — a follower
-//! whose watermark has fallen behind the compaction point gets a loud
-//! contiguity error and must re-bootstrap from a checkpoint. See
+//! [`OperationLog::compact_to`] then drops that prefix: the retained
+//! frames are copied byte for byte into a new file whose header records
+//! the compaction point, so a reopened log still knows its first retained
+//! LSN ([`OperationLog::compacted_through`]). LSNs never restart — a
+//! follower whose watermark has fallen behind the compaction point gets
+//! a loud contiguity error and must re-bootstrap from a checkpoint. See
 //! `docs/checkpoint.md` for the retention contract.
 
+use std::collections::VecDeque;
 use std::fs;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -184,17 +197,133 @@ pub enum FlushPolicy {
     Fsync,
 }
 
+/// How many of a durable log's newest operations stay decoded in memory.
+/// A follower within this many ops of the head is handed ops already
+/// decoded and shared; one further behind gets the older ones read back
+/// from the file. It matches a fleet worker's replay batch
+/// (`saga_live::replica::REPLAY_BATCH`), so a caught-up fleet never reads
+/// the file. An in-memory log keeps every op decoded.
+pub const DECODED_TAIL: usize = 1024;
+
 struct LogInner {
-    /// Retained entries: `entries[i]` carries `Lsn(base + i + 1)`. Shared
-    /// so a follower's batch outlives the lock (and a racing compaction).
-    entries: Vec<Arc<IngestOp>>,
+    /// The newest retained ops, decoded and shared so a follower's batch
+    /// outlives the lock (and a racing compaction): every retained op of
+    /// an in-memory log, at most [`DECODED_TAIL`] of a durable one. The
+    /// last one carries the head's LSN.
+    decoded: VecDeque<Arc<IngestOp>>,
     /// Operations compacted away from the front of the log: the first
     /// retained LSN is `base + 1`. Every op `<= base` is covered by a
     /// durable checkpoint (see [`OperationLog::compact_to`]).
     base: u64,
-    /// Opened in append mode and written one whole frame per `write_all`,
-    /// so there is nothing buffered in the process to flush.
-    sink: Option<fs::File>,
+    file: Option<LogFile>,
+}
+
+impl LogInner {
+    /// How many operations the log retains past its compaction point.
+    fn retained(&self) -> usize {
+        self.file
+            .as_ref()
+            .map_or(self.decoded.len(), |file| file.offsets.len())
+    }
+
+    fn head(&self) -> u64 {
+        self.base + self.retained() as u64
+    }
+}
+
+/// A durable log's file: where its frames are and how far it is good.
+struct LogFile {
+    /// Opened to read and to append, and written one whole frame per
+    /// `write_all`, so nothing is buffered in the process. A batch that
+    /// copies the `Arc` reads its frames back from this inode, even after
+    /// compaction has swapped in a new file.
+    handle: Arc<fs::File>,
+    /// One per retained op: `offsets[i]` is where the frame carrying
+    /// `Lsn(base + i + 1)` starts.
+    offsets: Vec<u64>,
+    /// Bytes of the header and the acknowledged frames, which is where
+    /// the next frame lands: no append returns with the file longer.
+    len: u64,
+    /// A failed append could not be cut back off the file: the file may
+    /// hold a frame no LSN was acknowledged for, so every later append
+    /// is refused.
+    poisoned: bool,
+}
+
+impl LogFile {
+    /// Write one sealed frame at the end of the file and record where it
+    /// starts. On a failure after the write began — a short write, a
+    /// failed `fsync` — the file is cut back to its acknowledged frames,
+    /// so the next append's LSN is the one the file expects.
+    fn append(&mut self, frame: &[u8], policy: FlushPolicy, path: &Path) -> Result<()> {
+        if self.poisoned {
+            return Err(SagaError::Storage(format!(
+                "{} refuses appends: a failed append could not be cut back off the file",
+                path.display()
+            )));
+        }
+        if let Err(e) = self.write(frame, policy) {
+            if self.truncate().is_err() {
+                self.poisoned = true;
+            }
+            return Err(e);
+        }
+        self.offsets.push(self.len);
+        self.len += frame.len() as u64;
+        Ok(())
+    }
+
+    fn write(&self, frame: &[u8], policy: FlushPolicy) -> Result<()> {
+        (&*self.handle).write_all(frame)?;
+        if policy == FlushPolicy::Fsync {
+            // Fires after the frame is written but before it is made
+            // durable — the power-loss-window fault.
+            saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
+            self.handle.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Cut the file back to its acknowledged frames, durably.
+    fn truncate(&self) -> Result<()> {
+        self.handle.set_len(self.len)?;
+        saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
+        self.handle.sync_data()?;
+        Ok(())
+    }
+
+    /// Replace the file at `path` with one whose header records `base`
+    /// and which holds every frame but the first `drop_count`, copied
+    /// from this file byte for byte. The rename is the only step that
+    /// changes what a reopen sees, and a failure before it leaves file
+    /// and state as they were.
+    fn compact(&mut self, path: &Path, drop_count: usize, base: u64) -> Result<()> {
+        let keep_from = self.offsets.get(drop_count).copied().unwrap_or(self.len);
+        let tmp = path.with_extension("compact.tmp");
+        {
+            let mut out = fs::File::create(&tmp)?;
+            out.write_all(&file_header(base))?;
+            let mut chunk = vec![0u8; 1 << 16];
+            let mut at = keep_from;
+            while at < self.len {
+                let n = chunk.len().min((self.len - at) as usize);
+                self.handle.read_exact_at(&mut chunk[..n], at)?;
+                out.write_all(&chunk[..n])?;
+                at += n as u64;
+            }
+            out.sync_data()?;
+        }
+        let handle = open_log_file(&tmp)?;
+        fs::rename(&tmp, path)?;
+        self.handle = Arc::new(handle);
+        let shift = keep_from - FILE_HEADER as u64;
+        self.offsets.drain(..drop_count);
+        for offset in &mut self.offsets {
+            *offset -= shift;
+        }
+        self.len -= shift;
+        Ok(())
+    }
 }
 
 /// The append-only, optionally durable operation log.
@@ -225,9 +354,9 @@ impl OperationLog {
     pub fn in_memory() -> Self {
         OperationLog {
             inner: Mutex::new(LogInner {
-                entries: Vec::new(),
+                decoded: VecDeque::new(),
                 base: 0,
-                sink: None,
+                file: None,
             }),
             spare_frame: Mutex::new(Vec::new()),
             path: None,
@@ -244,33 +373,41 @@ impl OperationLog {
 
     /// A file-backed log at `path` with an explicit flush policy.
     ///
-    /// Replay tolerates a torn final frame: the tail is truncated away
-    /// (and counted in [`truncated_tail_bytes`](Self::truncated_tail_bytes))
-    /// instead of failing the restart. Corruption before the final frame,
-    /// any LSN gap or reordering, and a file that is not a log at all are
-    /// hard errors.
+    /// Every frame is verified and decoded; the newest [`DECODED_TAIL`]
+    /// stay decoded. Replay tolerates a torn final frame: the tail is
+    /// truncated away (and counted in
+    /// [`truncated_tail_bytes`](Self::truncated_tail_bytes)) instead of
+    /// failing the restart. Corruption before the final frame, any LSN
+    /// gap or reordering, and a file that is not a log at all are hard
+    /// errors.
     pub fn durable_with(path: &Path, policy: FlushPolicy) -> Result<Self> {
         let loaded = read_log(path)?;
+        let handle = open_log_file(path)?;
         let truncated_tail_bytes = loaded.file_len - loaded.good_len;
         if truncated_tail_bytes > 0 {
             eprintln!(
                 "oplog: truncating the torn tail of {} after frame {} ({truncated_tail_bytes} bytes)",
                 path.display(),
-                loaded.entries.len(),
+                loaded.offsets.len(),
             );
-            let file = fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(loaded.good_len)?;
-            file.sync_data()?;
+            handle.set_len(loaded.good_len)?;
+            handle.sync_data()?;
         }
-        let mut sink = open_for_append(path)?;
-        if loaded.good_len == 0 {
-            sink.write_all(&file_header(0))?;
+        let mut len = loaded.good_len;
+        if len == 0 {
+            (&handle).write_all(&file_header(0))?;
+            len = FILE_HEADER as u64;
         }
         Ok(OperationLog {
             inner: Mutex::new(LogInner {
-                entries: loaded.entries,
+                decoded: loaded.decoded,
                 base: loaded.base,
-                sink: Some(sink),
+                file: Some(LogFile {
+                    handle: Arc::new(handle),
+                    offsets: loaded.offsets,
+                    len,
+                    poisoned: false,
+                }),
             }),
             spare_frame: Mutex::new(Vec::new()),
             path: Some(path.to_path_buf()),
@@ -281,6 +418,11 @@ impl OperationLog {
 
     /// Append an operation carrying its full delta payload; returns its
     /// LSN.
+    ///
+    /// An append that fails after its frame began to reach the file cuts
+    /// the file back to the last acknowledged frame, so a later append
+    /// takes the same LSN and a reopen sees a dense log. If even that
+    /// fails, the log refuses every later append with a `Storage` error.
     pub fn append_op(&self, kind: OpKind, deltas: Vec<Delta>) -> Result<Lsn> {
         // Everything but the LSN is encoded and checksummed before the
         // log lock is taken (the caller may hold the KG write lock too).
@@ -289,23 +431,26 @@ impl OperationLog {
             frame = std::mem::take(&mut *self.spare_frame.lock());
             encode_frame(&mut frame, &kind, &deltas)?;
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         // Fires before any byte lands: an injected failure here is the
         // clean "append never happened" fault.
         saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_WRITE);
-        let lsn = Lsn(inner.base + inner.entries.len() as u64 + 1);
-        if let Some(sink) = inner.sink.as_mut() {
+        let lsn = Lsn(inner.head() + 1);
+        let mut evicted = None;
+        if let (Some(file), Some(path)) = (inner.file.as_mut(), &self.path) {
             seal_frame(&mut frame, lsn);
-            sink.write_all(&frame)?;
-            if self.policy == FlushPolicy::Fsync {
-                // Fires after the frame is written but before it is made
-                // durable — the power-loss-window fault.
-                saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
-                sink.sync_data()?;
+            file.append(&frame, self.policy, path)?;
+            if inner.decoded.len() == DECODED_TAIL {
+                evicted = inner.decoded.pop_front();
             }
         }
-        inner.entries.push(Arc::new(IngestOp { lsn, kind, deltas }));
-        drop(inner);
+        inner
+            .decoded
+            .push_back(Arc::new(IngestOp { lsn, kind, deltas }));
+        drop(guard);
+        // The op that left the tail is freed outside the lock.
+        drop(evicted);
         if self.path.is_some() {
             *self.spare_frame.lock() = frame;
         }
@@ -317,16 +462,15 @@ impl OperationLog {
     pub fn sync(&self) -> Result<()> {
         let inner = self.inner.lock();
         saga_core::failpoint!(saga_core::fail::sites::OPLOG_APPEND_FSYNC);
-        if let Some(sink) = &inner.sink {
-            sink.sync_data()?;
+        if let Some(file) = &inner.file {
+            file.handle.sync_data()?;
         }
         Ok(())
     }
 
     /// The LSN of the newest operation (`Lsn::ZERO` when empty).
     pub fn head(&self) -> Lsn {
-        let inner = self.inner.lock();
-        Lsn(inner.base + inner.entries.len() as u64)
+        Lsn(self.inner.lock().head())
     }
 
     /// The highest LSN removed by [`compact_to`](Self::compact_to)
@@ -338,26 +482,68 @@ impl OperationLog {
         Lsn(self.inner.lock().base)
     }
 
+    /// How many retained operations are held decoded: every one of an
+    /// in-memory log, at most [`DECODED_TAIL`] of a durable one.
+    #[doc(hidden)]
+    pub fn decoded_len(&self) -> usize {
+        self.inner.lock().decoded.len()
+    }
+
     /// All retained operations with `lsn > after`, in order, cloned out of
     /// the log — what a dump prints and a test inspects. This is not a
     /// replay path: when `after` precedes the compaction point the result
-    /// starts at the first *retained* op, without an error. Derived stores
-    /// replay through [`LogFollower::poll_with`], which clones no payloads
-    /// and fails on a hole.
+    /// starts at the first *retained* op, without an error, and it ends
+    /// early, again without an error, at the first frame that cannot be
+    /// read back from the file. Derived stores replay through
+    /// [`LogFollower::poll_with`], which clones no payloads and fails on
+    /// a hole or an unreadable frame.
     pub fn read_after(&self, after: Lsn) -> Vec<IngestOp> {
-        let (_, batch) = self.shared_batch(after, usize::MAX);
-        batch.iter().map(|op| IngestOp::clone(op)).collect()
+        let (_, batch, _) = self.shared_batch(after, usize::MAX);
+        batch.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
-    /// The compaction point and (at most `max` of) the entries with
-    /// `lsn > after`, both read under one acquisition of the lock. The
-    /// entries are shared, not copied: a batch stays valid after the lock
-    /// is released, even if `compact_to` drops its ops from the log.
-    fn shared_batch(&self, after: Lsn, max: usize) -> (Lsn, Vec<Arc<IngestOp>>) {
+    /// The compaction point and (at most `max` of) the ops with
+    /// `lsn > after`. One acquisition of the lock reads the compaction
+    /// point and copies the `Arc`s of the ops in the decoded tail and,
+    /// for older ones, the file handle and their offsets; the older
+    /// frames are read back after the lock is released. The ops are
+    /// shared or freshly decoded, never cloned, and stay valid even if
+    /// `compact_to` drops them from the log. The `Result` says why a
+    /// batch is short: it ends at the first frame that could not be read
+    /// back, and the tail ops after that frame are left out too.
+    fn shared_batch(&self, after: Lsn, max: usize) -> (Lsn, Vec<Arc<IngestOp>>, Result<()>) {
         let inner = self.inner.lock();
-        let from = (after.0.saturating_sub(inner.base) as usize).min(inner.entries.len());
-        let to = from.saturating_add(max).min(inner.entries.len());
-        (Lsn(inner.base), inner.entries[from..to].to_vec())
+        let retained = inner.retained();
+        let from = (after.0.saturating_sub(inner.base) as usize).min(retained);
+        let to = from.saturating_add(max).min(retained);
+        // Retained ops before index `older` are held only in the file.
+        let older = retained - inner.decoded.len();
+        let run = inner.file.as_ref().filter(|_| from < older).map(|file| {
+            let end = to.min(older);
+            let mut bounds = file.offsets[from..end].to_vec();
+            bounds.push(file.offsets.get(end).copied().unwrap_or(file.len));
+            FrameRun {
+                handle: Arc::clone(&file.handle),
+                first: inner.base + from as u64 + 1,
+                bounds,
+            }
+        });
+        let tail: Vec<Arc<IngestOp>> = inner
+            .decoded
+            .range(from.max(older) - older..to.max(older) - older)
+            .cloned()
+            .collect();
+        let compacted = Lsn(inner.base);
+        drop(inner);
+        let Some(run) = run else {
+            return (compacted, tail, Ok(()));
+        };
+        let mut batch = Vec::with_capacity(to - from);
+        let read = run.read_into(&mut batch);
+        if read.is_ok() {
+            batch.extend(tail);
+        }
+        (compacted, batch, read)
     }
 
     /// Drop every operation with `lsn <= upto` — the retention step after
@@ -368,16 +554,19 @@ impl OperationLog {
     /// Runs under the same lock as appends, so it is safe to call while
     /// producers are writing: an appender either lands before the rewrite
     /// (and is retained — its LSN is above `upto`) or after it. For
-    /// durable logs the file is rewritten atomically (temp + rename) with
-    /// the dropped prefix recorded in its header, mirroring the checkpoint
-    /// artifact discipline; a crash mid-compaction leaves the old file
-    /// intact.
+    /// durable logs the retained frames are copied byte for byte into a
+    /// new file, with the dropped prefix recorded in its header, which
+    /// replaces the old one atomically (temp + rename), mirroring the
+    /// checkpoint artifact discipline; a crash mid-compaction leaves the
+    /// old file intact. A batch copied out before the swap keeps reading
+    /// the old file.
     pub fn compact_to(&self, upto: Lsn) -> Result<u64> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if upto.0 <= inner.base {
             return Ok(0);
         }
-        let head = inner.base + inner.entries.len() as u64;
+        let head = inner.head();
         if upto.0 > head {
             return Err(SagaError::Storage(format!(
                 "cannot compact through {upto:?}: head is {:?}",
@@ -387,32 +576,19 @@ impl OperationLog {
         // Fires before the rewrite starts: an injected failure leaves the
         // old file intact, exactly like a crash mid-compaction.
         saga_core::failpoint!(saga_core::fail::sites::OPLOG_COMPACT);
-        let drop_count = upto.0 - inner.base;
-        let new_base = upto.0;
-        if let Some(path) = &self.path {
-            // Write header + retained frames beside the live file, open
-            // the sink that will replace the old one, then swap: the
-            // rename is the only step that changes what a reopen sees,
-            // and a failure before it leaves file and sink as they were.
-            let tmp = path.with_extension("compact.tmp");
-            {
-                let mut out = BufWriter::new(fs::File::create(&tmp)?);
-                out.write_all(&file_header(new_base))?;
-                let mut frame = Vec::new();
-                for op in &inner.entries[drop_count as usize..] {
-                    write_frame(&mut frame, op)?;
-                    out.write_all(&frame)?;
-                }
-                out.flush()?;
-                out.get_ref().sync_data()?;
-            }
-            let sink = open_for_append(&tmp)?;
-            fs::rename(&tmp, path)?;
-            inner.sink = Some(sink);
+        let drop_count = (upto.0 - inner.base) as usize;
+        let older = inner.retained() - inner.decoded.len();
+        if let (Some(file), Some(path)) = (inner.file.as_mut(), &self.path) {
+            file.compact(path, drop_count, upto.0)?;
         }
-        inner.entries.drain(..drop_count as usize);
-        inner.base = new_base;
-        Ok(drop_count)
+        let dropped: Vec<Arc<IngestOp>> = inner
+            .decoded
+            .drain(..drop_count.saturating_sub(older))
+            .collect();
+        inner.base = upto.0;
+        drop(guard);
+        drop(dropped);
+        Ok(drop_count as u64)
     }
 
     /// The backing file, if durable.
@@ -424,6 +600,66 @@ impl OperationLog {
     pub fn truncated_tail_bytes(&self) -> u64 {
         self.truncated_tail_bytes
     }
+}
+
+/// Frames behind the decoded tail that one batch reads back from the
+/// file, copied out under the log lock.
+struct FrameRun {
+    handle: Arc<fs::File>,
+    /// The LSN of the first frame.
+    first: u64,
+    /// Where each frame starts, then where the last one ends.
+    bounds: Vec<u64>,
+}
+
+impl FrameRun {
+    /// Read the run with one positional read and decode it onto `out`,
+    /// checking each frame as the open did. Stops at the first frame
+    /// that cannot be read back.
+    fn read_into(self, out: &mut Vec<Arc<IngestOp>>) -> Result<()> {
+        let start = self.bounds[0];
+        let mut bytes = vec![0u8; (self.bounds[self.bounds.len() - 1] - start) as usize];
+        self.handle.read_exact_at(&mut bytes, start).map_err(|e| {
+            SagaError::Storage(format!(
+                "cannot read log frames back from byte {start}: {e}"
+            ))
+        })?;
+        for (i, ends) in self.bounds.windows(2).enumerate() {
+            let lsn = Lsn(self.first + i as u64);
+            let frame = &bytes[(ends[0] - start) as usize..(ends[1] - start) as usize];
+            let op = reread_frame(frame, lsn).map_err(|what| {
+                SagaError::Storage(format!(
+                    "log frame {lsn:?} at byte {} cannot be read back: {what}",
+                    ends[0]
+                ))
+            })?;
+            out.push(Arc::new(op));
+        }
+        Ok(())
+    }
+}
+
+/// Decode one whole frame read back from the file after the open
+/// verified it, checking it again: its header, its length, its body
+/// checksum and that it carries `lsn`.
+fn reread_frame(frame: &[u8], lsn: Lsn) -> std::result::Result<IngestOp, String> {
+    if frame.len() < FRAME_HEADER {
+        return Err("shorter than a frame header".to_string());
+    }
+    let (head, body) = frame.split_at(FRAME_HEADER);
+    if head_sum(head) != u32_at(head, 20) {
+        return Err("the frame header fails its self-check".to_string());
+    }
+    if u32_at(head, 0) as usize != body.len() {
+        return Err("the frame length disagrees with the offset table".to_string());
+    }
+    if fnv1a(body) != u64_at(head, 12) {
+        return Err("body checksum mismatch".to_string());
+    }
+    if u64_at(head, 4) != lsn.0 {
+        return Err(format!("it carries lsn:{}", u64_at(head, 4)));
+    }
+    decode_body(lsn, body).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -561,7 +797,8 @@ fn seal_frame(frame: &mut [u8], lsn: Lsn) {
     frame[20..FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// One complete frame for `op`, as compaction re-emits it.
+/// One complete frame for `op`, as the tests assemble files by hand.
+#[cfg(test)]
 pub(crate) fn write_frame(frame: &mut Vec<u8>, op: &IngestOp) -> Result<()> {
     encode_frame(frame, &op.kind, &op.deltas)?;
     seal_frame(frame, op.lsn);
@@ -619,7 +856,10 @@ pub(crate) fn decode_body(lsn: Lsn, body: &[u8]) -> Result<IngestOp> {
 /// What [`read_log`] found in a file.
 #[derive(Default)]
 struct Loaded {
-    entries: Vec<Arc<IngestOp>>,
+    /// The newest [`DECODED_TAIL`] ops.
+    decoded: VecDeque<Arc<IngestOp>>,
+    /// Where each frame starts.
+    offsets: Vec<u64>,
     base: u64,
     /// Bytes of the file that hold the header and whole, verified frames;
     /// anything past them is a torn tail.
@@ -628,7 +868,8 @@ struct Loaded {
 }
 
 /// Stream the frames of the log at `path` (a missing file is an empty
-/// log). Only a *final* frame may be damaged — short, or whole with a
+/// log), verifying and decoding every one; only the newest
+/// [`DECODED_TAIL`] are kept decoded. Only a *final* frame may be damaged — short, or whole with a
 /// failing body checksum; everything else that does not verify is an
 /// error, because a log that silently lost an operation would
 /// desynchronize every replica built from it.
@@ -663,7 +904,7 @@ fn read_log(path: &Path) -> Result<Loaded> {
     let mut body = Vec::new();
     while loaded.good_len < file_len {
         let start = loaded.good_len;
-        let frame_no = loaded.entries.len() + 1;
+        let frame_no = loaded.offsets.len() + 1;
         let corrupt = |what: &str| {
             SagaError::Storage(format!(
                 "corrupt log frame {frame_no} at byte {start} of {}: {what}",
@@ -700,14 +941,24 @@ fn read_log(path: &Path) -> Result<Loaded> {
             )));
         }
         let op = decode_body(lsn, &body).map_err(|e| corrupt(&e.to_string()))?;
-        loaded.entries.push(Arc::new(op));
+        if loaded.decoded.len() == DECODED_TAIL {
+            loaded.decoded.pop_front();
+        }
+        loaded.decoded.push_back(Arc::new(op));
+        loaded.offsets.push(start);
         loaded.good_len = end;
     }
     Ok(loaded)
 }
 
-fn open_for_append(path: &Path) -> std::io::Result<fs::File> {
-    fs::OpenOptions::new().create(true).append(true).open(path)
+/// The one handle a durable log writes its frames through (append mode)
+/// and reads them back through (positional reads).
+fn open_log_file(path: &Path) -> std::io::Result<fs::File> {
+    fs::OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)
 }
 
 /// A watermark-tracking cursor over an [`OperationLog`] — the follower
@@ -754,19 +1005,22 @@ impl LogFollower {
     /// Apply `f` to each of up to `max` operations past the watermark,
     /// then advance the watermark over them; returns how many were
     /// applied (0 when caught up). The batch and the compaction point are
-    /// read under one acquisition of the log's lock, which is released
-    /// before `f` runs: entries are shared, not cloned, so bulk replay
-    /// costs no payload copies and never stalls an appender. The
-    /// watermark advances only after `f` has seen the whole batch.
+    /// copied out under one acquisition of the log's lock, which is
+    /// released before any frame is read back from the file and before
+    /// `f` runs: ops in the decoded tail are shared, not cloned, and
+    /// older ones are decoded from their frames, so bulk replay costs no
+    /// payload copies and never stalls an appender. The watermark
+    /// advances only after `f` has seen the whole batch.
     ///
     /// Errors without applying anything when the watermark has fallen
     /// behind [`OperationLog::compacted_through`] — the ops this follower
     /// still needs were dropped, so the caller must re-bootstrap from a
     /// checkpoint (a per-op contiguity check alone cannot catch this when
-    /// the retained tail is empty) — or when the batch is not dense from
-    /// the watermark.
+    /// the retained tail is empty) — when a frame of the batch cannot be
+    /// read back from the file or fails its checks there, or when the
+    /// batch is not dense from the watermark.
     pub fn poll_with(&mut self, max: usize, mut f: impl FnMut(&IngestOp)) -> Result<usize> {
-        let (compacted, batch) = self.log.shared_batch(self.watermark, max);
+        let (compacted, batch, read) = self.log.shared_batch(self.watermark, max);
         if self.watermark < compacted {
             return Err(SagaError::Storage(format!(
                 "follower at {:?} has fallen behind the compaction point {compacted:?}: \
@@ -774,6 +1028,7 @@ impl LogFollower {
                 self.watermark
             )));
         }
+        read?;
         let mut expected = self.watermark;
         for op in &batch {
             expected = expected.next();
@@ -1324,6 +1579,200 @@ mod tests {
         assert_eq!(applied.unwrap(), 1);
         assert_eq!(seen, vec![(Lsn(1), vec![delta(1, "x", 1)])]);
         assert_eq!(log.compacted_through(), Lsn(1));
+    }
+
+    /// Op `i` of the follower tests: every kind, several predicates, a
+    /// string, an entity reference and a removal.
+    fn varied_op(i: u64) -> (OpKind, Vec<Delta>) {
+        let kind = match i % 7 {
+            3 => OpKind::Delete,
+            5 => OpKind::RetractSource(SourceId((i % 4) as u32)),
+            6 => OpKind::VolatileOverwrite(SourceId(1)),
+            _ => OpKind::Upsert,
+        };
+        let mut first = delta(i, "x", i as i64);
+        first.added.push(DeltaFact {
+            predicate: intern("name"),
+            object: Value::str(format!("Person {i} é")),
+        });
+        first.removed.push(DeltaFact {
+            predicate: intern("knows"),
+            object: Value::Entity(EntityId(i / 2)),
+        });
+        let deltas = match i % 3 {
+            0 => Vec::new(),
+            1 => vec![first],
+            _ => vec![first, delta(i + 1, "y", -(i as i64))],
+        };
+        (kind, deltas)
+    }
+
+    /// Everything a follower starting after `after` sees, polled in
+    /// batches of `batch`.
+    fn follow(log: &Arc<OperationLog>, after: Lsn, batch: usize) -> Vec<IngestOp> {
+        let mut follower = LogFollower::resume_at(Arc::clone(log), after);
+        let mut seen = Vec::new();
+        while follower
+            .poll_with(batch, |op| seen.push(op.clone()))
+            .unwrap()
+            > 0
+        {}
+        seen
+    }
+
+    /// A durable log and its in-memory twin, both holding `n` varied ops,
+    /// and what a follower that polled after every append saw.
+    fn durable_and_twin(
+        path: &Path,
+        n: u64,
+    ) -> (Arc<OperationLog>, Arc<OperationLog>, Vec<IngestOp>) {
+        let durable = Arc::new(OperationLog::durable(path).unwrap());
+        let twin = Arc::new(OperationLog::in_memory());
+        let mut caught_up = LogFollower::new(Arc::clone(&durable));
+        let mut seen = Vec::new();
+        for i in 1..=n {
+            let (kind, deltas) = varied_op(i);
+            durable.append_op(kind.clone(), deltas.clone()).unwrap();
+            twin.append_op(kind, deltas).unwrap();
+            assert_eq!(
+                caught_up.poll_with(10, |op| seen.push(op.clone())).unwrap(),
+                1
+            );
+        }
+        (durable, twin, seen)
+    }
+
+    #[test]
+    fn a_lagging_follower_sees_what_a_caught_up_one_sees() {
+        let path = unique_log_path();
+        let _ = fs::remove_file(&path);
+        let n = 3 * DECODED_TAIL as u64;
+        let (durable, twin, caught_up) = durable_and_twin(&path, n);
+        assert!(
+            durable.decoded_len() < n as usize,
+            "most ops are behind the tail"
+        );
+        let lagging = follow(&durable, Lsn::ZERO, 100);
+        assert_eq!(lagging.len() as u64, n);
+        assert_eq!(lagging, caught_up, "lagging vs caught-up follower");
+        assert_eq!(
+            lagging,
+            follow(&twin, Lsn::ZERO, 100),
+            "durable vs in-memory"
+        );
+        assert_eq!(durable.read_after(Lsn(n / 2)), twin.read_after(Lsn(n / 2)));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_lagging_follower_reads_through_compaction_and_reopen() {
+        let path = unique_log_path();
+        let _ = fs::remove_file(&path);
+        let n = 3 * DECODED_TAIL as u64;
+        let (durable, twin, expected) = durable_and_twin(&path, n);
+
+        // Five polls in, the prefix the follower has applied is compacted
+        // away; it goes on reading frames from the rewritten file.
+        let mut follower = LogFollower::new(Arc::clone(&durable));
+        let mut seen = Vec::new();
+        for _ in 0..5 {
+            follower.poll_with(100, |op| seen.push(op.clone())).unwrap();
+        }
+        assert_eq!(durable.compact_to(Lsn(300)).unwrap(), 300);
+        assert_eq!(twin.compact_to(Lsn(300)).unwrap(), 300);
+        while follower.poll_with(100, |op| seen.push(op.clone())).unwrap() > 0 {}
+        assert_eq!(seen, expected);
+        assert_eq!(
+            follow(&durable, Lsn(300), 100),
+            follow(&twin, Lsn(300), 100)
+        );
+
+        // A compaction that leaves fewer ops than the tail holds.
+        let cut = Lsn(n - DECODED_TAIL as u64 / 2);
+        durable.compact_to(cut).unwrap();
+        twin.compact_to(cut).unwrap();
+        assert_eq!(follow(&durable, cut, 100), follow(&twin, cut, 100));
+        drop(durable);
+
+        // Reopened, and appended to, the log serves the same ops again.
+        let reopened = Arc::new(OperationLog::durable(&path).unwrap());
+        assert_eq!(reopened.compacted_through(), cut);
+        for i in n + 1..=n + DECODED_TAIL as u64 {
+            let (kind, deltas) = varied_op(i);
+            reopened.append_op(kind.clone(), deltas.clone()).unwrap();
+            twin.append_op(kind, deltas).unwrap();
+        }
+        assert_eq!(follow(&reopened, cut, 100), follow(&twin, cut, 100));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_frame_damaged_behind_the_tail_fails_the_poll_not_the_process() {
+        let path = unique_log_path();
+        let _ = fs::remove_file(&path);
+        let n = 2 * DECODED_TAIL as u64;
+        let (durable, twin, _) = durable_and_twin(&path, n);
+
+        // A quarter into the file is a frame no follower is handed decoded.
+        let at = fs::metadata(&path).unwrap().len() / 4;
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x20], at).unwrap();
+
+        let mut follower = LogFollower::new(Arc::clone(&durable));
+        let mut applied = 0u64;
+        let err = loop {
+            let before = follower.watermark();
+            match follower.poll_with(100, |_| applied += 1) {
+                Ok(0) => panic!("the follower reached the head past a damaged frame"),
+                Ok(_) => continue,
+                Err(err) => {
+                    assert_eq!(follower.watermark(), before, "watermark unmoved");
+                    assert_eq!(applied, before.0, "nothing of the failed batch applied");
+                    break err;
+                }
+            }
+        };
+        assert!(matches!(err, SagaError::Storage(_)), "{err}");
+        assert!(follower.watermark().0 < n - DECODED_TAIL as u64);
+
+        // The dump stops at the damaged frame.
+        let dumped = durable.read_after(Lsn::ZERO);
+        assert!((dumped.len() as u64) < n - DECODED_TAIL as u64);
+        assert!(dumped.len() as u64 >= follower.watermark().0);
+        assert_eq!(dumped, twin.read_after(Lsn::ZERO)[..dumped.len()]);
+        // The tail is still served.
+        assert_eq!(follow(&durable, Lsn(n - 10), 100).len(), 10);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_durable_log_holds_at_most_the_tail_decoded() {
+        let path = unique_log_path();
+        let _ = fs::remove_file(&path);
+        let durable = OperationLog::durable(&path).unwrap();
+        let in_memory = OperationLog::in_memory();
+        let n = 10 * DECODED_TAIL;
+        for i in 1..=n as u64 {
+            durable
+                .append_op(OpKind::Upsert, vec![delta(i, "x", 1)])
+                .unwrap();
+            in_memory
+                .append_op(OpKind::Upsert, vec![delta(i, "x", 1)])
+                .unwrap();
+        }
+        assert!(durable.decoded_len() <= DECODED_TAIL);
+        assert_eq!(in_memory.decoded_len(), n);
+        drop(durable);
+        let reopened = OperationLog::durable(&path).unwrap();
+        assert_eq!(reopened.head(), Lsn(n as u64));
+        assert!(reopened.decoded_len() <= DECODED_TAIL);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -136,7 +136,7 @@ fn every_op_shape_roundtrips_through_the_file_from_seeds() {
         for (back, op) in read.iter().zip(&written) {
             assert_eq!(frame_of(back), frame_of(op), "{op:?}");
         }
-        // Compaction re-emits the retained frames; they still decode.
+        // Compaction copies the retained frames; they still decode.
         let cut = Lsn(base + u64::from(SHAPES));
         reopened.compact_to(cut).unwrap();
         drop(reopened);

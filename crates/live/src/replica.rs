@@ -47,7 +47,9 @@ use crate::store::ReplicaKg;
 
 /// How many operations one [`LiveReplica::catch_up`] poll pulls at a time;
 /// bounds peak memory while replaying a long backlog. Fleet replay workers
-/// pass the same bound to [`LiveReplica::catch_up_batch`].
+/// pass the same bound to [`LiveReplica::catch_up_batch`]. It equals a
+/// durable log's [`DECODED_TAIL`](saga_graph::oplog::DECODED_TAIL), so a
+/// fleet that keeps up is always served ops the log holds decoded.
 pub const REPLAY_BATCH: usize = 1024;
 
 /// A [`ReplicaKg`] maintained solely from oplog replay. See the module docs.
@@ -113,8 +115,9 @@ impl LiveReplica {
     /// were applied. Call again whenever the log advances (or drive it
     /// from a scheduler — the follower is the pace-keeping cursor).
     ///
-    /// Each batch's entries are shared out of the log
-    /// ([`LogFollower::poll_with`]) and applied **outside** its lock —
+    /// Each batch's entries are shared out of the log, or decoded from its
+    /// file behind a durable log's decoded tail
+    /// ([`LogFollower::poll_with`]), and applied **outside** its lock —
     /// bulk catch-up clones no payloads and never stalls an appender or
     /// another replica.
     pub fn catch_up(&mut self) -> Result<usize> {
@@ -137,7 +140,8 @@ impl LiveReplica {
     /// [`catch_up`](Self::catch_up) for replay loops that interleave
     /// other work — shutdown checks, health publication — between
     /// batches. The log's lock is held only to copy out at most `max`
-    /// entry pointers; the apply runs after it is released.
+    /// entry pointers or frame offsets; reading frames back and the apply
+    /// run after it is released.
     pub fn catch_up_batch(&mut self, max: usize) -> Result<usize> {
         let live = &self.live;
         self.follower.poll_with(max, |op| apply_op(live, op))
