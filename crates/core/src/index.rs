@@ -12,8 +12,9 @@
 //! * the Graph Engine's analytics store and View Manager consume through
 //!   the [`Delta`] change feed (incremental view maintenance in the style
 //!   of Kara et al., *CQs with Free Access Patterns under Updates*),
-//! * the Live Graph shards under lock striping for low-latency serving,
-//!   with KGQ probes lowered directly to [`ProbeKey`] posting lookups.
+//! * the Live Graph splits it into partitions under one lock for
+//!   low-latency serving, with KGQ probes lowered directly to
+//!   [`ProbeKey`] posting lookups.
 //!
 //! # Representation
 //!
@@ -550,11 +551,11 @@ impl TripleIndex {
 
     /// Split one index into `n` shard indexes by `subject % n` — the
     /// restore path from a checkpoint (one decoded image fans out to the
-    /// live store's lock stripes). Posting lists are partitioned in a
-    /// single decode pass and re-encoded per shard with the bulk
-    /// [`BlockPostings::from_sorted`] path; each shard re-interns only the
-    /// object values its subjects actually reference. `partition(1)` keeps
-    /// the index whole.
+    /// live store's partitions under one lock). Posting lists are
+    /// partitioned in a single decode pass and re-encoded per shard with
+    /// the bulk [`BlockPostings::from_sorted`] path; each shard re-interns
+    /// only the object values its subjects actually reference.
+    /// `partition(1)` keeps the index whole.
     pub fn partition(self, n: usize) -> Vec<TripleIndex> {
         assert!(n > 0, "at least one shard");
         if n == 1 {

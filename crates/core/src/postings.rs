@@ -1410,8 +1410,9 @@ impl PartialEq<Vec<EntityId>> for PostingsView<'_> {
 /// An owned snapshot of one probe's posting list in compressed form — the
 /// unit [`GraphRead`](crate::GraphRead) backends serve postings through.
 ///
-/// Lock-striped backends cannot hand out borrowed views (the borrow would
-/// outlive the shard lock); a cursor clones the compressed blocks instead,
+/// Locked backends cannot hand out borrowed views (the borrow would
+/// outlive the read lock, and a partitioned store unions its partitions'
+/// views into a new list anyway); a cursor owns the compressed blocks,
 /// which is far cheaper than materializing `Vec<EntityId>` on dense lists
 /// and carries the block directory along for compressed-domain
 /// intersection on the caller's side.
@@ -1466,11 +1467,6 @@ impl PostingsCursor {
     /// Borrow as a view (for [`intersect_views`]).
     pub fn as_view(&self) -> PostingsView<'_> {
         self.list.as_view()
-    }
-
-    /// The underlying compressed list.
-    pub fn into_list(self) -> BlockPostings {
-        self.list
     }
 
     /// Approximate heap bytes held by the snapshot.

@@ -12,8 +12,9 @@
 //! * the writer's [`KnowledgeGraph`] (single
 //!   [`TripleIndex`](crate::TripleIndex), zero-copy galloping
 //!   intersection),
-//! * the sharded replica store (`saga_live::ReplicaKg`, lock-striped
-//!   indexes probed shard by shard and merged — what log replicas serve),
+//! * the replica store (`saga_live::ReplicaKg`, partitions under one
+//!   lock, probed partition by partition and merged — what log replicas
+//!   serve),
 //!   and the fleet and view surfaces that forward to one.
 //!
 //! The trait is deliberately small — posting retrieval, membership tests,
@@ -42,7 +43,7 @@ use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
 pub trait GraphRead {
     /// Snapshot one probe's posting list in compressed block form — the
     /// primary postings entry point. Implementations clone compressed
-    /// blocks (or build them from a merged shard view); they never
+    /// blocks (or build them from a merged partition view); they never
     /// materialize a full `Vec<EntityId>` unless merging forces it.
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor;
 

@@ -202,8 +202,8 @@ impl FleetController {
     /// Run [`tick`](Self::tick) every `interval` on a supervisor thread
     /// until the returned handle is dropped. Tick errors are counted on
     /// the handle, not fatal — a transient checkpoint failure must not
-    /// kill supervision.
-    pub fn spawn_ticker(self: &Arc<Self>, interval: Duration) -> TickerHandle {
+    /// kill supervision. Fails only if the OS refuses the thread.
+    pub fn spawn_ticker(self: &Arc<Self>, interval: Duration) -> Result<TickerHandle> {
         let controller = Arc::clone(self);
         let stop = Arc::new(AtomicBool::new(false));
         let errors = Arc::new(AtomicU64::new(0));
@@ -218,13 +218,12 @@ impl FleetController {
                     }
                     std::thread::sleep(interval);
                 }
-            })
-            .expect("spawn fleet controller ticker");
-        TickerHandle {
+            })?;
+        Ok(TickerHandle {
             stop,
             errors,
             handle: Some(handle),
-        }
+        })
     }
 }
 

@@ -48,7 +48,8 @@ pub use router::{FleetRouter, RoutedRead};
 pub struct FleetConfig {
     /// Number of serving replicas (slots). Clamped to at least 1.
     pub replicas: usize,
-    /// Lock stripes per replica store (see [`saga_live::ReplicaKg`]).
+    /// Partitions per replica store, all under one lock (see
+    /// [`saga_live::ReplicaKg`]).
     pub shards: usize,
     /// The longest a caught-up worker parks before polling the log
     /// again. It bounds the staleness of plain (no-session) reads: ingest

@@ -323,8 +323,10 @@ pub struct ReplicaPool {
 
 impl ReplicaPool {
     /// Boot `cfg.replicas` slots against `log`, each bootstrapping from
-    /// the newest usable checkpoint in `ckpt_dir` (created if missing)
-    /// and then tailing the log on its own worker thread.
+    /// the newest usable checkpoint in `ckpt_dir` (created if missing),
+    /// then start a worker thread per slot to tail the log. If a worker
+    /// cannot be spawned, the ones already running are stopped and the
+    /// spawn error is returned.
     pub fn start(
         cfg: FleetConfig,
         log: Arc<OperationLog>,
@@ -342,17 +344,11 @@ impl ReplicaPool {
         let mut slots = Vec::with_capacity(cfg.replicas);
         for id in 0..cfg.replicas {
             let replica = LiveReplica::bootstrap(cfg.shards, &ckpt_dir, Arc::clone(&log))?;
-            let slot = Slot::new(id, replica);
-            let offset = if cfg.stagger_polls {
-                cfg.poll_interval * id as u32 / cfg.replicas as u32
-            } else {
-                Duration::ZERO
-            };
-            let handle = spawn_worker(Arc::clone(&slot), cfg.clone(), Arc::clone(&wake), offset);
-            *slot.worker.lock() = Some(handle);
-            slots.push(slot);
+            slots.push(Slot::new(id, replica));
         }
-        Ok(Arc::new(ReplicaPool {
+        // On a failed spawn the pool drops here, and its `Drop` stops the
+        // workers already running.
+        let pool = ReplicaPool {
             cfg,
             log,
             ckpt_dir,
@@ -361,7 +357,23 @@ impl ReplicaPool {
             lag_skips: AtomicU64::new(0),
             session_skips: AtomicU64::new(0),
             rr: AtomicU64::new(0),
-        }))
+        };
+        let cfg = &pool.cfg;
+        for slot in &pool.slots {
+            let offset = if cfg.stagger_polls {
+                cfg.poll_interval * slot.id as u32 / cfg.replicas as u32
+            } else {
+                Duration::ZERO
+            };
+            let handle = spawn_worker(
+                Arc::clone(slot),
+                cfg.clone(),
+                Arc::clone(&pool.wake),
+                offset,
+            )?;
+            *slot.worker.lock() = Some(handle);
+        }
+        Ok(Arc::new(pool))
     }
 
     /// Number of slots (fixed for the pool's lifetime).
@@ -460,7 +472,8 @@ impl ReplicaPool {
     /// the replica mutex, and the dead engine's generation folds into the
     /// slot's floor under the same engine write lock as the swap, so the
     /// slot-level generation stays monotone through the bootstrap and
-    /// across the swap. A failed bootstrap leaves the slot untouched.
+    /// across the swap. A failed bootstrap leaves the slot untouched; a
+    /// failed worker spawn leaves it `Down`.
     pub fn respawn(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
         slot.stop_worker(&self.wake);
@@ -484,7 +497,8 @@ impl ReplicaPool {
             self.cfg.clone(),
             Arc::clone(&self.wake),
             Duration::ZERO,
-        );
+        )
+        .inspect_err(|_| slot.state.store(STATE_DOWN, Ordering::SeqCst))?;
         *slot.worker.lock() = Some(handle);
         Ok(())
     }
@@ -509,13 +523,14 @@ impl Drop for ReplicaPool {
 
 /// The replay worker: with the slot's replica held, applies one log
 /// batch, publishes the watermark and heartbeats; when caught up, parks
-/// on `wake` for one poll interval.
+/// on `wake` for one poll interval. Fails only if the OS refuses the
+/// thread.
 fn spawn_worker(
     slot: Arc<Slot>,
     cfg: FleetConfig,
     wake: Arc<WaitCell>,
     phase_offset: Duration,
-) -> JoinHandle<()> {
+) -> Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("fleet-replica-{}", slot.id))
         .spawn(move || {
@@ -572,5 +587,5 @@ fn spawn_worker(
             }
             drop(guard);
         })
-        .expect("spawn fleet replica worker")
+        .map_err(SagaError::from)
 }

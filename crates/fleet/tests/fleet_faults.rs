@@ -15,7 +15,8 @@
 //!   its replica;
 //! * session readers racing on their own threads catch replicas up
 //!   correctly — with no help from the workers, through a respawn, and
-//!   without a slot's watermark ever moving backwards.
+//!   without a slot's watermark ever moving backwards;
+//! * a read through the router sees whole ops, never one half applied.
 //!
 //! Faults are injected at the `fleet::worker_poll` failpoint, which a
 //! worker checks with its replica held, armed for one drill's fleet
@@ -31,8 +32,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use saga_core::fail::{self, sites, FailAction};
 use saga_core::{
-    intern, EntityId, GraphRead, KnowledgeGraph, Lsn, ProbeKey, SagaError, SessionToken, SourceId,
-    Value, WriteBatch,
+    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, Lsn,
+    ProbeKey, SagaError, SessionToken, SourceId, Value, WriteBatch,
 };
 use saga_fleet::{
     FleetConfig, FleetController, FleetRouter, ReplicaPool, ReplicaState, RoutedRead,
@@ -872,6 +873,79 @@ fn session_reads_stay_fresh_and_typed_while_a_slot_respawns() {
     router
         .wait_for_lsn(w.log().head(), Duration::from_secs(5))
         .unwrap();
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A writer moves `tag = "x"` between two things in different partitions,
+/// one op per move (drop it from one, upsert it on the other), while a
+/// reader asks the router for its holders: every `FIND` and every
+/// postings read must see exactly one, never the state inside an op.
+#[test]
+fn router_reads_never_see_half_an_op() {
+    const MOVES: u64 = 20_000;
+    let w = producer();
+    let dir = temp_dir("whole-ops");
+    // One replica, so every read lands where the ops apply: its worker
+    // wakes every 20 ms to replay the moves committed meanwhile, and the
+    // closing barrier replays the rest on this thread.
+    let cfg = FleetConfig {
+        poll_interval: Duration::from_millis(20),
+        ..fast_config(1)
+    };
+    let pool = ReplicaPool::start(cfg, Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+    let tag = intern("tag");
+    let meta = FactMeta::from_source(SourceId(1), 0.9);
+    let tagged = |id: u64| ExtendedTriple::simple(EntityId(id), tag, Value::str("x"), meta.clone());
+    w.commit(
+        OpKind::Upsert,
+        WriteBatch::new()
+            .named_entity(EntityId(1), "Thing One", "thing", SourceId(1), 0.9)
+            .named_entity(EntityId(2), "Thing Two", "thing", SourceId(1), 0.9)
+            .upsert(tagged(1)),
+    )
+    .unwrap();
+    router.wait_for_lsn(Lsn(1), Duration::from_secs(5)).unwrap();
+
+    let probe = ProbeKey::Literal(tag, Value::str("x"));
+    let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    let (reads, torn) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (mut reads, mut torn) = (0u64, 0u64);
+            while !done.load(Ordering::Acquire) {
+                let found = router
+                    .query("FIND thing WHERE tag = \"x\" LIMIT 10")
+                    .unwrap();
+                let holders = [found.entities().len(), router.postings(&probe).len()];
+                reads += 2;
+                torn += holders.iter().filter(|&&n| n != 1).count() as u64;
+                started.store(true, Ordering::Release);
+            }
+            (reads, torn)
+        });
+        while !started.load(Ordering::Acquire) && !reader.is_finished() {
+            std::thread::yield_now();
+        }
+        for k in 0..MOVES {
+            let (from, to) = if k % 2 == 0 { (1, 2) } else { (2, 1) };
+            let untag = move |rec: &mut EntityRecord| rec.triples.retain(|t| t.predicate != tag);
+            w.commit(
+                OpKind::Upsert,
+                WriteBatch::new()
+                    .mutate(EntityId(from), untag)
+                    .upsert(tagged(to)),
+            )
+            .unwrap();
+        }
+        router
+            .wait_for_lsn(w.log().head(), Duration::from_secs(5))
+            .unwrap();
+        done.store(true, Ordering::Release);
+        reader.join().unwrap()
+    });
+    eprintln!("{torn} torn reads of {reads}");
+    assert_eq!(torn, 0, "{torn} of {reads} reads saw half an op");
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -200,9 +200,10 @@ pub enum FlushPolicy {
 /// How many of a durable log's newest operations stay decoded in memory.
 /// A follower within this many ops of the head is handed ops already
 /// decoded and shared; one further behind gets the older ones read back
-/// from the file. It matches a fleet worker's replay batch
-/// (`saga_live::replica::REPLAY_BATCH`), so a caught-up fleet never reads
-/// the file. An in-memory log keeps every op decoded.
+/// from the file. A fleet worker's replay batch
+/// (`saga_live::replica::REPLAY_BATCH`) is defined as this constant, so a
+/// caught-up fleet never reads the file. An in-memory log keeps every op
+/// decoded.
 pub const DECODED_TAIL: usize = 1024;
 
 struct LogInner {

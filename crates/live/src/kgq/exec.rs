@@ -483,7 +483,7 @@ mod tests {
         assert_eq!(eng.plan_cache_stats(), (1, 1), "warm hit");
 
         // An unrelated upsert: different name, type and predicates.
-        live.apply(&named(99, "Zed", "city"));
+        live.apply(&[named(99, "Zed", "city")]);
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
         assert_eq!(
             eng.plan_cache_stats(),
@@ -493,15 +493,15 @@ mod tests {
 
         // A write into a posting the plan reads (the song type probe)
         // keeps it warm too; execution sees the new member live.
-        live.apply(&named(98, "Encore", "song"));
-        live.apply(&Delta {
+        live.apply(&[named(98, "Encore", "song")]);
+        live.apply(&[Delta {
             entity: EntityId(98),
             added: vec![DeltaFact {
                 predicate: intern("performed_by"),
                 object: Value::Entity(EntityId(1)),
             }],
             removed: Vec::new(),
-        });
+        }]);
         assert_eq!(
             eng.query(q).unwrap().entities(),
             &[EntityId(3), EntityId(98)]
@@ -518,11 +518,11 @@ mod tests {
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
         // Rename the target: the cached compile-time resolution is stale.
-        live.apply(&Delta {
+        live.apply(&[Delta {
             entity: EntityId(1),
             added: vec![fact("name", "Queen B")],
             removed: vec![fact("name", "Beyoncé")],
-        });
+        }]);
         assert!(
             eng.query(q).unwrap().is_empty(),
             "the old name no longer resolves"
@@ -557,18 +557,18 @@ mod tests {
                 })
                 .collect(),
         };
-        live.apply(&beyonce);
+        live.apply(std::slice::from_ref(&beyonce));
         assert!(eng.query(q).unwrap().is_empty());
         assert_eq!(
             eng.plan_cache_stats(),
             (0, 2),
             "moved resolution recompiled"
         );
-        live.apply(&Delta {
+        live.apply(&[Delta {
             entity: EntityId(1),
             added: beyonce.removed.clone(),
             removed: Vec::new(),
-        });
+        }]);
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
         assert_eq!(eng.plan_cache_stats(), (0, 3));
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);

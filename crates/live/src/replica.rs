@@ -3,7 +3,7 @@
 //! §3.1: "all stores eventually index the same KG updates in the same
 //! order" — the shared log is the only coordination channel. This module
 //! closes that loop for serving: [`LiveReplica`] is a [`ReplicaKg`] — a
-//! sharded index and nothing else — built **purely** by replaying the
+//! partitioned index and nothing else — built **purely** by replaying the
 //! delta payloads the durable [`OperationLog`] carries. There is no code
 //! path from the replica into the construction-side `KnowledgeGraph`; a
 //! replica can run in another process or on another machine with nothing
@@ -16,21 +16,23 @@
 //! Deltas ship the *index vocabulary*: flattened `(predicate, value)`
 //! facts per entity (names + typed objects). Each one lands on the index
 //! as it arrived ([`TripleIndex::apply`](saga_core::TripleIndex::apply),
-//! O(delta)), and the index is the whole store: a point read materialises
-//! the entity's record from its SPO row, as simple triples ordered by
-//! predicate name, then value, with default metadata. Postings,
-//! conjunctions, name resolution and KGQ answers are identical to the
-//! source graph's; per-fact provenance and composite-relationship node
-//! structure are construction-side concerns that deliberately do not ride
-//! the log (composite facets arrive pre-flattened as `pred.facet`
-//! predicates, exactly as every index stores them).
+//! O(delta)), one op's deltas under one write lock so no read sees half
+//! an op ([`ReplicaKg::apply`]), and the index is the whole store: a
+//! point read materialises the entity's record from its SPO row, as
+//! simple triples ordered by predicate name, then value, with default
+//! metadata. Postings, conjunctions, name resolution and KGQ answers are
+//! identical to the source graph's; per-fact provenance and
+//! composite-relationship node structure are construction-side concerns
+//! that deliberately do not ride the log (composite facets arrive
+//! pre-flattened as `pred.facet` predicates, exactly as every index
+//! stores them).
 //!
 //! # Bootstrap
 //!
 //! Replaying all history makes startup `O(everything that ever happened)`.
 //! [`LiveReplica::bootstrap`] instead loads the newest usable
 //! [`saga_core::checkpoint`] artifact — skipping torn or corrupt ones —
-//! partitions its index across the replica's lock stripes
+//! splits its index into the replica's partitions under one lock
 //! ([`ReplicaKg::from_index`]; nothing is rebuilt beside it), and resumes
 //! the follower at the checkpoint watermark so only the log *tail*
 //! replays: startup proportional to live data. This is also what makes
@@ -41,16 +43,16 @@ use std::path::Path;
 use std::sync::Arc;
 
 use saga_core::{checkpoint, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError};
-use saga_graph::{IngestOp, LogFollower, OperationLog};
+use saga_graph::{LogFollower, OperationLog};
 
 use crate::store::ReplicaKg;
 
 /// How many operations one [`LiveReplica::catch_up`] poll pulls at a time;
 /// bounds peak memory while replaying a long backlog. Fleet replay workers
-/// pass the same bound to [`LiveReplica::catch_up_batch`]. It equals a
+/// pass the same bound to [`LiveReplica::catch_up_batch`]. It *is* a
 /// durable log's [`DECODED_TAIL`](saga_graph::oplog::DECODED_TAIL), so a
 /// fleet that keeps up is always served ops the log holds decoded.
-pub const REPLAY_BATCH: usize = 1024;
+pub const REPLAY_BATCH: usize = saga_graph::oplog::DECODED_TAIL;
 
 /// A [`ReplicaKg`] maintained solely from oplog replay. See the module docs.
 pub struct LiveReplica {
@@ -59,8 +61,8 @@ pub struct LiveReplica {
 }
 
 impl LiveReplica {
-    /// An empty replica with `shards` lock stripes, following `log` from
-    /// the beginning.
+    /// An empty replica in `shards` partitions under one lock, following
+    /// `log` from the beginning.
     pub fn new(shards: usize, log: Arc<OperationLog>) -> Self {
         LiveReplica {
             live: ReplicaKg::new(shards),
@@ -123,10 +125,9 @@ impl LiveReplica {
     pub fn catch_up(&mut self) -> Result<usize> {
         let mut applied = 0;
         loop {
-            let live = &self.live;
             let n = self
                 .follower
-                .poll_with(REPLAY_BATCH, |op| apply_op(live, op))?;
+                .poll_with(REPLAY_BATCH, |op| self.live.apply(&op.deltas))?;
             if n == 0 {
                 return Ok(applied);
             }
@@ -143,8 +144,8 @@ impl LiveReplica {
     /// entry pointers or frame offsets; reading frames back and the apply
     /// run after it is released.
     pub fn catch_up_batch(&mut self, max: usize) -> Result<usize> {
-        let live = &self.live;
-        self.follower.poll_with(max, |op| apply_op(live, op))
+        self.follower
+            .poll_with(max, |op| self.live.apply(&op.deltas))
     }
 
     /// The highest LSN fully applied to this replica.
@@ -157,16 +158,9 @@ impl LiveReplica {
         self.follower.lag()
     }
 
-    /// The serving store (cheaply cloneable; shares the replica's shards).
+    /// The serving store (cheaply cloneable; shares the replica's index).
     pub fn live(&self) -> &ReplicaKg {
         &self.live
-    }
-}
-
-/// Apply one operation's delta payloads.
-fn apply_op(live: &ReplicaKg, op: &IngestOp) {
-    for delta in &op.deltas {
-        live.apply(delta);
     }
 }
 
@@ -196,6 +190,8 @@ impl GraphRead for LiveReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use parking_lot::RwLock;
     use saga_core::{
         intern, Delta, DeltaFact, ExtendedTriple, FactMeta, FxHashSet, KnowledgeGraph, SourceId,
@@ -418,6 +414,59 @@ mod tests {
         assert_eq!(replica.catch_up_batch(100).unwrap(), 0, "caught up");
         assert_eq!(replica.watermark(), Lsn(5));
         assert_eq!(replica.lag(), 0);
+    }
+
+    /// Each op moves `tag = "x"` from one of entities 1 and 2 — two
+    /// partitions — to the other, as one remove and one add. A reader
+    /// probing the tag while the replica applies them must always find
+    /// exactly one holder: never the state between an op's two deltas.
+    #[test]
+    fn reads_never_see_half_an_op() {
+        const MOVES: u64 = 10_000;
+        let w = producer();
+        let tag = intern("tag");
+        let tagged = |id: u64| ExtendedTriple::simple(EntityId(id), tag, Value::str("x"), meta());
+        w.commit(OpKind::Upsert, WriteBatch::new().upsert(tagged(1)))
+            .unwrap();
+        for k in 0..MOVES {
+            let (from, to) = if k % 2 == 0 { (1, 2) } else { (2, 1) };
+            let untag = move |rec: &mut EntityRecord| rec.triples.retain(|t| t.predicate != tag);
+            w.commit(
+                OpKind::Upsert,
+                WriteBatch::new()
+                    .mutate(EntityId(from), untag)
+                    .upsert(tagged(to)),
+            )
+            .unwrap();
+        }
+        let mut replica = LiveReplica::new(2, Arc::clone(w.log()));
+        assert_eq!(replica.catch_up_batch(1).unwrap(), 1, "the first holder");
+        let live = replica.live().clone();
+        let probe = ProbeKey::Literal(tag, Value::str("x"));
+        let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (reads, torn) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut reads, mut torn) = (0u64, 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let holders = [
+                        live.postings_cursor(&probe).len(),
+                        live.probe_all_limit(&[&probe], 10).len(),
+                    ];
+                    reads += 2;
+                    torn += holders.iter().filter(|&&n| n != 1).count() as u64;
+                    started.store(true, Ordering::Release);
+                }
+                (reads, torn)
+            });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            assert_eq!(replica.catch_up().unwrap() as u64, MOVES);
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        eprintln!("{torn} torn reads of {reads}");
+        assert_eq!(torn, 0, "{torn} of {reads} reads saw half an op");
     }
 
     #[test]

@@ -3,134 +3,65 @@
 //! for low latency retrieval under high degrees of concurrent requests.
 //! The indexes are sharded and can be replicated to support scale-out."
 //!
-//! [`ShardedTripleIndex`] stripes the *same* [`TripleIndex`] the stable
-//! KG maintains, so stable and live serving share one probe path
-//! ([`ProbeKey`]) and one posting representation. Shards partition the
-//! entity-id space, so a conjunctive probe decomposes: each shard
+//! [`ShardedTripleIndex`] partitions the *same* [`TripleIndex`] the
+//! stable KG maintains, so stable and live serving share one probe path
+//! ([`ProbeKey`]) and one posting representation. Partitions split the
+//! entity-id space, so a conjunctive probe decomposes: each partition
 //! intersects its own postings and the disjoint, sorted results merge in
 //! id order.
 //!
-//! [`ReplicaKg`] serves over it: the index and its generation, nothing
-//! else. Every fact it learns arrives as a [`Delta`] in the index
-//! vocabulary — replayed from the log or restored from a checkpoint — so
-//! a record is materialised from the index's SPO row on read rather than
-//! kept twice. Live construction and curation commit through the log like
-//! every other producer, so the live graph is served by the same store.
+//! [`ReplicaKg`] serves over it: the partitions under one lock, and their
+//! generation, nothing else. An op lands whole under the write lock and
+//! every read takes the read lock once, so each read sees the store
+//! between two ops, never inside one. Every fact the store learns arrives
+//! as a [`Delta`] in the index vocabulary — replayed from the log or
+//! restored from a checkpoint — so a record is materialised from the
+//! index's SPO row on read rather than kept twice. Live construction and
+//! curation commit through the log like every other producer, so the live
+//! graph is served by the same store.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use saga_core::postings::{union_views, PostingsCursor, PostingsView};
 use saga_core::{
     Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, IndexHeap, ProbeKey,
     Symbol, TripleIndex, Value,
 };
 
-/// Upper bound on lock stripes; shard counts are clamped to `1..=MAX_SHARDS`.
-const MAX_SHARDS: usize = 1024;
+/// Upper bound on partitions; partition counts are clamped to
+/// `1..=MAX_PARTITIONS`.
+const MAX_PARTITIONS: usize = 1024;
 
-/// The unified triple index under lock striping: shard `i` indexes the
-/// entities with `id % shards == i`.
+/// The unified triple index in partitions: partition `i` indexes the
+/// entities with `id % partitions == i`, the split
+/// [`TripleIndex::partition`] produces. It holds no lock of its own;
+/// [`ReplicaKg`] keeps every partition under one.
 pub struct ShardedTripleIndex {
-    shards: Vec<RwLock<TripleIndex>>,
+    parts: Vec<TripleIndex>,
 }
 
 impl ShardedTripleIndex {
-    /// An empty index striped over `shards` locks.
-    pub fn new(shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_SHARDS);
-        ShardedTripleIndex {
-            shards: (0..n).map(|_| RwLock::new(TripleIndex::new())).collect(),
-        }
+    /// The partition holding `id`.
+    fn part(&self, id: EntityId) -> &TripleIndex {
+        &self.parts[(id.0 as usize) % self.parts.len()]
     }
 
-    /// A striped index over pre-partitioned shards: `parts[i]` must hold
-    /// exactly the entities with `id % parts.len() == i` — the contract
-    /// [`TripleIndex::partition`] produces. Postings arrive already in
-    /// their compressed form; nothing is re-indexed.
-    pub fn from_partitions(parts: Vec<TripleIndex>) -> Self {
-        assert!(!parts.is_empty(), "at least one shard required");
-        ShardedTripleIndex {
-            shards: parts.into_iter().map(RwLock::new).collect(),
-        }
-    }
-
-    /// The stripe holding `id`.
-    fn shard(&self, id: EntityId) -> &RwLock<TripleIndex> {
-        &self.shards[(id.0 as usize) % self.shards.len()]
-    }
-
-    /// Snapshot one probe's postings across shards as a single compressed
-    /// cursor. Shards partition the id space, so the per-shard block lists
-    /// union disjointly — the merge runs block-by-block in the compressed
-    /// domain ([`union_views`]), never materializing id vectors. Each
-    /// shard lock is taken one at a time (cloning the compressed list is
-    /// cheap) so a stream of cursor reads never stalls writers fleet-wide;
-    /// the union itself runs lock-free.
-    pub fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        let snapshots: Vec<saga_core::BlockPostings> = self
-            .shards
-            .iter()
-            .map(|shard| shard.read().postings(probe).to_cursor().into_list())
-            .collect();
-        let views: Vec<PostingsView> = snapshots
-            .iter()
-            .map(saga_core::BlockPostings::as_view)
-            .collect();
-        PostingsCursor::from_list(union_views(&views))
-    }
-
-    /// The first `limit` ids of a conjunction of probes: intersect within
-    /// each shard **in the compressed domain**, then merge the (disjoint)
-    /// per-shard results.
-    ///
-    /// Shards partition the id space, so each is evaluated independently,
-    /// inline on the calling thread, holding only its own read lock and
-    /// bounded by `limit` (no shard can contribute more than `limit` ids
-    /// to the first `limit` of the merge); a streaming k-way merge then
-    /// stops at `limit`. An empty posting short-circuits inside each
-    /// shard's intersection, so there is no selectivity pre-pass. Served
-    /// queries are capped at `MAX_LIMIT`, which bounds per-shard work at
-    /// microseconds: parallelism across requests (server workers) is the
-    /// only parallelism the serving path needs.
-    pub fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        let per_shard: Vec<Vec<EntityId>> = self
-            .shards
-            .iter()
-            .map(|shard| shard.read().probe_all_limit(probes, limit))
-            .collect();
-        merge_sorted_limit(per_shard, limit)
-    }
-
-    /// True if `id` is in the probe's posting list — a single-shard block
-    /// probe, no cross-shard merge.
-    pub fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.shard(id).read().postings(probe).contains(id)
-    }
-
-    /// Total posting length of a probe (selectivity estimation).
-    pub fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().selectivity(probe))
-            .sum()
-    }
-
-    /// Encoded payload bytes of all posting lists across shards (the
+    /// Encoded payload bytes of all posting lists across partitions (the
     /// postings gauge; see [`TripleIndex::index_bytes`]).
     pub fn index_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.read().index_bytes()).sum()
+        self.parts.iter().map(TripleIndex::index_bytes).sum()
     }
 
-    /// Estimated heap bytes of every shard's index, by family (see
+    /// Estimated heap bytes of every partition, by family (see
     /// [`TripleIndex::heap_bytes`]).
     pub fn heap_bytes(&self) -> IndexHeap {
-        self.shards
+        self.parts
             .iter()
-            .map(|s| s.read().heap_bytes())
+            .map(TripleIndex::heap_bytes)
             .fold(IndexHeap::default(), std::ops::Add::add)
     }
 }
@@ -170,62 +101,57 @@ fn merge_sorted_limit(mut lists: Vec<Vec<EntityId>>, limit: usize) -> Vec<Entity
     out
 }
 
-/// A log replica's serving store: the striped index and its generation,
-/// nothing else — cheaply shareable. Deltas land on the index as deltas
-/// ([`apply`](Self::apply)); records are materialised from the index on
-/// read.
+/// A log replica's serving store: the partitioned index under one lock,
+/// and its generation, nothing else — cheaply shareable. An op's deltas
+/// land together ([`apply`](Self::apply)); records are materialised from
+/// the index on read.
 #[derive(Clone)]
 pub struct ReplicaKg {
-    index: Arc<ShardedTripleIndex>,
-    /// Bumped on every write that lands ([`GraphRead::generation`]).
+    index: Arc<RwLock<ShardedTripleIndex>>,
+    /// Bumped once per delta that lands ([`GraphRead::generation`]).
     generation: Arc<AtomicU64>,
 }
 
 impl ReplicaKg {
-    /// An empty store with `shards` lock stripes.
-    pub fn new(shards: usize) -> Self {
-        ReplicaKg {
-            index: Arc::new(ShardedTripleIndex::new(shards)),
-            generation: Arc::new(AtomicU64::new(0)),
-        }
+    /// An empty store in `partitions` partitions.
+    pub fn new(partitions: usize) -> Self {
+        Self::over(TripleIndex::new(), partitions, 0)
     }
 
     /// A store over a checkpoint-restored index, split by
-    /// `subject % shards` as-is ([`TripleIndex::partition`]): postings
-    /// keep their compressed containers and nothing is re-indexed.
-    pub fn from_index(shards: usize, index: TripleIndex) -> Self {
-        let parts = index.partition(shards.clamp(1, MAX_SHARDS));
+    /// `subject % partitions` as-is ([`TripleIndex::partition`]):
+    /// postings keep their compressed containers and nothing is
+    /// re-indexed. Its generation starts past the empty store's, so a
+    /// fleet slot's generation moves across a respawn even before replay.
+    pub fn from_index(partitions: usize, index: TripleIndex) -> Self {
+        Self::over(index, partitions, 1)
+    }
+
+    fn over(index: TripleIndex, partitions: usize, generation: u64) -> Self {
+        let parts = index.partition(partitions.clamp(1, MAX_PARTITIONS));
         ReplicaKg {
-            index: Arc::new(ShardedTripleIndex::from_partitions(parts)),
-            // Start past the empty-store generation: a restored store is
-            // never reported as an empty `new()` one, so a fleet slot's
-            // generation moves across a respawn even before replay.
-            generation: Arc::new(AtomicU64::new(1)),
+            index: Arc::new(RwLock::new(ShardedTripleIndex { parts })),
+            generation: Arc::new(AtomicU64::new(generation)),
         }
     }
 
-    /// Land one delta on its entity's shard under one write lock: the
-    /// index's own O(delta) replay path, no record edit and no re-diff.
-    pub fn apply(&self, delta: &Delta) {
-        if delta.is_empty() {
-            return;
+    /// Land one op's deltas under one write lock, so a read sees all of
+    /// the op or none of it. Each delta takes the index's own O(delta)
+    /// replay path on its entity's partition — no record edit and no
+    /// re-diff — and bumps the generation once.
+    pub fn apply(&self, deltas: &[Delta]) {
+        let mut index = self.index.write();
+        let n = index.parts.len();
+        for delta in deltas.iter().filter(|d| !d.is_empty()) {
+            index.parts[(delta.entity.0 as usize) % n].apply(delta);
+            self.generation.fetch_add(1, Ordering::Release);
         }
-        let mut shard = self.index.shard(delta.entity).write();
-        shard.apply(delta);
-        self.bump();
-    }
-
-    fn bump(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Number of entities.
     pub fn len(&self) -> usize {
-        self.index
-            .shards
-            .iter()
-            .map(|s| s.read().entity_count())
-            .sum()
+        let index = self.index.read();
+        index.parts.iter().map(TripleIndex::entity_count).sum()
     }
 
     /// True if empty.
@@ -233,41 +159,50 @@ impl ReplicaKg {
         self.len() == 0
     }
 
-    /// The striped triple index.
-    pub fn index(&self) -> &ShardedTripleIndex {
-        &self.index
+    /// The partitioned index, read-locked. No [`GraphRead`] call on this
+    /// store may run while the guard is held: std's `RwLock` may queue a
+    /// second read behind a waiting writer, and that writer waits for
+    /// this guard — a deadlock.
+    pub fn index(&self) -> RwLockReadGuard<'_, ShardedTripleIndex> {
+        self.index.read()
     }
 }
 
-/// The store-over-index layer: postings and conjunctions come from the
-/// striped index, conjunctions evaluated shard by shard
-/// (see [`ShardedTripleIndex::probe_all_limit`]).
+/// The store-over-index layer: every method takes the read lock once, so
+/// each call answers from one state between two ops.
 impl GraphRead for ReplicaKg {
+    /// Partitions split the id space, so their borrowed views union
+    /// disjointly — block by block in the compressed domain
+    /// ([`union_views`]), never materializing id vectors.
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        self.index.postings_cursor(probe)
+        let index = self.index.read();
+        let views: Vec<PostingsView> = index.parts.iter().map(|p| p.postings(probe)).collect();
+        PostingsCursor::from_list(union_views(&views))
     }
 
     fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.index.selectivity(probe)
+        let index = self.index.read();
+        index.parts.iter().map(|p| p.selectivity(probe)).sum()
     }
 
+    /// A block probe of `id`'s partition, no merge.
     fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.index.probe_contains(probe, id)
+        self.index.read().part(id).postings(probe).contains(id)
     }
 
-    /// The entity's indexed facts as simple triples, read under one shard
-    /// lock and ordered by predicate name, then value — an order that
-    /// depends on the log alone, so every replica of one log answers
-    /// alike, in any process, however it was built. Provenance does not
-    /// ride the log: each fact carries `FactMeta::default()`.
+    /// The entity's indexed facts as simple triples, ordered by predicate
+    /// name, then value — an order that depends on the log alone, so every
+    /// replica of one log answers alike, in any process, however it was
+    /// built. Provenance does not ride the log: each fact carries
+    /// `FactMeta::default()`.
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         let mut facts: Vec<(Arc<str>, Symbol, Value)> = {
-            let shard = self.index.shard(id).read();
-            if !shard.contains(id) {
+            let index = self.index.read();
+            let part = index.part(id);
+            if !part.contains(id) {
                 return None;
             }
-            shard
-                .facts_of(id)
+            part.facts_of(id)
                 .map(|(p, v)| (p.text(), p, v.clone()))
                 .collect()
         };
@@ -280,15 +215,32 @@ impl GraphRead for ReplicaKg {
     }
 
     fn contains(&self, id: EntityId) -> bool {
-        self.index.shard(id).read().contains(id)
+        self.index.read().part(id).contains(id)
     }
 
     fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
+    /// Intersect within each partition **in the compressed domain**, then
+    /// merge the (disjoint) per-partition results.
+    ///
+    /// No partition can contribute more than `limit` ids to the first
+    /// `limit` of the merge, so each is evaluated bounded by `limit`,
+    /// inline on the calling thread; a streaming k-way merge then stops at
+    /// `limit`. An empty posting short-circuits inside each partition's
+    /// intersection, so there is no selectivity pre-pass. Served queries
+    /// are capped at `MAX_LIMIT`, which bounds per-partition work at
+    /// microseconds: parallelism across requests (server workers) is the
+    /// only parallelism the serving path needs.
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.index.probe_all_limit(probes, limit)
+        let index = self.index.read();
+        let per_part = index
+            .parts
+            .iter()
+            .map(|p| p.probe_all_limit(probes, limit))
+            .collect();
+        merge_sorted_limit(per_part, limit)
     }
 }
 
@@ -329,10 +281,10 @@ mod tests {
     #[test]
     fn heap_bytes_sums_the_shards_by_family() {
         let live = ReplicaKg::new(2);
-        live.apply(&named(1, "Warriors", "sports_team"));
-        live.apply(&named(2, "Lakers", "sports_team"));
+        live.apply(&[named(1, "Warriors", "sports_team")]);
+        live.apply(&[named(2, "Lakers", "sports_team")]);
         let index = live.index();
-        let shards: Vec<IndexHeap> = index.shards.iter().map(|s| s.read().heap_bytes()).collect();
+        let shards: Vec<IndexHeap> = index.parts.iter().map(TripleIndex::heap_bytes).collect();
         assert!(
             shards.iter().all(|heap| heap.total() > 0),
             "one entity per shard"
@@ -349,10 +301,10 @@ mod tests {
     fn upsert_get_remove_roundtrip() {
         let live = ReplicaKg::new(4);
         let warriors = named(1, "Warriors", "sports_team");
-        live.apply(&warriors);
+        live.apply(std::slice::from_ref(&warriors));
         assert!(live.contains(EntityId(1)));
         assert_eq!(live.record(EntityId(1)).unwrap().name(), Some("Warriors"));
-        live.apply(&undo(&warriors));
+        live.apply(&[undo(&warriors)]);
         assert!(!live.contains(EntityId(1)));
         assert!(live.record(EntityId(1)).is_none());
         assert!(live.postings(&name("warriors")).is_empty(), "index cleaned");
@@ -361,7 +313,7 @@ mod tests {
     #[test]
     fn name_index_tokenizes_and_keeps_full_phrase() {
         let live = ReplicaKg::new(4);
-        live.apply(&named(1, "Golden State Warriors", "sports_team"));
+        live.apply(&[named(1, "Golden State Warriors", "sports_team")]);
         assert_eq!(live.postings(&name("warriors")), vec![EntityId(1)]);
         assert_eq!(
             live.postings(&name("golden state warriors")),
@@ -377,7 +329,7 @@ mod tests {
         game.added
             .push(fact("home_team", Value::Entity(EntityId(50))));
         game.added.push(fact("carrier", Value::str("UA")));
-        live.apply(&game);
+        live.apply(&[game]);
         assert_eq!(
             live.postings(&ProbeKey::Edge(intern("home_team"), EntityId(50))),
             vec![EntityId(1)]
@@ -395,12 +347,12 @@ mod tests {
     #[test]
     fn replacing_a_record_reindexes() {
         let live = ReplicaKg::new(2);
-        live.apply(&named(1, "Old Name", "person"));
-        live.apply(&Delta {
+        live.apply(&[named(1, "Old Name", "person")]);
+        live.apply(&[Delta {
             entity: EntityId(1),
             added: vec![fact("name", Value::str("New Name"))],
             removed: vec![fact("name", Value::str("Old Name"))],
-        });
+        }]);
         assert!(live.postings(&name("old")).is_empty());
         assert_eq!(live.postings(&name("new")), vec![EntityId(1)]);
         assert_eq!(live.len(), 1);
@@ -431,7 +383,7 @@ mod tests {
     fn cross_shard_postings_merge_sorted() {
         let live = ReplicaKg::new(4); // ids spread over every shard
         for i in (1..=40u64).rev() {
-            live.apply(&named(i, &format!("Player {i}"), "athlete"));
+            live.apply(&[named(i, &format!("Player {i}"), "athlete")]);
         }
         let all = live.postings(&ProbeKey::Type(intern("athlete")));
         let expected: Vec<EntityId> = (1..=40).map(EntityId).collect();
@@ -452,8 +404,8 @@ mod tests {
             let single = ReplicaKg::new(1);
             for i in 1..=n {
                 let player = named(i, &format!("Player {i}"), "athlete");
-                sharded.apply(&player);
-                single.apply(&player);
+                sharded.apply(std::slice::from_ref(&player));
+                single.apply(std::slice::from_ref(&player));
             }
             let probes = [ProbeKey::Type(intern("athlete")), name("player")];
             let expected: Vec<EntityId> = (1..=n).map(EntityId).collect();
@@ -473,7 +425,7 @@ mod tests {
         let live = ReplicaKg::new(4);
         let g0 = live.generation();
         let warriors = named(1, "Golden State Warriors", "sports_team");
-        live.apply(&warriors);
+        live.apply(std::slice::from_ref(&warriors));
         assert!(live.generation() > g0, "writes bump generation");
         assert_eq!(
             live.postings(&ProbeKey::Type(intern("sports_team"))),
@@ -489,8 +441,29 @@ mod tests {
             Some("Golden State Warriors")
         );
         let g1 = live.generation();
-        live.apply(&undo(&warriors));
+        live.apply(&[undo(&warriors)]);
         assert!(live.generation() > g1, "removals bump too");
+        assert!(!live.contains(EntityId(1)));
+    }
+
+    #[test]
+    fn an_op_lands_whole_and_bumps_once_per_delta() {
+        let live = ReplicaKg::new(2);
+        let tag = || fact("tag", Value::str("x"));
+        let on = |id: u64| Delta {
+            entity: EntityId(id),
+            added: vec![tag()],
+            removed: Vec::new(),
+        };
+        live.apply(&[on(1)]);
+        let g0 = live.generation();
+        // Entities 1 and 2 sit in different partitions; the empty delta
+        // changes nothing and bumps nothing.
+        live.apply(&[undo(&on(1)), Delta::default(), on(2)]);
+        assert_eq!(live.generation(), g0 + 2);
+        let probe = ProbeKey::Literal(intern("tag"), Value::str("x"));
+        assert_eq!(live.postings(&probe), vec![EntityId(2)]);
+        assert_eq!(live.probe_all_limit(&[&probe], 10), vec![EntityId(2)]);
         assert!(!live.contains(EntityId(1)));
     }
 
@@ -498,7 +471,7 @@ mod tests {
     fn concurrent_reads_under_writes_are_safe() {
         let live = ReplicaKg::new(8);
         for i in 0..100u64 {
-            live.apply(&named(i, &format!("E{i}"), "person"));
+            live.apply(&[named(i, &format!("E{i}"), "person")]);
         }
         let l2 = live.clone();
         let reader = std::thread::spawn(move || {
@@ -513,7 +486,7 @@ mod tests {
             hits
         });
         for i in 100..200u64 {
-            live.apply(&named(i, &format!("E{i}"), "person"));
+            live.apply(&[named(i, &format!("E{i}"), "person")]);
         }
         let hits = reader.join().unwrap();
         assert!(hits > 0);

@@ -253,7 +253,7 @@ proptest! {
         assert_cached_equals_fresh(&engine, "restore");
         for (at, &(kind, a, b, pick)) in history.iter().enumerate() {
             for delta in step(&graph, kind, EntityId(a), EntityId(b), pick) {
-                graph.apply(&delta);
+                graph.apply(std::slice::from_ref(&delta));
                 assert_cached_equals_fresh(&engine, &format!("step {at}: {delta:?}"));
             }
         }
