@@ -9,18 +9,23 @@
 //! proportional to live data. See `docs/checkpoint.md` for the full
 //! contract.
 //!
-//! # Artifact format (version 1)
+//! # Artifact format (version 2)
 //!
 //! ```text
-//! SAGACKPT 1\n                      magic + format version (text line)
-//! {"version":1,...}\n               manifest (one compact JSON line)
+//! SAGACKPT 2\n                      magic + format version (text line)
+//! {"version":2,...}\n               manifest (one compact JSON line)
 //! <binary section bytes…>           concatenated, in manifest order
 //! ```
 //!
 //! The manifest names each section with its byte length and FNV-1a 64
 //! checksum (hex); the sections are `symbols` (predicate/dictionary
-//! strings), `objects` (the live object-value table), `records` (the SPO
-//! columns), and the three posting families `pos`, `osp`, `tokens`. All
+//! strings), `objects` (the live values that take a dictionary slot),
+//! `records` (the SPO columns), and the three posting families `pos`,
+//! `osp`, `tokens`. `records` and `pos` write each object as one varint
+//! reference: `i << 1` for `objects` entry `i`, `payload << 2 | 0b01` for
+//! an immediate `Int` and `payload << 2 | 0b11` for an immediate entity
+//! (see [`ObjId`]). An immediate never appears in `objects`, and an
+//! artifact of another version fails to load. All
 //! posting lists are written **block-wise** through
 //! [`BlockPostings::write_bytes`] — the compressed containers are copied
 //! byte-for-byte, never decompressed. Counts, strings and object values
@@ -31,7 +36,9 @@
 //!
 //! [`publish`] writes to a temporary name, fsyncs, then atomically renames
 //! into `ckpt-<watermark>.sagackpt` and fsyncs the directory — mirroring
-//! the oplog's torn-tail discipline at the artifact level. A reader
+//! the oplog's torn-tail discipline at the artifact level. A publish that
+//! fails before the rename leaves a `.tmp` straggler, which [`prune`]
+//! deletes once a newer artifact is published. A reader
 //! ([`load`]) re-verifies the magic, the manifest, every section length
 //! and checksum, and every structural invariant of the decoded postings;
 //! a torn or corrupt artifact is an error, and [`load_latest`] skips it in
@@ -54,10 +61,10 @@ use crate::postings::BlockPostings;
 use crate::{intern, EntityId, FxHashMap, Lsn, Result, SagaError, Symbol, TripleIndex, Value};
 
 /// Artifact format version this module writes and understands.
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
 
-/// Magic first line of every artifact.
-const MAGIC: &str = "SAGACKPT 1";
+/// Magic first line of every artifact: `SAGACKPT ` and the format version.
+const MAGIC: &str = "SAGACKPT 2";
 
 /// File extension of a published artifact.
 const EXTENSION: &str = "sagackpt";
@@ -101,37 +108,42 @@ impl CheckpointImage {
 /// Serialize `index` as a checkpoint image at `watermark`. Pure in-memory
 /// assembly: posting lists are copied block-wise in their compressed form.
 pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
-    // Symbol table: every predicate appearing in a column or posting key,
-    // sorted by text so the artifact is deterministic for a given index
-    // content regardless of interning order.
-    let mut symbols: Vec<Symbol> = Vec::new();
-    {
-        let mut seen: FxHashMap<Symbol, ()> = FxHashMap::default();
-        for facts in index.spo.values() {
-            for &(pred, _) in facts {
-                seen.entry(pred).or_insert(());
-            }
+    // Symbol table: every predicate of a posting key (each column fact has
+    // one), sorted by text so the artifact is deterministic for a given
+    // index content regardless of interning order. `sym_index` is indexed
+    // by symbol id: a fact costs an array load, not a hash.
+    let mut sym_index: Vec<u64> = Vec::new();
+    for &(pred, _) in index.pos.keys() {
+        let at = pred.0 as usize;
+        if at >= sym_index.len() {
+            sym_index.resize(at + 1, u64::MAX);
         }
-        for &(pred, _) in index.pos.keys() {
-            seen.entry(pred).or_insert(());
-        }
-        symbols.extend(seen.keys().copied());
-        symbols.sort_by_key(|s| s.text());
+        sym_index[at] = 0;
     }
-    let sym_index: FxHashMap<Symbol, u64> = symbols
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i as u64))
+    let mut symbols: Vec<Symbol> = (0..)
+        .zip(&sym_index)
+        .filter(|&(_, &at)| at != u64::MAX)
+        .map(|(id, _)| Symbol(id))
         .collect();
+    // `text()` takes the interner's lock: once per symbol, not per compare.
+    symbols.sort_by_cached_key(|s| s.text());
+    for (i, sym) in symbols.iter().enumerate() {
+        sym_index[sym.0 as usize] = i as u64;
+    }
 
-    // Object table: live dictionary slots only, in slot order; `obj_index`
-    // maps a source slot to its dense position in the artifact.
+    // Object table: live dictionary slots only, in slot order (immediates
+    // have none); `obj_index` maps a source slot to its dense position in
+    // the artifact.
     let mut obj_index: Vec<u64> = vec![u64::MAX; index.objects.slots()];
     let mut objects: Vec<&Value> = Vec::new();
     for (obj, value) in index.objects.live() {
         obj_index[obj.0 as usize] = objects.len() as u64;
         objects.push(value);
     }
+    let obj_ref = |obj: ObjId| match obj.as_immediate() {
+        None => obj_index[obj.0 as usize] << 1,
+        Some((entity, payload)) => u64::from(payload) << 2 | u64::from(entity) << 1 | 1,
+    };
 
     let mut sections: Vec<(&str, Vec<u8>)> = Vec::with_capacity(SECTIONS.len());
 
@@ -159,17 +171,17 @@ pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
         let facts = &index.spo[&entity];
         push_varint(&mut buf, facts.len() as u64);
         for &(pred, obj) in facts {
-            push_varint(&mut buf, sym_index[&pred]);
-            push_varint(&mut buf, obj_index[obj.0 as usize]);
+            push_varint(&mut buf, sym_index[pred.0 as usize]);
+            push_varint(&mut buf, obj_ref(obj));
         }
     }
     sections.push(("records", std::mem::take(&mut buf)));
 
-    // POS postings, sorted by (symbol index, object index).
+    // POS postings, sorted by (symbol index, object reference).
     let mut pos: Vec<(u64, u64, &BlockPostings)> = index
         .pos
         .iter()
-        .map(|(&(pred, obj), list)| (sym_index[&pred], obj_index[obj.0 as usize], list))
+        .map(|(&(pred, obj), list)| (sym_index[pred.0 as usize], obj_ref(obj), list))
         .collect();
     pos.sort_unstable_by_key(|&(s, o, _)| (s, o));
     push_varint(&mut buf, pos.len() as u64);
@@ -272,9 +284,9 @@ pub fn publish(dir: &Path, image: &CheckpointImage) -> Result<PathBuf> {
     // publish that discovery must skip.
     crate::failpoint!(crate::fail::sites::CHECKPOINT_PUBLISH);
     fs::rename(&tmp_path, &final_path)?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    // Until the directory is synced the new name may not survive a crash,
+    // so a caller must not compact the log to this watermark before then.
+    fs::File::open(dir)?.sync_all()?;
     Ok(final_path)
 }
 
@@ -290,34 +302,51 @@ pub struct CheckpointInfo {
 /// Enumerate published artifacts in `dir`, watermark-ascending. Temporary
 /// and foreign files are ignored; a missing directory is simply empty.
 pub fn artifacts(dir: &Path) -> Result<Vec<CheckpointInfo>> {
-    let mut out = Vec::new();
+    Ok(scan(dir)?.0)
+}
+
+/// The published artifacts of `dir` and the `.tmp` stragglers that failed
+/// publishes left, each watermark-ascending.
+fn scan(dir: &Path) -> Result<(Vec<CheckpointInfo>, Vec<CheckpointInfo>)> {
+    let (mut published, mut stragglers) = (Vec::new(), Vec::new());
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((published, stragglers)),
         Err(e) => return Err(e.into()),
     };
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
+        let (list, name) = match name.strip_suffix(".tmp") {
+            Some(name) => (&mut stragglers, name),
+            None => (&mut published, name),
+        };
         if let Some(watermark) = parse_artifact_name(name) {
-            out.push(CheckpointInfo {
+            list.push(CheckpointInfo {
                 watermark,
                 path: entry.path(),
             });
         }
     }
-    out.sort_by_key(|info| info.watermark);
-    Ok(out)
+    published.sort_by_key(|info| info.watermark);
+    stragglers.sort_by_key(|info| info.watermark);
+    Ok((published, stragglers))
 }
 
-/// Delete all but the newest `keep_last` artifacts; returns the removed
-/// paths. `keep_last == 0` removes everything.
+/// Delete all but the newest `keep_last` artifacts, and every `.tmp`
+/// straggler at or below the newest artifact's watermark (one above it
+/// may be a publish in flight); returns the removed paths.
+/// `keep_last == 0` removes every artifact.
 pub fn prune(dir: &Path, keep_last: usize) -> Result<Vec<PathBuf>> {
-    let all = artifacts(dir)?;
+    let (all, stragglers) = scan(dir)?;
+    let newest = all.last().map(|info| info.watermark);
     let cut = all.len().saturating_sub(keep_last);
-    let mut removed = Vec::with_capacity(cut);
-    for info in &all[..cut] {
+    let stale = stragglers
+        .iter()
+        .filter(|tmp| newest.is_some_and(|newest| tmp.watermark <= newest));
+    let mut removed = Vec::new();
+    for info in all[..cut].iter().chain(stale) {
         fs::remove_file(&info.path)?;
         removed.push(info.path.clone());
     }
@@ -348,8 +377,17 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
         .iter()
         .position(|&b| b == b'\n')
         .ok_or_else(|| err("missing magic line"))?;
-    if &raw[..magic_end] != MAGIC.as_bytes() {
-        return Err(err("bad magic (not a checkpoint or unsupported version)"));
+    let magic = &raw[..magic_end];
+    if magic != MAGIC.as_bytes() {
+        // Another version's artifact reports its version, like a manifest
+        // that names one.
+        return Err(match magic.strip_prefix(b"SAGACKPT ") {
+            Some(version) => err(format!(
+                "unsupported format version {}",
+                String::from_utf8_lossy(version)
+            )),
+            None => err("bad magic (not a checkpoint)"),
+        });
     }
     let manifest_end = raw[magic_end + 1..]
         .iter()
@@ -418,7 +456,8 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     // Decode into a fresh index. Interning is per-process, so symbols and
     // object ids are rebuilt from the tables; the artifact's dense object
-    // index doubles as the restored dictionary slot.
+    // index doubles as the restored dictionary slot, and an immediate
+    // reference is its own id.
     let mut index = TripleIndex::new();
 
     let bytes = sections["symbols"];
@@ -435,16 +474,22 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
     let bytes = sections["objects"];
     let mut at = 0usize;
     let nobjs = take_count(bytes, &mut at, 1)?;
-    if nobjs > u32::MAX as usize {
+    // Slot ids leave bit 31 to the immediates.
+    if nobjs > 1 << 31 {
         return Err(err("object table too large"));
     }
     // `take_count` has bounded `nobjs` by the section's length, so the
     // table is sized once; no slot is free, so value `i` takes slot `i`
-    // unless it repeats an earlier one.
+    // unless it repeats an earlier one. An immediate in the table would
+    // load under a second id beside its own and split its postings.
     index.objects = ObjDict::with_capacity(nobjs);
     for i in 0..nobjs {
         let value = take_value(bytes, &mut at)?;
-        if index.objects.intern(&value).0 as usize != i {
+        let id = index.objects.intern(&value);
+        if id.slot().is_none() {
+            return Err(err("immediate value in object table"));
+        }
+        if id.0 as usize != i {
             return Err(err("duplicate object value in table"));
         }
     }
@@ -458,9 +503,14 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
             .copied()
             .ok_or_else(|| err("symbol index out of range"))
     };
-    let obj_at = |i: u64| -> Result<ObjId> {
-        if (i as usize) < nobjs {
-            Ok(ObjId(i as u32))
+    // `i << 1` is table entry `i`; `payload << 2 | 0b01` an immediate
+    // `Int`, `payload << 2 | 0b11` an immediate entity.
+    let obj_at = |r: u64| -> Result<ObjId> {
+        if r & 1 == 1 {
+            ObjId::immediate(r & 0b10 != 0, r >> 2)
+                .ok_or_else(|| err("immediate object reference out of range"))
+        } else if ((r >> 1) as usize) < nobjs {
+            Ok(ObjId((r >> 1) as u32))
         } else {
             Err(err("object index out of range"))
         }
@@ -633,11 +683,11 @@ mod tests {
         for id in subjects {
             let mut fa: Vec<(String, Value)> = a
                 .facts_of(id)
-                .map(|(p, v)| (p.to_string(), v.clone()))
+                .map(|(p, v)| (p.to_string(), v.into_owned()))
                 .collect();
             let mut fb: Vec<(String, Value)> = b
                 .facts_of(id)
-                .map(|(p, v)| (p.to_string(), v.clone()))
+                .map(|(p, v)| (p.to_string(), v.into_owned()))
                 .collect();
             fa.sort_unstable_by(|x, y| x.partial_cmp(y).unwrap());
             fb.sort_unstable_by(|x, y| x.partial_cmp(y).unwrap());
@@ -802,16 +852,21 @@ mod tests {
         out
     }
 
-    /// Publish `edited` in place of a good artifact and load it.
-    fn load_edited(dir_name: &str, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Result<Checkpoint> {
+    /// Publish a good artifact with section `name` replaced by `edit`'s
+    /// bytes, and load it.
+    fn load_edited(
+        dir_name: &str,
+        name: &str,
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> Result<Checkpoint> {
         let dir = std::env::temp_dir().join(format!("{dir_name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let path = publish(&dir, &encode(Lsn(5), &sample_index(40))).unwrap();
         let full = fs::read(&path).unwrap();
         // The rewrite alone, with nothing edited, still loads.
-        fs::write(&path, rewrite_section(&full, "objects", <[u8]>::to_vec)).unwrap();
+        fs::write(&path, rewrite_section(&full, name, <[u8]>::to_vec)).unwrap();
         assert!(load(&path).is_ok(), "an identity rewrite loads");
-        fs::write(&path, rewrite_section(&full, "objects", edit)).unwrap();
+        fs::write(&path, rewrite_section(&full, name, edit)).unwrap();
         let loaded = load(&path);
         let _ = fs::remove_dir_all(&dir);
         loaded
@@ -826,7 +881,7 @@ mod tests {
 
     #[test]
     fn an_objects_section_that_repeats_a_value_is_rejected() {
-        let loaded = load_edited("saga-ckpt-dup", |bytes| {
+        let loaded = load_edited("saga-ckpt-dup", "objects", |bytes| {
             append_object(bytes, |values| take_value(values, &mut 0).unwrap())
         });
         assert_rejected(loaded, "duplicate object value in table");
@@ -834,10 +889,125 @@ mod tests {
 
     #[test]
     fn an_object_that_no_record_references_is_rejected() {
-        let loaded = load_edited("saga-ckpt-orphan", |bytes| {
+        let loaded = load_edited("saga-ckpt-orphan", "objects", |bytes| {
             append_object(bytes, |_| Value::str("referenced by nothing"))
         });
         assert_rejected(loaded, "object table entry referenced by no record");
+    }
+
+    #[test]
+    fn an_immediate_in_the_objects_section_is_rejected() {
+        // `rank` 3 is on a record as an immediate; a table entry for it too
+        // would load the value under a second id.
+        let loaded = load_edited("saga-ckpt-imm", "objects", |bytes| {
+            append_object(bytes, |_| Value::Int(3))
+        });
+        assert_rejected(loaded, "immediate value in object table");
+    }
+
+    #[test]
+    fn an_immediate_reference_past_30_bits_is_rejected() {
+        // The first record's first object reference becomes an `Int`
+        // immediate whose payload needs a 31st bit.
+        let loaded = load_edited("saga-ckpt-wide", "records", |bytes| {
+            let mut at = 0;
+            for _ in 0..4 {
+                // Entity count, id, fact count, predicate.
+                take_varint(bytes, &mut at).unwrap();
+            }
+            let start = at;
+            take_varint(bytes, &mut at).unwrap();
+            let mut out = bytes[..start].to_vec();
+            push_varint(&mut out, (1 << 30) << 2 | 0b01);
+            out.extend_from_slice(&bytes[at..]);
+            out
+        });
+        assert_rejected(loaded, "immediate object reference out of range");
+    }
+
+    #[test]
+    fn immediates_round_trip_at_the_range_boundaries() {
+        let edge = 1i64 << 29;
+        let values = [
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(edge - 1),
+            Value::Int(edge),
+            Value::Int(-edge),
+            Value::Int(-edge - 1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Entity(EntityId(0)),
+            Value::Entity(EntityId((1 << 30) - 1)),
+            Value::Entity(EntityId(1 << 30)),
+            Value::Entity(EntityId(u64::MAX)),
+        ];
+        let mut idx = TripleIndex::new();
+        let pred = intern("boundary");
+        for (i, value) in (1u64..).zip(&values) {
+            let mut r = EntityRecord::new(EntityId(i));
+            for v in [value, &values[i as usize % values.len()]] {
+                r.triples
+                    .push(ExtendedTriple::simple(EntityId(i), pred, v.clone(), meta()));
+            }
+            idx.update_entity(&r);
+        }
+        // Only the values past each boundary take slots.
+        assert_eq!(idx.obj_dict_len(), 6);
+
+        let dir = std::env::temp_dir().join(format!("saga-ckpt-edge-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = publish(&dir, &encode(Lsn(3), &idx)).unwrap();
+        let restored = load(&path).unwrap().index;
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            restored.obj_dict_len(),
+            6,
+            "the table holds the slotted six"
+        );
+        assert_eq!(restored.fact_count(), idx.fact_count());
+        for (i, value) in (1u64..).zip(&values) {
+            let facts = |index: &TripleIndex| -> Vec<Value> {
+                index
+                    .facts_of(EntityId(i))
+                    .map(|(_, v)| v.into_owned())
+                    .collect()
+            };
+            let mut want = facts(&idx);
+            let mut got = facts(&restored);
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "facts of {i}");
+            assert!(got.contains(value));
+            assert_eq!(
+                restored.by_literal(pred, value).to_vec(),
+                idx.by_literal(pred, value).to_vec(),
+                "postings of {value:?}"
+            );
+            if let Some(target) = value.as_entity() {
+                assert_eq!(
+                    restored.referencing(target).to_vec(),
+                    idx.referencing(target).to_vec(),
+                    "referrers of {target:?}"
+                );
+                assert!(!restored.referencing(target).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_artifact_is_unsupported_and_skipped() {
+        let dir = std::env::temp_dir().join(format!("saga-ckpt-v1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let old = publish(&dir, &encode(Lsn(4), &sample_index(20))).unwrap();
+        let newer = publish(&dir, &encode(Lsn(8), &sample_index(30))).unwrap();
+        let full = fs::read(&newer).unwrap();
+        let body = &full[MAGIC.len()..];
+        fs::write(&newer, [b"SAGACKPT 1".as_slice(), body].concat()).unwrap();
+        assert_rejected(load(&newer), "unsupported format version 1");
+        let (ckpt, path) = load_latest(&dir).unwrap().unwrap();
+        assert_eq!((ckpt.watermark, path), (Lsn(4), old));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -850,7 +1020,10 @@ mod tests {
             publish(&dir, &encode(Lsn(w), &idx)).unwrap();
         }
         // A stray temp file and a foreign file are ignored.
-        fs::write(dir.join("ckpt-00000000000000000099.sagackpt.tmp"), b"x").unwrap();
+        let in_flight = dir.join("ckpt-00000000000000000099.sagackpt.tmp");
+        let straggler = dir.join("ckpt-00000000000000000004.sagackpt.tmp");
+        fs::write(&in_flight, b"x").unwrap();
+        fs::write(&straggler, b"x").unwrap();
         fs::write(dir.join("README"), b"x").unwrap();
         let listed: Vec<u64> = artifacts(&dir)
             .unwrap()
@@ -859,8 +1032,12 @@ mod tests {
             .collect();
         assert_eq!(listed, vec![1, 3, 5, 9], "watermark-ascending");
 
+        // Pruning also deletes the straggler below the newest artifact,
+        // but not the one above it, which may be a publish in flight.
         let removed = prune(&dir, 2).unwrap();
-        assert_eq!(removed.len(), 2);
+        assert_eq!(removed.len(), 3);
+        assert!(removed.contains(&straggler) && !straggler.exists());
+        assert!(in_flight.exists());
         let listed: Vec<u64> = artifacts(&dir)
             .unwrap()
             .iter()

@@ -19,9 +19,12 @@
 //! # Representation
 //!
 //! Everything is interned: predicates, ontology types and name tokens are
-//! [`Symbol`]s; object values are mapped to dense [`ObjId`]s through a
-//! per-index dictionary. A fact is therefore a few machine words, and the
-//! three access paths of a triple store are:
+//! [`Symbol`]s; object values are mapped to [`ObjId`]s through a
+//! per-index dictionary. A value that fits in an id has no dictionary
+//! slot: an `Int` in −2²⁹ … 2²⁹−1 or an entity id below 2³⁰ is an
+//! *immediate* `ObjId` (bit 31 set), read and written by arithmetic. A fact
+//! is therefore a few machine words, and the three access paths of a
+//! triple store are:
 //!
 //! * **SPO** — per-subject sorted columns of `(predicate, object)` pairs
 //!   ([`TripleIndex::facts_of`]), the row view used for delta diffing;
@@ -43,6 +46,7 @@
 //! same extended-triple trick (§2.1) the analytics store uses, so both
 //! share one schema.
 
+use std::borrow::Cow;
 use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
@@ -52,9 +56,50 @@ use crate::postings::{intersect_views_limit, BlockPostings, PostingsView};
 use crate::well_known;
 use crate::{intern, EntityId, ExtendedTriple, FxHashMap, Symbol, Value};
 
-/// Dense id of an object value in a [`TripleIndex`]'s dictionary.
+/// Id of an object value in a [`TripleIndex`]: a dictionary slot below
+/// 2³¹, or an *immediate* that is the value itself. An immediate sets bit
+/// 31; bit 30 marks an entity rather than an `Int`, and the low 30 bits
+/// hold the payload: a zig-zag `Int` in −2²⁹ … 2²⁹−1, or an entity id
+/// below 2³⁰.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ObjId(pub(crate) u32);
+
+/// Bit 31 of an [`ObjId`]: the id is its value.
+const IMMEDIATE: u32 = 1 << 31;
+
+/// Bit 30 of an immediate: an entity id rather than an `Int`.
+const IMMEDIATE_ENTITY: u32 = 1 << 30;
+
+/// The payload bits of an immediate.
+const PAYLOAD: u32 = IMMEDIATE_ENTITY - 1;
+
+impl ObjId {
+    /// The immediate with this payload, if it fits in 30 bits: an entity
+    /// id when `entity`, else a zig-zag `Int`.
+    pub(crate) fn immediate(entity: bool, payload: u64) -> Option<ObjId> {
+        let tag = if entity { IMMEDIATE_ENTITY } else { 0 };
+        (payload <= u64::from(PAYLOAD)).then_some(ObjId(IMMEDIATE | tag | payload as u32))
+    }
+
+    /// The immediate that is `value`, if it has one.
+    fn of(value: &Value) -> Option<ObjId> {
+        match *value {
+            Value::Int(i) => ObjId::immediate(false, ((i << 1) ^ (i >> 63)) as u64),
+            Value::Entity(EntityId(e)) => ObjId::immediate(true, e),
+            _ => None,
+        }
+    }
+
+    /// `(is an entity, payload)` of an immediate; `None` for a slot.
+    pub(crate) fn as_immediate(self) -> Option<(bool, u32)> {
+        (self.0 & IMMEDIATE != 0).then_some((self.0 & IMMEDIATE_ENTITY != 0, self.0 & PAYLOAD))
+    }
+
+    /// The dictionary slot of a non-immediate.
+    pub(crate) fn slot(self) -> Option<usize> {
+        (self.0 & IMMEDIATE == 0).then_some(self.0 as usize)
+    }
+}
 
 /// One flattened fact of a [`Delta`]: the (possibly `pred.facet`-flattened)
 /// predicate and the object value.
@@ -188,15 +233,17 @@ impl TripleIndex {
         self.facts == 0
     }
 
-    /// Number of *live* object-dictionary entries (values currently
-    /// referenced by at least one indexed fact).
+    /// Number of *live* object-dictionary slots (values currently
+    /// referenced by at least one indexed fact). An immediate `Int` or
+    /// `Entity` takes none.
     pub fn obj_dict_len(&self) -> usize {
         self.objects.len()
     }
 
     /// Total dictionary slots ever allocated (live + recycled). Bounded by
-    /// the peak number of distinct concurrently-indexed values, not by
-    /// churn — the invariant the volatile-overwrite churn tests assert.
+    /// the peak number of distinct concurrently-indexed non-immediate
+    /// values, not by churn — the invariant the volatile-overwrite churn
+    /// tests assert.
     pub fn obj_dict_slots(&self) -> usize {
         self.objects.slots()
     }
@@ -273,7 +320,7 @@ impl TripleIndex {
     fn fact_of(&self, (predicate, obj): (Symbol, ObjId)) -> DeltaFact {
         DeltaFact {
             predicate,
-            object: self.objects.value(obj).clone(),
+            object: self.objects.value(obj).into_owned(),
         }
     }
 
@@ -337,7 +384,7 @@ impl TripleIndex {
             let (_, obj) = key;
             if present {
                 self.pos.entry(key).or_default().insert(entity);
-                if let Some(target) = self.objects.value(obj).as_entity() {
+                if let Some(target) = self.objects.entity(obj) {
                     self.osp.entry(target).or_default().insert(entity);
                 }
             } else {
@@ -347,7 +394,7 @@ impl TripleIndex {
                         self.pos.remove(&key);
                     }
                 }
-                if let Some(target) = self.objects.value(obj).as_entity() {
+                if let Some(target) = self.objects.entity(obj) {
                     // The same target may be referenced under another
                     // predicate; only drop OSP membership when none remain.
                     let any_left = self
@@ -400,7 +447,7 @@ impl TripleIndex {
                 if !names.contains(&pred) {
                     continue;
                 }
-                if let Value::Str(s) = self.objects.value(obj) {
+                if let Some(Value::Str(s)) = self.objects.slot_value(obj) {
                     for tok in name_tokens(s) {
                         out.push(Arc::from(tok.as_str()));
                     }
@@ -530,8 +577,12 @@ impl TripleIndex {
     // ------------------------------------------------------------------
 
     /// The flattened `(predicate, value)` facts of one subject, in sorted
-    /// column order (with multiplicity).
-    pub fn facts_of(&self, entity: EntityId) -> impl Iterator<Item = (Symbol, &Value)> + '_ {
+    /// column order (with multiplicity). A slot's value is borrowed; an
+    /// immediate's is built in place, with no allocation.
+    pub fn facts_of(
+        &self,
+        entity: EntityId,
+    ) -> impl Iterator<Item = (Symbol, Cow<'_, Value>)> + '_ {
         self.spo
             .get(&entity)
             .into_iter()
@@ -554,8 +605,8 @@ impl TripleIndex {
     /// live store's partitions under one lock). Posting lists are
     /// partitioned in a single decode pass and re-encoded per shard with
     /// the bulk [`BlockPostings::from_sorted`] path; each shard re-interns
-    /// only the object values its subjects actually reference.
-    /// `partition(1)` keeps the index whole.
+    /// only the object values its subjects actually reference, and an
+    /// immediate keeps its id. `partition(1)` keeps the index whole.
     pub fn partition(self, n: usize) -> Vec<TripleIndex> {
         assert!(n > 0, "at least one shard");
         if n == 1 {
@@ -579,11 +630,13 @@ impl TripleIndex {
             objects: &ObjDict,
             obj: ObjId,
         ) -> ObjId {
-            let slot = obj.0 as usize;
+            let Some(slot) = obj.slot() else {
+                return obj;
+            };
             if memo[slot] != u32::MAX {
                 return ObjId(memo[slot]);
             }
-            let local = shard.objects.intern(objects.value(obj));
+            let local = shard.objects.intern(&objects.values[slot]);
             memo[slot] = local.0;
             local
         }
@@ -718,7 +771,9 @@ const MAX_LOAD_EIGHTHS: usize = 7;
 const MIN_BUCKETS: usize = 8;
 
 /// The object-value dictionary: each value is held once, in `values`, and
-/// a table of 8-byte buckets finds its slot.
+/// a table of 8-byte buckets finds its slot. An `Int` or `Entity` that
+/// fits an immediate [`ObjId`] takes no slot, no count and no bucket: its
+/// id is computed from the value and back.
 ///
 /// `table` is open-addressed with linear probing over a power-of-two
 /// number of buckets. A bucket is `0` (empty) or `tag << 32 | (slot + 1)`,
@@ -782,8 +837,28 @@ impl ObjDict {
         self.values.len()
     }
 
-    fn value(&self, id: ObjId) -> &Value {
-        &self.values[id.0 as usize]
+    /// The value of `id`: borrowed from its slot, or built from an
+    /// immediate.
+    fn value(&self, id: ObjId) -> Cow<'_, Value> {
+        match id.as_immediate() {
+            None => Cow::Borrowed(&self.values[id.0 as usize]),
+            Some((true, payload)) => Cow::Owned(Value::Entity(EntityId(payload.into()))),
+            Some((false, payload)) => {
+                let zigzag = i64::from(payload);
+                Cow::Owned(Value::Int((zigzag >> 1) ^ -(zigzag & 1)))
+            }
+        }
+    }
+
+    /// The value in `id`'s slot; `None` for an immediate.
+    fn slot_value(&self, id: ObjId) -> Option<&Value> {
+        id.slot().map(|slot| &self.values[slot])
+    }
+
+    /// The entity `id` refers to, if it is one: arithmetic for an
+    /// immediate.
+    fn entity(&self, id: ObjId) -> Option<EntityId> {
+        self.value(id).as_entity()
     }
 
     /// The home bucket of `tag`: its top `log2(table.len())` bits.
@@ -821,12 +896,16 @@ impl ObjDict {
     }
 
     fn get(&self, value: &Value) -> Option<ObjId> {
-        self.find(value, tag_of(value))
+        ObjId::of(value).or_else(|| self.find(value, tag_of(value)))
     }
 
-    /// The id of `value`, which takes a slot (with no references) if it
-    /// has none: a recycled one before a new one.
+    /// The id of `value`: its immediate, or else its slot, which it takes
+    /// (with no references) if it has none: a recycled one before a new
+    /// one.
     pub(crate) fn intern(&mut self, value: &Value) -> ObjId {
+        if let Some(id) = ObjId::of(value) {
+            return id;
+        }
         let tag = tag_of(value);
         if let Some(id) = self.find(value, tag) {
             return id;
@@ -846,9 +925,11 @@ impl ObjDict {
                 slot
             }
             None => {
-                // `slot + 1` must fit a bucket's low half.
-                let slot =
-                    u32::try_from(self.values.len() + 1).expect("object dictionary overflow") - 1;
+                // A slot id must leave bit 31 to the immediates.
+                let slot = u32::try_from(self.values.len())
+                    .ok()
+                    .filter(|&slot| slot < IMMEDIATE)
+                    .expect("object dictionary overflow");
                 self.values.push(value.clone());
                 self.refs.push(0);
                 slot
@@ -859,21 +940,27 @@ impl ObjDict {
         ObjId(slot)
     }
 
-    /// Count one more fact occurrence of `id`.
+    /// Count one more fact occurrence of `id` (an immediate is not
+    /// counted).
     pub(crate) fn acquire(&mut self, id: ObjId) {
-        self.refs[id.0 as usize] += 1;
+        if let Some(slot) = id.slot() {
+            self.refs[slot] += 1;
+        }
     }
 
-    /// Count one fewer; true when none remain.
+    /// Count one fewer; true when a slot has none left.
     fn release(&mut self, id: ObjId) -> bool {
-        let refs = &mut self.refs[id.0 as usize];
+        let Some(slot) = id.slot() else {
+            return false;
+        };
+        let refs = &mut self.refs[slot];
         *refs -= 1;
         *refs == 0
     }
 
     /// Free `id`'s slot if no fact references it.
     fn reclaim(&mut self, id: ObjId) {
-        if self.refs[id.0 as usize] != 0 {
+        if id.slot().is_none_or(|slot| self.refs[slot] != 0) {
             return;
         }
         let value = std::mem::replace(&mut self.values[id.0 as usize], Value::Null);
@@ -1175,11 +1262,11 @@ mod tests {
         for id in [1u64, 2] {
             let a: Vec<(Symbol, Value)> = source
                 .facts_of(EntityId(id))
-                .map(|(p, v)| (p, v.clone()))
+                .map(|(p, v)| (p, v.into_owned()))
                 .collect();
             let b: Vec<(Symbol, Value)> = replayed
                 .facts_of(EntityId(id))
-                .map(|(p, v)| (p, v.clone()))
+                .map(|(p, v)| (p, v.into_owned()))
                 .collect();
             assert_eq!(a, b, "SPO agrees for entity {id}");
         }
@@ -1282,6 +1369,9 @@ mod tests {
         assert_eq!(intersect_sorted(&[&a]), a);
     }
 
+    /// An `Int` just past the immediate range: it takes a slot.
+    const SLOTTED_INT: i64 = 1 << 29;
+
     #[test]
     fn volatile_churn_does_not_grow_the_object_dictionary() {
         let mut idx = TripleIndex::new();
@@ -1289,19 +1379,22 @@ mod tests {
             1,
             &[
                 ("name", Value::str("Song A")),
-                ("popularity", Value::Int(0)),
+                ("popularity", Value::Int(SLOTTED_INT)),
+                ("rank", Value::Int(0)),
             ],
         ));
         let baseline = idx.obj_dict_slots();
+        assert_eq!(baseline, 2, "the immediate rank takes no slot");
         for i in 1..=1_000i64 {
             // Every cycle retracts the old popularity int and asserts a new
             // one — the §2.4 volatile-overwrite shape that used to leak a
-            // dictionary entry per cycle.
+            // dictionary entry per cycle. The rank churns as an immediate.
             idx.update_entity(&record(
                 1,
                 &[
                     ("name", Value::str("Song A")),
-                    ("popularity", Value::Int(i)),
+                    ("popularity", Value::Int(SLOTTED_INT + i)),
+                    ("rank", Value::Int(i)),
                 ],
             ));
             assert_eq!(idx.obj_dict_len(), 2, "cycle {i}: name + current int");
@@ -1341,15 +1434,17 @@ mod tests {
     #[test]
     fn recycled_slots_are_reused_for_new_values() {
         let mut idx = TripleIndex::new();
-        idx.update_entity(&record(1, &[("x", Value::Int(1)), ("y", Value::Int(2))]));
+        let x = |i: i64| Value::Int(SLOTTED_INT + i);
+        idx.update_entity(&record(1, &[("x", x(1)), ("y", x(2))]));
         let slots = idx.obj_dict_slots();
+        assert_eq!(slots, 2);
         idx.remove_entity(EntityId(1));
         assert_eq!(idx.obj_dict_len(), 0);
         // Two new values fit entirely in the recycled slots.
-        idx.update_entity(&record(2, &[("x", Value::Int(3)), ("y", Value::Int(4))]));
+        idx.update_entity(&record(2, &[("x", x(3)), ("y", x(4))]));
         assert_eq!(idx.obj_dict_slots(), slots, "free list reused");
-        assert_eq!(idx.by_literal(intern("x"), &Value::Int(3)), &[EntityId(2)]);
-        assert!(idx.by_literal(intern("x"), &Value::Int(1)).is_empty());
+        assert_eq!(idx.by_literal(intern("x"), &x(3)), &[EntityId(2)]);
+        assert!(idx.by_literal(intern("x"), &x(1)).is_empty());
     }
 
     /// Two distinct ints whose values hash to the same 32-bit tag, found
@@ -1364,6 +1459,9 @@ mod tests {
         let mut by_tag: FxHashMap<u32, i64> = FxHashMap::default();
         for _ in 0..1 << 22 {
             let i = rng.next_u64() as i64;
+            if ObjId::of(&Value::Int(i)).is_some() {
+                continue;
+            }
             match by_tag.insert(tag_of(&Value::Int(i)), i) {
                 Some(j) if j != i => return (j, i),
                 _ => {}
@@ -1380,18 +1478,33 @@ mod tests {
         let (a, b) = ints_with_equal_tags();
         assert_ne!(a, b);
         assert_eq!(tag_of(&Value::Int(a)), tag_of(&Value::Int(b)));
+        // Each side of each immediate boundary, with whether it is one.
+        let edge = 1i64 << 29;
+        let boundaries = [
+            (Value::Int(edge - 1), true),
+            (Value::Int(edge), false),
+            (Value::Int(-edge), true),
+            (Value::Int(-edge - 1), false),
+            (Value::Entity(EntityId((1 << 30) - 1)), true),
+            (Value::Entity(EntityId(1 << 30)), false),
+        ];
+        for (value, immediate) in &boundaries {
+            assert_eq!(ObjId::of(value).is_some(), *immediate, "{value:?}");
+        }
         let pool: Vec<Value> = (0..200)
             .map(|i| match i % 5 {
                 0 => Value::str(format!("value {i}")),
                 1 => Value::Entity(EntityId(i)),
                 2 => Value::Float(i as f64 / 4.0),
-                _ => Value::Int(i as i64 * 7_919),
+                3 => Value::Int(i as i64 * 7_919),
+                _ => Value::Int(-(i as i64) << 40),
             })
             .chain([Value::Int(a), Value::Int(b), Value::Bool(true), Value::Null])
+            .chain(boundaries.iter().map(|(value, _)| value.clone()))
             .collect();
 
         let mut rng = StdRng::seed_from_u64(0x0b1d);
-        let (mut grows, mut wrapped, mut twins_live) = (0, 0, 0);
+        let (mut grows, mut wrapped, mut twins_live, mut immediates_live) = (0, 0, 0, 0);
         for round in 0..40 {
             // Every round starts from an empty table, fills to a random
             // size and drains again, so the table grows from nothing and
@@ -1426,7 +1539,7 @@ mod tests {
                     let (id, refs) = model.get_mut(&value).unwrap();
                     let id = *id;
                     *refs -= 1;
-                    assert_eq!(dict.release(id), *refs == 0);
+                    assert_eq!(dict.release(id), *refs == 0 && id.slot().is_some());
                     if *refs == 0 {
                         model.remove(&value);
                     }
@@ -1437,13 +1550,21 @@ mod tests {
                 twins_live += usize::from(
                     model.contains_key(&Value::Int(a)) && model.contains_key(&Value::Int(b)),
                 );
-                assert_eq!(dict.len(), model.len());
+                // An immediate is its own id, live or not, and takes no
+                // slot; the table holds exactly the live slotted values.
+                let slotted = model.values().filter(|(id, _)| id.slot().is_some());
+                assert_eq!(dict.len(), slotted.count());
+                immediates_live += model.len() - dict.len();
                 for value in &pool {
                     assert_eq!(
                         dict.get(value),
-                        model.get(value).map(|&(id, _)| id),
+                        model.get(value).map(|&(id, _)| id).or(ObjId::of(value)),
                         "round {round} step {step}: lookup of {value:?}"
                     );
+                }
+                for (value, &(id, _)) in &model {
+                    assert_eq!(dict.value(id).as_ref(), value, "{id:?} reads back");
+                    assert_eq!(dict.entity(id), value.as_entity(), "{id:?}'s target");
                 }
                 for (id, value) in dict.live() {
                     assert_eq!(model[value].0, id);
@@ -1451,6 +1572,10 @@ mod tests {
             }
         }
         assert!(grows >= 100, "only {grows} grows");
+        assert!(
+            immediates_live >= 1_000,
+            "only {immediates_live} live immediates seen"
+        );
         assert!(wrapped >= 100, "only {wrapped} wrapped buckets seen");
         assert!(
             twins_live >= 100,
@@ -1463,8 +1588,10 @@ mod tests {
         let mut idx = TripleIndex::new();
         assert_eq!(idx.heap_bytes(), IndexHeap::default());
         // One literal fact: its POS list is an inline singleton, so the
-        // POS family is exactly its slots, and the gauge is one byte.
-        idx.update_entity(&record(1, &[("founded", Value::Int(1946))]));
+        // POS family is exactly its slots, and the gauge is one byte. The
+        // int lies outside the immediate range, so it takes a slot.
+        let founded = Value::Int(SLOTTED_INT + 1946);
+        idx.update_entity(&record(1, &[("founded", founded.clone())]));
         let heap = idx.heap_bytes();
         assert!(idx.pos.values().all(BlockPostings::is_inline));
         assert_eq!(heap.pos, table_bytes(&idx.pos));
@@ -1486,6 +1613,11 @@ mod tests {
         };
         assert_eq!(idx.objects.table.len(), MIN_BUCKETS);
         assert_eq!(heap.objects, dict_vectors(&idx.objects));
+        // An immediate takes no slot and adds nothing to the dictionary.
+        idx.update_entity(&record(7, &[("founded", Value::Int(1946))]));
+        assert_eq!(idx.obj_dict_slots(), 1);
+        assert_eq!(idx.heap_bytes().objects, heap.objects);
+        idx.remove_entity(EntityId(7));
         assert_eq!(
             heap.total(),
             heap.pos + heap.osp + heap.tokens + heap.objects + heap.spo
@@ -1494,9 +1626,9 @@ mod tests {
         // Forty subjects share the value: the run outgrows the header and
         // its box and bytes join the POS family.
         for id in 2..=40 {
-            idx.update_entity(&record(id * 1_000, &[("founded", Value::Int(1946))]));
+            idx.update_entity(&record(id * 1_000, &[("founded", founded.clone())]));
         }
-        let list = idx.by_literal(intern("founded"), &Value::Int(1946));
+        let list = idx.by_literal(intern("founded"), &founded);
         assert_eq!(list.len(), 40);
         let boxed = list.heap_bytes();
         assert!(
@@ -1507,11 +1639,12 @@ mod tests {
         assert_eq!(heap.pos, table_bytes(&idx.pos) + boxed);
 
         // A name and an edge add token slots, token strings and an OSP
-        // list; the name string is counted once in the dictionary.
+        // list; the name string is counted once in the dictionary, and the
+        // edge's immediate target not at all.
         idx.update_entity(&record(
             1,
             &[
-                ("founded", Value::Int(1946)),
+                ("founded", founded.clone()),
                 ("name", Value::str("Ada")),
                 ("knows", Value::Entity(EntityId(2_000))),
             ],
@@ -1520,7 +1653,7 @@ mod tests {
         assert_eq!(heap.osp, table_bytes(&idx.osp));
         let token_strings: usize = idx.tokens.keys().map(arc_str_bytes).sum();
         assert_eq!(heap.tokens, table_bytes(&idx.tokens) + token_strings);
-        assert_eq!(idx.obj_dict_len(), 3);
+        assert_eq!(idx.obj_dict_len(), 2);
         assert_eq!(
             heap.objects,
             dict_vectors(&idx.objects) + arc_str_bytes(&Arc::from("Ada"))

@@ -246,8 +246,10 @@ fn assert_index_matches_naive_scan(kg: &KnowledgeGraph, seed_label: &str) {
     let index = kg.index();
     // SPO: per-subject flattened multisets agree.
     for id in (1..16).map(EntityId) {
-        let mut got: Vec<(Symbol, Value)> =
-            index.facts_of(id).map(|(p, v)| (p, v.clone())).collect();
+        let mut got: Vec<(Symbol, Value)> = index
+            .facts_of(id)
+            .map(|(p, v)| (p, v.into_owned()))
+            .collect();
         got.sort_unstable();
         assert_eq!(
             got,
@@ -368,10 +370,14 @@ fn delta_feed_replay_reproduces_the_index() {
             "seed {seed}: entity counts"
         );
         for id in (1..16).map(EntityId) {
-            let mut a: Vec<(Symbol, Value)> =
-                replayed.facts_of(id).map(|(p, v)| (p, v.clone())).collect();
-            let mut b: Vec<(Symbol, Value)> =
-                index.facts_of(id).map(|(p, v)| (p, v.clone())).collect();
+            let mut a: Vec<(Symbol, Value)> = replayed
+                .facts_of(id)
+                .map(|(p, v)| (p, v.into_owned()))
+                .collect();
+            let mut b: Vec<(Symbol, Value)> = index
+                .facts_of(id)
+                .map(|(p, v)| (p, v.into_owned()))
+                .collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "seed {seed}: replayed SPO for {id}");

@@ -634,20 +634,31 @@ mod tests {
         let pop = intern(well_known::POPULARITY);
         let mut volatile = FxHashSet::default();
         volatile.insert(pop);
-        for cycle in 0..500i64 {
+        // Popularity ints past the immediate range, so each takes a slot.
+        let popularity = |i: i64| Value::Int((1 << 40) + i);
+        let overwrite = |kg: &mut KnowledgeGraph, one: Value, two: Value| {
             let fresh = vec![
-                ExtendedTriple::simple(EntityId(1), pop, Value::Int(cycle), meta(1)),
-                ExtendedTriple::simple(EntityId(2), pop, Value::Int(cycle + 7), meta(1)),
+                ExtendedTriple::simple(EntityId(1), pop, one, meta(1)),
+                ExtendedTriple::simple(EntityId(2), pop, two, meta(1)),
             ];
             kg.overwrite_volatile_partition(SourceId(1), &volatile, fresh);
+        };
+        for cycle in 0..500i64 {
+            overwrite(&mut kg, popularity(cycle), popularity(cycle + 7));
         }
         // Live entries: 2 names + 1 shared type + 2 current popularity ints.
         assert_eq!(kg.index().obj_dict_len(), 5);
+        let slots = kg.index().obj_dict_slots();
         assert!(
-            kg.index().obj_dict_slots() <= 8,
-            "per-cycle ints must be recycled, not accumulated: {} slots",
-            kg.index().obj_dict_slots()
+            slots <= 8,
+            "per-cycle ints must be recycled, not accumulated: {slots} slots"
         );
+        // Ints in the immediate range take no slot at all.
+        for cycle in 0..500i64 {
+            overwrite(&mut kg, Value::Int(cycle), Value::Int(cycle + 7));
+        }
+        assert_eq!(kg.index().obj_dict_len(), 3, "2 names + 1 shared type");
+        assert_eq!(kg.index().obj_dict_slots(), slots);
     }
 
     #[test]

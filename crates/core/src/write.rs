@@ -969,7 +969,7 @@ mod tests {
         batch.commit(&mut kg);
         let spo = |kg: &KnowledgeGraph| {
             let mut facts: Vec<(Symbol, Value)> = (kg.index().facts_of(EntityId(1)))
-                .map(|(p, v)| (p, v.clone()))
+                .map(|(p, v)| (p, v.into_owned()))
                 .collect();
             facts.sort_unstable();
             facts

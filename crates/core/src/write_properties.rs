@@ -189,12 +189,12 @@ fn assert_same_graph(direct: &KnowledgeGraph, batched: &KnowledgeGraph, label: &
         let mut a: Vec<(Symbol, Value)> = direct
             .index()
             .facts_of(*id)
-            .map(|(p, v)| (p, v.clone()))
+            .map(|(p, v)| (p, v.into_owned()))
             .collect();
         let mut b: Vec<(Symbol, Value)> = batched
             .index()
             .facts_of(*id)
-            .map(|(p, v)| (p, v.clone()))
+            .map(|(p, v)| (p, v.into_owned()))
             .collect();
         a.sort_unstable();
         b.sort_unstable();
@@ -285,12 +285,14 @@ fn batched_commits_equal_direct_mutators() {
             "seed {seed}: receipt replay"
         );
         for id in (1..12).map(EntityId) {
-            let mut a: Vec<(Symbol, Value)> =
-                replayed.facts_of(id).map(|(p, v)| (p, v.clone())).collect();
+            let mut a: Vec<(Symbol, Value)> = replayed
+                .facts_of(id)
+                .map(|(p, v)| (p, v.into_owned()))
+                .collect();
             let mut b: Vec<(Symbol, Value)> = direct
                 .index()
                 .facts_of(id)
-                .map(|(p, v)| (p, v.clone()))
+                .map(|(p, v)| (p, v.into_owned()))
                 .collect();
             a.sort_unstable();
             b.sort_unstable();

@@ -14,6 +14,8 @@
 //! the graph through [`ViewContext`]'s point reads, so its cost follows
 //! the change set, not the graph.
 
+use std::borrow::Cow;
+
 use saga_core::{
     EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, PostingsCursor, PostingsView,
     ProbeKey, Result, SagaError, Symbol, Value,
@@ -93,8 +95,12 @@ mod context {
             self.kg.entity(id)
         }
 
-        /// One entity's indexed `(predicate, object)` facts.
-        pub fn facts_of(&self, id: EntityId) -> impl Iterator<Item = (Symbol, &'a Value)> + 'a {
+        /// One entity's indexed `(predicate, object)` facts: a value is
+        /// borrowed from the index, or built in place for an immediate.
+        pub fn facts_of(
+            &self,
+            id: EntityId,
+        ) -> impl Iterator<Item = (Symbol, Cow<'a, Value>)> + 'a {
             self.kg.index().facts_of(id)
         }
 

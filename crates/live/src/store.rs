@@ -203,7 +203,7 @@ impl GraphRead for ReplicaKg {
                 return None;
             }
             part.facts_of(id)
-                .map(|(p, v)| (p.text(), p, v.clone()))
+                .map(|(p, v)| (p.text(), p, v.into_owned()))
                 .collect()
         };
         facts.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
