@@ -1,12 +1,10 @@
 //! Criterion micro-benchmarks for E8/E9 kernels: string similarities
-//! (deterministic vs learned), encoder training step, embedding SGD, and
-//! vector search.
+//! (deterministic vs learned), encoder training step and embedding SGD.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use saga_ml::embeddings::{train_in_memory, EdgeList, EmbeddingConfig};
 use saga_ml::simlib::{jaro_winkler, levenshtein, qgram_jaccard};
 use saga_ml::StringEncoder;
-use saga_vector::{IvfIndex, Metric, VectorStore};
 
 fn bench_ml(c: &mut Criterion) {
     let a = "Katherine Lindqvist";
@@ -39,25 +37,6 @@ fn bench_ml(c: &mut Criterion) {
             ..Default::default()
         };
         bch.iter(|| train_in_memory(&el, &cfg).1.steps)
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("vector_search");
-    let mut store = VectorStore::new(32, Metric::Cosine);
-    let mut seedv = vec![0.0f32; 32];
-    for i in 0..5_000u64 {
-        for (j, x) in seedv.iter_mut().enumerate() {
-            *x = ((i as f32) * 0.37 + j as f32 * 1.13).sin();
-        }
-        store.upsert(saga_core::EntityId(i), &seedv, None);
-    }
-    let query = store.get(saga_core::EntityId(123)).unwrap().to_vec();
-    group.bench_function("exact_5k", |bch| {
-        bch.iter(|| store.search(&query, 10, None))
-    });
-    let ivf = IvfIndex::build(&store, 32, 4, 5);
-    group.bench_function("ivf_5k_nprobe4", |bch| {
-        bch.iter(|| ivf.search(&query, 10, 4))
     });
     group.finish();
 }

@@ -197,6 +197,8 @@ struct SiteState {
     skip: u64,
     /// Firings left (`u64::MAX` = unlimited).
     left: u64,
+    /// Firings so far, counted before the action runs.
+    fired: u64,
 }
 
 struct Registry {
@@ -243,6 +245,7 @@ pub fn configure_scoped(site: Site, scope: &str, action: FailAction) {
     let state = SiteState {
         skip: action.after,
         left: action.times,
+        fired: 0,
         action,
     };
     if reg
@@ -287,6 +290,19 @@ pub fn hits(site: Site) -> u64 {
     registry().lock().hits.get(&site).copied().unwrap_or(0)
 }
 
+/// Times the entry armed under exactly `(site, scope)` has fired since it
+/// was configured; 0 if no such entry is armed. A firing counts before
+/// its action runs, so a delay counts while it is still sleeping. Unlike
+/// [`hits`], checks under other scopes never move it — a drill can wait
+/// for its own fault to land while other fleets check the same site.
+pub fn fired(site: Site, scope: &str) -> u64 {
+    registry()
+        .lock()
+        .entries
+        .get(&(site, scope.to_string()))
+        .map_or(0, |state| state.fired)
+}
+
 /// Check an unscoped site. Equivalent to [`check_scoped`] with `""`.
 pub fn check(site: Site) -> Result<()> {
     check_scoped(site, "")
@@ -299,7 +315,7 @@ pub fn check_scoped(site: Site, scope: &str) -> Result<()> {
     if !armed() {
         return Ok(());
     }
-    let fired = {
+    let kind = {
         let mut reg = registry().lock();
         *reg.hits.entry(site).or_insert(0) += 1;
         let state = match lookup(&mut reg, site, scope) {
@@ -316,11 +332,12 @@ pub fn check_scoped(site: Site, scope: &str) -> Result<()> {
         if state.left != u64::MAX {
             state.left -= 1;
         }
+        state.fired += 1;
         state.action.kind.clone()
         // Lock drops here: delays must never sleep under the registry
         // lock, or clear_all() could not un-wedge them.
     };
-    match fired {
+    match kind {
         FailKind::Error => Err(SagaError::Storage(format!(
             "failpoint {}: injected error",
             site.0
@@ -444,6 +461,22 @@ mod tests {
         clear(SITE);
         assert!(check_scoped(SITE, "s1").is_ok());
         assert!(!armed());
+        clear_all();
+    }
+
+    #[test]
+    fn fired_counts_only_its_own_entry() {
+        let _g = serial();
+        configure_scoped(SITE, "s1", FailAction::error().after(1));
+        assert!(check_scoped(SITE, "s0").is_ok());
+        assert_eq!((hits(SITE), fired(SITE, "s1")), (1, 0), "other scope");
+        assert!(check_scoped(SITE, "s1").is_ok());
+        assert_eq!(fired(SITE, "s1"), 0, "a skipped hit is not a firing");
+        assert!(check_scoped(SITE, "s1").is_err());
+        assert_eq!((hits(SITE), fired(SITE, "s1")), (3, 1));
+        assert_eq!(fired(SITE, ""), 0, "no unscoped entry is armed");
+        configure_scoped(SITE, "s1", FailAction::error());
+        assert_eq!(fired(SITE, "s1"), 0, "re-arming resets the count");
         clear_all();
     }
 

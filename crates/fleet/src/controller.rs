@@ -19,12 +19,14 @@
 //!    is ahead of it is stuck, not idle: it is drained (in-flight reads
 //!    finish) and respawned.
 //!
-//! [`FleetController::spawn_ticker`] runs the same pass on a fixed
-//! interval for long-lived deployments.
+//! A failed step does not end the pass: a checkpoint that cannot be
+//! published still lets dead slots respawn (from the older artifact and
+//! a longer tail), and a slot whose respawn fails does not hold back the
+//! slots after it. `tick` returns the first error once the pass is done.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use saga_core::{checkpoint, Lsn, Result};
@@ -94,8 +96,11 @@ impl FleetController {
     }
 
     /// One supervision pass; see the module docs for the three steps.
+    /// Every step runs even if an earlier one fails; the first error is
+    /// returned after the pass.
     pub fn tick(&self) -> Result<TickReport> {
         let mut report = TickReport::default();
+        let mut first_err = None;
 
         // 1. Checkpoint cadence — before respawns, so a respawn in the
         // same tick bootstraps from the freshest possible artifact.
@@ -104,51 +109,60 @@ impl FleetController {
             if head.saturating_sub(self.last_ckpt.load(Ordering::Relaxed))
                 >= self.pool.config().checkpoint_every
             {
-                let receipt = writer.checkpoint_and_compact()?;
-                self.last_ckpt.store(receipt.watermark.0, Ordering::Relaxed);
-                self.checkpoints.fetch_add(1, Ordering::Relaxed);
-                report.checkpointed = Some(receipt.watermark);
+                match writer.checkpoint_and_compact() {
+                    Ok(receipt) => {
+                        self.last_ckpt.store(receipt.watermark.0, Ordering::Relaxed);
+                        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+                        report.checkpointed = Some(receipt.watermark);
+                    }
+                    Err(e) => first_err = Some(e),
+                }
             }
         }
 
         // 2 + 3. Death and wedge detection.
         let head = self.pool.log().head().0;
         for (id, slot) in self.pool.slots().iter().enumerate() {
-            match slot.state() {
-                ReplicaState::Down => {
-                    self.pool.respawn(id)?;
+            let respawned = match slot.state() {
+                ReplicaState::Down => Some(self.pool.respawn(id)),
+                ReplicaState::Serving if self.wedged(id, head) => {
+                    Some(self.pool.drain(id).and_then(|()| self.pool.respawn(id)))
+                }
+                ReplicaState::Serving | ReplicaState::Draining => None,
+            };
+            match respawned {
+                Some(Ok(())) => {
                     self.reset_observed(id);
                     report.respawned.push(id);
                 }
-                ReplicaState::Serving => {
-                    let heartbeat = slot.heartbeat.load(Ordering::Relaxed);
-                    let watermark = slot.watermark.load(Ordering::SeqCst);
-                    let wedged = {
-                        let mut observed = self.observed.lock();
-                        let o = &mut observed[id];
-                        if o.heartbeat != heartbeat || o.watermark != watermark {
-                            *o = Observed {
-                                heartbeat,
-                                watermark,
-                                since: Instant::now(),
-                            };
-                            false
-                        } else {
-                            o.since.elapsed() >= self.pool.config().wedge_timeout
-                                && head > watermark
-                        }
-                    };
-                    if wedged {
-                        self.pool.drain(id)?;
-                        self.pool.respawn(id)?;
-                        self.reset_observed(id);
-                        report.respawned.push(id);
-                    }
+                Some(Err(e)) => {
+                    first_err.get_or_insert(e);
                 }
-                ReplicaState::Draining => {}
+                None => {}
             }
         }
-        Ok(report)
+        first_err.map_or(Ok(report), Err)
+    }
+
+    /// Whether serving slot `id` has frozen its heartbeat and watermark
+    /// for `wedge_timeout` while the log head is ahead of it. Progress
+    /// restarts the clock.
+    fn wedged(&self, id: usize, head: u64) -> bool {
+        let slot = &self.pool.slots()[id];
+        let heartbeat = slot.heartbeat.load(Ordering::Relaxed);
+        let watermark = slot.watermark.load(Ordering::SeqCst);
+        let mut observed = self.observed.lock();
+        let o = &mut observed[id];
+        if o.heartbeat != heartbeat || o.watermark != watermark {
+            *o = Observed {
+                heartbeat,
+                watermark,
+                since: Instant::now(),
+            };
+            false
+        } else {
+            o.since.elapsed() >= self.pool.config().wedge_timeout && head > watermark
+        }
     }
 
     fn reset_observed(&self, id: usize) {
@@ -197,33 +211,6 @@ impl FleetController {
             last_checkpoint: Lsn(self.last_ckpt.load(Ordering::Relaxed)),
             replicas,
         }
-    }
-
-    /// Run [`tick`](Self::tick) every `interval` on a supervisor thread
-    /// until the returned handle is dropped. Tick errors are counted on
-    /// the handle, not fatal — a transient checkpoint failure must not
-    /// kill supervision. Fails only if the OS refuses the thread.
-    pub fn spawn_ticker(self: &Arc<Self>, interval: Duration) -> Result<TickerHandle> {
-        let controller = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let errors = Arc::new(AtomicU64::new(0));
-        let stop_flag = Arc::clone(&stop);
-        let error_count = Arc::clone(&errors);
-        let handle = std::thread::Builder::new()
-            .name("fleet-controller".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::SeqCst) {
-                    if controller.tick().is_err() {
-                        error_count.fetch_add(1, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(interval);
-                }
-            })?;
-        Ok(TickerHandle {
-            stop,
-            errors,
-            handle: Some(handle),
-        })
     }
 }
 
@@ -281,27 +268,4 @@ pub struct FleetStats {
     pub last_checkpoint: Lsn,
     /// Per-slot health.
     pub replicas: Vec<ReplicaHealth>,
-}
-
-/// Stops and joins the supervisor thread on drop.
-pub struct TickerHandle {
-    stop: Arc<AtomicBool>,
-    errors: Arc<AtomicU64>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TickerHandle {
-    /// Tick errors swallowed so far (supervision keeps running).
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for TickerHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }

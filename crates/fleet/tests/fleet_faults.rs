@@ -533,7 +533,12 @@ fn all_stale_session_reads_time_out_rather_than_serve_stale() {
     // The wedged worker holds its replica, so the reader cannot catch it
     // up either.
     let _drill = arm(scope, FailAction::delay(Duration::from_secs(30)));
-    std::thread::sleep(Duration::from_millis(5)); // let the worker reach the site
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            fail::fired(sites::FLEET_WORKER_POLL, scope) == 1
+        }),
+        "the worker never reached its wedge"
+    );
     let commit = commit_person(&w, 2);
     let token = commit.session_token();
     let t0 = Instant::now();

@@ -1,8 +1,9 @@
 //! Knowledge-graph embeddings (§5.3).
 //!
 //! Saga trains multiple embedding models (TransE \[10\], DistMult \[85\]) over
-//! the relationship-only view of the KG and serves them through the Vector
-//! DB to unify fact ranking, fact verification and missing-fact imputation.
+//! the relationship-only view of the KG. The paper serves them through the
+//! Vector DB to unify fact ranking, fact verification and missing-fact
+//! imputation; that serving path has no caller here and is not built.
 //!
 //! Training billions of parameters does not fit accelerator memory, so the
 //! paper trains with Marius-style *external memory*: embeddings live in
@@ -14,10 +15,8 @@
 
 pub mod buffer;
 pub mod model;
-pub mod serve;
 pub mod train;
 
 pub use buffer::{BucketOrdering, BufferStats, PartitionBuffer, PartitionedTrainer};
 pub use model::{EdgeList, EmbeddingConfig, EmbeddingTable, ModelKind};
-pub use serve::EmbeddingServer;
 pub use train::{train_in_memory, EvalReport, TrainReport};

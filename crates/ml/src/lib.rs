@@ -16,8 +16,9 @@
 //!   (Fig. 14).
 //! * [`embeddings`] — KG embeddings (§5.3): TransE and DistMult trained
 //!   with negative sampling, either fully in memory or through a
-//!   Marius-style bounded partition buffer backed by disk, and served
-//!   through the Vector DB for fact ranking / verification / imputation.
+//!   Marius-style bounded partition buffer backed by disk. Serving them
+//!   through a Vector DB (fact ranking / verification / imputation) is
+//!   not built.
 
 pub mod embeddings;
 pub mod encoder;

@@ -1,21 +1,11 @@
 //! # saga-vector
 //!
-//! The Vector DB component of the Graph Engine (§3.1, Fig. 6).
+//! Dense-vector math: [`metric`] holds the inner product, norm, cosine
+//! similarity and normalization that `saga-ml`'s learned string encoder
+//! scores with.
 //!
-//! Stores dense embeddings keyed by [`EntityId`](saga_core::EntityId), supports exact and
-//! IVF-Flat approximate nearest-neighbour search under cosine / dot / L2
-//! metrics, and attribute filtering (e.g. "people embeddings only" — the
-//! Fig. 7 cross-engine view filters graph embeddings by entity type).
-//!
-//! Used by:
-//! * KG-embedding serving — missing-fact imputation searches
-//!   `f(θ_s, θ_p)` against all entity embeddings (§5.3);
-//! * NERD candidate retrieval (neural string similarity neighbourhoods).
+//! The paper's Vector DB (§3.1, Fig. 6), which serves KG embeddings for
+//! fact ranking, verification and imputation (§5.3), is not built here:
+//! it returns with its first caller.
 
-pub mod ivf;
 pub mod metric;
-pub mod store;
-
-pub use ivf::IvfIndex;
-pub use metric::Metric;
-pub use store::{SearchHit, VectorStore};

@@ -1,44 +1,9 @@
-//! Similarity / distance metrics over dense vectors.
-
-/// Supported vector metrics. For all three, **larger scores mean more
-/// similar** (L2 is negated) so one ranking convention serves all callers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Metric {
-    /// Cosine similarity in `[-1, 1]`.
-    Cosine,
-    /// Raw inner product.
-    Dot,
-    /// Negated Euclidean distance (0 is identical).
-    NegL2,
-}
-
-impl Metric {
-    /// Score `a` against `b`. Slices must have equal length.
-    #[inline]
-    pub fn score(self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        match self {
-            Metric::Cosine => cosine(a, b),
-            Metric::Dot => dot(a, b),
-            Metric::NegL2 => -l2(a, b),
-        }
-    }
-}
+//! Similarity over dense vectors.
 
 /// Inner product.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean distance.
-#[inline]
-pub fn l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f32>()
-        .sqrt()
 }
 
 /// L2 norm.
@@ -75,7 +40,6 @@ mod tests {
     #[test]
     fn dot_and_l2_basics() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((l2(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
     }
 
     #[test]
@@ -84,16 +48,6 @@ mod tests {
         assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
         assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-6);
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn metric_scores_rank_similar_higher() {
-        let q = [1.0, 0.0];
-        let close = [0.9, 0.1];
-        let far = [-0.5, 0.8];
-        for m in [Metric::Cosine, Metric::Dot, Metric::NegL2] {
-            assert!(m.score(&q, &close) > m.score(&q, &far), "{m:?}");
-        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   pipeline that commits each source through the log (§2.3–2.4).
 //! * [`graph`] — the Graph Engine: operation log and its followers,
 //!   columnar analytics store, view manager, entity importance (§3).
-//! * [`vector`] — the Vector DB: exact + IVF ANN search.
+//! * [`vector`] — dense-vector math (dot, norm, cosine) for the learned
+//!   string encoder; the paper's Vector DB is not built.
 //! * [`ml`] — graph ML: learned string similarity, the NERD stack, KG
 //!   embeddings with external-memory training (§5).
 //! * [`live`] — the Live Graph: streaming construction, KGQ query engine,
