@@ -12,24 +12,26 @@
 //!    respawn `O(live data + tail)` and the log bounded;
 //! 2. **death detection** — slots whose worker exited (panic, replay
 //!    error, kill) are `Down` via their drop guard and are respawned from
-//!    the newest checkpoint;
+//!    the newest checkpoint: the slot's store is refilled in place (see
+//!    the [`pool`](crate::pool) module docs);
 //! 3. **wedge detection** — a slot whose heartbeat *and* watermark have
 //!    both been frozen for longer than
 //!    [`wedge_timeout`](crate::FleetConfig::wedge_timeout) while the log
-//!    is ahead of it is stuck, not idle: it is drained (in-flight reads
-//!    finish) and respawned.
+//!    is ahead of it is stuck, not idle: it is respawned like a dead
+//!    slot, which marks it `Down` before waiting for its worker.
 //!
 //! A failed step does not end the pass: a checkpoint that cannot be
 //! published still lets dead slots respawn (from the older artifact and
 //! a longer tail), and a slot whose respawn fails does not hold back the
-//! slots after it. `tick` returns the first error once the pass is done.
+//! slots after it. The pass's [`TickReport`] carries what it did and
+//! every failure, in step order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use saga_core::{checkpoint, Lsn, Result};
+use saga_core::{checkpoint, Lsn, SagaError};
 use saga_graph::CheckpointWriter;
 
 use crate::pool::{ReplicaPool, ReplicaState};
@@ -96,11 +98,10 @@ impl FleetController {
     }
 
     /// One supervision pass; see the module docs for the three steps.
-    /// Every step runs even if an earlier one fails; the first error is
-    /// returned after the pass.
-    pub fn tick(&self) -> Result<TickReport> {
+    /// Every step runs even if an earlier one fails; the report lists the
+    /// failures beside what the pass did.
+    pub fn tick(&self) -> TickReport {
         let mut report = TickReport::default();
-        let mut first_err = None;
 
         // 1. Checkpoint cadence — before respawns, so a respawn in the
         // same tick bootstraps from the freshest possible artifact.
@@ -115,7 +116,7 @@ impl FleetController {
                         self.checkpoints.fetch_add(1, Ordering::Relaxed);
                         report.checkpointed = Some(receipt.watermark);
                     }
-                    Err(e) => first_err = Some(e),
+                    Err(e) => report.errors.push(e),
                 }
             }
         }
@@ -123,25 +124,18 @@ impl FleetController {
         // 2 + 3. Death and wedge detection.
         let head = self.pool.log().head().0;
         for (id, slot) in self.pool.slots().iter().enumerate() {
-            let respawned = match slot.state() {
-                ReplicaState::Down => Some(self.pool.respawn(id)),
-                ReplicaState::Serving if self.wedged(id, head) => {
-                    Some(self.pool.drain(id).and_then(|()| self.pool.respawn(id)))
-                }
-                ReplicaState::Serving | ReplicaState::Draining => None,
-            };
-            match respawned {
-                Some(Ok(())) => {
+            if slot.is_serving() && !self.wedged(id, head) {
+                continue;
+            }
+            match self.pool.respawn(id) {
+                Ok(()) => {
                     self.reset_observed(id);
                     report.respawned.push(id);
                 }
-                Some(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                None => {}
+                Err(e) => report.errors.push(e),
             }
         }
-        first_err.map_or(Ok(report), Err)
+        report
     }
 
     /// Whether serving slot `id` has frozen its heartbeat and watermark
@@ -188,7 +182,7 @@ impl FleetController {
                     state: s.state(),
                     watermark,
                     lag: head.0.saturating_sub(watermark.0),
-                    inflight: s.inflight.load(Ordering::SeqCst),
+                    inflight: s.inflight.load(Ordering::Relaxed),
                     served: s.served.load(Ordering::Relaxed),
                     errors: s.errors.load(Ordering::Relaxed),
                     respawns: s.respawns.load(Ordering::Relaxed),
@@ -214,13 +208,16 @@ impl FleetController {
     }
 }
 
-/// What one [`FleetController::tick`] did.
+/// What one [`FleetController::tick`] did, and what failed.
 #[derive(Debug, Default)]
 pub struct TickReport {
     /// Slots respawned this pass (dead or wedged).
     pub respawned: Vec<usize>,
     /// Watermark of the checkpoint taken this pass, if any.
     pub checkpointed: Option<Lsn>,
+    /// The pass's failures in step order: a failed checkpoint first, then
+    /// each failed respawn by slot.
+    pub errors: Vec<SagaError>,
 }
 
 /// Health of one serving slot.

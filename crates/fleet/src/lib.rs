@@ -12,7 +12,10 @@
 //!   [`REPLAY_BATCH`](saga_live::replica::REPLAY_BATCH) ops applied
 //!   outside the log lock, the slot's watermark as the one published
 //!   freshness state); a session read that finds no replica at its LSN
-//!   catches one up on its own thread.
+//!   catches one up on its own thread. A slot keeps one query engine for
+//!   life: [`kill`](ReplicaPool::kill) stops its worker, and a
+//!   [`respawn`](ReplicaPool::respawn) refills its replica's store in
+//!   place, so the engine keeps its plan cache.
 //! * [`router`] — [`FleetRouter`]: the single external query surface. It
 //!   routes each read to a *fresh* replica — never one trailing the fleet
 //!   median watermark by more than [`FleetConfig::lag_bound`] — preferring
@@ -22,7 +25,7 @@
 //!   (read-your-writes).
 //! * [`controller`] — the control plane: [`FleetController`] observes
 //!   per-slot heartbeats and watermarks, detects panicked and wedged
-//!   workers, drains and respawns them via checkpoint bootstrap, and runs
+//!   workers, respawns them via checkpoint bootstrap, and runs
 //!   [`checkpoint_and_compact`](saga_graph::CheckpointWriter::checkpoint_and_compact)
 //!   on a log-growth cadence so respawn stays `O(live data + tail)`.
 //!
@@ -73,9 +76,6 @@ pub struct FleetConfig {
     /// A worker whose heartbeat and watermark both freeze for this long
     /// while the log is ahead of it is declared wedged and respawned.
     pub wedge_timeout: Duration,
-    /// How long a drain waits for in-flight reads to finish before the
-    /// slot is respawned anyway.
-    pub drain_timeout: Duration,
     /// Checkpoint-and-compact once the log head has advanced this many
     /// operations past the last checkpoint watermark.
     pub checkpoint_every: u64,
@@ -96,7 +96,6 @@ impl Default for FleetConfig {
             lag_bound: 512,
             session_timeout: Duration::from_secs(2),
             wedge_timeout: Duration::from_millis(250),
-            drain_timeout: Duration::from_millis(100),
             checkpoint_every: 4096,
             fail_scope: String::new(),
         }

@@ -11,8 +11,8 @@
 //!
 //! Each slot's replica sits behind one mutex shared by its worker and by
 //! request threads. Every watermark is stored with that mutex held, so
-//! it is monotone for the life of a replica; a respawn swaps the
-//! replica, the engine and the watermark together under it.
+//! it is monotone for the life of the slot; a respawn refills the
+//! replica and stores its watermark together under it.
 //!
 //! A session read that finds no replica at its LSN does the missing
 //! apply itself: it `try_lock`s the freshest serving slot's replica,
@@ -32,40 +32,44 @@
 //! `stagger_polls` spreading the workers' first timeouts across the
 //! interval.
 //!
-//! # The no-stale-pin protocol
+//! # One engine per slot: a respawn refills the store in place
 //!
-//! A routed read pins a slot's engine (increments `inflight`, clones the
-//! engine `Arc`), then **re-checks** state and watermark. Draining stores
-//! `DRAINING` *before* waiting for `inflight == 0`; both sides use
-//! `SeqCst`, so if the reader's re-check still observes `SERVING`, the
-//! drain had not started and must subsequently wait for this pin to drop —
-//! the engine swap cannot happen under a pinned read, and a session read
-//! that re-verified `watermark >= token` keeps that guarantee for the
-//! engine it actually holds. A re-check that observes anything else
-//! releases the pin and re-routes.
+//! A slot serves one [`QueryEngine`] over its replica's [`ReplicaKg`] for
+//! its whole life. [`ReplicaPool::kill`] stops the slot: it marks it
+//! `Down` *before* joining the worker, so no new read routes to it and no
+//! caller starts to catch its replica up, then waits out a caller still
+//! applying; from then on the old replica does not move.
+//! [`ReplicaPool::respawn`] then bootstraps a fresh replica off to the
+//! side, to the log head, and moves its index and log position into the
+//! slot's store under the replica mutex: one write lock of the store and
+//! one generation bump, the way an op lands. The fresh replica is at
+//! least as far along as the stopped one, so the watermark and the
+//! generation only move forward, and a read pinned across the respawn
+//! sees the old store on one call and the refilled one on the next — as
+//! it would across an op boundary. The plan cache survives: a cached
+//! plan re-resolves its edge targets on every hit.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
-use saga_core::{GraphRead, Lsn, Result, SagaError};
+use parking_lot::Mutex;
+use saga_core::{Lsn, Result, SagaError};
 use saga_graph::OperationLog;
 use saga_live::replica::REPLAY_BATCH;
 use saga_live::{LiveReplica, QueryEngine, ReplicaKg};
 
 use crate::FleetConfig;
 
-/// Slot lifecycle, published as one atomic byte.
+/// Slot lifecycle, published as one atomic flag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplicaState {
     /// Caught up enough to serve (subject to the router's lag bound).
     Serving,
-    /// Excluded from new reads; in-flight reads are finishing.
-    Draining,
-    /// Worker dead (panicked, wedged-and-killed, or shut down).
+    /// Worker stopped or dead (panicked, killed, being respawned, or shut
+    /// down); no read routes here.
     Down,
 }
 
@@ -75,37 +79,26 @@ pub enum ReplicaState {
 /// rejoining service — goes unnoticed.
 const WAIT_POLL: Duration = Duration::from_micros(100);
 
-const STATE_SERVING: u8 = 0;
-const STATE_DRAINING: u8 = 1;
-const STATE_DOWN: u8 = 2;
-
 /// One serving slot: a replica and the query engine over its store,
 /// plus the atomics its supervisor and the router read.
 pub(crate) struct Slot {
     pub(crate) id: usize,
     /// The replica, shared by the slot's worker and by session reads
-    /// that catch it up themselves (see the module docs). Swapped only
-    /// on respawn.
+    /// that catch it up themselves (see the module docs). A respawn
+    /// refills it in place.
     replica: Mutex<LiveReplica>,
-    /// The serving engine. Swapped only on respawn, and only while no
-    /// read pins it (see the module docs); readers clone the `Arc` out
-    /// under a brief read lock.
-    engine: RwLock<Arc<QueryEngine<ReplicaKg>>>,
+    /// The serving engine over the replica's store, for the slot's whole
+    /// life (see the module docs).
+    pub(crate) engine: QueryEngine<ReplicaKg>,
     /// The replica's applied watermark, stored with the `replica` mutex
     /// held after each applied batch: the fleet's one published copy,
     /// which routing, the controller and session waits read — never the
     /// replica.
     pub(crate) watermark: AtomicU64,
-    /// Sum of the generations of this slot's *previous* engines: added to
-    /// the live engine's generation it keeps the slot (and fleet)
-    /// generation monotone across respawns, so a client polling the
-    /// wire `Generation` op never sees it move backwards. Changed only
-    /// under the `engine` write lock, together with the swap it accounts
-    /// for.
-    pub(crate) gen_floor: AtomicU64,
-    state: AtomicU8,
+    serving: AtomicBool,
     kill: AtomicBool,
-    /// Reads currently pinned to this slot's engine.
+    /// Reads currently pinned to this slot: a load count for routing,
+    /// which publishes no other data.
     pub(crate) inflight: AtomicU64,
     /// Queries served (successfully) by this slot.
     pub(crate) served: AtomicU64,
@@ -125,11 +118,10 @@ impl Slot {
     fn new(id: usize, replica: LiveReplica) -> Arc<Self> {
         Arc::new(Slot {
             id,
-            engine: RwLock::new(Arc::new(QueryEngine::new(replica.live().clone()))),
+            engine: QueryEngine::new(replica.live().clone()),
             watermark: AtomicU64::new(replica.watermark().0),
             replica: Mutex::new(replica),
-            gen_floor: AtomicU64::new(0),
-            state: AtomicU8::new(STATE_SERVING),
+            serving: AtomicBool::new(true),
             kill: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -142,29 +134,15 @@ impl Slot {
     }
 
     pub(crate) fn state(&self) -> ReplicaState {
-        match self.state.load(Ordering::SeqCst) {
-            STATE_SERVING => ReplicaState::Serving,
-            STATE_DRAINING => ReplicaState::Draining,
-            _ => ReplicaState::Down,
+        if self.is_serving() {
+            ReplicaState::Serving
+        } else {
+            ReplicaState::Down
         }
     }
 
     pub(crate) fn is_serving(&self) -> bool {
-        self.state.load(Ordering::SeqCst) == STATE_SERVING
-    }
-
-    /// Clone the serving engine out (brief read lock; only a respawn
-    /// takes the write lock).
-    pub(crate) fn engine(&self) -> Arc<QueryEngine<ReplicaKg>> {
-        Arc::clone(&self.engine.read())
-    }
-
-    /// This slot's generation: the floor accumulated over dead engines
-    /// plus the live engine's own counter, read under one engine lock so
-    /// a respawn's floor bump and swap are seen together or not at all.
-    pub(crate) fn generation(&self) -> u64 {
-        let engine = self.engine.read();
-        self.gen_floor.load(Ordering::Relaxed) + engine.graph().generation()
+        self.serving.load(Ordering::SeqCst)
     }
 
     /// Caller-side catch-up for a read waiting on `lsn`: if nobody holds
@@ -201,26 +179,22 @@ impl Slot {
         true
     }
 
-    /// Exclude the slot from new reads and wait (bounded) for pinned
-    /// reads to finish. `SeqCst` pairs with the router's pin re-check.
-    fn drain(&self, timeout: Duration) {
-        self.state.store(STATE_DRAINING, Ordering::SeqCst);
-        let deadline = std::time::Instant::now() + timeout;
-        while self.inflight.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-
-    /// Tell the worker to exit — waking it if it is parked on `wake` —
-    /// and join it. Panicked workers were already recorded by their drop
-    /// guard; the join result is irrelevant.
+    /// Take the slot out of service: mark it `Down` first, so no new
+    /// read routes here and no caller starts to catch the replica up, then
+    /// tell the worker to exit — waking it if it is parked on `wake` —
+    /// join it, and wait out a caller still applying. On return the
+    /// replica no longer moves. Panicked workers were already recorded by
+    /// their drop guard; the join result is irrelevant.
     fn stop_worker(&self, wake: &WaitCell) {
+        self.serving.store(false, Ordering::SeqCst);
         self.kill.store(true, Ordering::SeqCst);
         wake.notify_workers();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
-        self.state.store(STATE_DOWN, Ordering::SeqCst);
+        // A caller that took the replica before the state changed may
+        // still be applying; one that takes it later sees `Down`.
+        drop(self.replica.lock());
     }
 }
 
@@ -233,7 +207,7 @@ impl Drop for DownOnExit {
         if std::thread::panicking() {
             self.0.errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.0.state.store(STATE_DOWN, Ordering::SeqCst);
+        self.0.serving.store(false, Ordering::SeqCst);
     }
 }
 
@@ -246,7 +220,7 @@ struct DownOnPanic<'a>(&'a Slot);
 impl Drop for DownOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.state.store(STATE_DOWN, Ordering::SeqCst);
+            self.0.serving.store(false, Ordering::SeqCst);
         }
     }
 }
@@ -450,55 +424,42 @@ impl ReplicaPool {
         })
     }
 
-    /// Hard-stop replica `id`: drain briefly, kill its worker, mark it
-    /// `Down`. The slot serves nothing until [`respawn`](Self::respawn).
+    /// Stop replica `id`: mark it `Down`, then stop its worker (see the
+    /// module docs). The slot serves nothing until
+    /// [`respawn`](Self::respawn).
     pub fn kill(&self, id: usize) -> Result<()> {
-        let slot = self.slot(id)?;
-        slot.drain(self.cfg.drain_timeout);
-        slot.stop_worker(&self.wake);
+        self.slot(id)?.stop_worker(&self.wake);
         Ok(())
     }
 
-    /// Drain replica `id` (used by the controller before respawning a
-    /// wedged worker, so pinned reads finish first).
-    pub(crate) fn drain(&self, id: usize) -> Result<()> {
-        self.slot(id)?.drain(self.cfg.drain_timeout);
-        Ok(())
-    }
-
-    /// Rebuild replica `id` from the newest usable checkpoint plus the
-    /// log tail, swap it into the slot and restart its worker. The
-    /// replica, the engine and the watermark are swapped together under
-    /// the replica mutex, and the dead engine's generation folds into the
-    /// slot's floor under the same engine write lock as the swap, so the
-    /// slot-level generation stays monotone through the bootstrap and
-    /// across the swap. A failed bootstrap leaves the slot untouched; a
-    /// failed worker spawn leaves it `Down`.
+    /// Stop replica `id`, bootstrap a fresh replica from the newest usable
+    /// checkpoint plus the log tail, refill the slot's store with it in
+    /// place and restart the worker (see the module docs). The store and
+    /// the watermark change together under the replica mutex; the old
+    /// index is dropped after it is released. A failed bootstrap or
+    /// worker spawn leaves the slot `Down`.
     pub fn respawn(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
         slot.stop_worker(&self.wake);
         let fresh = LiveReplica::bootstrap(self.cfg.shards, &self.ckpt_dir, Arc::clone(&self.log))?;
-        {
-            let mut replica = slot.replica.lock();
-            let mut engine = slot.engine.write();
-            slot.gen_floor
-                .fetch_add(engine.graph().generation(), Ordering::Relaxed);
-            *engine = Arc::new(QueryEngine::new(fresh.live().clone()));
-            slot.watermark.store(fresh.watermark().0, Ordering::SeqCst);
-            *replica = fresh;
-        }
+        let mut replica = slot.replica.lock();
+        let old = replica.replace_with(fresh);
+        slot.watermark
+            .store(replica.watermark().0, Ordering::SeqCst);
+        drop(replica);
+        drop(old);
         slot.kill.store(false, Ordering::SeqCst);
         slot.respawns.fetch_add(1, Ordering::Relaxed);
         // Serving from here on; the router's lag bound keeps routed reads
         // away until the fresh replica is within bound of the median.
-        slot.state.store(STATE_SERVING, Ordering::SeqCst);
+        slot.serving.store(true, Ordering::SeqCst);
         let handle = spawn_worker(
             Arc::clone(slot),
             self.cfg.clone(),
             Arc::clone(&self.wake),
             Duration::ZERO,
         )
-        .inspect_err(|_| slot.state.store(STATE_DOWN, Ordering::SeqCst))?;
+        .inspect_err(|_| slot.serving.store(false, Ordering::SeqCst))?;
         *slot.worker.lock() = Some(handle);
         Ok(())
     }

@@ -14,6 +14,12 @@
 //! 3. **load** — among the survivors, pick the fewest in-flight reads,
 //!    rotating the tie-break so equal loads spread round-robin.
 //!
+//! The pick is pinned as a [`RoutedRead`], which counts as load until it
+//! is dropped; that is all a pin does. A slot keeps one engine for life,
+//! and a respawn refills its store in place at a watermark no lower than
+//! the old one (see the [`pool`](crate::pool) module docs), so a pinned
+//! read, session reads included, never needs to re-check its slot.
+//!
 //! A session read with *no* eligible replica catches one up itself: it
 //! takes the freshest serving slot's replica if nobody holds it, applies
 //! the ops up to its token and routes again (see the
@@ -123,120 +129,113 @@ impl FleetRouter {
     /// loaded survivor and pin it. Returns `None` when no serving slot
     /// qualifies.
     fn pick_pinned(&self, min_lsn: Option<Lsn>) -> Option<RoutedRead> {
-        'route: loop {
-            let slots = self.pool.slots();
-            let mut fresh: Vec<(&Arc<Slot>, u64)> = slots
-                .iter()
-                .filter(|s| s.is_serving())
-                .map(|s| (s, s.watermark.load(Ordering::SeqCst)))
-                .collect();
-            if fresh.is_empty() {
-                return None;
-            }
-            let mut marks: Vec<u64> = fresh.iter().map(|(_, w)| *w).collect();
-            marks.sort_unstable();
-            let median = marks[marks.len() / 2];
-            let bound = self.pool.config().lag_bound;
-            let before = fresh.len();
-            fresh.retain(|(_, w)| median.saturating_sub(*w) <= bound);
-            self.pool
-                .lag_skips
-                .fetch_add((before - fresh.len()) as u64, Ordering::Relaxed);
-            if let Some(min) = min_lsn {
-                let before = fresh.len();
-                fresh.retain(|(_, w)| *w >= min.0);
-                self.pool
-                    .session_skips
-                    .fetch_add((before - fresh.len()) as u64, Ordering::Relaxed);
-            }
-            if fresh.is_empty() {
-                return None;
-            }
-            // Least-loaded, with a rotating start so ties round-robin.
-            let rot = self.pool.rr.fetch_add(1, Ordering::Relaxed) as usize;
-            let n = fresh.len();
-            let mut best: Option<&Arc<Slot>> = None;
-            let mut best_load = u64::MAX;
-            for k in 0..n {
-                let (slot, _) = fresh[(rot + k) % n];
-                let load = slot.inflight.load(Ordering::Relaxed);
-                if load < best_load {
-                    best_load = load;
-                    best = Some(slot);
-                }
-            }
-            let slot = Arc::clone(best?);
-
-            // Pin, then re-check: see the pool module docs. A slot that
-            // was drained or respawned between the scan and the pin is
-            // released and routing retries from scratch.
-            slot.inflight.fetch_add(1, Ordering::SeqCst);
-            let still_fresh = min_lsn
-                .map(|min| slot.watermark.load(Ordering::SeqCst) >= min.0)
-                .unwrap_or(true);
-            if !slot.is_serving() || !still_fresh {
-                slot.inflight.fetch_sub(1, Ordering::SeqCst);
-                continue 'route;
-            }
-            let engine = slot.engine();
-            return Some(RoutedRead { slot, engine });
+        let slots = self.pool.slots();
+        let mut fresh: Vec<(&Arc<Slot>, u64)> = slots
+            .iter()
+            .filter(|s| s.is_serving())
+            .map(|s| (s, s.watermark.load(Ordering::SeqCst)))
+            .collect();
+        if fresh.is_empty() {
+            return None;
         }
+        let mut marks: Vec<u64> = fresh.iter().map(|(_, w)| *w).collect();
+        marks.sort_unstable();
+        let median = marks[marks.len() / 2];
+        let bound = self.pool.config().lag_bound;
+        let before = fresh.len();
+        fresh.retain(|(_, w)| median.saturating_sub(*w) <= bound);
+        self.pool
+            .lag_skips
+            .fetch_add((before - fresh.len()) as u64, Ordering::Relaxed);
+        if let Some(min) = min_lsn {
+            let before = fresh.len();
+            fresh.retain(|(_, w)| *w >= min.0);
+            self.pool
+                .session_skips
+                .fetch_add((before - fresh.len()) as u64, Ordering::Relaxed);
+        }
+        if fresh.is_empty() {
+            return None;
+        }
+        // Least-loaded, with a rotating start so ties round-robin.
+        let rot = self.pool.rr.fetch_add(1, Ordering::Relaxed) as usize;
+        let n = fresh.len();
+        let mut best: Option<&Arc<Slot>> = None;
+        let mut best_load = u64::MAX;
+        for k in 0..n {
+            let (slot, _) = fresh[(rot + k) % n];
+            let load = slot.inflight.load(Ordering::Relaxed);
+            if load < best_load {
+                best_load = load;
+                best = Some(slot);
+            }
+        }
+        best.map(|slot| RoutedRead::pin(Arc::clone(slot)))
     }
 
-    /// The engine routing would pick right now, with a best-effort
-    /// fallback to the freshest slot regardless of state — `GraphRead`
-    /// has no error channel, and a raw read against a draining store is
-    /// merely conservative, never wrong.
-    fn route_engine(&self) -> Arc<QueryEngine<ReplicaKg>> {
-        if let Some(read) = self.pick_pinned(None) {
-            return Arc::clone(&read.engine);
-        }
-        let slots = self.pool.slots();
-        let freshest = slots
-            .iter()
-            .max_by_key(|s| s.watermark.load(Ordering::SeqCst))
-            .expect("a fleet has at least one replica");
-        freshest.engine()
+    /// The replica routing would pick right now, pinned, with a
+    /// best-effort fallback to the freshest slot regardless of state —
+    /// `GraphRead` has no error channel, and a raw read against a stopped
+    /// store is merely conservative, never wrong.
+    fn route(&self) -> RoutedRead {
+        self.pick_pinned(None).unwrap_or_else(|| {
+            let freshest = self
+                .pool
+                .slots()
+                .iter()
+                .max_by_key(|s| s.watermark.load(Ordering::SeqCst))
+                .expect("a fleet has at least one replica");
+            RoutedRead::pin(Arc::clone(freshest))
+        })
     }
 }
 
-/// `GraphRead` over the fleet: each call routes like a query, and what
-/// no caller needs routed on its own (`postings`, `selectivity`,
-/// membership) is the trait's provided derivation. The fleet generation
-/// is the sum of the slot generations (each monotone across respawns via
-/// its floor), so it never moves backwards, not even when a replica is
-/// rebuilt.
+/// `GraphRead` over the fleet: each call routes like a query and holds
+/// its pin for the call, and what no caller needs routed on its own
+/// (`postings`, `selectivity`, membership) is the trait's provided
+/// derivation. The fleet generation is the sum of the slot generations,
+/// each monotone for the slot's life, so it never moves backwards, not
+/// even when a replica is rebuilt.
 impl GraphRead for FleetRouter {
     fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        self.route_engine().graph().postings_cursor(probe)
+        self.route().graph().postings_cursor(probe)
     }
 
     fn resolve_name(&self, name: &str) -> Vec<EntityId> {
-        self.route_engine().graph().resolve_name(name)
+        self.route().graph().resolve_name(name)
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        self.route_engine().graph().record(id)
+        self.route().graph().record(id)
     }
 
     fn generation(&self) -> u64 {
-        self.pool.slots().iter().map(|s| s.generation()).sum()
+        self.pool
+            .slots()
+            .iter()
+            .map(|s| s.engine.graph().generation())
+            .sum()
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.route_engine().graph().probe_all_limit(probes, limit)
+        self.route().graph().probe_all_limit(probes, limit)
     }
 }
 
-/// A read pinned to one replica: holds the slot's engine (so a respawn
-/// can never swap the store mid-read) and an in-flight count (so drains
-/// wait for it). Drop to release.
+/// A read pinned to one replica: it reads the slot's engine and counts as
+/// load on the slot until dropped. A respawn under it refills the store
+/// in place, so a later call may see the store moved forward, as after
+/// an op.
 pub struct RoutedRead {
     slot: Arc<Slot>,
-    engine: Arc<QueryEngine<ReplicaKg>>,
 }
 
 impl RoutedRead {
+    fn pin(slot: Arc<Slot>) -> Self {
+        slot.inflight.fetch_add(1, Ordering::Relaxed);
+        RoutedRead { slot }
+    }
+
     /// Which replica this read landed on.
     pub fn replica(&self) -> usize {
         self.slot.id
@@ -247,20 +246,20 @@ impl RoutedRead {
         Lsn(self.slot.watermark.load(Ordering::SeqCst))
     }
 
-    /// The pinned engine (plan cache included).
+    /// The pinned slot's engine (plan cache included).
     pub fn engine(&self) -> &QueryEngine<ReplicaKg> {
-        &self.engine
+        &self.slot.engine
     }
 
-    /// The pinned serving store.
+    /// The pinned slot's serving store.
     pub fn graph(&self) -> &ReplicaKg {
-        self.engine.graph()
+        self.slot.engine.graph()
     }
 
     /// Run one KGQ query on the pinned replica, attributing the outcome
     /// to its served/error counters.
     pub fn query(&self, text: &str) -> Result<QueryResult> {
-        let out = self.engine.query(text);
+        let out = self.slot.engine.query(text);
         match &out {
             Ok(_) => self.slot.served.fetch_add(1, Ordering::Relaxed),
             Err(_) => self.slot.errors.fetch_add(1, Ordering::Relaxed),
@@ -271,6 +270,6 @@ impl RoutedRead {
 
 impl Drop for RoutedRead {
     fn drop(&mut self) {
-        self.slot.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.slot.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }

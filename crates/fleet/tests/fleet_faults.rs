@@ -7,7 +7,7 @@
 //!   checkpoint and converges back to parity with a directly-built
 //!   replica of the same log;
 //! * a wedged replica is excluded from routing by the lag bound, then
-//!   detected by the controller, drained and respawned;
+//!   detected by the controller, stopped and respawned;
 //! * a replica wedged while a durable log moves more than its decoded
 //!   tail ahead catches up from the log's file once released;
 //! * an all-stale fleet fails session reads with a timeout instead of a
@@ -16,6 +16,8 @@
 //! * session readers racing on their own threads catch replicas up
 //!   correctly — with no help from the workers, through a respawn, and
 //!   without a slot's watermark ever moving backwards;
+//! * a respawn refills a slot's store in place: the engine keeps its
+//!   plan cache, and a read pinned before it answers from the new store;
 //! * a read through the router sees whole ops, never one half applied.
 //!
 //! Faults are injected at the `fleet::worker_poll` failpoint, which a
@@ -116,7 +118,6 @@ fn fast_config(replicas: usize) -> FleetConfig {
         lag_bound: 4,
         session_timeout: Duration::from_secs(5),
         wedge_timeout: Duration::from_millis(50),
-        drain_timeout: Duration::from_millis(50),
         ..FleetConfig::default()
     }
 }
@@ -304,7 +305,8 @@ fn killed_replica_respawns_from_checkpoint_and_converges_to_parity() {
     let struck = down().unwrap();
 
     // One controller pass respawns it from the checkpoint + log tail.
-    let report = controller.tick().unwrap();
+    let report = controller.tick();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(report.respawned, vec![struck]);
     router
         .wait_for_lsn(w.log().head(), Duration::from_secs(5))
@@ -412,18 +414,20 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
     );
 
     // The controller notices the frozen heartbeat and respawns the slot.
-    // A respawn joins the old worker, and a delay does not see the kill
-    // flag: release the wedge once the controller has begun the drain.
+    // A respawn marks the slot `Down`, then joins the old worker, and a
+    // delay does not see the kill flag: release the wedge once the
+    // controller has marked it.
     std::thread::scope(|s| {
         let ticker = s.spawn(|| {
             wait_until(Duration::from_secs(5), || {
-                controller.tick().unwrap();
+                let report = controller.tick();
+                assert!(report.errors.is_empty(), "{:?}", report.errors);
                 controller.stats().replicas[wedged].respawns == 1
             })
         });
         assert!(
             wait_until(Duration::from_secs(5), || {
-                controller.stats().replicas[wedged].state == ReplicaState::Draining
+                controller.stats().replicas[wedged].state == ReplicaState::Down
             }),
             "wedged replica was never detected"
         );
@@ -583,9 +587,8 @@ fn fleet_generation_is_monotone_across_respawns() {
         .unwrap();
     let before = router.generation();
 
-    // A respawn rebuilds the store from replay; without the generation
-    // floor the reborn engine would restart its counter and cached plans
-    // could revalidate against the wrong store.
+    // A respawn refills the slot's store from replay in place; its
+    // generation counter must go on from where it was, not restart.
     pool.kill(0).unwrap();
     pool.respawn(0).unwrap();
     router
@@ -606,9 +609,10 @@ fn fleet_generation_never_decreases_while_a_slot_respawns() {
     let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
 
-    // Replay gives each engine a generation in the thousands; a
-    // checkpoint-bootstrapped engine restarts near 1, so the first
-    // respawn below swaps a high-generation engine for a low one.
+    // Replay gives each store a generation in the thousands, and a
+    // checkpoint-bootstrapped replica starts near 1: the respawns below
+    // must keep the slot's own counter and bump it, not take the fresh
+    // replica's.
     for i in 1..=2000u64 {
         commit_person(&w, i);
     }
@@ -618,8 +622,7 @@ fn fleet_generation_never_decreases_while_a_slot_respawns() {
     CheckpointWriter::new(&w, &dir).checkpoint().unwrap();
 
     // Sample the fleet generation throughout the respawns, not only
-    // before and after: the floor bump and the engine swap must never be
-    // observed apart.
+    // before and after: no moment of a refill may read lower.
     let stop = AtomicBool::new(false);
     let drops = std::thread::scope(|s| {
         let sampler = s.spawn(|| {
@@ -785,8 +788,8 @@ fn session_reads_stay_fresh_and_typed_while_a_slot_respawns() {
     let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
 
-    // As in the generation drill: the first respawn swaps a
-    // high-generation engine for a checkpoint-bootstrapped low one.
+    // As in the generation drill: each respawn refills a
+    // high-generation store from a checkpoint-bootstrapped low one.
     for i in 1..=2000u64 {
         commit_person(&w, i);
     }
@@ -840,7 +843,7 @@ fn session_reads_stay_fresh_and_typed_while_a_slot_respawns() {
             })
             .collect();
         // Let a few session reads land before each respawn and after the
-        // last, so the readers overlap every swap.
+        // last, so the readers overlap every refill.
         let reads_land = || {
             let mark = next.load(Ordering::Relaxed);
             assert!(
@@ -878,6 +881,56 @@ fn session_reads_stay_fresh_and_typed_while_a_slot_respawns() {
     router
         .wait_for_lsn(w.log().head(), Duration::from_secs(5))
         .unwrap();
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A respawn refills the slot's store in place: the slot's engine, and a
+/// read pinned to it before the respawn, serve the refilled store, and
+/// the plan cache survives.
+#[test]
+fn a_respawn_keeps_the_slot_engine_and_its_plan_cache() {
+    let w = producer();
+    let dir = temp_dir("refill");
+    let pool = ReplicaPool::start(fast_config(1), Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+    for i in 1..=10u64 {
+        commit_person(&w, i);
+    }
+    router
+        .wait_for_lsn(Lsn(10), Duration::from_secs(5))
+        .unwrap();
+    let find = "FIND person LIMIT 100";
+    assert_eq!(router.query(find).unwrap().entities().len(), 10);
+
+    let pinned = router.read().unwrap();
+    pool.respawn(0).unwrap();
+    let mut token = SessionToken::default();
+    for i in 11..=20u64 {
+        token = commit_person(&w, i).session_token();
+    }
+    let person = ProbeKey::Type(intern("person"));
+    let expected = w.read().postings(&person);
+    assert_eq!(expected.len(), 20);
+
+    let read = router.read_with_session(&token).unwrap();
+    assert!(
+        read.engine().cached_plans() >= 1,
+        "the respawn dropped the plan cache"
+    );
+    let hits = read.engine().plan_cache_stats().0;
+    assert_eq!(read.query(find).unwrap().entities(), expected);
+    assert_eq!(
+        read.engine().plan_cache_stats().0,
+        hits + 1,
+        "the query after the respawn was not a plan-cache hit"
+    );
+    assert_eq!(
+        pinned.query(find).unwrap().entities(),
+        expected,
+        "a read pinned before the respawn kept the old store"
+    );
+    drop((read, pinned));
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

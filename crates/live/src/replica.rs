@@ -148,6 +148,18 @@ impl LiveReplica {
             .poll_with(max, |op| self.live.apply(&op.deltas))
     }
 
+    /// Move `fresh`'s index and log position into this replica, in place:
+    /// every handle on this replica's store — a serving engine's, with
+    /// its plan cache — now serves `fresh`'s index, swapped in under one
+    /// write lock, and the store's generation goes up by one. Returns
+    /// `fresh` holding this replica's old index and follower, for the
+    /// caller to drop outside any lock it holds.
+    pub fn replace_with(&mut self, mut fresh: LiveReplica) -> LiveReplica {
+        self.live.swap_index(&fresh.live);
+        std::mem::swap(&mut self.follower, &mut fresh.follower);
+        fresh
+    }
+
     /// The highest LSN fully applied to this replica.
     pub fn watermark(&self) -> Lsn {
         self.follower.watermark()
@@ -467,6 +479,53 @@ mod tests {
         });
         eprintln!("{torn} torn reads of {reads}");
         assert_eq!(torn, 0, "{torn} of {reads} reads saw half an op");
+    }
+
+    #[test]
+    fn replace_with_refills_the_store_every_handle_serves() {
+        let w = producer();
+        let person = |i: u64| {
+            w.commit(
+                OpKind::Upsert,
+                WriteBatch::new().named_entity(
+                    EntityId(i),
+                    &format!("E{i}"),
+                    "person",
+                    SourceId(1),
+                    0.9,
+                ),
+            )
+            .unwrap();
+        };
+        person(1);
+        let mut replica = LiveReplica::new(2, Arc::clone(w.log()));
+        replica.catch_up().unwrap();
+        let engine = crate::QueryEngine::new(replica.live().clone());
+        let find = "FIND person";
+        assert_eq!(engine.query(find).unwrap().entities(), vec![EntityId(1)]);
+
+        person(2);
+        let mut fresh = LiveReplica::new(4, Arc::clone(w.log()));
+        fresh.catch_up().unwrap();
+        let g0 = replica.live().generation();
+        let old = replica.replace_with(fresh);
+        assert_eq!(replica.watermark(), Lsn(2));
+        assert_eq!(replica.live().generation(), g0 + 1, "one bump, forward");
+        assert_eq!((old.watermark(), old.live().len()), (Lsn(1), 1));
+        // The engine built before the swap answers from the new index,
+        // out of the plan it cached.
+        let hits_before = engine.plan_cache_stats().0;
+        assert_eq!(
+            engine.query(find).unwrap().entities(),
+            vec![EntityId(1), EntityId(2)]
+        );
+        assert_eq!(engine.plan_cache_stats().0, hits_before + 1);
+
+        // The follower moved too: the replica goes on from the new
+        // position.
+        person(3);
+        assert_eq!(replica.catch_up().unwrap(), 1);
+        assert_eq!(engine.query(find).unwrap().entities().len(), 3);
     }
 
     #[test]

@@ -148,6 +148,16 @@ impl ReplicaKg {
         }
     }
 
+    /// Swap this store's index with `other`'s under this store's write
+    /// lock and bump this store's generation once, the way an op moves
+    /// it: a read sees the old index or the new, never a mix, and the
+    /// generation never moves back. `other` must be a different store.
+    pub(crate) fn swap_index(&self, other: &ReplicaKg) {
+        let mut index = self.index.write();
+        std::mem::swap(&mut *index, &mut *other.index.write());
+        self.generation.fetch_add(1, Ordering::Release);
+    }
+
     /// Number of entities.
     pub fn len(&self) -> usize {
         let index = self.index.read();

@@ -64,7 +64,7 @@ impl Cluster {
     /// Let every controller repair what the last fault broke.
     fn tick_controllers(&self) {
         for controller in &self.controllers {
-            let _ = controller.tick();
+            controller.tick();
         }
     }
 }

@@ -66,7 +66,9 @@ fn fleet_serves_sessions_checkpoints_and_survives_a_kill() {
             // back from the checkpoint its own cadence produced.
             pool.kill(0).unwrap();
         }
-        checkpointed |= controller.tick().unwrap().checkpointed.is_some();
+        let report = controller.tick();
+        assert!(report.errors.is_empty(), "tick failed: {:?}", report.errors);
+        checkpointed |= report.checkpointed.is_some();
     }
 
     assert!(checkpointed, "the checkpoint cadence never fired");
