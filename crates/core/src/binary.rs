@@ -8,7 +8,9 @@
 //! is about to consume against the bytes that remain — input that lies
 //! about a length is an `Err`, never a panic or an allocation sized by
 //! the lie. A format that carries a *count* of items bounds it with
-//! [`take_count`] before reserving for it.
+//! [`take_count`] before reserving for it. The one unchecked reader,
+//! `read_varint`, is for bytes already written or checked this way: the
+//! posting runs, decoded on every probe.
 
 use crate::{EntityId, Result, SagaError, Value};
 
@@ -83,6 +85,31 @@ fn take_varint_multibyte(bytes: &[u8], at: &mut usize) -> Result<u64> {
         v |= u64::from(b & 0x7f) << shift;
         if b < 0x80 {
             return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Read one varint at `*at` from bytes this process wrote, or has already
+/// walked with [`take_varint`] — the infallible twin for decode loops
+/// that would otherwise carry a `Result` per element. Such bytes hold at
+/// most ten bytes per varint; on bytes that were never checked this may
+/// panic.
+#[inline]
+pub(crate) fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let b = bytes[*at];
+    *at += 1;
+    if b < 0x80 {
+        return u64::from(b);
+    }
+    let mut v = u64::from(b & 0x7f);
+    let mut shift = 7;
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
         }
         shift += 7;
     }
@@ -211,6 +238,26 @@ mod tests {
         // Eleven continuation bytes: more than a u64 holds.
         assert!(take_varint(&[0xff; 11], &mut 0).is_err());
         assert!(take_varint(&[0x80], &mut 0).is_err(), "truncated");
+    }
+
+    #[test]
+    fn read_varint_agrees_with_take_varint() {
+        let mut buf = Vec::new();
+        let values = [0u64, 1, 0x7f, 0x80, 0x3fff, 0x4000, u64::MAX >> 1, u64::MAX];
+        for v in values {
+            push_varint(&mut buf, v);
+        }
+        // Overlong encodings LEB128 allows: 1 in four bytes, 0 in ten.
+        buf.extend_from_slice(&[0x81, 0x80, 0x80, 0x00]);
+        buf.extend_from_slice(&[0x80; 9]);
+        buf.push(0x00);
+        let (mut checked, mut unchecked) = (0, 0);
+        for want in values.into_iter().chain([1, 0]) {
+            assert_eq!(take_varint(&buf, &mut checked).unwrap(), want);
+            assert_eq!(read_varint(&buf, &mut unchecked), want);
+            assert_eq!(unchecked, checked);
+        }
+        assert_eq!(unchecked, buf.len());
     }
 
     #[test]

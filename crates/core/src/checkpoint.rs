@@ -520,9 +520,12 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
     let mut at = 0usize;
     let nents = take_varint(bytes, &mut at)? as usize;
     let mut prev = 0u64;
-    for i in 0..nents {
+    for _ in 0..nents {
         let delta = take_varint(bytes, &mut at)?;
-        let entity = EntityId(if i == 0 { delta } else { prev + delta });
+        let entity = EntityId(
+            prev.checked_add(delta)
+                .ok_or_else(|| err("records entity id overflows"))?,
+        );
         prev = entity.0;
         let nfacts = take_count(bytes, &mut at, 2)?;
         if nfacts == 0 {
@@ -1058,5 +1061,27 @@ mod tests {
         assert_eq!(ckpt.watermark, Lsn::ZERO);
         assert!(ckpt.index.is_empty());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_records_id_that_overflows_is_rejected() {
+        // The second entity's id delta becomes `u64::MAX`: added to the
+        // first id it leaves the `u64` range.
+        let loaded = load_edited("saga-ckpt-idwrap", "records", |bytes| {
+            let mut at = 0;
+            take_varint(bytes, &mut at).unwrap(); // entity count
+            take_varint(bytes, &mut at).unwrap(); // first id
+            let nfacts = take_varint(bytes, &mut at).unwrap();
+            for _ in 0..2 * nfacts {
+                take_varint(bytes, &mut at).unwrap(); // predicate, object
+            }
+            let start = at;
+            take_varint(bytes, &mut at).unwrap();
+            let mut out = bytes[..start].to_vec();
+            push_varint(&mut out, u64::MAX);
+            out.extend_from_slice(&bytes[at..]);
+            out
+        });
+        assert_rejected(loaded, "entity id overflows");
     }
 }

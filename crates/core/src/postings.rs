@@ -19,12 +19,21 @@
 //!   consecutive ids (`block key = id >> 12`):
 //!   * a **dense** block stores membership as a 64-word (4096-bit)
 //!     bitmap — 512 bytes regardless of cardinality;
-//!   * a **sparse** block stores its in-block offsets as
-//!     delta+varint-encoded runs — ~1 byte per id for clustered ids,
-//!     ≤2 bytes worst case;
+//!   * a **sparse** block stores its in-block offsets as one run of
+//!     the same form — ~1 byte per id for clustered ids, ≤2 bytes worst
+//!     case;
 //! * a per-list **block directory** (`BlockMeta`: key, min/max offset,
 //!   cardinality) sits in front of the containers, so intersection can
 //!   skip whole blocks without touching container bytes.
+//!
+//! Both runs are one format with one codec: strictly ascending values,
+//! the first raw and each later one as `gap − 1`, written with
+//! [`push_varint`](crate::binary::push_varint). `push_run` encodes, `Run`
+//! iterates and `run_contains` tests membership over bytes this process
+//! wrote or checked, reading through the `binary` module's unchecked
+//! varint reader; `verify_run` is the one checked walk a checkpoint load
+//! makes over each run, with checked sums and an upper bound (any id for
+//! a tiny run, `BLOCK_SPAN - 1` for a sparse block).
 //!
 //! Intersection ([`intersect_views`]) operates in the compressed domain:
 //! directories are galloped to find common block keys, dense×dense blocks
@@ -52,7 +61,7 @@
 use std::cell::RefCell;
 
 use crate::binary::{
-    push_varint, put_varint, take_count, take_slice, take_u8, take_varint, varint_len,
+    push_varint, put_varint, read_varint, take_count, take_slice, take_u8, take_varint, varint_len,
 };
 use crate::EntityId;
 
@@ -97,136 +106,104 @@ thread_local! {
     static SCRATCH_IDS: RefCell<Vec<EntityId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Re-encode a tiny run in place, trimming pathological slack (shrinking
-/// lists would otherwise pin their peak capacity forever).
-fn reencode_tiny(ids: &[EntityId], bytes: &mut Vec<u8>) {
-    encode_tiny_into(ids, bytes);
-    if bytes.capacity() > bytes.len() * 2 {
-        bytes.shrink_to_fit();
-    }
-}
-
 // ---------------------------------------------------------------------
-// Varint coding
+// The run codec: one format for tiny runs and sparse blocks
 // ---------------------------------------------------------------------
 
-#[inline]
-fn push_varint16(buf: &mut Vec<u8>, mut v: u16) {
-    while v >= 0x80 {
-        buf.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
+/// The varints of a run over strictly ascending `values`: the first value
+/// raw, each later one as `gap - 1`, so consecutive values encode as
+/// zeros. A tiny run holds full ids, a sparse block its in-block offsets.
+fn run_gaps(values: impl IntoIterator<Item = u64>) -> impl Iterator<Item = u64> {
+    values.into_iter().scan(0u64, |next, v| {
+        let gap = v - *next;
+        *next = v.wrapping_add(1);
+        Some(gap)
+    })
 }
 
-#[inline]
-fn read_varint16(bytes: &[u8], at: &mut usize) -> u16 {
-    let mut v = 0u16;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*at];
-        *at += 1;
-        v |= u16::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
+/// Append the run of strictly ascending `values` to `out`.
+fn push_run(out: &mut Vec<u8>, values: impl IntoIterator<Item = u64>) {
+    for gap in run_gaps(values) {
+        push_varint(out, gap);
     }
 }
 
-#[inline]
-fn read_varint64(bytes: &[u8], at: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*at];
-        *at += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-/// Delta+varint-encode sorted, deduplicated in-block offsets: the first
-/// offset is stored raw, each successor as `gap - 1` (offsets strictly
-/// increase, so gaps are ≥ 1 and runs of consecutive ids encode as zeros).
+/// A sparse block's run over sorted, deduplicated in-block offsets.
 fn encode_sparse(offsets: &[u16]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(offsets.len() + offsets.len() / 4);
-    let mut prev = 0u16;
-    for (i, &off) in offsets.iter().enumerate() {
-        if i == 0 {
-            push_varint16(&mut buf, off);
-        } else {
-            push_varint16(&mut buf, off - prev - 1);
-        }
-        prev = off;
-    }
+    push_run(&mut buf, offsets.iter().map(|&off| u64::from(off)));
     buf
 }
 
 fn decode_sparse_into(bytes: &[u8], out: &mut Vec<u16>) {
     out.clear();
-    let mut at = 0usize;
-    let mut prev = 0u16;
-    let mut first = true;
-    while at < bytes.len() {
-        let v = read_varint16(bytes, &mut at);
-        let off = if first { v } else { prev + v + 1 };
-        first = false;
-        prev = off;
-        out.push(off);
-    }
+    out.extend(Run::new(bytes).map(|off| off as u16));
 }
 
-/// The varints of a tiny run over sorted full ids: first id raw,
-/// successors as `gap - 1`.
-fn tiny_varints(ids: &[EntityId]) -> impl Iterator<Item = u64> + '_ {
-    ids.iter().scan(None, |prev: &mut Option<u64>, id| {
-        let v = prev.map_or(id.0, |p| id.0 - p - 1);
-        *prev = Some(id.0);
-        Some(v)
-    })
+/// The values of a run this process wrote or [`verify_run`] accepted.
+#[derive(Clone, Debug)]
+struct Run<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    /// The least value the next varint can stand for: 0 before the
+    /// first, then one past the last value read.
+    next: u64,
 }
 
-/// Delta+varint-encode sorted full ids (the tiny tier).
-fn encode_tiny_into(ids: &[EntityId], out: &mut Vec<u8>) {
-    out.clear();
-    for v in tiny_varints(ids) {
-        push_varint(out, v);
-    }
-}
-
-/// Membership scan over a tiny run: decode until an id `>= id`.
-fn tiny_contains(bytes: &[u8], id: EntityId) -> bool {
-    let mut at = 0usize;
-    let mut prev = 0u64;
-    let mut first = true;
-    while at < bytes.len() {
-        let v = read_varint64(bytes, &mut at);
-        let cur = if first { v } else { prev + v + 1 };
-        first = false;
-        if cur >= id.0 {
-            return cur == id.0;
+impl<'a> Run<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Run {
+            bytes,
+            at: 0,
+            next: 0,
         }
-        prev = cur;
     }
-    false
 }
 
-fn decode_tiny_into(bytes: &[u8], out: &mut Vec<EntityId>) {
-    out.clear();
-    let mut at = 0usize;
-    let mut prev = 0u64;
-    let mut first = true;
-    while at < bytes.len() {
-        let v = read_varint64(bytes, &mut at);
-        let id = if first { v } else { prev + v + 1 };
-        first = false;
-        prev = id;
-        out.push(EntityId(id));
+impl Iterator for Run<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.at >= self.bytes.len() {
+            return None;
+        }
+        let v = self.next + read_varint(self.bytes, &mut self.at);
+        self.next = v.wrapping_add(1);
+        Some(v)
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // At least one byte per remaining value.
+        (0, Some(self.bytes.len() - self.at))
+    }
+}
+
+/// Membership in a run: decode until a value `>= v`.
+fn run_contains(bytes: &[u8], v: u64) -> bool {
+    Run::new(bytes).find(|&x| x >= v) == Some(v)
+}
+
+/// Walk a run read off disk or the wire with checked reads and sums: its
+/// count, first and last value (both 0 when empty), or an error if a
+/// varint is malformed or a value passes `max`. Strict ascent needs no
+/// separate check — a `gap - 1` can only step down by overflowing.
+fn verify_run(bytes: &[u8], max: u64) -> crate::Result<(usize, u64, u64)> {
+    let (mut at, mut count, mut first, mut last) = (0, 0, 0, 0);
+    let mut next = Some(0u64);
+    while at < bytes.len() {
+        let gap = take_varint(bytes, &mut at)?;
+        last = next
+            .and_then(|n| n.checked_add(gap))
+            .filter(|&v| v <= max)
+            .ok_or_else(|| wire_err("run value out of range"))?;
+        if count == 0 {
+            first = last;
+        }
+        count += 1;
+        next = last.checked_add(1);
+    }
+    Ok((count, first, last))
 }
 
 // ---------------------------------------------------------------------
@@ -246,21 +223,7 @@ impl Container {
     fn contains(&self, off: u16) -> bool {
         match self {
             Container::Dense(words) => words[(off >> 6) as usize] & (1u64 << (off & 63)) != 0,
-            Container::Sparse(bytes) => {
-                let mut at = 0usize;
-                let mut prev = 0u16;
-                let mut first = true;
-                while at < bytes.len() {
-                    let v = read_varint16(bytes, &mut at);
-                    let cur = if first { v } else { prev + v + 1 };
-                    first = false;
-                    if cur >= off {
-                        return cur == off;
-                    }
-                    prev = cur;
-                }
-                false
-            }
+            Container::Sparse(bytes) => run_contains(bytes, u64::from(off)),
         }
     }
 
@@ -311,7 +274,9 @@ impl InlineRun {
     /// Encode sorted ids inline, or `None` if the run is too long.
     fn from_ids(ids: &[EntityId]) -> Option<Self> {
         let mut run = InlineRun::default();
-        tiny_varints(ids).all(|v| run.push(v)).then_some(run)
+        run_gaps(ids.iter().map(|id| id.0))
+            .all(|gap| run.push(gap))
+            .then_some(run)
     }
 
     /// Copy an already-encoded run of `len` ids, or `None` if it is too
@@ -346,7 +311,7 @@ impl InlineRun {
     /// Largest encoded id (0 while empty): a decode of at most
     /// [`INLINE_MAX`] bytes.
     fn last(&self) -> u64 {
-        PostingsIter::tiny(self.run()).last().map_or(0, |id| id.0)
+        Run::new(self.run()).last().unwrap_or(0)
     }
 }
 
@@ -439,13 +404,19 @@ impl BlockPostings {
         let len = ids.len() as u16;
         let last = ids.last().expect("an empty run is inline").0;
         if let Repr::Tiny(run) = &mut self.repr {
-            reencode_tiny(ids, &mut run.bytes);
+            // Trim pathological slack: a shrinking list would otherwise
+            // pin its peak capacity forever.
+            run.bytes.clear();
+            push_run(&mut run.bytes, ids.iter().map(|id| id.0));
+            if run.bytes.capacity() > run.bytes.len() * 2 {
+                run.bytes.shrink_to_fit();
+            }
             run.len = len;
             run.last = last;
             return;
         }
         let mut bytes = Vec::new();
-        encode_tiny_into(ids, &mut bytes);
+        push_run(&mut bytes, ids.iter().map(|id| id.0));
         bytes.shrink_to_fit();
         self.repr = Repr::Tiny(Box::new(TinyRun { bytes, len, last }));
     }
@@ -455,7 +426,8 @@ impl BlockPostings {
     fn edit_tiny(&mut self, edit: impl FnOnce(&mut Vec<EntityId>) -> bool) -> bool {
         SCRATCH_IDS.with(|scratch| {
             let mut ids = scratch.borrow_mut();
-            decode_tiny_into(self.tiny_run().expect("tiny tier"), &mut ids);
+            ids.clear();
+            ids.extend(Run::new(self.tiny_run().expect("tiny tier")).map(EntityId));
             if !edit(&mut ids) {
                 return false;
             }
@@ -553,8 +525,8 @@ impl BlockPostings {
     /// search plus one container probe (blocked).
     pub fn contains(&self, id: EntityId) -> bool {
         match &self.repr {
-            Repr::Inline(run) => tiny_contains(run.run(), id),
-            Repr::Tiny(run) => id.0 <= run.last && tiny_contains(&run.bytes, id),
+            Repr::Inline(run) => run_contains(run.run(), id.0),
+            Repr::Tiny(run) => id.0 <= run.last && run_contains(&run.bytes, id.0),
             Repr::Blocks(blocks) => {
                 let (key, off) = split_id(id);
                 match blocks.dir.binary_search_by_key(&key, |m| m.key) {
@@ -761,22 +733,8 @@ impl BlockPostings {
                 }
                 let nbytes = take_varint(bytes, at)? as usize;
                 let run = take_slice(bytes, at, nbytes)?;
-                // Walk the run to count ids and recover `last`.
-                let mut pos = 0usize;
-                let mut prev = 0u64;
-                let mut count = 0u64;
-                while pos < run.len() {
-                    let v = take_varint(run, &mut pos)?;
-                    prev = if count == 0 {
-                        v
-                    } else {
-                        prev.checked_add(v)
-                            .and_then(|s| s.checked_add(1))
-                            .ok_or_else(|| wire_err("tiny run id overflow"))?
-                    };
-                    count += 1;
-                }
-                if count != len {
+                let (count, _, last) = verify_run(run, u64::MAX)?;
+                if count as u64 != len {
                     return Err(wire_err("tiny run length mismatch"));
                 }
                 // Every varint is at least one byte, so an inline run's
@@ -786,7 +744,7 @@ impl BlockPostings {
                     None => Repr::Tiny(Box::new(TinyRun {
                         bytes: run.to_vec(),
                         len: len as u16,
-                        last: prev,
+                        last,
                     })),
                 };
                 Ok(BlockPostings { repr })
@@ -814,10 +772,22 @@ impl BlockPostings {
                         WIRE_SPARSE => {
                             let nbytes = take_varint(bytes, at)? as usize;
                             let payload = take_slice(bytes, at, nbytes)?;
-                            verify_sparse(payload, min, max, card)?;
+                            let (count, first, last) = verify_run(payload, BLOCK_SPAN - 1)?;
+                            if count != usize::from(card)
+                                || first != u64::from(min)
+                                || last != u64::from(max)
+                            {
+                                return Err(wire_err("sparse container disagrees with meta"));
+                            }
                             Container::Sparse(payload.to_vec())
                         }
                         WIRE_DENSE => {
+                            // No writer keeps a bitmap below DENSE_MIN, and
+                            // `blocks_remove` relies on it: a removal that
+                            // empties a bitmap demotes it to no offsets.
+                            if usize::from(card) < DENSE_MIN {
+                                return Err(wire_err("dense block below DENSE_MIN"));
+                            }
                             let raw = take_slice(bytes, at, WORDS * 8)?;
                             let mut words = Box::new([0u64; WORDS]);
                             for (w, chunk) in words.iter_mut().zip(raw.chunks_exact(8)) {
@@ -874,29 +844,6 @@ const WIRE_DENSE: u8 = 1;
 
 fn wire_err(msg: &str) -> crate::SagaError {
     crate::SagaError::Storage(format!("postings decode: {msg}"))
-}
-
-/// Verify a sparse container's encoded offsets against its directory
-/// entry without allocating: count, first, last, and in-range.
-fn verify_sparse(payload: &[u8], min: u16, max: u16, card: u16) -> crate::Result<()> {
-    let mut at = 0usize;
-    let mut prev = 0u64;
-    let mut count = 0u64;
-    while at < payload.len() {
-        let v = take_varint(payload, &mut at)?;
-        prev = if count == 0 { v } else { prev + v + 1 };
-        if prev >= BLOCK_SPAN {
-            return Err(wire_err("sparse offset out of range"));
-        }
-        if count == 0 && prev != u64::from(min) {
-            return Err(wire_err("sparse min disagrees with meta"));
-        }
-        count += 1;
-    }
-    if count != u64::from(card) || (count > 0 && prev != u64::from(max)) {
-        return Err(wire_err("sparse container disagrees with meta"));
-    }
-    Ok(())
 }
 
 /// Append a block built from sorted offsets (bulk builds only; `key` must
@@ -969,7 +916,7 @@ fn blocks_insert(dir: &mut Vec<BlockMeta>, containers: &mut Vec<Container>, id: 
                 },
             );
             let mut buf = Vec::with_capacity(2);
-            push_varint16(&mut buf, off);
+            push_varint(&mut buf, u64::from(off));
             containers.insert(at, Container::Sparse(buf));
             return true;
         }
@@ -1151,10 +1098,14 @@ impl FromIterator<EntityId> for BlockPostings {
 }
 
 /// Decode state of the ordered iterator within one block.
-enum BlockCursor {
+enum BlockCursor<'a> {
     Unloaded,
-    Sparse { at: usize, prev: u16, first: bool },
-    Dense { word: usize, bits: u64 },
+    Sparse(Run<'a>),
+    Dense {
+        words: &'a [u64; WORDS],
+        word: usize,
+        bits: u64,
+    },
 }
 
 /// Ordered iterator over a [`BlockPostings`] (streaming decode; no full
@@ -1162,17 +1113,8 @@ enum BlockCursor {
 pub struct PostingsIter<'a>(IterInner<'a>);
 
 enum IterInner<'a> {
-    /// Tiny tier: one varint run over full ids.
-    Tiny {
-        /// Encoded run.
-        bytes: &'a [u8],
-        /// Byte position.
-        at: usize,
-        /// Previously decoded id.
-        prev: u64,
-        /// True before the first id is decoded.
-        first: bool,
-    },
+    /// Tiny tier: one run over full ids.
+    Tiny(Run<'a>),
     /// Blocked tier: directory walk with per-block decode state.
     Blocks {
         /// The blocks being decoded.
@@ -1180,7 +1122,7 @@ enum IterInner<'a> {
         /// Current directory position.
         block: usize,
         /// Decode state within the current block.
-        state: BlockCursor,
+        state: BlockCursor<'a>,
     },
 }
 
@@ -1192,12 +1134,7 @@ impl<'a> PostingsIter<'a> {
 
     /// An iterator over one encoded tiny run.
     fn tiny(bytes: &'a [u8]) -> Self {
-        PostingsIter(IterInner::Tiny {
-            bytes,
-            at: 0,
-            prev: 0,
-            first: true,
-        })
+        PostingsIter(IterInner::Tiny(Run::new(bytes)))
     }
 }
 
@@ -1206,92 +1143,52 @@ impl Iterator for PostingsIter<'_> {
 
     fn next(&mut self) -> Option<EntityId> {
         let (blocks, block, state) = match &mut self.0 {
-            IterInner::Tiny {
-                bytes,
-                at,
-                prev,
-                first,
-            } => {
-                if *at >= bytes.len() {
-                    return None;
-                }
-                let v = read_varint64(bytes, at);
-                let id = if *first { v } else { *prev + v + 1 };
-                *first = false;
-                *prev = id;
-                return Some(EntityId(id));
-            }
+            IterInner::Tiny(run) => return run.next().map(EntityId),
             IterInner::Blocks {
                 blocks,
                 block,
                 state,
             } => (*blocks, block, state),
         };
-        let Blocked {
-            dir, containers, ..
-        } = blocks;
         loop {
-            if *block >= dir.len() {
-                return None;
-            }
-            let key = dir[*block].key;
             match state {
                 BlockCursor::Unloaded => {
-                    *state = match &containers[*block] {
-                        Container::Sparse(_) => BlockCursor::Sparse {
-                            at: 0,
-                            prev: 0,
-                            first: true,
-                        },
+                    *state = match blocks.containers.get(*block)? {
+                        Container::Sparse(bytes) => BlockCursor::Sparse(Run::new(bytes)),
                         Container::Dense(words) => BlockCursor::Dense {
+                            words,
                             word: 0,
                             bits: words[0],
                         },
                     };
+                    continue;
                 }
-                BlockCursor::Sparse { at, prev, first } => {
-                    let Container::Sparse(bytes) = &containers[*block] else {
-                        unreachable!("cursor/container mismatch");
-                    };
-                    if *at >= bytes.len() {
-                        *block += 1;
-                        *state = BlockCursor::Unloaded;
-                        continue;
+                BlockCursor::Sparse(run) => {
+                    if let Some(off) = run.next() {
+                        return Some(join_id(blocks.dir[*block].key, off as u16));
                     }
-                    let v = read_varint16(bytes, at);
-                    let off = if *first { v } else { *prev + v + 1 };
-                    *first = false;
-                    *prev = off;
-                    return Some(join_id(key, off));
                 }
-                BlockCursor::Dense { word, bits } => {
-                    let Container::Dense(words) = &containers[*block] else {
-                        unreachable!("cursor/container mismatch");
-                    };
-                    while *bits == 0 {
+                BlockCursor::Dense { words, word, bits } => {
+                    while *bits == 0 && *word + 1 < WORDS {
                         *word += 1;
-                        if *word >= WORDS {
-                            break;
-                        }
                         *bits = words[*word];
                     }
-                    if *word >= WORDS {
-                        *block += 1;
-                        *state = BlockCursor::Unloaded;
-                        continue;
+                    if *bits != 0 {
+                        let tz = bits.trailing_zeros();
+                        *bits &= *bits - 1;
+                        let off = (*word as u16) << 6 | tz as u16;
+                        return Some(join_id(blocks.dir[*block].key, off));
                     }
-                    let tz = bits.trailing_zeros();
-                    *bits &= *bits - 1;
-                    return Some(join_id(key, (*word as u16) << 6 | tz as u16));
                 }
             }
+            *block += 1;
+            *state = BlockCursor::Unloaded;
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
-            // ≥1 byte per remaining id.
-            IterInner::Tiny { bytes, at, .. } => (0, Some(bytes.len().saturating_sub(*at))),
+            IterInner::Tiny(run) => run.size_hint(),
             // Exact only at the start; a cheap upper bound afterwards.
             IterInner::Blocks { blocks, .. } => (0, Some(blocks.len)),
         }
@@ -1361,12 +1258,10 @@ impl<'a> PostingsView<'a> {
         self.list.map_or_else(Vec::new, BlockPostings::to_vec)
     }
 
-    /// Snapshot into an owned [`PostingsCursor`] (clones the *compressed*
-    /// blocks — the cheap way to carry a posting list out of a lock).
-    pub fn to_cursor(&self) -> PostingsCursor {
-        PostingsCursor {
-            list: self.list.cloned().unwrap_or_default(),
-        }
+    /// Snapshot into an owned list (clones the *compressed* blocks — the
+    /// cheap way to carry a posting list out of a lock).
+    pub fn to_list(&self) -> BlockPostings {
+        self.list.cloned().unwrap_or_default()
     }
 
     /// Approximate heap bytes behind the view.
@@ -1407,93 +1302,9 @@ impl PartialEq<Vec<EntityId>> for PostingsView<'_> {
     }
 }
 
-/// An owned snapshot of one probe's posting list in compressed form — the
-/// unit [`GraphRead`](crate::GraphRead) backends serve postings through.
-///
-/// Locked backends cannot hand out borrowed views (the borrow would
-/// outlive the read lock, and a partitioned store unions its partitions'
-/// views into a new list anyway); a cursor owns the compressed blocks,
-/// which is far cheaper than materializing `Vec<EntityId>` on dense lists
-/// and carries the block directory along for compressed-domain
-/// intersection on the caller's side.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PostingsCursor {
-    list: BlockPostings,
-}
-
-impl PostingsCursor {
-    /// The empty cursor.
-    pub fn empty() -> Self {
-        PostingsCursor::default()
-    }
-
-    /// Wrap an owned list.
-    pub fn from_list(list: BlockPostings) -> Self {
-        PostingsCursor { list }
-    }
-
-    /// Build from sorted, deduplicated ids.
-    pub fn from_sorted(ids: Vec<EntityId>) -> Self {
-        PostingsCursor {
-            list: BlockPostings::from_sorted(&ids),
-        }
-    }
-
-    /// Number of ids.
-    pub fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// True if no ids are present.
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    /// Membership test.
-    pub fn contains(&self, id: EntityId) -> bool {
-        self.list.contains(id)
-    }
-
-    /// Ordered id iterator.
-    pub fn iter(&self) -> PostingsIter<'_> {
-        self.list.iter()
-    }
-
-    /// Materialize the sorted id list.
-    pub fn to_vec(&self) -> Vec<EntityId> {
-        self.list.to_vec()
-    }
-
-    /// Borrow as a view (for [`intersect_views`]).
-    pub fn as_view(&self) -> PostingsView<'_> {
-        self.list.as_view()
-    }
-
-    /// Approximate heap bytes held by the snapshot.
-    pub fn heap_bytes(&self) -> usize {
-        self.list.heap_bytes()
-    }
-}
-
-impl<'a> IntoIterator for &'a PostingsCursor {
-    type Item = EntityId;
-    type IntoIter = PostingsIter<'a>;
-    fn into_iter(self) -> PostingsIter<'a> {
-        self.iter()
-    }
-}
-
-impl PartialEq<Vec<EntityId>> for PostingsCursor {
-    fn eq(&self, other: &Vec<EntityId>) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
-
-impl PartialEq<&[EntityId]> for PostingsCursor {
-    fn eq(&self, other: &&[EntityId]) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
+/// The name the end-to-end harness still gives an owned posting list;
+/// every other caller says [`BlockPostings`].
+pub type PostingsCursor = BlockPostings;
 
 // ---------------------------------------------------------------------
 // Compressed-domain set algebra
@@ -2223,13 +2034,15 @@ mod tests {
     #[test]
     fn cursor_snapshots_compare_and_roundtrip() {
         let sample = ids([1, 5, 9000, 123_456]);
-        let cursor = PostingsCursor::from_sorted(sample.clone());
-        assert_eq!(cursor, sample);
-        assert_eq!(cursor.len(), 4);
-        assert!(cursor.contains(EntityId(9000)));
-        assert!(!cursor.contains(EntityId(2)));
-        assert_eq!(cursor.as_view().to_vec(), sample);
-        assert_eq!(PostingsCursor::empty().len(), 0);
+        let list = BlockPostings::from_sorted(&sample);
+        let snapshot = list.as_view().to_list();
+        assert_eq!(snapshot, list);
+        assert_eq!(snapshot.to_vec(), sample);
+        assert_eq!(snapshot.len(), 4);
+        assert!(snapshot.contains(EntityId(9000)));
+        assert!(!snapshot.contains(EntityId(2)));
+        assert_eq!(snapshot.as_view().to_vec(), sample);
+        assert_eq!(PostingsView::empty().to_list().len(), 0);
     }
 
     #[test]
@@ -2254,5 +2067,239 @@ mod tests {
         let same = BlockPostings::from_sorted(&ids(0..(TINY_MAX as u64)));
         assert!(same.is_tiny());
         assert_eq!(blocked, same, "cross-representation content equality");
+    }
+
+    /// The bytes of a list with one sparse block at key 0: directory entry
+    /// `(min, max, card)` and the run's varints as given, each written
+    /// raw so a test can say exactly what a corrupt artifact holds.
+    fn one_sparse_block(min: u64, max: u64, card: u64, varints: &[&[u8]]) -> Vec<u8> {
+        let run: Vec<u8> = varints.concat();
+        let mut buf = vec![WIRE_BLOCKS];
+        for v in [1, card, 0, min, max, card] {
+            push_varint(&mut buf, v);
+        }
+        buf.push(WIRE_SPARSE);
+        push_varint(&mut buf, run.len() as u64);
+        buf.extend_from_slice(&run);
+        buf
+    }
+
+    /// The bytes of a tiny list of `len` ids whose run is `varints`.
+    fn tiny_list(len: u64, varints: &[&[u8]]) -> Vec<u8> {
+        let run: Vec<u8> = varints.concat();
+        let mut buf = vec![WIRE_TINY];
+        push_varint(&mut buf, len);
+        push_varint(&mut buf, run.len() as u64);
+        buf.extend_from_slice(&run);
+        buf
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        push_varint(&mut buf, v);
+        buf
+    }
+
+    #[test]
+    fn read_bytes_rejects_runs_that_leave_their_range() {
+        let cases: [(&str, Vec<u8>); 5] = [
+            // 1, then a gap that wraps to 0, then 2: the meta's count,
+            // min and max all agree with the wrapped walk.
+            (
+                "a sparse gap that wraps",
+                one_sparse_block(1, 2, 3, &[&varint(1), &varint(u64::MAX - 1), &varint(1)]),
+            ),
+            // 7, then a gap that wraps to 3.
+            (
+                "a tiny gap that wraps",
+                tiny_list(2, &[&varint(7), &varint(u64::MAX - 3)]),
+            ),
+            // 4000, then 4000 + 95 + 1 = 4096: one past the block.
+            (
+                "a sparse offset past BLOCK_SPAN",
+                one_sparse_block(4000, 4000, 2, &[&varint(4000), &varint(95)]),
+            ),
+            // 9, then 9 again: the gap wraps onto the id it left.
+            (
+                "a tiny run that repeats an id",
+                tiny_list(2, &[&varint(9), &varint(u64::MAX)]),
+            ),
+            (
+                "a sparse run that repeats an offset",
+                one_sparse_block(5, 5, 2, &[&varint(5), &varint(u64::MAX)]),
+            ),
+        ];
+        for (what, bytes) in cases {
+            if let Ok(list) = BlockPostings::read_bytes(&bytes, &mut 0) {
+                panic!("{what}: accepted as {:?}", list.to_vec());
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_block_below_dense_min_is_rejected() {
+        // A bitmap holding only id 7: removing 7 would demote the block to
+        // a sparse one with no offsets.
+        let mut buf = vec![WIRE_BLOCKS];
+        for v in [1, 1, 0, 7, 7, 1] {
+            push_varint(&mut buf, v);
+        }
+        buf.push(WIRE_DENSE);
+        let mut words = [0u64; WORDS];
+        words[0] = 1 << 7;
+        for w in words {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        if let Ok(list) = BlockPostings::read_bytes(&buf, &mut 0) {
+            panic!("a one-id bitmap loaded as {:?}", list.to_vec());
+        }
+    }
+
+    #[test]
+    fn an_overlong_sparse_varint_reads_back() {
+        // Offset 1 written in four bytes: LEB128 allows the padding, and
+        // `take_varint` reads it as 1.
+        let bytes = one_sparse_block(1, 1, 1, &[&[0x81, 0x80, 0x80, 0x00]]);
+        let mut at = 0;
+        let list = BlockPostings::read_bytes(&bytes, &mut at).unwrap();
+        assert_eq!(at, bytes.len());
+        assert_eq!(list.to_vec(), ids([1]));
+        assert!(list.contains(EntityId(1)));
+        assert!(!list.contains(EntityId(0)) && !list.contains(EntityId(2)));
+        assert_eq!(
+            (list.first(), list.last()),
+            (Some(EntityId(1)), Some(EntityId(1)))
+        );
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn write_bytes_format_is_pinned() {
+        // Block 0 dense: ids 0..600 set bits 0..600, so words 0..=8 are
+        // full, word 9 holds 24 bits, and the other 54 words are empty.
+        let dense_0_600 = format!("{}ffffff{}", "ff".repeat(72), "00".repeat(5 + 54 * 8));
+        let cases: Vec<(Vec<EntityId>, String)> = vec![
+            (ids([]), "000000".into()),
+            (ids([7]), "00010107".into()),
+            // 9 + 2 + 2 bytes: the longest run kept inline.
+            (
+                ids([1 << 62, (1 << 62) + 201, (1 << 62) + 402]),
+                "00030d808080808080808040c801c801".into(),
+            ),
+            // One more id (a 1-byte gap) moves the run behind a box.
+            (
+                ids([1 << 62, (1 << 62) + 201, (1 << 62) + 402, (1 << 62) + 403]),
+                "00040e808080808080808040c801c80100".into(),
+            ),
+            // 300 ids three apart: one sparse block, offsets 0..=897.
+            (
+                ids((0..300).map(|i| i * 3)),
+                format!("0101ac0200008107ac0200ac0200{}", "02".repeat(299)),
+            ),
+            (ids(0..600), format!("0101d8040000d704d80401{dense_0_600}")),
+            // Dense block 0, a sparse block 1 of 300 ids, and a one-id
+            // sparse block far away.
+            (
+                ids((0..600)
+                    .chain((0..300).map(|i| 4096 + i * 3))
+                    .chain([(1 << 40) + 5])),
+                format!(
+                    "010385070000d704d80401{dense_0_600}\
+                     01008107ac0200ac0200{}\
+                     8080808001050501000105",
+                    "02".repeat(299)
+                ),
+            ),
+        ];
+        for (sample, want) in cases {
+            let list = BlockPostings::from_sorted(&sample);
+            let mut buf = Vec::new();
+            list.write_bytes(&mut buf);
+            assert_eq!(hex(&buf), want, "{} ids", sample.len());
+            let mut at = 0;
+            let back = BlockPostings::read_bytes(&buf, &mut at).unwrap();
+            assert_eq!(at, buf.len());
+            assert_eq!(back.to_vec(), sample);
+        }
+    }
+
+    /// Seeded lists in every tier: inline, boxed tiny, sparse blocks, one
+    /// dense block, and a mix of dense and sparse blocks.
+    fn lists_in_every_tier(seed: u64) -> Vec<BlockPostings> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |n: usize, span: u64| -> Vec<EntityId> {
+            let mut v: Vec<EntityId> = (0..n).map(|_| EntityId(rng.gen_range(0..span))).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let inline = draw(2, 1 << 20);
+        let boxed = draw(60, u64::MAX);
+        let sparse = draw(400, 3 * BLOCK_SPAN);
+        let dense = draw(900, BLOCK_SPAN);
+        let mut mixed = [draw(700, BLOCK_SPAN), draw(150, 1 << 40)].concat();
+        mixed.sort_unstable();
+        mixed.dedup();
+        let lists: Vec<BlockPostings> = [inline, boxed, sparse, dense, mixed]
+            .iter()
+            .map(|v| BlockPostings::from_sorted(v))
+            .collect();
+        assert!(lists[0].is_inline());
+        assert!(lists[1].is_tiny() && !lists[1].is_inline());
+        assert_eq!(
+            (lists[2].block_count(), lists[2].dense_block_count()),
+            (3, 0)
+        );
+        assert_eq!(
+            (lists[3].block_count(), lists[3].dense_block_count()),
+            (1, 1)
+        );
+        assert!(lists[4].dense_block_count() == 1 && lists[4].block_count() > 1);
+        lists
+    }
+
+    #[test]
+    fn read_bytes_survives_every_flip_and_cut() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in [1u64, 0x5a6a] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xf11b);
+            for list in lists_in_every_tier(seed) {
+                let mut bytes = Vec::new();
+                list.write_bytes(&mut bytes);
+                for cut in 0..bytes.len() {
+                    assert!(
+                        BlockPostings::read_bytes(&bytes[..cut], &mut 0).is_err(),
+                        "a {cut}-byte prefix of {} loaded",
+                        bytes.len()
+                    );
+                }
+                for pos in 0..bytes.len() {
+                    for mask in [0xff, 1 << rng.gen_range(0..8), rng.gen_range(1..=255)] {
+                        let mut bad = bytes.clone();
+                        bad[pos] ^= mask;
+                        let Ok(back) = BlockPostings::read_bytes(&bad, &mut 0) else {
+                            continue;
+                        };
+                        let got = back.to_vec();
+                        assert_eq!(got.len(), back.len(), "byte {pos} ^ {mask:#x}");
+                        assert!(
+                            got.windows(2).all(|w| w[0] < w[1]),
+                            "byte {pos} ^ {mask:#x}: not strictly ascending"
+                        );
+                        assert!(got.iter().all(|&id| back.contains(id)));
+                        assert_eq!(
+                            (back.first(), back.last()),
+                            (got.first().copied(), got.last().copied())
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,8 @@
 //!   serve),
 //!   and the fleet and view surfaces that forward to one.
 //!
-//! The trait is deliberately small — posting retrieval, membership tests,
+//! The trait is deliberately small — posting retrieval (an owned
+//! [`BlockPostings`], the compressed list itself), membership tests,
 //! selectivity, one limit-aware conjunction
 //! ([`probe_all_limit`](GraphRead::probe_all_limit)), name resolution,
 //! point record reads, and a monotone
@@ -26,7 +27,7 @@
 use std::ops::Deref;
 
 use crate::index::intersect_sorted;
-use crate::postings::PostingsCursor;
+use crate::postings::BlockPostings;
 use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
 
 /// Uniform read access to a served knowledge graph.
@@ -35,9 +36,9 @@ use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
 /// the intersection paths rely on it. All methods take
 /// `&self`: serving backends are concurrently readable by construction.
 ///
-/// Postings are served as [`PostingsCursor`]s: owned snapshots of the
-/// block-compressed lists (see [`crate::postings`]), cheap to carry out of
-/// a lock and intersectable without decompression.
+/// Postings are served as owned [`BlockPostings`]: a snapshot of the
+/// block-compressed list itself (see [`crate::postings`]), cheap to carry
+/// out of a lock and intersectable without decompression.
 /// [`postings`](GraphRead::postings) is the materializing convenience on
 /// top.
 pub trait GraphRead {
@@ -45,7 +46,7 @@ pub trait GraphRead {
     /// primary postings entry point. Implementations clone compressed
     /// blocks (or build them from a merged partition view); they never
     /// materialize a full `Vec<EntityId>` unless merging forces it.
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor;
+    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings;
 
     /// The sorted posting list of one probe, materialized. Prefer
     /// [`postings_cursor`](Self::postings_cursor) on hot paths — this is
@@ -122,7 +123,7 @@ where
     P: Deref,
     P::Target: GraphRead,
 {
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
         (**self).postings_cursor(probe)
     }
     fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
@@ -155,8 +156,8 @@ where
 /// [`TripleIndex`](crate::TripleIndex) — zero-copy borrowed views,
 /// compressed-domain intersection.
 impl GraphRead for KnowledgeGraph {
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
-        self.index().postings(probe).to_cursor()
+    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
+        self.index().postings(probe).to_list()
     }
 
     fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use saga_core::{
-    EntityId, EntityRecord, GraphRead, Lsn, PostingsCursor, ProbeKey, Result, SagaError,
+    BlockPostings, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError,
     SessionToken,
 };
 use saga_live::{QueryEngine, QueryResult, ReplicaKg};
@@ -197,7 +197,7 @@ impl FleetRouter {
 /// each monotone for the slot's life, so it never moves backwards, not
 /// even when a replica is rebuilt.
 impl GraphRead for FleetRouter {
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
         self.route().graph().postings_cursor(probe)
     }
 

@@ -17,7 +17,7 @@
 use std::borrow::Cow;
 
 use saga_core::{
-    EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, PostingsCursor, PostingsView,
+    BlockPostings, EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, PostingsView,
     ProbeKey, Result, SagaError, Symbol, Value,
 };
 
@@ -112,7 +112,7 @@ mod context {
 
     /// Probes and point reads forward to the KG.
     impl GraphRead for ViewContext<'_> {
-        fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+        fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
             self.kg.postings_cursor(probe)
         }
         fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {

@@ -197,7 +197,7 @@ impl<G: GraphRead> QueryEngine<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{EntityId, EntityRecord, PostingsCursor, ProbeKey};
+    use saga_core::{BlockPostings, EntityId, EntityRecord, ProbeKey};
     use std::sync::Barrier;
 
     /// A backend that parks every conjunction between two rendezvous
@@ -209,7 +209,7 @@ mod tests {
     }
 
     impl GraphRead for Gated {
-        fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+        fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
             self.inner.postings_cursor(probe)
         }
         fn record(&self, id: EntityId) -> Option<EntityRecord> {

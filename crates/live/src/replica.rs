@@ -182,7 +182,7 @@ impl LiveReplica {
 /// requires, and the provided methods derive the rest from the same
 /// cursor.
 impl GraphRead for LiveReplica {
-    fn postings_cursor(&self, probe: &ProbeKey) -> saga_core::PostingsCursor {
+    fn postings_cursor(&self, probe: &ProbeKey) -> saga_core::BlockPostings {
         self.live.postings_cursor(probe)
     }
 

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
-use saga_core::postings::{union_views, PostingsCursor, PostingsView};
+use saga_core::postings::{union_views, BlockPostings, PostingsView};
 use saga_core::{
     Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, IndexHeap, ProbeKey,
     Symbol, TripleIndex, Value,
@@ -184,10 +184,10 @@ impl GraphRead for ReplicaKg {
     /// Partitions split the id space, so their borrowed views union
     /// disjointly — block by block in the compressed domain
     /// ([`union_views`]), never materializing id vectors.
-    fn postings_cursor(&self, probe: &ProbeKey) -> PostingsCursor {
+    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
         let index = self.index.read();
         let views: Vec<PostingsView> = index.parts.iter().map(|p| p.postings(probe)).collect();
-        PostingsCursor::from_list(union_views(&views))
+        union_views(&views)
     }
 
     fn selectivity(&self, probe: &ProbeKey) -> usize {
