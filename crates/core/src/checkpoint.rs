@@ -9,28 +9,38 @@
 //! proportional to live data. See `docs/checkpoint.md` for the full
 //! contract.
 //!
-//! # Artifact format (version 2)
+//! # Artifact format (version 3)
 //!
 //! ```text
-//! SAGACKPT 2\n                      magic + format version (text line)
-//! {"version":2,...}\n               manifest (one compact JSON line)
+//! SAGACKPT 3 <manifest fnv1a>\n    magic, format version, FNV-1a 64 of the manifest line (hex)
+//! {"version":3,...}\n               manifest (one compact JSON line)
 //! <binary section bytes…>           concatenated, in manifest order
 //! ```
 //!
 //! The manifest names each section with its byte length and FNV-1a 64
-//! checksum (hex); the sections are `symbols` (predicate/dictionary
+//! checksum (hex), beside the watermark and the index's entity and fact
+//! counts, which the loader checks against what it decoded; the magic
+//! line's checksum covers the manifest itself, so no byte of the header
+//! goes unchecked. The sections are `symbols` (predicate/dictionary
 //! strings), `objects` (the live values that take a dictionary slot),
 //! `records` (the SPO columns), and the three posting families `pos`,
 //! `osp`, `tokens`. `records` and `pos` write each object as one varint
 //! reference: `i << 1` for `objects` entry `i`, `payload << 2 | 0b01` for
 //! an immediate `Int` and `payload << 2 | 0b11` for an immediate entity
 //! (see [`ObjId`]). An immediate never appears in `objects`, and an
-//! artifact of another version fails to load. All
-//! posting lists are written **block-wise** through
-//! [`BlockPostings::write_bytes`] — the compressed containers are copied
-//! byte-for-byte, never decompressed. Counts, strings and object values
-//! inside a section use the [`crate::binary`] vocabulary the wire
-//! protocol shares.
+//! artifact of another version fails to load.
+//!
+//! The posting families are keyed in ascending order and write their keys
+//! compactly: `pos` once per predicate (its symbol index, its entry count,
+//! then each entry's object reference), `osp` by target id, both as
+//! ascending-id columns (the first raw, each later one as `gap − 1`, so a
+//! decoded column ascends by construction); `tokens` front-coded (the
+//! byte length of the prefix shared with the previous token, cut back to
+//! a char boundary, then the rest as a string). All posting lists are
+//! written **block-wise** through [`BlockPostings::write_bytes`] — the
+//! compressed containers are copied byte-for-byte, never decompressed.
+//! Counts, strings and object values inside a section use the
+//! [`crate::binary`] vocabulary the wire protocol shares.
 //!
 //! # Durability and torn-write recovery
 //!
@@ -39,10 +49,13 @@
 //! the oplog's torn-tail discipline at the artifact level. A publish that
 //! fails before the rename leaves a `.tmp` straggler, which [`prune`]
 //! deletes once a newer artifact is published. A reader
-//! ([`load`]) re-verifies the magic, the manifest, every section length
-//! and checksum, and every structural invariant of the decoded postings;
-//! a torn or corrupt artifact is an error, and [`load_latest`] skips it in
-//! favor of the newest artifact that does verify.
+//! ([`load`]) re-verifies the magic, the manifest's checksum, every
+//! section length and checksum, every structural invariant of the decoded
+//! keys and postings, and the manifest's counts; a torn or corrupt
+//! artifact is an error. [`CheckpointInfo::load`] also rejects an artifact
+//! whose manifest watermark is not the one its file name carries, and
+//! both [`load_latest`] and a replica's bootstrap select through it,
+//! skipping a failing artifact in favor of the newest one that verifies.
 //!
 //! Checkpoints are pure functions of the log prefix they cover, so any
 //! number of them may coexist; retention ([`prune`]) keeps the newest N.
@@ -61,10 +74,11 @@ use crate::postings::BlockPostings;
 use crate::{intern, EntityId, FxHashMap, Lsn, Result, SagaError, Symbol, TripleIndex, Value};
 
 /// Artifact format version this module writes and understands.
-pub const FORMAT_VERSION: u64 = 2;
+pub const FORMAT_VERSION: u64 = 3;
 
-/// Magic first line of every artifact: `SAGACKPT ` and the format version.
-const MAGIC: &str = "SAGACKPT 2";
+/// Start of every artifact's first line: `SAGACKPT ` and the format
+/// version. The line goes on with a space and the manifest's checksum.
+const MAGIC: &str = "SAGACKPT 3";
 
 /// File extension of a published artifact.
 const EXTENSION: &str = "sagackpt";
@@ -177,18 +191,25 @@ pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
     }
     sections.push(("records", std::mem::take(&mut buf)));
 
-    // POS postings, sorted by (symbol index, object reference).
+    // POS postings, sorted by (symbol index, object reference) and
+    // written one group per predicate.
     let mut pos: Vec<(u64, u64, &BlockPostings)> = index
         .pos
         .iter()
         .map(|(&(pred, obj), list)| (sym_index[pred.0 as usize], obj_ref(obj), list))
         .collect();
     pos.sort_unstable_by_key(|&(s, o, _)| (s, o));
-    push_varint(&mut buf, pos.len() as u64);
-    for (sym, obj, list) in pos {
-        push_varint(&mut buf, sym);
-        push_varint(&mut buf, obj);
-        list.write_bytes(&mut buf);
+    let same_pred = |a: &(u64, u64, _), b: &(u64, u64, _)| a.0 == b.0;
+    push_varint(&mut buf, pos.chunk_by(same_pred).count() as u64);
+    let mut preds = Ascending::default();
+    for group in pos.chunk_by(same_pred) {
+        preds.push(&mut buf, group[0].0);
+        push_varint(&mut buf, group.len() as u64);
+        let mut objs = Ascending::default();
+        for &(_, obj, list) in group {
+            objs.push(&mut buf, obj);
+            list.write_bytes(&mut buf);
+        }
     }
     sections.push(("pos", std::mem::take(&mut buf)));
 
@@ -197,18 +218,21 @@ pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
         index.osp.iter().map(|(&t, list)| (t, list)).collect();
     osp.sort_unstable_by_key(|&(t, _)| t);
     push_varint(&mut buf, osp.len() as u64);
+    let mut targets = Ascending::default();
     for (target, list) in osp {
-        push_varint(&mut buf, target.0);
+        targets.push(&mut buf, target.0);
         list.write_bytes(&mut buf);
     }
     sections.push(("osp", std::mem::take(&mut buf)));
 
-    // Token postings, sorted by token text.
+    // Token postings, sorted by token text and front-coded.
     let mut tokens: Vec<(&Arc<str>, &BlockPostings)> = index.tokens.iter().collect();
     tokens.sort_unstable_by_key(|&(t, _)| t);
     push_varint(&mut buf, tokens.len() as u64);
+    let mut last = "";
     for (token, list) in tokens {
-        push_str(&mut buf, token);
+        push_front_coded(&mut buf, last, token);
+        last = token;
         list.write_bytes(&mut buf);
     }
     sections.push(("tokens", std::mem::take(&mut buf)));
@@ -235,10 +259,11 @@ pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
     manifest.insert("facts".to_string(), Json::Int(index.fact_count() as i64));
     manifest.insert("sections".to_string(), Json::Array(section_meta));
 
+    let manifest = Json::Object(manifest).to_string_compact();
     let mut out = Vec::new();
-    out.extend_from_slice(MAGIC.as_bytes());
+    out.extend_from_slice(magic_line(manifest.as_bytes()).as_bytes());
     out.push(b'\n');
-    out.extend_from_slice(Json::Object(manifest).to_string_compact().as_bytes());
+    out.extend_from_slice(manifest.as_bytes());
     out.push(b'\n');
     for (_, bytes) in sections {
         out.extend_from_slice(&bytes);
@@ -247,6 +272,78 @@ pub fn encode(watermark: Lsn, index: &TripleIndex) -> CheckpointImage {
         watermark,
         bytes: out,
     }
+}
+
+/// The first line of an artifact whose manifest line is `manifest`.
+fn magic_line(manifest: &[u8]) -> String {
+    format!("{MAGIC} {:016x}", fnv1a(manifest))
+}
+
+/// The ascending-id column codec of `pos` and `osp` keys: a strictly
+/// ascending run of `u64`s, the first written raw and each later one as
+/// its `gap − 1` from the one before — so a column that decodes ascends.
+/// It holds the last value pushed or taken.
+#[derive(Default)]
+struct Ascending(Option<u64>);
+
+impl Ascending {
+    /// Append `v`, which must exceed the last value.
+    fn push(&mut self, buf: &mut Vec<u8>, v: u64) {
+        push_varint(buf, self.0.map_or(v, |last| v - last - 1));
+        self.0 = Some(v);
+    }
+
+    /// Read the next value at `*at`, advancing past it.
+    fn take(&mut self, bytes: &[u8], at: &mut usize) -> Result<u64> {
+        let gap = take_varint(bytes, at)?;
+        let v = match self.0 {
+            None => gap,
+            Some(last) => last
+                .checked_add(gap)
+                .and_then(|v| v.checked_add(1))
+                .ok_or_else(|| err("key gap overflows"))?,
+        };
+        self.0 = Some(v);
+        Ok(v)
+    }
+}
+
+/// Append `key` front-coded against `last`, the key before it (`""` for
+/// the first): the byte length of their shared prefix, cut back to a char
+/// boundary, then the rest of `key` as a string.
+fn push_front_coded(buf: &mut Vec<u8>, last: &str, key: &str) {
+    let mut shared = last
+        .bytes()
+        .zip(key.bytes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    while !key.is_char_boundary(shared) {
+        shared -= 1;
+    }
+    push_varint(buf, shared as u64);
+    push_str(buf, &key[shared..]);
+}
+
+/// Read one front-coded key at `*at` into `key`, which holds the key
+/// before it (empty for the first, `first`). A key must ascend past the
+/// one before, and its shared prefix must end inside that key and on a
+/// char boundary.
+fn take_front_coded(bytes: &[u8], at: &mut usize, key: &mut String, first: bool) -> Result<()> {
+    let shared = take_varint(bytes, at)?;
+    let shared = usize::try_from(shared)
+        .ok()
+        .filter(|&n| n <= key.len())
+        .ok_or_else(|| err("token prefix longer than the previous token"))?;
+    if !key.is_char_boundary(shared) {
+        return Err(err("token prefix off a char boundary"));
+    }
+    let rest = take_str(bytes, at)?;
+    if !first && rest.as_bytes() <= &key.as_bytes()[shared..] {
+        return Err(err("tokens do not ascend"));
+    }
+    key.truncate(shared);
+    key.push_str(rest);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -371,45 +468,61 @@ pub struct Checkpoint {
 pub fn load(path: &Path) -> Result<Checkpoint> {
     let mut raw = Vec::new();
     fs::File::open(path)?.read_to_end(&mut raw)?;
+    decode(&raw)
+}
 
+/// The next `\n`-terminated line of `raw` at `*at`, advancing past it.
+fn take_line<'a>(raw: &'a [u8], at: &mut usize, what: &str) -> Result<&'a [u8]> {
+    let rest = &raw[*at..];
+    let len = rest
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| err(format!("missing {what} line")))?;
+    *at += len + 1;
+    Ok(&rest[..len])
+}
+
+/// A manifest field that must be a non-negative integer.
+fn manifest_count(manifest: &Json, field: &str) -> Result<u64> {
+    manifest
+        .get(field)
+        .and_then(Json::as_i64)
+        .and_then(|n| u64::try_from(n).ok())
+        .ok_or_else(|| err(format!("manifest missing {field}")))
+}
+
+/// Verify and decode one artifact's bytes: [`load`] after the file read.
+fn decode(raw: &[u8]) -> Result<Checkpoint> {
     // Header: magic line + manifest line.
-    let magic_end = raw
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| err("missing magic line"))?;
-    let magic = &raw[..magic_end];
-    if magic != MAGIC.as_bytes() {
-        // Another version's artifact reports its version, like a manifest
-        // that names one.
-        return Err(match magic.strip_prefix(b"SAGACKPT ") {
-            Some(version) => err(format!(
-                "unsupported format version {}",
-                String::from_utf8_lossy(version)
-            )),
-            None => err("bad magic (not a checkpoint)"),
-        });
+    let mut at = 0usize;
+    let magic = take_line(raw, &mut at, "magic")?;
+    let rest = magic
+        .strip_prefix(b"SAGACKPT ")
+        .ok_or_else(|| err("bad magic (not a checkpoint)"))?;
+    let version = &rest[..rest.iter().position(|&b| b == b' ').unwrap_or(rest.len())];
+    // Another version's artifact reports its version, like a manifest
+    // that names one.
+    if version != FORMAT_VERSION.to_string().as_bytes() {
+        return Err(err(format!(
+            "unsupported format version {}",
+            String::from_utf8_lossy(version)
+        )));
     }
-    let manifest_end = raw[magic_end + 1..]
-        .iter()
-        .position(|&b| b == b'\n')
-        .map(|i| magic_end + 1 + i)
-        .ok_or_else(|| err("missing manifest line"))?;
-    let manifest_text = std::str::from_utf8(&raw[magic_end + 1..manifest_end])
-        .map_err(|_| err("manifest not utf-8"))?;
+    let manifest_bytes = take_line(raw, &mut at, "manifest")?;
+    if magic != magic_line(manifest_bytes).as_bytes() {
+        return Err(err("manifest checksum mismatch"));
+    }
+    let manifest_text =
+        std::str::from_utf8(manifest_bytes).map_err(|_| err("manifest not utf-8"))?;
     let manifest = json::parse(manifest_text).map_err(|e| err(format!("manifest: {e}")))?;
 
-    let version = manifest
-        .get("version")
-        .and_then(Json::as_i64)
-        .ok_or_else(|| err("manifest missing version"))?;
-    if version != FORMAT_VERSION as i64 {
+    let version = manifest_count(&manifest, "version")?;
+    if version != FORMAT_VERSION {
         return Err(err(format!("unsupported format version {version}")));
     }
-    let watermark = manifest
-        .get("watermark")
-        .and_then(Json::as_i64)
-        .ok_or_else(|| err("manifest missing watermark"))?;
-    let watermark = Lsn(u64::try_from(watermark).map_err(|_| err("negative watermark"))?);
+    let watermark = Lsn(manifest_count(&manifest, "watermark")?);
+    let entities = manifest_count(&manifest, "entities")?;
+    let facts = manifest_count(&manifest, "facts")?;
     let declared = manifest
         .get("sections")
         .and_then(Json::as_array)
@@ -420,7 +533,6 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     // Slice and checksum each section.
     let mut sections: FxHashMap<&str, &[u8]> = FxHashMap::default();
-    let mut at = manifest_end + 1;
     for (decl, &expected_name) in declared.iter().zip(SECTIONS.iter()) {
         let name = decl
             .get("name")
@@ -518,7 +630,8 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     let bytes = sections["records"];
     let mut at = 0usize;
-    let nents = take_varint(bytes, &mut at)? as usize;
+    // An entity is at least an id delta, a fact count and one fact.
+    let nents = take_count(bytes, &mut at, 4)?;
     let mut prev = 0u64;
     for _ in 0..nents {
         let delta = take_varint(bytes, &mut at)?;
@@ -552,18 +665,29 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
         return Err(err("object table entry referenced by no record"));
     }
 
+    // A posting list is at least a tag and two varints.
+    const MIN_LIST: usize = 3;
+
     let bytes = sections["pos"];
     let mut at = 0usize;
-    let nlists = take_varint(bytes, &mut at)? as usize;
-    for _ in 0..nlists {
-        let pred = sym_at(take_varint(bytes, &mut at)?)?;
-        let obj = obj_at(take_varint(bytes, &mut at)?)?;
-        let list = BlockPostings::read_bytes(bytes, &mut at)?;
-        if list.is_empty() {
-            return Err(err("empty posting list in pos section"));
+    let ngroups = take_count(bytes, &mut at, 2)?;
+    let mut preds = Ascending::default();
+    for _ in 0..ngroups {
+        let pred = sym_at(preds.take(bytes, &mut at)?)?;
+        let nlists = take_count(bytes, &mut at, 1 + MIN_LIST)?;
+        if nlists == 0 {
+            return Err(err("empty pos group"));
         }
-        if index.pos.insert((pred, obj), list).is_some() {
-            return Err(err("duplicate pos key"));
+        let mut objs = Ascending::default();
+        for _ in 0..nlists {
+            let obj = obj_at(objs.take(bytes, &mut at)?)?;
+            let list = BlockPostings::read_bytes(bytes, &mut at)?;
+            if list.is_empty() {
+                return Err(err("empty posting list in pos section"));
+            }
+            if index.pos.insert((pred, obj), list).is_some() {
+                return Err(err("duplicate pos key"));
+            }
         }
     }
     if at != bytes.len() {
@@ -572,9 +696,10 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     let bytes = sections["osp"];
     let mut at = 0usize;
-    let nlists = take_varint(bytes, &mut at)? as usize;
+    let nlists = take_count(bytes, &mut at, 1 + MIN_LIST)?;
+    let mut targets = Ascending::default();
     for _ in 0..nlists {
-        let target = EntityId(take_varint(bytes, &mut at)?);
+        let target = EntityId(targets.take(bytes, &mut at)?);
         let list = BlockPostings::read_bytes(bytes, &mut at)?;
         if list.is_empty() || index.osp.insert(target, list).is_some() {
             return Err(err("bad osp entry"));
@@ -586,11 +711,17 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 
     let bytes = sections["tokens"];
     let mut at = 0usize;
-    let nlists = take_varint(bytes, &mut at)? as usize;
-    for _ in 0..nlists {
-        let token: Arc<str> = Arc::from(take_str(bytes, &mut at)?);
+    let nlists = take_count(bytes, &mut at, 2 + MIN_LIST)?;
+    let mut token = String::new();
+    for i in 0..nlists {
+        take_front_coded(bytes, &mut at, &mut token, i == 0)?;
         let list = BlockPostings::read_bytes(bytes, &mut at)?;
-        if list.is_empty() || index.tokens.insert(token, list).is_some() {
+        if list.is_empty()
+            || index
+                .tokens
+                .insert(Arc::from(token.as_str()), list)
+                .is_some()
+        {
             return Err(err("bad token entry"));
         }
     }
@@ -598,7 +729,27 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
         return Err(err("tokens section length mismatch"));
     }
 
+    if index.entity_count() as u64 != entities || index.fact_count() as u64 != facts {
+        return Err(err("manifest counts disagree with the decoded index"));
+    }
     Ok(Checkpoint { watermark, index })
+}
+
+impl CheckpointInfo {
+    /// [`load`] this artifact, and reject it when its manifest's watermark
+    /// is not the one its file name carries — the one selection check of
+    /// [`load_latest`] and a replica's bootstrap.
+    pub fn load(&self) -> Result<Checkpoint> {
+        let ckpt = load(&self.path)?;
+        if ckpt.watermark != self.watermark {
+            return Err(err(format!(
+                "{} holds watermark {}",
+                self.path.display(),
+                ckpt.watermark.0
+            )));
+        }
+        Ok(ckpt)
+    }
 }
 
 /// Load the newest artifact in `dir` that fully verifies, skipping torn
@@ -606,15 +757,8 @@ pub fn load(path: &Path) -> Result<Checkpoint> {
 /// no valid artifact exists (including a missing directory).
 pub fn load_latest(dir: &Path) -> Result<Option<(Checkpoint, PathBuf)>> {
     for info in artifacts(dir)?.into_iter().rev() {
-        match load(&info.path) {
-            Ok(ckpt) => {
-                if ckpt.watermark != info.watermark {
-                    // Name/manifest disagreement: treat as corrupt.
-                    continue;
-                }
-                return Ok(Some((ckpt, info.path)));
-            }
-            Err(_) => continue,
+        if let Ok(ckpt) = info.load() {
+            return Ok(Some((ckpt, info.path)));
         }
     }
     Ok(None)
@@ -629,28 +773,46 @@ mod tests {
         FactMeta::from_source(SourceId(1), 0.9)
     }
 
+    /// Entity `i` named `name`, with a string type, an `Int` rank, a float
+    /// score and an entity edge.
+    fn sample_record(i: u64, name: &str) -> EntityRecord {
+        let mut r = EntityRecord::new(EntityId(i));
+        let mut push = |pred: &str, value: Value| {
+            r.triples.push(ExtendedTriple::simple(
+                EntityId(i),
+                intern(pred),
+                value,
+                meta(),
+            ));
+        };
+        push("name", Value::str(name));
+        push(
+            "type",
+            Value::str(if i.is_multiple_of(2) { "song" } else { "album" }),
+        );
+        push("rank", Value::Int((i % 17) as i64));
+        push("score", Value::Float(i as f64 / 3.0));
+        push("related_to", Value::Entity(EntityId(i % 50 + 1)));
+        r
+    }
+
     fn sample_index(n: u64) -> TripleIndex {
         let mut idx = TripleIndex::new();
         for i in 1..=n {
-            let mut r = EntityRecord::new(EntityId(i));
-            let mut push = |pred: &str, value: Value| {
-                r.triples.push(ExtendedTriple::simple(
-                    EntityId(i),
-                    intern(pred),
-                    value,
-                    meta(),
-                ));
-            };
-            push("name", Value::str(format!("Entity Number {i}")));
-            push(
-                "type",
-                Value::str(if i % 2 == 0 { "song" } else { "album" }),
-            );
-            push("rank", Value::Int((i % 17) as i64));
-            push("score", Value::Float(i as f64 / 3.0));
-            push("related_to", Value::Entity(EntityId(i % 50 + 1)));
-            idx.update_entity(&r);
+            idx.update_entity(&sample_record(i, &format!("Entity Number {i}")));
         }
+        idx
+    }
+
+    /// `sample_index(12)` plus two entities whose names hold a multi-byte
+    /// character, so the front-coded tokens share prefixes that end both
+    /// beside and after one; `pos` holds table references (strings,
+    /// floats), `Int` immediates and entity immediates under several
+    /// predicates.
+    fn mixed_sample() -> TripleIndex {
+        let mut idx = sample_index(12);
+        idx.update_entity(&sample_record(13, "Entité Numéro 13"));
+        idx.update_entity(&sample_record(14, "Entités Numéro 14"));
         idx
     }
 
@@ -798,15 +960,12 @@ mod tests {
     }
 
     /// `full` with section `name`'s bytes replaced by `edit`'s, and that
-    /// section's length and checksum in the manifest rewritten to match,
-    /// so only the decoder can object to the edit.
+    /// section's length and checksum in the manifest, and the manifest's
+    /// checksum, rewritten to match, so only the decoder can object to
+    /// the edit.
     fn rewrite_section(full: &[u8], name: &str, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
         let mut lines = full.splitn(3, |&b| b == b'\n');
-        let (magic, manifest, mut payload) = (
-            lines.next().unwrap(),
-            lines.next().unwrap(),
-            lines.next().unwrap(),
-        );
+        let (manifest, mut payload) = (lines.nth(1).unwrap(), lines.next().unwrap());
         let mut manifest = json::parse(std::str::from_utf8(manifest).unwrap()).unwrap();
         let Json::Object(fields) = &mut manifest else {
             panic!("manifest is an object")
@@ -836,9 +995,10 @@ mod tests {
             body.extend_from_slice(&edited);
         }
         assert!(edit.is_none(), "no section {name}");
-        let mut out = magic.to_vec();
+        let manifest = manifest.to_string_compact();
+        let mut out = magic_line(manifest.as_bytes()).into_bytes();
         out.push(b'\n');
-        out.extend_from_slice(manifest.to_string_compact().as_bytes());
+        out.extend_from_slice(manifest.as_bytes());
         out.push(b'\n');
         out.extend_from_slice(&body);
         out
@@ -855,24 +1015,16 @@ mod tests {
         out
     }
 
-    /// Publish a good artifact with section `name` replaced by `edit`'s
-    /// bytes, and load it.
-    fn load_edited(
-        dir_name: &str,
-        name: &str,
-        edit: impl FnOnce(&[u8]) -> Vec<u8>,
-    ) -> Result<Checkpoint> {
-        let dir = std::env::temp_dir().join(format!("{dir_name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let path = publish(&dir, &encode(Lsn(5), &sample_index(40))).unwrap();
-        let full = fs::read(&path).unwrap();
+    /// Decode an artifact of [`mixed_sample`] with section `name` replaced
+    /// by `edit`'s bytes.
+    fn decode_edited(name: &str, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Result<Checkpoint> {
+        let full = encode(Lsn(5), &mixed_sample()).bytes;
         // The rewrite alone, with nothing edited, still loads.
-        fs::write(&path, rewrite_section(&full, name, <[u8]>::to_vec)).unwrap();
-        assert!(load(&path).is_ok(), "an identity rewrite loads");
-        fs::write(&path, rewrite_section(&full, name, edit)).unwrap();
-        let loaded = load(&path);
-        let _ = fs::remove_dir_all(&dir);
-        loaded
+        assert!(
+            decode(&rewrite_section(&full, name, <[u8]>::to_vec)).is_ok(),
+            "an identity rewrite loads"
+        );
+        decode(&rewrite_section(&full, name, edit))
     }
 
     fn assert_rejected(loaded: Result<Checkpoint>, reason: &str) {
@@ -884,7 +1036,7 @@ mod tests {
 
     #[test]
     fn an_objects_section_that_repeats_a_value_is_rejected() {
-        let loaded = load_edited("saga-ckpt-dup", "objects", |bytes| {
+        let loaded = decode_edited("objects", |bytes| {
             append_object(bytes, |values| take_value(values, &mut 0).unwrap())
         });
         assert_rejected(loaded, "duplicate object value in table");
@@ -892,7 +1044,7 @@ mod tests {
 
     #[test]
     fn an_object_that_no_record_references_is_rejected() {
-        let loaded = load_edited("saga-ckpt-orphan", "objects", |bytes| {
+        let loaded = decode_edited("objects", |bytes| {
             append_object(bytes, |_| Value::str("referenced by nothing"))
         });
         assert_rejected(loaded, "object table entry referenced by no record");
@@ -902,9 +1054,7 @@ mod tests {
     fn an_immediate_in_the_objects_section_is_rejected() {
         // `rank` 3 is on a record as an immediate; a table entry for it too
         // would load the value under a second id.
-        let loaded = load_edited("saga-ckpt-imm", "objects", |bytes| {
-            append_object(bytes, |_| Value::Int(3))
-        });
+        let loaded = decode_edited("objects", |bytes| append_object(bytes, |_| Value::Int(3)));
         assert_rejected(loaded, "immediate value in object table");
     }
 
@@ -912,7 +1062,7 @@ mod tests {
     fn an_immediate_reference_past_30_bits_is_rejected() {
         // The first record's first object reference becomes an `Int`
         // immediate whose payload needs a 31st bit.
-        let loaded = load_edited("saga-ckpt-wide", "records", |bytes| {
+        let loaded = decode_edited("records", |bytes| {
             let mut at = 0;
             for _ in 0..4 {
                 // Entity count, id, fact count, predicate.
@@ -998,6 +1148,8 @@ mod tests {
         }
     }
 
+    /// An artifact of format 1 or 2 (its magic line names the version)
+    /// fails to load and is skipped.
     #[test]
     fn a_version_1_artifact_is_unsupported_and_skipped() {
         let dir = std::env::temp_dir().join(format!("saga-ckpt-v1-{}", std::process::id()));
@@ -1006,10 +1158,16 @@ mod tests {
         let newer = publish(&dir, &encode(Lsn(8), &sample_index(30))).unwrap();
         let full = fs::read(&newer).unwrap();
         let body = &full[MAGIC.len()..];
-        fs::write(&newer, [b"SAGACKPT 1".as_slice(), body].concat()).unwrap();
-        assert_rejected(load(&newer), "unsupported format version 1");
-        let (ckpt, path) = load_latest(&dir).unwrap().unwrap();
-        assert_eq!((ckpt.watermark, path), (Lsn(4), old));
+        for version in [1, 2] {
+            let magic = format!("SAGACKPT {version}");
+            fs::write(&newer, [magic.as_bytes(), body].concat()).unwrap();
+            assert_rejected(
+                load(&newer),
+                &format!("unsupported format version {version}"),
+            );
+            let (ckpt, path) = load_latest(&dir).unwrap().unwrap();
+            assert_eq!((ckpt.watermark, path), (Lsn(4), old.clone()));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1067,7 +1225,7 @@ mod tests {
     fn a_records_id_that_overflows_is_rejected() {
         // The second entity's id delta becomes `u64::MAX`: added to the
         // first id it leaves the `u64` range.
-        let loaded = load_edited("saga-ckpt-idwrap", "records", |bytes| {
+        let loaded = decode_edited("records", |bytes| {
             let mut at = 0;
             take_varint(bytes, &mut at).unwrap(); // entity count
             take_varint(bytes, &mut at).unwrap(); // first id
@@ -1083,5 +1241,262 @@ mod tests {
             out
         });
         assert_rejected(loaded, "entity id overflows");
+    }
+
+    /// Section `name`'s bytes in an artifact.
+    fn section(full: &[u8], name: &str) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        rewrite_section(full, name, |b| {
+            bytes = b.to_vec();
+            bytes.clone()
+        });
+        bytes
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `bytes` with the varint at `start` replaced by `v`.
+    fn splice_varint(bytes: &[u8], start: usize, v: u64) -> Vec<u8> {
+        let mut end = start;
+        take_varint(bytes, &mut end).unwrap();
+        let mut out = bytes[..start].to_vec();
+        push_varint(&mut out, v);
+        out.extend_from_slice(&bytes[end..]);
+        out
+    }
+
+    /// Format 3, byte for byte. Predicates sort by text (`name rank
+    /// related_to type`), and `objects` stay in slot order; `pos` writes one
+    /// group per predicate with its object references ascending as
+    /// `gap − 1`, `osp` its targets the same way, and `tokens` front-codes
+    /// `caf café café ole cafés ole` as `(0, caf) (3, é) (5, " ole") (5, s)
+    /// (0, ole)`.
+    #[test]
+    fn encode_format_is_pinned() {
+        let mut idx = TripleIndex::new();
+        for (i, name, ty, rank, edge) in [
+            (1, "Café Ole", "song", 3, 2),
+            (2, "Cafés", "song", -1, 1),
+            (5, "Caf", "album", 3, 1),
+        ] {
+            let mut r = EntityRecord::new(EntityId(i));
+            for (pred, value) in [
+                ("name", Value::str(name)),
+                ("type", Value::str(ty)),
+                ("rank", Value::Int(rank)),
+                ("related_to", Value::Entity(EntityId(edge))),
+            ] {
+                r.triples.push(ExtendedTriple::simple(
+                    EntityId(i),
+                    intern(pred),
+                    value,
+                    meta(),
+                ));
+            }
+            idx.update_entity(&r);
+        }
+        let image = encode(Lsn(11), &idx);
+        let mut lines = image.bytes.splitn(3, |&b| b == b'\n');
+        let (magic, manifest) = (lines.next().unwrap(), lines.next().unwrap());
+        assert_eq!(magic, magic_line(manifest).as_bytes());
+        assert!(magic.starts_with(b"SAGACKPT 3 "));
+        let pinned = [
+            ("symbols", "04046e616d650472616e6b0a72656c617465645f746f0474797065"),
+            ("objects", "050409436166c3a9204f6c650404736f6e670406436166c3a97304034361660405616c62756d"),
+            ("records", "030104000003020119020b0104000403020105020703040006030801190207"),
+            ("pos", "040003000001010103000101020100010105000205000101021300020201030002070002020202030001010100020200020201000500010105"),
+            ("osp", "020100020202020000010101"),
+            ("tokens", "050003636166000101050302c3a9000101010504206f6c65000101010501730001010200036f6c6500010101"),
+        ];
+        for (name, want) in pinned {
+            assert_eq!(hex(&section(&image.bytes, name)), want, "section {name}");
+        }
+        let ckpt = decode(&image.bytes).unwrap();
+        assert_eq!(ckpt.watermark, Lsn(11));
+        assert_eq!(ckpt.index.fact_count(), 12);
+        for token in ["caf", "café", "café ole", "cafés", "ole"] {
+            let probe = ProbeKey::Name(token.into());
+            assert_eq!(
+                ckpt.index.postings(&probe).to_vec(),
+                idx.postings(&probe).to_vec(),
+                "{token}"
+            );
+        }
+        for (rank, want) in [(3, vec![1, 5]), (-1, vec![2])] {
+            assert_eq!(
+                ckpt.index
+                    .by_literal(intern("rank"), &Value::Int(rank))
+                    .to_vec(),
+                want.into_iter().map(EntityId).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(
+            ckpt.index.referencing(EntityId(1)).to_vec(),
+            [EntityId(2), EntityId(5)]
+        );
+    }
+
+    /// Each token entry of a `tokens` section: the bytes of its shared
+    /// prefix length and rest, and the key they decode to.
+    fn token_entries(bytes: &[u8]) -> Vec<(std::ops::Range<usize>, String)> {
+        let mut at = 0;
+        let n = take_varint(bytes, &mut at).unwrap();
+        let mut key = String::new();
+        (0..n)
+            .map(|i| {
+                let start = at;
+                take_front_coded(bytes, &mut at, &mut key, i == 0).unwrap();
+                let entry = (start..at, key.clone());
+                BlockPostings::read_bytes(bytes, &mut at).unwrap();
+                entry
+            })
+            .collect()
+    }
+
+    /// A `tokens` section in which the entry after the first token that
+    /// holds a multi-byte character is replaced by the `(shared prefix
+    /// length, rest)` that `rewrite` makes from that token.
+    fn edit_token_after_utf8(bytes: &[u8], rewrite: impl FnOnce(&str) -> (u64, String)) -> Vec<u8> {
+        let entries = token_entries(bytes);
+        let at = entries
+            .iter()
+            .position(|(_, key)| !key.is_ascii())
+            .expect("a token holds a multi-byte character");
+        let (shared, rest) = rewrite(&entries[at].1);
+        let range = entries[at + 1].0.clone();
+        let mut out = bytes[..range.start].to_vec();
+        push_varint(&mut out, shared);
+        push_str(&mut out, &rest);
+        out.extend_from_slice(&bytes[range.end..]);
+        out
+    }
+
+    #[test]
+    fn a_token_prefix_past_the_previous_token_is_rejected() {
+        let loaded = decode_edited("tokens", |bytes| {
+            edit_token_after_utf8(bytes, |prev| (prev.len() as u64 + 1, "x".into()))
+        });
+        assert_rejected(loaded, "token prefix longer than the previous token");
+    }
+
+    #[test]
+    fn a_token_prefix_off_a_char_boundary_is_rejected() {
+        let loaded = decode_edited("tokens", |bytes| {
+            edit_token_after_utf8(bytes, |prev| {
+                let inside = (1..prev.len())
+                    .find(|&i| !prev.is_char_boundary(i))
+                    .unwrap();
+                (inside as u64, "x".into())
+            })
+        });
+        assert_rejected(loaded, "token prefix off a char boundary");
+    }
+
+    #[test]
+    fn a_token_that_does_not_ascend_is_rejected() {
+        let loaded = decode_edited("tokens", |bytes| {
+            edit_token_after_utf8(bytes, |prev| (prev.len() as u64, String::new()))
+        });
+        assert_rejected(loaded, "tokens do not ascend");
+    }
+
+    #[test]
+    fn a_pos_group_with_no_entries_is_rejected() {
+        let loaded = decode_edited("pos", |bytes| {
+            let mut at = 0;
+            take_varint(bytes, &mut at).unwrap(); // group count
+            take_varint(bytes, &mut at).unwrap(); // first predicate
+            splice_varint(bytes, at, 0)
+        });
+        assert_rejected(loaded, "empty pos group");
+    }
+
+    #[test]
+    fn a_pos_object_gap_that_overflows_is_rejected() {
+        let loaded = decode_edited("pos", |bytes| {
+            let mut at = 0;
+            take_varint(bytes, &mut at).unwrap(); // group count
+            take_varint(bytes, &mut at).unwrap(); // first predicate
+            assert!(take_varint(bytes, &mut at).unwrap() > 1, "two entries");
+            take_varint(bytes, &mut at).unwrap(); // first object
+            BlockPostings::read_bytes(bytes, &mut at).unwrap();
+            splice_varint(bytes, at, u64::MAX)
+        });
+        assert_rejected(loaded, "key gap overflows");
+    }
+
+    #[test]
+    fn an_osp_target_gap_that_overflows_is_rejected() {
+        let loaded = decode_edited("osp", |bytes| {
+            let mut at = 0;
+            take_varint(bytes, &mut at).unwrap(); // target count
+            take_varint(bytes, &mut at).unwrap(); // first target
+            BlockPostings::read_bytes(bytes, &mut at).unwrap();
+            splice_varint(bytes, at, u64::MAX)
+        });
+        assert_rejected(loaded, "key gap overflows");
+    }
+
+    /// With no checksum rewritten, every byte of an artifact is covered:
+    /// each single-byte flip (XOR 0xff, and one seeded bit) and each proper
+    /// prefix fails to decode.
+    #[test]
+    fn every_raw_flip_and_cut_of_an_artifact_is_rejected() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let full = encode(Lsn(20), &mixed_sample()).bytes;
+        assert!(decode(&full).is_ok());
+        let mut rng = StdRng::seed_from_u64(0xF11B);
+        let mut edited = full.clone();
+        for i in 0..full.len() {
+            for mask in [0xff, 1u8 << rng.gen_range(0..8u32)] {
+                edited[i] ^= mask;
+                assert!(decode(&edited).is_err(), "byte {i} ^ {mask:#04x} loaded");
+                edited[i] ^= mask;
+            }
+        }
+        for len in 0..full.len() {
+            assert!(decode(&full[..len]).is_err(), "a {len}-byte prefix loaded");
+        }
+    }
+
+    /// With each section's checksums rewritten, only the decoder stands
+    /// between an edit and the index: each single-byte flip (XOR 0xff, and
+    /// one seeded bit) and each proper prefix of each section decodes to
+    /// an `Err` or an index, and never panics.
+    #[test]
+    fn section_flips_and_cuts_err_or_load_and_never_panic() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let full = encode(Lsn(20), &mixed_sample()).bytes;
+        let mut rng = StdRng::seed_from_u64(0x5EC7);
+        let (mut edits, mut loaded, mut panicked) = (0usize, 0usize, Vec::new());
+        for name in SECTIONS {
+            let bytes = section(&full, name);
+            let mut edited: Vec<Vec<u8>> = Vec::new();
+            for i in 0..bytes.len() {
+                for mask in [0xff, 1u8 << rng.gen_range(0..8u32)] {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= mask;
+                    edited.push(flipped);
+                }
+            }
+            edited.extend((0..bytes.len()).map(|len| bytes[..len].to_vec()));
+            for (n, section) in edited.into_iter().enumerate() {
+                let artifact = rewrite_section(&full, name, |_| section);
+                edits += 1;
+                match std::panic::catch_unwind(|| decode(&artifact)) {
+                    Ok(Ok(_)) => loaded += 1,
+                    Ok(Err(_)) => {}
+                    Err(_) => panicked.push((name, n)),
+                }
+            }
+        }
+        eprintln!(
+            "{edits} section edits: {loaded} loaded, {} rejected, {} panicked",
+            edits - loaded - panicked.len(),
+            panicked.len()
+        );
+        assert!(panicked.is_empty(), "edits that panicked: {panicked:?}");
     }
 }

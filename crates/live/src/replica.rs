@@ -31,7 +31,8 @@
 //!
 //! Replaying all history makes startup `O(everything that ever happened)`.
 //! [`LiveReplica::bootstrap`] instead loads the newest usable
-//! [`saga_core::checkpoint`] artifact — skipping torn or corrupt ones —
+//! [`saga_core::checkpoint`] artifact — skipping torn or corrupt ones,
+//! a manifest whose checksum or watermark does not match among them —
 //! splits its index into the replica's partitions under one lock
 //! ([`ReplicaKg::from_index`]; nothing is rebuilt beside it), and resumes
 //! the follower at the checkpoint watermark so only the log *tail*
@@ -74,8 +75,11 @@ impl LiveReplica {
     /// only the log tail past its watermark: startup `O(live data + tail)`
     /// instead of `O(all history)`.
     ///
-    /// Artifacts are tried newest-first. Torn/corrupt ones (they fail
-    /// [`checkpoint::load`]'s verification) and ones the log cannot roll
+    /// Artifacts are tried newest-first. Torn/corrupt ones — they fail
+    /// [`CheckpointInfo::load`](checkpoint::CheckpointInfo::load)'s
+    /// verification, which checks the manifest's checksum and that its
+    /// watermark is the one the file name carries, so the follower never
+    /// resumes past an op the index lacks — and ones the log cannot roll
     /// forward from — watermark ahead of the log head (wrong log) or
     /// behind its compaction point (tail gone) — are skipped in favor of
     /// the next-newest. With no usable artifact the replica falls back to
@@ -89,7 +93,7 @@ impl LiveReplica {
             if info.watermark > head || info.watermark < compacted {
                 continue;
             }
-            if let Ok(ckpt) = checkpoint::load(&info.path) {
+            if let Ok(ckpt) = info.load() {
                 restored = Some(ckpt);
                 break;
             }

@@ -359,6 +359,29 @@ fn replayed_and_bootstrapped_replicas_serve_identical_records() {
     }
 }
 
+/// Commit entity `i`, a named song with an `Int` rank, as one op.
+fn commit_entity(writer: &LoggedWriter, i: u64) {
+    writer
+        .commit(
+            OpKind::Upsert,
+            WriteBatch::new()
+                .named_entity(
+                    EntityId(i),
+                    &format!("Entity {i}"),
+                    "song",
+                    SourceId(1),
+                    0.9,
+                )
+                .upsert(ExtendedTriple::simple(
+                    EntityId(i),
+                    intern("rank"),
+                    Value::Int((i % 7) as i64),
+                    FactMeta::from_source(SourceId(1), 0.9),
+                )),
+        )
+        .unwrap();
+}
+
 /// A checkpointer that crashes mid-write leaves a torn artifact: the
 /// newest file fails verification, and bootstrap falls back to the
 /// previous valid checkpoint, replaying the longer tail instead.
@@ -368,40 +391,17 @@ fn torn_newest_checkpoint_falls_back_to_previous_valid_one() {
     let log = Arc::new(OperationLog::in_memory());
     let writer = writer_over(&log);
     let ckpt = CheckpointWriter::new(&writer, &dir);
-    let meta = || FactMeta::from_source(SourceId(1), 0.9);
-
-    let commit_entity = |i: u64| {
-        writer
-            .commit(
-                OpKind::Upsert,
-                WriteBatch::new()
-                    .named_entity(
-                        EntityId(i),
-                        &format!("Entity {i}"),
-                        "song",
-                        SourceId(1),
-                        0.9,
-                    )
-                    .upsert(ExtendedTriple::simple(
-                        EntityId(i),
-                        intern("rank"),
-                        Value::Int((i % 7) as i64),
-                        meta(),
-                    )),
-            )
-            .unwrap();
-    };
 
     for i in 1..=10 {
-        commit_entity(i);
+        commit_entity(&writer, i);
     }
     let good = ckpt.checkpoint().unwrap();
     for i in 11..=20 {
-        commit_entity(i);
+        commit_entity(&writer, i);
     }
     let newest = ckpt.checkpoint().unwrap();
     for i in 21..=25 {
-        commit_entity(i);
+        commit_entity(&writer, i);
     }
 
     // Tear the newest artifact as a crashed writer would: a prefix of
@@ -437,6 +437,61 @@ fn torn_newest_checkpoint_falls_back_to_previous_valid_one() {
     let full = LiveReplica::bootstrap(4, &dir, Arc::clone(&log)).unwrap();
     assert_eq!(full.watermark(), log.head());
     assert_eq!(full.postings(&probe), replayed.postings(&probe));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// One flipped bit in the newest artifact's manifest turns its
+/// `"watermark":20` into `21`. Its sections still verify, so only the
+/// manifest's checksum, or its disagreement with the file name, keeps
+/// bootstrap from resuming at op 22 over an index that lacks op 21: the
+/// booted replica must equal a full replay.
+#[test]
+fn a_flipped_manifest_watermark_is_not_trusted() {
+    let dir = temp_dir("flip");
+    let log = Arc::new(OperationLog::in_memory());
+    let writer = writer_over(&log);
+    let ckpt = CheckpointWriter::new(&writer, &dir);
+    for i in 1..=10 {
+        commit_entity(&writer, i);
+    }
+    ckpt.checkpoint().unwrap();
+    for i in 11..=20 {
+        commit_entity(&writer, i);
+    }
+    let newest = ckpt.checkpoint().unwrap();
+    assert_eq!(newest.watermark, Lsn(20));
+    for i in 21..=25 {
+        commit_entity(&writer, i);
+    }
+
+    let mut bytes = fs::read(&newest.path).unwrap();
+    let field = b"\"watermark\":20";
+    let at = bytes
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("the manifest names its watermark")
+        + field.len()
+        - 1;
+    bytes[at] ^= 1;
+    fs::write(&newest.path, &bytes).unwrap();
+
+    let booted = LiveReplica::bootstrap(4, &dir, Arc::clone(&log)).unwrap();
+    let mut replayed = LiveReplica::new(4, Arc::clone(&log));
+    replayed.catch_up().unwrap();
+    assert_eq!(booted.watermark(), log.head());
+    let probe = ProbeKey::Type(intern("song"));
+    assert_eq!(booted.postings(&probe), replayed.postings(&probe));
+    for i in 1..=25 {
+        assert_eq!(
+            flat_record(&booted, EntityId(i)),
+            flat_record(&replayed, EntityId(i)),
+            "record parity for entity {i}"
+        );
+    }
+    assert!(
+        checkpoint::load(&newest.path).is_err(),
+        "a flipped manifest must fail verification"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
