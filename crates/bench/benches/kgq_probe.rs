@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use saga_bench::nerdworld::ambiguous_world;
 use saga_core::index::{flatten, intersect_sorted};
-use saga_core::postings::{intersect_views, PostingsView};
+use saga_core::postings::{intersect_views, BlockPostings};
 use saga_core::{intern, EntityId, GraphRead, KnowledgeGraph, ProbeKey, Value};
 use saga_live::{QueryEngine, ReplicaKg};
 
@@ -107,19 +107,19 @@ fn bench_probe(c: &mut Criterion) {
         b.iter(|| kg.index().probe_all(&probes))
     });
     group.bench_function("selective_intersection_compressed", |b| {
-        let views: Vec<PostingsView> = probes.iter().map(|p| kg.index().postings(p)).collect();
-        b.iter(|| intersect_views(&views))
+        let lists: Vec<&BlockPostings> = probes.iter().map(|p| kg.index().postings(p)).collect();
+        b.iter(|| intersect_views(&lists))
     });
     group.bench_function("selective_intersection_plain_vec", |b| {
         let refs: Vec<&[EntityId]> = plain_selective.iter().map(Vec::as_slice).collect();
         b.iter(|| intersect_sorted(&refs))
     });
     group.bench_function("dense_intersection_compressed", |b| {
-        let views: Vec<PostingsView> = dense_probes
+        let lists: Vec<&BlockPostings> = dense_probes
             .iter()
             .map(|p| kg.index().postings(p))
             .collect();
-        b.iter(|| intersect_views(&views))
+        b.iter(|| intersect_views(&lists))
     });
     group.bench_function("dense_intersection_plain_vec", |b| {
         let refs: Vec<&[EntityId]> = plain_dense.iter().map(Vec::as_slice).collect();

@@ -40,11 +40,12 @@
 //! directory — see [`crate::postings`]); conjunctive probes intersect them
 //! **in the compressed domain** (bitmap `AND` for dense×dense blocks,
 //! directory galloping for sparse), cf. the compressed adjacency-matrix
-//! evaluation of Arroyuelo et al. Probe reads hand out borrowed
-//! [`PostingsView`]s — nothing is decompressed until a caller materializes
-//! ids. Composite facets are flattened to `predicate.facet` symbols — the
-//! same extended-triple trick (§2.1) the analytics store uses, so both
-//! share one schema.
+//! evaluation of Arroyuelo et al. Probe reads lend `&BlockPostings` — the
+//! stored list, or one shared empty list when the probe misses — and
+//! nothing is decompressed until a caller materializes ids. Composite
+//! facets are flattened to `predicate.facet` symbols — the same
+//! extended-triple trick (§2.1) the analytics store uses, so both share
+//! one schema.
 
 use std::borrow::Cow;
 use std::hash::BuildHasher;
@@ -52,9 +53,13 @@ use std::sync::{Arc, OnceLock};
 
 use rustc_hash::FxBuildHasher;
 
-use crate::postings::{intersect_views_limit, BlockPostings, PostingsView};
+use crate::postings::{intersect_views_limit, BlockPostings};
 use crate::well_known;
 use crate::{intern, EntityId, ExtendedTriple, FxHashMap, Symbol, Value};
+
+/// The list every probe that misses its map lends: one shared empty list,
+/// so a miss needs no `Option` and no allocation.
+static EMPTY: BlockPostings = BlockPostings::new();
 
 /// Id of an object value in a [`TripleIndex`]: a dictionary slot below
 /// 2³¹, or an *immediate* that is the value itself. An immediate sets bit
@@ -282,7 +287,10 @@ impl TripleIndex {
     }
 
     /// Retract a batch of facts for `entity` without a full diff.
-    pub fn remove_facts<'a>(
+    /// Test-only: the reference mutators the write-path properties
+    /// compare against are its only callers.
+    #[cfg(test)]
+    pub(crate) fn remove_facts<'a>(
         &mut self,
         entity: EntityId,
         triples: impl IntoIterator<Item = &'a ExtendedTriple>,
@@ -464,49 +472,37 @@ impl TripleIndex {
     // ------------------------------------------------------------------
 
     /// Subjects asserting the literal fact `(predicate, value)`.
-    pub fn by_literal(&self, predicate: Symbol, value: &Value) -> PostingsView<'_> {
+    pub fn by_literal(&self, predicate: Symbol, value: &Value) -> &BlockPostings {
         self.objects
             .get(value)
             .and_then(|obj| self.pos.get(&(predicate, obj)))
-            .map(BlockPostings::as_view)
-            .unwrap_or_default()
-    }
-
-    /// Subjects with an edge `(predicate) → target`.
-    pub fn by_edge(&self, predicate: Symbol, target: EntityId) -> PostingsView<'_> {
-        self.by_literal(predicate, &Value::Entity(target))
+            .unwrap_or(&EMPTY)
     }
 
     /// Subjects of ontology type `ty` (a literal probe on the `type`
     /// predicate — types need no separate store).
-    pub fn by_type(&self, ty: Symbol) -> PostingsView<'_> {
+    pub fn by_type(&self, ty: Symbol) -> &BlockPostings {
         self.by_literal(intern(well_known::TYPE), &Value::Str(ty.text()))
     }
 
     /// Subjects whose name/alias contains token (or equals phrase)
     /// `needle`, lowercased by the caller.
-    pub fn by_name(&self, needle: &str) -> PostingsView<'_> {
-        self.tokens
-            .get(needle)
-            .map(BlockPostings::as_view)
-            .unwrap_or_default()
+    pub fn by_name(&self, needle: &str) -> &BlockPostings {
+        self.tokens.get(needle).unwrap_or(&EMPTY)
     }
 
     /// Subjects referencing `target` through any predicate (OSP).
-    pub fn referencing(&self, target: EntityId) -> PostingsView<'_> {
-        self.osp
-            .get(&target)
-            .map(BlockPostings::as_view)
-            .unwrap_or_default()
+    pub fn referencing(&self, target: EntityId) -> &BlockPostings {
+        self.osp.get(&target).unwrap_or(&EMPTY)
     }
 
-    /// Posting list of one lowered probe — a zero-copy view over the
+    /// Posting list of one lowered probe, lent without copying the
     /// compressed blocks.
-    pub fn postings(&self, probe: &ProbeKey) -> PostingsView<'_> {
+    pub fn postings(&self, probe: &ProbeKey) -> &BlockPostings {
         match probe {
             ProbeKey::Name(n) => self.by_name(n),
             ProbeKey::Literal(p, v) => self.by_literal(*p, v),
-            ProbeKey::Edge(p, t) => self.by_edge(*p, *t),
+            ProbeKey::Edge(p, t) => self.by_literal(*p, &Value::Entity(*t)),
             ProbeKey::Type(t) => self.by_type(*t),
         }
     }
@@ -521,8 +517,8 @@ impl TripleIndex {
     /// directory galloping on sparse ones) that stops once the budget is
     /// met — see [`intersect_views_limit`].
     pub fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        let views: Vec<PostingsView> = probes.iter().map(|p| self.postings(p)).collect();
-        intersect_views_limit(&views, limit)
+        let lists: Vec<&BlockPostings> = probes.iter().map(|p| self.postings(p)).collect();
+        intersect_views_limit(&lists, limit)
     }
 
     /// The whole conjunction: [`probe_all_limit`](Self::probe_all_limit)
@@ -1178,15 +1174,23 @@ mod tests {
         ));
         // POS probes.
         assert_eq!(
-            idx.by_literal(intern("founded"), &Value::Int(1946)),
+            idx.by_literal(intern("founded"), &Value::Int(1946))
+                .to_vec(),
             &[EntityId(1)]
         );
-        assert_eq!(idx.by_edge(intern("arena"), EntityId(9)), &[EntityId(1)]);
-        assert_eq!(idx.by_type(intern("sports_team")), &[EntityId(1)]);
-        assert_eq!(idx.by_name("warriors"), &[EntityId(1)]);
-        assert_eq!(idx.by_name("golden state warriors"), &[EntityId(1)]);
+        assert_eq!(
+            idx.postings(&ProbeKey::Edge(intern("arena"), EntityId(9)))
+                .to_vec(),
+            [EntityId(1)]
+        );
+        assert_eq!(idx.by_type(intern("sports_team")).to_vec(), &[EntityId(1)]);
+        assert_eq!(idx.by_name("warriors").to_vec(), &[EntityId(1)]);
+        assert_eq!(
+            idx.by_name("golden state warriors").to_vec(),
+            &[EntityId(1)]
+        );
         // OSP.
-        assert_eq!(idx.referencing(EntityId(9)), &[EntityId(1)]);
+        assert_eq!(idx.referencing(EntityId(9)).to_vec(), &[EntityId(1)]);
         // SPO.
         assert_eq!(idx.facts_of(EntityId(1)).count(), 4);
         assert_eq!(idx.fact_count(), 4);
@@ -1206,9 +1210,9 @@ mod tests {
         assert_eq!(delta.added.len(), 1);
         assert_eq!(delta.removed.len(), 1);
         assert!(idx.by_name("old").is_empty());
-        assert_eq!(idx.by_name("new"), &[EntityId(1)]);
+        assert_eq!(idx.by_name("new").to_vec(), &[EntityId(1)]);
         assert_eq!(
-            idx.by_literal(intern("x"), &Value::Int(1)),
+            idx.by_literal(intern("x"), &Value::Int(1)).to_vec(),
             &[EntityId(1)],
             "unchanged kept"
         );
@@ -1291,7 +1295,8 @@ mod tests {
         ));
         idx.update_entity(&r);
         assert_eq!(
-            idx.by_literal(intern("educated_at.school"), &Value::str("UW")),
+            idx.by_literal(intern("educated_at.school"), &Value::str("UW"))
+                .to_vec(),
             &[EntityId(1)]
         );
     }
@@ -1317,7 +1322,8 @@ mod tests {
         idx.update_entity(&r);
         assert_eq!(idx.fact_count(), 1);
         assert_eq!(
-            idx.by_literal(intern("educated_at.degree"), &Value::str("PhD")),
+            idx.by_literal(intern("educated_at.degree"), &Value::str("PhD"))
+                .to_vec(),
             &[EntityId(1)]
         );
         // …dropping the last removes it.
@@ -1421,7 +1427,8 @@ mod tests {
         idx.remove_entity(EntityId(1));
         assert_eq!(idx.obj_dict_len(), 1);
         assert_eq!(
-            idx.by_literal(intern("genre"), &Value::str("jazz")),
+            idx.by_literal(intern("genre"), &Value::str("jazz"))
+                .to_vec(),
             &[EntityId(2)]
         );
         idx.remove_entity(EntityId(2));
@@ -1443,7 +1450,7 @@ mod tests {
         // Two new values fit entirely in the recycled slots.
         idx.update_entity(&record(2, &[("x", x(3)), ("y", x(4))]));
         assert_eq!(idx.obj_dict_slots(), slots, "free list reused");
-        assert_eq!(idx.by_literal(intern("x"), &x(3)), &[EntityId(2)]);
+        assert_eq!(idx.by_literal(intern("x"), &x(3)).to_vec(), &[EntityId(2)]);
         assert!(idx.by_literal(intern("x"), &x(1)).is_empty());
     }
 
@@ -1672,7 +1679,10 @@ mod tests {
             SourceId(1),
             0.9,
         );
-        assert_eq!(kg.index().by_name("billie"), &[EntityId(1)]);
-        assert_eq!(kg.index().by_type(intern("music_artist")), &[EntityId(1)]);
+        assert_eq!(kg.index().by_name("billie").to_vec(), &[EntityId(1)]);
+        assert_eq!(
+            kg.index().by_type(intern("music_artist")).to_vec(),
+            &[EntityId(1)]
+        );
     }
 }

@@ -22,8 +22,8 @@
 
 use crate::index::{flatten, name_tokens};
 use crate::postings::{
-    intersect_views, union_views, BlockPostings, PostingsView, BLOCK_SPAN, DENSE_MIN, INLINE_MAX,
-    SPARSE_MAX, TINY_MAX, TINY_MIN,
+    intersect_views, union_views, BlockPostings, BLOCK_SPAN, DENSE_MIN, INLINE_MAX, SPARSE_MAX,
+    TINY_MAX, TINY_MIN,
 };
 use crate::read::intersect_postings;
 use crate::{
@@ -269,7 +269,7 @@ fn assert_index_matches_naive_scan(kg: &KnowledgeGraph, seed_label: &str) {
     pairs.dedup();
     for (pred, value) in &pairs {
         assert_eq!(
-            index.by_literal(*pred, value),
+            index.by_literal(*pred, value).to_vec(),
             naive_pos(kg, *pred, value),
             "{seed_label}: POS mismatch for ({pred}, {value})"
         );
@@ -277,7 +277,7 @@ fn assert_index_matches_naive_scan(kg: &KnowledgeGraph, seed_label: &str) {
     // OSP: reverse references for every possible target.
     for target in (1..16).map(EntityId) {
         assert_eq!(
-            index.referencing(target),
+            index.referencing(target).to_vec(),
             naive_osp(kg, target),
             "{seed_label}: OSP mismatch for {target}"
         );
@@ -286,7 +286,7 @@ fn assert_index_matches_naive_scan(kg: &KnowledgeGraph, seed_label: &str) {
     for name in NAMES {
         for token in name_tokens(name) {
             assert_eq!(
-                index.by_name(&token),
+                index.by_name(&token).to_vec(),
                 naive_tokens(kg, &token),
                 "{seed_label}: token mismatch for {token:?}"
             );
@@ -295,7 +295,7 @@ fn assert_index_matches_naive_scan(kg: &KnowledgeGraph, seed_label: &str) {
     // Type postings.
     for ty in TYPES {
         assert_eq!(
-            index.by_type(intern(ty)),
+            index.by_type(intern(ty)).to_vec(),
             naive_pos(kg, intern("type"), &Value::str(ty)),
             "{seed_label}: type mismatch for {ty}"
         );
@@ -685,7 +685,7 @@ fn compressed_set_algebra_matches_plain_reference() {
             .iter()
             .map(|ids| BlockPostings::from_sorted(ids))
             .collect();
-        let views: Vec<PostingsView> = compressed.iter().map(BlockPostings::as_view).collect();
+        let views: Vec<&BlockPostings> = compressed.iter().collect();
         // Intersection ≡ naive.
         let expected: Vec<EntityId> = lists[0]
             .iter()
@@ -730,7 +730,7 @@ fn dense_type_posting_promotes_and_demotes_at_kg_scale() {
             view.len() / 2
         );
         let expected: Vec<EntityId> = (lo..hi).map(EntityId).collect();
-        assert_eq!(view, expected);
+        assert_eq!(view.to_vec(), expected);
     }
     // Retract the churn source: cardinality drops to ~433, under the
     // DENSE_MIN=256 per-block demotion threshold.
@@ -744,7 +744,7 @@ fn dense_type_posting_promotes_and_demotes_at_kg_scale() {
             "workload sized to cross the demote threshold"
         );
         assert_eq!(view.dense_block_count(), 0, "demoted after retraction");
-        assert_eq!(view, expected);
+        assert_eq!(view.to_vec(), expected);
         // And the conjunction with a (dense-ish) token posting agrees
         // with the naive intersection.
         let hits = kg

@@ -23,9 +23,7 @@ use std::sync::Arc;
 
 use crate::index::{Delta, TripleIndex};
 use crate::well_known;
-use crate::{
-    intern, EntityId, EntityRecord, ExtendedTriple, FxHashMap, FxHashSet, SourceId, Symbol, Value,
-};
+use crate::{intern, EntityId, EntityRecord, ExtendedTriple, FxHashMap, SourceId, Symbol, Value};
 
 /// Aggregate statistics about the KG (drives the Fig. 12 growth experiment).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -185,7 +183,7 @@ impl KnowledgeGraph {
     /// in-crate equivalence property tests; production writers commit
     /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
     /// `LoggedWriter`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn record_link(&mut self, source: SourceId, local_id: &str, kg: EntityId) {
         self.links.insert((source, Arc::from(local_id)), kg);
     }
@@ -257,7 +255,7 @@ impl KnowledgeGraph {
     /// in-crate equivalence property tests; production writers commit
     /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
     /// `LoggedWriter`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn retract_source(&mut self, source: SourceId) -> (usize, usize) {
         let mut facts_dropped = 0;
         let mut empty: Vec<EntityId> = Vec::new();
@@ -292,7 +290,7 @@ impl KnowledgeGraph {
     /// in-crate equivalence property tests; production writers commit
     /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
     /// `LoggedWriter`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn retract_source_entity(&mut self, source: SourceId, local_id: &str) -> usize {
         let Some(kg_id) = self.lookup_link(source, local_id) else {
             return 0;
@@ -321,11 +319,11 @@ impl KnowledgeGraph {
     /// in-crate equivalence property tests; production writers commit
     /// through [`WriteBatch::commit`](crate::WriteBatch::commit) or a
     /// `LoggedWriter`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn overwrite_volatile_partition(
         &mut self,
         source: SourceId,
-        volatile_predicates: &FxHashSet<Symbol>,
+        volatile_predicates: &crate::FxHashSet<Symbol>,
         fresh: Vec<ExtendedTriple>,
     ) -> usize {
         let mut dropped = 0;
@@ -425,7 +423,7 @@ impl KnowledgeGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FactMeta, RelId, SubjectRef};
+    use crate::{FactMeta, FxHashSet, RelId, SubjectRef};
 
     fn meta(src: u32) -> FactMeta {
         FactMeta::from_source(SourceId(src), 0.9)

@@ -28,7 +28,7 @@
 //!
 //! Both runs are one format with one codec: strictly ascending values,
 //! the first raw and each later one as `gap − 1`, written with
-//! [`push_varint`](crate::binary::push_varint). `push_run` encodes, `Run`
+//! [`push_varint`]. `push_run` encodes, `Run`
 //! iterates and `run_contains` tests membership over bytes this process
 //! wrote or checked, reading through the `binary` module's unchecked
 //! varint reader; `verify_run` is the one checked walk a checkpoint load
@@ -349,21 +349,21 @@ enum Repr {
     Blocks(Box<Blocked>),
 }
 
-impl Default for Repr {
-    fn default() -> Self {
-        Repr::Inline(InlineRun::default())
-    }
-}
-
 /// A sorted, deduplicated subject posting list in hybrid block-compressed
 /// form. See the module docs for the representation and cost model.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BlockPostings {
     repr: Repr,
 }
 
 // Every index slot holds one header: keep it at two words.
 const _: () = assert!(std::mem::size_of::<BlockPostings>() == 16);
+
+impl Default for BlockPostings {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// Equality is by content (the id set), not representation — a tiny list
 /// and a blocked list holding the same ids are equal.
@@ -374,9 +374,16 @@ impl PartialEq for BlockPostings {
 }
 
 impl BlockPostings {
-    /// An empty list.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty list: inline, no allocation, and `const`, so an index
+    /// can lend one shared empty list for every probe that misses.
+    pub const fn new() -> Self {
+        BlockPostings {
+            repr: Repr::Inline(InlineRun {
+                len: 0,
+                used: 0,
+                bytes: [0; INLINE_MAX],
+            }),
+        }
     }
 
     /// Build from sorted, deduplicated ids (bulk path: one encode per
@@ -673,9 +680,10 @@ impl BlockPostings {
         }
     }
 
-    /// A borrowed view of this list.
-    pub fn as_view(&self) -> PostingsView<'_> {
-        PostingsView { list: Some(self) }
+    /// The list itself; kept only because `e2e_bench/src/layers.rs`
+    /// names it (`.map(PostingsCursor::as_view)`).
+    pub fn as_view(&self) -> &Self {
+        self
     }
 
     /// Append this list's compressed form to `out` block-wise: tiny runs
@@ -1127,11 +1135,6 @@ enum IterInner<'a> {
 }
 
 impl<'a> PostingsIter<'a> {
-    /// An iterator over nothing.
-    fn empty() -> Self {
-        PostingsIter::tiny(&[])
-    }
-
     /// An iterator over one encoded tiny run.
     fn tiny(bytes: &'a [u8]) -> Self {
         PostingsIter(IterInner::Tiny(Run::new(bytes)))
@@ -1196,111 +1199,13 @@ impl Iterator for PostingsIter<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Views and cursors — the serving API surface
+// Names the end-to-end harness still uses
 // ---------------------------------------------------------------------
 
-/// A borrowed, possibly-empty view of one probe's posting list — what the
-/// [`TripleIndex`](crate::TripleIndex) hands out without copying.
-///
-/// The empty view (probe missed the index entirely) is a first-class
-/// value, so callers never branch on `Option`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PostingsView<'a> {
-    list: Option<&'a BlockPostings>,
-}
-
-impl<'a> PostingsView<'a> {
-    /// The view of a posting list that does not exist.
-    pub fn empty() -> Self {
-        PostingsView { list: None }
-    }
-
-    /// View a concrete list.
-    pub fn of(list: &'a BlockPostings) -> Self {
-        PostingsView { list: Some(list) }
-    }
-
-    /// Number of ids behind the view.
-    pub fn len(&self) -> usize {
-        self.list.map_or(0, BlockPostings::len)
-    }
-
-    /// True if the view holds no ids.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Membership test (directory search + one container probe).
-    pub fn contains(&self, id: EntityId) -> bool {
-        self.list.is_some_and(|l| l.contains(id))
-    }
-
-    /// Number of blocks behind the view (0 for tiny/empty lists).
-    pub fn block_count(&self) -> usize {
-        self.list.map_or(0, BlockPostings::block_count)
-    }
-
-    /// Number of dense (bitmap) blocks behind the view.
-    pub fn dense_block_count(&self) -> usize {
-        self.list.map_or(0, BlockPostings::dense_block_count)
-    }
-
-    /// Ordered id iterator (streaming decode).
-    pub fn iter(&self) -> PostingsIter<'a> {
-        match self.list {
-            Some(list) => list.iter(),
-            None => PostingsIter::empty(),
-        }
-    }
-
-    /// Materialize the sorted id list.
-    pub fn to_vec(&self) -> Vec<EntityId> {
-        self.list.map_or_else(Vec::new, BlockPostings::to_vec)
-    }
-
-    /// Snapshot into an owned list (clones the *compressed* blocks — the
-    /// cheap way to carry a posting list out of a lock).
-    pub fn to_list(&self) -> BlockPostings {
-        self.list.cloned().unwrap_or_default()
-    }
-
-    /// Approximate heap bytes behind the view.
-    pub fn heap_bytes(&self) -> usize {
-        self.list.map_or(0, BlockPostings::heap_bytes)
-    }
-}
-
-impl<'a> IntoIterator for PostingsView<'a> {
-    type Item = EntityId;
-    type IntoIter = PostingsIter<'a>;
-    fn into_iter(self) -> PostingsIter<'a> {
-        self.iter()
-    }
-}
-
-impl PartialEq for PostingsView<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl PartialEq<&[EntityId]> for PostingsView<'_> {
-    fn eq(&self, other: &&[EntityId]) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
-
-impl<const N: usize> PartialEq<&[EntityId; N]> for PostingsView<'_> {
-    fn eq(&self, other: &&[EntityId; N]) -> bool {
-        self.len() == N && self.iter().eq(other.iter().copied())
-    }
-}
-
-impl PartialEq<Vec<EntityId>> for PostingsView<'_> {
-    fn eq(&self, other: &Vec<EntityId>) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
+/// The name the end-to-end harness still gives a borrowed posting list;
+/// kept only because `e2e_bench/src/layers.rs` names it. Every other
+/// caller says `&BlockPostings`.
+pub type PostingsView<'a> = &'a BlockPostings;
 
 /// The name the end-to-end harness still gives an owned posting list;
 /// every other caller says [`BlockPostings`].
@@ -1341,7 +1246,7 @@ fn gallop_dir(dir: &[BlockMeta], from: usize, key: u64) -> usize {
 /// Complexity: `O(common blocks · block work)` plus
 /// `O(|smallest dir| · Σ log |other dir|)` directory galloping; block work
 /// is 64 word-`AND`s (dense) or `O(smallest block card)` probes (mixed).
-pub fn intersect_views(lists: &[PostingsView]) -> Vec<EntityId> {
+pub fn intersect_views(lists: &[&BlockPostings]) -> Vec<EntityId> {
     intersect_views_limit(lists, usize::MAX)
 }
 
@@ -1350,30 +1255,28 @@ pub fn intersect_views(lists: &[PostingsView]) -> Vec<EntityId> {
 /// that yields the `limit`-th id — mid-word for dense×dense blocks — and
 /// no later block's directory entry or container is touched.
 /// `usize::MAX` means "no budget" and is exactly [`intersect_views`].
-pub fn intersect_views_limit(lists: &[PostingsView], limit: usize) -> Vec<EntityId> {
+pub fn intersect_views_limit(lists: &[&BlockPostings], limit: usize) -> Vec<EntityId> {
     intersect_counting_blocks(lists, limit).0
 }
 
 /// [`intersect_views_limit`], also returning how many driver blocks the
 /// block loop examined (0 on the tiny path) — what the tests pin "`LIMIT
 /// k` costs `k`" with, instead of a stopwatch.
-fn intersect_counting_blocks(lists: &[PostingsView], limit: usize) -> (Vec<EntityId>, usize) {
+fn intersect_counting_blocks(lists: &[&BlockPostings], limit: usize) -> (Vec<EntityId>, usize) {
     let mut out = Vec::new();
     let Some(driver_at) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
         return (out, 0);
     };
-    // The driver is the shortest list, so an empty view anywhere lands here.
-    let Some(driver) = lists[driver_at].list.filter(|l| !l.is_empty()) else {
-        return (out, 0);
-    };
-    if limit == 0 {
+    // The shortest list drives, so an empty list anywhere lands here.
+    let driver = lists[driver_at];
+    if driver.is_empty() || limit == 0 {
         return (out, 0);
     }
     let others: Vec<&BlockPostings> = lists
         .iter()
         .enumerate()
         .filter(|&(i, _)| i != driver_at)
-        .filter_map(|(_, v)| v.list)
+        .map(|(_, &l)| l)
         .collect();
 
     // Any tiny participant bounds the driver at TINY_MAX candidates:
@@ -1510,10 +1413,9 @@ fn decode_container(container: &Container, out: &mut Vec<u16>) {
 /// into a sorted side list that joins the block-wise merge as one more
 /// (blocked) input — the whole union is linear in total input size, with
 /// no per-id re-encoding.
-pub fn union_views(lists: &[PostingsView]) -> BlockPostings {
-    let present: Vec<&BlockPostings> = lists.iter().filter_map(|v| v.list).collect();
+pub fn union_views(lists: &[&BlockPostings]) -> BlockPostings {
     let (tiny, mut blocked): (Vec<&BlockPostings>, Vec<&BlockPostings>) =
-        present.into_iter().partition(|l| l.is_tiny());
+        lists.iter().copied().partition(|l| l.is_tiny());
     let mut extra: Vec<EntityId> = tiny.iter().flat_map(|l| l.iter()).collect();
     extra.sort_unstable();
     extra.dedup();
@@ -1816,13 +1718,13 @@ mod tests {
         let a = BlockPostings::from_sorted(&ids((0..30_000).step_by(3)));
         let b = BlockPostings::from_sorted(&ids((0..30_000).step_by(5)));
         let c = BlockPostings::from_sorted(&ids(0..30_000)); // dense blocks
-        let got = intersect_views(&[a.as_view(), b.as_view(), c.as_view()]);
+        let got = intersect_views(&[&a, &b, &c]);
         let expected: Vec<EntityId> = ids((0..30_000).filter(|i| i % 15 == 0));
         assert_eq!(got, expected);
         // Empty and singleton cases.
         assert!(intersect_views(&[]).is_empty());
-        assert!(intersect_views(&[a.as_view(), PostingsView::empty()]).is_empty());
-        assert_eq!(intersect_views(&[a.as_view()]), a.to_vec());
+        assert!(intersect_views(&[&a, &BlockPostings::new()]).is_empty());
+        assert_eq!(intersect_views(&[&a]), a.to_vec());
     }
 
     #[test]
@@ -1831,9 +1733,9 @@ mod tests {
         let evens: Vec<EntityId> = ids((0..30_000).step_by(2));
         let big = BlockPostings::from_sorted(&evens);
         assert!(tiny.is_tiny());
-        let got = intersect_views(&[tiny.as_view(), big.as_view()]);
+        let got = intersect_views(&[&tiny, &big]);
         assert_eq!(got, ids([4_000, 4_096]));
-        let got = intersect_views(&[big.as_view(), tiny.as_view()]);
+        let got = intersect_views(&[&big, &tiny]);
         assert_eq!(got, ids([4_000, 4_096]));
     }
 
@@ -1843,14 +1745,14 @@ mod tests {
         let b = BlockPostings::from_sorted(&ids((0..20_000).filter(|i| i % 3 == 0)));
         assert!(a.dense_block_count() > 0);
         assert!(b.dense_block_count() > 0);
-        let got = intersect_views(&[a.as_view(), b.as_view()]);
+        let got = intersect_views(&[&a, &b]);
         let expected: Vec<EntityId> = ids((0..20_000).filter(|i| i % 6 == 0));
         assert_eq!(got, expected);
     }
 
     /// `intersect_views_limit(lists, k)` against the prefix of the
     /// unlimited answer, for budgets around every interesting edge.
-    fn assert_prefix_law(lists: &[PostingsView], budgets: &[usize]) {
+    fn assert_prefix_law(lists: &[&BlockPostings], budgets: &[usize]) {
         let full = intersect_views(lists);
         for &k in budgets
             .iter()
@@ -1873,9 +1775,9 @@ mod tests {
         assert_eq!(b.dense_block_count(), b.block_count());
         // 683 hits per block: 100 lands mid-word-walk in block 0, 683/684
         // straddle the first block boundary, 1000 lands inside block 1.
-        assert_prefix_law(&[a.as_view(), b.as_view()], &[100, 682, 683, 684, 1000]);
+        assert_prefix_law(&[&a, &b], &[100, 682, 683, 684, 1000]);
         // One dense list alone runs the same loop.
-        assert_prefix_law(&[a.as_view()], &[100, 2047, 2048, 2049]);
+        assert_prefix_law(&[&a], &[100, 2047, 2048, 2049]);
     }
 
     #[test]
@@ -1888,13 +1790,10 @@ mod tests {
         // Sparse × dense, sparse × sparse, and all three together; 316
         // multiples of 13 per block, so 300 is mid-block and 316/317
         // straddle the boundary.
-        assert_prefix_law(&[dense.as_view(), sparse.as_view()], &[300, 315, 316, 317]);
-        assert_prefix_law(&[sparse.as_view(), sparser.as_view()], &[50, 105, 106]);
-        assert_prefix_law(
-            &[dense.as_view(), sparse.as_view(), sparser.as_view()],
-            &[50, 105, 106],
-        );
-        assert_prefix_law(&[sparse.as_view()], &[300, 316, 317]);
+        assert_prefix_law(&[&dense, &sparse], &[300, 315, 316, 317]);
+        assert_prefix_law(&[&sparse, &sparser], &[50, 105, 106]);
+        assert_prefix_law(&[&dense, &sparse, &sparser], &[50, 105, 106]);
+        assert_prefix_law(&[&sparse], &[300, 316, 317]);
     }
 
     #[test]
@@ -1902,9 +1801,9 @@ mod tests {
         let tiny = BlockPostings::from_sorted(&ids((0..200).map(|i| i * 150)));
         let evens = BlockPostings::from_sorted(&ids((0..30_000).step_by(2)));
         assert!(tiny.is_tiny() && !evens.is_tiny());
-        assert_prefix_law(&[tiny.as_view(), evens.as_view()], &[2, 99, 199]);
-        assert_prefix_law(&[evens.as_view(), tiny.as_view()], &[2, 99, 199]);
-        assert_prefix_law(&[tiny.as_view()], &[2, 199, 200, 201]);
+        assert_prefix_law(&[&tiny, &evens], &[2, 99, 199]);
+        assert_prefix_law(&[&evens, &tiny], &[2, 99, 199]);
+        assert_prefix_law(&[&tiny], &[2, 199, 200, 201]);
     }
 
     #[test]
@@ -1912,18 +1811,18 @@ mod tests {
         // A 100-block list: the first 10 ids all sit in block 0.
         let long = BlockPostings::from_sorted(&ids((0..100 * BLOCK_SPAN).step_by(8)));
         assert_eq!(long.block_count(), 100);
-        let (hits, visited) = intersect_counting_blocks(&[long.as_view()], 10);
+        let (hits, visited) = intersect_counting_blocks(&[&long], 10);
         assert_eq!(hits, ids((0..80).step_by(8)));
         assert_eq!(visited, 1, "LIMIT 10 reads one block of 100");
-        let (hits, visited) = intersect_counting_blocks(&[long.as_view()], usize::MAX);
+        let (hits, visited) = intersect_counting_blocks(&[&long], usize::MAX);
         assert_eq!((hits.len(), visited), (long.len(), 100));
         // One id past block 0's 512 needs exactly one more block.
-        let (_, visited) = intersect_counting_blocks(&[long.as_view()], 513);
+        let (_, visited) = intersect_counting_blocks(&[&long], 513);
         assert_eq!(visited, 2);
 
         // A 2-probe conjunction whose first 10 hits sit in block 0.
         let other = BlockPostings::from_sorted(&ids((0..100 * BLOCK_SPAN).step_by(24)));
-        let lists = [long.as_view(), other.as_view()];
+        let lists = [&long, &other];
         let (hits, visited) = intersect_counting_blocks(&lists, 10);
         assert_eq!(hits, ids((0..240).step_by(24)));
         assert_eq!(visited, 1, "the budget is met inside block 0");
@@ -1936,30 +1835,30 @@ mod tests {
     fn disjoint_blocks_short_circuit() {
         let a = BlockPostings::from_sorted(&ids(0..100));
         let b = BlockPostings::from_sorted(&ids(1_000_000..1_000_100));
-        assert!(intersect_views(&[a.as_view(), b.as_view()]).is_empty());
+        assert!(intersect_views(&[&a, &b]).is_empty());
         // Same block, disjoint offset ranges: directory min/max rejects.
         let c = BlockPostings::from_sorted(&ids(0..100));
         let d = BlockPostings::from_sorted(&ids(200..300));
-        assert!(intersect_views(&[c.as_view(), d.as_view()]).is_empty());
+        assert!(intersect_views(&[&c, &d]).is_empty());
     }
 
     #[test]
     fn union_views_merges_disjoint_shards() {
         let shard0 = BlockPostings::from_sorted(&ids((0..10_000).filter(|i| i % 2 == 0)));
         let shard1 = BlockPostings::from_sorted(&ids((0..10_000).filter(|i| i % 2 == 1)));
-        let merged = union_views(&[shard0.as_view(), shard1.as_view()]);
+        let merged = union_views(&[&shard0, &shard1]);
         assert_eq!(merged.to_vec(), ids(0..10_000));
         assert_eq!(merged.len(), 10_000);
         // Overlapping inputs dedup.
-        let overlap = union_views(&[shard0.as_view(), shard0.as_view()]);
+        let overlap = union_views(&[&shard0, &shard0]);
         assert_eq!(overlap.to_vec(), shard0.to_vec());
         // Tiny inputs fold in; tiny unions normalize back to tiny.
         let tiny_a = BlockPostings::from_sorted(&ids([1, 3]));
         let tiny_b = BlockPostings::from_sorted(&ids([2, 9_999_999]));
-        let tiny = union_views(&[tiny_a.as_view(), tiny_b.as_view()]);
+        let tiny = union_views(&[&tiny_a, &tiny_b]);
         assert!(tiny.is_tiny());
         assert_eq!(tiny.to_vec(), ids([1, 2, 3, 9_999_999]));
-        let mixed = union_views(&[shard0.as_view(), tiny_a.as_view()]);
+        let mixed = union_views(&[&shard0, &tiny_a]);
         assert_eq!(mixed.len(), 5_002, "5000 evens + ids 1 and 3");
         assert!(mixed.contains(EntityId(3)));
     }
@@ -2035,14 +1934,14 @@ mod tests {
     fn cursor_snapshots_compare_and_roundtrip() {
         let sample = ids([1, 5, 9000, 123_456]);
         let list = BlockPostings::from_sorted(&sample);
-        let snapshot = list.as_view().to_list();
+        let snapshot = list.clone();
         assert_eq!(snapshot, list);
         assert_eq!(snapshot.to_vec(), sample);
         assert_eq!(snapshot.len(), 4);
         assert!(snapshot.contains(EntityId(9000)));
         assert!(!snapshot.contains(EntityId(2)));
-        assert_eq!(snapshot.as_view().to_vec(), sample);
-        assert_eq!(PostingsView::empty().to_list().len(), 0);
+        assert_eq!(BlockPostings::default(), BlockPostings::new());
+        assert_eq!(BlockPostings::new().len(), 0);
     }
 
     #[test]
@@ -2053,8 +1952,8 @@ mod tests {
             // insertion order must not matter
             b.insert(id);
         }
-        assert_eq!(a.as_view(), b.as_view());
-        assert_eq!(a.as_view(), &[EntityId(1), EntityId(2), EntityId(3)]);
+        assert_eq!(a, b);
+        assert_eq!(a.to_vec(), [EntityId(1), EntityId(2), EntityId(3)]);
         // Tiny and blocked lists with equal content compare equal.
         let long = ids(0..=(TINY_MAX as u64));
         let mut blocked = BlockPostings::from_sorted(&long);

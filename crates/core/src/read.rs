@@ -153,11 +153,11 @@ where
 }
 
 /// The stable KG serves directly from its unified
-/// [`TripleIndex`](crate::TripleIndex) — zero-copy borrowed views,
+/// [`TripleIndex`](crate::TripleIndex) — borrowed posting lists,
 /// compressed-domain intersection.
 impl GraphRead for KnowledgeGraph {
     fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-        self.index().postings(probe).to_list()
+        self.index().postings(probe).clone()
     }
 
     fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {

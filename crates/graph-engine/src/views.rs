@@ -17,8 +17,8 @@
 use std::borrow::Cow;
 
 use saga_core::{
-    BlockPostings, EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, PostingsView,
-    ProbeKey, Result, SagaError, Symbol, Value,
+    BlockPostings, EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, ProbeKey, Result,
+    SagaError, Symbol, Value,
 };
 
 pub use context::ViewContext;
@@ -105,7 +105,7 @@ mod context {
         }
 
         /// The subjects with an edge to `target` (its OSP postings).
-        pub fn referencing(&self, target: EntityId) -> PostingsView<'a> {
+        pub fn referencing(&self, target: EntityId) -> &'a BlockPostings {
             self.kg.index().referencing(target)
         }
     }

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
-use saga_core::postings::{union_views, BlockPostings, PostingsView};
+use saga_core::postings::{union_views, BlockPostings};
 use saga_core::{
     Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, IndexHeap, ProbeKey,
     Symbol, TripleIndex, Value,
@@ -181,13 +181,13 @@ impl ReplicaKg {
 /// The store-over-index layer: every method takes the read lock once, so
 /// each call answers from one state between two ops.
 impl GraphRead for ReplicaKg {
-    /// Partitions split the id space, so their borrowed views union
+    /// Partitions split the id space, so their borrowed lists union
     /// disjointly — block by block in the compressed domain
     /// ([`union_views`]), never materializing id vectors.
     fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
         let index = self.index.read();
-        let views: Vec<PostingsView> = index.parts.iter().map(|p| p.postings(probe)).collect();
-        union_views(&views)
+        let lists: Vec<&BlockPostings> = index.parts.iter().map(|p| p.postings(probe)).collect();
+        union_views(&lists)
     }
 
     fn selectivity(&self, probe: &ProbeKey) -> usize {

@@ -6,21 +6,25 @@
 //! ```
 //!
 //! Binds `addr` (default `127.0.0.1:7407`), seeds a small demo world, and
-//! serves until killed. Point the companion CLI at it:
+//! serves until killed. A [`FleetController`] ticks every 100 ms: it
+//! respawns a replica whose worker died and publishes a checkpoint into
+//! the replicas' directory every `checkpoint_every` ops, which lets the
+//! in-memory log drop the ops the checkpoint covers. Point the companion
+//! CLI at it:
 //!
 //! ```text
 //! cargo run --release -p saga-net --example saga-cli -- 127.0.0.1:7407 query 'FIND song WHERE name = "Bad Guy"'
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use saga_core::{
     intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value, WriteBatch,
 };
-use saga_fleet::{FleetConfig, FleetRouter, ReplicaPool};
-use saga_graph::{LoggedWriter, OpKind, OperationLog};
+use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
+use saga_graph::{CheckpointWriter, LoggedWriter, OpKind, OperationLog};
 use saga_net::{SagaServer, ServerConfig};
 
 fn main() {
@@ -49,6 +53,8 @@ fn main() {
     let pool = ReplicaPool::start(fleet_cfg, Arc::clone(writer.log()), &ckpt_dir)
         .expect("start replica fleet");
     let router = Arc::new(FleetRouter::new(Arc::clone(&pool)));
+    let controller =
+        FleetController::with_checkpointer(pool, CheckpointWriter::new(&writer, &ckpt_dir));
 
     let cfg = ServerConfig {
         addr,
@@ -59,8 +65,16 @@ fn main() {
         "saga-server listening on {} ({replicas} replicas); ctrl-c to stop",
         server.local_addr()
     );
+    let mut last_stats = Instant::now();
     loop {
-        std::thread::sleep(Duration::from_secs(60));
+        std::thread::sleep(Duration::from_millis(100));
+        for e in controller.tick().errors {
+            eprintln!("fleet tick: {e}");
+        }
+        if last_stats.elapsed() < Duration::from_secs(60) {
+            continue;
+        }
+        last_stats = Instant::now();
         let stats = server.stats();
         println!(
             "served={} shed={} conns={} frame_rejects={}",

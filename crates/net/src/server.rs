@@ -99,10 +99,6 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Maximum simultaneous connections; excess accepts are closed.
     pub max_connections: usize,
-    /// Minimum backoff hint (milliseconds) attached to `Overloaded`
-    /// sheds, so retrying clients pace themselves off the server's own
-    /// estimate instead of guessing.
-    pub shed_backoff_hint_ms: u64,
     /// Failpoint scope for this server's connection teams: chaos drills
     /// running several in-process servers arm `net::server_read` /
     /// `net::server_execute` / `net::server_write` for one server by
@@ -118,7 +114,6 @@ impl Default for ServerConfig {
             workers: 2,
             max_inflight: 512,
             max_connections: 256,
-            shed_backoff_hint_ms: 25,
             fail_scope: String::new(),
         }
     }
@@ -171,6 +166,10 @@ struct Conn {
 /// Admissions a connection is served as a team before it may go solo.
 const WARM_UP: usize = 16;
 
+/// Backoff hint (milliseconds) attached to every `Overloaded` shed, so
+/// retrying clients pace themselves off the server instead of guessing.
+const SHED_BACKOFF_HINT_MS: u64 = 25;
+
 impl Conn {
     /// Count one admitted frame (called under the read half).
     fn note_admitted(&self) {
@@ -207,13 +206,12 @@ struct Inner {
     writer: Arc<LoggedWriter>,
     cfg: ServerConfig,
     inflight: AtomicUsize,
-    open_conns: AtomicUsize,
     counters: Counters,
     shutdown: AtomicBool,
     /// Kept so shutdown can unblock every team (the socket) and join it
-    /// (the thread). Each connection deregisters itself on exit; otherwise
-    /// a long-running server would leak one duplicated fd per connection
-    /// ever accepted.
+    /// (the thread); its size is what `max_connections` caps. Each
+    /// connection deregisters itself on exit; otherwise a long-running
+    /// server would leak one duplicated fd per connection ever accepted.
     conns: Mutex<Registry>,
     next_conn_id: AtomicU64,
 }
@@ -299,7 +297,7 @@ impl Inner {
                 self.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
                 let shed = Response::Overloaded {
                     message: format!("in-flight cap reached ({})", self.cfg.max_inflight),
-                    backoff_hint_ms: self.cfg.shed_backoff_hint_ms,
+                    backoff_hint_ms: SHED_BACKOFF_HINT_MS,
                 };
                 self.respond(conn, frame.request_id, &shed);
             } else {
@@ -422,7 +420,6 @@ impl SagaServer {
             writer,
             cfg,
             inflight: AtomicUsize::new(0),
-            open_conns: AtomicUsize::new(0),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
@@ -499,8 +496,8 @@ impl Drop for SagaServer {
     }
 }
 
-/// A connection's place in the registry and its capacity slot, given back
-/// when dropped — when its thread ends, by unwinding too, or with the
+/// A connection's place in the registry, which is also its slot under
+/// `max_connections`, given back when dropped — when its thread ends, by unwinding too, or with the
 /// closure a failed spawn drops unrun — so neither can leak.
 struct Registration {
     inner: Arc<Inner>,
@@ -510,7 +507,6 @@ struct Registration {
 impl Drop for Registration {
     fn drop(&mut self) {
         self.inner.conns.lock().remove(&self.id);
-        self.inner.open_conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -520,7 +516,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        if inner.open_conns.load(Ordering::Relaxed) >= inner.cfg.max_connections {
+        if inner.conns.lock().len() >= inner.cfg.max_connections {
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
@@ -528,7 +524,6 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             continue;
         };
         let _ = stream.set_nodelay(true);
-        inner.open_conns.fetch_add(1, Ordering::AcqRel);
         inner
             .counters
             .connections_accepted

@@ -2,7 +2,7 @@
 //! length prefixes, garbage magic and opcodes, pipelined interleaving,
 //! pipelined commit order, a blocking connection going solo and back to a
 //! team, reconnect-with-session, saturation, a client that stops
-//! reading, and shutdown. The invariant under test is always
+//! reading, the connection cap, and shutdown. The invariant under test is always
 //! the same: a hostile or unlucky connection hurts only itself — the
 //! acceptor and every other connection's team keep serving.
 //!
@@ -791,6 +791,37 @@ fn closed_connections_are_deregistered_not_leaked() {
     });
     assert!(h.server.stats().connections_accepted >= 20);
     assert_serving(&h);
+}
+
+#[test]
+fn the_connection_cap_closes_the_excess_and_a_closed_connection_frees_its_slot() {
+    let h = boot("conn-cap", |_, cfg| cfg.max_connections = 1);
+    let mut first = h.client();
+    first.ping().expect("the first connection is served");
+
+    // Past the cap: accepted by the kernel, then closed by the server
+    // before anything is read — never answered.
+    let mut excess = TcpStream::connect(h.addr()).expect("connect past the cap");
+    excess
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let _ = excess.write_all(&Request::Ping.encode(5));
+    let mut rest = Vec::new();
+    match excess.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "a connection past the cap was answered"),
+        // The ping may arrive before the close, which then resets.
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    first.ping().expect("the first connection is still served");
+    assert_eq!(h.server.stats().connections_accepted, 1);
+
+    // Closing the first connection gives its slot back.
+    drop(first);
+    wait_for("drained connection registry", || {
+        h.server.open_connections() == 0
+    });
+    assert_serving(&h);
+    assert_eq!(h.server.stats().connections_accepted, 2);
 }
 
 #[test]
