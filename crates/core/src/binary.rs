@@ -176,11 +176,19 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Append a [`Value`]: its [`kind_tag`](Value::kind_tag), then the
-/// payload (floats as their eight bit-pattern bytes, so NaN payloads,
-/// infinities and `-0.0` survive).
+/// Append a [`Value`]: its [`kind_tag`](Value::kind_tag), then
+/// [`push_value_payload`].
 pub fn push_value(buf: &mut Vec<u8>, value: &Value) {
     buf.push(value.kind_tag());
+    push_value_payload(buf, value);
+}
+
+/// Append what follows a [`Value`]'s tag: nothing for `Null`, one byte
+/// for a `Bool`, a zig-zag varint for an `Int`, a float's eight
+/// bit-pattern bytes (so NaN payloads, infinities and `-0.0` survive), a
+/// string, or an entity id as a varint. A format that packs the tag into
+/// a code of its own writes this half alone.
+pub fn push_value_payload(buf: &mut Vec<u8>, value: &Value) {
     match value {
         Value::Null => {}
         Value::Bool(b) => buf.push(u8::from(*b)),
@@ -194,7 +202,15 @@ pub fn push_value(buf: &mut Vec<u8>, value: &Value) {
 
 /// Read one tagged [`Value`], advancing past it.
 pub fn take_value(bytes: &[u8], at: &mut usize) -> Result<Value> {
-    Ok(match take_u8(bytes, at)? {
+    let tag = take_u8(bytes, at)?;
+    take_value_payload(tag, bytes, at)
+}
+
+/// Read the payload of a [`Value`] whose tag was read already, advancing
+/// past it — the inverse of [`push_value_payload`]. A tag above 6 is an
+/// error.
+pub fn take_value_payload(tag: u8, bytes: &[u8], at: &mut usize) -> Result<Value> {
+    Ok(match tag {
         0 => Value::Null,
         1 => Value::Bool(take_u8(bytes, at)? != 0),
         2 => Value::Int(unzigzag(take_varint(bytes, at)?)),
@@ -273,5 +289,37 @@ mod tests {
         assert_eq!(take_count(&buf, &mut 0, 2).unwrap(), 3);
         assert!(take_count(&buf, &mut 0, 3).is_err());
         assert_eq!(take_str(&buf, &mut 0).unwrap(), "abc");
+    }
+
+    #[test]
+    fn take_value_is_the_tag_then_the_payload() {
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-300),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::str("Beyoncé"),
+            Value::Entity(EntityId(u64::MAX)),
+            Value::source_ref("wiki:Q1"),
+        ];
+        for (tag, value) in values.iter().enumerate() {
+            assert_eq!(usize::from(value.kind_tag()), tag, "one value per tag");
+            let mut tagged = Vec::new();
+            push_value(&mut tagged, value);
+            let mut payload = Vec::new();
+            push_value_payload(&mut payload, value);
+            assert_eq!(tagged[0], value.kind_tag());
+            assert_eq!(tagged[1..], payload[..]);
+            let (mut whole, mut half) = (0, 0);
+            let back = take_value(&tagged, &mut whole).unwrap();
+            assert_eq!(
+                back,
+                take_value_payload(value.kind_tag(), &payload, &mut half).unwrap()
+            );
+            assert_eq!(back, *value);
+            assert_eq!((whole, half), (tagged.len(), payload.len()));
+        }
+        assert!(take_value(&[7], &mut 0).is_err());
+        assert!(take_value_payload(7, &[], &mut 0).is_err());
     }
 }

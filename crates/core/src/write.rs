@@ -272,8 +272,8 @@ impl WriteBatch {
 /// `OperationLog::append_op` untouched.
 #[derive(Debug, Default)]
 pub struct CommitReceipt {
-    /// One net delta per touched entity, in first-touch order (an entity
-    /// whose edits cancel out emits none).
+    /// One net delta per touched entity, in entity order (an entity whose
+    /// edits cancel out emits none).
     pub deltas: Vec<Delta>,
     /// Index facts added across the batch.
     pub facts_added: usize,
@@ -326,7 +326,8 @@ enum Undo {
 pub struct KgTransaction<'a> {
     kg: &'a mut KnowledgeGraph,
     undo: Vec<Undo>,
-    /// One net delta per touched entity, in first-touch order.
+    /// One net delta per touched entity; [`deltas`](Self::deltas) and
+    /// [`commit`](Self::commit) hand them out in entity order.
     deltas: Vec<Delta>,
     /// Each touched entity's slot in `deltas`.
     slots: FxHashMap<EntityId, usize>,
@@ -340,6 +341,13 @@ fn record_facts(record: &EntityRecord) -> Vec<DeltaFact> {
         .filter_map(flatten)
         .map(|(predicate, object)| DeltaFact { predicate, object })
         .collect()
+}
+
+/// Drop the deltas whose edits cancelled out and put the rest in entity
+/// order, so the same edits staged in any order log the same bytes.
+fn settle(deltas: &mut Vec<Delta>) {
+    deltas.retain(|d| !d.is_empty());
+    deltas.sort_unstable_by_key(|d| d.entity);
 }
 
 /// Fold one fact into a net [`Delta`], multiset-exact (matching
@@ -634,12 +642,14 @@ impl<'a> KgTransaction<'a> {
         }
     }
 
-    /// The net deltas staged so far — one per touched entity, in
-    /// first-touch order, entities whose edits cancelled out left out.
-    /// What a write-ahead logger appends *before* [`commit`](Self::commit).
+    /// The net deltas staged so far — one per touched entity, in entity
+    /// order, entities whose edits cancelled out left out. What a
+    /// write-ahead logger appends *before* [`commit`](Self::commit), which
+    /// returns the same deltas in the same order.
     pub fn deltas(&mut self) -> &[Delta] {
-        if self.deltas.iter().any(Delta::is_empty) {
-            self.deltas.retain(|d| !d.is_empty());
+        let settled = self.deltas.is_sorted_by_key(|d| d.entity);
+        if !settled || self.deltas.iter().any(Delta::is_empty) {
+            settle(&mut self.deltas);
             self.slots = self
                 .deltas
                 .iter()
@@ -656,7 +666,7 @@ impl<'a> KgTransaction<'a> {
     /// the oplog; nothing is retained in-process.
     pub fn commit(mut self) -> CommitReceipt {
         let mut deltas = mem::take(&mut self.deltas);
-        deltas.retain(|d| !d.is_empty());
+        settle(&mut deltas);
         let undo = mem::take(&mut self.undo);
         let kg = &mut *self.kg;
         // An entity is gone for good if the transaction rewrote it away

@@ -19,6 +19,7 @@ use crate::{
     RelId, SourceId, Symbol, Value, WriteBatch, WriteOp,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 const PREDICATES: [&str; 6] = ["name", "alias", "type", "knows", "founded", "score"];
@@ -224,17 +225,18 @@ fn assert_same_graph(direct: &KnowledgeGraph, batched: &KnowledgeGraph, label: &
 }
 
 /// The generation law of one commit: it moves by exactly the number of
-/// net deltas, and no entity has two deltas in one receipt.
+/// net deltas, and the deltas strictly ascend by entity — one per entity,
+/// in the order the log writes their ids as gaps.
 fn assert_one_delta_per_entity(receipt_deltas: &[Delta], moved: u64, label: &str) {
     assert_eq!(moved, receipt_deltas.len() as u64, "{label}: generation");
-    let mut entities: Vec<EntityId> = receipt_deltas.iter().map(|d| d.entity).collect();
-    entities.sort_unstable();
-    entities.dedup();
-    assert_eq!(
-        entities.len(),
-        receipt_deltas.len(),
-        "{label}: two deltas for one entity"
-    );
+    for pair in receipt_deltas.windows(2) {
+        assert!(
+            pair[0].entity < pair[1].entity,
+            "{label}: {:?} then {:?}",
+            pair[0].entity,
+            pair[1].entity
+        );
+    }
 }
 
 #[test]
@@ -325,6 +327,60 @@ fn one_giant_batch_equals_per_op_commits() {
         }
 
         assert_same_graph(&many, &one, &format!("seed {seed} giant-vs-per-op"));
+    }
+}
+
+#[test]
+fn commuting_ops_staged_in_any_order_give_equal_receipts() {
+    // Upserts on distinct entities commute: shuffled, they stage the same
+    // records and hand out the same deltas in the same (entity) order,
+    // so the log receives the same op.
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0DE ^ seed);
+        let mut base = KnowledgeGraph::new();
+        let mut preload = WriteBatch::new();
+        for _ in 0..30 {
+            preload.push(as_write_op(&random_sim_op(&mut rng)));
+        }
+        preload.commit(&mut base);
+        let mut ids: Vec<u64> = (0..rng.gen_range(2..24))
+            .map(|_| rng.gen_range(1..400))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut ops: Vec<SimOp> = ids
+            .iter()
+            .map(|&id| SimOp::Upsert(random_triple(&mut rng, EntityId(id))))
+            .collect();
+        let receipt_of = |ops: &[SimOp]| {
+            let mut kg = base.clone();
+            let mut batch = WriteBatch::new();
+            for op in ops {
+                batch.push(as_write_op(op));
+            }
+            let receipt = batch.commit(&mut kg);
+            (kg, receipt)
+        };
+        let (sorted_kg, sorted) = receipt_of(&ops);
+        ops.shuffle(&mut rng);
+        let (shuffled_kg, shuffled) = receipt_of(&ops);
+        let label = format!("seed {seed}");
+        assert_eq!(sorted.deltas, shuffled.deltas, "{label}");
+        assert_eq!(
+            (sorted.facts_added, sorted.facts_removed),
+            (shuffled.facts_added, shuffled.facts_removed),
+            "{label}"
+        );
+        assert_eq!(
+            sorted.entities_removed, shuffled.entities_removed,
+            "{label}"
+        );
+        assert_same_graph(&sorted_kg, &shuffled_kg, &label);
+        assert_one_delta_per_entity(
+            &shuffled.deltas,
+            shuffled_kg.generation() - base.generation(),
+            &label,
+        );
     }
 }
 

@@ -72,8 +72,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use saga_core::binary::{
-    fnv1a, push_str, push_value, push_varint, take_count, take_str, take_u32, take_u8, take_value,
-    take_varint,
+    fnv1a, push_str, push_value_payload, push_varint, take_count, take_str, take_u32, take_u8,
+    take_value_payload, take_varint, unzigzag, zigzag,
 };
 use saga_core::json::Json;
 use saga_core::wire::{delta_from_json, delta_to_json};
@@ -670,7 +670,7 @@ fn reread_frame(frame: &[u8], lsn: Lsn) -> std::result::Result<IngestOp, String>
 /// First bytes of every log file.
 const MAGIC: [u8; 8] = *b"SAGAOPLG";
 /// File format version this module writes and understands.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// File header: magic, version (u32), `compacted_through` base (u64),
 /// FNV-1a of those 20 bytes (u64); integers little-endian.
 pub(crate) const FILE_HEADER: usize = 28;
@@ -738,7 +738,10 @@ fn head_sum(header: &[u8]) -> u32 {
 /// finishes the header under it.
 ///
 /// Predicates index a name table local to the record, so a frame decodes
-/// from its own bytes alone.
+/// from its own bytes alone. Each delta is its entity as the zig-zag of
+/// the wrapping difference from the previous delta's entity, one fact
+/// count, then each fact as one [`fact_code`] and its value's payload,
+/// added facts first.
 fn encode_frame(frame: &mut Vec<u8>, kind: &OpKind, deltas: &[Delta]) -> Result<()> {
     frame.clear();
     frame.resize(FRAME_HEADER, 0);
@@ -764,22 +767,21 @@ fn encode_frame(frame: &mut Vec<u8>, kind: &OpKind, deltas: &[Delta]) -> Result<
     for name in &names {
         push_str(frame, &name.text());
     }
-    let push_facts = |frame: &mut Vec<u8>, facts: &[DeltaFact]| {
-        push_varint(frame, facts.len() as u64);
-        for fact in facts {
+    push_varint(frame, deltas.len() as u64);
+    let mut prev = 0u64;
+    for delta in deltas {
+        push_varint(frame, zigzag(delta.entity.0.wrapping_sub(prev) as i64));
+        prev = delta.entity.0;
+        push_varint(frame, (delta.added.len() + delta.removed.len()) as u64);
+        let added = delta.added.iter().map(|fact| (fact, false));
+        for (fact, removed) in added.chain(delta.removed.iter().map(|fact| (fact, true))) {
             let index = names
                 .iter()
                 .position(|name| *name == fact.predicate)
                 .expect("every predicate was tabled above");
-            push_varint(frame, index as u64);
-            push_value(frame, &fact.object);
+            push_varint(frame, fact_code(index, removed, fact.object.kind_tag()));
+            push_value_payload(frame, &fact.object);
         }
-    };
-    push_varint(frame, deltas.len() as u64);
-    for delta in deltas {
-        push_varint(frame, delta.entity.0);
-        push_facts(frame, &delta.added);
-        push_facts(frame, &delta.removed);
     }
     let len = u32::try_from(frame.len() - FRAME_HEADER).map_err(|_| {
         SagaError::Storage("operation exceeds the 4 GiB log frame limit".to_string())
@@ -788,6 +790,13 @@ fn encode_frame(frame: &mut Vec<u8>, kind: &OpKind, deltas: &[Delta]) -> Result<
     let body_sum = fnv1a(&frame[FRAME_HEADER..]);
     frame[12..20].copy_from_slice(&body_sum.to_le_bytes());
     Ok(())
+}
+
+/// One fact's code: its predicate's index in the record's name table,
+/// whether the delta removes it, and its value's tag, in one varint —
+/// one byte for the first eight names.
+fn fact_code(name_index: usize, removed: bool, value_tag: u8) -> u64 {
+    (name_index as u64) << 4 | u64::from(removed) << 3 | u64::from(value_tag)
 }
 
 /// Fill in the LSN and the header's self-check of an
@@ -823,30 +832,40 @@ pub(crate) fn decode_body(lsn: Lsn, body: &[u8]) -> Result<IngestOp> {
     for _ in 0..n {
         names.push(intern(take_str(body, at)?));
     }
-    let take_facts = |at: &mut usize| -> Result<Vec<DeltaFact>> {
-        let n = take_count(body, at, 2)?;
-        let mut facts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let index = take_varint(body, at)?;
-            let predicate = *usize::try_from(index)
+    // A delta is at least its entity gap and its fact count.
+    let n = take_count(body, at, 2)?;
+    let mut deltas = Vec::with_capacity(n);
+    let mut prev = 0u64;
+    for _ in 0..n {
+        let entity = prev.wrapping_add(unzigzag(take_varint(body, at)?) as u64);
+        prev = entity;
+        // A fact is at least its code.
+        let count = take_count(body, at, 1)?;
+        let mut delta = Delta {
+            entity: EntityId(entity),
+            ..Delta::default()
+        };
+        for read in 0..count {
+            // Name index, removed bit, value tag: see `fact_code`.
+            let code = take_varint(body, at)?;
+            let predicate = *usize::try_from(code >> 4)
                 .ok()
                 .and_then(|i| names.get(i))
                 .ok_or_else(|| bad("predicate index outside the record's name table"))?;
-            facts.push(DeltaFact {
-                predicate,
-                object: take_value(body, at)?,
-            });
+            let object = take_value_payload((code & 7) as u8, body, at)?;
+            let facts = if code & 8 != 0 {
+                &mut delta.removed
+            } else if delta.removed.is_empty() {
+                &mut delta.added
+            } else {
+                return Err(bad("an added fact after a removed one"));
+            };
+            if facts.is_empty() {
+                facts.reserve_exact(count - read);
+            }
+            facts.push(DeltaFact { predicate, object });
         }
-        Ok(facts)
-    };
-    let n = take_count(body, at, 3)?;
-    let mut deltas = Vec::with_capacity(n);
-    for _ in 0..n {
-        deltas.push(Delta {
-            entity: EntityId(take_varint(body, at)?),
-            added: take_facts(at)?,
-            removed: take_facts(at)?,
-        });
+        deltas.push(delta);
     }
     if *at != body.len() {
         return Err(bad("bytes left over after the last delta"));
@@ -1229,12 +1248,12 @@ mod tests {
                 .unwrap();
         }
         let golden: &[&[u8]] = &[
-            // File header: magic, version 1, base 0, checksum.
-            b"SAGAOPLG\x01\0\0\0\0\0\0\0\0\0\0\0",
-            &[82, 216, 148, 26, 166, 189, 51, 20],
-            // Frame 1 header: body length 51, LSN 1, body sum, head sum.
-            &[51, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-            &[110, 174, 165, 26, 162, 25, 120, 44, 221, 61, 227, 9],
+            // File header: magic, version 2, base 0, checksum.
+            b"SAGAOPLG\x02\0\0\0\0\0\0\0\0\0\0\0",
+            &[161, 159, 198, 191, 5, 58, 240, 30],
+            // Frame 1 header: body length 45, LSN 1, body sum, head sum.
+            &[45, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            &[58, 157, 177, 1, 245, 78, 112, 83, 56, 17, 170, 3],
             // Frame 1 body: kind 0, a three-name table, two deltas.
             &[0, 3, 4],
             b"name",
@@ -1242,9 +1261,15 @@ mod tests {
             b"related_to",
             &[4],
             b"born",
-            &[2, 4, 2, 0, 2, 14, 1, 5, 2, 1, 0, 4, 8],
+            &[2],
+            // Entity 4 (zig-zag gap +4 from 0), three facts: code 2 =
+            // name, added, Int 7 (zig-zag 14); code 21 = related_to (1 << 4),
+            // added, Entity 2; code 12 = name, removed (8), Str of 8 bytes.
+            &[8, 3, 2, 14, 21, 2, 12, 8],
             "Beyoncé".as_bytes(),
-            &[2, 1, 2, 2, 162, 31, 0],
+            // Entity 2 (gap −2, zig-zag 3), one fact: code 34 = born
+            // (2 << 4), added, Int 2001 (zig-zag 4002 = [162, 31]).
+            &[3, 1, 34, 162, 31],
             // Frame 2: body length 4, LSN 2, sums; kind 2, source 3, no
             // names, no deltas.
             &[4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0],
@@ -1253,6 +1278,95 @@ mod tests {
         ];
         assert_eq!(fs::read(&path).unwrap(), golden.concat());
         let _ = fs::remove_file(&path);
+    }
+
+    /// The header of a file this build wrote, with another version and
+    /// the checksum that version would carry.
+    fn header_of_version(version: u32) -> Vec<u8> {
+        let mut header = file_header(0).to_vec();
+        header[8..12].copy_from_slice(&version.to_le_bytes());
+        let sum = fnv1a(&header[..20]);
+        header[20..].copy_from_slice(&sum.to_le_bytes());
+        header
+    }
+
+    #[test]
+    fn a_version_1_log_is_refused_naming_both_versions() {
+        let path = unique_log_path();
+        let bytes = header_of_version(1);
+        fs::write(&path, &bytes).unwrap();
+        match OperationLog::durable(&path).unwrap_err() {
+            SagaError::Storage(msg) => assert!(
+                msg.contains("format version 1; this build reads version 2"),
+                "{msg}"
+            ),
+            other => panic!("expected a Storage error, got {other}"),
+        }
+        assert_eq!(fs::read(&path).unwrap(), bytes, "left untouched");
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A body with one name (`x`) and one delta for entity 1 whose facts
+    /// are `facts`, each a code and its payload.
+    fn body_with_facts(count: u8, facts: &[u8]) -> Vec<u8> {
+        let mut body = vec![0, 1, 1, b'x', 1, 2, count];
+        body.extend_from_slice(facts);
+        body
+    }
+
+    #[test]
+    fn a_fact_code_that_breaks_the_format_is_refused() {
+        let int = |code: u8, v: u8| [code, v];
+        // Added Int 1, then removed Int 2: the one encoding.
+        let op = decode_body(
+            Lsn(1),
+            &body_with_facts(2, &[int(2, 2), int(10, 4)].concat()),
+        );
+        let delta = &op.unwrap().deltas[0];
+        assert_eq!(delta.entity, EntityId(1));
+        assert_eq!(delta.added[0].object, Value::Int(1));
+        assert_eq!(delta.removed[0].object, Value::Int(2));
+        for (what, facts, count) in [
+            (
+                "an added fact after a removed one",
+                [int(10, 4), int(2, 2)].concat(),
+                2,
+            ),
+            ("unknown value tag", vec![7], 1),
+            ("unknown value tag", vec![15], 1),
+            (
+                "outside the record's name table",
+                int(1 << 4 | 2, 2).to_vec(),
+                1,
+            ),
+        ] {
+            match decode_body(Lsn(1), &body_with_facts(count, &facts)) {
+                Err(SagaError::Storage(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+    }
+
+    /// Entity gaps wrap: ids at both ends of `u64` next to each other cost
+    /// a byte each and come back exactly.
+    #[test]
+    fn entity_gaps_round_trip_across_the_ends_of_u64() {
+        let ids = [u64::MAX, 0, 1, u64::MAX - 1];
+        let op = IngestOp {
+            lsn: Lsn(1),
+            kind: OpKind::Delete,
+            deltas: ids.iter().map(|&id| delta(id, "x", 1)).collect(),
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &op).unwrap();
+        let body = &frame[FRAME_HEADER..];
+        // Kind, the name table, the delta count, then per delta its gap,
+        // one fact and that fact's code and payload.
+        assert_eq!(body[..5], [1, 1, 1, b'x', 4]);
+        let gaps: Vec<u8> = body[5..].chunks(4).map(|d| d[0]).collect();
+        // Gaps −1, +1, +1 and −3 as zig-zag varints.
+        assert_eq!(gaps, [1, 2, 2, 5]);
+        assert_eq!(decode_body(op.lsn, body).unwrap(), op);
     }
 
     fn empty_op(lsn: u64) -> IngestOp {

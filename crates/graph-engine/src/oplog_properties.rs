@@ -228,8 +228,7 @@ fn hostile_counts_are_refused_before_reserving() {
         let cases = [
             ("names", with(&[0])),
             ("deltas", with(&[0, 0])),
-            ("added", with(&[0, 0, 1, 9])),
-            ("removed", with(&[0, 0, 1, 9, 0])),
+            ("facts", with(&[0, 0, 1, 9])),
             ("name bytes", with(&[0, 1])),
         ];
         for (site, body) in cases {

@@ -189,6 +189,25 @@ mod tests {
         let op = &w.log().read_after(Lsn::ZERO)[0];
         assert_eq!(op.deltas, commit.receipt.deltas);
         assert_eq!(op.changed_entities(), commit.receipt.changed_entities());
+
+        // So does a batch staged out of entity order: both hand the
+        // deltas out in entity order.
+        let commit = w
+            .commit(
+                OpKind::Upsert,
+                WriteBatch::new()
+                    .upsert(fact(9, "name", Value::str("Nine")))
+                    .upsert(fact(3, "name", Value::str("Three")))
+                    .upsert(fact(1, "born", Value::Int(1999)))
+                    .upsert(fact(9, "born", Value::Int(1990))),
+            )
+            .unwrap();
+        assert_eq!(commit.lsn, Lsn(2));
+        let op = &w.log().read_after(Lsn(1))[0];
+        assert_eq!(op.deltas, commit.receipt.deltas);
+        let entities: Vec<EntityId> = op.deltas.iter().map(|d| d.entity).collect();
+        assert_eq!(entities, [EntityId(1), EntityId(3), EntityId(9)]);
+        assert_eq!(op.deltas[2].added.len(), 2);
     }
 
     #[test]

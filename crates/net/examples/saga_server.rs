@@ -9,8 +9,10 @@
 //! serves until killed. A [`FleetController`] ticks every 100 ms: it
 //! respawns a replica whose worker died and publishes a checkpoint into
 //! the replicas' directory every `checkpoint_every` ops, which lets the
-//! in-memory log drop the ops the checkpoint covers. Point the companion
-//! CLI at it:
+//! in-memory log drop the ops the checkpoint covers. The replicas'
+//! directory is `$TMPDIR/saga-server-<pid>/` (`/tmp` when `TMPDIR` is
+//! unset); nothing removes it, so it outlives the process: delete it
+//! after killing the server. Point the companion CLI at it:
 //!
 //! ```text
 //! cargo run --release -p saga-net --example saga-cli -- 127.0.0.1:7407 query 'FIND song WHERE name = "Bad Guy"'
