@@ -1,5 +1,5 @@
 //! KGQ probe bench: index-backed posting intersection — on the stable
-//! `KnowledgeGraph` and on the sharded `ReplicaKg` a log replica serves —
+//! `KnowledgeGraph` and on the `ReplicaKg` a log replica serves —
 //! vs. the naive full-scan path, at ≥100k facts of NerdWorld ambiguity
 //! workload.
 //!
@@ -47,7 +47,7 @@ fn bench_probe(c: &mut Criterion) {
         kg.fact_count()
     );
 
-    let live = ReplicaKg::from_index(16, kg.index().clone());
+    let live = ReplicaKg::from_index(kg.index().clone());
     let engine = QueryEngine::new(live.clone());
 
     // A conjunctive probe on the serving path: cities located in one
@@ -125,7 +125,7 @@ fn bench_probe(c: &mut Criterion) {
         let refs: Vec<&[EntityId]> = plain_dense.iter().map(Vec::as_slice).collect();
         b.iter(|| intersect_sorted(&refs))
     });
-    group.bench_function("index_intersection_live_sharded", |b| {
+    group.bench_function("index_intersection_live_replica", |b| {
         b.iter(|| live.probe_all(&probes))
     });
     group.bench_function("naive_full_scan", |b| {

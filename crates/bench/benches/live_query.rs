@@ -7,7 +7,7 @@ use saga_live::{QueryEngine, ReplicaKg};
 
 fn bench_live(c: &mut Criterion) {
     let kg = media_world(&MediaWorldConfig::small(3));
-    let engine = QueryEngine::new(ReplicaKg::from_index(16, kg.index().clone()));
+    let engine = QueryEngine::new(ReplicaKg::from_index(kg.index().clone()));
     // Warm the plan cache.
     let get = r#"GET "Artist 5" . signed_to . name"#;
     let find = r#"FIND song WHERE performed_by -> entity("Artist 5") LIMIT 10"#;

@@ -4,7 +4,7 @@
 //! queries per day while maintaining 20ms latencies in the 95th
 //! percentile." Here a multi-threaded closed-loop generator drives a mixed
 //! KGQ workload (point lookups, 1–2 hop paths, filtered entity search)
-//! against the sharded in-process live graph; we report the latency
+//! against the in-process live graph; we report the latency
 //! distribution.
 
 use std::sync::Arc;
@@ -16,10 +16,7 @@ use saga_live::{QueryEngine, ReplicaKg};
 
 fn main() {
     let kg = media_world(&MediaWorldConfig::standard(3));
-    let engine = Arc::new(QueryEngine::new(ReplicaKg::from_index(
-        64,
-        kg.index().clone(),
-    )));
+    let engine = Arc::new(QueryEngine::new(ReplicaKg::from_index(kg.index().clone())));
     eprintln!("live KG: {} entities", engine.graph().len());
 
     // A mixed workload, mirroring QA traffic: entity cards (GET), relation

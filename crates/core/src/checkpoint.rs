@@ -890,39 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_restore_matches_source_shards() {
-        let idx = sample_index(200);
-        let image = encode(Lsn(7), &idx);
-        let dir = std::env::temp_dir().join(format!("saga-ckpt-part-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let path = publish(&dir, &image).unwrap();
-        let restored = load(&path).unwrap().index;
-        let shards = restored.partition(4);
-        assert_eq!(shards.len(), 4);
-        assert_eq!(
-            shards.iter().map(TripleIndex::fact_count).sum::<usize>(),
-            idx.fact_count()
-        );
-        for probe in probes(&idx) {
-            let mut union: Vec<EntityId> = shards
-                .iter()
-                .flat_map(|s| s.postings(&probe).to_vec())
-                .collect();
-            union.sort_unstable();
-            assert_eq!(union, idx.postings(&probe).to_vec(), "probe {probe:?}");
-        }
-        for shard in &shards {
-            for id in shard.subjects() {
-                assert_eq!(
-                    (id.0 as usize) % 4,
-                    shards.iter().position(|s| s.contains(id)).unwrap()
-                );
-            }
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn torn_and_corrupt_artifacts_are_rejected_and_skipped() {
         let dir = std::env::temp_dir().join(format!("saga-ckpt-torn-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);

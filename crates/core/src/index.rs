@@ -12,9 +12,9 @@
 //! * the Graph Engine's analytics store and View Manager consume through
 //!   the [`Delta`] change feed (incremental view maintenance in the style
 //!   of Kara et al., *CQs with Free Access Patterns under Updates*),
-//! * the Live Graph splits it into partitions under one lock for
-//!   low-latency serving, with KGQ probes lowered directly to
-//!   [`ProbeKey`] posting lookups.
+//! * each live replica serves one under one lock for low-latency
+//!   serving, with KGQ probes lowered directly to [`ProbeKey`] posting
+//!   lookups.
 //!
 //! # Representation
 //!
@@ -594,107 +594,6 @@ impl TripleIndex {
     /// All indexed subjects, in arbitrary order.
     pub fn subjects(&self) -> impl Iterator<Item = EntityId> + '_ {
         self.spo.keys().copied()
-    }
-
-    /// Split one index into `n` shard indexes by `subject % n` — the
-    /// restore path from a checkpoint (one decoded image fans out to the
-    /// live store's partitions under one lock). Posting lists are
-    /// partitioned in a single decode pass and re-encoded per shard with
-    /// the bulk [`BlockPostings::from_sorted`] path; each shard re-interns
-    /// only the object values its subjects actually reference, and an
-    /// immediate keeps its id. `partition(1)` keeps the index whole.
-    pub fn partition(self, n: usize) -> Vec<TripleIndex> {
-        assert!(n > 0, "at least one shard");
-        if n == 1 {
-            return vec![self];
-        }
-        let mut shards: Vec<TripleIndex> = (0..n).map(|_| TripleIndex::new()).collect();
-        // Per-shard memo: source dictionary slot → shard-local ObjId
-        // (u32::MAX = not yet interned there).
-        let mut memo: Vec<Vec<u32>> = vec![vec![u32::MAX; self.objects.slots()]; n];
-        let TripleIndex {
-            objects,
-            spo,
-            pos,
-            osp,
-            tokens,
-            ..
-        } = self;
-        fn map_obj(
-            shard: &mut TripleIndex,
-            memo: &mut [u32],
-            objects: &ObjDict,
-            obj: ObjId,
-        ) -> ObjId {
-            let Some(slot) = obj.slot() else {
-                return obj;
-            };
-            if memo[slot] != u32::MAX {
-                return ObjId(memo[slot]);
-            }
-            let local = shard.objects.intern(&objects.values[slot]);
-            memo[slot] = local.0;
-            local
-        }
-        for (entity, facts) in spo {
-            let s = (entity.0 as usize) % n;
-            let shard = &mut shards[s];
-            let mut column: Vec<(Symbol, ObjId)> = facts
-                .into_iter()
-                .map(|(pred, obj)| {
-                    let local = map_obj(shard, &mut memo[s], &objects, obj);
-                    shard.objects.acquire(local);
-                    (pred, local)
-                })
-                .collect();
-            // Shard-local ObjIds order differently than the source's.
-            column.sort_unstable();
-            shard.facts += column.len();
-            shard.spo.insert(entity, column);
-        }
-        let mut parts: Vec<Vec<EntityId>> = vec![Vec::new(); n];
-        let split = |list: &BlockPostings, parts: &mut Vec<Vec<EntityId>>| {
-            for p in parts.iter_mut() {
-                p.clear();
-            }
-            for id in list.iter() {
-                parts[(id.0 as usize) % n].push(id);
-            }
-        };
-        for ((pred, obj), list) in pos {
-            split(&list, &mut parts);
-            for (s, ids) in parts.iter().enumerate() {
-                if ids.is_empty() {
-                    continue;
-                }
-                let shard = &mut shards[s];
-                let local = map_obj(shard, &mut memo[s], &objects, obj);
-                shard
-                    .pos
-                    .insert((pred, local), BlockPostings::from_sorted(ids));
-            }
-        }
-        for (target, list) in osp {
-            split(&list, &mut parts);
-            for (s, ids) in parts.iter().enumerate() {
-                if !ids.is_empty() {
-                    shards[s]
-                        .osp
-                        .insert(target, BlockPostings::from_sorted(ids));
-                }
-            }
-        }
-        for (token, list) in tokens {
-            split(&list, &mut parts);
-            for (s, ids) in parts.iter().enumerate() {
-                if !ids.is_empty() {
-                    shards[s]
-                        .tokens
-                        .insert(Arc::clone(&token), BlockPostings::from_sorted(ids));
-                }
-            }
-        }
-        shards
     }
 }
 

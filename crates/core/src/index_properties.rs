@@ -22,8 +22,8 @@
 
 use crate::index::{flatten, name_tokens};
 use crate::postings::{
-    intersect_views, union_views, BlockPostings, BLOCK_SPAN, DENSE_MIN, INLINE_MAX, SPARSE_MAX,
-    TINY_MAX, TINY_MIN,
+    intersect_views, BlockPostings, BLOCK_SPAN, DENSE_MIN, INLINE_MAX, SPARSE_MAX, TINY_MAX,
+    TINY_MIN,
 };
 use crate::read::intersect_postings;
 use crate::{
@@ -693,11 +693,6 @@ fn compressed_set_algebra_matches_plain_reference() {
             .copied()
             .collect();
         assert_eq!(intersect_views(&views), expected, "seed {seed}: intersect");
-        // Union ≡ naive (the cross-shard merge path).
-        let mut all: Vec<EntityId> = lists.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(union_views(&views).to_vec(), all, "seed {seed}: union");
     }
 }
 

@@ -57,7 +57,7 @@ pub use index::{changed_entities, Delta, DeltaFact, IndexHeap, ProbeKey, TripleI
 pub use intern::{intern, resolve, Symbol};
 pub use kg::{KgStats, KnowledgeGraph};
 pub use meta::{FactMeta, SourceTrust};
-pub use postings::{intersect_views, union_views, BlockPostings, PostingsCursor, PostingsView};
+pub use postings::{intersect_views, BlockPostings, PostingsCursor, PostingsView};
 pub use read::GraphRead;
 pub use row::{Dataset, Row};
 pub use session::SessionToken;

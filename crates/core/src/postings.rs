@@ -1403,112 +1403,6 @@ fn decode_container(container: &Container, out: &mut Vec<u16>) {
     }
 }
 
-/// Union posting lists into one owned [`BlockPostings`] — the cross-shard
-/// merge path (shards partition the id space, so inputs are disjoint, but
-/// the merge is correct for overlapping inputs too).
-///
-/// Works per block: all blocked containers sharing a key are OR-ed
-/// through one dense scratch bitmap, then stored dense or re-encoded
-/// sparse by the steady-state thresholds. Tiny inputs are decoded once
-/// into a sorted side list that joins the block-wise merge as one more
-/// (blocked) input — the whole union is linear in total input size, with
-/// no per-id re-encoding.
-pub fn union_views(lists: &[&BlockPostings]) -> BlockPostings {
-    let (tiny, mut blocked): (Vec<&BlockPostings>, Vec<&BlockPostings>) =
-        lists.iter().copied().partition(|l| l.is_tiny());
-    let mut extra: Vec<EntityId> = tiny.iter().flat_map(|l| l.iter()).collect();
-    extra.sort_unstable();
-    extra.dedup();
-    if blocked.is_empty() {
-        return BlockPostings::from_sorted(&extra);
-    }
-    // Force the side list into blocked form so it can join the block-wise
-    // merge regardless of its size.
-    let extra_list = (!extra.is_empty()).then(|| BlockPostings {
-        repr: blocks_from_sorted(&extra),
-    });
-    if let Some(list) = &extra_list {
-        blocked.push(list);
-    }
-    let out = match blocked.len() {
-        1 => blocked[0].clone(),
-        _ => union_blocked(&blocked),
-    };
-    // Normalize tiny unions back to the tiny tier.
-    if out.len() <= TINY_MAX {
-        let ids = out.to_vec();
-        return BlockPostings::from_sorted(&ids);
-    }
-    out
-}
-
-fn union_blocked(lists: &[&BlockPostings]) -> BlockPostings {
-    let dirs: Vec<(&[BlockMeta], &[Container])> = lists.iter().map(|l| l.blocks()).collect();
-    let mut dir: Vec<BlockMeta> = Vec::new();
-    let mut containers: Vec<Container> = Vec::new();
-    let mut len = 0usize;
-    let mut cursors = vec![0usize; dirs.len()];
-    let mut acc = [0u64; WORDS];
-    let mut offsets: Vec<u16> = Vec::new();
-    // Walk block keys in ascending order across all inputs.
-    while let Some(key) = cursors
-        .iter()
-        .zip(dirs.iter())
-        .filter_map(|(&c, (d, _))| d.get(c).map(|m| m.key))
-        .min()
-    {
-        acc.fill(0);
-        for (cursor, (d, c)) in cursors.iter_mut().zip(dirs.iter()) {
-            let Some(meta) = d.get(*cursor) else {
-                continue;
-            };
-            if meta.key != key {
-                continue;
-            }
-            match &c[*cursor] {
-                Container::Dense(words) => {
-                    for (a, b) in acc.iter_mut().zip(words.iter()) {
-                        *a |= *b;
-                    }
-                }
-                Container::Sparse(bytes) => {
-                    decode_sparse_into(bytes, &mut offsets);
-                    for &off in offsets.iter() {
-                        acc[(off >> 6) as usize] |= 1u64 << (off & 63);
-                    }
-                }
-            }
-            *cursor += 1;
-        }
-        let card = acc.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        if card == 0 {
-            continue;
-        }
-        let container = if card > SPARSE_MAX {
-            Container::Dense(Box::new(acc))
-        } else {
-            offsets.clear();
-            for_each_set_bit(&acc, |off| offsets.push(off));
-            Container::Sparse(encode_sparse(&offsets))
-        };
-        dir.push(BlockMeta {
-            key,
-            min: dense_first(&acc),
-            max: dense_last(&acc),
-            card: card as u16,
-        });
-        containers.push(container);
-        len += card;
-    }
-    BlockPostings {
-        repr: Repr::Blocks(Box::new(Blocked {
-            dir,
-            containers,
-            len,
-        })),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1840,27 +1734,6 @@ mod tests {
         let c = BlockPostings::from_sorted(&ids(0..100));
         let d = BlockPostings::from_sorted(&ids(200..300));
         assert!(intersect_views(&[&c, &d]).is_empty());
-    }
-
-    #[test]
-    fn union_views_merges_disjoint_shards() {
-        let shard0 = BlockPostings::from_sorted(&ids((0..10_000).filter(|i| i % 2 == 0)));
-        let shard1 = BlockPostings::from_sorted(&ids((0..10_000).filter(|i| i % 2 == 1)));
-        let merged = union_views(&[&shard0, &shard1]);
-        assert_eq!(merged.to_vec(), ids(0..10_000));
-        assert_eq!(merged.len(), 10_000);
-        // Overlapping inputs dedup.
-        let overlap = union_views(&[&shard0, &shard0]);
-        assert_eq!(overlap.to_vec(), shard0.to_vec());
-        // Tiny inputs fold in; tiny unions normalize back to tiny.
-        let tiny_a = BlockPostings::from_sorted(&ids([1, 3]));
-        let tiny_b = BlockPostings::from_sorted(&ids([2, 9_999_999]));
-        let tiny = union_views(&[&tiny_a, &tiny_b]);
-        assert!(tiny.is_tiny());
-        assert_eq!(tiny.to_vec(), ids([1, 2, 3, 9_999_999]));
-        let mixed = union_views(&[&shard0, &tiny_a]);
-        assert_eq!(mixed.len(), 5_002, "5000 evens + ids 1 and 3");
-        assert!(mixed.contains(EntityId(3)));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! This file is test support shared by source inclusion: `saga-core`'s
 //! `index_properties` suite includes it for the backends it can see
-//! (`KnowledgeGraph` and the `&T` / `Arc<T>` forwards), and
-//! `saga-fleet`'s `prefix_law` integration suite includes it by `#[path]`
-//! for the rest (`ReplicaKg`, `LiveReplica`, the graph behind
+//! (`KnowledgeGraph` and the `&T` / `Arc<T>` forwards), `saga-live`'s
+//! replica tests include it by `#[path]` for a bootstrapped `ReplicaKg`,
+//! and `saga-fleet`'s `prefix_law` integration suite includes it by
+//! `#[path]` for the rest (`ReplicaKg`, `LiveReplica`, the graph behind
 //! `LoggedWriter::read`, `FleetRouter`) —
 //! `saga-live` cannot depend on `saga-fleet`, and a checker exported from
 //! the library would ship test code. Every name comes from the including
@@ -26,7 +27,7 @@ pub const SEEDS: [u64; 3] = [11, 42, 20220612];
 /// KGQ's served-query cap (`saga_live::kgq::parser::MAX_LIMIT`).
 const MAX_LIMIT: usize = 1000;
 /// Conjunctions checked per backend per seed.
-const CONJUNCTIONS: usize = 48;
+pub const CONJUNCTIONS: usize = 48;
 
 /// SplitMix64 — the suite's only randomness, so it needs no `rand`.
 pub struct Rng(u64);
@@ -56,13 +57,12 @@ impl Rng {
 
 /// The corpus's entity ids: a contiguous run (room for a dense block), a
 /// run straddling the first block boundary, and a run two blocks up — so
-/// long postings are multi-block with dense and sparse containers, and at
-/// eight shards most of them fall back to the tiny tier.
+/// long postings are multi-block with dense and sparse containers.
 pub fn corpus_ids() -> impl Iterator<Item = u64> {
     (1..=1500).chain(3900..4400).chain(9000..9300)
 }
 
-/// One entity's facts. Posting shapes over [`corpus_ids`], unsharded:
+/// One entity's facts. Posting shapes over [`corpus_ids`]:
 /// `type thing`, the `node` name token and each `parent` edge are long
 /// (dense block 0, sparse blocks after); a `bucket` literal's block 0 sits
 /// at the sparse/dense edge; `flag` sits at the tiny/blocked edge; `rare`,
@@ -98,7 +98,7 @@ pub fn corpus(seed: u64) -> Vec<ExtendedTriple> {
 
 /// One random probe over the corpus vocabulary (including one that
 /// matches nothing).
-fn random_probe(rng: &mut Rng) -> ProbeKey {
+pub fn random_probe(rng: &mut Rng) -> ProbeKey {
     match rng.below(10) {
         0 | 1 => ProbeKey::Type(intern("thing")),
         2 => ProbeKey::Type(intern("other")),

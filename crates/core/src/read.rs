@@ -12,9 +12,9 @@
 //! * the writer's [`KnowledgeGraph`] (single
 //!   [`TripleIndex`](crate::TripleIndex), zero-copy galloping
 //!   intersection),
-//! * the replica store (`saga_live::ReplicaKg`, partitions under one
-//!   lock, probed partition by partition and merged — what log replicas
-//!   serve),
+//! * the replica store (`saga_live::ReplicaKg`, one
+//!   [`TripleIndex`](crate::TripleIndex) under one lock, probed with the
+//!   same calls — what log replicas serve),
 //!   and the fleet and view surfaces that forward to one.
 //!
 //! The trait is deliberately small — posting retrieval (an owned
@@ -44,8 +44,7 @@ use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
 pub trait GraphRead {
     /// Snapshot one probe's posting list in compressed block form — the
     /// primary postings entry point. Implementations clone compressed
-    /// blocks (or build them from a merged partition view); they never
-    /// materialize a full `Vec<EntityId>` unless merging forces it.
+    /// blocks; they never materialize a full `Vec<EntityId>`.
     fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings;
 
     /// The sorted posting list of one probe, materialized. Prefer

@@ -4,7 +4,9 @@
 //! sharded and can be replicated to support scale-out"): N log-shipped
 //! [`LiveReplica`](saga_live::LiveReplica)s behind one lag-aware router,
 //! supervised by a control plane that checkpoints the log and respawns
-//! failed replicas from those checkpoints.
+//! failed replicas from those checkpoints. This is §4.1's replication;
+//! its sharding is across machines — the parked multi-process
+//! constellation — so each replica serves one whole index.
 //!
 //! * [`pool`] — the data plane: a [`ReplicaPool`] of serving slots, each
 //!   owning a replica tailed by its own replay worker thread (bounded
@@ -51,8 +53,9 @@ pub use router::{FleetRouter, RoutedRead};
 pub struct FleetConfig {
     /// Number of serving replicas (slots). Clamped to at least 1.
     pub replicas: usize,
-    /// Partitions per replica store, all under one lock (see
-    /// [`saga_live::ReplicaKg`]).
+    /// Ignored: a replica store is one index (see
+    /// [`saga_live::ReplicaKg`]). Kept only for `e2e_bench/src/stack.rs`;
+    /// the next benchmark change deletes it together with `SHARDS`.
     pub shards: usize,
     /// The longest a caught-up worker parks before polling the log
     /// again. It bounds the staleness of plain (no-session) reads: ingest
@@ -90,7 +93,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             replicas: 2,
-            shards: 8,
+            shards: 1,
             poll_interval: Duration::from_millis(2),
             stagger_polls: true,
             lag_bound: 512,
@@ -105,7 +108,6 @@ impl Default for FleetConfig {
 impl FleetConfig {
     pub(crate) fn validated(mut self) -> Self {
         self.replicas = self.replicas.max(1);
-        self.shards = self.shards.max(1);
         self
     }
 }

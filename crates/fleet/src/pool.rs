@@ -317,7 +317,7 @@ impl ReplicaPool {
         });
         let mut slots = Vec::with_capacity(cfg.replicas);
         for id in 0..cfg.replicas {
-            let replica = LiveReplica::bootstrap(cfg.shards, &ckpt_dir, Arc::clone(&log))?;
+            let replica = LiveReplica::bootstrap(1, &ckpt_dir, Arc::clone(&log))?;
             slots.push(Slot::new(id, replica));
         }
         // On a failed spawn the pool drops here, and its `Drop` stops the
@@ -441,7 +441,7 @@ impl ReplicaPool {
     pub fn respawn(&self, id: usize) -> Result<()> {
         let slot = self.slot(id)?;
         slot.stop_worker(&self.wake);
-        let fresh = LiveReplica::bootstrap(self.cfg.shards, &self.ckpt_dir, Arc::clone(&self.log))?;
+        let fresh = LiveReplica::bootstrap(1, &self.ckpt_dir, Arc::clone(&self.log))?;
         let mut replica = slot.replica.lock();
         let old = replica.replace_with(fresh);
         slot.watermark

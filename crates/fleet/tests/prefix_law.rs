@@ -4,7 +4,7 @@
 //! `probe_all_limit(p, k) == probe_all(p)[..min(k, len)]` on the backends
 //! it can see; this suite runs the **same** seeded check (the shared
 //! `crates/core/src/prefix_law.rs`, included by path) on the rest —
-//! [`ReplicaKg`] at 1 / 2 / 8 shards (replayed and bootstrapped),
+//! [`ReplicaKg`] (replayed and bootstrapped),
 //! [`LiveReplica`], the [`LoggedWriter`]'s
 //! own graph read through its lock, and [`FleetRouter`] — and checks that
 //! `FIND … LIMIT k` through a [`QueryEngine`] is the first `k` answers of
@@ -81,21 +81,18 @@ fn prefix_law_holds_on_every_live_and_fleet_backend() {
         CheckpointWriter::new(&writer, &ckpt_dir)
             .checkpoint()
             .unwrap();
-        for shards in [1, 2, 8] {
-            let mut replayed = LiveReplica::new(shards, Arc::clone(writer.log()));
-            replayed.catch_up().unwrap();
-            let booted =
-                LiveReplica::bootstrap(shards, &ckpt_dir, Arc::clone(writer.log())).unwrap();
-            for (replica, built) in [(&replayed, "replay"), (&booted, "bootstrap")] {
-                let store: &ReplicaKg = replica.live();
-                let backend = format!("ReplicaKg/{shards}/{built}");
-                check_prefix_law(store, seed, &backend);
-                let engine = QueryEngine::new(store.clone());
-                check_kgq_limits(
-                    |text| engine.query(text).unwrap().entities().to_vec(),
-                    &format!("QueryEngine<{backend}>"),
-                );
-            }
+        let mut replayed = LiveReplica::new(1, Arc::clone(writer.log()));
+        replayed.catch_up().unwrap();
+        let booted = LiveReplica::bootstrap(1, &ckpt_dir, Arc::clone(writer.log())).unwrap();
+        for (replica, built) in [(&replayed, "replay"), (&booted, "bootstrap")] {
+            let store: &ReplicaKg = replica.live();
+            let backend = format!("ReplicaKg/{built}");
+            check_prefix_law(store, seed, &backend);
+            let engine = QueryEngine::new(store.clone());
+            check_kgq_limits(
+                |text| engine.query(text).unwrap().entities().to_vec(),
+                &format!("QueryEngine<{backend}>"),
+            );
         }
         let _ = std::fs::remove_dir_all(&ckpt_dir);
         let config = FleetConfig {

@@ -149,10 +149,7 @@ mod tests {
             Value::Entity(EntityId(5)),
             meta(),
         ));
-        IntentHandler::new(QueryEngine::new(ReplicaKg::from_index(
-            4,
-            kg.index().clone(),
-        )))
+        IntentHandler::new(QueryEngine::new(ReplicaKg::from_index(kg.index().clone())))
     }
 
     #[test]

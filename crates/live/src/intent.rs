@@ -154,7 +154,7 @@ mod tests {
             Value::Entity(EntityId(4)),
             meta(),
         ));
-        QueryEngine::new(ReplicaKg::from_index(4, kg.index().clone()))
+        QueryEngine::new(ReplicaKg::from_index(kg.index().clone()))
     }
 
     #[test]

@@ -260,7 +260,7 @@ mod tests {
             Value::Int(1999),
             FactMeta::from_source(SourceId(1), 0.9),
         ));
-        let engine = QueryEngine::new(ReplicaKg::from_index(2, kg.index().clone()));
+        let engine = QueryEngine::new(ReplicaKg::from_index(kg.index().clone()));
         let q = QueryBuilder::find().of_type("band").name(tricky).build();
         // Token postings are lowercased full phrases; exact-phrase lookup
         // resolves through the same posting the parser path uses.
@@ -274,7 +274,7 @@ mod tests {
     fn virtual_ops_compose_with_the_builder() {
         let mut kg = KnowledgeGraph::new();
         kg.add_named_entity(EntityId(1), "Halo", "song", SourceId(1), 0.9);
-        let engine = QueryEngine::new(ReplicaKg::from_index(2, kg.index().clone()));
+        let engine = QueryEngine::new(ReplicaKg::from_index(kg.index().clone()));
         engine
             .register_virtual_op("Named", |args| Ok(vec![Condition::NameIs(args[0].clone())]))
             .unwrap();

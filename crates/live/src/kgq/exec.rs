@@ -3,7 +3,7 @@
 //! Compilation expands virtual operators, resolves edge targets to entity
 //! ids, and lowers conditions directly to the unified triple index's
 //! [`ProbeKey`] vocabulary — the probe path every backend (the writer's
-//! graph, the sharded replica store) implements. Execution hands a `FIND`
+//! graph, the replica store) implements. Execution hands a `FIND`
 //! conjunction to the backend's limit-aware
 //! [`probe_all_limit`](GraphRead::probe_all_limit), which plans it by
 //! selectivity: an unsatisfiable probe short-circuits to an empty result
@@ -334,12 +334,12 @@ mod tests {
         kg
     }
 
-    fn demo_store(shards: usize) -> ReplicaKg {
-        ReplicaKg::from_index(shards, demo_kg().index().clone())
+    fn demo_store() -> ReplicaKg {
+        ReplicaKg::from_index(demo_kg().index().clone())
     }
 
     fn demo_engine() -> QueryEngine {
-        QueryEngine::new(demo_store(4))
+        QueryEngine::new(demo_store())
     }
 
     fn fact(predicate: &str, object: &str) -> DeltaFact {
@@ -359,13 +359,13 @@ mod tests {
     }
 
     /// The §4.2 KGQ scenarios executed against every backend through the
-    /// one generic engine: the stable KG and the sharded replica store.
+    /// one generic engine: the stable KG and the replica store.
     fn on_every_backend(check: impl Fn(&str, &dyn Fn(&str) -> Result<QueryResult>)) {
         let kg = demo_kg();
         let stable_engine = QueryEngine::new(kg.clone());
         check("stable", &|q| stable_engine.query(q));
 
-        let live = ReplicaKg::from_index(4, kg.index().clone());
+        let live = ReplicaKg::from_index(kg.index().clone());
         let live_engine = QueryEngine::new(live);
         check("live", &|q| live_engine.query(q));
     }
@@ -474,7 +474,7 @@ mod tests {
         // A cached plan re-checks only the edge targets it resolved: its
         // postings are read live at execute time, so no write to them
         // can make it stale.
-        let live = demo_store(4);
+        let live = demo_store();
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
@@ -513,7 +513,7 @@ mod tests {
     fn stale_plans_recompile_after_writes() {
         // A plan that resolved an edge target by name must see a renamed
         // target: the hit re-resolves the name and finds it moved.
-        let live = demo_store(2);
+        let live = demo_store();
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> entity("Beyoncé")"#;
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
@@ -537,7 +537,7 @@ mod tests {
 
     #[test]
     fn id_targets_recheck_that_the_entity_exists() {
-        let live = demo_store(2);
+        let live = demo_store();
         let eng = QueryEngine::new(live.clone());
         let q = r#"FIND song WHERE performed_by -> AKG:1"#;
         assert_eq!(eng.query(q).unwrap().entities(), &[EntityId(3)]);
@@ -582,7 +582,7 @@ mod tests {
         // order, so that name's posting holds two ids.
         let mut two_named = kg.clone();
         two_named.add_named_entity(EntityId(3), "Jay-Z", "song", SourceId(2), 0.9);
-        let live = ReplicaKg::from_index(3, two_named.index().clone());
+        let live = ReplicaKg::from_index(two_named.index().clone());
         let names = ["Beyoncé", "jay-z", "Halo", "Hollywood", "Nobody"];
         for name in names {
             assert_eq!(

@@ -230,7 +230,7 @@ mod tests {
         let mut kg = saga_core::KnowledgeGraph::new();
         kg.add_named_entity(EntityId(1), "Alpha", "song", saga_core::SourceId(1), 0.9);
         let engine = QueryEngine::new(Gated {
-            inner: ReplicaKg::from_index(2, kg.index().clone()),
+            inner: ReplicaKg::from_index(kg.index().clone()),
             entered: Barrier::new(2),
             release: Barrier::new(2),
         });

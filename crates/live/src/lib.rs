@@ -4,9 +4,9 @@
 //! graph with real-time streaming sources (sports scores, stock prices,
 //! flight data), served through a low-latency query engine.
 //!
-//! * [`store`] — the serving substrate: a sharded inverted graph index
-//!   optimized for concurrent point reads, and the index-only
-//!   [`ReplicaKg`] every served graph — stable and live alike — is.
+//! * [`store`] — the serving substrate: the index-only [`ReplicaKg`],
+//!   one inverted graph index under one lock, optimized for concurrent
+//!   point reads, which every served graph — stable and live alike — is.
 //! * [`construction`] — Live Graph Construction: streaming events are
 //!   uniquely identifiable (no linking/fusion needed) but their text
 //!   references to stable entities are resolved through the Entity
@@ -29,8 +29,8 @@
 //! * [`curation`] — human-in-the-loop curation as a streaming hot-fix
 //!   source (§4.3), committed through the same log and forwarded to
 //!   stable construction.
-//! * [`replica`] — the log-shipped serving replica: a [`ReplicaKg`] (a
-//!   sharded index and nothing else) built purely by replaying the durable
+//! * [`replica`] — the log-shipped serving replica: a [`ReplicaKg`] (one
+//!   index and nothing else) built purely by replaying the durable
 //!   oplog's delta payloads, with no code path into the
 //!   construction-side `KnowledgeGraph` (§3.1 log shipping, §4.1
 //!   replication).
@@ -52,4 +52,4 @@ pub use kgq::{
     QueryResult,
 };
 pub use replica::LiveReplica;
-pub use store::{ReplicaKg, ShardedTripleIndex};
+pub use store::ReplicaKg;

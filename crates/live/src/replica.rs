@@ -2,8 +2,8 @@
 //!
 //! §3.1: "all stores eventually index the same KG updates in the same
 //! order" — the shared log is the only coordination channel. This module
-//! closes that loop for serving: [`LiveReplica`] is a [`ReplicaKg`] — a
-//! partitioned index and nothing else — built **purely** by replaying the
+//! closes that loop for serving: [`LiveReplica`] is a [`ReplicaKg`] — one
+//! index and nothing else — built **purely** by replaying the
 //! delta payloads the durable [`OperationLog`] carries. There is no code
 //! path from the replica into the construction-side `KnowledgeGraph`; a
 //! replica can run in another process or on another machine with nothing
@@ -33,8 +33,8 @@
 //! [`LiveReplica::bootstrap`] instead loads the newest usable
 //! [`saga_core::checkpoint`] artifact — skipping torn or corrupt ones,
 //! a manifest whose checksum or watermark does not match among them —
-//! splits its index into the replica's partitions under one lock
-//! ([`ReplicaKg::from_index`]; nothing is rebuilt beside it), and resumes
+//! adopts its index as it is ([`ReplicaKg::from_index`]; nothing is
+//! re-encoded or rebuilt beside it), and resumes
 //! the follower at the checkpoint watermark so only the log *tail*
 //! replays: startup proportional to live data. This is also what makes
 //! [`OperationLog::compact_to`] safe to run on the producer side — a
@@ -47,6 +47,17 @@ use saga_core::{checkpoint, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Re
 use saga_graph::{LogFollower, OperationLog};
 
 use crate::store::ReplicaKg;
+
+// The prefix law's shared test support (see its module docs) takes every
+// name from this module.
+#[cfg(test)]
+use saga_core::{
+    intern, postings::BLOCK_SPAN, read::intersect_postings, ExtendedTriple, FactMeta, SourceId,
+    Value,
+};
+#[cfg(test)]
+#[path = "../../core/src/prefix_law.rs"]
+mod prefix_law;
 
 /// How many operations one [`LiveReplica::catch_up`] poll pulls at a time;
 /// bounds peak memory while replaying a long backlog. Fleet replay workers
@@ -62,11 +73,14 @@ pub struct LiveReplica {
 }
 
 impl LiveReplica {
-    /// An empty replica in `shards` partitions under one lock, following
-    /// `log` from the beginning.
-    pub fn new(shards: usize, log: Arc<OperationLog>) -> Self {
+    /// An empty replica following `log` from the beginning.
+    ///
+    /// The first argument is ignored: it is kept only for
+    /// `e2e_bench/src/cold.rs`, and the next benchmark change deletes it
+    /// together with `SHARDS`.
+    pub fn new(_shards: usize, log: Arc<OperationLog>) -> Self {
         LiveReplica {
-            live: ReplicaKg::new(shards),
+            live: ReplicaKg::new(),
             follower: LogFollower::new(log),
         }
     }
@@ -85,7 +99,11 @@ impl LiveReplica {
     /// the next-newest. With no usable artifact the replica falls back to
     /// full replay from LSN 0; if the log is compacted that history no
     /// longer exists and bootstrap fails instead of serving a silent gap.
-    pub fn bootstrap(shards: usize, dir: &Path, log: Arc<OperationLog>) -> Result<Self> {
+    ///
+    /// The first argument is ignored: it is kept only for
+    /// `e2e_bench/src/cold.rs`, and the next benchmark change deletes it
+    /// together with `SHARDS`.
+    pub fn bootstrap(_shards: usize, dir: &Path, log: Arc<OperationLog>) -> Result<Self> {
         let compacted = log.compacted_through();
         let head = log.head();
         let mut restored = None;
@@ -100,10 +118,10 @@ impl LiveReplica {
         }
         let mut replica = match restored {
             Some(ckpt) => LiveReplica {
-                live: ReplicaKg::from_index(shards, ckpt.index),
+                live: ReplicaKg::from_index(ckpt.index),
                 follower: LogFollower::resume_at(log, ckpt.watermark),
             },
-            None if compacted == Lsn::ZERO => LiveReplica::new(shards, log),
+            None if compacted == Lsn::ZERO => LiveReplica::new(1, log),
             None => {
                 return Err(SagaError::Storage(format!(
                     "cannot bootstrap replica: log is compacted through lsn {} \
@@ -213,7 +231,7 @@ mod tests {
         intern, Delta, DeltaFact, ExtendedTriple, FactMeta, FxHashSet, KnowledgeGraph, SourceId,
         Value, WriteBatch,
     };
-    use saga_graph::{LoggedWriter, OpKind};
+    use saga_graph::{CheckpointWriter, LoggedWriter, OpKind};
 
     fn meta() -> FactMeta {
         FactMeta::from_source(SourceId(1), 0.9)
@@ -432,8 +450,8 @@ mod tests {
         assert_eq!(replica.lag(), 0);
     }
 
-    /// Each op moves `tag = "x"` from one of entities 1 and 2 — two
-    /// partitions — to the other, as one remove and one add. A reader
+    /// Each op moves `tag = "x"` from one of entities 1 and 2 to the
+    /// other, as one remove and one add. A reader
     /// probing the tag while the replica applies them must always find
     /// exactly one holder: never the state between an op's two deltas.
     #[test]
@@ -530,6 +548,50 @@ mod tests {
         person(3);
         assert_eq!(replica.catch_up().unwrap(), 1);
         assert_eq!(engine.query(find).unwrap().entities().len(), 3);
+    }
+
+    /// A booted replica serves the checkpoint's index as it was loaded:
+    /// the same encoded and heap bytes, the generation `from_index` starts
+    /// at (there is no tail to replay), and the prefix-law conjunctions
+    /// answered as the writer's own graph answers them.
+    #[test]
+    fn bootstrap_serves_the_loaded_index_as_it_is() {
+        let seed = prefix_law::SEEDS[0];
+        let w = producer();
+        for chunk in prefix_law::corpus(seed).chunks(512) {
+            let batch = chunk
+                .iter()
+                .cloned()
+                .fold(WriteBatch::new(), WriteBatch::upsert);
+            w.commit(OpKind::Upsert, batch).unwrap();
+        }
+        let dir = std::env::temp_dir().join(format!("saga-replica-boot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let published = CheckpointWriter::new(&w, &dir).checkpoint().unwrap();
+        let loaded = checkpoint::load(&published.path).unwrap().index;
+        let booted = LiveReplica::bootstrap(1, &dir, Arc::clone(w.log())).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let store = booted.live();
+        {
+            let index = store.index();
+            assert_eq!(index.index_bytes(), loaded.index_bytes(), "encoded bytes");
+            assert_eq!(index.heap_bytes(), loaded.heap_bytes(), "heap bytes");
+        }
+        assert_eq!(store.generation(), 1);
+        prefix_law::check_prefix_law(store, seed, "booted ReplicaKg");
+        let graph = w.read();
+        let mut rng = prefix_law::Rng::new(seed);
+        for _ in 0..prefix_law::CONJUNCTIONS {
+            let probes: Vec<ProbeKey> = (0..1 + rng.below(3))
+                .map(|_| prefix_law::random_probe(&mut rng))
+                .collect();
+            assert_eq!(
+                store.probe_all(&probes),
+                graph.probe_all(&probes),
+                "{probes:?}"
+            );
+        }
     }
 
     #[test]

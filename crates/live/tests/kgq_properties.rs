@@ -24,7 +24,7 @@ fn demo_engine() -> QueryEngine {
             0.9,
         );
     }
-    QueryEngine::new(ReplicaKg::from_index(4, kg.index().clone()))
+    QueryEngine::new(ReplicaKg::from_index(kg.index().clone()))
 }
 
 proptest! {
@@ -242,13 +242,12 @@ proptest! {
     /// checkpoint.
     #[test]
     fn cached_plans_answer_like_fresh_compiles(
-        shards in 1usize..=3,
         history in proptest::collection::vec(
             (0u8..7, 1u64..=ENTITIES, 1u64..=ENTITIES, 0usize..10),
             1..16,
         ),
     ) {
-        let graph = ReplicaKg::from_index(shards, restored_index());
+        let graph = ReplicaKg::from_index(restored_index());
         let engine = QueryEngine::new(graph.clone());
         assert_cached_equals_fresh(&engine, "restore");
         for (at, &(kind, a, b, pick)) in history.iter().enumerate() {

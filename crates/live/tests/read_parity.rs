@@ -1,7 +1,7 @@
 //! Backend-parity property tests for the `GraphRead` serving API.
 //!
 //! One KGQ engine executes against the stable `KnowledgeGraph` and the
-//! sharded `ReplicaKg`. For any generated fact world the two must return
+//! `ReplicaKg`. For any generated fact world the two must return
 //! identical postings, conjunctions, flattened records and answers when
 //! they hold the same data, and a `LiveReplica` rebuilt from a writer's
 //! log must serve exactly the writer's graph.
@@ -81,7 +81,7 @@ proptest! {
     #[test]
     fn backends_return_identical_results(facts in fact_strategy()) {
         let kg = build_stable(&facts);
-        let live = ReplicaKg::from_index(4, kg.index().clone());
+        let live = ReplicaKg::from_index(kg.index().clone());
 
         let probes = probe_set(&facts);
         for probe in &probes {
@@ -116,7 +116,7 @@ proptest! {
     #[test]
     fn kgq_queries_agree_across_backends(facts in fact_strategy()) {
         let kg = build_stable(&facts);
-        let live = ReplicaKg::from_index(4, kg.index().clone());
+        let live = ReplicaKg::from_index(kg.index().clone());
 
         let stable_engine = QueryEngine::new(kg.clone());
         let live_engine = QueryEngine::new(live);

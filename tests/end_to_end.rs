@@ -204,7 +204,7 @@ fn constructed_kg_serves_live_queries() {
     let batches = ingest_cycle(&world, &mut pipes);
     consume(&ctor, &writer, &id_gen, batches);
 
-    let engine = QueryEngine::new(ReplicaKg::from_index(8, writer.read().index().clone()));
+    let engine = QueryEngine::new(ReplicaKg::from_index(writer.read().index().clone()));
 
     // Every ground-truth artist covered by the clean provider is findable.
     let artist = &world.artists[0];
