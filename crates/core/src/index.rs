@@ -294,19 +294,17 @@ impl TripleIndex {
         &mut self,
         entity: EntityId,
         triples: impl IntoIterator<Item = &'a ExtendedTriple>,
-    ) -> Delta {
+    ) {
         let removed: Vec<DeltaFact> = triples
             .into_iter()
             .filter_map(flatten)
             .map(|(predicate, object)| DeltaFact { predicate, object })
             .collect();
-        let delta = Delta {
+        self.apply(&Delta {
             entity,
             removed,
             added: Vec::new(),
-        };
-        self.apply(&delta);
-        delta
+        });
     }
 
     #[cfg(test)]

@@ -51,8 +51,6 @@ pub struct KnowledgeGraph {
     pub(crate) links: FxHashMap<(SourceId, Arc<str>), EntityId>,
     /// The unified triple index, maintained incrementally by every mutator.
     index: TripleIndex,
-    /// Monotone read-visible-change counter (see [`generation`](Self::generation)).
-    generation: u64,
 }
 
 impl KnowledgeGraph {
@@ -109,11 +107,11 @@ impl KnowledgeGraph {
     }
 
     /// Re-derive the index entries of one entity from its current record
-    /// (diff-based — unchanged facts are untouched). Records the delta.
+    /// (diff-based — unchanged facts are untouched). Returns the delta.
     /// Test-only, like [`mutate_entity`](Self::mutate_entity).
     #[cfg(test)]
     pub(crate) fn reindex_entity(&mut self, id: EntityId) -> Delta {
-        let delta = match self.entities.get(&id) {
+        match self.entities.get(&id) {
             Some(record) => {
                 let now_empty = record.triples.is_empty();
                 let delta = self.index.update_entity(record);
@@ -125,9 +123,7 @@ impl KnowledgeGraph {
                 delta
             }
             None => self.index.remove_entity(id),
-        };
-        self.note_delta(&delta);
-        delta
+        }
     }
 
     /// The unified triple index over this graph (SPO/POS/OSP probes).
@@ -138,22 +134,6 @@ impl KnowledgeGraph {
     /// Mutable index access for the staged-commit apply path.
     pub(crate) fn index_mut(&mut self) -> &mut TripleIndex {
         &mut self.index
-    }
-
-    /// Monotone counter bumped on every mutation that changes what reads
-    /// return — the [`GraphRead`](crate::GraphRead) plan-cache
-    /// invalidation signal.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Account for one computed delta: bump the generation iff it changed
-    /// anything a read can observe. The delta itself travels with the
-    /// caller (commit receipt → oplog) — the KG retains nothing.
-    pub(crate) fn note_delta(&mut self, delta: &Delta) {
-        if !delta.is_empty() {
-            self.generation += 1;
-        }
     }
 
     /// Iterate all entity records.
@@ -242,7 +222,6 @@ impl KnowledgeGraph {
             removed: Vec::new(),
         };
         self.index.apply(&delta);
-        self.note_delta(&delta);
         true
     }
 
@@ -274,8 +253,7 @@ impl KnowledgeGraph {
             self.entities.remove(id);
         }
         for (id, dropped) in retracted {
-            let delta = self.index.remove_facts(id, dropped.iter());
-            self.note_delta(&delta);
+            self.index.remove_facts(id, dropped.iter());
         }
         self.links.retain(|(s, _), _| *s != source);
         (facts_dropped, empty.len())
@@ -303,8 +281,7 @@ impl KnowledgeGraph {
             }
         }
         if !removed.is_empty() {
-            let delta = self.index.remove_facts(kg_id, removed.iter());
-            self.note_delta(&delta);
+            self.index.remove_facts(kg_id, removed.iter());
         }
         self.links.remove(&(source, Arc::from(local_id)));
         removed.len()
@@ -336,8 +313,7 @@ impl KnowledgeGraph {
             }
         }
         for (id, gone) in retracted {
-            let delta = self.index.remove_facts(id, gone.iter());
-            self.note_delta(&delta);
+            self.index.remove_facts(id, gone.iter());
         }
         for t in fresh {
             // Volatile facts about unknown entities are skipped: the stable

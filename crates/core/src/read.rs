@@ -20,9 +20,10 @@
 //! The trait is deliberately small — posting retrieval (an owned
 //! [`BlockPostings`], the compressed list itself), membership tests,
 //! selectivity, one limit-aware conjunction
-//! ([`probe_all_limit`](GraphRead::probe_all_limit)), name resolution,
-//! point record reads, and a monotone
-//! [`generation`](GraphRead::generation) counter.
+//! ([`probe_all_limit`](GraphRead::probe_all_limit)), name resolution
+//! and point record reads. It carries no version counter: a store's
+//! version is the log sequence number it has applied — a replica's
+//! follower watermark, the writer's log head.
 
 use std::ops::Deref;
 
@@ -82,12 +83,6 @@ pub trait GraphRead {
         self.record(id).is_some()
     }
 
-    /// Monotone counter bumped on every mutation that can change what any
-    /// read returns: the wire `Generation` op reports it, and the fleet
-    /// sums it across replicas. Plan caches do not read it — a cached
-    /// plan re-checks only the edge targets it resolved.
-    fn generation(&self) -> u64;
-
     /// The first `limit` ids (ascending) of the conjunction of `probes` —
     /// the one conjunction primitive every backend implements. Two things
     /// are part of this method's contract, so executors never need a pass
@@ -143,9 +138,6 @@ where
     fn contains(&self, id: EntityId) -> bool {
         (**self).contains(id)
     }
-    fn generation(&self) -> u64 {
-        (**self).generation()
-    }
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
         (**self).probe_all_limit(probes, limit)
     }
@@ -177,10 +169,6 @@ impl GraphRead for KnowledgeGraph {
 
     fn contains(&self, id: EntityId) -> bool {
         KnowledgeGraph::contains(self, id)
-    }
-
-    fn generation(&self) -> u64 {
-        KnowledgeGraph::generation(self)
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
@@ -238,17 +226,6 @@ mod tests {
             kg.probe_all(&[probe, ProbeKey::Edge(intern("performed_by"), EntityId(3))]),
             vec![EntityId(1)]
         );
-    }
-
-    #[test]
-    fn generation_bumps_on_mutation_only() {
-        let mut kg = stable_kg();
-        let g0 = GraphRead::generation(&kg);
-        // Reads don't bump.
-        let _ = kg.postings(&ProbeKey::Type(intern("song")));
-        assert_eq!(GraphRead::generation(&kg), g0);
-        kg.add_named_entity(EntityId(9), "Delta", "song", SourceId(1), 0.9);
-        assert!(GraphRead::generation(&kg) > g0);
     }
 
     #[test]

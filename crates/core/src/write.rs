@@ -23,13 +23,13 @@
 //!    its entity's one net [`Delta`]: an add and a remove of the same fact
 //!    cancel, multiset-exact. Later ops read earlier ops' effects (a link
 //!    recorded in the batch is visible to a retraction staged after it).
-//!    The index and the generation do not move.
+//!    The index does not move.
 //! 2. **Commit** ([`KgTransaction::commit`]) — each net delta is applied
 //!    to the index (the same [`TripleIndex::apply`] path log replicas
-//!    use), the generation bumps once per delta, and the undo log is
-//!    discarded. A transaction dropped without committing — a failed log
-//!    append, an armed failpoint, a panic while staging — replays its undo
-//!    log newest-first and leaves the graph as it found it.
+//!    use), and the undo log is discarded. A transaction dropped without
+//!    committing — a failed log append, an armed failpoint, a panic while
+//!    staging — replays its undo log newest-first and leaves the graph as
+//!    it found it.
 //!
 //! The split is what makes **write-ahead logging** possible: the Graph
 //! Engine's `LoggedWriter` appends [`KgTransaction::deltas`] to the
@@ -320,9 +320,9 @@ enum Undo {
 /// [`contains`](Self::contains)) see every earlier op of the transaction:
 /// multi-step producers (fusion's relationship-node matching, the
 /// pipeline's link-then-retract update path) behave exactly as they would
-/// op by op. The upsert path never clones a record. The index and the
-/// generation move only in [`commit`](Self::commit); dropping the
-/// transaction instead rolls every edit back.
+/// op by op. The upsert path never clones a record. The index moves only
+/// in [`commit`](Self::commit); dropping the transaction instead rolls
+/// every edit back.
 pub struct KgTransaction<'a> {
     kg: &'a mut KnowledgeGraph,
     undo: Vec<Undo>,
@@ -660,8 +660,8 @@ impl<'a> KgTransaction<'a> {
         &self.deltas
     }
 
-    /// Make the staged edits stand: apply each net delta to the index,
-    /// bump the generation once per delta, and return the receipt. The
+    /// Make the staged edits stand: apply each net delta to the index
+    /// and return the receipt. The
     /// deltas leave only through the receipt — producers append them to
     /// the oplog; nothing is retained in-process.
     pub fn commit(mut self) -> CommitReceipt {
@@ -689,7 +689,6 @@ impl<'a> KgTransaction<'a> {
         let (mut facts_added, mut facts_removed) = (0, 0);
         for delta in &deltas {
             kg.index_mut().apply(delta);
-            kg.note_delta(delta);
             facts_added += delta.added.len();
             facts_removed += delta.removed.len();
         }
@@ -776,7 +775,6 @@ mod tests {
         assert_eq!(receipt.facts_removed, 0);
         assert_eq!(receipt.changed_entities(), vec![EntityId(1)]);
         assert!(receipt.entities_removed.is_empty());
-        assert_eq!(kg.generation(), 1, "one bump per delta");
         assert_eq!(kg.entity(EntityId(1)).unwrap().fact_count(), 3);
         assert_eq!(kg.lookup_link(SourceId(1), "a1"), Some(EntityId(1)));
         assert_eq!(kg.find_by_name("Billie Eilish"), vec![EntityId(1)]);
@@ -809,12 +807,10 @@ mod tests {
         let mut txn = KgTransaction::new(&mut kg);
         assert!(txn.upsert(fact(1, "name", Value::str("X"), 1)), "fresh");
         txn.commit();
-        let g0 = kg.generation();
         let mut txn = KgTransaction::new(&mut kg);
         assert!(!txn.upsert(fact(1, "name", Value::str("X"), 2)), "merged");
         let receipt = txn.commit();
         assert!(receipt.is_empty());
-        assert_eq!(kg.generation(), g0, "merge bumps nothing");
         assert_eq!(
             kg.entity(EntityId(1)).unwrap().triples[0]
                 .meta
@@ -830,7 +826,6 @@ mod tests {
         // is a first-class delta like any other op.
         let mut kg = KnowledgeGraph::new();
         kg.commit_upsert(fact(1, "population", Value::Int(-5), 1));
-        let g0 = kg.generation();
         let pred = intern("population");
         let mut txn = KgTransaction::new(&mut kg);
         assert!(txn.mutate(EntityId(1), |rec| {
@@ -845,7 +840,6 @@ mod tests {
         assert_eq!(receipt.deltas.len(), 1);
         assert_eq!(receipt.deltas[0].added[0].object, Value::Int(120_000));
         assert_eq!(receipt.deltas[0].removed[0].object, Value::Int(-5));
-        assert!(kg.generation() > g0, "edit is read-visible");
         assert_eq!(
             kg.postings(&crate::ProbeKey::Literal(pred, Value::Int(120_000))),
             vec![EntityId(1)]
@@ -934,11 +928,11 @@ mod tests {
 
     #[test]
     fn staging_leaves_the_graph_untouched_until_apply() {
-        // Staging edits records in place but moves neither the index nor
-        // the generation; dropping the transaction undoes the edits.
+        // Staging edits records in place but does not move the index;
+        // dropping the transaction undoes the edits.
         let mut kg = KnowledgeGraph::new();
         kg.add_named_entity(EntityId(1), "A", "person", SourceId(1), 0.9);
-        let (g0, facts0) = (kg.generation(), kg.index().fact_count());
+        let facts0 = kg.index().fact_count();
         let before = kg.entity(EntityId(1)).cloned();
         {
             let mut txn = KgTransaction::new(&mut kg);
@@ -953,7 +947,6 @@ mod tests {
             assert_eq!(txn.deltas().len(), 1);
             assert_eq!(txn.deltas()[0].removed.len(), 2);
         }
-        assert_eq!(kg.generation(), g0);
         assert_eq!(kg.index().fact_count(), facts0);
         assert_eq!(kg.entity(EntityId(1)).cloned(), before, "rolled back");
         assert!(!kg.contains(EntityId(2)));
@@ -963,7 +956,7 @@ mod tests {
     fn churn_batch_nets_to_nothing() {
         // The churn shape: link a source entity, retract its facts, and
         // re-upsert the same facts in one batch. Nothing changed, so the
-        // entity emits no delta and the generation stays put.
+        // entity emits no delta.
         let mut kg = KnowledgeGraph::new();
         let mut shared = fact(1, "alias", Value::str("Ace"), 1);
         shared.meta.merge_source(SourceId(2), 0.8);
@@ -984,7 +977,7 @@ mod tests {
             facts.sort_unstable();
             facts
         };
-        let (g0, facts0, spo0) = (kg.generation(), kg.index().fact_count(), spo(&kg));
+        let (facts0, spo0) = (kg.index().fact_count(), spo(&kg));
 
         let mut churn = KgTransaction::new(&mut kg);
         churn.link(SourceId(1), "ada", EntityId(1));
@@ -996,7 +989,6 @@ mod tests {
         let receipt = churn.commit();
         assert_eq!(receipt.deltas.len(), 1, "only entity 3 changed");
         assert_eq!(receipt.deltas[0].entity, EntityId(3));
-        assert_eq!(kg.generation(), g0 + 1);
         assert_eq!(kg.index().fact_count(), facts0 + 1);
         assert_eq!(spo(&kg), spo0, "index unchanged for the churned entity");
         assert_eq!(

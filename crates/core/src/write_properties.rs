@@ -6,10 +6,9 @@
 //! records, the `same_as` link table, the index (every probe family) and
 //! the emitted wire deltas all agree. The direct mutators are the
 //! reference semantics; staging in place must never drift from them. The
-//! generation is the one deliberate difference: a commit moves it once
-//! per net delta (one per touched entity), not once per op. And a
-//! transaction that never commits leaves the graph exactly as it found
-//! it.
+//! one deliberate difference is the delta shape: a commit hands out one
+//! net delta per touched entity, not one per op. And a transaction that
+//! never commits leaves the graph exactly as it found it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -224,11 +223,13 @@ fn assert_same_graph(direct: &KnowledgeGraph, batched: &KnowledgeGraph, label: &
     }
 }
 
-/// The generation law of one commit: it moves by exactly the number of
-/// net deltas, and the deltas strictly ascend by entity — one per entity,
-/// in the order the log writes their ids as gaps.
-fn assert_one_delta_per_entity(receipt_deltas: &[Delta], moved: u64, label: &str) {
-    assert_eq!(moved, receipt_deltas.len() as u64, "{label}: generation");
+/// The delta law of one commit: no net delta is empty, and the deltas
+/// strictly ascend by entity — one per entity, in the order the log
+/// writes their ids as gaps.
+fn assert_one_delta_per_entity(receipt_deltas: &[Delta], label: &str) {
+    for delta in receipt_deltas {
+        assert!(!delta.is_empty(), "{label}: empty delta {:?}", delta.entity);
+    }
     for pair in receipt_deltas.windows(2) {
         assert!(
             pair[0].entity < pair[1].entity,
@@ -262,13 +263,8 @@ fn batched_commits_equal_direct_mutators() {
             for op in &ops[i..i + span] {
                 batch.push(as_write_op(op));
             }
-            let g0 = batched.generation();
             let receipt = batch.commit(&mut batched);
-            assert_one_delta_per_entity(
-                &receipt.deltas,
-                batched.generation() - g0,
-                &format!("seed {seed} at op {i}"),
-            );
+            assert_one_delta_per_entity(&receipt.deltas, &format!("seed {seed} at op {i}"));
             receipt_deltas.extend(receipt.deltas);
             i += span;
         }
@@ -317,7 +313,7 @@ fn one_giant_batch_equals_per_op_commits() {
             giant.push(as_write_op(op));
         }
         let receipt = giant.commit(&mut one);
-        assert_one_delta_per_entity(&receipt.deltas, one.generation(), &format!("seed {seed}"));
+        assert_one_delta_per_entity(&receipt.deltas, &format!("seed {seed}"));
 
         let mut many = KnowledgeGraph::new();
         for op in &ops {
@@ -376,11 +372,7 @@ fn commuting_ops_staged_in_any_order_give_equal_receipts() {
             "{label}"
         );
         assert_same_graph(&sorted_kg, &shuffled_kg, &label);
-        assert_one_delta_per_entity(
-            &shuffled.deltas,
-            shuffled_kg.generation() - base.generation(),
-            &label,
-        );
+        assert_one_delta_per_entity(&shuffled.deltas, &label);
     }
 }
 
@@ -388,8 +380,7 @@ fn commuting_ops_staged_in_any_order_give_equal_receipts() {
 fn abandoned_transactions_leave_the_graph_as_found() {
     // The undo path: a transaction dropped uncommitted, or unwound by a
     // panic while staging (once per seed, half-way through a record
-    // edit), restores every record, link, index family and the
-    // generation.
+    // edit), restores every record, link and index family.
     for seed in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(0xAB0 ^ seed);
         let mut kg = KnowledgeGraph::new();
@@ -409,7 +400,6 @@ fn abandoned_transactions_leave_the_graph_as_found() {
             txn.deltas();
         }
         assert_same_graph(&found, &kg, &format!("seed {seed} dropped"));
-        assert_eq!(found.generation(), kg.generation(), "seed {seed} dropped");
 
         let at = rng.gen_range(0..ops.len());
         let unwound = catch_unwind(AssertUnwindSafe(|| {
@@ -427,7 +417,6 @@ fn abandoned_transactions_leave_the_graph_as_found() {
         }));
         assert!(unwound.is_err());
         assert_same_graph(&found, &kg, &format!("seed {seed} unwound at {at}"));
-        assert_eq!(found.generation(), kg.generation(), "seed {seed} unwound");
     }
 }
 

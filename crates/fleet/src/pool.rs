@@ -41,10 +41,11 @@
 //! applying; from then on the old replica does not move.
 //! [`ReplicaPool::respawn`] then bootstraps a fresh replica off to the
 //! side, to the log head, and moves its index and log position into the
-//! slot's store under the replica mutex: one write lock of the store and
-//! one generation bump, the way an op lands. The fresh replica is at
-//! least as far along as the stopped one, so the watermark and the
-//! generation only move forward, and a read pinned across the respawn
+//! slot's store under the replica mutex, in one write lock of the store,
+//! the way an op lands. The fresh replica is at least as far along as
+//! the stopped one, so the watermark only moves forward — and with it
+//! the fleet's version ([`FleetRouter::generation`](crate::FleetRouter::generation)),
+//! the highest published watermark — and a read pinned across the respawn
 //! sees the old store on one call and the refilled one on the next — as
 //! it would across an op boundary. The plan cache survives: a cached
 //! plan re-resolves its edge targets on every hit.

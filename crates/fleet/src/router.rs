@@ -29,6 +29,10 @@
 //! — so the wait is the apply it needs, not a thread wake-up, unless the
 //! fleet is down or wedged. Plain reads apply nothing: what they see
 //! trails the log by at most the workers' `poll_interval`.
+//!
+//! The fleet's version ([`FleetRouter::generation`], what the wire
+//! `Generation` op reports) is read off the same watermarks: the highest
+//! one any slot has published. No store keeps a counter beside its LSN.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -124,6 +128,19 @@ impl FleetRouter {
             })
     }
 
+    /// The fleet's version, as the wire `Generation` op reports it: the
+    /// highest watermark any slot has published, `Down` slots included.
+    /// It never moves backwards: each slot's watermark only moves forward
+    /// for the slot's life, and a respawn stores one at or past the old.
+    pub fn generation(&self) -> u64 {
+        self.pool
+            .slots()
+            .iter()
+            .map(|s| s.watermark.load(Ordering::SeqCst))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// One routing decision: filter by freshness (median − lag bound) and
     /// session LSN over the published watermarks, then pick the least
     /// loaded survivor and pin it. Returns `None` when no serving slot
@@ -193,9 +210,7 @@ impl FleetRouter {
 /// `GraphRead` over the fleet: each call routes like a query and holds
 /// its pin for the call, and what no caller needs routed on its own
 /// (`postings`, `selectivity`, membership) is the trait's provided
-/// derivation. The fleet generation is the sum of the slot generations,
-/// each monotone for the slot's life, so it never moves backwards, not
-/// even when a replica is rebuilt.
+/// derivation.
 impl GraphRead for FleetRouter {
     fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
         self.route().graph().postings_cursor(probe)
@@ -207,14 +222,6 @@ impl GraphRead for FleetRouter {
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         self.route().graph().record(id)
-    }
-
-    fn generation(&self) -> u64 {
-        self.pool
-            .slots()
-            .iter()
-            .map(|s| s.engine.graph().generation())
-            .sum()
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {

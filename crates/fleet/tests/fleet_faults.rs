@@ -18,6 +18,9 @@
 //!   without a slot's watermark ever moving backwards;
 //! * a respawn refills a slot's store in place: the engine keeps its
 //!   plan cache, and a read pinned before it answers from the new store;
+//! * the fleet's version — the highest watermark a slot has published —
+//!   never moves backwards across a respawn, and does not move at all
+//!   when the head stands still;
 //! * a read through the router sees whole ops, never one half applied.
 //!
 //! Faults are injected at the `fleet::worker_poll` failpoint, which a
@@ -482,7 +485,6 @@ fn replica_wedged_past_the_decoded_tail_catches_up_from_the_file() {
     for i in 11..=n {
         commit_person(&w, i);
     }
-    assert!(w.log().decoded_len() <= DECODED_TAIL);
     let lagging = || {
         let replicas = controller.stats().replicas;
         let wedged = replicas.iter().position(|r| r.lag > DECODED_TAIL as u64)?;
@@ -586,9 +588,10 @@ fn fleet_generation_is_monotone_across_respawns() {
         .wait_for_lsn(Lsn(20), Duration::from_secs(5))
         .unwrap();
     let before = router.generation();
+    assert_eq!(before, 20, "the highest published watermark");
 
-    // A respawn refills the slot's store from replay in place; its
-    // generation counter must go on from where it was, not restart.
+    // A respawn refills the slot's store from replay in place; the slot's
+    // watermark must go on from where it was, not restart.
     pool.kill(0).unwrap();
     pool.respawn(0).unwrap();
     router
@@ -609,10 +612,10 @@ fn fleet_generation_never_decreases_while_a_slot_respawns() {
     let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
 
-    // Replay gives each store a generation in the thousands, and a
-    // checkpoint-bootstrapped replica starts near 1: the respawns below
-    // must keep the slot's own counter and bump it, not take the fresh
-    // replica's.
+    // Replay takes each slot's watermark into the thousands, and a fresh
+    // replica starts at 0 before it loads the checkpoint: the respawns
+    // below must store the slot's watermark only once the fresh replica
+    // is at or past the old one.
     for i in 1..=2000u64 {
         commit_person(&w, i);
     }
@@ -650,6 +653,34 @@ fn fleet_generation_never_decreases_while_a_slot_respawns() {
     router
         .wait_for_lsn(Lsn(2000), Duration::from_secs(5))
         .unwrap();
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_respawn_at_an_unchanged_head_leaves_the_fleet_generation_unchanged() {
+    let w = producer();
+    let dir = temp_dir("gen-still");
+    let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
+    let router = FleetRouter::new(Arc::clone(&pool));
+    for i in 1..=20u64 {
+        commit_person(&w, i);
+    }
+    router
+        .wait_for_lsn(Lsn(20), Duration::from_secs(5))
+        .unwrap();
+    let head = w.log().head().0;
+    assert_eq!(router.generation(), head);
+
+    // Down slots count: killing every slot moves nothing, and neither
+    // does refilling them at the same head.
+    pool.kill(0).unwrap();
+    pool.kill(1).unwrap();
+    assert_eq!(router.generation(), head, "after the kills");
+    for id in 0..2 {
+        pool.respawn(id).unwrap();
+        assert_eq!(router.generation(), head, "after respawning {id}");
+    }
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -788,8 +819,8 @@ fn session_reads_stay_fresh_and_typed_while_a_slot_respawns() {
     let pool = ReplicaPool::start(fast_config(2), Arc::clone(w.log()), &dir).unwrap();
     let router = FleetRouter::new(Arc::clone(&pool));
 
-    // As in the generation drill: each respawn refills a
-    // high-generation store from a checkpoint-bootstrapped low one.
+    // As in the generation drill: each respawn refills a slot thousands
+    // of ops along from a fresh replica that starts at 0.
     for i in 1..=2000u64 {
         commit_person(&w, i);
     }

@@ -297,7 +297,9 @@ impl LogFile {
     /// and which holds every frame but the first `drop_count`, copied
     /// from this file byte for byte. The rename is the only step that
     /// changes what a reopen sees, and a failure before it leaves file
-    /// and state as they were.
+    /// and state as they were. Nothing fails after it: the handle, the
+    /// offsets and the length move with the rename. The caller syncs the
+    /// directory.
     fn compact(&mut self, path: &Path, drop_count: usize, base: u64) -> Result<()> {
         let keep_from = self.offsets.get(drop_count).copied().unwrap_or(self.len);
         let tmp = path.with_extension("compact.tmp");
@@ -396,7 +398,10 @@ impl OperationLog {
         }
         let mut len = loaded.good_len;
         if len == 0 {
+            // A new log: its header, and its name in the directory, so a
+            // frame acknowledged under `Fsync` cannot vanish with the file.
             (&handle).write_all(&file_header(0))?;
+            sync_dir(path)?;
             len = FILE_HEADER as u64;
         }
         Ok(OperationLog {
@@ -485,8 +490,8 @@ impl OperationLog {
 
     /// How many retained operations are held decoded: every one of an
     /// in-memory log, at most [`DECODED_TAIL`] of a durable one.
-    #[doc(hidden)]
-    pub fn decoded_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn decoded_len(&self) -> usize {
         self.inner.lock().decoded.len()
     }
 
@@ -559,8 +564,11 @@ impl OperationLog {
     /// new file, with the dropped prefix recorded in its header, which
     /// replaces the old one atomically (temp + rename), mirroring the
     /// checkpoint artifact discipline; a crash mid-compaction leaves the
-    /// old file intact. A batch copied out before the swap keeps reading
-    /// the old file.
+    /// old file intact. The directory is synced after the rename, under
+    /// the lock, so no append is acknowledged into a file whose name a
+    /// power cut could take back. An error from that sync comes after the
+    /// swap: the log is compacted in memory and in the file alike. A batch
+    /// copied out before the swap keeps reading the old file.
     pub fn compact_to(&self, upto: Lsn) -> Result<u64> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
@@ -587,8 +595,10 @@ impl OperationLog {
             .drain(..drop_count.saturating_sub(older))
             .collect();
         inner.base = upto.0;
+        let synced = self.path.as_deref().map_or(Ok(()), sync_dir);
         drop(guard);
         drop(dropped);
+        synced?;
         Ok(drop_count as u64)
     }
 
@@ -979,6 +989,16 @@ fn open_log_file(path: &Path) -> std::io::Result<fs::File> {
         .append(true)
         .create(true)
         .open(path)
+}
+
+/// Sync the directory holding `path`, so a file created or renamed there
+/// keeps its name across a power cut.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 /// A watermark-tracking cursor over an [`OperationLog`] — the follower

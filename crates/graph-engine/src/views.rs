@@ -130,9 +130,6 @@ mod context {
         fn contains(&self, id: EntityId) -> bool {
             self.kg.contains(id)
         }
-        fn generation(&self) -> u64 {
-            self.kg.generation()
-        }
         fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
             self.kg.probe_all_limit(probes, limit)
         }

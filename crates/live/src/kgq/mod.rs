@@ -215,9 +215,6 @@ mod tests {
         fn record(&self, id: EntityId) -> Option<EntityRecord> {
             self.inner.record(id)
         }
-        fn generation(&self) -> u64 {
-            GraphRead::generation(&self.inner)
-        }
         fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
             self.entered.wait();
             self.release.wait();

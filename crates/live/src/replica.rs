@@ -4,7 +4,9 @@
 //! order" — the shared log is the only coordination channel. This module
 //! closes that loop for serving: [`LiveReplica`] is a [`ReplicaKg`] — one
 //! index and nothing else — built **purely** by replaying the
-//! delta payloads the durable [`OperationLog`] carries. There is no code
+//! delta payloads the durable [`OperationLog`] carries. Its version is
+//! its [`watermark`](LiveReplica::watermark), the highest LSN applied;
+//! the store keeps no counter beside it. There is no code
 //! path from the replica into the construction-side `KnowledgeGraph`; a
 //! replica can run in another process or on another machine with nothing
 //! but the log stream, which is the prerequisite for replicated and
@@ -173,7 +175,7 @@ impl LiveReplica {
     /// Move `fresh`'s index and log position into this replica, in place:
     /// every handle on this replica's store — a serving engine's, with
     /// its plan cache — now serves `fresh`'s index, swapped in under one
-    /// write lock, and the store's generation goes up by one. Returns
+    /// write lock. Returns
     /// `fresh` holding this replica's old index and follower, for the
     /// caller to drop outside any lock it holds.
     pub fn replace_with(&mut self, mut fresh: LiveReplica) -> LiveReplica {
@@ -210,10 +212,6 @@ impl GraphRead for LiveReplica {
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         self.live.record(id)
-    }
-
-    fn generation(&self) -> u64 {
-        self.live.generation()
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
@@ -529,10 +527,8 @@ mod tests {
         person(2);
         let mut fresh = LiveReplica::new(4, Arc::clone(w.log()));
         fresh.catch_up().unwrap();
-        let g0 = replica.live().generation();
         let old = replica.replace_with(fresh);
         assert_eq!(replica.watermark(), Lsn(2));
-        assert_eq!(replica.live().generation(), g0 + 1, "one bump, forward");
         assert_eq!((old.watermark(), old.live().len()), (Lsn(1), 1));
         // The engine built before the swap answers from the new index,
         // out of the plan it cached.
@@ -551,8 +547,8 @@ mod tests {
     }
 
     /// A booted replica serves the checkpoint's index as it was loaded:
-    /// the same encoded and heap bytes, the generation `from_index` starts
-    /// at (there is no tail to replay), and the prefix-law conjunctions
+    /// the same encoded and heap bytes at the checkpoint's watermark
+    /// (there is no tail to replay), and the prefix-law conjunctions
     /// answered as the writer's own graph answers them.
     #[test]
     fn bootstrap_serves_the_loaded_index_as_it_is() {
@@ -578,7 +574,7 @@ mod tests {
             assert_eq!(index.index_bytes(), loaded.index_bytes(), "encoded bytes");
             assert_eq!(index.heap_bytes(), loaded.heap_bytes(), "heap bytes");
         }
-        assert_eq!(store.generation(), 1);
+        assert_eq!(booted.watermark(), w.log().head());
         prefix_law::check_prefix_law(store, seed, "booted ReplicaKg");
         let graph = w.read();
         let mut rng = prefix_law::Rng::new(seed);
@@ -595,16 +591,20 @@ mod tests {
     }
 
     #[test]
-    fn replica_serves_through_graph_read_generation() {
+    fn replica_serves_through_graph_read() {
         let w = producer();
         let mut replica = LiveReplica::new(2, Arc::clone(w.log()));
-        let g0 = GraphRead::generation(&replica);
         w.commit(
             OpKind::Upsert,
             WriteBatch::new().named_entity(EntityId(1), "A", "person", SourceId(1), 0.9),
         )
         .unwrap();
+        assert!(GraphRead::resolve_name(&replica, "A").is_empty(), "not yet");
         replica.catch_up().unwrap();
-        assert!(GraphRead::generation(&replica) > g0, "replay bumps plans");
+        assert_eq!(GraphRead::resolve_name(&replica, "A"), vec![EntityId(1)]);
+        assert_eq!(
+            GraphRead::record(&replica, EntityId(1)).unwrap().name(),
+            Some("A")
+        );
     }
 }

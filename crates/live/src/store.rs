@@ -9,8 +9,8 @@
 //! across machines — the parked multi-process constellation — so a
 //! replica holds one whole index, not partitions of one.
 //!
-//! The store is that index under one lock, and its generation, nothing
-//! else. An op lands whole under the write lock and every read takes the
+//! The store is that index under one lock, nothing else: its version is
+//! the log position its follower has applied. An op lands whole under the write lock and every read takes the
 //! read lock once, so each read sees the store between two ops, never
 //! inside one. Every fact the store learns arrives as a [`Delta`] in the
 //! index vocabulary — replayed from the log or restored from a
@@ -19,7 +19,6 @@
 //! through the log like every other producer, so the live graph is
 //! served by the same store.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -28,15 +27,13 @@ use saga_core::{
     Symbol, TripleIndex, Value,
 };
 
-/// A log replica's serving store: one [`TripleIndex`] under one lock, and
-/// its generation, nothing else — cheaply shareable. An op's deltas land
-/// together ([`apply`](Self::apply)); records are materialised from the
-/// index on read.
+/// A log replica's serving store: one [`TripleIndex`] under one lock,
+/// nothing else — cheaply shareable. An op's deltas land together
+/// ([`apply`](Self::apply)); records are materialised from the index on
+/// read.
 #[derive(Clone, Default)]
 pub struct ReplicaKg {
     index: Arc<RwLock<TripleIndex>>,
-    /// Bumped once per delta that lands ([`GraphRead::generation`]).
-    generation: Arc<AtomicU64>,
 }
 
 impl ReplicaKg {
@@ -46,36 +43,29 @@ impl ReplicaKg {
     }
 
     /// A store over a checkpoint-restored index, adopted as it is: postings
-    /// keep their compressed containers and nothing is re-encoded. Its
-    /// generation starts past the empty store's, so a fleet slot's
-    /// generation moves across a respawn even before replay.
+    /// keep their compressed containers and nothing is re-encoded.
     pub fn from_index(index: TripleIndex) -> Self {
         ReplicaKg {
             index: Arc::new(RwLock::new(index)),
-            generation: Arc::new(AtomicU64::new(1)),
         }
     }
 
     /// Land one op's deltas under one write lock, so a read sees all of
     /// the op or none of it. Each delta takes the index's own O(delta)
-    /// replay path — no record edit and no re-diff — and bumps the
-    /// generation once.
+    /// replay path — no record edit and no re-diff.
     pub fn apply(&self, deltas: &[Delta]) {
         let mut index = self.index.write();
         for delta in deltas.iter().filter(|d| !d.is_empty()) {
             index.apply(delta);
-            self.generation.fetch_add(1, Ordering::Release);
         }
     }
 
     /// Swap this store's index with `other`'s under this store's write
-    /// lock and bump this store's generation once, the way an op moves
-    /// it: a read sees the old index or the new, never a mix, and the
-    /// generation never moves back. `other` must be a different store.
+    /// lock, the way an op lands: a read sees the old index or the new,
+    /// never a mix. `other` must be a different store.
     pub(crate) fn swap_index(&self, other: &ReplicaKg) {
         let mut index = self.index.write();
         std::mem::swap(&mut *index, &mut *other.index.write());
-        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Number of entities.
@@ -139,10 +129,6 @@ impl GraphRead for ReplicaKg {
 
     fn contains(&self, id: EntityId) -> bool {
         self.index.read().contains(id)
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// Intersect **in the compressed domain**, bounded by `limit`, inline
@@ -274,10 +260,8 @@ mod tests {
     #[test]
     fn graph_read_api_over_the_live_store() {
         let live = ReplicaKg::new();
-        let g0 = live.generation();
         let warriors = named(1, "Golden State Warriors", "sports_team");
         live.apply(std::slice::from_ref(&warriors));
-        assert!(live.generation() > g0, "writes bump generation");
         assert_eq!(
             live.postings(&ProbeKey::Type(intern("sports_team"))),
             vec![EntityId(1)]
@@ -291,14 +275,12 @@ mod tests {
             live.record(EntityId(1)).unwrap().name(),
             Some("Golden State Warriors")
         );
-        let g1 = live.generation();
         live.apply(&[undo(&warriors)]);
-        assert!(live.generation() > g1, "removals bump too");
         assert!(!live.contains(EntityId(1)));
     }
 
     #[test]
-    fn an_op_lands_whole_and_bumps_once_per_delta() {
+    fn an_op_lands_whole_and_skips_empty_deltas() {
         let live = ReplicaKg::new();
         let tag = || fact("tag", Value::str("x"));
         let on = |id: u64| Delta {
@@ -307,10 +289,8 @@ mod tests {
             removed: Vec::new(),
         };
         live.apply(&[on(1)]);
-        let g0 = live.generation();
-        // The empty delta changes nothing and bumps nothing.
+        // The empty delta changes nothing.
         live.apply(&[undo(&on(1)), Delta::default(), on(2)]);
-        assert_eq!(live.generation(), g0 + 2);
         let probe = ProbeKey::Literal(intern("tag"), Value::str("x"));
         assert_eq!(live.postings(&probe), vec![EntityId(2)]);
         assert_eq!(live.probe_all_limit(&[&probe], 10), vec![EntityId(2)]);

@@ -8,7 +8,8 @@
 //!   query <kgq>           one KGQ query, e.g. 'FIND song WHERE released = 2019'
 //!   resolve <name>        name → entity ids
 //!   record <entity-id>    dump one entity record
-//!   generation            the fleet's mutation generation
+//!   generation            the fleet's version: the highest LSN a replica
+//!                         has applied
 //!   demo-commit           commit a demo entity, then read it back through
 //!                         the session token (read-your-writes over TCP)
 //! ```

@@ -316,7 +316,8 @@ impl SagaClient {
         }
     }
 
-    /// The fleet's generation counter over the wire.
+    /// The fleet's version over the wire: the highest LSN any of its
+    /// replicas has applied.
     pub fn generation(&mut self) -> Result<u64> {
         match self.call(&Request::Generation)? {
             Response::Count(n) => Ok(n),

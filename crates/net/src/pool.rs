@@ -560,7 +560,8 @@ impl SagaPool {
         }
     }
 
-    /// The serving fleet's generation counter (any endpoint's view).
+    /// The serving fleet's version (any endpoint's view): the highest
+    /// LSN a replica of that fleet has applied.
     pub fn generation(&mut self) -> Result<u64> {
         match self.run(&Request::Generation)? {
             Response::Count(n) => Ok(n),

@@ -95,7 +95,7 @@ pub mod opcode {
     pub const RESOLVE_NAME: u8 = 0x07;
     /// `GraphRead::record`.
     pub const RECORD: u8 = 0x08;
-    /// `GraphRead::generation`.
+    /// `FleetRouter::generation`: the fleet's version.
     pub const GENERATION: u8 = 0x09;
 
     /// Reply to [`PING`].
@@ -106,7 +106,7 @@ pub mod opcode {
     pub const COMMITTED: u8 = 0x83;
     /// Entity id list (resolve_name).
     pub const ENTITIES: u8 = 0x84;
-    /// Scalar count (generation).
+    /// Scalar count (the fleet's version).
     pub const COUNT: u8 = 0x85;
     /// Optional entity record.
     pub const RECORD_HIT: u8 = 0x87;
@@ -627,7 +627,8 @@ pub enum Request {
     ResolveName(String),
     /// `GraphRead::record` on the routed fleet.
     Record(EntityId),
-    /// `GraphRead::generation` of the fleet (sum of slot generations).
+    /// `FleetRouter::generation`: the fleet's version, the highest
+    /// watermark any replica has published.
     Generation,
 }
 
@@ -784,7 +785,7 @@ pub enum Response {
     Committed(Committed),
     /// Entity id list (resolve_name).
     Entities(Vec<EntityId>),
-    /// Scalar count (generation).
+    /// Scalar count (the fleet's version).
     Count(u64),
     /// Optional record (None: entity unknown to the routed replica).
     Record(Option<EntityRecord>),

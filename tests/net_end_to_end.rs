@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 use saga::core::{
     intern, EntityId, ExtendedTriple, FactMeta, KnowledgeGraph, SourceId, Value, WriteBatch,
 };
-use saga::fleet::{FleetConfig, FleetRouter, ReplicaPool};
+use saga::fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
 use saga::graph::{LoggedWriter, OpKind, OperationLog};
 use saga::net::{SagaClient, SagaServer, ServerConfig, WireBatch};
 use saga_core::GraphRead;
@@ -71,7 +71,7 @@ fn the_wire_preserves_queries_probes_and_read_your_writes() {
         assert_eq!(over_wire, in_process, "wire parity for {query}");
     }
 
-    // -- Names, records and the generation cross the wire unchanged ------
+    // -- Names, records and the fleet's version cross the wire unchanged --
     assert_eq!(
         client.resolve_name("song 7").unwrap(),
         router.resolve_name("song 7")
@@ -80,7 +80,18 @@ fn the_wire_preserves_queries_probes_and_read_your_writes() {
     let local_record = router.record(EntityId(7)).expect("record");
     assert_eq!(wire_record.id, local_record.id);
     assert_eq!(wire_record.triples, local_record.triples);
-    assert_eq!(client.generation().unwrap(), router.generation());
+    // The version is the highest watermark a replica has published: with
+    // the log still, the head.
+    let highest = FleetController::new(Arc::clone(&pool))
+        .stats()
+        .replicas
+        .iter()
+        .map(|r| r.watermark.0)
+        .max()
+        .unwrap();
+    assert_eq!(highest, writer.log().head().0);
+    assert_eq!(router.generation(), highest);
+    assert_eq!(client.generation().unwrap(), highest);
 
     // -- Read-your-writes over TCP ---------------------------------------
     // A batch committed over the wire must be visible to a subsequent
