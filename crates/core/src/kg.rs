@@ -47,8 +47,9 @@ pub struct KgStats {
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeGraph {
     pub(crate) entities: FxHashMap<EntityId, EntityRecord>,
-    /// `same_as` provenance: which source entity maps to which KG entity.
-    pub(crate) links: FxHashMap<(SourceId, Arc<str>), EntityId>,
+    /// `same_as` provenance: which source entity maps to which KG entity,
+    /// keyed per source so a `&str` local id probes it.
+    pub(crate) links: FxHashMap<SourceId, FxHashMap<Arc<str>, EntityId>>,
     /// The unified triple index, maintained incrementally by every mutator.
     index: TripleIndex,
 }
@@ -74,7 +75,7 @@ impl KnowledgeGraph {
         KgStats {
             entities: self.entity_count(),
             facts: self.fact_count(),
-            links: self.links.len(),
+            links: self.links.values().map(FxHashMap::len).sum(),
         }
     }
 
@@ -165,7 +166,10 @@ impl KnowledgeGraph {
     /// `LoggedWriter`.
     #[cfg(test)]
     pub(crate) fn record_link(&mut self, source: SourceId, local_id: &str, kg: EntityId) {
-        self.links.insert((source, Arc::from(local_id)), kg);
+        self.links
+            .entry(source)
+            .or_default()
+            .insert(Arc::from(local_id), kg);
     }
 
     /// Look up the KG entity previously linked to `(source, local_id)`.
@@ -174,16 +178,14 @@ impl KnowledgeGraph {
     /// (§2.4: "Updated/Deleted payloads contain entities that are previously
     /// linked, and so we only need to lookup their links in the current KG").
     pub fn lookup_link(&self, source: SourceId, local_id: &str) -> Option<EntityId> {
-        self.links.get(&(source, Arc::from(local_id))).copied()
+        self.links.get(&source)?.get(local_id).copied()
     }
 
     /// All links contributed by a source.
     pub fn links_for_source(&self, source: SourceId) -> Vec<(Arc<str>, EntityId)> {
-        self.links
-            .iter()
-            .filter(|((s, _), _)| *s == source)
-            .map(|((_, l), e)| (Arc::clone(l), *e))
-            .collect()
+        self.links.get(&source).map_or_else(Vec::new, |links| {
+            links.iter().map(|(l, e)| (Arc::clone(l), *e)).collect()
+        })
     }
 
     /// Non-destructive fact upsert (fusion's outer-join semantics, §2.3):
@@ -255,7 +257,7 @@ impl KnowledgeGraph {
         for (id, dropped) in retracted {
             self.index.remove_facts(id, dropped.iter());
         }
-        self.links.retain(|(s, _), _| *s != source);
+        self.links.remove(&source);
         (facts_dropped, empty.len())
     }
 
@@ -283,7 +285,9 @@ impl KnowledgeGraph {
         if !removed.is_empty() {
             self.index.remove_facts(kg_id, removed.iter());
         }
-        self.links.remove(&(source, Arc::from(local_id)));
+        if let Some(links) = self.links.get_mut(&source) {
+            links.remove(local_id);
+        }
         removed.len()
     }
 

@@ -56,7 +56,7 @@ pub use id::{EntityId, IdGenerator, Lsn, RelId, SourceId};
 pub use index::{changed_entities, Delta, DeltaFact, IndexHeap, ProbeKey, TripleIndex};
 pub use intern::{intern, resolve, Symbol};
 pub use kg::{KgStats, KnowledgeGraph};
-pub use meta::{FactMeta, SourceTrust};
+pub use meta::{FactMeta, Provenance, SourceTrust};
 pub use postings::{intersect_views, BlockPostings, PostingsCursor, PostingsView};
 pub use read::GraphRead;
 pub use row::{Dataset, Row};

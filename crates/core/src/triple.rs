@@ -88,6 +88,9 @@ pub struct ExtendedTriple {
     pub meta: FactMeta,
 }
 
+// Records, wire batches and undo logs hold these by the hundred thousand.
+const _: () = assert!(std::mem::size_of::<ExtendedTriple>() == 88);
+
 impl ExtendedTriple {
     /// A simple (non-composite) fact.
     pub fn simple(
@@ -213,7 +216,8 @@ mod tests {
                         source: SourceId(2),
                         trust: 0.8,
                     },
-                ],
+                ]
+                .into(),
                 locale: Some(intern("en")),
             },
         );

@@ -310,7 +310,9 @@ enum Undo {
     /// changed or dropped the record: put the prior one back.
     Record(EntityId, EntityRecord),
     /// A link was set or removed: restore its prior target.
-    Link((SourceId, Arc<str>), Option<EntityId>),
+    Link(SourceId, Arc<str>, Option<EntityId>),
+    /// A whole-source retraction removed the source's links: put them back.
+    Links(SourceId, FxHashMap<Arc<str>, EntityId>),
 }
 
 /// An interactive staging transaction holding the graph exclusively.
@@ -458,12 +460,16 @@ impl<'a> KgTransaction<'a> {
 
     /// Set (`Some`) or remove (`None`) one link, its prior target saved on
     /// the undo log.
-    fn set_link(&mut self, key: (SourceId, Arc<str>), entity: Option<EntityId>) {
-        let prior = match entity {
-            Some(entity) => self.kg.links.insert(key.clone(), entity),
-            None => self.kg.links.remove(&key),
+    fn set_link(&mut self, source: SourceId, local_id: &str, entity: Option<EntityId>) {
+        let links = self.kg.links.entry(source).or_default();
+        let (key, prior) = match links.remove_entry(local_id) {
+            Some((key, prior)) => (key, Some(prior)),
+            None => (Arc::from(local_id), None),
         };
-        self.undo.push(Undo::Link(key, prior));
+        if let Some(entity) = entity {
+            links.insert(Arc::clone(&key), entity);
+        }
+        self.undo.push(Undo::Link(source, key, prior));
     }
 
     /// Ids of the records `keep` selects, sorted — retraction scans rewrite
@@ -498,7 +504,7 @@ impl<'a> KgTransaction<'a> {
 
     /// Stage a `same_as` link.
     pub fn link(&mut self, source: SourceId, local_id: &str, entity: EntityId) {
-        self.set_link((source, Arc::from(local_id)), Some(entity));
+        self.set_link(source, local_id, Some(entity));
     }
 
     /// Stage a whole-source retraction; returns `(facts, entities)`
@@ -520,15 +526,8 @@ impl<'a> KgTransaction<'a> {
             entities_dropped += usize::from(self.drop_if_empty(id));
             self.emit_removed(id, &dropped);
         }
-        let keys: Vec<(SourceId, Arc<str>)> = self
-            .kg
-            .links
-            .keys()
-            .filter(|(s, _)| *s == source)
-            .cloned()
-            .collect();
-        for key in keys {
-            self.set_link(key, None);
+        if let Some(links) = self.kg.links.remove(&source) {
+            self.undo.push(Undo::Links(source, links));
         }
         (facts_dropped, entities_dropped)
     }
@@ -544,7 +543,7 @@ impl<'a> KgTransaction<'a> {
             .unwrap_or_default();
         self.drop_if_empty(kg_id);
         self.emit_removed(kg_id, &dropped);
-        self.set_link((source, Arc::from(local_id)), None);
+        self.set_link(source, local_id, None);
         dropped.len()
     }
 
@@ -724,11 +723,15 @@ impl Drop for KgTransaction<'_> {
                 Undo::Record(id, record) => {
                     kg.entities.insert(id, record);
                 }
-                Undo::Link(key, Some(entity)) => {
-                    kg.links.insert(key, entity);
+                Undo::Link(source, key, prior) => {
+                    let links = kg.links.entry(source).or_default();
+                    match prior {
+                        Some(entity) => links.insert(key, entity),
+                        None => links.remove(&key),
+                    };
                 }
-                Undo::Link(key, None) => {
-                    kg.links.remove(&key);
+                Undo::Links(source, links) => {
+                    kg.links.insert(source, links);
                 }
             }
         }

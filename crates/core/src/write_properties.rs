@@ -44,8 +44,26 @@ fn volatile_set() -> FxHashSet<Symbol> {
     set
 }
 
+/// Metadata from one source, or — for a seeded quarter of facts — from
+/// two or three distinct ones, so merges, commits and rollbacks also run
+/// through the spilled provenance form and its shrink back to one entry.
+fn random_meta(rng: &mut StdRng) -> FactMeta {
+    let mut sources = [1, 2, 3];
+    sources.shuffle(rng);
+    let n = if rng.gen_bool(0.25) {
+        rng.gen_range(2..=3)
+    } else {
+        1
+    };
+    let mut meta = FactMeta::default();
+    for (at, &source) in sources[..n].iter().enumerate() {
+        meta.merge_source(SourceId(source), 0.9 - 0.1 * at as f32);
+    }
+    meta
+}
+
 fn random_triple(rng: &mut StdRng, subject: EntityId) -> ExtendedTriple {
-    let meta = FactMeta::from_source(SourceId(rng.gen_range(1..4)), 0.9);
+    let meta = random_meta(rng);
     let pred = intern(PREDICATES[rng.gen_range(0..PREDICATES.len())]);
     let object = if pred == intern("type") {
         Value::str(TYPES[rng.gen_range(0..TYPES.len())])
@@ -80,12 +98,21 @@ fn random_sim_op(rng: &mut StdRng) -> SimOp {
             let subject = EntityId(rng.gen_range(1..12));
             SimOp::Upsert(random_triple(rng, subject))
         }
+        // Links and source-entity retractions name any source, so a
+        // retraction often drops one source out of several on a fact.
         6 => {
             let id = rng.gen_range(1..12u64);
-            SimOp::Link(SourceId(1), format!("e{id}"), EntityId(id))
+            SimOp::Link(
+                SourceId(rng.gen_range(1..4)),
+                format!("e{id}"),
+                EntityId(id),
+            )
         }
         7 => SimOp::RetractSource(SourceId(rng.gen_range(1..4))),
-        8 => SimOp::RetractSourceEntity(SourceId(1), format!("e{}", rng.gen_range(1..12))),
+        8 => SimOp::RetractSourceEntity(
+            SourceId(rng.gen_range(1..4)),
+            format!("e{}", rng.gen_range(1..12)),
+        ),
         9 => {
             let fresh: Vec<ExtendedTriple> = (0..rng.gen_range(0..4))
                 .map(|_| {
@@ -242,6 +269,7 @@ fn assert_one_delta_per_entity(receipt_deltas: &[Delta], label: &str) {
 
 #[test]
 fn batched_commits_equal_direct_mutators() {
+    let mut multi_source_facts = 0;
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ seed);
         let ops: Vec<SimOp> = (0..100).map(|_| random_sim_op(&mut rng)).collect();
@@ -270,6 +298,10 @@ fn batched_commits_equal_direct_mutators() {
         }
 
         assert_same_graph(&direct, &batched, &format!("seed {seed}"));
+        multi_source_facts += batched
+            .triples()
+            .filter(|t| t.meta.source_count() > 1)
+            .count();
 
         // The receipt's delta feed — the only delta channel since the
         // changelog retirement — replays into the reference index.
@@ -297,6 +329,10 @@ fn batched_commits_equal_direct_mutators() {
             assert_eq!(a, b, "seed {seed}: replayed SPO for {id}");
         }
     }
+    assert!(
+        multi_source_facts > 0,
+        "the generator must reach the spilled provenance form"
+    );
 }
 
 #[test]

@@ -60,8 +60,8 @@ use saga_core::binary::{
     take_value, take_varint, unzigzag, zigzag,
 };
 use saga_core::{
-    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, RelId, RelPart, Result,
-    SagaError, SessionToken, SourceId, SourceTrust, SubjectRef, Value, WriteBatch,
+    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, Lsn, Provenance, RelId, RelPart,
+    Result, SagaError, SessionToken, SourceId, SourceTrust, SubjectRef, Value, WriteBatch,
 };
 use saga_live::QueryResult;
 
@@ -389,17 +389,18 @@ fn take_triple(bytes: &[u8], at: &mut usize) -> Result<ExtendedTriple> {
     };
     let object = take_value(bytes, at)?;
     let n = take_count(bytes, at, MIN_PROVENANCE_BYTES)?;
-    let mut provenance = Vec::with_capacity(n);
-    for _ in 0..n {
-        let source = SourceId(take_u32(bytes, at)?);
-        let trust: [u8; 4] = take_slice(bytes, at, 4)?
-            .try_into()
-            .expect("take_slice returned 4 bytes");
-        provenance.push(SourceTrust {
-            source,
-            trust: f32::from_bits(u32::from_le_bytes(trust)),
-        });
-    }
+    let provenance = (0..n)
+        .map(|_| {
+            let source = SourceId(take_u32(bytes, at)?);
+            let trust: [u8; 4] = take_slice(bytes, at, 4)?
+                .try_into()
+                .expect("take_slice returned 4 bytes");
+            Ok(SourceTrust {
+                source,
+                trust: f32::from_bits(u32::from_le_bytes(trust)),
+            })
+        })
+        .collect::<Result<Provenance>>()?;
     let locale = if flags & TRIPLE_HAS_LOCALE != 0 {
         Some(intern(take_str(bytes, at)?))
     } else {

@@ -41,7 +41,8 @@ fn main() {
                         source: SourceId(2),
                         trust: 0.8,
                     },
-                ],
+                ]
+                .into(),
                 locale: Some(intern("en")),
             },
         ),
