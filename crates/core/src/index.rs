@@ -187,6 +187,13 @@ fn name_predicates() -> [Symbol; 2] {
     *NAMES.get_or_init(|| [intern(well_known::NAME), intern(well_known::ALIAS)])
 }
 
+/// The `type` predicate, interned once per process for the same reason:
+/// a type probe need not take the interner's lock to find it.
+fn type_predicate() -> Symbol {
+    static TYPE: OnceLock<Symbol> = OnceLock::new();
+    *TYPE.get_or_init(|| intern(well_known::TYPE))
+}
+
 /// Flatten one extended triple to its indexed `(predicate, value)` form:
 /// composite facets become `predicate.facet`, `Null` and unresolved
 /// source-namespace objects are not indexed.
@@ -480,7 +487,7 @@ impl TripleIndex {
     /// Subjects of ontology type `ty` (a literal probe on the `type`
     /// predicate — types need no separate store).
     pub fn by_type(&self, ty: Symbol) -> &BlockPostings {
-        self.by_literal(intern(well_known::TYPE), &Value::Str(ty.text()))
+        self.by_literal(type_predicate(), &Value::Str(ty.text()))
     }
 
     /// Subjects whose name/alias contains token (or equals phrase)
@@ -503,11 +510,6 @@ impl TripleIndex {
             ProbeKey::Edge(p, t) => self.by_literal(*p, &Value::Entity(*t)),
             ProbeKey::Type(t) => self.by_type(*t),
         }
-    }
-
-    /// Posting-list length of a probe (plan ordering / selectivity).
-    pub fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.postings(probe).len()
     }
 
     /// The first `limit` ids of a conjunction of probes, via

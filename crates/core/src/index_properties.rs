@@ -304,7 +304,7 @@ fn assert_index_matches_naive_scan(kg: &KnowledgeGraph, seed_label: &str) {
     for (pred, value) in &pairs {
         let probe = ProbeKey::Literal(*pred, value.clone());
         assert_eq!(
-            index.selectivity(&probe),
+            index.postings(&probe).len(),
             naive_pos(kg, *pred, value).len(),
             "{seed_label}: selectivity mismatch for ({pred}, {value})"
         );

@@ -5,6 +5,10 @@
 //! probe_all_limit(p, k) == probe_all(p)[..min(k, |probe_all(p)|)]
 //! ```
 //!
+//! Beside the law, the same pass checks that every read the trait derives
+//! agrees with its source on each probe it draws (see
+//! `check_derived_reads`).
+//!
 //! This file is test support shared by source inclusion: `saga-core`'s
 //! `index_properties` suite includes it for the backends it can see
 //! (`KnowledgeGraph` and the `&T` / `Arc<T>` forwards), `saga-live`'s
@@ -119,7 +123,8 @@ pub fn random_probe(rng: &mut Rng) -> ProbeKey {
 /// conjunctions, each at the budgets `0, 1, 2`, the first block boundary
 /// `± 1`, `|answer|`, `|answer| + 1`, `MAX_LIMIT` and `usize::MAX` — and
 /// the unlimited answer against the materializing reference
-/// ([`intersect_postings`]), so the law is not checked against itself.
+/// ([`intersect_postings`]), so the law is not checked against itself —
+/// and `check_derived_reads` on every probe drawn.
 pub fn check_prefix_law<G: GraphRead>(graph: &G, seed: u64, backend: &str) {
     let mut rng = Rng::new(seed ^ 0x5AFE);
     let mut answered = 0usize;
@@ -128,6 +133,9 @@ pub fn check_prefix_law<G: GraphRead>(graph: &G, seed: u64, backend: &str) {
         let probes: Vec<ProbeKey> = (0..1 + rng.below(3))
             .map(|_| random_probe(&mut rng))
             .collect();
+        for probe in &probes {
+            check_derived_reads(graph, probe, backend);
+        }
         let refs: Vec<&ProbeKey> = probes.iter().collect();
         let full = graph.probe_all(&probes);
         assert_eq!(
@@ -162,4 +170,63 @@ pub fn check_prefix_law<G: GraphRead>(graph: &G, seed: u64, backend: &str) {
         answered >= CONJUNCTIONS / 2 && multi_block >= CONJUNCTIONS / 4,
         "{backend} seed {seed}: corpus too thin ({answered} non-empty, {multi_block} multi-block)"
     );
+}
+
+/// The provided reads of [`GraphRead`] against the four it derives them
+/// from, on one probe: the materialized list, the owned cursor and the
+/// lent list agree and `selectivity` is their length; `probe_contains`
+/// holds for the middle member (past block 0 on a long list) and not for
+/// the id past the last;
+/// `resolve_name` of an upper-cased name is the lowercased name probe;
+/// and `contains` is `record(..).is_some()` for a present and an absent
+/// id.
+fn check_derived_reads<G: GraphRead>(graph: &G, probe: &ProbeKey, backend: &str) {
+    let list = graph.postings(probe);
+    assert_eq!(
+        graph.postings_cursor(probe).to_vec(),
+        list,
+        "{backend}: cursor of {probe:?}"
+    );
+    assert_eq!(
+        graph.with_postings(probe, |lent| lent.to_vec()),
+        list,
+        "{backend}: lent list of {probe:?}"
+    );
+    assert_eq!(
+        graph.selectivity(probe),
+        list.len(),
+        "{backend}: selectivity of {probe:?}"
+    );
+    let past_last = EntityId(list.last().map_or(0, |id| id.0 + 1));
+    assert!(
+        !graph.probe_contains(probe, past_last),
+        "{backend}: {past_last:?} is not in {probe:?}"
+    );
+    let absent = EntityId(0);
+    let mut ids = vec![past_last, absent];
+    if !list.is_empty() {
+        let member = list[list.len() / 2];
+        assert!(
+            graph.probe_contains(probe, member),
+            "{backend}: {member:?} is in {probe:?}"
+        );
+        assert!(graph.contains(member), "{backend}: {member:?} is present");
+        ids.push(member);
+    }
+    assert!(!graph.contains(absent), "{backend}: {absent:?} is absent");
+    for id in ids {
+        assert_eq!(
+            graph.contains(id),
+            graph.record(id).is_some(),
+            "{backend}: contains and record disagree on {id:?}"
+        );
+    }
+    if let ProbeKey::Name(name) = probe {
+        let shouted = name.to_uppercase();
+        assert_eq!(
+            graph.resolve_name(&shouted),
+            graph.postings(&ProbeKey::Name(shouted.to_lowercase())),
+            "{backend}: resolve_name({shouted:?})"
+        );
+    }
 }

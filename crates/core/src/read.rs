@@ -17,13 +17,17 @@
 //!   same calls — what log replicas serve),
 //!   and the fleet and view surfaces that forward to one.
 //!
-//! The trait is deliberately small — posting retrieval (an owned
-//! [`BlockPostings`], the compressed list itself), membership tests,
-//! selectivity, one limit-aware conjunction
-//! ([`probe_all_limit`](GraphRead::probe_all_limit)), name resolution
-//! and point record reads. It carries no version counter: a store's
-//! version is the log sequence number it has applied — a replica's
-//! follower watermark, the writer's log head.
+//! The trait is deliberately small: four required methods — one lending
+//! posting primitive ([`with_postings`](GraphRead::with_postings), which
+//! runs a closure on the compressed list itself), point record reads,
+//! entity membership and one limit-aware conjunction
+//! ([`probe_all_limit`](GraphRead::probe_all_limit)). Every other read —
+//! an owned cursor, the materialized list, selectivity, probe
+//! membership, name resolution, the unlimited conjunction — is a
+//! provided method derived once here, which no backend overrides. The
+//! trait carries no version counter: a store's version is the log
+//! sequence number it has applied — a replica's follower watermark, the
+//! writer's log head.
 
 use std::ops::Deref;
 
@@ -37,51 +41,24 @@ use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
 /// the intersection paths rely on it. All methods take
 /// `&self`: serving backends are concurrently readable by construction.
 ///
-/// Postings are served as owned [`BlockPostings`]: a snapshot of the
-/// block-compressed list itself (see [`crate::postings`]), cheap to carry
-/// out of a lock and intersectable without decompression.
-/// [`postings`](GraphRead::postings) is the materializing convenience on
-/// top.
+/// A backend implements [`with_postings`](Self::with_postings),
+/// [`record`](Self::record), [`contains`](Self::contains) and
+/// [`probe_all_limit`](Self::probe_all_limit); the rest is provided.
 pub trait GraphRead {
-    /// Snapshot one probe's posting list in compressed block form — the
-    /// primary postings entry point. Implementations clone compressed
-    /// blocks; they never materialize a full `Vec<EntityId>`.
-    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings;
-
-    /// The sorted posting list of one probe, materialized. Prefer
-    /// [`postings_cursor`](Self::postings_cursor) on hot paths — this is
-    /// the decompression boundary.
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        self.postings_cursor(probe).to_vec()
-    }
-
-    /// Posting-list length of a probe. May be an upper-bound estimate, but
-    /// must be zero only when the posting is certainly empty.
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.postings_cursor(probe).len()
-    }
-
-    /// True if `id` is in the probe's posting list. Backends with
-    /// in-memory postings should override with a direct block probe
-    /// instead of snapshotting the list.
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.postings_cursor(probe).contains(id)
-    }
-
-    /// Entities whose name/alias matches `name` as a full (lowercased)
-    /// phrase — the shared name-resolution path of every backend.
-    fn resolve_name(&self, name: &str) -> Vec<EntityId> {
-        self.postings(&ProbeKey::Name(name.to_lowercase()))
-    }
+    /// Run `f` on one probe's posting list, lent in its block-compressed
+    /// form (see [`crate::postings`]) — the one postings primitive. A
+    /// store behind a lock runs `f` under one read lock, so `f` sees one
+    /// state between two ops and nothing is copied out; `f` must not call
+    /// back into the same store.
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R;
 
     /// Point read of one entity record (serving reads are snapshot-style:
     /// the record is cloned out of the store).
     fn record(&self, id: EntityId) -> Option<EntityRecord>;
 
-    /// True if the entity is visible to this backend.
-    fn contains(&self, id: EntityId) -> bool {
-        self.record(id).is_some()
-    }
+    /// True if the entity is visible to this backend: exactly when
+    /// [`record`](Self::record) is `Some`, without building the record.
+    fn contains(&self, id: EntityId) -> bool;
 
     /// The first `limit` ids (ascending) of the conjunction of `probes` —
     /// the one conjunction primitive every backend implements. Two things
@@ -101,36 +78,54 @@ pub trait GraphRead {
     /// domain** ([`intersect_views_limit`](crate::postings::intersect_views_limit)).
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId>;
 
+    /// One probe's posting list as an owned snapshot in compressed block
+    /// form: a clone of the lent list, never a materialized
+    /// `Vec<EntityId>`.
+    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
+        self.with_postings(probe, BlockPostings::clone)
+    }
+
+    /// The sorted posting list of one probe, materialized — the
+    /// decompression boundary.
+    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
+        self.with_postings(probe, BlockPostings::to_vec)
+    }
+
+    /// Posting-list length of a probe: exact, zero exactly when the
+    /// posting is empty.
+    fn selectivity(&self, probe: &ProbeKey) -> usize {
+        self.with_postings(probe, BlockPostings::len)
+    }
+
+    /// True if `id` is in the probe's posting list: a block probe on the
+    /// lent list.
+    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
+        self.with_postings(probe, |list| list.contains(id))
+    }
+
+    /// Entities whose name/alias matches `name` as a full (lowercased)
+    /// phrase — the shared name-resolution path of every backend.
+    fn resolve_name(&self, name: &str) -> Vec<EntityId> {
+        self.postings(&ProbeKey::Name(name.to_lowercase()))
+    }
+
     /// The whole conjunction:
-    /// [`probe_all_limit`](Self::probe_all_limit) with no budget. Provided
-    /// — backends implement only the limit-aware primitive.
+    /// [`probe_all_limit`](Self::probe_all_limit) with no budget.
     fn probe_all(&self, probes: &[ProbeKey]) -> Vec<EntityId> {
         self.probe_all_limit(&probes.iter().collect::<Vec<_>>(), usize::MAX)
     }
 }
 
 /// Any pointer to a backend is a backend — `&T`, `Arc<T>`, `Box<T>` and
-/// lock guards alike. Every method forwards, so a backend's overrides
-/// survive the indirection.
+/// lock guards alike. The four required methods forward; the rest derive
+/// from them as on any backend.
 impl<P> GraphRead for P
 where
     P: Deref,
     P::Target: GraphRead,
 {
-    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-        (**self).postings_cursor(probe)
-    }
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        (**self).postings(probe)
-    }
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        (**self).selectivity(probe)
-    }
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        (**self).probe_contains(probe, id)
-    }
-    fn resolve_name(&self, name: &str) -> Vec<EntityId> {
-        (**self).resolve_name(name)
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+        (**self).with_postings(probe, f)
     }
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         (**self).record(id)
@@ -147,20 +142,8 @@ where
 /// [`TripleIndex`](crate::TripleIndex) — borrowed posting lists,
 /// compressed-domain intersection.
 impl GraphRead for KnowledgeGraph {
-    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-        self.index().postings(probe).clone()
-    }
-
-    fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-        self.index().postings(probe).to_vec()
-    }
-
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.index().selectivity(probe)
-    }
-
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.index().postings(probe).contains(id)
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+        f(self.index().postings(probe))
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {

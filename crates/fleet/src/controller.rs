@@ -14,11 +14,14 @@
 //!    error, kill) are `Down` via their drop guard and are respawned from
 //!    the newest checkpoint: the slot's store is refilled in place (see
 //!    the [`pool`](crate::pool) module docs);
-//! 3. **wedge detection** — a slot whose heartbeat *and* watermark have
-//!    both been frozen for longer than
+//! 3. **wedge detection** — a slot whose published watermark has not
+//!    moved for longer than
 //!    [`wedge_timeout`](crate::FleetConfig::wedge_timeout) while the log
-//!    is ahead of it is stuck, not idle: it is respawned like a dead
-//!    slot, which marks it `Down` before waiting for its worker.
+//!    head stayed ahead of it is stuck, not idle: it is respawned like a
+//!    dead slot, which marks it `Down` before waiting for its worker. A
+//!    worker pass with the log ahead applies at least one op or ends the
+//!    worker, so a live worker's watermark stands still only while one
+//!    batch applies.
 //!
 //! A failed step does not end the pass: a checkpoint that cannot be
 //! published still lets dead slots respawn (from the older artifact and
@@ -36,13 +39,6 @@ use saga_graph::CheckpointWriter;
 
 use crate::pool::{ReplicaPool, ReplicaState};
 
-/// Last-observed progress of one slot, for wedge detection.
-struct Observed {
-    heartbeat: u64,
-    watermark: u64,
-    since: Instant,
-}
-
 /// The supervisor: owns failure detection and the checkpoint cadence for
 /// one [`ReplicaPool`].
 pub struct FleetController {
@@ -52,28 +48,23 @@ pub struct FleetController {
     last_ckpt: AtomicU64,
     /// Checkpoints taken by this controller.
     checkpoints: AtomicU64,
-    observed: Mutex<Vec<Observed>>,
+    /// Per slot, for wedge detection: the watermark it was first seen
+    /// behind the log head at, and when — `None` while it is caught up or
+    /// after its watermark moved.
+    stalled: Mutex<Vec<Option<(u64, Instant)>>>,
 }
 
 impl FleetController {
     /// A controller that supervises workers but never checkpoints (no
     /// producer-side writer available — e.g. a read-only serving tier).
     pub fn new(pool: Arc<ReplicaPool>) -> Self {
-        let observed = pool
-            .slots()
-            .iter()
-            .map(|s| Observed {
-                heartbeat: s.heartbeat.load(Ordering::Relaxed),
-                watermark: s.watermark.load(Ordering::SeqCst),
-                since: Instant::now(),
-            })
-            .collect();
+        let stalled = vec![None; pool.slots().len()];
         FleetController {
             pool,
             ckpt: None,
             last_ckpt: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
-            observed: Mutex::new(observed),
+            stalled: Mutex::new(stalled),
         }
     }
 
@@ -129,7 +120,7 @@ impl FleetController {
             }
             match self.pool.respawn(id) {
                 Ok(()) => {
-                    self.reset_observed(id);
+                    self.stalled.lock()[id] = None;
                     report.respawned.push(id);
                 }
                 Err(e) => report.errors.push(e),
@@ -138,34 +129,22 @@ impl FleetController {
         report
     }
 
-    /// Whether serving slot `id` has frozen its heartbeat and watermark
-    /// for `wedge_timeout` while the log head is ahead of it. Progress
-    /// restarts the clock.
+    /// Whether serving slot `id` has published no new watermark for
+    /// `wedge_timeout` since it was first seen behind the log head. The
+    /// clock starts at that sighting, not while the slot was caught up,
+    /// and a moved watermark restarts it.
     fn wedged(&self, id: usize, head: u64) -> bool {
-        let slot = &self.pool.slots()[id];
-        let heartbeat = slot.heartbeat.load(Ordering::Relaxed);
-        let watermark = slot.watermark.load(Ordering::SeqCst);
-        let mut observed = self.observed.lock();
-        let o = &mut observed[id];
-        if o.heartbeat != heartbeat || o.watermark != watermark {
-            *o = Observed {
-                heartbeat,
-                watermark,
-                since: Instant::now(),
-            };
-            false
-        } else {
-            o.since.elapsed() >= self.pool.config().wedge_timeout && head > watermark
+        let watermark = self.pool.slots()[id].watermark.load(Ordering::SeqCst);
+        let mut stalled = self.stalled.lock();
+        match &mut stalled[id] {
+            Some((seen, since)) if *seen == watermark && head > watermark => {
+                since.elapsed() >= self.pool.config().wedge_timeout
+            }
+            entry => {
+                *entry = (head > watermark).then(|| (watermark, Instant::now()));
+                false
+            }
         }
-    }
-
-    fn reset_observed(&self, id: usize) {
-        let mut observed = self.observed.lock();
-        observed[id] = Observed {
-            heartbeat: self.pool.slots()[id].heartbeat.load(Ordering::Relaxed),
-            watermark: self.pool.slots()[id].watermark.load(Ordering::SeqCst),
-            since: Instant::now(),
-        };
     }
 
     /// A point-in-time health snapshot of the whole fleet.

@@ -26,7 +26,7 @@
 //!   served only by replicas that have replayed the client's own commits
 //!   (read-your-writes).
 //! * [`controller`] — the control plane: [`FleetController`] observes
-//!   per-slot heartbeats and watermarks, detects panicked and wedged
+//!   per-slot watermarks against the log head, detects panicked and wedged
 //!   workers, respawns them via checkpoint bootstrap, and runs
 //!   [`checkpoint_and_compact`](saga_graph::CheckpointWriter::checkpoint_and_compact)
 //!   on a log-growth cadence so respawn stays `O(live data + tail)`.
@@ -76,8 +76,8 @@ pub struct FleetConfig {
     /// `SagaError::Unavailable` — in-process and over the wire alike (the
     /// network server routes session queries through the same router).
     pub session_timeout: Duration,
-    /// A worker whose heartbeat and watermark both freeze for this long
-    /// while the log is ahead of it is declared wedged and respawned.
+    /// A slot whose published watermark stays frozen this long while the
+    /// log is ahead of it is declared wedged and respawned.
     pub wedge_timeout: Duration,
     /// Checkpoint-and-compact once the log head has advanced this many
     /// operations past the last checkpoint watermark.

@@ -4,8 +4,8 @@
 //! [`OperationLog`] on its own worker thread — bounded
 //! [`catch_up_batch`](LiveReplica::catch_up_batch) polls applied outside
 //! the log lock, so workers replay in parallel and never stall the
-//! writer — and a heartbeat/watermark pair published with plain atomics
-//! so routing and health checks never take a lock on the serving path.
+//! writer — and a watermark published with a plain atomic so routing and
+//! health checks never take a lock on the serving path.
 //!
 //! # Freshness: the caller applies, the worker is the fallback
 //!
@@ -109,9 +109,6 @@ pub(crate) struct Slot {
     pub(crate) respawns: AtomicU64,
     /// Ops that request threads, not the worker, applied to this slot.
     pub(crate) caller_applied: AtomicU64,
-    /// Bumped every worker loop iteration; a frozen heartbeat is the
-    /// wedge signal.
-    pub(crate) heartbeat: AtomicU64,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -129,7 +126,6 @@ impl Slot {
             errors: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             caller_applied: AtomicU64::new(0),
-            heartbeat: AtomicU64::new(0),
             worker: Mutex::new(None),
         })
     }
@@ -484,7 +480,7 @@ impl Drop for ReplicaPool {
 }
 
 /// The replay worker: with the slot's replica held, applies one log
-/// batch, publishes the watermark and heartbeats; when caught up, parks
+/// batch and publishes the watermark; when caught up, parks
 /// on `wake` for one poll interval. Fails only if the OS refuses the
 /// thread.
 fn spawn_worker(
@@ -508,9 +504,9 @@ fn spawn_worker(
                 // failure (the controller respawns it from a checkpoint),
                 // an injected panic exercises the drop-guard death path,
                 // and an injected delay wedges the replica the way a hung
-                // apply would — alive, not replaying, not heartbeating,
-                // and held, so callers cannot catch it up either — for
-                // the wedge detector to catch.
+                // apply would — alive, not replaying, its watermark
+                // frozen, and held, so callers cannot catch it up
+                // either — for the wedge detector to catch.
                 if saga_core::fail::check_scoped(
                     saga_core::fail::sites::FLEET_WORKER_POLL,
                     &cfg.fail_scope,
@@ -520,7 +516,6 @@ fn spawn_worker(
                     slot.errors.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
-                slot.heartbeat.fetch_add(1, Ordering::Relaxed);
                 let previous = replica.watermark();
                 let applied = match replica.catch_up_batch(REPLAY_BATCH) {
                     Ok(n) => n,

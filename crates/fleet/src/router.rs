@@ -207,21 +207,20 @@ impl FleetRouter {
     }
 }
 
-/// `GraphRead` over the fleet: each call routes like a query and holds
-/// its pin for the call, and what no caller needs routed on its own
-/// (`postings`, `selectivity`, membership) is the trait's provided
-/// derivation.
+/// `GraphRead` over the fleet: each required call routes like a query
+/// and holds its pin for the call; the provided reads (name resolution
+/// among them) derive from those, so each still routes once.
 impl GraphRead for FleetRouter {
-    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-        self.route().graph().postings_cursor(probe)
-    }
-
-    fn resolve_name(&self, name: &str) -> Vec<EntityId> {
-        self.route().graph().resolve_name(name)
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+        self.route().graph().with_postings(probe, f)
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         self.route().graph().record(id)
+    }
+
+    fn contains(&self, id: EntityId) -> bool {
+        self.route().graph().contains(id)
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {

@@ -416,7 +416,7 @@ fn wedged_replica_is_skipped_then_detected_and_respawned() {
         "lag-bound skips were not counted"
     );
 
-    // The controller notices the frozen heartbeat and respawns the slot.
+    // The controller notices the frozen watermark and respawns the slot.
     // A respawn marks the slot `Down`, then joins the old worker, and a
     // delay does not see the kill flag: release the wedge once the
     // controller has marked it.

@@ -112,17 +112,8 @@ mod context {
 
     /// Probes and point reads forward to the KG.
     impl GraphRead for ViewContext<'_> {
-        fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-            self.kg.postings_cursor(probe)
-        }
-        fn postings(&self, probe: &ProbeKey) -> Vec<EntityId> {
-            self.kg.postings(probe)
-        }
-        fn selectivity(&self, probe: &ProbeKey) -> usize {
-            self.kg.selectivity(probe)
-        }
-        fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-            self.kg.probe_contains(probe, id)
+        fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+            self.kg.with_postings(probe, f)
         }
         fn record(&self, id: EntityId) -> Option<EntityRecord> {
             self.kg.record(id)

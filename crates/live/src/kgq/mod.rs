@@ -209,11 +209,14 @@ mod tests {
     }
 
     impl GraphRead for Gated {
-        fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-            self.inner.postings_cursor(probe)
+        fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+            self.inner.with_postings(probe, f)
         }
         fn record(&self, id: EntityId) -> Option<EntityRecord> {
             self.inner.record(id)
+        }
+        fn contains(&self, id: EntityId) -> bool {
+            self.inner.contains(id)
         }
         fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
             self.entered.wait();

@@ -45,7 +45,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use saga_core::{checkpoint, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError};
+use saga_core::{
+    checkpoint, BlockPostings, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError,
+};
 use saga_graph::{LogFollower, OperationLog};
 
 use crate::store::ReplicaKg;
@@ -203,15 +205,18 @@ impl LiveReplica {
 /// A replica reads through the same backend-agnostic API as every other
 /// store. Serving engines hold the [`ReplicaKg`] itself
 /// ([`live`](LiveReplica::live)); this impl forwards what the trait
-/// requires, and the provided methods derive the rest from the same
-/// cursor.
+/// requires, and the provided methods derive the rest.
 impl GraphRead for LiveReplica {
-    fn postings_cursor(&self, probe: &ProbeKey) -> saga_core::BlockPostings {
-        self.live.postings_cursor(probe)
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+        self.live.with_postings(probe, f)
     }
 
     fn record(&self, id: EntityId) -> Option<EntityRecord> {
         self.live.record(id)
+    }
+
+    fn contains(&self, id: EntityId) -> bool {
+        self.live.contains(id)
     }
 
     fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {

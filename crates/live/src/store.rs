@@ -91,16 +91,8 @@ impl ReplicaKg {
 /// each call answers from one state between two ops, and makes the same
 /// [`TripleIndex`] call the writer's graph makes.
 impl GraphRead for ReplicaKg {
-    fn postings_cursor(&self, probe: &ProbeKey) -> BlockPostings {
-        self.index.read().postings(probe).clone()
-    }
-
-    fn selectivity(&self, probe: &ProbeKey) -> usize {
-        self.index.read().selectivity(probe)
-    }
-
-    fn probe_contains(&self, probe: &ProbeKey, id: EntityId) -> bool {
-        self.index.read().postings(probe).contains(id)
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+        f(self.index.read().postings(probe))
     }
 
     /// The entity's indexed facts as simple triples, ordered by predicate
