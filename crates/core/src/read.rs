@@ -17,23 +17,28 @@
 //!   same calls — what log replicas serve),
 //!   and the fleet and view surfaces that forward to one.
 //!
-//! The trait is deliberately small: four required methods — one lending
-//! posting primitive ([`with_postings`](GraphRead::with_postings), which
-//! runs a closure on the compressed list itself), point record reads,
-//! entity membership and one limit-aware conjunction
-//! ([`probe_all_limit`](GraphRead::probe_all_limit)). Every other read —
-//! an owned cursor, the materialized list, selectivity, probe
-//! membership, name resolution, the unlimited conjunction — is a
-//! provided method derived once here, which no backend overrides. The
-//! trait carries no version counter: a store's version is the log
-//! sequence number it has applied — a replica's follower watermark, the
-//! writer's log head.
+//! The trait is one required method: [`read_state`](GraphRead::read_state)
+//! lends the backend's [`TripleIndex`] to one closure — under one read
+//! lock on a locked store, so everything the closure reads comes from one
+//! state between two ops. Every other read — the lent posting list, point
+//! records, membership, the limit-aware conjunction, an owned cursor, the
+//! materialized list, selectivity, probe membership, name resolution, the
+//! unlimited conjunction — is a provided method, each one `read_state`,
+//! defined once here and overridden by no backend. A caller that needs
+//! several reads to agree (a KGQ query) makes them inside one
+//! `read_state`. The trait carries no version counter: a store's version
+//! is the log sequence number it has applied — a replica's follower
+//! watermark, the writer's log head.
 
 use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::index::intersect_sorted;
 use crate::postings::BlockPostings;
-use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
+use crate::{
+    EntityId, EntityRecord, ExtendedTriple, FactMeta, KnowledgeGraph, ProbeKey, Symbol,
+    TripleIndex, Value,
+};
 
 /// Uniform read access to a served knowledge graph.
 ///
@@ -41,42 +46,70 @@ use crate::{EntityId, EntityRecord, KnowledgeGraph, ProbeKey};
 /// the intersection paths rely on it. All methods take
 /// `&self`: serving backends are concurrently readable by construction.
 ///
-/// A backend implements [`with_postings`](Self::with_postings),
-/// [`record`](Self::record), [`contains`](Self::contains) and
-/// [`probe_all_limit`](Self::probe_all_limit); the rest is provided.
+/// A backend implements [`read_state`](Self::read_state); the rest is
+/// provided, and each provided read is one `read_state`.
 pub trait GraphRead {
+    /// Run `f` on the backend's index — the one read primitive. A store
+    /// behind a lock runs `f` under one read lock, so `f` sees one state
+    /// between two ops and nothing is copied out; `f` must not call back
+    /// into any store.
+    fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R;
+
     /// Run `f` on one probe's posting list, lent in its block-compressed
-    /// form (see [`crate::postings`]) — the one postings primitive. A
-    /// store behind a lock runs `f` under one read lock, so `f` sees one
-    /// state between two ops and nothing is copied out; `f` must not call
-    /// back into the same store.
-    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R;
+    /// form (see [`crate::postings`]).
+    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
+        self.read_state(|state| f(state.postings(probe)))
+    }
 
-    /// Point read of one entity record (serving reads are snapshot-style:
-    /// the record is cloned out of the store).
-    fn record(&self, id: EntityId) -> Option<EntityRecord>;
+    /// Point read of one entity record, materialised from its indexed
+    /// facts: simple triples ordered by predicate name, then value — an
+    /// order that depends on the log alone, so every backend holding the
+    /// same facts answers alike, in any process, however it was built.
+    /// Provenance does not ride the log: each fact carries
+    /// `FactMeta::default()`. The facts are copied out in the state and
+    /// sorted after it.
+    fn record(&self, id: EntityId) -> Option<EntityRecord> {
+        let mut facts: Vec<(Arc<str>, Symbol, Value)> = self.read_state(|state| {
+            state.contains(id).then(|| {
+                state
+                    .facts_of(id)
+                    .map(|(p, v)| (p.text(), p, v.into_owned()))
+                    .collect()
+            })
+        })?;
+        facts.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
+        let triples = facts
+            .into_iter()
+            .map(|(_, p, v)| ExtendedTriple::simple(id, p, v, FactMeta::default()))
+            .collect();
+        Some(EntityRecord { id, triples })
+    }
 
-    /// True if the entity is visible to this backend: exactly when
+    /// True if the entity has an indexed fact: exactly when
     /// [`record`](Self::record) is `Some`, without building the record.
-    fn contains(&self, id: EntityId) -> bool;
+    fn contains(&self, id: EntityId) -> bool {
+        self.read_state(|state| state.contains(id))
+    }
 
     /// The first `limit` ids (ascending) of the conjunction of `probes` —
-    /// the one conjunction primitive every backend implements. Two things
-    /// are part of this method's contract, so executors never need a pass
-    /// of their own for either:
+    /// the one conjunction primitive. Two things are part of its contract,
+    /// so executors never need a pass of their own for either:
     ///
     /// * **selectivity planning** — drive the evaluation from the
     ///   cheapest posting and short-circuit when any probe is certainly
     ///   empty;
     /// * **the budget** — the answer is exactly the first
     ///   `min(limit, |answer|)` ids of the unlimited answer, and the work
-    ///   done follows `limit`, not `|answer|`: stop evaluating once the
+    ///   done follows `limit`, not `|answer|`: evaluation stops once the
     ///   budget is met instead of computing the whole conjunction and
     ///   truncating. `usize::MAX` means "no budget".
     ///
-    /// Backends with compressed postings intersect **in the compressed
-    /// domain** ([`intersect_views_limit`](crate::postings::intersect_views_limit)).
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId>;
+    /// The intersection runs **in the compressed domain**
+    /// ([`intersect_views_limit`](crate::postings::intersect_views_limit)),
+    /// inline on the calling thread.
+    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
+        self.read_state(|state| state.probe_all_limit(probes, limit))
+    }
 
     /// One probe's posting list as an owned snapshot in compressed block
     /// form: a clone of the lent list, never a materialized
@@ -117,46 +150,23 @@ pub trait GraphRead {
 }
 
 /// Any pointer to a backend is a backend — `&T`, `Arc<T>`, `Box<T>` and
-/// lock guards alike. The four required methods forward; the rest derive
-/// from them as on any backend.
+/// lock guards alike — lending the pointee's state.
 impl<P> GraphRead for P
 where
     P: Deref,
     P::Target: GraphRead,
 {
-    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
-        (**self).with_postings(probe, f)
-    }
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        (**self).record(id)
-    }
-    fn contains(&self, id: EntityId) -> bool {
-        (**self).contains(id)
-    }
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        (**self).probe_all_limit(probes, limit)
+    fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R {
+        (**self).read_state(f)
     }
 }
 
-/// The stable KG serves directly from its unified
-/// [`TripleIndex`](crate::TripleIndex) — borrowed posting lists,
-/// compressed-domain intersection.
+/// The writer's graph lends its unified [`TripleIndex`]; it answers every
+/// read from the index, like a replica of its log. Its records with
+/// provenance stay [`KnowledgeGraph::entity`].
 impl GraphRead for KnowledgeGraph {
-    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
-        f(self.index().postings(probe))
-    }
-
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        self.entity(id).cloned()
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        KnowledgeGraph::contains(self, id)
-    }
-
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        // Zero-copy: intersect borrowed compressed views in place.
-        self.index().probe_all_limit(probes, limit)
+    fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R {
+        f(self.index())
     }
 }
 

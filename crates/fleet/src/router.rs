@@ -38,10 +38,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use saga_core::{
-    BlockPostings, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError,
-    SessionToken,
-};
+use saga_core::{GraphRead, Lsn, Result, SagaError, SessionToken, TripleIndex};
 use saga_live::{QueryEngine, QueryResult, ReplicaKg};
 
 use crate::pool::{ReplicaPool, Slot};
@@ -207,24 +204,12 @@ impl FleetRouter {
     }
 }
 
-/// `GraphRead` over the fleet: each required call routes like a query
-/// and holds its pin for the call; the provided reads (name resolution
-/// among them) derive from those, so each still routes once.
+/// `GraphRead` over the fleet: each `read_state` routes like a query and
+/// holds its pin while the closure runs, so every provided read — name
+/// resolution and records among them — routes once and reads one state.
 impl GraphRead for FleetRouter {
-    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
-        self.route().graph().with_postings(probe, f)
-    }
-
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        self.route().graph().record(id)
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        self.route().graph().contains(id)
-    }
-
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.route().graph().probe_all_limit(probes, limit)
+    fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R {
+        self.route().graph().read_state(f)
     }
 }
 

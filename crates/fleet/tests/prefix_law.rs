@@ -9,7 +9,8 @@
 //! own graph read through its lock, and [`FleetRouter`] — and checks that
 //! `FIND … LIMIT k` through a [`QueryEngine`] is the first `k` answers of
 //! `LIMIT 1000`. All of them are built from one write-ahead producer, so
-//! they hold the same corpus.
+//! they hold the same corpus, and each answers `record(id)` identically
+//! for every corpus id and two absent ones.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,8 +19,8 @@ use parking_lot::RwLock;
 use saga_core::postings::BLOCK_SPAN;
 use saga_core::read::intersect_postings;
 use saga_core::{
-    intern, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, ProbeKey, SourceId,
-    Value, WriteBatch,
+    intern, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, ProbeKey,
+    SourceId, Value, WriteBatch,
 };
 use saga_fleet::{FleetConfig, FleetController, FleetRouter, ReplicaPool};
 use saga_graph::{CheckpointWriter, LoggedWriter, OpKind, OperationLog};
@@ -49,6 +50,14 @@ fn check_kgq_limits(query: impl Fn(&str) -> Vec<EntityId>, backend: &str) {
     }
 }
 
+/// `record(id)` for every corpus id and two absent ones.
+fn records<G: GraphRead>(graph: &G) -> Vec<Option<EntityRecord>> {
+    law::corpus_ids()
+        .chain([0, 1_000_000])
+        .map(|id| graph.record(EntityId(id)))
+        .collect()
+}
+
 #[test]
 fn prefix_law_holds_on_every_live_and_fleet_backend() {
     for seed in law::SEEDS {
@@ -69,6 +78,9 @@ fn prefix_law_holds_on_every_live_and_fleet_backend() {
         check_prefix_law(&replica, seed, "LiveReplica");
 
         check_prefix_law(&*writer.read(), seed, "LoggedWriter::read");
+        let expected = records(&*writer.read());
+        assert!(expected[0].is_some() && expected.last().unwrap().is_none());
+        assert!(records(&replica) == expected, "LiveReplica records");
 
         let dir = std::env::temp_dir().join(format!(
             "saga-fleet-prefix-law-{}-{seed}",
@@ -88,6 +100,7 @@ fn prefix_law_holds_on_every_live_and_fleet_backend() {
             let store: &ReplicaKg = replica.live();
             let backend = format!("ReplicaKg/{built}");
             check_prefix_law(store, seed, &backend);
+            assert!(records(store) == expected, "{backend} records");
             let engine = QueryEngine::new(store.clone());
             check_kgq_limits(
                 |text| engine.query(text).unwrap().entities().to_vec(),
@@ -115,6 +128,7 @@ fn prefix_law_holds_on_every_live_and_fleet_backend() {
             std::thread::sleep(Duration::from_millis(1));
         }
         check_prefix_law(&router, seed, "FleetRouter");
+        assert!(records(&router) == expected, "FleetRouter records");
         check_kgq_limits(
             |text| router.query(text).unwrap().entities().to_vec(),
             "FleetRouter::query",

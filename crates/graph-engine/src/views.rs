@@ -17,8 +17,8 @@
 use std::borrow::Cow;
 
 use saga_core::{
-    BlockPostings, EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, ProbeKey, Result,
-    SagaError, Symbol, Value,
+    BlockPostings, EntityId, EntityRecord, FxHashMap, GraphRead, KnowledgeGraph, Result, SagaError,
+    Symbol, TripleIndex, Value,
 };
 
 pub use context::ViewContext;
@@ -71,8 +71,9 @@ mod context {
     /// What a view's procedures read besides the graph handed to
     /// `create`: point reads of the KG and the already-materialized
     /// dependency views. Only the [`ViewManager`] builds one, and nothing
-    /// on it hands out the whole graph or its index, so an
-    /// [`update`](View::update) cannot scan.
+    /// on it hands out the whole graph, so an [`update`](View::update)
+    /// cannot scan its records. Its index is lent only to a
+    /// [`GraphRead::read_state`] closure.
     pub struct ViewContext<'a> {
         kg: &'a KnowledgeGraph,
         deps: &'a FxHashMap<String, ViewData>,
@@ -110,19 +111,10 @@ mod context {
         }
     }
 
-    /// Probes and point reads forward to the KG.
+    /// Probes and point reads read the KG's index, lent in one state.
     impl GraphRead for ViewContext<'_> {
-        fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
-            self.kg.with_postings(probe, f)
-        }
-        fn record(&self, id: EntityId) -> Option<EntityRecord> {
-            self.kg.record(id)
-        }
-        fn contains(&self, id: EntityId) -> bool {
-            self.kg.contains(id)
-        }
-        fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-            self.kg.probe_all_limit(probes, limit)
+        fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R {
+            self.kg.read_state(f)
         }
     }
 }

@@ -93,10 +93,10 @@ impl<G: GraphRead> IntentHandler<G> {
 
     /// Resolve an intent argument to an entity.
     pub fn resolve_arg(&self, arg: &IntentArg) -> Option<EntityId> {
-        match arg {
-            IntentArg::Id(id) => self.engine.graph().contains(*id).then_some(*id),
-            IntentArg::Name(name) => first_named(self.engine.graph(), name),
-        }
+        self.engine.graph().read_state(|state| match arg {
+            IntentArg::Id(id) => state.contains(*id).then_some(*id),
+            IntentArg::Name(name) => first_named(state, name),
+        })
     }
 
     /// Route and execute an intent. Returns the KGQ result plus the entity

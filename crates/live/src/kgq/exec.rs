@@ -3,14 +3,24 @@
 //! Compilation expands virtual operators, resolves edge targets to entity
 //! ids, and lowers conditions directly to the unified triple index's
 //! [`ProbeKey`] vocabulary — the probe path every backend (the writer's
-//! graph, the replica store) implements. Execution hands a `FIND`
-//! conjunction to the backend's limit-aware
-//! [`probe_all_limit`](GraphRead::probe_all_limit), which plans it by
+//! graph, the replica store) lends through
+//! [`read_state`](GraphRead::read_state). Execution hands a `FIND`
+//! conjunction to the index's limit-aware
+//! [`probe_all_limit`](TripleIndex::probe_all_limit), which plans it by
 //! selectivity: an unsatisfiable probe short-circuits to an empty result
 //! before any posting is materialized, and the cheapest posting drives the
-//! intersection. `GET` paths walk point record reads.
+//! intersection. A `GET` hop reads one predicate's values off each
+//! frontier entity's indexed facts, in record order.
+//!
+//! Everything here past [`compile`] and [`execute`] reads one lent
+//! [`TripleIndex`]: the engine runs a whole query — revalidation, compile
+//! and execute — inside one `read_state`, so one answer reads one state.
 
-use saga_core::{intern, EntityId, GraphRead, ProbeKey, Result, SagaError, Symbol, Value};
+use std::borrow::Cow;
+
+use saga_core::{
+    intern, EntityId, GraphRead, ProbeKey, Result, SagaError, Symbol, TripleIndex, Value,
+};
 
 use crate::kgq::parser::{Condition, Query, Target};
 use crate::kgq::QueryEngine;
@@ -113,41 +123,43 @@ pub(crate) type Resolved = Vec<(Target, Option<EntityId>)>;
 /// The first entity (lowest id) named `name` as a full phrase. A budget
 /// of one reads one id, where `resolve_name(name).first()` would union
 /// and materialize the whole posting; the prefix law makes the two agree.
-pub(crate) fn first_named<G: GraphRead>(graph: &G, name: &str) -> Option<EntityId> {
+pub(crate) fn first_named(state: &TripleIndex, name: &str) -> Option<EntityId> {
     let probe = ProbeKey::Name(name.to_lowercase());
-    graph.probe_all_limit(&[&probe], 1).first().copied()
+    state.probe_all_limit(&[&probe], 1).first().copied()
 }
 
-fn resolve_target<G: GraphRead>(graph: &G, target: &Target) -> Option<EntityId> {
+fn resolve_target(state: &TripleIndex, target: &Target) -> Option<EntityId> {
     match target {
-        Target::Id(id) => graph.contains(*id).then_some(*id),
-        Target::Name(name) => first_named(graph, name),
+        Target::Id(id) => state.contains(*id).then_some(*id),
+        Target::Name(name) => first_named(state, name),
     }
 }
 
 /// True if every target in `resolved` still resolves to the same id — the
 /// one revalidation rule of the plan cache and of materialized views.
-pub(crate) fn still_resolves<G: GraphRead>(
-    graph: &G,
-    resolved: &[(Target, Option<EntityId>)],
-) -> bool {
+pub(crate) fn still_resolves(state: &TripleIndex, resolved: &[(Target, Option<EntityId>)]) -> bool {
     resolved
         .iter()
-        .all(|(target, id)| resolve_target(graph, target) == *id)
+        .all(|(target, id)| resolve_target(state, target) == *id)
 }
 
 /// Compile a parsed query against the engine (expands virtual operators,
-/// resolves edge targets against the engine's backend).
+/// resolves edge targets against one state of the engine's backend).
 pub fn compile<G: GraphRead>(engine: &QueryEngine<G>, query: &Query) -> Result<Plan> {
-    compile_resolved(engine, query).map(|(plan, _)| plan)
+    engine
+        .graph()
+        .read_state(|state| compile_resolved(engine, state, query))
+        .map(|(plan, _)| plan)
 }
 
-/// [`compile`], also returning the edge targets it resolved. Everything
-/// else a `FIND` plan reads, it reads live at execute time, and a `GET`
-/// resolves its start at execute time: a plan with no edge targets is
-/// never stale.
+/// [`compile`] on a lent state, also returning the edge targets it
+/// resolved. Everything else a `FIND` plan reads, it reads live at
+/// execute time, and a `GET` resolves its start at execute time: a plan
+/// with no edge targets is never stale. `engine` serves only its virtual
+/// operators; its store is not read.
 pub(crate) fn compile_resolved<G: GraphRead>(
     engine: &QueryEngine<G>,
+    state: &TripleIndex,
     query: &Query,
 ) -> Result<(Plan, Resolved)> {
     let mut resolved = Resolved::new();
@@ -190,7 +202,7 @@ pub(crate) fn compile_resolved<G: GraphRead>(
                         probes.push(Probe::literal(intern(&pred), value))
                     }
                     Condition::RelTo { pred, target } => {
-                        let id = resolve_target(engine.graph(), &target);
+                        let id = resolve_target(state, &target);
                         probes.push(match id {
                             Some(id) => Probe::edge(intern(&pred), id),
                             None => Probe::Unsatisfiable,
@@ -209,8 +221,13 @@ pub(crate) fn compile_resolved<G: GraphRead>(
     Ok((plan, resolved))
 }
 
-/// Execute a compiled plan against a [`GraphRead`] backend.
+/// Execute a compiled plan against one state of a [`GraphRead`] backend.
 pub fn execute<G: GraphRead>(graph: &G, plan: &Plan) -> Result<QueryResult> {
+    graph.read_state(|state| execute_on(state, plan))
+}
+
+/// [`execute`] on a lent state.
+pub(crate) fn execute_on(state: &TripleIndex, plan: &Plan) -> Result<QueryResult> {
     match plan {
         Plan::Find { probes, limit } => {
             if probes.is_empty() {
@@ -227,63 +244,49 @@ pub fn execute<G: GraphRead>(graph: &G, plan: &Plan) -> Result<QueryResult> {
                 return Ok(QueryResult::Entities(Vec::new()));
             };
             // Selectivity planning and the result budget are both the
-            // backend's contract: `probe_all_limit` drives from the
+            // index's contract: `probe_all_limit` drives from the
             // cheapest posting, short-circuits certainly-empty probes and
             // stops once `limit` ids are out, so neither a selectivity
             // pass nor a truncate belongs here.
-            Ok(QueryResult::Entities(graph.probe_all_limit(&keys, *limit)))
+            Ok(QueryResult::Entities(state.probe_all_limit(&keys, *limit)))
         }
         Plan::Get { start, path } => {
-            let Some(start_id) = resolve_target(graph, start) else {
+            let Some(start_id) = resolve_target(state, start) else {
                 return Ok(QueryResult::Entities(Vec::new()));
             };
-            let mut frontier = vec![start_id];
-            let mut terminal_values: Vec<Value> = Vec::new();
-            for (depth, &pred) in path.iter().enumerate() {
-                let last = depth + 1 == path.len();
-                let mut next = Vec::new();
-                terminal_values.clear();
-                for id in &frontier {
-                    let Some(record) = graph.record(*id) else {
-                        continue;
-                    };
-                    for v in record.values(pred) {
-                        match v {
-                            Value::Entity(e) => {
-                                next.push(*e);
-                                if last {
-                                    terminal_values.push(v.clone());
-                                }
-                            }
-                            other => {
-                                if last {
-                                    terminal_values.push(other.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                frontier = next;
-                if frontier.is_empty() && !last {
-                    return Ok(QueryResult::Values(Vec::new()));
-                }
-            }
             if path.is_empty() {
                 return Ok(QueryResult::Entities(vec![start_id]));
             }
+            let mut frontier = vec![start_id];
+            let mut values: Vec<Cow<'_, Value>> = Vec::new();
+            for (depth, &pred) in path.iter().enumerate() {
+                values.clear();
+                for &id in &frontier {
+                    let from = values.len();
+                    values.extend(
+                        state
+                            .facts_of(id)
+                            .filter(|&(p, _)| p == pred)
+                            .map(|(_, v)| v),
+                    );
+                    // Record order: one predicate's values by value.
+                    values[from..].sort_unstable();
+                }
+                if depth + 1 < path.len() {
+                    frontier = values.iter().filter_map(|v| v.as_entity()).collect();
+                    if frontier.is_empty() {
+                        return Ok(QueryResult::Values(Vec::new()));
+                    }
+                }
+            }
             // If every terminal value is an entity, surface entities.
-            if !terminal_values.is_empty()
-                && terminal_values
-                    .iter()
-                    .all(|v| matches!(v, Value::Entity(_)))
-            {
-                let ids = terminal_values
-                    .iter()
-                    .filter_map(Value::as_entity)
-                    .collect();
+            if !values.is_empty() && values.iter().all(|v| matches!(**v, Value::Entity(_))) {
+                let ids = values.iter().filter_map(|v| v.as_entity()).collect();
                 return Ok(QueryResult::Entities(ids));
             }
-            Ok(QueryResult::Values(terminal_values))
+            Ok(QueryResult::Values(
+                values.into_iter().map(Cow::into_owned).collect(),
+            ))
         }
     }
 }
@@ -586,17 +589,20 @@ mod tests {
         let names = ["Beyoncé", "jay-z", "Halo", "Hollywood", "Nobody"];
         for name in names {
             assert_eq!(
-                first_named(&kg, name),
+                first_named(kg.index(), name),
                 kg.resolve_name(name).first().copied()
             );
             assert_eq!(
-                first_named(&live, name),
+                live.read_state(|state| first_named(state, name)),
                 live.resolve_name(name).first().copied(),
                 "{name}"
             );
         }
         assert_eq!(live.resolve_name("Jay-Z"), vec![EntityId(2), EntityId(3)]);
-        assert_eq!(first_named(&live, "Jay-Z"), Some(EntityId(2)));
+        assert_eq!(
+            live.read_state(|state| first_named(state, "Jay-Z")),
+            Some(EntityId(2))
+        );
     }
 
     #[test]

@@ -106,19 +106,21 @@ impl View for MaterializedKgqView {
     /// intersection to full membership (sorted).
     fn create(&mut self, kg: &KnowledgeGraph, _ctx: &ViewContext<'_>) -> Result<ViewData> {
         let engine = QueryEngine::new(kg);
-        let (Plan::Find { probes, .. }, resolved) = compile_resolved(&engine, &self.query)? else {
+        let (Plan::Find { probes, .. }, resolved) =
+            compile_resolved(&engine, kg.index(), &self.query)?
+        else {
             return Err(SagaError::Query("materialized view must be FIND".into()));
         };
-        let keys: Option<Vec<ProbeKey>> = probes
+        let keys: Option<Vec<&ProbeKey>> = probes
             .iter()
             .map(|p| match p {
-                Probe::Key(k) => Some(k.clone()),
+                Probe::Key(k) => Some(k),
                 Probe::Unsatisfiable => None,
             })
             .collect();
-        let mut members = keys.map_or_else(Vec::new, |keys| kg.probe_all(&keys));
-        members.sort_unstable();
-        members.dedup();
+        let members = keys.map_or_else(Vec::new, |keys| {
+            kg.index().probe_all_limit(&keys, usize::MAX)
+        });
         self.state = Some(MatState { probes, resolved });
         Ok(ViewData::Entities(members))
     }
@@ -132,37 +134,39 @@ impl View for MaterializedKgqView {
         let (Some(st), ViewData::Entities(mut members)) = (&self.state, current) else {
             return Ok(None);
         };
-        // A moved resolution changes the probes themselves: the
-        // membership is rebuilt, not maintained.
-        if !still_resolves(ctx, &st.resolved) {
-            return Ok(None);
-        }
-
-        if st.probes.iter().any(|p| matches!(p, Probe::Unsatisfiable)) {
-            return Ok(Some(ViewData::Entities(Vec::new())));
-        }
-
-        // Kara et al.'s delta-query shape: a changed fact only affects its
-        // own subject's membership, so probe exactly the changed ids.
-        let mut uniq: Vec<EntityId> = changed.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        for e in uniq {
-            let is_member = st.probes.iter().all(|p| match p {
-                Probe::Key(key) => ctx.probe_contains(key, e),
-                Probe::Unsatisfiable => false,
-            });
-            match (members.binary_search(&e), is_member) {
-                (Ok(_), true) | (Err(_), false) => {}
-                (Ok(at), false) => {
-                    members.remove(at);
-                }
-                (Err(at), true) => {
-                    members.insert(at, e);
+        // One state answers both the revalidation and the probes.
+        ctx.read_state(|state| {
+            // A moved resolution changes the probes themselves: the
+            // membership is rebuilt, not maintained.
+            if !still_resolves(state, &st.resolved) {
+                return Ok(None);
+            }
+            if st.probes.iter().any(|p| matches!(p, Probe::Unsatisfiable)) {
+                return Ok(Some(ViewData::Entities(Vec::new())));
+            }
+            // Kara et al.'s delta-query shape: a changed fact only affects
+            // its own subject's membership, so probe exactly the changed
+            // ids.
+            let mut uniq: Vec<EntityId> = changed.to_vec();
+            uniq.sort_unstable();
+            uniq.dedup();
+            for e in uniq {
+                let is_member = st.probes.iter().all(|p| match p {
+                    Probe::Key(key) => state.postings(key).contains(e),
+                    Probe::Unsatisfiable => false,
+                });
+                match (members.binary_search(&e), is_member) {
+                    (Ok(_), true) | (Err(_), false) => {}
+                    (Ok(at), false) => {
+                        members.remove(at);
+                    }
+                    (Err(at), true) => {
+                        members.insert(at, e);
+                    }
                 }
             }
-        }
-        Ok(Some(ViewData::Entities(members)))
+            Ok(Some(ViewData::Entities(members)))
+        })
     }
 }
 

@@ -45,9 +45,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use saga_core::{
-    checkpoint, BlockPostings, EntityId, EntityRecord, GraphRead, Lsn, ProbeKey, Result, SagaError,
-};
+use saga_core::{checkpoint, GraphRead, Lsn, Result, SagaError, TripleIndex};
 use saga_graph::{LogFollower, OperationLog};
 
 use crate::store::ReplicaKg;
@@ -56,8 +54,8 @@ use crate::store::ReplicaKg;
 // name from this module.
 #[cfg(test)]
 use saga_core::{
-    intern, postings::BLOCK_SPAN, read::intersect_postings, ExtendedTriple, FactMeta, SourceId,
-    Value,
+    intern, postings::BLOCK_SPAN, read::intersect_postings, EntityId, EntityRecord, ExtendedTriple,
+    FactMeta, ProbeKey, SourceId, Value,
 };
 #[cfg(test)]
 #[path = "../../core/src/prefix_law.rs"]
@@ -204,23 +202,10 @@ impl LiveReplica {
 
 /// A replica reads through the same backend-agnostic API as every other
 /// store. Serving engines hold the [`ReplicaKg`] itself
-/// ([`live`](LiveReplica::live)); this impl forwards what the trait
-/// requires, and the provided methods derive the rest.
+/// ([`live`](LiveReplica::live)); this impl lends its state.
 impl GraphRead for LiveReplica {
-    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
-        self.live.with_postings(probe, f)
-    }
-
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        self.live.record(id)
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        self.live.contains(id)
-    }
-
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.live.probe_all_limit(probes, limit)
+    fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R {
+        self.live.read_state(f)
     }
 }
 
@@ -504,6 +489,85 @@ mod tests {
         });
         eprintln!("{torn} torn reads of {reads}");
         assert_eq!(torn, 0, "{torn} of {reads} reads saw half an op");
+    }
+
+    /// A query reads one state. Each op moves A's `rel` edge between X and
+    /// Y, names the new target "target" and the old one "stale", so every
+    /// state answers `GET A . rel . name` with "target" and
+    /// `FIND … rel -> entity("target")` with A. A GET hop or a named edge
+    /// target read from one state and a probe from the next answers
+    /// "stale" or nothing.
+    #[test]
+    fn a_query_reads_one_state() {
+        const MOVES: u64 = 10_000;
+        let (rel, name) = (intern("rel"), intern("name"));
+        let fact = |s: EntityId, p, v: Value| ExtendedTriple::simple(s, p, v, meta());
+        let unset = |p| move |rec: &mut EntityRecord| rec.triples.retain(|t| t.predicate != p);
+        let mut torn_per_seed = Vec::new();
+        for seed in prefix_law::SEEDS {
+            let mut rng = prefix_law::Rng::new(seed);
+            let mut ids: Vec<EntityId> = Vec::new();
+            while ids.len() < 3 {
+                let id = EntityId(1 + rng.below(5_000));
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+            let (a, x, y) = (ids[0], ids[1], ids[2]);
+            let w = producer();
+            w.commit(
+                OpKind::Upsert,
+                WriteBatch::new()
+                    .named_entity(a, "A", "t", SourceId(1), 0.9)
+                    .upsert(fact(a, rel, Value::Entity(x)))
+                    .upsert(fact(x, name, Value::str("target")))
+                    .upsert(fact(y, name, Value::str("stale"))),
+            )
+            .unwrap();
+            for k in 0..MOVES {
+                let (from, to) = if k % 2 == 0 { (x, y) } else { (y, x) };
+                w.commit(
+                    OpKind::Upsert,
+                    WriteBatch::new()
+                        .mutate(a, unset(rel))
+                        .upsert(fact(a, rel, Value::Entity(to)))
+                        .mutate(to, unset(name))
+                        .upsert(fact(to, name, Value::str("target")))
+                        .mutate(from, unset(name))
+                        .upsert(fact(from, name, Value::str("stale"))),
+                )
+                .unwrap();
+            }
+            let mut replica = LiveReplica::new(2, Arc::clone(w.log()));
+            assert_eq!(replica.catch_up_batch(1).unwrap(), 1, "the first state");
+            let engine = crate::QueryEngine::new(replica.live().clone());
+            let get = format!("GET AKG:{} . rel . name", a.0);
+            let find = r#"FIND t WHERE rel -> entity("target")"#;
+            let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let (reads, torn) = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let (mut reads, mut torn) = (0u64, 0u64);
+                    while !done.load(Ordering::Acquire) {
+                        let path = engine.query(&get).unwrap();
+                        let hits = engine.query(find).unwrap();
+                        reads += 2;
+                        torn += u64::from(path.values() != [Value::str("target")]);
+                        torn += u64::from(hits.entities() != [a]);
+                        started.store(true, Ordering::Release);
+                    }
+                    (reads, torn)
+                });
+                while !started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(replica.catch_up().unwrap() as u64, MOVES);
+                done.store(true, Ordering::Release);
+                reader.join().unwrap()
+            });
+            eprintln!("seed {seed}: {torn} torn answers of {reads}");
+            torn_per_seed.push(torn);
+        }
+        assert_eq!(torn_per_seed, [0; 3], "torn answers per seed");
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //!
 //! [`ReplicaKg`] serves the *same* [`TripleIndex`] the stable KG
 //! maintains, so stable and live serving share one probe path
-//! ([`ProbeKey`]) and one posting representation. §4.1's sharding is
+//! ([`ProbeKey`](saga_core::ProbeKey)) and one posting representation. §4.1's sharding is
 //! across machines — the parked multi-process constellation — so a
 //! replica holds one whole index, not partitions of one.
 //!
 //! The store is that index under one lock, nothing else: its version is
-//! the log position its follower has applied. An op lands whole under the write lock and every read takes the
-//! read lock once, so each read sees the store between two ops, never
-//! inside one. Every fact the store learns arrives as a [`Delta`] in the
+//! the log position its follower has applied. An op lands whole under the
+//! write lock and every [`GraphRead::read_state`] takes the read lock
+//! once, so each read — a whole KGQ query included — sees the store
+//! between two ops, never inside one. Every fact the store learns arrives as a [`Delta`] in the
 //! index vocabulary — replayed from the log or restored from a
 //! checkpoint — so a record is materialised from the index's SPO row on
 //! read rather than kept twice. Live construction and curation commit
@@ -22,10 +23,7 @@
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
-use saga_core::{
-    BlockPostings, Delta, EntityId, EntityRecord, ExtendedTriple, FactMeta, GraphRead, ProbeKey,
-    Symbol, TripleIndex, Value,
-};
+use saga_core::{Delta, GraphRead, TripleIndex};
 
 /// A log replica's serving store: one [`TripleIndex`] under one lock,
 /// nothing else — cheaply shareable. An op's deltas land together
@@ -87,55 +85,18 @@ impl ReplicaKg {
     }
 }
 
-/// The store-over-index layer: every method takes the read lock once, so
-/// each call answers from one state between two ops, and makes the same
-/// [`TripleIndex`] call the writer's graph makes.
+/// The store lends its index under one read lock, so each read — a whole
+/// KGQ query included — answers from one state between two ops.
 impl GraphRead for ReplicaKg {
-    fn with_postings<R>(&self, probe: &ProbeKey, f: impl FnOnce(&BlockPostings) -> R) -> R {
-        f(self.index.read().postings(probe))
-    }
-
-    /// The entity's indexed facts as simple triples, ordered by predicate
-    /// name, then value — an order that depends on the log alone, so every
-    /// replica of one log answers alike, in any process, however it was
-    /// built. Provenance does not ride the log: each fact carries
-    /// `FactMeta::default()`.
-    fn record(&self, id: EntityId) -> Option<EntityRecord> {
-        let mut facts: Vec<(Arc<str>, Symbol, Value)> = {
-            let index = self.index.read();
-            if !index.contains(id) {
-                return None;
-            }
-            index
-                .facts_of(id)
-                .map(|(p, v)| (p.text(), p, v.into_owned()))
-                .collect()
-        };
-        facts.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-        let triples = facts
-            .into_iter()
-            .map(|(_, p, v)| ExtendedTriple::simple(id, p, v, FactMeta::default()))
-            .collect();
-        Some(EntityRecord { id, triples })
-    }
-
-    fn contains(&self, id: EntityId) -> bool {
-        self.index.read().contains(id)
-    }
-
-    /// Intersect **in the compressed domain**, bounded by `limit`, inline
-    /// on the calling thread. Served queries are capped at `MAX_LIMIT`,
-    /// which bounds the work at microseconds: parallelism across requests
-    /// (server workers) is the only parallelism the serving path needs.
-    fn probe_all_limit(&self, probes: &[&ProbeKey], limit: usize) -> Vec<EntityId> {
-        self.index.read().probe_all_limit(probes, limit)
+    fn read_state<R>(&self, f: impl FnOnce(&TripleIndex) -> R) -> R {
+        f(&self.index.read())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saga_core::{intern, DeltaFact};
+    use saga_core::{intern, DeltaFact, EntityId, ProbeKey, Value};
 
     fn fact(predicate: &str, object: Value) -> DeltaFact {
         DeltaFact {

@@ -11,7 +11,7 @@ use saga_core::{
     intern, EntityId, ExtendedTriple, FactMeta, GraphRead, KnowledgeGraph, ProbeKey, SourceId,
     Value,
 };
-use saga_live::{QueryEngine, QueryResult, ReplicaKg};
+use saga_live::{QueryEngine, ReplicaKg};
 
 const PREDS: [&str; 3] = ["genre", "year", "rating"];
 const TYPES: [&str; 2] = ["song", "album"];
@@ -130,9 +130,11 @@ proptest! {
             format!("GET AKG:{subject} . related_to . name"),
             format!(r#"GET "Entity {subject}" . {pred}"#),
         ];
+        // In order: a FIND answers ascending ids and a GET emits values
+        // in record order, which every backend shares.
         for q in &queries {
-            let a = answers(stable_engine.query(q).unwrap());
-            let b = answers(live_engine.query(q).unwrap());
+            let a = stable_engine.query(q).unwrap();
+            let b = live_engine.query(q).unwrap();
             prop_assert_eq!(&a, &b, "stable vs live: {}", q);
         }
     }
@@ -255,17 +257,6 @@ fn flat_record<G: GraphRead>(graph: &G, id: EntityId) -> Option<Vec<(String, Val
     })
 }
 
-/// A KGQ answer as sorted multisets. A GET emits values in record order,
-/// which legitimately differs between the KG (insertion order) and a
-/// replica (index order).
-fn answers(result: QueryResult) -> (Vec<EntityId>, Vec<Value>) {
-    let mut entities = result.entities().to_vec();
-    let mut values = result.values().to_vec();
-    entities.sort_unstable();
-    values.sort_unstable();
-    (entities, values)
-}
-
 proptest! {
     /// A replica constructed *only* from oplog replay — never touching the
     /// producing `KnowledgeGraph` — is parity-equal to the directly-built
@@ -324,6 +315,7 @@ proptest! {
             format!("FIND {} WHERE {pred} = {value}", TYPES[0]),
             format!("FIND {} WHERE related_to -> AKG:{target}", TYPES[1]),
             format!(r#"FIND song WHERE name = "Entity {subject}""#),
+            format!("GET AKG:{subject} . related_to . name"),
         ] {
             prop_assert_eq!(
                 kg_engine.query(&q).unwrap(),
@@ -332,12 +324,5 @@ proptest! {
                 q
             );
         }
-        let q = format!("GET AKG:{subject} . related_to . name");
-        prop_assert_eq!(
-            answers(kg_engine.query(&q).unwrap()),
-            answers(replica_engine.query(&q).unwrap()),
-            "KGQ parity: {}",
-            q
-        );
     }
 }
